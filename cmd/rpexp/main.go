@@ -21,13 +21,17 @@
 //	rpexp -exp scale
 //	rpexp -exp hotspot -balance p2c,round-robin
 //	rpexp -exp xproc
+//	rpexp -exp load -scenarios steady -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -55,6 +59,8 @@ func main() {
 	churn := flag.Bool("churn", false, "steady-state fragmentation ablation: transient holders + arrival waves")
 	scenarios := flag.String("scenarios", "", "comma-separated scenario name filter for -exp load (default: full catalog)")
 	balance := flag.String("balance", "", "comma-separated picker list for -exp hotspot: p2c|round-robin|least-loaded (default: all three)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := flag.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	flag.Parse()
 
 	if _, err := scheduler.PolicyByName(*sched); err != nil {
@@ -66,17 +72,36 @@ func main() {
 		os.Exit(2)
 	}
 
+	want := func(s string) bool { return *exp == "all" || *exp == s }
+	var bootCounts []int
+	if want("1") && *counts != "" {
+		bootCounts = parseCounts(*counts)
+	}
+
+	// From here on every way out goes through exit, which finishes the
+	// profiles first.
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rpexp: %v\n", err)
+		os.Exit(2)
+	}
+	exit := func(code int) {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "rpexp: %v\n", err)
+			code = max(code, 1)
+		}
+		os.Exit(code)
+	}
+
 	ctx := context.Background()
 	run := func(name string, fn func() error) {
 		fmt.Printf("== %s ==\n", name)
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "rpexp: %s: %v\n", name, err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Println()
 	}
-
-	want := func(s string) bool { return *exp == "all" || *exp == s }
 
 	if want("table1") {
 		run("Table I", func() error {
@@ -93,8 +118,8 @@ func main() {
 	if want("1") {
 		run("Experiment 1 (Fig. 3)", func() error {
 			cfg := experiments.DefaultBTConfig()
-			if *counts != "" {
-				cfg.Counts = parseCounts(*counts)
+			if bootCounts != nil {
+				cfg.Counts = bootCounts
 			}
 			if *seed != 0 {
 				cfg.Seed = *seed
@@ -326,6 +351,43 @@ func main() {
 			}
 		}
 	}
+	exit(0)
+}
+
+// startProfiles creates the named profile files (an empty name skips one)
+// and starts the CPU profile. The returned function stops it, writes the
+// allocation profile after a collection, closes both files and reports
+// everything that failed.
+func startProfiles(cpuPath, memPath string) (func() error, error) {
+	var cpu, mem *os.File
+	stop := func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if mem != nil {
+			runtime.GC() // the profile counts what the last collection saw
+			errs = append(errs, pprof.Lookup("allocs").WriteTo(mem, 0), mem.Close())
+		}
+		return errors.Join(errs...)
+	}
+	var err error
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			return nil, errors.Join(err, stop())
+		}
+	}
+	return stop, nil
 }
 
 func parseCounts(s string) []int {

@@ -2,11 +2,13 @@ package repro
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/loadgen"
 	"repro/internal/msgq"
 	"repro/internal/platform"
 	"repro/internal/proto"
@@ -111,6 +113,37 @@ func TestBatchedRoundTripAllocBudget(t *testing.T) {
 	if allocs > budget {
 		t.Fatalf("batched round trip allocates %.1f objects/op, budget %d", allocs, budget)
 	}
+}
+
+// TestCampaignAllocBudget pins what one simulated request of an open-loop
+// campaign costs in heap objects through the whole stack — driver, request
+// runner, resolver, inproc msgq, serving, virtual clock, metrics — on
+// bench/rpbench's campaign_steady scenario, campaign set-up included. With
+// a goroutine, a Sprintf and five allocating sleeps per request it was 30.2;
+// self-waking and recycled sleepers, campaign-lifetime runners and
+// worker-owned park channels brought it to about 10.
+func TestCampaignAllocBudget(t *testing.T) {
+	const requests = 5000
+	sc := loadgen.Scenario{
+		Name: "campaign_steady", Kind: loadgen.KindSteady, Requests: requests, Rate: 2000,
+		Services: 4, Concurrency: 1, Seed: 7, TaskEvery: 1000, KeepSamples: true,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := loadgen.Run(context.Background(), sc)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != requests {
+		t.Fatalf("completed %d of %d requests", res.Completed, requests)
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / requests
+	const budget = 16
+	if allocs > budget {
+		t.Fatalf("campaign allocates %.1f objects/request, budget %d", allocs, budget)
+	}
+	t.Logf("%.1f objects/request", allocs)
 }
 
 // tcpEchoHandler echoes the request body back in a reply envelope without

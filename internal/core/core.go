@@ -858,14 +858,27 @@ func pickPilot(pilots []*pilot.Pilot, rt router.Router, kind string, d spec.Task
 	return live[i], nil
 }
 
-// activePilots filters pilots to the ACTIVE subset, as router targets
-// and as pilots (same order) — the one liveness filter every routing
-// path shares.
+// pilotLive reports whether p can take new work: ACTIVE and not shutting
+// down. Shutdown closes the stop channel first and leaves ACTIVE last, with
+// the pilot's managers closed in between, so the state alone would keep
+// routing onto a pilot that refuses every submission.
+func pilotLive(p *pilot.Pilot) bool {
+	select {
+	case <-p.Stopped():
+		return false
+	default:
+		return p.State() == states.PilotActive
+	}
+}
+
+// activePilots filters pilots to the live subset (pilotLive), as router
+// targets and as pilots (same order) — the one liveness filter every
+// routing path shares.
 func activePilots(pilots []*pilot.Pilot) ([]router.Target, []*pilot.Pilot) {
 	targets := make([]router.Target, 0, len(pilots))
 	live := make([]*pilot.Pilot, 0, len(pilots))
 	for _, p := range pilots {
-		if p.State() != states.PilotActive {
+		if !pilotLive(p) {
 			continue
 		}
 		targets = append(targets, p)
@@ -1469,7 +1482,7 @@ func (sm *ServiceManager) Submit(d spec.ServiceDescription) (*Service, error) {
 			sm.mu.Unlock()
 			// The routed pilot left ACTIVE between routing and dispatch:
 			// retry against the survivors, exactly like task submission.
-			if p.State() != states.PilotActive && d.Pilot == "" {
+			if !pilotLive(p) && d.Pilot == "" {
 				continue
 			}
 			return nil, err
@@ -1635,7 +1648,7 @@ func (sm *ServiceManager) replace(h *Service) (*service.Instance, *pilot.Pilot, 
 		sm.sess.journalAppend(journal.KindBind, journal.BindBody{Entity: "service", UID: d.UID, Pilot: p.UID()})
 		inst, err := p.Services().Submit(d)
 		if err != nil {
-			if p.State() != states.PilotActive {
+			if !pilotLive(p) {
 				continue
 			}
 			return nil, nil, err

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,13 +314,31 @@ func startBackends(ctx context.Context, sess *core.Session, sc Scenario) ([]*cor
 
 // drive runs the open-loop arrival schedule on a clock-registered
 // goroutine: sleep the next gap, stamp the arrival, hand the request to a
-// fresh registered goroutine, repeat. The final wait for in-flight
-// requests is bracketed with Block/Unblock so the clock keeps advancing
-// while the driver parks on the WaitGroup.
+// request runner, repeat. The final wait for in-flight requests is
+// bracketed with Block/Unblock so the clock keeps advancing while the
+// driver parks on the WaitGroup.
+//
+// drive owns the request runners. A runner lives as long as the campaign
+// and keeps the stack its first request grew; between requests it parks,
+// unregistered, on the unbuffered jobs channel. The driver takes the
+// runner token before the hand-off (register-before-spawn, as clock.Go
+// does) and starts a new runner only when none is parked, so how many
+// exist depends on host scheduling while no count, sample or timestamp
+// does. Closing jobs after the last request stops them all.
 func (c *campaign) drive(ctx context.Context) {
 	arr := c.sc.arrivals(c.sc.Seed)
 	targets := rng.New(c.sc.Seed).Derive("targets")
 	var wg sync.WaitGroup
+	type job struct{ idx, svc int }
+	jobs := make(chan job)
+	defer close(jobs)
+	runner := func(j job) {
+		for ok := true; ok; j, ok = <-jobs {
+			c.request(j.idx, j.svc)
+			wg.Done()
+			c.clock.DoneRunner()
+		}
+	}
 	for i := 0; ; i++ {
 		gap, ok := arr.Next()
 		if !ok {
@@ -340,14 +359,16 @@ func (c *campaign) drive(ctx context.Context) {
 		c.series.ObserveQueue(now, depth)
 		c.mu.Unlock()
 
+		j := job{i, svc}
 		wg.Add(1)
-		idx := i
-		c.clock.Go(func() {
-			defer wg.Done()
-			c.request(idx, svc)
-		})
-		if c.sc.TaskEvery > 0 && idx%c.sc.TaskEvery == 0 {
-			c.submitTask(ctx, idx)
+		c.clock.AddRunner()
+		select {
+		case jobs <- j:
+		default:
+			go runner(j)
+		}
+		if c.sc.TaskEvery > 0 && i%c.sc.TaskEvery == 0 {
+			c.submitTask(ctx, i)
 		}
 	}
 	if c.acct != nil {
@@ -389,7 +410,7 @@ func (c *campaign) pickTarget(i int, targets *rng.Source) int {
 // on this accounted goroutine) and records the outcome.
 func (c *campaign) request(idx, svc int) {
 	start := c.clock.Now()
-	_, _, err := c.resolvers[svc].Infer(c.bg, fmt.Sprintf("req-%07d", idx), c.sc.MaxTokens)
+	_, _, err := c.resolvers[svc].Infer(c.bg, requestPrompt(idx), c.sc.MaxTokens)
 	end := c.clock.Now()
 	c.outstanding.Add(-1)
 	c.mu.Lock()
@@ -408,6 +429,14 @@ func (c *campaign) request(idx, svc int) {
 	if end.After(c.maxDone) {
 		c.maxDone = end
 	}
+}
+
+// requestPrompt returns fmt.Sprintf("req-%07d", idx) for idx >= 0, without
+// fmt: the prompt's bytes feed the token counts of non-noop models.
+func requestPrompt(idx int) string {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(idx), 10)
+	return "req-" + "0000000"[:max(7-len(digits), 0)] + string(digits)
 }
 
 // submitTask pushes one no-op compute task through the TaskManager seam.

@@ -3,6 +3,8 @@ package loadgen
 import (
 	"context"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -140,25 +142,36 @@ func TestLoadCampaignDeterministicReplay(t *testing.T) {
 		{Name: "straggler", Kind: KindStraggler, Requests: 2000, Rate: 800, Services: 4, Seed: 42},
 	} {
 		sc := sc
+		sc.KeepSamples = true
 		t.Run(sc.Name, func(t *testing.T) {
 			a, err := Run(context.Background(), sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Run(context.Background(), sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Offered != b.Offered || a.Completed != b.Completed || a.Failed != b.Failed {
-				t.Errorf("counts differ: %d/%d/%d vs %d/%d/%d",
-					a.Offered, a.Completed, a.Failed, b.Offered, b.Completed, b.Failed)
-			}
-			if a.Duration != b.Duration {
-				t.Errorf("makespan differs: %v vs %v", a.Duration, b.Duration)
-			}
-			for _, q := range []float64{0.5, 0.9, 0.99, 1.0} {
-				if qa, qb := a.Latency.Quantile(q), b.Latency.Quantile(q); qa != qb {
-					t.Errorf("q%.2f differs: %v vs %v", q, qa, qb)
+			// How many request runners a campaign starts depends on the
+			// host's scheduling, so replay it with one and with every
+			// processor: no count and no sample may tell them apart.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			for _, procs := range []int{1, runtime.NumCPU()} {
+				runtime.GOMAXPROCS(procs)
+				b, err := Run(context.Background(), sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.Offered != b.Offered || a.Completed != b.Completed || a.Failed != b.Failed {
+					t.Errorf("procs %d: counts differ: %d/%d/%d vs %d/%d/%d", procs,
+						a.Offered, a.Completed, a.Failed, b.Offered, b.Completed, b.Failed)
+				}
+				if a.Duration != b.Duration {
+					t.Errorf("procs %d: makespan differs: %v vs %v", procs, a.Duration, b.Duration)
+				}
+				for _, q := range []float64{0.5, 0.9, 0.99, 1.0} {
+					if qa, qb := a.Latency.Quantile(q), b.Latency.Quantile(q); qa != qb {
+						t.Errorf("procs %d: q%.2f differs: %v vs %v", procs, q, qa, qb)
+					}
+				}
+				if !slices.Equal(a.Samples, b.Samples) {
+					t.Errorf("procs %d: the %d latency samples differ", procs, len(a.Samples))
 				}
 			}
 		})

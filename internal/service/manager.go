@@ -128,6 +128,7 @@ type Instance struct {
 	ctlSrv    msgq.Server
 	probe     simtime.Ticker
 	probeStop chan struct{}
+	stopping  bool // a Terminate has claimed the stop; guards probeStop's close
 	killed    bool
 	failErr   error
 
@@ -667,11 +668,19 @@ func (m *Manager) Terminate(uid string, drain bool) error {
 	if inst.machine.Current() != states.ServiceActive {
 		return fmt.Errorf("%w: %s in %s", ErrNotActive, uid, inst.machine.Current())
 	}
-	close(inst.probeStop)
-	m.cfg.Registry.Withdraw(uid)
+	// The service stays ACTIVE until its teardown is done, so the state
+	// check alone admits every concurrent Terminate and Close: the
+	// stopping flag picks the one that owns probeStop and the teardown.
 	inst.mu.Lock()
+	lost := inst.stopping
+	inst.stopping = true
 	srv := inst.server
 	inst.mu.Unlock()
+	if lost {
+		return fmt.Errorf("%w: %s is already being terminated", ErrNotActive, uid)
+	}
+	close(inst.probeStop)
+	m.cfg.Registry.Withdraw(uid)
 	if drain {
 		if err := inst.machine.To(states.ServiceDraining); err != nil {
 			return err

@@ -300,6 +300,56 @@ func TestTerminateDrain(t *testing.T) {
 	}
 }
 
+// TestTerminateSingleWinner races several Terminates of one ACTIVE service,
+// first among themselves and then against Close: the service is ACTIVE
+// until its teardown ends, so all of them pass the state check, and exactly
+// one may own the stop (the others used to close probeStop a second time).
+func TestTerminateSingleWinner(t *testing.T) {
+	for _, withClose := range []bool{false, true} {
+		r := newRig(t, 100000)
+		inst, _ := r.mgr.Submit(noopDesc("svc"))
+		waitReady(t, r, inst.UID())
+		const terminators = 4
+		errs := make([]error, terminators)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				errs[i] = r.mgr.Terminate(inst.UID(), false)
+			}(i)
+		}
+		if withClose {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				r.mgr.Close()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		won := 0
+		for _, err := range errs {
+			if err == nil {
+				won++
+			} else if !errors.Is(err, ErrNotActive) {
+				t.Errorf("withClose=%v: losing Terminate = %v, want ErrNotActive", withClose, err)
+			}
+		}
+		// Close drops its own Terminate's error, so when it wins no
+		// Terminate here reports nil.
+		if won > 1 || (won == 0 && !withClose) {
+			t.Errorf("withClose=%v: %d Terminates returned nil, want exactly one winner", withClose, won)
+		}
+		if inst.State() != states.ServiceDone {
+			t.Errorf("withClose=%v: state = %s, want DONE", withClose, inst.State())
+		}
+	}
+}
+
 func TestTerminateReleasesResources(t *testing.T) {
 	r := newRig(t, 100000)
 	free := r.plat.FreeGPUs()

@@ -384,8 +384,9 @@ func (s *Server) worker() {
 		s.batchWorker()
 		return
 	}
+	park := make(chan *job, 1)
 	for {
-		j, ok := s.dequeue()
+		j, ok := s.dequeue(park)
 		if !ok {
 			return
 		}
@@ -410,8 +411,9 @@ func (s *Server) worker() {
 // batching, no forming windows and no added idle latency.
 func (s *Server) batchWorker() {
 	buf := make([]*job, 0, s.cfg.MaxBatch)
+	park := make(chan *job, 1)
 	for {
-		batch, ok := s.dequeueBatch(buf[:0])
+		batch, ok := s.dequeueBatch(buf[:0], park)
 		if !ok {
 			return
 		}
@@ -448,8 +450,10 @@ func (s *Server) flushStopped(j *job) {
 // Stop's flush happens in the worker loop), and false means the worker
 // should exit. A parked worker is handed its job (or a nil close wakeup)
 // directly by the waker, which also issues the runnability wake token
-// under s.mu — see the Server doc comment.
-func (s *Server) dequeue() (*job, bool) {
+// under s.mu — see the Server doc comment. park is the worker's own
+// one-slot channel: it is in s.waiters only while the worker is parked and
+// receives exactly one value per park, so it is empty again on return.
+func (s *Server) dequeue(park chan *job) (*job, bool) {
 	for {
 		s.mu.Lock()
 		if len(s.jobs) > 0 {
@@ -462,13 +466,12 @@ func (s *Server) dequeue() (*job, bool) {
 			s.mu.Unlock()
 			return nil, false
 		}
-		ch := make(chan *job, 1)
-		s.waiters = append(s.waiters, ch)
+		s.waiters = append(s.waiters, park)
 		if s.run != nil {
 			s.run.Block()
 		}
 		s.mu.Unlock()
-		if j := <-ch; j != nil {
+		if j := <-park; j != nil {
 			return j, true
 		}
 		// nil wakeup: the queue closed while we were parked; loop to
@@ -482,7 +485,7 @@ func (s *Server) dequeue() (*job, bool) {
 // head forms a batch of one. Like dequeue, it parks the worker when the
 // queue is empty — a direct handoff then yields a batch of one, which is
 // exactly continuous batching's idle behavior.
-func (s *Server) dequeueBatch(buf []*job) ([]*job, bool) {
+func (s *Server) dequeueBatch(buf []*job, park chan *job) ([]*job, bool) {
 	for {
 		s.mu.Lock()
 		if len(s.jobs) > 0 {
@@ -503,13 +506,12 @@ func (s *Server) dequeueBatch(buf []*job) ([]*job, bool) {
 			s.mu.Unlock()
 			return nil, false
 		}
-		ch := make(chan *job, 1)
-		s.waiters = append(s.waiters, ch)
+		s.waiters = append(s.waiters, park)
 		if s.run != nil {
 			s.run.Block()
 		}
 		s.mu.Unlock()
-		if j := <-ch; j != nil {
+		if j := <-park; j != nil {
 			return append(buf, j), true
 		}
 		// nil wakeup: the queue closed while we were parked; loop to

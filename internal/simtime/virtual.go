@@ -30,6 +30,11 @@ type Virtual struct {
 	// with none pending, advancing would just spin re-arming tickers —
 	// timers and tickers alone never pull time forward.
 	sleeping int
+	// free holds Sleep's spent sleepers for reuse. Their channels never
+	// leave Sleep, so a sleeper returned after its wake is safe to hand to
+	// the next Sleep; the list grows on demand and is bounded by the peak
+	// number of concurrent Sleep callers.
+	free []*sleeper
 }
 
 // NewVirtual returns a manually advanced virtual clock starting at origin.
@@ -147,7 +152,31 @@ func (v *Virtual) Sleep(d time.Duration) {
 		return
 	}
 	v.mu.Lock()
-	s := v.push(v.now.Add(d), 0)
+	deadline := v.now.Add(d)
+	if v.auto && v.running == 1 &&
+		(len(v.sleepers) == 0 || deadline.Before(v.sleepers[0].deadline)) {
+		// Self-wake. The caller is the only runnable goroutine and its
+		// deadline is strictly the earliest, so maybeAdvanceLocked
+		// would pop this very sleeper first, move now to its
+		// deadline, put running back to 1 and stop: do just that. An
+		// equal deadline is not enough — the pending sleeper has the
+		// lower seq and fires first. running == 1, not <= 1: after an
+		// unregistered caller's own wake running is still <= 0 and the
+		// loop keeps firing.
+		v.now = deadline
+		v.seq++
+		v.mu.Unlock()
+		return
+	}
+	var s *sleeper
+	if n := len(v.free); n > 0 {
+		s, v.free = v.free[n-1], v.free[:n-1]
+		s.deadline, s.seq = deadline, v.seq
+	} else {
+		s = &sleeper{deadline: deadline, seq: v.seq, ch: make(chan time.Time, 1)}
+	}
+	v.seq++
+	heap.Push(&v.sleepers, s)
 	if v.auto {
 		s.blocksRunner = true
 		v.sleeping++
@@ -156,6 +185,9 @@ func (v *Virtual) Sleep(d time.Duration) {
 	}
 	v.mu.Unlock()
 	<-s.ch
+	v.mu.Lock()
+	v.free = append(v.free, s)
+	v.mu.Unlock()
 }
 
 // After implements Clock. The returned channel fires when the clock reaches
