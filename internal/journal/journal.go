@@ -23,6 +23,14 @@
 // cost. The simulation only models process crashes (completed write()s
 // survive in the OS page cache), so the fsync cadence is fidelity and
 // accounting, not correctness.
+//
+// Codec: the payload bytes are encoding/json's. The writer hand-encodes the
+// two hot bodies (transition, bind) and the envelope to exactly the bytes
+// json.Marshal produces, and still issues one write() per Append. Replay
+// has a fast path for exactly that byte shape; on any deviation it declines
+// rather than guesses and hands the whole record to encoding/json, so what
+// is accepted, rejected or skipped, and why, is unchanged. The encoding/json
+// envelope encoder lives on in the tests as the differential oracle.
 package journal
 
 import (
@@ -34,6 +42,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -158,26 +167,176 @@ type EndpointBody struct {
 	Generation uint64         `json:"generation,omitempty"`
 }
 
-// EncodeRecord frames rec: length prefix, CRC, JSON payload.
-func EncodeRecord(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("journal: marshal %s record: %w", rec.Kind, err)
+// plain marks the bytes encoding/json writes and reads inside a string
+// verbatim: printable ASCII less the quote, the backslash and the three
+// bytes its HTML escaping rewrites.
+var plain = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 	}
-	if len(payload) > MaxRecordSize {
-		return nil, ErrTooLarge
+	return t
+}()
+
+// appendString appends s as encoding/json encodes a string.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !plain[s[i]] {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
 	}
-	frame := make([]byte, headerSize+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[headerSize:], payload)
-	return frame, nil
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendBody appends the encoding/json bytes of a transition or bind body
+// (7 of the 8 records a task writes). ok is false for every other body and
+// for a timestamp Time.MarshalJSON refuses (year beyond 9999, zone hour
+// beyond 23): json.Marshal then encodes the one or reports the other.
+func appendBody(b []byte, body any) (_ []byte, ok bool) {
+	switch v := body.(type) {
+	case TransitionBody:
+		_, off := v.At.Zone()
+		if y := v.At.Year(); y < 0 || y > 9999 || off <= -24*3600 || off >= 24*3600 {
+			return b, false
+		}
+		b = appendString(append(b, `{"entity":`...), v.Entity)
+		b = appendString(append(b, `,"uid":`...), v.UID)
+		b = appendString(append(b, `,"from":`...), v.From)
+		b = appendString(append(b, `,"to":`...), v.To)
+		b = v.At.AppendFormat(append(b, `,"at":"`...), time.RFC3339Nano)
+		return append(b, `"}`...), true
+	case BindBody:
+		b = appendString(append(b, `{"entity":`...), v.Entity)
+		b = appendString(append(b, `,"uid":`...), v.UID)
+		b = appendString(append(b, `,"pilot":`...), v.Pilot)
+		return append(b, '}'), true
+	}
+	return b, false
+}
+
+// cursor reads the exact byte shape the writer emits. Any deviation sets
+// bad, and the caller hands the whole record to encoding/json.
+type cursor struct {
+	p   []byte
+	i   int
+	bad bool
+}
+
+// span is a byte range of the cursor's input.
+type span struct{ lo, hi int }
+
+func (v span) of(s string) string { return s[v.lo:v.hi] }
+
+func (c *cursor) lit(s string) {
+	if c.bad || len(c.p)-c.i < len(s) || string(c.p[c.i:c.i+len(s)]) != s {
+		c.bad = true
+		return
+	}
+	c.i += len(s)
+}
+
+// str reads plain bytes up to a closing quote and consumes the quote.
+func (c *cursor) str() span {
+	for j := c.i; !c.bad && j < len(c.p) && (plain[c.p[j]] || c.p[j] == '"'); j++ {
+		if c.p[j] == '"' {
+			v := span{c.i, j}
+			c.i = j + 1
+			return v
+		}
+	}
+	c.bad = true
+	return span{}
+}
+
+// Each literal ends in the opening quote of the string after it.
+var (
+	transitionShape = []string{`{"entity":"`, `,"uid":"`, `,"from":"`, `,"to":"`, `,"at":"`}
+	bindShape       = []string{`{"entity":"`, `,"uid":"`, `,"pilot":"`}
+)
+
+// scanBody matches a body of plain strings under exactly the writer's keys
+// (the timestamp is one of them here) and returns the strings' spans.
+func scanBody(body []byte, shape []string) (v [5]span, ok bool) {
+	c := cursor{p: body}
+	for i, l := range shape {
+		c.lit(l)
+		v[i] = c.str()
+	}
+	c.lit(`}`)
+	return v, !c.bad && c.i == len(body)
+}
+
+// unmarshalBody is the encoding/json path of a body. b is its own variable
+// because &b escapes: a fast path sharing it would allocate it per record.
+func unmarshalBody[T any](body []byte) (b T, err error) {
+	err = json.Unmarshal(body, &b)
+	return b, err
+}
+
+// decodeTransition decodes a transition body. In the writer's shape the
+// timestamp goes through the decoder encoding/json would call and the
+// strings share one copy of the body; anything else is encoding/json's.
+func decodeTransition(body []byte) (b TransitionBody, err error) {
+	v, ok := scanBody(body, transitionShape)
+	if !ok || b.At.UnmarshalJSON(body[v[4].lo-1:v[4].hi+1]) != nil { // quotes included
+		return unmarshalBody[TransitionBody](body)
+	}
+	s := string(body)
+	b.Entity, b.UID, b.From, b.To = v[0].of(s), v[1].of(s), v[2].of(s), v[3].of(s)
+	return b, nil
+}
+
+// decodeBind decodes a bind body the same way.
+func decodeBind(body []byte) (BindBody, error) {
+	v, ok := scanBody(body, bindShape)
+	if !ok {
+		return unmarshalBody[BindBody](body)
+	}
+	s := string(body)
+	return BindBody{Entity: v[0].of(s), UID: v[1].of(s), Pilot: v[2].of(s)}, nil
+}
+
+// decodeFast decodes a payload of exactly the writer's shape:
+// {"kind":"<plain>","seq":<canonical uint64>,"body":<object>} with no
+// whitespace and nothing after. Body aliases payload.
+func decodeFast(payload []byte) (rec Record, ok bool) {
+	c := cursor{p: payload}
+	c.lit(`{"kind":"`)
+	k := c.str()
+	c.lit(`,"seq":`)
+	digits := c.i
+	for c.i < len(payload) && '0' <= payload[c.i] && payload[c.i] <= '9' {
+		c.i++
+	}
+	seq, err := strconv.ParseUint(string(payload[digits:c.i]), 10, 64)
+	leadingZero := c.i-digits > 1 && payload[digits] == '0'
+	c.lit(`,"body":`)
+	if c.bad || err != nil || leadingZero || len(payload)-c.i < 3 {
+		return Record{}, false
+	}
+	body := payload[c.i : len(payload)-1]
+	if body[0] != '{' || body[len(body)-1] != '}' || payload[len(payload)-1] != '}' {
+		return Record{}, false
+	}
+	rec = Record{Seq: seq, Body: body}
+	switch kind := payload[k.lo:k.hi]; string(kind) {
+	case string(KindTransition):
+		rec.Kind = KindTransition // the constant: no string per hot record
+		_, ok = scanBody(body, transitionShape)
+	case string(KindBind):
+		rec.Kind = KindBind
+		_, ok = scanBody(body, bindShape)
+	default:
+		rec.Kind = Kind(kind)
+	}
+	return rec, ok || json.Valid(body)
 }
 
 // DecodeRecord decodes one framed record from the front of data. It
 // returns the record, the number of bytes consumed, and an error. A short
 // buffer (header or payload cut off) returns io.ErrUnexpectedEOF — the
-// torn-tail signal; an empty buffer returns io.EOF.
+// torn-tail signal; an empty buffer returns io.EOF. The record's Body may
+// alias data.
 func DecodeRecord(data []byte) (Record, int, error) {
 	if len(data) == 0 {
 		return Record{}, 0, io.EOF
@@ -196,9 +355,12 @@ func DecodeRecord(data []byte) (Record, int, error) {
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[4:8]) {
 		return Record{}, 0, ErrChecksum
 	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, 0, fmt.Errorf("journal: decode record: %w", err)
+	rec, ok := decodeFast(payload)
+	if !ok {
+		var err error
+		if rec, err = unmarshalBody[Record](payload); err != nil {
+			return Record{}, 0, fmt.Errorf("journal: decode record: %w", err)
+		}
 	}
 	return rec, headerSize + n, nil
 }
@@ -241,6 +403,8 @@ type Writer struct {
 
 	mu        sync.Mutex
 	seq       uint64
+	frame     []byte // the record being written: header, then payload
+	failed    error  // first write() error; sticky, the WAL ends in its fragment
 	closed    bool
 	crashed   bool
 	dirty     bool
@@ -268,7 +432,7 @@ func Open(cfg Config) (*Writer, error) {
 		return nil, fmt.Errorf("journal: open %s: %w", cfg.Path, err)
 	}
 	w := &Writer{
-		f: f, path: cfg.Path, clock: cfg.Clock,
+		f: f, path: cfg.Path, clock: cfg.Clock, frame: make([]byte, headerSize, 512),
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	go w.flusher(cfg.FlushEvery)
@@ -298,32 +462,53 @@ func (w *Writer) OnCrash(fn func()) {
 	w.mu.Unlock()
 }
 
-// Append journals one record. After a crash (injected or Crash()), it
-// drops the record and returns ErrCrashed.
+// bodyPool holds the buffers Append encodes hot bodies into before it takes
+// the writer lock.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// Append journals one record with a single write(). After a crash
+// (injected or Crash()), it drops the record and returns ErrCrashed; after
+// a failed or short write() the file ends in a fragment no record may
+// follow, so every later Append returns that first error.
 func (w *Writer) Append(kind Kind, body any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("journal: marshal %s body: %w", kind, err)
+	buf := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(buf)
+	raw, ok := appendBody((*buf)[:0], body)
+	if ok {
+		*buf = raw
+	} else {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
+			return fmt.Errorf("journal: marshal %s body: %w", kind, err)
+		}
 	}
 
 	w.mu.Lock()
-	if w.closed {
+	switch {
+	case w.closed:
 		w.mu.Unlock()
 		return ErrClosed
-	}
-	if w.crashed {
+	case w.crashed:
 		w.mu.Unlock()
 		return ErrCrashed
-	}
-	rec := Record{Kind: kind, Seq: w.seq + 1, Body: raw}
-	frame, err := EncodeRecord(rec)
-	if err != nil {
+	case w.failed != nil:
 		w.mu.Unlock()
-		return err
+		return w.failed
 	}
+	frame := appendString(append(w.frame[:headerSize], `{"kind":`...), string(kind))
+	frame = strconv.AppendUint(append(frame, `,"seq":`...), w.seq+1, 10)
+	frame = append(append(append(frame, `,"body":`...), raw...), '}')
+	w.frame = frame
+	payload := frame[headerSize:]
+	if len(payload) > MaxRecordSize {
+		w.mu.Unlock()
+		return ErrTooLarge
+	}
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	mode := NoCrash
 	if w.crashHook != nil {
-		mode = w.crashHook(rec)
+		mode = w.crashHook(Record{Kind: kind, Seq: w.seq + 1, Body: append(json.RawMessage(nil), raw...)})
 	}
 	var fireCrash func()
 	switch mode {
@@ -332,14 +517,14 @@ func (w *Writer) Append(kind Kind, body any) error {
 		fireCrash = w.onCrash
 	case CrashTorn:
 		// Die mid-write: the header plus part of the payload lands.
-		torn := frame[:headerSize+len(frame[headerSize:])/2]
-		_, _ = w.f.Write(torn)
+		_, _ = w.f.Write(frame[:headerSize+len(payload)/2])
 		w.crashed = true
 		fireCrash = w.onCrash
 	default:
 		if _, werr := w.f.Write(frame); werr != nil {
+			w.failed = fmt.Errorf("journal: append: %w", werr)
 			w.mu.Unlock()
-			return fmt.Errorf("journal: append: %w", werr)
+			return w.failed
 		}
 		w.seq++
 		w.dirty = true
@@ -633,8 +818,8 @@ func apply(rec Record, snap *Snapshot, pilots map[string]*PilotState,
 		stats.Applied++
 
 	case KindBind:
-		var b BindBody
-		if err := json.Unmarshal(rec.Body, &b); err != nil {
+		b, err := decodeBind(rec.Body)
+		if err != nil {
 			return err
 		}
 		switch b.Entity {
@@ -654,8 +839,8 @@ func apply(rec Record, snap *Snapshot, pilots map[string]*PilotState,
 		stats.skip("bind-unknown-uid")
 
 	case KindTransition:
-		var b TransitionBody
-		if err := json.Unmarshal(rec.Body, &b); err != nil {
+		b, err := decodeTransition(rec.Body)
+		if err != nil {
 			return err
 		}
 		applyTransition(b, pilots, tasks, services, stats)

@@ -78,6 +78,7 @@ type Model struct {
 	initial State
 	next    map[State][]State
 	final   map[State]bool
+	depth   int // states on the longest path from initial: a machine's history never outgrows it
 }
 
 func newModel(entity Entity, initial State, edges map[State][]State, finals ...State) *Model {
@@ -85,7 +86,17 @@ func newModel(entity Entity, initial State, edges map[State][]State, finals ...S
 	for _, s := range finals {
 		f[s] = true
 	}
-	return &Model{entity: entity, initial: initial, next: edges, final: f}
+	return &Model{entity: entity, initial: initial, next: edges, final: f, depth: longest(edges, initial)}
+}
+
+// longest counts the states on the longest path from s (the models are
+// acyclic).
+func longest(edges map[State][]State, s State) int {
+	n := 0
+	for _, t := range edges[s] {
+		n = max(n, longest(edges, t))
+	}
+	return n + 1
 }
 
 // failureEdges appends FAILED and CANCELED targets to every non-final state.
@@ -105,22 +116,19 @@ func failureEdges(edges map[State][]State, failed, canceled State, finals ...Sta
 	return out
 }
 
-// PilotModel returns the pilot state model.
-func PilotModel() *Model {
-	edges := failureEdges(map[State][]State{
+// The three models are built once and never mutated after init, so every
+// machine and every replayed record shares them.
+var (
+	pilotModel = newModel(EntityPilot, PilotNew, failureEdges(map[State][]State{
 		PilotNew:       {PilotLaunching},
 		PilotLaunching: {PilotActive},
 		PilotActive:    {PilotDone},
 		PilotDone:      {},
 		PilotFailed:    {},
 		PilotCanceled:  {},
-	}, PilotFailed, PilotCanceled, PilotDone, PilotFailed, PilotCanceled)
-	return newModel(EntityPilot, PilotNew, edges, PilotDone, PilotFailed, PilotCanceled)
-}
+	}, PilotFailed, PilotCanceled, PilotDone, PilotFailed, PilotCanceled), PilotDone, PilotFailed, PilotCanceled)
 
-// TaskModel returns the task state model.
-func TaskModel() *Model {
-	edges := failureEdges(map[State][]State{
+	taskModel = newModel(EntityTask, TaskNew, failureEdges(map[State][]State{
 		TaskNew:            {TaskTmgrScheduling},
 		TaskTmgrScheduling: {TaskStagingInput},
 		TaskStagingInput:   {TaskScheduling},
@@ -130,15 +138,9 @@ func TaskModel() *Model {
 		TaskDone:           {},
 		TaskFailed:         {},
 		TaskCanceled:       {},
-	}, TaskFailed, TaskCanceled, TaskDone, TaskFailed, TaskCanceled)
-	return newModel(EntityTask, TaskNew, edges, TaskDone, TaskFailed, TaskCanceled)
-}
+	}, TaskFailed, TaskCanceled, TaskDone, TaskFailed, TaskCanceled), TaskDone, TaskFailed, TaskCanceled)
 
-// ServiceModel returns the service state model: the task model extended
-// with the initialization, publication, readiness, and draining phases the
-// paper's ServiceManager introduces.
-func ServiceModel() *Model {
-	edges := failureEdges(map[State][]State{
+	serviceModel = newModel(EntityService, ServiceNew, failureEdges(map[State][]State{
 		ServiceNew:            {ServiceSmgrScheduling},
 		ServiceSmgrScheduling: {ServiceStagingInput},
 		ServiceStagingInput:   {ServiceScheduling},
@@ -151,9 +153,19 @@ func ServiceModel() *Model {
 		ServiceDone:           {},
 		ServiceFailed:         {},
 		ServiceCanceled:       {},
-	}, ServiceFailed, ServiceCanceled, ServiceDone, ServiceFailed, ServiceCanceled)
-	return newModel(EntityService, ServiceNew, edges, ServiceDone, ServiceFailed, ServiceCanceled)
-}
+	}, ServiceFailed, ServiceCanceled, ServiceDone, ServiceFailed, ServiceCanceled), ServiceDone, ServiceFailed, ServiceCanceled)
+)
+
+// PilotModel returns the pilot state model.
+func PilotModel() *Model { return pilotModel }
+
+// TaskModel returns the task state model.
+func TaskModel() *Model { return taskModel }
+
+// ServiceModel returns the service state model: the task model extended
+// with the initialization, publication, readiness, and draining phases the
+// paper's ServiceManager introduces.
+func ServiceModel() *Model { return serviceModel }
 
 // ModelFor returns the state model of an entity kind, or nil for an
 // unknown kind. Journal replay uses it to validate recorded transitions
@@ -226,7 +238,7 @@ type Machine struct {
 // now.
 func NewMachine(uid string, model *Model, clock simtime.Clock) *Machine {
 	m := &Machine{uid: uid, model: model, clock: clock, current: model.Initial()}
-	m.history = []Record{{State: model.Initial(), At: clock.Now()}}
+	m.history = append(make([]Record, 0, model.depth), Record{State: model.Initial(), At: clock.Now()})
 	return m
 }
 
@@ -251,7 +263,8 @@ func (m *Machine) IsFinal() bool {
 // lock) after every committed transition.
 func (m *Machine) OnTransition(cb Callback) {
 	m.mu.Lock()
-	m.callbacks = append(m.callbacks, cb)
+	// Copy on write: To runs the slice it read without copying it.
+	m.callbacks = append(m.callbacks[:len(m.callbacks):len(m.callbacks)], cb)
 	m.mu.Unlock()
 }
 
@@ -267,7 +280,7 @@ func (m *Machine) To(to State) error {
 	at := m.clock.Now()
 	m.current = to
 	m.history = append(m.history, Record{State: to, At: at})
-	cbs := append([]Callback{}, m.callbacks...)
+	cbs := m.callbacks
 	fire := m.waiters
 	m.waiters = nil
 	m.mu.Unlock()

@@ -273,3 +273,80 @@ func TestModelAccessors(t *testing.T) {
 		t.Fatalf("service model has %d states", len(m.States()))
 	}
 }
+
+// TestModelsShared: each model is built once; every caller gets the same
+// immutable value and may read it from any goroutine.
+func TestModelsShared(t *testing.T) {
+	if PilotModel() != PilotModel() || TaskModel() != TaskModel() || ServiceModel() != ServiceModel() {
+		t.Fatal("a model accessor built a second model")
+	}
+	if ModelFor(EntityTask) != TaskModel() || ModelFor("job") != nil {
+		t.Fatal("ModelFor does not hand out the shared models")
+	}
+	for m, want := range map[*Model]int{PilotModel(): 4, TaskModel(): 7, ServiceModel(): 10} {
+		if m.depth != want {
+			t.Fatalf("%s model: longest path %d states, want %d", m.entity, m.depth, want)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if m := TaskModel(); !m.CanTransition(TaskNew, TaskTmgrScheduling) || m.CanTransition(TaskDone, TaskNew) || !m.IsFinal(TaskDone) {
+					t.Error("shared task model misread under concurrency")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestTransitionAllocBudget: a transition allocates nothing. The history is
+// sized once from the model's longest path and To runs the callback slice
+// it read instead of a copy (OnTransition swaps in a new slice).
+func TestTransitionAllocBudget(t *testing.T) {
+	clock := simtime.NewVirtual(origin)
+	path := []State{TaskTmgrScheduling, TaskStagingInput, TaskScheduling, TaskExecuting, TaskStagingOutput, TaskDone}
+	machines := make([]*Machine, 50)
+	fired := 0
+	for i := range machines {
+		machines[i] = NewMachine("t", TaskModel(), clock)
+		machines[i].OnTransition(func(string, State, State, time.Time) { fired++ })
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(len(machines)-1, func() {
+		for _, s := range path {
+			if err := machines[next].To(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("a task's %d transitions allocate %.1f times, want 0", len(path), allocs)
+	}
+	if fired != len(machines)*len(path) {
+		t.Fatalf("callback fired %d times, want %d", fired, len(machines)*len(path))
+	}
+}
+
+// TestOnTransitionDuringTo: a callback registered while another runs must
+// not disturb the slice the running To iterates.
+func TestOnTransitionDuringTo(t *testing.T) {
+	m := NewMachine("t", TaskModel(), simtime.NewVirtual(origin))
+	var order []string
+	m.OnTransition(func(string, State, State, time.Time) {
+		order = append(order, "a")
+		m.OnTransition(func(string, State, State, time.Time) { order = append(order, "late") })
+	})
+	m.OnTransition(func(string, State, State, time.Time) { order = append(order, "b") })
+	if err := m.To(TaskTmgrScheduling); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(order); got != 2 || order[0] != "a" || order[1] != "b" {
+		t.Fatalf("first transition ran %v, want [a b]", order)
+	}
+}
