@@ -22,7 +22,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -32,8 +31,6 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/platform"
-	"repro/internal/proto"
-	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/simtime"
 	"repro/internal/spec"
@@ -230,41 +227,34 @@ func BenchmarkAblationServiceConcurrency(b *testing.B) {
 	}
 }
 
+// skewedView is a static loadbal.LoadView with a skewed depth per
+// candidate, every report maximally fresh.
+type skewedView []int
+
+func (v skewedView) Len() int                { return len(v) }
+func (v skewedView) Load(i int) (int, int64) { return v[i], 1 }
+
 // BenchmarkAblationLoadBalancing compares round-robin (the paper's
-// rudimentary strategy) against least-pending routing on a skewed
-// candidate set.
+// rudimentary strategy) against power-of-two-choices and full-scan
+// least-loaded picks on a skewed candidate set.
 func BenchmarkAblationLoadBalancing(b *testing.B) {
-	eps := make([]proto.Endpoint, 8)
-	depths := make(map[string]int, 8)
-	var mu sync.Mutex
-	for i := range eps {
-		uid := fmt.Sprintf("service.%04d", i)
-		eps[i] = proto.Endpoint{ServiceUID: uid, Model: "llama-8b"}
-		depths[uid] = i * 3 // skewed initial load
+	view := make(skewedView, 8)
+	for i := range view {
+		view[i] = i * 3 // skewed initial load
 	}
-	depthFn := func(uid string) int {
-		mu.Lock()
-		defer mu.Unlock()
-		return depths[uid]
-	}
-	balancers := map[string]loadbal.Balancer{
-		"round-robin":   loadbal.NewRoundRobin(),
-		"random":        loadbal.NewRandom(rng.New(1)),
-		"least-pending": loadbal.NewLeastPending(depthFn),
-	}
-	for name, bal := range balancers {
+	for _, name := range []string{"round-robin", "p2c", "least-loaded"} {
 		b.Run(name, func(b *testing.B) {
+			picker, err := loadbal.PickerByName(name, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
 			imbalance := 0
 			for i := 0; i < b.N; i++ {
-				ep, err := bal.Pick(eps)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mu.Lock()
-				depths[ep.ServiceUID]++
+				pick := picker.PickIndex(view, 0)
+				view[pick]++
 				// track max-min spread as the imbalance signal
 				min, max := 1<<30, 0
-				for _, d := range depths {
+				for _, d := range view {
 					if d < min {
 						min = d
 					}
@@ -272,8 +262,7 @@ func BenchmarkAblationLoadBalancing(b *testing.B) {
 						max = d
 					}
 				}
-				depths[ep.ServiceUID]-- // undo: keep the scenario static per op
-				mu.Unlock()
+				view[pick]-- // undo: keep the scenario static per op
 				imbalance += max - min
 			}
 			b.ReportMetric(float64(imbalance)/float64(b.N), "spread")
@@ -608,130 +597,6 @@ func BenchmarkAblationCrashRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkJournalOverhead prices the write-ahead journal on the steady
-// state: one session, one pilot, a batch of short tasks run to DONE, with
-// and without a journal underneath. The none/wal delta is the durability
-// tax per campaign — per-record JSON encode + checksum + write, roughly
-// ~10 us per record, visible here only because the simulated tasks are
-// microseconds of wall time themselves.
-func BenchmarkJournalOverhead(b *testing.B) {
-	const tasks = 64
-	modes := []struct {
-		name       string
-		journaled  bool
-		flushEvery time.Duration // simulated; 0 = default (100 ms simulated)
-	}{
-		{"none", false, 0},
-		// At the benchmark's 100000x clock compression the default 100 ms
-		// simulated flush cadence degenerates to an fsync every ~1 us of
-		// wall time; the wal-batched mode holds it at one simulated minute
-		// (600 us wall). The two measure the same — the tax is the
-		// per-record append (JSON encode + checksum + write), not the
-		// fsync cadence.
-		{"wal", true, 0},
-		{"wal-batched", true, time.Minute},
-	}
-	for _, mode := range modes {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			dir := b.TempDir()
-			ctx := context.Background()
-			for i := 0; i < b.N; i++ {
-				cfg := core.SessionConfig{
-					Seed:     uint64(i + 1),
-					Clock:    simtime.NewScaled(100000, core.DefaultOrigin),
-					FastBoot: true,
-				}
-				if mode.journaled {
-					cfg.JournalPath = fmt.Sprintf("%s/bench-%d.wal", dir, i)
-					cfg.JournalFlushEvery = mode.flushEvery
-				}
-				sess, err := core.NewSession(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p, err := sess.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Cores: 256, GPUs: 16})
-				if err != nil {
-					b.Fatal(err)
-				}
-				tm := sess.TaskManager()
-				tm.AddPilot(p)
-				for j := 0; j < tasks; j++ {
-					if _, err := tm.Submit(ctx, spec.TaskDescription{
-						Name: "t", Cores: 1, Duration: rng.ConstDuration(time.Second),
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := tm.Wait(ctx); err != nil {
-					b.Fatal(err)
-				}
-				sess.Close()
-			}
-		})
-	}
-}
-
-// --- micro-benchmarks on the substrates -----------------------------------------
-
-// BenchmarkInferenceRoundTrip measures one full client→service→client
-// round trip on the in-proc transport (noop model, zero-latency link).
-func BenchmarkInferenceRoundTrip(b *testing.B) {
-	sess, err := core.NewSession(core.SessionConfig{
-		Seed: 1, Clock: simtime.NewScaled(100000, core.DefaultOrigin), FastBoot: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sess.Close()
-	p, err := sess.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Cores: 256, GPUs: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sm := sess.ServiceManager()
-	sm.AddPilot(p)
-	inst, err := sm.Submit(spec.ServiceDescription{
-		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1},
-		Model:           "noop",
-		ProbeInterval:   time.Hour,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := sm.WaitReady(ctx, inst.UID()); err != nil {
-		b.Fatal(err)
-	}
-	cl, err := sess.Dial(platform.Addr("delta", "", "bench-client"), inst.Endpoint())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cl.Infer(ctx, "bench", 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSchedulerThroughput measures placements per second through the
-// continuous scheduler.
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	plat := platform.New("bench", 16, platform.NodeSpec{Cores: 64, GPUs: 8, MemGB: 256})
-	done := make(chan scheduler.Placement, 4096)
-	sched := scheduler.New(plat.Nodes(), func(p scheduler.Placement) { done <- p })
-	defer sched.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sched.Submit(scheduler.Request{UID: "t", Cores: 1}); err != nil {
-			b.Fatal(err)
-		}
-		p := <-done
-		sched.Release(p.Alloc)
-	}
-}
-
 // BenchmarkAblationRoute quantifies session-level routing on mismatched
 // pilots — the late-binding regime the Router seam exists for. The
 // hetero campus is split into a fat pilot (32×128c/16g) and a thin pilot
@@ -810,36 +675,6 @@ func BenchmarkAblationLoad(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkLoadMillionSteady is the acceptance campaign: one million
-// Poisson arrivals driven through the full session/router/resolver stack
-// on the virtual clock. The run must finish in under 30 s of wall time,
-// and the latency sketch's footprint must stay what it was at 10^4
-// requests — fixed memory, bounded relative error, no reservoir.
-func BenchmarkLoadMillionSteady(b *testing.B) {
-	sc := loadgen.Scenario{
-		Name: "steady-1M", Kind: loadgen.KindSteady,
-		Requests: 1_000_000, Rate: 2000, Services: 4, Seed: 7,
-		Interval: time.Minute,
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := loadgen.Run(context.Background(), sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Offered != 1_000_000 || res.Completed != 1_000_000 || res.Failed != 0 {
-			b.Fatalf("counts: offered=%d completed=%d failed=%d", res.Offered, res.Completed, res.Failed)
-		}
-		if res.Wall > 30*time.Second {
-			b.Fatalf("campaign took %v wall, acceptance bound is 30s", res.Wall)
-		}
-		b.ReportMetric(float64(res.Offered)/res.Wall.Seconds(), "req/s")
-		b.ReportMetric(res.Duration.Seconds(), "sim-s")
-		b.ReportMetric(float64(res.SketchBytes), "sketch-B")
-	}
-}
-
-// --- Serving scalability (PR 8) ----------------------------------------------
 
 // BenchmarkAblationScale runs the serving-scalability ablation: the
 // vit-base offered-load sweep over the single / concurrent / batched

@@ -2,7 +2,8 @@
 // round-robin ("only a rudimentary load balancing"); the future-work
 // strategy reroutes to "less used service instances". This example runs
 // both against a fleet of four llama services under a bursty client and
-// compares the queueing each strategy induces.
+// compares the queueing each strategy induces (`rpexp -exp hotspot` is
+// the seeded, exact-count version).
 //
 // The pilot's placement policy is configurable with -sched
 // (strict|backfill|best-fit), threading the scheduler's Policy seam
@@ -31,6 +32,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/router"
 	"repro/internal/scheduler"
+	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 )
@@ -81,6 +83,7 @@ func run(sched, plat, rt string) error {
 	sm.AddPilot(p)
 
 	const fleet = 4
+	handles := make([]*core.Service, 0, fleet)
 	uids := make([]string, 0, fleet)
 	for i := 0; i < fleet; i++ {
 		inst, err := sm.Submit(spec.ServiceDescription{
@@ -91,6 +94,7 @@ func run(sched, plat, rt string) error {
 		if err != nil {
 			return err
 		}
+		handles = append(handles, inst)
 		uids = append(uids, inst.UID())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -102,14 +106,15 @@ func run(sched, plat, rt string) error {
 		fleet, p.Scheduler().Policy().Name(), sess.TaskManager().RouterName())
 
 	strategies := []struct {
-		name string
-		bal  loadbal.Balancer
+		name   string
+		picker loadbal.Picker
 	}{
 		{"round-robin (paper's rudimentary strategy)", loadbal.NewRoundRobin()},
-		{"least-pending (future-work rerouting)", loadbal.NewLeastPending(sm.QueueDepth)},
+		{"least-loaded (future-work rerouting)", loadbal.NewLeastLoaded()},
 	}
+	reg := sess.EndpointRegistry()
 	for _, s := range strategies {
-		pool, err := sess.Pool(platform.Addr(plat, "", "burst-client"), "llama-8b", s.bal)
+		pool, err := sess.Pool(platform.Addr(plat, "", "burst-client"), "llama-8b", s.picker)
 		if err != nil {
 			return err
 		}
@@ -117,10 +122,15 @@ func run(sched, plat, rt string) error {
 		var wg sync.WaitGroup
 		// bursty load: 16 staggered requests with skewed sizes, so naive
 		// round-robin stacks short requests behind long-tail ones while a
-		// depth-aware balancer routes around the busy instances
+		// load-aware picker routes around the busy instances, steering by
+		// the load report published at each arrival
 		for i := 0; i < 16; i++ {
 			wg.Add(1)
 			sess.Clock().Sleep(400 * time.Millisecond) // arrival spacing
+			now := sess.Clock().Now()
+			for _, h := range handles {
+				reg.ReportLoad(h.UID(), service.Load{Queued: h.Queued(), InFlight: h.InFlight(), At: now})
+			}
 			go func(i int) {
 				defer wg.Done()
 				tokens := 32

@@ -156,13 +156,6 @@ func tcpEchoHandler(env proto.Envelope) proto.Envelope {
 	return proto.Envelope{Kind: proto.KindReply, ID: env.ID, From: env.To, To: env.From, Body: env.Body}
 }
 
-// tcpBenchSizes are the request payload sizes benchmarked: a minimal
-// control message, a typical inference request, and a prompt-heavy one.
-var tcpBenchSizes = []struct {
-	name    string
-	payload int
-}{{"64B", 64}, {"1KiB", 1 << 10}, {"8KiB", 8 << 10}}
-
 func tcpBenchEnvelope(tb testing.TB, payload int) proto.Envelope {
 	tb.Helper()
 	env, err := proto.NewEnvelope(proto.KindRequest, 0, "cli", "srv", time.Time{},
@@ -174,193 +167,31 @@ func tcpBenchEnvelope(tb testing.TB, payload int) proto.Envelope {
 	return env
 }
 
-// BenchmarkTCPRoundTrip measures one request/reply over the pooled
-// zero-copy TCP transport: binary frames into sync.Pool buffers, lazy
-// envelope decode with the body as a payload sub-slice, single-encode
-// pooled writes, interned header strings, and the lock-striped reusable
-// waiter table on the client. Compare per payload size against
-// BenchmarkTCPRoundTripSeed (the pre-PR-9 transport, kept verbatim in
-// tcp_seed.go) for the PR-9 delta — the gap widens with payload size
-// because the seed base64s the body into the envelope JSON and re-buffers
-// every frame — and against BenchmarkInprocRequest in internal/msgq for
-// the in-process floor.
-func BenchmarkTCPRoundTrip(b *testing.B) {
-	for _, size := range tcpBenchSizes {
-		b.Run(size.name, func(b *testing.B) {
-			srv, err := msgq.ListenTCP("127.0.0.1:0", tcpEchoHandler)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			c, err := msgq.DialTCP(srv.Addr())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			env := tcpBenchEnvelope(b, size.payload)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Request(ctx, env); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTCPRoundTripSeed is the pre-PR-9 baseline: JSON line frames,
-// a fresh buffer and double json.Marshal per write, mutex-mapped pending
-// table, goroutine-per-request dispatch.
-func BenchmarkTCPRoundTripSeed(b *testing.B) {
-	for _, size := range tcpBenchSizes {
-		b.Run(size.name, func(b *testing.B) {
-			srv, err := msgq.ListenTCPSeed("127.0.0.1:0", tcpEchoHandler)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			c, err := msgq.DialTCPSeed(srv.Addr())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			env := tcpBenchEnvelope(b, size.payload)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Request(ctx, env); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTCPRoundTripContended drives the shared connection from
-// parallel requesters at the 1KiB payload point: the regime the striped
-// waiter table and the bounded per-connection workers exist for.
-func BenchmarkTCPRoundTripContended(b *testing.B) {
+// TestTCPRoundTripAllocBudget pins the pooled transport's allocations per
+// 64 B round trip. Measured 5 since PR 9: the reply-body copy into the
+// caller's envelope plus channel/interface scaffolding — the frames
+// themselves ride pooled buffers.
+func TestTCPRoundTripAllocBudget(t *testing.T) {
 	srv, err := msgq.ListenTCP("127.0.0.1:0", tcpEchoHandler)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	defer srv.Close()
 	c, err := msgq.DialTCP(srv.Addr())
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	defer c.Close()
-	env := tcpBenchEnvelope(b, 1<<10)
+	env := tcpBenchEnvelope(t, 64)
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := c.Request(ctx, env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkTCPRoundTripContendedSeed is the contended baseline on the
-// pre-PR-9 transport.
-func BenchmarkTCPRoundTripContendedSeed(b *testing.B) {
-	srv, err := msgq.ListenTCPSeed("127.0.0.1:0", tcpEchoHandler)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := msgq.DialTCPSeed(srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	env := tcpBenchEnvelope(b, 1<<10)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := c.Request(ctx, env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// TestTCPRoundTripAllocBudget pins the PR-9 acceptance: the pooled
-// transport must spend at most half the seed transport's allocations per
-// round trip, and stay under an absolute budget so later PRs cannot creep
-// back up merely because the seed regressed too. Measured at PR 9 (64B
-// payload): seed 38 allocs/op, pooled 5 (the reply-body copy into the
-// caller's envelope plus channel/interface scaffolding — the frames
-// themselves ride pooled buffers).
-func TestTCPRoundTripAllocBudget(t *testing.T) {
-	measure := func(dial func() (msgq.Client, error)) float64 {
-		c, err := dial()
-		if err != nil {
+	allocs := testing.AllocsPerRun(300, func() {
+		if _, err := c.Request(ctx, env); err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		env := tcpBenchEnvelope(t, 64)
-		ctx := context.Background()
-		return testing.AllocsPerRun(300, func() {
-			if _, err := c.Request(ctx, env); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	seedSrv, err := msgq.ListenTCPSeed("127.0.0.1:0", tcpEchoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seedSrv.Close()
-	seed := measure(func() (msgq.Client, error) { return msgq.DialTCPSeed(seedSrv.Addr()) })
-
-	srv, err := msgq.ListenTCP("127.0.0.1:0", tcpEchoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	pooled := measure(func() (msgq.Client, error) { return msgq.DialTCP(srv.Addr()) })
-
-	if pooled*2 > seed {
-		t.Errorf("pooled TCP round trip allocates %.1f objects/op, more than half the seed's %.1f", pooled, seed)
-	}
-	const budget = 12
-	if pooled > budget {
-		t.Errorf("pooled TCP round trip allocates %.1f objects/op, budget %d", pooled, budget)
-	}
-}
-
-// BenchmarkSchedulerThroughput1024 measures grant throughput on a large,
-// nearly saturated pilot: 1024 nodes with every node but the last one
-// fully allocated, so each grant must skip 1023 busy nodes. This is the
-// regime where the paper's continuous scheduler is under the most load
-// (large pilots, high utilization) and where a linear first-fit scan is
-// at its worst.
-func BenchmarkSchedulerThroughput1024(b *testing.B) {
-	plat := platform.New("bench", 1024, platform.NodeSpec{Cores: 64, GPUs: 8, MemGB: 256})
-	nodes := plat.Nodes()
-	for _, n := range nodes[:len(nodes)-1] {
-		if a := n.TryAlloc(64, 8, 256); a == nil {
-			b.Fatal("saturation alloc failed")
-		}
-	}
-	done := make(chan scheduler.Placement, 4096)
-	sched := scheduler.New(nodes, func(p scheduler.Placement) { done <- p })
-	defer sched.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sched.Submit(scheduler.Request{UID: "t", Cores: 1}); err != nil {
-			b.Fatal(err)
-		}
-		p := <-done
-		sched.Release(p.Alloc)
+	})
+	const budget = 6
+	if allocs > budget {
+		t.Errorf("pooled TCP round trip allocates %.1f objects/op, budget %d", allocs, budget)
 	}
 }
 
@@ -409,8 +240,8 @@ func BenchmarkSchedulerBestFitThroughputMixed1024(b *testing.B) {
 // saturated 1024-node pilot (one core free per node) whose wait-pool head
 // is a permanently blocked full-node request, so every small-task grant
 // pays head-fit rejection plus the backfill selection. Comparing against
-// BenchmarkSchedulerThroughput1024 (strict, unblocked head) isolates what
-// backfill adds to the PR-1 indexed grant path. The best-fit variant used
+// rpbench's scheduler.submit_grant_release_ns (strict, unblocked head)
+// isolates what backfill adds to the indexed grant path. The best-fit variant used
 // to pay an exhaustive least-leftover node scan here (~10 µs/grant); with
 // the index's min-leftover augmentation it prices like the others.
 func BenchmarkSchedulerBackfillThroughput1024(b *testing.B) {

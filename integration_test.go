@@ -145,10 +145,10 @@ func TestFailureInjectionWithPoolRerouting(t *testing.T) {
 	victim, _ := sm.Get(uids[0])
 	victim.Kill()
 	deadline := time.Now().Add(5 * time.Second)
-	for len(sm.Endpoints("noop")) != 2 && time.Now().Before(deadline) {
+	for len(sess.EndpointRegistry().ByModel("noop")) != 2 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := len(sm.Endpoints("noop")); got != 2 {
+	if got := len(sess.EndpointRegistry().ByModel("noop")); got != 2 {
 		t.Fatalf("endpoints after kill = %d, want 2", got)
 	}
 	// the pool must keep serving (eviction of the dead connection may cost
@@ -195,7 +195,7 @@ func TestHybridWorkflowTasksAndServices(t *testing.T) {
 				Model:           "llama-8b", ProbeInterval: time.Hour,
 			}},
 			Post: func(ctx context.Context, s *core.Session) error {
-				eps := s.ServiceManager().Endpoints("llama-8b")
+				eps := s.EndpointRegistry().ByModel("llama-8b")
 				if len(eps) != 1 {
 					return fmt.Errorf("want 1 endpoint, got %d", len(eps))
 				}
@@ -225,7 +225,7 @@ func TestHybridWorkflowTasksAndServices(t *testing.T) {
 		t.Fatalf("inferences = %d", inferences)
 	}
 	// services terminated, resources restored
-	if got := len(sess.ServiceManager().Endpoints("llama-8b")); got != 0 {
+	if got := len(sess.EndpointRegistry().ByModel("llama-8b")); got != 0 {
 		t.Fatalf("%d endpoints left after pipeline", got)
 	}
 }
@@ -259,7 +259,7 @@ func TestRESTRemoteThroughSessionDial(t *testing.T) {
 	defer g.Close()
 
 	sess.RegisterRemote(g.Endpoint())
-	eps := sess.ServiceManager().Endpoints("llama-8b")
+	eps := sess.EndpointRegistry().ByModel("llama-8b")
 	if len(eps) != 1 || eps[0].Protocol != "rest" {
 		t.Fatalf("endpoints = %+v", eps)
 	}

@@ -59,7 +59,7 @@ func TestAutoscalerScalesUpAndBackDown(t *testing.T) {
 	if err := s.ServiceManager().WaitReady(ctx, h.UID()); err != nil {
 		t.Fatal(err)
 	}
-	bal, err := s.DialBalanced(platform.Addr("delta", "", "as-client"), h.UID())
+	bal, err := s.DialService(platform.Addr("delta", "", "as-client"), h.UID(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestAutoscalerStaysAtOneBelowThreshold(t *testing.T) {
 	if err := s.ServiceManager().WaitReady(ctx, h.UID()); err != nil {
 		t.Fatal(err)
 	}
-	bal, err := s.DialBalanced(platform.Addr("delta", "", "idle-client"), h.UID())
+	bal, err := s.DialService(platform.Addr("delta", "", "idle-client"), h.UID(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

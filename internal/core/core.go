@@ -112,7 +112,6 @@ type Session struct {
 
 	mu       sync.Mutex
 	closed   bool
-	remotes  map[string]proto.Endpoint
 	fastBoot bool
 	schedPol string
 
@@ -159,7 +158,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		net:      net,
 		coll:     metrics.NewCollector(),
 		prof:     profile.NewRecorder(),
-		remotes:  make(map[string]proto.Endpoint),
 		fastBoot: cfg.FastBoot,
 		schedPol: cfg.SchedPolicy,
 
@@ -307,37 +305,28 @@ func (s *Session) publishState(entity string) states.Callback {
 // service endpoint to the session. Remote models "are usually persistent
 // on dedicated resources and do not need to be bootstrapped" (§IV).
 //
-// The registration is also published into the session EndpointRegistry —
-// the single source of endpoint truth — stamped with the session
-// incarnation, so pooled and resolver clients discover remote endpoints
-// through exactly the same generation-stamped lookup as local ones.
+// The registration is published into the session EndpointRegistry — the
+// single endpoint directory — stamped with the session incarnation, so
+// callers discover remote endpoints through exactly the same
+// generation-stamped lookup (Resolve, ByModel) as local ones.
 func (s *Session) RegisterRemote(ep proto.Endpoint) {
-	s.mu.Lock()
-	s.remotes[ep.ServiceUID] = ep
-	s.mu.Unlock()
 	ep.Incarnation = s.incarnation
 	_, _ = s.sm.reg.Publish(ep)
 }
 
-// RemoteEndpoints returns registered remote endpoints (all models when
-// model is empty).
-func (s *Session) RemoteEndpoints(model string) []proto.Endpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []proto.Endpoint
-	for _, ep := range s.remotes {
-		if model == "" || ep.Model == model {
-			out = append(out, ep)
-		}
-	}
-	sortEndpoints(out)
-	return out
-}
+// EndpointRegistry returns the session-level endpoint registry: the
+// authority mapping stable service UIDs to live, generation-stamped
+// endpoints across failover re-placements, and the one directory of
+// endpoints by model (ByModel). It lists live endpoints only: a suspended
+// service, and a warm standby held under its <uid>.sN address, are not
+// handed to callers.
+func (s *Session) EndpointRegistry() *service.EndpointRegistry { return s.sm.reg }
 
 // Dial connects a client address to a service endpoint, dispatching on
 // the endpoint protocol: msgq endpoints get an in-network client, REST
 // endpoints (remote R3-style deployments) get an HTTP-backed caller. Both
-// satisfy service.Caller, so client tasks are agnostic to locality.
+// satisfy service.Caller, so client tasks are agnostic to locality. The
+// caller is bound to that one address: it does not follow a failover.
 func (s *Session) Dial(clientAddr string, ep proto.Endpoint) (service.Caller, error) {
 	if ep.Protocol == "rest" {
 		return restapi.NewCaller(ep, s.clock)
@@ -345,59 +334,38 @@ func (s *Session) Dial(clientAddr string, ep proto.Endpoint) (service.Caller, er
 	return service.Dial(s.net, s.clock, clientAddr, ep)
 }
 
+// DialService returns the inference client for a stable service UID. Every
+// request resolves through the session EndpointRegistry, so the client
+// follows failure-driven re-placements: it re-resolves and redials the
+// re-published endpoint instead of erroring into the dead address. Over
+// autoscaled replicas, picker spreads requests by the live load reports
+// (stale past the session's LoadHorizon); an unscaled service is a group
+// of one and never consults it. A nil picker selects power-of-two-choices
+// seeded from the session seed and uid.
+func (s *Session) DialService(clientAddr, uid string, picker loadbal.Picker) (*service.Balancer, error) {
+	return service.NewBalancer(s.sm.reg, uid, s.dialFrom(clientAddr), s.balancerOptions(uid, picker))
+}
+
 // Pool returns a load-balanced Caller over all live endpoints of model in
 // the session EndpointRegistry — local pilot services arrive there via
-// the publish mirror, remote registrations via RegisterRemote. Every
-// pooled request goes through a per-UID generation-aware resolver, so
-// pool clients survive failover re-publications exactly like DialService
-// clients (the old evict-on-error connection cache is gone).
-func (s *Session) Pool(clientAddr, model string, bal loadbal.Balancer) (*service.Pool, error) {
-	return service.NewPool(s.sm.reg, model, bal, func(ep proto.Endpoint) (service.Caller, error) {
-		return s.Dial(clientAddr, ep)
-	})
+// the publish mirror, remote registrations via RegisterRemote. Each call
+// goes through a per-UID resolver, so pool clients follow re-publications
+// like DialService clients. picker is as for DialService.
+func (s *Session) Pool(clientAddr, model string, picker loadbal.Picker) (*service.Pool, error) {
+	return service.NewPool(s.sm.reg, model, s.dialFrom(clientAddr), s.balancerOptions(model, picker))
 }
 
-// EndpointRegistry returns the session-level endpoint registry: the
-// authority mapping stable service UIDs to live, generation-stamped
-// endpoints across failover re-placements.
-func (s *Session) EndpointRegistry() *service.EndpointRegistry { return s.sm.reg }
-
-// DialService returns a registry-resolving Caller bound to a stable
-// service UID: every request resolves the UID through the session
-// EndpointRegistry, so the caller survives failure-driven re-placements —
-// when the hosting pilot dies and the service re-publishes from a new
-// pilot, the caller re-resolves and redials instead of erroring into the
-// dead address (the fate of a client that cached the raw endpoint).
-func (s *Session) DialService(clientAddr, uid string) (*service.Resolver, error) {
-	return service.NewResolver(s.sm.reg, uid, func(ep proto.Endpoint) (service.Caller, error) {
-		return s.Dial(clientAddr, ep)
-	}, 0)
+func (s *Session) dialFrom(clientAddr string) service.DialFn {
+	return func(ep proto.Endpoint) (service.Caller, error) { return s.Dial(clientAddr, ep) }
 }
 
-// DialBalanced returns a replica-aware inference client for uid: requests
-// spread over the base instance and whatever replicas the registry's
-// balancing group currently lists, picked by seeded power-of-two-choices
-// over the live load reports (two probes per request, lock-free, with a
-// round-robin fallback when reports age past the session's LoadHorizon).
-// For an unscaled service it behaves exactly like DialService.
-func (s *Session) DialBalanced(clientAddr, uid string) (*service.Balancer, error) {
-	return s.DialBalancedWith(clientAddr, uid, nil)
-}
-
-// DialBalancedWith is DialBalanced with an explicit picker strategy (nil
-// selects the default: power-of-two-choices seeded deterministically from
-// the session seed and uid). The ablation harness uses it to hold the
-// same request stream against p2c, blind round-robin and the full-scan
-// least-loaded baseline.
-func (s *Session) DialBalancedWith(clientAddr, uid string, picker loadbal.Picker) (*service.Balancer, error) {
-	return service.NewBalancer(s.sm.reg, uid, func(ep proto.Endpoint) (service.Caller, error) {
-		return s.Dial(clientAddr, ep)
-	}, service.BalancerOptions{
+func (s *Session) balancerOptions(key string, picker loadbal.Picker) service.BalancerOptions {
+	return service.BalancerOptions{
 		Picker:  picker,
-		Seed:    s.src.Derive("balance." + uid).Uint64(),
+		Seed:    s.src.Derive("balance." + key).Uint64(),
 		Now:     s.clock.Now,
 		Horizon: s.loadHorizon,
-	})
+	}
 }
 
 // Close shuts the session down: pilots, services, network. Tasks still
@@ -442,14 +410,6 @@ func (s *Session) Abandon() {
 	_ = s.updates.Close()
 	if s.jw != nil {
 		s.jw.Crash()
-	}
-}
-
-func sortEndpoints(eps []proto.Endpoint) {
-	for i := 1; i < len(eps); i++ {
-		for j := i; j > 0 && eps[j].ServiceUID < eps[j-1].ServiceUID; j-- {
-			eps[j], eps[j-1] = eps[j-1], eps[j]
-		}
 	}
 }
 
@@ -1104,7 +1064,7 @@ type Service struct {
 	mu           sync.Mutex
 	inst         *service.Instance
 	p            *pilot.Pilot
-	swapped      chan struct{} // closed and re-made on every re-placement
+	swapped      chan struct{} // closed and re-made whenever inst is installed or replaced
 	replacements int
 	terminated   bool
 	finished     bool
@@ -1179,13 +1139,6 @@ func (h *Service) Bootstrap() metrics.Breakdown {
 		return inst.Bootstrap()
 	}
 	return metrics.Breakdown{}
-}
-
-// QueueDepth returns the logical service's request queue depth — queued
-// plus executing, summed across the base instance and any serving
-// replicas.
-func (h *Service) QueueDepth() int {
-	return h.Queued() + h.InFlight()
 }
 
 // Queued returns requests admitted but not yet executing, summed across
@@ -1344,13 +1297,13 @@ func (h *Service) WaitReady(ctx context.Context) error {
 		}
 		if inst == nil {
 			// dispatch in flight (handle observed through Get between
-			// routing and submission): no instance to wait on yet — the
-			// window is host-scheduling bound, so poll on real time
+			// routing and submission): Submit signals swapped when it
+			// installs the instance, and finishes the handle if it cannot
 			select {
+			case <-swapped:
 			case <-h.done:
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(time.Millisecond):
 			}
 			continue
 		}
@@ -1373,9 +1326,6 @@ func (h *Service) WaitReady(ctx context.Context) error {
 		}
 	}
 }
-
-// Registry returns the session EndpointRegistry services publish into.
-func (sm *ServiceManager) Registry() *service.EndpointRegistry { return sm.reg }
 
 // mirrorPublish is the pilot publish hook's session half: it mirrors an
 // endpoint publication into the session registry unless the publishing
@@ -1482,6 +1432,8 @@ func (sm *ServiceManager) Submit(d spec.ServiceDescription) (*Service, error) {
 			sm.mu.Unlock()
 			// The routed pilot left ACTIVE between routing and dispatch:
 			// retry against the survivors, exactly like task submission.
+			// A WaitReady on the unreachable handle must not outlive it.
+			h.finish(err)
 			if !pilotLive(p) && d.Pilot == "" {
 				continue
 			}
@@ -1489,6 +1441,9 @@ func (sm *ServiceManager) Submit(d spec.ServiceDescription) (*Service, error) {
 		}
 		h.mu.Lock()
 		h.inst = inst
+		// wake a WaitReady that observed the handle before its instance
+		close(h.swapped)
+		h.swapped = make(chan struct{})
 		h.mu.Unlock()
 		go sm.watch(h)
 		if d.WarmStandbys > 0 {
@@ -1766,30 +1721,6 @@ func (sm *ServiceManager) Services() []*Service {
 	sm.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].uid < out[j].uid })
 	return out
-}
-
-// Endpoints returns every known endpoint for model (local pilots plus
-// remote registrations), in deterministic order.
-func (sm *ServiceManager) Endpoints(model string) []proto.Endpoint {
-	sm.mu.Lock()
-	pilots := append([]*pilot.Pilot{}, sm.pilots...)
-	sm.mu.Unlock()
-	var out []proto.Endpoint
-	for _, p := range pilots {
-		out = append(out, p.Registry().ByModel(model)...)
-	}
-	out = append(out, sm.sess.RemoteEndpoints(model)...)
-	sortEndpoints(out)
-	return out
-}
-
-// QueueDepth reports a managed service's live queue depth (remote
-// endpoints report 0: their depth is not observable from the client side).
-func (sm *ServiceManager) QueueDepth(uid string) int {
-	if h, ok := sm.Get(uid); ok {
-		return h.QueueDepth()
-	}
-	return 0
 }
 
 // close stops re-placements: handles losing their pilot after session

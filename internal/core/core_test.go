@@ -122,7 +122,7 @@ func TestEndToEndServiceInference(t *testing.T) {
 	if err := sm.WaitReady(ctx, inst.UID()); err != nil {
 		t.Fatal(err)
 	}
-	eps := sm.Endpoints("llama-8b")
+	eps := s.EndpointRegistry().ByModel("llama-8b")
 	if len(eps) != 1 {
 		t.Fatalf("endpoints = %d", len(eps))
 	}
@@ -175,15 +175,13 @@ func TestRemoteEndpointRegistration(t *testing.T) {
 	s := newSession(t, 100000)
 	s.RegisterRemote(proto.Endpoint{ServiceUID: "r3.svc.1", Model: "llama-8b", Address: "r3/r3-node0000/svc.1", Protocol: "msgq"})
 	s.RegisterRemote(proto.Endpoint{ServiceUID: "r3.svc.2", Model: "noop", Address: "r3/r3-node0000/svc.2", Protocol: "msgq"})
-	if got := len(s.RemoteEndpoints("")); got != 2 {
+	reg := s.EndpointRegistry()
+	if got := len(reg.All()); got != 2 {
 		t.Fatalf("all remotes = %d", got)
 	}
-	if got := len(s.RemoteEndpoints("llama-8b")); got != 1 {
-		t.Fatalf("llama remotes = %d", got)
-	}
-	// merged discovery through the ServiceManager
-	if got := len(s.ServiceManager().Endpoints("llama-8b")); got != 1 {
-		t.Fatalf("merged endpoints = %d", got)
+	eps := reg.ByModel("llama-8b")
+	if len(eps) != 1 || eps[0].ServiceUID != "r3.svc.1" || eps[0].Generation != 1 {
+		t.Fatalf("llama remotes = %+v", eps)
 	}
 }
 

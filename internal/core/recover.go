@@ -173,7 +173,6 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 		net:        net,
 		coll:       metrics.NewCollector(),
 		prof:       profile.NewRecorder(),
-		remotes:    make(map[string]proto.Endpoint),
 		fastBoot:   snap.Session.FastBoot,
 		schedPol:   snap.Session.SchedPolicy,
 		routerName: snap.Session.Router,

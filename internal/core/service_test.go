@@ -10,11 +10,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/loadbal"
 	"repro/internal/pilot"
 	"repro/internal/platform"
+	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
 )
@@ -174,7 +178,7 @@ func TestServiceFailoverReplacesAndRepublishes(t *testing.T) {
 		t.Fatalf("stable UID broken: %s vs %s", ep2.ServiceUID, h.UID())
 	}
 	// the re-placed service serves
-	cl, err := s.DialService(platform.Addr("delta", "", "client.0001"), h.UID())
+	cl, err := s.DialService(platform.Addr("delta", "", "client.0001"), h.UID(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +303,7 @@ func TestServiceFailoverClientContrast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer caching.Close()
-	resolving, err := s.DialService(platform.Addr("delta", "", "resolve-client"), h.UID())
+	resolving, err := s.DialService(platform.Addr("delta", "", "resolve-client"), h.UID(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,6 +341,123 @@ func TestServiceFailoverClientContrast(t *testing.T) {
 	}
 	if resolving.Reresolved() != 1 {
 		t.Fatalf("resolver re-resolved %d times, want 1", resolving.Reresolved())
+	}
+}
+
+// TestServiceWaitReadyRacingSubmit observes handles through Get while
+// Submit is still dispatching them — the window in which the handle has
+// no instance yet — and waits for readiness on a frozen virtual clock:
+// WaitReady must return on Submit's own signal, with no timer on any
+// clock and no simulated time passing.
+func TestServiceWaitReadyRacingSubmit(t *testing.T) {
+	clock := simtime.NewVirtual(DefaultOrigin)
+	s, err := NewSession(SessionConfig{Seed: 42, Clock: clock, FastBoot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	p, err := s.PilotManager().Submit(deltaPilotDesc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := s.ServiceManager()
+	sm.AddPilot(p)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	const rounds = 64
+	early := 0 // handles observed before their instance was installed
+	for i := 0; i < rounds; i++ {
+		d := noopService("raced")
+		d.UID = fmt.Sprintf("raced.%03d", i)
+		ready := make(chan error, 1)
+		spinning := make(chan struct{})
+		go func() {
+			close(spinning)
+			for {
+				if h, ok := sm.Get(d.UID); ok {
+					if h.Instance() == nil {
+						early++
+					}
+					ready <- h.WaitReady(ctx)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+		<-spinning
+		if _, err := sm.Submit(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-ready; err != nil {
+			t.Fatalf("round %d: WaitReady = %v", i, err)
+		}
+	}
+	if now := clock.Now(); !now.Equal(DefaultOrigin) {
+		t.Fatalf("clock advanced to %s while waiting for readiness", now)
+	}
+	t.Logf("%d of %d handles observed before their instance", early, rounds)
+}
+
+// failPicker is a loadbal.Picker that must never be consulted.
+type failPicker struct{ t *testing.T }
+
+func (p failPicker) PickIndex(loadbal.LoadView, int64) int {
+	p.t.Error("picker consulted for a group of one")
+	return 0
+}
+
+// TestDialServiceGroupOfOne pins the contract that lets DialService hand
+// every caller a balancer: on an unscaled service it is the base UID's
+// resolver — Pick is the base UID, the picker is never consulted, and a
+// pilot death is followed with exactly one re-resolution.
+func TestDialServiceGroupOfOne(t *testing.T) {
+	s := newSession(t, 100000)
+	sm := s.ServiceManager()
+	p1, err := s.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := s.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.AddPilot(p1)
+	sm.AddPilot(p2)
+	h, err := sm.Submit(noopService("svc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := sm.WaitReady(ctx, h.UID()); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := s.DialService(platform.Addr("delta", "", "one-client"), h.UID(), failPicker{t})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if got := cl.Pick(); got != h.UID() {
+		t.Fatalf("Pick = %s, want the base UID %s", got, h.UID())
+	}
+	if _, _, err := cl.Infer(ctx, "pre", 0); err != nil {
+		t.Fatalf("pre-kill: %v", err)
+	}
+	if err := p1.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	// no wait for the re-publication: the request parks through it
+	for i := 0; i < 4; i++ {
+		if _, _, err := cl.Infer(ctx, "post", 0); err != nil {
+			t.Fatalf("post-kill request %d: %v", i, err)
+		}
+	}
+	if got := cl.Pick(); got != h.UID() {
+		t.Fatalf("Pick after failover = %s, want %s", got, h.UID())
+	}
+	if cl.Reresolved() != 1 {
+		t.Fatalf("re-resolved %d times, want 1", cl.Reresolved())
 	}
 }
 

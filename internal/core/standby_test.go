@@ -113,7 +113,7 @@ func TestWarmStandbyPromotionSingleGenerationBump(t *testing.T) {
 
 	// the promoted instance serves (the reply carries its pilot-level
 	// standby UID — addressing stays on the logical UID throughout)
-	cl, err := s.DialService(platform.Addr("delta", "", "client.0001"), h.UID())
+	cl, err := s.DialService(platform.Addr("delta", "", "client.0001"), h.UID(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

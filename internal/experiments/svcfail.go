@@ -176,13 +176,13 @@ func runSvcFailPoint(ctx context.Context, cfg SvcFailConfig, client string) (Svc
 
 	clientAddr := platform.Addr(cfg.Platform, "", "svcfail-client")
 	var caller service.Caller
-	var resolver *service.Resolver
+	var resolver *service.Balancer
 	switch client {
 	case SvcFailClientCaching:
 		// the seed client: dial the published endpoint once and keep it
 		caller, err = sess.Dial(clientAddr, h.Endpoint())
 	case SvcFailClientResolving:
-		resolver, err = sess.DialService(clientAddr, h.UID())
+		resolver, err = sess.DialService(clientAddr, h.UID(), nil)
 		caller = resolver
 	default:
 		return row, fmt.Errorf("unknown client style %q", client)

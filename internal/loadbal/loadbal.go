@@ -1,32 +1,19 @@
-// Package loadbal distributes client inference requests across service
-// instances. The paper's prototype employs "only a rudimentary load
-// balancing" (round-robin); its future work calls for "dynamically
-// rerouting requests to less used service instances". Both ends of that
-// spectrum are implemented here and compared by the ablation benchmarks:
-// the endpoint-slice Balancer interface (round-robin, uniform random,
-// least-pending) for pooled clients, and the index-addressed
-// LoadView/Picker seam for the lock-free replica-group hot path —
-// power-of-two-choices, blind rotation, and the full-scan least-loaded
-// baseline.
+// Package loadbal picks which service instance a client request goes to.
+// The paper's prototype employs "only a rudimentary load balancing"
+// (round-robin); its future work calls for "dynamically rerouting requests
+// to less used service instances". One seam, Picker over a LoadView,
+// carries three strategies the ablations compare: blind rotation,
+// power-of-two-choices, and the full-scan least-loaded baseline.
 package loadbal
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
-
-	"repro/internal/proto"
-	"repro/internal/rng"
 )
 
-// ErrNoEndpoints is returned when Pick is called with no candidates.
+// ErrNoEndpoints is returned by a pooled client with no live candidates.
 var ErrNoEndpoints = errors.New("loadbal: no endpoints")
-
-// Balancer picks one endpoint out of the candidate set.
-type Balancer interface {
-	Pick(eps []proto.Endpoint) (proto.Endpoint, error)
-}
 
 // LoadView is an index-addressed snapshot of one balancing group's
 // candidates with per-candidate load gauges. Implementations must be
@@ -110,22 +97,13 @@ func (p *P2C) PickIndex(v LoadView, minAt int64) int {
 }
 
 // RoundRobin cycles through candidates in order — the paper's rudimentary
-// strategy. As a Picker it is the load-blind baseline of the hotspot
-// ablation.
+// strategy, and the load-blind baseline of the hotspot ablation.
 type RoundRobin struct {
 	n atomic.Uint64
 }
 
-// NewRoundRobin returns a round-robin balancer.
+// NewRoundRobin returns a round-robin picker.
 func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
-
-// Pick implements Balancer.
-func (b *RoundRobin) Pick(eps []proto.Endpoint) (proto.Endpoint, error) {
-	if len(eps) == 0 {
-		return proto.Endpoint{}, ErrNoEndpoints
-	}
-	return eps[(b.n.Add(1)-1)%uint64(len(eps))], nil
-}
 
 // PickIndex implements Picker, ignoring the load gauges entirely.
 func (b *RoundRobin) PickIndex(v LoadView, _ int64) int {
@@ -182,57 +160,4 @@ func PickerByName(name string, seed uint64) (Picker, error) {
 	default:
 		return nil, fmt.Errorf("loadbal: unknown picker %q (want p2c|round-robin|least-loaded)", name)
 	}
-}
-
-// Random picks uniformly at random.
-type Random struct{ src *rng.Source }
-
-// NewRandom returns a random balancer over src.
-func NewRandom(src *rng.Source) *Random { return &Random{src: src} }
-
-// Pick implements Balancer.
-func (b *Random) Pick(eps []proto.Endpoint) (proto.Endpoint, error) {
-	if len(eps) == 0 {
-		return proto.Endpoint{}, ErrNoEndpoints
-	}
-	return eps[b.src.Intn(len(eps))], nil
-}
-
-// DepthFunc reports the live queue depth of a service.
-type DepthFunc func(serviceUID string) int
-
-// depthView adapts an endpoint slice plus a DepthFunc to the LoadView
-// seam. The depth probe is synchronous, so every reading counts as
-// maximally fresh.
-type depthView struct {
-	eps   []proto.Endpoint
-	depth DepthFunc
-}
-
-func (v depthView) Len() int { return len(v.eps) }
-
-func (v depthView) Load(i int) (int, int64) {
-	return v.depth(v.eps[i].ServiceUID), math.MaxInt64
-}
-
-// LeastPending routes to the endpoint with the shallowest queue — the
-// "less used service instances" strategy of the paper's future work. Ties
-// break round-robin to avoid thundering on one instance. It is the
-// endpoint-slice adapter over the LeastLoaded picker.
-type LeastPending struct {
-	depth DepthFunc
-	scan  LeastLoaded
-}
-
-// NewLeastPending returns a queue-depth-aware balancer.
-func NewLeastPending(depth DepthFunc) *LeastPending {
-	return &LeastPending{depth: depth}
-}
-
-// Pick implements Balancer.
-func (b *LeastPending) Pick(eps []proto.Endpoint) (proto.Endpoint, error) {
-	if len(eps) == 0 {
-		return proto.Endpoint{}, ErrNoEndpoints
-	}
-	return eps[b.scan.PickIndex(depthView{eps: eps, depth: b.depth}, 0)], nil
 }

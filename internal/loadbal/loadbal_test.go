@@ -1,143 +1,99 @@
 package loadbal
 
 import (
-	"errors"
-	"fmt"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/proto"
-	"repro/internal/rng"
 )
 
-func endpoints(n int) []proto.Endpoint {
-	eps := make([]proto.Endpoint, n)
-	for i := range eps {
-		eps[i] = proto.Endpoint{ServiceUID: fmt.Sprintf("service.%04d", i), Model: "llama-8b"}
-	}
-	return eps
-}
+// depths is a static LoadView: one depth per candidate, every report
+// maximally fresh.
+type depths []int
+
+func (d depths) Len() int                { return len(d) }
+func (d depths) Load(i int) (int, int64) { return d[i], 1 }
 
 func TestRoundRobinCycles(t *testing.T) {
 	b := NewRoundRobin()
-	eps := endpoints(3)
+	v := make(depths, 3)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 3; i++ {
-			ep, err := b.Pick(eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ep.ServiceUID != eps[i].ServiceUID {
-				t.Fatalf("round %d pick %d = %s", round, i, ep.ServiceUID)
+			if got := b.PickIndex(v, 0); got != i {
+				t.Fatalf("round %d pick %d = %d", round, i, got)
 			}
 		}
 	}
 }
 
+// TestRoundRobinEmpty pins the n <= 1 guard: an empty or single view
+// picks index 0 (callers reject empty sets themselves) without dividing
+// by zero or advancing the rotation.
 func TestRoundRobinEmpty(t *testing.T) {
 	b := NewRoundRobin()
-	if _, err := b.Pick(nil); !errors.Is(err, ErrNoEndpoints) {
-		t.Fatalf("err = %v", err)
+	for _, v := range []depths{nil, {7}} {
+		if got := b.PickIndex(v, 0); got != 0 {
+			t.Fatalf("PickIndex over %d candidates = %d, want 0", len(v), got)
+		}
+	}
+	if got := b.PickIndex(make(depths, 3), 0); got != 0 {
+		t.Fatalf("first real pick = %d, want 0 (degenerate views advanced the rotation)", got)
 	}
 }
 
 func TestRoundRobinFairnessProperty(t *testing.T) {
-	// Property: over k*n picks on n endpoints, every endpoint is picked
+	// Property: over k*n picks on n candidates, every candidate is picked
 	// exactly k times.
 	f := func(nRaw, kRaw uint8) bool {
 		n := int(nRaw%8) + 1
 		k := int(kRaw%8) + 1
 		b := NewRoundRobin()
-		eps := endpoints(n)
-		counts := map[string]int{}
+		v := make(depths, n)
+		counts := make([]int, n)
 		for i := 0; i < k*n; i++ {
-			ep, err := b.Pick(eps)
-			if err != nil {
-				return false
-			}
-			counts[ep.ServiceUID]++
+			counts[b.PickIndex(v, 0)]++
 		}
 		for _, c := range counts {
 			if c != k {
 				return false
 			}
 		}
-		return len(counts) == n
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestRandomCoverage(t *testing.T) {
-	b := NewRandom(rng.New(3))
-	eps := endpoints(4)
-	counts := map[string]int{}
-	for i := 0; i < 4000; i++ {
-		ep, err := b.Pick(eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[ep.ServiceUID]++
-	}
-	for uid, c := range counts {
-		if c < 800 || c > 1200 {
-			t.Fatalf("endpoint %s picked %d/4000, want ≈1000", uid, c)
-		}
+func TestLeastLoadedPicksShallowest(t *testing.T) {
+	b := NewLeastLoaded()
+	if got := b.PickIndex(depths{5, 1, 3}, 0); got != 1 {
+		t.Fatalf("picked %d, want the shallowest queue (1)", got)
 	}
 }
 
-func TestRandomEmpty(t *testing.T) {
-	b := NewRandom(rng.New(1))
-	if _, err := b.Pick(nil); !errors.Is(err, ErrNoEndpoints) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestLeastPendingPicksShallowest(t *testing.T) {
-	depths := map[string]int{
-		"service.0000": 5,
-		"service.0001": 1,
-		"service.0002": 3,
-	}
-	b := NewLeastPending(func(uid string) int { return depths[uid] })
-	ep, err := b.Pick(endpoints(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ep.ServiceUID != "service.0001" {
-		t.Fatalf("picked %s, want the shallowest queue", ep.ServiceUID)
-	}
-}
-
-func TestLeastPendingTieBreaksAcrossCalls(t *testing.T) {
-	b := NewLeastPending(func(string) int { return 0 })
-	eps := endpoints(4)
-	seen := map[string]bool{}
+func TestLeastLoadedTieBreaksAcrossCalls(t *testing.T) {
+	b := NewLeastLoaded()
+	v := make(depths, 4)
+	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
-		ep, _ := b.Pick(eps)
-		seen[ep.ServiceUID] = true
+		seen[b.PickIndex(v, 0)] = true
 	}
-	if len(seen) < 2 {
-		t.Fatalf("all-ties picks concentrated on %d endpoint(s)", len(seen))
-	}
-}
-
-func TestLeastPendingEmpty(t *testing.T) {
-	b := NewLeastPending(func(string) int { return 0 })
-	if _, err := b.Pick(nil); !errors.Is(err, ErrNoEndpoints) {
-		t.Fatalf("err = %v", err)
+	if len(seen) != 4 {
+		t.Fatalf("all-ties picks covered %d of 4 candidates, want the rotating offset to visit each", len(seen))
 	}
 }
 
-func TestLeastPendingAdaptsToChangingDepths(t *testing.T) {
-	depth := map[string]int{"service.0000": 0, "service.0001": 0}
-	b := NewLeastPending(func(uid string) int { return depth[uid] })
-	eps := endpoints(2)
-	first, _ := b.Pick(eps)
-	depth[first.ServiceUID] = 10
-	second, _ := b.Pick(eps)
-	if second.ServiceUID == first.ServiceUID {
-		t.Fatal("balancer kept routing to the loaded instance")
+func TestLeastLoadedEmpty(t *testing.T) {
+	if got := NewLeastLoaded().PickIndex(depths(nil), 0); got != 0 {
+		t.Fatalf("PickIndex over no candidates = %d, want 0", got)
+	}
+}
+
+func TestLeastLoadedAdaptsToChangingDepths(t *testing.T) {
+	b := NewLeastLoaded()
+	v := depths{0, 0}
+	first := b.PickIndex(v, 0)
+	v[first] = 10
+	if second := b.PickIndex(v, 0); second == first {
+		t.Fatal("picker kept routing to the loaded instance")
 	}
 }

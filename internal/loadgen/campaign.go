@@ -13,25 +13,10 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pilot"
 	"repro/internal/platform"
-	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/spec"
-)
-
-// inferClient is the campaign-facing inference seam: a single-endpoint
-// *service.Resolver, or a replica-aware *service.Balancer when the
-// scenario enables the autoscaler.
-type inferClient interface {
-	Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error)
-	Reresolved() int
-	Close() error
-}
-
-var (
-	_ inferClient = (*service.Resolver)(nil)
-	_ inferClient = (*service.Balancer)(nil)
 )
 
 // probeNever pushes the liveness probe ticker past any campaign horizon:
@@ -124,23 +109,20 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 			reg.AddMember(handles[0].UID(), h.UID())
 		}
 	}
-	resolvers := make([]inferClient, len(handles))
+	// Only service 0's client of a balanced hotspot names a picker; every
+	// other client takes the session default, which an unscaled service —
+	// a group of one — never consults.
+	pickers := make([]loadbal.Picker, len(handles))
+	if balanced {
+		pickers[0], err = loadbal.PickerByName(sc.Balance, rng.New(sc.Seed).Derive("balance").Uint64())
+		if err != nil {
+			return nil, err
+		}
+	}
+	resolvers := make([]*service.Balancer, len(handles))
 	for i, h := range handles {
 		addr := platform.Addr("delta", "", fmt.Sprintf("loadgen.client.%02d", i))
-		var r inferClient
-		var err error
-		switch {
-		case balanced && i == 0:
-			var picker loadbal.Picker
-			picker, err = loadbal.PickerByName(sc.Balance, rng.New(sc.Seed).Derive("balance").Uint64())
-			if err == nil {
-				r, err = sess.DialBalancedWith(addr, h.UID(), picker)
-			}
-		case sc.MaxReplicas > 1:
-			r, err = sess.DialBalanced(addr, h.UID())
-		default:
-			r, err = sess.DialService(addr, h.UID())
-		}
+		r, err := sess.DialService(addr, h.UID(), pickers[i])
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +207,7 @@ type campaign struct {
 	acct      simtime.Runners
 	pilots    []*pilot.Pilot
 	handles   []*core.Service
-	resolvers []inferClient
+	resolvers []*service.Balancer
 	balanced  bool
 	t0        time.Time
 	bg        context.Context

@@ -82,7 +82,7 @@ type Scenario struct {
 	// Balance selects how KindHotspot routes its skewed mass: "direct"
 	// sends it straight at service 0 (the legacy shape), anything else
 	// forms a registry balancing group over the whole fleet and dials
-	// service 0 through a Session.DialBalanced client with that picker
+	// service 0 through a Session.DialService client with that picker
 	// ("p2c" by default, "round-robin", "least-loaded"). The unskewed
 	// remainder keeps hitting services 1..N-1 directly, so the balancer
 	// only sees that background load through the load reports the driver

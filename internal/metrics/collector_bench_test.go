@@ -8,71 +8,33 @@ import (
 	"time"
 )
 
-// legacyCollector is the pre-rework collector — one global mutex around a
-// name → slice map — kept inline as the before/after baseline for
-// BenchmarkCollectorContention.
-type legacyCollector struct {
-	mu     sync.Mutex
-	series map[string][]time.Duration
-}
-
-func newLegacyCollector() *legacyCollector {
-	return &legacyCollector{series: make(map[string][]time.Duration)}
-}
-
-func (c *legacyCollector) Add(name string, v time.Duration) {
-	c.mu.Lock()
-	c.series[name] = append(c.series[name], v)
-	c.mu.Unlock()
-}
-
 // BenchmarkCollectorContention measures concurrent Add throughput with
 // every goroutine writing its own series — the load-harness pattern where
-// per-worker latency streams share one collector. The legacy variant
-// serializes all of them on one mutex; the per-series variant only touches
-// the collector-level lock on the read path.
+// per-worker latency streams share one collector, whose per-series
+// locking only touches the collector-level lock on the read path.
 func BenchmarkCollectorContention(b *testing.B) {
 	names := make([]string, runtime.GOMAXPROCS(0))
 	for i := range names {
 		names[i] = fmt.Sprintf("worker.%02d", i)
 	}
-	b.Run("legacy-global-mutex", func(b *testing.B) {
-		c := newLegacyCollector()
-		var next sync.Map
-		b.RunParallel(func(pb *testing.PB) {
-			name := names[0]
-			for i := range names {
-				if _, taken := next.LoadOrStore(i, true); !taken {
-					name = names[i]
-					break
-				}
+	c := NewCollector()
+	var next sync.Map
+	b.RunParallel(func(pb *testing.PB) {
+		name := names[0]
+		for i := range names {
+			if _, taken := next.LoadOrStore(i, true); !taken {
+				name = names[i]
+				break
 			}
-			for pb.Next() {
-				c.Add(name, time.Millisecond)
-			}
-		})
-	})
-	b.Run("per-series-locking", func(b *testing.B) {
-		c := NewCollector()
-		var next sync.Map
-		b.RunParallel(func(pb *testing.PB) {
-			name := names[0]
-			for i := range names {
-				if _, taken := next.LoadOrStore(i, true); !taken {
-					name = names[i]
-					break
-				}
-			}
-			for pb.Next() {
-				c.Add(name, time.Millisecond)
-			}
-		})
+		}
+		for pb.Next() {
+			c.Add(name, time.Millisecond)
+		}
 	})
 }
 
 // BenchmarkCollectorSingleSeries is the pathological shared-series case:
-// per-series locking cannot help here, and this pins that it also does not
-// regress versus the global mutex.
+// per-series locking cannot help here.
 func BenchmarkCollectorSingleSeries(b *testing.B) {
 	c := NewCollector()
 	b.RunParallel(func(pb *testing.PB) {

@@ -91,9 +91,9 @@ func (s Stats) String() string {
 // map (read-locked on the hot path, write-locked to create a series), and
 // each series carries its own mutex around the sample append. Writers to
 // different series therefore never contend, which matters when a load
-// harness feeds millions of samples from many goroutines — under the old
-// single global mutex the collector itself was the bottleneck (see
-// BenchmarkCollectorContention).
+// harness feeds millions of samples from many goroutines — under a
+// single global mutex the collector itself was the bottleneck (PERF.md,
+// PR 7).
 type Collector struct {
 	mu     sync.RWMutex
 	series map[string]*sampleSeries

@@ -61,7 +61,7 @@ type TCPServerOptions struct {
 	// Workers bounds the handler goroutines per connection (default 8).
 	// When every worker is busy and the queue is full, the connection's
 	// read loop blocks — natural TCP backpressure — instead of spawning
-	// unboundedly like the seed transport.
+	// a goroutine per request.
 	Workers int
 	// Inline serves requests on the connection's read loop itself: zero
 	// dispatch overhead, but a blocking handler stalls the whole
@@ -389,8 +389,8 @@ func DialTCP(addr string) (*TCPClient, error) {
 
 // LateReplies reports how many replies arrived for requests that were no
 // longer waiting — cancelled by context, failed at write time, or already
-// completed under a recycled slot generation. The seed transport dropped
-// these silently; the gauge makes the cancel/reply race observable.
+// completed under a recycled slot generation. The gauge makes the
+// cancel/reply race observable.
 func (c *TCPClient) LateReplies() uint64 { return c.late.Load() }
 
 func (c *TCPClient) readErr() error {

@@ -644,16 +644,25 @@ func (p *Pilot) WaitTasks(ctx context.Context, uids ...string) error {
 // Tasks that were queued but never granted resources fail with
 // ErrPilotStopped (the stopped channel closes before the scheduler, so
 // they observe the shutdown rather than wedging on a closed wait pool).
+//
+// Concurrent callers have a single winner: the whole teardown runs once,
+// and a loser returns ErrNotActive only after the winner has finished, so
+// no caller observes a half-torn pilot.
 func (p *Pilot) Shutdown() error {
 	if p.machine.Current() != states.PilotActive {
 		return fmt.Errorf("%w: %s", ErrNotActive, p.machine.Current())
 	}
-	// Leave the live registry before the stop signal propagates, so a
-	// concurrent Recover cannot adopt a pilot that is mid-teardown.
-	p.detach()
-	p.stopOnce.Do(func() { close(p.stopped) })
-	p.svcMgr.Close()
-	p.sched.Close()
-	p.release()
-	return p.machine.To(states.PilotDone)
+	// a loser blocks in Do until the winner is through, then returns this
+	err := fmt.Errorf("%w: lost a concurrent shutdown", ErrNotActive)
+	p.stopOnce.Do(func() {
+		// Leave the live registry before the stop signal propagates, so a
+		// concurrent Recover cannot adopt a pilot that is mid-teardown.
+		p.detach()
+		close(p.stopped)
+		p.svcMgr.Close()
+		p.sched.Close()
+		p.release()
+		err = p.machine.To(states.PilotDone)
+	})
+	return err
 }

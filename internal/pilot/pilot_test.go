@@ -111,6 +111,47 @@ func TestShutdownReleasesPlatform(t *testing.T) {
 	}
 }
 
+// TestShutdownSingleWinner races N Shutdowns: exactly one runs the
+// teardown and returns nil, every loser gets ErrNotActive only once the
+// pilot is fully down (state DONE, platform released) — run under -race,
+// where two teardowns used to collide on the allocation list.
+func TestShutdownSingleWinner(t *testing.T) {
+	p, plat := newPilot(t, 100000, deltaPilot())
+	const callers = 8
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			errs[i] = p.Shutdown()
+			if p.State() != states.PilotDone || plat.FreeCores() != plat.TotalCores() {
+				t.Errorf("caller %d returned from a half-torn pilot: state %s, %d/%d cores free",
+					i, p.State(), plat.FreeCores(), plat.TotalCores())
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	won := 0
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			won++
+		case !errors.Is(err, ErrNotActive):
+			t.Errorf("caller %d: err = %v, want nil or ErrNotActive", i, err)
+		}
+	}
+	if won != 1 {
+		t.Fatalf("%d of %d concurrent Shutdowns returned nil, want exactly 1", won, callers)
+	}
+	if plat.FreeCores() != plat.TotalCores() || plat.FreeGPUs() != plat.TotalGPUs() {
+		t.Fatal("shutdown did not release platform resources")
+	}
+}
+
 func TestTaskLifecycle(t *testing.T) {
 	p, _ := newPilot(t, 100000, deltaPilot())
 	task, err := p.SubmitTask(context.Background(), spec.TaskDescription{

@@ -20,7 +20,7 @@ import (
 // default report cadence and a campaign reporter's coarser intervals.
 const DefaultLoadHorizon = 10 * time.Second
 
-// BalancerOptions tune a Balancer. The zero value selects a
+// BalancerOptions tune a Balancer or a Pool. The zero value selects a
 // power-of-two-choices picker with seed 0, the default staleness horizon,
 // and no clock (every report counts as stale, so picks degrade to
 // rotation until a Now source is supplied).
@@ -42,6 +42,103 @@ type BalancerOptions struct {
 	Retries int
 }
 
+// members is what a Balancer and a Pool share: the picker with its
+// staleness horizon, and the lazily-filled per-UID Resolver cache every
+// picked request is forwarded through.
+type members struct {
+	reg   *EndpointRegistry
+	owner string // names the client in the closed error
+	dial  DialFn
+	opts  BalancerOptions // Picker and Horizon defaulted
+
+	// res is the copy-on-write member-resolver map, never nil: reads are
+	// one atomic load, misses take mu and swap in a grown copy.
+	res    atomic.Pointer[map[string]*Resolver]
+	mu     sync.Mutex
+	closed atomic.Bool
+}
+
+// init validates the shared inputs and applies the option defaults.
+func (m *members) init(reg *EndpointRegistry, owner string, dial DialFn, opts BalancerOptions) error {
+	if reg == nil || dial == nil {
+		return fmt.Errorf("service: %s needs a registry and a dial function", owner)
+	}
+	if opts.Picker == nil {
+		opts.Picker = loadbal.NewP2C(opts.Seed)
+	}
+	if opts.Horizon <= 0 {
+		opts.Horizon = DefaultLoadHorizon
+	}
+	m.reg, m.owner, m.dial, m.opts = reg, owner, dial, opts
+	m.res.Store(&map[string]*Resolver{})
+	return nil
+}
+
+// pick runs the picker over view with the current staleness horizon.
+func (m *members) pick(view loadbal.LoadView) int {
+	minAt := int64(math.MaxInt64) // no timebase: every report is stale
+	if m.opts.Now != nil {
+		minAt = m.opts.Now().UnixNano() - int64(m.opts.Horizon)
+	}
+	return m.opts.Picker.PickIndex(view, minAt)
+}
+
+// infer forwards one request through uid's Resolver.
+func (m *members) infer(ctx context.Context, uid, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
+	r, err := m.resolver(uid)
+	if err != nil {
+		return proto.InferenceReply{}, metrics.Breakdown{}, err
+	}
+	return r.Infer(ctx, prompt, maxTokens)
+}
+
+// resolver returns (creating on first use) the member's Resolver.
+func (m *members) resolver(uid string) (*Resolver, error) {
+	if r, ok := (*m.res.Load())[uid]; ok {
+		return r, nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed.Load() {
+		return nil, fmt.Errorf("service: %s closed", m.owner)
+	}
+	cur := *m.res.Load()
+	if r, ok := cur[uid]; ok {
+		return r, nil
+	}
+	r, err := NewResolver(m.reg, uid, m.dial, m.opts.Retries)
+	if err != nil {
+		return nil, err
+	}
+	next := map[string]*Resolver{uid: r}
+	for k, v := range cur {
+		next[k] = v
+	}
+	m.res.Store(&next)
+	return r, nil
+}
+
+// reresolved sums the re-resolution counts of every member resolver.
+func (m *members) reresolved() int {
+	n := 0
+	for _, r := range *m.res.Load() {
+		n += r.Reresolved()
+	}
+	return n
+}
+
+// close closes every member resolver; later resolver calls fail.
+func (m *members) close() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.closed.Swap(true) {
+		for _, r := range *m.res.Load() {
+			_ = r.Close()
+		}
+	}
+	return nil
+}
+
 // Balancer is an inference client for a logical service UID that may be
 // backed by several replicas: the base instance plus whatever replica
 // members the session autoscaler currently lists in the EndpointRegistry
@@ -60,58 +157,27 @@ type BalancerOptions struct {
 // is older than the configured horizon the pick falls back to blind
 // round-robin rather than trusting dead information.
 type Balancer struct {
-	reg     *EndpointRegistry
-	uid     string
-	dial    DialFn
-	picker  loadbal.Picker
-	now     func() time.Time
-	horizon int64 // staleness bound in nanoseconds
-	retries int
+	m   members
+	uid string
 	// entry is the pinned registry entry of the logical UID; its group
 	// field holds the current immutable balancing view.
 	entry *endpointEntry
-
-	// res is the copy-on-write member-resolver map: reads are one atomic
-	// load, misses take mu and swap in a grown copy.
-	res    atomic.Pointer[map[string]*Resolver]
-	mu     sync.Mutex
-	closed atomic.Bool
 }
 
 // NewBalancer returns a Balancer for the logical service uid.
 func NewBalancer(reg *EndpointRegistry, uid string, dial DialFn, opts BalancerOptions) (*Balancer, error) {
-	if reg == nil {
-		return nil, fmt.Errorf("service: balancer %s: nil registry", uid)
+	b := &Balancer{uid: uid}
+	if err := b.m.init(reg, "balancer "+uid, dial, opts); err != nil {
+		return nil, err
 	}
-	if dial == nil {
-		return nil, fmt.Errorf("service: balancer %s: nil dial", uid)
-	}
-	if opts.Picker == nil {
-		opts.Picker = loadbal.NewP2C(opts.Seed)
-	}
-	if opts.Horizon <= 0 {
-		opts.Horizon = DefaultLoadHorizon
-	}
-	return &Balancer{
-		reg:     reg,
-		uid:     uid,
-		dial:    dial,
-		picker:  opts.Picker,
-		now:     opts.Now,
-		horizon: int64(opts.Horizon),
-		retries: opts.Retries,
-		entry:   reg.groupEntry(uid),
-	}, nil
+	b.entry = reg.groupEntry(uid)
+	return b, nil
 }
 
 // Infer routes one request to the picked group member and blocks for its
 // reply.
 func (b *Balancer) Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
-	r, err := b.resolver(b.Pick())
-	if err != nil {
-		return proto.InferenceReply{}, metrics.Breakdown{}, err
-	}
-	return r.Infer(ctx, prompt, maxTokens)
+	return b.m.infer(ctx, b.Pick(), prompt, maxTokens)
 }
 
 // Pick returns the member UID the next request goes to: one atomic view
@@ -123,69 +189,11 @@ func (b *Balancer) Pick() string {
 	if view == nil || view.Len() <= 1 {
 		return b.uid
 	}
-	minAt := int64(math.MaxInt64) // no timebase: every report is stale
-	if b.now != nil {
-		minAt = b.now().UnixNano() - b.horizon
-	}
-	return view.UID(b.picker.PickIndex(view, minAt))
-}
-
-// resolver returns (creating on first use) the member's Resolver.
-func (b *Balancer) resolver(uid string) (*Resolver, error) {
-	if m := b.res.Load(); m != nil {
-		if r, ok := (*m)[uid]; ok {
-			return r, nil
-		}
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed.Load() {
-		return nil, fmt.Errorf("service: balancer %s closed", b.uid)
-	}
-	cur := b.res.Load()
-	if cur != nil {
-		if r, ok := (*cur)[uid]; ok {
-			return r, nil
-		}
-	}
-	r, err := NewResolver(b.reg, uid, b.dial, b.retries)
-	if err != nil {
-		return nil, err
-	}
-	next := make(map[string]*Resolver, 1)
-	if cur != nil {
-		next = make(map[string]*Resolver, len(*cur)+1)
-		for k, v := range *cur {
-			next[k] = v
-		}
-	}
-	next[uid] = r
-	b.res.Store(&next)
-	return r, nil
+	return view.UID(b.m.pick(view))
 }
 
 // Reresolved sums the re-resolution counts of every member resolver.
-func (b *Balancer) Reresolved() int {
-	n := 0
-	if m := b.res.Load(); m != nil {
-		for _, r := range *m {
-			n += r.Reresolved()
-		}
-	}
-	return n
-}
+func (b *Balancer) Reresolved() int { return b.m.reresolved() }
 
 // Close closes every member resolver. Subsequent Infer calls fail.
-func (b *Balancer) Close() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed.Swap(true) {
-		return nil
-	}
-	if m := b.res.Load(); m != nil {
-		for _, r := range *m {
-			_ = r.Close()
-		}
-	}
-	return nil
-}
+func (b *Balancer) Close() error { return b.m.close() }

@@ -112,17 +112,17 @@ func LoadFromReport(lr proto.LoadReport) Load {
 	return Load{Queued: lr.Queued, InFlight: lr.InFlight, At: lr.At}
 }
 
-// GroupView is the immutable balancing view of one logical service UID:
-// the base entry at index 0 plus the current replica members. It
-// implements loadbal.LoadView; Load reads the per-entry atomic gauges, so
-// a pick costs two atomic loads per probe and never blocks a registry
-// mutation.
+// GroupView is an immutable balancing view: one logical service UID's
+// base entry at index 0 plus its current replica members, or (for a Pool)
+// one model's live endpoints. It implements loadbal.LoadView; Load reads
+// the per-entry atomic gauges, so a pick costs two atomic loads per probe
+// and never blocks a registry mutation.
 type GroupView struct {
 	uids    []string
 	entries []*endpointEntry
 }
 
-// Len returns the candidate count (base plus members).
+// Len returns the candidate count.
 func (g *GroupView) Len() int { return len(g.uids) }
 
 // UID returns candidate i's service UID.
@@ -322,15 +322,35 @@ func (r *EndpointRegistry) All() []proto.Endpoint {
 // UID.
 func (r *EndpointRegistry) ByModel(model string) []proto.Endpoint {
 	r.mu.Lock()
-	var out []proto.Endpoint
-	for _, e := range r.entries {
+	defer r.mu.Unlock()
+	view := r.modelViewLocked(model)
+	out := make([]proto.Endpoint, len(view.entries))
+	for i, e := range view.entries {
+		out[i] = e.ep
+	}
+	return out
+}
+
+// modelView returns ByModel's candidate set as a balancing view: the
+// pool's per-request snapshot, read lock-free by its picker.
+func (r *EndpointRegistry) modelView(model string) *GroupView {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.modelViewLocked(model)
+}
+
+func (r *EndpointRegistry) modelViewLocked(model string) *GroupView {
+	view := &GroupView{}
+	for uid, e := range r.entries {
 		if e.live && e.ep.Model == model {
-			out = append(out, e.ep)
+			view.uids = append(view.uids, uid)
 		}
 	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ServiceUID < out[j].ServiceUID })
-	return out
+	sort.Strings(view.uids)
+	for _, uid := range view.uids {
+		view.entries = append(view.entries, r.entries[uid])
+	}
+	return view
 }
 
 // AwaitLive blocks until uid has a live endpoint (any generation), the

@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"repro/internal/loadbal"
 	"repro/internal/metrics"
@@ -24,87 +22,42 @@ type Caller interface {
 // Pool is a load-balanced Caller over every live endpoint of one model,
 // resolved through the session EndpointRegistry — the "dynamically
 // rerouting requests to less used service instances" of the paper's
-// future work, layered client-side over any Balancer.
+// future work, layered client-side over any loadbal.Picker.
 //
 // The registry is the single source of endpoint truth: the candidate set
 // is re-read per request (services joining, leaving, or failing over are
-// picked up live), and each candidate is called through a per-UID
-// Resolver, so pooled clients get exactly the generation-stamped
-// stale-endpoint detection Resolver clients have. The pre-registry
-// design cached raw connections and dropped one whenever a request
-// errored; that heuristic raced endpoint re-publication — an error
-// observed against generation G could evict the already-republished G+1
-// connection — and is gone: staleness is now decided by comparing the
-// failed generation against the registry, never inferred from an error.
+// picked up live; a suspended endpoint is skipped, where a Balancer's
+// group view keeps it), the picker reads the registry's reported load
+// gauges under the same staleness horizon a Balancer applies, and each
+// candidate is called through a per-UID Resolver, so pooled clients get
+// exactly the generation-stamped stale-endpoint detection Resolver
+// clients have: staleness is decided by comparing the failed generation
+// against the registry, never inferred from an error.
 type Pool struct {
-	reg   *EndpointRegistry
+	m     members
 	model string
-	bal   loadbal.Balancer
-	dial  DialFn
-
-	mu     sync.Mutex
-	res    map[string]*Resolver // by service UID, created lazily
-	closed bool
 }
 
 // NewPool builds a Pool over the registry's live endpoints for model.
-// bal defaults to round-robin when nil.
-func NewPool(reg *EndpointRegistry, model string, bal loadbal.Balancer, dial DialFn) (*Pool, error) {
-	if reg == nil || dial == nil {
-		return nil, fmt.Errorf("service: pool needs a registry and a dial function")
+// opts are the Balancer's: a nil Picker selects seeded
+// power-of-two-choices, which rotates blindly until loads are reported.
+func NewPool(reg *EndpointRegistry, model string, dial DialFn, opts BalancerOptions) (*Pool, error) {
+	p := &Pool{model: model}
+	if err := p.m.init(reg, "pool for "+model, dial, opts); err != nil {
+		return nil, err
 	}
-	if bal == nil {
-		bal = loadbal.NewRoundRobin()
-	}
-	return &Pool{
-		reg:   reg,
-		model: model,
-		bal:   bal,
-		dial:  dial,
-		res:   make(map[string]*Resolver),
-	}, nil
+	return p, nil
 }
 
 // Infer implements Caller: pick a live endpoint and forward the call
 // through its generation-aware resolver.
 func (p *Pool) Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
-	eps := p.reg.ByModel(p.model)
-	ep, err := p.bal.Pick(eps)
-	if err != nil {
-		return proto.InferenceReply{}, metrics.Breakdown{}, err
+	view := p.m.reg.modelView(p.model)
+	if view.Len() == 0 {
+		return proto.InferenceReply{}, metrics.Breakdown{}, loadbal.ErrNoEndpoints
 	}
-	r, err := p.resolver(ep.ServiceUID)
-	if err != nil {
-		return proto.InferenceReply{}, metrics.Breakdown{}, err
-	}
-	return r.Infer(ctx, prompt, maxTokens)
-}
-
-func (p *Pool) resolver(uid string) (*Resolver, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil, fmt.Errorf("service: pool for %s closed", p.model)
-	}
-	if r, ok := p.res[uid]; ok {
-		return r, nil
-	}
-	r, err := NewResolver(p.reg, uid, p.dial, 0)
-	if err != nil {
-		return nil, err
-	}
-	p.res[uid] = r
-	return r, nil
+	return p.m.infer(ctx, view.UID(p.m.pick(view)), prompt, maxTokens)
 }
 
 // Close implements Caller: releases every member resolver.
-func (p *Pool) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	for uid, r := range p.res {
-		_ = r.Close()
-		delete(p.res, uid)
-	}
-	return nil
-}
+func (p *Pool) Close() error { return p.m.close() }

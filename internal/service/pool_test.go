@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -52,10 +53,10 @@ func poolDial(dead *atomic.Value) (DialFn, *atomic.Int64) {
 
 func TestPoolValidation(t *testing.T) {
 	dial, _ := poolDial(nil)
-	if _, err := NewPool(nil, "noop", nil, dial); err == nil {
+	if _, err := NewPool(nil, "noop", dial, BalancerOptions{}); err == nil {
 		t.Fatal("NewPool accepted a nil registry")
 	}
-	if _, err := NewPool(NewEndpointRegistry(), "noop", nil, nil); err == nil {
+	if _, err := NewPool(NewEndpointRegistry(), "noop", nil, BalancerOptions{}); err == nil {
 		t.Fatal("NewPool accepted a nil dial function")
 	}
 }
@@ -66,7 +67,7 @@ func TestPoolRoundRobinAcrossServices(t *testing.T) {
 		reg.Publish(ep(fmt.Sprintf("svc-%d", i), fmt.Sprintf("addr-%d", i)))
 	}
 	dial, _ := poolDial(nil)
-	pool, err := NewPool(reg, "noop", loadbal.NewRoundRobin(), dial)
+	pool, err := NewPool(reg, "noop", dial, BalancerOptions{Picker: loadbal.NewRoundRobin()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +93,13 @@ func TestPoolRoundRobinAcrossServices(t *testing.T) {
 
 func TestPoolNoEndpoints(t *testing.T) {
 	dial, _ := poolDial(nil)
-	pool, err := NewPool(NewEndpointRegistry(), "noop", nil, dial)
+	pool, err := NewPool(NewEndpointRegistry(), "noop", dial, BalancerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if _, _, err := pool.Infer(context.Background(), "x", 0); err == nil {
-		t.Fatal("Infer succeeded with no endpoints")
+	if _, _, err := pool.Infer(context.Background(), "x", 0); !errors.Is(err, loadbal.ErrNoEndpoints) {
+		t.Fatalf("Infer with no endpoints: err = %v, want ErrNoEndpoints", err)
 	}
 }
 
@@ -106,7 +107,7 @@ func TestPoolPicksUpNewServices(t *testing.T) {
 	reg := NewEndpointRegistry()
 	reg.Publish(ep("a", "addr-a"))
 	dial, _ := poolDial(nil)
-	pool, err := NewPool(reg, "noop", loadbal.NewRoundRobin(), dial)
+	pool, err := NewPool(reg, "noop", dial, BalancerOptions{Picker: loadbal.NewRoundRobin()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestPoolFollowsWithdrawal(t *testing.T) {
 	reg.Publish(ep("a", "addr-a"))
 	reg.Publish(ep("b", "addr-b"))
 	dial, _ := poolDial(nil)
-	pool, err := NewPool(reg, "noop", loadbal.NewRoundRobin(), dial)
+	pool, err := NewPool(reg, "noop", dial, BalancerOptions{Picker: loadbal.NewRoundRobin()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,16 +160,17 @@ func TestPoolFollowsWithdrawal(t *testing.T) {
 	}
 }
 
-func TestPoolLeastPendingPrefersIdleService(t *testing.T) {
+func TestPoolLeastLoadedPrefersIdleService(t *testing.T) {
 	reg := NewEndpointRegistry()
-	// publication order fixes ByModel order: busy first, so a naive
-	// picker would choose it
+	// UID order fixes the candidate order: busy first, so a naive picker
+	// would choose it
 	reg.Publish(ep("busy", "addr-busy"))
 	reg.Publish(ep("idle", "addr-idle"))
-	depths := map[string]int{"busy": 4, "idle": 0}
-	depth := func(uid string) int { return depths[uid] }
+	now := time.Unix(1000, 0)
+	reg.ReportLoad("busy", Load{Queued: 3, InFlight: 1, At: now})
+	reg.ReportLoad("idle", Load{At: now})
 	dial, _ := poolDial(nil)
-	pool, err := NewPool(reg, "noop", loadbal.NewLeastPending(depth), dial)
+	pool, err := NewPool(reg, "noop", dial, BalancerOptions{Picker: loadbal.NewLeastLoaded()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +180,45 @@ func TestPoolLeastPendingPrefersIdleService(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reply.ServiceUID != "idle" {
-		t.Fatalf("least-pending pool routed to the saturated service %s", reply.ServiceUID)
+		t.Fatalf("least-loaded pool routed to the saturated service %s", reply.ServiceUID)
+	}
+}
+
+// TestPoolSkipsSuspendedEndpoint pins the live-only candidate set: while
+// a failover is in flight the suspended service gets no pooled request
+// (a Balancer's group view would keep it and park), and it rejoins on
+// re-publication.
+func TestPoolSkipsSuspendedEndpoint(t *testing.T) {
+	reg := NewEndpointRegistry()
+	reg.Publish(ep("a", "addr-a"))
+	reg.Publish(ep("b", "addr-b"))
+	dial, _ := poolDial(nil)
+	pool, err := NewPool(reg, "noop", dial, BalancerOptions{Picker: loadbal.NewRoundRobin()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	reg.Suspend("a")
+	for i := 0; i < 4; i++ {
+		reply, _, err := pool.Infer(context.Background(), "x", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.ServiceUID != "b" {
+			t.Fatalf("request served by %s while a is suspended", reply.ServiceUID)
+		}
+	}
+	reg.Publish(ep("a", "addr-a2"))
+	served := map[string]bool{}
+	for i := 0; i < 4; i++ {
+		reply, _, err := pool.Infer(context.Background(), "x", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served[reply.ServiceUID] = true
+	}
+	if !served["a"] {
+		t.Fatal("re-published service never rejoined the pool")
 	}
 }
 
@@ -205,7 +245,7 @@ func TestPoolRepublicationDuringInFlightError(t *testing.T) {
 		}
 		return c, nil
 	}
-	pool, err := NewPool(reg, "noop", loadbal.NewRoundRobin(), dial)
+	pool, err := NewPool(reg, "noop", dial, BalancerOptions{Picker: loadbal.NewRoundRobin()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +300,7 @@ func TestPoolClosedRejects(t *testing.T) {
 	reg := NewEndpointRegistry()
 	reg.Publish(ep("a", "addr-a"))
 	dial, _ := poolDial(nil)
-	pool, err := NewPool(reg, "noop", nil, dial)
+	pool, err := NewPool(reg, "noop", dial, BalancerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

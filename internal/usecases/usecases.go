@@ -482,7 +482,7 @@ func Signature(cfg SignatureConfig, src *rng.Source) *workflow.Pipeline {
 		// the comparison task needs session access: bind it via Post
 		llmStage.Tasks = nil
 		llmStage.Post = func(ctx context.Context, sess *core.Session) error {
-			eps := sess.ServiceManager().Endpoints("llama-8b")
+			eps := sess.EndpointRegistry().ByModel("llama-8b")
 			if len(eps) == 0 {
 				return fmt.Errorf("signature: no llama-8b endpoint")
 			}

@@ -171,7 +171,7 @@ func TestStageWithServices(t *testing.T) {
 				Model:           "noop",
 			}},
 			Post: func(ctx context.Context, s *core.Session) error {
-				if len(s.ServiceManager().Endpoints("noop")) == 1 {
+				if len(s.EndpointRegistry().ByModel("noop")) == 1 {
 					sawEndpoint.Store(true)
 				}
 				return nil
@@ -187,7 +187,7 @@ func TestStageWithServices(t *testing.T) {
 		t.Fatal("service endpoint not visible during stage")
 	}
 	// non-persistent services are terminated at pipeline end
-	if got := len(sess.ServiceManager().Endpoints("noop")); got != 0 {
+	if got := len(sess.EndpointRegistry().ByModel("noop")); got != 0 {
 		t.Fatalf("%d endpoints left after pipeline end", got)
 	}
 }
@@ -209,7 +209,7 @@ func TestKeepServicesSurvivePipeline(t *testing.T) {
 	if _, err := r.Run(ctx, p); err != nil {
 		t.Fatal(err)
 	}
-	eps := sess.ServiceManager().Endpoints("noop")
+	eps := sess.EndpointRegistry().ByModel("noop")
 	if len(eps) != 1 {
 		t.Fatalf("kept service endpoints = %d, want 1", len(eps))
 	}
