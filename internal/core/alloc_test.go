@@ -1,0 +1,119 @@
+package core
+
+import (
+	"context"
+	"path/filepath"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/simtime"
+	"repro/internal/spec"
+)
+
+// Budgets of TestTaskSubmitAllocBudget, in heap objects per task. The test
+// measured 41.1 and 21.4 at the parent of the placement-engine PR and 39.1
+// and 21.4 after it (the liveness filter's scratch slice replaced two
+// slices per routing decision); one more object per task on either path
+// exceeds the budget.
+const (
+	submitAllocBudget  = 40.0
+	recoverAllocBudget = 22.0
+)
+
+// TestTaskSubmitAllocBudget pins what one task costs in heap objects on the
+// two paths bench/rpbench's task workloads time: a journaled Submit+Wait
+// through the managers, placer, pilot, scheduler and executor
+// (task_journal), and one settled task of a core.Recover on the WAL that
+// campaign wrote (task_recover). BENCHMARK.json bounds allocs_per_op on both
+// at 2 %, so one extra allocation per task fails the benchmark gate; this
+// fails first. Contention between the submitter and the pilots' goroutines
+// adds a noisy four to ten objects per task on two cores, so the campaign
+// runs on one P and the quietest of three rounds counts; the recovery figure
+// repeats exactly.
+func TestTaskSubmitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	const rounds, n = 3, 1000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	wal := filepath.Join(t.TempDir(), "alloc.wal")
+	s, err := NewSession(SessionConfig{
+		Seed:              7,
+		Clock:             simtime.NewScaled(1e6, DefaultOrigin),
+		FastBoot:          true,
+		JournalPath:       wal,
+		JournalFlushEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		p, err := s.PilotManager().Submit(spec.PilotDescription{Platform: "hetero", Nodes: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = p.Shutdown() }()
+		s.TaskManager().AddPilot(p)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	var before, after runtime.MemStats
+	perTask := 0.0
+	for r := 0; r < rounds; r++ {
+		descs := make([]spec.TaskDescription, n)
+		for i := range descs {
+			descs[i] = spec.TaskDescription{
+				Name: "alloc-budget", Cores: 1 + i%4,
+				Func: func(context.Context) error { return nil },
+			}
+		}
+		runtime.ReadMemStats(&before)
+		tasks, err := s.TaskManager().Submit(ctx, descs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.TaskManager().Wait(ctx, tasks...); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.Mallocs-before.Mallocs) / n
+		if r == 0 || got < perTask {
+			perTask = got
+		}
+	}
+	t.Logf("journaled Submit+Wait: %.1f objects/task", perTask)
+	if perTask > submitAllocBudget {
+		t.Errorf("journaled Submit+Wait allocates %.1f objects/task, budget %.1f", perTask, submitAllocBudget)
+	}
+
+	// Wait orders after DONE, not after DONE is journaled (bench/README.md
+	// hazard 5): let the last transitions land before cutting the client off.
+	for want := int64(8*rounds*n + 7); ; {
+		if appends, _ := s.Journal().Stats(); appends >= want {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("journal never reached %d records", want)
+		}
+		runtime.Gosched()
+	}
+	s.Abandon()
+
+	runtime.ReadMemStats(&before)
+	rs, rep, err := Recover(wal, RecoverConfig{FlushEvery: time.Hour})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	if len(rep.TasksSettled) != rounds*n {
+		t.Fatalf("recovery settled %d of %d tasks", len(rep.TasksSettled), rounds*n)
+	}
+	perTask = float64(after.Mallocs-before.Mallocs) / (rounds * n)
+	t.Logf("Recover: %.1f objects/task", perTask)
+	if perTask > recoverAllocBudget {
+		t.Errorf("Recover allocates %.1f objects/task, budget %.1f", perTask, recoverAllocBudget)
+	}
+}

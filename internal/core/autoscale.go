@@ -21,8 +21,8 @@ import (
 // clients, and spawns or retires replica instances under the logical
 // service UID.
 //
-// Replicas are ordinary pilot-level services named <uid>.rN, routed
-// through the session Router like any service and auto-mirrored into the
+// Replicas are ordinary pilot-level services named <uid>.rN, placed
+// through the manager's placer like any service and auto-mirrored into the
 // session EndpointRegistry by the pilot publish hook (handle-less
 // services mirror unconditionally, with the session incarnation
 // stamped). They are deliberately not journaled: replica count is
@@ -129,10 +129,7 @@ func (sm *ServiceManager) scaleTick(h *Service) {
 	for _, r := range reps {
 		switch {
 		case r.inst.Final():
-			if r.member {
-				sm.reg.RemoveMember(h.uid, r.uid)
-			}
-			sm.reg.Withdraw(r.uid)
+			sm.dropReplica(h, r)
 		case r.draining:
 			if r.inst.Queued() == 0 && r.inst.InFlight() == 0 {
 				sm.reg.Withdraw(r.uid)
@@ -221,38 +218,48 @@ func (sm *ServiceManager) scaleTick(h *Service) {
 	}
 }
 
-// spawnReplica fires off one replica bootstrap for h: route, submit,
-// track. The bootstrap proceeds on its own clock-registered goroutine
-// (model load sleeps and all); the replica joins the balancing group
-// when a later tick observes it ACTIVE. Routing or dispatch failures are
-// dropped — the next evaluation retries if demand persists.
+// spawn places one auxiliary instance of h — an autoscaled replica or a
+// warm standby: h's description under uid with the scaling knobs cleared
+// (it is neither demand-scaled nor spared itself), routed like any service,
+// neither journaled nor bound to the handle. The bootstrap proceeds on its
+// own clock-registered goroutine (model load sleeps and all), so this never
+// blocks on the clock.
+func (sm *ServiceManager) spawn(h *Service, uid string, exclude map[string]bool) (*service.Instance, *pilot.Pilot, error) {
+	d := h.desc
+	d.UID = uid
+	d.WarmStandbys, d.MinReplicas, d.MaxReplicas = 0, 0, 0
+	var inst *service.Instance
+	p, err := sm.place(&d.TaskDescription, exclude, func(p *pilot.Pilot) (err error) {
+		inst, err = p.Services().Submit(d)
+		return err
+	})
+	return inst, p, err
+}
+
+// spawnReplica fires off one replica bootstrap for h; the replica joins
+// the balancing group when a later tick observes it ACTIVE. Placement
+// failures are dropped — the next evaluation retries if demand persists.
 func (sm *ServiceManager) spawnReplica(h *Service) {
 	h.mu.Lock()
 	h.repSeq++
 	ruid := fmt.Sprintf("%s.r%d", h.uid, h.repSeq)
 	h.mu.Unlock()
 
-	d := h.desc
-	d.UID = ruid
-	d.MinReplicas, d.MaxReplicas = 0, 0 // a replica is not itself scaled
-
-	sm.mu.Lock()
-	if sm.closed {
-		sm.mu.Unlock()
-		return
-	}
-	p, err := sm.routeLocked(d)
-	sm.mu.Unlock()
-	if err != nil {
-		return
-	}
-	inst, err := p.Services().Submit(d)
+	inst, p, err := sm.spawn(h, ruid, nil)
 	if err != nil {
 		return
 	}
 	h.mu.Lock()
 	h.reps = append(h.reps, &replicaRef{uid: ruid, inst: inst, p: p})
 	h.mu.Unlock()
+}
+
+// dropReplica takes r out of h's balancing group and out of the registry.
+func (sm *ServiceManager) dropReplica(h *Service, r *replicaRef) {
+	if r.member {
+		sm.reg.RemoveMember(h.uid, r.uid)
+	}
+	sm.reg.Withdraw(r.uid)
 }
 
 // retireNewest starts the two-phase retirement of h's newest serving
@@ -290,10 +297,7 @@ func (sm *ServiceManager) scaleShutdown(h *Service) {
 	h.standbys = nil
 	h.mu.Unlock()
 	for _, r := range reps {
-		if r.member {
-			sm.reg.RemoveMember(h.uid, r.uid)
-		}
-		sm.reg.Withdraw(r.uid)
+		sm.dropReplica(h, r)
 		_ = r.p.Services().Terminate(r.uid, false)
 	}
 	for _, sb := range standbys {
@@ -308,8 +312,12 @@ func (sm *ServiceManager) scaleShutdown(h *Service) {
 // pilot-level service named <uid>.sN, routed away from the base
 // instance's pilot and the other standbys' pilots when the topology has
 // spares, bootstrapped fire-and-forget and suspended in the registry the
-// moment it reaches ACTIVE (holdStandby). Never blocks: safe from both
-// Submit and the clock-registered autoscale tick.
+// moment it reaches ACTIVE (holdStandby). Never blocks.
+//
+// The refill has one owner at a time: Submit before it starts h's
+// autoscaler, that autoscaler's tick afterwards. The deficit is computed
+// under h.mu but spawned outside it, so a second concurrent caller would
+// see the same deficit and overfill the pool for good.
 func (sm *ServiceManager) fillStandbys(h *Service) {
 	h.mu.Lock()
 	kept := h.standbys[:0]
@@ -332,8 +340,8 @@ func (sm *ServiceManager) fillStandbys(h *Service) {
 	}
 }
 
-// spawnStandby fires off one standby bootstrap for h. Routing or
-// dispatch failures are dropped — the next autoscale tick refills.
+// spawnStandby fires off one standby bootstrap for h. Placement failures
+// are dropped — the next autoscale tick refills.
 func (sm *ServiceManager) spawnStandby(h *Service) {
 	h.mu.Lock()
 	h.sbSeq++
@@ -350,22 +358,7 @@ func (sm *ServiceManager) spawnStandby(h *Service) {
 	}
 	h.mu.Unlock()
 
-	d := h.desc
-	d.UID = suid
-	d.WarmStandbys = 0                  // a standby has no standbys of its own
-	d.MinReplicas, d.MaxReplicas = 0, 0 // nor is it demand-scaled
-
-	sm.mu.Lock()
-	if sm.closed {
-		sm.mu.Unlock()
-		return
-	}
-	p, err := sm.routeStandbyLocked(d, exclude)
-	sm.mu.Unlock()
-	if err != nil {
-		return
-	}
-	inst, err := p.Services().Submit(d)
+	inst, p, err := sm.spawn(h, suid, exclude)
 	if err != nil {
 		return
 	}
@@ -378,41 +371,18 @@ func (sm *ServiceManager) spawnStandby(h *Service) {
 	go sm.holdStandby(h, ref)
 }
 
-// routeStandbyLocked routes a standby description preferring pilots
-// outside the exclusion set, falling back to the full active set when
-// the exclusions exhaust it (a spare on the same pilot still beats no
-// spare). Callers hold sm.mu.
-func (sm *ServiceManager) routeStandbyLocked(d spec.ServiceDescription, exclude map[string]bool) (*pilot.Pilot, error) {
-	if len(exclude) > 0 {
-		var rest []*pilot.Pilot
-		for _, p := range sm.pilots {
-			if !exclude[p.UID()] {
-				rest = append(rest, p)
-			}
-		}
-		if p, err := pickPilot(rest, sm.rt, "service", d.TaskDescription); err == nil {
-			return p, nil
-		}
-	}
-	return pickPilot(sm.pilots, sm.rt, "service", d.TaskDescription)
-}
-
 // holdStandby follows one standby bootstrap until it reaches ACTIVE,
 // then suspends its registry entry: the endpoint publication (ordered
 // before ACTIVE by the pilot publish hook) is retained for Peek but the
 // standby is unresolvable — it serves no traffic until promoted.
 func (sm *ServiceManager) holdStandby(h *Service, ref *standbyRef) {
-	for ref.inst.State() != states.ServiceActive {
-		if ref.inst.Final() {
-			return // reaped by the next fillStandbys
-		}
-		ch := ref.inst.Changed()
-		// re-check after registering the waiter (lost-wakeup race)
+	for {
+		ch := ref.inst.Changed() // registered before the checks (lost-wakeup race)
 		if ref.inst.State() == states.ServiceActive {
 			break
 		}
 		if ref.inst.Final() {
-			return
+			return // reaped by the next fillStandbys
 		}
 		<-ch
 	}
@@ -428,7 +398,8 @@ func (sm *ServiceManager) holdStandby(h *Service, ref *standbyRef) {
 // endpoint. No routing, no bootstrap — parked resolvers wake straight
 // into the promoted address. Returns false when no standby is
 // promotable, in which case the watcher falls back to a cold
-// re-placement. The drained pool is refilled in the background.
+// re-placement. The drained pool is refilled by the next autoscale tick of
+// h, the refill's one owner.
 func (sm *ServiceManager) promoteStandby(h *Service) bool {
 	for {
 		h.mu.Lock()
@@ -459,20 +430,13 @@ func (sm *ServiceManager) promoteStandby(h *Service) bool {
 		// mirror guard attributes the new pilot's publications to the
 		// handle and parked resolvers that wake on the publish observe a
 		// consistent handle.
-		h.mu.Lock()
-		h.inst, h.p = ref.inst, ref.p
-		h.instUID = ref.uid
-		h.promotions++
-		close(h.swapped)
-		h.swapped = make(chan struct{})
-		h.mu.Unlock()
+		h.install(ref.inst, ref.p, &h.promotions)
 
 		sm.sess.journalAppend(journal.KindBind, journal.BindBody{Entity: "service", UID: h.uid, Pilot: ref.p.UID()})
 		ep.ServiceUID = h.uid
 		ep.Incarnation = sm.sess.Incarnation()
 		ep.PublishedAt = sm.sess.clock.Now()
 		_, _ = sm.reg.Publish(ep)
-		go sm.fillStandbys(h)
 		return true
 	}
 }

@@ -165,9 +165,9 @@ func TestServiceManagerRoundRobinAcrossPilots(t *testing.T) {
 	if err := sm.WaitReady(ctx, a.UID(), b.UID()); err != nil {
 		t.Fatal(err)
 	}
-	// one service per pilot registry
-	if len(p1.Registry().All()) != 1 || len(p2.Registry().All()) != 1 {
-		t.Fatalf("distribution = %d/%d, want 1/1", len(p1.Registry().All()), len(p2.Registry().All()))
+	// one service per pilot
+	if n1, n2 := len(p1.Services().List()), len(p2.Services().List()); n1 != 1 || n2 != 1 {
+		t.Fatalf("distribution = %d/%d, want 1/1", n1, n2)
 	}
 }
 

@@ -9,16 +9,11 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/metrics"
 	"repro/internal/msgq"
 	"repro/internal/pilot"
 	"repro/internal/platform"
-	"repro/internal/profile"
 	"repro/internal/proto"
 	"repro/internal/rng"
-	"repro/internal/router"
-	"repro/internal/scheduler"
-	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/states"
 )
@@ -110,20 +105,6 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 		Stats:       stats,
 	}
 
-	// Fail fast on configuration the journaled session used but this build
-	// does not know (a journal from a newer version).
-	if _, err := scheduler.PolicyByName(snap.Session.SchedPolicy); err != nil {
-		return nil, rep, err
-	}
-	rt, err := router.ByName(snap.Session.Router)
-	if err != nil {
-		return nil, rep, err
-	}
-	srt, err := router.ByName(snap.Session.Router)
-	if err != nil {
-		return nil, rep, err
-	}
-
 	// Find the survivors first: the recovered session must share the
 	// surviving pilots' clock and network (they model remote machines that
 	// kept running), so session assembly adopts them from the first
@@ -139,61 +120,27 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 		}
 	}
 
-	var clock simtime.Clock
+	clock := cfg.Clock
 	var net *msgq.Network
-	topo := cfg.Topology
-	if topo == nil {
-		topo = platform.DefaultTopology()
-	}
-	for _, uid := range rep.PilotsAlive {
-		clock = survivors[uid].Clock()
-		net = survivors[uid].Network()
-		break
+	if len(rep.PilotsAlive) > 0 {
+		p := survivors[rep.PilotsAlive[0]]
+		clock, net = p.Clock(), p.Network()
 	}
 	// The recovered incarnation derives a fresh RNG stream: the journal
 	// does not record how many draws the first life consumed, and replaying
 	// the root stream from zero would correlate post-recovery behaviour
 	// with already-spent randomness.
 	src := rng.New(snap.Session.Seed).Derive(fmt.Sprintf("incarnation.%d", rep.Incarnation))
-	if clock == nil {
-		clock = cfg.Clock
-		if clock == nil {
-			clock = simtime.NewScaled(1000, DefaultOrigin)
-		}
-	}
-	if net == nil {
-		net = msgq.NewNetwork(clock, src.Derive("net"), topo.Resolver())
-	}
 
-	s := &Session{
-		uid:        snap.Session.UID,
-		clock:      clock,
-		src:        src,
-		topo:       topo,
-		net:        net,
-		coll:       metrics.NewCollector(),
-		prof:       profile.NewRecorder(),
-		fastBoot:   snap.Session.FastBoot,
-		schedPol:   snap.Session.SchedPolicy,
-		routerName: snap.Session.Router,
-	}
-	pub, err := net.BindPub(UpdatesAddr)
+	// The journal records neither the msgq transport nor the load horizon:
+	// reattached pilots keep the transport they were launched with, pilots
+	// the recovered session launches get the network default, and balancing
+	// clients the service default. A policy or router name this build does
+	// not know (a journal from a newer version) fails here.
+	s, err := assembleSession(snap.Session.UID, clock, src, cfg.Topology, net,
+		snap.Session.FastBoot, snap.Session.SchedPolicy, snap.Session.Router, "", 0)
 	if err != nil {
-		return nil, rep, fmt.Errorf("core: recover: updates channel still bound (previous client alive?): %w", err)
-	}
-	s.updates = pub
-	s.pm = &PilotManager{sess: s, pilots: make(map[string]*pilot.Pilot)}
-	s.tm = &TaskManager{
-		sess:     s,
-		rt:       rt,
-		tasks:    make(map[string]*Task),
-		overflow: make(map[string]*Task),
-	}
-	s.sm = &ServiceManager{
-		sess:     s,
-		rt:       srt,
-		reg:      service.NewEndpointRegistry(),
-		services: make(map[string]*Service),
+		return nil, rep, err
 	}
 
 	// Cut the torn tail before reopening for append: the journal opens in
@@ -206,17 +153,7 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 			return nil, rep, fmt.Errorf("core: recover: truncate torn journal tail: %w", terr)
 		}
 	}
-	jw, err := journal.Open(journal.Config{
-		Path: journalPath, Clock: clock, FlushEvery: cfg.FlushEvery,
-	})
-	if err != nil {
-		_ = s.updates.Close()
-		return nil, rep, err
-	}
-	s.jw = jw
-	s.incarnation = rep.Incarnation
-	if err := s.attachJournal(snap.Session.Seed); err != nil {
-		_ = jw.Close()
+	if err := s.attachJournal(journalPath, cfg.FlushEvery, snap.Session.Seed, rep.Incarnation); err != nil {
 		_ = s.updates.Close()
 		return nil, rep, err
 	}
@@ -233,13 +170,13 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 	}
 	s.tm.seq = journal.MaxSeqSuffix(taskUIDs, s.uid+".task.")
 	s.sm.seq = journal.MaxSeqSuffix(svcUIDs, s.uid+".svc.")
+	var pilotUIDs []string
+	for _, ps := range snap.Pilots {
+		pilotUIDs = append(pilotUIDs, ps.Desc.UID)
+	}
 	for _, ps := range snap.Pilots {
 		prefix := fmt.Sprintf("%s.pilot.%s.", s.uid, ps.Desc.Platform)
-		var uids []string
-		for _, q := range snap.Pilots {
-			uids = append(uids, q.Desc.UID)
-		}
-		if n := journal.MaxSeqSuffix(uids, prefix); n > s.pm.seq {
+		if n := journal.MaxSeqSuffix(pilotUIDs, prefix); n > s.pm.seq {
 			s.pm.seq = n
 		}
 	}
@@ -257,9 +194,7 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 			ServiceState:     s.publishState("service"),
 			OnServicePublish: func(ep proto.Endpoint) { s.sm.mirrorPublish(puid, ep) },
 		})
-		s.pm.mu.Lock()
-		s.pm.pilots[uid] = p
-		s.pm.mu.Unlock()
+		s.pm.track(p)
 		s.tm.AddPilot(p)
 		s.sm.AddPilot(p)
 	}
@@ -267,37 +202,30 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 	s.recoverTasks(snap, survivors, rep)
 	s.recoverServices(snap, survivors, rep)
 
-	sort.Strings(rep.PilotsAlive)
-	sort.Strings(rep.PilotsLost)
-	sort.Strings(rep.TasksReattached)
-	sort.Strings(rep.TasksRerouted)
-	sort.Strings(rep.TasksSettled)
-	sort.Strings(rep.ServicesReattached)
-	sort.Strings(rep.ServicesReplaced)
-	sort.Strings(rep.ServicesSettled)
+	for _, uids := range [][]string{rep.PilotsAlive, rep.PilotsLost,
+		rep.TasksReattached, rep.TasksRerouted, rep.TasksSettled,
+		rep.ServicesReattached, rep.ServicesReplaced, rep.ServicesSettled} {
+		sort.Strings(uids)
+	}
 	return s, rep, nil
 }
 
 // recoverTasks re-pins, re-routes or settles every journaled task.
 func (s *Session) recoverTasks(snap *journal.Snapshot, survivors map[string]*pilot.Pilot, rep *RecoveryReport) {
+	model := states.ModelFor(states.EntityTask)
 	for _, ts := range snap.Tasks {
 		uid := ts.Desc.UID
-		t := &Task{
-			tm: s.tm, uid: uid, desc: ts.Desc,
-			ctx: context.Background(), done: make(chan struct{}),
-		}
+		t := s.tm.newTask(context.Background(), ts.Desc)
 		s.tm.mu.Lock()
 		s.tm.tasks[uid] = t
 		s.tm.mu.Unlock()
 
-		model := states.ModelFor(states.EntityTask)
-		switch {
-		case ts.State == states.TaskDone:
-			t.finish(nil)
-			rep.TasksSettled = append(rep.TasksSettled, uid)
-			continue
-		case model.IsFinal(ts.State):
-			t.finish(fmt.Errorf("core: task %s was %s before the crash", uid, ts.State))
+		if model.IsFinal(ts.State) {
+			var err error
+			if ts.State != states.TaskDone {
+				err = fmt.Errorf("core: task %s was %s before the crash", uid, ts.State)
+			}
+			t.finish(err)
 			rep.TasksSettled = append(rep.TasksSettled, uid)
 			continue
 		}
@@ -342,10 +270,7 @@ func (s *Session) recoverTasks(snap *journal.Snapshot, survivors map[string]*pil
 func (s *Session) recoverServices(snap *journal.Snapshot, survivors map[string]*pilot.Pilot, rep *RecoveryReport) {
 	for _, ss := range snap.Services {
 		uid := ss.Desc.UID
-		h := &Service{
-			sm: s.sm, uid: uid, desc: ss.Desc,
-			swapped: make(chan struct{}), done: make(chan struct{}),
-		}
+		h := s.sm.newService(ss.Desc)
 		s.sm.mu.Lock()
 		s.sm.services[uid] = h
 		s.sm.mu.Unlock()
@@ -353,21 +278,18 @@ func (s *Session) recoverServices(snap *journal.Snapshot, survivors map[string]*
 		if ss.Withdrawn {
 			// Settled for good before the crash. Re-issue the tombstone so
 			// the new incarnation's journal and parked resolvers agree.
-			s.sm.reg.Withdraw(uid)
-			if ss.State == states.ServiceDone {
-				h.finish(nil)
-			} else {
-				h.finish(fmt.Errorf("core: service %s was %s before the crash", uid, ss.State))
+			var err error
+			if ss.State != states.ServiceDone {
+				err = fmt.Errorf("core: service %s was %s before the crash", uid, ss.State)
 			}
+			s.sm.settle(h, err)
 			rep.ServicesSettled = append(rep.ServicesSettled, uid)
 			continue
 		}
 
 		if p, ok := survivors[ss.Pilot]; ok {
 			if inst, found := p.Services().Get(uid); found {
-				h.mu.Lock()
-				h.inst, h.p = inst, p
-				h.mu.Unlock()
+				h.install(inst, p, nil)
 				if ep := inst.Endpoint(); ep.Address != "" {
 					// The instance already published (possibly the very
 					// append the crash ate): re-mirror under the new
@@ -384,8 +306,7 @@ func (s *Session) recoverServices(snap *journal.Snapshot, survivors map[string]*
 			// Bind journaled, dispatch lost — fall through to re-placement.
 		}
 		if ss.Desc.Pilot != "" {
-			s.sm.reg.Withdraw(uid)
-			h.finish(fmt.Errorf("core: service %s pinned to pilot %s: %w",
+			s.sm.settle(h, fmt.Errorf("core: service %s pinned to pilot %s: %w",
 				uid, ss.Desc.Pilot, pilot.ErrPilotStopped))
 			rep.ServicesSettled = append(rep.ServicesSettled, uid)
 			continue
@@ -396,15 +317,11 @@ func (s *Session) recoverServices(snap *journal.Snapshot, survivors map[string]*
 		// under the new incarnation.
 		inst, p, err := s.sm.replace(h)
 		if err != nil {
-			s.sm.reg.Withdraw(uid)
-			h.finish(err)
+			s.sm.settle(h, err)
 			rep.ServicesSettled = append(rep.ServicesSettled, uid)
 			continue
 		}
-		h.mu.Lock()
-		h.inst, h.p = inst, p
-		h.replacements++
-		h.mu.Unlock()
+		h.install(inst, p, &h.replacements)
 		go s.sm.watch(h)
 		rep.ServicesReplaced = append(rep.ServicesReplaced, uid)
 	}

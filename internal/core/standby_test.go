@@ -6,9 +6,11 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/pilot"
 	"repro/internal/platform"
 	"repro/internal/spec"
 )
@@ -223,5 +225,88 @@ func TestWarmStandbyPromotionVsConcurrentClose(t *testing.T) {
 	case <-h.Done():
 	case <-time.After(15 * time.Second):
 		t.Fatal("handle never settled across kill/close race")
+	}
+}
+
+// TestStandbyRefillSingleOwner pins who refills a drained standby pool: the
+// autoscale tick alone. fillStandbys computes the deficit under h.mu and
+// spawns outside it, so when a promotion also refilled (on a goroutine of
+// its own) the two owners could both see deficit 1 and the pool held two
+// spares for good. The tick never fires here (ScaleInterval is a simulated
+// year), so after a promotion — and after a whole unrelated bootstrap, far
+// longer than any goroutine the promotion could have started needs to run —
+// the pool must still be empty with no second standby ever named; the one
+// tick the test then runs by hand refills it to exactly one.
+func TestStandbyRefillSingleOwner(t *testing.T) {
+	s := newSession(t, 1000)
+	sm := s.ServiceManager()
+	var pilots [2]*pilot.Pilot
+	for i := range pilots {
+		p, err := s.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Nodes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm.AddPilot(p)
+		pilots[i] = p
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	spin := func(what string, ok func() bool) {
+		t.Helper()
+		for !ok() {
+			if ctx.Err() != nil {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			runtime.Gosched()
+		}
+	}
+	pool := func() (named, pooled int) {
+		h, _ := sm.Get("spared")
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return h.sbSeq, len(h.standbys)
+	}
+
+	d := noopService("spared")
+	d.UID = "spared"
+	d.WarmStandbys = 1
+	d.ScaleInterval = 365 * 24 * time.Hour
+	h, err := sm.Submit(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	spin("the first standby", func() bool { return h.Standbys() == 1 })
+	_, gen, ok := s.EndpointRegistry().Resolve(h.UID())
+	if !ok {
+		t.Fatal("no live endpoint before failover")
+	}
+
+	if err := pilots[0].Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.EndpointRegistry().AwaitNewer(ctx, h.UID(), gen); err != nil {
+		t.Fatal(err)
+	}
+	if h.Promotions() != 1 {
+		t.Fatalf("promotions = %d, want 1", h.Promotions())
+	}
+	other, err := sm.Submit(noopService("unrelated"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if named, pooled := pool(); named != 1 || pooled != 0 {
+		t.Fatalf("after the promotion alone: %d standbys named, %d pooled; want 1 and 0 (the tick owns the refill)", named, pooled)
+	}
+
+	sm.scaleTick(h)
+	spin("the refilled standby", func() bool { return h.Standbys() == 1 })
+	if named, pooled := pool(); named != 2 || pooled != 1 {
+		t.Fatalf("after one tick: %d standbys named, %d pooled; want 2 and 1", named, pooled)
 	}
 }

@@ -409,13 +409,11 @@ func startServices(ctx context.Context, sess *core.Session, svcPilot *pilot.Pilo
 	if err := mgr.WaitReady(ctx, uids...); err != nil {
 		return nil, err
 	}
+	// publication precedes ACTIVE, so every ready instance has its endpoint
 	eps := make([]proto.Endpoint, 0, services)
 	for _, uid := range uids {
-		ep, ok := svcPilot.Registry().Lookup(uid)
-		if !ok {
-			return nil, fmt.Errorf("experiments: endpoint of %s not published", uid)
-		}
-		eps = append(eps, ep)
+		inst, _ := mgr.Get(uid)
+		eps = append(eps, inst.Endpoint())
 	}
 	return eps, nil
 }

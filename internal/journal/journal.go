@@ -41,7 +41,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -954,15 +953,4 @@ func MaxSeqSuffix(uids []string, prefix string) int {
 		}
 	}
 	return max
-}
-
-// SortedUIDs returns the UIDs of every journaled task, in submission
-// order (exported for reports).
-func (s *Snapshot) SortedUIDs() []string {
-	out := make([]string, 0, len(s.Tasks))
-	for _, t := range s.Tasks {
-		out = append(out, t.Desc.UID)
-	}
-	sort.Strings(out)
-	return out
 }

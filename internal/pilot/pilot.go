@@ -50,7 +50,7 @@ type Config struct {
 	// excluded); defaults to N(10s, 2s).
 	BootTime rng.DurationDist
 	// PublishOverhead overrides the endpoint-publication overhead of the
-	// pilot's registry (zero-valued: registry default).
+	// pilot's services (zero-valued: service.DefaultPublishOverhead).
 	PublishOverhead rng.DurationDist
 	// LaunchModel overrides the platform's launch model (nil: platform
 	// default). Experiment harnesses that do not measure bootstrap use a
@@ -113,7 +113,6 @@ type Pilot struct {
 	exec   *executor.Executor
 	stage  *stager.Manager
 	svcMgr *service.Manager
-	reg    *service.Registry
 
 	// stopped is closed when the pilot shuts down, releasing every task
 	// still waiting on a scheduler grant (see runTask).
@@ -269,7 +268,6 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 	}, scheduler.WithPolicy(policy), scheduler.WithClock(cfg.Clock))
 	p.exec = executor.New(cfg.Clock, cfg.Src.Derive(desc.UID+".exec"), launch)
 	p.stage = stager.NewManager(cfg.Clock, cfg.Src.Derive(desc.UID+".stage"))
-	p.reg = service.NewRegistry(cfg.Clock, cfg.Src.Derive(desc.UID+".reg"), cfg.PublishOverhead)
 	// A publication from a pilot that has already stopped is stale by
 	// definition — the session is (or will be) re-placing the service
 	// elsewhere, and mirroring the dead address could overwrite the
@@ -293,7 +291,8 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 	svcMgr, err := service.NewManager(service.Config{
 		Clock: cfg.Clock, Src: cfg.Src.Derive(desc.UID + ".svc"), Net: cfg.Net,
 		Sched: p.sched, Router: p.router, Exec: p.exec, Stage: p.stage,
-		Registry: p.reg, OnPublish: onPublish, Stopped: p.stopped,
+		PublishOverhead: cfg.PublishOverhead, PublishSrc: cfg.Src.Derive(desc.UID + ".reg"),
+		OnPublish: onPublish, Stopped: p.stopped,
 		Platform:  cfg.Platform.Name(),
 		UIDPrefix: desc.UID + ".",
 		Transport: cfg.Transport,
@@ -425,9 +424,6 @@ func (p *Pilot) Shapes() []platform.NodeGroup { return platform.ShapesOf(p.nodes
 
 // Services returns the pilot's ServiceManager.
 func (p *Pilot) Services() *service.Manager { return p.svcMgr }
-
-// Registry returns the pilot's endpoint registry.
-func (p *Pilot) Registry() *service.Registry { return p.reg }
 
 // Stage returns the pilot's data manager.
 func (p *Pilot) Stage() *stager.Manager { return p.stage }

@@ -273,8 +273,8 @@ func TestServiceViaPilot(t *testing.T) {
 	if err := p.Services().WaitReady(ctx, inst.UID()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.Registry().Lookup(inst.UID()); !ok {
-		t.Fatal("service endpoint not registered via pilot agent")
+	if got, ok := p.Services().Get(inst.UID()); !ok || got.Endpoint().Address == "" {
+		t.Fatal("service endpoint not published via pilot agent")
 	}
 }
 

@@ -2,11 +2,10 @@ package proto
 
 // Binary framing for the pooled TCP transport.
 //
-// WriteFrame/ReadFrame (proto.go) frame the whole envelope as JSON, which
-// costs two json.Marshal calls per write (body, then envelope) and a fresh
-// allocation plus a full json.Unmarshal per read. The binary frame format
-// here encodes the fixed envelope header fields directly and pays JSON only
-// for the body, exactly once, via the envelope's lazy WireBody cache:
+// The frame encodes the fixed envelope header fields directly and pays JSON
+// only for the body, exactly once, via the envelope's lazy WireBody cache
+// (the seed framed the whole envelope as JSON: two json.Marshal calls per
+// write and a full json.Unmarshal per read):
 //
 //	u32  payload length N (big endian), N ≤ MaxFrameSize
 //	--- payload, N bytes ---

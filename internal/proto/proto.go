@@ -6,11 +6,9 @@
 package proto
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -331,48 +329,3 @@ const MaxFrameSize = 16 << 20
 
 // ErrFrameTooLarge is returned when a frame exceeds MaxFrameSize.
 var ErrFrameTooLarge = errors.New("proto: frame exceeds maximum size")
-
-// WriteFrame writes env as a length-prefixed JSON frame, materializing a
-// lazily-encoded body first (the snapshot does not cross the wire).
-func WriteFrame(w io.Writer, env Envelope) error {
-	if _, err := env.WireBody(); err != nil {
-		return err
-	}
-	raw, err := json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("proto: marshal envelope: %w", err)
-	}
-	if len(raw) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(raw)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("proto: write frame header: %w", err)
-	}
-	if _, err := w.Write(raw); err != nil {
-		return fmt.Errorf("proto: write frame body: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one length-prefixed JSON frame.
-func ReadFrame(r io.Reader) (Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Envelope{}, err // preserve io.EOF for clean shutdown detection
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return Envelope{}, ErrFrameTooLarge
-	}
-	raw := make([]byte, n)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return Envelope{}, fmt.Errorf("proto: read frame body: %w", err)
-	}
-	var env Envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return Envelope{}, fmt.Errorf("proto: unmarshal envelope: %w", err)
-	}
-	return env, nil
-}

@@ -2,7 +2,6 @@ package proto
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -74,14 +73,24 @@ func TestTimingDecomposition(t *testing.T) {
 	}
 }
 
+// readFrame reads and decodes the next binary frame of r.
+func readFrame(r io.Reader) (Envelope, error) {
+	var buf []byte
+	payload, err := ReadFramePayload(r, &buf)
+	if err != nil {
+		return Envelope{}, err
+	}
+	return DecodeFrame(payload)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	env, _ := NewEnvelope(KindHeartbeat, 3, "service.0001", "", t0,
 		Heartbeat{ServiceUID: "service.0001", At: t0, QueueDepth: 4, Busy: true})
-	if err := WriteFrame(&buf, env); err != nil {
+	frame, err := AppendFrame(nil, &env)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := readFrame(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,15 +107,17 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameMultipleSequential(t *testing.T) {
-	var buf bytes.Buffer
+	var stream []byte
 	for i := uint64(0); i < 10; i++ {
 		env, _ := NewEnvelope(KindControl, i, "mgr", "svc", t0, Control{Command: CtlPing, Target: "svc"})
-		if err := WriteFrame(&buf, env); err != nil {
+		var err error
+		if stream, err = AppendFrame(stream, &env); err != nil {
 			t.Fatal(err)
 		}
 	}
+	r := bytes.NewReader(stream)
 	for i := uint64(0); i < 10; i++ {
-		env, err := ReadFrame(&buf)
+		env, err := readFrame(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,58 +125,36 @@ func TestFrameMultipleSequential(t *testing.T) {
 			t.Fatalf("frame %d read out of order as %d", i, env.ID)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := readFrame(r); err != io.EOF {
 		t.Fatalf("trailing read err = %v, want io.EOF", err)
 	}
 }
 
-func TestReadFrameTooLarge(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	_, err := ReadFrame(bytes.NewReader(hdr[:]))
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
-	}
-}
-
 func TestReadFrameTruncatedBody(t *testing.T) {
-	var buf bytes.Buffer
-	env, _ := NewEnvelope(KindPingOrError(), 1, "a", "b", t0, ErrorBody{Origin: "x", Msg: "y"})
-	if err := WriteFrame(&buf, env); err != nil {
+	env, _ := NewEnvelope(KindError, 1, "a", "b", t0, ErrorBody{Origin: "x", Msg: "y"})
+	frame, err := AppendFrame(nil, &env)
+	if err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("ReadFrame accepted truncated body")
-	}
-}
-
-// KindPingOrError exists to exercise KindError in tests.
-func KindPingOrError() Kind { return KindError }
-
-func TestReadFrameGarbageJSON(t *testing.T) {
-	var buf bytes.Buffer
-	body := []byte("{not json")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	buf.Write(hdr[:])
-	buf.Write(body)
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("ReadFrame accepted garbage JSON")
+	if _, err := readFrame(bytes.NewReader(frame[:len(frame)-3])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
 func TestFramePropertyRoundTrip(t *testing.T) {
 	f := func(id uint64, from, to, prompt string) bool {
+		if len(from) > frameHeaderMax || len(to) > frameHeaderMax {
+			return true // the one-byte header lengths reject these (TestAppendFrameLimits)
+		}
 		env, err := NewEnvelope(KindRequest, id, from, to, t0, InferenceRequest{Prompt: prompt})
 		if err != nil {
 			return false
 		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, env); err != nil {
+		frame, err := AppendFrame(nil, &env)
+		if err != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		got, err := readFrame(bytes.NewReader(frame))
 		if err != nil {
 			return false
 		}

@@ -39,9 +39,7 @@ type EndpointObserver func(op EndpointOp, uid string, ep proto.Endpoint, gen uin
 
 // EndpointRegistry is the session-level endpoint registry — the authority
 // clients resolve a stable service UID against instead of caching a raw
-// endpoint. Where the per-pilot Registry models the paper's publication
-// channel (and charges the Fig. 3 `publish` overhead), the
-// EndpointRegistry owns the session-wide mapping that survives the pilot:
+// endpoint. It owns the session-wide mapping that survives the pilot:
 // every publication carries a monotonically increasing generation per
 // service UID, so a client holding generation g detects staleness the
 // moment Resolve returns g' > g and re-resolves instead of redialing a
@@ -54,8 +52,8 @@ type EndpointObserver func(op EndpointOp, uid string, ep proto.Endpoint, gen uin
 //
 // The registry is purely synchronization and bookkeeping: publication
 // overhead is charged where the endpoint is physically published (the
-// pilot registry), never here, which keeps every method safe to call from
-// any goroutine without touching the session clock.
+// pilot's service bootstrap), never here, which keeps every method safe
+// to call from any goroutine without touching the session clock.
 type EndpointRegistry struct {
 	mu      sync.Mutex
 	entries map[string]*endpointEntry
@@ -77,11 +75,9 @@ type endpointEntry struct {
 	// them. Membership is routing state, not a publication: it does not
 	// move the generation.
 	members []string
-	// load is the endpoint's last reported load gauge pair.
-	load Load
-	// depth and loadAt are the lock-free mirrors of load: total depth
-	// (queued+in-flight) and the report stamp in nanoseconds. Balancing
-	// pickers read them on the request hot path without taking r.mu.
+	// depth and loadAt are the endpoint's last reported load: total depth
+	// (queued+in-flight) and the report stamp in nanoseconds, atomics so
+	// balancing pickers read them on the request hot path without r.mu.
 	depth  atomic.Int64
 	loadAt atomic.Int64
 	// group is the atomically-swapped immutable balancing view of this
@@ -105,11 +101,6 @@ type Load struct {
 	Queued   int       // admitted, waiting for a worker
 	InFlight int       // currently executing
 	At       time.Time // session-clock stamp of the observation
-}
-
-// LoadFromReport converts the wire form into the registry's gauge record.
-func LoadFromReport(lr proto.LoadReport) Load {
-	return Load{Queued: lr.Queued, InFlight: lr.InFlight, At: lr.At}
 }
 
 // GroupView is an immutable balancing view: one logical service UID's
@@ -448,46 +439,17 @@ func (r *EndpointRegistry) groupEntry(uid string) *endpointEntry {
 	return e
 }
 
-// Members returns the replica UIDs grouped under the logical UID, in
-// membership order (nil when the group has none — the common, unscaled
-// case). The base UID itself is not listed; balancing clients treat the
-// group as base plus members.
-func (r *EndpointRegistry) Members(group string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.entries[group]
-	if e == nil || len(e.members) == 0 {
-		return nil
-	}
-	out := make([]string, len(e.members))
-	copy(out, e.members)
-	return out
-}
-
 // ReportLoad records uid's latest load gauges. Reports for unknown UIDs
 // are dropped — a retired replica's straggling report must not
-// resurrect its entry. Besides the locked record (LoadOf), the report is
-// mirrored into the entry's atomic depth/stamp pair so balancing pickers
-// read it lock-free.
+// resurrect its entry. The report lands in the entry's atomic depth/stamp
+// pair, which balancing pickers read lock-free.
 func (r *EndpointRegistry) ReportLoad(uid string, l Load) {
 	r.mu.Lock()
 	if e := r.entries[uid]; e != nil {
-		e.load = l
 		e.depth.Store(int64(l.Queued + l.InFlight))
 		e.loadAt.Store(l.At.UnixNano())
 	}
 	r.mu.Unlock()
-}
-
-// LoadOf returns uid's last reported load gauges (zero when never
-// reported or unknown).
-func (r *EndpointRegistry) LoadOf(uid string) Load {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e := r.entries[uid]; e != nil {
-		return e.load
-	}
-	return Load{}
 }
 
 func (r *EndpointRegistry) await(ctx context.Context, uid string, after uint64) (proto.Endpoint, uint64, error) {

@@ -42,17 +42,22 @@ var (
 
 // Config wires a Manager into a pilot agent.
 type Config struct {
-	Clock    simtime.Clock
-	Src      *rng.Source
-	Net      *msgq.Network
-	Sched    *scheduler.Scheduler
-	Router   *scheduler.Router
-	Exec     *executor.Executor
-	Stage    *stager.Manager
-	Registry *Registry
+	Clock  simtime.Clock
+	Src    *rng.Source
+	Net    *msgq.Network
+	Sched  *scheduler.Scheduler
+	Router *scheduler.Router
+	Exec   *executor.Executor
+	Stage  *stager.Manager
+	// PublishOverhead is the time to communicate a service endpoint to the
+	// client side — the Fig. 3 `publish` bootstrap component, sampled from
+	// PublishSrc once per publication (zero-valued:
+	// DefaultPublishOverhead).
+	PublishOverhead rng.DurationDist
+	PublishSrc      *rng.Source
 	// OnPublish, when set, observes every endpoint publication as part of
-	// the publish bootstrap phase — after the endpoint lands in the pilot
-	// Registry and strictly before the service turns ACTIVE. The session
+	// the publish bootstrap phase — after the publish overhead has been
+	// paid and strictly before the service turns ACTIVE. The session
 	// hooks its EndpointRegistry mirror here, so a service that reports
 	// ready is already resolvable session-wide (and a failover
 	// re-bootstrap re-publishes with a bumped generation atomically with
@@ -99,11 +104,20 @@ type Manager struct {
 	closed   bool
 }
 
+// DefaultPublishOverhead matches Fig. 3: publish stays in the
+// sub-second band, under the ~2s launch time.
+func DefaultPublishOverhead() rng.DurationDist {
+	return rng.NormalDuration(400*time.Millisecond, 120*time.Millisecond)
+}
+
 // NewManager validates cfg and returns an empty Manager.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Clock == nil || cfg.Src == nil || cfg.Net == nil || cfg.Sched == nil ||
-		cfg.Router == nil || cfg.Exec == nil || cfg.Registry == nil {
+		cfg.Router == nil || cfg.Exec == nil || cfg.PublishSrc == nil {
 		return nil, errors.New("service: incomplete manager config")
+	}
+	if cfg.PublishOverhead.IsZero() {
+		cfg.PublishOverhead = DefaultPublishOverhead()
 	}
 	if cfg.DefaultProbeInterval <= 0 {
 		cfg.DefaultProbeInterval = 5 * time.Second
@@ -259,7 +273,7 @@ func (s *Instance) Kill() {
 
 // Submit validates d, assigns a UID, and starts the service bootstrap
 // asynchronously. The returned Instance progresses through the service
-// state model; use Manager.WaitReady or the Registry to gate on readiness.
+// state model; use Manager.WaitReady to gate on readiness.
 func (m *Manager) Submit(d spec.ServiceDescription) (*Instance, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -343,7 +357,6 @@ func (m *Manager) bootstrap(inst *Instance) {
 		if alloc != nil {
 			alloc.Release()
 		}
-		m.cfg.Registry.Withdraw(inst.UID())
 	}
 
 	d := inst.desc
@@ -495,15 +508,18 @@ func (m *Manager) bootstrap(inst *Instance) {
 	// Publish the server's own address: identical to the logical addr on
 	// the in-process transport, "tcp://host:port" over TCP so the endpoint
 	// is dialable from other processes.
-	publishDur := m.cfg.Registry.Publish(proto.Endpoint{
-		ServiceUID: d.UID,
-		Model:      d.Model,
-		Address:    apiSrv.Addr(),
-		Protocol:   "msgq",
-		Node:       node,
-	})
-
-	ep, _ := m.cfg.Registry.Lookup(d.UID)
+	publishDur := m.cfg.PublishOverhead.Sample(m.cfg.PublishSrc)
+	if publishDur > 0 {
+		m.cfg.Clock.Sleep(publishDur)
+	}
+	ep := proto.Endpoint{
+		ServiceUID:  d.UID,
+		Model:       d.Model,
+		Address:     apiSrv.Addr(),
+		Protocol:    "msgq",
+		Node:        node,
+		PublishedAt: m.cfg.Clock.Now(),
+	}
 	inst.mu.Lock()
 	inst.server = server
 	inst.apiSrv = apiSrv
@@ -594,7 +610,6 @@ func (m *Manager) probeLoop(inst *Instance) {
 					inst.failErr = errors.New("service: liveness probe failed")
 					inst.mu.Unlock()
 					_ = inst.machine.Fail()
-					m.cfg.Registry.Withdraw(inst.UID())
 					m.teardown(inst)
 				}
 				return
@@ -680,7 +695,6 @@ func (m *Manager) Terminate(uid string, drain bool) error {
 		return fmt.Errorf("%w: %s is already being terminated", ErrNotActive, uid)
 	}
 	close(inst.probeStop)
-	m.cfg.Registry.Withdraw(uid)
 	if drain {
 		if err := inst.machine.To(states.ServiceDraining); err != nil {
 			return err

@@ -30,7 +30,6 @@ type rig struct {
 	sched *scheduler.Scheduler
 	rtr   *scheduler.Router
 	exec  *executor.Executor
-	reg   *Registry
 	mgr   *Manager
 	plat  *platform.Platform
 }
@@ -45,11 +44,10 @@ func newRig(t *testing.T, scale float64) *rig {
 	rtr := scheduler.NewRouter()
 	sched := scheduler.New(plat.Nodes(), func(p scheduler.Placement) { rtr.Route(p) })
 	exec := executor.New(clock, src.Derive("exec"), plat.Launch)
-	reg := NewRegistry(clock, src.Derive("reg"), rng.DurationDist{})
 	mgr, err := NewManager(Config{
 		Clock: clock, Src: src.Derive("mgr"), Net: net,
 		Sched: sched, Router: rtr, Exec: exec,
-		Stage: stager.NewManager(clock, src.Derive("stage")), Registry: reg,
+		Stage: stager.NewManager(clock, src.Derive("stage")), PublishSrc: src.Derive("reg"),
 		Platform: plat.Name(),
 	})
 	if err != nil {
@@ -61,7 +59,13 @@ func newRig(t *testing.T, scale float64) *rig {
 		net.Close()
 	})
 	return &rig{clock: clock, src: src, net: net, sched: sched, rtr: rtr,
-		exec: exec, reg: reg, mgr: mgr, plat: plat}
+		exec: exec, mgr: mgr, plat: plat}
+}
+
+// endpoint returns the published endpoint of a managed service.
+func (r *rig) endpoint(uid string) proto.Endpoint {
+	inst, _ := r.mgr.Get(uid)
+	return inst.Endpoint()
 }
 
 func llamaDesc(name string) spec.ServiceDescription {
@@ -120,8 +124,8 @@ func TestServiceBootstrapLifecycle(t *testing.T) {
 	if ep.Model != "llama-8b" || ep.Address == "" || ep.Node == "" {
 		t.Fatalf("endpoint = %+v", ep)
 	}
-	if _, ok := r.reg.Lookup(inst.UID()); !ok {
-		t.Fatal("endpoint not in registry")
+	if ep.PublishedAt.IsZero() {
+		t.Fatal("endpoint not stamped with its publication time")
 	}
 }
 
@@ -239,25 +243,6 @@ func TestNoopRTCommunicationDominates(t *testing.T) {
 	}
 }
 
-func TestRegistryByModel(t *testing.T) {
-	r := newRig(t, 100000)
-	a, _ := r.mgr.Submit(noopDesc("a"))
-	b, _ := r.mgr.Submit(noopDesc("b"))
-	l, _ := r.mgr.Submit(llamaDesc("l"))
-	waitReady(t, r, a.UID(), b.UID(), l.UID())
-	noops := r.reg.ByModel("noop")
-	if len(noops) != 2 {
-		t.Fatalf("ByModel(noop) = %d endpoints", len(noops))
-	}
-	if len(r.reg.All()) != 3 {
-		t.Fatalf("All = %d", len(r.reg.All()))
-	}
-	// deterministic order
-	if noops[0].ServiceUID > noops[1].ServiceUID {
-		t.Fatal("ByModel not sorted")
-	}
-}
-
 func TestControlPing(t *testing.T) {
 	r := newRig(t, 100000)
 	inst, _ := r.mgr.Submit(noopDesc("svc"))
@@ -291,9 +276,6 @@ func TestTerminateDrain(t *testing.T) {
 	}
 	if inst.State() != states.ServiceDone {
 		t.Fatalf("state after drain = %s", inst.State())
-	}
-	if _, ok := r.reg.Lookup(inst.UID()); ok {
-		t.Fatal("endpoint still registered after terminate")
 	}
 	if err := r.mgr.Terminate(inst.UID(), true); !errors.Is(err, ErrNotActive) {
 		t.Fatalf("double terminate = %v", err)
@@ -437,9 +419,6 @@ func TestLivenessProbeDetectsKill(t *testing.T) {
 	if inst.State() != states.ServiceFailed {
 		t.Fatalf("state = %s, want FAILED after kill", inst.State())
 	}
-	if _, ok := r.reg.Lookup(inst.UID()); ok {
-		t.Fatal("killed service still registered")
-	}
 }
 
 func TestConcurrentServiceHandlesParallelRequests(t *testing.T) {
@@ -455,7 +434,7 @@ func TestConcurrentServiceHandlesParallelRequests(t *testing.T) {
 	waitReady(t, r, a.UID(), b.UID())
 
 	run := func(uid string) time.Duration {
-		ep, _ := r.reg.Lookup(uid)
+		ep := r.endpoint(uid)
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		var maxQ time.Duration
@@ -497,7 +476,7 @@ func TestServiceQueueCapThroughManager(t *testing.T) {
 	d.QueueCap = 1
 	inst, _ := r.mgr.Submit(d)
 	waitReady(t, r, inst.UID())
-	ep, _ := r.reg.Lookup(inst.UID())
+	ep := inst.Endpoint()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -554,8 +533,8 @@ func TestConcurrentServiceBootstrap(t *testing.T) {
 			t.Fatalf("%s state = %s", uid, inst.State())
 		}
 	}
-	if got := len(r.reg.All()); got != n {
-		t.Fatalf("registry has %d endpoints, want %d", got, n)
+	if got := len(r.mgr.List()); got != n {
+		t.Fatalf("manager holds %d services, want %d", got, n)
 	}
 }
 
