@@ -1,27 +1,15 @@
-// Command rpexp regenerates the paper's tables and figures: Table I (use
-// cases), Table II (experiment setup), Fig. 3 (Exp 1, bootstrap-time
-// scaling), Figs. 4/5 (Exp 2, local/remote NOOP response time) and Fig. 6
-// (Exp 3, llama inference time) — plus the fragmentation ablation on a
-// heterogeneous (mixed node shape) pilot, which the paper's homogeneous
-// testbeds cannot exhibit.
+// Command rpexp regenerates the paper's tables and figures and runs the
+// ablations added since, one registry entry of internal/experiments each.
 //
 // Usage:
 //
-//	rpexp -exp all
-//	rpexp -exp 1 -counts 1,8,64,320,640
-//	rpexp -exp 2 -deploy remote -scaling weak
-//	rpexp -exp 3 -deploy local -requests 4
-//	rpexp -exp frag -platform hetero -sched best-fit
-//	rpexp -exp frag -churn
-//	rpexp -exp route -platform hetero
-//	rpexp -exp route -router capacity-fit
-//	rpexp -exp svcfail -platform hetero
-//	rpexp -exp crashrec
-//	rpexp -exp load -scenarios steady,churn
-//	rpexp -exp scale
-//	rpexp -exp hotspot -balance p2c,round-robin
-//	rpexp -exp xproc
-//	rpexp -exp load -scenarios steady -cpuprofile cpu.out -memprofile mem.out
+//	rpexp [-exp name|all] [-deploy d] [-scaling s] [-counts list] [-requests n]
+//	      [-seed n] [-sched policy] [-router name] [-platform name] [-churn]
+//	      [-scenarios list] [-balance list] [-cpuprofile file] [-memprofile file]
+//
+// `rpexp -exp <unknown>` lists the experiments; `rpexp -h` explains the
+// flags. Each experiment reads the flags its configuration has and
+// ignores the rest.
 package main
 
 import (
@@ -29,16 +17,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/router"
-	"repro/internal/scheduler"
-	"repro/internal/usecases"
 	"repro/internal/xproc"
 )
 
@@ -46,312 +31,85 @@ func main() {
 	// When re-executed as a pilot agent (RPPILOT_AGENT set), become one
 	// before anything else; never returns in that case.
 	xproc.MaybeRunAgent()
+	os.Exit(run(experiments.Registry(), os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	exp := flag.String("exp", "all", "experiment: 1|2|3|frag|route|svcfail|crashrec|load|scale|hotspot|xproc|table1|table2|all")
-	deploy := flag.String("deploy", "both", "deployment for exp 2/3: local|remote|both")
-	scaling := flag.String("scaling", "both", "scaling for exp 2/3: strong|weak|both")
-	counts := flag.String("counts", "", "comma-separated instance counts for exp 1 (default: paper sweep)")
-	requests := flag.Int("requests", 0, "requests per client (default: paper values)")
-	seed := flag.Uint64("seed", 0, "override RNG seed (0: per-experiment defaults)")
-	sched := flag.String("sched", "", "pilot scheduling policy: strict|backfill[:k=N,t=D]|best-fit[:k=N,t=D] (default strict)")
-	rt := flag.String("router", "", "session task router: round-robin|least-loaded|capacity-fit, optionally +retry (default round-robin; for -exp route it selects the single challenger row)")
-	plat := flag.String("platform", "hetero", "mixed-shape platform for the frag/route ablations")
-	churn := flag.Bool("churn", false, "steady-state fragmentation ablation: transient holders + arrival waves")
-	scenarios := flag.String("scenarios", "", "comma-separated scenario name filter for -exp load (default: full catalog)")
-	balance := flag.String("balance", "", "comma-separated picker list for -exp hotspot: p2c|round-robin|least-loaded (default: all three)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file when the run ends")
-	flag.Parse()
-
-	if _, err := scheduler.PolicyByName(*sched); err != nil {
-		fmt.Fprintf(os.Stderr, "rpexp: %v\n", err)
-		os.Exit(2)
-	}
-	if _, err := router.ByName(*rt); err != nil {
-		fmt.Fprintf(os.Stderr, "rpexp: %v\n", err)
-		os.Exit(2)
+// run is the whole command: it parses and validates args, runs the
+// selected registry entries in registry order and returns the exit code
+// (2: rejected before anything ran, 1: an experiment or a profile failed).
+func run(registry []experiments.Experiment, args []string, stdout, stderr io.Writer) int {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.Name
 	}
 
-	want := func(s string) bool { return *exp == "all" || *exp == s }
-	var bootCounts []int
-	if want("1") && *counts != "" {
-		bootCounts = parseCounts(*counts)
+	var o experiments.Options
+	fs := flag.NewFlagSet("rpexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(names, "|")+"|all")
+	fs.StringVar(&o.Deploy, "deploy", "both", "deployment for exp 2/3: local|remote|both")
+	fs.StringVar(&o.Scaling, "scaling", "both", "scaling for exp 2/3: strong|weak|both")
+	fs.StringVar(&o.Counts, "counts", "", "comma-separated instance counts for exp 1 (default: paper sweep)")
+	fs.IntVar(&o.Requests, "requests", 0, "requests per client (default: paper values)")
+	fs.Uint64Var(&o.Seed, "seed", 0, "override RNG seed (0: per-experiment defaults)")
+	fs.StringVar(&o.Sched, "sched", "", "pilot scheduling policy: strict|backfill[:k=N,t=D]|best-fit[:k=N,t=D] (default strict)")
+	fs.StringVar(&o.Router, "router", "", "session task router: round-robin|least-loaded|capacity-fit, optionally +retry (default round-robin; for -exp route it selects the single challenger row)")
+	fs.StringVar(&o.Platform, "platform", "hetero", "mixed-shape platform for the frag/route ablations")
+	fs.BoolVar(&o.Churn, "churn", false, "steady-state fragmentation ablation: transient holders + arrival waves")
+	fs.StringVar(&o.Scenarios, "scenarios", "", "comma-separated scenario name filter for -exp load (default: full catalog)")
+	fs.StringVar(&o.Balance, "balance", "", "comma-separated picker list for -exp hotspot: p2c|round-robin|least-loaded (default: all three)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to this file when the run ends")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := o.Validate(); err != nil {
+		fmt.Fprintf(stderr, "rpexp: %v\n", err)
+		return 2
+	}
+	var selected []experiments.Experiment
+	for _, e := range registry {
+		if *exp == "all" || *exp == e.Name {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "rpexp: unknown -exp %q; the experiments are:\n", *exp)
+		for _, e := range registry {
+			fmt.Fprintf(stderr, "  %-9s %s\n", e.Name, e.Title)
+		}
+		return 2
 	}
 
-	// From here on every way out goes through exit, which finishes the
-	// profiles first.
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rpexp: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "rpexp: %v\n", err)
+		return 2
 	}
-	exit := func(code int) {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "rpexp: %v\n", err)
-			code = max(code, 1)
+	code := 0
+	for _, e := range selected {
+		sections, err := e.Run(context.Background(), o)
+		for _, s := range sections {
+			fmt.Fprintf(stdout, "== %s ==\n", s.Title)
+			for _, t := range s.Tables {
+				fmt.Fprint(stdout, t.Render())
+			}
+			fmt.Fprintln(stdout)
 		}
-		os.Exit(code)
-	}
-
-	ctx := context.Background()
-	run := func(name string, fn func() error) {
-		fmt.Printf("== %s ==\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "rpexp: %s: %v\n", name, err)
-			exit(1)
-		}
-		fmt.Println()
-	}
-
-	if want("table1") {
-		run("Table I", func() error {
-			fmt.Print(usecases.TableI().Render())
-			return nil
-		})
-	}
-	if want("table2") {
-		run("Table II", func() error {
-			fmt.Print(experiments.TableII().Render())
-			return nil
-		})
-	}
-	if want("1") {
-		run("Experiment 1 (Fig. 3)", func() error {
-			cfg := experiments.DefaultBTConfig()
-			if bootCounts != nil {
-				cfg.Counts = bootCounts
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			cfg.SchedPolicy = *sched
-			cfg.Router = *rt
-			res, err := experiments.RunBT(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Table().Render())
-			return nil
-		})
-	}
-	deployments := func() []experiments.Deployment {
-		switch *deploy {
-		case "local":
-			return []experiments.Deployment{experiments.DeployLocal}
-		case "remote":
-			return []experiments.Deployment{experiments.DeployRemote}
-		default:
-			return []experiments.Deployment{experiments.DeployLocal, experiments.DeployRemote}
+		if err != nil {
+			fmt.Fprintf(stderr, "rpexp: %s: %v\n", e.Title, err)
+			code = 1
+			break
 		}
 	}
-	scalings := func() []experiments.Scaling {
-		switch *scaling {
-		case "strong":
-			return []experiments.Scaling{experiments.ScalingStrong}
-		case "weak":
-			return []experiments.Scaling{experiments.ScalingWeak}
-		default:
-			return []experiments.Scaling{experiments.ScalingStrong, experiments.ScalingWeak}
-		}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(stderr, "rpexp: %v\n", err)
+		code = 1
 	}
-	if want("frag") {
-		run("Fragmentation ablation (heterogeneous pilot)", func() error {
-			cfg := experiments.DefaultFragConfig()
-			cfg.Platform = *plat
-			cfg.Churn = *churn
-			if *sched != "" {
-				cfg.Policy = *sched
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			res, err := experiments.RunFrag(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Table().Render())
-			return nil
-		})
-	}
-	if want("route") {
-		run("Route ablation (mismatched pilots)", func() error {
-			cfg := experiments.DefaultRouteConfig()
-			cfg.Platform = *plat
-			if *rt != "" {
-				cfg.Routers = []string{"round-robin", *rt}
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			res, err := experiments.RunRoute(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Table().Render())
-			return nil
-		})
-	}
-	if want("svcfail") {
-		run("Service-failover ablation (endpoint registry)", func() error {
-			cfg := experiments.DefaultSvcFailConfig()
-			cfg.Platform = *plat
-			if *requests > 0 {
-				cfg.Requests = *requests
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			res, err := experiments.RunSvcFail(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Table().Render())
-			return nil
-		})
-	}
-	if want("load") {
-		run("Load matrix (open-loop campaigns on the virtual clock)", func() error {
-			cfg := experiments.DefaultLoadConfig()
-			cfg.ScenarioFilter = *scenarios
-			if *requests > 0 {
-				cfg.Requests = *requests
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			res, err := experiments.RunLoad(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Table().Render())
-			return nil
-		})
-	}
-	if want("scale") {
-		run("Serving scalability (batching + replica autoscaling)", func() error {
-			cfg := experiments.DefaultScaleConfig()
-			if *requests > 0 {
-				cfg.Requests = *requests
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			res, err := experiments.RunScale(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Table().Render())
-			return nil
-		})
-	}
-	if want("hotspot") {
-		run("Hotspot-balancing ablation (p2c vs blind vs full-scan)", func() error {
-			cfg := experiments.DefaultHotspotConfig()
-			if *balance != "" {
-				cfg.Balancers = nil
-				for _, b := range strings.Split(*balance, ",") {
-					if b = strings.TrimSpace(b); b != "" {
-						cfg.Balancers = append(cfg.Balancers, b)
-					}
-				}
-			}
-			if *requests > 0 {
-				cfg.Requests = *requests
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			res, err := experiments.RunHotspot(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Table().Render())
-			fmt.Print(res.FailoverTable().Render())
-			return nil
-		})
-	}
-	if want("xproc") {
-		run("Cross-process ablation (pilots as OS processes over TCP)", func() error {
-			cfg := experiments.DefaultXprocConfig()
-			cfg.Platform = *plat
-			if *requests > 0 {
-				cfg.Requests = *requests
-			}
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			res, err := experiments.RunXproc(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.RouteTable().Render())
-			fmt.Print(res.SvcFailTable().Render())
-			return nil
-		})
-	}
-	if want("crashrec") {
-		run("Crash-recovery ablation (write-ahead journal)", func() error {
-			cfg := experiments.DefaultCrashRecConfig()
-			if *seed != 0 {
-				cfg.Seed = *seed
-			}
-			res, err := experiments.RunCrashRec(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Table().Render())
-			return nil
-		})
-	}
-	if want("2") {
-		for _, d := range deployments() {
-			for _, sc := range scalings() {
-				d, sc := d, sc
-				run(fmt.Sprintf("Experiment 2 (%s, %s)", d, sc), func() error {
-					cfg := experiments.DefaultExp2Config(d, sc)
-					if *requests > 0 {
-						cfg.RequestsPerClient = *requests
-					}
-					if *seed != 0 {
-						cfg.Seed = *seed
-					}
-					cfg.SchedPolicy = *sched
-					cfg.Router = *rt
-					res, err := experiments.RunRT(ctx, cfg)
-					if err != nil {
-						return err
-					}
-					fmt.Print(res.Table().Render())
-					return nil
-				})
-			}
-		}
-	}
-	if want("3") {
-		for _, d := range deployments() {
-			for _, sc := range scalings() {
-				d, sc := d, sc
-				run(fmt.Sprintf("Experiment 3 (%s, %s)", d, sc), func() error {
-					cfg := experiments.DefaultExp3Config(d, sc)
-					if *requests > 0 {
-						cfg.RequestsPerClient = *requests
-					}
-					if *seed != 0 {
-						cfg.Seed = *seed
-					}
-					cfg.SchedPolicy = *sched
-					cfg.Router = *rt
-					res, err := experiments.RunRT(ctx, cfg)
-					if err != nil {
-						return err
-					}
-					fmt.Print(res.Table().Render())
-					return nil
-				})
-			}
-		}
-	}
-	exit(0)
+	return code
 }
 
 // startProfiles creates the named profile files (an empty name skips one)
@@ -388,17 +146,4 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 		}
 	}
 	return stop, nil
-}
-
-func parseCounts(s string) []int {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "rpexp: bad count %q\n", part)
-			os.Exit(2)
-		}
-		out = append(out, n)
-	}
-	return out
 }

@@ -26,9 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/metrics"
-	"repro/internal/pilot"
 	"repro/internal/rng"
-	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
 )
@@ -62,13 +60,22 @@ type CrashRecConfig struct {
 }
 
 // DefaultCrashRecConfig returns the figure-scale parameterization.
-func DefaultCrashRecConfig() CrashRecConfig {
-	return CrashRecConfig{
-		Tasks:       6,
-		FaultPoints: []string{FaultMidTransition, FaultMidPublish, FaultMidFailover},
-		Scale:       20000,
-		Seed:        27,
+func DefaultCrashRecConfig() CrashRecConfig { return CrashRecConfig{}.withDefaults() }
+
+func (c CrashRecConfig) withDefaults() CrashRecConfig {
+	if c.Tasks <= 0 {
+		c.Tasks = 6
 	}
+	if len(c.FaultPoints) == 0 {
+		c.FaultPoints = []string{FaultMidTransition, FaultMidPublish, FaultMidFailover}
+	}
+	if c.Scale <= 0 {
+		c.Scale = 20000
+	}
+	if c.Seed == 0 {
+		c.Seed = 27
+	}
+	return c
 }
 
 // CrashRecRow is one (fault point, journal mode) outcome.
@@ -76,10 +83,9 @@ type CrashRecRow struct {
 	FaultPoint string
 	Journaled  bool
 
-	// TasksInFlight and ServicesLive are the pre-crash campaign size (the
-	// mid-transition and mid-publish points add one trigger entity each).
+	// TasksInFlight is the pre-crash task count (the mid-transition point
+	// adds its trigger task).
 	TasksInFlight int
-	ServicesLive  int
 
 	// Recovered reports whether core.Recover produced a session at all
 	// (always false for the journal-less contrast).
@@ -110,15 +116,7 @@ type CrashRecResult struct {
 // RunCrashRec executes the crash-recovery ablation: each fault point once
 // with the write-ahead journal and once without.
 func RunCrashRec(ctx context.Context, cfg CrashRecConfig) (*CrashRecResult, error) {
-	if cfg.Tasks <= 0 {
-		cfg.Tasks = 6
-	}
-	if len(cfg.FaultPoints) == 0 {
-		cfg.FaultPoints = []string{FaultMidTransition, FaultMidPublish, FaultMidFailover}
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = 20000
-	}
+	cfg = cfg.withDefaults()
 	res := &CrashRecResult{Cfg: cfg}
 	for _, point := range cfg.FaultPoints {
 		for _, journaled := range []bool{true, false} {
@@ -146,11 +144,7 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 	defer os.RemoveAll(dir)
 	jp := filepath.Join(dir, "session.wal")
 
-	scfg := core.SessionConfig{
-		Seed:     cfg.Seed,
-		Clock:    simtime.NewScaled(cfg.Scale, core.DefaultOrigin),
-		FastBoot: true,
-	}
+	scfg := core.SessionConfig{Seed: cfg.Seed, FastBoot: true}
 	if journaled {
 		scfg.JournalPath = jp
 		// fsync batching on the compressed clock would fire every few
@@ -158,66 +152,39 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 		// without busy-syncing.
 		scfg.JournalFlushEvery = time.Minute
 	}
-	sess, err := core.NewSession(scfg)
+	half := spec.PilotDescription{Platform: "delta", Cores: 128, GPUs: 8}
+	tb, err := newTestbed(scfg, cfg.Scale, half, half)
 	if err != nil {
 		return row, err
 	}
+	sess, pilots := tb.Session, tb.pilots
 
-	var pilots []*pilot.Pilot
-	for i := 0; i < 2; i++ {
-		p, err := sess.PilotManager().Submit(spec.PilotDescription{
-			Platform: "delta", Cores: 128, GPUs: 8,
-		})
-		if err != nil {
-			return row, err
-		}
-		sess.TaskManager().AddPilot(p)
-		sess.ServiceManager().AddPilot(p)
-		pilots = append(pilots, p)
-	}
-
-	svc, err := sess.ServiceManager().Submit(spec.ServiceDescription{
-		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1},
-		Model:           "noop",
-		ProbeInterval:   time.Hour,
-		StartTimeout:    time.Hour,
-	})
+	svc, err := sess.ServiceManager().Submit(hostedService("svc", "noop"))
 	if err != nil {
 		return row, err
 	}
 	if err := svc.WaitReady(ctx); err != nil {
 		return row, err
 	}
-	row.ServicesLive = 1
 
-	taskDesc := func(i int) spec.TaskDescription {
-		d := spec.TaskDescription{
-			Name: fmt.Sprintf("work-%d", i), Cores: 1,
-			Duration: rng.ConstDuration(4 * time.Hour),
-		}
+	long := rng.ConstDuration(4 * time.Hour)
+	descs := make([]spec.TaskDescription, cfg.Tasks)
+	for i := range descs {
+		descs[i] = spec.TaskDescription{Name: fmt.Sprintf("work-%d", i), Cores: 1, Duration: long}
 		if point == FaultMidFailover {
 			// The first pilot dies at this fault point; pinning the fleet
 			// to the survivor keeps the reattach count exact instead of
 			// racing the old session's own re-routing against the crash.
-			d.Pilot = pilots[1].UID()
+			descs[i].Pilot = pilots[1].UID()
 		}
-		return d
 	}
-	var tasks []*core.Task
-	for i := 0; i < cfg.Tasks; i++ {
-		ts, err := sess.TaskManager().Submit(ctx, taskDesc(i))
-		if err != nil {
-			return row, err
-		}
-		tasks = append(tasks, ts...)
-	}
-	row.TasksInFlight = cfg.Tasks
-	// Let every task reach RUNNING before arming the fault: in-flight
-	// grants would otherwise append transitions that race the trigger for
-	// the crash record.
-	if err := awaitAllRunning(ctx, tasks); err != nil {
+	// Every task runs before the fault is armed: in-flight grants would
+	// otherwise append transitions that race the trigger for the crash
+	// record.
+	if _, err := tb.submitRunning(ctx, descs...); err != nil {
 		return row, err
 	}
+	row.TasksInFlight = cfg.Tasks
 
 	// Arm the fault and trigger it.
 	crashed := make(chan struct{})
@@ -251,26 +218,21 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 	}
 	armed.Store(true)
 
+	var trigger *core.Service
 	switch point {
 	case FaultMidTransition:
 		// The trigger task's first state transition is the crash record.
 		if _, err := sess.TaskManager().Submit(ctx, spec.TaskDescription{
-			Name: "trigger", Cores: 1, Duration: rng.ConstDuration(4 * time.Hour),
+			Name: "trigger", Cores: 1, Duration: long,
 		}); err != nil {
 			return row, err
 		}
 		row.TasksInFlight++
 	case FaultMidPublish:
 		// A second service's bootstrap publication is the crash record.
-		if _, err := sess.ServiceManager().Submit(spec.ServiceDescription{
-			TaskDescription: spec.TaskDescription{Name: "svc2", Cores: 1},
-			Model:           "noop",
-			ProbeInterval:   time.Hour,
-			StartTimeout:    time.Hour,
-		}); err != nil {
+		if trigger, err = sess.ServiceManager().Submit(hostedService("svc2", "noop")); err != nil {
 			return row, err
 		}
-		row.ServicesLive++
 	case FaultMidFailover:
 		// Kill the service host: the watcher's suspend is the crash record.
 		if err := pilots[0].Shutdown(); err != nil {
@@ -280,21 +242,23 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 		return row, fmt.Errorf("unknown fault point %q", point)
 	}
 
+	waitCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
+	defer cancel()
 	if journaled {
 		select {
 		case <-crashed:
-		case <-time.After(60 * time.Second):
-			return row, fmt.Errorf("fault point %s never fired", point)
-		case <-ctx.Done():
-			return row, ctx.Err()
+		case <-waitCtx.Done():
+			return row, fmt.Errorf("fault point %s never fired: %w", point, waitCtx.Err())
 		}
 	} else {
 		// No journal, no fault hook: the client dies at the same logical
-		// point, taking all campaign state with it.
-		if point == FaultMidPublish {
-			// Give the trigger service's bootstrap the same head start the
-			// journaled run gets from its crash hook.
-			waitSvcCount(sess, 2)
+		// point, taking all campaign state with it. For mid-publish that
+		// point is the trigger service's bootstrap publication, which the
+		// journaled run's crash hook waits for too.
+		if trigger != nil {
+			if _, _, err := sess.EndpointRegistry().AwaitNewer(waitCtx, trigger.UID(), 0); err != nil {
+				return row, fmt.Errorf("trigger service never published: %w", err)
+			}
 		}
 		sess.Abandon()
 	}
@@ -322,9 +286,9 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 	row.ServicesSettled = len(rep.ServicesSettled)
 
 	// Resume the campaign: every recovered task must run to DONE.
-	waitCtx, cancel := context.WithTimeout(ctx, 120*time.Second)
-	defer cancel()
-	if err := s2.TaskManager().Wait(waitCtx); err != nil {
+	resumeCtx, cancelResume := context.WithTimeout(ctx, 120*time.Second)
+	defer cancelResume()
+	if err := s2.TaskManager().Wait(resumeCtx); err != nil {
 		return row, fmt.Errorf("post-recovery wait: %w", err)
 	}
 	for _, t := range s2.TaskManager().Tasks() {
@@ -333,32 +297,6 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 		}
 	}
 	return row, nil
-}
-
-// awaitAllRunning polls (real time, bounded) until every task reports
-// RUNNING.
-func awaitAllRunning(ctx context.Context, tasks []*core.Task) error {
-	deadline := time.Now().Add(60 * time.Second)
-	for _, t := range tasks {
-		for t.State() != states.TaskExecuting {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("task %s stuck in %s before the fault", t.UID(), t.State())
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
-	return nil
-}
-
-// waitSvcCount polls until the session manages n services (bounded).
-func waitSvcCount(sess *core.Session, n int) {
-	deadline := time.Now().Add(10 * time.Second)
-	for len(sess.ServiceManager().Services()) < n && time.Now().Before(deadline) {
-		time.Sleep(200 * time.Microsecond)
-	}
 }
 
 // endpointOp decodes the op of a KindEndpoint record ("" on mismatch).

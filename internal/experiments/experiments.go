@@ -23,7 +23,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/proto"
 	"repro/internal/service"
-	"repro/internal/simtime"
 	"repro/internal/spec"
 )
 
@@ -66,7 +65,7 @@ type BTConfig struct {
 	Counts []int
 	// Model is the hosted model (paper: llama-8b via ollama).
 	Model string
-	// Scale is the clock compression (default 2000).
+	// Scale is the clock compression (default 200).
 	Scale float64
 	// Seed drives determinism.
 	Seed uint64
@@ -84,16 +83,25 @@ type BTConfig struct {
 }
 
 // DefaultBTConfig returns the paper's Exp 1 parameterization.
-func DefaultBTConfig() BTConfig {
-	return BTConfig{
-		Counts: []int{1, 2, 4, 8, 20, 40, 80, 160, 320, 640},
-		Model:  "llama-8b",
+func DefaultBTConfig() BTConfig { return BTConfig{}.withDefaults() }
+
+func (c BTConfig) withDefaults() BTConfig {
+	if len(c.Counts) == 0 {
+		c.Counts = []int{1, 2, 4, 8, 20, 40, 80, 160, 320, 640}
+	}
+	if c.Model == "" {
+		c.Model = "llama-8b"
+	}
+	if c.Scale <= 0 {
 		// 200x keeps the base launch sleep (~2.2s → ~11ms real) long
 		// enough that burst members genuinely overlap in real time, which
 		// the launch-concurrency model depends on.
-		Scale: 200,
-		Seed:  1,
+		c.Scale = 200
 	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	return c
 }
 
 // BTRow is one point of Fig. 3.
@@ -119,12 +127,7 @@ type BTResult struct {
 // all to become ACTIVE, and records the per-instance launch/init/publish
 // bootstrap components.
 func RunBT(ctx context.Context, cfg BTConfig) (*BTResult, error) {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 200
-	}
-	if cfg.Model == "" {
-		cfg.Model = "llama-8b"
-	}
+	cfg = cfg.withDefaults()
 	res := &BTResult{Cfg: cfg}
 	for _, n := range cfg.Counts {
 		row, err := runBTPoint(ctx, cfg, n)
@@ -137,28 +140,18 @@ func RunBT(ctx context.Context, cfg BTConfig) (*BTResult, error) {
 }
 
 func runBTPoint(ctx context.Context, cfg BTConfig, n int) (BTRow, error) {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 200
-	}
-	sess, err := core.NewSession(core.SessionConfig{
+	sess, err := newTestbed(core.SessionConfig{
 		Seed:        cfg.Seed + uint64(n),
-		Clock:       simtime.NewScaled(cfg.Scale, core.DefaultOrigin),
 		SchedPolicy: cfg.SchedPolicy,
 		Router:      cfg.Router,
-	})
-	if err != nil {
-		return BTRow{}, err
-	}
-	defer sess.Close()
-
-	p, err := sess.PilotManager().Submit(spec.PilotDescription{
+	}, cfg.Scale, spec.PilotDescription{
 		Platform: "frontier", GPUs: 640, // Table II: 640 GPUs/pilot
 	})
 	if err != nil {
 		return BTRow{}, err
 	}
+	defer sess.Close()
 	sm := sess.ServiceManager()
-	sm.AddPilot(p)
 
 	wave := cfg.Partition
 	if wave <= 0 || wave > n {
@@ -167,20 +160,10 @@ func runBTPoint(ctx context.Context, cfg BTConfig, n int) (BTRow, error) {
 	started := sess.Clock().Now()
 	uids := make([]string, 0, n)
 	for base := 0; base < n; base += wave {
-		count := wave
-		if base+count > n {
-			count = n - base
-		}
+		count := min(wave, n-base)
 		batch := make([]string, 0, count)
 		for i := 0; i < count; i++ {
-			inst, err := sm.Submit(spec.ServiceDescription{
-				TaskDescription: spec.TaskDescription{Name: fmt.Sprintf("llm-%04d", base+i), GPUs: 1},
-				Model:           cfg.Model,
-				StartTimeout:    time.Hour,
-				// liveness probing is irrelevant to the measurement and, at
-				// high clock compression, a 5s-sim probe period busy-spins
-				ProbeInterval: time.Hour,
-			})
+			inst, err := sm.Submit(hostedService(fmt.Sprintf("llm-%04d", base+i), cfg.Model))
 			if err != nil {
 				return BTRow{}, err
 			}
@@ -260,38 +243,53 @@ type RTConfig struct {
 // DefaultExp2Config returns the paper's Exp 2 parameterization for the
 // given deployment and scaling mode.
 func DefaultExp2Config(deploy Deployment, scaling Scaling) RTConfig {
-	pairs := StrongPairs()
-	if scaling == ScalingWeak {
-		pairs = WeakPairs()
-	}
-	return RTConfig{
-		Model:             "noop",
-		Deploy:            deploy,
-		Pairs:             pairs,
-		RequestsPerClient: 1024,
-		Scale:             1, // real time: sub-ms latencies must be resolvable
-		Seed:              2,
-	}
+	return RTConfig{Model: "noop", Deploy: deploy, Pairs: pairsFor(scaling)}.withDefaults()
 }
 
-// DefaultExp3Config returns the paper's Exp 3 parameterization. The
-// request count per client is reduced (the paper's setup is "identical" to
-// Exp 2, but a 1024-request llama sweep is hours of simulated compute; the
-// scaling shape is established within a few requests per client).
+// DefaultExp3Config returns the paper's Exp 3 parameterization.
 func DefaultExp3Config(deploy Deployment, scaling Scaling) RTConfig {
-	pairs := StrongPairs()
+	return RTConfig{Model: "llama-8b", Deploy: deploy, Pairs: pairsFor(scaling)}.withDefaults()
+}
+
+func pairsFor(scaling Scaling) [][2]int {
 	if scaling == ScalingWeak {
-		pairs = WeakPairs()
+		return WeakPairs()
 	}
-	return RTConfig{
-		Model:             "llama-8b",
-		Deploy:            deploy,
-		Pairs:             pairs,
-		RequestsPerClient: 8,
-		MaxTokens:         128,
-		Scale:             1000,
-		Seed:              3,
+	return StrongPairs()
+}
+
+// withDefaults fills what is unset from the model's experiment: Exp 2 for
+// noop (the default model), Exp 3 for anything that infers.
+func (c RTConfig) withDefaults() RTConfig {
+	if c.Model == "" {
+		c.Model = "noop"
 	}
+	exp2 := c.Model == "noop"
+	if c.RequestsPerClient <= 0 {
+		// Exp 3's setup is "identical" to Exp 2, but a 1024-request llama
+		// sweep is hours of simulated compute; the scaling shape is
+		// established within a few requests per client.
+		c.RequestsPerClient = 8
+		if exp2 {
+			c.RequestsPerClient = 1024
+		}
+	}
+	if c.MaxTokens <= 0 && !exp2 {
+		c.MaxTokens = 128
+	}
+	if c.Scale <= 0 {
+		c.Scale = 1000
+		if exp2 {
+			c.Scale = 1 // real time: sub-ms latencies must be resolvable
+		}
+	}
+	if c.Seed == 0 {
+		c.Seed = 3
+		if exp2 {
+			c.Seed = 2
+		}
+	}
+	return c
 }
 
 // RTRow is one sweep point of Figs. 4-6.
@@ -312,12 +310,7 @@ type RTResult struct {
 
 // RunRT executes one RT sweep.
 func RunRT(ctx context.Context, cfg RTConfig) (*RTResult, error) {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if cfg.RequestsPerClient <= 0 {
-		cfg.RequestsPerClient = 1024
-	}
+	cfg = cfg.withDefaults()
 	res := &RTResult{Cfg: cfg}
 	for _, pair := range cfg.Pairs {
 		row, err := runRTPoint(ctx, cfg, pair[0], pair[1])
@@ -330,46 +323,33 @@ func RunRT(ctx context.Context, cfg RTConfig) (*RTResult, error) {
 }
 
 func runRTPoint(ctx context.Context, cfg RTConfig, clients, services int) (RTRow, error) {
-	sess, err := core.NewSession(core.SessionConfig{
-		Seed:  cfg.Seed + uint64(clients*1000+services),
-		Clock: simtime.NewScaled(cfg.Scale, core.DefaultOrigin),
+	// client-side pilot: Delta, Table II (256 cores / 16 GPUs); the
+	// service-side pilot is the same one for local, R3 for remote
+	pilots := []spec.PilotDescription{{Platform: "delta", Cores: 256, GPUs: 16}}
+	if cfg.Deploy == DeployRemote {
+		pilots = append(pilots, spec.PilotDescription{Platform: "r3", Nodes: 1})
+	}
+	sess, err := newTestbed(core.SessionConfig{
+		Seed: cfg.Seed + uint64(clients*1000+services),
 		// Exp 2/3 measure steady-state RT/IT, not bootstrap; skip boot
 		// sleeps, which at low scales would cost real wall time.
 		FastBoot:    true,
 		SchedPolicy: cfg.SchedPolicy,
 		Router:      cfg.Router,
-	})
+	}, cfg.Scale, pilots...)
 	if err != nil {
 		return RTRow{}, err
 	}
 	defer sess.Close()
+	clientPilot, svcPilot := sess.pilots[0], sess.pilots[len(sess.pilots)-1]
 
-	// client-side pilot: Delta, Table II (256 cores / 16 GPUs)
-	clientPilot, err := sess.PilotManager().Submit(spec.PilotDescription{
-		Platform: "delta", Cores: 256, GPUs: 16,
-	})
-	if err != nil {
-		return RTRow{}, err
-	}
-
-	// service-side pilot: Delta for local, R3 for remote
-	svcPilot := clientPilot
-	if cfg.Deploy == DeployRemote {
-		svcPilot, err = sess.PilotManager().Submit(spec.PilotDescription{
-			Platform: "r3", Nodes: 1,
-		})
-		if err != nil {
-			return RTRow{}, err
-		}
-	}
-
-	eps, err := startServices(ctx, sess, svcPilot, cfg, services)
+	eps, err := startServices(ctx, svcPilot, cfg, services)
 	if err != nil {
 		return RTRow{}, err
 	}
 
 	coll := metrics.NewCollector()
-	if err := runClients(ctx, sess, clientPilot, cfg, clients, eps, coll); err != nil {
+	if err := runClients(ctx, sess.Session, clientPilot, cfg, clients, eps, coll); err != nil {
 		return RTRow{}, err
 	}
 	return RTRow{
@@ -383,23 +363,13 @@ func runRTPoint(ctx context.Context, cfg RTConfig, clients, services int) (RTRow
 }
 
 // startServices boots `services` instances on svcPilot and returns their
-// endpoints. GPU models take one GPU each; the NOOP model takes one core.
-func startServices(ctx context.Context, sess *core.Session, svcPilot *pilot.Pilot, cfg RTConfig, services int) ([]proto.Endpoint, error) {
+// endpoints.
+func startServices(ctx context.Context, svcPilot *pilot.Pilot, cfg RTConfig, services int) ([]proto.Endpoint, error) {
 	mgr := svcPilot.Services()
 	uids := make([]string, 0, services)
 	for i := 0; i < services; i++ {
-		d := spec.ServiceDescription{
-			TaskDescription: spec.TaskDescription{Name: fmt.Sprintf("svc-%02d", i)},
-			Model:           cfg.Model,
-			Concurrency:     cfg.ServiceConcurrency,
-			StartTimeout:    time.Hour,
-			ProbeInterval:   time.Hour,
-		}
-		if cfg.Model == "noop" {
-			d.Cores = 1
-		} else {
-			d.GPUs = 1
-		}
+		d := hostedService(fmt.Sprintf("svc-%02d", i), cfg.Model)
+		d.Concurrency = cfg.ServiceConcurrency
 		inst, err := mgr.Submit(d)
 		if err != nil {
 			return nil, err
@@ -424,7 +394,7 @@ func startServices(ctx context.Context, sess *core.Session, svcPilot *pilot.Pilo
 // records the RT decomposition.
 func runClients(ctx context.Context, sess *core.Session, clientPilot *pilot.Pilot, cfg RTConfig, clients int, eps []proto.Endpoint, coll *metrics.Collector) error {
 	nodes := clientPilot.Nodes()
-	var tasks []*pilot.Task
+	var uids []string
 	for c := 0; c < clients; c++ {
 		c := c
 		ep := eps[c%len(eps)]
@@ -455,11 +425,7 @@ func runClients(ctx context.Context, sess *core.Session, clientPilot *pilot.Pilo
 		if err != nil {
 			return err
 		}
-		tasks = append(tasks, t)
-	}
-	uids := make([]string, len(tasks))
-	for i, t := range tasks {
-		uids[i] = t.UID()
+		uids = append(uids, t.UID())
 	}
 	return clientPilot.WaitTasks(ctx, uids...)
 }

@@ -20,8 +20,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/rng"
-	"repro/internal/scheduler"
-	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
 )
@@ -64,13 +62,28 @@ type FragConfig struct {
 // DefaultFragConfig returns the figure-scale parameterization on the
 // hetero campus: enough smalls to fragment a third of the fat partition
 // under first-fit, and one large per fat node.
-func DefaultFragConfig() FragConfig {
-	return FragConfig{
-		Platform: "hetero",
-		Policy:   "best-fit",
-		Scale:    2000,
-		Seed:     4,
+func DefaultFragConfig() FragConfig { return FragConfig{}.withDefaults() }
+
+func (c FragConfig) withDefaults() FragConfig {
+	if c.Platform == "" {
+		c.Platform = "hetero"
 	}
+	if c.Policy == "" {
+		c.Policy = "best-fit"
+	}
+	if c.Scale <= 0 {
+		c.Scale = 2000
+	}
+	if c.Seed == 0 {
+		c.Seed = 4
+	}
+	if c.ChurnWaves <= 0 {
+		c.ChurnWaves = 2
+	}
+	if c.SmallHold <= 0 {
+		c.SmallHold = 60 * time.Second
+	}
+	return c
 }
 
 // FragRow is one policy's outcome on the saturated mixed pilot.
@@ -97,32 +110,14 @@ type FragResult struct {
 // RunFrag executes the fragmentation ablation: once under strict
 // (first-fit) placement, once under cfg.Policy, on identical workloads.
 func RunFrag(ctx context.Context, cfg FragConfig) (*FragResult, error) {
-	if cfg.Platform == "" {
-		cfg.Platform = "hetero"
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = "best-fit"
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = 2000
-	}
-	if cfg.Churn {
-		if cfg.ChurnWaves <= 0 {
-			cfg.ChurnWaves = 2
-		}
-		if cfg.SmallHold <= 0 {
-			cfg.SmallHold = 60 * time.Second
-		}
-	}
+	cfg = cfg.withDefaults()
 	// Resolve the workload from the platform's shape mix once, up front:
 	// every session instantiates the catalog platform identically, so the
 	// shapes (and the defaults derived from them) are the same per policy.
-	plat := platform.DefaultTopology().Platform(cfg.Platform)
-	if plat == nil {
-		return nil, fmt.Errorf("experiments: frag: unknown platform %q", cfg.Platform)
+	shapes, thin, fat, err := shapesOf(cfg.Platform, false)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: frag: %w", err)
 	}
-	shapes := plat.Shapes()
-	thin, fat := thinAndFat(shapes)
 	if cfg.Smalls <= 0 {
 		cfg.Smalls = thin.Count
 	}
@@ -136,18 +131,16 @@ func RunFrag(ctx context.Context, cfg FragConfig) (*FragResult, error) {
 		LargeCores: fat.Spec.Cores,
 		LargeGPUs:  fat.Spec.GPUs,
 	}
+	nodes := 0
+	for _, g := range shapes {
+		nodes += g.Count
+	}
 	policies := []string{"strict"}
 	if cfg.Policy != "strict" {
 		policies = append(policies, cfg.Policy)
 	}
 	for _, pol := range policies {
-		var row FragRow
-		var err error
-		if cfg.Churn {
-			row, err = runFragChurnPoint(ctx, cfg, pol, len(plat.Nodes()), thin.Spec, fat.Spec)
-		} else {
-			row, err = runFragPoint(ctx, cfg, pol, len(plat.Nodes()), thin.Spec, fat.Spec)
-		}
+		row, err := runFragPoint(ctx, cfg, pol, nodes, thin.Spec, fat.Spec)
 		if err != nil {
 			return res, fmt.Errorf("experiments: frag %s on %s: %w", pol, cfg.Platform, err)
 		}
@@ -156,236 +149,57 @@ func RunFrag(ctx context.Context, cfg FragConfig) (*FragResult, error) {
 	return res, nil
 }
 
-// thinAndFat picks the smallest- and largest-capacity shapes of a
-// (possibly mixed) node-group list, ranked on the same weighted scale
-// best-fit placement optimizes.
-func thinAndFat(groups []platform.NodeGroup) (thin, fat platform.NodeGroup) {
-	weight := func(s platform.NodeSpec) float64 {
-		return scheduler.WeightedCapacity(s.Cores, s.GPUs, s.MemGB)
-	}
-	thin, fat = groups[0], groups[0]
-	for _, g := range groups[1:] {
-		if weight(g.Spec) < weight(thin.Spec) {
-			thin = g
-		}
-		if weight(g.Spec) > weight(fat.Spec) {
-			fat = g
-		}
-	}
-	return thin, fat
-}
-
 // runFragPoint runs the workload under one policy on a whole-platform
 // pilot of nodeCount nodes, with small tasks shaped to thin and large
 // tasks shaped to fat.
+//
+// The plain variant holds every small forever. Under cfg.Churn half the
+// smalls hold forever (the persistent load) and half complete after
+// cfg.SmallHold; the larges are offered against that mix, and fresh small
+// arrivals keep churning while the transients drain. The end state is
+// deterministic either way: under first-fit the permanent holders pin part
+// of the fat partition fragmented and the transient releases hand the rest
+// to the waiting larges; under best-fit every small (initial or arriving)
+// packs onto the thin partition and all larges run.
 func runFragPoint(ctx context.Context, cfg FragConfig, policy string, nodeCount int, thin, fat platform.NodeSpec) (FragRow, error) {
-	sess, err := core.NewSession(core.SessionConfig{
-		Seed:        cfg.Seed,
-		Clock:       simtime.NewScaled(cfg.Scale, core.DefaultOrigin),
-		FastBoot:    true,
-		SchedPolicy: policy,
-	})
+	tb, err := newTestbed(core.SessionConfig{Seed: cfg.Seed, FastBoot: true, SchedPolicy: policy},
+		cfg.Scale, spec.PilotDescription{Platform: cfg.Platform, Nodes: nodeCount})
 	if err != nil {
 		return FragRow{}, err
 	}
-	defer sess.Close()
-	p, err := sess.PilotManager().Submit(spec.PilotDescription{
-		Platform: cfg.Platform, Nodes: nodeCount,
-	})
-	if err != nil {
-		return FragRow{}, err
-	}
-
-	tm := sess.TaskManager()
-	tm.AddPilot(p)
+	defer tb.Close()
+	p := tb.pilots[0]
+	sched := p.Scheduler()
 	// Holders sleep far past the measurement window; cancelling taskCtx
 	// on return aborts their payloads so the session shuts down cleanly.
 	taskCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	hold := rng.ConstDuration(1000 * time.Hour)
-
-	sched := p.Scheduler()
-	allGranted := func(target int) error { return waitGranted(sched, target) }
-	quiesced := func(total int) error { return waitQuiesced(sched, total) }
-
-	// Phase 1: small holders — every one of them fits, so wait for all
-	// grants before offering large work (inter-class submission order
-	// must not race, or the fragmentation pattern would be noisy).
-	smallDescs := make([]spec.TaskDescription, cfg.Smalls)
-	for i := range smallDescs {
-		smallDescs[i] = spec.TaskDescription{
-			Name: fmt.Sprintf("small-%04d", i), Cores: thin.Cores, Duration: hold,
+	// Phase 1: the small load. Every small fits, so wait until all of them
+	// run before offering large work (inter-class submission order must not
+	// race, or the fragmentation pattern would be noisy). Under churn the
+	// permanent holders go first, then the transients.
+	initial := [][]spec.TaskDescription{taskBatch(cfg.Smalls, "small", thin.Cores, 0, hold)}
+	var arrivals [][]spec.TaskDescription
+	if cfg.Churn {
+		churn := rng.ConstDuration(cfg.SmallHold)
+		initial = [][]spec.TaskDescription{
+			taskBatch(cfg.Smalls/2, "perm", thin.Cores, 0, hold),
+			taskBatch(cfg.Smalls-cfg.Smalls/2, "churn", thin.Cores, 0, churn),
+		}
+		for w := 0; w < cfg.ChurnWaves; w++ {
+			arrivals = append(arrivals, taskBatch(cfg.Smalls/4, fmt.Sprintf("wave%d", w), thin.Cores, 0, churn))
 		}
 	}
-	if _, err := tm.Submit(taskCtx, smallDescs...); err != nil {
-		return FragRow{}, err
-	}
-	if err := allGranted(cfg.Smalls); err != nil {
-		return FragRow{}, fmt.Errorf("small holders: %w", err)
-	}
-
-	// Phase 2: one whole-fat-node task per fat node.
-	largeDescs := make([]spec.TaskDescription, cfg.Larges)
-	for i := range largeDescs {
-		largeDescs[i] = spec.TaskDescription{
-			Name:  fmt.Sprintf("large-%04d", i),
-			Cores: fat.Cores, GPUs: fat.GPUs, Duration: hold,
+	for _, descs := range initial {
+		if _, err := tb.submitRunning(taskCtx, descs...); err != nil {
+			return FragRow{}, fmt.Errorf("small holders: %w", err)
 		}
 	}
-	if _, err := tm.Submit(taskCtx, largeDescs...); err != nil {
-		return FragRow{}, err
-	}
-	if err := quiesced(cfg.Smalls + cfg.Larges); err != nil {
-		return FragRow{}, fmt.Errorf("large offers: %w", err)
-	}
 
-	granted := sched.Scheduled()
-	row := FragRow{
-		Policy:       policy,
-		SmallGranted: cfg.Smalls,
-		LargeGranted: granted - cfg.Smalls,
-		Waiting:      sched.Waiting(),
-	}
-	var totCores, totGPUs, freeCores, freeGPUs int
-	for _, n := range p.Nodes() {
-		sp := n.Spec()
-		totCores += sp.Cores
-		totGPUs += sp.GPUs
-		fc, fg, _ := n.Free()
-		freeCores += fc
-		freeGPUs += fg
-	}
-	if totCores > 0 {
-		row.CoreUtil = 1 - float64(freeCores)/float64(totCores)
-	}
-	if totGPUs > 0 {
-		row.GPUUtil = 1 - float64(freeGPUs)/float64(totGPUs)
-	}
-	return row, nil
-}
-
-// waitGranted polls until exactly target grants have happened.
-func waitGranted(sched *scheduler.Scheduler, target int) error {
-	deadline := time.Now().Add(20 * time.Second)
-	for sched.Scheduled() != target {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("scheduler did not settle (granted %d/%d)", sched.Scheduled(), target)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return nil
-}
-
-// waitAdmitted polls until at least total accepted requests have reached
-// the scheduler (granted or waiting). The sum only grows, so this
-// serializes submission phases whose relative wait-pool order matters.
-func waitAdmitted(sched *scheduler.Scheduler, total int) error {
-	deadline := time.Now().Add(20 * time.Second)
-	for sched.Scheduled()+sched.Waiting() < total {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("scheduler did not admit the batch (granted %d, waiting %d, want %d)",
-				sched.Scheduled(), sched.Waiting(), total)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return nil
-}
-
-// waitQuiesced polls until every accepted request is either granted or
-// waiting (all submissions reached the scheduler) and the grant count has
-// stopped moving.
-func waitQuiesced(sched *scheduler.Scheduler, total int) error {
-	deadline := time.Now().Add(20 * time.Second)
-	stable, last := 0, -1
-	for {
-		g, w := sched.Scheduled(), sched.Waiting()
-		if g+w == total && g == last {
-			if stable++; stable >= 3 {
-				return nil
-			}
-		} else {
-			stable = 0
-		}
-		last = g
-		if time.Now().After(deadline) {
-			return fmt.Errorf("scheduler did not quiesce (granted %d, waiting %d, want total %d)", g, w, total)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// runFragChurnPoint is the steady-state variant of runFragPoint: half
-// the smalls hold forever (the persistent load), half complete after
-// cfg.SmallHold; the larges are offered against that mix, and fresh
-// small arrivals keep churning while the transients drain. The end state
-// is deterministic: under first-fit the permanent holders pin part of
-// the fat partition fragmented, the transient releases hand the rest to
-// the waiting larges; under best-fit every small (initial or arriving)
-// packs onto the thin partition and all larges run.
-func runFragChurnPoint(ctx context.Context, cfg FragConfig, policy string, nodeCount int, thin, fat platform.NodeSpec) (FragRow, error) {
-	holders := cfg.Smalls / 2
-	transients := cfg.Smalls - holders
-	waveSize := cfg.Smalls / 4
-
-	sess, err := core.NewSession(core.SessionConfig{
-		Seed:        cfg.Seed,
-		Clock:       simtime.NewScaled(cfg.Scale, core.DefaultOrigin),
-		FastBoot:    true,
-		SchedPolicy: policy,
-	})
-	if err != nil {
-		return FragRow{}, err
-	}
-	defer sess.Close()
-	p, err := sess.PilotManager().Submit(spec.PilotDescription{
-		Platform: cfg.Platform, Nodes: nodeCount,
-	})
-	if err != nil {
-		return FragRow{}, err
-	}
-	tm := sess.TaskManager()
-	tm.AddPilot(p)
-	taskCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hold := rng.ConstDuration(1000 * time.Hour)
-	churn := rng.ConstDuration(cfg.SmallHold)
-	sched := p.Scheduler()
-
-	submitSmalls := func(n int, label string, dur rng.DurationDist) error {
-		descs := make([]spec.TaskDescription, n)
-		for i := range descs {
-			descs[i] = spec.TaskDescription{
-				Name: fmt.Sprintf("%s-%04d", label, i), Cores: thin.Cores, Duration: dur,
-			}
-		}
-		_, err := tm.Submit(taskCtx, descs...)
-		return err
-	}
-	// Phase 1: the steady load — permanent holders, then transients.
-	// Both classes fit entirely; wait for all grants so the placement
-	// pattern is deterministic before any large work is offered.
-	if err := submitSmalls(holders, "perm", hold); err != nil {
-		return FragRow{}, err
-	}
-	if err := waitGranted(sched, holders); err != nil {
-		return FragRow{}, fmt.Errorf("permanent holders: %w", err)
-	}
-	if err := submitSmalls(transients, "churn", churn); err != nil {
-		return FragRow{}, err
-	}
-	if err := waitGranted(sched, holders+transients); err != nil {
-		return FragRow{}, fmt.Errorf("transient holders: %w", err)
-	}
-
-	// Phase 2: offer the larges; they hold whatever they win.
-	largeDescs := make([]spec.TaskDescription, cfg.Larges)
-	for i := range largeDescs {
-		largeDescs[i] = spec.TaskDescription{
-			Name:  fmt.Sprintf("large-%04d", i),
-			Cores: fat.Cores, GPUs: fat.GPUs, Duration: hold,
-		}
-	}
-	larges, err := tm.Submit(taskCtx, largeDescs...)
+	// Phase 2: one whole-fat-node task per fat node; they hold whatever
+	// they win.
+	larges, err := tb.TaskManager().Submit(taskCtx, taskBatch(cfg.Larges, "large", fat.Cores, fat.GPUs, hold)...)
 	if err != nil {
 		return FragRow{}, err
 	}
@@ -393,37 +207,53 @@ func runFragChurnPoint(ctx context.Context, cfg FragConfig, policy string, nodeC
 	// every large is admitted (granted or waiting) before offering the
 	// waves — otherwise an arrival could race ahead of a large in
 	// submission-sequence order and be granted past the blocked head.
-	if err := waitAdmitted(sched, cfg.Smalls+cfg.Larges); err != nil {
-		return FragRow{}, fmt.Errorf("large offers: %w", err)
+	for _, t := range larges {
+		if pt, ok := p.Task(t.UID()); ok {
+			select {
+			case <-pt.Enqueued():
+			case <-ctx.Done():
+				return FragRow{}, fmt.Errorf("large offers: %w", ctx.Err())
+			}
+		}
 	}
 
-	// Phase 3: arrival churn behind the larges.
-	for w := 0; w < cfg.ChurnWaves; w++ {
-		if err := submitSmalls(waveSize, fmt.Sprintf("wave%d", w), churn); err != nil {
+	// Phase 3 (churn): arrival waves behind the larges.
+	for _, descs := range arrivals {
+		if _, err := tb.TaskManager().Submit(taskCtx, descs...); err != nil {
 			return FragRow{}, err
 		}
 	}
 
 	// Phase 4: let the turnover drain. Transient and wave smalls either
 	// complete or stay blocked behind an ungrantable large head; the end
-	// state is stable either way.
-	total := cfg.Smalls + cfg.Larges + cfg.ChurnWaves*waveSize
-	if err := waitQuiesced(sched, total); err != nil {
-		return FragRow{}, fmt.Errorf("churn: %w", err)
+	// state is stable either way: every accepted request is granted or
+	// waiting and the grant count has stopped moving.
+	total := cfg.TotalSmalls() + cfg.Larges
+	waitCtx, cancelWait := context.WithTimeout(ctx, 20*time.Second)
+	defer cancelWait()
+	stable, last := 0, -1
+	err = pollUntil(waitCtx, fmt.Sprintf("%d requests granted or waiting and grants settled", total),
+		20*time.Millisecond, func() bool {
+			g := sched.Scheduled()
+			if g+sched.Waiting() == total && g == last {
+				stable++
+			} else {
+				stable = 0
+			}
+			last = g
+			return stable >= 3
+		})
+	if err != nil {
+		return FragRow{}, err
 	}
 
-	largeGranted := 0
+	row := FragRow{Policy: policy, Waiting: sched.Waiting()}
 	for _, t := range larges {
 		if t.State() == states.TaskExecuting {
-			largeGranted++
+			row.LargeGranted++
 		}
 	}
-	row := FragRow{
-		Policy:       policy,
-		SmallGranted: sched.Scheduled() - largeGranted,
-		LargeGranted: largeGranted,
-		Waiting:      sched.Waiting(),
-	}
+	row.SmallGranted = sched.Scheduled() - row.LargeGranted
 	var totCores, totGPUs, freeCores, freeGPUs int
 	for _, n := range p.Nodes() {
 		sp := n.Spec()

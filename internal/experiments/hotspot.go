@@ -19,12 +19,12 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
-	"repro/internal/simtime"
 	"repro/internal/spec"
 )
 
@@ -67,34 +67,49 @@ type HotspotConfig struct {
 }
 
 // DefaultHotspotConfig returns the figure-scale parameterization.
-func DefaultHotspotConfig() HotspotConfig {
-	return HotspotConfig{
-		Requests:      16000,
-		Rate:          800,
-		Model:         "vit-base",
-		MaxTokens:     8,
-		Services:      4,
-		HotspotWeight: 0.8,
-		Balancers:     []string{"p2c", "round-robin", "least-loaded"},
-		Seed:          11,
-		Interval:      time.Second,
-		Standbys:      1,
-		Scale:         2000,
+func DefaultHotspotConfig() HotspotConfig { return HotspotConfig{}.withDefaults() }
+
+func (c HotspotConfig) withDefaults() HotspotConfig {
+	if c.Requests <= 0 {
+		c.Requests = 16000
 	}
+	if c.Rate <= 0 {
+		c.Rate = 800
+	}
+	if c.Model == "" {
+		c.Model = "vit-base"
+	}
+	if c.MaxTokens <= 0 {
+		c.MaxTokens = 8
+	}
+	if c.Services <= 0 {
+		c.Services = 4
+	}
+	if c.HotspotWeight <= 0 {
+		c.HotspotWeight = 0.8
+	}
+	if len(c.Balancers) == 0 {
+		c.Balancers = []string{"p2c", "round-robin", "least-loaded"}
+	}
+	if c.Seed == 0 {
+		c.Seed = 11
+	}
+	if c.Interval <= 0 {
+		c.Interval = time.Second
+	}
+	if c.Standbys == 0 {
+		c.Standbys = 1
+	}
+	if c.Scale <= 0 {
+		c.Scale = 2000
+	}
+	return c
 }
 
 // HotspotRow is one balancer's outcome under the identical skewed stream.
 type HotspotRow struct {
-	Balancer  string
-	Offered   int64
-	Completed int64
-	Failed    int64
-	P50       time.Duration
-	P99       time.Duration
-	Max       time.Duration
-	// SimDuration is the virtual-time makespan; Wall the real time.
-	SimDuration time.Duration
-	Wall        time.Duration
+	Balancer string
+	CampaignRow
 }
 
 // FailoverRow is one failover mode's outcome for the same pilot kill.
@@ -122,47 +137,12 @@ type HotspotResult struct {
 	Cfg      HotspotConfig
 	Rows     []HotspotRow
 	Failover []FailoverRow
-	// Results holds the full campaign results per balancer point.
-	Results []*loadgen.Result
 }
 
 // RunHotspot executes the ablation: one open-loop campaign per picker on
 // the identical seeded schedule, then the warm-vs-cold failover contrast.
 func RunHotspot(ctx context.Context, cfg HotspotConfig) (*HotspotResult, error) {
-	def := DefaultHotspotConfig()
-	if cfg.Requests <= 0 {
-		cfg.Requests = def.Requests
-	}
-	if cfg.Rate <= 0 {
-		cfg.Rate = def.Rate
-	}
-	if cfg.Model == "" {
-		cfg.Model = def.Model
-	}
-	if cfg.MaxTokens <= 0 {
-		cfg.MaxTokens = def.MaxTokens
-	}
-	if cfg.Services <= 0 {
-		cfg.Services = def.Services
-	}
-	if cfg.HotspotWeight <= 0 {
-		cfg.HotspotWeight = def.HotspotWeight
-	}
-	if len(cfg.Balancers) == 0 {
-		cfg.Balancers = def.Balancers
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = def.Seed
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = def.Interval
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = def.Scale
-	}
-	if cfg.Standbys == 0 {
-		cfg.Standbys = def.Standbys
-	}
+	cfg = cfg.withDefaults()
 	res := &HotspotResult{Cfg: cfg}
 	for _, bal := range cfg.Balancers {
 		r, err := loadgen.Run(ctx, loadgen.Scenario{
@@ -181,18 +161,7 @@ func RunHotspot(ctx context.Context, cfg HotspotConfig) (*HotspotResult, error) 
 		if err != nil {
 			return res, fmt.Errorf("experiments: hotspot %s: %w", bal, err)
 		}
-		res.Results = append(res.Results, r)
-		res.Rows = append(res.Rows, HotspotRow{
-			Balancer:    bal,
-			Offered:     r.Offered,
-			Completed:   r.Completed,
-			Failed:      r.Failed,
-			P50:         r.Latency.Quantile(0.50),
-			P99:         r.Latency.Quantile(0.99),
-			Max:         r.Latency.Max(),
-			SimDuration: r.Duration,
-			Wall:        r.Wall,
-		})
+		res.Rows = append(res.Rows, HotspotRow{Balancer: bal, CampaignRow: campaignRow(r)})
 	}
 	if cfg.Standbys > 0 {
 		for _, mode := range []string{FailoverWarm, FailoverCold} {
@@ -213,75 +182,37 @@ func RunHotspot(ctx context.Context, cfg HotspotConfig) (*HotspotResult, error) 
 // IS the bootstrap time the standby pre-paid.
 func runHotspotFailover(ctx context.Context, cfg HotspotConfig, mode string) (FailoverRow, error) {
 	row := FailoverRow{Mode: mode}
-	sess, err := core.NewSession(core.SessionConfig{
-		Seed:  cfg.Seed,
-		Clock: simtime.NewScaled(cfg.Scale, core.DefaultOrigin),
-	})
+	half := spec.PilotDescription{Platform: "delta", Nodes: 2}
+	tb, err := newTestbed(core.SessionConfig{Seed: cfg.Seed}, cfg.Scale, half, half)
 	if err != nil {
 		return row, err
 	}
-	defer sess.Close()
-	sm := sess.ServiceManager()
-	p1, err := sess.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Nodes: 2})
-	if err != nil {
-		return row, err
-	}
-	p2, err := sess.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Nodes: 2})
-	if err != nil {
-		return row, err
-	}
-	sm.AddPilot(p1)
-	sm.AddPilot(p2)
+	defer tb.Close()
 
-	d := spec.ServiceDescription{
-		TaskDescription: spec.TaskDescription{Name: "hot", Cores: 1},
-		Model:           "noop",
-		ProbeInterval:   time.Hour,
-		StartTimeout:    time.Hour,
-	}
+	d := hostedService("hot", "noop")
 	if mode == FailoverWarm {
 		d.WarmStandbys = cfg.Standbys
 	}
-	h, err := sm.Submit(d)
+	h, err := tb.ServiceManager().Submit(d)
 	if err != nil {
 		return row, err
 	}
-	if err := sm.WaitReady(ctx, h.UID()); err != nil {
+	if err := h.WaitReady(ctx); err != nil {
 		return row, err
 	}
-	if mode == FailoverWarm {
-		// the spare must be bootstrapped and held before the kill: that
-		// pre-payment is what the mode is about
-		deadline := time.Now().Add(60 * time.Second)
-		for h.Standbys() < cfg.Standbys {
-			if time.Now().After(deadline) {
-				return row, fmt.Errorf("standby pool never filled")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	var victim = p1
-	if h.Pilot() == p2.UID() {
-		victim = p2
-	}
-	reg := sess.EndpointRegistry()
-	genBefore := reg.Generation(h.UID())
-	t0 := sess.Clock().Now()
-	if err := victim.Shutdown(); err != nil {
-		return row, err
-	}
-	waitCtx, cancel := context.WithTimeout(ctx, 120*time.Second)
+	// the spare must be bootstrapped and held before the kill: that
+	// pre-payment is what the warm mode is about
+	fillCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
 	defer cancel()
-	_, genAfter, err := reg.AwaitNewer(waitCtx, h.UID(), genBefore)
+	err = pollUntil(fillCtx, fmt.Sprintf("%d held warm standbys", d.WarmStandbys), time.Millisecond,
+		func() bool { return h.Standbys() >= d.WarmStandbys })
 	if err != nil {
-		return row, fmt.Errorf("failover re-publication never landed: %w", err)
+		return row, err
 	}
-	row.Latency = sess.Clock().Now().Sub(t0)
-	row.Generations = genAfter - genBefore
-	row.Promotions = h.Promotions()
-	row.Replacements = h.Replacements()
-	return row, nil
+	f, err := tb.killHost(ctx, h)
+	row.Latency, row.Generations = f.Latency, f.Generations
+	row.Promotions, row.Replacements = f.Promotions, f.Replacements
+	return row, err
 }
 
 // Table renders the balancer matrix.
@@ -293,15 +224,8 @@ func (r *HotspotResult) Table() metrics.Table {
 		Header: []string{"balancer", "offered", "completed", "failed", "p50", "p99", "max", "sim time", "wall"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(row.Balancer,
-			fmt.Sprintf("%d", row.Offered),
-			fmt.Sprintf("%d", row.Completed),
-			fmt.Sprintf("%d", row.Failed),
-			fmtDur(row.P50),
-			fmtDur(row.P99),
-			fmtDur(row.Max),
-			fmtDur(row.SimDuration),
-			fmtDur(row.Wall))
+		t.AddRow(slices.Concat([]string{row.Balancer}, row.counts(),
+			fmtDurs(row.P50, row.P99, row.Max, row.SimDuration, row.Wall))...)
 	}
 	return t
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,25 +26,46 @@ type LoadConfig struct {
 	ScenarioFilter string
 }
 
-// DefaultLoadConfig returns the catalog at its standard campaign sizes.
-func DefaultLoadConfig() LoadConfig { return LoadConfig{} }
-
-// LoadRow is one scenario's campaign outcome in the load matrix.
-type LoadRow struct {
-	Scenario  string
+// CampaignRow is the part of a loadgen.Result every campaign table (load,
+// scale, hotspot) prints.
+type CampaignRow struct {
 	Offered   int64
 	Completed int64
 	Failed    int64
-	TasksDone int64
-	// Replacements counts failover re-placements (nonzero only for churn).
-	Replacements int
-	P50          time.Duration
-	P99          time.Duration
-	Max          time.Duration
+	P50       time.Duration
+	P99       time.Duration
+	Max       time.Duration
 	// SimDuration is the virtual-time makespan; Wall is the real time the
 	// campaign took — their ratio is the harness's time compression.
 	SimDuration time.Duration
 	Wall        time.Duration
+}
+
+func campaignRow(r *loadgen.Result) CampaignRow {
+	return CampaignRow{
+		Offered:     r.Offered,
+		Completed:   r.Completed,
+		Failed:      r.Failed,
+		P50:         r.Latency.Quantile(0.50),
+		P99:         r.Latency.Quantile(0.99),
+		Max:         r.Latency.Max(),
+		SimDuration: r.Duration,
+		Wall:        r.Wall,
+	}
+}
+
+// counts renders the offered/completed/failed cells.
+func (c CampaignRow) counts() []string {
+	return []string{fmt.Sprint(c.Offered), fmt.Sprint(c.Completed), fmt.Sprint(c.Failed)}
+}
+
+// LoadRow is one scenario's campaign outcome in the load matrix.
+type LoadRow struct {
+	Scenario string
+	CampaignRow
+	TasksDone int64
+	// Replacements counts failover re-placements (nonzero only for churn).
+	Replacements int
 	// SketchBytes is the fixed memory the latency sketch used, independent
 	// of the request count.
 	SketchBytes int
@@ -53,9 +75,6 @@ type LoadRow struct {
 type LoadResult struct {
 	Cfg  LoadConfig
 	Rows []LoadRow
-	// Results holds the full per-scenario campaign results (time series,
-	// sketches) for callers that want more than the matrix rows.
-	Results []*loadgen.Result
 }
 
 // RunLoad executes the scenario matrix: each scenario is one open-loop
@@ -68,8 +87,8 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	if cfg.ScenarioFilter != "" {
 		var keep []loadgen.Scenario
 		for _, sc := range scenarios {
-			for _, pat := range strings.Split(cfg.ScenarioFilter, ",") {
-				if pat = strings.TrimSpace(pat); pat != "" && strings.Contains(sc.Name, pat) {
+			for _, pat := range splitList(cfg.ScenarioFilter) {
+				if strings.Contains(sc.Name, pat) {
 					keep = append(keep, sc)
 					break
 				}
@@ -94,19 +113,11 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("experiments: load scenario %s: %w", sc.Name, err)
 		}
-		res.Results = append(res.Results, r)
 		res.Rows = append(res.Rows, LoadRow{
 			Scenario:     sc.Name,
-			Offered:      r.Offered,
-			Completed:    r.Completed,
-			Failed:       r.Failed,
+			CampaignRow:  campaignRow(r),
 			TasksDone:    r.TasksDone,
 			Replacements: r.Replacements,
-			P50:          r.Latency.Quantile(0.50),
-			P99:          r.Latency.Quantile(0.99),
-			Max:          r.Latency.Max(),
-			SimDuration:  r.Duration,
-			Wall:         r.Wall,
 			SketchBytes:  r.SketchBytes,
 		})
 	}
@@ -121,18 +132,10 @@ func (r *LoadResult) Table() metrics.Table {
 			"repl", "p50", "p99", "max", "sim time", "wall", "sketch"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(row.Scenario,
-			fmt.Sprintf("%d", row.Offered),
-			fmt.Sprintf("%d", row.Completed),
-			fmt.Sprintf("%d", row.Failed),
-			fmt.Sprintf("%d", row.TasksDone),
-			fmt.Sprintf("%d", row.Replacements),
-			fmtDur(row.P50),
-			fmtDur(row.P99),
-			fmtDur(row.Max),
-			fmtDur(row.SimDuration),
-			fmtDur(row.Wall),
-			fmt.Sprintf("%dB", row.SketchBytes))
+		t.AddRow(slices.Concat([]string{row.Scenario}, row.counts(),
+			[]string{fmt.Sprint(row.TasksDone), fmt.Sprint(row.Replacements)},
+			fmtDurs(row.P50, row.P99, row.Max, row.SimDuration, row.Wall),
+			[]string{fmt.Sprintf("%dB", row.SketchBytes)})...)
 	}
 	return t
 }
@@ -147,4 +150,12 @@ func fmtDur(d time.Duration) string {
 	default:
 		return d.Round(100 * time.Nanosecond).String()
 	}
+}
+
+func fmtDurs(ds ...time.Duration) []string {
+	out := make([]string, len(ds))
+	for i, d := range ds {
+		out[i] = fmtDur(d)
+	}
+	return out
 }

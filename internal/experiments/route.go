@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -22,7 +23,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/rng"
 	"repro/internal/router"
-	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
 )
@@ -32,8 +32,10 @@ type RouteConfig struct {
 	// Platform names a mixed-shape catalog platform (default "hetero");
 	// one pilot is acquired per node-shape partition.
 	Platform string
-	// Routers are the strategies compared (default: round-robin,
-	// least-loaded, capacity-fit).
+	// Routers are the strategies compared (default: round-robin and
+	// capacity-fit, whose outcomes depend on submission order and static
+	// shapes only; least-loaded routes on live wait-pool snapshots, so its
+	// row varies from run to run and has to be asked for).
 	Routers []string
 	// FatTasks is the number of whole-fat-node tasks (default: the fat
 	// partition size). These are the shape-constrained probes only the
@@ -53,14 +55,25 @@ type RouteConfig struct {
 // DefaultRouteConfig returns the figure-scale parameterization: one
 // whole-node task per fat node plus one thin task per thin node, on the
 // hetero campus split into a fat pilot and a thin pilot.
-func DefaultRouteConfig() RouteConfig {
-	return RouteConfig{
-		Platform: "hetero",
-		Routers:  []string{router.NameRoundRobin, router.NameLeastLoaded, router.NameCapacityFit},
-		TaskTime: 5 * time.Second,
-		Scale:    2000,
-		Seed:     6,
+func DefaultRouteConfig() RouteConfig { return RouteConfig{}.withDefaults() }
+
+func (c RouteConfig) withDefaults() RouteConfig {
+	if c.Platform == "" {
+		c.Platform = "hetero"
 	}
+	if len(c.Routers) == 0 {
+		c.Routers = []string{router.NameRoundRobin, router.NameCapacityFit}
+	}
+	if c.TaskTime <= 0 {
+		c.TaskTime = 5 * time.Second
+	}
+	if c.Scale <= 0 {
+		c.Scale = 2000
+	}
+	if c.Seed == 0 {
+		c.Seed = 6
+	}
+	return c
 }
 
 // RouteRow is one router's outcome on the mismatched pilots.
@@ -91,28 +104,11 @@ type RouteResult struct {
 // RunRoute executes the routing ablation: identical workloads on
 // identically mismatched pilots, once per router strategy.
 func RunRoute(ctx context.Context, cfg RouteConfig) (*RouteResult, error) {
-	if cfg.Platform == "" {
-		cfg.Platform = "hetero"
+	cfg = cfg.withDefaults()
+	shapes, thin, fat, err := shapesOf(cfg.Platform, true)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: route: %w", err)
 	}
-	if len(cfg.Routers) == 0 {
-		cfg.Routers = DefaultRouteConfig().Routers
-	}
-	if cfg.TaskTime <= 0 {
-		cfg.TaskTime = 5 * time.Second
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = 2000
-	}
-	plat := platform.DefaultTopology().Platform(cfg.Platform)
-	if plat == nil {
-		return nil, fmt.Errorf("experiments: route: unknown platform %q", cfg.Platform)
-	}
-	shapes := plat.Shapes()
-	if len(shapes) < 2 {
-		return nil, fmt.Errorf("experiments: route: platform %q is homogeneous (%s); mismatched pilots need a mixed platform",
-			cfg.Platform, platform.FormatShapes(shapes))
-	}
-	thin, fat := thinAndFat(shapes)
 	if cfg.FatTasks <= 0 {
 		cfg.FatTasks = fat.Count
 	}
@@ -120,13 +116,16 @@ func RunRoute(ctx context.Context, cfg RouteConfig) (*RouteResult, error) {
 		cfg.ThinTasks = thin.Count
 	}
 	res := &RouteResult{
-		Cfg:       cfg,
-		FatCores:  fat.Spec.Cores,
-		FatGPUs:   fat.Spec.GPUs,
-		ThinCores: thin.Spec.Cores,
+		Cfg:             cfg,
+		FatPilotShapes:  platform.FormatShapes([]platform.NodeGroup{fat}),
+		ThinPilotShapes: platform.FormatShapes([]platform.NodeGroup{thin}),
+		FatCores:        fat.Spec.Cores,
+		FatGPUs:         fat.Spec.GPUs,
+		ThinCores:       thin.Spec.Cores,
 	}
+	w := newRouteWorkload(cfg.FatTasks, cfg.ThinTasks, thin.Spec, fat.Spec, cfg.TaskTime)
 	for _, rt := range cfg.Routers {
-		row, err := runRoutePoint(ctx, cfg, rt, res)
+		row, err := runRoutePoint(ctx, cfg, rt, shapes, w)
 		if err != nil {
 			return res, fmt.Errorf("experiments: route %s on %s: %w", rt, cfg.Platform, err)
 		}
@@ -135,107 +134,97 @@ func RunRoute(ctx context.Context, cfg RouteConfig) (*RouteResult, error) {
 	return res, nil
 }
 
+// routeWorkload is the task list both the in-process and the OS-process
+// route points submit: the first fat descriptions are whole-fat-node tasks
+// (the shape-constrained probes only the fat pilot can ever run), the rest
+// thin tasks any pilot can run.
+type routeWorkload struct {
+	descs []spec.TaskDescription
+	fat   int
+}
+
+func newRouteWorkload(fatTasks, thinTasks int, thin, fat platform.NodeSpec, taskTime time.Duration) routeWorkload {
+	dur := rng.ConstDuration(taskTime)
+	return routeWorkload{fat: fatTasks, descs: append(
+		taskBatch(fatTasks, "fat", fat.Cores, fat.GPUs, dur),
+		taskBatch(thinTasks, "thin", thin.Cores, 0, dur)...)}
+}
+
+// run submits the workload in order through submit — a task the router
+// refuses (router.ErrUnroutable) counts as rejected, any other error stops
+// the run — then asks settle for the final state of every accepted task, in
+// submission order, and tallies them per class. Failures included: a
+// misrouted fat task fails fast as unsatisfiable on the thin pilot.
+func (w routeWorkload) run(rt string, submit func(spec.TaskDescription) error, settle func() ([]states.State, error)) (RouteRow, error) {
+	row := RouteRow{Router: rt}
+	var fat []bool // class of each accepted task
+	for i, d := range w.descs {
+		err := submit(d)
+		var unroutable router.ErrUnroutable
+		if errors.As(err, &unroutable) {
+			row.Rejected++
+			continue
+		}
+		if err != nil {
+			return row, err
+		}
+		fat = append(fat, i < w.fat)
+	}
+	final, err := settle()
+	if err != nil {
+		return row, err
+	}
+	for i, st := range final {
+		switch done := st == states.TaskDone; {
+		case fat[i] && done:
+			row.FatDone++
+		case fat[i]:
+			row.FatFailed++
+		case done:
+			row.ThinDone++
+		default:
+			row.ThinFailed++
+		}
+	}
+	return row, nil
+}
+
 // runRoutePoint runs the workload under one router: a session holding
 // one pilot per node-shape partition of the platform, fat tasks
 // interleaving with the router's rotation, all task outcomes counted.
-func runRoutePoint(ctx context.Context, cfg RouteConfig, rt string, res *RouteResult) (RouteRow, error) {
-	sess, err := core.NewSession(core.SessionConfig{
-		Seed:     cfg.Seed,
-		Clock:    simtime.NewScaled(cfg.Scale, core.DefaultOrigin),
-		FastBoot: true,
-		Router:   rt,
-	})
+func runRoutePoint(ctx context.Context, cfg RouteConfig, rt string, shapes []platform.NodeGroup, w routeWorkload) (RouteRow, error) {
+	tb, err := newTestbed(core.SessionConfig{Seed: cfg.Seed, FastBoot: true, Router: rt},
+		cfg.Scale, pilotPerShape(cfg.Platform, shapes)...)
 	if err != nil {
 		return RouteRow{}, err
 	}
-	defer sess.Close()
-
-	// One pilot per consecutive shape partition: platform node order is
-	// partition order, so Nodes-count acquisition carves them exactly.
-	plat := sess.Topology().Platform(cfg.Platform)
-	tm := sess.TaskManager()
-	for _, g := range plat.Shapes() {
-		p, err := sess.PilotManager().Submit(spec.PilotDescription{
-			Platform: cfg.Platform, Nodes: g.Count,
-		})
-		if err != nil {
-			return RouteRow{}, err
-		}
-		pilotShapes := platform.FormatShapes(p.Shapes())
-		if g.Spec.GPUs > 0 && res.FatPilotShapes == "" {
-			res.FatPilotShapes = pilotShapes
-		} else if res.ThinPilotShapes == "" {
-			res.ThinPilotShapes = pilotShapes
-		}
-		tm.AddPilot(p)
-	}
-
-	row := RouteRow{Router: rt}
-	dur := rng.ConstDuration(cfg.TaskTime)
-	var fatTasks, thinTasks []*core.Task
-	submit := func(d spec.TaskDescription) (*core.Task, error) {
-		ts, err := tm.Submit(ctx, d)
-		if err != nil {
-			var unroutable router.ErrUnroutable
-			if errors.As(err, &unroutable) {
-				row.Rejected++
-				return nil, nil
+	defer tb.Close()
+	tm := tb.TaskManager()
+	var tasks []*core.Task
+	row, err := w.run(rt,
+		func(d spec.TaskDescription) error {
+			ts, err := tm.Submit(ctx, d)
+			tasks = append(tasks, ts...)
+			return err
+		},
+		func() ([]states.State, error) {
+			waitCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
+			defer cancel()
+			_ = tm.Wait(waitCtx, tasks...) // task failures are outcomes here, not errors
+			if err := waitCtx.Err(); err != nil {
+				return nil, fmt.Errorf("tasks did not settle: %w", err)
 			}
-			return nil, err
-		}
-		return ts[0], nil
-	}
-	for i := 0; i < cfg.FatTasks; i++ {
-		t, err := submit(spec.TaskDescription{
-			Name:  fmt.Sprintf("fat-%04d", i),
-			Cores: res.FatCores, GPUs: res.FatGPUs, Duration: dur,
-		})
-		if err != nil {
-			return row, err
-		}
-		if t != nil {
-			fatTasks = append(fatTasks, t)
-		}
-	}
-	for i := 0; i < cfg.ThinTasks; i++ {
-		t, err := submit(spec.TaskDescription{
-			Name:  fmt.Sprintf("thin-%04d", i),
-			Cores: res.ThinCores, Duration: dur,
-		})
-		if err != nil {
-			return row, err
-		}
-		if t != nil {
-			thinTasks = append(thinTasks, t)
-		}
-	}
-
-	// Wait for every accepted task to settle (failures included — a
-	// misrouted fat task fails fast as unsatisfiable on the thin pilot).
-	waitCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	defer cancel()
-	_ = tm.Wait(waitCtx, append(append([]*core.Task{}, fatTasks...), thinTasks...)...)
-	if err := waitCtx.Err(); err != nil {
-		return row, fmt.Errorf("tasks did not settle: %w", err)
-	}
-	count := func(tasks []*core.Task) (done, failed int, reroutes int) {
-		for _, t := range tasks {
-			switch t.State() {
-			case states.TaskDone:
-				done++
-			default:
-				failed++
+			final := make([]states.State, len(tasks))
+			for i, t := range tasks {
+				final[i] = t.State()
 			}
-			reroutes += t.Reroutes()
-		}
-		return done, failed, reroutes
+			return final, nil
+		})
+	// Reroutes counts session-level re-binds (pilot churn; 0 here).
+	for _, t := range tasks {
+		row.Reroutes += t.Reroutes()
 	}
-	var rr int
-	row.FatDone, row.FatFailed, rr = count(fatTasks)
-	row.Reroutes += rr
-	row.ThinDone, row.ThinFailed, rr = count(thinTasks)
-	row.Reroutes += rr
-	return row, nil
+	return row, err
 }
 
 // Table renders the routing ablation.
@@ -248,13 +237,19 @@ func (r *RouteResult) Table() metrics.Table {
 		Header: []string{"router", "fat done", "fat failed", "thin done", "thin failed", "rejected", "reroutes"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(row.Router,
-			fmt.Sprintf("%d/%d", row.FatDone, r.Cfg.FatTasks),
-			fmt.Sprintf("%d", row.FatFailed),
-			fmt.Sprintf("%d/%d", row.ThinDone, r.Cfg.ThinTasks),
-			fmt.Sprintf("%d", row.ThinFailed),
-			fmt.Sprintf("%d", row.Rejected),
-			fmt.Sprintf("%d", row.Reroutes))
+		t.AddRow(slices.Concat([]string{row.Router}, row.cells(r.Cfg.FatTasks, r.Cfg.ThinTasks), []string{fmt.Sprint(row.Reroutes)})...)
 	}
 	return t
+}
+
+// cells renders the outcome columns the in-process and the cross-process
+// route tables share: fat done, fat failed, thin done, thin failed, rejected.
+func (row RouteRow) cells(fatTasks, thinTasks int) []string {
+	return []string{
+		fmt.Sprintf("%d/%d", row.FatDone, fatTasks),
+		fmt.Sprint(row.FatFailed),
+		fmt.Sprintf("%d/%d", row.ThinDone, thinTasks),
+		fmt.Sprint(row.ThinFailed),
+		fmt.Sprint(row.Rejected),
+	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/loadgen"
@@ -25,7 +26,7 @@ type ScaleConfig struct {
 }
 
 // DefaultScaleConfig returns the ablation at its standard campaign sizes.
-func DefaultScaleConfig() ScaleConfig { return ScaleConfig{} }
+func DefaultScaleConfig() ScaleConfig { return ScaleConfig{}.withDefaults() }
 
 func (c ScaleConfig) withDefaults() ScaleConfig {
 	if c.Requests <= 0 {
@@ -42,30 +43,21 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 
 // ScaleRow is one campaign's outcome in the scaling ablation.
 type ScaleRow struct {
-	Config    string
-	Rate      float64
-	Offered   int64
-	Completed int64
-	Failed    int64
+	Config string
+	Rate   float64
+	CampaignRow
 	// Throughput is completed requests per second of virtual time — at
 	// saturating offered rates this is the serving mode's capacity.
 	Throughput float64
-	P50        time.Duration
-	P99        time.Duration
 	// PeakReplicas is the autoscaler's high-water replica count (1 for
 	// every fixed-replica configuration).
 	PeakReplicas int
-	SimDuration  time.Duration
-	Wall         time.Duration
 }
 
 // ScaleResult is the scaling-ablation dataset.
 type ScaleResult struct {
 	Cfg  ScaleConfig
 	Rows []ScaleRow
-	// Results holds the full per-campaign results for callers that want
-	// more than the rows.
-	Results []*loadgen.Result
 }
 
 // scaleQueueCap comfortably exceeds the worst-case backlog of any
@@ -90,53 +82,37 @@ func RunScale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 	res := &ScaleResult{Cfg: cfg}
 
 	modes := []struct {
-		name     string
-		conc     int
-		maxBatch int
+		name           string
+		conc, maxBatch int
 	}{
 		{"single", 1, 1},
 		{"concurrent", 4, 1},
 		{"batched", 4, 8},
 	}
 	rates := []float64{250, 1000, 8000}
+	// what every campaign shares: one vit-base backend, never rejecting
+	base := loadgen.Scenario{
+		Services: 1, QueueCap: scaleQueueCap, Seed: cfg.Seed, Model: "vit-base", MaxTokens: 8,
+	}
 	var scenarios []loadgen.Scenario
 	for _, rate := range rates {
 		for _, m := range modes {
-			scenarios = append(scenarios, loadgen.Scenario{
-				Name:        fmt.Sprintf("%s@%g", m.name, rate),
-				Kind:        loadgen.KindSteady,
-				Requests:    cfg.Requests,
-				Rate:        rate,
-				Services:    1,
-				Concurrency: m.conc,
-				MaxBatch:    m.maxBatch,
-				QueueCap:    scaleQueueCap,
-				Seed:        cfg.Seed,
-				Model:       "vit-base",
-				MaxTokens:   8,
-			})
+			sc := base
+			sc.Name, sc.Kind = fmt.Sprintf("%s@%g", m.name, rate), loadgen.KindSteady
+			sc.Requests, sc.Rate = cfg.Requests, rate
+			sc.Concurrency, sc.MaxBatch = m.conc, m.maxBatch
+			scenarios = append(scenarios, sc)
 		}
 	}
-	diurnal := loadgen.Scenario{
-		Name:        "diurnal-fixed",
-		Kind:        loadgen.KindDiurnal,
-		Requests:    cfg.DiurnalRequests,
-		Rate:        400,
-		WaveAmp:     0.8,
-		WavePeriod:  120 * time.Second,
-		Services:    1,
-		Concurrency: 1,
-		QueueCap:    scaleQueueCap,
-		Seed:        cfg.Seed,
-		Model:       "vit-base",
-		MaxTokens:   8,
-	}
-	scenarios = append(scenarios, diurnal)
+	diurnal := base
+	diurnal.Name, diurnal.Kind = "diurnal-fixed", loadgen.KindDiurnal
+	diurnal.Requests, diurnal.Rate = cfg.DiurnalRequests, 400
+	diurnal.WaveAmp, diurnal.WavePeriod = 0.8, 120*time.Second
+	diurnal.Concurrency = 1
 	autoscaled := diurnal
 	autoscaled.Name = "diurnal-autoscaled"
-	autoscaled.MinReplicas = 1
-	autoscaled.MaxReplicas = 4
-	scenarios = append(scenarios, autoscaled)
+	autoscaled.MinReplicas, autoscaled.MaxReplicas = 1, 4
+	scenarios = append(scenarios, diurnal, autoscaled)
 
 	for _, sc := range scenarios {
 		r, err := loadgen.Run(ctx, sc)
@@ -147,19 +123,12 @@ func RunScale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 		if r.Duration > 0 {
 			throughput = float64(r.Completed) / r.Duration.Seconds()
 		}
-		res.Results = append(res.Results, r)
 		res.Rows = append(res.Rows, ScaleRow{
 			Config:       sc.Name,
 			Rate:         sc.Rate,
-			Offered:      r.Offered,
-			Completed:    r.Completed,
-			Failed:       r.Failed,
+			CampaignRow:  campaignRow(r),
 			Throughput:   throughput,
-			P50:          r.Latency.Quantile(0.50),
-			P99:          r.Latency.Quantile(0.99),
 			PeakReplicas: r.PeakReplicas,
-			SimDuration:  r.Duration,
-			Wall:         r.Wall,
 		})
 	}
 	return res, nil
@@ -173,17 +142,9 @@ func (r *ScaleResult) Table() metrics.Table {
 			"throughput", "p50", "p99", "peak reps", "sim time", "wall"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(row.Config,
-			fmt.Sprintf("%g/s", row.Rate),
-			fmt.Sprintf("%d", row.Offered),
-			fmt.Sprintf("%d", row.Completed),
-			fmt.Sprintf("%d", row.Failed),
-			fmt.Sprintf("%.0f/s", row.Throughput),
-			fmtDur(row.P50),
-			fmtDur(row.P99),
-			fmt.Sprintf("%d", row.PeakReplicas),
-			fmtDur(row.SimDuration),
-			fmtDur(row.Wall))
+		t.AddRow(slices.Concat([]string{row.Config, fmt.Sprintf("%g/s", row.Rate)}, row.counts(),
+			[]string{fmt.Sprintf("%.0f/s", row.Throughput)}, fmtDurs(row.P50, row.P99),
+			[]string{fmt.Sprint(row.PeakReplicas)}, fmtDurs(row.SimDuration, row.Wall))...)
 	}
 	return t
 }

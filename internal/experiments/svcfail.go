@@ -17,15 +17,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/pilot"
 	"repro/internal/platform"
 	"repro/internal/service"
-	"repro/internal/simtime"
-	"repro/internal/spec"
 )
 
 // SvcFailClientCaching and SvcFailClientResolving name the two client
@@ -54,14 +51,28 @@ type SvcFailConfig struct {
 }
 
 // DefaultSvcFailConfig returns the figure-scale parameterization.
-func DefaultSvcFailConfig() SvcFailConfig {
-	return SvcFailConfig{
-		Platform: "hetero",
-		Requests: 32,
-		Clients:  []string{SvcFailClientCaching, SvcFailClientResolving},
-		Scale:    2000,
-		Seed:     9,
+func DefaultSvcFailConfig() SvcFailConfig { return SvcFailConfig{}.withDefaults() }
+
+func (c SvcFailConfig) withDefaults() SvcFailConfig {
+	if c.Platform == "" {
+		c.Platform = "hetero"
 	}
+	if c.Requests <= 0 {
+		c.Requests = 32
+	}
+	if c.KillAfter <= 0 || c.KillAfter >= c.Requests {
+		c.KillAfter = c.Requests / 2
+	}
+	if len(c.Clients) == 0 {
+		c.Clients = []string{SvcFailClientCaching, SvcFailClientResolving}
+	}
+	if c.Scale <= 0 {
+		c.Scale = 2000
+	}
+	if c.Seed == 0 {
+		c.Seed = 9
+	}
+	return c
 }
 
 // SvcFailRow is one client style's outcome across the failover.
@@ -97,24 +108,14 @@ type SvcFailResult struct {
 // RunSvcFail executes the failover ablation: the identical
 // kill-the-hosting-pilot scenario once per client style.
 func RunSvcFail(ctx context.Context, cfg SvcFailConfig) (*SvcFailResult, error) {
-	if cfg.Platform == "" {
-		cfg.Platform = "hetero"
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 32
-	}
-	if cfg.KillAfter <= 0 || cfg.KillAfter >= cfg.Requests {
-		cfg.KillAfter = cfg.Requests / 2
-	}
-	if len(cfg.Clients) == 0 {
-		cfg.Clients = []string{SvcFailClientCaching, SvcFailClientResolving}
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = 2000
+	cfg = cfg.withDefaults()
+	shapes, _, _, err := shapesOf(cfg.Platform, true)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: svcfail needs a surviving pilot: %w", err)
 	}
 	res := &SvcFailResult{Cfg: cfg}
 	for _, client := range cfg.Clients {
-		row, err := runSvcFailPoint(ctx, cfg, client)
+		row, err := runSvcFailPoint(ctx, cfg, client, shapes)
 		if err != nil {
 			return res, fmt.Errorf("experiments: svcfail %s on %s: %w", client, cfg.Platform, err)
 		}
@@ -123,107 +124,50 @@ func RunSvcFail(ctx context.Context, cfg SvcFailConfig) (*SvcFailResult, error) 
 	return res, nil
 }
 
-// runSvcFailPoint runs the scenario under one client style: two pilots
-// (one per shape partition), one routed noop service, a sequential
-// request stream interrupted by killing the hosting pilot, then resumed
-// once the failover re-publication lands — so both styles race against a
-// service that is provably live again, and the contrast isolates the
-// client's endpoint-resolution strategy.
-func runSvcFailPoint(ctx context.Context, cfg SvcFailConfig, client string) (SvcFailRow, error) {
-	sess, err := core.NewSession(core.SessionConfig{
-		Seed:     cfg.Seed,
-		Clock:    simtime.NewScaled(cfg.Scale, core.DefaultOrigin),
-		FastBoot: true,
-	})
-	if err != nil {
-		return SvcFailRow{}, err
-	}
-	defer sess.Close()
+// resolvingCaller is a client that follows a service UID across endpoint
+// re-publications and counts its stale-generation redials: a
+// service.Balancer inside a session, a service.Resolver over a bare
+// registry.
+type resolvingCaller interface {
+	service.Caller
+	Reresolved() int
+}
 
-	plat := sess.Topology().Platform(cfg.Platform)
-	if plat == nil {
-		return SvcFailRow{}, fmt.Errorf("unknown platform %q", cfg.Platform)
-	}
-	sm := sess.ServiceManager()
-	var pilots []*pilot.Pilot
-	for _, g := range plat.Shapes() {
-		p, err := sess.PilotManager().Submit(spec.PilotDescription{
-			Platform: cfg.Platform, Nodes: g.Count,
-		})
-		if err != nil {
-			return SvcFailRow{}, err
-		}
-		pilots = append(pilots, p)
-		sm.AddPilot(p)
-	}
-	if len(pilots) < 2 {
-		return SvcFailRow{}, fmt.Errorf("platform %q yields %d pilots; the failover needs a survivor", cfg.Platform, len(pilots))
-	}
-
-	h, err := sm.Submit(spec.ServiceDescription{
-		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1},
-		Model:           "noop",
-		ProbeInterval:   time.Hour,
-		StartTimeout:    time.Hour,
-	})
-	if err != nil {
-		return SvcFailRow{}, err
-	}
-	if err := sm.WaitReady(ctx, h.UID()); err != nil {
-		return SvcFailRow{}, err
-	}
-	row := SvcFailRow{Client: client, HostBefore: h.Pilot()}
-
-	clientAddr := platform.Addr(cfg.Platform, "", "svcfail-client")
+// run drives the scenario both the in-process and the OS-process failover
+// points share, under the row's client style: dial (the caching client
+// dials the published endpoint once and keeps it — the seed behaviour — the
+// resolving one follows the registry), KillAfter sequential requests that
+// must all succeed, the failover, then the rest of the budget, each request
+// counted as recovered or failed. failover returns once the service is
+// provably live again, so both styles race a live service and the contrast
+// isolates the client's endpoint-resolution strategy.
+func (row *SvcFailRow) run(ctx context.Context, cfg SvcFailConfig,
+	dialCaching func() (service.Caller, error), dialResolving func() (resolvingCaller, error), failover func() error) error {
 	var caller service.Caller
-	var resolver *service.Balancer
-	switch client {
+	var resolver resolvingCaller
+	var err error
+	switch row.Client {
 	case SvcFailClientCaching:
-		// the seed client: dial the published endpoint once and keep it
-		caller, err = sess.Dial(clientAddr, h.Endpoint())
+		caller, err = dialCaching()
 	case SvcFailClientResolving:
-		resolver, err = sess.DialService(clientAddr, h.UID(), nil)
+		resolver, err = dialResolving()
 		caller = resolver
 	default:
-		return row, fmt.Errorf("unknown client style %q", client)
+		return fmt.Errorf("unknown client style %q", row.Client)
 	}
 	if err != nil {
-		return row, err
+		return err
 	}
 	defer caller.Close()
-
 	for i := 0; i < cfg.KillAfter; i++ {
 		if _, _, err := caller.Infer(ctx, fmt.Sprintf("pre-%d", i), 0); err != nil {
-			return row, fmt.Errorf("pre-kill request %d: %w", i, err)
+			return fmt.Errorf("pre-kill request %d: %w", i, err)
 		}
 		row.PreKill++
 	}
-
-	// Kill the hosting pilot mid-stream and wait for the session to
-	// re-place the service and re-publish its endpoint.
-	var host *pilot.Pilot
-	for _, p := range pilots {
-		if p.UID() == row.HostBefore {
-			host = p
-		}
+	if err := failover(); err != nil {
+		return err
 	}
-	if host == nil {
-		return row, fmt.Errorf("hosting pilot %s not found", row.HostBefore)
-	}
-	genBefore := sess.EndpointRegistry().Generation(h.UID())
-	if err := host.Shutdown(); err != nil {
-		return row, err
-	}
-	waitCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	defer cancel()
-	if _, gen, err := sess.EndpointRegistry().AwaitNewer(waitCtx, h.UID(), genBefore); err != nil {
-		return row, fmt.Errorf("failover re-publication never landed: %w", err)
-	} else {
-		row.Generation = gen
-	}
-	row.HostAfter = h.Pilot()
-	row.Replacements = h.Replacements()
-
 	for i := 0; i < cfg.Requests-cfg.KillAfter; i++ {
 		if _, _, err := caller.Infer(ctx, fmt.Sprintf("post-%d", i), 0); err != nil {
 			row.Failed++
@@ -234,7 +178,38 @@ func runSvcFailPoint(ctx context.Context, cfg SvcFailConfig, client string) (Svc
 	if resolver != nil {
 		row.Reresolved = resolver.Reresolved()
 	}
-	return row, nil
+	return nil
+}
+
+// runSvcFailPoint runs the scenario under one client style: two pilots
+// (one per shape partition), one routed noop service, and the request
+// stream interrupted by killing the hosting pilot.
+func runSvcFailPoint(ctx context.Context, cfg SvcFailConfig, client string, shapes []platform.NodeGroup) (SvcFailRow, error) {
+	tb, err := newTestbed(core.SessionConfig{Seed: cfg.Seed, FastBoot: true},
+		cfg.Scale, pilotPerShape(cfg.Platform, shapes)...)
+	if err != nil {
+		return SvcFailRow{}, err
+	}
+	defer tb.Close()
+
+	h, err := tb.ServiceManager().Submit(hostedService("svc", "noop"))
+	if err != nil {
+		return SvcFailRow{}, err
+	}
+	if err := h.WaitReady(ctx); err != nil {
+		return SvcFailRow{}, err
+	}
+	row := SvcFailRow{Client: client, HostBefore: h.Pilot()}
+	clientAddr := platform.Addr(cfg.Platform, "", "svcfail-client")
+	err = row.run(ctx, cfg,
+		func() (service.Caller, error) { return tb.Dial(clientAddr, h.Endpoint()) },
+		func() (resolvingCaller, error) { return tb.DialService(clientAddr, h.UID(), nil) },
+		func() error {
+			f, err := tb.killHost(ctx, h)
+			row.Generation, row.HostAfter, row.Replacements = f.Generation, f.Host, f.Replacements
+			return err
+		})
+	return row, err
 }
 
 // Table renders the failover ablation.
@@ -247,13 +222,20 @@ func (r *SvcFailResult) Table() metrics.Table {
 		Header: []string{"client", "pre-kill ok", "recovered", "failed", "re-resolved", "replacements", "endpoint gen"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(row.Client,
-			fmt.Sprintf("%d/%d", row.PreKill, r.Cfg.KillAfter),
-			fmt.Sprintf("%d/%d", row.Recovered, post),
-			fmt.Sprintf("%d", row.Failed),
-			fmt.Sprintf("%d", row.Reresolved),
-			fmt.Sprintf("%d", row.Replacements),
-			fmt.Sprintf("%d", row.Generation))
+		t.AddRow(slices.Concat([]string{row.Client}, row.cells(r.Cfg.KillAfter, post),
+			[]string{fmt.Sprint(row.Replacements), fmt.Sprint(row.Generation)})...)
 	}
 	return t
+}
+
+// cells renders the request-stream columns the in-process and the
+// cross-process failover tables share: pre-kill ok, recovered, failed,
+// re-resolved.
+func (row SvcFailRow) cells(killAfter, post int) []string {
+	return []string{
+		fmt.Sprintf("%d/%d", row.PreKill, killAfter),
+		fmt.Sprintf("%d/%d", row.Recovered, post),
+		fmt.Sprint(row.Failed),
+		fmt.Sprint(row.Reresolved),
+	}
 }

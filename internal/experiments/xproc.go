@@ -20,8 +20,8 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -61,17 +61,40 @@ type XprocConfig struct {
 }
 
 // DefaultXprocConfig returns the figure-scale parameterization.
-func DefaultXprocConfig() XprocConfig {
-	return XprocConfig{
-		Platform:  "hetero",
-		Routers:   []string{router.NameRoundRobin, router.NameCapacityFit},
-		FatTasks:  8,
-		ThinTasks: 16,
-		TaskTime:  5 * time.Second,
-		Requests:  16,
-		KillAfter: 8,
-		Scale:     2000,
-		Seed:      11,
+func DefaultXprocConfig() XprocConfig { return XprocConfig{}.withDefaults() }
+
+func (c XprocConfig) withDefaults() XprocConfig {
+	if c.FatTasks <= 0 {
+		c.FatTasks = 8
+	}
+	if c.ThinTasks <= 0 {
+		c.ThinTasks = 16
+	}
+	if c.Requests <= 0 {
+		c.Requests = 16
+	}
+	if c.Seed == 0 {
+		c.Seed = 11
+	}
+	// everything else defaults as in the in-proc ablations this one replays
+	rt, svc := c.route().withDefaults(), c.svcFail().withDefaults()
+	c.Platform, c.Routers, c.TaskTime, c.Scale, c.KillAfter = rt.Platform, rt.Routers, rt.TaskTime, rt.Scale, svc.KillAfter
+	return c
+}
+
+// route and svcFail are the in-proc ablations on the identical workloads.
+func (c XprocConfig) route() RouteConfig {
+	return RouteConfig{
+		Platform: c.Platform, Routers: c.Routers,
+		FatTasks: c.FatTasks, ThinTasks: c.ThinTasks,
+		TaskTime: c.TaskTime, Scale: c.Scale, Seed: c.Seed,
+	}
+}
+
+func (c XprocConfig) svcFail() SvcFailConfig {
+	return SvcFailConfig{
+		Platform: c.Platform, Requests: c.Requests, KillAfter: c.KillAfter,
+		Scale: c.Scale, Seed: c.Seed,
 	}
 }
 
@@ -92,41 +115,11 @@ type XprocResult struct {
 // scenarios once with pilots as OS processes over TCP, once in-proc, on
 // identical workloads.
 func RunXproc(ctx context.Context, cfg XprocConfig) (*XprocResult, error) {
-	def := DefaultXprocConfig()
-	if cfg.Platform == "" {
-		cfg.Platform = def.Platform
+	cfg = cfg.withDefaults()
+	shapes, thin, fat, err := shapesOf(cfg.Platform, true)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: xproc: %w", err)
 	}
-	if len(cfg.Routers) == 0 {
-		cfg.Routers = def.Routers
-	}
-	if cfg.FatTasks <= 0 {
-		cfg.FatTasks = def.FatTasks
-	}
-	if cfg.ThinTasks <= 0 {
-		cfg.ThinTasks = def.ThinTasks
-	}
-	if cfg.TaskTime <= 0 {
-		cfg.TaskTime = def.TaskTime
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = def.Requests
-	}
-	if cfg.KillAfter <= 0 || cfg.KillAfter >= cfg.Requests {
-		cfg.KillAfter = cfg.Requests / 2
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = def.Scale
-	}
-	plat := platform.DefaultTopology().Platform(cfg.Platform)
-	if plat == nil {
-		return nil, fmt.Errorf("experiments: xproc: unknown platform %q", cfg.Platform)
-	}
-	shapes := plat.Shapes()
-	if len(shapes) < 2 {
-		return nil, fmt.Errorf("experiments: xproc: platform %q is homogeneous (%s); the ablation needs mismatched pilots",
-			cfg.Platform, platform.FormatShapes(shapes))
-	}
-	thin, fat := thinAndFat(shapes)
 	res := &XprocResult{
 		Cfg:       cfg,
 		FatCores:  fat.Spec.Cores,
@@ -135,35 +128,29 @@ func RunXproc(ctx context.Context, cfg XprocConfig) (*XprocResult, error) {
 	}
 
 	// In-proc baselines on the identical workloads.
-	inRoute, err := RunRoute(ctx, RouteConfig{
-		Platform: cfg.Platform, Routers: cfg.Routers,
-		FatTasks: cfg.FatTasks, ThinTasks: cfg.ThinTasks,
-		TaskTime: cfg.TaskTime, Scale: cfg.Scale, Seed: cfg.Seed,
-	})
+	inRoute, err := RunRoute(ctx, cfg.route())
 	if err != nil {
 		return res, fmt.Errorf("experiments: xproc in-proc route baseline: %w", err)
 	}
 	res.RouteInproc = inRoute.Rows
-	inSvc, err := RunSvcFail(ctx, SvcFailConfig{
-		Platform: cfg.Platform, Requests: cfg.Requests, KillAfter: cfg.KillAfter,
-		Scale: cfg.Scale, Seed: cfg.Seed,
-	})
+	inSvc, err := RunSvcFail(ctx, cfg.svcFail())
 	if err != nil {
 		return res, fmt.Errorf("experiments: xproc in-proc svcfail baseline: %w", err)
 	}
 	res.SvcFailInproc = inSvc.Rows
 
 	// Cross-process route scenario, one fresh agent pair per router.
+	w := newRouteWorkload(cfg.FatTasks, cfg.ThinTasks, thin.Spec, fat.Spec, cfg.TaskTime)
 	for _, rt := range cfg.Routers {
-		row, err := runXprocRoutePoint(ctx, cfg, rt)
+		row, err := runXprocRoutePoint(ctx, cfg, rt, shapes, w)
 		if err != nil {
 			return res, fmt.Errorf("experiments: xproc route %s: %w", rt, err)
 		}
 		res.Route = append(res.Route, row)
 	}
 	// Cross-process failover scenario, one fresh agent pair per style.
-	for _, client := range []string{SvcFailClientCaching, SvcFailClientResolving} {
-		row, err := runXprocSvcFailPoint(ctx, cfg, client)
+	for _, client := range inSvc.Cfg.Clients {
+		row, err := runXprocSvcFailPoint(ctx, inSvc.Cfg, client, shapes)
 		if err != nil {
 			return res, fmt.Errorf("experiments: xproc svcfail %s: %w", client, err)
 		}
@@ -174,9 +161,9 @@ func RunXproc(ctx context.Context, cfg XprocConfig) (*XprocResult, error) {
 
 // spawnAgents starts one pilot-agent process per node-shape partition of
 // the platform, carving consecutive partitions exactly as the in-proc
-// experiments' consecutive pilot submissions do.
-func spawnAgents(ctx context.Context, cfg XprocConfig) ([]*xproc.Proc, func(), error) {
-	plat := platform.DefaultTopology().Platform(cfg.Platform)
+// experiments' consecutive pilot submissions do. The returned function
+// shuts them all down.
+func spawnAgents(ctx context.Context, platformName string, shapes []platform.NodeGroup, seed uint64, scale float64) ([]*xproc.Proc, func(), error) {
 	var procs []*xproc.Proc
 	cleanup := func() {
 		for _, p := range procs {
@@ -186,14 +173,14 @@ func spawnAgents(ctx context.Context, cfg XprocConfig) ([]*xproc.Proc, func(), e
 		}
 	}
 	skip := 0
-	for i, g := range plat.Shapes() {
+	for i, g := range shapes {
 		p, err := xproc.Spawn(ctx, xproc.AgentConfig{
 			UID:       fmt.Sprintf("pilot.%04d", i),
-			Platform:  cfg.Platform,
+			Platform:  platformName,
 			SkipNodes: skip,
 			Nodes:     g.Count,
-			Seed:      cfg.Seed + uint64(i),
-			Scale:     cfg.Scale,
+			Seed:      seed + uint64(i),
+			Scale:     scale,
 		})
 		if err != nil {
 			cleanup()
@@ -207,8 +194,8 @@ func spawnAgents(ctx context.Context, cfg XprocConfig) ([]*xproc.Proc, func(), e
 
 // runXprocRoutePoint replays the route workload with the router running
 // driver-side over agent processes as targets.
-func runXprocRoutePoint(ctx context.Context, cfg XprocConfig, rt string) (RouteRow, error) {
-	procs, cleanup, err := spawnAgents(ctx, cfg)
+func runXprocRoutePoint(ctx context.Context, cfg XprocConfig, rt string, shapes []platform.NodeGroup, w routeWorkload) (RouteRow, error) {
+	procs, cleanup, err := spawnAgents(ctx, cfg.Platform, shapes, cfg.Seed, cfg.Scale)
 	if err != nil {
 		return RouteRow{}, err
 	}
@@ -222,187 +209,108 @@ func runXprocRoutePoint(ctx context.Context, cfg XprocConfig, rt string) (RouteR
 	for i, p := range procs {
 		targets[i] = p
 	}
-
-	row := RouteRow{Router: rt}
-	thin, fat := thinAndFat(platform.DefaultTopology().Platform(cfg.Platform).Shapes())
-	dur := rng.ConstDuration(cfg.TaskTime)
-	// Per-agent UID lists, fat and thin tracked separately so the final
-	// tallies split by class like the in-proc rows do.
-	fatUIDs := make([][]string, len(procs))
-	thinUIDs := make([][]string, len(procs))
-	submit := func(d spec.TaskDescription, uids [][]string) error {
-		idx, err := r.Route(targets, d)
-		if err != nil {
-			var un router.ErrUnroutable
-			if errors.As(err, &un) {
-				row.Rejected++
-				return nil
+	// Accepted tasks in submission order, and the same UIDs per agent for
+	// the one blocking wait RPC each agent gets.
+	var order []string
+	perAgent := make([][]string, len(procs))
+	return w.run(rt,
+		func(d spec.TaskDescription) error {
+			idx, err := r.Route(targets, d)
+			if err != nil {
+				return err
 			}
-			return err
-		}
-		uid, err := procs[idx].SubmitTask(ctx, d)
-		if err != nil {
-			return err
-		}
-		uids[idx] = append(uids[idx], uid)
-		return nil
-	}
-	for i := 0; i < cfg.FatTasks; i++ {
-		d := spec.TaskDescription{
-			Name:  fmt.Sprintf("fat-%04d", i),
-			Cores: fat.Spec.Cores, GPUs: fat.Spec.GPUs, Duration: dur,
-		}
-		if err := submit(d, fatUIDs); err != nil {
-			return row, err
-		}
-	}
-	for i := 0; i < cfg.ThinTasks; i++ {
-		d := spec.TaskDescription{
-			Name:  fmt.Sprintf("thin-%04d", i),
-			Cores: thin.Spec.Cores, Duration: dur,
-		}
-		if err := submit(d, thinUIDs); err != nil {
-			return row, err
-		}
-	}
-
-	// One blocking wait RPC per agent for its whole UID set.
-	waitCtx, cancel := context.WithTimeout(ctx, 120*time.Second)
-	defer cancel()
-	count := func(p *xproc.Proc, uids []string) (done, failed int, err error) {
-		if len(uids) == 0 {
-			return 0, 0, nil
-		}
-		st, err := p.WaitTasks(waitCtx, uids)
-		if err != nil {
-			return 0, 0, err
-		}
-		for _, s := range st {
-			if s.State == string(states.TaskDone) {
-				done++
-			} else {
-				failed++
+			uid, err := procs[idx].SubmitTask(ctx, d)
+			if err != nil {
+				return err
 			}
-		}
-		return done, failed, nil
-	}
-	for i, p := range procs {
-		d, f, err := count(p, fatUIDs[i])
-		if err != nil {
-			return row, err
-		}
-		row.FatDone += d
-		row.FatFailed += f
-		if d, f, err = count(p, thinUIDs[i]); err != nil {
-			return row, err
-		}
-		row.ThinDone += d
-		row.ThinFailed += f
-	}
-	return row, nil
+			order = append(order, uid)
+			perAgent[idx] = append(perAgent[idx], uid)
+			return nil
+		},
+		func() ([]states.State, error) {
+			waitCtx, cancel := context.WithTimeout(ctx, 120*time.Second)
+			defer cancel()
+			state := make(map[string]states.State, len(order))
+			for i, p := range procs {
+				if len(perAgent[i]) == 0 {
+					continue
+				}
+				sts, err := p.WaitTasks(waitCtx, perAgent[i])
+				if err != nil {
+					return nil, err
+				}
+				for _, st := range sts {
+					state[st.UID] = states.State(st.State)
+				}
+			}
+			final := make([]states.State, len(order))
+			for i, uid := range order {
+				final[i] = state[uid]
+			}
+			return final, nil
+		})
 }
 
 // runXprocSvcFailPoint replays the failover scenario with the service
 // hosted in an agent process that is SIGKILLed mid-stream — a harder kill
 // than the in-proc pilot shutdown — and the registry/re-placement loop
 // running driver-side.
-func runXprocSvcFailPoint(ctx context.Context, cfg XprocConfig, client string) (SvcFailRow, error) {
-	procs, cleanup, err := spawnAgents(ctx, cfg)
+func runXprocSvcFailPoint(ctx context.Context, cfg SvcFailConfig, client string, shapes []platform.NodeGroup) (SvcFailRow, error) {
+	procs, cleanup, err := spawnAgents(ctx, cfg.Platform, shapes, cfg.Seed, cfg.Scale)
 	if err != nil {
 		return SvcFailRow{}, err
 	}
 	defer cleanup()
-	if len(procs) < 2 {
-		return SvcFailRow{}, fmt.Errorf("platform %q yields %d agents; the failover needs a survivor", cfg.Platform, len(procs))
-	}
 
-	desc := spec.ServiceDescription{
-		TaskDescription: spec.TaskDescription{UID: "svc.0", Name: "svc", Cores: 1},
-		Model:           "noop",
-		ProbeInterval:   time.Hour,
-		StartTimeout:    time.Hour,
+	desc := hostedService("svc", "noop")
+	desc.UID = "svc.0"
+	// The driver owns the registry: agents publish dialable tcp://
+	// endpoints, the driver records them under the stable service UID.
+	reg := service.NewEndpointRegistry()
+	place := func(p *xproc.Proc) (proto.Endpoint, uint64, error) {
+		if _, err := p.SubmitService(ctx, desc); err != nil {
+			return proto.Endpoint{}, 0, err
+		}
+		ep, err := p.AwaitService(ctx, desc.UID)
+		if err != nil {
+			return proto.Endpoint{}, 0, err
+		}
+		gen, err := reg.Publish(ep)
+		return ep, gen, err
 	}
-	svcUID, err := procs[0].SubmitService(ctx, desc)
-	if err != nil {
-		return SvcFailRow{}, err
-	}
-	ep, err := procs[0].AwaitService(ctx, svcUID)
+	ep, genBefore, err := place(procs[0])
 	if err != nil {
 		return SvcFailRow{}, err
 	}
 	row := SvcFailRow{Client: client, HostBefore: procs[0].UID()}
 
-	// The driver owns the registry: agents publish dialable tcp://
-	// endpoints, the driver records them under the stable service UID.
-	reg := service.NewEndpointRegistry()
-	genBefore, err := reg.Publish(ep)
-	if err != nil {
-		return row, err
-	}
 	clock := simtime.NewReal()
 	net := msgq.NewNetwork(clock, rng.New(cfg.Seed).Derive("xproc-driver"), nil)
 	defer net.Close()
 	dial := func(ep proto.Endpoint) (service.Caller, error) {
 		return service.Dial(net, clock, "xproc-client", ep)
 	}
-	var caller service.Caller
-	var resolver *service.Resolver
-	switch client {
-	case SvcFailClientCaching:
-		caller, err = dial(ep)
-	case SvcFailClientResolving:
-		resolver, err = service.NewResolver(reg, svcUID, dial, 0)
-		caller = resolver
-	default:
-		return row, fmt.Errorf("unknown client style %q", client)
-	}
-	if err != nil {
-		return row, err
-	}
-	defer caller.Close()
-
-	for i := 0; i < cfg.KillAfter; i++ {
-		if _, _, err := caller.Infer(ctx, fmt.Sprintf("pre-%d", i), 0); err != nil {
-			return row, fmt.Errorf("pre-kill request %d: %w", i, err)
-		}
-		row.PreKill++
-	}
-
-	// SIGKILL the hosting process, then re-place the service on the
-	// survivor and re-publish its endpoint under the same UID.
-	if err := procs[0].Kill(); err != nil {
-		return row, err
-	}
-	reg.Suspend(svcUID)
-	if _, err := procs[1].SubmitService(ctx, desc); err != nil {
-		return row, err
-	}
-	ep2, err := procs[1].AwaitService(ctx, svcUID)
-	if err != nil {
-		return row, err
-	}
-	gen, err := reg.Publish(ep2)
-	if err != nil {
-		return row, err
-	}
-	if gen <= genBefore {
-		return row, fmt.Errorf("re-publication did not advance the generation: %d -> %d", genBefore, gen)
-	}
-	row.Generation = gen
-	row.Replacements = 1
-	row.HostAfter = procs[1].UID()
-
-	for i := 0; i < cfg.Requests-cfg.KillAfter; i++ {
-		if _, _, err := caller.Infer(ctx, fmt.Sprintf("post-%d", i), 0); err != nil {
-			row.Failed++
-		} else {
-			row.Recovered++
-		}
-	}
-	if resolver != nil {
-		row.Reresolved = resolver.Reresolved()
-	}
-	return row, nil
+	err = row.run(ctx, cfg,
+		func() (service.Caller, error) { return dial(ep) },
+		func() (resolvingCaller, error) { return service.NewResolver(reg, desc.UID, dial, 0) },
+		func() error {
+			// SIGKILL the hosting process, then re-place the service on the
+			// survivor and re-publish its endpoint under the same UID.
+			if err := procs[0].Kill(); err != nil {
+				return err
+			}
+			reg.Suspend(desc.UID)
+			_, gen, err := place(procs[1])
+			if err != nil {
+				return err
+			}
+			if gen <= genBefore {
+				return fmt.Errorf("re-publication did not advance the generation: %d -> %d", genBefore, gen)
+			}
+			row.Generation, row.Replacements, row.HostAfter = gen, 1, procs[1].UID()
+			return nil
+		})
+	return row, err
 }
 
 // RouteTable renders the route scenario, cross-process and in-proc rows
@@ -414,18 +322,10 @@ func (r *XprocResult) RouteTable() metrics.Table {
 			r.Cfg.Platform, r.Cfg.FatTasks, r.FatCores, r.FatGPUs, r.Cfg.ThinTasks, r.ThinCores),
 		Header: []string{"router", "variant", "fat done", "fat failed", "thin done", "thin failed", "rejected"},
 	}
-	add := func(variant string, row RouteRow) {
-		t.AddRow(row.Router, variant,
-			fmt.Sprintf("%d/%d", row.FatDone, r.Cfg.FatTasks),
-			fmt.Sprintf("%d", row.FatFailed),
-			fmt.Sprintf("%d/%d", row.ThinDone, r.Cfg.ThinTasks),
-			fmt.Sprintf("%d", row.ThinFailed),
-			fmt.Sprintf("%d", row.Rejected))
-	}
 	for i, row := range r.Route {
-		add("os-process", row)
+		t.AddRow(slices.Concat([]string{row.Router, "os-process"}, row.cells(r.Cfg.FatTasks, r.Cfg.ThinTasks))...)
 		if i < len(r.RouteInproc) {
-			add("in-proc", r.RouteInproc[i])
+			t.AddRow(slices.Concat([]string{row.Router, "in-proc"}, r.RouteInproc[i].cells(r.Cfg.FatTasks, r.Cfg.ThinTasks))...)
 		}
 	}
 	return t
@@ -441,18 +341,11 @@ func (r *XprocResult) SvcFailTable() metrics.Table {
 			r.Cfg.KillAfter, r.Cfg.Requests, post),
 		Header: []string{"client", "variant", "pre-kill ok", "recovered", "failed", "re-resolved", "endpoint gen"},
 	}
-	add := func(variant string, row SvcFailRow) {
-		t.AddRow(row.Client, variant,
-			fmt.Sprintf("%d/%d", row.PreKill, r.Cfg.KillAfter),
-			fmt.Sprintf("%d/%d", row.Recovered, post),
-			fmt.Sprintf("%d", row.Failed),
-			fmt.Sprintf("%d", row.Reresolved),
-			fmt.Sprintf("%d", row.Generation))
-	}
 	for i, row := range r.SvcFail {
-		add("os-process", row)
+		t.AddRow(slices.Concat([]string{row.Client, "os-process"}, row.cells(r.Cfg.KillAfter, post), []string{fmt.Sprint(row.Generation)})...)
 		if i < len(r.SvcFailInproc) {
-			add("in-proc", r.SvcFailInproc[i])
+			in := r.SvcFailInproc[i]
+			t.AddRow(slices.Concat([]string{in.Client, "in-proc"}, in.cells(r.Cfg.KillAfter, post), []string{fmt.Sprint(in.Generation)})...)
 		}
 	}
 	return t
