@@ -8,11 +8,15 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/llm"
 	"repro/internal/loadgen"
 	"repro/internal/msgq"
 	"repro/internal/platform"
 	"repro/internal/proto"
+	"repro/internal/rng"
 	"repro/internal/scheduler"
+	"repro/internal/service"
+	"repro/internal/serving"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 )
@@ -192,6 +196,83 @@ func TestTCPRoundTripAllocBudget(t *testing.T) {
 	const budget = 6
 	if allocs > budget {
 		t.Errorf("pooled TCP round trip allocates %.1f objects/op, budget %d", allocs, budget)
+	}
+}
+
+// tcpInferClient dials a noop serving.Server bound on loopback TCP in this
+// process: one whole remote call per Infer, both sides visible to one
+// profile.
+func tcpInferClient(tb testing.TB) *service.Client {
+	tb.Helper()
+	noop, err := llm.Lookup("noop")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	clock := simtime.NewReal()
+	src := rng.New(7)
+	srv, err := serving.New(serving.Config{
+		UID: "svc.0", Backend: serving.LLMBackend{M: llm.NewInstance(noop, clock, src.Derive("llm"))},
+		Clock: clock, Src: src, Concurrency: 1, ParseOverhead: rng.ConstDuration(0),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := srv.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(srv.Stop)
+	net := msgq.NewNetwork(clock, src.Derive("net"), nil)
+	tb.Cleanup(func() { _ = net.Close() })
+	bind, err := net.BindVia(msgq.TransportTCP, "svc.0", srv.Handler())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = bind.Close() })
+	cl, err := service.Dial(net, clock, "client.0", proto.Endpoint{ServiceUID: "svc.0", Model: "noop", Address: bind.Addr()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = cl.Close() })
+	return cl
+}
+
+// TestTCPInferAllocBudget pins the allocations of one whole remote call:
+// service.Client.Infer, request frame, pooled TCP, serving's handler and
+// noop backend, reply frame, reply decode and RT split. With both bodies
+// through encoding/json it was 37; the hand codec leaves the strings of the
+// two decoded bodies and the scaffolding around them, the same at 64 B and
+// at 8 KiB.
+func TestTCPInferAllocBudget(t *testing.T) {
+	cl := tcpInferClient(t)
+	ctx := context.Background()
+	for _, size := range []int{64, 8 << 10} {
+		prompt := strings.Repeat("x", size)
+		allocs := testing.AllocsPerRun(300, func() {
+			if _, _, err := cl.Infer(ctx, prompt, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const budget = 20
+		if allocs > budget {
+			t.Errorf("%d B remote Infer allocates %.1f objects/op, budget %d", size, allocs, budget)
+		}
+		t.Logf("%d B: %.1f objects/op", size, allocs)
+	}
+}
+
+// BenchmarkTCPInfer8KiB is the call of TestTCPInferAllocBudget in a loop:
+// the profile PERF.md's encoding/json share of the remote path comes from
+// (-cpuprofile).
+func BenchmarkTCPInfer8KiB(b *testing.B) {
+	cl := tcpInferClient(b)
+	ctx := context.Background()
+	prompt := strings.Repeat("x", 8<<10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := cl.Infer(ctx, prompt, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -45,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/jsonshape"
 	"repro/internal/proto"
 	"repro/internal/simtime"
 	"repro/internal/spec"
@@ -166,27 +167,6 @@ type EndpointBody struct {
 	Generation uint64         `json:"generation,omitempty"`
 }
 
-// plain marks the bytes encoding/json writes and reads inside a string
-// verbatim: printable ASCII less the quote, the backslash and the three
-// bytes its HTML escaping rewrites.
-var plain = func() (t [256]bool) {
-	for c := 0x20; c < 0x7f; c++ {
-		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-	}
-	return t
-}()
-
-// appendString appends s as encoding/json encodes a string.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if !plain[s[i]] {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	return append(append(append(b, '"'), s...), '"')
-}
-
 // appendBody appends the encoding/json bytes of a transition or bind body
 // (7 of the 8 records a task writes). ok is false for every other body and
 // for a timestamp Time.MarshalJSON refuses (year beyond 9999, zone hour
@@ -194,75 +174,37 @@ func appendString(b []byte, s string) []byte {
 func appendBody(b []byte, body any) (_ []byte, ok bool) {
 	switch v := body.(type) {
 	case TransitionBody:
-		_, off := v.At.Zone()
-		if y := v.At.Year(); y < 0 || y > 9999 || off <= -24*3600 || off >= 24*3600 {
-			return b, false
-		}
-		b = appendString(append(b, `{"entity":`...), v.Entity)
-		b = appendString(append(b, `,"uid":`...), v.UID)
-		b = appendString(append(b, `,"from":`...), v.From)
-		b = appendString(append(b, `,"to":`...), v.To)
-		b = v.At.AppendFormat(append(b, `,"at":"`...), time.RFC3339Nano)
-		return append(b, `"}`...), true
+		b = jsonshape.AppendString(append(b, `{"entity":`...), v.Entity)
+		b = jsonshape.AppendString(append(b, `,"uid":`...), v.UID)
+		b = jsonshape.AppendString(append(b, `,"from":`...), v.From)
+		b = jsonshape.AppendString(append(b, `,"to":`...), v.To)
+		b, ok = jsonshape.AppendTime(append(b, `,"at":`...), v.At)
+		return append(b, '}'), ok
 	case BindBody:
-		b = appendString(append(b, `{"entity":`...), v.Entity)
-		b = appendString(append(b, `,"uid":`...), v.UID)
-		b = appendString(append(b, `,"pilot":`...), v.Pilot)
+		b = jsonshape.AppendString(append(b, `{"entity":`...), v.Entity)
+		b = jsonshape.AppendString(append(b, `,"uid":`...), v.UID)
+		b = jsonshape.AppendString(append(b, `,"pilot":`...), v.Pilot)
 		return append(b, '}'), true
 	}
 	return b, false
 }
 
-// cursor reads the exact byte shape the writer emits. Any deviation sets
-// bad, and the caller hands the whole record to encoding/json.
-type cursor struct {
-	p   []byte
-	i   int
-	bad bool
-}
-
-// span is a byte range of the cursor's input.
-type span struct{ lo, hi int }
-
-func (v span) of(s string) string { return s[v.lo:v.hi] }
-
-func (c *cursor) lit(s string) {
-	if c.bad || len(c.p)-c.i < len(s) || string(c.p[c.i:c.i+len(s)]) != s {
-		c.bad = true
-		return
-	}
-	c.i += len(s)
-}
-
-// str reads plain bytes up to a closing quote and consumes the quote.
-func (c *cursor) str() span {
-	for j := c.i; !c.bad && j < len(c.p) && (plain[c.p[j]] || c.p[j] == '"'); j++ {
-		if c.p[j] == '"' {
-			v := span{c.i, j}
-			c.i = j + 1
-			return v
-		}
-	}
-	c.bad = true
-	return span{}
-}
-
-// Each literal ends in the opening quote of the string after it.
+// The keys of the two hot bodies, each followed by a string.
 var (
-	transitionShape = []string{`{"entity":"`, `,"uid":"`, `,"from":"`, `,"to":"`, `,"at":"`}
-	bindShape       = []string{`{"entity":"`, `,"uid":"`, `,"pilot":"`}
+	transitionShape = []string{`{"entity":`, `,"uid":`, `,"from":`, `,"to":`, `,"at":`}
+	bindShape       = []string{`{"entity":`, `,"uid":`, `,"pilot":`}
 )
 
 // scanBody matches a body of plain strings under exactly the writer's keys
 // (the timestamp is one of them here) and returns the strings' spans.
-func scanBody(body []byte, shape []string) (v [5]span, ok bool) {
-	c := cursor{p: body}
+func scanBody(body []byte, shape []string) (v [5]jsonshape.Span, ok bool) {
+	c := jsonshape.Cursor{P: body}
 	for i, l := range shape {
-		c.lit(l)
-		v[i] = c.str()
+		c.Lit(l)
+		v[i] = c.Str()
 	}
-	c.lit(`}`)
-	return v, !c.bad && c.i == len(body)
+	c.Lit(`}`)
+	return v, c.End()
 }
 
 // unmarshalBody is the encoding/json path of a body. b is its own variable
@@ -277,11 +219,11 @@ func unmarshalBody[T any](body []byte) (b T, err error) {
 // strings share one copy of the body; anything else is encoding/json's.
 func decodeTransition(body []byte) (b TransitionBody, err error) {
 	v, ok := scanBody(body, transitionShape)
-	if !ok || b.At.UnmarshalJSON(body[v[4].lo-1:v[4].hi+1]) != nil { // quotes included
+	if !ok || b.At.UnmarshalJSON(body[v[4].Lo-1:v[4].Hi+1]) != nil { // quotes included
 		return unmarshalBody[TransitionBody](body)
 	}
 	s := string(body)
-	b.Entity, b.UID, b.From, b.To = v[0].of(s), v[1].of(s), v[2].of(s), v[3].of(s)
+	b.Entity, b.UID, b.From, b.To = v[0].Of(s), v[1].Of(s), v[2].Of(s), v[3].Of(s)
 	return b, nil
 }
 
@@ -292,33 +234,28 @@ func decodeBind(body []byte) (BindBody, error) {
 		return unmarshalBody[BindBody](body)
 	}
 	s := string(body)
-	return BindBody{Entity: v[0].of(s), UID: v[1].of(s), Pilot: v[2].of(s)}, nil
+	return BindBody{Entity: v[0].Of(s), UID: v[1].Of(s), Pilot: v[2].Of(s)}, nil
 }
 
 // decodeFast decodes a payload of exactly the writer's shape:
 // {"kind":"<plain>","seq":<canonical uint64>,"body":<object>} with no
 // whitespace and nothing after. Body aliases payload.
 func decodeFast(payload []byte) (rec Record, ok bool) {
-	c := cursor{p: payload}
-	c.lit(`{"kind":"`)
-	k := c.str()
-	c.lit(`,"seq":`)
-	digits := c.i
-	for c.i < len(payload) && '0' <= payload[c.i] && payload[c.i] <= '9' {
-		c.i++
-	}
-	seq, err := strconv.ParseUint(string(payload[digits:c.i]), 10, 64)
-	leadingZero := c.i-digits > 1 && payload[digits] == '0'
-	c.lit(`,"body":`)
-	if c.bad || err != nil || leadingZero || len(payload)-c.i < 3 {
+	c := jsonshape.Cursor{P: payload}
+	c.Lit(`{"kind":`)
+	k := c.Str()
+	c.Lit(`,"seq":`)
+	seq := c.Uint()
+	c.Lit(`,"body":`)
+	if !c.OK() || len(payload)-c.Pos() < 3 {
 		return Record{}, false
 	}
-	body := payload[c.i : len(payload)-1]
+	body := payload[c.Pos() : len(payload)-1]
 	if body[0] != '{' || body[len(body)-1] != '}' || payload[len(payload)-1] != '}' {
 		return Record{}, false
 	}
 	rec = Record{Seq: seq, Body: body}
-	switch kind := payload[k.lo:k.hi]; string(kind) {
+	switch kind := payload[k.Lo:k.Hi]; string(kind) {
 	case string(KindTransition):
 		rec.Kind = KindTransition // the constant: no string per hot record
 		_, ok = scanBody(body, transitionShape)
@@ -494,7 +431,7 @@ func (w *Writer) Append(kind Kind, body any) error {
 		w.mu.Unlock()
 		return w.failed
 	}
-	frame := appendString(append(w.frame[:headerSize], `{"kind":`...), string(kind))
+	frame := jsonshape.AppendString(append(w.frame[:headerSize], `{"kind":`...), string(kind))
 	frame = strconv.AppendUint(append(frame, `,"seq":`...), w.seq+1, 10)
 	frame = append(append(append(frame, `,"body":`...), raw...), '}')
 	w.frame = frame

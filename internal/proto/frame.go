@@ -3,9 +3,10 @@ package proto
 // Binary framing for the pooled TCP transport.
 //
 // The frame encodes the fixed envelope header fields directly and pays JSON
-// only for the body, exactly once, via the envelope's lazy WireBody cache
-// (the seed framed the whole envelope as JSON: two json.Marshal calls per
-// write and a full json.Unmarshal per read):
+// only for the body, exactly once: hand-encoded in place for a request or
+// reply snapshot (codec.go), through the envelope's lazy WireBody cache for
+// anything else (the seed framed the whole envelope as JSON: two
+// json.Marshal calls per write and a full json.Unmarshal per read):
 //
 //	u32  payload length N (big endian), N ≤ MaxFrameSize
 //	--- payload, N bytes ---
@@ -44,48 +45,53 @@ var ErrBadFrame = errors.New("proto: malformed frame")
 const frameHeaderMax = 255
 
 // AppendFrame appends env as one length-prefixed binary frame to dst and
-// returns the extended slice. The body JSON is produced once through the
-// envelope's WireBody cache (a lazily-held payload snapshot is marshaled
-// here and cached on env); everything else is encoded directly, so a write
+// returns the extended slice. A request or reply snapshot not yet encoded
+// is hand-encoded straight into the frame, with no intermediate slice and
+// nothing cached on env; any other body goes through the envelope's
+// WireBody cache. The header is encoded directly either way, so a write
 // costs a single JSON pass. Frames above MaxFrameSize are rejected with
-// ErrFrameTooLarge before anything is appended to the wire.
+// ErrFrameTooLarge and reach no wire: on any error dst comes back at its
+// old length.
 func AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
-	body, err := env.WireBody()
-	if err != nil {
-		return dst, err
-	}
 	if len(env.Kind) > frameHeaderMax || len(env.From) > frameHeaderMax || len(env.To) > frameHeaderMax {
 		return dst, fmt.Errorf("%w: header field over %d bytes", ErrBadFrame, frameHeaderMax)
 	}
-	payload := 1 + // version
-		1 + len(env.Kind) + 1 + len(env.From) + 1 + len(env.To) +
-		8 + 8 + // id, sent
-		4 + len(body)
-	if payload > MaxFrameSize {
-		return dst, ErrFrameTooLarge
-	}
-	var u32 [4]byte
-	var u64 [8]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(payload))
-	dst = append(dst, u32[:]...)
-	dst = append(dst, frameVersion)
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, frameVersion) // payload length: patched below
 	dst = append(dst, byte(len(env.Kind)))
 	dst = append(dst, env.Kind...)
 	dst = append(dst, byte(len(env.From)))
 	dst = append(dst, env.From...)
 	dst = append(dst, byte(len(env.To)))
 	dst = append(dst, env.To...)
-	binary.BigEndian.PutUint64(u64[:], env.ID)
-	dst = append(dst, u64[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, env.ID)
 	var sent int64
 	if !env.Sent.IsZero() {
 		sent = env.Sent.UnixNano()
 	}
-	binary.BigEndian.PutUint64(u64[:], uint64(sent))
-	dst = append(dst, u64[:]...)
-	binary.BigEndian.PutUint32(u32[:], uint32(len(body)))
-	dst = append(dst, u32[:]...)
-	dst = append(dst, body...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(sent))
+	dst = append(dst, 0, 0, 0, 0) // body length: patched below
+	bodyAt := len(dst)
+
+	direct := false
+	if env.Body == nil {
+		if out, ok := appendBody(dst, env.typed); ok {
+			dst, direct = out, true
+		}
+	}
+	if !direct {
+		body, err := env.WireBody()
+		if err != nil {
+			return dst[:start], err
+		}
+		dst = append(dst, body...)
+	}
+	payload := len(dst) - start - 4
+	if payload > MaxFrameSize {
+		return dst[:start], ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(payload))
+	binary.BigEndian.PutUint32(dst[bodyAt-4:], uint32(len(dst)-bodyAt))
 	return dst, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -44,9 +45,10 @@ const (
 // per-request CPU and allocation cost on the REQ/REP hot path. For those
 // fast-path payload types Body stays nil until first wire access
 // (WireBody): an envelope that never leaves the address space never pays
-// json.Marshal either. The snapshot field is invisible to encoding/json:
+// for an encode either. The snapshot field is invisible to encoding/json:
 // an envelope that crosses a real wire (TCP framing) loses it and Decode
-// falls back to the JSON body.
+// reads the JSON body: by hand for a request or reply in the writer's
+// shape (codec.go), with json.Unmarshal for everything else.
 type Envelope struct {
 	Kind Kind            `json:"kind"`
 	ID   uint64          `json:"id"`           // per-sender sequence number
@@ -90,17 +92,27 @@ func NewEnvelope(kind Kind, id uint64, from, to string, sent time.Time, body any
 
 // WireBody returns the envelope's JSON body, encoding the in-process
 // payload snapshot on first wire access. Transports call it before
-// framing or charging size-dependent link costs; in-process deliveries
-// that decode via the typed snapshot never trigger the encode.
+// charging size-dependent link costs; in-process deliveries that decode
+// via the typed snapshot never trigger the encode.
 func (e *Envelope) WireBody() (json.RawMessage, error) {
 	if e.Body == nil && e.typed != nil {
-		raw, err := json.Marshal(e.typed)
+		raw, err := marshalTyped(nil, e.typed)
 		if err != nil {
 			return nil, fmt.Errorf("proto: marshal %s body: %w", e.Kind, err)
 		}
 		e.Body = raw
 	}
 	return e.Body, nil
+}
+
+// marshalTyped returns the JSON of payload snapshot v: a request or reply
+// body hand-encoded onto scratch, any other payload (and a body the hand
+// encoder declines) in json.Marshal's own slice.
+func marshalTyped(scratch []byte, v any) ([]byte, error) {
+	if raw, ok := appendBody(scratch, v); ok {
+		return raw, nil
+	}
+	return json.Marshal(v)
 }
 
 // Decode unmarshals the envelope body into out, validating the kind first.
@@ -153,26 +165,35 @@ func (e Envelope) Decode(want Kind, out any) error {
 	if err != nil {
 		return err
 	}
+	if decodeBody(raw, out) {
+		return nil
+	}
 	if err := json.Unmarshal(raw, out); err != nil {
 		return fmt.Errorf("proto: decode %s body: %w", e.Kind, err)
 	}
 	return nil
 }
 
+// lenScratch holds the buffers EncodedBodyLen encodes into to measure.
+var lenScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // EncodedBodyLen returns the length of the envelope's JSON body, encoding
-// a lazily-held payload snapshot just to measure it (the encode result is
-// not cached — the receiver is a value so hot-path callers' envelopes do
-// not escape to the heap). Transports that charge for bandwidth use it;
-// latency-only links never need a size.
+// a lazily-held payload snapshot into pooled scratch just to measure it
+// (the encode result is not cached — the receiver is a value so hot-path
+// callers' envelopes do not escape to the heap). Transports that charge
+// for bandwidth use it; latency-only links never need a size.
 func (e Envelope) EncodedBodyLen() int {
-	if e.Body == nil && e.typed != nil {
-		raw, err := json.Marshal(e.typed)
-		if err != nil {
-			return 0
-		}
-		return len(raw)
+	if e.Body != nil || e.typed == nil {
+		return len(e.Body)
 	}
-	return len(e.Body)
+	buf := lenScratch.Get().(*[]byte)
+	defer lenScratch.Put(buf)
+	raw, err := marshalTyped((*buf)[:0], e.typed)
+	if err != nil {
+		return 0
+	}
+	*buf = raw // the scratch grown, or json.Marshal's slice: either is ours to keep
+	return len(raw)
 }
 
 // InferenceRequest is the payload of a KindRequest message: one API call

@@ -74,7 +74,9 @@ func (c *Client) Infer(ctx context.Context, prompt string, maxTokens int) (proto
 	}
 	if out.Kind == proto.KindError {
 		var eb proto.ErrorBody
-		_ = out.Decode(proto.KindError, &eb)
+		if err := out.Decode(proto.KindError, &eb); err != nil {
+			return proto.InferenceReply{}, metrics.Breakdown{}, fmt.Errorf("service %s: %w", c.ep.ServiceUID, err)
+		}
 		return proto.InferenceReply{}, metrics.Breakdown{}, fmt.Errorf("service %s: %s", c.ep.ServiceUID, eb.Msg)
 	}
 	var reply proto.InferenceReply

@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -578,3 +580,29 @@ func TestServicesStartBeforeTasks(t *testing.T) {
 }
 
 func fmt18(prefix string, i int) string { return prefix + "." + string(rune('a'+i)) }
+
+// TestInferMalformedErrorBody: a KindError reply whose body is not an
+// ErrorBody surfaces as a decode failure naming the service, not as an
+// error with an empty message.
+func TestInferMalformedErrorBody(t *testing.T) {
+	clock := simtime.NewVirtual(origin)
+	net := msgq.NewNetwork(clock, rng.New(7), nil)
+	defer net.Close()
+	srv, err := net.Bind("svc.bad", func(env proto.Envelope) proto.Envelope {
+		return proto.Envelope{Kind: proto.KindError, From: env.To, To: env.From, Body: []byte(`"not an object"`)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(net, clock, "client.0", proto.Endpoint{ServiceUID: "service.bad", Model: "noop", Address: "svc.bad"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	_, _, err = cl.Infer(context.Background(), "hi", 0)
+	var typeErr *json.UnmarshalTypeError
+	if !errors.As(err, &typeErr) || !strings.HasPrefix(err.Error(), "service service.bad: proto: decode error body") {
+		t.Fatalf("Infer err = %v, want the wrapped decode failure of service.bad's error body", err)
+	}
+}
