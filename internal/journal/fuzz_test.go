@@ -2,7 +2,17 @@ package journal
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
+	"unicode/utf8"
+
+	"repro/internal/rng"
+	"repro/internal/spec"
 )
 
 // FuzzDecodeRecord exercises the record decoder against arbitrary byte
@@ -98,4 +108,152 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", rec, rec2)
 		}
 	})
+}
+
+// taskBodySeeds returns task bodies in and around the writer's shape: every
+// task body of testdata/parent.wal (one holds a UID encoding/json escapes),
+// and json.Marshal's bytes for descriptions that exercise each field.
+func taskBodySeeds(f *testing.F) [][]byte {
+	var seeds [][]byte
+	data, err := os.ReadFile(filepath.Join("testdata", "parent.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for off := 0; off < len(data); {
+		rec, n, err := DecodeRecord(data[off:])
+		if err != nil {
+			break // the torn tail
+		}
+		if off += n; rec.Kind == KindTask {
+			seeds = append(seeds, bytes.Clone(rec.Body))
+		}
+	}
+	if len(seeds) != 3 {
+		f.Fatalf("parent.wal holds %d task bodies, want 3", len(seeds))
+	}
+	lo := -1.5
+	for _, d := range []spec.TaskDescription{
+		{UID: "task.000001", Name: "rpbench-task", Cores: 4},
+		{UID: "task.0002", Name: "n", Cores: 1, GPUs: 2, MemGB: 0.5, Priority: -3, Pilot: "pilot.0001"},
+		{UID: "t", MemGB: 1.5e-7, Priority: math.MinInt, Cores: math.MaxInt},
+		{UID: "t", MemGB: 1e21, Duration: rng.ConstDuration(3 * time.Second)},
+		{UID: "t", MemGB: 123456.789, Duration: rng.DurationDist{D: rng.Uniform{Lo: 1, Hi: 2.5}}},
+		{UID: "t", Duration: rng.DurationDist{D: rng.Normal{Mu: 1e9, Sigma: 2e8, Min: lo}}},
+		{UID: "t", Duration: rng.DurationDist{D: rng.Normal{Mu: 1, Sigma: 2, Min: math.Inf(-1)}}},
+		{UID: "t", Duration: rng.DurationDist{D: rng.LogNormal{Mu: 0.5, Sigma: 0.25}}},
+		{UID: "t", Duration: rng.DurationDist{D: rng.Exponential{MeanV: 1e-7}}},
+		{UID: "t", InputStaging: []spec.StagingDirective{{Source: "a", Target: "b", Mode: spec.StageCopy, Bytes: 7}}},
+		{UID: "t", OutputStaging: []spec.StagingDirective{}, Metadata: map[string]string{"k": "v"}},
+		{UID: "t", Metadata: map[string]string{}},
+	} {
+		raw, err := json.Marshal(TaskBody{UID: d.UID, Desc: d})
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, raw)
+	}
+	for _, s := range []string{
+		`{"uid":"t","desc":{"UID":"u","Name":"","Cores":0,"GPUs":0,"MemGB":0,"Duration":{"kind":"weibull","v":1},"Priority":0,"Pilot":"","InputStaging":null,"OutputStaging":null,"Metadata":null}}`,
+		`{"uid":"t","desc":{"UID":"t","Name":"","Cores":-0,"GPUs":1e0,"MemGB":-0.0e+0,"Duration":{"kind":"const","v":{"x":[1]},"w":",\"Priority\":"},"Priority":0,"Pilot":"","InputStaging":null,"OutputStaging":null,"Metadata":null}}`,
+		`{"uid":"t","desc":{"UID":"t","Name":"","Cores":1,"GPUs":0,"MemGB":1e999,"Duration": null ,"Priority":0,"Pilot":"","InputStaging":null,"OutputStaging":null,"Metadata":null}}`,
+		`{"uid":"t","desc":{"UID":"t","Name":"","Cores":1,"GPUs":0,"MemGB":0,"Duration":{"kind":"const"} ,"Priority":9223372036854775808,"Pilot":"","InputStaging":null,"OutputStaging":null,"Metadata":null}}`,
+		`{"uid":"t","desc":{"UID":"t","Name":"","Cores":1,"GPUs":0,"MemGB":0,"Duration":{"a":"x","Priority":1,"kind":"const"},"Priority":2,"Pilot":"","InputStaging":null,"OutputStaging":null,"Metadata":null}}`,
+		`{"uid":"t","desc":{"UID":"t","Name":"","Cores":1,"GPUs":0,"MemGB":0,"Duration":null,"Priority":0,"Pilot":"","InputStaging":null,"OutputStaging":null,"Metadata":null},"uid":"again"}`,
+		`{"uid":"t","desc":null}`, `{"uid":"t"}`, `{}`, `null`,
+	} {
+		seeds = append(seeds, []byte(s))
+	}
+	return seeds
+}
+
+// FuzzTaskBodyDecodeMatchesJSON holds the task body's fast path to
+// encoding/json, on targets with every field already set: a body it takes
+// reads as json.Unmarshal leaves it, a body it declines leaves the target
+// untouched (checkTaskBody). It starts from the writer's shape and
+// everything one byte away from it.
+func FuzzTaskBodyDecodeMatchesJSON(f *testing.F) {
+	for n, body := range taskBodySeeds(f) {
+		f.Add(body)
+		if n >= 7 {
+			continue // neighbours of parent.wal's bodies and of four of the writer's: the rest differ in one value
+		}
+		for i := range body {
+			for _, c := range []byte{' ', '"', '0'} {
+				if m := bytes.Clone(body); m[i] != c {
+					m[i] = c
+					f.Add(m)
+				}
+			}
+			f.Add(append(bytes.Clone(body[:i]), body[i+1:]...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { checkTaskBody(t, body) })
+}
+
+// FuzzTaskBodyEncodeMatchesJSON holds appendBody's task encoder to
+// json.Marshal: the same bytes, or it declines and json.Marshal encodes the
+// body or reports the error.
+func FuzzTaskBodyEncodeMatchesJSON(f *testing.F) {
+	f.Add("task.000001", "task.000001", "rpbench-task", 4, 0, 0.0, 0, "", uint8(0), 0.0, 0.0, uint8(0))
+	f.Add("task.0002", "other", "n", 1, 2, 0.5, -3, "pilot.0001", uint8(1), 3e9, 0.0, uint8(0))
+	f.Add("a\"b<c>&\t\u2028é\xff", "", "\\", math.MinInt, math.MaxInt, 1.5e-7, 1, "p", uint8(2), 1.0, 2.5, uint8(0))
+	f.Add("", "", "", 0, 0, 1e21, 0, "", uint8(3), 1e9, 2e8, uint8(0))
+	f.Add("", "", "", 0, 0, 9.9e-7, 0, "", uint8(4), 0.5, 0.25, uint8(0))
+	f.Add("", "", "", 0, 0, math.Inf(1), 0, "", uint8(5), 1e-7, 0.0, uint8(0))
+	f.Add("", "", "", 0, 0, math.NaN(), 0, "", uint8(6), math.NaN(), 0.0, uint8(0))
+	f.Add("", "", "", 0, 0, math.Copysign(0, -1), 0, "", uint8(1), math.Inf(-1), 0.0, uint8(0))
+	for extra := uint8(1); extra < 8; extra++ {
+		f.Add("t", "t", "", 1, 0, 0.0, 0, "", uint8(0), 0.0, 0.0, extra)
+	}
+	f.Fuzz(func(t *testing.T, uid, descUID, name string, cores, gpus int, mem float64, priority int, pilot string, dist uint8, a, b float64, extra uint8) {
+		d := spec.TaskDescription{UID: descUID, Name: name, Cores: cores, GPUs: gpus, MemGB: mem, Priority: priority, Pilot: pilot,
+			Func: func(context.Context) error { return nil }}
+		switch dist % 8 {
+		case 1:
+			d.Duration.D = rng.Const{V: a}
+		case 2:
+			d.Duration.D = rng.Uniform{Lo: a, Hi: b}
+		case 3:
+			d.Duration.D = rng.Normal{Mu: a, Sigma: b, Min: math.Inf(-1)}
+		case 4:
+			d.Duration.D = rng.Normal{Mu: a, Sigma: b, Min: a - b}
+		case 5:
+			d.Duration.D = rng.LogNormal{Mu: a, Sigma: b}
+		case 6:
+			d.Duration.D = rng.Exponential{MeanV: a}
+		}
+		// The fields the encoder declines on, nil, empty and filled.
+		if extra&1 != 0 {
+			d.InputStaging = []spec.StagingDirective{}
+		}
+		if extra&2 != 0 {
+			d.OutputStaging = []spec.StagingDirective{{Source: name, Target: pilot, Mode: spec.StageLink}}
+		}
+		if extra&4 != 0 {
+			d.Metadata = map[string]string{name: pilot}
+		}
+		body := TaskBody{UID: uid, Desc: d}
+		want, wantErr := json.Marshal(body)
+		got, ok := appendBody([]byte("k:"), body)
+		if ok && (wantErr != nil || string(got) != "k:"+string(want)) {
+			t.Fatalf("%+v:\n got %s\nwant %s (%v)", body, got[2:], want, wantErr)
+		}
+		if plain := extra%8 == 0 && wantErr == nil; plain && !ok {
+			t.Fatalf("%+v: the encoder declined a body without staging or metadata that json.Marshal encodes", body)
+		}
+		// What the writer wrote, replay's fast path reads back.
+		if ok && !scanTask(want, new(TaskBody)) && isPlainASCII(uid+descUID+name+pilot) {
+			t.Fatalf("the decoder declined the writer's %s", want)
+		}
+		if wantErr == nil {
+			checkTaskBody(t, want)
+		}
+	})
+}
+
+// isPlainASCII reports whether encoding/json writes s verbatim: only such
+// strings stay on the decoder's fast path.
+func isPlainASCII(s string) bool {
+	raw, _ := json.Marshal(s)
+	return len(raw) == len(s)+2 && utf8.ValidString(s) && len(s) == utf8.RuneCountInString(s)
 }

@@ -25,12 +25,16 @@
 // accounting, not correctness.
 //
 // Codec: the payload bytes are encoding/json's. The writer hand-encodes the
-// two hot bodies (transition, bind) and the envelope to exactly the bytes
-// json.Marshal produces, and still issues one write() per Append. Replay
-// has a fast path for exactly that byte shape; on any deviation it declines
-// rather than guesses and hands the whole record to encoding/json, so what
-// is accepted, rejected or skipped, and why, is unchanged. The encoding/json
-// envelope encoder lives on in the tests as the differential oracle.
+// envelope and the three bodies a task writes (description, bind,
+// transition) to exactly the bytes json.Marshal produces, and still issues
+// one write() per Append. Replay reads a record of exactly that byte shape
+// once, envelope and body in one scan, and keeps no copy of it: a transition
+// or a bind is applied from spans of the read buffer. On any deviation the
+// fast path declines rather than guesses and hands the envelope, the body or
+// both to encoding/json, so what is accepted, rejected or skipped, and why,
+// is unchanged; ReplayStats counts the records each path took. The
+// encoding/json envelope encoder lives on in the tests as the differential
+// oracle.
 package journal
 
 import (
@@ -47,6 +51,7 @@ import (
 
 	"repro/internal/jsonshape"
 	"repro/internal/proto"
+	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
@@ -167,10 +172,12 @@ type EndpointBody struct {
 	Generation uint64         `json:"generation,omitempty"`
 }
 
-// appendBody appends the encoding/json bytes of a transition or bind body
-// (7 of the 8 records a task writes). ok is false for every other body and
-// for a timestamp Time.MarshalJSON refuses (year beyond 9999, zone hour
-// beyond 23): json.Marshal then encodes the one or reports the other.
+// appendBody appends the encoding/json bytes of a transition, bind or task
+// body (all 8 records a task writes). ok is false for every other body, for
+// a task with staging directives or metadata, and for what json.Marshal
+// refuses or Time.MarshalJSON does (a year beyond 9999, a zone hour beyond
+// 23, an infinite MemGB): json.Marshal then encodes the one or reports the
+// other.
 func appendBody(b []byte, body any) (_ []byte, ok bool) {
 	switch v := body.(type) {
 	case TransitionBody:
@@ -185,26 +192,101 @@ func appendBody(b []byte, body any) (_ []byte, ok bool) {
 		b = jsonshape.AppendString(append(b, `,"uid":`...), v.UID)
 		b = jsonshape.AppendString(append(b, `,"pilot":`...), v.Pilot)
 		return append(b, '}'), true
+	case TaskBody:
+		d := &v.Desc
+		if d.InputStaging != nil || d.OutputStaging != nil || d.Metadata != nil {
+			return b, false
+		}
+		b = jsonshape.AppendString(append(b, `{"uid":`...), v.UID)
+		b = jsonshape.AppendString(append(b, `,"desc":{"UID":`...), d.UID)
+		b = jsonshape.AppendString(append(b, `,"Name":`...), d.Name)
+		b = strconv.AppendInt(append(b, `,"Cores":`...), int64(d.Cores), 10)
+		b = strconv.AppendInt(append(b, `,"GPUs":`...), int64(d.GPUs), 10)
+		b, ok = jsonshape.AppendFloat(append(b, `,"MemGB":`...), d.MemGB)
+		b = append(b, `,"Duration":`...)
+		if d.Duration.D == nil {
+			b = append(b, `null`...)
+		} else {
+			// The distribution's own encoding, which json.Marshal would only
+			// compact and escape, and which is already both.
+			dist, err := d.Duration.MarshalJSON()
+			b, ok = append(b, dist...), ok && err == nil
+		}
+		b = strconv.AppendInt(append(b, `,"Priority":`...), int64(d.Priority), 10)
+		b = jsonshape.AppendString(append(b, `,"Pilot":`...), d.Pilot)
+		return append(b, `,"InputStaging":null,"OutputStaging":null,"Metadata":null}}`...), ok
 	}
 	return b, false
 }
 
 // The keys of the two hot bodies, each followed by a string.
 var (
-	transitionShape = []string{`{"entity":`, `,"uid":`, `,"from":`, `,"to":`, `,"at":`}
-	bindShape       = []string{`{"entity":`, `,"uid":`, `,"pilot":`}
+	transitionKeys = []string{`{"entity":`, `,"uid":`, `,"from":`, `,"to":`}
+	bindKeys       = []string{`{"entity":`, `,"uid":`, `,"pilot":`}
 )
 
 // scanBody matches a body of plain strings under exactly the writer's keys
-// (the timestamp is one of them here) and returns the strings' spans.
-func scanBody(body []byte, shape []string) (v [5]jsonshape.Span, ok bool) {
+// and returns the strings' spans. With at, a timestamp follows them: it goes
+// through the decoder encoding/json would call and is dropped, because
+// replay orders by the journal.
+func scanBody(body []byte, keys []string, at bool) (v [4]jsonshape.Span, ok bool) {
 	c := jsonshape.Cursor{P: body}
-	for i, l := range shape {
-		c.Lit(l)
+	for i, k := range keys {
+		c.Lit(k)
 		v[i] = c.Str()
+	}
+	if at {
+		c.Lit(`,"at":`)
+		c.Time()
 	}
 	c.Lit(`}`)
 	return v, c.End()
+}
+
+// scanTask decodes a task body of exactly the shape appendBody writes into
+// *b, which it touches only if it takes the body: keys in order, plain
+// strings, integers as strconv writes them, staging and metadata null. Like
+// json.Unmarshal it leaves Func alone.
+func scanTask(body []byte, b *TaskBody) bool {
+	c := jsonshape.Cursor{P: body}
+	c.Lit(`{"uid":`)
+	uid := c.Str()
+	c.Lit(`,"desc":{"UID":`)
+	descUID := c.Str()
+	c.Lit(`,"Name":`)
+	name := c.Str()
+	c.Lit(`,"Cores":`)
+	cores := c.Int()
+	c.Lit(`,"GPUs":`)
+	gpus := c.Int()
+	c.Lit(`,"MemGB":`)
+	mem := c.Float()
+	c.Lit(`,"Duration":`)
+	var dur rng.DurationDist
+	if !c.Has(`null`) {
+		// Whatever stands before the next key is the distribution's to take
+		// whole: its decoder is encoding/json's and refuses all but one value.
+		if dist := c.Until(`,"Priority":`); !c.OK() || dur.UnmarshalJSON(dist.Of(body)) != nil {
+			return false
+		}
+	}
+	c.Lit(`,"Priority":`)
+	priority := c.Int()
+	c.Lit(`,"Pilot":`)
+	pilot := c.Str()
+	c.Lit(`,"InputStaging":null,"OutputStaging":null,"Metadata":null}}`)
+	if !c.End() {
+		return false
+	}
+	d := &b.Desc
+	b.UID = string(uid.Of(body))
+	if d.UID = b.UID; string(descUID.Of(body)) != b.UID { // the managers write one UID twice: one string
+		d.UID = string(descUID.Of(body))
+	}
+	d.Name, d.Pilot = string(name.Of(body)), string(pilot.Of(body))
+	d.Cores, d.GPUs, d.MemGB, d.Duration, d.Priority = cores, gpus, mem, dur, priority
+	d.InputStaging, d.OutputStaging, d.Metadata = nil, nil, nil
+	return true
 }
 
 // unmarshalBody is the encoding/json path of a body. b is its own variable
@@ -214,33 +296,42 @@ func unmarshalBody[T any](body []byte) (b T, err error) {
 	return b, err
 }
 
-// decodeTransition decodes a transition body. In the writer's shape the
-// timestamp goes through the decoder encoding/json would call and the
-// strings share one copy of the body; anything else is encoding/json's.
-func decodeTransition(body []byte) (b TransitionBody, err error) {
-	v, ok := scanBody(body, transitionShape)
-	if !ok || b.At.UnmarshalJSON(body[v[4].Lo-1:v[4].Hi+1]) != nil { // quotes included
-		return unmarshalBody[TransitionBody](body)
-	}
-	s := string(body)
-	b.Entity, b.UID, b.From, b.To = v[0].Of(s), v[1].Of(s), v[2].Of(s), v[3].Of(s)
-	return b, nil
+// decoded is one record as replay consumes it. fast says the body, like the
+// envelope, had the writer's shape and was read by decodeFast: v then holds
+// the spans of a transition's or a bind's strings in Body, task a task's
+// body. Otherwise the body is valid JSON and encoding/json's to decode.
+type decoded struct {
+	Record
+	fast bool
+	v    [4]jsonshape.Span
+	task TaskBody
 }
 
-// decodeBind decodes a bind body the same way.
-func decodeBind(body []byte) (BindBody, error) {
-	v, ok := scanBody(body, bindShape)
-	if !ok {
-		return unmarshalBody[BindBody](body)
+// strings returns the strings of a transition body (entity, UID, from, to)
+// or of a bind body (entity, UID, pilot). They alias Body on the fast path.
+func (d *decoded) strings() (b [4][]byte, err error) {
+	switch {
+	case d.fast:
+		for i, v := range d.v {
+			b[i] = v.Of(d.Body)
+		}
+	case d.Kind == KindBind:
+		var t BindBody
+		t, err = unmarshalBody[BindBody](d.Body)
+		b = [4][]byte{[]byte(t.Entity), []byte(t.UID), []byte(t.Pilot)}
+	default:
+		var t TransitionBody
+		t, err = unmarshalBody[TransitionBody](d.Body)
+		b = [4][]byte{[]byte(t.Entity), []byte(t.UID), []byte(t.From), []byte(t.To)}
 	}
-	s := string(body)
-	return BindBody{Entity: v[0].Of(s), UID: v[1].Of(s), Pilot: v[2].Of(s)}, nil
+	return b, err
 }
 
 // decodeFast decodes a payload of exactly the writer's shape:
 // {"kind":"<plain>","seq":<canonical uint64>,"body":<object>} with no
 // whitespace and nothing after. Body aliases payload.
-func decodeFast(payload []byte) (rec Record, ok bool) {
+func decodeFast(payload []byte, d *decoded) (ok bool) {
+	d.fast = false
 	c := jsonshape.Cursor{P: payload}
 	c.Lit(`{"kind":`)
 	k := c.Str()
@@ -248,57 +339,70 @@ func decodeFast(payload []byte) (rec Record, ok bool) {
 	seq := c.Uint()
 	c.Lit(`,"body":`)
 	if !c.OK() || len(payload)-c.Pos() < 3 {
-		return Record{}, false
+		return false
 	}
 	body := payload[c.Pos() : len(payload)-1]
 	if body[0] != '{' || body[len(body)-1] != '}' || payload[len(payload)-1] != '}' {
-		return Record{}, false
+		return false
 	}
-	rec = Record{Seq: seq, Body: body}
+	d.Record = Record{Seq: seq, Body: body}
 	switch kind := payload[k.Lo:k.Hi]; string(kind) {
 	case string(KindTransition):
-		rec.Kind = KindTransition // the constant: no string per hot record
-		_, ok = scanBody(body, transitionShape)
+		d.Kind = KindTransition // the constant: no string per hot record
+		d.v, d.fast = scanBody(body, transitionKeys, true)
 	case string(KindBind):
-		rec.Kind = KindBind
-		_, ok = scanBody(body, bindShape)
+		d.Kind = KindBind
+		d.v, d.fast = scanBody(body, bindKeys, false)
+	case string(KindTask):
+		d.Kind = KindTask
+		d.fast = scanTask(body, &d.task)
 	default:
-		rec.Kind = Kind(kind)
+		d.Kind = Kind(kind)
 	}
-	return rec, ok || json.Valid(body)
+	return d.fast || json.Valid(body)
+}
+
+// decodeRecord is DecodeRecord into the form replay consumes.
+func decodeRecord(data []byte, d *decoded) (int, error) {
+	if len(data) == 0 {
+		return 0, io.EOF
+	}
+	if len(data) < headerSize {
+		return 0, io.ErrUnexpectedEOF
+	}
+	n := int(binary.BigEndian.Uint32(data[0:4]))
+	if n > MaxRecordSize {
+		return 0, ErrTooLarge
+	}
+	if len(data) < headerSize+n {
+		return 0, io.ErrUnexpectedEOF
+	}
+	payload := data[headerSize : headerSize+n]
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[4:8]) {
+		return 0, ErrChecksum
+	}
+	if !decodeFast(payload, d) {
+		var err error
+		if d.Record, err = unmarshalBody[Record](payload); err != nil {
+			return 0, fmt.Errorf("journal: decode record: %w", err)
+		}
+	}
+	return headerSize + n, nil
 }
 
 // DecodeRecord decodes one framed record from the front of data. It
 // returns the record, the number of bytes consumed, and an error. A short
 // buffer (header or payload cut off) returns io.ErrUnexpectedEOF — the
 // torn-tail signal; an empty buffer returns io.EOF. The record's Body may
-// alias data.
+// alias data. Replay does not go through it (it keeps decodeRecord's spans
+// and task body, which this discards): it is for tools and the fuzzers.
 func DecodeRecord(data []byte) (Record, int, error) {
-	if len(data) == 0 {
-		return Record{}, 0, io.EOF
+	var d decoded
+	n, err := decodeRecord(data, &d)
+	if err != nil {
+		return Record{}, 0, err
 	}
-	if len(data) < headerSize {
-		return Record{}, 0, io.ErrUnexpectedEOF
-	}
-	n := int(binary.BigEndian.Uint32(data[0:4]))
-	if n > MaxRecordSize {
-		return Record{}, 0, ErrTooLarge
-	}
-	if len(data) < headerSize+n {
-		return Record{}, 0, io.ErrUnexpectedEOF
-	}
-	payload := data[headerSize : headerSize+n]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[4:8]) {
-		return Record{}, 0, ErrChecksum
-	}
-	rec, ok := decodeFast(payload)
-	if !ok {
-		var err error
-		if rec, err = unmarshalBody[Record](payload); err != nil {
-			return Record{}, 0, fmt.Errorf("journal: decode record: %w", err)
-		}
-	}
-	return rec, headerSize + n, nil
+	return d.Record, n, nil
 }
 
 // --- Writer -----------------------------------------------------------------
@@ -582,14 +686,28 @@ type ReplayStats struct {
 	ValidBytes int64
 	// SkipReasons counts skips by reason.
 	SkipReasons map[string]int
+	// FastDecodes and JSONDecodes count the records by kind and by what
+	// decoded them: the hand-written codec alone, or encoding/json for the
+	// envelope, the body or both. Session, pilot, service and endpoint
+	// bodies are always encoding/json's; a task, bind or transition record
+	// under JSONDecodes is one the writer of this package did not write.
+	// Like SkipReasons they are for a caller to read (core.RecoveryReport
+	// carries them in Stats); nothing in this repository prints either, and
+	// they stay out of the JSON form so that the replay goldens stand.
+	FastDecodes map[string]int `json:"-"`
+	JSONDecodes map[string]int `json:"-"`
 }
 
 func (st *ReplayStats) skip(reason string) {
 	st.Skipped++
-	if st.SkipReasons == nil {
-		st.SkipReasons = make(map[string]int)
+	count(&st.SkipReasons, reason)
+}
+
+func count(m *map[string]int, key string) {
+	if *m == nil {
+		*m = make(map[string]int)
 	}
-	st.SkipReasons[reason]++
+	(*m)[key]++
 }
 
 // PilotState is a pilot's replayed last known state.
@@ -641,13 +759,34 @@ func (s *Snapshot) Pilot(uid string) *PilotState {
 	return nil
 }
 
+// replayBuffer is how much of a journal ReplayFile holds at a time; a record
+// that is longer grows it.
+const replayBuffer = 64 << 10
+
 // ReplayFile replays the journal at path. See Replay.
 func ReplayFile(path string) (*Snapshot, *ReplayStats, error) {
-	data, err := os.ReadFile(path)
+	r := newReplayer()
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, &ReplayStats{}, fmt.Errorf("journal: read %s: %w", path, err)
+		return nil, r.stats, fmt.Errorf("journal: read %s: %w", path, err)
 	}
-	return Replay(data)
+	defer f.Close()
+	buf := make([]byte, 0, replayBuffer)
+	for last := false; !last; {
+		if len(buf) == cap(buf) { // all of it one cut-off record
+			buf = append(buf, make([]byte, len(buf))...)[:len(buf)]
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		if buf, last = buf[:len(buf)+n], err == io.EOF; err != nil && !last {
+			return nil, r.stats, fmt.Errorf("journal: read %s: %w", path, err)
+		}
+		used, err := r.feed(buf, last)
+		if err != nil {
+			return nil, r.stats, err
+		}
+		buf = buf[:copy(buf, buf[used:])]
+	}
+	return r.snap, r.stats, nil
 }
 
 // Replay decodes and applies every record in data. Application is
@@ -660,42 +799,68 @@ func ReplayFile(path string) (*Snapshot, *ReplayStats, error) {
 // validator. A truncated final record is tolerated as the torn tail of a
 // crash mid-append.
 func Replay(data []byte) (*Snapshot, *ReplayStats, error) {
-	stats := &ReplayStats{}
-	snap := &Snapshot{}
-	pilots := make(map[string]*PilotState)
-	tasks := make(map[string]*TaskState)
-	services := make(map[string]*ServiceState)
+	r := newReplayer()
+	if _, err := r.feed(data, true); err != nil {
+		return nil, r.stats, err
+	}
+	return r.snap, r.stats, nil
+}
 
+// replayer is a replay in progress: the snapshot so far, the entities by
+// UID, and the record in hand.
+type replayer struct {
+	snap     *Snapshot
+	stats    *ReplayStats
+	pilots   map[string]*PilotState
+	tasks    map[string]*TaskState
+	services map[string]*ServiceState
+	rec      decoded
+}
+
+func newReplayer() *replayer {
+	return &replayer{
+		snap: &Snapshot{}, stats: &ReplayStats{},
+		pilots: make(map[string]*PilotState), tasks: make(map[string]*TaskState), services: make(map[string]*ServiceState),
+	}
+}
+
+// feed applies the complete records at the front of data, the next stretch
+// of the journal, and returns how many bytes they took. A record cut off by
+// the end of data is the torn tail if data is the journal's last stretch,
+// and otherwise left for the caller to complete.
+func (r *replayer) feed(data []byte, last bool) (int, error) {
 	off := 0
 	for off < len(data) {
-		rec, n, err := DecodeRecord(data[off:])
-		if err == io.EOF {
-			break
-		}
+		n, err := decodeRecord(data[off:], &r.rec)
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			stats.TornTail = true
+			r.stats.TornTail = last
 			break
 		}
 		if err != nil {
-			stats.Invalid++
-			return nil, stats, fmt.Errorf("journal: record at offset %d: %w", off, err)
+			r.stats.Invalid++
+			return off, fmt.Errorf("journal: record at offset %d: %w", r.stats.ValidBytes, err)
 		}
 		off += n
-		stats.ValidBytes = int64(off)
-		stats.Records++
-		if err := apply(rec, snap, pilots, tasks, services, stats); err != nil {
-			stats.Invalid++
-			return nil, stats, fmt.Errorf("journal: record seq %d: %w", rec.Seq, err)
+		r.stats.ValidBytes += int64(n)
+		r.stats.Records++
+		if err := r.apply(); err != nil {
+			r.stats.Invalid++
+			return off, fmt.Errorf("journal: record seq %d: %w", r.rec.Seq, err)
+		}
+		if r.rec.fast {
+			count(&r.stats.FastDecodes, string(r.rec.Kind))
+		} else {
+			count(&r.stats.JSONDecodes, string(r.rec.Kind))
 		}
 	}
-	return snap, stats, nil
+	return off, nil
 }
 
-// apply folds one record into the snapshot. It returns an error only for
-// structurally invalid bodies (all-or-nothing); semantic rejections are
+// apply folds the record in hand into the snapshot. It returns an error only
+// for structurally invalid bodies (all-or-nothing); semantic rejections are
 // skipped and counted.
-func apply(rec Record, snap *Snapshot, pilots map[string]*PilotState,
-	tasks map[string]*TaskState, services map[string]*ServiceState, stats *ReplayStats) error {
+func (r *replayer) apply() error {
+	rec, snap, stats := &r.rec, r.snap, r.stats
 	switch rec.Kind {
 	case KindSession:
 		var b SessionBody
@@ -716,26 +881,29 @@ func apply(rec Record, snap *Snapshot, pilots map[string]*PilotState,
 		if err := json.Unmarshal(rec.Body, &b); err != nil {
 			return err
 		}
-		if _, dup := pilots[b.UID]; dup {
+		if _, dup := r.pilots[b.UID]; dup {
 			stats.skip("duplicate-desc")
 			return nil
 		}
 		ps := &PilotState{Desc: b.Desc, State: states.PilotModel().Initial()}
-		pilots[b.UID] = ps
+		r.pilots[b.UID] = ps
 		snap.Pilots = append(snap.Pilots, ps)
 		stats.Applied++
 
 	case KindTask:
-		var b TaskBody
-		if err := json.Unmarshal(rec.Body, &b); err != nil {
-			return err
+		b := &rec.task
+		if !rec.fast {
+			*b = TaskBody{}
+			if err := json.Unmarshal(rec.Body, b); err != nil {
+				return err
+			}
 		}
-		if _, dup := tasks[b.UID]; dup {
+		if _, dup := r.tasks[b.UID]; dup {
 			stats.skip("duplicate-desc")
 			return nil
 		}
 		ts := &TaskState{Desc: b.Desc, State: states.TaskModel().Initial()}
-		tasks[b.UID] = ts
+		r.tasks[b.UID] = ts
 		snap.Tasks = append(snap.Tasks, ts)
 		stats.Applied++
 
@@ -744,30 +912,30 @@ func apply(rec Record, snap *Snapshot, pilots map[string]*PilotState,
 		if err := json.Unmarshal(rec.Body, &b); err != nil {
 			return err
 		}
-		if _, dup := services[b.UID]; dup {
+		if _, dup := r.services[b.UID]; dup {
 			stats.skip("duplicate-desc")
 			return nil
 		}
 		ss := &ServiceState{Desc: b.Desc, State: states.ServiceModel().Initial()}
-		services[b.UID] = ss
+		r.services[b.UID] = ss
 		snap.Services = append(snap.Services, ss)
 		stats.Applied++
 
 	case KindBind:
-		b, err := decodeBind(rec.Body)
+		b, err := rec.strings()
 		if err != nil {
 			return err
 		}
-		switch b.Entity {
+		switch string(b[0]) {
 		case "task":
-			if ts := tasks[b.UID]; ts != nil {
-				ts.Pilot = b.Pilot
+			if ts := r.tasks[string(b[1])]; ts != nil {
+				ts.Pilot = string(b[2])
 				stats.Applied++
 				return nil
 			}
 		case "service":
-			if ss := services[b.UID]; ss != nil {
-				ss.Pilot = b.Pilot
+			if ss := r.services[string(b[1])]; ss != nil {
+				ss.Pilot = string(b[2])
 				stats.Applied++
 				return nil
 			}
@@ -775,18 +943,18 @@ func apply(rec Record, snap *Snapshot, pilots map[string]*PilotState,
 		stats.skip("bind-unknown-uid")
 
 	case KindTransition:
-		b, err := decodeTransition(rec.Body)
+		b, err := rec.strings()
 		if err != nil {
 			return err
 		}
-		applyTransition(b, pilots, tasks, services, stats)
+		r.applyTransition(b[0], b[1], b[2], b[3])
 
 	case KindEndpoint:
 		var b EndpointBody
 		if err := json.Unmarshal(rec.Body, &b); err != nil {
 			return err
 		}
-		ss := services[b.UID]
+		ss := r.services[b.UID]
 		if ss == nil {
 			stats.skip("endpoint-unknown-uid")
 			return nil
@@ -816,53 +984,73 @@ func apply(rec Record, snap *Snapshot, pilots map[string]*PilotState,
 	return nil
 }
 
+// modelStates maps the name of every state of the three models to the
+// model's own constant: a replayed state costs a lookup, not a string.
+var modelStates = func() map[string]states.State {
+	m := make(map[string]states.State)
+	for _, model := range []*states.Model{states.PilotModel(), states.TaskModel(), states.ServiceModel()} {
+		for _, s := range model.States() {
+			m[string(s)] = s
+		}
+	}
+	return m
+}()
+
+func stateOf(name []byte) states.State {
+	if s, ok := modelStates[string(name)]; ok {
+		return s
+	}
+	return states.State(name)
+}
+
 // applyTransition validates one journaled transition against the entity's
 // state model and current replayed state. Valid edges apply; duplicates
 // and out-of-order records skip with accounting. A transition from the
 // model's initial state while the replayed state is final is a machine
 // restart — a re-placement re-bootstrapping the same UID on a new host —
 // and re-enters the model from the top.
-func applyTransition(b TransitionBody, pilots map[string]*PilotState,
-	tasks map[string]*TaskState, services map[string]*ServiceState, stats *ReplayStats) {
-	model := states.ModelFor(states.Entity(b.Entity))
-	if model == nil {
-		stats.skip("transition-unknown-entity")
-		return
-	}
+func (r *replayer) applyTransition(entity, uid, fromName, toName []byte) {
+	var model *states.Model
 	var cur *states.State
-	switch states.Entity(b.Entity) {
+	switch states.Entity(entity) {
 	case states.EntityPilot:
-		if ps := pilots[b.UID]; ps != nil {
+		model = states.PilotModel()
+		if ps := r.pilots[string(uid)]; ps != nil {
 			cur = &ps.State
 		}
 	case states.EntityTask:
-		if ts := tasks[b.UID]; ts != nil {
+		model = states.TaskModel()
+		if ts := r.tasks[string(uid)]; ts != nil {
 			cur = &ts.State
 		}
 	case states.EntityService:
-		if ss := services[b.UID]; ss != nil {
+		model = states.ServiceModel()
+		if ss := r.services[string(uid)]; ss != nil {
 			cur = &ss.State
 		}
-	}
-	if cur == nil {
-		stats.skip("transition-unknown-uid")
+	default:
+		r.stats.skip("transition-unknown-entity")
 		return
 	}
-	from, to := states.State(b.From), states.State(b.To)
+	if cur == nil {
+		r.stats.skip("transition-unknown-uid")
+		return
+	}
+	from, to := stateOf(fromName), stateOf(toName)
 	switch {
 	case from == *cur && model.CanTransition(from, to):
 		*cur = to
-		stats.Applied++
+		r.stats.Applied++
 	case from == model.Initial() && model.IsFinal(*cur) && model.CanTransition(from, to):
 		// Machine restart under the same UID (re-placement bootstrap).
 		*cur = to
-		stats.Applied++
+		r.stats.Applied++
 	case to == *cur:
-		stats.skip("duplicate-transition")
+		r.stats.skip("duplicate-transition")
 	case from != *cur:
-		stats.skip("out-of-order-transition")
+		r.stats.skip("out-of-order-transition")
 	default:
-		stats.skip("illegal-transition")
+		r.stats.skip("illegal-transition")
 	}
 }
 

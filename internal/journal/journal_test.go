@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -392,5 +395,63 @@ func TestBodiesMarshal(t *testing.T) {
 		if _, err := json.Marshal(body); err != nil {
 			t.Fatalf("marshal %T: %v", body, err)
 		}
+	}
+}
+
+// TestReplayFileStreamsLikeReplay holds ReplayFile, which reads the journal
+// a buffer at a time, to Replay on the same bytes: records that straddle a
+// buffer's end, one longer than the buffer, a tail torn at every kind of
+// place and a corrupt record far into the file give the same snapshot, the
+// same stats and the same error.
+func TestReplayFileStreamsLikeReplay(t *testing.T) {
+	w := openTestWriter(t)
+	writeBasicJournal(t, w)
+	for i := 0; i < 1500; i++ { // ~200 kB of transitions: three buffers' worth
+		mustAppend(t, w, KindTransition, TransitionBody{Entity: "task", UID: "t1", From: "NEW", To: "TMGR_SCHEDULING"})
+	}
+	long := strings.Repeat("n", 3*replayBuffer+17)
+	mustAppend(t, w, KindTask, TaskBody{UID: "big", Desc: spec.TaskDescription{UID: "big", Name: long, Cores: 1}})
+	mustAppend(t, w, KindTransition, TransitionBody{Entity: "task", UID: "big", From: "NEW", To: "TMGR_SCHEDULING"})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := readFile(t, w.Path())
+	frames := frameOffsets(t, data)
+	bigAt := frames[len(frames)-2]
+
+	check := func(what string, data []byte) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snapF, statsF, errF := ReplayFile(path)
+		snapM, statsM, errM := Replay(data)
+		if (errF == nil) != (errM == nil) || (errF != nil && errF.Error() != errM.Error()) {
+			t.Fatalf("%s: ReplayFile err %v, Replay err %v", what, errF, errM)
+		}
+		if !reflect.DeepEqual(statsF, statsM) || !reflect.DeepEqual(snapF, snapM) {
+			t.Fatalf("%s: ReplayFile stats %+v, Replay stats %+v (or the snapshots differ)", what, statsF, statsM)
+		}
+	}
+	check("whole", data)
+	if snap, stats, _ := ReplayFile(w.Path()); stats.Records != len(frames) || stats.ValidBytes != int64(len(data)) ||
+		snap.Tasks[1].Desc.Name != long || snap.Tasks[1].State != states.TaskTmgrScheduling {
+		t.Fatalf("whole: stats %+v", stats)
+	}
+	for _, cut := range []int{0, 1, headerSize, replayBuffer - 1, replayBuffer, replayBuffer + 1, 2 * replayBuffer,
+		bigAt, bigAt + 3, bigAt + headerSize, bigAt + replayBuffer, len(data) - 1, frames[len(frames)-1]} {
+		check(fmt.Sprintf("cut at %d", cut), data[:cut])
+	}
+	for _, at := range []int{frames[3] + headerSize, frames[1200] + 2, bigAt + 2*replayBuffer, frames[len(frames)-1] + 20} {
+		bad := bytes.Clone(data)
+		bad[at] ^= 0xff
+		check(fmt.Sprintf("flipped byte %d", at), bad)
+	}
+	huge := bytes.Clone(data)
+	copy(huge[frames[900]:], []byte{0xff, 0xff, 0xff, 0xff}) // a length no record may have
+	check("oversized length prefix", huge)
+	if _, stats, err := ReplayFile(filepath.Join(t.TempDir(), "missing")); err == nil || stats == nil {
+		t.Fatalf("missing file: stats %v, err %v", stats, err)
 	}
 }

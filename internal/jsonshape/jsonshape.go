@@ -7,6 +7,8 @@
 package jsonshape
 
 import (
+	"bytes"
+	"math"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -84,6 +86,23 @@ func AppendTime(b []byte, t time.Time) (_ []byte, ok bool) {
 	return append(b, '"'), true
 }
 
+// AppendFloat appends f as encoding/json encodes a float64: the shortest
+// decimal that reads back as f, with an exponent below 1e-6 and from 1e21 up.
+// ok is false, with b left in an unspecified state, for an infinity or a NaN,
+// which json.Marshal refuses.
+func AppendFloat(b []byte, f float64) (_ []byte, ok bool) {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-2] == '0' { // e-09 is written e-9
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, !math.IsInf(f, 0) && !math.IsNaN(f)
+}
+
 // Cursor reads P front to back in the exact byte shape a hand-written
 // encoder emits. The first deviation makes it bad for good: what it returns
 // from then on means nothing, and OK and End report false.
@@ -96,8 +115,8 @@ type Cursor struct {
 // Span is a byte range of a cursor's input.
 type Span struct{ Lo, Hi int }
 
-// Of returns the range of s, a string copy of the cursor's input.
-func (v Span) Of(s string) string { return s[v.Lo:v.Hi] }
+// Of returns the range of p, the cursor's input.
+func (v Span) Of(p []byte) []byte { return p[v.Lo:v.Hi] }
 
 // OK reports whether everything read so far had the expected shape.
 func (c *Cursor) OK() bool { return !c.bad }
@@ -131,18 +150,18 @@ func (c *Cursor) Lit(s string) {
 // isPlain is false if that span holds an escape or a byte encoding/json does
 // not copy verbatim; the literal is then encoding/json's to decode.
 func (c *Cursor) Quoted() (v Span, isPlain bool) {
-	if !c.Has(`"`) {
+	p, lo := c.P, c.i+1
+	if c.bad || c.i >= len(p) || p[c.i] != '"' {
 		c.bad = true
 		return Span{}, false
 	}
 	isPlain = true
-	for j := c.i; j < len(c.P); j++ {
-		switch b := c.P[j]; {
+	for j := lo; j < len(p); j++ {
+		switch b := p[j]; {
 		case plain[b]:
 		case b == '"':
-			v = Span{c.i, j}
 			c.i = j + 1
-			return v, isPlain
+			return Span{lo, j}, isPlain
 		case b == '\\':
 			j++ // whatever is escaped, it does not end the string
 			fallthrough
@@ -167,12 +186,81 @@ func (c *Cursor) Str() Span {
 // sign, no leading zero, no fraction or exponent, at most 64 bits.
 func (c *Cursor) Uint() uint64 {
 	start := c.i
-	for c.i < len(c.P) && '0' <= c.P[c.i] && c.P[c.i] <= '9' {
-		c.i++
-	}
+	c.digits()
 	n, err := strconv.ParseUint(string(c.P[start:c.i]), 10, 64)
 	if err != nil || (c.i-start > 1 && c.P[start] == '0') {
 		c.bad = true
 	}
 	return n
+}
+
+// Int consumes an integer as strconv.AppendInt writes one, if an int holds it.
+func (c *Cursor) Int() int {
+	start := c.i
+	c.Has(`-`)
+	c.Uint()
+	n, err := strconv.ParseInt(string(c.P[start:c.i]), 10, 0)
+	if err != nil {
+		c.bad = true
+	}
+	return int(n)
+}
+
+// digits consumes one decimal digit or more.
+func (c *Cursor) digits() {
+	start := c.i
+	for c.i < len(c.P) && '0' <= c.P[c.i] && c.P[c.i] <= '9' {
+		c.i++
+	}
+	if c.i == start {
+		c.bad = true
+	}
+}
+
+// Float consumes a number of JSON's grammar, whatever its form, and returns
+// what strconv.ParseFloat makes of it, as encoding/json does for a float64;
+// a number ParseFloat refuses (1e999) is encoding/json's to report.
+func (c *Cursor) Float() float64 {
+	start := c.i
+	c.Has(`-`)
+	if !c.Has(`0`) {
+		c.digits()
+	}
+	if c.Has(`.`) {
+		c.digits()
+	}
+	if c.Has(`e`) || c.Has(`E`) {
+		_ = c.Has(`+`) || c.Has(`-`)
+		c.digits()
+	}
+	f, err := strconv.ParseFloat(string(c.P[start:c.i]), 64)
+	if err != nil {
+		c.bad = true
+	}
+	return f
+}
+
+// Time consumes a timestamp: the literal up to the next quote, through the
+// decoder encoding/json would call. What that decoder takes holds no escape
+// and no quote, so the literal ends where encoding/json ends it.
+func (c *Cursor) Time() (t time.Time) {
+	n := bytes.IndexByte(c.P[min(c.i+1, len(c.P)):], '"') // from the opening quote to the closing one
+	if end := c.i + n + 2; !c.bad && n >= 0 && t.UnmarshalJSON(c.P[c.i:end]) == nil {
+		c.i = end
+		return t
+	}
+	c.bad = true
+	return time.Time{}
+}
+
+// Until consumes the input up to the next s and returns the span it passed
+// over, which is the caller's to make sense of.
+func (c *Cursor) Until(s string) Span {
+	n := bytes.Index(c.P[c.i:], []byte(s))
+	if c.bad || n < 0 {
+		c.bad = true
+		return Span{}
+	}
+	c.i += n
+	return Span{c.i - n, c.i}
 }

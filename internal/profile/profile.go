@@ -28,10 +28,18 @@ type Event struct {
 	At     time.Time
 }
 
-// Recorder accumulates events. It is safe for concurrent use.
+// chunkEvents is how many events a full-size chunk of a Recorder holds.
+const chunkEvents = 16 << 6
+
+// Recorder accumulates events. It is safe for concurrent use. Events are
+// kept in chunks, filled in order: a recorder that grows never copies what
+// it already holds. The first chunks are small (16 events, then doubling up
+// to chunkEvents), so a session that records a handful of transitions does
+// not pay for 90 kB.
 type Recorder struct {
 	mu     sync.Mutex
-	events []Event
+	chunks [][]Event
+	n      int
 }
 
 // NewRecorder returns an empty Recorder.
@@ -41,31 +49,40 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // kind; install it as (or chain it into) a runtime StateCallback.
 func (r *Recorder) Callback(entity string) states.Callback {
 	return func(uid string, from, to states.State, at time.Time) {
-		r.mu.Lock()
-		r.events = append(r.events, Event{UID: uid, Entity: entity, From: from, To: to, At: at})
-		r.mu.Unlock()
+		r.Record(Event{UID: uid, Entity: entity, From: from, To: to, At: at})
 	}
 }
 
 // Record appends one event directly.
 func (r *Recorder) Record(e Event) {
 	r.mu.Lock()
-	r.events = append(r.events, e)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if k := len(r.chunks); k == 0 || len(r.chunks[k-1]) == cap(r.chunks[k-1]) {
+		// 16, 32, … chunkEvents, then chunkEvents for good: the shift count is
+		// clamped, k itself grows with the recorder.
+		r.chunks = append(r.chunks, make([]Event, 0, 16<<min(k, 6)))
+	}
+	last := &r.chunks[len(r.chunks)-1]
+	*last = append(*last, e)
+	r.n++
 }
 
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.events)
+	return r.n
 }
 
 // Events returns a copy of the recorded events in insertion order.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event{}, r.events...)
+	out := make([]Event, 0, r.n)
+	for _, c := range r.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // Entities returns the distinct UIDs recorded for an entity kind (all

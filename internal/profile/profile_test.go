@@ -2,7 +2,9 @@ package profile
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,5 +143,50 @@ func TestEnteredAt(t *testing.T) {
 	}
 	if _, ok := r.EnteredAt("ghost", states.TaskDone); ok {
 		t.Fatal("EnteredAt found ghost entity")
+	}
+}
+
+// TestRecorderKeepsOrderAcrossChunks fills more than 64 chunks (past any
+// shift-count wrap in the chunk sizing) from several goroutines: every event
+// is kept, each writer's in its own order, no chunk is larger than
+// chunkEvents, and Events returns a copy the recorder does not write into.
+func TestRecorderKeepsOrderAcrossChunks(t *testing.T) {
+	const writers, each = 4, 17*chunkEvents + 137
+	r := NewRecorder()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cb := r.Callback(strconv.Itoa(w))
+			for i := 0; i < each; i++ {
+				cb("uid", states.TaskNew, states.TaskDone, origin.Add(time.Duration(i)))
+			}
+		}(w)
+	}
+	wg.Wait()
+	evs := r.Events()
+	if r.Len() != writers*each || len(evs) != writers*each {
+		t.Fatalf("Len %d, Events %d, want %d", r.Len(), len(evs), writers*each)
+	}
+	if len(r.chunks) <= 64 {
+		t.Fatalf("%d chunks, want more than 64", len(r.chunks))
+	}
+	for k, c := range r.chunks {
+		if want := min(chunkEvents, 16<<min(k, 10)); cap(c) != want {
+			t.Fatalf("chunk %d holds %d events, want %d", k, cap(c), want)
+		}
+	}
+	next := map[string]int{}
+	for _, e := range evs {
+		if e.At != origin.Add(time.Duration(next[e.Entity])) {
+			t.Fatalf("writer %s: event %d out of order: %v", e.Entity, next[e.Entity], e.At)
+		}
+		next[e.Entity]++
+	}
+	evs[0].UID = "changed"
+	r.Record(Event{UID: "last"})
+	if got := r.Events(); got[0].UID != "uid" || got[len(got)-1].UID != "last" || len(got) != writers*each+1 {
+		t.Fatalf("after a write to the copy and one Record: first %q, last %q, %d events", got[0].UID, got[len(got)-1].UID, len(got))
 	}
 }

@@ -168,8 +168,8 @@ func TaskModel() *Model { return taskModel }
 func ServiceModel() *Model { return serviceModel }
 
 // ModelFor returns the state model of an entity kind, or nil for an
-// unknown kind. Journal replay uses it to validate recorded transitions
-// against the same relation the live machines enforce.
+// unknown kind. Recovery uses it to judge journaled states by the same
+// relation the live machines enforce.
 func ModelFor(e Entity) *Model {
 	switch e {
 	case EntityPilot:
