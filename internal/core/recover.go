@@ -232,13 +232,10 @@ func (s *Session) recoverTasks(snap *journal.Snapshot, survivors map[string]*pil
 
 		if p, ok := survivors[ts.Pilot]; ok {
 			if pt, found := p.Task(uid); found {
-				// Still in the surviving pilot's hands: re-pin and watch.
-				// The watcher settles it (or re-routes, should this pilot
+				// Still in the surviving pilot's hands: re-pin it. Its
+				// completion hook settles it (or re-routes, should this pilot
 				// die later) exactly as the first incarnation would have.
-				t.mu.Lock()
-				t.cur, t.p = pt, p
-				t.mu.Unlock()
-				go s.tm.watch(t, pt, p)
+				s.tm.follow(t, pt, p)
 				rep.TasksReattached = append(rep.TasksReattached, uid)
 				continue
 			}

@@ -233,7 +233,8 @@ func (s *Session) attachJournal(path string, flushEvery time.Duration, seed, inc
 }
 
 // journalAppend appends one record to the session journal (no-op for
-// volatile sessions or after the journal crashed).
+// volatile sessions or after the journal crashed). Transitions, task
+// descriptions and task binds go through the writer's typed doors instead.
 func (s *Session) journalAppend(kind journal.Kind, body any) {
 	if s.jw == nil {
 		return
@@ -295,9 +296,14 @@ func (s *Session) publishState(entity string) states.Callback {
 	record := s.prof.Callback(entity)
 	return func(uid string, from, to states.State, at time.Time) {
 		record(uid, from, to, at)
-		s.journalAppend(journal.KindTransition, journal.TransitionBody{
-			Entity: entity, UID: uid, From: string(from), To: string(to), At: at,
-		})
+		if s.jw != nil {
+			_ = s.jw.AppendTransition(journal.TransitionBody{
+				Entity: entity, UID: uid, From: string(from), To: string(to), At: at,
+			})
+		}
+		if !s.updates.Subscribed(entity) {
+			return
+		}
 		env, err := proto.NewEnvelope(proto.KindStateUpdate, 0, uid, "", at, proto.StateUpdate{
 			EntityUID: uid, Entity: entity, State: string(to), At: at,
 		})

@@ -174,7 +174,7 @@ func (tm *TaskManager) submitOne(ctx context.Context, d spec.TaskDescription) (*
 	tm.mu.Lock()
 	if d.UID == "" {
 		tm.seq++
-		d.UID = fmt.Sprintf("%s.task.%06d", tm.sess.uid, tm.seq)
+		d.UID = spec.TaskUID(tm.sess.uid, tm.seq)
 	}
 	if _, dup := tm.tasks[d.UID]; dup {
 		tm.mu.Unlock()
@@ -187,7 +187,9 @@ func (tm *TaskManager) submitOne(ctx context.Context, d spec.TaskDescription) (*
 	_, err := tm.place(&t.desc, nil, func(p *pilot.Pilot) error {
 		// Journaled once routing has succeeded; a dispatch retry re-appends
 		// it and replay skips the duplicate.
-		tm.sess.journalAppend(journal.KindTask, journal.TaskBody{UID: t.uid, Desc: t.desc})
+		if jw := tm.sess.jw; jw != nil {
+			_ = jw.AppendTask(journal.TaskBody{UID: t.uid, Desc: t.desc})
+		}
 		_, err := tm.dispatch(t, p)
 		return err
 	})
@@ -203,32 +205,39 @@ func (tm *TaskManager) submitOne(ctx context.Context, d spec.TaskDescription) (*
 	return t, nil
 }
 
-// dispatch submits the task to p and starts its watcher. The binding is
+// dispatch submits the task to p and registers its settle. The binding is
 // journaled before the submission: a crash in between replays as a task
 // bound to a pilot that never heard of it, which Recover detects (no
 // pilot-level handle under the UID) and re-dispatches.
 func (tm *TaskManager) dispatch(t *Task, p *pilot.Pilot) (*pilot.Task, error) {
-	tm.sess.journalAppend(journal.KindBind, journal.BindBody{Entity: "task", UID: t.uid, Pilot: p.UID()})
+	if jw := tm.sess.jw; jw != nil {
+		_ = jw.AppendBind(journal.BindBody{Entity: "task", UID: t.uid, Pilot: p.UID()})
+	}
 	pt, err := p.SubmitTask(t.ctx, t.desc)
 	if err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
-	t.cur, t.p = pt, p
-	t.mu.Unlock()
-	go tm.watch(t, pt, p)
+	tm.follow(t, pt, p)
 	return pt, nil
 }
 
-// watch follows one pilot-level task to a final state and settles or
-// re-routes the logical task: DONE finishes it, a queued-at-shutdown
-// failure (pilot.ErrPilotStopped, unpinned) re-enters routing, anything
-// else fails it.
-func (tm *TaskManager) watch(t *Task, pt *pilot.Task, p *pilot.Pilot) {
-	// The pilot drives every task to a final state (context cancellation
-	// and pilot shutdown are both failure paths), so this wait needs no
-	// deadline of its own.
-	_ = p.WaitTasks(context.Background(), pt.UID())
+// follow binds t to its pilot-level task and hands the pilot the settle.
+// The bind comes first: a hook that fires at once (pt already final, as
+// Recover may find it) re-routes over it, never the other way round.
+func (tm *TaskManager) follow(t *Task, pt *pilot.Task, p *pilot.Pilot) {
+	t.mu.Lock()
+	t.cur, t.p = pt, p
+	t.mu.Unlock()
+	pt.OnDone(func() { tm.settle(t, pt) })
+}
+
+// settle is the pilot-level task's completion hook. The pilot runs it once,
+// when pt is final and its last transition is profiled, journaled and
+// published — so a Wait that returns finds the DONE record in the journal.
+// DONE finishes the logical task, a queued-at-shutdown failure
+// (pilot.ErrPilotStopped, unpinned) re-enters routing, anything else fails
+// it.
+func (tm *TaskManager) settle(t *Task, pt *pilot.Task) {
 	if pt.State() == states.TaskDone {
 		t.finish(nil)
 		return

@@ -144,15 +144,52 @@ func TestReplayParentWAL(t *testing.T) {
 	}
 }
 
+// appendTyped is the writer's other door: the typed entry point of a task,
+// bind or transition record, Append for every other.
+func appendTyped(w *Writer, kind Kind, body any) error {
+	switch b := body.(type) {
+	case TaskBody:
+		if kind == KindTask {
+			return w.AppendTask(b)
+		}
+	case BindBody:
+		if kind == KindBind {
+			return w.AppendBind(b)
+		}
+	case TransitionBody:
+		if kind == KindTransition {
+			return w.AppendTransition(b)
+		}
+	}
+	return w.Append(kind, body)
+}
+
+// doors are the two ways a record reaches the writer; the oracle holds both.
+var doors = []struct {
+	name   string
+	append func(*Writer, Kind, any) error
+}{
+	{"Append", (*Writer).Append},
+	{"typed", appendTyped},
+}
+
 // TestWriterMatchesParentWAL appends the script parent.wal was written
-// with: the file must equal the encoding/json oracle's frames and the
-// parent commit's file, byte for byte, torn tail included.
+// with, through either door: the file must equal the encoding/json oracle's
+// frames and the parent commit's file, byte for byte, torn tail included.
 func TestWriterMatchesParentWAL(t *testing.T) {
+	for _, door := range doors {
+		t.Run(door.name, func(t *testing.T) { testWriterMatchesParentWAL(t, door.append) })
+	}
+}
+
+func testWriterMatchesParentWAL(t *testing.T, appendTo func(*Writer, Kind, any) error) {
 	w := openTestWriter(t)
 	recs, torn := parentScript()
 	var want []byte
 	for i, r := range recs {
-		mustAppend(t, w, r.kind, r.body)
+		if err := appendTo(w, r.kind, r.body); err != nil {
+			t.Fatalf("append seq %d: %v", i+1, err)
+		}
 		frame, err := oracleFrame(r.kind, uint64(i+1), r.body)
 		if err != nil {
 			t.Fatalf("oracle seq %d: %v", i+1, err)
@@ -160,7 +197,7 @@ func TestWriterMatchesParentWAL(t *testing.T) {
 		want = append(want, frame...)
 	}
 	w.SetCrashHook(func(Record) CrashMode { return CrashTorn })
-	if err := w.Append(torn.kind, torn.body); !errors.Is(err, ErrCrashed) {
+	if err := appendTo(w, torn.kind, torn.body); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("torn append err = %v, want ErrCrashed", err)
 	}
 	frame, err := oracleFrame(torn.kind, uint64(len(recs)+1), torn.body)
@@ -210,23 +247,30 @@ func FuzzAppendMatchesJSON(f *testing.F) {
 		if zone != 0 {
 			at = at.In(time.FixedZone("z", int(zone)))
 		}
-		for _, body := range []any{
-			TransitionBody{Entity: a, UID: b, From: c, To: d, At: at},
-			BindBody{Entity: a, UID: b, Pilot: c},
+		// Each body under the fuzzed kind, where both doors are Append, and
+		// under its own, where the second is its typed entry point.
+		for _, r := range []scriptRec{
+			{Kind(kind), TransitionBody{Entity: a, UID: b, From: c, To: d, At: at}},
+			{Kind(kind), BindBody{Entity: a, UID: b, Pilot: c}},
+			{KindTransition, TransitionBody{Entity: a, UID: b, From: c, To: d, At: at}},
+			{KindBind, BindBody{Entity: a, UID: b, Pilot: c}},
+			{KindTask, TaskBody{UID: a, Desc: spec.TaskDescription{UID: b, Name: c, Pilot: d, Cores: int(zone), MemGB: float64(nsec)}}},
 		} {
-			// The file is opened O_APPEND: the next record lands at offset 0.
-			if err := os.Truncate(path, 0); err != nil {
-				t.Fatal(err)
-			}
-			appends, _ := w.Stats()
-			gotErr := w.Append(Kind(kind), body)
-			got := readFile(t, path)
-			want, wantErr := oracleFrame(Kind(kind), uint64(appends)+1, body)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("%+v: Append err %v, oracle err %v", body, gotErr, wantErr)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%+v:\n got %q\nwant %q", body, got, want)
+			for _, door := range doors {
+				// The file is opened O_APPEND: the next record lands at offset 0.
+				if err := os.Truncate(path, 0); err != nil {
+					t.Fatal(err)
+				}
+				appends, _ := w.Stats()
+				gotErr := door.append(w, r.kind, r.body)
+				got := readFile(t, path)
+				want, wantErr := oracleFrame(r.kind, uint64(appends)+1, r.body)
+				if (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("%s %+v: err %v, oracle err %v", door.name, r.body, gotErr, wantErr)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s %+v:\n got %q\nwant %q", door.name, r.body, got, want)
+				}
 			}
 		}
 	})
@@ -414,9 +458,10 @@ func writeTaskWAL(t testing.TB, n int) []byte {
 	return data
 }
 
-// TestJournalAppendAllocBudget pins the hot appends at one allocation: the
-// boxing of the body into Append's `any`. Encoding, framing and the write
-// reuse the pooled body buffer and the writer's frame buffer.
+// TestJournalAppendAllocBudget pins the hot appends at no allocation through
+// the typed doors and at one through Append: the boxing of the body into its
+// `any`. Encoding, framing and the write reuse the pooled body buffer and the
+// writer's frame buffer.
 func TestJournalAppendAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is lossy under the race detector")
@@ -426,11 +471,19 @@ func TestJournalAppendAllocBudget(t *testing.T) {
 	tb := TransitionBody{Entity: "task", UID: "task.000001", From: "AGENT_SCHEDULING", To: "AGENT_EXECUTING", At: time.Now()}
 	bb := BindBody{Entity: "task", UID: "task.000001", Pilot: "pilot.0001"}
 	mustAppend(t, w, KindTransition, tb) // warm the pool and the frame buffer
-	if n := testing.AllocsPerRun(200, func() { _ = w.Append(KindTransition, tb) }); n > 1 {
-		t.Errorf("transition append: %.1f allocs, budget 1", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { _ = w.Append(KindBind, bb) }); n > 1 {
-		t.Errorf("bind append: %.1f allocs, budget 1", n)
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		append func()
+	}{
+		{"AppendTransition", 0, func() { _ = w.AppendTransition(tb) }},
+		{"AppendBind", 0, func() { _ = w.AppendBind(bb) }},
+		{"Append(transition)", 1, func() { _ = w.Append(KindTransition, tb) }},
+		{"Append(bind)", 1, func() { _ = w.Append(KindBind, bb) }},
+	} {
+		if n := testing.AllocsPerRun(200, tc.append); n > tc.budget {
+			t.Errorf("%s: %.1f allocs, budget %.0f", tc.name, n, tc.budget)
+		}
 	}
 }
 

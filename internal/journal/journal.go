@@ -20,9 +20,13 @@
 // synchronously (so a process crash loses at most the record being
 // written), while fsync is batched on the session clock — the usual WAL
 // group-commit trade: per-record write() cost without per-record fsync
-// cost. The simulation only models process crashes (completed write()s
-// survive in the OS page cache), so the fsync cadence is fidelity and
-// accounting, not correctness.
+// cost. The fsync runs on the flusher's goroutine with the writer unlocked:
+// it decides and counts under the lock, then syncs while appends go on, and
+// what they write is the next tick's to sync. Close and Crash stop the
+// flusher before they touch the file, so no sync meets a closed descriptor.
+// The simulation only models process crashes (completed write()s survive in
+// the OS page cache), so the fsync cadence is fidelity and accounting, not
+// correctness.
 //
 // Codec: the payload bytes are encoding/json's. The writer hand-encodes the
 // envelope and the three bodies a task writes (description, bind,
@@ -181,42 +185,54 @@ type EndpointBody struct {
 func appendBody(b []byte, body any) (_ []byte, ok bool) {
 	switch v := body.(type) {
 	case TransitionBody:
-		b = jsonshape.AppendString(append(b, `{"entity":`...), v.Entity)
-		b = jsonshape.AppendString(append(b, `,"uid":`...), v.UID)
-		b = jsonshape.AppendString(append(b, `,"from":`...), v.From)
-		b = jsonshape.AppendString(append(b, `,"to":`...), v.To)
-		b, ok = jsonshape.AppendTime(append(b, `,"at":`...), v.At)
-		return append(b, '}'), ok
+		return appendTransition(b, &v)
 	case BindBody:
-		b = jsonshape.AppendString(append(b, `{"entity":`...), v.Entity)
-		b = jsonshape.AppendString(append(b, `,"uid":`...), v.UID)
-		b = jsonshape.AppendString(append(b, `,"pilot":`...), v.Pilot)
-		return append(b, '}'), true
+		return appendBind(b, &v), true
 	case TaskBody:
-		d := &v.Desc
-		if d.InputStaging != nil || d.OutputStaging != nil || d.Metadata != nil {
-			return b, false
-		}
-		b = jsonshape.AppendString(append(b, `{"uid":`...), v.UID)
-		b = jsonshape.AppendString(append(b, `,"desc":{"UID":`...), d.UID)
-		b = jsonshape.AppendString(append(b, `,"Name":`...), d.Name)
-		b = strconv.AppendInt(append(b, `,"Cores":`...), int64(d.Cores), 10)
-		b = strconv.AppendInt(append(b, `,"GPUs":`...), int64(d.GPUs), 10)
-		b, ok = jsonshape.AppendFloat(append(b, `,"MemGB":`...), d.MemGB)
-		b = append(b, `,"Duration":`...)
-		if d.Duration.D == nil {
-			b = append(b, `null`...)
-		} else {
-			// The distribution's own encoding, which json.Marshal would only
-			// compact and escape, and which is already both.
-			dist, err := d.Duration.MarshalJSON()
-			b, ok = append(b, dist...), ok && err == nil
-		}
-		b = strconv.AppendInt(append(b, `,"Priority":`...), int64(d.Priority), 10)
-		b = jsonshape.AppendString(append(b, `,"Pilot":`...), d.Pilot)
-		return append(b, `,"InputStaging":null,"OutputStaging":null,"Metadata":null}}`...), ok
+		return appendTask(b, &v)
 	}
 	return b, false
+}
+
+func appendTransition(b []byte, v *TransitionBody) (_ []byte, ok bool) {
+	b = jsonshape.AppendString(append(b, `{"entity":`...), v.Entity)
+	b = jsonshape.AppendString(append(b, `,"uid":`...), v.UID)
+	b = jsonshape.AppendString(append(b, `,"from":`...), v.From)
+	b = jsonshape.AppendString(append(b, `,"to":`...), v.To)
+	b, ok = jsonshape.AppendTime(append(b, `,"at":`...), v.At)
+	return append(b, '}'), ok
+}
+
+func appendBind(b []byte, v *BindBody) []byte {
+	b = jsonshape.AppendString(append(b, `{"entity":`...), v.Entity)
+	b = jsonshape.AppendString(append(b, `,"uid":`...), v.UID)
+	b = jsonshape.AppendString(append(b, `,"pilot":`...), v.Pilot)
+	return append(b, '}')
+}
+
+func appendTask(b []byte, v *TaskBody) (_ []byte, ok bool) {
+	d := &v.Desc
+	if d.InputStaging != nil || d.OutputStaging != nil || d.Metadata != nil {
+		return b, false
+	}
+	b = jsonshape.AppendString(append(b, `{"uid":`...), v.UID)
+	b = jsonshape.AppendString(append(b, `,"desc":{"UID":`...), d.UID)
+	b = jsonshape.AppendString(append(b, `,"Name":`...), d.Name)
+	b = strconv.AppendInt(append(b, `,"Cores":`...), int64(d.Cores), 10)
+	b = strconv.AppendInt(append(b, `,"GPUs":`...), int64(d.GPUs), 10)
+	b, ok = jsonshape.AppendFloat(append(b, `,"MemGB":`...), d.MemGB)
+	b = append(b, `,"Duration":`...)
+	if d.Duration.D == nil {
+		b = append(b, `null`...)
+	} else {
+		// The distribution's own encoding, which json.Marshal would only
+		// compact and escape, and which is already both.
+		dist, err := d.Duration.MarshalJSON()
+		b, ok = append(b, dist...), ok && err == nil
+	}
+	b = strconv.AppendInt(append(b, `,"Priority":`...), int64(d.Priority), 10)
+	b = jsonshape.AppendString(append(b, `,"Pilot":`...), d.Pilot)
+	return append(b, `,"InputStaging":null,"OutputStaging":null,"Metadata":null}}`...), ok
 }
 
 // The keys of the two hot bodies, each followed by a string.
@@ -435,7 +451,8 @@ type Config struct {
 }
 
 // Writer appends records to a journal file. Appends are synchronous
-// write()s under a mutex; fsync runs on the session clock's cadence.
+// write()s under a mutex; fsync runs on the session clock's cadence, on the
+// flusher's goroutine and outside that mutex.
 type Writer struct {
 	f     *os.File
 	path  string
@@ -452,6 +469,7 @@ type Writer struct {
 	syncs     int64
 	crashHook func(Record) CrashMode
 	onCrash   func()
+	fsync     func() error // f.Sync; the tests' seam
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -472,7 +490,7 @@ func Open(cfg Config) (*Writer, error) {
 		return nil, fmt.Errorf("journal: open %s: %w", cfg.Path, err)
 	}
 	w := &Writer{
-		f: f, path: cfg.Path, clock: cfg.Clock, frame: make([]byte, headerSize, 512),
+		f: f, fsync: f.Sync, path: cfg.Path, clock: cfg.Clock, frame: make([]byte, headerSize, 512),
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	go w.flusher(cfg.FlushEvery)
@@ -509,20 +527,65 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // Append journals one record with a single write(). After a crash
 // (injected or Crash()), it drops the record and returns ErrCrashed; after
 // a failed or short write() the file ends in a fragment no record may
-// follow, so every later Append returns that first error.
+// follow, so every later Append returns that first error. The three records
+// a task writes have typed doors beside it (AppendTask, AppendBind,
+// AppendTransition): the same record by the same path, without the body
+// boxed into an interface first.
 func (w *Writer) Append(kind Kind, body any) error {
 	buf := bodyPool.Get().(*[]byte)
 	defer bodyPool.Put(buf)
 	raw, ok := appendBody((*buf)[:0], body)
-	if ok {
-		*buf = raw
-	} else {
-		var err error
-		if raw, err = json.Marshal(body); err != nil {
-			return fmt.Errorf("journal: marshal %s body: %w", kind, err)
-		}
+	if !ok {
+		return w.appendJSON(kind, body)
 	}
+	*buf = raw
+	return w.write(kind, raw)
+}
 
+// AppendTask is Append(KindTask, b).
+func (w *Writer) AppendTask(b TaskBody) error {
+	buf := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(buf)
+	raw, ok := appendTask((*buf)[:0], &b)
+	if !ok {
+		return w.appendJSON(KindTask, b)
+	}
+	*buf = raw
+	return w.write(KindTask, raw)
+}
+
+// AppendBind is Append(KindBind, b).
+func (w *Writer) AppendBind(b BindBody) error {
+	buf := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(buf)
+	*buf = appendBind((*buf)[:0], &b)
+	return w.write(KindBind, *buf)
+}
+
+// AppendTransition is Append(KindTransition, b).
+func (w *Writer) AppendTransition(b TransitionBody) error {
+	buf := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(buf)
+	raw, ok := appendTransition((*buf)[:0], &b)
+	if !ok {
+		return w.appendJSON(KindTransition, b)
+	}
+	*buf = raw
+	return w.write(KindTransition, raw)
+}
+
+// appendJSON journals a body the hand-written codec has no shape for, or
+// declined.
+func (w *Writer) appendJSON(kind Kind, body any) error {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return fmt.Errorf("journal: marshal %s body: %w", kind, err)
+	}
+	return w.write(kind, raw)
+}
+
+// write frames raw as the body of the next record and writes it.
+func (w *Writer) write(kind Kind, raw []byte) error {
 	w.mu.Lock()
 	switch {
 	case w.closed:
@@ -591,13 +654,19 @@ func (w *Writer) flusher(every time.Duration) {
 		case <-w.stop:
 			return
 		case <-ticker.C():
+			// Decided under the lock, synced outside it: an fsync takes as long
+			// as some three hundred appends, none of which needs to wait for it.
+			// A record written meanwhile sets dirty again for the next tick.
+			var fsync func() error
 			w.mu.Lock()
 			if w.dirty && !w.closed && !w.crashed {
-				_ = w.f.Sync()
-				w.dirty = false
+				fsync, w.dirty = w.fsync, false
 				w.syncs++
 			}
 			w.mu.Unlock()
+			if fsync != nil {
+				_ = fsync()
+			}
 		}
 	}
 }
@@ -621,7 +690,7 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	if w.dirty {
-		_ = w.f.Sync()
+		_ = w.fsync()
 		w.syncs++
 		w.dirty = false
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -338,6 +339,83 @@ func TestFlusherSyncsOnClock(t *testing.T) {
 	}
 }
 
+// TestFlusherSyncsOutsideLock blocks the flusher inside fsync and holds the
+// writer to what the durability model promises meanwhile: appends go on, what
+// they write is the next tick's to sync, and a Close that arrives while a
+// sync is blocked waits for it, syncs the rest and leaves a replayable file.
+func TestFlusherSyncsOutsideLock(t *testing.T) {
+	clock := simtime.NewVirtual(time.Unix(0, 0))
+	path := filepath.Join(t.TempDir(), "j")
+	w, err := Open(Config{Path: path, Clock: clock, FlushEvery: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	w.mu.Lock()
+	fsync := w.fsync
+	w.fsync = func() error {
+		entered <- struct{}{}
+		<-release
+		return fsync()
+	}
+	w.mu.Unlock()
+	for deadline := time.Now().Add(10 * time.Second); clock.PendingSleepers() == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the flusher never armed its ticker")
+		}
+	}
+	tick := func() {
+		t.Helper()
+		clock.Advance(100 * time.Millisecond)
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the flusher did not sync a dirty journal on its tick")
+		}
+	}
+	stats := func(wantAppends, wantSyncs int64) {
+		t.Helper()
+		if appends, syncs := w.Stats(); appends != wantAppends || syncs != wantSyncs {
+			t.Fatalf("Stats() = %d appends, %d syncs, want %d, %d", appends, syncs, wantAppends, wantSyncs)
+		}
+	}
+	bind := BindBody{Entity: "task", UID: "t1", Pilot: "p1"}
+
+	mustAppend(t, w, KindSession, SessionBody{UID: "s"})
+	tick() // sync 1 is blocked, and not under the lock:
+	appended := make(chan error, 1)
+	go func() { appended <- w.AppendBind(bind) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatalf("append during a sync: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an append waited for the fsync")
+	}
+	stats(2, 1)
+	release <- struct{}{}
+	tick() // sync 2: what was written during sync 1
+	stats(2, 2)
+	release <- struct{}{}
+
+	mustAppend(t, w, KindBind, bind)
+	tick() // sync 3 is blocked when Close arrives
+	mustAppend(t, w, KindBind, bind)
+	closed := make(chan error, 1)
+	go func() { closed <- w.Close() }()
+	release <- struct{}{}
+	<-entered // sync 4: Close's own, for the record sync 3 did not cover
+	release <- struct{}{}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	stats(4, 4)
+	if _, rs, err := ReplayFile(path); err != nil || rs.Records != 4 || rs.TornTail || rs.Invalid != 0 {
+		t.Fatalf("replay after Close = %+v, %v, want 4 whole records", rs, err)
+	}
+}
+
 func TestMaxSeqSuffix(t *testing.T) {
 	uids := []string{"task.0001", "task.0007", "task.0003", "service.0002", "task.00x1"}
 	if got := MaxSeqSuffix(uids, "task."); got != 7 {
@@ -345,6 +423,23 @@ func TestMaxSeqSuffix(t *testing.T) {
 	}
 	if got := MaxSeqSuffix(uids, "pilot."); got != 0 {
 		t.Fatalf("MaxSeqSuffix no match = %d, want 0", got)
+	}
+}
+
+// TestTaskUIDMatchesSprintf pins the UIDs the managers and the pilots mint
+// without fmt to the bytes fmt gave them, and to the counter MaxSeqSuffix
+// recovers from them.
+func TestTaskUIDMatchesSprintf(t *testing.T) {
+	for _, owner := range []string{"session.0a1b2c3d", "", strings.Repeat("pilot.", 20)} {
+		for _, seq := range []int{0, 1, 9, 10, 42, 99999, 100000, 999999, 1000000, 123456789} {
+			got, want := spec.TaskUID(owner, seq), fmt.Sprintf("%s.task.%06d", owner, seq)
+			if got != want {
+				t.Errorf("TaskUID(%q, %d) = %q, want %q", owner, seq, got, want)
+			}
+			if n := MaxSeqSuffix([]string{got}, owner+".task."); n != seq {
+				t.Errorf("MaxSeqSuffix(%q) = %d, want %d", got, n, seq)
+			}
+		}
 	}
 }
 

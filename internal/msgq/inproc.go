@@ -177,6 +177,9 @@ func (c *inprocClient) Close() error {
 // Publisher broadcasts envelopes to topic subscribers.
 type Publisher interface {
 	Publish(topic string, env proto.Envelope)
+	// Subscribed reports whether a Publish on topic would reach a
+	// subscriber now: a caller may skip building an envelope for nobody.
+	Subscribed(topic string) bool
 	Addr() string
 	Close() error
 }
@@ -339,6 +342,18 @@ func (p *inprocPublisher) Publish(topic string, env proto.Envelope) {
 		default: // subscriber's ring full: drop, never block the publisher
 		}
 	}
+}
+
+// Subscribed implements Publisher.
+func (p *inprocPublisher) Subscribed(topic string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, s := range p.subs {
+		if len(s.topics) == 0 || s.topics[topic] {
+			return true
+		}
+	}
+	return false
 }
 
 // Addr implements Publisher.

@@ -364,6 +364,32 @@ func TestPubSubCancel(t *testing.T) {
 	p.Publish("x", env) // must not panic
 }
 
+// TestPubSubSubscribed: Subscribed answers what Publish would do with the
+// topic now, through subscription, cancellation and close.
+func TestPubSubSubscribed(t *testing.T) {
+	n := newTestNet()
+	defer n.Close()
+	p, _ := n.BindPub("updates")
+	want := func(when string, task, service bool) {
+		t.Helper()
+		if got := [2]bool{p.Subscribed("task"), p.Subscribed("service")}; got != [2]bool{task, service} {
+			t.Fatalf("%s: Subscribed(task, service) = %v, want %v %v", when, got, task, service)
+		}
+	}
+	want("no subscriber", false, false)
+	subTask, _ := n.Subscribe("a", "updates", 8, "task")
+	want("one topic", true, false)
+	subAll, _ := n.Subscribe("b", "updates", 8)
+	want("every topic", true, true)
+	subAll.Cancel()
+	want("every-topic subscriber cancelled", true, false)
+	subTask.Cancel()
+	want("both cancelled", false, false)
+	_, _ = n.Subscribe("c", "updates", 8)
+	_ = p.Close()
+	want("publisher closed", false, false)
+}
+
 func TestPubSubSubscribeUnknown(t *testing.T) {
 	n := newTestNet()
 	defer n.Close()

@@ -165,8 +165,43 @@ type Task struct {
 	enqueued chan struct{}
 	enqOnce  sync.Once
 
-	mu     sync.Mutex
-	result executor.Result
+	// done closes when the task has settled: it is final, every observer of
+	// the final transition (profile, journal, publish) has returned, and so
+	// has every completion hook. WaitTasks waits on it.
+	done chan struct{}
+
+	mu      sync.Mutex
+	result  executor.Result
+	settled bool
+	onDone  []func()
+}
+
+// OnDone registers fn to run once the task has settled: on the task's own
+// goroutine after the final transition's callbacks have returned, or at
+// once, on the caller's, if it already has.
+func (t *Task) OnDone(fn func()) {
+	t.mu.Lock()
+	if !t.settled {
+		t.onDone = append(t.onDone, fn)
+		fn = nil
+	}
+	t.mu.Unlock()
+	if fn != nil {
+		fn()
+	}
+}
+
+// settle ends runTask: it runs the completion hooks, then releases WaitTasks.
+func (t *Task) settle() {
+	t.mu.Lock()
+	t.settled = true
+	hooks := t.onDone
+	t.onDone = nil
+	t.mu.Unlock()
+	for _, fn := range hooks {
+		fn()
+	}
+	close(t.done)
 }
 
 // Enqueued returns a channel closed once the task has been admitted to the
@@ -464,12 +499,13 @@ func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, 
 	p.mu.Lock()
 	p.seq++
 	if d.UID == "" {
-		d.UID = fmt.Sprintf("%s.task.%06d", p.machine.UID(), p.seq)
+		d.UID = spec.TaskUID(p.machine.UID(), p.seq)
 	}
 	t := &Task{
 		desc:     d,
 		machine:  states.NewMachine(d.UID, states.TaskModel(), p.cfg.Clock),
 		enqueued: make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	t.machine.OnTransition(func(uid string, from, to states.State, at time.Time) {
 		if cb := p.hooks.Load().TaskState; cb != nil {
@@ -486,6 +522,7 @@ func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, 
 // runTask drives one task: TMGR_SCHEDULING → STAGING_INPUT →
 // AGENT_SCHEDULING → AGENT_EXECUTING → STAGING_OUTPUT → DONE.
 func (p *Pilot) runTask(ctx context.Context, t *Task) {
+	defer t.settle()
 	fail := func(err error) {
 		t.mu.Lock()
 		t.result.Err = err
@@ -615,14 +652,12 @@ func (p *Pilot) WaitTasks(ctx context.Context, uids ...string) error {
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrUnknownTask, uid)
 		}
-		for !t.machine.IsFinal() {
-			ch := t.machine.WaitChan()
-			if t.machine.IsFinal() {
-				break
-			}
+		select {
+		case <-t.done:
+		case <-ctx.Done():
 			select {
-			case <-ch:
-			case <-ctx.Done():
+			case <-t.done: // settled tasks are reported whatever ctx says
+			default:
 				return ctx.Err()
 			}
 		}

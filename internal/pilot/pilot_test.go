@@ -3,7 +3,9 @@ package pilot
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -594,5 +596,132 @@ func TestPilotSnapshotReflectsLoad(t *testing.T) {
 	}
 	if sn.MayFitNow(64, 0, 0) {
 		t.Fatal("saturated cores must fail the free-maxima check")
+	}
+}
+
+// gatedTask launches a pilot whose state callback raises observed once it
+// has seen the transition to want, and submits one task that blocks in its
+// payload until release closes and then returns payloadErr.
+func gatedTask(t *testing.T, want states.State, payloadErr error) (p *Pilot, task *Task, observed *atomic.Bool, release chan struct{}) {
+	t.Helper()
+	clock := simtime.NewScaled(100000, origin)
+	src := rng.New(11)
+	net := msgq.NewNetwork(clock, src, nil)
+	observed = new(atomic.Bool)
+	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.NewDelta(),
+		StateCallback: func(_ string, _, to states.State, _ time.Time) {
+			if to == want {
+				runtime.Gosched() // whoever the transition itself woke would run here
+				observed.Store(true)
+			}
+		}}, deltaPilot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	release = make(chan struct{})
+	t.Cleanup(func() {
+		_ = p.Shutdown()
+		net.Close()
+	})
+	task, err = p.SubmitTask(context.Background(), spec.TaskDescription{
+		Name: "gated", Cores: 1,
+		Func: func(context.Context) error { <-release; return payloadErr },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, task, observed, release
+}
+
+// TestWaitTasksSingleWinner: 64 concurrent WaitTasks on one task each return
+// once, with the task's verdict, and none before the task is final and the
+// observers of its final transition have returned.
+func TestWaitTasksSingleWinner(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		err  error
+		want states.State
+	}{{"done", nil, states.TaskDone}, {"failed", boom, states.TaskFailed}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, task, observed, release := gatedTask(t, tc.want, tc.err)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			const waiters = 64
+			var returned atomic.Int32
+			var wg sync.WaitGroup
+			for i := 0; i < waiters; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					err := p.WaitTasks(ctx, task.UID())
+					returned.Add(1)
+					if !errors.Is(err, tc.err) || task.State() != tc.want || !observed.Load() {
+						t.Errorf("WaitTasks = %v with the task %s (final transition observed: %v), want %v in %s, observed",
+							err, task.State(), observed.Load(), tc.err, tc.want)
+					}
+				}()
+			}
+			// An unsettled task holds a waiter until its context gives up.
+			gone, giveUp := context.WithCancel(ctx)
+			giveUp()
+			if err := p.WaitTasks(gone, task.UID()); !errors.Is(err, context.Canceled) {
+				t.Fatalf("WaitTasks on a blocked task, context cancelled: %v", err)
+			}
+			if n := returned.Load(); n != 0 {
+				t.Fatalf("%d waiters returned while the payload was blocked", n)
+			}
+			close(release)
+			wg.Wait()
+			if n := returned.Load(); n != waiters {
+				t.Fatalf("%d of %d waiters returned", n, waiters)
+			}
+			// A settled task is reported whatever the context says.
+			if err := p.WaitTasks(gone, task.UID()); !errors.Is(err, tc.err) {
+				t.Fatalf("WaitTasks on a settled task, context cancelled: %v, want %v", err, tc.err)
+			}
+		})
+	}
+}
+
+// TestOnDoneSingleWinner registers 64 hooks while the task runs to its end:
+// whichever side of the final transition a registration lands on, its hook
+// runs exactly once, after the transition's observers have returned; a hook
+// registered on a settled task runs before OnDone returns.
+func TestOnDoneSingleWinner(t *testing.T) {
+	p, task, observed, release := gatedTask(t, states.TaskDone, nil)
+	const hooks = 64
+	var fired [hooks]atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < hooks; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i == hooks/2 {
+				close(release)
+			}
+			task.OnDone(func() {
+				fired[i].Add(1)
+				if task.State() != states.TaskDone || !observed.Load() {
+					t.Errorf("hook %d ran with the task %s, final transition observed: %v", i, task.State(), observed.Load())
+				}
+			})
+		}(i)
+	}
+	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := p.WaitTasks(ctx, task.UID()); err != nil {
+		t.Fatal(err)
+	}
+	for i := range fired {
+		if n := fired[i].Load(); n != 1 {
+			t.Errorf("hook %d ran %d times", i, n)
+		}
+	}
+	late := 0
+	task.OnDone(func() { late++ })
+	if late != 1 {
+		t.Fatalf("a hook registered on a settled task ran %d times before OnDone returned", late)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/rng"
@@ -88,6 +89,18 @@ func (d TaskDescription) Validate() error {
 		}
 	}
 	return nil
+}
+
+// TaskUID returns fmt.Sprintf("%s.task.%06d", owner, seq) for seq >= 0: the
+// UID a manager or a pilot mints for its seq-th task, built without fmt on a
+// buffer that leaves the stack only as the string.
+func TaskUID(owner string, seq int) string {
+	var buf [64]byte
+	b := append(append(buf[:0], owner...), ".task."...)
+	for pad := 100000; pad > seq && pad > 1; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(seq), 10))
 }
 
 // Validate checks a staging directive.
