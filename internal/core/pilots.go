@@ -7,7 +7,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/pilot"
 	"repro/internal/platform"
-	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/spec"
 	"repro/internal/states"
@@ -49,23 +48,17 @@ func (pm *PilotManager) Submit(desc spec.PilotDescription) (*pilot.Pilot, error)
 	// against a known UID.
 	pm.sess.journalAppend(journal.KindPilot, journal.PilotBody{UID: desc.UID, Desc: desc})
 	cfg := pilot.Config{
-		Clock:                pm.sess.clock,
-		Src:                  pm.sess.src.Derive(fmt.Sprintf("pilot.%s.%d", desc.Platform, seq)),
-		Net:                  pm.sess.net,
-		Platform:             plat,
-		SchedPolicy:          pm.sess.schedPol,
-		StateCallback:        pm.sess.publishState("task"),
-		PilotStateCallback:   pm.sess.publishState("pilot"),
-		ServiceStateCallback: pm.sess.publishState("service"),
-		Attach:               pm.sess.jw != nil,
-		Transport:            pm.sess.transport,
-		// Mirror every service endpoint publication into the session
-		// EndpointRegistry as part of the publish bootstrap phase, so a
-		// ready service is already resolvable session-wide. The pilot UID
-		// identifies the publishing incarnation: a straggling publication
-		// from a pilot the service has already migrated away from is
-		// dropped instead of overwriting the failover re-publication.
-		OnServicePublish: func(ep proto.Endpoint) { pm.sess.sm.mirrorPublish(desc.UID, ep) },
+		Clock:       pm.sess.clock,
+		Src:         pm.sess.src.Derive(fmt.Sprintf("pilot.%s.%d", desc.Platform, seq)),
+		Net:         pm.sess.net,
+		Platform:    plat,
+		SchedPolicy: pm.sess.schedPol,
+		// The launch itself is all a Config observer sees: the pilot runs
+		// under the session's full hook set from the Rebind below, before it
+		// can be handed a task or a service.
+		PilotStateCallback: pm.sess.publishState("pilot"),
+		Attach:             pm.sess.jw != nil,
+		Transport:          pm.sess.transport,
 	}
 	if pm.sess.fastBoot {
 		cfg.BootTime = rng.ConstDuration(0)
@@ -76,6 +69,7 @@ func (pm *PilotManager) Submit(desc spec.PilotDescription) (*pilot.Pilot, error)
 	if err != nil {
 		return nil, err
 	}
+	p.Rebind(pm.sess.pilotHooks(desc.UID))
 	pm.track(p)
 	return p, nil
 }

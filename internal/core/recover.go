@@ -12,7 +12,6 @@ import (
 	"repro/internal/msgq"
 	"repro/internal/pilot"
 	"repro/internal/platform"
-	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/states"
@@ -187,13 +186,7 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 	// resources is the operator's call, not Recover's.
 	for _, uid := range rep.PilotsAlive {
 		p := survivors[uid]
-		puid := uid
-		p.Rebind(pilot.Hooks{
-			PilotState:       s.publishState("pilot"),
-			TaskState:        s.publishState("task"),
-			ServiceState:     s.publishState("service"),
-			OnServicePublish: func(ep proto.Endpoint) { s.sm.mirrorPublish(puid, ep) },
-		})
+		p.Rebind(s.pilotHooks(uid))
 		s.pm.track(p)
 		s.tm.AddPilot(p)
 		s.sm.AddPilot(p)

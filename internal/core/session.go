@@ -289,28 +289,63 @@ func (s *Session) SubscribeUpdates(buffer int, topics ...string) (*msgq.Subscrip
 	return s.net.Subscribe("client", UpdatesAddr, buffer, topics...)
 }
 
-// publishState is the Updater: it broadcasts one state transition on the
-// session's update channel, records it in the session profile, and — for
-// journaled sessions — appends it to the write-ahead journal.
+// publishStates is the Updater: it records the transitions one To call
+// committed in the session profile, appends them — for journaled sessions —
+// to the write-ahead journal with one write, and broadcasts them on the
+// session's update channel, each of the three in order.
+func (s *Session) publishStates(entity string) states.BatchCallback {
+	record := s.prof.Callback(entity)
+	return func(uid string, from states.State, steps []states.Record) {
+		s.publish(entity, record, uid, from, steps)
+	}
+}
+
+// publishState is publishStates for an entity observed a transition at a
+// time: pilots and services.
 func (s *Session) publishState(entity string) states.Callback {
 	record := s.prof.Callback(entity)
 	return func(uid string, from, to states.State, at time.Time) {
-		record(uid, from, to, at)
-		if s.jw != nil {
-			_ = s.jw.AppendTransition(journal.TransitionBody{
-				Entity: entity, UID: uid, From: string(from), To: string(to), At: at,
-			})
-		}
-		if !s.updates.Subscribed(entity) {
-			return
-		}
-		env, err := proto.NewEnvelope(proto.KindStateUpdate, 0, uid, "", at, proto.StateUpdate{
-			EntityUID: uid, Entity: entity, State: string(to), At: at,
+		s.publish(entity, record, uid, from, []states.Record{{State: to, At: at}})
+	}
+}
+
+func (s *Session) publish(entity string, record states.Callback, uid string, from states.State, steps []states.Record) {
+	prev := from
+	for _, st := range steps {
+		record(uid, prev, st.State, st.At)
+		prev = st.State
+	}
+	if s.jw != nil {
+		_ = s.jw.AppendTransitions(entity, uid, from, steps)
+	}
+	if !s.updates.Subscribed(entity) {
+		return
+	}
+	for _, st := range steps {
+		env, err := proto.NewEnvelope(proto.KindStateUpdate, 0, uid, "", st.At, proto.StateUpdate{
+			EntityUID: uid, Entity: entity, State: string(st.State), At: st.At,
 		})
 		if err != nil {
 			return
 		}
 		s.updates.Publish(entity, env)
+	}
+}
+
+// pilotHooks is the set of session-side observers a pilot of this session
+// runs under, launched or adopted.
+func (s *Session) pilotHooks(pilotUID string) pilot.Hooks {
+	return pilot.Hooks{
+		PilotState:   s.publishState("pilot"),
+		TaskState:    s.publishStates("task"),
+		ServiceState: s.publishState("service"),
+		// Mirror every service endpoint publication into the session
+		// EndpointRegistry as part of the publish bootstrap phase, so a
+		// ready service is already resolvable session-wide. The pilot UID
+		// identifies the publishing incarnation: a straggling publication
+		// from a pilot the service has already migrated away from is
+		// dropped instead of overwriting the failover re-publication.
+		OnServicePublish: func(ep proto.Endpoint) { s.sm.mirrorPublish(pilotUID, ep) },
 	}
 }
 

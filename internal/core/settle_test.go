@@ -216,6 +216,56 @@ func TestShutdownReroutesQueuedSingleWinner(t *testing.T) {
 	}
 }
 
+// TestPreGrantFailureReroutedOnce: a task bound to a pilot whose agent
+// scheduler closed under it is final when that pilot's SubmitTask returns.
+// The settle hook, registered on a final task, fires at once: the session
+// re-routes the task from the submitter, once, and Submit returns it bound to
+// the pilot that runs it.
+func TestPreGrantFailureReroutedOnce(t *testing.T) {
+	s, jp := newJournaledSession(t, 7)
+	defer s.Close()
+	pilots := map[string]*pilot.Pilot{}
+	for i := 0; i < 2; i++ {
+		p := submitAttachedPilot(t, s)
+		pilots[p.UID()] = p
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	desc := spec.TaskDescription{Name: "probe", Cores: 1, Func: func(context.Context) error { return nil }}
+	probe, err := s.TaskManager().Submit(ctx, desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivor := probe[0].Pilot()
+	for uid, p := range pilots {
+		if uid != survivor { // round-robin binds the next task here
+			p.Scheduler().Close()
+		}
+	}
+	tasks, err := s.TaskManager().Submit(ctx, desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := tasks[0]
+	if task.Reroutes() != 1 || task.Pilot() != survivor {
+		t.Fatalf("when Submit returned: %d reroutes, bound to %q, want 1 and %q", task.Reroutes(), task.Pilot(), survivor)
+	}
+	if err := s.TaskManager().Wait(ctx, probe[0], task); err != nil {
+		t.Fatal(err)
+	}
+	if task.State() != states.TaskDone || task.Reroutes() != 1 {
+		t.Fatalf("task %s after %d reroutes", task.State(), task.Reroutes())
+	}
+	// The journal tells the same story: bound twice, failed once, done once.
+	snap, stats, err := journal.ReplayFile(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := snap.Tasks[1]; ts.State != states.TaskDone || ts.Pilot != survivor || stats.Skipped != 0 {
+		t.Fatalf("replayed %+v with %d records skipped, want DONE on %s and none", ts, stats.Skipped, survivor)
+	}
+}
+
 // TestRecoverSettlesReattachedThroughHook: Recover re-pins a task still in a
 // surviving pilot's hands by registering the new session's settle with it.
 // Registered while the task runs, it settles the task when it ends; registered

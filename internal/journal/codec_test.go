@@ -19,6 +19,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/spec"
+	"repro/internal/states"
 )
 
 // encodeRecordJSON frames rec with encoding/json alone: length prefix, CRC,
@@ -144,8 +145,13 @@ func TestReplayParentWAL(t *testing.T) {
 	}
 }
 
+// chainOf is b as AppendTransitions takes it: a chain of one step.
+func chainOf(b TransitionBody) (entity, uid string, from states.State, steps []states.Record) {
+	return b.Entity, b.UID, states.State(b.From), []states.Record{{State: states.State(b.To), At: b.At}}
+}
+
 // appendTyped is the writer's other door: the typed entry point of a task,
-// bind or transition record, Append for every other.
+// bind or transition record (a chain of one), Append for every other.
 func appendTyped(w *Writer, kind Kind, body any) error {
 	switch b := body.(type) {
 	case TaskBody:
@@ -158,7 +164,7 @@ func appendTyped(w *Writer, kind Kind, body any) error {
 		}
 	case TransitionBody:
 		if kind == KindTransition {
-			return w.AppendTransition(b)
+			return w.AppendTransitions(chainOf(b))
 		}
 	}
 	return w.Append(kind, body)
@@ -173,23 +179,67 @@ var doors = []struct {
 	{"typed", appendTyped},
 }
 
+// appendChained appends recs through the typed doors, every run of
+// transitions an entity made back to back (each leaving the state the one
+// before it entered) with one AppendTransitions call.
+func appendChained(w *Writer, recs []scriptRec) error {
+	for i := 0; i < len(recs); {
+		first, ok := recs[i].body.(TransitionBody)
+		if !ok || recs[i].kind != KindTransition {
+			if err := appendTyped(w, recs[i].kind, recs[i].body); err != nil {
+				return err
+			}
+			i++
+			continue
+		}
+		entity, uid, from, steps := chainOf(first)
+		for i++; i < len(recs); i++ {
+			next, ok := recs[i].body.(TransitionBody)
+			if !ok || recs[i].kind != KindTransition || next.Entity != entity || next.UID != uid ||
+				states.State(next.From) != steps[len(steps)-1].State {
+				break
+			}
+			steps = append(steps, states.Record{State: states.State(next.To), At: next.At})
+		}
+		if err := w.AppendTransitions(entity, uid, from, steps); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestWriterMatchesParentWAL appends the script parent.wal was written
 // with, through either door: the file must equal the encoding/json oracle's
 // frames and the parent commit's file, byte for byte, torn tail included.
 func TestWriterMatchesParentWAL(t *testing.T) {
 	for _, door := range doors {
-		t.Run(door.name, func(t *testing.T) { testWriterMatchesParentWAL(t, door.append) })
+		t.Run(door.name, func(t *testing.T) {
+			testWriterMatchesParentWAL(t, func(w *Writer, recs []scriptRec) error {
+				for _, r := range recs {
+					if err := door.append(w, r.kind, r.body); err != nil {
+						return fmt.Errorf("append %+v: %w", r.body, err)
+					}
+				}
+				return nil
+			})
+		})
 	}
+	// The script's chains (the pilot's two states, the task's five after its
+	// bind, fixed-zone stamp included) each in one write.
+	t.Run("chained", func(t *testing.T) { testWriterMatchesParentWAL(t, appendChained) })
 }
 
-func testWriterMatchesParentWAL(t *testing.T, appendTo func(*Writer, Kind, any) error) {
+func testWriterMatchesParentWAL(t *testing.T, appendAll func(*Writer, []scriptRec) error) {
 	w := openTestWriter(t)
 	recs, torn := parentScript()
+	if err := appendAll(w, recs); err != nil {
+		t.Fatal(err)
+	}
+	if appends, _ := w.Stats(); appends != int64(len(recs)) {
+		t.Fatalf("Stats() = %d appends, want %d", appends, len(recs))
+	}
 	var want []byte
 	for i, r := range recs {
-		if err := appendTo(w, r.kind, r.body); err != nil {
-			t.Fatalf("append seq %d: %v", i+1, err)
-		}
 		frame, err := oracleFrame(r.kind, uint64(i+1), r.body)
 		if err != nil {
 			t.Fatalf("oracle seq %d: %v", i+1, err)
@@ -197,7 +247,7 @@ func testWriterMatchesParentWAL(t *testing.T, appendTo func(*Writer, Kind, any) 
 		want = append(want, frame...)
 	}
 	w.SetCrashHook(func(Record) CrashMode { return CrashTorn })
-	if err := appendTo(w, torn.kind, torn.body); !errors.Is(err, ErrCrashed) {
+	if err := appendAll(w, []scriptRec{torn}); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("torn append err = %v, want ErrCrashed", err)
 	}
 	frame, err := oracleFrame(torn.kind, uint64(len(recs)+1), torn.body)
@@ -273,6 +323,22 @@ func FuzzAppendMatchesJSON(f *testing.F) {
 				}
 			}
 		}
+		// The batched door: there and back under one stamp, so that the
+		// oracle takes both records or neither.
+		if err := os.Truncate(path, 0); err != nil {
+			t.Fatal(err)
+		}
+		appends, _ := w.Stats()
+		gotErr := w.AppendTransitions(a, b, states.State(c), []states.Record{{State: states.State(d), At: at}, {State: states.State(c), At: at}})
+		got := readFile(t, path)
+		there, wantErr := oracleFrame(KindTransition, uint64(appends)+1, TransitionBody{Entity: a, UID: b, From: c, To: d, At: at})
+		back, _ := oracleFrame(KindTransition, uint64(appends)+2, TransitionBody{Entity: a, UID: b, From: d, To: c, At: at})
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("chain: err %v, oracle err %v", gotErr, wantErr)
+		}
+		if want := append(there, back...); !bytes.Equal(got, want) {
+			t.Fatalf("chain:\n got %q\nwant %q", got, want)
+		}
 	})
 }
 
@@ -297,12 +363,12 @@ func checkPayload(t *testing.T, payload []byte) {
 	// Framed, the record meets the verdict and the value of encoding/json
 	// whichever path took it.
 	if len(payload) <= MaxRecordSize {
-		rec, n, err := DecodeRecord(frameOf(payload))
+		rec, n, err := decodeOne(frameOf(payload))
 		if (err == nil) != (slowErr == nil) {
-			t.Fatalf("%q: DecodeRecord err %v, encoding/json err %v", payload, err, slowErr)
+			t.Fatalf("%q: decodeRecord err %v, encoding/json err %v", payload, err, slowErr)
 		}
 		if err == nil && (n != headerSize+len(payload) || rec.Kind != slow.Kind || rec.Seq != slow.Seq || !bytes.Equal(rec.Body, slow.Body)) {
-			t.Fatalf("%q: DecodeRecord %+v, encoding/json %+v", payload, rec, slow)
+			t.Fatalf("%q: decodeRecord %+v, encoding/json %+v", payload, rec, slow)
 		}
 	}
 	// The input again, as a body: whichever path takes it, verdict and value
@@ -459,7 +525,8 @@ func writeTaskWAL(t testing.TB, n int) []byte {
 }
 
 // TestJournalAppendAllocBudget pins the hot appends at no allocation through
-// the typed doors and at one through Append: the boxing of the body into its
+// the typed doors, a chain of three transitions included, and at one through
+// Append: the boxing of the body into its
 // `any`. Encoding, framing and the write reuse the pooled body buffer and the
 // writer's frame buffer.
 func TestJournalAppendAllocBudget(t *testing.T) {
@@ -470,13 +537,17 @@ func TestJournalAppendAllocBudget(t *testing.T) {
 	defer w.Close()
 	tb := TransitionBody{Entity: "task", UID: "task.000001", From: "AGENT_SCHEDULING", To: "AGENT_EXECUTING", At: time.Now()}
 	bb := BindBody{Entity: "task", UID: "task.000001", Pilot: "pilot.0001"}
-	mustAppend(t, w, KindTransition, tb) // warm the pool and the frame buffer
+	chain := []states.Record{{State: states.TaskTmgrScheduling, At: tb.At}, {State: states.TaskStagingInput, At: tb.At}, {State: states.TaskScheduling, At: tb.At}}
+	// Warm the pool and the frame buffer.
+	if err := w.AppendTransitions("task", "task.000001", states.TaskNew, chain); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		budget float64
 		append func()
 	}{
-		{"AppendTransition", 0, func() { _ = w.AppendTransition(tb) }},
+		{"AppendTransitions", 0, func() { _ = w.AppendTransitions("task", "task.000001", states.TaskNew, chain) }},
 		{"AppendBind", 0, func() { _ = w.AppendBind(bb) }},
 		{"Append(transition)", 1, func() { _ = w.Append(KindTransition, tb) }},
 		{"Append(bind)", 1, func() { _ = w.Append(KindBind, bb) }},

@@ -84,7 +84,7 @@ func FuzzDecodeRecord(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkPayload(t, data)
-		rec, n, err := DecodeRecord(data)
+		rec, n, err := decodeOne(data)
 		if err != nil {
 			return
 		}
@@ -99,7 +99,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode accepted record: %v", err)
 		}
-		rec2, n2, err := DecodeRecord(re)
+		rec2, n2, err := decodeOne(re)
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
@@ -120,7 +120,7 @@ func taskBodySeeds(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	for off := 0; off < len(data); {
-		rec, n, err := DecodeRecord(data[off:])
+		rec, n, err := decodeOne(data[off:])
 		if err != nil {
 			break // the torn tail
 		}

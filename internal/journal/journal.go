@@ -17,10 +17,11 @@
 // instead of failing the recovery.
 //
 // Durability model: every Append writes its record to the journal file
-// synchronously (so a process crash loses at most the record being
-// written), while fsync is batched on the session clock — the usual WAL
-// group-commit trade: per-record write() cost without per-record fsync
-// cost. The fsync runs on the flusher's goroutine with the writer unlocked:
+// synchronously (so a process crash loses at most what was being written:
+// one record, or the transitions an entity made back to back, which
+// AppendTransitions writes as one Append of as many records), while fsync is
+// batched on the session clock — the usual WAL group-commit trade:
+// per-record write() cost without per-record fsync cost. The fsync runs on the flusher's goroutine with the writer unlocked:
 // it decides and counts under the lock, then syncs while appends go on, and
 // what they write is the next tick's to sync. Close and Crash stop the
 // flusher before they touch the file, so no sync meets a closed descriptor.
@@ -31,8 +32,9 @@
 // Codec: the payload bytes are encoding/json's. The writer hand-encodes the
 // envelope and the three bodies a task writes (description, bind,
 // transition) to exactly the bytes json.Marshal produces, and still issues
-// one write() per Append. Replay reads a record of exactly that byte shape
-// once, envelope and body in one scan, and keeps no copy of it: a transition
+// one write() per Append, never holding a record back for the next. Replay
+// reads a record of exactly that byte shape once, envelope and body in one
+// scan, and keeps no copy of it: a transition
 // or a bind is applied from spans of the read buffer. On any deviation the
 // fast path declines rather than guesses and hands the envelope, the body or
 // both to encoding/json, so what is accepted, rejected or skipped, and why,
@@ -85,6 +87,10 @@ const DefaultFlushEvery = 100 * time.Millisecond
 
 // headerSize is the per-record framing overhead (length + CRC).
 const headerSize = 8
+
+// frameOpen starts a frame: the header, filled in once the payload is known,
+// and the payload up to the kind.
+const frameOpen = "\x00\x00\x00\x00\x00\x00\x00\x00" + `{"kind":`
 
 // Kind discriminates record bodies.
 type Kind string
@@ -378,7 +384,11 @@ func decodeFast(payload []byte, d *decoded) (ok bool) {
 	return d.fast || json.Valid(body)
 }
 
-// decodeRecord is DecodeRecord into the form replay consumes.
+// decodeRecord decodes one framed record from the front of data into the
+// form replay consumes and returns the number of bytes it took. A short
+// buffer (header or payload cut off) returns io.ErrUnexpectedEOF — the
+// torn-tail signal; an empty buffer returns io.EOF. The record's Body, and on
+// the fast path its spans, alias data.
 func decodeRecord(data []byte, d *decoded) (int, error) {
 	if len(data) == 0 {
 		return 0, io.EOF
@@ -404,21 +414,6 @@ func decodeRecord(data []byte, d *decoded) (int, error) {
 		}
 	}
 	return headerSize + n, nil
-}
-
-// DecodeRecord decodes one framed record from the front of data. It
-// returns the record, the number of bytes consumed, and an error. A short
-// buffer (header or payload cut off) returns io.ErrUnexpectedEOF — the
-// torn-tail signal; an empty buffer returns io.EOF. The record's Body may
-// alias data. Replay does not go through it (it keeps decodeRecord's spans
-// and task body, which this discards): it is for tools and the fuzzers.
-func DecodeRecord(data []byte) (Record, int, error) {
-	var d decoded
-	n, err := decodeRecord(data, &d)
-	if err != nil {
-		return Record{}, 0, err
-	}
-	return d.Record, n, nil
 }
 
 // --- Writer -----------------------------------------------------------------
@@ -460,7 +455,7 @@ type Writer struct {
 
 	mu        sync.Mutex
 	seq       uint64
-	frame     []byte // the record being written: header, then payload
+	frames    []byte // the records being written: header, then payload, each
 	failed    error  // first write() error; sticky, the WAL ends in its fragment
 	closed    bool
 	crashed   bool
@@ -469,7 +464,8 @@ type Writer struct {
 	syncs     int64
 	crashHook func(Record) CrashMode
 	onCrash   func()
-	fsync     func() error // f.Sync; the tests' seam
+	fsync     func() error              // f.Sync; the tests' seam
+	fwrite    func([]byte) (int, error) // f.Write; likewise
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -490,7 +486,7 @@ func Open(cfg Config) (*Writer, error) {
 		return nil, fmt.Errorf("journal: open %s: %w", cfg.Path, err)
 	}
 	w := &Writer{
-		f: f, fsync: f.Sync, path: cfg.Path, clock: cfg.Clock, frame: make([]byte, headerSize, 512),
+		f: f, fsync: f.Sync, fwrite: f.Write, path: cfg.Path, clock: cfg.Clock, frames: make([]byte, 0, 1024),
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	go w.flusher(cfg.FlushEvery)
@@ -520,58 +516,91 @@ func (w *Writer) OnCrash(fn func()) {
 	w.mu.Unlock()
 }
 
-// bodyPool holds the buffers Append encodes hot bodies into before it takes
-// the writer lock.
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+// bodyBuf is what an Append encodes hot bodies into before it takes the
+// writer lock: the bodies end to end, and where each one ends.
+type bodyBuf struct {
+	raw  []byte
+	ends []int
+}
+
+var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
 
 // Append journals one record with a single write(). After a crash
 // (injected or Crash()), it drops the record and returns ErrCrashed; after
 // a failed or short write() the file ends in a fragment no record may
-// follow, so every later Append returns that first error. The three records
-// a task writes have typed doors beside it (AppendTask, AppendBind,
-// AppendTransition): the same record by the same path, without the body
+// follow, so every later Append returns that first error. The records a task
+// writes have typed doors beside it (AppendTask, AppendBind,
+// AppendTransitions): the same record by the same path, without the body
 // boxed into an interface first.
 func (w *Writer) Append(kind Kind, body any) error {
-	buf := bodyPool.Get().(*[]byte)
+	buf := bodyPool.Get().(*bodyBuf)
 	defer bodyPool.Put(buf)
-	raw, ok := appendBody((*buf)[:0], body)
+	raw, ok := appendBody(buf.raw[:0], body)
 	if !ok {
 		return w.appendJSON(kind, body)
 	}
-	*buf = raw
+	buf.raw = raw
 	return w.write(kind, raw)
 }
 
 // AppendTask is Append(KindTask, b).
 func (w *Writer) AppendTask(b TaskBody) error {
-	buf := bodyPool.Get().(*[]byte)
+	buf := bodyPool.Get().(*bodyBuf)
 	defer bodyPool.Put(buf)
-	raw, ok := appendTask((*buf)[:0], &b)
+	raw, ok := appendTask(buf.raw[:0], &b)
 	if !ok {
 		return w.appendJSON(KindTask, b)
 	}
-	*buf = raw
+	buf.raw = raw
 	return w.write(KindTask, raw)
 }
 
 // AppendBind is Append(KindBind, b).
 func (w *Writer) AppendBind(b BindBody) error {
-	buf := bodyPool.Get().(*[]byte)
+	buf := bodyPool.Get().(*bodyBuf)
 	defer bodyPool.Put(buf)
-	*buf = appendBind((*buf)[:0], &b)
-	return w.write(KindBind, *buf)
+	buf.raw = appendBind(buf.raw[:0], &b)
+	return w.write(KindBind, buf.raw)
 }
 
-// AppendTransition is Append(KindTransition, b).
-func (w *Writer) AppendTransition(b TransitionBody) error {
-	buf := bodyPool.Get().(*[]byte)
-	defer bodyPool.Put(buf)
-	raw, ok := appendTransition((*buf)[:0], &b)
-	if !ok {
-		return w.appendJSON(KindTransition, b)
+// AppendTransitions journals the transitions an entity made back to back, as
+// a states.BatchCallback receives them: one KindTransition record a step, the
+// records and the bytes Append would write one by one, framed under one hold
+// of the writer lock and written with one write(). It returns once that
+// write() has. Nothing is held back to make the chain: an injected crash at
+// its k-th record leaves the k-1 before it whole in the file.
+func (w *Writer) AppendTransitions(entity, uid string, from states.State, steps []states.Record) error {
+	if len(steps) == 0 {
+		return nil
 	}
-	*buf = raw
-	return w.write(KindTransition, raw)
+	buf := bodyPool.Get().(*bodyBuf)
+	defer bodyPool.Put(buf)
+	raw, ends := buf.raw[:0], buf.ends[:0]
+	prev := from
+	for _, s := range steps {
+		var ok bool
+		raw, ok = appendTransition(raw, &TransitionBody{Entity: entity, UID: uid, From: string(prev), To: string(s.State), At: s.At})
+		if !ok {
+			return w.appendTransitionsJSON(entity, uid, from, steps)
+		}
+		ends = append(ends, len(raw))
+		prev = s.State
+	}
+	buf.raw, buf.ends = raw, ends
+	return w.write(KindTransition, raw, ends...)
+}
+
+// appendTransitionsJSON is AppendTransitions for a chain with a timestamp
+// that is encoding/json's to encode or refuse: a record at a time.
+func (w *Writer) appendTransitionsJSON(entity, uid string, from states.State, steps []states.Record) error {
+	for _, s := range steps {
+		err := w.Append(KindTransition, TransitionBody{Entity: entity, UID: uid, From: string(from), To: string(s.State), At: s.At})
+		if err != nil {
+			return err
+		}
+		from = s.State
+	}
+	return nil
 }
 
 // appendJSON journals a body the hand-written codec has no shape for, or
@@ -584,8 +613,16 @@ func (w *Writer) appendJSON(kind Kind, body any) error {
 	return w.write(kind, raw)
 }
 
-// write frames raw as the body of the next record and writes it.
-func (w *Writer) write(kind Kind, raw []byte) error {
+// write frames the bodies in raw, which end at ends (raw is one body when
+// there are none), as the next records of one kind and writes them with one
+// write(). The crash hook is asked about each record in file order, before
+// any byte of it is written: a verdict on one writes the whole records before
+// it, half of it if torn, and nothing after. A record beyond MaxRecordSize
+// refuses them all.
+func (w *Writer) write(kind Kind, raw []byte, ends ...int) error {
+	if len(ends) == 0 {
+		ends = []int{len(raw)}
+	}
 	w.mu.Lock()
 	switch {
 	case w.closed:
@@ -598,40 +635,50 @@ func (w *Writer) write(kind Kind, raw []byte) error {
 		w.mu.Unlock()
 		return w.failed
 	}
-	frame := jsonshape.AppendString(append(w.frame[:headerSize], `{"kind":`...), string(kind))
-	frame = strconv.AppendUint(append(frame, `,"seq":`...), w.seq+1, 10)
-	frame = append(append(append(frame, `,"body":`...), raw...), '}')
-	w.frame = frame
-	payload := frame[headerSize:]
-	if len(payload) > MaxRecordSize {
-		w.mu.Unlock()
-		return ErrTooLarge
+	frames, mode := w.frames[:0], NoCrash
+	n, lo := 0, 0 // records framed whole, and where the next body starts
+	for n < len(ends) && mode == NoCrash {
+		body, at := raw[lo:ends[n]], len(frames)
+		frames = jsonshape.AppendString(append(frames, frameOpen...), string(kind))
+		frames = strconv.AppendUint(append(frames, `,"seq":`...), w.seq+uint64(n)+1, 10)
+		frames = append(append(append(frames, `,"body":`...), body...), '}')
+		payload := frames[at+headerSize:]
+		if len(payload) > MaxRecordSize {
+			w.mu.Unlock()
+			return ErrTooLarge
+		}
+		binary.BigEndian.PutUint32(frames[at:], uint32(len(payload)))
+		binary.BigEndian.PutUint32(frames[at+4:], crc32.ChecksumIEEE(payload))
+		if w.crashHook != nil {
+			mode = w.crashHook(Record{Kind: kind, Seq: w.seq + uint64(n) + 1, Body: append(json.RawMessage(nil), body...)})
+		}
+		switch mode {
+		case NoCrash:
+			n, lo = n+1, ends[n]
+		case CrashLost:
+			frames = frames[:at]
+		case CrashTorn:
+			// Die mid-write: the header plus part of the payload lands.
+			frames = frames[:at+headerSize+len(payload)/2]
+		}
 	}
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	mode := NoCrash
-	if w.crashHook != nil {
-		mode = w.crashHook(Record{Kind: kind, Seq: w.seq + 1, Body: append(json.RawMessage(nil), raw...)})
-	}
-	var fireCrash func()
-	switch mode {
-	case CrashLost:
-		w.crashed = true
-		fireCrash = w.onCrash
-	case CrashTorn:
-		// Die mid-write: the header plus part of the payload lands.
-		_, _ = w.f.Write(frame[:headerSize+len(payload)/2])
-		w.crashed = true
-		fireCrash = w.onCrash
-	default:
-		if _, werr := w.f.Write(frame); werr != nil {
+	w.frames = frames
+	if len(frames) > 0 {
+		if _, werr := w.fwrite(frames); werr != nil && mode == NoCrash {
 			w.failed = fmt.Errorf("journal: append: %w", werr)
 			w.mu.Unlock()
 			return w.failed
 		}
-		w.seq++
+	}
+	if n > 0 {
+		w.seq += uint64(n)
+		w.appends += int64(n)
 		w.dirty = true
-		w.appends++
+	}
+	var fireCrash func()
+	if mode != NoCrash {
+		w.crashed = true
+		fireCrash = w.onCrash
 	}
 	w.mu.Unlock()
 

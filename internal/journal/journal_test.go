@@ -289,6 +289,169 @@ func TestWriterCrashModes(t *testing.T) {
 	})
 }
 
+// taskChains is what a task without staging journals after its bind: the three
+// states before the agent scheduler, AGENT_EXECUTING, and the two after the
+// payload, as its pilot reports them.
+func taskChains(at time.Time) [][]states.Record {
+	rec := func(ss ...states.State) (chain []states.Record) {
+		for i, s := range ss {
+			chain = append(chain, states.Record{State: s, At: at.Add(time.Duration(i) * time.Microsecond)})
+		}
+		return chain
+	}
+	return [][]states.Record{
+		rec(states.TaskTmgrScheduling, states.TaskStagingInput, states.TaskScheduling),
+		rec(states.TaskExecuting),
+		rec(states.TaskStagingOutput, states.TaskDone),
+	}
+}
+
+// TestAppendTransitionsMatchesOneByOne: a chain appended at once leaves the
+// file, the sequence numbers and the append count of the same transitions
+// appended one by one.
+func TestAppendTransitionsMatchesOneByOne(t *testing.T) {
+	at := time.Date(2025, 3, 4, 5, 6, 7, 123456789, time.UTC)
+	chained, single := openTestWriter(t), openTestWriter(t)
+	for _, w := range []*Writer{chained, single} {
+		mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
+		mustAppend(t, w, KindTask, TaskBody{UID: "t1"})
+	}
+	from := states.TaskNew
+	for _, chain := range taskChains(at) {
+		if err := chained.AppendTransitions("task", "t1", from, chain); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range chain {
+			mustAppend(t, single, KindTransition, TransitionBody{Entity: "task", UID: "t1", From: string(from), To: string(s.State), At: s.At})
+			from = s.State
+		}
+	}
+	if err := chained.AppendTransitions("task", "t1", from, nil); err != nil {
+		t.Fatalf("empty chain: %v", err)
+	}
+	ca, _ := chained.Stats()
+	sa, _ := single.Stats()
+	if ca != sa || ca != 8 {
+		t.Fatalf("Stats(): %d appends chained, %d one by one, want 8", ca, sa)
+	}
+	for _, w := range []*Writer{chained, single} {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := readFile(t, chained.Path()), readFile(t, single.Path()); !bytes.Equal(got, want) {
+		t.Fatalf("chained WAL differs from the one appended record by record:\n got %q\nwant %q", got, want)
+	}
+	snap, stats, err := ReplayFile(chained.Path())
+	if err != nil || stats.Applied != 8 || snap.Tasks[0].State != states.TaskDone {
+		t.Fatalf("replay: %+v, %v", stats, err)
+	}
+}
+
+// TestAppendTransitionsCrashVerdicts: the crash hook is asked about each
+// record of a chain in file order, and a verdict on the k-th leaves exactly
+// the k-1 whole records before it — plus half of the k-th if torn — which is
+// what replay then finds. Nothing of the chain after the verdict is written,
+// and nothing before it is held back.
+func TestAppendTransitionsCrashVerdicts(t *testing.T) {
+	at := time.Date(2025, 3, 4, 5, 6, 7, 0, time.UTC)
+	chain := taskChains(at)[0]
+	path := []states.State{states.TaskNew, chain[0].State, chain[1].State, chain[2].State}
+	for _, mode := range []CrashMode{CrashLost, CrashTorn} {
+		for k := 1; k <= len(chain); k++ {
+			t.Run(fmt.Sprintf("mode%d/record%d", mode, k), func(t *testing.T) {
+				w := openTestWriter(t)
+				mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
+				mustAppend(t, w, KindTask, TaskBody{UID: "t1"})
+				want := readFile(t, w.Path())
+				var asked []uint64
+				w.SetCrashHook(func(rec Record) CrashMode {
+					asked = append(asked, rec.Seq)
+					if got := int64(len(readFile(t, w.Path()))); got != int64(len(want)) {
+						t.Errorf("record %d asked about with %d bytes of the chain already in the file", rec.Seq, got-int64(len(want)))
+					}
+					if rec.Seq == uint64(2+k) {
+						return mode
+					}
+					return NoCrash
+				})
+				fired := 0
+				w.OnCrash(func() { fired++ })
+				if err := w.AppendTransitions("task", "t1", states.TaskNew, chain); !errors.Is(err, ErrCrashed) {
+					t.Fatalf("err = %v, want ErrCrashed", err)
+				}
+				for i := 1; i <= k; i++ {
+					frame, err := oracleFrame(KindTransition, uint64(2+i), TransitionBody{
+						Entity: "task", UID: "t1", From: string(path[i-1]), To: string(path[i]), At: chain[i-1].At})
+					if err != nil {
+						t.Fatal(err)
+					}
+					switch {
+					case i < k:
+						want = append(want, frame...)
+					case mode == CrashTorn:
+						want = append(want, frame[:headerSize+(len(frame)-headerSize)/2]...)
+					}
+				}
+				if got := readFile(t, w.Path()); !bytes.Equal(got, want) {
+					t.Fatalf("file after the verdict:\n got %q\nwant %q", got, want)
+				}
+				if len(asked) != k || asked[0] != 3 || asked[k-1] != uint64(2+k) || fired != 1 {
+					t.Fatalf("hook asked about %v, OnCrash fired %d times", asked, fired)
+				}
+				if appends, _ := w.Stats(); appends != int64(2+k-1) || !w.Crashed() {
+					t.Fatalf("Stats() = %d appends, crashed %v, want %d and true", appends, w.Crashed(), 2+k-1)
+				}
+				snap, stats, err := ReplayFile(w.Path())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.Records != 2+k-1 || stats.TornTail != (mode == CrashTorn) || snap.Tasks[0].State != path[k-1] {
+					t.Fatalf("replay: %+v, task %s, want %d records and the task in %s", stats, snap.Tasks[0].State, 2+k-1, path[k-1])
+				}
+			})
+		}
+	}
+}
+
+// TestTaskWritesFiveTimes pins the write() calls of the records a task
+// without staging journals, through the doors and in the pieces core and the
+// pilot use: description, bind, and its six transitions as chains of three,
+// one and two. It was one write() a record, eight a task.
+func TestTaskWritesFiveTimes(t *testing.T) {
+	const n = 100
+	w := openTestWriter(t)
+	mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
+	writes, write := 0, w.fwrite
+	w.fwrite = func(b []byte) (int, error) { writes++; return write(b) }
+	at := time.Date(2025, 3, 4, 5, 6, 7, 0, time.UTC)
+	for i := 0; i < n; i++ {
+		uid := fmt.Sprintf("task.%06d", i)
+		if err := w.AppendTask(TaskBody{UID: uid, Desc: spec.TaskDescription{UID: uid, Cores: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendBind(BindBody{Entity: "task", UID: uid, Pilot: "pilot.0001"}); err != nil {
+			t.Fatal(err)
+		}
+		from := states.TaskNew
+		for _, chain := range taskChains(at) {
+			if err := w.AppendTransitions("task", uid, from, chain); err != nil {
+				t.Fatal(err)
+			}
+			from = chain[len(chain)-1].State
+		}
+	}
+	if appends, _ := w.Stats(); writes != 5*n || appends != 8*n+1 {
+		t.Fatalf("%d tasks: %d write() calls for %d records, want %d for %d", n, writes, appends-1, 5*n, 8*n)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, stats, err := ReplayFile(w.Path()); err != nil || stats.Applied != 8*n+1 {
+		t.Fatalf("replay: %+v, %v", stats, err)
+	}
+}
+
 func TestWriterClosedAndCrashIdempotent(t *testing.T) {
 	w := openTestWriter(t)
 	mustAppend(t, w, KindSession, SessionBody{UID: "s"})
@@ -443,14 +606,24 @@ func TestTaskUIDMatchesSprintf(t *testing.T) {
 	}
 }
 
+// decodeOne is decodeRecord for a caller that wants the record alone.
+func decodeOne(data []byte) (Record, int, error) {
+	var d decoded
+	n, err := decodeRecord(data, &d)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	return d.Record, n, nil
+}
+
 func TestDecodeRecordErrors(t *testing.T) {
-	if _, _, err := DecodeRecord(nil); err == nil {
+	if _, _, err := decodeOne(nil); err == nil {
 		t.Fatal("empty buffer decoded")
 	}
 	// Oversized length prefix.
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
-	if _, _, err := DecodeRecord(buf.Bytes()); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := decodeOne(buf.Bytes()); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized prefix err = %v, want ErrTooLarge", err)
 	}
 }
@@ -461,7 +634,7 @@ func frameOffsets(t *testing.T, data []byte) []int {
 	var offs []int
 	off := 0
 	for off < len(data) {
-		_, n, err := DecodeRecord(data[off:])
+		_, n, err := decodeOne(data[off:])
 		if err != nil {
 			t.Fatalf("frameOffsets: decode at %d: %v", off, err)
 		}

@@ -93,8 +93,11 @@ type Config struct {
 // the new session's Updater, journal and EndpointRegistry mirror; the
 // machines themselves keep running undisturbed.
 type Hooks struct {
-	PilotState       states.Callback
-	TaskState        states.Callback
+	PilotState states.Callback
+	// TaskState receives what a task's To call committed in one piece: the
+	// three states before the agent scheduler are one call, and one journal
+	// write to the session behind it.
+	TaskState        states.BatchCallback
 	ServiceState     states.Callback
 	OnServicePublish func(proto.Endpoint)
 }
@@ -114,15 +117,17 @@ type Pilot struct {
 	stage  *stager.Manager
 	svcMgr *service.Manager
 
-	// stopped is closed when the pilot shuts down, releasing every task
-	// still waiting on a scheduler grant (see runTask).
+	// stopped is closed when the pilot shuts down. Shutdown then fails every
+	// task still waiting on a scheduler grant (see admit).
 	stopped  chan struct{}
 	stopOnce sync.Once
 
 	// hooks is the live session-side observer set. Machines register
 	// trampolines that read it per event, so Rebind atomically redirects
-	// every future callback to a recovered session.
-	hooks atomic.Pointer[Hooks]
+	// every future callback to a recovered session. taskHook is the one
+	// trampoline every task machine shares.
+	hooks    atomic.Pointer[Hooks]
+	taskHook states.BatchCallback
 
 	mu    sync.Mutex
 	seq   int
@@ -170,15 +175,22 @@ type Task struct {
 	// has every completion hook. WaitTasks waits on it.
 	done chan struct{}
 
+	// stopCtx withdraws the cancellation watch of a task submitted under a
+	// cancellable context (nil otherwise). Written before the grant
+	// continuation is registered, read by whoever settles the task.
+	stopCtx func() bool
+
 	mu      sync.Mutex
 	result  executor.Result
 	settled bool
 	onDone  []func()
 }
 
-// OnDone registers fn to run once the task has settled: on the task's own
-// goroutine after the final transition's callbacks have returned, or at
-// once, on the caller's, if it already has.
+// OnDone registers fn to run once the task has settled: on the goroutine
+// that settles it (the task's own once it was granted resources; before
+// that the submitter's, a cancelled context's or the pilot's shutdown) after
+// the final transition's callbacks have returned, or at once, on the
+// caller's, if it already has.
 func (t *Task) OnDone(fn func()) {
 	t.mu.Lock()
 	if !t.settled {
@@ -191,8 +203,12 @@ func (t *Task) OnDone(fn func()) {
 	}
 }
 
-// settle ends runTask: it runs the completion hooks, then releases WaitTasks.
+// settle ends the task's lifecycle: it runs the completion hooks, then
+// releases WaitTasks.
 func (t *Task) settle() {
+	if t.stopCtx != nil {
+		t.stopCtx()
+	}
 	t.mu.Lock()
 	t.settled = true
 	hooks := t.onDone
@@ -210,6 +226,20 @@ func (t *Task) settle() {
 func (t *Task) Enqueued() <-chan struct{} { return t.enqueued }
 
 func (t *Task) markEnqueued() { t.enqOnce.Do(func() { close(t.enqueued) }) }
+
+// fail ends the task in FAILED with err and settles it. Whoever calls it owns
+// the task: its driver before the grant continuation is registered, the one
+// that took the continuation out of the router after.
+func (t *Task) fail(err error) {
+	t.mu.Lock()
+	t.result.Err = err
+	t.mu.Unlock()
+	_ = t.machine.Fail()
+	// A settled task is past the enqueue question: release anyone
+	// waiting on the scheduler-side acknowledgment.
+	t.markEnqueued()
+	t.settle()
+}
 
 // UID returns the task UID.
 func (t *Task) UID() string { return t.machine.UID() }
@@ -264,7 +294,7 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 	}
 	p.hooks.Store(&Hooks{
 		PilotState:       pilotCB,
-		TaskState:        cfg.StateCallback,
+		TaskState:        eachStep(cfg.StateCallback),
 		ServiceState:     cfg.ServiceStateCallback,
 		OnServicePublish: cfg.OnServicePublish,
 	})
@@ -273,6 +303,11 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 			cb(uid, from, to, at)
 		}
 	})
+	p.taskHook = func(uid string, from states.State, steps []states.Record) {
+		if cb := p.hooks.Load().TaskState; cb != nil {
+			cb(uid, from, steps)
+		}
+	}
 	if err := p.machine.To(states.PilotLaunching); err != nil {
 		return nil, err
 	}
@@ -295,7 +330,7 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 	p.router = scheduler.NewRouter()
 	p.sched = scheduler.New(p.nodes, func(pl scheduler.Placement) {
 		if !p.router.Route(pl) {
-			// The waiter cancelled (task ctx done, or pilot stopping)
+			// The waiter was withdrawn (task ctx done, or pilot stopping)
 			// between grant and delivery: give the capacity back instead
 			// of leaking it.
 			p.sched.Release(pl.Alloc)
@@ -487,8 +522,26 @@ func (p *Pilot) Network() *msgq.Network { return p.cfg.Net }
 // Clock returns the clock the pilot runs on.
 func (p *Pilot) Clock() simtime.Clock { return p.cfg.Clock }
 
-// SubmitTask validates d and drives it through the task lifecycle
-// asynchronously.
+// eachStep adapts a per-transition observer to the batch form.
+func eachStep(cb states.Callback) states.BatchCallback {
+	if cb == nil {
+		return nil
+	}
+	return func(uid string, from states.State, steps []states.Record) {
+		for _, s := range steps {
+			cb(uid, from, s.State, s.At)
+			from = s.State
+		}
+	}
+}
+
+// SubmitTask validates d and starts it on the task lifecycle. What comes
+// before the agent scheduler runs on the caller: when SubmitTask returns, the
+// task's request is in the wait pool, in submission order, and Enqueued is
+// closed — or the task is already final, if it failed on the way (its pilot
+// stopped under it). A task with input staging is the exception: it has
+// something to wait for, and a goroutine to do it on. Every other task holds
+// one only from its grant to its end.
 func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -507,116 +560,108 @@ func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, 
 		enqueued: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	t.machine.OnTransition(func(uid string, from, to states.State, at time.Time) {
-		if cb := p.hooks.Load().TaskState; cb != nil {
-			cb(uid, from, to, at)
-		}
-	})
+	t.machine.OnBatch(p.taskHook)
 	p.tasks[d.UID] = t
 	p.mu.Unlock()
 
-	go p.runTask(ctx, t)
+	if len(d.InputStaging) > 0 {
+		go p.admit(ctx, t)
+	} else {
+		p.admit(ctx, t)
+	}
 	return t, nil
 }
 
-// runTask drives one task: TMGR_SCHEDULING → STAGING_INPUT →
-// AGENT_SCHEDULING → AGENT_EXECUTING → STAGING_OUTPUT → DONE.
-func (p *Pilot) runTask(ctx context.Context, t *Task) {
-	defer t.settle()
-	fail := func(err error) {
-		t.mu.Lock()
-		t.result.Err = err
-		t.mu.Unlock()
-		_ = t.machine.Fail()
-		// A settled task is past the enqueue question: release anyone
-		// waiting on the scheduler-side acknowledgment.
-		t.markEnqueued()
-	}
-	d := t.desc
-	if err := t.machine.To(states.TaskTmgrScheduling); err != nil {
-		fail(err)
-		return
-	}
-	if err := t.machine.To(states.TaskStagingInput); err != nil {
-		fail(err)
-		return
-	}
-	if len(d.InputStaging) > 0 {
-		if _, err := p.stage.StageAll(d.InputStaging); err != nil {
-			fail(err)
-			return
+// admit drives t to the agent scheduler: TMGR_SCHEDULING → STAGING_INPUT →
+// AGENT_SCHEDULING, made (and journaled) in one piece when nothing is staged
+// in between, then the request. The grant is a continuation: the scheduler's
+// goroutine starts execute on one of the task's own. Until then the task is
+// an entry in the router's table, and whoever takes it out — the grant, the
+// pilot's shutdown, the context's cancellation, or admit itself — is the one
+// that goes on with the task.
+func (p *Pilot) admit(ctx context.Context, t *Task) {
+	d := &t.desc
+	var err error
+	if len(d.InputStaging) == 0 {
+		err = t.machine.To(states.TaskTmgrScheduling, states.TaskStagingInput, states.TaskScheduling)
+	} else if err = t.machine.To(states.TaskTmgrScheduling, states.TaskStagingInput); err == nil {
+		if _, err = p.stage.StageAll(d.InputStaging); err == nil {
+			err = t.machine.To(states.TaskScheduling)
 		}
 	}
-	if err := t.machine.To(states.TaskScheduling); err != nil {
-		fail(err)
+	if err != nil {
+		t.fail(err)
 		return
 	}
-	placed := p.router.Expect(d.UID)
+	if ctx.Done() != nil {
+		t.stopCtx = context.AfterFunc(ctx, func() {
+			if p.router.Cancel(d.UID) {
+				t.fail(ctx.Err())
+			}
+		})
+	}
+	p.router.Then(d.UID, func(pl scheduler.Placement) { go p.execute(ctx, t, pl) })
 	if err := p.sched.Submit(scheduler.Request{
 		UID: d.UID, Cores: d.Cores, GPUs: d.GPUs, MemGB: d.MemGB, Priority: d.Priority,
 	}); err != nil {
-		p.router.Cancel(d.UID)
 		if errors.Is(err, scheduler.ErrClosed) {
 			// The scheduler shut down between task admission and enqueue:
 			// same situation as a queued task at shutdown, same sentinel.
 			err = fmt.Errorf("%w: %v", ErrPilotStopped, err)
 		}
-		fail(err)
+		if p.router.Cancel(d.UID) {
+			t.fail(err)
+		}
 		return
 	}
 	// Wait-pool admission succeeded: acknowledge the enqueue. From here
 	// the scheduler owns the request, so an ordered drain behind this task
 	// can submit without racing the handoff order.
 	t.markEnqueued()
-	// abandon cancels the placement expectation. If the scheduler's
-	// router already committed a grant to this task (Cancel finds no
-	// waiter), exactly one placement is in flight on the buffered
-	// channel: receive it and give the capacity back, or it would stay
-	// allocated for the pilot's remaining lifetime.
-	abandon := func() {
-		if !p.router.Cancel(d.UID) {
-			pl := <-placed
-			p.sched.Release(pl.Alloc)
-		}
-	}
-	var pl scheduler.Placement
+	// Registered first, looked second: a shutdown that drained the table
+	// before the continuation was in it closed stopped before that, and a
+	// context done before its watch was armed reports it here. If Cancel
+	// finds nothing, the grant or the drain has the task.
 	select {
-	case pl = <-placed:
 	case <-p.stopped:
-		abandon()
-		fail(fmt.Errorf("%w: %s", ErrPilotStopped, p.UID()))
-		return
-	case <-ctx.Done():
-		abandon()
-		fail(ctx.Err())
-		return
+		err = fmt.Errorf("%w: %s", ErrPilotStopped, p.UID())
+	default:
+		err = ctx.Err()
 	}
+	if err != nil && p.router.Cancel(d.UID) {
+		t.fail(err)
+	}
+}
+
+// execute is the task from its grant on: AGENT_EXECUTING → the payload →
+// STAGING_OUTPUT → DONE (the last two in one piece when nothing is staged
+// out), then the completion hooks.
+func (p *Pilot) execute(ctx context.Context, t *Task, pl scheduler.Placement) {
+	d := &t.desc
 	if err := t.machine.To(states.TaskExecuting); err != nil {
-		pl.Alloc.Release()
-		fail(err)
+		p.sched.Release(pl.Alloc)
+		t.fail(err)
 		return
 	}
-	res := p.exec.Execute(ctx, p.sched, pl, d)
+	res := p.exec.Execute(ctx, p.sched, pl, *d)
 	t.mu.Lock()
 	t.result = res
 	t.mu.Unlock()
-	if res.Err != nil {
-		fail(res.Err)
-		return
-	}
-	if err := t.machine.To(states.TaskStagingOutput); err != nil {
-		fail(err)
-		return
-	}
-	if len(d.OutputStaging) > 0 {
-		if _, err := p.stage.StageAll(d.OutputStaging); err != nil {
-			fail(err)
-			return
+	err := res.Err
+	if err == nil {
+		if len(d.OutputStaging) == 0 {
+			err = t.machine.To(states.TaskStagingOutput, states.TaskDone)
+		} else if err = t.machine.To(states.TaskStagingOutput); err == nil {
+			if _, err = p.stage.StageAll(d.OutputStaging); err == nil {
+				err = t.machine.To(states.TaskDone)
+			}
 		}
 	}
-	if err := t.machine.To(states.TaskDone); err != nil {
-		fail(err)
+	if err != nil {
+		t.fail(err)
+		return
 	}
+	t.settle()
 }
 
 // Task returns a managed task by UID.
@@ -673,8 +718,9 @@ func (p *Pilot) WaitTasks(ctx context.Context, uids ...string) error {
 
 // Shutdown terminates the agent and releases the pilot's resources.
 // Tasks that were queued but never granted resources fail with
-// ErrPilotStopped (the stopped channel closes before the scheduler, so
-// they observe the shutdown rather than wedging on a closed wait pool).
+// ErrPilotStopped: Shutdown takes each out of the router's table and fails
+// it, completion hooks included, before it closes the scheduler, so none is
+// left wedged on a closed wait pool.
 //
 // Concurrent callers have a single winner: the whole teardown runs once,
 // and a loser returns ErrNotActive only after the winner has finished, so
@@ -691,6 +737,13 @@ func (p *Pilot) Shutdown() error {
 		p.detach()
 		close(p.stopped)
 		p.svcMgr.Close()
+		// In UID order, which is submission order: where the session re-routes
+		// them, they queue as they queued here.
+		stopped := fmt.Errorf("%w: %s", ErrPilotStopped, p.UID())
+		for _, uid := range p.router.Drain(func(uid string) bool { _, ok := p.Task(uid); return ok }) {
+			t, _ := p.Task(uid)
+			t.fail(stopped)
+		}
 		p.sched.Close()
 		p.release()
 		err = p.machine.To(states.PilotDone)

@@ -220,6 +220,11 @@ type Record struct {
 // Callback observes a committed transition.
 type Callback func(uid string, from, to State, at time.Time)
 
+// BatchCallback observes the transitions one To call committed: the machine
+// left from and entered steps in order, each step from the state before it.
+// steps is the machine's own history: read it, do not keep or change it.
+type BatchCallback func(uid string, from State, steps []Record)
+
 // Machine tracks the live state of one entity instance. It is safe for
 // concurrent use.
 type Machine struct {
@@ -231,6 +236,7 @@ type Machine struct {
 	current   State
 	history   []Record
 	callbacks []Callback
+	batch     BatchCallback
 	waiters   []chan State
 }
 
@@ -268,31 +274,61 @@ func (m *Machine) OnTransition(cb Callback) {
 	m.mu.Unlock()
 }
 
-// To transitions the machine to state to. It returns an error (and leaves
-// the machine unchanged) if the edge is illegal.
-func (m *Machine) To(to State) error {
+// OnBatch makes cb the machine's batch observer: it runs once per To call
+// (synchronously, outside the machine lock, after the OnTransition callbacks)
+// with every transition that call committed. A machine has one; a second
+// call replaces the first.
+func (m *Machine) OnBatch(cb BatchCallback) {
+	m.mu.Lock()
+	m.batch = cb
+	m.mu.Unlock()
+}
+
+// To moves the machine along chain, one state after the other. Every edge is
+// checked first: an illegal one returns an error and leaves the machine where
+// it was. Each step is stamped with its own clock reading; a WaitChan armed
+// before the call receives the first state of the chain.
+func (m *Machine) To(chain ...State) error {
+	if len(chain) == 0 {
+		return nil
+	}
 	m.mu.Lock()
 	from := m.current
-	if !m.model.CanTransition(from, to) {
-		m.mu.Unlock()
-		return &TransitionError{Entity: m.model.entity, UID: m.uid, From: from, To: to}
+	prev := from
+	for _, to := range chain {
+		if !m.model.CanTransition(prev, to) {
+			m.mu.Unlock()
+			return &TransitionError{Entity: m.model.entity, UID: m.uid, From: prev, To: to}
+		}
+		prev = to
 	}
-	at := m.clock.Now()
-	m.current = to
-	m.history = append(m.history, Record{State: to, At: at})
-	cbs := m.callbacks
+	for _, to := range chain {
+		m.history = append(m.history, Record{State: to, At: m.clock.Now()})
+	}
+	m.current = chain[len(chain)-1]
+	// Entries of the history are written once, so the tail is safe to read
+	// outside the lock.
+	steps := m.history[len(m.history)-len(chain):]
+	cbs, batch := m.callbacks, m.batch
 	fire := m.waiters
 	m.waiters = nil
 	m.mu.Unlock()
 	for _, w := range fire {
 		// non-blocking: waiter channels are buffered
 		select {
-		case w <- to:
+		case w <- chain[0]:
 		default:
 		}
 	}
-	for _, cb := range cbs {
-		cb(m.uid, from, to, at)
+	prev = from
+	for _, s := range steps {
+		for _, cb := range cbs {
+			cb(m.uid, prev, s.State, s.At)
+		}
+		prev = s.State
+	}
+	if batch != nil {
+		batch(m.uid, from, steps)
 	}
 	return nil
 }

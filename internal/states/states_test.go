@@ -2,6 +2,8 @@ package states
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -330,6 +332,100 @@ func TestTransitionAllocBudget(t *testing.T) {
 	}
 	if fired != len(machines)*len(path) {
 		t.Fatalf("callback fired %d times, want %d", fired, len(machines)*len(path))
+	}
+
+	// The same in the chains a pilot makes of them, reported to a batch
+	// observer: the steps are the machine's history, not a copy.
+	steps := 0
+	for i := range machines {
+		machines[i] = NewMachine("t", TaskModel(), clock)
+		machines[i].OnBatch(func(_ string, _ State, s []Record) { steps += len(s) })
+	}
+	next = 0
+	allocs = testing.AllocsPerRun(len(machines)-1, func() {
+		m := machines[next]
+		if m.To(path[0], path[1], path[2]) != nil || m.To(path[3]) != nil || m.To(path[4], path[5]) != nil {
+			t.Fatal("a chain was refused")
+		}
+		next++
+	})
+	if allocs != 0 || steps != len(machines)*len(path) {
+		t.Fatalf("a task's three chains allocate %.1f times and report %d steps, want 0 and %d", allocs, steps, len(machines)*len(path))
+	}
+}
+
+// stepClock is a clock that moves by a millisecond every time it is read.
+type stepClock struct {
+	simtime.Clock
+	reads int
+}
+
+func (c *stepClock) Now() time.Time {
+	c.reads++
+	return origin.Add(time.Duration(c.reads) * time.Millisecond)
+}
+
+// TestToChain: To takes a chain of states as one call. Every step gets its
+// own clock reading and its own OnTransition callback, in order; the batch
+// observer gets them all, once, after those; a waiter gets the first. A chain
+// with an illegal edge anywhere in it changes nothing and tells no one.
+func TestToChain(t *testing.T) {
+	clock := &stepClock{Clock: simtime.NewVirtual(origin)}
+	m := NewMachine("t", TaskModel(), clock)
+	var log []string
+	m.OnTransition(func(uid string, from, to State, at time.Time) {
+		log = append(log, fmt.Sprintf("step %s %s>%s @%d", uid, from, to, at.Sub(origin).Milliseconds()))
+	})
+	m.OnBatch(func(string, State, []Record) { t.Error("a replaced batch observer ran") })
+	m.OnBatch(func(uid string, from State, steps []Record) {
+		line := fmt.Sprintf("batch %s %s", uid, from)
+		for _, s := range steps {
+			line += fmt.Sprintf(">%s @%d", s.State, s.At.Sub(origin).Milliseconds())
+		}
+		log = append(log, line)
+	})
+
+	var terr *TransitionError
+	err := m.To(TaskTmgrScheduling, TaskStagingInput, TaskExecuting)
+	if !errors.As(err, &terr) || terr.From != TaskStagingInput || terr.To != TaskExecuting {
+		t.Fatalf("chain with an illegal last edge: %v, want a TransitionError naming it", err)
+	}
+	if m.Current() != TaskNew || len(m.History()) != 1 || len(log) != 0 {
+		t.Fatalf("a refused chain left the machine in %s with %d records and told %v", m.Current(), len(m.History()), log)
+	}
+	if err := m.To(); err != nil || len(log) != 0 {
+		t.Fatalf("empty chain: %v, told %v", err, log)
+	}
+
+	wait := m.WaitChan()
+	if err := m.To(TaskTmgrScheduling, TaskStagingInput, TaskScheduling); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"step t NEW>TMGR_SCHEDULING @2",
+		"step t TMGR_SCHEDULING>AGENT_STAGING_INPUT @3",
+		"step t AGENT_STAGING_INPUT>AGENT_SCHEDULING @4",
+		"batch t NEW>TMGR_SCHEDULING @2>AGENT_STAGING_INPUT @3>AGENT_SCHEDULING @4",
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("observers saw\n%q, want\n%q", log, want)
+	}
+	if got := <-wait; got != TaskTmgrScheduling {
+		t.Fatalf("waiter received %s, want the chain's first state", got)
+	}
+	if m.Current() != TaskScheduling {
+		t.Fatalf("current = %s", m.Current())
+	}
+	hist := m.History()
+	if len(hist) != 4 || hist[3].State != TaskScheduling || !hist[3].At.Equal(origin.Add(4*time.Millisecond)) {
+		t.Fatalf("history = %+v", hist)
+	}
+	log = nil
+	if err := m.To(TaskExecuting); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"step t AGENT_SCHEDULING>AGENT_EXECUTING @5", "batch t AGENT_SCHEDULING>AGENT_EXECUTING @5"}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("single step: observers saw %q, want %q", log, want)
 	}
 }
 
