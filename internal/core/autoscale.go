@@ -101,7 +101,7 @@ func (sm *ServiceManager) autoscale(h *Service) {
 	for {
 		sm.sess.clock.Sleep(h.desc.ScaleInterval)
 		select {
-		case <-h.done:
+		case <-h.Done():
 			sm.scaleShutdown(h)
 			return
 		default:

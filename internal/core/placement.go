@@ -155,14 +155,23 @@ func (pl *placer) isClosed() bool {
 // handle is what a Task and a Service share: the stable logical UID, the
 // pilot currently bound to it, and the exactly-once settle.
 type handle struct {
-	uid  string
-	done chan struct{}
+	uid string
 
 	mu       sync.Mutex // also guards the embedding handle's own fields
 	p        *pilot.Pilot
 	finished bool
 	err      error
+	// done is made by the first Done that comes before finish; finish closes
+	// it, or puts the one closed channel in its place.
+	done chan struct{}
 }
+
+// finishedChan is the Done of every handle nobody asked before it finished.
+var finishedChan = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // UID returns the stable logical UID: the key the entity keeps across
 // re-routes and re-placements (and the one clients resolve a service by).
@@ -182,7 +191,14 @@ func (h *handle) Pilot() string {
 // Done returns a channel closed when the logical entity reaches a final
 // state — including across re-routes and re-placements, which the
 // per-pilot handles underneath cannot express.
-func (h *handle) Done() <-chan struct{} { return h.done }
+func (h *handle) Done() <-chan struct{} {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.done == nil {
+		h.done = make(chan struct{})
+	}
+	return h.done
+}
 
 // Err returns the final error (nil on success or graceful termination;
 // undefined before Done() closes).
@@ -201,6 +217,10 @@ func (h *handle) finish(err error) {
 	}
 	h.finished = true
 	h.err = err
+	if h.done == nil {
+		h.done = finishedChan
+	} else {
+		close(h.done)
+	}
 	h.mu.Unlock()
-	close(h.done)
 }

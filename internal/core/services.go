@@ -74,7 +74,7 @@ type Service struct {
 // newService returns the unsettled handle for d, whose UID is final.
 func (sm *ServiceManager) newService(d spec.ServiceDescription) *Service {
 	return &Service{
-		handle: handle{uid: d.UID, done: make(chan struct{})},
+		handle: handle{uid: d.UID},
 		sm:     sm, desc: d, swapped: make(chan struct{}),
 	}
 }
@@ -251,7 +251,7 @@ func (h *Service) WaitReady(ctx context.Context) error {
 			// installs the instance, and finishes the handle if it cannot
 			select {
 			case <-swapped:
-			case <-h.done:
+			case <-h.Done():
 			case <-ctx.Done():
 				return ctx.Err()
 			}
@@ -270,7 +270,7 @@ func (h *Service) WaitReady(ctx context.Context) error {
 		select {
 		case <-ch:
 		case <-swapped:
-		case <-h.done:
+		case <-h.Done():
 		case <-ctx.Done():
 			return ctx.Err()
 		}

@@ -315,7 +315,11 @@ func (s *Session) publish(entity string, record states.Callback, uid string, fro
 		record(uid, prev, st.State, st.At)
 		prev = st.State
 	}
-	if s.jw != nil {
+	switch {
+	case s.jw == nil:
+	case entity == "task" && from == states.TaskNew:
+		s.tm.journalFirst(s.jw, uid, from, steps)
+	default:
 		_ = s.jw.AppendTransitions(entity, uid, from, steps)
 	}
 	if !s.updates.Subscribed(entity) {

@@ -54,11 +54,58 @@ type Task struct {
 	// guarded by handle.mu
 	cur      *pilot.Task
 	reroutes int
+	// owed is what the dispatch in progress has yet to journal: set by
+	// dispatch, taken by whichever writes it, the task's first chain of
+	// transitions or dispatch itself.
+	owed owed
+}
+
+// owed names the records a journaled dispatch writes ahead of the task's
+// transitions: the bind to pilot ("": nothing is owed) and, with desc, the
+// description before it.
+type owed struct {
+	pilot string
+	desc  bool
 }
 
 // newTask returns the unsettled handle for d, whose UID is final.
 func (tm *TaskManager) newTask(ctx context.Context, d spec.TaskDescription) *Task {
-	return &Task{handle: handle{uid: d.UID, done: make(chan struct{})}, tm: tm, desc: d, ctx: ctx}
+	return &Task{handle: handle{uid: d.UID}, tm: tm, desc: d, ctx: ctx}
+}
+
+// takeOwed returns what t's dispatch has yet to journal and takes it off the
+// handle: whoever gets a pilot writes the records.
+func (t *Task) takeOwed() owed {
+	t.mu.Lock()
+	o := t.owed
+	t.owed = owed{}
+	t.mu.Unlock()
+	return o
+}
+
+// journalFirst journals the first chain of transitions a pilot-level task of
+// this session made, together with what the dispatch that submitted it owes:
+// description, bind and transitions with one write, in that order. dispatch
+// runs the chain on its own goroutine, inside SubmitTask, so the records are in
+// the journal before the agent scheduler sees the request. A task this manager
+// did not dispatch (or whose dispatch owes nothing) journals the chain alone.
+func (tm *TaskManager) journalFirst(jw *journal.Writer, uid string, from states.State, steps []states.Record) {
+	tm.mu.Lock()
+	t := tm.tasks[uid]
+	tm.mu.Unlock()
+	var o owed
+	if t != nil {
+		o = t.takeOwed()
+	}
+	if o.pilot == "" {
+		_ = jw.AppendTransitions("task", uid, from, steps)
+		return
+	}
+	var desc *journal.TaskBody
+	if o.desc {
+		desc = &journal.TaskBody{UID: uid, Desc: t.desc}
+	}
+	_ = jw.AppendDispatch(desc, journal.BindBody{Entity: "task", UID: uid, Pilot: o.pilot}, from, steps)
 }
 
 // Description returns the submitted description.
@@ -185,12 +232,9 @@ func (tm *TaskManager) submitOne(ctx context.Context, d spec.TaskDescription) (*
 	tm.mu.Unlock()
 
 	_, err := tm.place(&t.desc, nil, func(p *pilot.Pilot) error {
-		// Journaled once routing has succeeded; a dispatch retry re-appends
-		// it and replay skips the duplicate.
-		if jw := tm.sess.jw; jw != nil {
-			_ = jw.AppendTask(journal.TaskBody{UID: t.uid, Desc: t.desc})
-		}
-		_, err := tm.dispatch(t, p)
+		// The description is journaled once routing has succeeded; a dispatch
+		// retry re-appends it and replay skips the duplicate.
+		_, err := tm.dispatch(t, p, true)
 		return err
 	})
 	if err != nil {
@@ -205,15 +249,31 @@ func (tm *TaskManager) submitOne(ctx context.Context, d spec.TaskDescription) (*
 	return t, nil
 }
 
-// dispatch submits the task to p and registers its settle. The binding is
-// journaled before the submission: a crash in between replays as a task
-// bound to a pilot that never heard of it, which Recover detects (no
-// pilot-level handle under the UID) and re-dispatches.
-func (tm *TaskManager) dispatch(t *Task, p *pilot.Pilot) (*pilot.Task, error) {
-	if jw := tm.sess.jw; jw != nil {
-		_ = jw.AppendBind(journal.BindBody{Entity: "task", UID: t.uid, Pilot: p.UID()})
+// dispatch submits the task to p and registers its settle. The binding (and
+// with desc the description before it) is journaled before the agent scheduler
+// sees the task: it rides on the handle into SubmitTask, whose first chain of
+// transitions is made on this goroutine and journals all of them with one
+// write (journalFirst). A SubmitTask that made no transition leaves them to
+// dispatch, so nothing owed outlives the call. A crash in between replays as a
+// task bound to a pilot that never heard of it, or not to the end, which
+// Recover detects (no pilot-level handle under the UID, or not a final one)
+// and re-dispatches or re-pins.
+func (tm *TaskManager) dispatch(t *Task, p *pilot.Pilot, desc bool) (*pilot.Task, error) {
+	jw := tm.sess.jw
+	if jw != nil {
+		t.mu.Lock()
+		t.owed = owed{pilot: p.UID(), desc: desc}
+		t.mu.Unlock()
 	}
 	pt, err := p.SubmitTask(t.ctx, t.desc)
+	if jw != nil {
+		if o := t.takeOwed(); o.pilot != "" {
+			if o.desc {
+				_ = jw.AppendTask(journal.TaskBody{UID: t.uid, Desc: t.desc})
+			}
+			_ = jw.AppendBind(journal.BindBody{Entity: "task", UID: t.uid, Pilot: o.pilot})
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +329,7 @@ func (tm *TaskManager) redispatch(t *Task, ordered bool) {
 
 	for {
 		_, err := tm.place(&t.desc, nil, func(p *pilot.Pilot) error {
-			pt, err := tm.dispatch(t, p)
+			pt, err := tm.dispatch(t, p, false)
 			if err == nil && ordered {
 				tm.awaitEnqueued(t, pt, p)
 			}
@@ -311,7 +371,7 @@ func (tm *TaskManager) park(t *Task) bool {
 func (tm *TaskManager) awaitEnqueued(t *Task, pt *pilot.Task, p *pilot.Pilot) {
 	select {
 	case <-pt.Enqueued():
-	case <-t.done:
+	case <-t.Done():
 	case <-p.Stopped():
 	}
 }
@@ -351,7 +411,7 @@ func (tm *TaskManager) Wait(ctx context.Context, tasks ...*Task) error {
 			return fmt.Errorf("core: task %s not owned by this manager", t.UID())
 		}
 		select {
-		case <-t.done:
+		case <-t.Done():
 			if err := t.Err(); err != nil && firstErr == nil {
 				firstErr = err
 			}

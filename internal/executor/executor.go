@@ -71,7 +71,12 @@ func (e *Executor) Launch(uid string) time.Duration {
 			break
 		}
 	}
-	base := e.launch.Base.Sample(e.src.Derive(uid + ".launch"))
+	// A model with nothing to sample needs no stream of its own. Derive does
+	// not advance its parent, so skipping it leaves every other stream as is.
+	var base time.Duration
+	if !e.launch.Base.IsZero() {
+		base = e.launch.Base.Sample(e.src.Derive(uid + ".launch"))
+	}
 	if base > 0 {
 		e.clock.Sleep(base)
 	}

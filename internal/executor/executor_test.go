@@ -203,3 +203,25 @@ func TestGoAndWait(t *testing.T) {
 		t.Fatalf("Completed = %d", e.Completed())
 	}
 }
+
+// TestLaunchZeroModelDerivesNothing: a launch model with nothing to sample (a
+// fast-boot session's) costs a launch no stream and no name for one: nothing is
+// allocated. And a launch that does sample derives its stream without advancing
+// the executor's, so leaving the derivation out moves no other stream.
+func TestLaunchZeroModelDerivesNothing(t *testing.T) {
+	e := New(simtime.NewScaled(1e6, origin), rng.New(1), platform.LaunchModel{})
+	if allocs := testing.AllocsPerRun(100, func() {
+		if d := e.Launch("task.0001"); d != 0 {
+			t.Fatalf("zero launch model took %v", d)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a launch on the zero model allocates %.1f objects, want none", allocs)
+	}
+	sampled, _ := newExec(1e6)
+	for i := 0; i < 3; i++ {
+		sampled.Launch("task.0001")
+	}
+	if got, want := sampled.src.Uint64(), rng.New(1).Uint64(); got != want {
+		t.Fatalf("three launches moved the executor's stream: next draw %d, want %d", got, want)
+	}
+}

@@ -208,6 +208,54 @@ func appendChained(w *Writer, recs []scriptRec) error {
 	return nil
 }
 
+// appendDispatched appends recs like appendChained, except that every bind goes
+// through AppendDispatch: with the task description right before it if it is of
+// the same UID, and with the chain of transitions that entity made right after
+// it. In parent.wal that is the escaped UID's description, bind and two
+// transitions in one write, task.0001's bind with the five transitions after it,
+// fixed-zone stamp included, the service's with its first, and a bind alone.
+func appendDispatched(w *Writer, recs []scriptRec) error {
+	for i := 0; i < len(recs); {
+		var task *TaskBody
+		if tb, ok := recs[i].body.(TaskBody); ok && recs[i].kind == KindTask && i+1 < len(recs) {
+			if next, ok := recs[i+1].body.(BindBody); ok && recs[i+1].kind == KindBind && next.UID == tb.UID {
+				task = &tb
+				i++
+			}
+		}
+		bind, ok := recs[i].body.(BindBody)
+		if !ok || recs[i].kind != KindBind {
+			// Not a dispatch: up to the next bind (or description), as before.
+			j := i + 1
+			for j < len(recs) && recs[j].kind != KindBind && recs[j].kind != KindTask {
+				j++
+			}
+			if err := appendChained(w, recs[i:j]); err != nil {
+				return err
+			}
+			i = j
+			continue
+		}
+		var from states.State
+		var steps []states.Record
+		for i++; i < len(recs); i++ {
+			next, ok := recs[i].body.(TransitionBody)
+			if !ok || recs[i].kind != KindTransition || next.Entity != bind.Entity || next.UID != bind.UID ||
+				(len(steps) > 0 && states.State(next.From) != steps[len(steps)-1].State) {
+				break
+			}
+			if len(steps) == 0 {
+				from = states.State(next.From)
+			}
+			steps = append(steps, states.Record{State: states.State(next.To), At: next.At})
+		}
+		if err := w.AppendDispatch(task, bind, from, steps); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestWriterMatchesParentWAL appends the script parent.wal was written
 // with, through either door: the file must equal the encoding/json oracle's
 // frames and the parent commit's file, byte for byte, torn tail included.
@@ -227,6 +275,8 @@ func TestWriterMatchesParentWAL(t *testing.T) {
 	// The script's chains (the pilot's two states, the task's five after its
 	// bind, fixed-zone stamp included) each in one write.
 	t.Run("chained", func(t *testing.T) { testWriterMatchesParentWAL(t, appendChained) })
+	// And every bind with what a dispatch writes around it.
+	t.Run("dispatched", func(t *testing.T) { testWriterMatchesParentWAL(t, appendDispatched) })
 }
 
 func testWriterMatchesParentWAL(t *testing.T, appendAll func(*Writer, []scriptRec) error) {
@@ -338,6 +388,42 @@ func FuzzAppendMatchesJSON(f *testing.F) {
 		}
 		if want := append(there, back...); !bytes.Equal(got, want) {
 			t.Fatalf("chain:\n got %q\nwant %q", got, want)
+		}
+		// The dispatch door, with and without the description: the oracle's
+		// frames of description, bind and that chain, in that order — less what
+		// the oracle refuses, which must not take the rest with it.
+		task := TaskBody{UID: b, Desc: spec.TaskDescription{UID: b, Name: c, Pilot: d, Cores: int(zone), MemGB: float64(nsec)}}
+		bind := BindBody{Entity: a, UID: b, Pilot: c}
+		for _, desc := range []*TaskBody{&task, nil} {
+			if err := os.Truncate(path, 0); err != nil {
+				t.Fatal(err)
+			}
+			appends, _ := w.Stats()
+			gotErr := w.AppendDispatch(desc, bind, states.State(c), []states.Record{{State: states.State(d), At: at}, {State: states.State(c), At: at}})
+			got := readFile(t, path)
+			recs := []scriptRec{{KindBind, bind},
+				{KindTransition, TransitionBody{Entity: a, UID: b, From: c, To: d, At: at}},
+				{KindTransition, TransitionBody{Entity: a, UID: b, From: d, To: c, At: at}}}
+			if desc != nil {
+				recs = append([]scriptRec{{KindTask, task}}, recs...)
+			}
+			var want []byte
+			wantErr := error(nil)
+			for _, r := range recs {
+				frame, err := oracleFrame(r.kind, uint64(appends)+1, r.body)
+				if err != nil {
+					wantErr = err
+					continue
+				}
+				want = append(want, frame...)
+				appends++
+			}
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("dispatch: err %v, oracle err %v", gotErr, wantErr)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("dispatch (described: %v):\n got %q\nwant %q", desc != nil, got, want)
+			}
 		}
 	})
 }
@@ -525,8 +611,8 @@ func writeTaskWAL(t testing.TB, n int) []byte {
 }
 
 // TestJournalAppendAllocBudget pins the hot appends at no allocation through
-// the typed doors, a chain of three transitions included, and at one through
-// Append: the boxing of the body into its
+// the typed doors, a chain of three transitions and a whole dispatch included,
+// and at one through Append: the boxing of the body into its
 // `any`. Encoding, framing and the write reuse the pooled body buffer and the
 // writer's frame buffer.
 func TestJournalAppendAllocBudget(t *testing.T) {
@@ -537,6 +623,7 @@ func TestJournalAppendAllocBudget(t *testing.T) {
 	defer w.Close()
 	tb := TransitionBody{Entity: "task", UID: "task.000001", From: "AGENT_SCHEDULING", To: "AGENT_EXECUTING", At: time.Now()}
 	bb := BindBody{Entity: "task", UID: "task.000001", Pilot: "pilot.0001"}
+	task := TaskBody{UID: "task.000001", Desc: spec.TaskDescription{UID: "task.000001", Name: "alloc-budget", Cores: 2}}
 	chain := []states.Record{{State: states.TaskTmgrScheduling, At: tb.At}, {State: states.TaskStagingInput, At: tb.At}, {State: states.TaskScheduling, At: tb.At}}
 	// Warm the pool and the frame buffer.
 	if err := w.AppendTransitions("task", "task.000001", states.TaskNew, chain); err != nil {
@@ -549,6 +636,8 @@ func TestJournalAppendAllocBudget(t *testing.T) {
 	}{
 		{"AppendTransitions", 0, func() { _ = w.AppendTransitions("task", "task.000001", states.TaskNew, chain) }},
 		{"AppendBind", 0, func() { _ = w.AppendBind(bb) }},
+		{"AppendDispatch", 0, func() { _ = w.AppendDispatch(&task, bb, states.TaskNew, chain) }},
+		{"AppendDispatch(bind)", 0, func() { _ = w.AppendDispatch(nil, bb, states.TaskNew, chain) }},
 		{"Append(transition)", 1, func() { _ = w.Append(KindTransition, tb) }},
 		{"Append(bind)", 1, func() { _ = w.Append(KindBind, bb) }},
 	} {

@@ -18,13 +18,18 @@
 //
 // Durability model: every Append writes its record to the journal file
 // synchronously (so a process crash loses at most what was being written:
-// one record, or the transitions an entity made back to back, which
-// AppendTransitions writes as one Append of as many records), while fsync is
-// batched on the session clock — the usual WAL group-commit trade:
-// per-record write() cost without per-record fsync cost. The fsync runs on the flusher's goroutine with the writer unlocked:
-// it decides and counts under the lock, then syncs while appends go on, and
-// what they write is the next tick's to sync. Close and Crash stop the
-// flusher before they touch the file, so no sync meets a closed descriptor.
+// one record, or the records one goroutine wrote back to back — the
+// transitions of one To call through AppendTransitions, a task's description,
+// bind and first transitions through AppendDispatch — as one Append of as
+// many records), while fsync is batched on the session clock — the usual WAL
+// group-commit trade: per-record write() cost without per-record fsync cost.
+// The fsync runs on the flusher's goroutine with the writer unlocked: it
+// decides and counts under the lock, then syncs while appends go on, and what
+// they write is the next tick's to sync. Close and Crash stop the flusher
+// before they touch the file, so no sync meets a closed descriptor; a
+// crash-hook verdict closes the file under the lock and only tells the flusher
+// to stop, and a sync already on its way gets os.ErrClosed, which it drops
+// like any other.
 // The simulation only models process crashes (completed write()s survive in
 // the OS page cache), so the fsync cadence is fidelity and accounting, not
 // correctness.
@@ -32,7 +37,8 @@
 // Codec: the payload bytes are encoding/json's. The writer hand-encodes the
 // envelope and the three bodies a task writes (description, bind,
 // transition) to exactly the bytes json.Marshal produces, and still issues
-// one write() per Append, never holding a record back for the next. Replay
+// one write() per Append, AppendTransitions or AppendDispatch, never holding
+// a record back for the next call. Replay
 // reads a record of exactly that byte shape once, envelope and body in one
 // scan, and keeps no copy of it: a transition
 // or a bind is applied from spans of the read buffer. On any deviation the
@@ -498,8 +504,8 @@ func (w *Writer) Path() string { return w.path }
 
 // SetCrashHook installs a fault-injection hook consulted on every append
 // (before the write). Returning CrashLost or CrashTorn kills the writer
-// at exactly that record; the OnCrash callback then fires once, outside
-// the writer lock.
+// at exactly that record, descriptor and flusher included, as Crash does;
+// the OnCrash callback then fires once, outside the writer lock.
 func (w *Writer) SetCrashHook(hook func(Record) CrashMode) {
 	w.mu.Lock()
 	w.crashHook = hook
@@ -530,8 +536,8 @@ var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
 // a failed or short write() the file ends in a fragment no record may
 // follow, so every later Append returns that first error. The records a task
 // writes have typed doors beside it (AppendTask, AppendBind,
-// AppendTransitions): the same record by the same path, without the body
-// boxed into an interface first.
+// AppendTransitions, and AppendDispatch for all three at once): the same
+// record by the same path, without the body boxed into an interface first.
 func (w *Writer) Append(kind Kind, body any) error {
 	buf := bodyPool.Get().(*bodyBuf)
 	defer bodyPool.Put(buf)
@@ -540,7 +546,7 @@ func (w *Writer) Append(kind Kind, body any) error {
 		return w.appendJSON(kind, body)
 	}
 	buf.raw = raw
-	return w.write(kind, raw)
+	return w.write([]Kind{kind}, raw, nil)
 }
 
 // AppendTask is Append(KindTask, b).
@@ -552,7 +558,7 @@ func (w *Writer) AppendTask(b TaskBody) error {
 		return w.appendJSON(KindTask, b)
 	}
 	buf.raw = raw
-	return w.write(KindTask, raw)
+	return w.write([]Kind{KindTask}, raw, nil)
 }
 
 // AppendBind is Append(KindBind, b).
@@ -560,7 +566,31 @@ func (w *Writer) AppendBind(b BindBody) error {
 	buf := bodyPool.Get().(*bodyBuf)
 	defer bodyPool.Put(buf)
 	buf.raw = appendBind(buf.raw[:0], &b)
-	return w.write(KindBind, buf.raw)
+	return w.write([]Kind{KindBind}, buf.raw, nil)
+}
+
+// taskKinds are the kinds of the records a task's dispatch journals, in file
+// order. write gives every record past the last of its kinds that last kind,
+// so they frame a chain of any length behind the bind.
+var taskKinds = []Kind{KindTask, KindBind, KindTransition}
+
+// envelopeMax is more than the envelope adds to a body: a body this far under
+// MaxRecordSize makes a record write accepts.
+const envelopeMax = 64
+
+// appendChain appends the bodies of the transitions an entity made from from,
+// and to ends where each one ends. ok is false at the first timestamp that is
+// encoding/json's to encode or refuse.
+func appendChain(raw []byte, ends []int, entity, uid string, from states.State, steps []states.Record) (_ []byte, _ []int, ok bool) {
+	for _, s := range steps {
+		raw, ok = appendTransition(raw, &TransitionBody{Entity: entity, UID: uid, From: string(from), To: string(s.State), At: s.At})
+		if !ok {
+			return raw, ends, false
+		}
+		ends = append(ends, len(raw))
+		from = s.State
+	}
+	return raw, ends, true
 }
 
 // AppendTransitions journals the transitions an entity made back to back, as
@@ -575,19 +605,45 @@ func (w *Writer) AppendTransitions(entity, uid string, from states.State, steps 
 	}
 	buf := bodyPool.Get().(*bodyBuf)
 	defer bodyPool.Put(buf)
-	raw, ends := buf.raw[:0], buf.ends[:0]
-	prev := from
-	for _, s := range steps {
-		var ok bool
-		raw, ok = appendTransition(raw, &TransitionBody{Entity: entity, UID: uid, From: string(prev), To: string(s.State), At: s.At})
-		if !ok {
-			return w.appendTransitionsJSON(entity, uid, from, steps)
-		}
-		ends = append(ends, len(raw))
-		prev = s.State
+	raw, ends, ok := appendChain(buf.raw[:0], buf.ends[:0], entity, uid, from, steps)
+	if !ok {
+		return w.appendTransitionsJSON(entity, uid, from, steps)
 	}
 	buf.raw, buf.ends = raw, ends
-	return w.write(KindTransition, raw, ends...)
+	return w.write([]Kind{KindTransition}, raw, ends)
+}
+
+// AppendDispatch journals what a task's dispatch writes back to back: the
+// description (task nil when it is already in the journal), the bind, and the
+// transitions the task then made from from. They are the records and the bytes
+// AppendTask, AppendBind and AppendTransitions would write in that order, with
+// the same crash verdicts, framed under one hold of the writer lock and written
+// with one write(); nothing is held back to make it. A description the
+// hand-written codec declines, or one that may exceed MaxRecordSize, sends all
+// three through their own doors, so that what refuses the description does not
+// refuse the bind and the transitions.
+func (w *Writer) AppendDispatch(task *TaskBody, bind BindBody, from states.State, steps []states.Record) error {
+	buf := bodyPool.Get().(*bodyBuf)
+	defer bodyPool.Put(buf)
+	raw, ends, kinds, ok := buf.raw[:0], buf.ends[:0], taskKinds[1:], true
+	if task != nil {
+		raw, ok = appendTask(raw, task)
+		ends, kinds = append(ends, len(raw)), taskKinds
+		ok = ok && len(raw) <= MaxRecordSize-envelopeMax
+	}
+	if ok {
+		raw = appendBind(raw, &bind)
+		raw, ends, ok = appendChain(raw, append(ends, len(raw)), bind.Entity, bind.UID, from, steps)
+	}
+	if !ok {
+		var err error
+		if task != nil {
+			err = w.AppendTask(*task)
+		}
+		return errors.Join(err, w.AppendBind(bind), w.AppendTransitions(bind.Entity, bind.UID, from, steps))
+	}
+	buf.raw, buf.ends = raw, ends
+	return w.write(kinds, raw, ends)
 }
 
 // appendTransitionsJSON is AppendTransitions for a chain with a timestamp
@@ -610,16 +666,17 @@ func (w *Writer) appendJSON(kind Kind, body any) error {
 	if err != nil {
 		return fmt.Errorf("journal: marshal %s body: %w", kind, err)
 	}
-	return w.write(kind, raw)
+	return w.write([]Kind{kind}, raw, nil)
 }
 
 // write frames the bodies in raw, which end at ends (raw is one body when
-// there are none), as the next records of one kind and writes them with one
-// write(). The crash hook is asked about each record in file order, before
-// any byte of it is written: a verdict on one writes the whole records before
-// it, half of it if torn, and nothing after. A record beyond MaxRecordSize
-// refuses them all.
-func (w *Writer) write(kind Kind, raw []byte, ends ...int) error {
+// there are none), as the next records and writes them with one write(). The
+// n-th is of the n-th kind, or of the last when kinds are fewer. The crash hook
+// is asked about each record in file order, before any byte of it is written: a
+// verdict on one writes the whole records before it, half of it if torn, and
+// nothing after, then closes the file as Crash does. A record beyond
+// MaxRecordSize refuses them all.
+func (w *Writer) write(kinds []Kind, raw []byte, ends []int) error {
 	if len(ends) == 0 {
 		ends = []int{len(raw)}
 	}
@@ -638,7 +695,7 @@ func (w *Writer) write(kind Kind, raw []byte, ends ...int) error {
 	frames, mode := w.frames[:0], NoCrash
 	n, lo := 0, 0 // records framed whole, and where the next body starts
 	for n < len(ends) && mode == NoCrash {
-		body, at := raw[lo:ends[n]], len(frames)
+		kind, body, at := kinds[min(n, len(kinds)-1)], raw[lo:ends[n]], len(frames)
 		frames = jsonshape.AppendString(append(frames, frameOpen...), string(kind))
 		frames = strconv.AppendUint(append(frames, `,"seq":`...), w.seq+uint64(n)+1, 10)
 		frames = append(append(append(frames, `,"body":`...), body...), '}')
@@ -677,7 +734,11 @@ func (w *Writer) write(kind Kind, raw []byte, ends ...int) error {
 	}
 	var fireCrash func()
 	if mode != NoCrash {
+		// The process is dead: what Crash does, except wait for the flusher,
+		// which may be waiting for this lock.
 		w.crashed = true
+		_ = w.f.Close()
+		w.stopOnce.Do(func() { close(w.stop) })
 		fireCrash = w.onCrash
 	}
 	w.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,6 +30,7 @@ func openTestWriter(t *testing.T) *Writer {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	t.Cleanup(func() { _ = w.Close() }) // a second Close is a no-op
 	return w
 }
 
@@ -414,11 +416,12 @@ func TestAppendTransitionsCrashVerdicts(t *testing.T) {
 	}
 }
 
-// TestTaskWritesFiveTimes pins the write() calls of the records a task
+// TestTaskWritesThreeTimes pins the write() calls of the records a task
 // without staging journals, through the doors and in the pieces core and the
-// pilot use: description, bind, and its six transitions as chains of three,
-// one and two. It was one write() a record, eight a task.
-func TestTaskWritesFiveTimes(t *testing.T) {
+// pilot use: description, bind and the three transitions before the agent
+// scheduler with one (the submitter's), then its other three transitions as
+// chains of one and two. It was one write() a record, eight a task, then five.
+func TestTaskWritesThreeTimes(t *testing.T) {
 	const n = 100
 	w := openTestWriter(t)
 	mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
@@ -427,28 +430,270 @@ func TestTaskWritesFiveTimes(t *testing.T) {
 	at := time.Date(2025, 3, 4, 5, 6, 7, 0, time.UTC)
 	for i := 0; i < n; i++ {
 		uid := fmt.Sprintf("task.%06d", i)
-		if err := w.AppendTask(TaskBody{UID: uid, Desc: spec.TaskDescription{UID: uid, Cores: 1}}); err != nil {
+		chains := taskChains(at)
+		err := w.AppendDispatch(&TaskBody{UID: uid, Desc: spec.TaskDescription{UID: uid, Cores: 1}},
+			BindBody{Entity: "task", UID: uid, Pilot: "pilot.0001"}, states.TaskNew, chains[0])
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.AppendBind(BindBody{Entity: "task", UID: uid, Pilot: "pilot.0001"}); err != nil {
-			t.Fatal(err)
-		}
-		from := states.TaskNew
-		for _, chain := range taskChains(at) {
+		from := states.TaskScheduling
+		for _, chain := range chains[1:] {
 			if err := w.AppendTransitions("task", uid, from, chain); err != nil {
 				t.Fatal(err)
 			}
 			from = chain[len(chain)-1].State
 		}
 	}
-	if appends, _ := w.Stats(); writes != 5*n || appends != 8*n+1 {
-		t.Fatalf("%d tasks: %d write() calls for %d records, want %d for %d", n, writes, appends-1, 5*n, 8*n)
+	if appends, _ := w.Stats(); writes != 3*n || appends != 8*n+1 {
+		t.Fatalf("%d tasks: %d write() calls for %d records, want %d for %d", n, writes, appends-1, 3*n, 8*n)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, stats, err := ReplayFile(w.Path()); err != nil || stats.Applied != 8*n+1 {
+	snap, stats, err := ReplayFile(w.Path())
+	if err != nil || stats.Applied != 8*n+1 || snap.Tasks[n-1].State != states.TaskDone || snap.Tasks[n-1].Pilot != "pilot.0001" {
 		t.Fatalf("replay: %+v, %v", stats, err)
+	}
+}
+
+// dispatchOf is what the dispatch of task uid to pilot.0001 journals, and the
+// same records through the three doors AppendDispatch stands for.
+func dispatchOf(uid string, desc spec.TaskDescription, chain []states.Record) (combined, oneByOne func(*Writer, bool) error) {
+	task, bind := TaskBody{UID: uid, Desc: desc}, BindBody{Entity: "task", UID: uid, Pilot: "pilot.0001"}
+	combined = func(w *Writer, described bool) error {
+		if described {
+			return w.AppendDispatch(&task, bind, states.TaskNew, chain)
+		}
+		return w.AppendDispatch(nil, bind, states.TaskNew, chain)
+	}
+	oneByOne = func(w *Writer, described bool) error {
+		var err error
+		if described {
+			err = w.AppendTask(task)
+		}
+		return errors.Join(err, w.AppendBind(bind), w.AppendTransitions("task", uid, states.TaskNew, chain))
+	}
+	return combined, oneByOne
+}
+
+// TestAppendDispatchMatchesThreeDoors: description, bind and chain appended at
+// once leave the file, the sequence numbers and the append count of AppendTask,
+// AppendBind and AppendTransitions called in that order — with and without the
+// description, with the three-step chain of a task that stages nothing in and
+// the two-step chain of one that does, and for the descriptions the hand-written
+// codec declines (staging, metadata) or encoding/json refuses (an infinite
+// MemGB) or the writer does (over MaxRecordSize): what refuses the description
+// leaves the bind and the transitions in the journal.
+func TestAppendDispatchMatchesThreeDoors(t *testing.T) {
+	at := time.Date(2025, 3, 4, 5, 6, 7, 123456789, time.UTC)
+	plain := spec.TaskDescription{UID: "t1", Name: "plain", Cores: 2, Duration: rng.ConstDuration(3 * time.Second)}
+	staged, meta, inf, huge := plain, plain, plain, plain
+	staged.InputStaging = []spec.StagingDirective{{Source: "a", Target: "b"}}
+	meta.Metadata = map[string]string{"k": "v"}
+	inf.MemGB = math.Inf(1)
+	huge.Name = strings.Repeat("x", MaxRecordSize)
+	for _, tc := range []struct {
+		name      string
+		desc      spec.TaskDescription
+		described bool
+		steps     int
+		records   int64 // beside the session record
+		refused   bool  // the description, by encoding/json or by the writer
+	}{
+		{"described", plain, true, 3, 5, false},
+		{"bind-only", plain, false, 3, 4, false},
+		{"two-step", plain, true, 2, 4, false},
+		{"no-chain", plain, true, 0, 2, false},
+		{"staging", staged, true, 2, 4, false},
+		{"metadata", meta, true, 3, 5, false},
+		{"infinite-mem", inf, true, 3, 4, true},
+		{"too-large", huge, true, 3, 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			combined, oneByOne := dispatchOf("t1", tc.desc, taskChains(at)[0][:tc.steps])
+			got, want := openTestWriter(t), openTestWriter(t)
+			for w, appendAll := range map[*Writer]func(*Writer, bool) error{got: combined, want: oneByOne} {
+				mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
+				if err := appendAll(w, tc.described); (err != nil) != tc.refused {
+					t.Fatalf("err = %v, description refused: %v", err, tc.refused)
+				}
+				if appends, _ := w.Stats(); appends != 1+tc.records {
+					t.Fatalf("Stats() = %d appends, want %d", appends, 1+tc.records)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := readFile(t, got.Path()), readFile(t, want.Path()); !bytes.Equal(got, want) {
+				t.Fatalf("combined WAL differs from the three doors':\n got %q\nwant %q", got, want)
+			}
+			snap, stats, err := ReplayFile(got.Path())
+			if err != nil || stats.Records != int(1+tc.records) {
+				t.Fatalf("replay: %+v, %v", stats, err)
+			}
+			// A bind and transitions without their description are skipped at
+			// replay, as they were when the three doors wrote them.
+			if described := tc.described && !tc.refused; described != (len(snap.Tasks) == 1) {
+				t.Fatalf("replay found %d tasks, described: %v", len(snap.Tasks), described)
+			} else if path := []states.State{states.TaskNew, states.TaskTmgrScheduling, states.TaskStagingInput, states.TaskScheduling}; described &&
+				(snap.Tasks[0].Pilot != "pilot.0001" || snap.Tasks[0].State != path[tc.steps]) {
+				t.Fatalf("replayed task: %+v, want bound and in %s", snap.Tasks[0], path[tc.steps])
+			}
+		})
+	}
+}
+
+// TestAppendDispatchCrashVerdicts: the crash hook is asked about each of the
+// five records in file order, before any byte of the write, and a verdict on
+// the k-th leaves exactly the k-1 whole records before it — plus half of the
+// k-th if torn. Replay then finds nothing of the task, the task described, the
+// task bound, or the task one or two transitions in.
+func TestAppendDispatchCrashVerdicts(t *testing.T) {
+	at := time.Date(2025, 3, 4, 5, 6, 7, 0, time.UTC)
+	chain := taskChains(at)[0]
+	desc := spec.TaskDescription{UID: "t1", Cores: 1}
+	bodies := []scriptRec{
+		{KindTask, TaskBody{UID: "t1", Desc: desc}},
+		{KindBind, BindBody{Entity: "task", UID: "t1", Pilot: "pilot.0001"}},
+	}
+	from := states.TaskNew
+	for _, s := range chain {
+		bodies = append(bodies, scriptRec{KindTransition, TransitionBody{Entity: "task", UID: "t1", From: string(from), To: string(s.State), At: s.At}})
+		from = s.State
+	}
+	combined, _ := dispatchOf("t1", desc, chain)
+	for _, mode := range []CrashMode{CrashLost, CrashTorn} {
+		for k := 1; k <= len(bodies); k++ {
+			t.Run(fmt.Sprintf("mode%d/record%d", mode, k), func(t *testing.T) {
+				w := openTestWriter(t)
+				mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
+				want := readFile(t, w.Path())
+				var asked []Kind
+				w.SetCrashHook(func(rec Record) CrashMode {
+					asked = append(asked, rec.Kind)
+					if got := len(readFile(t, w.Path())); got != len(want) {
+						t.Errorf("record %d asked about with %d bytes of the write already in the file", rec.Seq, got-len(want))
+					}
+					if rec.Seq == uint64(1+k) {
+						return mode
+					}
+					return NoCrash
+				})
+				fired := 0
+				w.OnCrash(func() { fired++ })
+				if err := combined(w, true); !errors.Is(err, ErrCrashed) {
+					t.Fatalf("err = %v, want ErrCrashed", err)
+				}
+				for i, r := range bodies[:k] {
+					frame, err := oracleFrame(r.kind, uint64(2+i), r.body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					switch {
+					case i < k-1:
+						want = append(want, frame...)
+					case mode == CrashTorn:
+						want = append(want, frame[:headerSize+(len(frame)-headerSize)/2]...)
+					}
+				}
+				if got := readFile(t, w.Path()); !bytes.Equal(got, want) {
+					t.Fatalf("file after the verdict:\n got %q\nwant %q", got, want)
+				}
+				if len(asked) != k || asked[0] != KindTask || asked[k-1] != bodies[k-1].kind || fired != 1 {
+					t.Fatalf("hook asked about %v, OnCrash fired %d times", asked, fired)
+				}
+				if appends, _ := w.Stats(); appends != int64(k) || !w.Crashed() {
+					t.Fatalf("Stats() = %d appends, crashed %v, want %d and true", appends, w.Crashed(), k)
+				}
+				snap, stats, err := ReplayFile(w.Path())
+				if err != nil || stats.Records != k || stats.TornTail != (mode == CrashTorn) || stats.Skipped != 0 {
+					t.Fatalf("replay: %+v, %v", stats, err)
+				}
+				switch {
+				case k == 1:
+					if len(snap.Tasks) != 0 {
+						t.Fatalf("replay found %d tasks before the description", len(snap.Tasks))
+					}
+				case k == 2:
+					if ts := snap.Tasks[0]; ts.Pilot != "" || ts.State != states.TaskNew {
+						t.Fatalf("replayed task %+v, want described and no more", ts)
+					}
+				default:
+					path := []states.State{states.TaskNew, chain[0].State, chain[1].State}
+					if ts := snap.Tasks[0]; ts.Pilot != "pilot.0001" || ts.State != path[k-3] {
+						t.Fatalf("replayed task %+v, want bound and in %s", ts, path[k-3])
+					}
+				}
+			})
+		}
+	}
+}
+
+// openFDs counts the process's open descriptors, or reports that it cannot.
+func openFDs() (int, bool) {
+	fds, err := os.ReadDir("/proc/self/fd")
+	return len(fds), err == nil
+}
+
+// TestWriterReleasesFileAndFlusher: however a writer ends — a crash-hook
+// verdict (lost or torn), Crash or Close — its descriptor is closed and its
+// flusher gone, and Crash and Close after that are no-ops. A writer killed by
+// a verdict used to keep both: the verdict set crashed, and Crash and Close
+// both return early on a crashed writer.
+func TestWriterReleasesFileAndFlusher(t *testing.T) {
+	const n = 50
+	dir := t.TempDir()
+	fdsBefore, haveFDs := openFDs()
+	goroutinesBefore := runtime.NumGoroutine()
+	ends := map[string]func(*Writer){
+		"lost": func(w *Writer) {
+			w.SetCrashHook(func(Record) CrashMode { return CrashLost })
+			_ = w.AppendBind(BindBody{Entity: "task", UID: "t", Pilot: "p"})
+		},
+		"torn": func(w *Writer) {
+			w.SetCrashHook(func(Record) CrashMode { return CrashTorn })
+			_ = w.AppendBind(BindBody{Entity: "task", UID: "t", Pilot: "p"})
+		},
+		"crash": (*Writer).Crash,
+		"close": func(w *Writer) { _ = w.Close() },
+	}
+	for name, end := range ends {
+		for i := 0; i < n; i++ {
+			w, err := Open(Config{Path: filepath.Join(dir, fmt.Sprintf("%s.%d", name, i)), Clock: simtime.NewReal()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
+			end(w)
+			if name != "close" && !w.Crashed() {
+				t.Fatalf("%s: writer not crashed", name)
+			}
+			if name == "lost" || name == "torn" {
+				// The verdict only signalled the flusher; it ends on its own.
+				select {
+				case <-w.done:
+				case <-time.After(2 * time.Second):
+					t.Fatalf("%s: flusher still running after the verdict", name)
+				}
+				if err := w.f.Close(); !errors.Is(err, os.ErrClosed) {
+					t.Fatalf("%s: descriptor still open after the verdict (second close: %v)", name, err)
+				}
+			}
+			w.Crash()
+			if err := w.Close(); err != nil {
+				t.Fatalf("%s: Close afterwards: %v", name, err)
+			}
+			w.Crash()
+		}
+	}
+	if fds, _ := openFDs(); haveFDs && fds != fdsBefore {
+		t.Errorf("%d descriptors open, %d before the %d writers", fds, fdsBefore, n*len(ends))
+	}
+	// Every flusher was waited for above; what is left is the runtime's.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutinesBefore; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the writers", runtime.NumGoroutine(), goroutinesBefore)
+		}
 	}
 }
 

@@ -28,6 +28,14 @@ const maxSketchBuckets = 1 << 16
 // within α of every value the bucket covers. Min and max are tracked
 // exactly, so Quantile(q) at the extreme ranks returns them exactly.
 //
+// Every other quantile is a bucket midpoint, one of a fixed set of values
+// about 2α apart: two runs whose true quantiles differ by less than a bucket
+// report the same figure to the last digit, so a quantile that reads the same
+// at every seed says the seeds agree within α, not that they agree. Compare
+// runs on a sketch quantile only across differences larger than that; a
+// caller that needs finer keeps the samples and ranks them (Compute, which
+// loadgen.Scenario.KeepSamples feeds).
+//
 // Memory is O(log(max/min)/α) — independent of the number of samples
 // observed (MemoryBytes reports it) — and Merge folds two sketches with
 // identical α bucket-by-bucket, so merge(a, b) yields exactly the same

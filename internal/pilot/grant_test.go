@@ -356,3 +356,79 @@ func TestContextCancelAroundGrant(t *testing.T) {
 		}
 	})
 }
+
+// TestTaskChannelsAskedBeforeDuringAndAfter: Enqueued and the channel WaitTasks
+// waits on are made for whoever asks before the event, and everybody sees the
+// close: asked before it, while it happens (64 askers racing it), and after,
+// when both are the one closed channel and the task never had its own.
+func TestTaskChannelsAskedBeforeDuringAndAfter(t *testing.T) {
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	for _, ev := range []struct {
+		name string
+		ask  func(*Task) <-chan struct{}
+		fire func(*Task)
+	}{
+		{"enqueued", (*Task).Enqueued, (*Task).markEnqueued},
+		{"settled", (*Task).settledChan, (*Task).settle},
+	} {
+		t.Run(ev.name, func(t *testing.T) {
+			before := &Task{}
+			ch := ev.ask(before)
+			if closed(ch) {
+				t.Fatal("closed before the event")
+			}
+			ev.fire(before)
+			if !closed(ch) || ev.ask(before) != ch {
+				t.Fatal("the event did not close the channel handed out before it")
+			}
+			after := &Task{}
+			ev.fire(after)
+			if ev.ask(after) != (<-chan struct{})(closedChan) || after.enqueued.ch != nil || after.done.ch != nil {
+				t.Fatal("a task nobody asked made a channel of its own")
+			}
+			for round := 0; round < 50; round++ {
+				task := &Task{}
+				var wg sync.WaitGroup
+				start := make(chan struct{})
+				for i := 0; i < 64; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						select {
+						case <-ev.ask(task):
+						case <-time.After(10 * time.Second):
+							t.Error("an asker racing the event never saw the close")
+						}
+					}()
+				}
+				close(start)
+				ev.fire(task)
+				wg.Wait()
+			}
+		})
+	}
+	// Through the pilot: a task that ran to its end with nobody asking.
+	p, _ := newPilot(t, 100000, spec.PilotDescription{Platform: "delta", Nodes: 1})
+	task, err := p.SubmitTask(context.Background(), spec.TaskDescription{Name: "unasked", Cores: 1,
+		Func: func(context.Context) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := make(chan struct{})
+	task.OnDone(func() { close(settled) })
+	<-settled
+	if err := waitTasks(t, p, task.UID()); err != nil {
+		t.Fatal(err)
+	}
+	if task.Enqueued() != (<-chan struct{})(closedChan) || task.enqueued.ch != nil {
+		t.Fatal("a finished task made a channel for Enqueued")
+	}
+}

@@ -158,32 +158,68 @@ func Lookup(uid string) (*Pilot, bool) {
 	return p, ok
 }
 
+// latch is an event that happens once, guarded by its owner's mutex. Its
+// channel is made when somebody asks for it before the event; after it,
+// everybody gets the one closed channel.
+type latch struct {
+	fired bool
+	ch    chan struct{}
+}
+
+var closedChan = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+func (l *latch) fire() {
+	if l.fired {
+		return
+	}
+	l.fired = true
+	if l.ch != nil {
+		close(l.ch)
+	}
+}
+
+func (l *latch) wait() <-chan struct{} {
+	switch {
+	case l.ch != nil:
+		return l.ch
+	case l.fired:
+		return closedChan
+	}
+	l.ch = make(chan struct{})
+	return l.ch
+}
+
 // Task is one managed compute task.
 type Task struct {
 	desc    spec.TaskDescription
 	machine *states.Machine
-
-	// enqueued closes once the task is past wait-pool admission: the agent
-	// scheduler accepted its request (or the task settled without ever
-	// reaching the scheduler). Session-level ordered handoffs gate on it
-	// instead of polling the scheduler's snapshot.
-	enqueued chan struct{}
-	enqOnce  sync.Once
-
-	// done closes when the task has settled: it is final, every observer of
-	// the final transition (profile, journal, publish) has returned, and so
-	// has every completion hook. WaitTasks waits on it.
-	done chan struct{}
 
 	// stopCtx withdraws the cancellation watch of a task submitted under a
 	// cancellable context (nil otherwise). Written before the grant
 	// continuation is registered, read by whoever settles the task.
 	stopCtx func() bool
 
-	mu      sync.Mutex
-	result  executor.Result
+	mu     sync.Mutex
+	result executor.Result
+	// enqueued fires once the task is past wait-pool admission: the agent
+	// scheduler accepted its request (or the task settled without ever
+	// reaching the scheduler). Session-level ordered handoffs gate on it
+	// instead of polling the scheduler's snapshot.
+	enqueued latch
+	// settled says the completion hooks are running or have run; done fires
+	// when they have returned too: the task is final and every observer of the
+	// final transition (profile, journal, publish) has returned. WaitTasks
+	// waits on it.
 	settled bool
-	onDone  []func()
+	done    latch
+	// onDone is the first completion hook, moreDone any after it: a task has
+	// one, its session's settle.
+	onDone   func()
+	moreDone []func()
 }
 
 // OnDone registers fn to run once the task has settled: on the goroutine
@@ -193,9 +229,12 @@ type Task struct {
 // caller's, if it already has.
 func (t *Task) OnDone(fn func()) {
 	t.mu.Lock()
-	if !t.settled {
-		t.onDone = append(t.onDone, fn)
-		fn = nil
+	switch {
+	case t.settled:
+	case t.onDone == nil:
+		t.onDone, fn = fn, nil
+	default:
+		t.moreDone, fn = append(t.moreDone, fn), nil
 	}
 	t.mu.Unlock()
 	if fn != nil {
@@ -211,21 +250,41 @@ func (t *Task) settle() {
 	}
 	t.mu.Lock()
 	t.settled = true
-	hooks := t.onDone
-	t.onDone = nil
+	first, more := t.onDone, t.moreDone
+	t.onDone, t.moreDone = nil, nil
 	t.mu.Unlock()
-	for _, fn := range hooks {
+	if first != nil {
+		first()
+	}
+	for _, fn := range more {
 		fn()
 	}
-	close(t.done)
+	t.mu.Lock()
+	t.done.fire()
+	t.mu.Unlock()
 }
 
 // Enqueued returns a channel closed once the task has been admitted to the
 // agent scheduler's wait pool (or settled without reaching it). It is the
 // scheduler-side acknowledgment ordered drain handoffs block on.
-func (t *Task) Enqueued() <-chan struct{} { return t.enqueued }
+func (t *Task) Enqueued() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.enqueued.wait()
+}
 
-func (t *Task) markEnqueued() { t.enqOnce.Do(func() { close(t.enqueued) }) }
+func (t *Task) markEnqueued() {
+	t.mu.Lock()
+	t.enqueued.fire()
+	t.mu.Unlock()
+}
+
+// settledChan returns a channel closed once settle has returned.
+func (t *Task) settledChan() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.done.wait()
+}
 
 // fail ends the task in FAILED with err and settles it. Whoever calls it owns
 // the task: its driver before the grant continuation is registered, the one
@@ -540,8 +599,9 @@ func eachStep(cb states.Callback) states.BatchCallback {
 // task's request is in the wait pool, in submission order, and Enqueued is
 // closed — or the task is already final, if it failed on the way (its pilot
 // stopped under it). A task with input staging is the exception: it has
-// something to wait for, and a goroutine to do it on. Every other task holds
-// one only from its grant to its end.
+// something to wait for, and a goroutine to do it on, but its first
+// transitions too are made (and journaled) before SubmitTask returns. Every
+// other task holds a goroutine only from its grant to its end.
 func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -554,45 +614,49 @@ func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, 
 	if d.UID == "" {
 		d.UID = spec.TaskUID(p.machine.UID(), p.seq)
 	}
-	t := &Task{
-		desc:     d,
-		machine:  states.NewMachine(d.UID, states.TaskModel(), p.cfg.Clock),
-		enqueued: make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	t := &Task{desc: d, machine: states.NewMachine(d.UID, states.TaskModel(), p.cfg.Clock)}
 	t.machine.OnBatch(p.taskHook)
 	p.tasks[d.UID] = t
 	p.mu.Unlock()
 
-	if len(d.InputStaging) > 0 {
-		go p.admit(ctx, t)
-	} else {
+	// TMGR_SCHEDULING → STAGING_INPUT → AGENT_SCHEDULING, made (and journaled)
+	// in one piece when nothing is staged in between.
+	chain := []states.State{states.TaskTmgrScheduling, states.TaskStagingInput, states.TaskScheduling}
+	staged := len(d.InputStaging) > 0
+	if staged {
+		chain = chain[:2]
+	}
+	switch err := t.machine.To(chain...); {
+	case err != nil:
+		t.fail(err)
+	case staged:
+		go p.stageIn(ctx, t)
+	default:
 		p.admit(ctx, t)
 	}
 	return t, nil
 }
 
-// admit drives t to the agent scheduler: TMGR_SCHEDULING → STAGING_INPUT →
-// AGENT_SCHEDULING, made (and journaled) in one piece when nothing is staged
-// in between, then the request. The grant is a continuation: the scheduler's
-// goroutine starts execute on one of the task's own. Until then the task is
-// an entry in the router's table, and whoever takes it out — the grant, the
-// pilot's shutdown, the context's cancellation, or admit itself — is the one
-// that goes on with the task.
-func (p *Pilot) admit(ctx context.Context, t *Task) {
-	d := &t.desc
-	var err error
-	if len(d.InputStaging) == 0 {
-		err = t.machine.To(states.TaskTmgrScheduling, states.TaskStagingInput, states.TaskScheduling)
-	} else if err = t.machine.To(states.TaskTmgrScheduling, states.TaskStagingInput); err == nil {
-		if _, err = p.stage.StageAll(d.InputStaging); err == nil {
-			err = t.machine.To(states.TaskScheduling)
-		}
+// stageIn stages t's input, then takes it to the agent scheduler.
+func (p *Pilot) stageIn(ctx context.Context, t *Task) {
+	_, err := p.stage.StageAll(t.desc.InputStaging)
+	if err == nil {
+		err = t.machine.To(states.TaskScheduling)
 	}
 	if err != nil {
 		t.fail(err)
 		return
 	}
+	p.admit(ctx, t)
+}
+
+// admit hands t, in AGENT_SCHEDULING, to the agent scheduler. The grant is a
+// continuation: the scheduler's goroutine starts execute on one of the task's
+// own. Until then the task is an entry in the router's table, and whoever takes
+// it out — the grant, the pilot's shutdown, the context's cancellation, or
+// admit itself — is the one that goes on with the task.
+func (p *Pilot) admit(ctx context.Context, t *Task) {
+	d := &t.desc
 	if ctx.Done() != nil {
 		t.stopCtx = context.AfterFunc(ctx, func() {
 			if p.router.Cancel(d.UID) {
@@ -601,9 +665,10 @@ func (p *Pilot) admit(ctx context.Context, t *Task) {
 		})
 	}
 	p.router.Then(d.UID, func(pl scheduler.Placement) { go p.execute(ctx, t, pl) })
-	if err := p.sched.Submit(scheduler.Request{
+	err := p.sched.Submit(scheduler.Request{
 		UID: d.UID, Cores: d.Cores, GPUs: d.GPUs, MemGB: d.MemGB, Priority: d.Priority,
-	}); err != nil {
+	})
+	if err != nil {
 		if errors.Is(err, scheduler.ErrClosed) {
 			// The scheduler shut down between task admission and enqueue:
 			// same situation as a queued task at shutdown, same sentinel.
@@ -697,11 +762,12 @@ func (p *Pilot) WaitTasks(ctx context.Context, uids ...string) error {
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrUnknownTask, uid)
 		}
+		done := t.settledChan()
 		select {
-		case <-t.done:
+		case <-done:
 		case <-ctx.Done():
 			select {
-			case <-t.done: // settled tasks are reported whatever ctx says
+			case <-done: // settled tasks are reported whatever ctx says
 			default:
 				return ctx.Err()
 			}

@@ -126,6 +126,9 @@ type Allocation struct {
 	MemGB float64
 
 	releaseOnce sync.Once
+	// slots backs Cores and GPUs of an allocation of this many slots or
+	// fewer, which is most tasks: no second object.
+	slots [4]int
 }
 
 // Node returns the node the allocation lives on.
@@ -169,8 +172,12 @@ func (n *Node) TryAlloc(cores, gpus int, memGB float64) *Allocation {
 	}
 	a := &Allocation{node: n, MemGB: memGB}
 	if slots := cores + gpus; slots > 0 {
-		// one backing array for both slot lists: a single allocation
-		buf := make([]int, 0, slots)
+		// one backing array for both slot lists: in place when it fits,
+		// a single allocation when not
+		buf := a.slots[:0]
+		if slots > len(a.slots) {
+			buf = make([]int, 0, slots)
+		}
 		for i := 0; i < len(n.coreUsed) && len(buf) < cores; i++ {
 			if !n.coreUsed[i] {
 				n.coreUsed[i] = true

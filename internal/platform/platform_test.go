@@ -62,6 +62,45 @@ func TestNodeAllocDeterministicSlots(t *testing.T) {
 	}
 }
 
+// TestNodeAllocSlotsInPlace: an allocation of up to four slots is one object,
+// its slot lists in place; a larger one takes a second for them. Either way
+// the lists are the lowest free slots and do not share capacity: appending to
+// Cores leaves GPUs alone.
+func TestNodeAllocSlotsInPlace(t *testing.T) {
+	n := NewNode("n0", NodeSpec{Cores: 16, GPUs: 4, MemGB: 8})
+	for _, tc := range []struct {
+		cores, gpus int
+		objects     float64
+	}{{1, 0, 1}, {3, 1, 1}, {4, 0, 1}, {4, 1, 2}, {8, 2, 2}} {
+		var a *Allocation
+		if got := testing.AllocsPerRun(20, func() {
+			if a != nil {
+				a.Release()
+			}
+			a = n.TryAlloc(tc.cores, tc.gpus, 0)
+		}); got != tc.objects {
+			t.Errorf("TryAlloc(%d, %d): %.0f objects, want %.0f", tc.cores, tc.gpus, got, tc.objects)
+		}
+		if len(a.Cores) != tc.cores || len(a.GPUs) != tc.gpus || cap(a.Cores) != tc.cores {
+			t.Fatalf("TryAlloc(%d, %d): cores %v (cap %d), gpus %v", tc.cores, tc.gpus, a.Cores, cap(a.Cores), a.GPUs)
+		}
+		for i, c := range a.Cores {
+			if c != i {
+				t.Fatalf("TryAlloc(%d, %d): cores %v, want lowest-first", tc.cores, tc.gpus, a.Cores)
+			}
+		}
+		for i, g := range a.GPUs {
+			if g != i {
+				t.Fatalf("TryAlloc(%d, %d): gpus %v, want lowest-first", tc.cores, tc.gpus, a.GPUs)
+			}
+		}
+		a.Release()
+		if n.FreeCores() != 16 || n.FreeGPUs() != 4 {
+			t.Fatalf("release of (%d, %d) left %d cores, %d gpus free", tc.cores, tc.gpus, n.FreeCores(), n.FreeGPUs())
+		}
+	}
+}
+
 func TestNodeConcurrentAllocConservation(t *testing.T) {
 	n := NewNode("n0", NodeSpec{Cores: 64, GPUs: 8, MemGB: 512})
 	var mu sync.Mutex

@@ -105,9 +105,19 @@ func TestPolicyBackfillBypassesBlockedHead(t *testing.T) {
 	if got[1].Req.UID != "small-task" {
 		t.Fatalf("backfilled %q, want small-task", got[1].Req.UID)
 	}
-	// Freeing everything must grant the head before anything else.
+	// Freeing everything must grant the head before anything else. The two
+	// releases have to reach the loop as one: once it has parked on late-task
+	// (nothing fits), the first goes back behind its back and only the second
+	// wakes it. Two Scheduler.Release calls let it backfill late-task into the
+	// one core in between, about one run in twenty under -race.
 	_ = s.Submit(Request{UID: "late-task", Cores: 1, Priority: 0})
-	s.Release(got[1].Alloc)
+	for g := s.Generation(); ; g = s.Generation() {
+		time.Sleep(5 * time.Millisecond)
+		if s.Generation() == g {
+			break
+		}
+	}
+	got[1].Alloc.Release()
 	s.Release(filler.Alloc)
 	got = c.waitN(t, 3)
 	if got[2].Req.UID != "big-service" {

@@ -82,9 +82,10 @@ type Scheduler struct {
 	// scheduler's back and a placement miss needs no O(nodes) re-sync.
 	seenEpoch uint64
 
-	// batch is the grant buffer reused across scheduling passes; it is
-	// only touched by the scheduler goroutine.
+	// batch (the grant buffer) and pool (the policy's window) are reused
+	// across scheduling passes; only the scheduler goroutine touches them.
 	batch []Placement
+	pool  Pool
 
 	// gen counts state mutations (submissions, grants, releases, index
 	// re-syncs). Snapshot caches its last result against it, so repeated
@@ -153,6 +154,7 @@ func New(nodes []*platform.Node, place PlaceFn, opts ...Option) *Scheduler {
 		done:      make(chan struct{}),
 		seenEpoch: platform.ReleaseEpoch(),
 	}
+	s.pool.s = s
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -207,7 +209,10 @@ func (s *Scheduler) satisfiable(req Request) bool {
 	return false
 }
 
-// Release returns an allocation to its node and re-kicks scheduling.
+// Release returns an allocation to its node and, when a request waits for
+// capacity, re-kicks scheduling. The look at the wait pool and Submit's push
+// are under the same lock, and Submit kicks for itself: a request that arrives
+// after the look finds the capacity already returned.
 func (s *Scheduler) Release(a *platform.Allocation) {
 	before := platform.ReleaseEpoch()
 	a.Release()
@@ -227,8 +232,11 @@ func (s *Scheduler) Release(a *platform.Allocation) {
 		}
 	}
 	s.gen.Add(1)
+	waiting := s.waiting.len() > 0
 	s.mu.Unlock()
-	s.poke()
+	if waiting {
+		s.poke()
+	}
 }
 
 // Policy returns the scheduler's placement policy.
@@ -292,10 +300,9 @@ func (s *Scheduler) loop() {
 func (s *Scheduler) schedule() {
 	for {
 		s.mu.Lock()
-		pool := Pool{s: s}
 		s.batch = s.batch[:0]
 		for !s.closed && s.waiting.len() > 0 {
-			pos, alloc := s.policy.Grant(&pool)
+			pos, alloc := s.policy.Grant(&s.pool)
 			if alloc == nil {
 				break // nothing grantable: wait for a release
 			}

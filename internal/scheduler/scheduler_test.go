@@ -261,3 +261,96 @@ func TestConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReleaseWithoutWaiterDecidesNothing: a release that finds the wait pool
+// empty advances the generation by exactly one, its own, and wakes nobody. It
+// used to poke the loop, whose empty pass took the lock and advanced the
+// generation a second time.
+func TestReleaseWithoutWaiterDecidesNothing(t *testing.T) {
+	c := newCollector()
+	s := New(nodes(1, 8, 0), c.fn)
+	defer s.Close()
+	const n = 4
+	for i := 0; i < n; i++ {
+		if err := s.Submit(Request{UID: "t", Cores: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	placed := c.waitN(t, n)
+	// The loop ends a pass that granted with one that does not: let it park.
+	settled := func() uint64 {
+		g := s.Generation()
+		for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+			next := s.Generation()
+			if next == g {
+				return g
+			}
+			g = next
+		}
+		t.Fatal("generation never settled")
+		return 0
+	}
+	for i, p := range placed {
+		before := settled()
+		s.Release(p.Alloc)
+		time.Sleep(20 * time.Millisecond) // a woken loop would have run by now
+		if got := s.Generation(); got != before+1 {
+			t.Fatalf("release %d with nothing waiting: generation %d -> %d, want one step", i, before, got)
+		}
+		select {
+		case <-s.kick:
+			t.Fatalf("release %d with nothing waiting kicked the loop", i)
+		default:
+		}
+	}
+	// A blocked head is what a release is for.
+	for i := 0; i < 2; i++ {
+		if err := s.Submit(Request{UID: "big", Cores: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big := c.waitN(t, n+1)[n]
+	if s.Waiting() != 1 {
+		t.Fatalf("%d waiting behind a full node, want 1", s.Waiting())
+	}
+	s.Release(big.Alloc)
+	c.waitN(t, n+2)
+}
+
+// TestSubmitVsReleasePokeSingleWinner: a request that fits only after a
+// concurrent Release is always granted. Release looks at the wait pool under
+// the lock Submit pushes under, and Submit kicks for itself: whichever of the
+// two comes second under the lock wakes the loop, after the capacity is back.
+func TestSubmitVsReleasePokeSingleWinner(t *testing.T) {
+	c := newCollector()
+	s := New(nodes(1, 4, 0), c.fn)
+	defer s.Close()
+	granted := 0
+	for i := 0; i < 500; i++ {
+		if err := s.Submit(Request{UID: "holder", Cores: 4}); err != nil {
+			t.Fatal(err)
+		}
+		granted++
+		holder := c.waitN(t, granted)[granted-1]
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); s.Release(holder.Alloc) }()
+		go func() {
+			defer wg.Done()
+			if err := s.Submit(Request{UID: "waiter", Cores: 4}); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+		granted++
+		waiter := c.waitN(t, granted)[granted-1] // times out if nobody woke the loop
+		if waiter.Req.UID != "waiter" {
+			t.Fatalf("round %d: granted %s, want the waiter", i, waiter.Req.UID)
+		}
+		s.Release(waiter.Alloc)
+	}
+	if got := s.Scheduled(); got != granted {
+		t.Fatalf("%d grants for %d requests", got, granted)
+	}
+}

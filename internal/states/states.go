@@ -78,25 +78,19 @@ type Model struct {
 	initial State
 	next    map[State][]State
 	final   map[State]bool
-	depth   int // states on the longest path from initial: a machine's history never outgrows it
 }
+
+// maxDepth is the number of states on the longest path of the deepest model,
+// the service's: what a Machine reserves in place for its history, which then
+// never outgrows it.
+const maxDepth = 10
 
 func newModel(entity Entity, initial State, edges map[State][]State, finals ...State) *Model {
 	f := make(map[State]bool, len(finals))
 	for _, s := range finals {
 		f[s] = true
 	}
-	return &Model{entity: entity, initial: initial, next: edges, final: f, depth: longest(edges, initial)}
-}
-
-// longest counts the states on the longest path from s (the models are
-// acyclic).
-func longest(edges map[State][]State, s State) int {
-	n := 0
-	for _, t := range edges[s] {
-		n = max(n, longest(edges, t))
-	}
-	return n + 1
+	return &Model{entity: entity, initial: initial, next: edges, final: f}
 }
 
 // failureEdges appends FAILED and CANCELED targets to every non-final state.
@@ -234,7 +228,8 @@ type Machine struct {
 
 	mu        sync.Mutex
 	current   State
-	history   []Record
+	history   []Record // over hist: no model's longest path outgrows it
+	hist      [maxDepth]Record
 	callbacks []Callback
 	batch     BatchCallback
 	waiters   []chan State
@@ -244,7 +239,7 @@ type Machine struct {
 // now.
 func NewMachine(uid string, model *Model, clock simtime.Clock) *Machine {
 	m := &Machine{uid: uid, model: model, clock: clock, current: model.Initial()}
-	m.history = append(make([]Record, 0, model.depth), Record{State: model.Initial(), At: clock.Now()})
+	m.history = append(m.hist[:0], Record{State: model.Initial(), At: clock.Now()})
 	return m
 }
 

@@ -276,6 +276,16 @@ func TestModelAccessors(t *testing.T) {
 	}
 }
 
+// longest counts the states on the longest path from s (the models are
+// acyclic).
+func longest(edges map[State][]State, s State) int {
+	n := 0
+	for _, t := range edges[s] {
+		n = max(n, longest(edges, t))
+	}
+	return n + 1
+}
+
 // TestModelsShared: each model is built once; every caller gets the same
 // immutable value and may read it from any goroutine.
 func TestModelsShared(t *testing.T) {
@@ -285,9 +295,11 @@ func TestModelsShared(t *testing.T) {
 	if ModelFor(EntityTask) != TaskModel() || ModelFor("job") != nil {
 		t.Fatal("ModelFor does not hand out the shared models")
 	}
-	for m, want := range map[*Model]int{PilotModel(): 4, TaskModel(): 7, ServiceModel(): 10} {
-		if m.depth != want {
-			t.Fatalf("%s model: longest path %d states, want %d", m.entity, m.depth, want)
+	// A machine keeps its history in place: the array holds the longest path
+	// of the deepest model, and no more.
+	for m, want := range map[*Model]int{PilotModel(): 4, TaskModel(): 7, ServiceModel(): maxDepth} {
+		if got := longest(m.next, m.initial); got != want {
+			t.Fatalf("%s model: longest path %d states, want %d", m.entity, got, want)
 		}
 	}
 	var wg sync.WaitGroup
@@ -307,8 +319,9 @@ func TestModelsShared(t *testing.T) {
 }
 
 // TestTransitionAllocBudget: a transition allocates nothing. The history is
-// sized once from the model's longest path and To runs the callback slice
-// it read instead of a copy (OnTransition swaps in a new slice).
+// an array in the machine, as long as the deepest model's longest path, and To
+// runs the callback slice it read instead of a copy (OnTransition swaps in a
+// new slice).
 func TestTransitionAllocBudget(t *testing.T) {
 	clock := simtime.NewVirtual(origin)
 	path := []State{TaskTmgrScheduling, TaskStagingInput, TaskScheduling, TaskExecuting, TaskStagingOutput, TaskDone}
