@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -102,13 +104,13 @@ func TestRunRejectsNonsenseBeforeRunning(t *testing.T) {
 	}
 }
 
-// TestGoldenSections pins the sections whose output is pure counts to what
-// the pre-registry binary printed (two consecutive runs of each were
-// identical). load, scale, hotspot and Exp 1-3 print times and are not
-// golden material.
+// TestGoldenSections pins every section whose output is deterministic to its
+// file under testdata: the count tables as the pre-registry binary printed
+// them, and the paper's figures (Exp 1-3), which run on the virtual clock and
+// must read the same at any GOMAXPROCS.
 func TestGoldenSections(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs eight experiments, one of them over agent processes")
+		t.Skip("runs eleven experiments, one of them over agent processes")
 	}
 	for golden, args := range map[string][]string{
 		"table1":     {"-exp", "table1"},
@@ -119,18 +121,33 @@ func TestGoldenSections(t *testing.T) {
 		"crashrec":   {"-exp", "crashrec"},
 		"xproc":      {"-exp", "xproc"},
 		"route":      {"-exp", "route"},
+		"exp1":       {"-exp", "1"},
+		"exp2":       {"-exp", "2"},
+		"exp3":       {"-exp", "3"},
 	} {
 		t.Run(golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", golden+".txt"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var out, errb bytes.Buffer
-			if code := run(experiments.Registry(), args, &out, &errb); code != 0 {
-				t.Fatalf("exit %d: %s", code, errb.String())
+			check := func(t *testing.T) {
+				var out, errb bytes.Buffer
+				if code := run(experiments.Registry(), args, &out, &errb); code != 0 {
+					t.Fatalf("exit %d: %s", code, errb.String())
+				}
+				if !bytes.Equal(out.Bytes(), want) {
+					t.Fatalf("output differs from testdata/%s.txt\n--- got\n%s--- want\n%s", golden, out.String(), want)
+				}
 			}
-			if !bytes.Equal(out.Bytes(), want) {
-				t.Fatalf("output differs from testdata/%s.txt\n--- got\n%s--- want\n%s", golden, out.String(), want)
+			if !strings.HasPrefix(golden, "exp") {
+				check(t)
+				return
+			}
+			for _, n := range []int{1, 2, 8} {
+				t.Run(fmt.Sprint("GOMAXPROCS=", n), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+					check(t)
+				})
 			}
 		})
 	}

@@ -320,25 +320,20 @@ func TestUpdaterObservesServiceLifecycle(t *testing.T) {
 	}
 }
 
-// TestExp1Determinism: the deterministic components of the bootstrap
-// measurement (launch base below saturation, model init) replay exactly
-// for the same seed.
+// TestExp1Determinism: a bootstrap measurement on the virtual clock replays
+// exactly for the same seed, every component and the makespan.
 func TestExp1Determinism(t *testing.T) {
 	run := func() experiments.BTRow {
 		res, err := experiments.RunBT(context.Background(), experiments.BTConfig{
-			Counts: []int{4}, Model: "llama-8b", Scale: 20000, Seed: 7,
+			Counts: []int{4}, Model: "llama-8b", Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Rows[0]
 	}
-	a, b := run(), run()
-	if a.Init.Mean != b.Init.Mean || a.Init.Std != b.Init.Std {
-		t.Fatalf("init not deterministic: %v vs %v", a.Init.Mean, b.Init.Mean)
-	}
-	if a.Launch.Mean != b.Launch.Mean {
-		t.Fatalf("launch (below saturation) not deterministic: %v vs %v", a.Launch.Mean, b.Launch.Mean)
+	if a, b := run(), run(); a != b {
+		t.Fatalf("bootstrap rows differ between runs:\n%+v\n%+v", a, b)
 	}
 }
 

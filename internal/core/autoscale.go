@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/journal"
@@ -57,6 +58,7 @@ type standbyRef struct {
 	uid  string
 	inst *service.Instance
 	p    *pilot.Pilot
+	hold sync.Once
 	held bool // seen ACTIVE and suspended: ready for promotion
 }
 
@@ -366,38 +368,36 @@ func (sm *ServiceManager) spawnStandby(h *Service) {
 	h.mu.Lock()
 	h.standbys = append(h.standbys, ref)
 	h.mu.Unlock()
-	// Plain goroutine on purpose: it blocks on state-change channels,
-	// which a clock-registered goroutine must never do.
-	go sm.holdStandby(h, ref)
-}
-
-// holdStandby follows one standby bootstrap until it reaches ACTIVE,
-// then suspends its registry entry: the endpoint publication (ordered
-// before ACTIVE by the pilot publish hook) is retained for Peek but the
-// standby is unresolvable — it serves no traffic until promoted.
-func (sm *ServiceManager) holdStandby(h *Service, ref *standbyRef) {
-	for {
-		ch := ref.inst.Changed() // registered before the checks (lost-wakeup race)
-		if ref.inst.State() == states.ServiceActive {
-			break
+	// Held on the goroutine that makes it ACTIVE, or here if it already is.
+	inst.OnTransition(func(_ string, _, to states.State, _ time.Time) {
+		if to == states.ServiceActive {
+			sm.holdStandby(h, ref)
 		}
-		if ref.inst.Final() {
-			return // reaped by the next fillStandbys
-		}
-		<-ch
+	})
+	if inst.State() == states.ServiceActive {
+		sm.holdStandby(h, ref)
 	}
-	sm.reg.Suspend(ref.uid)
-	h.mu.Lock()
-	ref.held = true
-	h.mu.Unlock()
 }
 
-// promoteStandby is the watcher's warm failover path: pop a held, live
+// holdStandby suspends a standby that reached ACTIVE, once: the endpoint
+// publication (ordered before ACTIVE by the pilot publish hook) is retained
+// for Peek but the standby is unresolvable — it serves no traffic until
+// promoted.
+func (sm *ServiceManager) holdStandby(h *Service, ref *standbyRef) {
+	ref.hold.Do(func() {
+		sm.reg.Suspend(ref.uid)
+		h.mu.Lock()
+		ref.held = true
+		h.mu.Unlock()
+	})
+}
+
+// promoteStandby is instanceDown's warm failover path: pop a held, live
 // standby whose pilot survives and re-point the logical UID at it with a
 // single generation-bumping publish of the standby's already-live
 // endpoint. No routing, no bootstrap — parked resolvers wake straight
 // into the promoted address. Returns false when no standby is
-// promotable, in which case the watcher falls back to a cold
+// promotable, in which case instanceDown falls back to a cold
 // re-placement. The drained pool is refilled by the next autoscale tick of
 // h, the refill's one owner.
 func (sm *ServiceManager) promoteStandby(h *Service) bool {

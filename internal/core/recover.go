@@ -254,7 +254,7 @@ func (s *Session) recoverTasks(snap *journal.Snapshot, survivors map[string]*pil
 // record: every live settle path (session Terminate, own failure on a
 // healthy pilot) withdraws before finishing, so a final instance state
 // WITHOUT it means the crash interrupted something — either the settle's
-// last append, which reattaching resolves (the watcher re-derives the
+// last append, which reattaching resolves (instanceDown re-derives the
 // settle from the live instance), or a dying pilot's graceful teardown,
 // which the live session would have answered with a re-placement.
 func (s *Session) recoverServices(snap *journal.Snapshot, survivors map[string]*pilot.Pilot, rep *RecoveryReport) {
@@ -279,17 +279,17 @@ func (s *Session) recoverServices(snap *journal.Snapshot, survivors map[string]*
 
 		if p, ok := survivors[ss.Pilot]; ok {
 			if inst, found := p.Services().Get(uid); found {
-				h.install(inst, p, nil)
 				if ep := inst.Endpoint(); ep.Address != "" {
 					// The instance already published (possibly the very
 					// append the crash ate): re-mirror under the new
 					// incarnation — the restored generation floor makes
 					// this strictly newer than any endpoint a pre-crash
 					// client still holds. An instance caught pre-publish
-					// publishes through its rebound hook instead.
+					// publishes through its rebound hook instead. Before
+					// install: a final instance settles in it.
 					s.sm.mirrorPublish(p.UID(), ep)
 				}
-				go s.sm.watch(h)
+				h.install(inst, p, nil)
 				rep.ServicesReattached = append(rep.ServicesReattached, uid)
 				continue
 			}
@@ -312,7 +312,6 @@ func (s *Session) recoverServices(snap *journal.Snapshot, survivors map[string]*
 			continue
 		}
 		h.install(inst, p, &h.replacements)
-		go s.sm.watch(h)
 		rep.ServicesReplaced = append(rep.ServicesReplaced, uid)
 	}
 }

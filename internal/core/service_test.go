@@ -271,6 +271,48 @@ func TestServiceFailoverNoSurvivorFails(t *testing.T) {
 	}
 }
 
+// TestServiceFailoverHooksSingleWinner: a pilot shutdown that races its
+// service's bootstrap reaches the failover decision twice — from the
+// shutdown (the instance it terminates, or the pilot's own end) and from the
+// bootstrap failing on its own goroutine — and exactly one of them re-places
+// the service, once, on the survivor.
+func TestServiceFailoverHooksSingleWinner(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		s := newSession(t, 100000)
+		sm := s.ServiceManager()
+		p1, err := s.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Nodes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := s.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Nodes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm.AddPilot(p1)
+		sm.AddPilot(p2)
+		h, err := sm.Submit(noopService("svc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p1.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		err = sm.WaitReady(ctx, h.UID())
+		cancel()
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if h.Replacements() != 1 || h.Pilot() != p2.UID() {
+			t.Fatalf("round %d: %d replacements, on %s; want 1, on the survivor %s", i, h.Replacements(), h.Pilot(), p2.UID())
+		}
+		if n := len(p2.Services().List()); n != 1 {
+			t.Fatalf("round %d: the survivor hosts %d instances, want 1", i, n)
+		}
+		s.Close()
+	}
+}
+
 // TestServiceFailoverClientContrast contrasts the two client styles the
 // svcfail ablation measures: across a failover, a client that cached the
 // raw endpoint errors on every request, while a registry-resolving client

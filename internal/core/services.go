@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/journal"
 	"repro/internal/metrics"
@@ -52,6 +53,7 @@ type Service struct {
 	swapped      chan struct{} // closed and re-made whenever inst is installed or replaced
 	replacements int
 	terminated   bool
+	down         *service.Instance // the instance whose end instanceDown is deciding
 
 	// Autoscaler state (see autoscale.go): replica instances spawned
 	// under this logical UID, the replica UID sequence, the consecutive
@@ -82,7 +84,8 @@ func (sm *ServiceManager) newService(d spec.ServiceDescription) *Service {
 // install makes inst on p the handle's current instance and wakes every
 // WaitReady parked on the previous one (or on none). bump, when non-nil,
 // is the failover counter the swap accounts to, raised under the same
-// lock so a woken waiter already reads it.
+// lock so a woken waiter already reads it. inst's end is then instanceDown's
+// to decide: its final transition calls it, on the goroutine that makes it.
 func (h *Service) install(inst *service.Instance, p *pilot.Pilot, bump *int) {
 	h.mu.Lock()
 	h.inst, h.p = inst, p
@@ -92,6 +95,14 @@ func (h *Service) install(inst *service.Instance, p *pilot.Pilot, bump *int) {
 	close(h.swapped)
 	h.swapped = make(chan struct{})
 	h.mu.Unlock()
+	inst.OnTransition(func(string, states.State, states.State, time.Time) {
+		if inst.Final() {
+			h.sm.instanceDown(h, inst)
+		}
+	})
+	if inst.Final() { // final before the hook was in
+		h.sm.instanceDown(h, inst)
+	}
 }
 
 // Description returns the submitted description (after defaulting).
@@ -285,7 +296,7 @@ func (h *Service) WaitReady(ctx context.Context) error {
 // directly to a pilot's agent manager) mirror unconditionally.
 //
 // Like the pilot-side stopped guard this is check-then-act: a straggler
-// publishing in the instant between passing this check and the watcher
+// publishing in the instant between passing this check and instanceDown
 // re-pointing h.p is mirrored anyway, but it is then superseded by the
 // failover re-publication's higher generation (resolvers that woke into
 // the dead address retry into the newer one). Across sessions the
@@ -361,7 +372,6 @@ func (sm *ServiceManager) Submit(d spec.ServiceDescription) (*Service, error) {
 		return nil, err
 	}
 	h.install(inst, p, nil)
-	go sm.watch(h)
 	if d.WarmStandbys > 0 {
 		sm.fillStandbys(h)
 	}
@@ -388,11 +398,29 @@ func (sm *ServiceManager) bind(h *Service, p *pilot.Pilot) (*service.Instance, e
 	return p.Services().Submit(h.desc)
 }
 
-// watch follows one logical service across instances (endpoint
-// publication itself rides the pilot's OnServicePublish hook, ordered
-// before ACTIVE): on the hosting pilot stopping it re-places the service
-// (or fails a pinned one with pilot.ErrPilotStopped); instance failures
-// with a healthy pilot — bad model, liveness kill — settle the handle.
+// pilotDown is the session's hook on a pilot's final transition, run by
+// whoever stopped it (Shutdown's caller): every service still hosted there
+// goes to instanceDown, which re-places it. The instances its shutdown
+// terminated got there first, on the same goroutine.
+func (sm *ServiceManager) pilotDown(pilotUID string) {
+	for _, h := range sm.Services() {
+		h.mu.Lock()
+		inst, p := h.inst, h.p
+		h.mu.Unlock()
+		if inst != nil && p != nil && p.UID() == pilotUID {
+			sm.instanceDown(h, inst)
+		}
+	}
+}
+
+// instanceDown decides what follows the end of inst, h's current instance:
+// its final transition or its pilot stopping under it. It runs on the
+// goroutine that made the transition or stopped the pilot, and one caller per
+// instance decides. (Endpoint publication itself rides the pilot's
+// OnServicePublish hook, ordered before ACTIVE.) On the hosting pilot stopping
+// it re-places the service (or fails a pinned one with
+// pilot.ErrPilotStopped); instance failures with a healthy pilot — bad model,
+// liveness kill — settle the handle.
 //
 // The settle-vs-replace decision keys on pilot liveness plus the
 // session's terminate intent: a pilot shutdown tears ACTIVE services
@@ -401,69 +429,51 @@ func (sm *ServiceManager) bind(h *Service, p *pilot.Pilot) (*service.Instance, e
 // services through ServiceManager.Terminate — a direct agent-level
 // Terminate that races a pilot shutdown is indistinguishable from the
 // shutdown's own teardown and will be re-placed.
-func (sm *ServiceManager) watch(h *Service) {
-	for {
-		h.mu.Lock()
-		inst, p := h.inst, h.p
+func (sm *ServiceManager) instanceDown(h *Service, inst *service.Instance) {
+	h.mu.Lock()
+	if h.inst != inst || h.down == inst {
 		h.mu.Unlock()
-
-	settled:
-		for {
-			ch := inst.Changed() // registered before the check (lost-wakeup race)
-			if inst.Final() {
-				break
-			}
-			select {
-			case <-ch:
-			case <-p.Stopped():
-				break settled
-			}
-		}
-		// An instance that settled by itself may still owe that to its pilot
-		// shutting down (the stop channel closes before the service teardown
-		// starts, so this observation is ordered).
-		pilotDead := false
-		select {
-		case <-p.Stopped():
-			pilotDead = true
-		default:
-		}
-		h.mu.Lock()
-		terminated := h.terminated
-		h.mu.Unlock()
-
-		if terminated || !pilotDead {
-			// The handle is settling for good: session Terminate, an
-			// agent-level graceful termination via the control channel, or
-			// an own failure on a healthy pilot.
-			sm.settle(h, inst.Err())
-			return
-		}
-		if h.desc.Pilot != "" {
-			// Pinned services mirror pinned-task semantics: surface the
-			// pilot's death instead of migrating.
-			sm.settle(h, fmt.Errorf("core: service %s pinned to pilot %s: %w",
-				h.uid, h.desc.Pilot, pilot.ErrPilotStopped))
-			return
-		}
-		// A session closing down tears its pilots down too; a watcher that
-		// observes its pilot's death in that window must settle instead of
-		// racing Close for the survivors (the re-placed instance would be
+		return
+	}
+	h.down = inst
+	p, terminated := h.p, h.terminated
+	h.mu.Unlock()
+	// An instance that settled by itself may still owe that to its pilot
+	// shutting down (the stop channel closes before the service teardown
+	// starts, so this observation is ordered).
+	pilotDead := false
+	select {
+	case <-p.Stopped():
+		pilotDead = true
+	default:
+	}
+	switch {
+	case terminated || !pilotDead:
+		// The handle is settling for good: session Terminate, an
+		// agent-level graceful termination via the control channel, or
+		// an own failure on a healthy pilot.
+		sm.settle(h, inst.Err())
+	case h.desc.Pilot != "":
+		// Pinned services mirror pinned-task semantics: surface the
+		// pilot's death instead of migrating.
+		sm.settle(h, fmt.Errorf("core: service %s pinned to pilot %s: %w",
+			h.uid, h.desc.Pilot, pilot.ErrPilotStopped))
+	case sm.isClosed():
+		// A session closing down tears its pilots down too: settle instead
+		// of racing Close for the survivors (the re-placed instance would be
 		// orphaned on a pilot the session no longer manages).
-		if sm.isClosed() {
-			sm.settle(h, ErrSessionClosed)
-			return
-		}
+		sm.settle(h, ErrSessionClosed)
+	default:
 		// Failure-driven re-placement: suspend resolution (clients park in
 		// AwaitNewer instead of being handed the dead address), then prefer
 		// promoting a warm standby — the instance is already bootstrapped
 		// and ACTIVE on a surviving pilot, so failover is one registry
 		// publish instead of a fresh boot/launch/publish cycle. Only when
-		// no standby survives does the watcher fall back to routing the
-		// description over the survivors and re-bootstrapping.
+		// no standby survives does it fall back to routing the description
+		// over the survivors and re-bootstrapping.
 		sm.reg.Suspend(h.uid)
 		if sm.promoteStandby(h) {
-			continue
+			return
 		}
 		newInst, newP, err := sm.replace(h)
 		if err != nil {
@@ -562,9 +572,9 @@ func (sm *ServiceManager) Terminate(uid string, drain bool) error {
 		h.terminated = false
 		h.mu.Unlock()
 		if finishedMeanwhile {
-			// The hosting pilot died while we were terminating and the
-			// watcher, observing the terminate intent, settled the handle
-			// instead of re-placing it. The service is down — which is
+			// The hosting pilot died while we were terminating and
+			// instanceDown, observing the terminate intent, settled the
+			// handle instead of re-placing it. The service is down — which is
 			// exactly what Terminate asked for — so report success rather
 			// than leaking the lost race as an error.
 			sm.reg.Withdraw(uid)

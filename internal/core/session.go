@@ -50,8 +50,7 @@ type SessionConfig struct {
 	Topology *platform.Topology
 	// FastBoot zeroes pilot boot, launch and publish overheads. Use for
 	// runs that measure steady-state behaviour (the paper's Exp 2/3, where
-	// bootstrap is out of scope) on low clock scales where those sleeps
-	// would cost real wall time.
+	// bootstrap is out of scope).
 	FastBoot bool
 	// SchedPolicy names the placement policy every pilot's agent
 	// scheduler uses ("strict", "backfill", "best-fit"). Empty defers to
@@ -339,8 +338,16 @@ func (s *Session) publish(entity string, record states.Callback, uid string, fro
 // pilotHooks is the set of session-side observers a pilot of this session
 // runs under, launched or adopted.
 func (s *Session) pilotHooks(pilotUID string) pilot.Hooks {
+	pilotState := s.publishState("pilot")
 	return pilot.Hooks{
-		PilotState:   s.publishState("pilot"),
+		// A pilot's final transition is the last step of its shutdown: the
+		// services it still hosted are re-placed by whoever stopped it.
+		PilotState: func(uid string, from, to states.State, at time.Time) {
+			pilotState(uid, from, to, at)
+			if states.PilotModel().IsFinal(to) {
+				s.sm.pilotDown(uid)
+			}
+		},
 		TaskState:    s.publishStates("task"),
 		ServiceState: s.publishState("service"),
 		// Mirror every service endpoint publication into the session

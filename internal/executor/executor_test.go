@@ -34,31 +34,36 @@ func TestLaunchBaseline(t *testing.T) {
 	}
 }
 
+// TestLaunchConcurrencyPenalty: 200 launches registered with the virtual
+// clock before time can move all sleep their base at once, so every one of them
+// sees the burst's peak of 200 past the saturation of 160 and pays the
+// model's penalty for it.
 func TestLaunchConcurrencyPenalty(t *testing.T) {
-	// scale 1000: each launch holds ~2ms real, so 200 spawning goroutines
-	// genuinely overlap and the concurrency counter passes the saturation
-	// threshold
-	e, _ := newExec(1000)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var maxD time.Duration
-	// hold 200 launches in flight concurrently: those sampling with
-	// concurrency > 160 pay the penalty
-	for i := 0; i < 200; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			d := e.Launch("svc")
-			mu.Lock()
-			if d > maxD {
-				maxD = d
-			}
-			mu.Unlock()
-		}(i)
+	clock := simtime.NewVirtualAuto(origin)
+	launch := platform.LaunchModel{
+		Base:       rng.ConstDuration(2 * time.Second),
+		Saturation: 160,
+		PenaltyExp: 1.6,
 	}
+	e := New(clock, rng.New(1), launch)
+	const n = 200
+	durs := make([]time.Duration, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	clock.AddRunner() // the spawner holds the clock until every launch is in
+	for i := range durs {
+		clock.Go(func() {
+			defer wg.Done()
+			durs[i] = e.Launch("svc")
+		})
+	}
+	clock.DoneRunner()
 	wg.Wait()
-	if maxD <= 2*time.Second {
-		t.Fatalf("max launch %v shows no concurrency penalty", maxD)
+	want := 2*time.Second + launch.Penalty(n)
+	for i, d := range durs {
+		if d != want {
+			t.Fatalf("launch %d took %v, want %v (base plus the penalty at %d)", i, d, want, n)
+		}
 	}
 	if e.Launching() != 0 {
 		t.Fatalf("Launching = %d after completion", e.Launching())

@@ -53,8 +53,6 @@ type CrashRecConfig struct {
 	Tasks int
 	// FaultPoints lists the fault points driven (default: all three).
 	FaultPoints []string
-	// Scale is the clock compression (default 20000).
-	Scale float64
 	// Seed drives determinism.
 	Seed uint64
 }
@@ -68,9 +66,6 @@ func (c CrashRecConfig) withDefaults() CrashRecConfig {
 	}
 	if len(c.FaultPoints) == 0 {
 		c.FaultPoints = []string{FaultMidTransition, FaultMidPublish, FaultMidFailover}
-	}
-	if c.Scale <= 0 {
-		c.Scale = 20000
 	}
 	if c.Seed == 0 {
 		c.Seed = 27
@@ -135,8 +130,8 @@ func RunCrashRec(ctx context.Context, cfg CrashRecConfig) (*CrashRecResult, erro
 // cfg.Tasks long tasks, then the fault. Task placement is pinned to the
 // second pilot for the mid-failover point (whose first pilot dies), and
 // left to the deterministic round-robin dispatch otherwise.
-func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, journaled bool) (CrashRecRow, error) {
-	row := CrashRecRow{FaultPoint: point, Journaled: journaled}
+func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, journaled bool) (row CrashRecRow, err error) {
+	row = CrashRecRow{FaultPoint: point, Journaled: journaled}
 	dir, err := os.MkdirTemp("", "crashrec")
 	if err != nil {
 		return row, err
@@ -147,156 +142,146 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 	scfg := core.SessionConfig{Seed: cfg.Seed, FastBoot: true}
 	if journaled {
 		scfg.JournalPath = jp
-		// fsync batching on the compressed clock would fire every few
-		// microseconds of wall time; a simulated minute keeps it honest
-		// without busy-syncing.
 		scfg.JournalFlushEvery = time.Minute
 	}
 	half := spec.PilotDescription{Platform: "delta", Cores: 128, GPUs: 8}
-	tb, err := newTestbed(scfg, cfg.Scale, half, half)
-	if err != nil {
-		return row, err
-	}
-	sess, pilots := tb.Session, tb.pilots
-
-	svc, err := sess.ServiceManager().Submit(hostedService("svc", "noop"))
-	if err != nil {
-		return row, err
-	}
-	if err := svc.WaitReady(ctx); err != nil {
-		return row, err
-	}
-
-	long := rng.ConstDuration(4 * time.Hour)
-	descs := make([]spec.TaskDescription, cfg.Tasks)
-	for i := range descs {
-		descs[i] = spec.TaskDescription{Name: fmt.Sprintf("work-%d", i), Cores: 1, Duration: long}
-		if point == FaultMidFailover {
-			// The first pilot dies at this fault point; pinning the fleet
-			// to the survivor keeps the reattach count exact instead of
-			// racing the old session's own re-routing against the crash.
-			descs[i].Pilot = pilots[1].UID()
+	err = runTestbed(scfg, []spec.PilotDescription{half, half}, func(tb *testbed) error {
+		sess, pilots := tb.Session, tb.pilots
+		svc, err := sess.ServiceManager().Submit(hostedService("svc", "noop"))
+		if err != nil {
+			return err
 		}
-	}
-	// Every task runs before the fault is armed: in-flight grants would
-	// otherwise append transitions that race the trigger for the crash
-	// record.
-	if _, err := tb.submitRunning(ctx, descs...); err != nil {
-		return row, err
-	}
-	row.TasksInFlight = cfg.Tasks
+		if err := tb.wait(func() error { return svc.WaitReady(ctx) }); err != nil {
+			return err
+		}
 
-	// Arm the fault and trigger it.
-	crashed := make(chan struct{})
-	var armed atomic.Bool
-	if journaled {
-		jw := sess.Journal()
-		jw.OnCrash(func() {
-			sess.Abandon()
-			close(crashed)
-		})
-		jw.SetCrashHook(func(rec journal.Record) journal.CrashMode {
-			if !armed.Load() {
-				return journal.NoCrash
-			}
-			switch point {
-			case FaultMidTransition:
-				if rec.Kind == journal.KindTransition {
-					return journal.CrashTorn
-				}
-			case FaultMidPublish:
-				if rec.Kind == journal.KindEndpoint && endpointOp(rec) == journal.OpPublish {
-					return journal.CrashLost
-				}
-			case FaultMidFailover:
-				if rec.Kind == journal.KindEndpoint && endpointOp(rec) == journal.OpSuspend {
-					return journal.CrashLost
-				}
-			}
-			return journal.NoCrash
-		})
-	}
-	armed.Store(true)
-
-	var trigger *core.Service
-	switch point {
-	case FaultMidTransition:
-		// The trigger task's first state transition is the crash record.
-		if _, err := sess.TaskManager().Submit(ctx, spec.TaskDescription{
-			Name: "trigger", Cores: 1, Duration: long,
-		}); err != nil {
-			return row, err
-		}
-		row.TasksInFlight++
-	case FaultMidPublish:
-		// A second service's bootstrap publication is the crash record.
-		if trigger, err = sess.ServiceManager().Submit(hostedService("svc2", "noop")); err != nil {
-			return row, err
-		}
-	case FaultMidFailover:
-		// Kill the service host: the watcher's suspend is the crash record.
-		if err := pilots[0].Shutdown(); err != nil {
-			return row, err
-		}
-	default:
-		return row, fmt.Errorf("unknown fault point %q", point)
-	}
-
-	waitCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	defer cancel()
-	if journaled {
-		select {
-		case <-crashed:
-		case <-waitCtx.Done():
-			return row, fmt.Errorf("fault point %s never fired: %w", point, waitCtx.Err())
-		}
-	} else {
-		// No journal, no fault hook: the client dies at the same logical
-		// point, taking all campaign state with it. For mid-publish that
-		// point is the trigger service's bootstrap publication, which the
-		// journaled run's crash hook waits for too.
-		if trigger != nil {
-			if _, _, err := sess.EndpointRegistry().AwaitNewer(waitCtx, trigger.UID(), 0); err != nil {
-				return row, fmt.Errorf("trigger service never published: %w", err)
+		long := rng.ConstDuration(4 * time.Hour)
+		descs := make([]spec.TaskDescription, cfg.Tasks)
+		for i := range descs {
+			descs[i] = spec.TaskDescription{Name: fmt.Sprintf("work-%d", i), Cores: 1, Duration: long}
+			if point == FaultMidFailover {
+				// The first pilot dies at this fault point; pinning the fleet
+				// to the survivor keeps the reattach count exact instead of
+				// racing the old session's own re-routing against the crash.
+				descs[i].Pilot = pilots[1].UID()
 			}
 		}
-		sess.Abandon()
-	}
+		// Every task runs before the fault is armed: in-flight grants would
+		// otherwise append transitions that race the trigger for the crash
+		// record.
+		if _, err := tb.submitRunning(ctx, descs...); err != nil {
+			return err
+		}
+		row.TasksInFlight = cfg.Tasks
 
-	// Recovery. The journal-less contrast recovers from the path its
-	// session never wrote: total loss, by construction.
-	s2, rep, err := core.Recover(jp, core.RecoverConfig{})
-	if err != nil {
+		// Arm the fault and trigger it.
+		crashed := make(chan struct{})
+		var armed atomic.Bool
 		if journaled {
-			return row, err
+			jw := sess.Journal()
+			jw.OnCrash(func() {
+				sess.Abandon()
+				close(crashed)
+			})
+			jw.SetCrashHook(func(rec journal.Record) journal.CrashMode {
+				if !armed.Load() {
+					return journal.NoCrash
+				}
+				switch point {
+				case FaultMidTransition:
+					if rec.Kind == journal.KindTransition {
+						return journal.CrashTorn
+					}
+				case FaultMidPublish:
+					if rec.Kind == journal.KindEndpoint && endpointOp(rec) == journal.OpPublish {
+						return journal.CrashLost
+					}
+				case FaultMidFailover:
+					if rec.Kind == journal.KindEndpoint && endpointOp(rec) == journal.OpSuspend {
+						return journal.CrashLost
+					}
+				}
+				return journal.NoCrash
+			})
 		}
-		return row, nil // expected: nothing to recover from
-	}
-	defer s2.Close()
-	row.Recovered = true
-	row.Incarnation = rep.Incarnation
-	row.TornTail = rep.Stats.TornTail
-	row.PilotsAlive = len(rep.PilotsAlive)
-	row.PilotsLost = len(rep.PilotsLost)
-	row.TasksReattached = len(rep.TasksReattached)
-	row.TasksRerouted = len(rep.TasksRerouted)
-	row.TasksSettled = len(rep.TasksSettled)
-	row.ServicesReattached = len(rep.ServicesReattached)
-	row.ServicesReplaced = len(rep.ServicesReplaced)
-	row.ServicesSettled = len(rep.ServicesSettled)
+		armed.Store(true)
 
-	// Resume the campaign: every recovered task must run to DONE.
-	resumeCtx, cancelResume := context.WithTimeout(ctx, 120*time.Second)
-	defer cancelResume()
-	if err := s2.TaskManager().Wait(resumeCtx); err != nil {
-		return row, fmt.Errorf("post-recovery wait: %w", err)
-	}
-	for _, t := range s2.TaskManager().Tasks() {
-		if t.State() == states.TaskDone {
-			row.TasksCompleted++
+		var trigger *core.Service
+		switch point {
+		case FaultMidTransition:
+			// The trigger task's first state transition is the crash record.
+			if _, err := sess.TaskManager().Submit(ctx, spec.TaskDescription{
+				Name: "trigger", Cores: 1, Duration: long,
+			}); err != nil {
+				return err
+			}
+			row.TasksInFlight++
+		case FaultMidPublish:
+			// A second service's bootstrap publication is the crash record.
+			if trigger, err = sess.ServiceManager().Submit(hostedService("svc2", "noop")); err != nil {
+				return err
+			}
+		case FaultMidFailover:
+			// Kill the service host: the failover's suspend is the crash record.
+			if err := pilots[0].Shutdown(); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("unknown fault point %q", point)
 		}
-	}
-	return row, nil
+
+		// The fault point takes no simulated time to reach (the trigger's
+		// bootstrap boots fast), so the driver waits for it holding the clock:
+		// the long tasks do not run on meanwhile.
+		if journaled {
+			<-crashed
+		} else {
+			// No journal, no fault hook: the client dies at the same logical
+			// point, taking all campaign state with it. For mid-publish that
+			// point is the trigger service's bootstrap publication, which the
+			// journaled run's crash hook waits for too.
+			if trigger != nil {
+				if _, _, err := sess.EndpointRegistry().AwaitNewer(ctx, trigger.UID(), 0); err != nil {
+					return fmt.Errorf("trigger service never published: %w", err)
+				}
+			}
+			sess.Abandon()
+		}
+
+		// Recovery. The journal-less contrast recovers from the path its
+		// session never wrote: total loss, by construction.
+		s2, rep, err := core.Recover(jp, core.RecoverConfig{})
+		if err != nil {
+			if journaled {
+				return err
+			}
+			return nil // expected: nothing to recover from
+		}
+		defer s2.Close()
+		row.Recovered = true
+		row.Incarnation = rep.Incarnation
+		row.TornTail = rep.Stats.TornTail
+		row.PilotsAlive = len(rep.PilotsAlive)
+		row.PilotsLost = len(rep.PilotsLost)
+		row.TasksReattached = len(rep.TasksReattached)
+		row.TasksRerouted = len(rep.TasksRerouted)
+		row.TasksSettled = len(rep.TasksSettled)
+		row.ServicesReattached = len(rep.ServicesReattached)
+		row.ServicesReplaced = len(rep.ServicesReplaced)
+		row.ServicesSettled = len(rep.ServicesSettled)
+
+		// Resume the campaign: every recovered task must run to DONE.
+		if err := tb.wait(func() error { return s2.TaskManager().Wait(ctx) }); err != nil {
+			return fmt.Errorf("post-recovery wait: %w", err)
+		}
+		for _, t := range s2.TaskManager().Tasks() {
+			if t.State() == states.TaskDone {
+				row.TasksCompleted++
+			}
+		}
+		return nil
+	})
+	return row, err
 }
 
 // endpointOp decodes the op of a KindEndpoint record ("" on mismatch).

@@ -5,11 +5,10 @@
 // inference time, local and remote). It also renders the paper's Table I
 // (use cases) and Table II (experiment setup).
 //
-// Clock-scale calibration matters: bootstrap components are tens of
-// seconds, so Exp 1 runs highly compressed; NOOP response times are
-// sub-millisecond, so Exp 2 runs at (or near) real time, where simulated
-// network latencies and genuine scheduling overheads are of comparable
-// magnitude — exactly as on the paper's testbed.
+// Every in-process point runs on its own auto-advancing virtual clock
+// (runTestbed): bootstrap components of tens of seconds and sub-millisecond
+// NOOP round trips are both what the runtime's models say they are, and a
+// figure reads the same on every host and every run.
 package experiments
 
 import (
@@ -65,8 +64,6 @@ type BTConfig struct {
 	Counts []int
 	// Model is the hosted model (paper: llama-8b via ollama).
 	Model string
-	// Scale is the clock compression (default 200).
-	Scale float64
 	// Seed drives determinism.
 	Seed uint64
 	// Partition, when positive, bootstraps services in waves of at most
@@ -91,12 +88,6 @@ func (c BTConfig) withDefaults() BTConfig {
 	}
 	if c.Model == "" {
 		c.Model = "llama-8b"
-	}
-	if c.Scale <= 0 {
-		// 200x keeps the base launch sleep (~2.2s → ~11ms real) long
-		// enough that burst members genuinely overlap in real time, which
-		// the launch-concurrency model depends on.
-		c.Scale = 200
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -139,60 +130,53 @@ func RunBT(ctx context.Context, cfg BTConfig) (*BTResult, error) {
 	return res, nil
 }
 
-func runBTPoint(ctx context.Context, cfg BTConfig, n int) (BTRow, error) {
-	sess, err := newTestbed(core.SessionConfig{
+func runBTPoint(ctx context.Context, cfg BTConfig, n int) (row BTRow, err error) {
+	err = runTestbed(core.SessionConfig{
 		Seed:        cfg.Seed + uint64(n),
 		SchedPolicy: cfg.SchedPolicy,
 		Router:      cfg.Router,
-	}, cfg.Scale, spec.PilotDescription{
+	}, []spec.PilotDescription{{
 		Platform: "frontier", GPUs: 640, // Table II: 640 GPUs/pilot
-	})
-	if err != nil {
-		return BTRow{}, err
-	}
-	defer sess.Close()
-	sm := sess.ServiceManager()
-
-	wave := cfg.Partition
-	if wave <= 0 || wave > n {
-		wave = n
-	}
-	started := sess.Clock().Now()
-	uids := make([]string, 0, n)
-	for base := 0; base < n; base += wave {
-		count := min(wave, n-base)
-		batch := make([]string, 0, count)
-		for i := 0; i < count; i++ {
-			inst, err := sm.Submit(hostedService(fmt.Sprintf("llm-%04d", base+i), cfg.Model))
-			if err != nil {
-				return BTRow{}, err
+	}}, func(tb *testbed) error {
+		sm := tb.ServiceManager()
+		wave := cfg.Partition
+		if wave <= 0 || wave > n {
+			wave = n
+		}
+		started := tb.clock.Now()
+		uids := make([]string, 0, n)
+		for base := 0; base < n; base += wave {
+			count := min(wave, n-base)
+			batch := make([]string, 0, count)
+			for i := 0; i < count; i++ {
+				inst, err := sm.Submit(hostedService(fmt.Sprintf("llm-%04d", base+i), cfg.Model))
+				if err != nil {
+					return err
+				}
+				batch = append(batch, inst.UID())
 			}
-			batch = append(batch, inst.UID())
+			// partitioned mode gates each wave on the previous one, capping
+			// launch concurrency at the wave size
+			if err := tb.wait(func() error { return sm.WaitReady(ctx, batch...) }); err != nil {
+				return err
+			}
+			uids = append(uids, batch...)
 		}
-		// partitioned mode gates each wave on the previous one, capping
-		// launch concurrency at the wave size
-		if err := sm.WaitReady(ctx, batch...); err != nil {
-			return BTRow{}, err
-		}
-		uids = append(uids, batch...)
-	}
-	wall := sess.Clock().Now().Sub(started)
+		row.Wall = tb.clock.Now().Sub(started)
 
-	coll := metrics.NewCollector()
-	for _, uid := range uids {
-		inst, _ := sm.Get(uid)
-		bt := inst.Bootstrap()
-		coll.AddAll("bt", bt.Components)
-		coll.Add("bt.total", bt.Total())
-	}
-	return BTRow{
-		N:       n,
-		Launch:  coll.Stats("bt.launch"),
-		Init:    coll.Stats("bt.init"),
-		Publish: coll.Stats("bt.publish"),
-		Total:   coll.Stats("bt.total"),
-		Wall:    wall,
-	}, nil
+		coll := metrics.NewCollector()
+		for _, uid := range uids {
+			inst, _ := sm.Get(uid)
+			bt := inst.Bootstrap()
+			coll.AddAll("bt", bt.Components)
+			coll.Add("bt.total", bt.Total())
+		}
+		row.N = n
+		row.Launch, row.Init = coll.Stats("bt.launch"), coll.Stats("bt.init")
+		row.Publish, row.Total = coll.Stats("bt.publish"), coll.Stats("bt.total")
+		return nil
+	})
+	return row, err
 }
 
 // Table renders the Fig. 3 dataset.
@@ -226,8 +210,6 @@ type RTConfig struct {
 	RequestsPerClient int
 	// MaxTokens bounds generation for inference models.
 	MaxTokens int
-	// Scale is the clock compression (Exp 2 wants ≈1; Exp 3 ≈1000).
-	Scale float64
 	// Seed drives determinism.
 	Seed uint64
 	// ServiceConcurrency overrides the single-threaded default (ablation).
@@ -277,12 +259,6 @@ func (c RTConfig) withDefaults() RTConfig {
 	if c.MaxTokens <= 0 && !exp2 {
 		c.MaxTokens = 128
 	}
-	if c.Scale <= 0 {
-		c.Scale = 1000
-		if exp2 {
-			c.Scale = 1 // real time: sub-ms latencies must be resolvable
-		}
-	}
 	if c.Seed == 0 {
 		c.Seed = 3
 		if exp2 {
@@ -322,49 +298,45 @@ func RunRT(ctx context.Context, cfg RTConfig) (*RTResult, error) {
 	return res, nil
 }
 
-func runRTPoint(ctx context.Context, cfg RTConfig, clients, services int) (RTRow, error) {
+func runRTPoint(ctx context.Context, cfg RTConfig, clients, services int) (row RTRow, err error) {
 	// client-side pilot: Delta, Table II (256 cores / 16 GPUs); the
 	// service-side pilot is the same one for local, R3 for remote
 	pilots := []spec.PilotDescription{{Platform: "delta", Cores: 256, GPUs: 16}}
 	if cfg.Deploy == DeployRemote {
 		pilots = append(pilots, spec.PilotDescription{Platform: "r3", Nodes: 1})
 	}
-	sess, err := newTestbed(core.SessionConfig{
+	err = runTestbed(core.SessionConfig{
 		Seed: cfg.Seed + uint64(clients*1000+services),
-		// Exp 2/3 measure steady-state RT/IT, not bootstrap; skip boot
-		// sleeps, which at low scales would cost real wall time.
+		// Exp 2/3 measure steady-state RT/IT, not bootstrap.
 		FastBoot:    true,
 		SchedPolicy: cfg.SchedPolicy,
 		Router:      cfg.Router,
-	}, cfg.Scale, pilots...)
-	if err != nil {
-		return RTRow{}, err
-	}
-	defer sess.Close()
-	clientPilot, svcPilot := sess.pilots[0], sess.pilots[len(sess.pilots)-1]
-
-	eps, err := startServices(ctx, svcPilot, cfg, services)
-	if err != nil {
-		return RTRow{}, err
-	}
-
-	coll := metrics.NewCollector()
-	if err := runClients(ctx, sess.Session, clientPilot, cfg, clients, eps, coll); err != nil {
-		return RTRow{}, err
-	}
-	return RTRow{
-		Clients:  clients,
-		Services: services,
-		Comm:     coll.Stats("rt.communication"),
-		Service:  coll.Stats("rt.service"),
-		Infer:    coll.Stats("rt.inference"),
-		Total:    coll.Stats("rt.total"),
-	}, nil
+	}, pilots, func(tb *testbed) error {
+		clientPilot, svcPilot := tb.pilots[0], tb.pilots[len(tb.pilots)-1]
+		eps, err := startServices(ctx, tb, svcPilot, cfg, services)
+		if err != nil {
+			return err
+		}
+		coll := metrics.NewCollector()
+		if err := runClients(ctx, tb, clientPilot, cfg, clients, eps, coll); err != nil {
+			return err
+		}
+		row = RTRow{
+			Clients:  clients,
+			Services: services,
+			Comm:     coll.Stats("rt.communication"),
+			Service:  coll.Stats("rt.service"),
+			Infer:    coll.Stats("rt.inference"),
+			Total:    coll.Stats("rt.total"),
+		}
+		return nil
+	})
+	return row, err
 }
 
 // startServices boots `services` instances on svcPilot and returns their
 // endpoints.
-func startServices(ctx context.Context, svcPilot *pilot.Pilot, cfg RTConfig, services int) ([]proto.Endpoint, error) {
+func startServices(ctx context.Context, tb *testbed, svcPilot *pilot.Pilot, cfg RTConfig, services int) ([]proto.Endpoint, error) {
 	mgr := svcPilot.Services()
 	uids := make([]string, 0, services)
 	for i := 0; i < services; i++ {
@@ -375,8 +347,11 @@ func startServices(ctx context.Context, svcPilot *pilot.Pilot, cfg RTConfig, ser
 			return nil, err
 		}
 		uids = append(uids, inst.UID())
+		// One at a time: each bootstrap is placed, on the node that sets
+		// its clients' link latencies, before the next reaches the scheduler.
+		tb.clock.Settle()
 	}
-	if err := mgr.WaitReady(ctx, uids...); err != nil {
+	if err := tb.wait(func() error { return mgr.WaitReady(ctx, uids...) }); err != nil {
 		return nil, err
 	}
 	// publication precedes ACTIVE, so every ready instance has its endpoint
@@ -392,7 +367,7 @@ func startServices(ctx context.Context, svcPilot *pilot.Pilot, cfg RTConfig, ser
 // sends RequestsPerClient requests to its assigned service (round-robin
 // client→service mapping, the paper's rudimentary load balancing) and
 // records the RT decomposition.
-func runClients(ctx context.Context, sess *core.Session, clientPilot *pilot.Pilot, cfg RTConfig, clients int, eps []proto.Endpoint, coll *metrics.Collector) error {
+func runClients(ctx context.Context, tb *testbed, clientPilot *pilot.Pilot, cfg RTConfig, clients int, eps []proto.Endpoint, coll *metrics.Collector) error {
 	nodes := clientPilot.Nodes()
 	var uids []string
 	for c := 0; c < clients; c++ {
@@ -404,7 +379,7 @@ func runClients(ctx context.Context, sess *core.Session, clientPilot *pilot.Pilo
 			Name:  fmt.Sprintf("client-%04d", c),
 			Cores: 1,
 			Func: func(taskCtx context.Context) error {
-				cl, err := service.Dial(sess.Network(), sess.Clock(), clientAddr, ep)
+				cl, err := service.Dial(tb.Network(), tb.clock, clientAddr, ep)
 				if err != nil {
 					return err
 				}
@@ -426,29 +401,33 @@ func runClients(ctx context.Context, sess *core.Session, clientPilot *pilot.Pilo
 			return err
 		}
 		uids = append(uids, t.UID())
+		// The clients all start at the same instant. One at a time, each
+		// draws its first hop from the network's one stream in client order.
+		tb.clock.Settle()
 	}
-	return clientPilot.WaitTasks(ctx, uids...)
+	return tb.wait(func() error { return clientPilot.WaitTasks(ctx, uids...) })
 }
 
-// Table renders an RT dataset in the layout of Figs. 4-6.
+// Table renders an RT dataset in the layout of Figs. 4-6: NOOP round trips
+// in milliseconds, llama inferences in seconds.
 func (r *RTResult) Table() metrics.Table {
-	expName := "Experiment 2 (NOOP RT)"
+	expName, unit, unitName := "Experiment 2 (NOOP RT)", time.Millisecond, "ms"
 	fig := map[Deployment]string{DeployLocal: "Fig. 4", DeployRemote: "Fig. 5"}[r.Cfg.Deploy]
 	if r.Cfg.Model != "noop" {
-		expName = "Experiment 3 (LLAMA IT)"
+		expName, unit, unitName = "Experiment 3 (LLAMA IT)", time.Second, "s"
 		fig = "Fig. 6"
 	}
 	t := metrics.Table{
-		Title: fmt.Sprintf("%s / %s — %s deployment, %d requests/client (times in s)",
-			expName, fig, r.Cfg.Deploy, r.Cfg.RequestsPerClient),
+		Title: fmt.Sprintf("%s / %s — %s deployment, %d requests/client (times in %s)",
+			expName, fig, r.Cfg.Deploy, r.Cfg.RequestsPerClient, unitName),
 		Header: []string{"clients/services", "communication", "service", "inference", "total RT"},
+	}
+	meanStd := func(s metrics.Stats) string {
+		return fmt.Sprintf("%.3f ± %.3f", float64(s.Mean)/float64(unit), float64(s.Std)/float64(unit))
 	}
 	for _, row := range r.Rows {
 		t.AddRow(fmt.Sprintf("%d/%d", row.Clients, row.Services),
-			metrics.FmtMeanStd(row.Comm),
-			metrics.FmtMeanStd(row.Service),
-			metrics.FmtMeanStd(row.Infer),
-			metrics.FmtMeanStd(row.Total))
+			meanStd(row.Comm), meanStd(row.Service), meanStd(row.Infer), meanStd(row.Total))
 	}
 	return t
 }

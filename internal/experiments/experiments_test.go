@@ -33,13 +33,8 @@ func TestDefaultConfigsMatchPaper(t *testing.T) {
 }
 
 func TestExp1BootstrapShape(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	// scale 100 keeps the base launch sleep at ~22ms real, so the 320-way
-	// burst overlaps robustly even when the test suite runs under CPU
-	// contention from parallel packages
-	cfg := BTConfig{Counts: []int{1, 8, 320}, Model: "llama-8b", Scale: 100, Seed: 1}
-	res, err := RunBT(ctx, cfg)
+	cfg := BTConfig{Counts: []int{1, 8, 320}, Model: "llama-8b", Seed: 1}
+	res, err := RunBT(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +70,13 @@ func TestExp1BootstrapShape(t *testing.T) {
 }
 
 func TestExp2LocalNoopShape(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
 	cfg := RTConfig{
 		Model: "noop", Deploy: DeployLocal,
 		Pairs:             [][2]int{{4, 1}, {4, 4}},
 		RequestsPerClient: 32,
-		Scale:             1,
 		Seed:              2,
 	}
-	res, err := RunRT(ctx, cfg)
+	res, err := RunRT(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,43 +92,27 @@ func TestExp2LocalNoopShape(t *testing.T) {
 }
 
 func TestExp2RemoteSlowerThanLocal(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	// Root cause of the historical flake: this comparison used to run at
-	// Scale 1, where the measured communication component is (modelled
-	// link latency) + (genuine host scheduling overhead). The remote and
-	// local addresses both resolve correctly — delta/<node>/client.NNNN →
-	// r3/<node>/<svc> resolves to the 0.47 ms WAN link, NOT the free-link
-	// ParseAddr fallback (verified) — but the host overhead is ~2 ms per
-	// request under a parallel test load, an order of magnitude above the
-	// 2 × (0.47 − 0.063) ms ≈ 0.81 ms modelled gap, so noise could erase
-	// the signal. Running in slow motion (Scale 0.25: one simulated ms
-	// takes four real ms) shrinks the overhead's simulated footprint 4×
-	// while leaving the modelled latencies untouched, making the modelled
-	// gap the dominant term and the margin deterministic.
 	base := RTConfig{
 		Model:             "noop",
 		Pairs:             [][2]int{{2, 2}},
 		RequestsPerClient: 64,
-		Scale:             0.25,
 		Seed:              7,
 	}
 	local := base
 	local.Deploy = DeployLocal
 	remote := base
 	remote.Deploy = DeployRemote
-	lres, err := RunRT(ctx, local)
+	lres, err := RunRT(context.Background(), local)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, err := RunRT(ctx, remote)
+	rres, err := RunRT(context.Background(), remote)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lc, rc := lres.Rows[0].Comm.Mean, rres.Rows[0].Comm.Mean
 	// paper: remote latency 0.47ms vs local 0.063ms per hop → a round trip
-	// (2 hops) is modelled ~0.81ms slower remote. Require at least half of
-	// that gap so residual scheduling noise cannot flip the verdict.
+	// (2 hops) is modelled ~0.81ms slower remote
 	if rc-lc < 400*time.Microsecond {
 		t.Fatalf("remote communication %v not clearly above local %v (want ≥ 400µs gap)", rc, lc)
 	}
@@ -146,19 +122,14 @@ func TestExp2RemoteSlowerThanLocal(t *testing.T) {
 }
 
 func TestExp3InferenceDominates(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	// scale 200: real per-request overhead (≲1ms) inflates to ≲0.2s sim,
-	// an order of magnitude below the multi-second inference
 	cfg := RTConfig{
 		Model: "llama-8b", Deploy: DeployRemote,
 		Pairs:             [][2]int{{2, 2}},
 		RequestsPerClient: 2,
 		MaxTokens:         128,
-		Scale:             200,
 		Seed:              3,
 	}
-	res, err := RunRT(ctx, cfg)
+	res, err := RunRT(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,17 +147,14 @@ func TestExp3InferenceDominates(t *testing.T) {
 func TestExp3StrongScalingQueueing(t *testing.T) {
 	// 4 clients on 1 single-threaded service vs 4 on 4: the contended
 	// configuration must show far larger service (queue) time.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
 	cfg := RTConfig{
 		Model: "llama-8b", Deploy: DeployLocal,
 		Pairs:             [][2]int{{4, 1}, {4, 4}},
 		RequestsPerClient: 2,
 		MaxTokens:         64,
-		Scale:             1000,
 		Seed:              4,
 	}
-	res, err := RunRT(ctx, cfg)
+	res, err := RunRT(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,6 @@ type FragConfig struct {
 	// Larges is the number of large tasks, each demanding one whole
 	// fat-shaped node (default: the fat partition size).
 	Larges int
-	// Scale is the clock compression (default 2000).
-	Scale float64
 	// Seed drives determinism.
 	Seed uint64
 
@@ -70,9 +68,6 @@ func (c FragConfig) withDefaults() FragConfig {
 	}
 	if c.Policy == "" {
 		c.Policy = "best-fit"
-	}
-	if c.Scale <= 0 {
-		c.Scale = 2000
 	}
 	if c.Seed == 0 {
 		c.Seed = 4
@@ -161,115 +156,86 @@ func RunFrag(ctx context.Context, cfg FragConfig) (*FragResult, error) {
 // of the fat partition fragmented and the transient releases hand the rest
 // to the waiting larges; under best-fit every small (initial or arriving)
 // packs onto the thin partition and all larges run.
-func runFragPoint(ctx context.Context, cfg FragConfig, policy string, nodeCount int, thin, fat platform.NodeSpec) (FragRow, error) {
-	tb, err := newTestbed(core.SessionConfig{Seed: cfg.Seed, FastBoot: true, SchedPolicy: policy},
-		cfg.Scale, spec.PilotDescription{Platform: cfg.Platform, Nodes: nodeCount})
-	if err != nil {
-		return FragRow{}, err
-	}
-	defer tb.Close()
-	p := tb.pilots[0]
-	sched := p.Scheduler()
-	// Holders sleep far past the measurement window; cancelling taskCtx
-	// on return aborts their payloads so the session shuts down cleanly.
-	taskCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hold := rng.ConstDuration(1000 * time.Hour)
-	// Phase 1: the small load. Every small fits, so wait until all of them
-	// run before offering large work (inter-class submission order must not
-	// race, or the fragmentation pattern would be noisy). Under churn the
-	// permanent holders go first, then the transients.
-	initial := [][]spec.TaskDescription{taskBatch(cfg.Smalls, "small", thin.Cores, 0, hold)}
-	var arrivals [][]spec.TaskDescription
-	if cfg.Churn {
-		churn := rng.ConstDuration(cfg.SmallHold)
-		initial = [][]spec.TaskDescription{
-			taskBatch(cfg.Smalls/2, "perm", thin.Cores, 0, hold),
-			taskBatch(cfg.Smalls-cfg.Smalls/2, "churn", thin.Cores, 0, churn),
-		}
-		for w := 0; w < cfg.ChurnWaves; w++ {
-			arrivals = append(arrivals, taskBatch(cfg.Smalls/4, fmt.Sprintf("wave%d", w), thin.Cores, 0, churn))
-		}
-	}
-	for _, descs := range initial {
-		if _, err := tb.submitRunning(taskCtx, descs...); err != nil {
-			return FragRow{}, fmt.Errorf("small holders: %w", err)
-		}
-	}
-
-	// Phase 2: one whole-fat-node task per fat node; they hold whatever
-	// they win.
-	larges, err := tb.TaskManager().Submit(taskCtx, taskBatch(cfg.Larges, "large", fat.Cores, fat.GPUs, hold)...)
-	if err != nil {
-		return FragRow{}, err
-	}
-	// Tasks reach the scheduler from per-task goroutines, so wait until
-	// every large is admitted (granted or waiting) before offering the
-	// waves — otherwise an arrival could race ahead of a large in
-	// submission-sequence order and be granted past the blocked head.
-	for _, t := range larges {
-		if pt, ok := p.Task(t.UID()); ok {
-			select {
-			case <-pt.Enqueued():
-			case <-ctx.Done():
-				return FragRow{}, fmt.Errorf("large offers: %w", ctx.Err())
+func runFragPoint(ctx context.Context, cfg FragConfig, policy string, nodeCount int, thin, fat platform.NodeSpec) (row FragRow, err error) {
+	scfg := core.SessionConfig{Seed: cfg.Seed, FastBoot: true, SchedPolicy: policy}
+	err = runTestbed(scfg, []spec.PilotDescription{{Platform: cfg.Platform, Nodes: nodeCount}}, func(tb *testbed) error {
+		p := tb.pilots[0]
+		sched := p.Scheduler()
+		// Holders sleep far past the measurement window; cancelling taskCtx
+		// on return aborts their payloads so the session shuts down cleanly.
+		taskCtx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		const holdFor = 1000 * time.Hour
+		hold := rng.ConstDuration(holdFor)
+		// Phase 1: the small load. Every small fits, so wait until all of them
+		// run before offering large work (inter-class submission order must not
+		// race, or the fragmentation pattern would be noisy). Under churn the
+		// permanent holders go first, then the transients.
+		initial := [][]spec.TaskDescription{taskBatch(cfg.Smalls, "small", thin.Cores, 0, hold)}
+		var arrivals [][]spec.TaskDescription
+		if cfg.Churn {
+			churn := rng.ConstDuration(cfg.SmallHold)
+			initial = [][]spec.TaskDescription{
+				taskBatch(cfg.Smalls/2, "perm", thin.Cores, 0, hold),
+				taskBatch(cfg.Smalls-cfg.Smalls/2, "churn", thin.Cores, 0, churn),
+			}
+			for w := 0; w < cfg.ChurnWaves; w++ {
+				arrivals = append(arrivals, taskBatch(cfg.Smalls/4, fmt.Sprintf("wave%d", w), thin.Cores, 0, churn))
 			}
 		}
-	}
-
-	// Phase 3 (churn): arrival waves behind the larges.
-	for _, descs := range arrivals {
-		if _, err := tb.TaskManager().Submit(taskCtx, descs...); err != nil {
-			return FragRow{}, err
-		}
-	}
-
-	// Phase 4: let the turnover drain. Transient and wave smalls either
-	// complete or stay blocked behind an ungrantable large head; the end
-	// state is stable either way: every accepted request is granted or
-	// waiting and the grant count has stopped moving.
-	total := cfg.TotalSmalls() + cfg.Larges
-	waitCtx, cancelWait := context.WithTimeout(ctx, 20*time.Second)
-	defer cancelWait()
-	stable, last := 0, -1
-	err = pollUntil(waitCtx, fmt.Sprintf("%d requests granted or waiting and grants settled", total),
-		20*time.Millisecond, func() bool {
-			g := sched.Scheduled()
-			if g+sched.Waiting() == total && g == last {
-				stable++
-			} else {
-				stable = 0
+		for _, descs := range initial {
+			if _, err := tb.submitRunning(taskCtx, descs...); err != nil {
+				return fmt.Errorf("small holders: %w", err)
 			}
-			last = g
-			return stable >= 3
-		})
-	if err != nil {
-		return FragRow{}, err
-	}
-
-	row := FragRow{Policy: policy, Waiting: sched.Waiting()}
-	for _, t := range larges {
-		if t.State() == states.TaskExecuting {
-			row.LargeGranted++
 		}
-	}
-	row.SmallGranted = sched.Scheduled() - row.LargeGranted
-	var totCores, totGPUs, freeCores, freeGPUs int
-	for _, n := range p.Nodes() {
-		sp := n.Spec()
-		totCores += sp.Cores
-		totGPUs += sp.GPUs
-		fc, fg, _ := n.Free()
-		freeCores += fc
-		freeGPUs += fg
-	}
-	if totCores > 0 {
-		row.CoreUtil = 1 - float64(freeCores)/float64(totCores)
-	}
-	if totGPUs > 0 {
-		row.GPUUtil = 1 - float64(freeGPUs)/float64(totGPUs)
-	}
-	return row, nil
+
+		// Phase 2: one whole-fat-node task per fat node; they hold whatever
+		// they win. Submit returns with every large in the wait pool, so the
+		// waves of phase 3 queue behind them in submission order.
+		larges, err := tb.TaskManager().Submit(taskCtx, taskBatch(cfg.Larges, "large", fat.Cores, fat.GPUs, hold)...)
+		if err != nil {
+			return err
+		}
+		// Phase 3 (churn): arrival waves behind the larges.
+		for _, descs := range arrivals {
+			if _, err := tb.TaskManager().Submit(taskCtx, descs...); err != nil {
+				return err
+			}
+		}
+
+		// Phase 4: let the turnover drain. Transient and wave smalls either
+		// complete or stay blocked behind an ungrantable large head; long
+		// before the holders' hold ends only they and the granted larges run.
+		if cfg.Churn {
+			tb.clock.Sleep(holdFor / 2)
+		}
+		tb.clock.Settle()
+
+		row = FragRow{Policy: policy, Waiting: sched.Waiting()}
+		for _, t := range larges {
+			if t.State() == states.TaskExecuting {
+				row.LargeGranted++
+			}
+		}
+		row.SmallGranted = sched.Scheduled() - row.LargeGranted
+		var totCores, totGPUs, freeCores, freeGPUs int
+		for _, n := range p.Nodes() {
+			sp := n.Spec()
+			totCores += sp.Cores
+			totGPUs += sp.GPUs
+			fc, fg, _ := n.Free()
+			freeCores += fc
+			freeGPUs += fg
+		}
+		if totCores > 0 {
+			row.CoreUtil = 1 - float64(freeCores)/float64(totCores)
+		}
+		if totGPUs > 0 {
+			row.GPUUtil = 1 - float64(freeGPUs)/float64(totGPUs)
+		}
+		return nil
+	})
+	return row, err
 }
 
 // TotalSmalls returns how many small tasks the configuration submits in

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestFragBestFitBeatsFirstFitOnHeteroCampus runs the fragmentation
@@ -13,8 +12,7 @@ import (
 // (whole-fat-node) tasks than first-fit, leave fewer requests waiting,
 // and never lose a small grant doing so.
 func TestFragBestFitBeatsFirstFitOnHeteroCampus(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
+	ctx := context.Background()
 	cfg := DefaultFragConfig()
 	cfg.Smalls = 24 // fragments 3 fat nodes under first-fit
 	res, err := RunFrag(ctx, cfg)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/spec"
+	"repro/internal/states"
 )
 
 // HotspotConfig parameterizes the hotspot-balancing ablation.
@@ -60,10 +61,6 @@ type HotspotConfig struct {
 	// Standbys is the warm-standby pool size for the failover half
 	// (default 1; negative skips the failover contrast).
 	Standbys int
-	// Scale is the failover half's clock compression (default 2000). The
-	// failover sessions do NOT use FastBoot: the cold path must pay real
-	// bootstrap time, that cost is the measurement.
-	Scale float64
 }
 
 // DefaultHotspotConfig returns the figure-scale parameterization.
@@ -99,9 +96,6 @@ func (c HotspotConfig) withDefaults() HotspotConfig {
 	}
 	if c.Standbys == 0 {
 		c.Standbys = 1
-	}
-	if c.Scale <= 0 {
-		c.Scale = 2000
 	}
 	return c
 }
@@ -180,38 +174,41 @@ func RunHotspot(ctx context.Context, cfg HotspotConfig) (*HotspotResult, error) 
 // FastBoot: a cold re-placement pays the modelled launch/init/publish
 // path, a warm promotion pays only the registry publish — the contrast
 // IS the bootstrap time the standby pre-paid.
-func runHotspotFailover(ctx context.Context, cfg HotspotConfig, mode string) (FailoverRow, error) {
-	row := FailoverRow{Mode: mode}
+func runHotspotFailover(ctx context.Context, cfg HotspotConfig, mode string) (row FailoverRow, err error) {
+	row.Mode = mode
 	half := spec.PilotDescription{Platform: "delta", Nodes: 2}
-	tb, err := newTestbed(core.SessionConfig{Seed: cfg.Seed}, cfg.Scale, half, half)
-	if err != nil {
-		return row, err
-	}
-	defer tb.Close()
-
-	d := hostedService("hot", "noop")
-	if mode == FailoverWarm {
-		d.WarmStandbys = cfg.Standbys
-	}
-	h, err := tb.ServiceManager().Submit(d)
-	if err != nil {
-		return row, err
-	}
-	if err := h.WaitReady(ctx); err != nil {
-		return row, err
-	}
-	// the spare must be bootstrapped and held before the kill: that
-	// pre-payment is what the warm mode is about
-	fillCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	defer cancel()
-	err = pollUntil(fillCtx, fmt.Sprintf("%d held warm standbys", d.WarmStandbys), time.Millisecond,
-		func() bool { return h.Standbys() >= d.WarmStandbys })
-	if err != nil {
-		return row, err
-	}
-	f, err := tb.killHost(ctx, h)
-	row.Latency, row.Generations = f.Latency, f.Generations
-	row.Promotions, row.Replacements = f.Promotions, f.Replacements
+	err = runTestbed(core.SessionConfig{Seed: cfg.Seed}, []spec.PilotDescription{half, half}, func(tb *testbed) error {
+		d := hostedService("hot", "noop")
+		if mode == FailoverWarm {
+			d.WarmStandbys = cfg.Standbys
+		}
+		h, err := tb.ServiceManager().Submit(d)
+		if err != nil {
+			return err
+		}
+		// The spares must be bootstrapped and held before the kill: that
+		// pre-payment is what the warm mode is about. Submit started them
+		// along with the service, and a spare is held on the goroutine that
+		// makes it ACTIVE: wait for every instance on the pilots, then for
+		// those goroutines to finish.
+		for _, p := range tb.pilots {
+			for _, inst := range p.Services().List() {
+				if inst.State() != states.ServiceActive {
+					if err := tb.wait(func() error { return p.Services().WaitReady(ctx, inst.UID()) }); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		tb.clock.Settle()
+		if h.Standbys() < d.WarmStandbys {
+			return fmt.Errorf("%d of %d warm standbys held", h.Standbys(), d.WarmStandbys)
+		}
+		f, err := tb.killHost(ctx, h)
+		row.Latency, row.Generations = f.Latency, f.Generations
+		row.Promotions, row.Replacements = f.Promotions, f.Replacements
+		return err
+	})
 	return row, err
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 )
@@ -22,8 +23,7 @@ func testHotspotConfig() HotspotConfig {
 // within a small band of the full-scan least-loaded oracle — at two
 // probes per pick instead of a member-set scan.
 func TestHotspotAblationAcceptance(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
+	ctx := context.Background()
 	res, err := RunHotspot(ctx, testHotspotConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -70,19 +70,21 @@ func TestHotspotAblationAcceptance(t *testing.T) {
 	if cold.Promotions != 0 || cold.Replacements != 1 {
 		t.Errorf("cold failover: promotions=%d replacements=%d, want 0/1", cold.Promotions, cold.Replacements)
 	}
+	if warm.Latency != 0 {
+		t.Errorf("warm failover latency %v, want 0: a promotion is one publish, no simulated time", warm.Latency)
+	}
 	if warm.Latency >= cold.Latency {
 		t.Errorf("warm failover latency %v not below cold re-bootstrap %v", warm.Latency, cold.Latency)
 	}
 }
 
-// TestHotspotAblationDeterministicReplay pins the campaign half to exact
-// replay: the same config must reproduce every count and percentile.
+// TestHotspotAblationDeterministicReplay pins the ablation to exact replay:
+// the same config must reproduce every count and percentile of the campaign
+// half, and both failover rows to the nanosecond.
 func TestHotspotAblationDeterministicReplay(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
+	ctx := context.Background()
 	cfg := testHotspotConfig()
 	cfg.Requests = 3000
-	cfg.Standbys = -1 // campaign half only (negative skips the failover rows)
 
 	a, err := RunHotspot(ctx, cfg)
 	if err != nil {
@@ -98,5 +100,8 @@ func TestHotspotAblationDeterministicReplay(t *testing.T) {
 		if ra != rb {
 			t.Errorf("balancer %s replay diverged:\n  %+v\n  %+v", ra.Balancer, ra, rb)
 		}
+	}
+	if len(a.Failover) != 2 || !slices.Equal(a.Failover, b.Failover) {
+		t.Errorf("failover rows diverged:\n  %+v\n  %+v", a.Failover, b.Failover)
 	}
 }

@@ -46,8 +46,6 @@ type RouteConfig struct {
 	ThinTasks int
 	// TaskTime is the simulated task duration (default 5s).
 	TaskTime time.Duration
-	// Scale is the clock compression (default 2000).
-	Scale float64
 	// Seed drives determinism.
 	Seed uint64
 }
@@ -66,9 +64,6 @@ func (c RouteConfig) withDefaults() RouteConfig {
 	}
 	if c.TaskTime <= 0 {
 		c.TaskTime = 5 * time.Second
-	}
-	if c.Scale <= 0 {
-		c.Scale = 2000
 	}
 	if c.Seed == 0 {
 		c.Seed = 6
@@ -192,38 +187,35 @@ func (w routeWorkload) run(rt string, submit func(spec.TaskDescription) error, s
 // runRoutePoint runs the workload under one router: a session holding
 // one pilot per node-shape partition of the platform, fat tasks
 // interleaving with the router's rotation, all task outcomes counted.
-func runRoutePoint(ctx context.Context, cfg RouteConfig, rt string, shapes []platform.NodeGroup, w routeWorkload) (RouteRow, error) {
-	tb, err := newTestbed(core.SessionConfig{Seed: cfg.Seed, FastBoot: true, Router: rt},
-		cfg.Scale, pilotPerShape(cfg.Platform, shapes)...)
-	if err != nil {
-		return RouteRow{}, err
-	}
-	defer tb.Close()
-	tm := tb.TaskManager()
-	var tasks []*core.Task
-	row, err := w.run(rt,
-		func(d spec.TaskDescription) error {
-			ts, err := tm.Submit(ctx, d)
-			tasks = append(tasks, ts...)
-			return err
-		},
-		func() ([]states.State, error) {
-			waitCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
-			defer cancel()
-			_ = tm.Wait(waitCtx, tasks...) // task failures are outcomes here, not errors
-			if err := waitCtx.Err(); err != nil {
-				return nil, fmt.Errorf("tasks did not settle: %w", err)
-			}
-			final := make([]states.State, len(tasks))
-			for i, t := range tasks {
-				final[i] = t.State()
-			}
-			return final, nil
-		})
-	// Reroutes counts session-level re-binds (pilot churn; 0 here).
-	for _, t := range tasks {
-		row.Reroutes += t.Reroutes()
-	}
+func runRoutePoint(ctx context.Context, cfg RouteConfig, rt string, shapes []platform.NodeGroup, w routeWorkload) (row RouteRow, err error) {
+	scfg := core.SessionConfig{Seed: cfg.Seed, FastBoot: true, Router: rt}
+	err = runTestbed(scfg, pilotPerShape(cfg.Platform, shapes), func(tb *testbed) error {
+		tm := tb.TaskManager()
+		var tasks []*core.Task
+		row, err = w.run(rt,
+			func(d spec.TaskDescription) error {
+				ts, err := tm.Submit(ctx, d)
+				tasks = append(tasks, ts...)
+				return err
+			},
+			func() ([]states.State, error) {
+				// task failures are outcomes here, not errors
+				_ = tb.wait(func() error { return tm.Wait(ctx, tasks...) })
+				if err := ctx.Err(); err != nil {
+					return nil, fmt.Errorf("tasks did not settle: %w", err)
+				}
+				final := make([]states.State, len(tasks))
+				for i, t := range tasks {
+					final[i] = t.State()
+				}
+				return final, nil
+			})
+		// Reroutes counts session-level re-binds (pilot churn; 0 here).
+		for _, t := range tasks {
+			row.Reroutes += t.Reroutes()
+		}
+		return err
+	})
 	return row, err
 }
 

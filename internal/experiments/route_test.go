@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestRouteCapacityFitRunsWhatRoundRobinWedges runs the routing ablation
@@ -14,8 +13,7 @@ import (
 // run it — while capacity-fit completes all of them. The outcome is
 // deterministic: round-robin alternates pilots in submission order.
 func TestRouteCapacityFitRunsWhatRoundRobinWedges(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
+	ctx := context.Background()
 	cfg := DefaultRouteConfig()
 	cfg.FatTasks = 4
 	cfg.ThinTasks = 8
@@ -88,8 +86,7 @@ func TestRouteTableRendering(t *testing.T) {
 // non-churn win (29/32) — while best-fit still runs every large AND
 // every arriving small.
 func TestFragChurnBestFitWinSurvivesTurnover(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
+	ctx := context.Background()
 	cfg := DefaultFragConfig()
 	cfg.Smalls = 24
 	cfg.Churn = true

@@ -44,8 +44,6 @@ type SvcFailConfig struct {
 	KillAfter int
 	// Clients are the styles compared (default: both).
 	Clients []string
-	// Scale is the clock compression (default 2000).
-	Scale float64
 	// Seed drives determinism.
 	Seed uint64
 }
@@ -65,9 +63,6 @@ func (c SvcFailConfig) withDefaults() SvcFailConfig {
 	}
 	if len(c.Clients) == 0 {
 		c.Clients = []string{SvcFailClientCaching, SvcFailClientResolving}
-	}
-	if c.Scale <= 0 {
-		c.Scale = 2000
 	}
 	if c.Seed == 0 {
 		c.Seed = 9
@@ -184,31 +179,27 @@ func (row *SvcFailRow) run(ctx context.Context, cfg SvcFailConfig,
 // runSvcFailPoint runs the scenario under one client style: two pilots
 // (one per shape partition), one routed noop service, and the request
 // stream interrupted by killing the hosting pilot.
-func runSvcFailPoint(ctx context.Context, cfg SvcFailConfig, client string, shapes []platform.NodeGroup) (SvcFailRow, error) {
-	tb, err := newTestbed(core.SessionConfig{Seed: cfg.Seed, FastBoot: true},
-		cfg.Scale, pilotPerShape(cfg.Platform, shapes)...)
-	if err != nil {
-		return SvcFailRow{}, err
-	}
-	defer tb.Close()
-
-	h, err := tb.ServiceManager().Submit(hostedService("svc", "noop"))
-	if err != nil {
-		return SvcFailRow{}, err
-	}
-	if err := h.WaitReady(ctx); err != nil {
-		return SvcFailRow{}, err
-	}
-	row := SvcFailRow{Client: client, HostBefore: h.Pilot()}
-	clientAddr := platform.Addr(cfg.Platform, "", "svcfail-client")
-	err = row.run(ctx, cfg,
-		func() (service.Caller, error) { return tb.Dial(clientAddr, h.Endpoint()) },
-		func() (resolvingCaller, error) { return tb.DialService(clientAddr, h.UID(), nil) },
-		func() error {
-			f, err := tb.killHost(ctx, h)
-			row.Generation, row.HostAfter, row.Replacements = f.Generation, f.Host, f.Replacements
+func runSvcFailPoint(ctx context.Context, cfg SvcFailConfig, client string, shapes []platform.NodeGroup) (row SvcFailRow, err error) {
+	scfg := core.SessionConfig{Seed: cfg.Seed, FastBoot: true}
+	err = runTestbed(scfg, pilotPerShape(cfg.Platform, shapes), func(tb *testbed) error {
+		h, err := tb.ServiceManager().Submit(hostedService("svc", "noop"))
+		if err != nil {
 			return err
-		})
+		}
+		if err := tb.wait(func() error { return h.WaitReady(ctx) }); err != nil {
+			return err
+		}
+		row = SvcFailRow{Client: client, HostBefore: h.Pilot()}
+		clientAddr := platform.Addr(cfg.Platform, "", "svcfail-client")
+		return row.run(ctx, cfg,
+			func() (service.Caller, error) { return tb.Dial(clientAddr, h.Endpoint()) },
+			func() (resolvingCaller, error) { return tb.DialService(clientAddr, h.UID(), nil) },
+			func() error {
+				f, err := tb.killHost(ctx, h)
+				row.Generation, row.HostAfter, row.Replacements = f.Generation, f.Host, f.Replacements
+				return err
+			})
+	})
 	return row, err
 }
 

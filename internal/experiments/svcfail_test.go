@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"testing"
-	"time"
 )
 
 // TestSvcFailContrastDeterministic pins the ablation's acceptance
@@ -13,8 +12,7 @@ import (
 // exactly one re-resolution, with the service re-placed once and its
 // endpoint at generation 2.
 func TestSvcFailContrastDeterministic(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
+	ctx := context.Background()
 	cfg := DefaultSvcFailConfig()
 	cfg.Requests = 8
 	cfg.KillAfter = 4

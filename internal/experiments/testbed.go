@@ -1,9 +1,7 @@
 package experiments
 
-// The set-up and the waits every in-process point function shares: one
-// testbed (session + pilots), one failover step, one event wait on the
-// session's update channel and one bounded poll for the two conditions no
-// event expresses.
+// The set-up every in-process point function shares: one testbed (session +
+// pilots on a virtual clock) run by one driver, and one failover step.
 
 import (
 	"context"
@@ -13,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/pilot"
 	"repro/internal/platform"
-	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/simtime"
@@ -21,34 +18,54 @@ import (
 	"repro/internal/states"
 )
 
-// testbed is a session on the scaled real-time clock together with its
-// pilots, each attached to both session managers.
+// testbed is a session on its own auto-advancing virtual clock together with
+// its pilots, each attached to both session managers.
 type testbed struct {
 	*core.Session
+	clock  *simtime.Virtual
 	pilots []*pilot.Pilot
 }
 
-// newTestbed opens a session from scfg on a clock compressed scale× and
-// submits one pilot per description, in order. The caller closes (or
-// abandons) the embedded session.
-func newTestbed(scfg core.SessionConfig, scale float64, pilots ...spec.PilotDescription) (*testbed, error) {
-	scfg.Clock = simtime.NewScaled(scale, core.DefaultOrigin)
-	sess, err := core.NewSession(scfg)
-	if err != nil {
-		return nil, err
-	}
-	tb := &testbed{Session: sess}
-	for _, d := range pilots {
-		p, err := sess.PilotManager().Submit(d)
+// runTestbed opens a session from scfg on a fresh auto-advancing virtual
+// clock, submits one pilot per description, in order, runs drive and closes
+// the session. All of it runs on the point's driver: one goroutine registered
+// with the clock, so simulated time moves only while the driver sleeps on the
+// clock or waits (tb.wait), and every number a point reports replays exactly.
+func runTestbed(scfg core.SessionConfig, pilots []spec.PilotDescription, drive func(*testbed) error) error {
+	clock := simtime.NewVirtualAuto(core.DefaultOrigin)
+	scfg.Clock = clock
+	errc := make(chan error, 1)
+	clock.Go(func() {
+		sess, err := core.NewSession(scfg)
 		if err != nil {
-			sess.Close()
-			return nil, err
+			errc <- err
+			return
 		}
-		sess.TaskManager().AddPilot(p)
-		sess.ServiceManager().AddPilot(p)
-		tb.pilots = append(tb.pilots, p)
-	}
-	return tb, nil
+		tb := &testbed{Session: sess, clock: clock}
+		for _, d := range pilots {
+			var p *pilot.Pilot
+			if p, err = sess.PilotManager().Submit(d); err != nil {
+				break
+			}
+			sess.TaskManager().AddPilot(p)
+			sess.ServiceManager().AddPilot(p)
+			tb.pilots = append(tb.pilots, p)
+		}
+		if err == nil {
+			err = drive(tb)
+		}
+		sess.Close()
+		errc <- err
+	})
+	return <-errc
+}
+
+// wait runs one blocking wait of the driver (on a channel, not on the clock)
+// with the clock told the driver is parked meanwhile.
+func (tb *testbed) wait(fn func() error) error {
+	tb.clock.Block()
+	defer tb.clock.Unblock()
+	return fn()
 }
 
 // shapesOf resolves a catalog platform to its node-shape partitions and
@@ -94,8 +111,7 @@ func pilotPerShape(name string, shapes []platform.NodeGroup) []spec.PilotDescrip
 // hostedService describes one model-serving service the way every
 // experiment hosts them: GPU models take one GPU each, the noop model one
 // core. Liveness probing and the start timeout are irrelevant to what the
-// experiments measure and, at high clock compression, a 5s-sim probe
-// period busy-spins, so both are pushed out to an hour.
+// experiments measure, so both are pushed out to an hour.
 func hostedService(name, model string) spec.ServiceDescription {
 	d := spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: name, GPUs: 1},
@@ -135,9 +151,10 @@ type failover struct {
 
 // killHost shuts down the pilot hosting h and waits for the session to
 // bring the service back: the re-publication past the old generation, then
-// the handle ACTIVE again. A cold re-placement may publish before the
-// watcher installs the new instance and counts the re-placement; WaitReady
-// parks on that install, so the counters read below are ordered after it.
+// the handle ACTIVE again. The shutdown decides the failover on the driver:
+// a promotion is published, a re-placement's bootstrap registered with the
+// clock, before it returns. What is already there is not waited for — the
+// driver parked would let time run on under it.
 func (tb *testbed) killHost(ctx context.Context, h *core.Service) (failover, error) {
 	host, ok := tb.PilotManager().Get(h.Pilot())
 	if !ok {
@@ -145,72 +162,43 @@ func (tb *testbed) killHost(ctx context.Context, h *core.Service) (failover, err
 	}
 	reg := tb.EndpointRegistry()
 	before := reg.Generation(h.UID())
-	killed := tb.Clock().Now()
+	killed := tb.clock.Now()
 	if err := host.Shutdown(); err != nil {
 		return failover{}, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, 120*time.Second)
-	defer cancel()
-	_, gen, err := reg.AwaitNewer(ctx, h.UID(), before)
-	if err != nil {
-		return failover{}, fmt.Errorf("failover re-publication never landed: %w", err)
+	_, gen, live := reg.Resolve(h.UID())
+	if !live || gen <= before {
+		err := tb.wait(func() (err error) {
+			_, gen, err = reg.AwaitNewer(ctx, h.UID(), before)
+			return err
+		})
+		if err != nil {
+			return failover{}, fmt.Errorf("failover re-publication never landed: %w", err)
+		}
 	}
-	f := failover{Generation: gen, Generations: gen - before, Latency: tb.Clock().Now().Sub(killed)}
-	if err := h.WaitReady(ctx); err != nil {
-		return f, fmt.Errorf("service not ready after failover: %w", err)
+	f := failover{Generation: gen, Generations: gen - before, Latency: tb.clock.Now().Sub(killed)}
+	if h.State() != states.ServiceActive {
+		if err := tb.wait(func() error { return h.WaitReady(ctx) }); err != nil {
+			return f, fmt.Errorf("service not ready after failover: %w", err)
+		}
 	}
 	f.Host, f.Replacements, f.Promotions = h.Pilot(), h.Replacements(), h.Promotions()
 	return f, nil
 }
 
 // submitRunning submits descs through the task manager and returns once
-// every one of them has reached AGENT_EXECUTING, counted on the session's
-// update channel. The caller guarantees all of them fit, and that no other
-// task starts executing meanwhile.
+// the present instant has nothing left to run (the clock settles), every one
+// of them then executing. The caller guarantees all of them fit.
 func (tb *testbed) submitRunning(ctx context.Context, descs ...spec.TaskDescription) ([]*core.Task, error) {
-	// PUB/SUB drops on a full buffer: size it for every transition the
-	// batch can publish (at most seven per task).
-	sub, err := tb.SubscribeUpdates(8*len(descs), "task")
-	if err != nil {
-		return nil, err
-	}
-	defer sub.Cancel()
 	tasks, err := tb.TaskManager().Submit(ctx, descs...)
 	if err != nil {
 		return tasks, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	defer cancel()
-	for running := 0; running < len(descs); {
-		select {
-		case env := <-sub.C:
-			var up proto.StateUpdate
-			if err := env.Decode(proto.KindStateUpdate, &up); err != nil {
-				return tasks, err
-			}
-			if up.State == string(states.TaskExecuting) {
-				running++
-			}
-		case <-ctx.Done():
-			return tasks, fmt.Errorf("%d of %d tasks running: %w", running, len(descs), ctx.Err())
+	tb.clock.Settle()
+	for _, t := range tasks {
+		if st := t.State(); st != states.TaskExecuting {
+			return tasks, fmt.Errorf("task %s is %s, want %s", t.UID(), st, states.TaskExecuting)
 		}
 	}
 	return tasks, nil
-}
-
-// pollUntil re-checks cond every interval until it holds or ctx ends; the
-// error names what was waited for. It is the one wall-clock poll in this
-// package, kept for the two conditions nothing publishes: a scheduler
-// whose grant count has stopped moving, and a filled warm-standby pool.
-func pollUntil(ctx context.Context, what string, every time.Duration, cond func() bool) error {
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for !cond() {
-		select {
-		case <-tick.C:
-		case <-ctx.Done():
-			return fmt.Errorf("waiting for %s: %w", what, ctx.Err())
-		}
-	}
-	return nil
 }

@@ -54,7 +54,8 @@ type XprocConfig struct {
 	// Requests / KillAfter shape the failover request stream (defaults
 	// 16 / 8).
 	Requests, KillAfter int
-	// Scale is the agents' clock compression (default 2000).
+	// Scale is the agents' clock compression (default 2000): agent
+	// processes run on real time, the in-proc baselines on the virtual clock.
 	Scale float64
 	// Seed drives determinism.
 	Seed uint64
@@ -76,9 +77,12 @@ func (c XprocConfig) withDefaults() XprocConfig {
 	if c.Seed == 0 {
 		c.Seed = 11
 	}
+	if c.Scale <= 0 {
+		c.Scale = 2000
+	}
 	// everything else defaults as in the in-proc ablations this one replays
 	rt, svc := c.route().withDefaults(), c.svcFail().withDefaults()
-	c.Platform, c.Routers, c.TaskTime, c.Scale, c.KillAfter = rt.Platform, rt.Routers, rt.TaskTime, rt.Scale, svc.KillAfter
+	c.Platform, c.Routers, c.TaskTime, c.KillAfter = rt.Platform, rt.Routers, rt.TaskTime, svc.KillAfter
 	return c
 }
 
@@ -87,14 +91,13 @@ func (c XprocConfig) route() RouteConfig {
 	return RouteConfig{
 		Platform: c.Platform, Routers: c.Routers,
 		FatTasks: c.FatTasks, ThinTasks: c.ThinTasks,
-		TaskTime: c.TaskTime, Scale: c.Scale, Seed: c.Seed,
+		TaskTime: c.TaskTime, Seed: c.Seed,
 	}
 }
 
 func (c XprocConfig) svcFail() SvcFailConfig {
 	return SvcFailConfig{
-		Platform: c.Platform, Requests: c.Requests, KillAfter: c.KillAfter,
-		Scale: c.Scale, Seed: c.Seed,
+		Platform: c.Platform, Requests: c.Requests, KillAfter: c.KillAfter, Seed: c.Seed,
 	}
 }
 
@@ -150,7 +153,7 @@ func RunXproc(ctx context.Context, cfg XprocConfig) (*XprocResult, error) {
 	}
 	// Cross-process failover scenario, one fresh agent pair per style.
 	for _, client := range inSvc.Cfg.Clients {
-		row, err := runXprocSvcFailPoint(ctx, inSvc.Cfg, client, shapes)
+		row, err := runXprocSvcFailPoint(ctx, inSvc.Cfg, cfg.Scale, client, shapes)
 		if err != nil {
 			return res, fmt.Errorf("experiments: xproc svcfail %s: %w", client, err)
 		}
@@ -255,8 +258,8 @@ func runXprocRoutePoint(ctx context.Context, cfg XprocConfig, rt string, shapes 
 // hosted in an agent process that is SIGKILLed mid-stream — a harder kill
 // than the in-proc pilot shutdown — and the registry/re-placement loop
 // running driver-side.
-func runXprocSvcFailPoint(ctx context.Context, cfg SvcFailConfig, client string, shapes []platform.NodeGroup) (SvcFailRow, error) {
-	procs, cleanup, err := spawnAgents(ctx, cfg.Platform, shapes, cfg.Seed, cfg.Scale)
+func runXprocSvcFailPoint(ctx context.Context, cfg SvcFailConfig, scale float64, client string, shapes []platform.NodeGroup) (SvcFailRow, error) {
+	procs, cleanup, err := spawnAgents(ctx, cfg.Platform, shapes, cfg.Seed, scale)
 	if err != nil {
 		return SvcFailRow{}, err
 	}

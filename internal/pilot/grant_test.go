@@ -432,3 +432,53 @@ func TestTaskChannelsAskedBeforeDuringAndAfter(t *testing.T) {
 		t.Fatal("a finished task made a channel for Enqueued")
 	}
 }
+
+// TestGrantedTaskOnVirtualClock: on the auto-advancing clock a task queued
+// behind a holder starts executing at the instant the holder is DONE, and,
+// sleeping its Duration under a cancellable context, is DONE exactly its launch
+// plus that Duration later. The grant registers the goroutine it starts before
+// starting it, and the payload's sleep pulls time: a lapse in either would let
+// the clock jump to the far sleeper's deadline first.
+func TestGrantedTaskOnVirtualClock(t *testing.T) {
+	clock := simtime.NewVirtualAuto(origin)
+	src := rng.New(11)
+	net := msgq.NewNetwork(clock, src.Derive("net"), nil)
+	defer net.Close()
+	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.NewDelta(),
+		BootTime: rng.ConstDuration(0)}, spec.PilotDescription{Platform: "delta", Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Shutdown() //nolint:errcheck
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const d = 3 * time.Second
+	var holder, waiter *Task
+	done := make(chan struct{})
+	clock.Go(func() {
+		defer close(done)
+		clock.Go(func() { clock.Sleep(time.Hour) })
+		if holder, err = p.SubmitTask(ctx, spec.TaskDescription{Name: "holder", Cores: 64, Duration: rng.ConstDuration(5 * time.Second)}); err != nil {
+			return
+		}
+		if waiter, err = p.SubmitTask(ctx, spec.TaskDescription{Name: "waiter", Cores: 64, Duration: rng.ConstDuration(d)}); err != nil {
+			return
+		}
+		clock.Block()
+		err = p.WaitTasks(context.Background(), holder.UID(), waiter.UID())
+		clock.Unblock()
+	})
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	holderDone, _ := holder.machine.EnteredAt(states.TaskDone)
+	started, _ := waiter.machine.EnteredAt(states.TaskExecuting)
+	finished, _ := waiter.machine.EnteredAt(states.TaskDone)
+	if !started.Equal(holderDone) {
+		t.Fatalf("waiter started at %v, want the holder's DONE at %v", started, holderDone)
+	}
+	if want := started.Add(waiter.Result().LaunchTime + d); !finished.Equal(want) || waiter.Result().LaunchTime <= 0 {
+		t.Fatalf("waiter DONE at %v after a %v launch, want %v", finished, waiter.Result().LaunchTime, want)
+	}
+}

@@ -107,6 +107,10 @@ type Pilot struct {
 	cfg     Config
 	desc    spec.PilotDescription
 	machine *states.Machine
+	// run is the clock's runnability accounting (nil off the auto-advancing
+	// virtual clock): a goroutine the pilot starts for a task is registered
+	// before it starts.
+	run simtime.Runners
 
 	// agent components
 	nodes  []*platform.Node // the pilot's virtual node view
@@ -344,6 +348,7 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 		cfg:     cfg,
 		desc:    desc,
 		machine: states.NewMachine(desc.UID, states.PilotModel(), cfg.Clock),
+		run:     simtime.RunnersOf(cfg.Clock),
 		stopped: make(chan struct{}),
 		tasks:   make(map[string]*Task),
 	}
@@ -630,6 +635,9 @@ func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, 
 	case err != nil:
 		t.fail(err)
 	case staged:
+		if p.run != nil {
+			p.run.AddRunner() // register before spawn; stageIn deregisters
+		}
 		go p.stageIn(ctx, t)
 	default:
 		p.admit(ctx, t)
@@ -639,6 +647,9 @@ func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, 
 
 // stageIn stages t's input, then takes it to the agent scheduler.
 func (p *Pilot) stageIn(ctx context.Context, t *Task) {
+	if p.run != nil {
+		defer p.run.DoneRunner()
+	}
 	_, err := p.stage.StageAll(t.desc.InputStaging)
 	if err == nil {
 		err = t.machine.To(states.TaskScheduling)
@@ -664,7 +675,12 @@ func (p *Pilot) admit(ctx context.Context, t *Task) {
 			}
 		})
 	}
-	p.router.Then(d.UID, func(pl scheduler.Placement) { go p.execute(ctx, t, pl) })
+	p.router.Then(d.UID, func(pl scheduler.Placement) {
+		if p.run != nil {
+			p.run.AddRunner() // register before spawn; execute deregisters
+		}
+		go p.execute(ctx, t, pl)
+	})
 	err := p.sched.Submit(scheduler.Request{
 		UID: d.UID, Cores: d.Cores, GPUs: d.GPUs, MemGB: d.MemGB, Priority: d.Priority,
 	})
@@ -702,6 +718,9 @@ func (p *Pilot) admit(ctx context.Context, t *Task) {
 // STAGING_OUTPUT → DONE (the last two in one piece when nothing is staged
 // out), then the completion hooks.
 func (p *Pilot) execute(ctx context.Context, t *Task, pl scheduler.Placement) {
+	if p.run != nil {
+		defer p.run.DoneRunner()
+	}
 	d := &t.desc
 	if err := t.machine.To(states.TaskExecuting); err != nil {
 		p.sched.Release(pl.Alloc)

@@ -20,7 +20,6 @@ func newBenchScheduler(nodes []*platform.Node, pol Policy) *Scheduler {
 		index:     newNodeIndex(nodes),
 		nodeOf:    make(map[*platform.Node]int, len(nodes)),
 		kick:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
 		seenEpoch: platform.ReleaseEpoch(),
 	}
 	for i, n := range nodes {

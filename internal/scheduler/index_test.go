@@ -382,7 +382,9 @@ func TestOutOfBandReleaseRecovered(t *testing.T) {
 	first := c.waitN(t, 1)[0]
 	_ = s.Submit(Request{UID: "b", Cores: 4})
 	first.Alloc.Release() // behind the scheduler's back: no index refresh
-	s.poke()              // a bare kick, as any later Submit would deliver
+	s.mu.Lock()
+	s.pokeLocked() // a bare kick, as any later Submit would deliver
+	s.mu.Unlock()
 	got := c.waitN(t, 2)
 	if got[1].Req.UID != "b" {
 		t.Fatalf("placement after out-of-band release = %s", got[1].Req.UID)

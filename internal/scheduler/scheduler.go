@@ -63,6 +63,10 @@ type Scheduler struct {
 	place  PlaceFn
 	policy Policy
 	clock  simtime.Clock
+	// run is the clock's runnability accounting (nil off the auto-advancing
+	// virtual clock): a wake of the loop holds a runner from its kick to the end
+	// of the pass it starts.
+	run simtime.Runners
 
 	mu      sync.Mutex
 	index   *nodeIndex
@@ -71,7 +75,6 @@ type Scheduler struct {
 	seq     uint64
 	closed  bool
 	kick    chan struct{}
-	done    chan struct{}
 
 	scheduled int
 	failed    int
@@ -151,13 +154,13 @@ func New(nodes []*platform.Node, place PlaceFn, opts ...Option) *Scheduler {
 		nodeOf:    make(map[*platform.Node]int, len(nodes)),
 		waiting:   newWaitHeap(),
 		kick:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
 		seenEpoch: platform.ReleaseEpoch(),
 	}
 	s.pool.s = s
 	for _, opt := range opts {
 		opt(s)
 	}
+	s.run = simtime.RunnersOf(s.clock)
 	for i, n := range nodes {
 		s.nodeOf[n] = i
 	}
@@ -182,8 +185,8 @@ func (s *Scheduler) Submit(req Request) error {
 	s.seq++
 	s.waiting.push(waitItem{req: req, seq: s.seq})
 	s.gen.Add(1)
+	s.pokeLocked()
 	s.mu.Unlock()
-	s.poke()
 	return nil
 }
 
@@ -212,7 +215,8 @@ func (s *Scheduler) satisfiable(req Request) bool {
 // Release returns an allocation to its node and, when a request waits for
 // capacity, re-kicks scheduling. The look at the wait pool and Submit's push
 // are under the same lock, and Submit kicks for itself: a request that arrives
-// after the look finds the capacity already returned.
+// after the look finds the capacity already returned. A closed scheduler is
+// not kicked.
 func (s *Scheduler) Release(a *platform.Allocation) {
 	before := platform.ReleaseEpoch()
 	a.Release()
@@ -232,11 +236,10 @@ func (s *Scheduler) Release(a *platform.Allocation) {
 		}
 	}
 	s.gen.Add(1)
-	waiting := s.waiting.len() > 0
-	s.mu.Unlock()
-	if waiting {
-		s.poke()
+	if !s.closed && s.waiting.len() > 0 {
+		s.pokeLocked()
 	}
+	s.mu.Unlock()
 }
 
 // Policy returns the scheduler's placement policy.
@@ -265,25 +268,38 @@ func (s *Scheduler) Close() {
 	}
 	s.closed = true
 	s.gen.Add(1)
+	close(s.kick) // under s.mu, as every kick is: none comes after
 	s.mu.Unlock()
-	close(s.done)
 }
 
-func (s *Scheduler) poke() {
+// pokeLocked wakes the loop. On a runnability-accounting clock the wake
+// carries a runner, issued before the kick: a releasing task that exits must
+// not let the clock jump past the grant it just made possible. A kick already
+// pending carries one. Callers hold s.mu and have seen the scheduler open, so
+// every kick sent is one the loop receives.
+func (s *Scheduler) pokeLocked() {
+	if s.run != nil {
+		s.run.AddRunner()
+	}
 	select {
 	case s.kick <- struct{}{}:
 	default:
+		s.doneRunner()
 	}
 }
 
+// loop runs one scheduling pass per kick and returns the kick's runner when
+// the pass ends, until Close.
 func (s *Scheduler) loop() {
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-s.kick:
-			s.schedule()
-		}
+	for range s.kick {
+		s.schedule()
+		s.doneRunner()
+	}
+}
+
+func (s *Scheduler) doneRunner() {
+	if s.run != nil {
+		s.run.DoneRunner()
 	}
 }
 

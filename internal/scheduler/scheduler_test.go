@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/platform"
+	"repro/internal/simtime"
 )
 
 // collector gathers placements in arrival order.
@@ -352,5 +353,46 @@ func TestSubmitVsReleasePokeSingleWinner(t *testing.T) {
 	}
 	if got := s.Scheduled(); got != granted {
 		t.Fatalf("%d grants for %d requests", got, granted)
+	}
+}
+
+// TestGrantAtHolderEndOnVirtualClock: on the auto-advancing clock a request
+// queued behind a holder is granted at the instant the holder releases. The
+// release's wake of the loop holds a runner until the pass that grants ends, so
+// the holder exiting cannot let the clock jump to the next deadline (a far
+// sleeper here) before the waiter has its resources.
+func TestGrantAtHolderEndOnVirtualClock(t *testing.T) {
+	origin := time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
+	v := simtime.NewVirtualAuto(origin)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	starts := map[string]time.Time{}
+	var s *Scheduler
+	s = New(nodes(1, 4, 0), func(p Placement) {
+		wg.Add(1)
+		v.Go(func() { // registered before it starts, as a pilot's grant is
+			defer wg.Done()
+			mu.Lock()
+			starts[p.Req.UID] = v.Now()
+			mu.Unlock()
+			v.Sleep(5 * time.Second)
+			s.Release(p.Alloc)
+		})
+	}, WithClock(v))
+	defer s.Close()
+	wg.Add(1)
+	v.Go(func() {
+		defer wg.Done()
+		wg.Add(1)
+		v.Go(func() { defer wg.Done(); v.Sleep(time.Hour) })
+		for _, uid := range []string{"holder", "waiter"} {
+			if err := s.Submit(Request{UID: uid, Cores: 4}); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	wg.Wait()
+	if got, want := starts["waiter"], origin.Add(5*time.Second); !got.Equal(want) {
+		t.Fatalf("waiter granted at %v, want the holder's end %v", got, want)
 	}
 }

@@ -183,6 +183,12 @@ func (s *Instance) Final() bool { return s.machine.IsFinal() }
 // lost-wakeup re-check), exactly like states.Machine.WaitChan.
 func (s *Instance) Changed() <-chan states.State { return s.machine.WaitChan() }
 
+// OnTransition registers cb to run after each later state transition of the
+// instance, on the goroutine that makes it and after the manager's
+// StateCallback. A caller that must not miss a state re-checks it after
+// registering.
+func (s *Instance) OnTransition(cb states.Callback) { s.machine.OnTransition(cb) }
+
 // Bootstrap returns the measured BT components: launch (placement to
 // process up), init (model load), publish (endpoint communication). Valid
 // once the service is ACTIVE.

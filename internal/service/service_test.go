@@ -24,7 +24,7 @@ import (
 
 var origin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
 
-// rig assembles a single-pilot agent environment on a scaled clock.
+// rig is a single-pilot agent environment on one clock.
 type rig struct {
 	clock simtime.Clock
 	src   *rng.Source
@@ -36,9 +36,15 @@ type rig struct {
 	plat  *platform.Platform
 }
 
+// newRig assembles a rig on a scaled clock.
 func newRig(t *testing.T, scale float64) *rig {
 	t.Helper()
-	clock := simtime.NewScaled(scale, origin)
+	return newRigOn(t, simtime.NewScaled(scale, origin))
+}
+
+// newRigOn is newRig on the given clock.
+func newRigOn(t *testing.T, clock simtime.Clock) *rig {
+	t.Helper()
 	src := rng.New(7)
 	plat := platform.NewDelta()
 	topo := platform.NewTopology(plat)
@@ -516,11 +522,15 @@ func TestWaitReadyUnknownUID(t *testing.T) {
 	}
 }
 
+// TestConcurrentServiceBootstrap is Exp 1 in miniature: 8 llama services on
+// Delta (16 GPUs) bootstrap side by side on the virtual clock, so each is
+// ACTIVE exactly its own launch, init and publish after submission.
 func TestConcurrentServiceBootstrap(t *testing.T) {
-	// Exp 1 in miniature: 8 concurrent llama services on Delta (16 GPUs)
-	r := newRig(t, 200000)
+	clock := simtime.NewVirtualAuto(origin)
+	r := newRigOn(t, clock)
 	const n = 8
 	uids := make([]string, n)
+	clock.AddRunner() // the submitter holds the clock until all are in
 	for i := 0; i < n; i++ {
 		inst, err := r.mgr.Submit(llamaDesc("svc"))
 		if err != nil {
@@ -528,11 +538,13 @@ func TestConcurrentServiceBootstrap(t *testing.T) {
 		}
 		uids[i] = inst.UID()
 	}
+	clock.DoneRunner()
 	waitReady(t, r, uids...)
 	for _, uid := range uids {
 		inst, _ := r.mgr.Get(uid)
-		if inst.State() != states.ServiceActive {
-			t.Fatalf("%s state = %s", uid, inst.State())
+		active, ok := inst.machine.EnteredAt(states.ServiceActive)
+		if want := origin.Add(inst.Bootstrap().Total()); !ok || !active.Equal(want) {
+			t.Fatalf("%s ACTIVE at %v (%v), want %v", uid, active, inst.State(), want)
 		}
 	}
 	if got := len(r.mgr.List()); got != n {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,18 +20,16 @@ import (
 var origin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
 
 func newServer(t *testing.T, model string, concurrency int) *Server {
-	return newServerScaled(t, model, concurrency, 100000)
+	return newServerOn(t, model, concurrency, simtime.NewScaled(100000, origin))
 }
 
-// newServerScaled lets slow-clock tests (scale 1000) observe queueing while
-// fast tests compress model loads to microseconds (scale 100000).
-func newServerScaled(t *testing.T, model string, concurrency int, scale float64) *Server {
+// newServerOn is newServer on the given clock.
+func newServerOn(t *testing.T, model string, concurrency int, clock simtime.Clock) *Server {
 	t.Helper()
 	spec, err := llm.Lookup(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := simtime.NewScaled(scale, origin)
 	src := rng.New(42)
 	s, err := New(Config{
 		UID:         "service.0001",
@@ -43,6 +42,29 @@ func newServerScaled(t *testing.T, model string, concurrency int, scale float64)
 		t.Fatal(err)
 	}
 	return s
+}
+
+// submitAll submits n requests at once, each from its own goroutine
+// registered with clock, and returns their replies' timings by request.
+func submitAll(t *testing.T, clock *simtime.Virtual, s *Server, n, maxTokens int) []proto.Timing {
+	t.Helper()
+	timings := make([]proto.Timing, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	clock.AddRunner() // the spawner holds the clock until every request is out
+	for i := range timings {
+		clock.Go(func() {
+			defer wg.Done()
+			reply, err := s.Submit(context.Background(), req(fmt.Sprintf("r%d", i), "prompt", maxTokens))
+			if err != nil {
+				t.Error(err)
+			}
+			timings[i] = reply.Timing
+		})
+	}
+	clock.DoneRunner()
+	wg.Wait()
+	return timings
 }
 
 func start(t *testing.T, s *Server) {
@@ -122,15 +144,10 @@ func TestSubmitRoundTrip(t *testing.T) {
 }
 
 func TestTimingMonotoneAndDecomposable(t *testing.T) {
-	// scale 1000 keeps real scheduling noise (≲1ms → ≲1s sim) well below
-	// the multi-second inference it is compared against
-	s := newServerScaled(t, "llama-8b", 1, 1000)
+	clock := simtime.NewVirtualAuto(origin)
+	s := newServerOn(t, "llama-8b", 1, clock)
 	start(t, s)
-	reply, err := s.Submit(context.Background(), req("r1", "prompt", 1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := reply.Timing
+	tm := submitAll(t, clock, s, 1, 1024)[0]
 	if tm.ReceivedAt.After(tm.DequeuedAt) || tm.DequeuedAt.After(tm.InferStartAt) ||
 		tm.InferStartAt.After(tm.InferEndAt) || tm.InferEndAt.After(tm.RepliedAt) {
 		t.Fatalf("timing not monotone: %+v", tm)
@@ -148,84 +165,54 @@ func TestTimingMonotoneAndDecomposable(t *testing.T) {
 	}
 }
 
+// TestNoopInferenceNearZero: the NOOP model replies without inferring, so its
+// inference time is none at all.
 func TestNoopInferenceNearZero(t *testing.T) {
-	// low clock scale: at high scales, sub-microsecond real gaps between
-	// Now() calls inflate into large simulated durations
-	s := newServerScaled(t, "noop", 1, 100)
+	clock := simtime.NewVirtualAuto(origin)
+	s := newServerOn(t, "noop", 1, clock)
 	start(t, s)
-	reply, err := s.Submit(context.Background(), req("r1", "ignored", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it := reply.Timing.InferTime(); it > 50*time.Millisecond {
-		t.Fatalf("noop inference time = %v (sim), want ≈0", it)
+	if it := submitAll(t, clock, s, 1, 0)[0].InferTime(); it != 0 {
+		t.Fatalf("noop inference time = %v (sim), want 0", it)
 	}
 }
 
+// TestSingleThreadedQueueing: the paper's single-threaded service. Four
+// requests arriving together are served back to back: each is dequeued the
+// instant the one before it is replied to, so the last queues for the other
+// three.
 func TestSingleThreadedQueueing(t *testing.T) {
-	// The paper's single-threaded service: N concurrent clients → requests
-	// serialize, and later requests show queue time ≫ first request's.
-	s := newServer(t, "llama-8b", 1)
+	clock := simtime.NewVirtualAuto(origin)
+	s := newServerOn(t, "llama-8b", 1, clock)
 	start(t, s)
-	const n = 4
-	var wg sync.WaitGroup
-	queueTimes := make([]time.Duration, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reply, err := s.Submit(context.Background(), req("r", "prompt", 64))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			queueTimes[i] = reply.Timing.QueueTime()
-		}(i)
-	}
-	wg.Wait()
-	var maxQ time.Duration
-	for _, q := range queueTimes {
-		if q > maxQ {
-			maxQ = q
+	timings := submitAll(t, clock, s, 4, 64)
+	slices.SortFunc(timings, func(a, b proto.Timing) int { return a.DequeuedAt.Compare(b.DequeuedAt) })
+	arrived := timings[0].ReceivedAt
+	for i, tm := range timings {
+		want := arrived
+		if i > 0 {
+			want = timings[i-1].RepliedAt
 		}
-	}
-	// with ~seconds-long inferences, the last of 4 serialized requests must
-	// have queued for at least one inference duration
-	if maxQ < 500*time.Millisecond {
-		t.Fatalf("max queue time %v too small for single-threaded service", maxQ)
+		if !tm.ReceivedAt.Equal(arrived) || !tm.DequeuedAt.Equal(want) {
+			t.Fatalf("request %d received %v, dequeued %v; want %v, %v", i, tm.ReceivedAt, tm.DequeuedAt, arrived, want)
+		}
 	}
 }
 
+// TestConcurrentWorkersReduceQueueing: the same four requests on four workers
+// never queue; on one they queue for every reply before their own.
 func TestConcurrentWorkersReduceQueueing(t *testing.T) {
-	serial := newServer(t, "llama-8b", 1)
-	parallel := newServer(t, "llama-8b", 4)
-	start(t, serial)
-	start(t, parallel)
-	run := func(s *Server) time.Duration {
-		const n = 4
-		var wg sync.WaitGroup
-		var mu sync.Mutex
+	queued := func(concurrency int) time.Duration {
+		clock := simtime.NewVirtualAuto(origin)
+		s := newServerOn(t, "llama-8b", concurrency, clock)
+		start(t, s)
 		var total time.Duration
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				reply, err := s.Submit(context.Background(), req("r", "p", 64))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				total += reply.Timing.QueueTime()
-				mu.Unlock()
-			}()
+		for _, tm := range submitAll(t, clock, s, 4, 64) {
+			total += tm.QueueTime()
 		}
-		wg.Wait()
 		return total
 	}
-	qSerial, qParallel := run(serial), run(parallel)
-	if qParallel >= qSerial {
-		t.Fatalf("4 workers queued %v, single worker %v — want reduction", qParallel, qSerial)
+	if serial, parallel := queued(1), queued(4); parallel != 0 || serial == 0 {
+		t.Fatalf("4 workers queued %v, single worker %v — want none and some", parallel, serial)
 	}
 }
 
@@ -342,7 +329,7 @@ func TestDrainFinishesQueue(t *testing.T) {
 }
 
 func TestStopFlushesQueueWithErrors(t *testing.T) {
-	s := newServerScaled(t, "llama-8b", 1, 1000) // inference ≈ 40ms real
+	s := newServerOn(t, "llama-8b", 1, simtime.NewScaled(1000, origin)) // inference ≈ 40ms real
 	start(t, s)
 	var wg sync.WaitGroup
 	results := make(chan error, 6)
@@ -377,7 +364,7 @@ func TestStopFlushesQueueWithErrors(t *testing.T) {
 }
 
 func TestSubmitContextCancellation(t *testing.T) {
-	s := newServerScaled(t, "llama-8b", 1, 1000) // inference ≈ 15ms real
+	s := newServerOn(t, "llama-8b", 1, simtime.NewScaled(1000, origin)) // inference ≈ 15ms real
 	start(t, s)
 	// occupy the single worker with a ~45ms (real) inference
 	go s.Submit(context.Background(), req("long", "p", 2048)) //nolint:errcheck
@@ -391,7 +378,7 @@ func TestSubmitContextCancellation(t *testing.T) {
 }
 
 func TestQueueDepthTracksLoad(t *testing.T) {
-	s := newServerScaled(t, "llama-8b", 1, 1000) // inference ≈ 4ms real per 64 tokens
+	s := newServerOn(t, "llama-8b", 1, simtime.NewScaled(1000, origin)) // inference ≈ 4ms real per 64 tokens
 	start(t, s)
 	if d := s.QueueDepth(); d != 0 {
 		t.Fatalf("idle depth = %d", d)

@@ -4,11 +4,11 @@
 //
 //   - Real: wall-clock time, used when driving actual remote services.
 //   - Scaled: wall-clock time compressed by a constant factor, used by the
-//     experiment harness so that multi-minute bootstrap sweeps (e.g. 640
-//     concurrent model loads at ~20 s each) complete in CI time while
-//     preserving relative timing shapes.
-//   - Virtual: a deterministic discrete-event clock for unit tests, with
-//     manual advancement or cooperative auto-advancement.
+//     examples, the CLIs' live mode and pilot-agent processes, where real
+//     processes and sockets need real time.
+//   - Virtual: a deterministic discrete-event clock, with manual advancement
+//     or cooperative auto-advancement. The experiments, the load harness and
+//     the unit tests run on it.
 package simtime
 
 import (
@@ -55,10 +55,15 @@ func Since(c Clock, t time.Time) time.Duration {
 }
 
 // SleepCtx sleeps for d of clock time or until ctx is done, whichever comes
-// first. It returns ctx.Err if the context expired.
+// first. It returns ctx.Err if the context expired. On an auto-advancing
+// Virtual it is Sleep, which a cancel cuts short: the sleep pulls time
+// forward.
 func SleepCtx(ctx context.Context, c Clock, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
+	if err := ctx.Err(); d <= 0 || err != nil {
+		return err
+	}
+	if v, ok := c.(*Virtual); ok && v.auto {
+		return v.sleep(ctx, d)
 	}
 	t := c.NewTimer(d)
 	defer t.Stop()

@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"container/heap"
+	"context"
 	"sync"
 	"time"
 )
@@ -35,6 +36,8 @@ type Virtual struct {
 	// the next Sleep; the list grows on demand and is bounded by the peak
 	// number of concurrent Sleep callers.
 	free []*sleeper
+	// settled is the Settle caller's wake, closed once running is down to it.
+	settled chan struct{}
 }
 
 // NewVirtual returns a manually advanced virtual clock starting at origin.
@@ -147,9 +150,14 @@ func (v *Virtual) push(deadline time.Time, period time.Duration) *sleeper {
 
 // Sleep implements Clock. In auto mode the calling goroutine must be
 // registered; the clock treats it as blocked for the duration.
-func (v *Virtual) Sleep(d time.Duration) {
+func (v *Virtual) Sleep(d time.Duration) { v.sleep(context.Background(), d) }
+
+// sleep is Sleep cut short by ctx (SleepCtx on an auto-advancing clock). A
+// cancel takes the sleeper off the heap and returns the caller to the
+// runnable count; a sleeper that fired first wins.
+func (v *Virtual) sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
-		return
+		return nil
 	}
 	v.mu.Lock()
 	deadline := v.now.Add(d)
@@ -166,7 +174,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 		v.now = deadline
 		v.seq++
 		v.mu.Unlock()
-		return
+		return nil
 	}
 	var s *sleeper
 	if n := len(v.free); n > 0 {
@@ -184,10 +192,46 @@ func (v *Virtual) Sleep(d time.Duration) {
 		v.maybeAdvanceLocked()
 	}
 	v.mu.Unlock()
-	<-s.ch
+	if done := ctx.Done(); done == nil {
+		<-s.ch
+	} else {
+		select {
+		case <-s.ch:
+		case <-done:
+			v.mu.Lock()
+			if s.index >= 0 { // still pending
+				heap.Remove(&v.sleepers, s.index)
+				v.sleeping--
+				v.running++
+				v.free = append(v.free, s)
+				v.mu.Unlock()
+				return ctx.Err()
+			}
+			v.mu.Unlock()
+			<-s.ch // fired first, and fireLocked made the caller runnable again
+		}
+	}
 	v.mu.Lock()
 	v.free = append(v.free, s)
 	v.mu.Unlock()
+	return nil
+}
+
+// Settle blocks the calling goroutine, which must be registered and runnable,
+// until every other registered goroutine is parked: asleep on the clock or
+// blocked. The caller stays runnable, so time does not move meanwhile: Settle
+// returns once everything due at the present instant has run. One caller at a
+// time.
+func (v *Virtual) Settle() {
+	v.mu.Lock()
+	if v.running <= 1 {
+		v.mu.Unlock()
+		return
+	}
+	ch := make(chan struct{})
+	v.settled = ch
+	v.mu.Unlock()
+	<-ch
 }
 
 // After implements Clock. The returned channel fires when the clock reaches
@@ -326,6 +370,10 @@ func (v *Virtual) fireLocked(s *sleeper) {
 func (v *Virtual) maybeAdvanceLocked() {
 	if !v.auto {
 		return
+	}
+	if v.settled != nil && v.running <= 1 {
+		close(v.settled)
+		v.settled = nil
 	}
 	for v.running <= 0 && v.sleeping > 0 && v.sleepers.Len() > 0 {
 		s := heap.Pop(&v.sleepers).(*sleeper)

@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -320,4 +322,107 @@ func TestSleepCtxVirtual(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("SleepCtx = %v, want nil", err)
 	}
+}
+
+// runOn runs fn as a goroutine registered with v and waits for it.
+func runOn(v *Virtual, fn func()) {
+	done := make(chan struct{})
+	v.Go(func() {
+		defer close(done)
+		fn()
+	})
+	<-done
+}
+
+// TestSleepCtxAutoPullsTime: on an auto-advancing clock a cancellable SleepCtx
+// is a Sleep that pulls time forward, not a timer waiting for somebody else to.
+func TestSleepCtxAutoPullsTime(t *testing.T) {
+	v := NewVirtualAuto(origin)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runOn(v, func() {
+		if err := SleepCtx(ctx, v, time.Second); err != nil {
+			t.Errorf("SleepCtx = %v, want nil", err)
+		}
+		if !v.Now().Equal(origin.Add(time.Second)) {
+			t.Errorf("SleepCtx returned at %v, want origin+1s", v.Now())
+		}
+	})
+	if n := v.PendingSleepers(); n != 0 {
+		t.Fatalf("%d sleepers pending after the sleep", n)
+	}
+}
+
+// TestSleepCtxAutoCancelBalances: a cancel mid-sleep returns ctx.Err, takes the
+// sleeper off the heap and gives the sleeper back its runner, so its next Sleep
+// self-wakes and the far deadline never fires.
+func TestSleepCtxAutoCancelBalances(t *testing.T) {
+	v := NewVirtualAuto(origin)
+	ctx, cancel := context.WithCancel(context.Background())
+	returned := make(chan struct{})
+	runOn(v, func() {
+		v.Go(func() {
+			v.Sleep(time.Second)
+			cancel()
+			<-returned // registered and runnable: holds the clock until the sleeper is back
+		})
+		err := SleepCtx(ctx, v, time.Hour)
+		close(returned)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("SleepCtx = %v, want context.Canceled", err)
+		}
+		v.mu.Lock()
+		running, sleeping, pending := v.running, v.sleeping, len(v.sleepers)
+		v.mu.Unlock()
+		if sleeping != 0 || pending != 0 || running < 1 {
+			t.Errorf("after the cancel: running %d, sleeping %d, pending %d; want >= 1, 0, 0", running, sleeping, pending)
+		}
+		v.Sleep(time.Second)
+		if want := origin.Add(2 * time.Second); !v.Now().Equal(want) {
+			t.Errorf("next Sleep woke at %v, want %v", v.Now(), want)
+		}
+	})
+}
+
+// TestSleepCtxAutoPlainContextSleeps: a context that cannot be cancelled takes
+// Sleep itself, whose lone runner self-wakes without a sleeper.
+func TestSleepCtxAutoPlainContextSleeps(t *testing.T) {
+	v := NewVirtualAuto(origin)
+	runOn(v, func() {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := SleepCtx(context.Background(), v, time.Second); err != nil {
+				t.Errorf("SleepCtx = %v", err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("SleepCtx under context.Background allocates %.1f objects a sleep, want 0 (Sleep's self-wake)", allocs)
+		}
+	})
+	if want := origin.Add(101 * time.Second); !v.Now().Equal(want) {
+		t.Fatalf("Now = %v, want %v", v.Now(), want)
+	}
+}
+
+// TestSettleWaitsForOthersToPark: Settle returns once every other registered
+// goroutine sleeps or blocks, without moving time.
+func TestSettleWaitsForOthersToPark(t *testing.T) {
+	v := NewVirtualAuto(origin)
+	var mu sync.Mutex
+	ran := 0
+	runOn(v, func() {
+		for i := 0; i < 3; i++ {
+			v.Go(func() {
+				mu.Lock()
+				ran++
+				mu.Unlock()
+				v.Sleep(time.Hour)
+			})
+		}
+		v.Settle()
+		mu.Lock()
+		defer mu.Unlock()
+		if ran != 3 || v.PendingSleepers() != 3 || !v.Now().Equal(origin) {
+			t.Errorf("Settle returned with %d of 3 run, %d asleep, at %v; want 3, 3, origin", ran, v.PendingSleepers(), v.Now())
+		}
+	})
 }
