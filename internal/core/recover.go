@@ -203,16 +203,22 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 	return s, rep, nil
 }
 
-// recoverTasks re-pins, re-routes or settles every journaled task.
+// recoverTasks re-pins, re-routes or settles every journaled task. Their
+// handles go into the task table first, all under one hold of its lock.
 func (s *Session) recoverTasks(snap *journal.Snapshot, survivors map[string]*pilot.Pilot, rep *RecoveryReport) {
 	model := states.ModelFor(states.EntityTask)
-	for _, ts := range snap.Tasks {
-		uid := ts.Desc.UID
-		t := s.tm.newTask(context.Background(), ts.Desc)
-		s.tm.mu.Lock()
-		s.tm.tasks[uid] = t
-		s.tm.mu.Unlock()
+	handles := make([]*Task, len(snap.Tasks))
+	s.tm.mu.Lock()
+	s.tm.tasks = make(map[string]*Task, len(snap.Tasks)) // a new session's: empty
+	for i, ts := range snap.Tasks {
+		handles[i] = s.tm.newTask(context.Background(), ts.Desc)
+		s.tm.tasks[ts.Desc.UID] = handles[i]
+	}
+	s.tm.mu.Unlock()
+	rep.TasksSettled = make([]string, 0, len(snap.Tasks))
 
+	for i, ts := range snap.Tasks {
+		uid, t := ts.Desc.UID, handles[i]
 		if model.IsFinal(ts.State) {
 			var err error
 			if ts.State != states.TaskDone {

@@ -57,6 +57,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -119,6 +120,18 @@ const (
 	// KindEndpoint records a session EndpointRegistry mutation.
 	KindEndpoint Kind = "endpoint"
 )
+
+// kinds lists the record kinds in the order ReplayStats counts them.
+var kinds = [...]Kind{KindSession, KindPilot, KindTask, KindService, KindBind, KindTransition, KindEndpoint}
+
+const nKinds = len(kinds) + 1 // and a slot for every kind this package does not write
+
+func kindIndex(k Kind) int {
+	if i := slices.Index(kinds[:], k); i >= 0 {
+		return i
+	}
+	return len(kinds)
+}
 
 // Record is one journal entry.
 type Record struct {
@@ -274,7 +287,8 @@ func scanBody(body []byte, keys []string, at bool) (v [4]jsonshape.Span, ok bool
 // scanTask decodes a task body of exactly the shape appendBody writes into
 // *b, which it touches only if it takes the body: keys in order, plain
 // strings, integers as strconv writes them, staging and metadata null. Like
-// json.Unmarshal it leaves Func alone.
+// json.Unmarshal it leaves Func alone. A Name or Pilot equal to the one *b
+// holds keeps that string: tasks of one campaign repeat both.
 func scanTask(body []byte, b *TaskBody) bool {
 	c := jsonshape.Cursor{P: body}
 	c.Lit(`{"uid":`)
@@ -311,7 +325,12 @@ func scanTask(body []byte, b *TaskBody) bool {
 	if d.UID = b.UID; string(descUID.Of(body)) != b.UID { // the managers write one UID twice: one string
 		d.UID = string(descUID.Of(body))
 	}
-	d.Name, d.Pilot = string(name.Of(body)), string(pilot.Of(body))
+	if string(name.Of(body)) != d.Name {
+		d.Name = string(name.Of(body))
+	}
+	if string(pilot.Of(body)) != d.Pilot {
+		d.Pilot = string(pilot.Of(body))
+	}
 	d.Cores, d.GPUs, d.MemGB, d.Duration, d.Priority = cores, gpus, mem, dur, priority
 	d.InputStaging, d.OutputStaging, d.Metadata = nil, nil, nil
 	return true
@@ -865,26 +884,23 @@ type ReplayStats struct {
 	SkipReasons map[string]int
 	// FastDecodes and JSONDecodes count the records by kind and by what
 	// decoded them: the hand-written codec alone, or encoding/json for the
-	// envelope, the body or both. Session, pilot, service and endpoint
-	// bodies are always encoding/json's; a task, bind or transition record
-	// under JSONDecodes is one the writer of this package did not write.
-	// Like SkipReasons they are for a caller to read (core.RecoveryReport
-	// carries them in Stats); nothing in this repository prints either, and
-	// they stay out of the JSON form so that the replay goldens stand.
-	FastDecodes map[string]int `json:"-"`
-	JSONDecodes map[string]int `json:"-"`
+	// envelope, the body or both, a slot a kind: session, pilot, task,
+	// service, bind, transition, endpoint, any other. Session, pilot, service
+	// and endpoint bodies are always encoding/json's; a task, bind or
+	// transition under JSONDecodes is one this package did not write. Like
+	// SkipReasons they are for a caller to read (core.RecoveryReport carries
+	// them in Stats); nothing here prints them, and they stay out of the JSON
+	// form so that the replay goldens stand.
+	FastDecodes [nKinds]int `json:"-"`
+	JSONDecodes [nKinds]int `json:"-"`
 }
 
 func (st *ReplayStats) skip(reason string) {
 	st.Skipped++
-	count(&st.SkipReasons, reason)
-}
-
-func count(m *map[string]int, key string) {
-	if *m == nil {
-		*m = make(map[string]int)
+	if st.SkipReasons == nil {
+		st.SkipReasons = make(map[string]int)
 	}
-	(*m)[key]++
+	st.SkipReasons[reason]++
 }
 
 // PilotState is a pilot's replayed last known state.
@@ -984,7 +1000,9 @@ func Replay(data []byte) (*Snapshot, *ReplayStats, error) {
 }
 
 // replayer is a replay in progress: the snapshot so far, the entities by
-// UID, and the record in hand.
+// UID, and the record in hand. lastTask, the task described last, is in
+// tasks under lastUID for good (a TaskState is never replaced): the records
+// after a description find it without a lookup. TaskStates come from slab.
 type replayer struct {
 	snap     *Snapshot
 	stats    *ReplayStats
@@ -992,6 +1010,9 @@ type replayer struct {
 	tasks    map[string]*TaskState
 	services map[string]*ServiceState
 	rec      decoded
+	lastUID  string
+	lastTask *TaskState
+	slab     []TaskState
 }
 
 func newReplayer() *replayer {
@@ -1025,9 +1046,9 @@ func (r *replayer) feed(data []byte, last bool) (int, error) {
 			return off, fmt.Errorf("journal: record seq %d: %w", r.rec.Seq, err)
 		}
 		if r.rec.fast {
-			count(&r.stats.FastDecodes, string(r.rec.Kind))
+			r.stats.FastDecodes[kindIndex(r.rec.Kind)]++
 		} else {
-			count(&r.stats.JSONDecodes, string(r.rec.Kind))
+			r.stats.JSONDecodes[kindIndex(r.rec.Kind)]++
 		}
 	}
 	return off, nil
@@ -1079,8 +1100,14 @@ func (r *replayer) apply() error {
 			stats.skip("duplicate-desc")
 			return nil
 		}
-		ts := &TaskState{Desc: b.Desc, State: states.TaskModel().Initial()}
+		if len(r.slab) == 0 {
+			r.slab = make([]TaskState, 128)
+		}
+		ts := &r.slab[0]
+		r.slab = r.slab[1:]
+		*ts = TaskState{Desc: b.Desc, State: states.TaskModel().Initial()}
 		r.tasks[b.UID] = ts
+		r.lastUID, r.lastTask = b.UID, ts
 		snap.Tasks = append(snap.Tasks, ts)
 		stats.Applied++
 
@@ -1105,14 +1132,14 @@ func (r *replayer) apply() error {
 		}
 		switch string(b[0]) {
 		case "task":
-			if ts := r.tasks[string(b[1])]; ts != nil {
-				ts.Pilot = string(b[2])
+			if ts := r.task(b[1]); ts != nil {
+				ts.Pilot = r.pilotUID(b[2])
 				stats.Applied++
 				return nil
 			}
 		case "service":
 			if ss := r.services[string(b[1])]; ss != nil {
-				ss.Pilot = string(b[2])
+				ss.Pilot = r.pilotUID(b[2])
 				stats.Applied++
 				return nil
 			}
@@ -1173,6 +1200,25 @@ var modelStates = func() map[string]states.State {
 	return m
 }()
 
+// task returns the replayed task under uid, nil if none.
+func (r *replayer) task(uid []byte) *TaskState {
+	if string(uid) == r.lastUID { // nil before the first task: none to find
+		return r.lastTask
+	}
+	return r.tasks[string(uid)]
+}
+
+// pilotUID returns name as a string: the UID of a journaled pilot if it is
+// one, so that the binds to one pilot share its string. Pilots are few.
+func (r *replayer) pilotUID(name []byte) string {
+	for _, ps := range r.snap.Pilots {
+		if ps.Desc.UID == string(name) {
+			return ps.Desc.UID
+		}
+	}
+	return string(name)
+}
+
 func stateOf(name []byte) states.State {
 	if s, ok := modelStates[string(name)]; ok {
 		return s
@@ -1197,7 +1243,7 @@ func (r *replayer) applyTransition(entity, uid, fromName, toName []byte) {
 		}
 	case states.EntityTask:
 		model = states.TaskModel()
-		if ts := r.tasks[string(uid)]; ts != nil {
+		if ts := r.task(uid); ts != nil {
 			cur = &ts.State
 		}
 	case states.EntityService:
@@ -1213,7 +1259,10 @@ func (r *replayer) applyTransition(entity, uid, fromName, toName []byte) {
 		r.stats.skip("transition-unknown-uid")
 		return
 	}
-	from, to := stateOf(fromName), stateOf(toName)
+	from, to := *cur, stateOf(toName)
+	if string(fromName) != string(from) {
+		from = stateOf(fromName)
+	}
 	switch {
 	case from == *cur && model.CanTransition(from, to):
 		*cur = to

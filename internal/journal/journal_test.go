@@ -212,6 +212,85 @@ func TestReplayDuplicateAndOutOfOrderTransitions(t *testing.T) {
 	}
 }
 
+// TestReplayCachesKeepVerdicts replays, on the writer's own byte shape, what
+// replay's shortcuts (the last task described, a from state equal to the
+// current one, shared Name and pilot strings) must not change the verdict on:
+// three tasks' transitions interleaved, a description whose UID key differs
+// from its Desc.UID, a duplicate description with another Desc, an
+// out-of-order transition, a restart from the initial state, a bind to a
+// pilot the journal never described, and a kind this package does not write.
+// Replay and ReplayFile agree, and both say exactly this.
+func TestReplayCachesKeepVerdicts(t *testing.T) {
+	at := time.Date(2025, 3, 4, 5, 6, 7, 123000000, time.UTC)
+	w := openTestWriter(t)
+	tr := func(uid, from, to string, at time.Time) {
+		mustAppend(t, w, KindTransition, TransitionBody{Entity: "task", UID: uid, From: from, To: to, At: at})
+	}
+	task := func(uid string, d spec.TaskDescription) { mustAppend(t, w, KindTask, TaskBody{UID: uid, Desc: d}) }
+	descA := spec.TaskDescription{UID: "A", Name: "n", Cores: 1}
+	descB := spec.TaskDescription{UID: "B", Name: "n", Cores: 2}
+	descC := spec.TaskDescription{UID: "c-desc", Name: "m", Cores: 1, Pilot: "p1"}
+	mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
+	mustAppend(t, w, KindPilot, PilotBody{UID: "p1", Desc: spec.PilotDescription{UID: "p1", Platform: "r3", Nodes: 1}})
+	task("A", descA)
+	task("B", descB)
+	tr("A", "NEW", "TMGR_SCHEDULING", at)
+	tr("B", "NEW", "TMGR_SCHEDULING", at)
+	task("C", descC)
+	tr("c-desc", "NEW", "TMGR_SCHEDULING", at) // the task went in under C: unknown
+	tr("C", "NEW", "TMGR_SCHEDULING", at)
+	mustAppend(t, w, KindBind, BindBody{Entity: "task", UID: "A", Pilot: "p1"})
+	tr("A", "TMGR_SCHEDULING", "AGENT_STAGING_INPUT", at)
+	tr("B", "AGENT_SCHEDULING", "AGENT_EXECUTING", at) // out of order
+	task("A", spec.TaskDescription{UID: "A2", Name: "other", Cores: 9})
+	tr("A", "AGENT_STAGING_INPUT", "AGENT_SCHEDULING", at)
+	tr("C", "TMGR_SCHEDULING", "AGENT_STAGING_INPUT", at.In(time.FixedZone("east", 7*3600)))
+	tr("A", "AGENT_SCHEDULING", "AGENT_EXECUTING", at)
+	tr("A", "AGENT_EXECUTING", "AGENT_STAGING_OUTPUT", at)
+	tr("A", "AGENT_STAGING_OUTPUT", "DONE", at)
+	tr("A", "NEW", "TMGR_SCHEDULING", at) // restart
+	tr("A", "NEW", "TMGR_SCHEDULING", at) // and its duplicate
+	mustAppend(t, w, KindBind, BindBody{Entity: "task", UID: "B", Pilot: "p.ghost"})
+	mustAppend(t, w, Kind("bogus"), map[string]int{"x": 1})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snap, stats, err := Replay(readFile(t, w.Path()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileSnap, fileStats, err := ReplayFile(w.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, fileSnap) || !reflect.DeepEqual(stats, fileStats) {
+		t.Fatalf("Replay and ReplayFile differ:\n%+v %+v\n%+v %+v", snap, stats, fileSnap, fileStats)
+	}
+	wantSnap := &Snapshot{
+		Session: SessionBody{UID: "s", Incarnation: 1},
+		Pilots:  []*PilotState{{Desc: spec.PilotDescription{UID: "p1", Platform: "r3", Nodes: 1}, State: states.PilotNew}},
+		Tasks: []*TaskState{
+			{Desc: descA, State: states.TaskTmgrScheduling, Pilot: "p1"},
+			{Desc: descB, State: states.TaskTmgrScheduling, Pilot: "p.ghost"},
+			{Desc: descC, State: states.TaskStagingInput},
+		},
+	}
+	if !reflect.DeepEqual(snap, wantSnap) {
+		t.Errorf("snapshot:\n got %+v %+v %+v\nwant %+v %+v %+v", snap.Tasks[0], snap.Tasks[1], snap.Tasks[2], wantSnap.Tasks[0], wantSnap.Tasks[1], wantSnap.Tasks[2])
+	}
+	wantStats := &ReplayStats{
+		Records: 22, Applied: 17, Skipped: 5, ValidBytes: stats.ValidBytes,
+		SkipReasons: map[string]int{"transition-unknown-uid": 1, "out-of-order-transition": 1, "duplicate-desc": 1,
+			"duplicate-transition": 1, "unknown-kind": 1},
+		FastDecodes: counts(map[Kind]int{KindTask: 4, KindBind: 2, KindTransition: 13}),
+		JSONDecodes: counts(map[Kind]int{KindSession: 1, KindPilot: 1, "bogus": 1}),
+	}
+	if !reflect.DeepEqual(stats, wantStats) {
+		t.Errorf("stats:\n got %+v\nwant %+v", stats, wantStats)
+	}
+}
+
 func TestReplayMachineRestart(t *testing.T) {
 	// A re-placed service bootstraps a fresh machine under the same UID:
 	// after a final state, a transition from the model's initial state

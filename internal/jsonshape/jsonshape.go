@@ -242,8 +242,13 @@ func (c *Cursor) Float() float64 {
 
 // Time consumes a timestamp: the literal up to the next quote, through the
 // decoder encoding/json would call. What that decoder takes holds no escape
-// and no quote, so the literal ends where encoding/json ends it.
+// and no quote, so the literal ends where encoding/json ends it. A UTC stamp
+// as Time.MarshalJSON writes one is checked and built in place (utcStamp).
 func (c *Cursor) Time() (t time.Time) {
+	if t, n := utcStamp(c.P[c.i:]); n > 0 && !c.bad {
+		c.i += n
+		return t
+	}
 	n := bytes.IndexByte(c.P[min(c.i+1, len(c.P)):], '"') // from the opening quote to the closing one
 	if end := c.i + n + 2; !c.bad && n >= 0 && t.UnmarshalJSON(c.P[c.i:end]) == nil {
 		c.i = end
@@ -251,6 +256,46 @@ func (c *Cursor) Time() (t time.Time) {
 	}
 	c.bad = true
 	return time.Time{}
+}
+
+// utcStamp reads a quoted "YYYY-MM-DDTHH:MM:SS[.1-9 digits]Z" at the front of
+// p, the fields in range, and returns its value and length; n is 0 for any
+// other shape.
+func utcStamp(p []byte) (_ time.Time, n int) {
+	if len(p) < len(`"2006-01-02T15:04:05Z"`) || p[0] != '"' || p[5] != '-' || p[8] != '-' || p[11] != 'T' || p[14] != ':' || p[17] != ':' {
+		return time.Time{}, 0
+	}
+	century, year, month := twoDigits(p[1], p[2]), twoDigits(p[3], p[4]), twoDigits(p[6], p[7])
+	day, hour, minute, sec := twoDigits(p[9], p[10]), twoDigits(p[12], p[13]), twoDigits(p[15], p[16]), twoDigits(p[18], p[19])
+	if century|year|month|day|hour|minute|sec < 0 || month < 1 || month > 12 || day < 1 || day > 31 ||
+		hour > 23 || minute > 59 || sec > 59 {
+		return time.Time{}, 0
+	}
+	nsec, end := 0, 20
+	if p[end] == '.' {
+		// One to nine digits: the nanoseconds, scaled by what is missing.
+		for end++; end < len(p) && end < 30 && p[end]-'0' <= 9; end++ {
+			nsec = nsec*10 + int(p[end]-'0')
+		}
+		for k := end; k < 30; k++ {
+			nsec *= 10
+		}
+	}
+	t := time.Date(century*100+year, time.Month(month), day, hour, minute, sec, nsec, time.UTC)
+	// A tenth digit is where Z must be; a day the month does not have (Feb 29
+	// of a common year) rolls over.
+	if end == 21 || len(p) < end+2 || p[end] != 'Z' || p[end+1] != '"' || day > 28 && t.Day() != day {
+		return time.Time{}, 0
+	}
+	return t, end + 2
+}
+
+// twoDigits returns the number two decimal digits make, -1 if either is not.
+func twoDigits(a, b byte) int {
+	if a-'0' > 9 || b-'0' > 9 {
+		return -1
+	}
+	return int(a-'0')*10 + int(b-'0')
 }
 
 // Until consumes the input up to the next s and returns the span it passed

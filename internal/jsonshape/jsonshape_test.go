@@ -150,6 +150,46 @@ func FuzzNumberMatchesStrconv(f *testing.F) {
 	})
 }
 
+// FuzzUTCStampMatchesTime holds Time's UTC fast path to Time.UnmarshalJSON:
+// a literal utcStamp takes, that decoder takes too, to an Equal time in the
+// same location, and Time as a whole takes only what encoding/json takes, to
+// the same instant in the same zone. Written: every UTC stamp AppendTime
+// emits takes the fast path.
+func FuzzUTCStampMatchesTime(f *testing.F) {
+	for _, s := range []string{
+		`"2024-02-29T00:00:00Z"`, `"2023-02-29T00:00:00Z"`, `"1900-02-29T00:00:00Z"`, `"2000-02-29T00:00:00Z"`,
+		`"2025-03-04T24:00:00Z"`, `"2025-03-04T05:60:00Z"`, `"2025-03-04T05:06:07.1234567891Z"`, `"2025-03-04T05:06:07.123456789Z"`,
+		`"2025-03-04t05:06:07Z"`, `"2025-03-04T05:06:07z"`, `"2025-03-04T05:06:07+07:00"`, `"2025-03-04T05:06:07Z"`,
+		`"2025-03-04T05:06:07.Z"`, `"2025-04-31T00:00:00Z"`, `"0000-01-01T00:00:00Z"`, `"9999-12-31T23:59:59.5Z"`,
+		`"10A0-01-01T00:00:00Z"`,
+	} {
+		f.Add(s, int64(0), int64(0))
+	}
+	f.Add("", int64(1741064767), int64(123456789))
+	f.Add("", int64(-62135596800), int64(1))
+	f.Fuzz(func(t *testing.T, s string, sec, nsec int64) {
+		if got, n := utcStamp([]byte(s)); n > 0 {
+			var want time.Time
+			if err := want.UnmarshalJSON([]byte(s[:n])); err != nil || !got.Equal(want) || got.Location() != want.Location() {
+				t.Fatalf("utcStamp took %s as %v, Time.UnmarshalJSON %v (%v)", s[:n], got, want, err)
+			}
+		}
+		c := Cursor{P: []byte(s)}
+		if got := c.Time(); c.OK() {
+			var want time.Time
+			if err := json.Unmarshal([]byte(s[:c.Pos()]), &want); err != nil || !got.Equal(want) || got.String() != want.String() {
+				t.Fatalf("Time took %s as %v, encoding/json %v (%v)", s[:c.Pos()], got, want, err)
+			}
+		}
+		at := time.Unix(sec, nsec).UTC()
+		if b, ok := AppendTime(nil, at); ok {
+			if got, n := utcStamp(b); n != len(b) || !got.Equal(at) || got.Location() != time.UTC {
+				t.Fatalf("utcStamp read %s as %v (%d bytes), want %v", b, got, n, at)
+			}
+		}
+	})
+}
+
 func TestCursorTimeAndUntil(t *testing.T) {
 	taken := 0
 	for _, in := range []string{
