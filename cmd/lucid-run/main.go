@@ -1,6 +1,7 @@
 // Command lucid-run executes one of the three LUCID use-case pipelines
 // (§II of the paper) end to end on a simulated Delta pilot and prints the
-// per-stage execution report.
+// per-stage execution report. The pipeline runs on the auto-advancing
+// virtual clock, so the report is a function of the flags alone.
 //
 // Usage:
 //
@@ -11,14 +12,16 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/usecases"
@@ -26,82 +29,114 @@ import (
 )
 
 func main() {
-	name := flag.String("pipeline", "cellpainting", "pipeline: cellpainting|signature|uq")
-	seed := flag.Uint64("seed", 42, "RNG seed")
-	scale := flag.Float64("scale", 100000, "clock compression factor")
-	useLLM := flag.Bool("llm", true, "signature: enable the LLM comparison stage")
-	seeds := flag.Int("seeds", 3, "uq: random seeds per method")
-	trials := flag.Int("trials", 8, "cellpainting: HPO trials")
-	flag.Parse()
-
-	if err := run(*name, *seed, *scale, *useLLM, *seeds, *trials); err != nil {
-		fmt.Fprintf(os.Stderr, "lucid-run: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(name string, seed uint64, scale float64, useLLM bool, seeds, trials int) error {
-	sess, err := core.NewSession(core.SessionConfig{
-		Seed:  seed,
-		Clock: simtime.NewScaled(scale, core.DefaultOrigin),
-	})
-	if err != nil {
-		return err
+// run is the whole command: it parses args, runs the pipeline and returns the
+// exit code (2: bad arguments, 1: the pipeline failed).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lucid-run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("pipeline", "cellpainting", "pipeline: cellpainting|signature|uq")
+	seed := fs.Uint64("seed", 42, "RNG seed")
+	useLLM := fs.Bool("llm", true, "signature: enable the LLM comparison stage")
+	seeds := fs.Int("seeds", 3, "uq: random seeds per method")
+	trials := fs.Int("trials", 8, "cellpainting: HPO trials")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	defer sess.Close()
-
-	p, err := sess.PilotManager().Submit(spec.PilotDescription{
-		Platform: "delta", Cores: 256, GPUs: 16,
-	})
-	if err != nil {
-		return err
-	}
-	runner, err := workflow.NewRunner(sess, p)
-	if err != nil {
-		return err
-	}
-
 	coll := metrics.NewCollector()
+	sig := &usecases.SignatureResults{}
+	uq := usecases.UQConfig{Seeds: *seeds}
+	src := rng.New(*seed)
 	var pipe *workflow.Pipeline
-	switch name {
+	switch *name {
 	case "cellpainting":
 		pipe = usecases.CellPainting(usecases.CellPaintingConfig{
 			DatasetBytes: 16 << 30, // 16 GB demo-scale slice of the 1.6 TB set
-			HPOTrials:    trials,
-		}, sess.RNG())
+			HPOTrials:    *trials,
+		}, src)
 	case "signature":
 		pipe = usecases.Signature(usecases.SignatureConfig{
-			UseLLM:    useLLM,
+			UseLLM:    *useLLM,
 			Collector: coll,
-		}, sess.RNG())
+			Compute:   true, // real annotation, enrichment and regression on synthetic data
+			Results:   sig,
+		}, src)
 	case "uq":
-		pipe = usecases.UQ(usecases.UQConfig{Seeds: seeds})
+		pipe = usecases.UQ(uq)
 	default:
-		return fmt.Errorf("unknown pipeline %q", name)
+		fmt.Fprintf(stderr, "lucid-run: unknown pipeline %q\n", *name)
+		return 2
 	}
 
-	fmt.Printf("running pipeline %q (clock compression %.0fx, seed %d)\n\n", pipe.Name, scale, seed)
-	start := time.Now()
-	rep, err := runner.Run(context.Background(), pipe)
-	if err != nil {
-		return err
+	// One driver registered with the clock runs the whole session, so
+	// simulated time moves only while the pipeline waits.
+	clock := simtime.NewVirtualAuto(core.DefaultOrigin)
+	var rep *workflow.Report
+	errc := make(chan error, 1)
+	clock.Go(func() {
+		var err error
+		rep, err = runPipeline(clock, *seed, pipe)
+		errc <- err
+	})
+	if err := <-errc; err != nil {
+		fmt.Fprintf(stderr, "lucid-run: %v\n", err)
+		return 1
 	}
 
 	tab := metrics.Table{
-		Title:  fmt.Sprintf("Pipeline %q — %s simulated, %s wall", pipe.Name, rep.Duration().Round(time.Second), time.Since(start).Round(time.Millisecond)),
+		Title:  fmt.Sprintf("Pipeline %q (seed %d) — %s simulated", pipe.Name, *seed, rep.Duration().Round(time.Second)),
 		Header: []string{"stage", "tasks", "services", "sim duration"},
 	}
-	stages := append([]workflow.StageReport{}, rep.Stages...)
-	sort.Slice(stages, func(i, j int) bool { return stages[i].Started.Before(stages[j].Started) })
-	for _, s := range stages {
+	for _, s := range rep.Stages {
 		tab.AddRow(s.Stage, fmt.Sprintf("%d", s.Tasks), fmt.Sprintf("%d", s.Services),
 			s.Duration().Round(time.Second).String())
 	}
-	fmt.Print(tab.Render())
+	fmt.Fprint(stdout, tab.Render())
 
-	if n := coll.Count("sig.llm.inference"); n > 0 {
-		fmt.Printf("\nLLM signature comparison: %d inferences, %s\n",
-			n, coll.Stats("sig.llm.inference"))
+	switch *name {
+	case "cellpainting":
+		prep, _ := rep.StageReport("preprocess-augment")
+		train, _ := rep.StageReport("train-hpo")
+		if train.Started.Before(prep.Finished) {
+			fmt.Fprintf(stdout, "\ntraining started %s before preprocessing finished (asynchronous coupling)\n",
+				prep.Finished.Sub(train.Started).Round(time.Second))
+		}
+	case "signature":
+		fit := sig.DoseFit()
+		fmt.Fprintf(stdout, "\ndose-response fit: slope=%.2f hits/Gy intercept=%.2f R²=%.3f\n",
+			fit.Slope, fit.Intercept, fit.R2)
+		if n := coll.Count("sig.llm.inference"); n > 0 {
+			fmt.Fprintf(stdout, "LLM signature comparison: %d inferences, %s\n",
+				n, coll.Stats("sig.llm.inference"))
+		}
+	case "uq":
+		ft, _ := rep.StageReport("uq-finetuning")
+		n := uq.TaskCount()
+		fmt.Fprintf(stdout, "\nconcurrency: %d×~15min tasks completed in %s (serial would be ≈%s)\n",
+			n, ft.Duration().Round(time.Minute), 15*time.Minute*time.Duration(n))
 	}
-	return nil
+	return 0
+}
+
+// runPipeline runs pipe on a session with one Delta pilot.
+func runPipeline(clock simtime.Clock, seed uint64, pipe *workflow.Pipeline) (*workflow.Report, error) {
+	sess, err := core.NewSession(core.SessionConfig{Seed: seed, Clock: clock})
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	p, err := sess.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Cores: 256, GPUs: 16})
+	if err != nil {
+		return nil, err
+	}
+	runner, err := workflow.NewRunner(sess, p)
+	if err != nil {
+		return nil, err
+	}
+	return runner.Run(context.Background(), pipe)
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/pilot"
 	"repro/internal/router"
+	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
 )
@@ -164,6 +166,9 @@ type handle struct {
 	// done is made by the first Done that comes before finish; finish closes
 	// it, or puts the one closed channel in its place.
 	done chan struct{}
+	// parked counts the waiters finish owes a wake token on run (see wait).
+	parked int
+	run    simtime.Runners
 }
 
 // finishedChan is the Done of every handle nobody asked before it finished.
@@ -208,6 +213,44 @@ func (h *handle) Err() error {
 	return h.err
 }
 
+// wait blocks until h finishes or ctx ends. With run set, the caller is a
+// registered goroutine of an auto-advancing virtual clock: it is parked on
+// the clock's books while it waits, and finish hands it its wake token before
+// the wake, so it resumes at the instant h finished. A waiter that ctx ends
+// takes its own token back.
+func (h *handle) wait(ctx context.Context, run simtime.Runners) error {
+	h.mu.Lock()
+	if h.finished {
+		h.mu.Unlock()
+		return nil
+	}
+	if h.done == nil {
+		h.done = make(chan struct{})
+	}
+	done := h.done
+	if run != nil {
+		h.parked++
+		h.run = run
+		run.Block()
+	}
+	h.mu.Unlock()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.finished {
+		return nil
+	}
+	if run != nil {
+		h.parked--
+		run.Unblock()
+	}
+	return ctx.Err()
+}
+
 // finish seals the logical entity exactly once.
 func (h *handle) finish(err error) {
 	h.mu.Lock()
@@ -217,6 +260,9 @@ func (h *handle) finish(err error) {
 	}
 	h.finished = true
 	h.err = err
+	for ; h.parked > 0; h.parked-- {
+		h.run.Unblock() // the waiter's wake token, before the wake
+	}
 	if h.done == nil {
 		h.done = finishedChan
 	} else {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/pilot"
+	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
@@ -329,4 +331,60 @@ func TestRecoverSettlesReattachedThroughHook(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWaitOnVirtualClock: on an auto-advancing clock Wait parks its
+// registered caller and the settle hands it its wake token, so it returns at
+// the instant the task reached DONE. A caller whose ctx has ended takes its
+// token back: the clock stands still while it runs on, the task still due.
+func TestWaitOnVirtualClock(t *testing.T) {
+	clock := simtime.NewVirtualAuto(DefaultOrigin)
+	errc := make(chan error, 1)
+	clock.Go(func() { errc <- waitOnVirtualClock(clock) })
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+func waitOnVirtualClock(clock *simtime.Virtual) error {
+	s, err := NewSession(SessionConfig{Seed: 3, Clock: clock, FastBoot: true})
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	p, err := s.PilotManager().Submit(deltaPilotDesc())
+	if err != nil {
+		return err
+	}
+	tm := s.TaskManager()
+	tm.AddPilot(p)
+	tasks, err := tm.Submit(context.Background(), spec.TaskDescription{Name: "hour", Cores: 1, Duration: rng.ConstDuration(time.Hour)})
+	if err != nil {
+		return err
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := tm.Wait(cancelled, tasks...); err != context.Canceled {
+		return fmt.Errorf("Wait on a cancelled ctx = %v, want context.Canceled", err)
+	}
+	at := clock.Now()
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+	}
+	if got := clock.Now(); !got.Equal(at) {
+		return fmt.Errorf("clock moved %v while the cancelled waiter was runnable", got.Sub(at))
+	}
+
+	if err := tm.Wait(context.Background(), tasks...); err != nil {
+		return err
+	}
+	done, ok := s.Profile().EnteredAt(tasks[0].UID(), states.TaskDone)
+	if !ok {
+		return fmt.Errorf("task %s has no DONE record", tasks[0].UID())
+	}
+	if now := clock.Now(); !now.Equal(done) || done.Sub(at) < time.Hour {
+		return fmt.Errorf("Wait returned at %v, DONE at %v (cancelled wait at %v)", now.Sub(DefaultOrigin), done.Sub(DefaultOrigin), at.Sub(DefaultOrigin))
+	}
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/pilot"
 	"repro/internal/router"
+	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
 )
@@ -400,23 +401,24 @@ func (tm *TaskManager) close() {
 // Wait blocks until the listed tasks reach a final state (following them
 // across re-routes); with none listed it waits for every task submitted
 // through this manager so far. It returns the first task failure, or the
-// context error if ctx expires first.
+// context error if ctx expires first. On an auto-advancing virtual clock the
+// caller must be registered with the clock: Wait parks it on the clock's
+// books and the settle of the last task wakes it at that instant.
 func (tm *TaskManager) Wait(ctx context.Context, tasks ...*Task) error {
 	if len(tasks) == 0 {
 		tasks = tm.Tasks()
 	}
+	run := simtime.RunnersOf(tm.sess.clock)
 	var firstErr error
 	for _, t := range tasks {
 		if t.tm != tm {
 			return fmt.Errorf("core: task %s not owned by this manager", t.UID())
 		}
-		select {
-		case <-t.Done():
-			if err := t.Err(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := t.wait(ctx, run); err != nil {
+			return err
+		}
+		if err := t.Err(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr

@@ -271,7 +271,7 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 		row.ServicesSettled = len(rep.ServicesSettled)
 
 		// Resume the campaign: every recovered task must run to DONE.
-		if err := tb.wait(func() error { return s2.TaskManager().Wait(ctx) }); err != nil {
+		if err := s2.TaskManager().Wait(ctx); err != nil {
 			return fmt.Errorf("post-recovery wait: %w", err)
 		}
 		for _, t := range s2.TaskManager().Tasks() {

@@ -200,7 +200,7 @@ func runRoutePoint(ctx context.Context, cfg RouteConfig, rt string, shapes []pla
 			},
 			func() ([]states.State, error) {
 				// task failures are outcomes here, not errors
-				_ = tb.wait(func() error { return tm.Wait(ctx, tasks...) })
+				_ = tm.Wait(ctx, tasks...)
 				if err := ctx.Err(); err != nil {
 					return nil, fmt.Errorf("tasks did not settle: %w", err)
 				}

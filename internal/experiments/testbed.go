@@ -30,7 +30,8 @@ type testbed struct {
 // clock, submits one pilot per description, in order, runs drive and closes
 // the session. All of it runs on the point's driver: one goroutine registered
 // with the clock, so simulated time moves only while the driver sleeps on the
-// clock or waits (tb.wait), and every number a point reports replays exactly.
+// clock or waits (tb.wait, TaskManager.Wait), and every number a point
+// reports replays exactly.
 func runTestbed(scfg core.SessionConfig, pilots []spec.PilotDescription, drive func(*testbed) error) error {
 	clock := simtime.NewVirtualAuto(core.DefaultOrigin)
 	scfg.Clock = clock

@@ -167,7 +167,10 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		}
 	}
 	if len(c.tasks) > 0 {
-		if err := sess.TaskManager().Wait(ctx, c.tasks...); err != nil {
+		clock.AddRunner() // Wait parks its caller on the clock's books
+		err := sess.TaskManager().Wait(ctx, c.tasks...)
+		clock.DoneRunner()
+		if err != nil {
 			return nil, fmt.Errorf("loadgen: task stream: %w", err)
 		}
 	}

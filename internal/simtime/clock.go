@@ -4,11 +4,11 @@
 //
 //   - Real: wall-clock time, used when driving actual remote services.
 //   - Scaled: wall-clock time compressed by a constant factor, used by the
-//     examples, the CLIs' live mode and pilot-agent processes, where real
-//     processes and sockets need real time.
+//     quickstart, loadbalance and remote examples, modelserve, the xproc
+//     agent, core's default session clock and the bench module's rpbench.
 //   - Virtual: a deterministic discrete-event clock, with manual advancement
-//     or cooperative auto-advancement. The experiments, the load harness and
-//     the unit tests run on it.
+//     or cooperative auto-advancement. The experiments, the load harness,
+//     lucid-run's pipelines and many unit tests run on it.
 package simtime
 
 import (

@@ -10,7 +10,9 @@
 package stager
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,11 +36,12 @@ type Link struct {
 type Manager struct {
 	clock simtime.Clock
 	src   *rng.Source
+	run   simtime.Runners // parks WaitBytes callers; nil off the virtual clock
 
 	mu      sync.Mutex
 	links   map[string]Link // key "src→dst" platform pair, or "*" default
 	objects map[string]Object
-	waiters []objWaiter
+	waiters []*objWaiter
 }
 
 // Object records one staged data object.
@@ -67,6 +70,7 @@ func NewManager(clock simtime.Clock, src *rng.Source) *Manager {
 	return &Manager{
 		clock:   clock,
 		src:     src,
+		run:     simtime.RunnersOf(clock),
 		links:   make(map[string]Link),
 		objects: make(map[string]Object),
 	}
@@ -153,9 +157,12 @@ func (m *Manager) register(obj Object) {
 	m.mu.Lock()
 	m.objects[obj.URI] = obj
 	// wake waiters whose predicate now holds
-	var keep []objWaiter
+	var keep []*objWaiter
 	for _, w := range m.waiters {
 		if m.bytesUnderLocked(w.prefix) >= w.minBytes {
+			if m.run != nil {
+				m.run.Unblock() // the waiter's wake token, before the wake
+			}
 			close(w.ch)
 		} else {
 			keep = append(keep, w)
@@ -202,18 +209,38 @@ func (m *Manager) BytesUnder(prefix string) int64 {
 	return m.bytesUnderLocked(prefix)
 }
 
-// WaitBytes returns a channel closed once at least minBytes of data are
-// staged under prefix — the §II-A gate "training ... starting only when
-// sufficient processed data are available". The channel is closed
-// immediately if the predicate already holds.
-func (m *Manager) WaitBytes(prefix string, minBytes int64) <-chan struct{} {
-	ch := make(chan struct{})
+// WaitBytes blocks until at least minBytes of data are staged under prefix
+// — the §II-A gate "training ... starting only when sufficient processed data
+// are available" — or ctx ends, whose error it then returns. On an
+// auto-advancing virtual clock the caller must be registered with the clock:
+// it is parked on the clock's books while it waits, and the staging that
+// opens the gate hands it its wake token before the wake.
+func (m *Manager) WaitBytes(ctx context.Context, prefix string, minBytes int64) error {
 	m.mu.Lock()
 	if m.bytesUnderLocked(prefix) >= minBytes {
-		close(ch)
-	} else {
-		m.waiters = append(m.waiters, objWaiter{prefix: prefix, minBytes: minBytes, ch: ch})
+		m.mu.Unlock()
+		return nil
+	}
+	w := &objWaiter{prefix: prefix, minBytes: minBytes, ch: make(chan struct{})}
+	m.waiters = append(m.waiters, w)
+	if m.run != nil {
+		m.run.Block()
 	}
 	m.mu.Unlock()
-	return ch
+	select {
+	case <-w.ch:
+		return nil
+	case <-ctx.Done():
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := slices.Index(m.waiters, w)
+	if i < 0 {
+		return nil // the gate opened first
+	}
+	m.waiters = slices.Delete(m.waiters, i, i+1)
+	if m.run != nil {
+		m.run.Unblock()
+	}
+	return ctx.Err()
 }

@@ -1,6 +1,8 @@
 package stager
 
 import (
+	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -153,37 +155,71 @@ func TestBytesUnder(t *testing.T) {
 	}
 }
 
+// newVirtualMgr returns a manager on an auto-advancing virtual clock with
+// the calling test goroutine registered as its driver.
+func newVirtualMgr(t *testing.T) (*Manager, *simtime.Virtual) {
+	clk := simtime.NewVirtualAuto(origin)
+	clk.AddRunner()
+	t.Cleanup(clk.DoneRunner)
+	return NewManager(clk, rng.New(1)), clk
+}
+
 func TestWaitBytesGate(t *testing.T) {
 	// the §II-A gate: training starts only once enough processed data are
-	// staged
-	m, _ := newMgr()
-	ch := m.WaitBytes("delta:/processed/", 250)
-	select {
-	case <-ch:
-		t.Fatal("gate opened with no data")
-	default:
+	// staged, and wakes at the instant the staging that opens it lands
+	m, clk := newVirtualMgr(t)
+	clk.Go(func() {
+		for _, obj := range []struct {
+			uri   string
+			bytes int64
+		}{{"delta:/processed/a", 100}, {"delta:/processed/b", 200}} {
+			clk.Sleep(time.Minute)
+			m.Stage(spec.StagingDirective{Source: "s", Target: obj.uri, Bytes: obj.bytes, Mode: spec.StageLink}) //nolint:errcheck
+		}
+	})
+	if err := m.WaitBytes(context.Background(), "delta:/processed/", 250); err != nil {
+		t.Fatal(err)
 	}
-	m.Stage(spec.StagingDirective{Source: "s", Target: "delta:/processed/a", Bytes: 100, Mode: spec.StageLink}) //nolint:errcheck
-	select {
-	case <-ch:
-		t.Fatal("gate opened below threshold")
-	default:
+	// two 1 min gaps, each followed by a 1 ms link
+	want := origin.Add(2*time.Minute + 2*time.Millisecond)
+	if got := clk.Now(); !got.Equal(want) {
+		t.Fatalf("gate opened at %v, want %v", got.Sub(origin), want.Sub(origin))
 	}
-	m.Stage(spec.StagingDirective{Source: "s", Target: "delta:/processed/b", Bytes: 200, Mode: spec.StageLink}) //nolint:errcheck
-	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("gate never opened")
+	if o, _ := m.Lookup("delta:/processed/b"); !o.StagedAt.Equal(want) {
+		t.Fatalf("opening object staged at %v, want %v", o.StagedAt.Sub(origin), want.Sub(origin))
+	}
+}
+
+func TestWaitBytesCancel(t *testing.T) {
+	// a cancelled waiter leaves the gate and takes its runner token back,
+	// so time stands still while it runs on
+	m, clk := newVirtualMgr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	clk.Go(func() {
+		clk.Sleep(time.Minute)
+		cancel()
+	})
+	if err := m.WaitBytes(ctx, "delta:/processed/", 250); err != context.Canceled {
+		t.Fatalf("WaitBytes = %v, want context.Canceled", err)
+	}
+	if n := len(m.waiters); n != 0 {
+		t.Fatalf("%d waiters left after cancel", n)
+	}
+	at := clk.Now()
+	clk.Go(func() { clk.Sleep(time.Hour) })
+	for clk.PendingSleepers() == 0 && clk.Now().Equal(at) {
+		runtime.Gosched()
+	}
+	if got := clk.Now(); !got.Equal(at) {
+		t.Fatalf("clock moved %v while the cancelled waiter was runnable", got.Sub(at))
 	}
 }
 
 func TestWaitBytesAlreadySatisfied(t *testing.T) {
 	m, _ := newMgr()
 	m.Stage(spec.StagingDirective{Source: "s", Target: "delta:/d/a", Bytes: 500, Mode: spec.StageLink}) //nolint:errcheck
-	select {
-	case <-m.WaitBytes("delta:/d/", 100):
-	default:
-		t.Fatal("pre-satisfied gate not closed immediately")
+	if err := m.WaitBytes(context.Background(), "delta:/d/", 100); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -211,12 +211,7 @@ func CellPainting(cfg CellPaintingConfig, src *rng.Source) *workflow.Pipeline {
 			}
 			// the DataManager gate: block until enough processed shards are
 			// staged (checked on the pilot hosting the preprocessing tasks)
-			select {
-			case <-pilots[0].Stage().WaitBytes("delta:/scratch/cellpainting/processed/", cfg.GateBytes):
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
+			return pilots[0].Stage().WaitBytes(ctx, "delta:/scratch/cellpainting/processed/", cfg.GateBytes)
 		},
 		Tasks: trials,
 	}
@@ -471,16 +466,8 @@ func Signature(cfg SignatureConfig, src *rng.Source) *workflow.Pipeline {
 				Model:           "llama-8b",
 				ProbeInterval:   time.Hour,
 			}},
-			Tasks: []spec.TaskDescription{{
-				Name:  "signature-compare",
-				Cores: 1,
-				Func: func(ctx context.Context) error {
-					return nil // replaced by the runner-bound closure below
-				},
-			}},
 		}
-		// the comparison task needs session access: bind it via Post
-		llmStage.Tasks = nil
+		// the comparison needs session access, so it runs as the Post hook
 		llmStage.Post = func(ctx context.Context, sess *core.Session) error {
 			eps := sess.EndpointRegistry().ByModel("llama-8b")
 			if len(eps) == 0 {
@@ -578,9 +565,12 @@ func log10(v float64) float64 {
 
 // RunHPOCampaign drives the iterative Optuna-style optimization of the
 // Cell Painting training stage on the runtime: each round asks the study
-// for a batch of configurations, runs them as concurrent GPU tasks whose
-// modelled duration comes from the training performance model, and tells
-// the observed objective back. It returns the study for inspection.
+// for a batch of configurations, runs them as concurrent GPU tasks pinned
+// to p (which must be attached to the session's task manager, as
+// workflow.NewRunner does) whose modelled duration comes from the training
+// performance model, and tells the observed objective back. It returns the
+// study for inspection. On an auto-advancing virtual clock the caller must
+// be registered with the clock (see core.TaskManager.Wait).
 func RunHPOCampaign(ctx context.Context, sess *core.Session, p *pilot.Pilot, cfg HPOCampaignConfig) (*hpo.Study, error) {
 	cfg.defaults()
 	src := sess.RNG().Derive("hpo-campaign")
@@ -589,34 +579,32 @@ func RunHPOCampaign(ctx context.Context, sess *core.Session, p *pilot.Pilot, cfg
 		return nil, err
 	}
 	for round := 0; round < cfg.Rounds; round++ {
-		type running struct {
-			trial hpo.Trial
-			task  *pilot.Task
-		}
-		var batch []running
-		for i := 0; i < cfg.TrialsPerRound; i++ {
-			trial := study.Ask()
-			job := training.ViTBase(cfg.TrainSamples, int(trial.Params["batch"]), cfg.TrainEpochs, 1)
+		trials := make([]hpo.Trial, cfg.TrialsPerRound)
+		descs := make([]spec.TaskDescription, cfg.TrialsPerRound)
+		for i := range trials {
+			trials[i] = study.Ask()
+			job := training.ViTBase(cfg.TrainSamples, int(trials[i].Params["batch"]), cfg.TrainEpochs, 1)
 			dur, err := job.Duration()
 			if err != nil {
 				return nil, err
 			}
-			task, err := p.SubmitTask(ctx, spec.TaskDescription{
-				Name:     fmt.Sprintf("hpo-r%d-t%d", round, trial.ID),
+			descs[i] = spec.TaskDescription{
+				Name:     fmt.Sprintf("hpo-r%d-t%d", round, trials[i].ID),
 				GPUs:     1,
 				Duration: dur,
-			})
-			if err != nil {
-				return nil, err
+				Pilot:    p.UID(),
 			}
-			batch = append(batch, running{trial: trial, task: task})
 		}
-		for _, r := range batch {
-			if err := p.WaitTasks(ctx, r.task.UID()); err != nil {
-				return nil, err
-			}
-			value := hpoSurrogate(r.trial.Params, src.Derive(fmt.Sprintf("obj-%d", r.trial.ID)))
-			if err := study.Tell(r.trial.ID, value); err != nil {
+		tasks, err := sess.TaskManager().Submit(ctx, descs...)
+		if err == nil {
+			err = sess.TaskManager().Wait(ctx, tasks...)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, trial := range trials {
+			value := hpoSurrogate(trial.Params, src.Derive(fmt.Sprintf("obj-%d", trial.ID)))
+			if err := study.Tell(trial.ID, value); err != nil {
 				return nil, err
 			}
 		}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pilot"
+	"repro/internal/simtime"
 	"repro/internal/spec"
 )
 
@@ -58,58 +59,56 @@ type Pipeline struct {
 
 // Validate checks name uniqueness, dependency resolution and acyclicity.
 func (p *Pipeline) Validate() error {
+	_, err := p.dependents()
+	return err
+}
+
+// dependents validates the pipeline and returns, per stage index, the
+// indexes of the stages that depend on it.
+func (p *Pipeline) dependents() ([][]int, error) {
 	if p.Name == "" {
-		return errors.New("workflow: unnamed pipeline")
+		return nil, errors.New("workflow: unnamed pipeline")
 	}
-	byName := make(map[string]*Stage, len(p.Stages))
-	for _, st := range p.Stages {
+	index := make(map[string]int, len(p.Stages))
+	for i, st := range p.Stages {
 		if st.Name == "" {
-			return fmt.Errorf("workflow: %s: unnamed stage", p.Name)
+			return nil, fmt.Errorf("workflow: %s: unnamed stage", p.Name)
 		}
-		if _, dup := byName[st.Name]; dup {
-			return fmt.Errorf("workflow: %s: duplicate stage %q", p.Name, st.Name)
+		if _, dup := index[st.Name]; dup {
+			return nil, fmt.Errorf("workflow: %s: duplicate stage %q", p.Name, st.Name)
 		}
-		byName[st.Name] = st
+		index[st.Name] = i
 	}
-	for _, st := range p.Stages {
+	next := make([][]int, len(p.Stages))
+	indeg := make([]int, len(p.Stages))
+	for i, st := range p.Stages {
 		for _, dep := range st.After {
-			if _, ok := byName[dep]; !ok {
-				return fmt.Errorf("workflow: %s: stage %q depends on unknown %q", p.Name, st.Name, dep)
+			j, ok := index[dep]
+			if !ok {
+				return nil, fmt.Errorf("workflow: %s: stage %q depends on unknown %q", p.Name, st.Name, dep)
 			}
+			next[j] = append(next[j], i)
+			indeg[i]++
 		}
 	}
 	// cycle detection: Kahn's algorithm
-	indeg := make(map[string]int, len(p.Stages))
-	next := make(map[string][]string)
-	for _, st := range p.Stages {
-		indeg[st.Name] += 0
-		for _, dep := range st.After {
-			indeg[st.Name]++
-			next[dep] = append(next[dep], st.Name)
-		}
-	}
-	var queue []string
-	for name, d := range indeg {
+	var queue []int
+	for i, d := range indeg {
 		if d == 0 {
-			queue = append(queue, name)
+			queue = append(queue, i)
 		}
 	}
-	seen := 0
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, m := range next[n] {
-			indeg[m]--
-			if indeg[m] == 0 {
+	for k := 0; k < len(queue); k++ {
+		for _, m := range next[queue[k]] {
+			if indeg[m]--; indeg[m] == 0 {
 				queue = append(queue, m)
 			}
 		}
 	}
-	if seen != len(p.Stages) {
-		return fmt.Errorf("workflow: %s: dependency cycle", p.Name)
+	if len(queue) != len(p.Stages) {
+		return nil, fmt.Errorf("workflow: %s: dependency cycle", p.Name)
 	}
-	return nil
+	return next, nil
 }
 
 // StageReport records one stage's execution.
@@ -148,8 +147,8 @@ func (r *Report) StageReport(name string) (StageReport, bool) {
 
 // Runner executes pipelines on a session.
 type Runner struct {
-	sess   *core.Session
-	pilots []*pilot.Pilot
+	sess *core.Session
+	run  simtime.Runners // the clock's runnability accounting, nil off the virtual clock
 }
 
 // NewRunner builds a Runner submitting to the given pilots through the
@@ -162,99 +161,122 @@ func NewRunner(sess *core.Session, pilots ...*pilot.Pilot) (*Runner, error) {
 		sess.TaskManager().AddPilot(p)
 		sess.ServiceManager().AddPilot(p)
 	}
-	return &Runner{sess: sess, pilots: pilots}, nil
+	return &Runner{sess: sess, run: simtime.RunnersOf(sess.Clock())}, nil
 }
 
 // Run executes the pipeline DAG. Independent stages run concurrently; a
 // stage failure fails its dependents transitively but lets independent
 // branches finish. Services started by the pipeline are terminated at
-// pipeline end unless their description marks them Persistent.
+// pipeline end unless their description marks them Persistent. The report
+// lists the stages in pipeline order.
+//
+// A stage starts on its own goroutine once its last dependency finished. On
+// an auto-advancing virtual clock Run's caller must be registered with the
+// clock; so is each stage goroutine, and every wait on something other than
+// the clock is bracketed Block/Unblock, a Pre or Post hook's by the hook.
+// Task waits (TaskManager.Wait) and Run's own are woken with their runner
+// token, so their stamps are exact; a wait for service readiness is exact
+// only while nothing else sleeps on the clock. Stages ready at one instant
+// start in the Go scheduler's order, so they replay exactly only if they
+// draw on no shared source in the same instant.
 func (r *Runner) Run(ctx context.Context, p *Pipeline) (*Report, error) {
-	if err := p.Validate(); err != nil {
+	next, err := p.dependents()
+	if err != nil {
 		return nil, err
 	}
 	clock := r.sess.Clock()
 	report := &Report{Pipeline: p.Name, Started: clock.Now()}
 
-	type stageState struct {
-		stage *Stage
-		done  chan struct{}
-		err   error
+	// waiting counts a stage's unfinished dependencies, failed holds the
+	// error of a failed one
+	waiting := make([]int, len(p.Stages))
+	failed := make([]error, len(p.Stages))
+	for i, s := range p.Stages {
+		waiting[i] = len(s.After)
 	}
-	st := make(map[string]*stageState, len(p.Stages))
-	for _, s := range p.Stages {
-		st[s.Name] = &stageState{stage: s, done: make(chan struct{})}
-	}
-
-	type startedSvc struct {
-		inst *core.Service
-		keep bool
-	}
-	var started []startedSvc
-	var startedMu sync.Mutex
-
-	var wg sync.WaitGroup
-	var repMu sync.Mutex
-	for _, s := range p.Stages {
-		s := s
-		wg.Add(1)
+	report.Stages = make([]StageReport, len(p.Stages))
+	svcs := make([][]*core.Service, len(p.Stages)) // started per stage
+	var (
+		mu        sync.Mutex // guards waiting, failed and remaining
+		remaining = len(p.Stages)
+		finished  = make(chan struct{})
+	)
+	var start func(i int)
+	start = func(i int) {
+		if r.run != nil {
+			r.run.AddRunner()
+		}
 		go func() {
-			defer wg.Done()
-			state := st[s.Name]
-			defer close(state.done)
-
-			// wait for dependencies
-			for _, dep := range s.After {
-				depState := st[dep]
-				select {
-				case <-depState.done:
-					if depState.err != nil {
-						state.err = fmt.Errorf("workflow: stage %s: dependency %s failed: %w", s.Name, dep, depState.err)
-						repMu.Lock()
-						report.Stages = append(report.Stages, StageReport{Stage: s.Name, Err: state.err})
-						repMu.Unlock()
-						return
-					}
-				case <-ctx.Done():
-					state.err = ctx.Err()
-					return
+			if r.run != nil {
+				defer r.run.DoneRunner()
+			}
+			s, rep := p.Stages[i], &report.Stages[i]
+			*rep = StageReport{Stage: s.Name, Err: failed[i]}
+			if rep.Err == nil {
+				rep.Err = ctx.Err()
+			}
+			if rep.Err == nil {
+				rep.Started = clock.Now()
+				rep.Err = r.runStage(ctx, s, rep, &svcs[i])
+				rep.Finished = clock.Now()
+			}
+			var ready []int
+			mu.Lock()
+			for _, n := range next[i] {
+				if rep.Err != nil && failed[n] == nil {
+					failed[n] = fmt.Errorf("workflow: stage %s: dependency %s failed: %w", p.Stages[n].Name, s.Name, rep.Err)
+				}
+				if waiting[n]--; waiting[n] == 0 {
+					ready = append(ready, n)
 				}
 			}
-
-			rep := StageReport{Stage: s.Name, Started: clock.Now()}
-			state.err = r.runStage(ctx, s, &rep, func(inst *core.Service) {
-				startedMu.Lock()
-				started = append(started, startedSvc{inst: inst, keep: s.KeepServices})
-				startedMu.Unlock()
-			})
-			rep.Err = state.err
-			rep.Finished = clock.Now()
-			repMu.Lock()
-			report.Stages = append(report.Stages, rep)
-			repMu.Unlock()
+			remaining--
+			last := remaining == 0
+			mu.Unlock()
+			for _, n := range ready {
+				start(n)
+			}
+			if last {
+				if r.run != nil {
+					r.run.Unblock() // Run's wake token, before the wake
+				}
+				close(finished)
+			}
 		}()
 	}
-	wg.Wait()
+	// roots from the descriptions, not from waiting: a started root
+	// decrements waiting concurrently and starts its dependents itself
+	for i, s := range p.Stages {
+		if len(s.After) == 0 {
+			start(i)
+		}
+	}
+	if len(p.Stages) > 0 {
+		if r.run != nil {
+			r.run.Block()
+		}
+		<-finished
+	}
 	report.Finished = clock.Now()
 
 	// terminate services started by this run, unless their description is
 	// Persistent or their stage asked to keep them
-	for _, sv := range started {
-		if !sv.keep && !sv.inst.Description().Persistent {
-			_ = r.sess.ServiceManager().Terminate(sv.inst.UID(), true)
+	for i, s := range p.Stages {
+		for _, inst := range svcs[i] {
+			if !s.KeepServices && !inst.Description().Persistent {
+				_ = r.sess.ServiceManager().Terminate(inst.UID(), true)
+			}
 		}
 	}
-
-	var firstErr error
-	for _, s := range p.Stages {
-		if err := st[s.Name].err; err != nil && firstErr == nil {
-			firstErr = err
+	for _, st := range report.Stages {
+		if st.Err != nil {
+			return report, st.Err
 		}
 	}
-	return report, firstErr
+	return report, nil
 }
 
-func (r *Runner) runStage(ctx context.Context, s *Stage, rep *StageReport, record func(*core.Service)) error {
+func (r *Runner) runStage(ctx context.Context, s *Stage, rep *StageReport, svcs *[]*core.Service) error {
 	if s.Pre != nil {
 		if err := s.Pre(ctx, r.sess); err != nil {
 			return fmt.Errorf("workflow: stage %s pre-hook: %w", s.Name, err)
@@ -267,11 +289,18 @@ func (r *Runner) runStage(ctx context.Context, s *Stage, rep *StageReport, recor
 		if err != nil {
 			return fmt.Errorf("workflow: stage %s service %s: %w", s.Name, sd.Name, err)
 		}
-		record(inst)
+		*svcs = append(*svcs, inst)
 		svcUIDs = append(svcUIDs, inst.UID())
 	}
 	if len(svcUIDs) > 0 {
-		if err := sm.WaitReady(ctx, svcUIDs...); err != nil {
+		if r.run != nil {
+			r.run.Block() // parked on the services, not on the clock
+		}
+		err := sm.WaitReady(ctx, svcUIDs...)
+		if r.run != nil {
+			r.run.Unblock()
+		}
+		if err != nil {
 			return fmt.Errorf("workflow: stage %s services: %w", s.Name, err)
 		}
 	}

@@ -3,39 +3,62 @@ package workflow
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/pilot"
 	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 )
 
-func newRunner(t *testing.T) (*Runner, *core.Session) {
-	return newRunnerScale(t, 100000)
-}
-
-func newRunnerScale(t *testing.T, scale float64) (*Runner, *core.Session) {
+// newRunner builds a Runner over one pilot per description (by default one
+// 256-core, 16-GPU Delta pilot) on a session on the auto-advancing virtual
+// clock, without boot and launch overheads, so a stage takes exactly what
+// its tasks and hooks take. The test goroutine drives the session, so it is
+// registered with the clock for the whole test: time moves only while it
+// waits in Run.
+func newRunner(t *testing.T, descs ...spec.PilotDescription) (*Runner, *core.Session) {
 	t.Helper()
-	sess, err := core.NewSession(core.SessionConfig{
-		Seed:  5,
-		Clock: simtime.NewScaled(scale, core.DefaultOrigin),
-	})
+	clock := simtime.NewVirtualAuto(core.DefaultOrigin)
+	clock.AddRunner()
+	t.Cleanup(clock.DoneRunner)
+	sess, err := core.NewSession(core.SessionConfig{Seed: 5, Clock: clock, FastBoot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sess.Close)
-	p, err := sess.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Cores: 256, GPUs: 16})
-	if err != nil {
-		t.Fatal(err)
+	if len(descs) == 0 {
+		descs = []spec.PilotDescription{{Platform: "delta", Cores: 256, GPUs: 16}}
 	}
-	r, err := NewRunner(sess, p)
+	var pilots []*pilot.Pilot
+	for _, d := range descs {
+		p, err := sess.PilotManager().Submit(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pilots = append(pilots, p)
+	}
+	r, err := NewRunner(sess, pilots...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r, sess
+}
+
+// timeline renders each stage's start offset and duration, and the
+// pipeline's duration, for exact comparison with the model's values.
+func timeline(rep *Report) string {
+	var b strings.Builder
+	for _, s := range rep.Stages {
+		fmt.Fprintf(&b, "%s +%v %v, ", s.Stage, s.Started.Sub(rep.Started), s.Duration())
+	}
+	fmt.Fprintf(&b, "pipeline %v", rep.Duration())
+	return b.String()
 }
 
 func simTask(name string, d time.Duration) spec.TaskDescription {
@@ -93,8 +116,7 @@ func TestLinearPipelineOrdering(t *testing.T) {
 		{Name: "s2", After: []string{"s1"}, Tasks: []spec.TaskDescription{simTask("t2", time.Second)}, Post: mark("s2")},
 		{Name: "s3", After: []string{"s2"}, Post: mark("s3")},
 	}}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ctx := context.Background()
 	rep, err := r.Run(ctx, p)
 	if err != nil {
 		t.Fatal(err)
@@ -108,27 +130,26 @@ func TestLinearPipelineOrdering(t *testing.T) {
 	if s1, ok := rep.StageReport("s1"); !ok || s1.Tasks != 1 {
 		t.Fatalf("s1 report = %+v", s1)
 	}
+	// each stage starts the instant its dependency finished
+	if got, want := timeline(rep), "s1 +0s 1s, s2 +1s 1s, s3 +2s 0s, pipeline 2s"; got != want {
+		t.Fatalf("timeline %s, want %s", got, want)
+	}
 }
 
 func TestIndependentStagesRunConcurrently(t *testing.T) {
-	// Two independent stages with 60s tasks: pipeline wall time on the sim
-	// clock must be well under the ~120s a serial execution would need.
-	// Moderate scale keeps real orchestration overhead (~ms) from
-	// inflating into significant simulated time.
-	r, sess := newRunnerScale(t, 1000)
+	// Two independent stages with 60 s tasks overlap exactly: each runs from
+	// the pipeline's start, and the pipeline takes what one stage takes.
+	r, _ := newRunner(t)
 	p := &Pipeline{Name: "par", Stages: []*Stage{
 		{Name: "a", Tasks: []spec.TaskDescription{simTask("ta", 60*time.Second)}},
 		{Name: "b", Tasks: []spec.TaskDescription{simTask("tb", 60*time.Second)}},
 	}}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	rep, err := r.Run(ctx, p)
+	rep, err := r.Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = sess
-	if d := rep.Duration(); d > 100*time.Second {
-		t.Fatalf("independent stages took %v sim, want ≈ parallel (<100s)", d)
+	if got, want := timeline(rep), "a +0s 1m0s, b +0s 1m0s, pipeline 1m0s"; got != want {
+		t.Fatalf("timeline %s, want %s", got, want)
 	}
 }
 
@@ -149,8 +170,7 @@ func TestFailurePropagatesToDependents(t *testing.T) {
 			return nil
 		}},
 	}}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ctx := context.Background()
 	_, err := r.Run(ctx, p)
 	if err == nil {
 		t.Fatal("pipeline reported success despite failure")
@@ -178,8 +198,7 @@ func TestStageWithServices(t *testing.T) {
 			},
 		},
 	}}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ctx := context.Background()
 	if _, err := r.Run(ctx, p); err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +223,7 @@ func TestKeepServicesSurvivePipeline(t *testing.T) {
 			}},
 		},
 	}}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ctx := context.Background()
 	if _, err := r.Run(ctx, p); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +254,7 @@ func TestPreHookGate(t *testing.T) {
 	p := &Pipeline{Name: "gated", Stages: []*Stage{
 		{Name: "a", Pre: func(ctx context.Context, s *core.Session) error { return gateErr }},
 	}}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	ctx := context.Background()
 	_, err := r.Run(ctx, p)
 	if !errors.Is(err, gateErr) {
 		t.Fatalf("err = %v", err)
@@ -256,14 +273,13 @@ func TestDiamondDependency(t *testing.T) {
 	p := &Pipeline{Name: "diamond", Stages: []*Stage{
 		{Name: "root"},
 		{Name: "left", After: []string{"root"}, Tasks: []spec.TaskDescription{simTask("l", time.Second)}},
-		{Name: "right", After: []string{"root"}, Tasks: []spec.TaskDescription{simTask("r", time.Second)}},
+		{Name: "right", After: []string{"root"}, Tasks: []spec.TaskDescription{simTask("r", 3*time.Second)}},
 		{Name: "join", After: []string{"left", "right"}, Post: func(ctx context.Context, s *core.Session) error {
 			joined.Add(1)
 			return nil
 		}},
 	}}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	ctx := context.Background()
 	rep, err := r.Run(ctx, p)
 	if err != nil {
 		t.Fatal(err)
@@ -271,12 +287,9 @@ func TestDiamondDependency(t *testing.T) {
 	if joined.Load() != 1 {
 		t.Fatal("join stage did not run exactly once")
 	}
-	// join must start after both branches finished
-	l, _ := rep.StageReport("left")
-	rt, _ := rep.StageReport("right")
-	j, _ := rep.StageReport("join")
-	if j.Started.Before(l.Finished) || j.Started.Before(rt.Finished) {
-		t.Fatal("join started before branches finished")
+	// join starts the instant the later branch finished
+	if got, want := timeline(rep), "root +0s 0s, left +0s 1s, right +0s 3s, join +3s 0s, pipeline 3s"; got != want {
+		t.Fatalf("timeline %s, want %s", got, want)
 	}
 }
 
@@ -284,26 +297,10 @@ func TestDiamondDependency(t *testing.T) {
 // stage naming a pilot sends every one of its tasks there, bypassing the
 // session router, while an unhinted stage follows the router's choice.
 func TestStagePilotRoutingHint(t *testing.T) {
-	sess, err := core.NewSession(core.SessionConfig{
-		Seed:  5,
-		Clock: simtime.NewScaled(100000, core.DefaultOrigin),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sess.Close)
-	p1, err := sess.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Nodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := sess.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Nodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(sess, p1, p2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := spec.PilotDescription{Platform: "delta", Nodes: 2}
+	r, sess := newRunner(t, node, node)
+	// either pilot will do: the hint, not the router, must place every task
+	p2 := sess.PilotManager().List()[1]
 	pl := &Pipeline{Name: "hinted", Stages: []*Stage{{
 		Name:  "pinned",
 		Pilot: p2.UID(),
@@ -311,8 +308,7 @@ func TestStagePilotRoutingHint(t *testing.T) {
 			simTask("a", time.Second), simTask("b", time.Second), simTask("c", time.Second),
 		},
 	}}}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	ctx := context.Background()
 	if _, err := r.Run(ctx, pl); err != nil {
 		t.Fatal(err)
 	}
@@ -326,5 +322,44 @@ func TestStagePilotRoutingHint(t *testing.T) {
 		if d.Pilot != "" {
 			t.Fatalf("stage description mutated: Pilot = %q", d.Pilot)
 		}
+	}
+}
+
+// TestPreHookChannelWaitReplays runs B after A, with B's Pre hook parked on
+// a channel that a clock-registered goroutine closes 5 s after A ends. The
+// hook brackets its wait as Run's doc asks and the closer hands it its
+// runner token before the wake, so every stamp is the model's exact value
+// while an hour-long sleeper is pending.
+func TestPreHookChannelWaitReplays(t *testing.T) {
+	r, sess := newRunner(t)
+	clock := sess.Clock().(*simtime.Virtual)
+	// an unrelated sleeper: a wait whose waker hands back no runner token
+	// lets the clock jump to it
+	clock.Go(func() { clock.Sleep(time.Hour) })
+	open := make(chan struct{})
+	p := &Pipeline{Name: "gated", Stages: []*Stage{
+		{Name: "a", Tasks: []spec.TaskDescription{simTask("ta", 10*time.Second)},
+			Post: func(ctx context.Context, s *core.Session) error {
+				clock.Go(func() {
+					clock.Sleep(5 * time.Second)
+					clock.Unblock() // the hook's wake token, before the wake
+					close(open)
+				})
+				return nil
+			}},
+		{Name: "b", After: []string{"a"}, Tasks: []spec.TaskDescription{simTask("tb", 20*time.Second)},
+			Pre: func(ctx context.Context, s *core.Session) error {
+				clock.Block()
+				<-open
+				return nil
+			}},
+	}}
+	rep, err := r.Run(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// b starts when a finished, then waits 5 s for the gate
+	if got, want := timeline(rep), "a +0s 10s, b +10s 25s, pipeline 35s"; got != want {
+		t.Fatalf("timeline %s, want %s", got, want)
 	}
 }
