@@ -84,6 +84,7 @@ func TestRunRejectsNonsenseBeforeRunning(t *testing.T) {
 		{"-counts", "1,x"},
 		{"-sched", "nosuch"},
 		{"-router", "nosuch"},
+		{"-requests", "-1"},
 		{"-nosuchflag"},
 	} {
 		var ran []string
@@ -107,11 +108,14 @@ func TestRunRejectsNonsenseBeforeRunning(t *testing.T) {
 // TestGoldenSections pins every section whose output is deterministic to its
 // file under testdata: the count tables as the pre-registry binary printed
 // them, and the paper's figures (Exp 1-3), which run on the virtual clock and
-// must read the same at any GOMAXPROCS.
+// must read the same at any GOMAXPROCS. The full Exp 2 sweep (1,024
+// requests per client) is compared once, at the host's GOMAXPROCS; its
+// 64-request sweep carries the check at 1, 2 and 8.
 func TestGoldenSections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs eleven experiments, one of them over agent processes")
 	}
+	anyProcs := map[string]bool{"exp1": true, "exp2-r64": true, "exp3": true}
 	for golden, args := range map[string][]string{
 		"table1":     {"-exp", "table1"},
 		"table2":     {"-exp", "table2"},
@@ -123,6 +127,7 @@ func TestGoldenSections(t *testing.T) {
 		"route":      {"-exp", "route"},
 		"exp1":       {"-exp", "1"},
 		"exp2":       {"-exp", "2"},
+		"exp2-r64":   {"-exp", "2", "-requests", "64"},
 		"exp3":       {"-exp", "3"},
 	} {
 		t.Run(golden, func(t *testing.T) {
@@ -139,7 +144,7 @@ func TestGoldenSections(t *testing.T) {
 					t.Fatalf("output differs from testdata/%s.txt\n--- got\n%s--- want\n%s", golden, out.String(), want)
 				}
 			}
-			if !strings.HasPrefix(golden, "exp") {
+			if !anyProcs[golden] {
 				check(t)
 				return
 			}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/llm"
 	"repro/internal/loadbal"
 	"repro/internal/metrics"
@@ -317,23 +316,6 @@ func TestUpdaterObservesServiceLifecycle(t *testing.T) {
 	}
 	if inst.State() != states.ServiceDone {
 		t.Fatalf("state after terminate = %s", inst.State())
-	}
-}
-
-// TestExp1Determinism: a bootstrap measurement on the virtual clock replays
-// exactly for the same seed, every component and the makespan.
-func TestExp1Determinism(t *testing.T) {
-	run := func() experiments.BTRow {
-		res, err := experiments.RunBT(context.Background(), experiments.BTConfig{
-			Counts: []int{4}, Model: "llama-8b", Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Rows[0]
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("bootstrap rows differ between runs:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/rng"
 )
@@ -319,15 +318,4 @@ func FitDoseResponse(points []DosePoint) (DoseResponse, error) {
 		r2 = 1 - ssRes/ssTot
 	}
 	return DoseResponse{Slope: slope, Intercept: intercept, R2: r2}, nil
-}
-
-// FormatVCF renders variants as minimal VCF text (for staging payloads
-// and debugging).
-func FormatVCF(variants []Variant) string {
-	var sb strings.Builder
-	sb.WriteString("##fileformat=VCFv4.2\n#CHROM\tPOS\tID\tREF\tALT\tQUAL\n")
-	for _, v := range variants {
-		fmt.Fprintf(&sb, "%s\t%d\t.\t%s\t%s\t%.1f\n", v.Chrom, v.Pos, v.Ref, v.Alt, v.Qual)
-	}
-	return sb.String()
 }

@@ -215,16 +215,6 @@ func TestFitDoseResponseProperty(t *testing.T) {
 	}
 }
 
-func TestFormatVCF(t *testing.T) {
-	out := FormatVCF(GenerateVCF(rng.New(7), 3, 0))
-	if !strings.HasPrefix(out, "##fileformat=VCFv4.2\n") {
-		t.Fatalf("missing header: %q", out[:40])
-	}
-	if got := strings.Count(out, "\n"); got != 5 { // 2 header + 3 records
-		t.Fatalf("lines = %d", got)
-	}
-}
-
 func TestSyntheticPathwaysShape(t *testing.T) {
 	m := NewGeneModel(500)
 	pws := SyntheticPathways(m, rng.New(8), 10, 15)

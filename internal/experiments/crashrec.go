@@ -15,6 +15,7 @@ package experiments
 // points fire on specific journal record kinds.
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -31,53 +32,28 @@ import (
 	"repro/internal/states"
 )
 
-// Fault points of the crash-recovery ablation.
+// Fault points of the crash-recovery ablation, in the order it drives them.
 const (
-	// FaultMidTransition kills the client while a task state transition is
+	// faultMidTransition kills the client while a task state transition is
 	// being appended: the record is torn in half, the canonical artifact
 	// of a crash mid-write.
-	FaultMidTransition = "mid-transition"
-	// FaultMidPublish kills the client while a service endpoint
+	faultMidTransition = "mid-transition"
+	// faultMidPublish kills the client while a service endpoint
 	// publication is being appended: the record is lost entirely.
-	FaultMidPublish = "mid-publish"
-	// FaultMidFailover kills the client while a failover is in flight:
+	faultMidPublish = "mid-publish"
+	// faultMidFailover kills the client while a failover is in flight:
 	// the hosting pilot died, and the suspend record of the re-placement
 	// never reaches the journal.
-	FaultMidFailover = "mid-failover"
+	faultMidFailover = "mid-failover"
 )
 
-// CrashRecConfig parameterizes the crash-recovery ablation.
-type CrashRecConfig struct {
-	// Tasks is the number of long-running tasks in flight at the crash
-	// (default 6).
-	Tasks int
-	// FaultPoints lists the fault points driven (default: all three).
-	FaultPoints []string
-	// Seed drives determinism.
-	Seed uint64
-}
+const (
+	crashRecTasks = 6 // long-running tasks in flight at the crash
+	crashRecSeed  = 27
+)
 
-// DefaultCrashRecConfig returns the figure-scale parameterization.
-func DefaultCrashRecConfig() CrashRecConfig { return CrashRecConfig{}.withDefaults() }
-
-func (c CrashRecConfig) withDefaults() CrashRecConfig {
-	if c.Tasks <= 0 {
-		c.Tasks = 6
-	}
-	if len(c.FaultPoints) == 0 {
-		c.FaultPoints = []string{FaultMidTransition, FaultMidPublish, FaultMidFailover}
-	}
-	if c.Seed == 0 {
-		c.Seed = 27
-	}
-	return c
-}
-
-// CrashRecRow is one (fault point, journal mode) outcome.
-type CrashRecRow struct {
-	FaultPoint string
-	Journaled  bool
-
+// crashRecRow is one (fault point, journal mode) outcome.
+type crashRecRow struct {
 	// TasksInFlight is the pre-crash task count (the mid-transition point
 	// adds its trigger task).
 	TasksInFlight int
@@ -102,36 +78,48 @@ type CrashRecRow struct {
 	TasksCompleted int
 }
 
-// CrashRecResult is the ablation dataset.
-type CrashRecResult struct {
-	Cfg  CrashRecConfig
-	Rows []CrashRecRow
-}
-
-// RunCrashRec executes the crash-recovery ablation: each fault point once
+// runCrashRec executes the crash-recovery ablation: each fault point once
 // with the write-ahead journal and once without.
-func RunCrashRec(ctx context.Context, cfg CrashRecConfig) (*CrashRecResult, error) {
-	cfg = cfg.withDefaults()
-	res := &CrashRecResult{Cfg: cfg}
-	for _, point := range cfg.FaultPoints {
+func runCrashRec(ctx context.Context, o Options) ([]metrics.Table, error) {
+	seed := cmp.Or(o.Seed, crashRecSeed)
+	t := metrics.Table{
+		Title: fmt.Sprintf(
+			"Crash-recovery ablation — client killed at three fault points, %d tasks + services across 2 pilots (journal vs none)",
+			crashRecTasks),
+		Header: []string{"fault point", "journal", "recovered", "incarnation", "torn tail",
+			"pilots alive/lost", "tasks reattach/reroute/settle", "svcs reattach/replace/settle", "tasks completed"},
+	}
+	for _, point := range []string{faultMidTransition, faultMidPublish, faultMidFailover} {
 		for _, journaled := range []bool{true, false} {
-			row, err := runCrashRecPoint(ctx, cfg, point, journaled)
+			row, err := crashRecPoint(ctx, seed, point, journaled)
 			if err != nil {
-				return res, fmt.Errorf("experiments: crashrec %s (journal=%v): %w", point, journaled, err)
+				return nil, fmt.Errorf("experiments: crashrec %s (journal=%v): %w", point, journaled, err)
 			}
-			res.Rows = append(res.Rows, row)
+			mode, rec := "none", "lost"
+			if journaled {
+				mode = "wal"
+			}
+			if row.Recovered {
+				rec = "yes"
+			}
+			t.AddRow(point, mode, rec,
+				fmt.Sprint(row.Incarnation),
+				fmt.Sprint(row.TornTail),
+				fmt.Sprintf("%d/%d", row.PilotsAlive, row.PilotsLost),
+				fmt.Sprintf("%d/%d/%d", row.TasksReattached, row.TasksRerouted, row.TasksSettled),
+				fmt.Sprintf("%d/%d/%d", row.ServicesReattached, row.ServicesReplaced, row.ServicesSettled),
+				fmt.Sprintf("%d/%d", row.TasksCompleted, row.TasksInFlight))
 		}
 	}
-	return res, nil
+	return []metrics.Table{t}, nil
 }
 
-// runCrashRecPoint drives one scenario: two half-platform delta pilots,
+// crashRecPoint drives one scenario: two half-platform delta pilots,
 // one unpinned service (round-robin lands it on the first pilot),
-// cfg.Tasks long tasks, then the fault. Task placement is pinned to the
+// crashRecTasks long tasks, then the fault. Task placement is pinned to the
 // second pilot for the mid-failover point (whose first pilot dies), and
 // left to the deterministic round-robin dispatch otherwise.
-func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, journaled bool) (row CrashRecRow, err error) {
-	row = CrashRecRow{FaultPoint: point, Journaled: journaled}
+func crashRecPoint(ctx context.Context, seed uint64, point string, journaled bool) (row crashRecRow, err error) {
 	dir, err := os.MkdirTemp("", "crashrec")
 	if err != nil {
 		return row, err
@@ -139,7 +127,7 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 	defer os.RemoveAll(dir)
 	jp := filepath.Join(dir, "session.wal")
 
-	scfg := core.SessionConfig{Seed: cfg.Seed, FastBoot: true}
+	scfg := core.SessionConfig{Seed: seed, FastBoot: true}
 	if journaled {
 		scfg.JournalPath = jp
 		scfg.JournalFlushEvery = time.Minute
@@ -156,10 +144,10 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 		}
 
 		long := rng.ConstDuration(4 * time.Hour)
-		descs := make([]spec.TaskDescription, cfg.Tasks)
+		descs := make([]spec.TaskDescription, crashRecTasks)
 		for i := range descs {
 			descs[i] = spec.TaskDescription{Name: fmt.Sprintf("work-%d", i), Cores: 1, Duration: long}
-			if point == FaultMidFailover {
+			if point == faultMidFailover {
 				// The first pilot dies at this fault point; pinning the fleet
 				// to the survivor keeps the reattach count exact instead of
 				// racing the old session's own re-routing against the crash.
@@ -172,7 +160,7 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 		if _, err := tb.submitRunning(ctx, descs...); err != nil {
 			return err
 		}
-		row.TasksInFlight = cfg.Tasks
+		row.TasksInFlight = crashRecTasks
 
 		// Arm the fault and trigger it.
 		crashed := make(chan struct{})
@@ -188,15 +176,15 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 					return journal.NoCrash
 				}
 				switch point {
-				case FaultMidTransition:
+				case faultMidTransition:
 					if rec.Kind == journal.KindTransition {
 						return journal.CrashTorn
 					}
-				case FaultMidPublish:
+				case faultMidPublish:
 					if rec.Kind == journal.KindEndpoint && endpointOp(rec) == journal.OpPublish {
 						return journal.CrashLost
 					}
-				case FaultMidFailover:
+				case faultMidFailover:
 					if rec.Kind == journal.KindEndpoint && endpointOp(rec) == journal.OpSuspend {
 						return journal.CrashLost
 					}
@@ -208,7 +196,7 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 
 		var trigger *core.Service
 		switch point {
-		case FaultMidTransition:
+		case faultMidTransition:
 			// The trigger task's first state transition is the crash record.
 			if _, err := sess.TaskManager().Submit(ctx, spec.TaskDescription{
 				Name: "trigger", Cores: 1, Duration: long,
@@ -216,12 +204,12 @@ func runCrashRecPoint(ctx context.Context, cfg CrashRecConfig, point string, jou
 				return err
 			}
 			row.TasksInFlight++
-		case FaultMidPublish:
+		case faultMidPublish:
 			// A second service's bootstrap publication is the crash record.
 			if trigger, err = sess.ServiceManager().Submit(hostedService("svc2", "noop")); err != nil {
 				return err
 			}
-		case FaultMidFailover:
+		case faultMidFailover:
 			// Kill the service host: the failover's suspend is the crash record.
 			if err := pilots[0].Shutdown(); err != nil {
 				return err
@@ -291,33 +279,4 @@ func endpointOp(rec journal.Record) string {
 		return ""
 	}
 	return b.Op
-}
-
-// Table renders the crash-recovery ablation.
-func (r *CrashRecResult) Table() metrics.Table {
-	t := metrics.Table{
-		Title: fmt.Sprintf(
-			"Crash-recovery ablation — client killed at three fault points, %d tasks + services across 2 pilots (journal vs none)",
-			r.Cfg.Tasks),
-		Header: []string{"fault point", "journal", "recovered", "incarnation", "torn tail",
-			"pilots alive/lost", "tasks reattach/reroute/settle", "svcs reattach/replace/settle", "tasks completed"},
-	}
-	for _, row := range r.Rows {
-		mode := "none"
-		if row.Journaled {
-			mode = "wal"
-		}
-		rec := "lost"
-		if row.Recovered {
-			rec = "yes"
-		}
-		t.AddRow(row.FaultPoint, mode, rec,
-			fmt.Sprintf("%d", row.Incarnation),
-			fmt.Sprintf("%v", row.TornTail),
-			fmt.Sprintf("%d/%d", row.PilotsAlive, row.PilotsLost),
-			fmt.Sprintf("%d/%d/%d", row.TasksReattached, row.TasksRerouted, row.TasksSettled),
-			fmt.Sprintf("%d/%d/%d", row.ServicesReattached, row.ServicesReplaced, row.ServicesSettled),
-			fmt.Sprintf("%d/%d", row.TasksCompleted, row.TasksInFlight))
-	}
-	return t
 }

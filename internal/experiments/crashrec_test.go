@@ -5,119 +5,64 @@ import (
 	"testing"
 )
 
-// findCrashRecRow pulls one (point, journaled) row out of the result.
-func findCrashRecRow(t *testing.T, res *CrashRecResult, point string, journaled bool) CrashRecRow {
-	t.Helper()
-	for _, row := range res.Rows {
-		if row.FaultPoint == point && row.Journaled == journaled {
-			return row
-		}
-	}
-	t.Fatalf("no row for fault point %q journaled=%v", point, journaled)
-	return CrashRecRow{}
-}
-
-// TestCrashRecExactCounts drives the full ablation and pins every cell:
-// placements are deterministic (round-robin or pinned), fault points fire
-// on specific record kinds, so each row's recovery accounting is exact —
-// no >=1 hedging.
+// TestCrashRecExactCounts drives every (fault point, journal mode) point of
+// the ablation and pins every count: placements are deterministic
+// (round-robin or pinned), fault points fire on specific record kinds, so
+// each row's recovery accounting is exact — no >=1 hedging.
 func TestCrashRecExactCounts(t *testing.T) {
-	cfg := DefaultCrashRecConfig()
-	res, err := RunCrashRec(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("RunCrashRec: %v", err)
-	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6 (3 fault points x journal on/off)", len(res.Rows))
+	ctx := context.Background()
+	point := func(fault string, journaled bool) crashRecRow {
+		t.Helper()
+		row, err := crashRecPoint(ctx, crashRecSeed, fault, journaled)
+		if err != nil {
+			t.Fatalf("%s (journal=%v): %v", fault, journaled, err)
+		}
+		return row
 	}
 
 	// Mid-transition: the trigger task's first state transition is torn in
 	// half. Replay tolerates the torn tail, the task restarts from its
 	// journaled description, and everything reattaches to the two live
 	// pilots.
-	row := findCrashRecRow(t, res, FaultMidTransition, true)
-	if !row.Recovered || row.Incarnation != 2 {
-		t.Fatalf("mid-transition: recovered=%v incarnation=%d, want true/2", row.Recovered, row.Incarnation)
+	want := crashRecRow{
+		TasksInFlight: crashRecTasks + 1, Recovered: true, Incarnation: 2, TornTail: true,
+		PilotsAlive: 2, TasksReattached: crashRecTasks + 1, ServicesReattached: 1,
+		TasksCompleted: crashRecTasks + 1,
 	}
-	if !row.TornTail {
-		t.Fatalf("mid-transition: torn tail not detected")
-	}
-	if row.PilotsAlive != 2 || row.PilotsLost != 0 {
-		t.Fatalf("mid-transition: pilots alive/lost = %d/%d, want 2/0", row.PilotsAlive, row.PilotsLost)
-	}
-	if row.TasksReattached != cfg.Tasks+1 || row.TasksRerouted != 0 || row.TasksSettled != 0 {
-		t.Fatalf("mid-transition: tasks reattach/reroute/settle = %d/%d/%d, want %d/0/0",
-			row.TasksReattached, row.TasksRerouted, row.TasksSettled, cfg.Tasks+1)
-	}
-	if row.ServicesReattached != 1 || row.ServicesReplaced != 0 || row.ServicesSettled != 0 {
-		t.Fatalf("mid-transition: svcs reattach/replace/settle = %d/%d/%d, want 1/0/0",
-			row.ServicesReattached, row.ServicesReplaced, row.ServicesSettled)
-	}
-	if row.TasksCompleted != cfg.Tasks+1 {
-		t.Fatalf("mid-transition: completed %d/%d tasks after recovery", row.TasksCompleted, cfg.Tasks+1)
+	if row := point(faultMidTransition, true); row != want {
+		t.Errorf("mid-transition: %+v, want %+v", row, want)
 	}
 
 	// Mid-publish: the second service's endpoint publication is lost
 	// entirely (clean tail). Recovery reattaches it and re-mirrors the
 	// endpoint under the new incarnation.
-	row = findCrashRecRow(t, res, FaultMidPublish, true)
-	if !row.Recovered || row.Incarnation != 2 {
-		t.Fatalf("mid-publish: recovered=%v incarnation=%d, want true/2", row.Recovered, row.Incarnation)
+	want = crashRecRow{
+		TasksInFlight: crashRecTasks, Recovered: true, Incarnation: 2,
+		PilotsAlive: 2, TasksReattached: crashRecTasks, ServicesReattached: 2,
+		TasksCompleted: crashRecTasks,
 	}
-	if row.TornTail {
-		t.Fatalf("mid-publish: lost record misread as torn tail")
-	}
-	if row.PilotsAlive != 2 || row.PilotsLost != 0 {
-		t.Fatalf("mid-publish: pilots alive/lost = %d/%d, want 2/0", row.PilotsAlive, row.PilotsLost)
-	}
-	if row.TasksReattached != cfg.Tasks || row.TasksRerouted != 0 || row.TasksSettled != 0 {
-		t.Fatalf("mid-publish: tasks reattach/reroute/settle = %d/%d/%d, want %d/0/0",
-			row.TasksReattached, row.TasksRerouted, row.TasksSettled, cfg.Tasks)
-	}
-	if row.ServicesReattached != 2 || row.ServicesReplaced != 0 || row.ServicesSettled != 0 {
-		t.Fatalf("mid-publish: svcs reattach/replace/settle = %d/%d/%d, want 2/0/0",
-			row.ServicesReattached, row.ServicesReplaced, row.ServicesSettled)
-	}
-	if row.TasksCompleted != cfg.Tasks {
-		t.Fatalf("mid-publish: completed %d/%d tasks after recovery", row.TasksCompleted, cfg.Tasks)
+	if row := point(faultMidPublish, true); row != want {
+		t.Errorf("mid-publish: %+v, want %+v", row, want)
 	}
 
 	// Mid-failover: the service host dies and the crash eats the suspend
 	// record. Recovery sees a live-state service bound to a dead pilot and
 	// finishes the re-placement the old session never got to.
-	row = findCrashRecRow(t, res, FaultMidFailover, true)
-	if !row.Recovered || row.Incarnation != 2 {
-		t.Fatalf("mid-failover: recovered=%v incarnation=%d, want true/2", row.Recovered, row.Incarnation)
+	want = crashRecRow{
+		TasksInFlight: crashRecTasks, Recovered: true, Incarnation: 2,
+		PilotsAlive: 1, PilotsLost: 1, TasksReattached: crashRecTasks, ServicesReplaced: 1,
+		TasksCompleted: crashRecTasks,
 	}
-	if row.PilotsAlive != 1 || row.PilotsLost != 1 {
-		t.Fatalf("mid-failover: pilots alive/lost = %d/%d, want 1/1", row.PilotsAlive, row.PilotsLost)
-	}
-	if row.TasksReattached != cfg.Tasks || row.TasksRerouted != 0 || row.TasksSettled != 0 {
-		t.Fatalf("mid-failover: tasks reattach/reroute/settle = %d/%d/%d, want %d/0/0",
-			row.TasksReattached, row.TasksRerouted, row.TasksSettled, cfg.Tasks)
-	}
-	if row.ServicesReattached != 0 || row.ServicesReplaced != 1 || row.ServicesSettled != 0 {
-		t.Fatalf("mid-failover: svcs reattach/replace/settle = %d/%d/%d, want 0/1/0",
-			row.ServicesReattached, row.ServicesReplaced, row.ServicesSettled)
-	}
-	if row.TasksCompleted != cfg.Tasks {
-		t.Fatalf("mid-failover: completed %d/%d tasks after recovery", row.TasksCompleted, cfg.Tasks)
+	if row := point(faultMidFailover, true); row != want {
+		t.Errorf("mid-failover: %+v, want %+v", row, want)
 	}
 
 	// The journal-less contrast loses everything, at every fault point.
-	for _, point := range cfg.FaultPoints {
-		row := findCrashRecRow(t, res, point, false)
-		if row.Recovered || row.Incarnation != 0 {
-			t.Fatalf("%s journal-less: recovered=%v incarnation=%d, want false/0", point, row.Recovered, row.Incarnation)
+	for _, fault := range []string{faultMidTransition, faultMidPublish, faultMidFailover} {
+		row := point(fault, false)
+		row.TasksInFlight = 0
+		if row != (crashRecRow{}) {
+			t.Errorf("%s journal-less: nonzero recovery accounting %+v", fault, row)
 		}
-		if row.PilotsAlive+row.PilotsLost+row.TasksReattached+row.TasksRerouted+row.TasksSettled+
-			row.ServicesReattached+row.ServicesReplaced+row.ServicesSettled+row.TasksCompleted != 0 {
-			t.Fatalf("%s journal-less: nonzero recovery accounting %+v", point, row)
-		}
-	}
-
-	tbl := res.Table()
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("table rows = %d, want 6", len(tbl.Rows))
 	}
 }

@@ -3,15 +3,19 @@
 // Experiment 2 (Figs. 4/5, NOOP response time, local and remote, strong
 // and weak scaling on Delta/R3) and Experiment 3 (Fig. 6, llama-8b
 // inference time, local and remote). It also renders the paper's Table I
-// (use cases) and Table II (experiment setup).
+// (use cases) and Table II (experiment setup), and runs the ablations
+// added since.
 //
-// Every in-process point runs on its own auto-advancing virtual clock
+// Its one door is Registry: each entry reads Options, fills what they leave
+// zero from the experiment's constants and returns its tables. Every
+// in-process point runs on its own auto-advancing virtual clock
 // (runTestbed): bootstrap components of tens of seconds and sub-millisecond
 // NOOP round trips are both what the runtime's models say they are, and a
 // figure reads the same on every host and every run.
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -25,121 +29,96 @@ import (
 	"repro/internal/spec"
 )
 
-// Deployment selects where the model services run relative to the client
+// deployment selects where the model services run relative to the client
 // tasks.
-type Deployment string
+type deployment string
 
-// Deployments.
 const (
-	DeployLocal  Deployment = "local"  // services on the same platform (Delta)
-	DeployRemote Deployment = "remote" // services on R3, clients on Delta
+	deployLocal  deployment = "local"  // services on the same platform (Delta)
+	deployRemote deployment = "remote" // services on R3, clients on Delta
 )
 
-// Scaling selects the sweep mode.
-type Scaling string
+// scaling selects the sweep mode (paper §IV-C): strong keeps 16 clients and
+// grows services; weak grows both together.
+type scaling string
 
-// Scaling modes (paper §IV-C): strong keeps 16 clients and grows services;
-// weak grows both together.
 const (
-	ScalingStrong Scaling = "strong"
-	ScalingWeak   Scaling = "weak"
+	scalingStrong scaling = "strong"
+	scalingWeak   scaling = "weak"
 )
 
-// StrongPairs are the paper's strong-scaling client/service pairs.
-func StrongPairs() [][2]int {
+// pairs returns the paper's (clients, services) sweep points.
+func (s scaling) pairs() [][2]int {
+	if s == scalingWeak {
+		return [][2]int{{1, 1}, {2, 2}, {4, 4}, {8, 8}, {16, 16}}
+	}
 	return [][2]int{{16, 1}, {16, 2}, {16, 4}, {16, 8}, {16, 16}}
-}
-
-// WeakPairs are the paper's weak-scaling client/service pairs.
-func WeakPairs() [][2]int {
-	return [][2]int{{1, 1}, {2, 2}, {4, 4}, {8, 8}, {16, 16}}
 }
 
 // --- Experiment 1: bootstrap time -------------------------------------------
 
-// BTConfig parameterizes Experiment 1.
-type BTConfig struct {
-	// Counts are the concurrent service-instance counts; the paper uses
-	// 1..640 on Frontier.
-	Counts []int
-	// Model is the hosted model (paper: llama-8b via ollama).
-	Model string
-	// Seed drives determinism.
-	Seed uint64
-	// Partition, when positive, bootstraps services in waves of at most
-	// Partition concurrent launches — the paper's §IV-B mitigation for the
-	// post-160 launch penalty ("we will utilize both resource partitioning
-	// and asynchronous execution"). Zero launches everything at once.
-	Partition int
-	// SchedPolicy selects the pilot scheduler's placement policy
-	// ("strict", "backfill", "best-fit"; empty = strict).
-	SchedPolicy string
-	// Router selects the session's task routing strategy ("round-robin",
-	// "least-loaded", "capacity-fit"; empty = round-robin).
-	Router string
+// exp1Counts are the paper's concurrent service-instance counts on Frontier.
+var exp1Counts = []int{1, 2, 4, 8, 20, 40, 80, 160, 320, 640}
+
+const (
+	exp1Model = "llama-8b" // the paper hosts it via ollama
+	exp1Seed  = 1
+)
+
+// runExp1 executes Experiment 1: for each instance count N it boots a fresh
+// Frontier pilot, submits N one-GPU llama services concurrently, waits for
+// all to become ACTIVE, and reports the per-instance launch/init/publish
+// bootstrap components.
+func runExp1(ctx context.Context, o Options) ([]metrics.Table, error) {
+	counts, err := o.counts()
+	if err != nil {
+		return nil, err
+	}
+	if len(counts) == 0 {
+		counts = exp1Counts
+	}
+	o.Seed = cmp.Or(o.Seed, exp1Seed)
+	t := metrics.Table{
+		Title:  "Experiment 1 / Fig. 3 — Service Bootstrap Time (s), " + exp1Model + " on Frontier",
+		Header: []string{"#instances", "launch", "init", "publish", "total"},
+	}
+	for _, n := range counts {
+		row, err := btPoint(ctx, o, n, 0)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: exp1 N=%d: %w", n, err)
+		}
+		t.AddRow(fmt.Sprint(n),
+			metrics.FmtMeanStd(row.Launch),
+			metrics.FmtMeanStd(row.Init),
+			metrics.FmtMeanStd(row.Publish),
+			metrics.FmtMeanStd(row.Total))
+	}
+	return []metrics.Table{t}, nil
 }
 
-// DefaultBTConfig returns the paper's Exp 1 parameterization.
-func DefaultBTConfig() BTConfig { return BTConfig{}.withDefaults() }
-
-func (c BTConfig) withDefaults() BTConfig {
-	if len(c.Counts) == 0 {
-		c.Counts = []int{1, 2, 4, 8, 20, 40, 80, 160, 320, 640}
-	}
-	if c.Model == "" {
-		c.Model = "llama-8b"
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// BTRow is one point of Fig. 3.
-type BTRow struct {
-	N       int
-	Launch  metrics.Stats
-	Init    metrics.Stats
-	Publish metrics.Stats
-	Total   metrics.Stats
+// btRow is one point of Fig. 3.
+type btRow struct {
+	Launch, Init, Publish, Total metrics.Stats
 	// Wall is the simulated makespan from first submission to last
 	// service ACTIVE — the cost axis of the partitioning trade-off.
 	Wall time.Duration
 }
 
-// BTResult is the Fig. 3 dataset.
-type BTResult struct {
-	Cfg  BTConfig
-	Rows []BTRow
-}
-
-// RunBT executes Experiment 1: for each instance count N it boots a fresh
-// Frontier pilot, submits N one-GPU llama services concurrently, waits for
-// all to become ACTIVE, and records the per-instance launch/init/publish
-// bootstrap components.
-func RunBT(ctx context.Context, cfg BTConfig) (*BTResult, error) {
-	cfg = cfg.withDefaults()
-	res := &BTResult{Cfg: cfg}
-	for _, n := range cfg.Counts {
-		row, err := runBTPoint(ctx, cfg, n)
-		if err != nil {
-			return res, fmt.Errorf("experiments: exp1 N=%d: %w", n, err)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-func runBTPoint(ctx context.Context, cfg BTConfig, n int) (row BTRow, err error) {
+// btPoint bootstraps n services. A positive partition bootstraps them in
+// waves of at most that many concurrent launches — the paper's §IV-B
+// mitigation for the post-160 launch penalty ("we will utilize both
+// resource partitioning and asynchronous execution"); zero launches
+// everything at once.
+func btPoint(ctx context.Context, o Options, n, partition int) (row btRow, err error) {
 	err = runTestbed(core.SessionConfig{
-		Seed:        cfg.Seed + uint64(n),
-		SchedPolicy: cfg.SchedPolicy,
-		Router:      cfg.Router,
+		Seed:        o.Seed + uint64(n),
+		SchedPolicy: o.Sched,
+		Router:      o.Router,
 	}, []spec.PilotDescription{{
 		Platform: "frontier", GPUs: 640, // Table II: 640 GPUs/pilot
 	}}, func(tb *testbed) error {
 		sm := tb.ServiceManager()
-		wave := cfg.Partition
+		wave := partition
 		if wave <= 0 || wave > n {
 			wave = n
 		}
@@ -149,7 +128,7 @@ func runBTPoint(ctx context.Context, cfg BTConfig, n int) (row BTRow, err error)
 			count := min(wave, n-base)
 			batch := make([]string, 0, count)
 			for i := 0; i < count; i++ {
-				inst, err := sm.Submit(hostedService(fmt.Sprintf("llm-%04d", base+i), cfg.Model))
+				inst, err := sm.Submit(hostedService(fmt.Sprintf("llm-%04d", base+i), exp1Model))
 				if err != nil {
 					return err
 				}
@@ -171,7 +150,6 @@ func runBTPoint(ctx context.Context, cfg BTConfig, n int) (row BTRow, err error)
 			coll.AddAll("bt", bt.Components)
 			coll.Add("bt.total", bt.Total())
 		}
-		row.N = n
 		row.Launch, row.Init = coll.Stats("bt.launch"), coll.Stats("bt.init")
 		row.Publish, row.Total = coll.Stats("bt.publish"), coll.Stats("bt.total")
 		return nil
@@ -179,170 +157,115 @@ func runBTPoint(ctx context.Context, cfg BTConfig, n int) (row BTRow, err error)
 	return row, err
 }
 
-// Table renders the Fig. 3 dataset.
-func (r *BTResult) Table() metrics.Table {
-	t := metrics.Table{
-		Title:  "Experiment 1 / Fig. 3 — Service Bootstrap Time (s), " + r.Cfg.Model + " on Frontier",
-		Header: []string{"#instances", "launch", "init", "publish", "total"},
-	}
-	for _, row := range r.Rows {
-		t.AddRow(fmt.Sprintf("%d", row.N),
-			metrics.FmtMeanStd(row.Launch),
-			metrics.FmtMeanStd(row.Init),
-			metrics.FmtMeanStd(row.Publish),
-			metrics.FmtMeanStd(row.Total))
-	}
-	return t
-}
-
 // --- Experiments 2 and 3: response and inference time -----------------------
 
-// RTConfig parameterizes Experiments 2 (NOOP) and 3 (llama-8b).
-type RTConfig struct {
-	// Model: "noop" (Exp 2) or "llama-8b" (Exp 3).
-	Model string
-	// Deploy: local (Delta) or remote (Delta clients → R3 services).
-	Deploy Deployment
-	// Pairs are the (clients, services) sweep points.
-	Pairs [][2]int
-	// RequestsPerClient: the paper uses 1024 for NOOP; inference sweeps
-	// use fewer per point to bound runtime.
-	RequestsPerClient int
-	// MaxTokens bounds generation for inference models.
-	MaxTokens int
-	// Seed drives determinism.
-	Seed uint64
-	// ServiceConcurrency overrides the single-threaded default (ablation).
-	ServiceConcurrency int
-	// SchedPolicy selects the pilot scheduler's placement policy
-	// ("strict", "backfill", "best-fit"; empty = strict).
-	SchedPolicy string
-	// Router selects the session's task routing strategy ("round-robin",
-	// "least-loaded", "capacity-fit"; empty = round-robin).
-	Router string
+// rtExp is what Experiments 2 and 3 differ in: the hosted model and the
+// defaults of its sweep.
+type rtExp struct {
+	model     string
+	requests  int // per client
+	maxTokens int
+	seed      uint64
 }
 
-// DefaultExp2Config returns the paper's Exp 2 parameterization for the
-// given deployment and scaling mode.
-func DefaultExp2Config(deploy Deployment, scaling Scaling) RTConfig {
-	return RTConfig{Model: "noop", Deploy: deploy, Pairs: pairsFor(scaling)}.withDefaults()
-}
+var (
+	// exp2 is the NOOP sweep at the paper's 1024 requests per client.
+	exp2 = rtExp{model: "noop", requests: 1024, seed: 2}
+	// exp3's setup is "identical" to Exp 2, but a 1024-request llama sweep
+	// is hours of simulated compute; the scaling shape is established
+	// within a few requests per client.
+	exp3 = rtExp{model: "llama-8b", requests: 8, maxTokens: 128, seed: 3}
+)
 
-// DefaultExp3Config returns the paper's Exp 3 parameterization.
-func DefaultExp3Config(deploy Deployment, scaling Scaling) RTConfig {
-	return RTConfig{Model: "llama-8b", Deploy: deploy, Pairs: pairsFor(scaling)}.withDefaults()
-}
-
-func pairsFor(scaling Scaling) [][2]int {
-	if scaling == ScalingWeak {
-		return WeakPairs()
-	}
-	return StrongPairs()
-}
-
-// withDefaults fills what is unset from the model's experiment: Exp 2 for
-// noop (the default model), Exp 3 for anything that infers.
-func (c RTConfig) withDefaults() RTConfig {
-	if c.Model == "" {
-		c.Model = "noop"
-	}
-	exp2 := c.Model == "noop"
-	if c.RequestsPerClient <= 0 {
-		// Exp 3's setup is "identical" to Exp 2, but a 1024-request llama
-		// sweep is hours of simulated compute; the scaling shape is
-		// established within a few requests per client.
-		c.RequestsPerClient = 8
-		if exp2 {
-			c.RequestsPerClient = 1024
-		}
-	}
-	if c.MaxTokens <= 0 && !exp2 {
-		c.MaxTokens = 128
-	}
-	if c.Seed == 0 {
-		c.Seed = 3
-		if exp2 {
-			c.Seed = 2
-		}
-	}
-	return c
-}
-
-// RTRow is one sweep point of Figs. 4-6.
-type RTRow struct {
-	Clients  int
-	Services int
-	Comm     metrics.Stats
-	Service  metrics.Stats
-	Infer    metrics.Stats
-	Total    metrics.Stats
-}
-
-// RTResult is a Figs. 4-6 dataset.
-type RTResult struct {
-	Cfg  RTConfig
-	Rows []RTRow
-}
-
-// RunRT executes one RT sweep.
-func RunRT(ctx context.Context, cfg RTConfig) (*RTResult, error) {
-	cfg = cfg.withDefaults()
-	res := &RTResult{Cfg: cfg}
-	for _, pair := range cfg.Pairs {
-		row, err := runRTPoint(ctx, cfg, pair[0], pair[1])
+// sweep builds the registry entry: one section per selected (deployment,
+// scaling) pair of the model's response-time sweep.
+func (e rtExp) sweep(name, title string) Experiment {
+	return Experiment{Name: name, Title: title, Run: func(ctx context.Context, o Options) ([]Section, error) {
+		deployments, err := o.deployments()
 		if err != nil {
-			return res, fmt.Errorf("experiments: %s %s %d/%d: %w", cfg.Model, cfg.Deploy, pair[0], pair[1], err)
+			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+		scalings, err := o.scalings()
+		if err != nil {
+			return nil, err
+		}
+		o.Requests, o.Seed = cmp.Or(o.Requests, e.requests), cmp.Or(o.Seed, e.seed)
+		var out []Section
+		for _, d := range deployments {
+			for _, sc := range scalings {
+				t, err := e.table(ctx, o, d, sc.pairs())
+				if err != nil {
+					return out, err
+				}
+				out = append(out, Section{Title: fmt.Sprintf("%s (%s, %s)", title, d, sc), Tables: []metrics.Table{t}})
+			}
+		}
+		return out, nil
+	}}
 }
 
-func runRTPoint(ctx context.Context, cfg RTConfig, clients, services int) (row RTRow, err error) {
+// table runs one sweep and renders it in the layout of Figs. 4-6: NOOP
+// round trips in milliseconds, llama inferences in seconds.
+func (e rtExp) table(ctx context.Context, o Options, d deployment, pairs [][2]int) (metrics.Table, error) {
+	expName, unit, unitName := "Experiment 2 (NOOP RT)", time.Millisecond, "ms"
+	fig := map[deployment]string{deployLocal: "Fig. 4", deployRemote: "Fig. 5"}[d]
+	if e.model != "noop" {
+		expName, unit, unitName = "Experiment 3 (LLAMA IT)", time.Second, "s"
+		fig = "Fig. 6"
+	}
+	t := metrics.Table{
+		Title: fmt.Sprintf("%s / %s — %s deployment, %d requests/client (times in %s)",
+			expName, fig, d, o.Requests, unitName),
+		Header: []string{"clients/services", "communication", "service", "inference", "total RT"},
+	}
+	meanStd := func(s metrics.Stats) string {
+		return fmt.Sprintf("%.3f ± %.3f", float64(s.Mean)/float64(unit), float64(s.Std)/float64(unit))
+	}
+	for _, pair := range pairs {
+		coll, err := e.point(ctx, o, d, pair[0], pair[1])
+		if err != nil {
+			return t, fmt.Errorf("experiments: %s %s %d/%d: %w", e.model, d, pair[0], pair[1], err)
+		}
+		t.AddRow(fmt.Sprintf("%d/%d", pair[0], pair[1]),
+			meanStd(coll.Stats("rt.communication")), meanStd(coll.Stats("rt.service")),
+			meanStd(coll.Stats("rt.inference")), meanStd(coll.Stats("rt.total")))
+	}
+	return t, nil
+}
+
+// point runs one sweep point and returns its RT decomposition samples.
+func (e rtExp) point(ctx context.Context, o Options, d deployment, clients, services int) (*metrics.Collector, error) {
 	// client-side pilot: Delta, Table II (256 cores / 16 GPUs); the
 	// service-side pilot is the same one for local, R3 for remote
 	pilots := []spec.PilotDescription{{Platform: "delta", Cores: 256, GPUs: 16}}
-	if cfg.Deploy == DeployRemote {
+	if d == deployRemote {
 		pilots = append(pilots, spec.PilotDescription{Platform: "r3", Nodes: 1})
 	}
-	err = runTestbed(core.SessionConfig{
-		Seed: cfg.Seed + uint64(clients*1000+services),
+	coll := metrics.NewCollector()
+	err := runTestbed(core.SessionConfig{
+		Seed: o.Seed + uint64(clients*1000+services),
 		// Exp 2/3 measure steady-state RT/IT, not bootstrap.
 		FastBoot:    true,
-		SchedPolicy: cfg.SchedPolicy,
-		Router:      cfg.Router,
+		SchedPolicy: o.Sched,
+		Router:      o.Router,
 	}, pilots, func(tb *testbed) error {
 		clientPilot, svcPilot := tb.pilots[0], tb.pilots[len(tb.pilots)-1]
-		eps, err := startServices(ctx, tb, svcPilot, cfg, services)
+		eps, err := startServices(ctx, tb, svcPilot, e.model, services)
 		if err != nil {
 			return err
 		}
-		coll := metrics.NewCollector()
-		if err := runClients(ctx, tb, clientPilot, cfg, clients, eps, coll); err != nil {
-			return err
-		}
-		row = RTRow{
-			Clients:  clients,
-			Services: services,
-			Comm:     coll.Stats("rt.communication"),
-			Service:  coll.Stats("rt.service"),
-			Infer:    coll.Stats("rt.inference"),
-			Total:    coll.Stats("rt.total"),
-		}
-		return nil
+		return e.runClients(ctx, tb, clientPilot, o.Requests, clients, eps, coll)
 	})
-	return row, err
+	return coll, err
 }
 
-// startServices boots `services` instances on svcPilot and returns their
-// endpoints.
-func startServices(ctx context.Context, tb *testbed, svcPilot *pilot.Pilot, cfg RTConfig, services int) ([]proto.Endpoint, error) {
+// startServices boots `services` instances of model on svcPilot and
+// returns their endpoints.
+func startServices(ctx context.Context, tb *testbed, svcPilot *pilot.Pilot, model string, services int) ([]proto.Endpoint, error) {
 	mgr := svcPilot.Services()
 	uids := make([]string, 0, services)
 	for i := 0; i < services; i++ {
-		d := hostedService(fmt.Sprintf("svc-%02d", i), cfg.Model)
-		d.Concurrency = cfg.ServiceConcurrency
-		inst, err := mgr.Submit(d)
+		inst, err := mgr.Submit(hostedService(fmt.Sprintf("svc-%02d", i), model))
 		if err != nil {
 			return nil, err
 		}
@@ -364,10 +287,10 @@ func startServices(ctx context.Context, tb *testbed, svcPilot *pilot.Pilot, cfg 
 }
 
 // runClients submits `clients` function tasks on clientPilot; each client
-// sends RequestsPerClient requests to its assigned service (round-robin
+// sends `requests` requests to its assigned service (round-robin
 // client→service mapping, the paper's rudimentary load balancing) and
 // records the RT decomposition.
-func runClients(ctx context.Context, tb *testbed, clientPilot *pilot.Pilot, cfg RTConfig, clients int, eps []proto.Endpoint, coll *metrics.Collector) error {
+func (e rtExp) runClients(ctx context.Context, tb *testbed, clientPilot *pilot.Pilot, requests, clients int, eps []proto.Endpoint, coll *metrics.Collector) error {
 	nodes := clientPilot.Nodes()
 	var uids []string
 	for c := 0; c < clients; c++ {
@@ -384,9 +307,9 @@ func runClients(ctx context.Context, tb *testbed, clientPilot *pilot.Pilot, cfg 
 					return err
 				}
 				defer cl.Close()
-				for i := 0; i < cfg.RequestsPerClient; i++ {
+				for i := 0; i < requests; i++ {
 					prompt := fmt.Sprintf("request %d from client %d", i, c)
-					_, rt, err := cl.Infer(taskCtx, prompt, cfg.MaxTokens)
+					_, rt, err := cl.Infer(taskCtx, prompt, e.maxTokens)
 					if err != nil {
 						return err
 					}
@@ -408,34 +331,10 @@ func runClients(ctx context.Context, tb *testbed, clientPilot *pilot.Pilot, cfg 
 	return tb.wait(func() error { return clientPilot.WaitTasks(ctx, uids...) })
 }
 
-// Table renders an RT dataset in the layout of Figs. 4-6: NOOP round trips
-// in milliseconds, llama inferences in seconds.
-func (r *RTResult) Table() metrics.Table {
-	expName, unit, unitName := "Experiment 2 (NOOP RT)", time.Millisecond, "ms"
-	fig := map[Deployment]string{DeployLocal: "Fig. 4", DeployRemote: "Fig. 5"}[r.Cfg.Deploy]
-	if r.Cfg.Model != "noop" {
-		expName, unit, unitName = "Experiment 3 (LLAMA IT)", time.Second, "s"
-		fig = "Fig. 6"
-	}
-	t := metrics.Table{
-		Title: fmt.Sprintf("%s / %s — %s deployment, %d requests/client (times in %s)",
-			expName, fig, r.Cfg.Deploy, r.Cfg.RequestsPerClient, unitName),
-		Header: []string{"clients/services", "communication", "service", "inference", "total RT"},
-	}
-	meanStd := func(s metrics.Stats) string {
-		return fmt.Sprintf("%.3f ± %.3f", float64(s.Mean)/float64(unit), float64(s.Std)/float64(unit))
-	}
-	for _, row := range r.Rows {
-		t.AddRow(fmt.Sprintf("%d/%d", row.Clients, row.Services),
-			meanStd(row.Comm), meanStd(row.Service), meanStd(row.Infer), meanStd(row.Total))
-	}
-	return t
-}
-
 // --- Table II -----------------------------------------------------------------
 
-// TableII renders the paper's experiment-setup table.
-func TableII() metrics.Table {
+// tableII renders the paper's experiment-setup table.
+func tableII() metrics.Table {
 	t := metrics.Table{
 		Title: "Table II — Experiment setup",
 		Header: []string{"ID", "HPC Platform", "Task Type", "Model", "Deployment",

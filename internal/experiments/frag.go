@@ -5,13 +5,14 @@ package experiments
 // mix node shapes — and there first-fit placement fragments the large
 // nodes with small tasks until large work no longer fits, while
 // best-fit packs small tasks onto the small nodes and keeps the large
-// nodes whole. RunFrag drives that comparison end to end (session →
+// nodes whole. runFrag drives that comparison end to end (session →
 // pilot spanning mixed shapes → policy-driven scheduler) at figure
 // scale: saturate a mixed pilot with small holders, then offer one
 // whole-fat-node task per fat node and count how many are granted under
 // each policy.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -24,141 +25,93 @@ import (
 	"repro/internal/states"
 )
 
-// FragConfig parameterizes the fragmentation ablation.
-type FragConfig struct {
-	// Platform names the (mixed-shape) catalog platform (default
-	// "hetero"). The pilot spans every node of it.
-	Platform string
-	// Policy is the challenger placement policy compared against the
-	// strict/first-fit baseline (default "best-fit"; any
-	// scheduler.PolicyByName form works, e.g. "best-fit:k=-1,t=-1").
-	Policy string
-	// Smalls is the number of small holder tasks, each demanding one
-	// whole thin-shaped node's cores (default: the thin partition size).
-	Smalls int
-	// Larges is the number of large tasks, each demanding one whole
-	// fat-shaped node (default: the fat partition size).
-	Larges int
-	// Seed drives determinism.
-	Seed uint64
+const (
+	fragSeed   = 4
+	fragPolicy = "best-fit" // the challenger -sched replaces; strict is the baseline
+	// Under -churn half the smalls complete after fragHold of simulated
+	// time, and fragWaves waves of a quarter as many fresh smalls arrive
+	// after the larges are offered.
+	fragWaves = 2
+	fragHold  = 60 * time.Second
+)
 
-	// Churn switches to the steady-state variant: only half the small
-	// holders run forever; the other half complete after SmallHold of
-	// simulated time, and ChurnWaves waves of Smalls/4 fresh smalls
-	// arrive after the larges are offered. This measures how much of
-	// best-fit's fragmentation win survives realistic task turnover —
-	// under first-fit the permanent holders keep part of the fat
-	// partition fragmented forever, while the transient churn releases
-	// the rest back to the waiting larges.
-	Churn bool
-	// ChurnWaves is the number of arrival waves (default 2).
-	ChurnWaves int
-	// SmallHold is the transient smalls' simulated duration (default 60s).
-	SmallHold time.Duration
-}
-
-// DefaultFragConfig returns the figure-scale parameterization on the
-// hetero campus: enough smalls to fragment a third of the fat partition
-// under first-fit, and one large per fat node.
-func DefaultFragConfig() FragConfig { return FragConfig{}.withDefaults() }
-
-func (c FragConfig) withDefaults() FragConfig {
-	if c.Platform == "" {
-		c.Platform = "hetero"
-	}
-	if c.Policy == "" {
-		c.Policy = "best-fit"
-	}
-	if c.Seed == 0 {
-		c.Seed = 4
-	}
-	if c.ChurnWaves <= 0 {
-		c.ChurnWaves = 2
-	}
-	if c.SmallHold <= 0 {
-		c.SmallHold = 60 * time.Second
-	}
-	return c
-}
-
-// FragRow is one policy's outcome on the saturated mixed pilot.
-type FragRow struct {
-	Policy       string
-	SmallGranted int
-	LargeGranted int
-	Waiting      int
-	CoreUtil     float64
-	GPUUtil      float64
-}
-
-// FragResult is the fragmentation-ablation dataset.
-type FragResult struct {
-	Cfg FragConfig
-	// Shapes is the pilot's node composition (e.g. "32×128c/16g + 96×16c/0g").
-	Shapes string
-	// SmallCores / LargeCores / LargeGPUs are the per-task demands derived
-	// from the platform's thin and fat shapes.
-	SmallCores, LargeCores, LargeGPUs int
-	Rows                              []FragRow
-}
-
-// RunFrag executes the fragmentation ablation: once under strict
-// (first-fit) placement, once under cfg.Policy, on identical workloads.
-func RunFrag(ctx context.Context, cfg FragConfig) (*FragResult, error) {
-	cfg = cfg.withDefaults()
-	// Resolve the workload from the platform's shape mix once, up front:
-	// every session instantiates the catalog platform identically, so the
-	// shapes (and the defaults derived from them) are the same per policy.
-	shapes, thin, fat, err := shapesOf(cfg.Platform, false)
+// runFrag executes the fragmentation ablation on a pilot spanning every
+// node of the platform: once under strict (first-fit) placement, once under
+// the challenger policy, on identical workloads of one small holder per
+// thin node and one whole-fat-node large per fat node.
+//
+// Under -churn it runs the steady-state variant: only half the small
+// holders run forever, the rest turn over. This measures how much of
+// best-fit's fragmentation win survives realistic task turnover — under
+// first-fit the permanent holders keep part of the fat partition
+// fragmented forever, while the transient churn releases the rest back to
+// the waiting larges.
+func runFrag(ctx context.Context, o Options) ([]metrics.Table, error) {
+	o.Platform, o.Seed = cmp.Or(o.Platform, defaultPlatform), cmp.Or(o.Seed, fragSeed)
+	// Every session instantiates the catalog platform identically, so the
+	// shapes (and the workload derived from them) are the same per policy.
+	shapes, thin, fat, err := shapesOf(o.Platform, false)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: frag: %w", err)
 	}
-	if cfg.Smalls <= 0 {
-		cfg.Smalls = thin.Count
+	smalls, larges := thin.Count, fat.Count
+	title := fmt.Sprintf(
+		"Fragmentation ablation — %s (%s), %d smalls (%dc) then %d larges (%dc/%dg)",
+		o.Platform, platform.FormatShapes(shapes), smalls, thin.Spec.Cores, larges, fat.Spec.Cores, fat.Spec.GPUs)
+	totalSmalls := smalls
+	if o.Churn {
+		totalSmalls += fragWaves * (smalls / 4)
+		title += fmt.Sprintf(" — churn: half the smalls complete after %s, %d waves of %d more arrive",
+			fragHold, fragWaves, smalls/4)
 	}
-	if cfg.Larges <= 0 {
-		cfg.Larges = fat.Count
-	}
-	res := &FragResult{
-		Cfg:        cfg,
-		Shapes:     platform.FormatShapes(shapes),
-		SmallCores: thin.Spec.Cores,
-		LargeCores: fat.Spec.Cores,
-		LargeGPUs:  fat.Spec.GPUs,
+	t := metrics.Table{
+		Title:  title,
+		Header: []string{"policy", "smalls granted", "larges granted", "waiting", "core util", "gpu util"},
 	}
 	nodes := 0
 	for _, g := range shapes {
 		nodes += g.Count
 	}
 	policies := []string{"strict"}
-	if cfg.Policy != "strict" {
-		policies = append(policies, cfg.Policy)
+	if pol := cmp.Or(o.Sched, fragPolicy); pol != "strict" {
+		policies = append(policies, pol)
 	}
 	for _, pol := range policies {
-		row, err := runFragPoint(ctx, cfg, pol, nodes, thin.Spec, fat.Spec)
+		row, err := fragPoint(ctx, o, pol, nodes, thin, fat)
 		if err != nil {
-			return res, fmt.Errorf("experiments: frag %s on %s: %w", pol, cfg.Platform, err)
+			return nil, fmt.Errorf("experiments: frag %s on %s: %w", pol, o.Platform, err)
 		}
-		res.Rows = append(res.Rows, row)
+		t.AddRow(pol,
+			fmt.Sprintf("%d/%d", row.SmallGranted, totalSmalls),
+			fmt.Sprintf("%d/%d", row.LargeGranted, larges),
+			fmt.Sprint(row.Waiting),
+			fmt.Sprintf("%.3f", row.CoreUtil),
+			fmt.Sprintf("%.3f", row.GPUUtil))
 	}
-	return res, nil
+	return []metrics.Table{t}, nil
 }
 
-// runFragPoint runs the workload under one policy on a whole-platform
-// pilot of nodeCount nodes, with small tasks shaped to thin and large
-// tasks shaped to fat.
+// fragRow is one policy's outcome on the saturated mixed pilot.
+type fragRow struct {
+	SmallGranted, LargeGranted, Waiting int
+	CoreUtil, GPUUtil                   float64
+}
+
+// fragPoint runs the workload under one policy on a whole-platform pilot
+// of nodeCount nodes: one small task per thin node, shaped to it, and one
+// large task per fat node, shaped to it.
 //
-// The plain variant holds every small forever. Under cfg.Churn half the
+// The plain variant holds every small forever. Under o.Churn half the
 // smalls hold forever (the persistent load) and half complete after
-// cfg.SmallHold; the larges are offered against that mix, and fresh small
+// fragHold; the larges are offered against that mix, and fresh small
 // arrivals keep churning while the transients drain. The end state is
 // deterministic either way: under first-fit the permanent holders pin part
 // of the fat partition fragmented and the transient releases hand the rest
 // to the waiting larges; under best-fit every small (initial or arriving)
 // packs onto the thin partition and all larges run.
-func runFragPoint(ctx context.Context, cfg FragConfig, policy string, nodeCount int, thin, fat platform.NodeSpec) (row FragRow, err error) {
-	scfg := core.SessionConfig{Seed: cfg.Seed, FastBoot: true, SchedPolicy: policy}
-	err = runTestbed(scfg, []spec.PilotDescription{{Platform: cfg.Platform, Nodes: nodeCount}}, func(tb *testbed) error {
+func fragPoint(ctx context.Context, o Options, policy string, nodeCount int, thin, fat platform.NodeGroup) (row fragRow, err error) {
+	scfg := core.SessionConfig{Seed: o.Seed, FastBoot: true, SchedPolicy: policy}
+	err = runTestbed(scfg, []spec.PilotDescription{{Platform: o.Platform, Nodes: nodeCount}}, func(tb *testbed) error {
 		p := tb.pilots[0]
 		sched := p.Scheduler()
 		// Holders sleep far past the measurement window; cancelling taskCtx
@@ -171,16 +124,17 @@ func runFragPoint(ctx context.Context, cfg FragConfig, policy string, nodeCount 
 		// run before offering large work (inter-class submission order must not
 		// race, or the fragmentation pattern would be noisy). Under churn the
 		// permanent holders go first, then the transients.
-		initial := [][]spec.TaskDescription{taskBatch(cfg.Smalls, "small", thin.Cores, 0, hold)}
+		smalls, cores := thin.Count, thin.Spec.Cores
+		initial := [][]spec.TaskDescription{taskBatch(smalls, "small", cores, 0, hold)}
 		var arrivals [][]spec.TaskDescription
-		if cfg.Churn {
-			churn := rng.ConstDuration(cfg.SmallHold)
+		if o.Churn {
+			churn := rng.ConstDuration(fragHold)
 			initial = [][]spec.TaskDescription{
-				taskBatch(cfg.Smalls/2, "perm", thin.Cores, 0, hold),
-				taskBatch(cfg.Smalls-cfg.Smalls/2, "churn", thin.Cores, 0, churn),
+				taskBatch(smalls/2, "perm", cores, 0, hold),
+				taskBatch(smalls-smalls/2, "churn", cores, 0, churn),
 			}
-			for w := 0; w < cfg.ChurnWaves; w++ {
-				arrivals = append(arrivals, taskBatch(cfg.Smalls/4, fmt.Sprintf("wave%d", w), thin.Cores, 0, churn))
+			for w := 0; w < fragWaves; w++ {
+				arrivals = append(arrivals, taskBatch(smalls/4, fmt.Sprintf("wave%d", w), cores, 0, churn))
 			}
 		}
 		for _, descs := range initial {
@@ -192,7 +146,7 @@ func runFragPoint(ctx context.Context, cfg FragConfig, policy string, nodeCount 
 		// Phase 2: one whole-fat-node task per fat node; they hold whatever
 		// they win. Submit returns with every large in the wait pool, so the
 		// waves of phase 3 queue behind them in submission order.
-		larges, err := tb.TaskManager().Submit(taskCtx, taskBatch(cfg.Larges, "large", fat.Cores, fat.GPUs, hold)...)
+		larges, err := tb.TaskManager().Submit(taskCtx, taskBatch(fat.Count, "large", fat.Spec.Cores, fat.Spec.GPUs, hold)...)
 		if err != nil {
 			return err
 		}
@@ -206,12 +160,12 @@ func runFragPoint(ctx context.Context, cfg FragConfig, policy string, nodeCount 
 		// Phase 4: let the turnover drain. Transient and wave smalls either
 		// complete or stay blocked behind an ungrantable large head; long
 		// before the holders' hold ends only they and the granted larges run.
-		if cfg.Churn {
+		if o.Churn {
 			tb.clock.Sleep(holdFor / 2)
 		}
 		tb.clock.Settle()
 
-		row = FragRow{Policy: policy, Waiting: sched.Waiting()}
+		row = fragRow{Waiting: sched.Waiting()}
 		for _, t := range larges {
 			if t.State() == states.TaskExecuting {
 				row.LargeGranted++
@@ -236,38 +190,4 @@ func runFragPoint(ctx context.Context, cfg FragConfig, policy string, nodeCount 
 		return nil
 	})
 	return row, err
-}
-
-// TotalSmalls returns how many small tasks the configuration submits in
-// total: the initial holders plus, under churn, every arrival wave.
-func (c FragConfig) TotalSmalls() int {
-	if !c.Churn {
-		return c.Smalls
-	}
-	return c.Smalls + c.ChurnWaves*(c.Smalls/4)
-}
-
-// Table renders the fragmentation ablation.
-func (r *FragResult) Table() metrics.Table {
-	title := fmt.Sprintf(
-		"Fragmentation ablation — %s (%s), %d smalls (%dc) then %d larges (%dc/%dg)",
-		r.Cfg.Platform, r.Shapes, r.Cfg.Smalls, r.SmallCores,
-		r.Cfg.Larges, r.LargeCores, r.LargeGPUs)
-	if r.Cfg.Churn {
-		title += fmt.Sprintf(" — churn: half the smalls complete after %s, %d waves of %d more arrive",
-			r.Cfg.SmallHold, r.Cfg.ChurnWaves, r.Cfg.Smalls/4)
-	}
-	t := metrics.Table{
-		Title:  title,
-		Header: []string{"policy", "smalls granted", "larges granted", "waiting", "core util", "gpu util"},
-	}
-	for _, row := range r.Rows {
-		t.AddRow(row.Policy,
-			fmt.Sprintf("%d/%d", row.SmallGranted, r.Cfg.TotalSmalls()),
-			fmt.Sprintf("%d/%d", row.LargeGranted, r.Cfg.Larges),
-			fmt.Sprintf("%d", row.Waiting),
-			fmt.Sprintf("%.3f", row.CoreUtil),
-			fmt.Sprintf("%.3f", row.GPUUtil))
-	}
-	return t
 }

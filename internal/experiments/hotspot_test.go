@@ -2,19 +2,35 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
 )
 
-// testHotspotConfig is the test-scale parameterization: the figure shape
-// at a quarter of the request budget so the three campaign points and the
-// two failover sessions run in a few seconds of wall time.
-func testHotspotConfig() HotspotConfig {
-	return HotspotConfig{
-		Requests: 8000,
-		Interval: 250 * time.Millisecond,
+// hotspotP99s runs the picker campaigns and returns each picker's p99.
+func hotspotP99s(t *testing.T, requests int) (map[string]time.Duration, [][]string) {
+	t.Helper()
+	tab, err := hotspotCampaigns(context.Background(), Options{Requests: requests, Seed: hotspotSeed})
+	if err != nil {
+		t.Fatal(err)
 	}
+	offered, completed, failed := column(t, tab, "offered"), column(t, tab, "completed"), column(t, tab, "failed")
+	p99s := map[string]time.Duration{}
+	for i, bal := range column(t, tab, "balancer") {
+		if want := fmt.Sprint(requests); offered[i] != want || completed[i] != want || failed[i] != "0" {
+			t.Errorf("%s: offered/completed/failed = %s/%s/%s, want %s/%s/0", bal, offered[i], completed[i], failed[i], want, want)
+		}
+		p99, err := time.ParseDuration(column(t, tab, "p99")[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		p99s[bal] = p99
+	}
+	if len(p99s) != len(hotspotBalancers) {
+		t.Fatalf("got %d balancer rows, want %d", len(p99s), len(hotspotBalancers))
+	}
+	return p99s, tab.Rows
 }
 
 // TestHotspotAblationAcceptance drives the full ablation once and checks
@@ -23,44 +39,22 @@ func testHotspotConfig() HotspotConfig {
 // within a small band of the full-scan least-loaded oracle — at two
 // probes per pick instead of a member-set scan.
 func TestHotspotAblationAcceptance(t *testing.T) {
-	ctx := context.Background()
-	res, err := RunHotspot(ctx, testHotspotConfig())
+	p99, _ := hotspotP99s(t, 8000)
+	if p99["p2c"] >= p99["round-robin"] {
+		t.Errorf("p2c p99 %v not strictly better than blind round-robin %v", p99["p2c"], p99["round-robin"])
+	}
+	if p99["p2c"] > 2*p99["least-loaded"] {
+		t.Errorf("p2c p99 %v outside 2x band of least-loaded oracle %v", p99["p2c"], p99["least-loaded"])
+	}
+
+	warm, err := hotspotFailover(context.Background(), hotspotSeed, failoverWarm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d balancer rows, want 3", len(res.Rows))
+	cold, err := hotspotFailover(context.Background(), hotspotSeed, failoverCold)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rows := map[string]HotspotRow{}
-	for _, row := range res.Rows {
-		rows[row.Balancer] = row
-		if row.Offered != int64(res.Cfg.Requests) {
-			t.Errorf("%s offered %d, want %d", row.Balancer, row.Offered, res.Cfg.Requests)
-		}
-		if row.Completed+row.Failed != row.Offered {
-			t.Errorf("%s: completed %d + failed %d != offered %d",
-				row.Balancer, row.Completed, row.Failed, row.Offered)
-		}
-		t.Logf("%-12s p50=%v p99=%v max=%v failed=%d", row.Balancer, row.P50, row.P99, row.Max, row.Failed)
-	}
-	p2c, rr, least := rows["p2c"], rows["round-robin"], rows["least-loaded"]
-	if p2c.P99 >= rr.P99 {
-		t.Errorf("p2c p99 %v not strictly better than blind round-robin %v", p2c.P99, rr.P99)
-	}
-	if p2c.P99 > 2*least.P99 {
-		t.Errorf("p2c p99 %v outside 2x band of least-loaded oracle %v", p2c.P99, least.P99)
-	}
-
-	if len(res.Failover) != 2 {
-		t.Fatalf("got %d failover rows, want 2", len(res.Failover))
-	}
-	fo := map[string]FailoverRow{}
-	for _, row := range res.Failover {
-		fo[row.Mode] = row
-		t.Logf("%-13s latency=%v generations=%d promotions=%d replacements=%d",
-			row.Mode, row.Latency, row.Generations, row.Promotions, row.Replacements)
-	}
-	warm, cold := fo[FailoverWarm], fo[FailoverCold]
 	if warm.Generations != 1 {
 		t.Errorf("warm failover cost %d generations, want exactly 1", warm.Generations)
 	}
@@ -79,29 +73,29 @@ func TestHotspotAblationAcceptance(t *testing.T) {
 }
 
 // TestHotspotAblationDeterministicReplay pins the ablation to exact replay:
-// the same config must reproduce every count and percentile of the campaign
-// half, and both failover rows to the nanosecond.
+// the same options must reproduce every count and percentile the picker
+// matrix prints, and both failovers to the nanosecond.
 func TestHotspotAblationDeterministicReplay(t *testing.T) {
-	ctx := context.Background()
-	cfg := testHotspotConfig()
-	cfg.Requests = 3000
-
-	a, err := RunHotspot(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunHotspot(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Rows {
-		ra, rb := a.Rows[i], b.Rows[i]
-		ra.Wall, rb.Wall = 0, 0 // wall time is the one legitimately varying field
-		if ra != rb {
-			t.Errorf("balancer %s replay diverged:\n  %+v\n  %+v", ra.Balancer, ra, rb)
+	withoutWall := func(rows [][]string) [][]string {
+		out := make([][]string, len(rows))
+		for i, row := range rows {
+			out[i] = row[:len(row)-1] // wall time is the one legitimately varying cell
 		}
+		return out
 	}
-	if len(a.Failover) != 2 || !slices.Equal(a.Failover, b.Failover) {
-		t.Errorf("failover rows diverged:\n  %+v\n  %+v", a.Failover, b.Failover)
+	_, a := hotspotP99s(t, 3000)
+	_, b := hotspotP99s(t, 3000)
+	if !slices.EqualFunc(withoutWall(a), withoutWall(b), slices.Equal) {
+		t.Errorf("picker matrix replay diverged:\n  %v\n  %v", a, b)
+	}
+	for _, mode := range []string{failoverWarm, failoverCold} {
+		fa, errA := hotspotFailover(context.Background(), hotspotSeed, mode)
+		fb, errB := hotspotFailover(context.Background(), hotspotSeed, mode)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if fa != fb {
+			t.Errorf("%s failover diverged:\n  %+v\n  %+v", mode, fa, fb)
+		}
 	}
 }

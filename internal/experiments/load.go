@@ -11,83 +11,17 @@ import (
 	"repro/internal/metrics"
 )
 
-// LoadConfig parameterizes the open-loop load matrix: the loadgen catalog
-// (steady, diurnal, hotspot, straggler, churn) driven at campaign scale on
-// the virtual clock.
-type LoadConfig struct {
-	// Scenarios is the suite to run; empty selects loadgen.Catalog().
-	Scenarios []loadgen.Scenario
-	// Requests overrides every scenario's request count when positive.
-	Requests int
-	// Seed overrides every scenario's seed when nonzero.
-	Seed uint64
-	// ScenarioFilter keeps only scenarios whose name contains one of the
-	// comma-separated substrings (empty keeps all).
-	ScenarioFilter string
-}
-
-// CampaignRow is the part of a loadgen.Result every campaign table (load,
-// scale, hotspot) prints.
-type CampaignRow struct {
-	Offered   int64
-	Completed int64
-	Failed    int64
-	P50       time.Duration
-	P99       time.Duration
-	Max       time.Duration
-	// SimDuration is the virtual-time makespan; Wall is the real time the
-	// campaign took — their ratio is the harness's time compression.
-	SimDuration time.Duration
-	Wall        time.Duration
-}
-
-func campaignRow(r *loadgen.Result) CampaignRow {
-	return CampaignRow{
-		Offered:     r.Offered,
-		Completed:   r.Completed,
-		Failed:      r.Failed,
-		P50:         r.Latency.Quantile(0.50),
-		P99:         r.Latency.Quantile(0.99),
-		Max:         r.Latency.Max(),
-		SimDuration: r.Duration,
-		Wall:        r.Wall,
-	}
-}
-
-// counts renders the offered/completed/failed cells.
-func (c CampaignRow) counts() []string {
-	return []string{fmt.Sprint(c.Offered), fmt.Sprint(c.Completed), fmt.Sprint(c.Failed)}
-}
-
-// LoadRow is one scenario's campaign outcome in the load matrix.
-type LoadRow struct {
-	Scenario string
-	CampaignRow
-	TasksDone int64
-	// Replacements counts failover re-placements (nonzero only for churn).
-	Replacements int
-	// SketchBytes is the fixed memory the latency sketch used, independent
-	// of the request count.
-	SketchBytes int
-}
-
-// LoadResult is the scenario-matrix dataset.
-type LoadResult struct {
-	Cfg  LoadConfig
-	Rows []LoadRow
-}
-
-// RunLoad executes the scenario matrix: each scenario is one open-loop
-// campaign on a fresh session over its own virtual clock.
-func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
-	scenarios := cfg.Scenarios
-	if len(scenarios) == 0 {
-		scenarios = loadgen.Catalog()
-	}
-	if cfg.ScenarioFilter != "" {
+// runLoad executes the open-loop load matrix: the loadgen catalog (steady,
+// diurnal, hotspot, straggler, churn), each scenario one campaign on a
+// fresh session over its own virtual clock. -scenarios keeps the scenarios
+// whose name contains one of its comma-separated substrings; -requests and
+// -seed override every scenario's own.
+func runLoad(ctx context.Context, o Options) ([]metrics.Table, error) {
+	scenarios := loadgen.Catalog()
+	if o.Scenarios != "" {
 		var keep []loadgen.Scenario
 		for _, sc := range scenarios {
-			for _, pat := range splitList(cfg.ScenarioFilter) {
+			for _, pat := range splitList(o.Scenarios) {
 				if strings.Contains(sc.Name, pat) {
 					keep = append(keep, sc)
 					break
@@ -95,49 +29,39 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 			}
 		}
 		if len(keep) == 0 {
-			return nil, fmt.Errorf("experiments: load: filter %q matches no scenario", cfg.ScenarioFilter)
+			return nil, fmt.Errorf("experiments: load: filter %q matches no scenario", o.Scenarios)
 		}
 		scenarios = keep
 	}
-
-	res := &LoadResult{Cfg: cfg}
-	for _, sc := range scenarios {
-		if cfg.Requests > 0 {
-			sc.Requests = cfg.Requests
-			sc.ChurnAt = 0 // re-derive from the new span in WithDefaults
-		}
-		if cfg.Seed != 0 {
-			sc.Seed = cfg.Seed
-		}
-		r, err := loadgen.Run(ctx, sc)
-		if err != nil {
-			return res, fmt.Errorf("experiments: load scenario %s: %w", sc.Name, err)
-		}
-		res.Rows = append(res.Rows, LoadRow{
-			Scenario:     sc.Name,
-			CampaignRow:  campaignRow(r),
-			TasksDone:    r.TasksDone,
-			Replacements: r.Replacements,
-			SketchBytes:  r.SketchBytes,
-		})
-	}
-	return res, nil
-}
-
-// Table renders the scenario matrix.
-func (r *LoadResult) Table() metrics.Table {
 	t := metrics.Table{
 		Title: "Open-loop load matrix — exact-count campaigns on the virtual clock",
 		Header: []string{"scenario", "offered", "completed", "failed", "tasks",
 			"repl", "p50", "p99", "max", "sim time", "wall", "sketch"},
 	}
-	for _, row := range r.Rows {
-		t.AddRow(slices.Concat([]string{row.Scenario}, row.counts(),
-			[]string{fmt.Sprint(row.TasksDone), fmt.Sprint(row.Replacements)},
-			fmtDurs(row.P50, row.P99, row.Max, row.SimDuration, row.Wall),
-			[]string{fmt.Sprintf("%dB", row.SketchBytes)})...)
+	for _, sc := range scenarios {
+		if o.Requests > 0 {
+			sc.Requests = o.Requests
+			sc.ChurnAt = 0 // re-derive from the new span in WithDefaults
+		}
+		if o.Seed != 0 {
+			sc.Seed = o.Seed
+		}
+		r, err := loadgen.Run(ctx, sc)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: load scenario %s: %w", sc.Name, err)
+		}
+		t.AddRow(slices.Concat([]string{sc.Name}, campaignCounts(r),
+			[]string{fmt.Sprint(r.TasksDone), fmt.Sprint(r.Replacements)},
+			fmtDurs(r.Latency.Quantile(0.50), r.Latency.Quantile(0.99), r.Latency.Max(), r.Duration, r.Wall),
+			[]string{fmt.Sprintf("%dB", r.SketchBytes)})...)
 	}
-	return t
+	return []metrics.Table{t}, nil
+}
+
+// campaignCounts renders a campaign's offered/completed/failed cells,
+// which every campaign table (load, scale, hotspot) prints.
+func campaignCounts(r *loadgen.Result) []string {
+	return []string{fmt.Sprint(r.Offered), fmt.Sprint(r.Completed), fmt.Sprint(r.Failed)}
 }
 
 // fmtDur renders a duration rounded for table display.

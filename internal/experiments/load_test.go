@@ -2,87 +2,84 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/loadgen"
 )
 
 // TestLoadMatrixExactCounts runs the full catalog at reduced scale and
-// pins exact totals: the matrix row for every scenario must conserve
-// requests (completed + failed == offered) with zero failures, and the
-// churn scenario must show exactly its two re-placements.
+// pins the matrix as rpexp prints it: every scenario's row conserves
+// requests with zero failures, and the churn scenario shows exactly its
+// two re-placements.
 func TestLoadMatrixExactCounts(t *testing.T) {
-	cfg := LoadConfig{Requests: 4000, Seed: 7}
-	res, err := RunLoad(context.Background(), cfg)
+	tables, err := runLoad(context.Background(), Options{Requests: 4000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("matrix has %d rows, want 5", len(res.Rows))
+	tab := tables[0]
+	if want := "Open-loop load matrix — exact-count campaigns on the virtual clock"; tab.Title != want {
+		t.Errorf("title %q, want %q", tab.Title, want)
 	}
-	for _, row := range res.Rows {
-		if row.Offered != 4000 {
-			t.Errorf("%s: offered %d, want exactly 4000", row.Scenario, row.Offered)
+	if want := []string{"scenario", "offered", "completed", "failed", "tasks",
+		"repl", "p50", "p99", "max", "sim time", "wall", "sketch"}; !slices.Equal(tab.Header, want) {
+		t.Errorf("header %v, want %v", tab.Header, want)
+	}
+	scenarios := column(t, tab, "scenario")
+	if want := []string{"steady", "diurnal", "hotspot", "straggler", "churn"}; !slices.Equal(scenarios, want) {
+		t.Fatalf("scenarios %v, want %v", scenarios, want)
+	}
+	offered, completed, failed := column(t, tab, "offered"), column(t, tab, "completed"), column(t, tab, "failed")
+	tasks, repl, sketch := column(t, tab, "tasks"), column(t, tab, "repl"), column(t, tab, "sketch")
+	for i, sc := range scenarios {
+		if offered[i] != "4000" || completed[i] != "4000" || failed[i] != "0" {
+			t.Errorf("%s: offered/completed/failed = %s/%s/%s, want 4000/4000/0", sc, offered[i], completed[i], failed[i])
 		}
-		if row.Completed != 4000 || row.Failed != 0 {
-			t.Errorf("%s: completed=%d failed=%d, want 4000/0", row.Scenario, row.Completed, row.Failed)
+		wantRepl := "0"
+		if sc == "churn" {
+			wantRepl = "2"
 		}
-		wantRepl := 0
-		if row.Scenario == "churn" {
-			wantRepl = 2
+		if repl[i] != wantRepl {
+			t.Errorf("%s: %s replacements, want %s", sc, repl[i], wantRepl)
 		}
-		if row.Replacements != wantRepl {
-			t.Errorf("%s: %d replacements, want %d", row.Scenario, row.Replacements, wantRepl)
+		wantTasks := "0"
+		if sc == "steady" {
+			wantTasks = "4" // 4000 requests / TaskEvery 1000
 		}
-		wantTasks := int64(0)
-		if row.Scenario == "steady" {
-			wantTasks = 4 // 4000 requests / TaskEvery 1000
+		if tasks[i] != wantTasks {
+			t.Errorf("%s: %s tasks done, want %s", sc, tasks[i], wantTasks)
 		}
-		if row.TasksDone != wantTasks {
-			t.Errorf("%s: %d tasks done, want %d", row.Scenario, row.TasksDone, wantTasks)
-		}
-		if row.SketchBytes <= 0 || row.SketchBytes > 64<<10 {
-			t.Errorf("%s: sketch footprint %dB outside (0, 64KiB]", row.Scenario, row.SketchBytes)
+		var bytes int
+		if _, err := fmt.Sscanf(sketch[i], "%dB", &bytes); err != nil || bytes <= 0 || bytes > 64<<10 {
+			t.Errorf("%s: sketch footprint %q outside (0, 64KiB]", sc, sketch[i])
 		}
 	}
 }
 
-// TestLoadMatrixFilter exercises the scenario filter and the override
-// plumbing.
-func TestLoadMatrixFilter(t *testing.T) {
-	res, err := RunLoad(context.Background(), LoadConfig{
-		Requests:       500,
-		ScenarioFilter: "steady,hotspot",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("filtered matrix has %d rows, want 2", len(res.Rows))
-	}
-	if res.Rows[0].Scenario != "steady" || res.Rows[1].Scenario != "hotspot" {
-		t.Errorf("filtered scenarios %q, %q; want steady, hotspot", res.Rows[0].Scenario, res.Rows[1].Scenario)
-	}
-	if _, err := RunLoad(context.Background(), LoadConfig{ScenarioFilter: "nonexistent"}); err == nil {
-		t.Error("filter matching nothing should error")
-	}
-}
-
-// TestLoadTableRender pins the matrix table's shape.
 func TestLoadTableRender(t *testing.T) {
-	res, err := RunLoad(context.Background(), LoadConfig{
-		Scenarios: []loadgen.Scenario{
-			{Name: "steady", Kind: loadgen.KindSteady, Requests: 200, Rate: 1000, Services: 2, Seed: 3},
-		},
-	})
+	tables, err := runLoad(context.Background(), Options{Requests: 200, Seed: 3, Scenarios: "steady"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Table().Render()
+	out := tables[0].Render()
 	for _, want := range []string{"Open-loop load matrix", "scenario", "offered", "p99", "sketch", "steady", "200"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestLoadMatrixFilter exercises the scenario filter: it keeps catalog
+// order, and a filter matching nothing is an error.
+func TestLoadMatrixFilter(t *testing.T) {
+	tables, err := runLoad(context.Background(), Options{Requests: 500, Scenarios: "hotspot,steady"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := column(t, tables[0], "scenario"); !slices.Equal(got, []string{"steady", "hotspot"}) {
+		t.Errorf("filtered scenarios %v; want steady, hotspot", got)
+	}
+	if _, err := runLoad(context.Background(), Options{Scenarios: "nonexistent"}); err == nil {
+		t.Error("filter matching nothing should error")
 	}
 }

@@ -16,9 +16,10 @@ import (
 	"repro/internal/usecases"
 )
 
-// Options are the experiment-facing rpexp flags, one field per flag. A
-// zero value means "the experiment's default"; each entry passes on the
-// fields its config has and ignores the rest.
+// Options are the experiment-facing rpexp flags, one field per flag, and
+// the only configuration an experiment reads. A zero value means "the
+// experiment's default"; each experiment reads the fields it has a use for
+// and ignores the rest.
 type Options struct {
 	Deploy    string // -deploy: local|remote|both (Exp 2/3)
 	Scaling   string // -scaling: strong|weak|both (Exp 2/3)
@@ -41,15 +42,19 @@ func (o Options) Validate() error {
 	_, deploy := o.deployments()
 	_, scaling := o.scalings()
 	_, counts := o.counts()
-	return errors.Join(sched, rt, deploy, scaling, counts)
+	var requests error
+	if o.Requests < 0 {
+		requests = fmt.Errorf("bad -requests %d", o.Requests)
+	}
+	return errors.Join(sched, rt, deploy, scaling, counts, requests)
 }
 
-func (o Options) deployments() ([]Deployment, error) {
-	return oneOrBoth("deploy", o.Deploy, DeployLocal, DeployRemote)
+func (o Options) deployments() ([]deployment, error) {
+	return oneOrBoth("deploy", o.Deploy, deployLocal, deployRemote)
 }
 
-func (o Options) scalings() ([]Scaling, error) {
-	return oneOrBoth("scaling", o.Scaling, ScalingStrong, ScalingWeak)
+func (o Options) scalings() ([]scaling, error) {
+	return oneOrBoth("scaling", o.Scaling, scalingStrong, scalingWeak)
 }
 
 // oneOrBoth resolves a two-valued flag: either value selects itself,
@@ -88,6 +93,10 @@ func splitList(s string) []string {
 	return out
 }
 
+// defaultPlatform is the mixed-shape campus the frag, route, svcfail and
+// xproc ablations run on unless -platform names another.
+const defaultPlatform = "hetero"
+
 // Section is one titled block of an experiment's output.
 type Section struct {
 	Title  string
@@ -109,54 +118,19 @@ func Registry() []Experiment {
 			return []metrics.Table{usecases.TableI()}, nil
 		}),
 		single("table2", "Table II", func(context.Context, Options) ([]metrics.Table, error) {
-			return []metrics.Table{TableII()}, nil
+			return []metrics.Table{tableII()}, nil
 		}),
-		single("1", "Experiment 1 (Fig. 3)", func(ctx context.Context, o Options) ([]metrics.Table, error) {
-			counts, err := o.counts()
-			if err != nil {
-				return nil, err
-			}
-			return table(RunBT(ctx, BTConfig{Counts: counts, Seed: o.Seed, SchedPolicy: o.Sched, Router: o.Router}))
-		}),
-		single("frag", "Fragmentation ablation (heterogeneous pilot)", func(ctx context.Context, o Options) ([]metrics.Table, error) {
-			return table(RunFrag(ctx, FragConfig{Platform: o.Platform, Churn: o.Churn, Policy: o.Sched, Seed: o.Seed}))
-		}),
-		single("route", "Route ablation (mismatched pilots)", func(ctx context.Context, o Options) ([]metrics.Table, error) {
-			cfg := RouteConfig{Platform: o.Platform, Seed: o.Seed}
-			if o.Router != "" {
-				// -router selects the single challenger row
-				cfg.Routers = []string{router.NameRoundRobin, o.Router}
-			}
-			return table(RunRoute(ctx, cfg))
-		}),
-		single("svcfail", "Service-failover ablation (endpoint registry)", func(ctx context.Context, o Options) ([]metrics.Table, error) {
-			return table(RunSvcFail(ctx, SvcFailConfig{Platform: o.Platform, Requests: o.Requests, Seed: o.Seed}))
-		}),
-		single("load", "Load matrix (open-loop campaigns on the virtual clock)", func(ctx context.Context, o Options) ([]metrics.Table, error) {
-			return table(RunLoad(ctx, LoadConfig{ScenarioFilter: o.Scenarios, Requests: o.Requests, Seed: o.Seed}))
-		}),
-		single("scale", "Serving scalability (batching + replica autoscaling)", func(ctx context.Context, o Options) ([]metrics.Table, error) {
-			return table(RunScale(ctx, ScaleConfig{Requests: o.Requests, Seed: o.Seed}))
-		}),
-		single("hotspot", "Hotspot-balancing ablation (p2c vs blind vs full-scan)", func(ctx context.Context, o Options) ([]metrics.Table, error) {
-			res, err := RunHotspot(ctx, HotspotConfig{Balancers: splitList(o.Balance), Requests: o.Requests, Seed: o.Seed})
-			if err != nil {
-				return nil, err
-			}
-			return []metrics.Table{res.Table(), res.FailoverTable()}, nil
-		}),
-		single("xproc", "Cross-process ablation (pilots as OS processes over TCP)", func(ctx context.Context, o Options) ([]metrics.Table, error) {
-			res, err := RunXproc(ctx, XprocConfig{Platform: o.Platform, Requests: o.Requests, Seed: o.Seed})
-			if err != nil {
-				return nil, err
-			}
-			return []metrics.Table{res.RouteTable(), res.SvcFailTable()}, nil
-		}),
-		single("crashrec", "Crash-recovery ablation (write-ahead journal)", func(ctx context.Context, o Options) ([]metrics.Table, error) {
-			return table(RunCrashRec(ctx, CrashRecConfig{Seed: o.Seed}))
-		}),
-		rtSweep("2", "Experiment 2", "noop"),
-		rtSweep("3", "Experiment 3", "llama-8b"),
+		single("1", "Experiment 1 (Fig. 3)", runExp1),
+		single("frag", "Fragmentation ablation (heterogeneous pilot)", runFrag),
+		single("route", "Route ablation (mismatched pilots)", runRoute),
+		single("svcfail", "Service-failover ablation (endpoint registry)", runSvcFail),
+		single("load", "Load matrix (open-loop campaigns on the virtual clock)", runLoad),
+		single("scale", "Serving scalability (batching + replica autoscaling)", runScale),
+		single("hotspot", "Hotspot-balancing ablation (p2c vs blind vs full-scan)", runHotspot),
+		single("xproc", "Cross-process ablation (pilots as OS processes over TCP)", runXproc),
+		single("crashrec", "Crash-recovery ablation (write-ahead journal)", runCrashRec),
+		exp2.sweep("2", "Experiment 2"),
+		exp3.sweep("3", "Experiment 3"),
 	}
 }
 
@@ -168,42 +142,5 @@ func single(name, title string, run func(context.Context, Options) ([]metrics.Ta
 			return nil, err
 		}
 		return []Section{{Title: title, Tables: tables}}, nil
-	}}
-}
-
-// table adapts a Run* result to the one table most experiments print.
-func table[R interface{ Table() metrics.Table }](res R, err error) ([]metrics.Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []metrics.Table{res.Table()}, nil
-}
-
-// rtSweep builds Exp 2 or 3: one section per selected (deployment,
-// scaling) pair of the model's response-time sweep.
-func rtSweep(name, title, model string) Experiment {
-	return Experiment{Name: name, Title: title, Run: func(ctx context.Context, o Options) ([]Section, error) {
-		deployments, err := o.deployments()
-		if err != nil {
-			return nil, err
-		}
-		scalings, err := o.scalings()
-		if err != nil {
-			return nil, err
-		}
-		var out []Section
-		for _, d := range deployments {
-			for _, sc := range scalings {
-				res, err := RunRT(ctx, RTConfig{
-					Model: model, Deploy: d, Pairs: pairsFor(sc),
-					RequestsPerClient: o.Requests, Seed: o.Seed, SchedPolicy: o.Sched, Router: o.Router,
-				})
-				if err != nil {
-					return out, err
-				}
-				out = append(out, Section{Title: fmt.Sprintf("%s (%s, %s)", title, d, sc), Tables: []metrics.Table{res.Table()}})
-			}
-		}
-		return out, nil
 	}}
 }

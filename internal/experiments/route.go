@@ -8,10 +8,11 @@ package experiments
 // and its thin CPU partition as separate pilots), round-robin sends half
 // of the whole-fat-node tasks to the thin pilot, where no node shape can
 // ever run them; the capacity-fit router consults pilot shapes and live
-// scheduler snapshots and runs every task. RunRoute drives that
+// scheduler snapshots and runs every task. runRoute drives that
 // comparison end to end and is the `rpexp -exp route` table.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -27,52 +28,42 @@ import (
 	"repro/internal/states"
 )
 
-// RouteConfig parameterizes the routing ablation.
-type RouteConfig struct {
-	// Platform names a mixed-shape catalog platform (default "hetero");
-	// one pilot is acquired per node-shape partition.
-	Platform string
-	// Routers are the strategies compared (default: round-robin and
-	// capacity-fit, whose outcomes depend on submission order and static
-	// shapes only; least-loaded routes on live wait-pool snapshots, so its
-	// row varies from run to run and has to be asked for).
-	Routers []string
-	// FatTasks is the number of whole-fat-node tasks (default: the fat
-	// partition size). These are the shape-constrained probes only the
-	// fat pilot can ever run.
-	FatTasks int
-	// ThinTasks is the number of thin tasks (default: the thin partition
-	// size). Any pilot can run these.
-	ThinTasks int
-	// TaskTime is the simulated task duration (default 5s).
-	TaskTime time.Duration
-	// Seed drives determinism.
-	Seed uint64
+const (
+	routeSeed     = 6
+	routeTaskTime = 5 * time.Second // every task's simulated duration
+)
+
+// runRoute executes the routing ablation: identical workloads on
+// identically mismatched pilots — one whole-node task per fat node plus one
+// thin task per thin node — once per router. The routers are round-robin
+// and the challenger: capacity-fit, unless -router names another.
+// Round-robin's and capacity-fit's outcomes depend on submission order and
+// static shapes only; least-loaded routes on live wait-pool snapshots, so
+// its row varies from run to run and has to be asked for.
+func runRoute(ctx context.Context, o Options) ([]metrics.Table, error) {
+	o.Platform, o.Seed = cmp.Or(o.Platform, defaultPlatform), cmp.Or(o.Seed, routeSeed)
+	shapes, thin, fat, err := shapesOf(o.Platform, true)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: route: %w", err)
+	}
+	w := newRouteWorkload(shapes, thin, fat, fat.Count, thin.Count)
+	rows, err := routeRows(ctx, o, []string{router.NameRoundRobin, cmp.Or(o.Router, router.NameCapacityFit)}, w)
+	if err != nil {
+		return nil, err
+	}
+	t := metrics.Table{
+		Title: fmt.Sprintf("Route ablation — %s split into mismatched pilots (%s | %s), %s",
+			o.Platform, platform.FormatShapes([]platform.NodeGroup{fat}), platform.FormatShapes([]platform.NodeGroup{thin}), w),
+		Header: []string{"router", "fat done", "fat failed", "thin done", "thin failed", "rejected", "reroutes"},
+	}
+	for _, row := range rows {
+		t.AddRow(slices.Concat([]string{row.Router}, row.cells(w), []string{fmt.Sprint(row.Reroutes)})...)
+	}
+	return []metrics.Table{t}, nil
 }
 
-// DefaultRouteConfig returns the figure-scale parameterization: one
-// whole-node task per fat node plus one thin task per thin node, on the
-// hetero campus split into a fat pilot and a thin pilot.
-func DefaultRouteConfig() RouteConfig { return RouteConfig{}.withDefaults() }
-
-func (c RouteConfig) withDefaults() RouteConfig {
-	if c.Platform == "" {
-		c.Platform = "hetero"
-	}
-	if len(c.Routers) == 0 {
-		c.Routers = []string{router.NameRoundRobin, router.NameCapacityFit}
-	}
-	if c.TaskTime <= 0 {
-		c.TaskTime = 5 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 6
-	}
-	return c
-}
-
-// RouteRow is one router's outcome on the mismatched pilots.
-type RouteRow struct {
+// routeRow is one router's outcome on the mismatched pilots.
+type routeRow struct {
 	Router     string
 	FatDone    int
 	FatFailed  int
@@ -86,63 +77,45 @@ type RouteRow struct {
 	Reroutes int
 }
 
-// RouteResult is the routing-ablation dataset.
-type RouteResult struct {
-	Cfg RouteConfig
-	// FatPilotShapes / ThinPilotShapes describe the two mismatched pilots.
-	FatPilotShapes, ThinPilotShapes string
-	// FatCores/FatGPUs and ThinCores are the per-task demands.
-	FatCores, FatGPUs, ThinCores int
-	Rows                         []RouteRow
-}
-
-// RunRoute executes the routing ablation: identical workloads on
-// identically mismatched pilots, once per router strategy.
-func RunRoute(ctx context.Context, cfg RouteConfig) (*RouteResult, error) {
-	cfg = cfg.withDefaults()
-	shapes, thin, fat, err := shapesOf(cfg.Platform, true)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: route: %w", err)
-	}
-	if cfg.FatTasks <= 0 {
-		cfg.FatTasks = fat.Count
-	}
-	if cfg.ThinTasks <= 0 {
-		cfg.ThinTasks = thin.Count
-	}
-	res := &RouteResult{
-		Cfg:             cfg,
-		FatPilotShapes:  platform.FormatShapes([]platform.NodeGroup{fat}),
-		ThinPilotShapes: platform.FormatShapes([]platform.NodeGroup{thin}),
-		FatCores:        fat.Spec.Cores,
-		FatGPUs:         fat.Spec.GPUs,
-		ThinCores:       thin.Spec.Cores,
-	}
-	w := newRouteWorkload(cfg.FatTasks, cfg.ThinTasks, thin.Spec, fat.Spec, cfg.TaskTime)
-	for _, rt := range cfg.Routers {
-		row, err := runRoutePoint(ctx, cfg, rt, shapes, w)
-		if err != nil {
-			return res, fmt.Errorf("experiments: route %s on %s: %w", rt, cfg.Platform, err)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
 // routeWorkload is the task list both the in-process and the OS-process
-// route points submit: the first fat descriptions are whole-fat-node tasks
-// (the shape-constrained probes only the fat pilot can ever run), the rest
-// thin tasks any pilot can run.
+// route points submit to a platform carved into one pilot per node shape:
+// the first fatTasks descriptions are whole-fat-node tasks (the
+// shape-constrained probes only the fat pilot can ever run), the rest thin
+// tasks any pilot can run.
 type routeWorkload struct {
-	descs []spec.TaskDescription
-	fat   int
+	shapes              []platform.NodeGroup
+	thin, fat           platform.NodeSpec
+	fatTasks, thinTasks int
+	descs               []spec.TaskDescription
 }
 
-func newRouteWorkload(fatTasks, thinTasks int, thin, fat platform.NodeSpec, taskTime time.Duration) routeWorkload {
-	dur := rng.ConstDuration(taskTime)
-	return routeWorkload{fat: fatTasks, descs: append(
-		taskBatch(fatTasks, "fat", fat.Cores, fat.GPUs, dur),
-		taskBatch(thinTasks, "thin", thin.Cores, 0, dur)...)}
+func newRouteWorkload(shapes []platform.NodeGroup, thin, fat platform.NodeGroup, fatTasks, thinTasks int) routeWorkload {
+	dur := rng.ConstDuration(routeTaskTime)
+	return routeWorkload{
+		shapes: shapes, thin: thin.Spec, fat: fat.Spec, fatTasks: fatTasks, thinTasks: thinTasks,
+		descs: append(
+			taskBatch(fatTasks, "fat", fat.Spec.Cores, fat.Spec.GPUs, dur),
+			taskBatch(thinTasks, "thin", thin.Spec.Cores, 0, dur)...),
+	}
+}
+
+// String describes the workload for a table title.
+func (w routeWorkload) String() string {
+	return fmt.Sprintf("%d fat tasks (%dc/%dg) + %d thin tasks (%dc)",
+		w.fatTasks, w.fat.Cores, w.fat.GPUs, w.thinTasks, w.thin.Cores)
+}
+
+// routeRows runs the workload in process once per router.
+func routeRows(ctx context.Context, o Options, routers []string, w routeWorkload) ([]routeRow, error) {
+	var rows []routeRow
+	for _, rt := range routers {
+		row, err := routePoint(ctx, o, rt, w)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: route %s on %s: %w", rt, o.Platform, err)
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // run submits the workload in order through submit — a task the router
@@ -150,8 +123,8 @@ func newRouteWorkload(fatTasks, thinTasks int, thin, fat platform.NodeSpec, task
 // the run — then asks settle for the final state of every accepted task, in
 // submission order, and tallies them per class. Failures included: a
 // misrouted fat task fails fast as unsatisfiable on the thin pilot.
-func (w routeWorkload) run(rt string, submit func(spec.TaskDescription) error, settle func() ([]states.State, error)) (RouteRow, error) {
-	row := RouteRow{Router: rt}
+func (w routeWorkload) run(rt string, submit func(spec.TaskDescription) error, settle func() ([]states.State, error)) (routeRow, error) {
+	row := routeRow{Router: rt}
 	var fat []bool // class of each accepted task
 	for i, d := range w.descs {
 		err := submit(d)
@@ -163,7 +136,7 @@ func (w routeWorkload) run(rt string, submit func(spec.TaskDescription) error, s
 		if err != nil {
 			return row, err
 		}
-		fat = append(fat, i < w.fat)
+		fat = append(fat, i < w.fatTasks)
 	}
 	final, err := settle()
 	if err != nil {
@@ -184,12 +157,12 @@ func (w routeWorkload) run(rt string, submit func(spec.TaskDescription) error, s
 	return row, nil
 }
 
-// runRoutePoint runs the workload under one router: a session holding
+// routePoint runs the workload under one router: a session holding
 // one pilot per node-shape partition of the platform, fat tasks
 // interleaving with the router's rotation, all task outcomes counted.
-func runRoutePoint(ctx context.Context, cfg RouteConfig, rt string, shapes []platform.NodeGroup, w routeWorkload) (row RouteRow, err error) {
-	scfg := core.SessionConfig{Seed: cfg.Seed, FastBoot: true, Router: rt}
-	err = runTestbed(scfg, pilotPerShape(cfg.Platform, shapes), func(tb *testbed) error {
+func routePoint(ctx context.Context, o Options, rt string, w routeWorkload) (row routeRow, err error) {
+	scfg := core.SessionConfig{Seed: o.Seed, FastBoot: true, Router: rt}
+	err = runTestbed(scfg, pilotPerShape(o.Platform, w.shapes), func(tb *testbed) error {
 		tm := tb.TaskManager()
 		var tasks []*core.Task
 		row, err = w.run(rt,
@@ -219,28 +192,13 @@ func runRoutePoint(ctx context.Context, cfg RouteConfig, rt string, shapes []pla
 	return row, err
 }
 
-// Table renders the routing ablation.
-func (r *RouteResult) Table() metrics.Table {
-	t := metrics.Table{
-		Title: fmt.Sprintf(
-			"Route ablation — %s split into mismatched pilots (%s | %s), %d fat tasks (%dc/%dg) + %d thin tasks (%dc)",
-			r.Cfg.Platform, r.FatPilotShapes, r.ThinPilotShapes,
-			r.Cfg.FatTasks, r.FatCores, r.FatGPUs, r.Cfg.ThinTasks, r.ThinCores),
-		Header: []string{"router", "fat done", "fat failed", "thin done", "thin failed", "rejected", "reroutes"},
-	}
-	for _, row := range r.Rows {
-		t.AddRow(slices.Concat([]string{row.Router}, row.cells(r.Cfg.FatTasks, r.Cfg.ThinTasks), []string{fmt.Sprint(row.Reroutes)})...)
-	}
-	return t
-}
-
 // cells renders the outcome columns the in-process and the cross-process
 // route tables share: fat done, fat failed, thin done, thin failed, rejected.
-func (row RouteRow) cells(fatTasks, thinTasks int) []string {
+func (row routeRow) cells(w routeWorkload) []string {
 	return []string{
-		fmt.Sprintf("%d/%d", row.FatDone, fatTasks),
+		fmt.Sprintf("%d/%d", row.FatDone, w.fatTasks),
 		fmt.Sprint(row.FatFailed),
-		fmt.Sprintf("%d/%d", row.ThinDone, thinTasks),
+		fmt.Sprintf("%d/%d", row.ThinDone, w.thinTasks),
 		fmt.Sprint(row.ThinFailed),
 		fmt.Sprint(row.Rejected),
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -10,62 +11,21 @@ import (
 	"repro/internal/metrics"
 )
 
-// ScaleConfig parameterizes the serving-scalability ablation: an
-// offered-load sweep over the serving modes (single-threaded worker,
-// concurrent worker pool, continuous batching) plus a diurnal
-// fixed-vs-autoscaled replica pair. All campaigns host the same model
-// (vit-base, milliseconds per request) so mode is the only variable.
-type ScaleConfig struct {
-	// Requests sizes each sweep campaign (default 20000).
-	Requests int
-	// DiurnalRequests sizes the diurnal pair (default 48000: one full
-	// 120s wave at the 400 req/s mean rate).
-	DiurnalRequests int
-	// Seed drives every campaign (default 7).
-	Seed uint64
-}
+const (
+	scaleRequests = 20000 // each sweep campaign's, unless -requests
+	// scaleDiurnalRequests sizes the diurnal pair: one full 120 s wave at
+	// the 400 req/s mean rate.
+	scaleDiurnalRequests = 48000
+	scaleSeed            = 7
+	// scaleQueueCap comfortably exceeds the worst-case backlog of any
+	// campaign, so no arrival is ever rejected and every count stays exact:
+	// Completed == Offered for every row.
+	scaleQueueCap = 200000
+)
 
-// DefaultScaleConfig returns the ablation at its standard campaign sizes.
-func DefaultScaleConfig() ScaleConfig { return ScaleConfig{}.withDefaults() }
-
-func (c ScaleConfig) withDefaults() ScaleConfig {
-	if c.Requests <= 0 {
-		c.Requests = 20000
-	}
-	if c.DiurnalRequests <= 0 {
-		c.DiurnalRequests = 48000
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
-	}
-	return c
-}
-
-// ScaleRow is one campaign's outcome in the scaling ablation.
-type ScaleRow struct {
-	Config string
-	Rate   float64
-	CampaignRow
-	// Throughput is completed requests per second of virtual time — at
-	// saturating offered rates this is the serving mode's capacity.
-	Throughput float64
-	// PeakReplicas is the autoscaler's high-water replica count (1 for
-	// every fixed-replica configuration).
-	PeakReplicas int
-}
-
-// ScaleResult is the scaling-ablation dataset.
-type ScaleResult struct {
-	Cfg  ScaleConfig
-	Rows []ScaleRow
-}
-
-// scaleQueueCap comfortably exceeds the worst-case backlog of any
-// ablation campaign, so no arrival is ever rejected and every count
-// stays exact: Completed == Offered == Requests for every row.
-const scaleQueueCap = 200000
-
-// RunScale executes the scaling ablation.
+// runScale executes the serving-scalability ablation. All campaigns host
+// the same model (vit-base, milliseconds per request) so the serving mode
+// is the only variable.
 //
 // Sweep: three serving modes — single (Concurrency 1), concurrent
 // (Concurrency 4), batched (Concurrency 4, MaxBatch 8) — each offered
@@ -77,10 +37,7 @@ const scaleQueueCap = 200000
 // 0.8, period 120s) whose peak exceeds one worker's capacity, served by
 // a fixed single replica versus the autoscaler bounded at four
 // replicas. The tail-latency contrast is the autoscaler's payoff.
-func RunScale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
-	cfg = cfg.withDefaults()
-	res := &ScaleResult{Cfg: cfg}
-
+func runScale(ctx context.Context, o Options) ([]metrics.Table, error) {
 	modes := []struct {
 		name           string
 		conc, maxBatch int
@@ -92,21 +49,21 @@ func RunScale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 	rates := []float64{250, 1000, 8000}
 	// what every campaign shares: one vit-base backend, never rejecting
 	base := loadgen.Scenario{
-		Services: 1, QueueCap: scaleQueueCap, Seed: cfg.Seed, Model: "vit-base", MaxTokens: 8,
+		Services: 1, QueueCap: scaleQueueCap, Seed: cmp.Or(o.Seed, scaleSeed), Model: "vit-base", MaxTokens: 8,
 	}
 	var scenarios []loadgen.Scenario
 	for _, rate := range rates {
 		for _, m := range modes {
 			sc := base
 			sc.Name, sc.Kind = fmt.Sprintf("%s@%g", m.name, rate), loadgen.KindSteady
-			sc.Requests, sc.Rate = cfg.Requests, rate
+			sc.Requests, sc.Rate = cmp.Or(o.Requests, scaleRequests), rate
 			sc.Concurrency, sc.MaxBatch = m.conc, m.maxBatch
 			scenarios = append(scenarios, sc)
 		}
 	}
 	diurnal := base
 	diurnal.Name, diurnal.Kind = "diurnal-fixed", loadgen.KindDiurnal
-	diurnal.Requests, diurnal.Rate = cfg.DiurnalRequests, 400
+	diurnal.Requests, diurnal.Rate = scaleDiurnalRequests, 400
 	diurnal.WaveAmp, diurnal.WavePeriod = 0.8, 120*time.Second
 	diurnal.Concurrency = 1
 	autoscaled := diurnal
@@ -114,37 +71,25 @@ func RunScale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 	autoscaled.MinReplicas, autoscaled.MaxReplicas = 1, 4
 	scenarios = append(scenarios, diurnal, autoscaled)
 
-	for _, sc := range scenarios {
-		r, err := loadgen.Run(ctx, sc)
-		if err != nil {
-			return res, fmt.Errorf("experiments: scale campaign %s: %w", sc.Name, err)
-		}
-		throughput := 0.0
-		if r.Duration > 0 {
-			throughput = float64(r.Completed) / r.Duration.Seconds()
-		}
-		res.Rows = append(res.Rows, ScaleRow{
-			Config:       sc.Name,
-			Rate:         sc.Rate,
-			CampaignRow:  campaignRow(r),
-			Throughput:   throughput,
-			PeakReplicas: r.PeakReplicas,
-		})
-	}
-	return res, nil
-}
-
-// Table renders the scaling ablation.
-func (r *ScaleResult) Table() metrics.Table {
 	t := metrics.Table{
 		Title: "Serving scalability — batching and replica autoscaling (vit-base)",
 		Header: []string{"config", "rate", "offered", "completed", "failed",
 			"throughput", "p50", "p99", "peak reps", "sim time", "wall"},
 	}
-	for _, row := range r.Rows {
-		t.AddRow(slices.Concat([]string{row.Config, fmt.Sprintf("%g/s", row.Rate)}, row.counts(),
-			[]string{fmt.Sprintf("%.0f/s", row.Throughput)}, fmtDurs(row.P50, row.P99),
-			[]string{fmt.Sprint(row.PeakReplicas)}, fmtDurs(row.SimDuration, row.Wall))...)
+	for _, sc := range scenarios {
+		r, err := loadgen.Run(ctx, sc)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: scale campaign %s: %w", sc.Name, err)
+		}
+		// completed requests per second of virtual time: at saturating
+		// offered rates this is the serving mode's capacity
+		throughput := 0.0
+		if r.Duration > 0 {
+			throughput = float64(r.Completed) / r.Duration.Seconds()
+		}
+		t.AddRow(slices.Concat([]string{sc.Name, fmt.Sprintf("%g/s", sc.Rate)}, campaignCounts(r),
+			[]string{fmt.Sprintf("%.0f/s", throughput)}, fmtDurs(r.Latency.Quantile(0.50), r.Latency.Quantile(0.99)),
+			[]string{fmt.Sprint(r.PeakReplicas)}, fmtDurs(r.Duration, r.Wall))...)
 	}
-	return t
+	return []metrics.Table{t}, nil
 }

@@ -11,10 +11,11 @@ package experiments
 // a bumped generation. A client that cached the raw endpoint (the seed
 // behaviour) loses every post-failover request against the dead address;
 // a registry-resolving client detects the stale generation, redials, and
-// recovers all of them. RunSvcFail drives both client styles over the
+// recovers all of them. runSvcFail drives both client styles over the
 // identical scenario and is the `rpexp -exp svcfail` table.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -25,56 +26,46 @@ import (
 	"repro/internal/service"
 )
 
-// SvcFailClientCaching and SvcFailClientResolving name the two client
-// styles the ablation contrasts.
+// The two client styles the ablation contrasts, in table order.
 const (
-	SvcFailClientCaching   = "endpoint-caching"
-	SvcFailClientResolving = "registry-resolving"
+	svcFailClientCaching   = "endpoint-caching"
+	svcFailClientResolving = "registry-resolving"
 )
 
-// SvcFailConfig parameterizes the service-failover ablation.
-type SvcFailConfig struct {
-	// Platform names a mixed-shape catalog platform split into one pilot
-	// per node-shape partition (default "hetero").
-	Platform string
-	// Requests is the client's total request budget (default 32).
-	Requests int
-	// KillAfter is how many requests complete before the hosting pilot is
-	// killed (default Requests/2).
-	KillAfter int
-	// Clients are the styles compared (default: both).
-	Clients []string
-	// Seed drives determinism.
-	Seed uint64
+const (
+	// svcFailRequests is the client's request budget unless -requests; the
+	// hosting pilot is killed once half of it has completed.
+	svcFailRequests = 32
+	svcFailSeed     = 9
+)
+
+// runSvcFail executes the failover ablation: the identical
+// kill-the-hosting-pilot scenario once per client style.
+func runSvcFail(ctx context.Context, o Options) ([]metrics.Table, error) {
+	o.Platform, o.Requests, o.Seed = cmp.Or(o.Platform, defaultPlatform), cmp.Or(o.Requests, svcFailRequests), cmp.Or(o.Seed, svcFailSeed)
+	rows, err := svcFailRows(ctx, o)
+	if err != nil {
+		return nil, err
+	}
+	killAfter, post := o.Requests/2, o.Requests-o.Requests/2
+	t := metrics.Table{
+		Title: fmt.Sprintf(
+			"Service-failover ablation — %s split into per-shape pilots, hosting pilot killed after %d/%d requests (%d post-failover)",
+			o.Platform, killAfter, o.Requests, post),
+		Header: []string{"client", "pre-kill ok", "recovered", "failed", "re-resolved", "replacements", "endpoint gen"},
+	}
+	for _, row := range rows {
+		t.AddRow(slices.Concat([]string{row.Client}, row.cells(o.Requests),
+			[]string{fmt.Sprint(row.Replacements), fmt.Sprint(row.Generation)})...)
+	}
+	return []metrics.Table{t}, nil
 }
 
-// DefaultSvcFailConfig returns the figure-scale parameterization.
-func DefaultSvcFailConfig() SvcFailConfig { return SvcFailConfig{}.withDefaults() }
-
-func (c SvcFailConfig) withDefaults() SvcFailConfig {
-	if c.Platform == "" {
-		c.Platform = "hetero"
-	}
-	if c.Requests <= 0 {
-		c.Requests = 32
-	}
-	if c.KillAfter <= 0 || c.KillAfter >= c.Requests {
-		c.KillAfter = c.Requests / 2
-	}
-	if len(c.Clients) == 0 {
-		c.Clients = []string{SvcFailClientCaching, SvcFailClientResolving}
-	}
-	if c.Seed == 0 {
-		c.Seed = 9
-	}
-	return c
-}
-
-// SvcFailRow is one client style's outcome across the failover.
-type SvcFailRow struct {
+// svcFailRow is one client style's outcome across the failover.
+type svcFailRow struct {
 	Client string
 	// PreKill counts successful requests before the pilot is killed
-	// (always KillAfter when the scenario is healthy).
+	// (always half the budget when the scenario is healthy).
 	PreKill int
 	// Recovered and Failed count post-failover requests that succeeded /
 	// errored. The acceptance contrast: caching recovers 0, resolving
@@ -94,29 +85,21 @@ type SvcFailRow struct {
 	HostBefore, HostAfter string
 }
 
-// SvcFailResult is the ablation dataset.
-type SvcFailResult struct {
-	Cfg  SvcFailConfig
-	Rows []SvcFailRow
-}
-
-// RunSvcFail executes the failover ablation: the identical
-// kill-the-hosting-pilot scenario once per client style.
-func RunSvcFail(ctx context.Context, cfg SvcFailConfig) (*SvcFailResult, error) {
-	cfg = cfg.withDefaults()
-	shapes, _, _, err := shapesOf(cfg.Platform, true)
+// svcFailRows runs the scenario in process once per client style.
+func svcFailRows(ctx context.Context, o Options) ([]svcFailRow, error) {
+	shapes, _, _, err := shapesOf(o.Platform, true)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: svcfail needs a surviving pilot: %w", err)
 	}
-	res := &SvcFailResult{Cfg: cfg}
-	for _, client := range cfg.Clients {
-		row, err := runSvcFailPoint(ctx, cfg, client, shapes)
+	var rows []svcFailRow
+	for _, client := range []string{svcFailClientCaching, svcFailClientResolving} {
+		row, err := svcFailPoint(ctx, o, client, shapes)
 		if err != nil {
-			return res, fmt.Errorf("experiments: svcfail %s on %s: %w", client, cfg.Platform, err)
+			return nil, fmt.Errorf("experiments: svcfail %s on %s: %w", client, o.Platform, err)
 		}
-		res.Rows = append(res.Rows, row)
+		rows = append(rows, row)
 	}
-	return res, nil
+	return rows, nil
 }
 
 // resolvingCaller is a client that follows a service UID across endpoint
@@ -131,20 +114,20 @@ type resolvingCaller interface {
 // run drives the scenario both the in-process and the OS-process failover
 // points share, under the row's client style: dial (the caching client
 // dials the published endpoint once and keeps it — the seed behaviour — the
-// resolving one follows the registry), KillAfter sequential requests that
-// must all succeed, the failover, then the rest of the budget, each request
+// resolving one follows the registry), half the budget of sequential
+// requests that must all succeed, the failover, then the rest, each request
 // counted as recovered or failed. failover returns once the service is
 // provably live again, so both styles race a live service and the contrast
 // isolates the client's endpoint-resolution strategy.
-func (row *SvcFailRow) run(ctx context.Context, cfg SvcFailConfig,
+func (row *svcFailRow) run(ctx context.Context, requests int,
 	dialCaching func() (service.Caller, error), dialResolving func() (resolvingCaller, error), failover func() error) error {
 	var caller service.Caller
 	var resolver resolvingCaller
 	var err error
 	switch row.Client {
-	case SvcFailClientCaching:
+	case svcFailClientCaching:
 		caller, err = dialCaching()
-	case SvcFailClientResolving:
+	case svcFailClientResolving:
 		resolver, err = dialResolving()
 		caller = resolver
 	default:
@@ -154,7 +137,7 @@ func (row *SvcFailRow) run(ctx context.Context, cfg SvcFailConfig,
 		return err
 	}
 	defer caller.Close()
-	for i := 0; i < cfg.KillAfter; i++ {
+	for i := 0; i < requests/2; i++ {
 		if _, _, err := caller.Infer(ctx, fmt.Sprintf("pre-%d", i), 0); err != nil {
 			return fmt.Errorf("pre-kill request %d: %w", i, err)
 		}
@@ -163,7 +146,7 @@ func (row *SvcFailRow) run(ctx context.Context, cfg SvcFailConfig,
 	if err := failover(); err != nil {
 		return err
 	}
-	for i := 0; i < cfg.Requests-cfg.KillAfter; i++ {
+	for i := 0; i < requests-requests/2; i++ {
 		if _, _, err := caller.Infer(ctx, fmt.Sprintf("post-%d", i), 0); err != nil {
 			row.Failed++
 		} else {
@@ -176,12 +159,12 @@ func (row *SvcFailRow) run(ctx context.Context, cfg SvcFailConfig,
 	return nil
 }
 
-// runSvcFailPoint runs the scenario under one client style: two pilots
+// svcFailPoint runs the scenario under one client style: two pilots
 // (one per shape partition), one routed noop service, and the request
 // stream interrupted by killing the hosting pilot.
-func runSvcFailPoint(ctx context.Context, cfg SvcFailConfig, client string, shapes []platform.NodeGroup) (row SvcFailRow, err error) {
-	scfg := core.SessionConfig{Seed: cfg.Seed, FastBoot: true}
-	err = runTestbed(scfg, pilotPerShape(cfg.Platform, shapes), func(tb *testbed) error {
+func svcFailPoint(ctx context.Context, o Options, client string, shapes []platform.NodeGroup) (row svcFailRow, err error) {
+	scfg := core.SessionConfig{Seed: o.Seed, FastBoot: true}
+	err = runTestbed(scfg, pilotPerShape(o.Platform, shapes), func(tb *testbed) error {
 		h, err := tb.ServiceManager().Submit(hostedService("svc", "noop"))
 		if err != nil {
 			return err
@@ -189,9 +172,9 @@ func runSvcFailPoint(ctx context.Context, cfg SvcFailConfig, client string, shap
 		if err := tb.wait(func() error { return h.WaitReady(ctx) }); err != nil {
 			return err
 		}
-		row = SvcFailRow{Client: client, HostBefore: h.Pilot()}
-		clientAddr := platform.Addr(cfg.Platform, "", "svcfail-client")
-		return row.run(ctx, cfg,
+		row = svcFailRow{Client: client, HostBefore: h.Pilot()}
+		clientAddr := platform.Addr(o.Platform, "", "svcfail-client")
+		return row.run(ctx, o.Requests,
 			func() (service.Caller, error) { return tb.Dial(clientAddr, h.Endpoint()) },
 			func() (resolvingCaller, error) { return tb.DialService(clientAddr, h.UID(), nil) },
 			func() error {
@@ -203,26 +186,11 @@ func runSvcFailPoint(ctx context.Context, cfg SvcFailConfig, client string, shap
 	return row, err
 }
 
-// Table renders the failover ablation.
-func (r *SvcFailResult) Table() metrics.Table {
-	post := r.Cfg.Requests - r.Cfg.KillAfter
-	t := metrics.Table{
-		Title: fmt.Sprintf(
-			"Service-failover ablation — %s split into per-shape pilots, hosting pilot killed after %d/%d requests (%d post-failover)",
-			r.Cfg.Platform, r.Cfg.KillAfter, r.Cfg.Requests, post),
-		Header: []string{"client", "pre-kill ok", "recovered", "failed", "re-resolved", "replacements", "endpoint gen"},
-	}
-	for _, row := range r.Rows {
-		t.AddRow(slices.Concat([]string{row.Client}, row.cells(r.Cfg.KillAfter, post),
-			[]string{fmt.Sprint(row.Replacements), fmt.Sprint(row.Generation)})...)
-	}
-	return t
-}
-
 // cells renders the request-stream columns the in-process and the
-// cross-process failover tables share: pre-kill ok, recovered, failed,
-// re-resolved.
-func (row SvcFailRow) cells(killAfter, post int) []string {
+// cross-process failover tables share under a budget of requests: pre-kill
+// ok, recovered, failed, re-resolved.
+func (row svcFailRow) cells(requests int) []string {
+	killAfter, post := requests/2, requests-requests/2
 	return []string{
 		fmt.Sprintf("%d/%d", row.PreKill, killAfter),
 		fmt.Sprintf("%d/%d", row.Recovered, post),

@@ -7,7 +7,7 @@ package experiments
 // pilot as a real OS process (xproc agents reached over the pooled TCP
 // transport) and asserts outcome-count equality against the in-proc
 // baselines — the determinism contract of the transport seam: swapping
-// the wire under the session changes timing, not outcomes. RunXproc
+// the wire under the session changes timing, not outcomes. runXproc
 // drives both scenario families and is the `rpexp -exp xproc` table.
 //
 // Outcome counts (not placements or latencies) are the comparable
@@ -19,6 +19,7 @@ package experiments
 // real-clock agent processes cannot reproduce deterministically.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -37,127 +38,86 @@ import (
 	"repro/internal/xproc"
 )
 
-// XprocConfig parameterizes the cross-process ablation.
-type XprocConfig struct {
-	// Platform names the mixed-shape catalog platform carved into one
-	// agent process per node-shape partition (default "hetero").
-	Platform string
-	// Routers are the strategies compared in the route scenario (default:
-	// round-robin, capacity-fit — the deterministic ones; least-loaded
-	// depends on live snapshots and is excluded, see the package comment).
-	Routers []string
-	// FatTasks / ThinTasks size the route workload (defaults 8 / 16 — the
-	// route ablation at smoke scale; the in-proc baseline runs the same).
-	FatTasks, ThinTasks int
-	// TaskTime is the simulated task duration (default 5s).
-	TaskTime time.Duration
-	// Requests / KillAfter shape the failover request stream (defaults
-	// 16 / 8).
-	Requests, KillAfter int
-	// Scale is the agents' clock compression (default 2000): agent
-	// processes run on real time, the in-proc baselines on the virtual clock.
-	Scale float64
-	// Seed drives determinism.
-	Seed uint64
+const (
+	xprocSeed     = 11
+	xprocRequests = 16 // the failover stream's budget, unless -requests
+	// The route workload at smoke scale; the in-proc baseline runs the same.
+	xprocFatTasks, xprocThinTasks = 8, 16
+	// xprocScale is the agents' clock compression: agent processes run on
+	// real time, the in-proc baselines on the virtual clock.
+	xprocScale = 2000
+)
+
+// runXproc executes the cross-process ablation and renders each scenario's
+// cross-process and in-proc rows interleaved per router or client style.
+func runXproc(ctx context.Context, o Options) ([]metrics.Table, error) {
+	o.Platform, o.Requests, o.Seed = cmp.Or(o.Platform, defaultPlatform), cmp.Or(o.Requests, xprocRequests), cmp.Or(o.Seed, xprocSeed)
+	res, err := xprocRows(ctx, o)
+	if err != nil {
+		return nil, err
+	}
+	route := metrics.Table{
+		Title: fmt.Sprintf("Cross-process route ablation — %s carved into per-shape agent processes over TCP, %s",
+			o.Platform, res.workload),
+		Header: []string{"router", "variant", "fat done", "fat failed", "thin done", "thin failed", "rejected"},
+	}
+	for i, row := range res.route {
+		route.AddRow(slices.Concat([]string{row.Router, "os-process"}, row.cells(res.workload))...)
+		route.AddRow(slices.Concat([]string{row.Router, "in-proc"}, res.routeInproc[i].cells(res.workload))...)
+	}
+	killAfter := o.Requests / 2
+	svcFail := metrics.Table{
+		Title: fmt.Sprintf(
+			"Cross-process failover ablation — hosting agent SIGKILLed after %d/%d requests (%d post-failover)",
+			killAfter, o.Requests, o.Requests-killAfter),
+		Header: []string{"client", "variant", "pre-kill ok", "recovered", "failed", "re-resolved", "endpoint gen"},
+	}
+	for i, row := range res.svcFail {
+		in := res.svcFailInproc[i]
+		svcFail.AddRow(slices.Concat([]string{row.Client, "os-process"}, row.cells(o.Requests), []string{fmt.Sprint(row.Generation)})...)
+		svcFail.AddRow(slices.Concat([]string{in.Client, "in-proc"}, in.cells(o.Requests), []string{fmt.Sprint(in.Generation)})...)
+	}
+	return []metrics.Table{route, svcFail}, nil
 }
 
-// DefaultXprocConfig returns the figure-scale parameterization.
-func DefaultXprocConfig() XprocConfig { return XprocConfig{}.withDefaults() }
-
-func (c XprocConfig) withDefaults() XprocConfig {
-	if c.FatTasks <= 0 {
-		c.FatTasks = 8
-	}
-	if c.ThinTasks <= 0 {
-		c.ThinTasks = 16
-	}
-	if c.Requests <= 0 {
-		c.Requests = 16
-	}
-	if c.Seed == 0 {
-		c.Seed = 11
-	}
-	if c.Scale <= 0 {
-		c.Scale = 2000
-	}
-	// everything else defaults as in the in-proc ablations this one replays
-	rt, svc := c.route().withDefaults(), c.svcFail().withDefaults()
-	c.Platform, c.Routers, c.TaskTime, c.KillAfter = rt.Platform, rt.Routers, rt.TaskTime, svc.KillAfter
-	return c
+// xprocResult is each scenario's cross-process rows next to its in-proc
+// baseline rows on the identical workload.
+type xprocResult struct {
+	workload               routeWorkload
+	route, routeInproc     []routeRow   // one row per router
+	svcFail, svcFailInproc []svcFailRow // one row per client style
 }
 
-// route and svcFail are the in-proc ablations on the identical workloads.
-func (c XprocConfig) route() RouteConfig {
-	return RouteConfig{
-		Platform: c.Platform, Routers: c.Routers,
-		FatTasks: c.FatTasks, ThinTasks: c.ThinTasks,
-		TaskTime: c.TaskTime, Seed: c.Seed,
-	}
-}
-
-func (c XprocConfig) svcFail() SvcFailConfig {
-	return SvcFailConfig{
-		Platform: c.Platform, Requests: c.Requests, KillAfter: c.KillAfter, Seed: c.Seed,
-	}
-}
-
-// XprocResult is the cross-process ablation dataset: each scenario's
-// cross-process rows next to its in-proc baseline rows.
-type XprocResult struct {
-	Cfg XprocConfig
-	// Route / RouteInproc are the routing outcomes, one row per router.
-	Route, RouteInproc []RouteRow
-	// SvcFail / SvcFailInproc are the failover outcomes, one row per
-	// client style.
-	SvcFail, SvcFailInproc []SvcFailRow
-	// FatCores/FatGPUs/ThinCores echo the per-task demands.
-	FatCores, FatGPUs, ThinCores int
-}
-
-// RunXproc executes the cross-process ablation: the route and failover
-// scenarios once with pilots as OS processes over TCP, once in-proc, on
-// identical workloads.
-func RunXproc(ctx context.Context, cfg XprocConfig) (*XprocResult, error) {
-	cfg = cfg.withDefaults()
-	shapes, thin, fat, err := shapesOf(cfg.Platform, true)
+// xprocRows runs the route and failover scenarios once with pilots as OS
+// processes over TCP, once in-proc. The routers are round-robin and
+// capacity-fit, the deterministic ones (see the file comment).
+func xprocRows(ctx context.Context, o Options) (*xprocResult, error) {
+	shapes, thin, fat, err := shapesOf(o.Platform, true)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: xproc: %w", err)
 	}
-	res := &XprocResult{
-		Cfg:       cfg,
-		FatCores:  fat.Spec.Cores,
-		FatGPUs:   fat.Spec.GPUs,
-		ThinCores: thin.Spec.Cores,
+	res := &xprocResult{workload: newRouteWorkload(shapes, thin, fat, xprocFatTasks, xprocThinTasks)}
+	routers := []string{router.NameRoundRobin, router.NameCapacityFit}
+	if res.routeInproc, err = routeRows(ctx, o, routers, res.workload); err != nil {
+		return nil, fmt.Errorf("experiments: xproc in-proc route baseline: %w", err)
 	}
-
-	// In-proc baselines on the identical workloads.
-	inRoute, err := RunRoute(ctx, cfg.route())
-	if err != nil {
-		return res, fmt.Errorf("experiments: xproc in-proc route baseline: %w", err)
+	if res.svcFailInproc, err = svcFailRows(ctx, o); err != nil {
+		return nil, fmt.Errorf("experiments: xproc in-proc svcfail baseline: %w", err)
 	}
-	res.RouteInproc = inRoute.Rows
-	inSvc, err := RunSvcFail(ctx, cfg.svcFail())
-	if err != nil {
-		return res, fmt.Errorf("experiments: xproc in-proc svcfail baseline: %w", err)
-	}
-	res.SvcFailInproc = inSvc.Rows
-
-	// Cross-process route scenario, one fresh agent pair per router.
-	w := newRouteWorkload(cfg.FatTasks, cfg.ThinTasks, thin.Spec, fat.Spec, cfg.TaskTime)
-	for _, rt := range cfg.Routers {
-		row, err := runXprocRoutePoint(ctx, cfg, rt, shapes, w)
+	// One fresh agent set per router and per client style.
+	for _, rt := range routers {
+		row, err := xprocRoutePoint(ctx, o, rt, res.workload)
 		if err != nil {
-			return res, fmt.Errorf("experiments: xproc route %s: %w", rt, err)
+			return nil, fmt.Errorf("experiments: xproc route %s: %w", rt, err)
 		}
-		res.Route = append(res.Route, row)
+		res.route = append(res.route, row)
 	}
-	// Cross-process failover scenario, one fresh agent pair per style.
-	for _, client := range inSvc.Cfg.Clients {
-		row, err := runXprocSvcFailPoint(ctx, inSvc.Cfg, cfg.Scale, client, shapes)
+	for _, in := range res.svcFailInproc {
+		row, err := xprocSvcFailPoint(ctx, o, in.Client, shapes)
 		if err != nil {
-			return res, fmt.Errorf("experiments: xproc svcfail %s: %w", client, err)
+			return nil, fmt.Errorf("experiments: xproc svcfail %s: %w", in.Client, err)
 		}
-		res.SvcFail = append(res.SvcFail, row)
+		res.svcFail = append(res.svcFail, row)
 	}
 	return res, nil
 }
@@ -166,7 +126,7 @@ func RunXproc(ctx context.Context, cfg XprocConfig) (*XprocResult, error) {
 // the platform, carving consecutive partitions exactly as the in-proc
 // experiments' consecutive pilot submissions do. The returned function
 // shuts them all down.
-func spawnAgents(ctx context.Context, platformName string, shapes []platform.NodeGroup, seed uint64, scale float64) ([]*xproc.Proc, func(), error) {
+func spawnAgents(ctx context.Context, platformName string, shapes []platform.NodeGroup, seed uint64) ([]*xproc.Proc, func(), error) {
 	var procs []*xproc.Proc
 	cleanup := func() {
 		for _, p := range procs {
@@ -183,7 +143,7 @@ func spawnAgents(ctx context.Context, platformName string, shapes []platform.Nod
 			SkipNodes: skip,
 			Nodes:     g.Count,
 			Seed:      seed + uint64(i),
-			Scale:     scale,
+			Scale:     xprocScale,
 		})
 		if err != nil {
 			cleanup()
@@ -195,18 +155,18 @@ func spawnAgents(ctx context.Context, platformName string, shapes []platform.Nod
 	return procs, cleanup, nil
 }
 
-// runXprocRoutePoint replays the route workload with the router running
+// xprocRoutePoint replays the route workload with the router running
 // driver-side over agent processes as targets.
-func runXprocRoutePoint(ctx context.Context, cfg XprocConfig, rt string, shapes []platform.NodeGroup, w routeWorkload) (RouteRow, error) {
-	procs, cleanup, err := spawnAgents(ctx, cfg.Platform, shapes, cfg.Seed, cfg.Scale)
+func xprocRoutePoint(ctx context.Context, o Options, rt string, w routeWorkload) (routeRow, error) {
+	procs, cleanup, err := spawnAgents(ctx, o.Platform, w.shapes, o.Seed)
 	if err != nil {
-		return RouteRow{}, err
+		return routeRow{}, err
 	}
 	defer cleanup()
 
 	r, err := router.ByName(rt)
 	if err != nil {
-		return RouteRow{}, err
+		return routeRow{}, err
 	}
 	targets := make([]router.Target, len(procs))
 	for i, p := range procs {
@@ -254,14 +214,14 @@ func runXprocRoutePoint(ctx context.Context, cfg XprocConfig, rt string, shapes 
 		})
 }
 
-// runXprocSvcFailPoint replays the failover scenario with the service
+// xprocSvcFailPoint replays the failover scenario with the service
 // hosted in an agent process that is SIGKILLed mid-stream — a harder kill
 // than the in-proc pilot shutdown — and the registry/re-placement loop
 // running driver-side.
-func runXprocSvcFailPoint(ctx context.Context, cfg SvcFailConfig, scale float64, client string, shapes []platform.NodeGroup) (SvcFailRow, error) {
-	procs, cleanup, err := spawnAgents(ctx, cfg.Platform, shapes, cfg.Seed, scale)
+func xprocSvcFailPoint(ctx context.Context, o Options, client string, shapes []platform.NodeGroup) (svcFailRow, error) {
+	procs, cleanup, err := spawnAgents(ctx, o.Platform, shapes, o.Seed)
 	if err != nil {
-		return SvcFailRow{}, err
+		return svcFailRow{}, err
 	}
 	defer cleanup()
 
@@ -283,17 +243,17 @@ func runXprocSvcFailPoint(ctx context.Context, cfg SvcFailConfig, scale float64,
 	}
 	ep, genBefore, err := place(procs[0])
 	if err != nil {
-		return SvcFailRow{}, err
+		return svcFailRow{}, err
 	}
-	row := SvcFailRow{Client: client, HostBefore: procs[0].UID()}
+	row := svcFailRow{Client: client, HostBefore: procs[0].UID()}
 
 	clock := simtime.NewReal()
-	net := msgq.NewNetwork(clock, rng.New(cfg.Seed).Derive("xproc-driver"), nil)
+	net := msgq.NewNetwork(clock, rng.New(o.Seed).Derive("xproc-driver"), nil)
 	defer net.Close()
 	dial := func(ep proto.Endpoint) (service.Caller, error) {
 		return service.Dial(net, clock, "xproc-client", ep)
 	}
-	err = row.run(ctx, cfg,
+	err = row.run(ctx, o.Requests,
 		func() (service.Caller, error) { return dial(ep) },
 		func() (resolvingCaller, error) { return service.NewResolver(reg, desc.UID, dial, 0) },
 		func() error {
@@ -314,42 +274,4 @@ func runXprocSvcFailPoint(ctx context.Context, cfg SvcFailConfig, scale float64,
 			return nil
 		})
 	return row, err
-}
-
-// RouteTable renders the route scenario, cross-process and in-proc rows
-// interleaved per router.
-func (r *XprocResult) RouteTable() metrics.Table {
-	t := metrics.Table{
-		Title: fmt.Sprintf(
-			"Cross-process route ablation — %s carved into per-shape agent processes over TCP, %d fat tasks (%dc/%dg) + %d thin tasks (%dc)",
-			r.Cfg.Platform, r.Cfg.FatTasks, r.FatCores, r.FatGPUs, r.Cfg.ThinTasks, r.ThinCores),
-		Header: []string{"router", "variant", "fat done", "fat failed", "thin done", "thin failed", "rejected"},
-	}
-	for i, row := range r.Route {
-		t.AddRow(slices.Concat([]string{row.Router, "os-process"}, row.cells(r.Cfg.FatTasks, r.Cfg.ThinTasks))...)
-		if i < len(r.RouteInproc) {
-			t.AddRow(slices.Concat([]string{row.Router, "in-proc"}, r.RouteInproc[i].cells(r.Cfg.FatTasks, r.Cfg.ThinTasks))...)
-		}
-	}
-	return t
-}
-
-// SvcFailTable renders the failover scenario, cross-process and in-proc
-// rows interleaved per client style.
-func (r *XprocResult) SvcFailTable() metrics.Table {
-	post := r.Cfg.Requests - r.Cfg.KillAfter
-	t := metrics.Table{
-		Title: fmt.Sprintf(
-			"Cross-process failover ablation — hosting agent SIGKILLed after %d/%d requests (%d post-failover)",
-			r.Cfg.KillAfter, r.Cfg.Requests, post),
-		Header: []string{"client", "variant", "pre-kill ok", "recovered", "failed", "re-resolved", "endpoint gen"},
-	}
-	for i, row := range r.SvcFail {
-		t.AddRow(slices.Concat([]string{row.Client, "os-process"}, row.cells(r.Cfg.KillAfter, post), []string{fmt.Sprint(row.Generation)})...)
-		if i < len(r.SvcFailInproc) {
-			in := r.SvcFailInproc[i]
-			t.AddRow(slices.Concat([]string{in.Client, "in-proc"}, in.cells(r.Cfg.KillAfter, post), []string{fmt.Sprint(in.Generation)})...)
-		}
-	}
-	return t
 }

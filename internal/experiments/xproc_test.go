@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/router"
 	"repro/internal/xproc"
 )
 
@@ -26,26 +27,27 @@ func TestXprocMatchesInproc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns agent processes")
 	}
-	res, err := RunXproc(context.Background(), DefaultXprocConfig())
+	o := Options{Platform: defaultPlatform, Requests: xprocRequests, Seed: xprocSeed}
+	res, err := xprocRows(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if len(res.Route) != len(res.RouteInproc) || len(res.Route) == 0 {
-		t.Fatalf("route rows: %d os-process vs %d in-proc", len(res.Route), len(res.RouteInproc))
+	if len(res.route) != len(res.routeInproc) || len(res.route) == 0 {
+		t.Fatalf("route rows: %d os-process vs %d in-proc", len(res.route), len(res.routeInproc))
 	}
-	for i, x := range res.Route {
-		in := res.RouteInproc[i]
+	for i, x := range res.route {
+		in := res.routeInproc[i]
 		if x != in {
 			t.Errorf("route %s: os-process %+v != in-proc %+v", x.Router, x, in)
 		}
 	}
 
-	if len(res.SvcFail) != len(res.SvcFailInproc) || len(res.SvcFail) == 0 {
-		t.Fatalf("svcfail rows: %d os-process vs %d in-proc", len(res.SvcFail), len(res.SvcFailInproc))
+	if len(res.svcFail) != len(res.svcFailInproc) || len(res.svcFail) == 0 {
+		t.Fatalf("svcfail rows: %d os-process vs %d in-proc", len(res.svcFail), len(res.svcFailInproc))
 	}
-	for i, x := range res.SvcFail {
-		in := res.SvcFailInproc[i]
+	for i, x := range res.svcFail {
+		in := res.svcFailInproc[i]
 		// Host UIDs and replacement bookkeeping are process- vs
 		// session-scoped; the wire-invariant quantities are the counts.
 		if x.PreKill != in.PreKill || x.Recovered != in.Recovered ||
@@ -59,32 +61,32 @@ func TestXprocMatchesInproc(t *testing.T) {
 	// the resolving client, all of them lost by the caching client, and
 	// the capacity-fit router running every task the round-robin router
 	// fails.
-	post := res.Cfg.Requests - res.Cfg.KillAfter
-	for _, row := range res.SvcFail {
+	post := xprocRequests - xprocRequests/2
+	for _, row := range res.svcFail {
 		switch row.Client {
-		case SvcFailClientCaching:
+		case svcFailClientCaching:
 			if row.Recovered != 0 || row.Failed != post {
 				t.Errorf("caching client: recovered %d failed %d, want 0/%d", row.Recovered, row.Failed, post)
 			}
-		case SvcFailClientResolving:
+		case svcFailClientResolving:
 			if row.Recovered != post || row.Failed != 0 {
 				t.Errorf("resolving client: recovered %d failed %d, want %d/0", row.Recovered, row.Failed, post)
 			}
 		}
 	}
-	for _, row := range res.Route {
+	for _, row := range res.route {
 		switch row.Router {
-		case "capacity-fit":
-			if row.FatDone != res.Cfg.FatTasks || row.FatFailed != 0 {
-				t.Errorf("capacity-fit: fat %d done %d failed, want %d/0", row.FatDone, row.FatFailed, res.Cfg.FatTasks)
+		case router.NameCapacityFit:
+			if row.FatDone != xprocFatTasks || row.FatFailed != 0 {
+				t.Errorf("capacity-fit: fat %d done %d failed, want %d/0", row.FatDone, row.FatFailed, xprocFatTasks)
 			}
-		case "round-robin":
+		case router.NameRoundRobin:
 			if row.FatFailed == 0 {
 				t.Error("round-robin misroutes no fat tasks; the mismatch scenario is broken")
 			}
 		}
-		if row.ThinDone != res.Cfg.ThinTasks {
-			t.Errorf("%s: thin done %d, want %d", row.Router, row.ThinDone, res.Cfg.ThinTasks)
+		if row.ThinDone != xprocThinTasks {
+			t.Errorf("%s: thin done %d, want %d", row.Router, row.ThinDone, xprocThinTasks)
 		}
 	}
 }

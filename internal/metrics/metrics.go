@@ -206,12 +206,6 @@ func (c *Collector) Reset() {
 
 // --- breakdown records -----------------------------------------------------
 
-// BTComponents are the bootstrap-time components of Exp 1 (Fig. 3).
-var BTComponents = []string{"launch", "init", "publish"}
-
-// RTComponents are the response-time components of Exp 2/3 (Figs. 4-6).
-var RTComponents = []string{"communication", "service", "inference"}
-
 // Breakdown is one measurement decomposed into named components.
 type Breakdown struct {
 	Components map[string]time.Duration
@@ -301,9 +295,6 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// FmtSeconds renders d as a fixed-point seconds string.
-func FmtSeconds(d time.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()) }
 
 // FmtMeanStd renders "mean ± std" in seconds for a stats record.
 func FmtMeanStd(s Stats) string {

@@ -116,7 +116,7 @@ func TestCollectorAddAll(t *testing.T) {
 	c.AddAll("rt", map[string]time.Duration{
 		"communication": ms(1), "service": ms(2), "inference": ms(3),
 	})
-	for _, comp := range RTComponents {
+	for _, comp := range []string{"communication", "service", "inference"} {
 		if c.Count("rt."+comp) != 1 {
 			t.Fatalf("component %s not recorded", comp)
 		}
@@ -206,9 +206,6 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	if got := FmtSeconds(1500 * time.Millisecond); got != "1.500" {
-		t.Fatalf("FmtSeconds = %q", got)
-	}
 	s := Stats{Mean: 2 * time.Second, Std: 250 * time.Millisecond}
 	if got := FmtMeanStd(s); got != "2.000 ± 0.250" {
 		t.Fatalf("FmtMeanStd = %q", got)

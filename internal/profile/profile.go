@@ -192,33 +192,3 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadCSV parses a profile previously written by WriteCSV.
-func ReadCSV(rd io.Reader) (*Recorder, error) {
-	cr := csv.NewReader(rd)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("profile: read: %w", err)
-	}
-	if len(rows) == 0 {
-		return NewRecorder(), nil
-	}
-	rec := NewRecorder()
-	for i, row := range rows[1:] { // skip header
-		if len(row) != 5 {
-			return nil, fmt.Errorf("profile: row %d has %d fields", i+2, len(row))
-		}
-		ns, err := strconv.ParseInt(row[4], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("profile: row %d timestamp: %w", i+2, err)
-		}
-		rec.Record(Event{
-			UID:    row[0],
-			Entity: row[1],
-			From:   states.State(row[2]),
-			To:     states.State(row[3]),
-			At:     time.Unix(0, ns).UTC(),
-		})
-	}
-	return rec, nil
-}

@@ -2,8 +2,9 @@ package profile
 
 import (
 	"bytes"
+	"encoding/csv"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -94,7 +95,7 @@ func TestConcurrencyAt(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
+func TestWriteCSV(t *testing.T) {
 	clk := simtime.NewVirtual(origin)
 	r := NewRecorder()
 	recordedTask(r, "task.1", clk, 3)
@@ -102,34 +103,17 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), "uid,entity,from,to,unix_ns\n") {
-		t.Fatalf("csv header wrong: %q", buf.String()[:40])
-	}
-	back, err := ReadCSV(&buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != r.Len() {
-		t.Fatalf("round trip %d events, want %d", back.Len(), r.Len())
+	if len(rows) != r.Len()+1 || !slices.Equal(rows[0], []string{"uid", "entity", "from", "to", "unix_ns"}) {
+		t.Fatalf("csv = %q, want the header and %d events", rows, r.Len())
 	}
-	// durations survive the round trip
-	a := r.Stats("task", states.TaskExecuting, states.TaskDone)
-	b := back.Stats("task", states.TaskExecuting, states.TaskDone)
-	if a.Mean != b.Mean {
-		t.Fatalf("round trip changed stats: %v vs %v", a.Mean, b.Mean)
-	}
-}
-
-func TestReadCSVMalformed(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("uid,entity,from,to,unix_ns\nonly,three,fields\n")); err == nil {
-		t.Fatal("accepted short row")
-	}
-	if _, err := ReadCSV(strings.NewReader("uid,entity,from,to,unix_ns\na,task,NEW,DONE,notanumber\n")); err == nil {
-		t.Fatal("accepted bad timestamp")
-	}
-	r, err := ReadCSV(strings.NewReader(""))
-	if err != nil || r.Len() != 0 {
-		t.Fatalf("empty input: %v, %d", err, r.Len())
+	for _, row := range rows[1:] {
+		if len(row) != 5 || row[0] != "task.1" || row[1] != "task" {
+			t.Fatalf("row %q, want task.1's 5 fields", row)
+		}
 	}
 }
 

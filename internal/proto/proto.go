@@ -16,24 +16,16 @@ import (
 // Kind discriminates envelope payloads.
 type Kind string
 
-// Message kinds. The set mirrors the channels in the paper's Fig. 2:
-// submission (1), scheduling (2), execution (3), service API calls (4/5),
-// and state/information updates (6).
+// Message kinds: the ones sent over msgq. Of the channels in the paper's
+// Fig. 2, service API calls (4/5) and state updates (6) are messages;
+// submission, scheduling and execution (1-3) are in-process calls.
 const (
-	KindSubmit        Kind = "submit"         // client → manager: new descriptions
-	KindSchedule      Kind = "schedule"       // manager → scheduler: placement request
-	KindExecute       Kind = "execute"        // scheduler → executor: launch order
-	KindRequest       Kind = "request"        // task → service: API call
-	KindReply         Kind = "reply"          // service → task: API response
-	KindControl       Kind = "control"        // manager → service: control command
-	KindStateUpdate   Kind = "state_update"   // any → updater: entity state change
-	KindEndpoint      Kind = "endpoint"       // service → registry: endpoint publication
-	KindHeartbeat     Kind = "heartbeat"      // service → manager: liveness
-	KindLoadReport    Kind = "load_report"    // observer → registry: balancing gauge
-	KindRegister      Kind = "register"       // component → session: registration
-	KindStageRequest  Kind = "stage_request"  // manager → stager: data movement
-	KindStageComplete Kind = "stage_complete" // stager → manager: staging done
-	KindError         Kind = "error"          // any → any: failure report
+	KindRequest     Kind = "request"      // task → service: API call
+	KindReply       Kind = "reply"        // service → task: API response
+	KindControl     Kind = "control"      // manager → service: control command
+	KindStateUpdate Kind = "state_update" // any → updater: entity state change
+	KindHeartbeat   Kind = "heartbeat"    // service → manager: liveness
+	KindError       Kind = "error"        // any → any: failure report
 )
 
 // Envelope is the single message type carried by every channel.
@@ -253,7 +245,6 @@ type ControlCommand string
 
 // Control commands supported by the service control channel.
 const (
-	CtlPrepare   ControlCommand = "prepare"   // pre-load / warm the capability
 	CtlDrain     ControlCommand = "drain"     // stop accepting, finish queue
 	CtlTerminate ControlCommand = "terminate" // stop now
 	CtlPing      ControlCommand = "ping"      // liveness probe
@@ -266,8 +257,8 @@ type Control struct {
 	Args    map[string]string `json:"args,omitempty"`
 }
 
-// Endpoint is the payload of a KindEndpoint message: a service publishing
-// where it can be reached (paper Exp 1 "publish" component).
+// Endpoint is where a service can be reached, as it publishes it to the
+// session's endpoint registry (paper Exp 1 "publish" component).
 type Endpoint struct {
 	ServiceUID  string    `json:"service_uid"`
 	Model       string    `json:"model"`
@@ -311,8 +302,7 @@ type Heartbeat struct {
 	Busy       bool      `json:"busy"`
 }
 
-// LoadReport is the payload of a KindLoadReport message: one endpoint's
-// balancing gauges, pushed by whoever observes the instance (the session
+// LoadReport is one endpoint's balancing gauges, pushed by whoever observes the instance (the session
 // autoscaler's control loop, a campaign's reporter) into the session
 // EndpointRegistry. Unlike Heartbeat — a liveness signal consumed by the
 // ServiceManager — a LoadReport exists only to steer balancing clients,
@@ -324,16 +314,6 @@ type LoadReport struct {
 	Queued     int       `json:"queued"`
 	InFlight   int       `json:"in_flight"`
 	At         time.Time `json:"at"`
-}
-
-// StageRequest is the payload of a KindStageRequest message.
-type StageRequest struct {
-	TaskUID   string `json:"task_uid"`
-	Source    string `json:"source"`
-	Target    string `json:"target"`
-	Bytes     int64  `json:"bytes"`
-	Direction string `json:"direction"` // "in" | "out"
-	Mode      string `json:"mode"`      // "copy" | "link" | "transfer"
 }
 
 // ErrorBody is the payload of a KindError message.

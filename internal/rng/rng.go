@@ -162,11 +162,6 @@ type Normal struct {
 	Min       float64 // lower truncation bound; -Inf disables
 }
 
-// NewNormal returns an untruncated normal distribution.
-func NewNormal(mu, sigma float64) Normal {
-	return Normal{Mu: mu, Sigma: sigma, Min: math.Inf(-1)}
-}
-
 // TruncNormal returns a normal distribution truncated below at min.
 func TruncNormal(mu, sigma, min float64) Normal {
 	return Normal{Mu: mu, Sigma: sigma, Min: min}

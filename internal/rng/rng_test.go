@@ -131,7 +131,7 @@ func TestDistMeans(t *testing.T) {
 	}{
 		{Const{V: 5}, 5},
 		{Uniform{Lo: 2, Hi: 4}, 3},
-		{NewNormal(7, 1), 7},
+		{Normal{Mu: 7, Sigma: 1, Min: math.Inf(-1)}, 7},
 		{Exponential{MeanV: 2.5}, 2.5},
 		{LogNormal{Mu: 0, Sigma: 0}, 1},
 	}

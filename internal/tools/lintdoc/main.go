@@ -5,7 +5,11 @@
 //   - every command under cmd/ must carry a command doc comment,
 //   - in the fully documented packages (scheduler, msgq, pilot), every
 //     exported top-level declaration — funcs, methods, types, and each
-//     exported const/var group — must have a doc comment.
+//     exported const/var group — must have a doc comment,
+//   - in the closed-surface packages (experiments), every exported
+//     top-level func, type, var and const must be selected by another
+//     package of the module: a name nothing outside uses is unexported or
+//     deleted.
 //
 // It exits non-zero listing every violation, so `go run
 // ./internal/tools/lintdoc` acts as the exported-comment check the docs
@@ -13,13 +17,16 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -29,6 +36,13 @@ var fullDoc = map[string]bool{
 	"internal/scheduler": true,
 	"internal/msgq":      true,
 	"internal/pilot":     true,
+}
+
+// closedSurface lists the packages whose exported top-level names must
+// each be selected by another package of the module. Test files and the
+// bench/ module count as selectors; methods are not checked.
+var closedSurface = map[string]bool{
+	"internal/experiments": true,
 }
 
 func main() {
@@ -45,6 +59,7 @@ func main() {
 	for _, dir := range dirs {
 		checkDir(root, dir, report)
 	}
+	checkClosedSurface(root, report)
 
 	if len(violations) > 0 {
 		sort.Strings(violations)
@@ -180,4 +195,133 @@ func recvName(t ast.Expr) string {
 		return recvName(x.X)
 	}
 	return "?"
+}
+
+// checkClosedSurface reports every exported top-level name of a
+// closedSurface package that no other package under root selects.
+func checkClosedSurface(root string, report func(string, ...any)) {
+	module, err := modulePath(filepath.Join(root, "go.mod"))
+	if err != nil {
+		report("lintdoc: %v", err)
+		return
+	}
+	used := map[string]map[string]bool{} // closed package dir → names selected from outside
+	fset := token.NewFileSet()
+	_ = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return nil
+		}
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			report("%s: parse: %v", p, err)
+			return nil
+		}
+		rel, _ := filepath.Rel(root, filepath.Dir(p))
+		local := map[string]string{} // import name → closed package dir
+		for _, imp := range f.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			dir, ok := strings.CutPrefix(ipath, module+"/")
+			if !ok || !closedSurface[dir] || dir == filepath.ToSlash(rel) {
+				continue
+			}
+			name := path.Base(ipath)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			local[name] = dir
+		}
+		if len(local) == 0 {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && local[x.Name] != "" {
+					dir := local[x.Name]
+					if used[dir] == nil {
+						used[dir] = map[string]bool{}
+					}
+					used[dir][sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+
+	for dir := range closedSurface {
+		pkgs, err := parser.ParseDir(fset, filepath.Join(root, dir), func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.SkipObjectResolution)
+		if err != nil {
+			report("%s: parse: %v", dir, err)
+			continue
+		}
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				for _, name := range exportedNames(file) {
+					if !used[dir][name.Name] {
+						p := fset.Position(name.Pos())
+						report("%s:%d: exported %s is selected by no other package; unexport or delete it",
+							filepath.ToSlash(p.Filename), p.Line, name.Name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// exportedNames returns the exported top-level funcs, types, vars and
+// consts declared in file; methods are not among them.
+func exportedNames(file *ast.File) []*ast.Ident {
+	var out []*ast.Ident
+	add := func(ids ...*ast.Ident) {
+		for _, id := range ids {
+			if id.IsExported() {
+				out = append(out, id)
+			}
+		}
+	}
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add(d.Name)
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					add(s.Name)
+				case *ast.ValueSpec:
+					add(s.Names...)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// modulePath reads the module path from a go.mod file.
+func modulePath(gomod string) (string, error) {
+	f, err := os.Open(gomod)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if mod, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "module "); ok {
+			return strings.Trim(strings.TrimSpace(mod), `"`), nil
+		}
+	}
+	return "", fmt.Errorf("%s: no module line", gomod)
 }
