@@ -291,9 +291,8 @@ func TestUpdaterObservesServiceLifecycle(t *testing.T) {
 	}
 	// wire service state updates: pilot's service manager machines are
 	// internal, so observe via polling the instance + the updates channel
-	// for task entities; service transitions flow through the same
-	// StateCallback when wired — here we assert the registry-visible
-	// lifecycle.
+	// for task entities; service transitions flow through the pilot's
+	// ServiceState hook — here we assert the registry-visible lifecycle.
 	sm := sess.ServiceManager()
 	sm.AddPilot(p)
 	inst, err := sm.Submit(spec.ServiceDescription{

@@ -53,12 +53,8 @@ func (pm *PilotManager) Submit(desc spec.PilotDescription) (*pilot.Pilot, error)
 		Net:         pm.sess.net,
 		Platform:    plat,
 		SchedPolicy: pm.sess.schedPol,
-		// The launch itself is all a Config observer sees: the pilot runs
-		// under the session's full hook set from the Rebind below, before it
-		// can be handed a task or a service.
-		PilotStateCallback: pm.sess.publishState("pilot"),
-		Attach:             pm.sess.jw != nil,
-		Transport:          pm.sess.transport,
+		Hooks:       pm.sess.pilotHooks(desc.UID),
+		Attach:      pm.sess.jw != nil,
 	}
 	if pm.sess.fastBoot {
 		cfg.BootTime = rng.ConstDuration(0)
@@ -69,7 +65,6 @@ func (pm *PilotManager) Submit(desc spec.PilotDescription) (*pilot.Pilot, error)
 	if err != nil {
 		return nil, err
 	}
-	p.Rebind(pm.sess.pilotHooks(desc.UID))
 	pm.track(p)
 	return p, nil
 }

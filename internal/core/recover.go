@@ -11,23 +11,16 @@ import (
 	"repro/internal/journal"
 	"repro/internal/msgq"
 	"repro/internal/pilot"
-	"repro/internal/platform"
 	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/states"
 )
 
-// RecoverConfig parameterizes crash recovery. Every field is optional:
-// when a surviving pilot is found, its clock and network are adopted (the
-// recovered client must share the machines' timeline); the fields below
-// only seed a recovery with no survivors.
+// RecoverConfig parameterizes crash recovery. Every field is optional.
+// When a surviving pilot is found, its clock and network are adopted (the
+// recovered client must share the machines' timeline); a recovery with no
+// survivors takes NewSession's default clock and topology.
 type RecoverConfig struct {
-	// Clock is used when no surviving pilot supplies one (default: a
-	// 1000x scaled clock at DefaultOrigin, as in NewSession).
-	Clock simtime.Clock
-	// Topology is used when no surviving pilot supplies a network
-	// (default: the full catalog topology).
-	Topology *platform.Topology
 	// FlushEvery overrides the reopened journal's fsync batching interval.
 	FlushEvery time.Duration
 }
@@ -107,7 +100,8 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 	// Find the survivors first: the recovered session must share the
 	// surviving pilots' clock and network (they model remote machines that
 	// kept running), so session assembly adopts them from the first
-	// survivor and only falls back to cfg when everything died.
+	// survivor and only falls back to NewSession's defaults when everything
+	// died.
 	survivors := make(map[string]*pilot.Pilot)
 	for _, ps := range snap.Pilots {
 		p, ok := pilot.Lookup(ps.Desc.UID)
@@ -119,7 +113,7 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 		}
 	}
 
-	clock := cfg.Clock
+	var clock simtime.Clock
 	var net *msgq.Network
 	if len(rep.PilotsAlive) > 0 {
 		p := survivors[rep.PilotsAlive[0]]
@@ -131,13 +125,10 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 	// with already-spent randomness.
 	src := rng.New(snap.Session.Seed).Derive(fmt.Sprintf("incarnation.%d", rep.Incarnation))
 
-	// The journal records neither the msgq transport nor the load horizon:
-	// reattached pilots keep the transport they were launched with, pilots
-	// the recovered session launches get the network default, and balancing
-	// clients the service default. A policy or router name this build does
-	// not know (a journal from a newer version) fails here.
-	s, err := assembleSession(snap.Session.UID, clock, src, cfg.Topology, net,
-		snap.Session.FastBoot, snap.Session.SchedPolicy, snap.Session.Router, "", 0)
+	// A policy or router name this build does not know (a journal from a
+	// newer version) fails here.
+	s, err := assembleSession(snap.Session.UID, clock, src, nil, net,
+		snap.Session.FastBoot, snap.Session.SchedPolicy, snap.Session.Router)
 	if err != nil {
 		return nil, rep, err
 	}

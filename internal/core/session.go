@@ -70,17 +70,6 @@ type SessionConfig struct {
 	// JournalFlushEvery overrides the journal's fsync batching interval on
 	// the session clock (default journal.DefaultFlushEvery).
 	JournalFlushEvery time.Duration
-	// Transport selects the msgq transport for service endpoints
-	// (msgq.TransportInproc, the default, or msgq.TransportTCP for real
-	// loopback sockets with dialable published addresses — the transport
-	// multi-process sessions run on).
-	Transport string
-	// LoadHorizon bounds how old a registry load report may be before
-	// balancing clients treat it as no information and fall back to blind
-	// rotation (default service.DefaultLoadHorizon). It must comfortably
-	// cover the report cadence — the autoscaler's ScaleInterval or a
-	// campaign reporter's interval — or every pick degrades to rotation.
-	LoadHorizon time.Duration
 }
 
 // Session is one runtime instance.
@@ -101,8 +90,6 @@ type Session struct {
 	jw          *journal.Writer
 	incarnation uint64
 	routerName  string
-	transport   string
-	loadHorizon time.Duration
 
 	mu       sync.Mutex
 	closed   bool
@@ -119,7 +106,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	src := rng.New(cfg.Seed)
 	uid := fmt.Sprintf("session.%08x", src.Derive("uid").Uint64()&0xffffffff)
 	s, err := assembleSession(uid, cfg.Clock, src, cfg.Topology, nil,
-		cfg.FastBoot, cfg.SchedPolicy, cfg.Router, cfg.Transport, cfg.LoadHorizon)
+		cfg.FastBoot, cfg.SchedPolicy, cfg.Router)
 	if err != nil {
 		return nil, err
 	}
@@ -138,11 +125,11 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 // one caller has no source for is a visible argument at its call site
 // instead of a silently zero field in a second struct literal. A nil clock
 // or topology takes the SessionConfig default; a nil net makes the session
-// build its own on transport (Recover passes the survivors' instead). It
-// fails fast on a bad policy, router or transport name instead of at the
-// first pilot launch or submission.
+// build its own (Recover passes the survivors' instead). It fails fast on a
+// bad policy or router name instead of at the first pilot launch or
+// submission.
 func assembleSession(uid string, clock simtime.Clock, src *rng.Source, topo *platform.Topology, net *msgq.Network,
-	fastBoot bool, schedPolicy, routerName, transport string, loadHorizon time.Duration) (*Session, error) {
+	fastBoot bool, schedPolicy, routerName string) (*Session, error) {
 	if _, err := scheduler.PolicyByName(schedPolicy); err != nil {
 		return nil, err
 	}
@@ -166,23 +153,18 @@ func assembleSession(uid string, clock simtime.Clock, src *rng.Source, topo *pla
 	}
 	if net == nil {
 		net = msgq.NewNetwork(clock, src.Derive("net"), topo.Resolver())
-		if err := net.SetTransport(transport); err != nil {
-			return nil, err
-		}
 	}
 	s := &Session{
-		uid:         uid,
-		clock:       clock,
-		src:         src,
-		topo:        topo,
-		net:         net,
-		coll:        metrics.NewCollector(),
-		prof:        profile.NewRecorder(),
-		fastBoot:    fastBoot,
-		schedPol:    schedPolicy,
-		routerName:  routerName,
-		transport:   transport,
-		loadHorizon: loadHorizon,
+		uid:        uid,
+		clock:      clock,
+		src:        src,
+		topo:       topo,
+		net:        net,
+		coll:       metrics.NewCollector(),
+		prof:       profile.NewRecorder(),
+		fastBoot:   fastBoot,
+		schedPol:   schedPolicy,
+		routerName: routerName,
 	}
 	if s.updates, err = net.BindPub(UpdatesAddr); err != nil {
 		return nil, fmt.Errorf("core: updates channel already bound (previous client still alive?): %w", err)
@@ -398,7 +380,7 @@ func (s *Session) Dial(clientAddr string, ep proto.Endpoint) (service.Caller, er
 // follows failure-driven re-placements: it re-resolves and redials the
 // re-published endpoint instead of erroring into the dead address. Over
 // autoscaled replicas, picker spreads requests by the live load reports
-// (stale past the session's LoadHorizon); an unscaled service is a group
+// (stale past service.DefaultLoadHorizon); an unscaled service is a group
 // of one and never consults it. A nil picker selects power-of-two-choices
 // seeded from the session seed and uid.
 func (s *Session) DialService(clientAddr, uid string, picker loadbal.Picker) (*service.Balancer, error) {
@@ -420,10 +402,9 @@ func (s *Session) dialFrom(clientAddr string) service.DialFn {
 
 func (s *Session) balancerOptions(key string, picker loadbal.Picker) service.BalancerOptions {
 	return service.BalancerOptions{
-		Picker:  picker,
-		Seed:    s.src.Derive("balance." + key).Uint64(),
-		Now:     s.clock.Now,
-		Horizon: s.loadHorizon,
+		Picker: picker,
+		Seed:   s.src.Derive("balance." + key).Uint64(),
+		Now:    s.clock.Now,
 	}
 }
 

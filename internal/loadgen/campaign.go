@@ -142,7 +142,7 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		t0:        clock.Now(),
 		bg:        context.Background(),
 	}
-	c.series = metrics.NewIntervalSeries(c.t0, sc.Interval, sc.Alpha)
+	c.series = metrics.NewIntervalSeries(c.t0, sc.Interval, metrics.DefaultSketchAlpha)
 	c.maxDone = c.t0
 
 	churnDone := c.startChurn(ctx)

@@ -49,8 +49,6 @@ type Scenario struct {
 	Seed uint64
 	// Interval is the time-series bucket width (default 5s).
 	Interval time.Duration
-	// Alpha is the latency sketch's relative-error bound (0 = default).
-	Alpha float64
 	// MaxTokens bounds generation for non-noop backends.
 	MaxTokens int
 	// Model is the backend model every service hosts (default noop;

@@ -63,18 +63,12 @@ type TCPServerOptions struct {
 	// read loop blocks — natural TCP backpressure — instead of spawning
 	// a goroutine per request.
 	Workers int
-	// Inline serves requests on the connection's read loop itself: zero
-	// dispatch overhead, but a blocking handler stalls the whole
-	// connection. Only for handlers known not to block (mirroring the
-	// inproc fast path for context-less requests).
-	Inline bool
 }
 
 // TCPServer is a REQ/REP endpoint over real TCP sockets speaking binary
 // proto frames. Multiple requests may be in flight on one connection;
 // replies are matched to requests by envelope ID. Dispatch is
-// connection-local: a bounded worker set per connection, or inline on the
-// read loop when the handler is known not to block.
+// connection-local: a bounded worker set per connection.
 type TCPServer struct {
 	ln      net.Listener
 	handler Handler
@@ -152,10 +146,8 @@ func (s *TCPServer) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c := &tcpConn{srv: s, conn: conn, br: bufio.NewReaderSize(conn, 32<<10)}
-		if !s.opts.Inline {
-			c.reqs = make(chan connReq, s.opts.Workers)
-		}
+		c := &tcpConn{srv: s, conn: conn, br: bufio.NewReaderSize(conn, 32<<10),
+			reqs: make(chan connReq, s.opts.Workers)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -177,8 +169,8 @@ type connReq struct {
 }
 
 // tcpConn is one accepted server connection: buffered frame reads, a
-// bounded worker set (or inline dispatch), and checked single-write
-// replies behind a shared scratch buffer.
+// bounded worker set, and checked single-write replies behind a shared
+// scratch buffer.
 type tcpConn struct {
 	srv  *TCPServer
 	conn net.Conn
@@ -192,8 +184,8 @@ type tcpConn struct {
 	// closed by whichever side wins the flip, never twice.
 	down atomic.Bool
 
-	reqs    chan connReq // nil in inline mode
-	workers int          // owned by the read loop
+	reqs    chan connReq
+	workers int // owned by the read loop
 }
 
 // tear marks the connection down and closes it exactly once.
@@ -212,32 +204,16 @@ func (c *tcpConn) readLoop() {
 		delete(c.srv.conns, c)
 		c.srv.mu.Unlock()
 		c.tear()
-		if c.reqs != nil {
-			close(c.reqs) // workers drain the queue, then exit
-		}
+		close(c.reqs) // workers drain the queue, then exit
 	}()
 	// The interner is read-loop-local: header strings repeat per peer.
 	in := proto.NewInterner()
-	if c.srv.opts.Inline {
-		var buf []byte
-		for {
-			payload, err := proto.ReadFramePayload(c.br, &buf)
-			if err != nil {
-				return // EOF on clean close; any error (incl. corrupt frame) tears the conn
-			}
-			env, err := proto.DecodeFrameInterned(payload, in)
-			if err != nil {
-				return
-			}
-			c.serve(env, nil) // buf is reused next iteration: reply already written
-		}
-	}
 	for {
 		buf := getBuf()
 		payload, err := proto.ReadFramePayload(c.br, buf)
 		if err != nil {
 			putBuf(buf)
-			return
+			return // EOF on clean close; any error (incl. corrupt frame) tears the conn
 		}
 		env, err := proto.DecodeFrameInterned(payload, in)
 		if err != nil {
@@ -276,9 +252,7 @@ func (c *tcpConn) serve(env proto.Envelope, buf *[]byte) {
 	if err := c.writeFrame(&reply); err != nil {
 		c.srv.dropped.Add(1)
 	}
-	if buf != nil {
-		putBuf(buf)
-	}
+	putBuf(buf)
 }
 
 // writeFrame encodes env into the connection scratch buffer and writes it

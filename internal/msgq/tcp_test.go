@@ -3,7 +3,9 @@ package msgq
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -207,48 +209,54 @@ func TestTCPClientGarbageReplyFailsTyped(t *testing.T) {
 	}
 }
 
-// TestTCPInlineServer exercises the inline dispatch mode (handler on the
-// read loop) through a concurrent client load.
-func TestTCPInlineServer(t *testing.T) {
-	srv, err := ListenTCPOpts("127.0.0.1:0", echoHandler, TCPServerOptions{Inline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+// TestTCPWorkerServerConcurrentLoad drives concurrent requests multiplexed
+// over one connection through the bounded worker set, at the default size
+// and at the sizes the programs pick, down to a single worker: every reply
+// must come back matched to its own request.
+func TestTCPWorkerServerConcurrentLoad(t *testing.T) {
+	for _, workers := range []int{0, 1, 8, 16} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			srv, err := ListenTCPOpts("127.0.0.1:0", echoHandler, TCPServerOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := DialTCP(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	done := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		go func(i int) {
-			for j := 0; j < 50; j++ {
-				env, _ := proto.NewEnvelope(proto.KindRequest, 0, "cli", "srv", t0,
-					proto.InferenceRequest{Prompt: "p", MaxTokens: i*100 + j})
-				reply, err := c.Request(context.Background(), env)
-				if err != nil {
-					done <- err
-					return
-				}
-				var req proto.InferenceRequest
-				if err := reply.Decode(proto.KindReply, &req); err != nil {
-					done <- err
-					return
-				}
-				if req.MaxTokens != i*100+j {
-					done <- errors.New("reply mismatched request")
-					return
+			done := make(chan error, 8)
+			for i := 0; i < 8; i++ {
+				go func(i int) {
+					for j := 0; j < 50; j++ {
+						env, _ := proto.NewEnvelope(proto.KindRequest, 0, "cli", "srv", t0,
+							proto.InferenceRequest{Prompt: "p", MaxTokens: i*100 + j})
+						reply, err := c.Request(context.Background(), env)
+						if err != nil {
+							done <- err
+							return
+						}
+						var req proto.InferenceRequest
+						if err := reply.Decode(proto.KindReply, &req); err != nil {
+							done <- err
+							return
+						}
+						if req.MaxTokens != i*100+j {
+							done <- fmt.Errorf("reply carries MaxTokens %d, want %d", req.MaxTokens, i*100+j)
+							return
+						}
+					}
+					done <- nil
+				}(i)
+			}
+			for i := 0; i < 8; i++ {
+				if err := <-done; err != nil {
+					t.Fatal(err)
 				}
 			}
-			done <- nil
-		}(i)
-	}
-	for i := 0; i < 8; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -322,6 +330,83 @@ func TestSetTransport(t *testing.T) {
 	defer srv.Close()
 	if addr := srv.Addr(); addr[:len(tcpScheme)] != tcpScheme {
 		t.Fatalf("default bind Addr = %q, want TCP", addr)
+	}
+}
+
+// TestSetTransportNames: the empty name and the two transport constants are
+// accepted, matched exactly; anything else is refused and leaves the
+// network's transport as it was.
+func TestSetTransportNames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ok   bool
+	}{
+		{"", true},
+		{TransportInproc, true},
+		{TransportTCP, true},
+		{"TCP", false},
+		{"inproc ", false},
+		{"udp", false},
+	} {
+		t.Run(fmt.Sprintf("%q", tc.name), func(t *testing.T) {
+			n := NewNetwork(simtime.NewReal(), rng.New(1).Derive("net"), nil)
+			defer n.Close()
+			err := n.SetTransport(tc.name)
+			if (err == nil) != tc.ok {
+				t.Fatalf("SetTransport(%q) = %v, want ok=%v", tc.name, err, tc.ok)
+			}
+			if tc.ok {
+				return
+			}
+			// A refused name changed nothing: the default bind stays inproc.
+			srv, err := n.BindVia("", "a/b/c", echoHandler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if addr := srv.Addr(); addr != "a/b/c" {
+				t.Fatalf("default bind Addr = %q after a refused SetTransport, want the inproc name", addr)
+			}
+		})
+	}
+}
+
+// TestBindViaTransportChoice pins where an endpoint lands: an explicit
+// BindVia transport wins, and an empty one takes the network's transport.
+// An inproc bind publishes its logical address, a TCP bind the dialable
+// tcp:// form; both answer a request dialled by the logical name.
+func TestBindViaTransportChoice(t *testing.T) {
+	for _, network := range []string{"", TransportInproc, TransportTCP} {
+		for _, bind := range []string{"", TransportInproc, TransportTCP} {
+			t.Run(fmt.Sprintf("net=%q,bind=%q", network, bind), func(t *testing.T) {
+				n := NewNetwork(simtime.NewReal(), rng.New(1).Derive("net"), nil)
+				defer n.Close()
+				if err := n.SetTransport(network); err != nil {
+					t.Fatal(err)
+				}
+				srv, err := n.BindVia(bind, "plat/node/svc", echoHandler)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+				wantTCP := bind == TransportTCP || (bind == "" && network == TransportTCP)
+				if gotTCP := strings.HasPrefix(srv.Addr(), tcpScheme); gotTCP != wantTCP {
+					t.Fatalf("bind Addr = %q, want TCP=%v", srv.Addr(), wantTCP)
+				}
+				if !wantTCP && srv.Addr() != "plat/node/svc" {
+					t.Fatalf("inproc bind Addr = %q, want the logical address", srv.Addr())
+				}
+				c, err := n.Dial("cli", "plat/node/svc")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				env, _ := proto.NewEnvelope(proto.KindRequest, 0, "cli", "svc", t0, proto.InferenceRequest{Prompt: "q"})
+				if _, err := c.Request(context.Background(), env); err != nil {
+					t.Fatalf("request by logical name: %v", err)
+				}
+			})
+		}
 	}
 }
 

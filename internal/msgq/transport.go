@@ -5,9 +5,10 @@ import (
 	"strings"
 )
 
-// Transport names selectable via Network.SetTransport / Network.BindVia
-// (and, above this package, core.SessionConfig.Transport and
-// pilot.Config.Transport).
+// Transport names selectable via Network.SetTransport / Network.BindVia.
+// The network's transport is the one place a process chooses: a pilot
+// agent in its own OS process sets TransportTCP, everything else binds on
+// the inproc default.
 const (
 	// TransportInproc is the default in-process transport with modelled
 	// link latency on the session clock.
@@ -24,9 +25,9 @@ const (
 // an endpoint registry is dialable from any process.
 const tcpScheme = "tcp://"
 
-// ValidTransport reports whether name is a known transport selector. The
+// validTransport reports whether name is a known transport selector. The
 // empty string is valid and means "the network's default".
-func ValidTransport(name string) bool {
+func validTransport(name string) bool {
 	switch name {
 	case "", TransportInproc, TransportTCP:
 		return true
@@ -38,7 +39,7 @@ func ValidTransport(name string) bool {
 // callers (BindVia with an empty transport name). The zero value is
 // TransportInproc. Unknown names are rejected.
 func (n *Network) SetTransport(name string) error {
-	if !ValidTransport(name) {
+	if !validTransport(name) {
 		return fmt.Errorf("msgq: unknown transport %q", name)
 	}
 	n.mu.Lock()

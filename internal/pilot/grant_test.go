@@ -106,10 +106,9 @@ func TestTaskTransitionsReportedInChains(t *testing.T) {
 			{states.TaskDone}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, _ := newPilot(t, 100000, deltaPilot())
 			var mu sync.Mutex
 			var got [][]states.State
-			p.Rebind(Hooks{TaskState: func(_ string, from states.State, steps []states.Record) {
+			p, _ := newHookedPilot(t, 100000, deltaPilot(), Hooks{TaskState: func(_ string, from states.State, steps []states.Record) {
 				mu.Lock()
 				defer mu.Unlock()
 				if len(got) == 0 && from != states.TaskNew {

@@ -61,31 +61,14 @@ type Config struct {
 	// SchedPolicy, then to strict. Each pilot gets a fresh policy
 	// instance, so backfill starvation state is never shared.
 	SchedPolicy string
-	// OnServicePublish, when set, observes every service endpoint
-	// publication on this pilot (threaded into the agent ServiceManager's
-	// publish phase). The session installs its EndpointRegistry mirror
-	// here so local and re-placed services resolve session-wide.
-	OnServicePublish func(proto.Endpoint)
-	// StateCallback, when set, observes every task state transition (the
-	// Updater hook). It also observes pilot transitions when
-	// PilotStateCallback is unset.
-	StateCallback states.Callback
-	// PilotStateCallback, when set, observes the pilot's own lifecycle
-	// transitions (labeled as a pilot entity, not a task).
-	PilotStateCallback states.Callback
-	// ServiceStateCallback, when set, observes every service instance
-	// state transition on this pilot.
-	ServiceStateCallback states.Callback
+	// Hooks are the session-side observers the pilot runs under from its
+	// first transition (LAUNCHING) on; Rebind replaces them.
+	Hooks Hooks
 	// Attach registers the pilot in the package-level live registry so a
 	// recovered session (core.Recover) can reattach to it by UID. Pilots
 	// model remote machines that outlive a client crash; attachable pilots
 	// must carry session-scoped UIDs to avoid cross-session collisions.
 	Attach bool
-	// Transport selects the msgq transport this pilot's services bind
-	// their endpoints on (msgq.TransportInproc / msgq.TransportTCP; empty
-	// = the network default). A pilot-agent process uses TCP so its
-	// services are reachable from the driver process.
-	Transport string
 }
 
 // Hooks is the rebindable set of session-side observers of a pilot. A
@@ -93,12 +76,17 @@ type Config struct {
 // the new session's Updater, journal and EndpointRegistry mirror; the
 // machines themselves keep running undisturbed.
 type Hooks struct {
+	// PilotState observes the pilot's own lifecycle transitions.
 	PilotState states.Callback
 	// TaskState receives what a task's To call committed in one piece: the
 	// three states before the agent scheduler are one call, and one journal
 	// write to the session behind it.
-	TaskState        states.BatchCallback
-	ServiceState     states.Callback
+	TaskState states.BatchCallback
+	// ServiceState observes every service instance transition on the pilot.
+	ServiceState states.Callback
+	// OnServicePublish observes every service endpoint publication on the
+	// pilot (the agent ServiceManager's publish phase). The session mirrors
+	// it into its EndpointRegistry so services resolve session-wide.
 	OnServicePublish func(proto.Endpoint)
 }
 
@@ -352,16 +340,7 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 		stopped: make(chan struct{}),
 		tasks:   make(map[string]*Task),
 	}
-	pilotCB := cfg.PilotStateCallback
-	if pilotCB == nil {
-		pilotCB = cfg.StateCallback
-	}
-	p.hooks.Store(&Hooks{
-		PilotState:       pilotCB,
-		TaskState:        eachStep(cfg.StateCallback),
-		ServiceState:     cfg.ServiceStateCallback,
-		OnServicePublish: cfg.OnServicePublish,
-	})
+	p.Rebind(cfg.Hooks)
 	p.machine.OnTransition(func(uid string, from, to states.State, at time.Time) {
 		if cb := p.hooks.Load().PilotState; cb != nil {
 			cb(uid, from, to, at)
@@ -429,7 +408,6 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 		OnPublish: onPublish, Stopped: p.stopped,
 		Platform:  cfg.Platform.Name(),
 		UIDPrefix: desc.UID + ".",
-		Transport: cfg.Transport,
 		StateCallback: func(uid string, from, to states.State, at time.Time) {
 			if cb := p.hooks.Load().ServiceState; cb != nil {
 				cb(uid, from, to, at)
@@ -585,19 +563,6 @@ func (p *Pilot) Network() *msgq.Network { return p.cfg.Net }
 
 // Clock returns the clock the pilot runs on.
 func (p *Pilot) Clock() simtime.Clock { return p.cfg.Clock }
-
-// eachStep adapts a per-transition observer to the batch form.
-func eachStep(cb states.Callback) states.BatchCallback {
-	if cb == nil {
-		return nil
-	}
-	return func(uid string, from states.State, steps []states.Record) {
-		for _, s := range steps {
-			cb(uid, from, s.State, s.At)
-			from = s.State
-		}
-	}
-}
 
 // SubmitTask validates d and starts it on the task lifecycle. What comes
 // before the agent scheduler runs on the caller: when SubmitTask returns, the

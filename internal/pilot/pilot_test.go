@@ -3,6 +3,8 @@ package pilot
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/msgq"
 	"repro/internal/platform"
+	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/spec"
@@ -21,12 +24,18 @@ var origin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
 
 func newPilot(t *testing.T, scale float64, desc spec.PilotDescription) (*Pilot, *platform.Platform) {
 	t.Helper()
+	return newHookedPilot(t, scale, desc, Hooks{})
+}
+
+// newHookedPilot is newPilot launched under hooks.
+func newHookedPilot(t *testing.T, scale float64, desc spec.PilotDescription, hooks Hooks) (*Pilot, *platform.Platform) {
+	t.Helper()
 	clock := simtime.NewScaled(scale, origin)
 	src := rng.New(11)
 	plat := platform.NewDelta()
 	topo := platform.NewTopology(plat)
 	net := msgq.NewNetwork(clock, src.Derive("net"), topo.Resolver())
-	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: plat}, desc)
+	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: plat, Hooks: hooks}, desc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,40 +289,114 @@ func TestServiceViaPilot(t *testing.T) {
 	}
 }
 
+// TestLaunchHooksObserveService: a pilot's service hooks are in place from
+// Launch on, so the first service sees its whole bring-up through ACTIVE and
+// its one endpoint publication without a Rebind.
+func TestLaunchHooksObserveService(t *testing.T) {
+	var mu sync.Mutex
+	var svcSeen []states.State
+	var published []proto.Endpoint
+	p, _ := newHookedPilot(t, 100000, deltaPilot(), Hooks{
+		ServiceState: func(_ string, _, to states.State, _ time.Time) {
+			mu.Lock()
+			svcSeen = append(svcSeen, to)
+			mu.Unlock()
+		},
+		OnServicePublish: func(ep proto.Endpoint) {
+			mu.Lock()
+			published = append(published, ep)
+			mu.Unlock()
+		},
+	})
+	inst, err := p.Services().Submit(spec.ServiceDescription{
+		TaskDescription: spec.TaskDescription{Name: "svc", GPUs: 1},
+		Model:           "llama-8b",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := p.Services().WaitReady(ctx, inst.UID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []states.State{
+		states.ServiceSmgrScheduling, states.ServiceStagingInput, states.ServiceScheduling,
+		states.ServiceLaunching, states.ServiceInitializing, states.ServicePublishing, states.ServiceActive,
+	}
+	if len(svcSeen) < len(want) || !reflect.DeepEqual(svcSeen[:len(want)], want) {
+		t.Fatalf("service transitions %v, want them to open with %v", svcSeen, want)
+	}
+	if len(published) != 1 || published[0].ServiceUID != inst.UID() || published[0].Address != inst.Endpoint().Address {
+		t.Fatalf("published %+v, want exactly the endpoint of %s at %q", published, inst.UID(), inst.Endpoint().Address)
+	}
+}
+
+// TestStateCallbackObservesTransitions: the hooks a pilot is launched with see
+// every transition from its first on, each stamped with the virtual instant it
+// was entered: the pilot's LAUNCHING at the origin and ACTIVE after its
+// sampled boot, then a task's whole lifecycle through DONE, its launch
+// overhead plus its one-second Duration after its grant.
 func TestStateCallbackObservesTransitions(t *testing.T) {
-	clock := simtime.NewScaled(100000, origin)
+	clock := simtime.NewVirtualAuto(origin)
 	src := rng.New(11)
-	plat := platform.NewDelta()
-	net := msgq.NewNetwork(clock, src, nil)
+	net := msgq.NewNetwork(clock, src.Derive("net"), nil)
 	defer net.Close()
 	var mu sync.Mutex
-	var seen []states.State
-	cb := func(uid string, from, to states.State, at time.Time) {
-		mu.Lock()
-		seen = append(seen, to)
-		mu.Unlock()
+	var pilotSeen, taskSeen []string
+	stamp := func(s states.State, at time.Time) string { return fmt.Sprintf("%s@%v", s, at.Sub(origin)) }
+	hooks := Hooks{
+		PilotState: func(_ string, _, to states.State, at time.Time) {
+			mu.Lock()
+			pilotSeen = append(pilotSeen, stamp(to, at))
+			mu.Unlock()
+		},
+		TaskState: func(_ string, _ states.State, steps []states.Record) {
+			mu.Lock()
+			for _, s := range steps {
+				taskSeen = append(taskSeen, stamp(s.State, s.At))
+			}
+			mu.Unlock()
+		},
 	}
-	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: plat, StateCallback: cb}, deltaPilot())
+	var p *Pilot
+	var err error
+	done := make(chan struct{})
+	clock.Go(func() {
+		defer close(done)
+		if p, err = Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.NewDelta(), Hooks: hooks}, deltaPilot()); err != nil {
+			return
+		}
+		var task *Task
+		if task, err = p.SubmitTask(context.Background(), spec.TaskDescription{
+			Name: "cb", Cores: 1, Duration: rng.ConstDuration(time.Second),
+		}); err != nil {
+			return
+		}
+		clock.Block()
+		err = p.WaitTasks(context.Background(), task.UID())
+		clock.Unblock()
+	})
+	<-done
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Shutdown() //nolint:errcheck
-	task, _ := p.SubmitTask(context.Background(), spec.TaskDescription{
-		Name: "cb", Cores: 1, Duration: rng.ConstDuration(time.Second),
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	_ = p.WaitTasks(ctx, task.UID())
 	mu.Lock()
 	defer mu.Unlock()
-	var gotDone bool
-	for _, s := range seen {
-		if s == states.TaskDone {
-			gotDone = true
-		}
+	if want := []string{"PMGR_LAUNCHING@0s", "PMGR_ACTIVE@7.883678525s"}; !reflect.DeepEqual(pilotSeen, want) {
+		t.Fatalf("pilot transitions %v, want %v", pilotSeen, want)
 	}
-	if !gotDone {
-		t.Fatalf("callback never saw DONE; saw %v", seen)
+	if want := []string{
+		"TMGR_SCHEDULING@7.883678525s", "AGENT_STAGING_INPUT@7.883678525s", "AGENT_SCHEDULING@7.883678525s",
+		"AGENT_EXECUTING@7.883678525s", "AGENT_STAGING_OUTPUT@10.726154058s", "DONE@10.726154058s",
+	}; !reflect.DeepEqual(taskSeen, want) {
+		t.Fatalf("task transitions %v, want %v", taskSeen, want)
 	}
 }
 
@@ -604,26 +687,15 @@ func TestPilotSnapshotReflectsLoad(t *testing.T) {
 // payload until release closes and then returns payloadErr.
 func gatedTask(t *testing.T, want states.State, payloadErr error) (p *Pilot, task *Task, observed *atomic.Bool, release chan struct{}) {
 	t.Helper()
-	clock := simtime.NewScaled(100000, origin)
-	src := rng.New(11)
-	net := msgq.NewNetwork(clock, src, nil)
 	observed = new(atomic.Bool)
-	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.NewDelta(),
-		StateCallback: func(_ string, _, to states.State, _ time.Time) {
-			if to == want {
-				runtime.Gosched() // whoever the transition itself woke would run here
-				observed.Store(true)
-			}
-		}}, deltaPilot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, _ = newHookedPilot(t, 100000, deltaPilot(), Hooks{TaskState: func(_ string, _ states.State, steps []states.Record) {
+		if steps[len(steps)-1].State == want {
+			runtime.Gosched() // whoever the transition itself woke would run here
+			observed.Store(true)
+		}
+	}})
 	release = make(chan struct{})
-	t.Cleanup(func() {
-		_ = p.Shutdown()
-		net.Close()
-	})
-	task, err = p.SubmitTask(context.Background(), spec.TaskDescription{
+	task, err := p.SubmitTask(context.Background(), spec.TaskDescription{
 		Name: "gated", Cores: 1,
 		Func: func(context.Context) error { <-release; return payloadErr },
 	})

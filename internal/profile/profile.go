@@ -46,7 +46,7 @@ type Recorder struct {
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Callback returns a states.Callback recording transitions for one entity
-// kind; install it as (or chain it into) a runtime StateCallback.
+// kind; install it as (or chain it into) a runtime state observer.
 func (r *Recorder) Callback(entity string) states.Callback {
 	return func(uid string, from, to states.State, at time.Time) {
 		r.Record(Event{UID: uid, Entity: entity, From: from, To: to, At: at})

@@ -14,15 +14,14 @@ import (
 )
 
 // DefaultLoadHorizon is the load-report staleness horizon balancing
-// clients apply when the session does not configure one: reports older
-// than this are treated as no information and load-aware pickers fall
-// back to blind rotation. 10s comfortably covers the autoscaler's 2s
-// default report cadence and a campaign reporter's coarser intervals.
+// clients apply: reports older than this are treated as no information and
+// load-aware pickers fall back to blind rotation. 10s comfortably covers
+// the autoscaler's 2s default report cadence and a campaign reporter's
+// coarser intervals.
 const DefaultLoadHorizon = 10 * time.Second
 
 // BalancerOptions tune a Balancer or a Pool. The zero value selects a
-// power-of-two-choices picker with seed 0, the default staleness horizon,
-// and no clock (every report counts as stale, so picks degrade to
+// power-of-two-choices picker with seed 0 and no clock (every report counts as stale, so picks degrade to
 // rotation until a Now source is supplied).
 type BalancerOptions struct {
 	// Picker selects among the group candidates per request. nil selects
@@ -34,22 +33,15 @@ type BalancerOptions struct {
 	// check. nil disables load awareness: with no timebase every report
 	// is stale and load-aware pickers fall back to rotation.
 	Now func() time.Time
-	// Horizon is the load-report staleness bound (default
-	// DefaultLoadHorizon).
-	Horizon time.Duration
-	// Retries bounds re-resolutions per request in the member resolvers
-	// (default DefaultResolverRetries).
-	Retries int
 }
 
-// members is what a Balancer and a Pool share: the picker with its
-// staleness horizon, and the lazily-filled per-UID Resolver cache every
+// members is what a Balancer and a Pool share: the picker, and the lazily-filled per-UID Resolver cache every
 // picked request is forwarded through.
 type members struct {
 	reg   *EndpointRegistry
 	owner string // names the client in the closed error
 	dial  DialFn
-	opts  BalancerOptions // Picker and Horizon defaulted
+	opts  BalancerOptions // Picker defaulted
 
 	// res is the copy-on-write member-resolver map, never nil: reads are
 	// one atomic load, misses take mu and swap in a grown copy.
@@ -66,19 +58,17 @@ func (m *members) init(reg *EndpointRegistry, owner string, dial DialFn, opts Ba
 	if opts.Picker == nil {
 		opts.Picker = loadbal.NewP2C(opts.Seed)
 	}
-	if opts.Horizon <= 0 {
-		opts.Horizon = DefaultLoadHorizon
-	}
 	m.reg, m.owner, m.dial, m.opts = reg, owner, dial, opts
 	m.res.Store(&map[string]*Resolver{})
 	return nil
 }
 
-// pick runs the picker over view with the current staleness horizon.
+// pick runs the picker over view with DefaultLoadHorizon as the staleness
+// bound.
 func (m *members) pick(view loadbal.LoadView) int {
 	minAt := int64(math.MaxInt64) // no timebase: every report is stale
 	if m.opts.Now != nil {
-		minAt = m.opts.Now().UnixNano() - int64(m.opts.Horizon)
+		minAt = m.opts.Now().UnixNano() - int64(DefaultLoadHorizon)
 	}
 	return m.opts.Picker.PickIndex(view, minAt)
 }
@@ -106,7 +96,7 @@ func (m *members) resolver(uid string) (*Resolver, error) {
 	if r, ok := cur[uid]; ok {
 		return r, nil
 	}
-	r, err := NewResolver(m.reg, uid, m.dial, m.opts.Retries)
+	r, err := NewResolver(m.reg, uid, m.dial, DefaultResolverRetries)
 	if err != nil {
 		return nil, err
 	}

@@ -57,9 +57,8 @@ func TestBalancerP2CPickDistribution(t *testing.T) {
 	reg.ReportLoad("m2", Load{Queued: 100, At: now}) // the hot member
 
 	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Seed:    1,
-		Now:     func() time.Time { return now },
-		Horizon: time.Second,
+		Seed: 1,
+		Now:  func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,9 +84,8 @@ func TestBalancerP2CPickDistribution(t *testing.T) {
 
 	// determinism: a same-seed balancer reproduces the sequence exactly
 	b2, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Seed:    1,
-		Now:     func() time.Time { return now },
-		Horizon: time.Second,
+		Seed: 1,
+		Now:  func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,16 +108,15 @@ func TestBalancerP2CPickDistribution(t *testing.T) {
 func TestBalancerStaleReportsFallBackToRotation(t *testing.T) {
 	reg := balReg(3)
 	reported := time.Unix(1000, 0)
-	now := reported.Add(time.Minute) // far beyond the 1s horizon
+	now := reported.Add(DefaultLoadHorizon + time.Nanosecond) // 1 ns past the horizon
 	reg.ReportLoad("svc", Load{Queued: 0, At: reported})
 	reg.ReportLoad("m1", Load{Queued: 0, At: reported})
 	reg.ReportLoad("m2", Load{Queued: 100, At: reported})
 	reg.ReportLoad("m3", Load{Queued: 0, At: reported})
 
 	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Seed:    1,
-		Now:     func() time.Time { return now },
-		Horizon: time.Second,
+		Seed: 1,
+		Now:  func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +130,63 @@ func TestBalancerStaleReportsFallBackToRotation(t *testing.T) {
 		if got[uid] != 100 {
 			t.Fatalf("stale-report picks = %v, want an exact 100 each (rotation)", got)
 		}
+	}
+	// exactly at the horizon the reports still count: p2c avoids the hot member
+	now = reported.Add(DefaultLoadHorizon)
+	for i := 0; i < 400; i++ {
+		if uid := b.Pick(); uid == "m2" {
+			t.Fatalf("pick %d went to the hot member with reports at the horizon", i)
+		}
+	}
+}
+
+// TestBalancerLoadHorizonBoundary walks report ages across
+// DefaultLoadHorizon: up to and including the horizon the reports count and
+// p2c never picks the hot member; past it, by as little as a nanosecond,
+// picks rotate exactly evenly.
+func TestBalancerLoadHorizonBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		age   time.Duration
+		fresh bool
+	}{
+		{0, true},
+		{time.Second, true},
+		{DefaultLoadHorizon - time.Nanosecond, true},
+		{DefaultLoadHorizon, true},
+		{DefaultLoadHorizon + time.Nanosecond, false},
+		{DefaultLoadHorizon + time.Minute, false},
+	} {
+		t.Run(fmt.Sprintf("age=%v", tc.age), func(t *testing.T) {
+			reg := balReg(3)
+			reported := time.Unix(1000, 0)
+			for _, uid := range []string{"svc", "m1", "m3"} {
+				reg.ReportLoad(uid, Load{Queued: 0, At: reported})
+			}
+			reg.ReportLoad("m2", Load{Queued: 100, At: reported})
+			now := reported.Add(tc.age)
+			b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
+				Seed: 1,
+				Now:  func() time.Time { return now },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			got := map[string]int{}
+			for i := 0; i < 400; i++ {
+				got[b.Pick()]++
+			}
+			if tc.fresh && got["m2"] != 0 {
+				t.Fatalf("picks = %v with %v-old reports, want none on the hot member", got, tc.age)
+			}
+			if !tc.fresh {
+				for _, uid := range []string{"svc", "m1", "m2", "m3"} {
+					if got[uid] != 100 {
+						t.Fatalf("picks = %v with %v-old reports, want an exact 100 each (rotation)", got, tc.age)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -166,9 +220,8 @@ func TestBalancerMembershipChurnDuringPick(t *testing.T) {
 	now := time.Unix(1000, 0)
 	valid := map[string]bool{"svc": true, "m1": true, "m2": true, "m3": true, "m4": true}
 	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Seed:    7,
-		Now:     func() time.Time { return now },
-		Horizon: time.Second,
+		Seed: 7,
+		Now:  func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,9 +277,8 @@ func TestBalancerPickZeroAllocs(t *testing.T) {
 		reg.ReportLoad(fmt.Sprintf("m%d", i), Load{Queued: i, At: now})
 	}
 	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Seed:    3,
-		Now:     func() time.Time { return now },
-		Horizon: time.Second,
+		Seed: 3,
+		Now:  func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,9 +299,8 @@ func BenchmarkBalancerPick(b *testing.B) {
 		reg.ReportLoad(fmt.Sprintf("m%d", i), Load{Queued: i, At: now})
 	}
 	bal, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Seed:    3,
-		Now:     func() time.Time { return now },
-		Horizon: time.Second,
+		Seed: 3,
+		Now:  func() time.Time { return now },
 	})
 	if err != nil {
 		b.Fatal(err)

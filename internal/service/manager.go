@@ -75,23 +75,20 @@ type Config struct {
 	// UID) so services of different pilots never collide in session-level
 	// maps and transport addresses.
 	UIDPrefix string
-	// DefaultProbeInterval is used when a description leaves ProbeInterval
-	// zero. Default 5s.
-	DefaultProbeInterval time.Duration
-	// DefaultStartTimeout bounds bootstrap when a description leaves
-	// StartTimeout zero. Default 10m.
-	DefaultStartTimeout time.Duration
 	// StateCallback, when set, observes every committed service state
 	// transition (registered on each instance machine at submission). The
 	// session hooks its state Updater and journal here.
 	StateCallback states.Callback
-	// Transport selects the msgq transport service endpoints bind on
-	// (msgq.TransportInproc / msgq.TransportTCP; empty = the network's
-	// default). Over TCP, published endpoint addresses take the dialable
-	// "tcp://host:port" form so clients in other processes can reach the
-	// service directly.
-	Transport string
 }
+
+const (
+	// defaultProbeInterval is used when a description leaves ProbeInterval
+	// zero.
+	defaultProbeInterval = 5 * time.Second
+	// defaultStartTimeout bounds bootstrap when a description leaves
+	// StartTimeout zero.
+	defaultStartTimeout = 10 * time.Minute
+)
 
 // Manager is the ServiceManager: it owns the lifecycle of every service
 // task on one pilot.
@@ -118,12 +115,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.PublishOverhead.IsZero() {
 		cfg.PublishOverhead = DefaultPublishOverhead()
-	}
-	if cfg.DefaultProbeInterval <= 0 {
-		cfg.DefaultProbeInterval = 5 * time.Second
-	}
-	if cfg.DefaultStartTimeout <= 0 {
-		cfg.DefaultStartTimeout = 10 * time.Minute
 	}
 	return &Manager{cfg: cfg, services: make(map[string]*Instance)}, nil
 }
@@ -297,10 +288,10 @@ func (m *Manager) Submit(d spec.ServiceDescription) (*Instance, error) {
 		d.Priority = spec.ServicePriority
 	}
 	if d.ProbeInterval <= 0 {
-		d.ProbeInterval = m.cfg.DefaultProbeInterval
+		d.ProbeInterval = defaultProbeInterval
 	}
 	if d.StartTimeout <= 0 {
-		d.StartTimeout = m.cfg.DefaultStartTimeout
+		d.StartTimeout = defaultStartTimeout
 	}
 	inst := &Instance{
 		desc:      d,
@@ -498,13 +489,15 @@ func (m *Manager) bootstrap(inst *Instance) {
 	}
 	node := pl.Alloc.Node().Name()
 	addr := platform.Addr(m.cfg.Platform, node, d.UID)
-	apiSrv, err := m.cfg.Net.BindVia(m.cfg.Transport, addr, server.Handler())
+	// The network's transport decides: over TCP (a pilot agent in its own
+	// process) the published address is the dialable "tcp://host:port" form.
+	apiSrv, err := m.cfg.Net.BindVia("", addr, server.Handler())
 	if err != nil {
 		server.Stop()
 		fail(err)
 		return
 	}
-	ctlSrv, err := m.cfg.Net.BindVia(m.cfg.Transport, addr+".ctl", m.controlHandler(inst))
+	ctlSrv, err := m.cfg.Net.BindVia("", addr+".ctl", m.controlHandler(inst))
 	if err != nil {
 		_ = apiSrv.Close()
 		server.Stop()

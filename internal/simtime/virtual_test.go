@@ -218,12 +218,18 @@ func TestVirtualAutoAdvanceSingle(t *testing.T) {
 	}
 }
 
+// TestVirtualAutoAdvanceTwoGoroutinesInterleave: two registered sleepers
+// wake in deadline order. The unregistered test goroutine holds the clock
+// while it spawns them: unheld, the first could run both its sleeps to the
+// end alone (each a self-wake) before the second is registered, which then
+// sleeps from t=3 and ends the run at t=5.
 func TestVirtualAutoAdvanceTwoGoroutinesInterleave(t *testing.T) {
 	v := NewVirtualAuto(origin)
 	var mu sync.Mutex
 	var trace []string
 	var wg sync.WaitGroup
 	wg.Add(2)
+	v.AddRunner()
 	v.Go(func() {
 		defer wg.Done()
 		v.Sleep(1 * time.Second)
@@ -242,6 +248,7 @@ func TestVirtualAutoAdvanceTwoGoroutinesInterleave(t *testing.T) {
 		trace = append(trace, "b2")
 		mu.Unlock()
 	})
+	v.DoneRunner()
 	donech := make(chan struct{})
 	go func() { wg.Wait(); close(donech) }()
 	select {

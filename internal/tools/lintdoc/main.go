@@ -6,7 +6,7 @@
 //   - in the fully documented packages (scheduler, msgq, pilot), every
 //     exported top-level declaration — funcs, methods, types, and each
 //     exported const/var group — must have a doc comment,
-//   - in the closed-surface packages (experiments), every exported
+//   - in the closed-surface packages (experiments, usecases), every exported
 //     top-level func, type, var and const must be selected by another
 //     package of the module: a name nothing outside uses is unexported or
 //     deleted.
@@ -43,6 +43,7 @@ var fullDoc = map[string]bool{
 // bench/ module count as selectors; methods are not checked.
 var closedSurface = map[string]bool{
 	"internal/experiments": true,
+	"internal/usecases":    true,
 }
 
 func main() {

@@ -21,12 +21,9 @@ import (
 
 	"repro/internal/bio"
 	"repro/internal/core"
-	"repro/internal/hpo"
 	"repro/internal/metrics"
-	"repro/internal/pilot"
 	"repro/internal/rng"
 	"repro/internal/spec"
-	"repro/internal/training"
 	"repro/internal/workflow"
 )
 
@@ -64,21 +61,10 @@ type CellPaintingConfig struct {
 	HPOTrials int
 	// TrainTime is the per-trial fine-tuning duration.
 	TrainTime rng.DurationDist
-	// PreprocessTime is the per-shard CPU processing duration.
-	PreprocessTime rng.DurationDist
-	// GateBytes is how much processed data must be staged before training
-	// starts ("training ... only when sufficient processed data are
-	// available").
-	GateBytes int64
-	// UseTrainingModel derives per-trial durations from the distributed
-	// training performance model (internal/training) instead of
-	// TrainTime, coupling each trial's batch size to its wall time.
-	UseTrainingModel bool
-	// TrainSamples and TrainEpochs parameterize the training model
-	// (defaults 50000 samples, 3 epochs).
-	TrainSamples int
-	TrainEpochs  int
 }
+
+// preprocessTime is the per-shard CPU processing duration.
+var preprocessTime = rng.NormalDuration(5*time.Minute, time.Minute)
 
 func (c *CellPaintingConfig) defaults() {
 	if c.DatasetBytes <= 0 {
@@ -93,33 +79,21 @@ func (c *CellPaintingConfig) defaults() {
 	if c.TrainTime.IsZero() {
 		c.TrainTime = rng.NormalDuration(20*time.Minute, 4*time.Minute)
 	}
-	if c.PreprocessTime.IsZero() {
-		c.PreprocessTime = rng.NormalDuration(5*time.Minute, time.Minute)
-	}
-	if c.GateBytes <= 0 {
-		c.GateBytes = c.DatasetBytes / int64(c.Shards) // first shard complete
-	}
-	if c.TrainSamples <= 0 {
-		c.TrainSamples = 50000
-	}
-	if c.TrainEpochs <= 0 {
-		c.TrainEpochs = 3
-	}
 }
 
-// HPOTrial is one explored hyperparameter configuration.
-type HPOTrial struct {
+// hpoTrial is one explored hyperparameter configuration.
+type hpoTrial struct {
 	LearningRate float64
 	BatchSize    int
 	WeightDecay  float64
 	Dropout      float64
 }
 
-// SampleTrial draws one Optuna-style random-search configuration.
-func SampleTrial(src *rng.Source) HPOTrial {
+// sampleTrial draws one Optuna-style random-search configuration.
+func sampleTrial(src *rng.Source) hpoTrial {
 	lrs := []float64{1e-5, 3e-5, 1e-4, 3e-4}
 	batches := []int{16, 32, 64, 128}
-	return HPOTrial{
+	return hpoTrial{
 		LearningRate: lrs[src.Intn(len(lrs))],
 		BatchSize:    batches[src.Intn(len(batches))],
 		WeightDecay:  []float64{0, 0.01, 0.1}[src.Intn(3)],
@@ -157,7 +131,7 @@ func CellPainting(cfg CellPaintingConfig, src *rng.Source) *workflow.Pipeline {
 		prep = append(prep, spec.TaskDescription{
 			Name:     fmt.Sprintf("preprocess-%02d", i),
 			Cores:    4,
-			Duration: cfg.PreprocessTime,
+			Duration: preprocessTime,
 			OutputStaging: []spec.StagingDirective{{
 				Source: fmt.Sprintf("delta:/scratch/cellpainting/raw/shard-%02d", i),
 				Target: fmt.Sprintf("delta:/scratch/cellpainting/processed/shard-%02d", i),
@@ -172,24 +146,16 @@ func CellPainting(cfg CellPaintingConfig, src *rng.Source) *workflow.Pipeline {
 		Tasks: prep,
 	}
 
-	// stage 2: ViT fine-tuning with HPO, gated on processed data. Trial
-	// durations come from the distributed-training performance model
-	// (internal/training) unless the config overrides TrainTime, so a
-	// trial's batch size influences its wall time as it would on hardware.
+	// stage 2: ViT fine-tuning with HPO, gated on processed data. Every
+	// trial draws its duration from TrainTime; the sampled hyperparameters
+	// only label the task.
 	var trials []spec.TaskDescription
 	for i := 0; i < cfg.HPOTrials; i++ {
-		trial := SampleTrial(src.Derive(fmt.Sprintf("trial-%02d", i)))
-		dur := cfg.TrainTime
-		if cfg.UseTrainingModel {
-			job := training.ViTBase(cfg.TrainSamples, trial.BatchSize, cfg.TrainEpochs, 1)
-			if d, err := job.Duration(); err == nil {
-				dur = d
-			}
-		}
+		trial := sampleTrial(src.Derive(fmt.Sprintf("trial-%02d", i)))
 		trials = append(trials, spec.TaskDescription{
 			Name:     fmt.Sprintf("finetune-vit-%02d", i),
 			GPUs:     1,
-			Duration: dur,
+			Duration: cfg.TrainTime,
 			Metadata: map[string]string{
 				"lr":      fmt.Sprintf("%g", trial.LearningRate),
 				"batch":   fmt.Sprintf("%d", trial.BatchSize),
@@ -209,9 +175,11 @@ func CellPainting(cfg CellPaintingConfig, src *rng.Source) *workflow.Pipeline {
 			if len(pilots) == 0 {
 				return fmt.Errorf("cellpainting: no pilots")
 			}
-			// the DataManager gate: block until enough processed shards are
-			// staged (checked on the pilot hosting the preprocessing tasks)
-			return pilots[0].Stage().WaitBytes(ctx, "delta:/scratch/cellpainting/processed/", cfg.GateBytes)
+			// the DataManager gate ("training ... only when sufficient
+			// processed data are available"): block until the first processed
+			// shard is staged (checked on the pilot hosting the preprocessing
+			// tasks)
+			return pilots[0].Stage().WaitBytes(ctx, "delta:/scratch/cellpainting/processed/", shardBytes)
 		},
 		Tasks: trials,
 	}
@@ -228,8 +196,6 @@ func CellPainting(cfg CellPaintingConfig, src *rng.Source) *workflow.Pipeline {
 type SignatureConfig struct {
 	// Samples is the VCF sample count (paper: 15, ~300 MB each).
 	Samples int
-	// SampleBytes is the per-sample VCF size.
-	SampleBytes int64
 	// VEPTime is the per-sample annotation duration (paper: 1-5 min,
 	// ~3 GB memory).
 	VEPTime rng.DurationDist
@@ -249,9 +215,14 @@ type SignatureConfig struct {
 	Compute bool
 	// Results receives the computed outputs when Compute is set.
 	Results *SignatureResults
-	// VariantsPerSample sizes each synthetic sample (default 400).
-	VariantsPerSample int
 }
+
+const (
+	// sampleBytes is the per-sample VCF size.
+	sampleBytes = 300_000_000
+	// variantsPerSample sizes each synthetic sample.
+	variantsPerSample = 400
+)
 
 // SignatureResults carries the computed outputs of a Compute-enabled
 // Signature run. Safe for concurrent task access.
@@ -287,9 +258,6 @@ func (r *SignatureResults) DoseFit() bio.DoseResponse {
 func (c *SignatureConfig) defaults() {
 	if c.Samples <= 0 {
 		c.Samples = 15
-	}
-	if c.SampleBytes <= 0 {
-		c.SampleBytes = 300_000_000
 	}
 	if c.VEPTime.IsZero() {
 		c.VEPTime = rng.Seconds(rng.Uniform{Lo: 60, Hi: 300}) // 1-5 min
@@ -332,10 +300,6 @@ func Signature(cfg SignatureConfig, src *rng.Source) *workflow.Pipeline {
 		}
 		res.mu.Unlock()
 	}
-	variantsPer := cfg.VariantsPerSample
-	if variantsPer <= 0 {
-		variantsPer = 400
-	}
 
 	var vep []spec.TaskDescription
 	for i := 0; i < cfg.Samples; i++ {
@@ -347,7 +311,7 @@ func Signature(cfg SignatureConfig, src *rng.Source) *workflow.Pipeline {
 				res.mu.Lock()
 				dose := res.Doses[i]
 				res.mu.Unlock()
-				variants := bio.GenerateVCF(sampleSrc.Derive("vcf"), variantsPer, dose)
+				variants := bio.GenerateVCF(sampleSrc.Derive("vcf"), variantsPerSample, dose)
 				anns := bio.Annotate(model, sampleSrc.Derive("ann"), variants)
 				hits := bio.GeneHits(anns)
 				res.mu.Lock()
@@ -365,13 +329,13 @@ func Signature(cfg SignatureConfig, src *rng.Source) *workflow.Pipeline {
 			InputStaging: []spec.StagingDirective{{
 				Source: fmt.Sprintf("delta:/data/vcf/sample-%02d.vcf", i),
 				Target: fmt.Sprintf("delta:/scratch/sig/vcf/sample-%02d.vcf", i),
-				Bytes:  cfg.SampleBytes,
+				Bytes:  sampleBytes,
 				Mode:   spec.StageCopy,
 			}},
 			OutputStaging: []spec.StagingDirective{{
 				Source: fmt.Sprintf("delta:/scratch/sig/vcf/sample-%02d.vcf", i),
 				Target: fmt.Sprintf("delta:/scratch/sig/annotated/sample-%02d.json", i),
-				Bytes:  cfg.SampleBytes / 2,
+				Bytes:  sampleBytes / 2,
 				Mode:   spec.StageCopy,
 			}},
 		})
@@ -497,121 +461,6 @@ func Signature(cfg SignatureConfig, src *rng.Source) *workflow.Pipeline {
 	return &workflow.Pipeline{Name: "signature-detection", Stages: stages}
 }
 
-// --- HPO campaign (Optuna analogue driving the runtime) -------------------------
-
-// HPOCampaignConfig parameterizes RunHPOCampaign.
-type HPOCampaignConfig struct {
-	// Rounds of ask→run→tell iterations.
-	Rounds int
-	// TrialsPerRound run as concurrent GPU tasks.
-	TrialsPerRound int
-	// TrainSamples/TrainEpochs parameterize the per-trial training model.
-	TrainSamples int
-	TrainEpochs  int
-}
-
-func (c *HPOCampaignConfig) defaults() {
-	if c.Rounds <= 0 {
-		c.Rounds = 3
-	}
-	if c.TrialsPerRound <= 0 {
-		c.TrialsPerRound = 4
-	}
-	if c.TrainSamples <= 0 {
-		c.TrainSamples = 20000
-	}
-	if c.TrainEpochs <= 0 {
-		c.TrainEpochs = 1
-	}
-}
-
-// CellPaintingSpace is the pipeline's hyperparameter search space.
-func CellPaintingSpace() hpo.Space {
-	return hpo.Space{
-		{Name: "lr", Choices: []float64{1e-5, 3e-5, 1e-4, 3e-4}},
-		{Name: "batch", Choices: []float64{16, 32, 64, 128}},
-		{Name: "decay", Choices: []float64{0, 0.01, 0.1}},
-		{Name: "dropout", Choices: []float64{0, 0.1, 0.2, 0.3}},
-	}
-}
-
-// hpoSurrogate is the deterministic validation-loss surrogate the campaign
-// optimizes: best near lr=1e-4, batch=64, decay=0.01, dropout=0.1, plus
-// seeded noise.
-func hpoSurrogate(params map[string]float64, src *rng.Source) float64 {
-	loss := 0.4 * absf(log10(params["lr"])-log10(1e-4))
-	loss += 0.2 * absf(params["batch"]-64) / 64
-	loss += 2 * absf(params["decay"]-0.01)
-	loss += absf(params["dropout"] - 0.1)
-	return loss + 0.02*src.Normal(0, 1)
-}
-
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func log10(v float64) float64 {
-	// v is a positive learning rate from the search grid
-	l := 0.0
-	for v < 1 {
-		v *= 10
-		l--
-	}
-	return l
-}
-
-// RunHPOCampaign drives the iterative Optuna-style optimization of the
-// Cell Painting training stage on the runtime: each round asks the study
-// for a batch of configurations, runs them as concurrent GPU tasks pinned
-// to p (which must be attached to the session's task manager, as
-// workflow.NewRunner does) whose modelled duration comes from the training
-// performance model, and tells the observed objective back. It returns the
-// study for inspection. On an auto-advancing virtual clock the caller must
-// be registered with the clock (see core.TaskManager.Wait).
-func RunHPOCampaign(ctx context.Context, sess *core.Session, p *pilot.Pilot, cfg HPOCampaignConfig) (*hpo.Study, error) {
-	cfg.defaults()
-	src := sess.RNG().Derive("hpo-campaign")
-	study, err := hpo.NewStudy(CellPaintingSpace(), hpo.TPESampler{}, src.Derive("study"))
-	if err != nil {
-		return nil, err
-	}
-	for round := 0; round < cfg.Rounds; round++ {
-		trials := make([]hpo.Trial, cfg.TrialsPerRound)
-		descs := make([]spec.TaskDescription, cfg.TrialsPerRound)
-		for i := range trials {
-			trials[i] = study.Ask()
-			job := training.ViTBase(cfg.TrainSamples, int(trials[i].Params["batch"]), cfg.TrainEpochs, 1)
-			dur, err := job.Duration()
-			if err != nil {
-				return nil, err
-			}
-			descs[i] = spec.TaskDescription{
-				Name:     fmt.Sprintf("hpo-r%d-t%d", round, trials[i].ID),
-				GPUs:     1,
-				Duration: dur,
-				Pilot:    p.UID(),
-			}
-		}
-		tasks, err := sess.TaskManager().Submit(ctx, descs...)
-		if err == nil {
-			err = sess.TaskManager().Wait(ctx, tasks...)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, trial := range trials {
-			value := hpoSurrogate(trial.Params, src.Derive(fmt.Sprintf("obj-%d", trial.ID)))
-			if err := study.Tell(trial.ID, value); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return study, nil
-}
-
 // --- Use case II-C: Uncertainty Quantification ----------------------------------
 
 // UQConfig sizes the pipeline's three-level hierarchy.
@@ -625,9 +474,10 @@ type UQConfig struct {
 	Models []string
 	// FinetuneTime is the per-task fine-tuning duration.
 	FinetuneTime rng.DurationDist
-	// TaskGPUMemGB is the per-task GPU memory demand (paper: 5-60 GB).
-	TaskGPUMemGB float64
 }
+
+// taskGPUMemGB is the per-task GPU memory demand (paper: 5-60 GB).
+const taskGPUMemGB = 24
 
 func (c *UQConfig) defaults() {
 	if len(c.Methods) == 0 {
@@ -641,9 +491,6 @@ func (c *UQConfig) defaults() {
 	}
 	if c.FinetuneTime.IsZero() {
 		c.FinetuneTime = rng.NormalDuration(15*time.Minute, 3*time.Minute)
-	}
-	if c.TaskGPUMemGB <= 0 {
-		c.TaskGPUMemGB = 24
 	}
 }
 
@@ -681,7 +528,7 @@ func UQ(cfg UQConfig) *workflow.Pipeline {
 				ft = append(ft, spec.TaskDescription{
 					Name:     fmt.Sprintf("uq-%s-%s-seed%d", model, method, seed),
 					GPUs:     1,
-					MemGB:    cfg.TaskGPUMemGB,
+					MemGB:    taskGPUMemGB,
 					Duration: cfg.FinetuneTime,
 					Metadata: map[string]string{
 						"model": model, "method": method, "seed": fmt.Sprintf("%d", seed),

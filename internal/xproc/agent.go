@@ -90,7 +90,6 @@ func RunAgent(cfg AgentConfig) error {
 		PublishOverhead: rng.ConstDuration(0),
 		LaunchModel:     &platform.LaunchModel{},
 		SchedPolicy:     cfg.SchedPolicy,
-		Transport:       msgq.TransportTCP,
 	}, spec.PilotDescription{UID: cfg.UID, Platform: cfg.Platform, Nodes: cfg.Nodes})
 	if err != nil {
 		return err
