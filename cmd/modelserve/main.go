@@ -1,6 +1,6 @@
 // Command modelserve runs a standalone simulated model service behind the
-// REST API — the "R3" side of the paper's remote deployment. Point
-// examples/remote (or curl) at it:
+// REST API — the "R3" side of the paper's remote deployment. Point a
+// session's REST endpoint (restapi.Caller) or curl at it:
 //
 //	modelserve -model llama-8b -addr 127.0.0.1:8080 -scale 1000 &
 //	curl -s localhost:8080/api/health
@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -32,13 +33,17 @@ func main() {
 	conc := flag.Int("concurrency", 1, "request handlers (paper prototype: 1)")
 	flag.Parse()
 
-	if err := run(*model, *addr, *scale, *seed, *conc); err != nil {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(*model, *addr, *scale, *seed, *conc, sig, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "modelserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(model, addr string, scale float64, seed uint64, conc int) error {
+// run serves model at addr until stop yields or closes, then drains,
+// writing its progress lines to out.
+func run(model, addr string, scale float64, seed uint64, conc int, stop <-chan os.Signal, out io.Writer) error {
 	spec, err := llm.Lookup(model)
 	if err != nil {
 		return err
@@ -55,24 +60,22 @@ func run(model, addr string, scale float64, seed uint64, conc int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("loading %s ...\n", model)
+	fmt.Fprintf(out, "loading %s ...\n", model)
 	start := time.Now()
 	load, err := srv.Start()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("model ready: %s simulated load (%s wall)\n", load.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "model ready: %s simulated load (%s wall)\n", load.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
 
 	g, err := restapi.NewGateway(srv, addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serving %s at %s (POST /api/generate, GET /api/health)\n", model, g.URL())
+	fmt.Fprintf(out, "serving %s at %s (POST /api/generate, GET /api/health)\n", model, g.URL())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
-	fmt.Println("draining ...")
+	<-stop
+	fmt.Fprintln(out, "draining ...")
 	srv.Drain()
 	return g.Close()
 }

@@ -42,6 +42,9 @@ func TestSessionDefaults(t *testing.T) {
 	if s.Topology().Platform("frontier") == nil {
 		t.Fatal("default topology missing frontier")
 	}
+	if v, ok := s.Clock().(*simtime.Virtual); !ok || !v.Now().Equal(DefaultOrigin) {
+		t.Fatalf("default clock = %T at %v, want *simtime.Virtual at %v", s.Clock(), s.Clock().Now(), DefaultOrigin)
+	}
 }
 
 func TestPilotManagerSubmitAndGet(t *testing.T) {

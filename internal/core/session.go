@@ -43,7 +43,11 @@ type SessionConfig struct {
 	// Seed drives all stochastic behaviour; the same seed replays the
 	// same run.
 	Seed uint64
-	// Clock defaults to a 1000x scaled clock at DefaultOrigin.
+	// Clock defaults to an auto-advancing virtual clock at DefaultOrigin
+	// (simtime.NewVirtualAuto). On that clock a TaskManager.Wait caller
+	// must run on a goroutine registered with the clock: Wait parks its
+	// caller on the clock's books, and simulated time stands still for a
+	// caller it cannot see.
 	Clock simtime.Clock
 	// Topology defaults to the full catalog topology: the paper's three
 	// platforms (frontier, delta, r3) plus the mixed-shape hetero campus.
@@ -146,7 +150,7 @@ func assembleSession(uid string, clock simtime.Clock, src *rng.Source, topo *pla
 		return nil, err
 	}
 	if clock == nil {
-		clock = simtime.NewScaled(1000, DefaultOrigin)
+		clock = simtime.NewVirtualAuto(DefaultOrigin)
 	}
 	if topo == nil {
 		topo = platform.DefaultTopology()
@@ -384,28 +388,12 @@ func (s *Session) Dial(clientAddr string, ep proto.Endpoint) (service.Caller, er
 // of one and never consults it. A nil picker selects power-of-two-choices
 // seeded from the session seed and uid.
 func (s *Session) DialService(clientAddr, uid string, picker loadbal.Picker) (*service.Balancer, error) {
-	return service.NewBalancer(s.sm.reg, uid, s.dialFrom(clientAddr), s.balancerOptions(uid, picker))
-}
-
-// Pool returns a load-balanced Caller over all live endpoints of model in
-// the session EndpointRegistry — local pilot services arrive there via
-// the publish mirror, remote registrations via RegisterRemote. Each call
-// goes through a per-UID resolver, so pool clients follow re-publications
-// like DialService clients. picker is as for DialService.
-func (s *Session) Pool(clientAddr, model string, picker loadbal.Picker) (*service.Pool, error) {
-	return service.NewPool(s.sm.reg, model, s.dialFrom(clientAddr), s.balancerOptions(model, picker))
-}
-
-func (s *Session) dialFrom(clientAddr string) service.DialFn {
-	return func(ep proto.Endpoint) (service.Caller, error) { return s.Dial(clientAddr, ep) }
-}
-
-func (s *Session) balancerOptions(key string, picker loadbal.Picker) service.BalancerOptions {
-	return service.BalancerOptions{
+	dial := func(ep proto.Endpoint) (service.Caller, error) { return s.Dial(clientAddr, ep) }
+	return service.NewBalancer(s.sm.reg, uid, dial, service.BalancerOptions{
 		Picker: picker,
-		Seed:   s.src.Derive("balance." + key).Uint64(),
+		Seed:   s.src.Derive("balance." + uid).Uint64(),
 		Now:    s.clock.Now,
-	}
+	})
 }
 
 // Close shuts the session down: pilots, services, network. Tasks still

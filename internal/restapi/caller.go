@@ -1,8 +1,13 @@
 package restapi
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/proto"
@@ -10,14 +15,14 @@ import (
 	"repro/internal/simtime"
 )
 
-// Caller adapts the REST client to the service.Caller interface, so
-// remote REST-exposed model instances (the R3 deployment) are
-// interchangeable with msgq-connected local services from the client
-// task's perspective.
+// Caller is the client of a remote REST model service, behind the
+// service.Caller interface, so remote REST-exposed model instances (the
+// R3 deployment) are interchangeable with msgq-connected local services
+// from the client task's perspective.
 type Caller struct {
-	ep     proto.Endpoint
-	client *Client
-	clock  simtime.Clock
+	ep    proto.Endpoint
+	hc    *http.Client
+	clock simtime.Clock
 
 	seq uint64
 }
@@ -30,7 +35,7 @@ func NewCaller(ep proto.Endpoint, clock simtime.Clock) (*Caller, error) {
 	if ep.Protocol != "rest" {
 		return nil, fmt.Errorf("restapi: endpoint %s has protocol %q, want rest", ep.ServiceUID, ep.Protocol)
 	}
-	return &Caller{ep: ep, client: NewClient(ep.Address), clock: clock}, nil
+	return &Caller{ep: ep, hc: &http.Client{Timeout: 5 * time.Minute}, clock: clock}, nil
 }
 
 // Endpoint returns the wrapped endpoint.
@@ -40,7 +45,7 @@ func (c *Caller) Endpoint() proto.Endpoint { return c.ep }
 func (c *Caller) Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
 	c.seq++
 	start := c.clock.Now()
-	resp, err := c.client.Generate(ctx, GenerateRequest{
+	resp, err := c.generate(ctx, GenerateRequest{
 		Model:     c.ep.Model,
 		Prompt:    prompt,
 		MaxTokens: maxTokens,
@@ -60,6 +65,36 @@ func (c *Caller) Infer(ctx context.Context, prompt string, maxTokens int) (proto
 		Timing:       resp.Timing,
 	}
 	return reply, service.DecomposeRT(total, resp.Timing), nil
+}
+
+// generate POSTs one /api/generate call.
+func (c *Caller) generate(ctx context.Context, req GenerateRequest) (GenerateResponse, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return GenerateResponse{}, err
+	}
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.ep.Address+"/api/generate", bytes.NewReader(body))
+	if err != nil {
+		return GenerateResponse{}, err
+	}
+	httpReq.Header.Set("Content-Type", "application/json")
+	resp, err := c.hc.Do(httpReq)
+	if err != nil {
+		return GenerateResponse{}, fmt.Errorf("restapi: generate: %w", err)
+	}
+	defer resp.Body.Close()
+	var out GenerateResponse
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&out); err != nil {
+		return GenerateResponse{}, fmt.Errorf("restapi: decode response: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg := out.Error
+		if msg == "" {
+			msg = resp.Status
+		}
+		return out, fmt.Errorf("restapi: generate failed: %s", msg)
+	}
+	return out, nil
 }
 
 // Close implements service.Caller (HTTP clients hold no persistent

@@ -6,7 +6,6 @@
 package restapi
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -143,63 +142,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// Client calls a remote REST model service.
-type Client struct {
-	base string
-	hc   *http.Client
-}
-
-// NewClient returns a client for the gateway at baseURL.
-func NewClient(baseURL string) *Client {
-	return &Client{base: baseURL, hc: &http.Client{Timeout: 5 * time.Minute}}
-}
-
-// Generate performs one inference call.
-func (c *Client) Generate(ctx context.Context, req GenerateRequest) (GenerateResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return GenerateResponse{}, err
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/api/generate", bytes.NewReader(body))
-	if err != nil {
-		return GenerateResponse{}, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(httpReq)
-	if err != nil {
-		return GenerateResponse{}, fmt.Errorf("restapi: generate: %w", err)
-	}
-	defer resp.Body.Close()
-	var out GenerateResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&out); err != nil {
-		return GenerateResponse{}, fmt.Errorf("restapi: decode response: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg := out.Error
-		if msg == "" {
-			msg = resp.Status
-		}
-		return out, fmt.Errorf("restapi: generate failed: %s", msg)
-	}
-	return out, nil
-}
-
-// Health fetches the remote health record.
-func (c *Client) Health(ctx context.Context) (Health, error) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/api/health", nil)
-	if err != nil {
-		return Health{}, err
-	}
-	resp, err := c.hc.Do(httpReq)
-	if err != nil {
-		return Health{}, fmt.Errorf("restapi: health: %w", err)
-	}
-	defer resp.Body.Close()
-	var out Health
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&out); err != nil {
-		return Health{}, err
-	}
-	return out, nil
 }

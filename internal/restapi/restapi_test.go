@@ -2,12 +2,15 @@ package restapi
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/llm"
+	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/serving"
 	"repro/internal/simtime"
@@ -43,10 +46,35 @@ func newGateway(t *testing.T, model string) (*Gateway, *serving.Server) {
 	return g, srv
 }
 
+// newCaller returns a Caller for g's endpoint.
+func newCaller(t *testing.T, g *Gateway) *Caller {
+	t.Helper()
+	c, err := NewCaller(g.Endpoint(), simtime.NewReal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// getHealth fetches g's GET /api/health record.
+func getHealth(t *testing.T, g *Gateway) Health {
+	t.Helper()
+	resp, err := http.Get(g.URL() + "/api/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h Health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestGenerateOverHTTP(t *testing.T) {
 	g, _ := newGateway(t, "llama-8b")
-	c := NewClient(g.URL())
-	resp, err := c.Generate(context.Background(), GenerateRequest{
+	c := newCaller(t, g)
+	resp, err := c.generate(context.Background(), GenerateRequest{
 		Model: "llama-8b", Prompt: "what genes respond to radiation", MaxTokens: 32,
 		RequestID: "req.1", ClientID: "client.1",
 	})
@@ -63,14 +91,14 @@ func TestGenerateOverHTTP(t *testing.T) {
 
 func TestGenerateConcurrent(t *testing.T) {
 	g, srv := newGateway(t, "noop")
-	c := NewClient(g.URL())
+	c := newCaller(t, g)
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.Generate(context.Background(), GenerateRequest{Model: "noop", Prompt: "x"})
+			_, err := c.generate(context.Background(), GenerateRequest{Model: "noop", Prompt: "x"})
 			errs <- err
 		}()
 	}
@@ -88,12 +116,7 @@ func TestGenerateConcurrent(t *testing.T) {
 
 func TestHealthEndpoint(t *testing.T) {
 	g, _ := newGateway(t, "noop")
-	c := NewClient(g.URL())
-	h, err := c.Health(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Ready || h.ServiceUID != "r3.service.0001" || h.Model != "noop" {
+	if h := getHealth(t, g); !h.Ready || h.ServiceUID != "r3.service.0001" || h.Model != "noop" {
 		t.Fatalf("health = %+v", h)
 	}
 }
@@ -101,15 +124,11 @@ func TestHealthEndpoint(t *testing.T) {
 func TestGenerateAgainstStoppedServer(t *testing.T) {
 	g, srv := newGateway(t, "noop")
 	srv.Stop()
-	c := NewClient(g.URL())
-	if _, err := c.Generate(context.Background(), GenerateRequest{Model: "noop", Prompt: "x"}); err == nil {
-		t.Fatal("Generate succeeded against stopped server")
+	c := newCaller(t, g)
+	if _, err := c.generate(context.Background(), GenerateRequest{Model: "noop", Prompt: "x"}); err == nil {
+		t.Fatal("generate succeeded against stopped server")
 	}
-	h, err := c.Health(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Ready {
+	if getHealth(t, g).Ready {
 		t.Fatal("stopped server reports ready")
 	}
 }
@@ -124,9 +143,7 @@ func TestEndpointRecord(t *testing.T) {
 
 func TestMalformedRequestRejected(t *testing.T) {
 	g, _ := newGateway(t, "noop")
-	c := NewClient(g.URL())
-	// direct malformed POST
-	resp, err := c.hc.Post(g.URL()+"/api/generate", "application/json", strings.NewReader("{broken"))
+	resp, err := http.Post(g.URL()+"/api/generate", "application/json", strings.NewReader("{broken"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +153,12 @@ func TestMalformedRequestRejected(t *testing.T) {
 	}
 }
 
-func TestClientAgainstDeadServer(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1")
-	if _, err := c.Generate(context.Background(), GenerateRequest{Model: "noop"}); err == nil {
-		t.Fatal("Generate against dead server succeeded")
+func TestGenerateAgainstDeadServer(t *testing.T) {
+	c, err := NewCaller(proto.Endpoint{ServiceUID: "dead", Address: "http://127.0.0.1:1", Protocol: "rest"}, simtime.NewReal())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.Health(context.Background()); err == nil {
-		t.Fatal("Health against dead server succeeded")
+	if _, err := c.generate(context.Background(), GenerateRequest{Model: "noop"}); err == nil {
+		t.Fatal("generate against dead server succeeded")
 	}
 }

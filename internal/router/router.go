@@ -100,11 +100,10 @@ func (e ErrUnroutable) Error() string {
 
 // ByName returns a fresh instance of the named built-in router. The
 // empty name selects NameRoundRobin, keeping the seed dispatch the
-// default at every selection point (session config, rpexp -router,
-// examples/loadbalance -router). A "+retry" suffix (e.g.
-// "round-robin+retry") wraps the named router in WithRetry, giving blind
-// routers retry-on-unsatisfiable degradation without changing the
-// default dispatch sequence.
+// default at every selection point (session config, rpexp -router). A
+// "+retry" suffix (e.g. "round-robin+retry") wraps the named router in
+// WithRetry, giving blind routers retry-on-unsatisfiable degradation
+// without changing the default dispatch sequence.
 func ByName(name string) (Router, error) {
 	if base, ok := strings.CutSuffix(name, "+retry"); ok && base != "" {
 		inner, err := ByName(base)

@@ -20,9 +20,10 @@ import (
 // coarser intervals.
 const DefaultLoadHorizon = 10 * time.Second
 
-// BalancerOptions tune a Balancer or a Pool. The zero value selects a
-// power-of-two-choices picker with seed 0 and no clock (every report counts as stale, so picks degrade to
-// rotation until a Now source is supplied).
+// BalancerOptions tune a Balancer. The zero value selects a
+// power-of-two-choices picker with seed 0 and no clock (every report
+// counts as stale, so picks degrade to rotation until a Now source is
+// supplied).
 type BalancerOptions struct {
 	// Picker selects among the group candidates per request. nil selects
 	// power-of-two-choices seeded with Seed.
@@ -33,100 +34,6 @@ type BalancerOptions struct {
 	// check. nil disables load awareness: with no timebase every report
 	// is stale and load-aware pickers fall back to rotation.
 	Now func() time.Time
-}
-
-// members is what a Balancer and a Pool share: the picker, and the lazily-filled per-UID Resolver cache every
-// picked request is forwarded through.
-type members struct {
-	reg   *EndpointRegistry
-	owner string // names the client in the closed error
-	dial  DialFn
-	opts  BalancerOptions // Picker defaulted
-
-	// res is the copy-on-write member-resolver map, never nil: reads are
-	// one atomic load, misses take mu and swap in a grown copy.
-	res    atomic.Pointer[map[string]*Resolver]
-	mu     sync.Mutex
-	closed atomic.Bool
-}
-
-// init validates the shared inputs and applies the option defaults.
-func (m *members) init(reg *EndpointRegistry, owner string, dial DialFn, opts BalancerOptions) error {
-	if reg == nil || dial == nil {
-		return fmt.Errorf("service: %s needs a registry and a dial function", owner)
-	}
-	if opts.Picker == nil {
-		opts.Picker = loadbal.NewP2C(opts.Seed)
-	}
-	m.reg, m.owner, m.dial, m.opts = reg, owner, dial, opts
-	m.res.Store(&map[string]*Resolver{})
-	return nil
-}
-
-// pick runs the picker over view with DefaultLoadHorizon as the staleness
-// bound.
-func (m *members) pick(view loadbal.LoadView) int {
-	minAt := int64(math.MaxInt64) // no timebase: every report is stale
-	if m.opts.Now != nil {
-		minAt = m.opts.Now().UnixNano() - int64(DefaultLoadHorizon)
-	}
-	return m.opts.Picker.PickIndex(view, minAt)
-}
-
-// infer forwards one request through uid's Resolver.
-func (m *members) infer(ctx context.Context, uid, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
-	r, err := m.resolver(uid)
-	if err != nil {
-		return proto.InferenceReply{}, metrics.Breakdown{}, err
-	}
-	return r.Infer(ctx, prompt, maxTokens)
-}
-
-// resolver returns (creating on first use) the member's Resolver.
-func (m *members) resolver(uid string) (*Resolver, error) {
-	if r, ok := (*m.res.Load())[uid]; ok {
-		return r, nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed.Load() {
-		return nil, fmt.Errorf("service: %s closed", m.owner)
-	}
-	cur := *m.res.Load()
-	if r, ok := cur[uid]; ok {
-		return r, nil
-	}
-	r, err := NewResolver(m.reg, uid, m.dial, DefaultResolverRetries)
-	if err != nil {
-		return nil, err
-	}
-	next := map[string]*Resolver{uid: r}
-	for k, v := range cur {
-		next[k] = v
-	}
-	m.res.Store(&next)
-	return r, nil
-}
-
-// reresolved sums the re-resolution counts of every member resolver.
-func (m *members) reresolved() int {
-	n := 0
-	for _, r := range *m.res.Load() {
-		n += r.Reresolved()
-	}
-	return n
-}
-
-// close closes every member resolver; later resolver calls fail.
-func (m *members) close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.closed.Swap(true) {
-		for _, r := range *m.res.Load() {
-			_ = r.Close()
-		}
-	}
-	return nil
 }
 
 // Balancer is an inference client for a logical service UID that may be
@@ -147,43 +54,105 @@ func (m *members) close() error {
 // is older than the configured horizon the pick falls back to blind
 // round-robin rather than trusting dead information.
 type Balancer struct {
-	m   members
-	uid string
+	reg  *EndpointRegistry
+	uid  string
+	dial DialFn
+	opts BalancerOptions // Picker defaulted
 	// entry is the pinned registry entry of the logical UID; its group
 	// field holds the current immutable balancing view.
 	entry *endpointEntry
+
+	// res is the copy-on-write member-resolver map, never nil: reads are
+	// one atomic load, misses take mu and swap in a grown copy.
+	res    atomic.Pointer[map[string]*Resolver]
+	mu     sync.Mutex
+	closed atomic.Bool
 }
 
 // NewBalancer returns a Balancer for the logical service uid.
 func NewBalancer(reg *EndpointRegistry, uid string, dial DialFn, opts BalancerOptions) (*Balancer, error) {
-	b := &Balancer{uid: uid}
-	if err := b.m.init(reg, "balancer "+uid, dial, opts); err != nil {
-		return nil, err
+	if reg == nil || dial == nil {
+		return nil, fmt.Errorf("service: balancer %s needs a registry and a dial function", uid)
 	}
-	b.entry = reg.groupEntry(uid)
+	if opts.Picker == nil {
+		opts.Picker = loadbal.NewP2C(opts.Seed)
+	}
+	b := &Balancer{reg: reg, uid: uid, dial: dial, opts: opts, entry: reg.groupEntry(uid)}
+	b.res.Store(&map[string]*Resolver{})
 	return b, nil
 }
 
 // Infer routes one request to the picked group member and blocks for its
 // reply.
 func (b *Balancer) Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
-	return b.m.infer(ctx, b.Pick(), prompt, maxTokens)
+	r, err := b.resolver(b.Pick())
+	if err != nil {
+		return proto.InferenceReply{}, metrics.Breakdown{}, err
+	}
+	return r.Infer(ctx, prompt, maxTokens)
 }
 
 // Pick returns the member UID the next request goes to: one atomic view
 // load plus the picker's probes (two for power-of-two-choices), zero
 // locks and zero allocations regardless of group size. With no replica
-// members it returns the base UID without consulting the picker.
+// members it returns the base UID without consulting the picker. The
+// picker reads load reports under DefaultLoadHorizon as the staleness
+// bound.
 func (b *Balancer) Pick() string {
 	view := b.entry.group.Load()
 	if view == nil || view.Len() <= 1 {
 		return b.uid
 	}
-	return view.UID(b.m.pick(view))
+	minAt := int64(math.MaxInt64) // no timebase: every report is stale
+	if b.opts.Now != nil {
+		minAt = b.opts.Now().UnixNano() - int64(DefaultLoadHorizon)
+	}
+	return view.UID(b.opts.Picker.PickIndex(view, minAt))
+}
+
+// resolver returns (creating on first use) the member's Resolver.
+func (b *Balancer) resolver(uid string) (*Resolver, error) {
+	if r, ok := (*b.res.Load())[uid]; ok {
+		return r, nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed.Load() {
+		return nil, fmt.Errorf("service: balancer %s closed", b.uid)
+	}
+	cur := *b.res.Load()
+	if r, ok := cur[uid]; ok {
+		return r, nil
+	}
+	r, err := NewResolver(b.reg, uid, b.dial, DefaultResolverRetries)
+	if err != nil {
+		return nil, err
+	}
+	next := map[string]*Resolver{uid: r}
+	for k, v := range cur {
+		next[k] = v
+	}
+	b.res.Store(&next)
+	return r, nil
 }
 
 // Reresolved sums the re-resolution counts of every member resolver.
-func (b *Balancer) Reresolved() int { return b.m.reresolved() }
+func (b *Balancer) Reresolved() int {
+	n := 0
+	for _, r := range *b.res.Load() {
+		n += r.Reresolved()
+	}
+	return n
+}
 
 // Close closes every member resolver. Subsequent Infer calls fail.
-func (b *Balancer) Close() error { return b.m.close() }
+func (b *Balancer) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.closed.Swap(true) {
+		for _, r := range *b.res.Load() {
+			_ = r.Close()
+		}
+	}
+	return nil
+}

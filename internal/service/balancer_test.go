@@ -1,12 +1,14 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/loadbal"
 	"repro/internal/proto"
 )
 
@@ -24,7 +26,82 @@ func balReg(n int) *EndpointRegistry {
 }
 
 func balDial(ep proto.Endpoint) (Caller, error) {
-	return &poolCaller{uid: ep.ServiceUID, addr: ep.Address}, nil
+	return &fakeCaller{uid: ep.ServiceUID, addr: ep.Address}, nil
+}
+
+func TestBalancerValidation(t *testing.T) {
+	dial, _ := fakeDial(nil)
+	if _, err := NewBalancer(nil, "svc", dial, BalancerOptions{}); err == nil {
+		t.Fatal("NewBalancer accepted a nil registry")
+	}
+	if _, err := NewBalancer(NewEndpointRegistry(), "svc", nil, BalancerOptions{}); err == nil {
+		t.Fatal("NewBalancer accepted a nil dial function")
+	}
+}
+
+func TestBalancerClosedRejects(t *testing.T) {
+	reg := NewEndpointRegistry()
+	reg.Publish(ep("svc", "addr-svc"))
+	dial, _ := fakeDial(nil)
+	b, err := NewBalancer(reg, "svc", dial, BalancerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = b.Close()
+	if _, _, err := b.Infer(context.Background(), "x", 0); err == nil {
+		t.Fatal("Infer succeeded on closed balancer")
+	}
+}
+
+// TestBalancerInferCachesOneResolverPerMember: requests reach the picked
+// member through its own resolver, dialed once and reused.
+func TestBalancerInferCachesOneResolverPerMember(t *testing.T) {
+	reg := balReg(2)
+	dial, dials := fakeDial(nil)
+	b, err := NewBalancer(reg, "svc", dial, BalancerOptions{Picker: loadbal.NewRoundRobin()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	served := map[string]int{}
+	for i := 0; i < 9; i++ {
+		reply, _, err := b.Infer(context.Background(), "x", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served[reply.ServiceUID]++
+	}
+	if served["svc"] != 3 || served["m1"] != 3 || served["m2"] != 3 {
+		t.Fatalf("served %v, want 3 each (round robin)", served)
+	}
+	if n := dials.Load(); n != 3 {
+		t.Fatalf("dials = %d, want one per member", n)
+	}
+}
+
+// TestBalancerLeastLoadedPrefersIdleMember: a least-loaded picker over
+// fresh reports routes away from the saturated members.
+func TestBalancerLeastLoadedPrefersIdleMember(t *testing.T) {
+	reg := balReg(2)
+	now := time.Unix(1000, 0)
+	reg.ReportLoad("svc", Load{Queued: 3, InFlight: 1, At: now})
+	reg.ReportLoad("m1", Load{At: now})
+	reg.ReportLoad("m2", Load{Queued: 1, At: now})
+	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
+		Picker: loadbal.NewLeastLoaded(),
+		Now:    func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	reply, _, err := b.Infer(context.Background(), "quick", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.ServiceUID != "m1" {
+		t.Fatalf("least-loaded balancer routed to %s, want the idle m1", reply.ServiceUID)
+	}
 }
 
 func TestBalancerNoMembersPicksBase(t *testing.T) {

@@ -70,11 +70,10 @@ type endpointEntry struct {
 	live      bool
 	withdrawn bool
 	waiters   []chan struct{}
-	// members are replica service UIDs grouped under this logical UID by
-	// the session autoscaler; balancing clients spread requests across
-	// them. Membership is routing state, not a publication: it does not
+	// replicas are the service UIDs the session autoscaler groups under
+	// this logical UID; balancing clients spread requests across them. Membership is routing state, not a publication: it does not
 	// move the generation.
-	members []string
+	replicas []string
 	// depth and loadAt are the endpoint's last reported load: total depth
 	// (queued+in-flight) and the report stamp in nanoseconds, atomics so
 	// balancing pickers read them on the request hot path without r.mu.
@@ -104,10 +103,9 @@ type Load struct {
 }
 
 // GroupView is an immutable balancing view: one logical service UID's
-// base entry at index 0 plus its current replica members, or (for a Pool)
-// one model's live endpoints. It implements loadbal.LoadView; Load reads
-// the per-entry atomic gauges, so a pick costs two atomic loads per probe
-// and never blocks a registry mutation.
+// base entry at index 0 plus its current replica members. It implements
+// loadbal.LoadView; Load reads the per-entry atomic gauges, so a pick
+// costs two atomic loads per probe and never blocks a registry mutation.
 type GroupView struct {
 	uids    []string
 	entries []*endpointEntry
@@ -313,35 +311,15 @@ func (r *EndpointRegistry) All() []proto.Endpoint {
 // UID.
 func (r *EndpointRegistry) ByModel(model string) []proto.Endpoint {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	view := r.modelViewLocked(model)
-	out := make([]proto.Endpoint, len(view.entries))
-	for i, e := range view.entries {
-		out[i] = e.ep
-	}
-	return out
-}
-
-// modelView returns ByModel's candidate set as a balancing view: the
-// pool's per-request snapshot, read lock-free by its picker.
-func (r *EndpointRegistry) modelView(model string) *GroupView {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.modelViewLocked(model)
-}
-
-func (r *EndpointRegistry) modelViewLocked(model string) *GroupView {
-	view := &GroupView{}
-	for uid, e := range r.entries {
+	var out []proto.Endpoint
+	for _, e := range r.entries {
 		if e.live && e.ep.Model == model {
-			view.uids = append(view.uids, uid)
+			out = append(out, e.ep)
 		}
 	}
-	sort.Strings(view.uids)
-	for _, uid := range view.uids {
-		view.entries = append(view.entries, r.entries[uid])
-	}
-	return view
+	r.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ServiceUID < out[j].ServiceUID })
+	return out
 }
 
 // AwaitLive blocks until uid has a live endpoint (any generation), the
@@ -371,13 +349,13 @@ func (r *EndpointRegistry) AddMember(group, member string) {
 		e = &endpointEntry{}
 		r.entries[group] = e
 	}
-	for _, m := range e.members {
+	for _, m := range e.replicas {
 		if m == member {
 			r.mu.Unlock()
 			return
 		}
 	}
-	e.members = append(e.members, member)
+	e.replicas = append(e.replicas, member)
 	r.rebuildGroupLocked(group, e)
 	r.mu.Unlock()
 }
@@ -387,9 +365,9 @@ func (r *EndpointRegistry) AddMember(group, member string) {
 func (r *EndpointRegistry) RemoveMember(group, member string) {
 	r.mu.Lock()
 	if e := r.entries[group]; e != nil {
-		for i, m := range e.members {
+		for i, m := range e.replicas {
 			if m == member {
-				e.members = append(e.members[:i], e.members[i+1:]...)
+				e.replicas = append(e.replicas[:i], e.replicas[i+1:]...)
 				r.rebuildGroupLocked(group, e)
 				break
 			}
@@ -405,13 +383,13 @@ func (r *EndpointRegistry) RemoveMember(group, member string) {
 // must never delete them. Caller holds r.mu.
 func (r *EndpointRegistry) rebuildGroupLocked(group string, e *endpointEntry) {
 	view := &GroupView{
-		uids:    make([]string, 0, len(e.members)+1),
-		entries: make([]*endpointEntry, 0, len(e.members)+1),
+		uids:    make([]string, 0, len(e.replicas)+1),
+		entries: make([]*endpointEntry, 0, len(e.replicas)+1),
 	}
 	e.pinned = true
 	view.uids = append(view.uids, group)
 	view.entries = append(view.entries, e)
-	for _, m := range e.members {
+	for _, m := range e.replicas {
 		me := r.entries[m]
 		if me == nil {
 			me = &endpointEntry{}
@@ -487,7 +465,7 @@ func (r *EndpointRegistry) await(ctx context.Context, uid string, after uint64) 
 					break
 				}
 			}
-			if e.gen == 0 && !e.live && !e.withdrawn && !e.pinned && len(e.waiters) == 0 && len(e.members) == 0 {
+			if e.gen == 0 && !e.live && !e.withdrawn && !e.pinned && len(e.waiters) == 0 && len(e.replicas) == 0 {
 				delete(r.entries, uid)
 			}
 			r.mu.Unlock()

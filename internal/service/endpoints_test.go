@@ -62,6 +62,32 @@ func TestEndpointRegistrySuspendHidesButKeepsGeneration(t *testing.T) {
 	}
 }
 
+// TestEndpointRegistryByModelListsLiveSorted: ByModel lists one model's
+// live endpoints in service-UID order, leaving out suspended and withdrawn
+// ones and other models.
+func TestEndpointRegistryByModelListsLiveSorted(t *testing.T) {
+	r := NewEndpointRegistry()
+	for _, uid := range []string{"d", "b", "a", "c"} {
+		r.Publish(ep(uid, "addr-"+uid))
+	}
+	other := ep("e", "addr-e")
+	other.Model = "llama-8b"
+	r.Publish(other)
+	r.Suspend("c")
+	r.Withdraw("d")
+	var got []string
+	for _, e := range r.ByModel("noop") {
+		got = append(got, e.ServiceUID)
+	}
+	if fmt.Sprint(got) != "[a b]" {
+		t.Fatalf("ByModel(noop) = %v, want [a b]", got)
+	}
+	r.Publish(ep("c", "addr-c2"))
+	if eps := r.ByModel("noop"); len(eps) != 3 || eps[2].ServiceUID != "c" || eps[2].Address != "addr-c2" {
+		t.Fatalf("after re-publication ByModel(noop) = %+v", eps)
+	}
+}
+
 func TestEndpointRegistryAwaitNewerWakesOnRepublish(t *testing.T) {
 	r := NewEndpointRegistry()
 	r.Publish(ep("svc", "a"))
@@ -200,24 +226,42 @@ func TestEndpointRegistryConcurrentResolveDuringRepublish(t *testing.T) {
 
 // --- resolver ----------------------------------------------------------------
 
-// fakeCaller counts calls against one address and fails — with the
-// transport's endpoint-gone error, as a closed msgq server produces —
-// once its address is marked dead.
+// fakeCaller is a scripted in-memory backend: it answers with the
+// endpoint identity it was dialed for, optionally parks on a gate before
+// answering, and fails with the transport's endpoint-gone error — as a
+// closed msgq server produces — once its address is marked dead.
 type fakeCaller struct {
-	addr  string
-	dead  *atomic.Value // current dead address (string)
-	calls atomic.Int64
+	uid, addr string
+	dead      *atomic.Value // current dead address (string), may be nil
+	gate      chan struct{} // when non-nil, Infer blocks here first
+	entered   chan struct{} // signaled once per Infer before the gate
 }
 
 func (f *fakeCaller) Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
-	f.calls.Add(1)
-	if d, _ := f.dead.Load().(string); d == f.addr {
-		return proto.InferenceReply{}, metrics.Breakdown{}, fmt.Errorf("%w: %s", msgq.ErrClosed, f.addr)
+	if f.entered != nil {
+		f.entered <- struct{}{}
 	}
-	return proto.InferenceReply{Model: "noop", Text: f.addr}, metrics.Breakdown{}, nil
+	if f.gate != nil {
+		<-f.gate
+	}
+	if f.dead != nil {
+		if d, _ := f.dead.Load().(string); d == f.addr {
+			return proto.InferenceReply{}, metrics.Breakdown{}, fmt.Errorf("%w: %s", msgq.ErrClosed, f.addr)
+		}
+	}
+	return proto.InferenceReply{ServiceUID: f.uid, Model: "noop", Text: f.addr}, metrics.Breakdown{}, nil
 }
 
 func (f *fakeCaller) Close() error { return nil }
+
+// fakeDial returns a DialFn minting fakeCallers and the dial counter.
+func fakeDial(dead *atomic.Value) (DialFn, *atomic.Int64) {
+	var dials atomic.Int64
+	return func(e proto.Endpoint) (Caller, error) {
+		dials.Add(1)
+		return &fakeCaller{uid: e.ServiceUID, addr: e.Address, dead: dead}, nil
+	}, &dials
+}
 
 func TestResolverStaleGenerationReresolution(t *testing.T) {
 	r := NewEndpointRegistry()
@@ -229,7 +273,7 @@ func TestResolverStaleGenerationReresolution(t *testing.T) {
 		mu.Lock()
 		dialed = append(dialed, e.Address)
 		mu.Unlock()
-		return &fakeCaller{addr: e.Address, dead: &dead}, nil
+		return &fakeCaller{uid: e.ServiceUID, addr: e.Address, dead: &dead}, nil
 	}
 	res, err := NewResolver(r, "svc", dial, 0)
 	if err != nil {
@@ -275,9 +319,7 @@ func TestResolverRetriesThroughMidRequestFailure(t *testing.T) {
 	r := NewEndpointRegistry()
 	var dead atomic.Value
 	dead.Store("")
-	dial := func(e proto.Endpoint) (Caller, error) {
-		return &fakeCaller{addr: e.Address, dead: &dead}, nil
-	}
+	dial, _ := fakeDial(&dead)
 	res, err := NewResolver(r, "svc", dial, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -309,6 +351,79 @@ func TestResolverRetriesThroughMidRequestFailure(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("resolver never recovered")
+	}
+}
+
+// TestResolverRepublicationDuringInFlightError pins the evict-on-error
+// race: a request in flight against generation G errors after the
+// endpoint was already republished at G+1 and a fresh connection to G+1
+// was warmed by another request. Evicting the cached connection whenever
+// a request errored would tear down the healthy G+1 connection and force
+// a third dial; generation-aware staleness keeps it.
+func TestResolverRepublicationDuringInFlightError(t *testing.T) {
+	reg := NewEndpointRegistry()
+	var dead atomic.Value
+	dead.Store("")
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	var dials atomic.Int64
+	dial := func(e proto.Endpoint) (Caller, error) {
+		n := dials.Add(1)
+		c := &fakeCaller{uid: e.ServiceUID, addr: e.Address, dead: &dead}
+		if n == 1 {
+			// only the first (generation-1) connection parks on the gate
+			c.gate, c.entered = gate, entered
+		}
+		return c, nil
+	}
+	res, err := NewResolver(reg, "svc", dial, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+
+	reg.Publish(ep("svc", "gen1-addr"))
+	req1 := make(chan error, 1)
+	go func() {
+		_, _, err := res.Infer(context.Background(), "x", 0)
+		req1 <- err
+	}()
+	<-entered // request 1 is in flight against the generation-1 connection
+
+	// failover: generation 1 dies, generation 2 is republished, and a
+	// second request warms the generation-2 connection (dial #2)
+	dead.Store("gen1-addr")
+	reg.Suspend("svc")
+	reg.Publish(ep("svc", "gen2-addr"))
+	reply, _, err := res.Infer(context.Background(), "x", 0)
+	if err != nil || reply.Text != "gen2-addr" {
+		t.Fatalf("post-republish infer = %q err %v", reply.Text, err)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("dials = %d after warming generation 2, want 2", n)
+	}
+
+	// request 1's error finally lands, carrying generation 1: the
+	// resolver must retry on the cached generation-2 connection, not
+	// evict it
+	close(gate)
+	select {
+	case err := <-req1:
+		if err != nil {
+			t.Fatalf("in-flight request did not fail over: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("in-flight request never settled")
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("dials = %d after the stale error, want 2 (gen-2 connection evicted?)", n)
+	}
+	// and the resolver keeps serving on the surviving connection
+	if _, _, err := res.Infer(context.Background(), "x", 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("dials = %d after follow-up request, want 2", n)
 	}
 }
 
@@ -357,9 +472,7 @@ func TestResolverSurfacesWithdrawal(t *testing.T) {
 	r := NewEndpointRegistry()
 	var dead atomic.Value
 	dead.Store("a")
-	dial := func(e proto.Endpoint) (Caller, error) {
-		return &fakeCaller{addr: e.Address, dead: &dead}, nil
-	}
+	dial, _ := fakeDial(&dead)
 	res, err := NewResolver(r, "svc", dial, 0)
 	if err != nil {
 		t.Fatal(err)

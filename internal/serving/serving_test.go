@@ -41,6 +41,7 @@ func newServerOn(t *testing.T, model string, concurrency int, clock simtime.Cloc
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Stop)
 	return s
 }
 
@@ -231,6 +232,7 @@ func TestQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	start(t, s)
+	defer s.Stop()
 	// saturate: 1 executing + 1 queued, then the next must be rejected
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)

@@ -3,12 +3,12 @@
 // of calling the time package directly, which allows three execution modes:
 //
 //   - Real: wall-clock time, used when driving actual remote services.
-//   - Scaled: wall-clock time compressed by a constant factor, used by the
-//     quickstart, loadbalance and remote examples, modelserve, the xproc
-//     agent, core's default session clock and the bench module's rpbench.
+//   - Scaled: wall-clock time compressed by a constant factor, used by
+//     modelserve, the xproc agent and the bench module's rpbench.
 //   - Virtual: a deterministic discrete-event clock, with manual advancement
 //     or cooperative auto-advancement. The experiments, the load harness,
-//     lucid-run's pipelines and many unit tests run on it.
+//     lucid-run's pipelines, core's default session clock and many unit
+//     tests run on it.
 package simtime
 
 import (
