@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -44,6 +45,9 @@ func main() {
 // run serves model at addr until stop yields or closes, then drains,
 // writing its progress lines to out.
 func run(model, addr string, scale float64, seed uint64, conc int, stop <-chan os.Signal, out io.Writer) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("modelserve: -scale %v: want a finite positive number", scale)
+	}
 	spec, err := llm.Lookup(model)
 	if err != nil {
 		return err

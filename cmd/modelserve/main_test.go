@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strings"
@@ -106,5 +108,22 @@ func TestUnknownModel(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("run printed %q before failing", out.String())
+	}
+}
+
+// TestBadScale pins that run refuses a clock compression that is not a
+// finite positive number before it loads or binds anything.
+func TestBadScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(scale), func(t *testing.T) {
+			var out strings.Builder
+			err := run("llama-8b", "127.0.0.1:0", scale, 7, 1, nil, &out)
+			if err == nil || !strings.Contains(err.Error(), "-scale") {
+				t.Fatalf("run(scale %v) = %v, want a -scale error", scale, err)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("run printed %q before failing", out.String())
+			}
+		})
 	}
 }

@@ -94,8 +94,8 @@ func TestRecoverReattachesInFlightWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.UID() != s.UID() {
-		t.Fatalf("recovered UID %s, want %s", s2.UID(), s.UID())
+	if s2.uid != s.uid {
+		t.Fatalf("recovered UID %s, want %s", s2.uid, s.uid)
 	}
 	if rep.Incarnation != 2 || s2.Incarnation() != 2 {
 		t.Fatalf("incarnation = %d/%d, want 2", rep.Incarnation, s2.Incarnation())
@@ -402,8 +402,8 @@ func TestRecoverTwiceBumpsIncarnation(t *testing.T) {
 		t.Fatalf("second recovery incarnation/fence = %d/%d, want 3/3",
 			rep3.Incarnation, s3.EndpointRegistry().Fence())
 	}
-	if s3.UID() != s.UID() {
-		t.Fatalf("identity drifted: %s != %s", s3.UID(), s.UID())
+	if s3.uid != s.uid {
+		t.Fatalf("identity drifted: %s != %s", s3.uid, s.uid)
 	}
 }
 
@@ -467,9 +467,9 @@ func TestRecoverTornCrashTwice(t *testing.T) {
 	if rep3.Stats.TornTail {
 		t.Fatal("second recovery reported a torn tail after a clean Abandon")
 	}
-	if rep3.Incarnation != 3 || s3.UID() != s.UID() {
+	if rep3.Incarnation != 3 || s3.uid != s.uid {
 		t.Fatalf("second recovery incarnation/UID = %d/%s, want 3/%s",
-			rep3.Incarnation, s3.UID(), s.UID())
+			rep3.Incarnation, s3.uid, s.uid)
 	}
 	// The incarnation-2 submission survived the boundary.
 	if _, ok := findTask(s3, post[0].UID()); !ok {

@@ -205,7 +205,7 @@ func TestCapacityFitMismatchedPilotsEndToEnd(t *testing.T) {
 		if task.State() != states.TaskDone {
 			t.Fatalf("task %s = %s", task.UID(), task.State())
 		}
-		if task.Description().Name == "large" && task.Pilot() != fatP.UID() {
+		if task.desc.Name == "large" && task.Pilot() != fatP.UID() {
 			t.Fatalf("large task bound to %s, want fat pilot %s", task.Pilot(), fatP.UID())
 		}
 	}

@@ -1,7 +1,7 @@
 // Package core is the client-facing runtime facade — the analogue of
 // RADICAL-Pilot's client layer extended with the paper's service
 // capabilities. A Session owns the clock, RNG, platform topology,
-// communication network and metrics; a PilotManager acquires pilots; a
+// communication network; a PilotManager acquires pilots; a
 // TaskManager and a ServiceManager submit TaskDescriptions and
 // ServiceDescriptions through one unified API (Fig. 2 (1)); an Updater
 // publishes every entity state transition on a dedicated channel
@@ -17,11 +17,9 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/loadbal"
-	"repro/internal/metrics"
 	"repro/internal/msgq"
 	"repro/internal/pilot"
 	"repro/internal/platform"
-	"repro/internal/profile"
 	"repro/internal/proto"
 	"repro/internal/restapi"
 	"repro/internal/rng"
@@ -35,8 +33,8 @@ import (
 // DefaultOrigin is the simulated epoch used when no clock is supplied.
 var DefaultOrigin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
 
-// UpdatesAddr is the session-level PUB endpoint for state updates.
-const UpdatesAddr = "session//updates"
+// updatesAddr is the session-level PUB endpoint for state updates.
+const updatesAddr = "session//updates"
 
 // SessionConfig parameterizes a Session.
 type SessionConfig struct {
@@ -83,8 +81,6 @@ type Session struct {
 	src   *rng.Source
 	topo  *platform.Topology
 	net   *msgq.Network
-	coll  *metrics.Collector
-	prof  *profile.Recorder
 
 	updates msgq.Publisher
 
@@ -164,13 +160,11 @@ func assembleSession(uid string, clock simtime.Clock, src *rng.Source, topo *pla
 		src:        src,
 		topo:       topo,
 		net:        net,
-		coll:       metrics.NewCollector(),
-		prof:       profile.NewRecorder(),
 		fastBoot:   fastBoot,
 		schedPol:   schedPolicy,
 		routerName: routerName,
 	}
-	if s.updates, err = net.BindPub(UpdatesAddr); err != nil {
+	if s.updates, err = net.BindPub(updatesAddr); err != nil {
 		return nil, fmt.Errorf("core: updates channel already bound (previous client still alive?): %w", err)
 	}
 	s.pm = &PilotManager{sess: s, pilots: make(map[string]*pilot.Pilot)}
@@ -227,9 +221,6 @@ func (s *Session) journalAppend(kind journal.Kind, body any) {
 	_ = s.jw.Append(kind, body)
 }
 
-// UID returns the session identifier.
-func (s *Session) UID() string { return s.uid }
-
 // Clock returns the session clock.
 func (s *Session) Clock() simtime.Clock { return s.clock }
 
@@ -238,17 +229,6 @@ func (s *Session) RNG() *rng.Source { return s.src }
 
 // Network returns the session's communication network.
 func (s *Session) Network() *msgq.Network { return s.net }
-
-// Topology returns the platform topology.
-func (s *Session) Topology() *platform.Topology { return s.topo }
-
-// Metrics returns the session-wide metrics collector.
-func (s *Session) Metrics() *metrics.Collector { return s.coll }
-
-// Profile returns the session profile recorder (the RADICAL-Analytics
-// analogue): every entity state transition is recorded with its clock
-// timestamp and can be exported as CSV.
-func (s *Session) Profile() *profile.Recorder { return s.prof }
 
 // Journal returns the session's write-ahead journal writer (nil for
 // volatile sessions).
@@ -271,35 +251,27 @@ func (s *Session) ServiceManager() *ServiceManager { return s.sm }
 // SubscribeUpdates attaches to the Updater's state-update channel,
 // optionally filtered by entity topics ("pilot", "task", "service").
 func (s *Session) SubscribeUpdates(buffer int, topics ...string) (*msgq.Subscription, error) {
-	return s.net.Subscribe("client", UpdatesAddr, buffer, topics...)
+	return s.net.Subscribe("client", updatesAddr, buffer, topics...)
 }
 
-// publishStates is the Updater: it records the transitions one To call
-// committed in the session profile, appends them — for journaled sessions —
-// to the write-ahead journal with one write, and broadcasts them on the
-// session's update channel, each of the three in order.
+// publishStates is the Updater: it appends the transitions one To call
+// committed — for journaled sessions — to the write-ahead journal with one
+// write, then broadcasts them on the session's update channel.
 func (s *Session) publishStates(entity string) states.BatchCallback {
-	record := s.prof.Callback(entity)
 	return func(uid string, from states.State, steps []states.Record) {
-		s.publish(entity, record, uid, from, steps)
+		s.publish(entity, uid, from, steps)
 	}
 }
 
 // publishState is publishStates for an entity observed a transition at a
 // time: pilots and services.
 func (s *Session) publishState(entity string) states.Callback {
-	record := s.prof.Callback(entity)
 	return func(uid string, from, to states.State, at time.Time) {
-		s.publish(entity, record, uid, from, []states.Record{{State: to, At: at}})
+		s.publish(entity, uid, from, []states.Record{{State: to, At: at}})
 	}
 }
 
-func (s *Session) publish(entity string, record states.Callback, uid string, from states.State, steps []states.Record) {
-	prev := from
-	for _, st := range steps {
-		record(uid, prev, st.State, st.At)
-		prev = st.State
-	}
+func (s *Session) publish(entity, uid string, from states.State, steps []states.Record) {
 	switch {
 	case s.jw == nil:
 	case entity == "task" && from == states.TaskNew:

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/msgq"
 	"repro/internal/pilot"
+	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/spec"
@@ -356,6 +358,11 @@ func waitOnVirtualClock(clock *simtime.Virtual) error {
 	if err != nil {
 		return err
 	}
+	sub, err := s.SubscribeUpdates(16, "task")
+	if err != nil {
+		return err
+	}
+	defer sub.Cancel()
 	tm := s.TaskManager()
 	tm.AddPilot(p)
 	tasks, err := tm.Submit(context.Background(), spec.TaskDescription{Name: "hour", Cores: 1, Duration: rng.ConstDuration(time.Hour)})
@@ -379,12 +386,90 @@ func waitOnVirtualClock(clock *simtime.Virtual) error {
 	if err := tm.Wait(context.Background(), tasks...); err != nil {
 		return err
 	}
-	done, ok := s.Profile().EnteredAt(tasks[0].UID(), states.TaskDone)
-	if !ok {
-		return fmt.Errorf("task %s has no DONE record", tasks[0].UID())
+	now := clock.Now()
+	// The update hop runs on the clock: hold it blocked while reading.
+	clock.Block()
+	done, err := doneStamp(sub, tasks[0].UID())
+	clock.Unblock()
+	if err != nil {
+		return err
 	}
-	if now := clock.Now(); !now.Equal(done) || done.Sub(at) < time.Hour {
+	if !now.Equal(done) || done.Sub(at) < time.Hour {
 		return fmt.Errorf("Wait returned at %v, DONE at %v (cancelled wait at %v)", now.Sub(DefaultOrigin), done.Sub(DefaultOrigin), at.Sub(DefaultOrigin))
 	}
 	return nil
+}
+
+// doneStamp reads task updates until uid's DONE and returns its stamp.
+func doneStamp(sub *msgq.Subscription, uid string) (time.Time, error) {
+	for env := range sub.C {
+		var up proto.StateUpdate
+		if err := env.Decode(proto.KindStateUpdate, &up); err != nil {
+			return time.Time{}, err
+		}
+		if up.EntityUID == uid && up.State == string(states.TaskDone) {
+			return up.At, nil
+		}
+	}
+	return time.Time{}, fmt.Errorf("task %s: update channel closed before DONE", uid)
+}
+
+// TestPublishFansOutToJournalAndUpdates: every transition the Updater
+// commits reaches both of its sinks. The update channel carries the task's
+// whole chain in order, stamped in time order, and the journal, replayed,
+// ends the task where the channel does.
+func TestPublishFansOutToJournalAndUpdates(t *testing.T) {
+	s, jp := newJournaledSession(t, 11)
+	t.Cleanup(s.Close)
+	p := submitAttachedPilot(t, s)
+	sub, err := s.SubscribeUpdates(64, "task")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	tasks, err := s.TaskManager().Submit(ctx, spec.TaskDescription{Name: "fan", Cores: 1, Duration: rng.ConstDuration(time.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.TaskManager().Wait(ctx, tasks...); err != nil {
+		t.Fatal(err)
+	}
+	var got []states.State
+	var last time.Time
+	for deadline := time.After(5 * time.Second); len(got) == 0 || got[len(got)-1] != states.TaskDone; {
+		select {
+		case env := <-sub.C:
+			var up proto.StateUpdate
+			if err := env.Decode(proto.KindStateUpdate, &up); err != nil {
+				t.Fatal(err)
+			}
+			if up.EntityUID != tasks[0].UID() || up.Entity != "task" {
+				t.Fatalf("update for %s %s, want only task %s", up.Entity, up.EntityUID, tasks[0].UID())
+			}
+			if up.At.Before(last) {
+				t.Fatalf("%s stamped %v, before the previous update's %v", up.State, up.At, last)
+			}
+			got, last = append(got, states.State(up.State)), up.At
+		case <-deadline:
+			t.Fatalf("updates %v: never observed DONE", got)
+		}
+	}
+	want := []states.State{states.TaskTmgrScheduling, states.TaskStagingInput, states.TaskScheduling,
+		states.TaskExecuting, states.TaskStagingOutput, states.TaskDone}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("update chain %v, want %v", got, want)
+	}
+	s.Close()
+	snap, stats, err := journal.ReplayFile(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Tasks) != 1 || stats.Skipped != 0 {
+		t.Fatalf("replayed %d tasks with %d records skipped, want 1 and none", len(snap.Tasks), stats.Skipped)
+	}
+	if ts := snap.Tasks[0]; ts.State != states.TaskDone || ts.Pilot != p.UID() {
+		t.Fatalf("journal ends the task %s on %q, want DONE on %q", ts.State, ts.Pilot, p.UID())
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/executor"
 	"repro/internal/journal"
 	"repro/internal/pilot"
 	"repro/internal/router"
@@ -109,9 +108,6 @@ func (tm *TaskManager) journalFirst(jw *journal.Writer, uid string, from states.
 	_ = jw.AppendDispatch(desc, journal.BindBody{Entity: "task", UID: uid, Pilot: o.pilot}, from, steps)
 }
 
-// Description returns the submitted description.
-func (t *Task) Description() spec.TaskDescription { return t.desc }
-
 // State returns the task's current lifecycle state. A task parked in the
 // session overflow pool (no pilot bound) reports TMGR_SCHEDULING.
 func (t *Task) State() states.State {
@@ -127,16 +123,6 @@ func (t *Task) State() states.State {
 		return states.TaskDone
 	}
 	return states.TaskTmgrScheduling
-}
-
-// Result returns the execution result (valid once Done() is closed).
-func (t *Task) Result() executor.Result {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cur != nil {
-		return t.cur.Result()
-	}
-	return executor.Result{Err: t.err}
 }
 
 // Reroutes counts how many times the session re-bound this task to a new

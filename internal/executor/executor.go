@@ -17,7 +17,6 @@ package executor
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,11 +40,8 @@ type Executor struct {
 	// collective nature of MPI startup: every instance of a large burst
 	// pays the system-level cost, regardless of arrival order.
 	launchPeak atomic.Int64
-	running    atomic.Int64
 	completed  atomic.Int64
 	failures   atomic.Int64
-
-	wg sync.WaitGroup
 }
 
 // New returns an Executor for one pilot's platform.
@@ -99,8 +95,6 @@ func (e *Executor) Launch(uid string) time.Duration {
 // on synthetic data — in which case the sleep precedes the Func.
 func (e *Executor) RunPayload(ctx context.Context, d spec.TaskDescription) (time.Duration, error) {
 	start := e.clock.Now()
-	e.running.Add(1)
-	defer e.running.Add(-1)
 	var err error
 	if !d.Duration.IsZero() {
 		dur := d.Duration.Sample(e.src.Derive(d.UID + ".exec"))
@@ -131,26 +125,5 @@ func (e *Executor) Execute(ctx context.Context, sched *scheduler.Scheduler, p sc
 	return res
 }
 
-// Go runs Execute asynchronously, delivering the result to done.
-func (e *Executor) Go(ctx context.Context, sched *scheduler.Scheduler, p scheduler.Placement, d spec.TaskDescription, done func(Result)) {
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		done(e.Execute(ctx, sched, p, d))
-	}()
-}
-
-// Wait blocks until all Go-launched executions finish.
-func (e *Executor) Wait() { e.wg.Wait() }
-
-// Launching returns the number of in-flight launches.
-func (e *Executor) Launching() int { return int(e.launching.Load()) }
-
-// Running returns the number of in-flight payloads.
-func (e *Executor) Running() int { return int(e.running.Load()) }
-
 // Completed returns the number of successful payloads.
 func (e *Executor) Completed() int { return int(e.completed.Load()) }
-
-// Failures returns the number of failed payloads.
-func (e *Executor) Failures() int { return int(e.failures.Load()) }

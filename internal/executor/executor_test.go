@@ -65,8 +65,8 @@ func TestLaunchConcurrencyPenalty(t *testing.T) {
 			t.Fatalf("launch %d took %v, want %v (base plus the penalty at %d)", i, d, want, n)
 		}
 	}
-	if e.Launching() != 0 {
-		t.Fatalf("Launching = %d after completion", e.Launching())
+	if e.launching.Load() != 0 {
+		t.Fatalf("Launching = %d after completion", e.launching.Load())
 	}
 }
 
@@ -80,8 +80,8 @@ func TestRunPayloadDuration(t *testing.T) {
 	if elapsed < 4*time.Second {
 		t.Fatalf("payload elapsed %v, want ≈5s sim", elapsed)
 	}
-	if e.Completed() != 1 || e.Failures() != 0 {
-		t.Fatalf("counts = %d/%d", e.Completed(), e.Failures())
+	if e.Completed() != 1 || e.failures.Load() != 0 {
+		t.Fatalf("counts = %d/%d", e.Completed(), e.failures.Load())
 	}
 }
 
@@ -130,8 +130,8 @@ func TestRunPayloadFuncError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	if e.Failures() != 1 {
-		t.Fatalf("Failures = %d", e.Failures())
+	if e.failures.Load() != 1 {
+		t.Fatalf("Failures = %d", e.failures.Load())
 	}
 }
 
@@ -176,36 +176,6 @@ func TestExecuteReleasesAllocation(t *testing.T) {
 	}
 	if p.Nodes()[0].FreeCores() != 4 {
 		t.Fatal("allocation not released after Execute")
-	}
-}
-
-func TestGoAndWait(t *testing.T) {
-	e, _ := newExec(100000)
-	p := platform.New("test", 1, platform.NodeSpec{Cores: 8, GPUs: 0, MemGB: 8})
-	placedCh := make(chan scheduler.Placement, 8)
-	sched := scheduler.New(p.Nodes(), func(pl scheduler.Placement) { placedCh <- pl })
-	defer sched.Close()
-
-	var mu sync.Mutex
-	var results []Result
-	for i := 0; i < 4; i++ {
-		if err := sched.Submit(scheduler.Request{UID: "t", Cores: 2}); err != nil {
-			t.Fatal(err)
-		}
-		pl := <-placedCh
-		d := spec.TaskDescription{UID: "t", Duration: rng.ConstDuration(time.Second)}
-		e.Go(context.Background(), sched, pl, d, func(r Result) {
-			mu.Lock()
-			results = append(results, r)
-			mu.Unlock()
-		})
-	}
-	e.Wait()
-	if len(results) != 4 {
-		t.Fatalf("results = %d, want 4", len(results))
-	}
-	if e.Completed() != 4 {
-		t.Fatalf("Completed = %d", e.Completed())
 	}
 }
 

@@ -30,7 +30,7 @@ func encodeRecordJSON(rec Record) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: marshal %s record: %w", rec.Kind, err)
 	}
-	if len(payload) > MaxRecordSize {
+	if len(payload) > maxRecordSize {
 		return nil, ErrTooLarge
 	}
 	return frameOf(payload), nil
@@ -115,7 +115,7 @@ func parentScript() (recs []scriptRec, torn scriptRec) {
 	tr("service", "service.0001", "NEW", "SMGR_SCHEDULING", at(18))
 	app(KindEndpoint, EndpointBody{Op: OpPublish, UID: "service.0001", Endpoint: ep, Generation: 2})
 	app(KindEndpoint, EndpointBody{Op: "bogus", UID: "service.0001"})
-	app(KindEndpoint, EndpointBody{Op: OpWithdraw, UID: "ghost"})
+	app(KindEndpoint, EndpointBody{Op: opWithdraw, UID: "ghost"})
 	app(KindSession, SessionBody{UID: "session.0001", Seed: 42, Incarnation: 2})
 	// The process dies mid-write of one more transition.
 	return recs, scriptRec{KindTransition, TransitionBody{Entity: "service", UID: "service.0001",
@@ -308,7 +308,7 @@ func testWriterMatchesParentWAL(t *testing.T, appendAll func(*Writer, []scriptRe
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	got := readFile(t, w.Path())
+	got := readFile(t, w.path)
 	if !bytes.Equal(got, want) {
 		t.Fatal("WAL differs from the encoding/json oracle's frames")
 	}
@@ -448,7 +448,7 @@ func checkPayload(t *testing.T, payload []byte) {
 	}
 	// Framed, the record meets the verdict and the value of encoding/json
 	// whichever path took it.
-	if len(payload) <= MaxRecordSize {
+	if len(payload) <= maxRecordSize {
 		rec, n, err := decodeOne(frameOf(payload))
 		if (err == nil) != (slowErr == nil) {
 			t.Fatalf("%q: decodeRecord err %v, encoding/json err %v", payload, err, slowErr)
@@ -542,7 +542,7 @@ func TestDecodeFastPathTakesWriterShape(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data := readFile(t, w.Path())
+	data := readFile(t, w.path)
 	for _, off := range frameOffsets(t, data) {
 		n := int(binary.BigEndian.Uint32(data[off:]))
 		payload := data[off+headerSize : off+headerSize+n]
@@ -550,9 +550,9 @@ func TestDecodeFastPathTakesWriterShape(t *testing.T) {
 			t.Fatalf("envelope fast path declined %s", payload)
 		}
 	}
-	// Replay says which path took what: of the writer's own records only
+	// replay says which path took what: of the writer's own records only
 	// those without a fast path (session, pilot) are encoding/json's.
-	_, stats, err := Replay(writeTaskWAL(t, 3))
+	_, stats, err := replay(writeTaskWAL(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +611,7 @@ func writeTaskWAL(t testing.TB, n int) []byte {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(w.Path())
+	data, err := os.ReadFile(w.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +667,7 @@ func TestReplayAllocBudget(t *testing.T) {
 	var stats *ReplayStats
 	n := testing.AllocsPerRun(5, func() {
 		var err error
-		if _, stats, err = Replay(data); err != nil {
+		if _, stats, err = replay(data); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -735,7 +735,7 @@ func BenchmarkReplay(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Replay(data); err != nil {
+		if _, _, err := replay(data); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,7 +38,7 @@
 // envelope and the three bodies a task writes (description, bind,
 // transition) to exactly the bytes json.Marshal produces, and still issues
 // one write() per Append, AppendTransitions or AppendDispatch, never holding
-// a record back for the next call. Replay
+// a record back for the next call. replay
 // reads a record of exactly that byte shape once, envelope and body in one
 // scan, and keeps no copy of it: a transition
 // or a bind is applied from spans of the read buffer. On any deviation the
@@ -79,18 +79,18 @@ var (
 	ErrCrashed = errors.New("journal: writer crashed")
 	// ErrChecksum marks a record whose payload does not match its CRC.
 	ErrChecksum = errors.New("journal: record checksum mismatch")
-	// ErrTooLarge marks a length prefix beyond MaxRecordSize — framing
+	// ErrTooLarge marks a length prefix beyond maxRecordSize — framing
 	// corruption replay cannot resynchronize from.
 	ErrTooLarge = errors.New("journal: record exceeds maximum size")
 )
 
-// MaxRecordSize bounds one record's payload. Descriptions and transitions
+// maxRecordSize bounds one record's payload. Descriptions and transitions
 // are tiny; a larger length prefix means the framing itself is corrupt.
-const MaxRecordSize = 1 << 20
+const maxRecordSize = 1 << 20
 
-// DefaultFlushEvery is the default fsync batching interval on the session
+// defaultFlushEvery is the default fsync batching interval on the session
 // clock.
-const DefaultFlushEvery = 100 * time.Millisecond
+const defaultFlushEvery = 100 * time.Millisecond
 
 // headerSize is the per-record framing overhead (length + CRC).
 const headerSize = 8
@@ -190,7 +190,7 @@ type TransitionBody struct {
 const (
 	OpPublish  = "publish"
 	OpSuspend  = "suspend"
-	OpWithdraw = "withdraw"
+	opWithdraw = "withdraw"
 )
 
 // EndpointBody is the KindEndpoint payload.
@@ -422,7 +422,7 @@ func decodeRecord(data []byte, d *decoded) (int, error) {
 		return 0, io.ErrUnexpectedEOF
 	}
 	n := int(binary.BigEndian.Uint32(data[0:4]))
-	if n > MaxRecordSize {
+	if n > maxRecordSize {
 		return 0, ErrTooLarge
 	}
 	if len(data) < headerSize+n {
@@ -454,7 +454,7 @@ const (
 	// the record is lost entirely and the writer is dead.
 	CrashLost
 	// CrashTorn simulates the process dying mid-write(): a prefix of the
-	// framed record lands in the file and the writer is dead. Replay
+	// framed record lands in the file and the writer is dead. replay
 	// tolerates exactly this artifact as a torn tail.
 	CrashTorn
 )
@@ -466,7 +466,7 @@ type Config struct {
 	// Clock paces the fsync batching. Required.
 	Clock simtime.Clock
 	// FlushEvery is the fsync batching interval on Clock (default
-	// DefaultFlushEvery).
+	// defaultFlushEvery).
 	FlushEvery time.Duration
 }
 
@@ -504,7 +504,7 @@ func Open(cfg Config) (*Writer, error) {
 		return nil, errors.New("journal: Open needs a path and a clock")
 	}
 	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = DefaultFlushEvery
+		cfg.FlushEvery = defaultFlushEvery
 	}
 	f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -517,9 +517,6 @@ func Open(cfg Config) (*Writer, error) {
 	go w.flusher(cfg.FlushEvery)
 	return w, nil
 }
-
-// Path returns the journal file path.
-func (w *Writer) Path() string { return w.path }
 
 // SetCrashHook installs a fault-injection hook consulted on every append
 // (before the write). Returning CrashLost or CrashTorn kills the writer
@@ -594,7 +591,7 @@ func (w *Writer) AppendBind(b BindBody) error {
 var taskKinds = []Kind{KindTask, KindBind, KindTransition}
 
 // envelopeMax is more than the envelope adds to a body: a body this far under
-// MaxRecordSize makes a record write accepts.
+// maxRecordSize makes a record write accepts.
 const envelopeMax = 64
 
 // appendChain appends the bodies of the transitions an entity made from from,
@@ -638,7 +635,7 @@ func (w *Writer) AppendTransitions(entity, uid string, from states.State, steps 
 // AppendTask, AppendBind and AppendTransitions would write in that order, with
 // the same crash verdicts, framed under one hold of the writer lock and written
 // with one write(); nothing is held back to make it. A description the
-// hand-written codec declines, or one that may exceed MaxRecordSize, sends all
+// hand-written codec declines, or one that may exceed maxRecordSize, sends all
 // three through their own doors, so that what refuses the description does not
 // refuse the bind and the transitions.
 func (w *Writer) AppendDispatch(task *TaskBody, bind BindBody, from states.State, steps []states.Record) error {
@@ -648,7 +645,7 @@ func (w *Writer) AppendDispatch(task *TaskBody, bind BindBody, from states.State
 	if task != nil {
 		raw, ok = appendTask(raw, task)
 		ends, kinds = append(ends, len(raw)), taskKinds
-		ok = ok && len(raw) <= MaxRecordSize-envelopeMax
+		ok = ok && len(raw) <= maxRecordSize-envelopeMax
 	}
 	if ok {
 		raw = appendBind(raw, &bind)
@@ -694,7 +691,7 @@ func (w *Writer) appendJSON(kind Kind, body any) error {
 // is asked about each record in file order, before any byte of it is written: a
 // verdict on one writes the whole records before it, half of it if torn, and
 // nothing after, then closes the file as Crash does. A record beyond
-// MaxRecordSize refuses them all.
+// maxRecordSize refuses them all.
 func (w *Writer) write(kinds []Kind, raw []byte, ends []int) error {
 	if len(ends) == 0 {
 		ends = []int{len(raw)}
@@ -719,7 +716,7 @@ func (w *Writer) write(kinds []Kind, raw []byte, ends []int) error {
 		frames = strconv.AppendUint(append(frames, `,"seq":`...), w.seq+uint64(n)+1, 10)
 		frames = append(append(append(frames, `,"body":`...), body...), '}')
 		payload := frames[at+headerSize:]
-		if len(payload) > MaxRecordSize {
+		if len(payload) > maxRecordSize {
 			w.mu.Unlock()
 			return ErrTooLarge
 		}
@@ -854,7 +851,7 @@ func (w *Writer) Stats() (appends, syncs int64) {
 	return w.appends, w.syncs
 }
 
-// --- Replay -----------------------------------------------------------------
+// --- replay -----------------------------------------------------------------
 
 // ReplayStats is the granular accounting of one replay.
 type ReplayStats struct {
@@ -942,21 +939,11 @@ type Snapshot struct {
 	Services []*ServiceState
 }
 
-// Pilot returns the replayed pilot state for uid.
-func (s *Snapshot) Pilot(uid string) *PilotState {
-	for _, p := range s.Pilots {
-		if p.Desc.UID == uid {
-			return p
-		}
-	}
-	return nil
-}
-
 // replayBuffer is how much of a journal ReplayFile holds at a time; a record
 // that is longer grows it.
 const replayBuffer = 64 << 10
 
-// ReplayFile replays the journal at path. See Replay.
+// ReplayFile replays the journal at path. See replay.
 func ReplayFile(path string) (*Snapshot, *ReplayStats, error) {
 	r := newReplayer()
 	f, err := os.Open(path)
@@ -982,7 +969,7 @@ func ReplayFile(path string) (*Snapshot, *ReplayStats, error) {
 	return r.snap, r.stats, nil
 }
 
-// Replay decodes and applies every record in data. Application is
+// replay decodes and applies every record in data. Application is
 // all-or-nothing with respect to structural validity: any checksum,
 // framing or JSON failure before the final record returns an error and no
 // snapshot (stats still report what was seen). Semantically impossible
@@ -991,7 +978,7 @@ func ReplayFile(path string) (*Snapshot, *ReplayStats, error) {
 // transactional importer: the journal is evidence, replay is the
 // validator. A truncated final record is tolerated as the torn tail of a
 // crash mid-append.
-func Replay(data []byte) (*Snapshot, *ReplayStats, error) {
+func replay(data []byte) (*Snapshot, *ReplayStats, error) {
 	r := newReplayer()
 	if _, err := r.feed(data, true); err != nil {
 		return nil, r.stats, err
@@ -1173,7 +1160,7 @@ func (r *replayer) apply() error {
 			ss.Withdrawn = false
 		case OpSuspend:
 			ss.Suspended = true
-		case OpWithdraw:
+		case opWithdraw:
 			ss.Withdrawn = true
 			ss.Suspended = false
 		default:

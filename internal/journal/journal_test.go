@@ -74,7 +74,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	snap, stats, err := ReplayFile(w.Path())
+	snap, stats, err := ReplayFile(w.path)
 	if err != nil {
 		t.Fatalf("ReplayFile: %v", err)
 	}
@@ -109,16 +109,16 @@ func TestReplayTruncatedTail(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	data := readFile(t, w.Path())
+	data := readFile(t, w.path)
 
 	// Cut the final record in half: replay must apply everything before it
 	// and flag — not fail on — the torn tail.
 	frames := frameOffsets(t, data)
 	last := frames[len(frames)-1]
 	cut := last + (len(data)-last)/2
-	snap, stats, err := Replay(data[:cut])
+	snap, stats, err := replay(data[:cut])
 	if err != nil {
-		t.Fatalf("Replay with torn tail: %v", err)
+		t.Fatalf("replay with torn tail: %v", err)
 	}
 	if !stats.TornTail {
 		t.Fatal("torn tail not reported")
@@ -131,7 +131,7 @@ func TestReplayTruncatedTail(t *testing.T) {
 	if stats.ValidBytes != int64(last) {
 		t.Fatalf("ValidBytes = %d, want %d (start of torn record)", stats.ValidBytes, last)
 	}
-	if snap2, stats2, err := Replay(append(data[:stats.ValidBytes:stats.ValidBytes], data[last:]...)); err != nil ||
+	if snap2, stats2, err := replay(append(data[:stats.ValidBytes:stats.ValidBytes], data[last:]...)); err != nil ||
 		stats2.TornTail || len(snap2.Services) != 1 {
 		t.Fatalf("replay after truncate+re-append: snap=%+v stats=%+v err=%v", snap2, stats2, err)
 	}
@@ -148,13 +148,13 @@ func TestReplayFlippedChecksumByte(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	data := readFile(t, w.Path())
+	data := readFile(t, w.path)
 
 	// Flip one payload byte in a mid-journal record: replay must fail
 	// (all-or-nothing) and count the record invalid.
 	frames := frameOffsets(t, data)
 	data[frames[3]+headerSize] ^= 0xff
-	snap, stats, err := Replay(data)
+	snap, stats, err := replay(data)
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", err)
 	}
@@ -188,7 +188,7 @@ func TestReplayDuplicateAndOutOfOrderTransitions(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	snap, stats, err := ReplayFile(w.Path())
+	snap, stats, err := ReplayFile(w.path)
 	if err != nil {
 		t.Fatalf("ReplayFile: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestReplayDuplicateAndOutOfOrderTransitions(t *testing.T) {
 // from its Desc.UID, a duplicate description with another Desc, an
 // out-of-order transition, a restart from the initial state, a bind to a
 // pilot the journal never described, and a kind this package does not write.
-// Replay and ReplayFile agree, and both say exactly this.
+// replay and ReplayFile agree, and both say exactly this.
 func TestReplayCachesKeepVerdicts(t *testing.T) {
 	at := time.Date(2025, 3, 4, 5, 6, 7, 123000000, time.UTC)
 	w := openTestWriter(t)
@@ -256,16 +256,16 @@ func TestReplayCachesKeepVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, stats, err := Replay(readFile(t, w.Path()))
+	snap, stats, err := replay(readFile(t, w.path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fileSnap, fileStats, err := ReplayFile(w.Path())
+	fileSnap, fileStats, err := ReplayFile(w.path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snap, fileSnap) || !reflect.DeepEqual(stats, fileStats) {
-		t.Fatalf("Replay and ReplayFile differ:\n%+v %+v\n%+v %+v", snap, stats, fileSnap, fileStats)
+		t.Fatalf("replay and ReplayFile differ:\n%+v %+v\n%+v %+v", snap, stats, fileSnap, fileStats)
 	}
 	wantSnap := &Snapshot{
 		Session: SessionBody{UID: "s", Incarnation: 1},
@@ -306,7 +306,7 @@ func TestReplayMachineRestart(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	snap, stats, err := ReplayFile(w.Path())
+	snap, stats, err := ReplayFile(w.path)
 	if err != nil {
 		t.Fatalf("ReplayFile: %v", err)
 	}
@@ -339,7 +339,7 @@ func TestWriterCrashModes(t *testing.T) {
 		if err := w.Append(KindTask, TaskBody{UID: "t2"}); !errors.Is(err, ErrCrashed) {
 			t.Fatalf("post-crash append err = %v, want ErrCrashed", err)
 		}
-		_, stats, err := ReplayFile(w.Path())
+		_, stats, err := ReplayFile(w.path)
 		if err != nil {
 			t.Fatalf("ReplayFile: %v", err)
 		}
@@ -360,7 +360,7 @@ func TestWriterCrashModes(t *testing.T) {
 		if err := w.Append(KindTask, TaskBody{UID: "t1"}); !errors.Is(err, ErrCrashed) {
 			t.Fatalf("crashing append err = %v, want ErrCrashed", err)
 		}
-		_, stats, err := ReplayFile(w.Path())
+		_, stats, err := ReplayFile(w.path)
 		if err != nil {
 			t.Fatalf("ReplayFile with torn tail: %v", err)
 		}
@@ -420,10 +420,10 @@ func TestAppendTransitionsMatchesOneByOne(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := readFile(t, chained.Path()), readFile(t, single.Path()); !bytes.Equal(got, want) {
+	if got, want := readFile(t, chained.path), readFile(t, single.path); !bytes.Equal(got, want) {
 		t.Fatalf("chained WAL differs from the one appended record by record:\n got %q\nwant %q", got, want)
 	}
-	snap, stats, err := ReplayFile(chained.Path())
+	snap, stats, err := ReplayFile(chained.path)
 	if err != nil || stats.Applied != 8 || snap.Tasks[0].State != states.TaskDone {
 		t.Fatalf("replay: %+v, %v", stats, err)
 	}
@@ -444,11 +444,11 @@ func TestAppendTransitionsCrashVerdicts(t *testing.T) {
 				w := openTestWriter(t)
 				mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
 				mustAppend(t, w, KindTask, TaskBody{UID: "t1"})
-				want := readFile(t, w.Path())
+				want := readFile(t, w.path)
 				var asked []uint64
 				w.SetCrashHook(func(rec Record) CrashMode {
 					asked = append(asked, rec.Seq)
-					if got := int64(len(readFile(t, w.Path()))); got != int64(len(want)) {
+					if got := int64(len(readFile(t, w.path))); got != int64(len(want)) {
 						t.Errorf("record %d asked about with %d bytes of the chain already in the file", rec.Seq, got-int64(len(want)))
 					}
 					if rec.Seq == uint64(2+k) {
@@ -474,7 +474,7 @@ func TestAppendTransitionsCrashVerdicts(t *testing.T) {
 						want = append(want, frame[:headerSize+(len(frame)-headerSize)/2]...)
 					}
 				}
-				if got := readFile(t, w.Path()); !bytes.Equal(got, want) {
+				if got := readFile(t, w.path); !bytes.Equal(got, want) {
 					t.Fatalf("file after the verdict:\n got %q\nwant %q", got, want)
 				}
 				if len(asked) != k || asked[0] != 3 || asked[k-1] != uint64(2+k) || fired != 1 {
@@ -483,7 +483,7 @@ func TestAppendTransitionsCrashVerdicts(t *testing.T) {
 				if appends, _ := w.Stats(); appends != int64(2+k-1) || !w.Crashed() {
 					t.Fatalf("Stats() = %d appends, crashed %v, want %d and true", appends, w.Crashed(), 2+k-1)
 				}
-				snap, stats, err := ReplayFile(w.Path())
+				snap, stats, err := ReplayFile(w.path)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -529,7 +529,7 @@ func TestTaskWritesThreeTimes(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap, stats, err := ReplayFile(w.Path())
+	snap, stats, err := ReplayFile(w.path)
 	if err != nil || stats.Applied != 8*n+1 || snap.Tasks[n-1].State != states.TaskDone || snap.Tasks[n-1].Pilot != "pilot.0001" {
 		t.Fatalf("replay: %+v, %v", stats, err)
 	}
@@ -561,7 +561,7 @@ func dispatchOf(uid string, desc spec.TaskDescription, chain []states.Record) (c
 // description, with the three-step chain of a task that stages nothing in and
 // the two-step chain of one that does, and for the descriptions the hand-written
 // codec declines (staging, metadata) or encoding/json refuses (an infinite
-// MemGB) or the writer does (over MaxRecordSize): what refuses the description
+// MemGB) or the writer does (over maxRecordSize): what refuses the description
 // leaves the bind and the transitions in the journal.
 func TestAppendDispatchMatchesThreeDoors(t *testing.T) {
 	at := time.Date(2025, 3, 4, 5, 6, 7, 123456789, time.UTC)
@@ -570,7 +570,7 @@ func TestAppendDispatchMatchesThreeDoors(t *testing.T) {
 	staged.InputStaging = []spec.StagingDirective{{Source: "a", Target: "b"}}
 	meta.Metadata = map[string]string{"k": "v"}
 	inf.MemGB = math.Inf(1)
-	huge.Name = strings.Repeat("x", MaxRecordSize)
+	huge.Name = strings.Repeat("x", maxRecordSize)
 	for _, tc := range []struct {
 		name      string
 		desc      spec.TaskDescription
@@ -603,10 +603,10 @@ func TestAppendDispatchMatchesThreeDoors(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got, want := readFile(t, got.Path()), readFile(t, want.Path()); !bytes.Equal(got, want) {
+			if got, want := readFile(t, got.path), readFile(t, want.path); !bytes.Equal(got, want) {
 				t.Fatalf("combined WAL differs from the three doors':\n got %q\nwant %q", got, want)
 			}
-			snap, stats, err := ReplayFile(got.Path())
+			snap, stats, err := ReplayFile(got.path)
 			if err != nil || stats.Records != int(1+tc.records) {
 				t.Fatalf("replay: %+v, %v", stats, err)
 			}
@@ -625,7 +625,7 @@ func TestAppendDispatchMatchesThreeDoors(t *testing.T) {
 // TestAppendDispatchCrashVerdicts: the crash hook is asked about each of the
 // five records in file order, before any byte of the write, and a verdict on
 // the k-th leaves exactly the k-1 whole records before it — plus half of the
-// k-th if torn. Replay then finds nothing of the task, the task described, the
+// k-th if torn. replay then finds nothing of the task, the task described, the
 // task bound, or the task one or two transitions in.
 func TestAppendDispatchCrashVerdicts(t *testing.T) {
 	at := time.Date(2025, 3, 4, 5, 6, 7, 0, time.UTC)
@@ -646,11 +646,11 @@ func TestAppendDispatchCrashVerdicts(t *testing.T) {
 			t.Run(fmt.Sprintf("mode%d/record%d", mode, k), func(t *testing.T) {
 				w := openTestWriter(t)
 				mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
-				want := readFile(t, w.Path())
+				want := readFile(t, w.path)
 				var asked []Kind
 				w.SetCrashHook(func(rec Record) CrashMode {
 					asked = append(asked, rec.Kind)
-					if got := len(readFile(t, w.Path())); got != len(want) {
+					if got := len(readFile(t, w.path)); got != len(want) {
 						t.Errorf("record %d asked about with %d bytes of the write already in the file", rec.Seq, got-len(want))
 					}
 					if rec.Seq == uint64(1+k) {
@@ -675,7 +675,7 @@ func TestAppendDispatchCrashVerdicts(t *testing.T) {
 						want = append(want, frame[:headerSize+(len(frame)-headerSize)/2]...)
 					}
 				}
-				if got := readFile(t, w.Path()); !bytes.Equal(got, want) {
+				if got := readFile(t, w.path); !bytes.Equal(got, want) {
 					t.Fatalf("file after the verdict:\n got %q\nwant %q", got, want)
 				}
 				if len(asked) != k || asked[0] != KindTask || asked[k-1] != bodies[k-1].kind || fired != 1 {
@@ -684,7 +684,7 @@ func TestAppendDispatchCrashVerdicts(t *testing.T) {
 				if appends, _ := w.Stats(); appends != int64(k) || !w.Crashed() {
 					t.Fatalf("Stats() = %d appends, crashed %v, want %d and true", appends, w.Crashed(), k)
 				}
-				snap, stats, err := ReplayFile(w.Path())
+				snap, stats, err := ReplayFile(w.path)
 				if err != nil || stats.Records != k || stats.TornTail != (mode == CrashTorn) || stats.Skipped != 0 {
 					t.Fatalf("replay: %+v, %v", stats, err)
 				}
@@ -991,7 +991,7 @@ func TestBodiesMarshal(t *testing.T) {
 }
 
 // TestReplayFileStreamsLikeReplay holds ReplayFile, which reads the journal
-// a buffer at a time, to Replay on the same bytes: records that straddle a
+// a buffer at a time, to replay on the same bytes: records that straddle a
 // buffer's end, one longer than the buffer, a tail torn at every kind of
 // place and a corrupt record far into the file give the same snapshot, the
 // same stats and the same error.
@@ -1007,7 +1007,7 @@ func TestReplayFileStreamsLikeReplay(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data := readFile(t, w.Path())
+	data := readFile(t, w.path)
 	frames := frameOffsets(t, data)
 	bigAt := frames[len(frames)-2]
 
@@ -1018,16 +1018,16 @@ func TestReplayFileStreamsLikeReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		snapF, statsF, errF := ReplayFile(path)
-		snapM, statsM, errM := Replay(data)
+		snapM, statsM, errM := replay(data)
 		if (errF == nil) != (errM == nil) || (errF != nil && errF.Error() != errM.Error()) {
-			t.Fatalf("%s: ReplayFile err %v, Replay err %v", what, errF, errM)
+			t.Fatalf("%s: ReplayFile err %v, replay err %v", what, errF, errM)
 		}
 		if !reflect.DeepEqual(statsF, statsM) || !reflect.DeepEqual(snapF, snapM) {
-			t.Fatalf("%s: ReplayFile stats %+v, Replay stats %+v (or the snapshots differ)", what, statsF, statsM)
+			t.Fatalf("%s: ReplayFile stats %+v, replay stats %+v (or the snapshots differ)", what, statsF, statsM)
 		}
 	}
 	check("whole", data)
-	if snap, stats, _ := ReplayFile(w.Path()); stats.Records != len(frames) || stats.ValidBytes != int64(len(data)) ||
+	if snap, stats, _ := ReplayFile(w.path); stats.Records != len(frames) || stats.ValidBytes != int64(len(data)) ||
 		snap.Tasks[1].Desc.Name != long || snap.Tasks[1].State != states.TaskTmgrScheduling {
 		t.Fatalf("whole: stats %+v", stats)
 	}

@@ -58,8 +58,8 @@ type Spec struct {
 	Noop bool
 }
 
-// Catalog returns the specs of all known models, keyed by name.
-func Catalog() map[string]Spec {
+// catalog returns the specs of all known models, keyed by name.
+func catalog() map[string]Spec {
 	specs := []Spec{
 		{
 			// Calibrated to the paper's Fig. 3: init dominates bootstrap at
@@ -106,7 +106,7 @@ func Catalog() map[string]Spec {
 
 // Lookup returns the named spec from the catalog.
 func Lookup(name string) (Spec, error) {
-	s, ok := Catalog()[name]
+	s, ok := catalog()[name]
 	if !ok {
 		return Spec{}, fmt.Errorf("llm: unknown model %q", name)
 	}
@@ -128,9 +128,6 @@ func NewInstance(spec Spec, clock simtime.Clock, src *rng.Source) *Instance {
 
 // Spec returns the instance's model spec.
 func (m *Instance) Spec() Spec { return m.spec }
-
-// Loaded reports whether Load completed.
-func (m *Instance) Loaded() bool { return m.loaded }
 
 // Load blocks for the model's load/initialization time. It is the `init`
 // phase of the paper's bootstrap measurement.
@@ -183,7 +180,7 @@ func (m *Instance) planOne(prompt string, maxTokens int) (ptok, otok int, d time
 	if maxTokens <= 0 {
 		maxTokens = m.spec.DefaultMaxTokens
 	}
-	ptok = CountTokens(prompt)
+	ptok = countTokens(prompt)
 	otok = m.outputLength(maxTokens)
 
 	jitter := func(rate float64) float64 {
@@ -268,9 +265,9 @@ func (m *Instance) outputLength(maxTokens int) int {
 	return n
 }
 
-// CountTokens approximates tokenization: whitespace-split words count ~1.3
+// countTokens approximates tokenization: whitespace-split words count ~1.3
 // tokens each (subword splitting), matching common LLM tokenizer density.
-func CountTokens(text string) int {
+func countTokens(text string) int {
 	words := len(strings.Fields(text))
 	if words == 0 {
 		return 0

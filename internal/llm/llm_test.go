@@ -16,7 +16,7 @@ var origin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
 func scaled() simtime.Clock { return simtime.NewScaled(100000, origin) }
 
 func TestCatalogContainsPaperModels(t *testing.T) {
-	c := Catalog()
+	c := catalog()
 	for _, name := range []string{"llama-8b", "noop", "mistral-7b", "llama-70b", "vit-base"} {
 		if _, ok := c[name]; !ok {
 			t.Errorf("catalog missing %q", name)
@@ -59,11 +59,11 @@ func TestInstanceLoadBlocksOnClock(t *testing.T) {
 	spec, _ := Lookup("llama-8b")
 	clock := simtime.NewScaled(100000, origin) // 26s → ~260µs real
 	m := NewInstance(spec, clock, rng.New(1))
-	if m.Loaded() {
+	if m.loaded {
 		t.Fatal("fresh instance claims loaded")
 	}
 	d := m.Load()
-	if !m.Loaded() {
+	if !m.loaded {
 		t.Fatal("Load did not mark instance loaded")
 	}
 	if d < 10*time.Second || d > 45*time.Second {
@@ -136,13 +136,13 @@ func TestInferTokenAccounting(t *testing.T) {
 	m := NewInstance(spec, scaled(), rng.New(3))
 	m.Load()
 	res := m.Infer("the quick brown fox jumps", 64)
-	if res.PromptTokens != CountTokens("the quick brown fox jumps") {
+	if res.PromptTokens != countTokens("the quick brown fox jumps") {
 		t.Fatalf("prompt tokens = %d", res.PromptTokens)
 	}
 	if res.OutputTokens < 1 || res.OutputTokens > 64 {
 		t.Fatalf("output tokens = %d, want in [1,64]", res.OutputTokens)
 	}
-	if got := CountTokens(res.Text); got < res.OutputTokens {
+	if got := countTokens(res.Text); got < res.OutputTokens {
 		t.Fatalf("text has %d tokens, fewer than claimed %d", got, res.OutputTokens)
 	}
 }
@@ -182,8 +182,8 @@ func TestCountTokens(t *testing.T) {
 		{"a b c d e f g h i j", 13}, // 10 words
 	}
 	for _, c := range cases {
-		if got := CountTokens(c.in); got != c.want {
-			t.Errorf("CountTokens(%q) = %d, want %d", c.in, got, c.want)
+		if got := countTokens(c.in); got != c.want {
+			t.Errorf("countTokens(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }

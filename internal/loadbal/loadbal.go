@@ -147,15 +147,15 @@ func (b *LeastLoaded) PickIndex(v LoadView, _ int64) int {
 }
 
 // PickerByName builds a Picker from its ablation name: "p2c",
-// "round-robin" (alias "rr"), or "least-loaded" (alias "least"). The
-// seed drives P2C's probe sequence and is ignored by the others.
+// "round-robin" or "least-loaded". The seed drives P2C's probe sequence
+// and is ignored by the others.
 func PickerByName(name string, seed uint64) (Picker, error) {
 	switch name {
 	case "", "p2c":
 		return NewP2C(seed), nil
-	case "round-robin", "rr":
+	case "round-robin":
 		return NewRoundRobin(), nil
-	case "least-loaded", "least":
+	case "least-loaded":
 		return NewLeastLoaded(), nil
 	default:
 		return nil, fmt.Errorf("loadbal: unknown picker %q (want p2c|round-robin|least-loaded)", name)

@@ -1,6 +1,7 @@
 package loadbal
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -95,5 +96,29 @@ func TestLeastLoadedAdaptsToChangingDepths(t *testing.T) {
 	v[first] = 10
 	if second := b.PickIndex(v, 0); second == first {
 		t.Fatal("picker kept routing to the loaded instance")
+	}
+}
+
+// TestPickerByName pins one spelling per picker: each canonical name builds
+// its picker, and anything else is rejected.
+func TestPickerByName(t *testing.T) {
+	for name, want := range map[string]Picker{
+		"":             &P2C{},
+		"p2c":          &P2C{},
+		"round-robin":  &RoundRobin{},
+		"least-loaded": &LeastLoaded{},
+	} {
+		p, err := PickerByName(name, 1)
+		if err != nil {
+			t.Fatalf("PickerByName(%q): %v", name, err)
+		}
+		if got, w := fmt.Sprintf("%T", p), fmt.Sprintf("%T", want); got != w {
+			t.Fatalf("PickerByName(%q) = %s, want %s", name, got, w)
+		}
+	}
+	for _, bad := range []string{"rr", "least", "random"} {
+		if _, err := PickerByName(bad, 1); err == nil {
+			t.Fatalf("PickerByName(%q) accepted", bad)
+		}
 	}
 }

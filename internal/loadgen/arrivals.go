@@ -67,10 +67,10 @@ type diurnalArrivals struct {
 	left   int
 }
 
-// DiurnalArrivals returns n arrivals whose instantaneous rate follows
+// newDiurnalArrivals returns n arrivals whose instantaneous rate follows
 // base·(1 + amp·sin(2πt/period)). amp must be in [0, 1) so the rate never
 // reaches zero (thinning would stall).
-func DiurnalArrivals(src *rng.Source, base, amp float64, period time.Duration, n int) Arrivals {
+func newDiurnalArrivals(src *rng.Source, base, amp float64, period time.Duration, n int) Arrivals {
 	if base <= 0 || amp < 0 || amp >= 1 || period <= 0 {
 		panic("loadgen: diurnal wave needs base > 0, 0 <= amp < 1, period > 0")
 	}
@@ -99,9 +99,9 @@ type traceArrivals struct {
 	i    int
 }
 
-// TraceArrivals replays the given inter-arrival gaps verbatim (one
+// newTraceArrivals replays the given inter-arrival gaps verbatim (one
 // arrival per gap), for trace-driven campaigns.
-func TraceArrivals(gaps []time.Duration) Arrivals {
+func newTraceArrivals(gaps []time.Duration) Arrivals {
 	return &traceArrivals{gaps: gaps}
 }
 

@@ -54,7 +54,7 @@ func TestPoissonArrivalsDeterministic(t *testing.T) {
 
 func TestDiurnalArrivalsCountAndPositivity(t *testing.T) {
 	const n = 10000
-	gaps := collect(DiurnalArrivals(rng.New(5).Derive("arrivals"), 1000, 0.8, 20*time.Second, n))
+	gaps := collect(newDiurnalArrivals(rng.New(5).Derive("arrivals"), 1000, 0.8, 20*time.Second, n))
 	if len(gaps) != n {
 		t.Fatalf("got %d arrivals, want exactly %d", len(gaps), n)
 	}
@@ -66,8 +66,8 @@ func TestDiurnalArrivalsCountAndPositivity(t *testing.T) {
 }
 
 func TestDiurnalArrivalsDeterministic(t *testing.T) {
-	a := collect(DiurnalArrivals(rng.New(5).Derive("arrivals"), 1000, 0.5, 10*time.Second, 2000))
-	b := collect(DiurnalArrivals(rng.New(5).Derive("arrivals"), 1000, 0.5, 10*time.Second, 2000))
+	a := collect(newDiurnalArrivals(rng.New(5).Derive("arrivals"), 1000, 0.5, 10*time.Second, 2000))
+	b := collect(newDiurnalArrivals(rng.New(5).Derive("arrivals"), 1000, 0.5, 10*time.Second, 2000))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("gap %d differs: %v vs %v", i, a[i], b[i])
@@ -89,17 +89,17 @@ func TestDiurnalArrivalsRejectsBadWave(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("DiurnalArrivals(%v, %v, %v) did not panic", tc.base, tc.amp, tc.period)
+					t.Errorf("newDiurnalArrivals(%v, %v, %v) did not panic", tc.base, tc.amp, tc.period)
 				}
 			}()
-			DiurnalArrivals(rng.New(1), tc.base, tc.amp, tc.period, 1)
+			newDiurnalArrivals(rng.New(1), tc.base, tc.amp, tc.period, 1)
 		})
 	}
 }
 
 func TestTraceArrivalsReplayVerbatim(t *testing.T) {
 	in := []time.Duration{0, time.Millisecond, 5 * time.Millisecond, 0, time.Second}
-	got := collect(TraceArrivals(in))
+	got := collect(newTraceArrivals(in))
 	if len(got) != len(in) {
 		t.Fatalf("got %d gaps, want %d", len(got), len(in))
 	}

@@ -232,7 +232,7 @@ type campaign struct {
 // one to survive) and attaches them to the session managers.
 func startPilots(sess *core.Session, sc Scenario) ([]*pilot.Pilot, error) {
 	n := 1
-	if sc.Kind == KindChurn {
+	if sc.Kind == kindChurn {
 		n = 2
 	}
 	pilots := make([]*pilot.Pilot, 0, n)
@@ -261,7 +261,7 @@ func startBackends(ctx context.Context, sess *core.Session, sc Scenario) ([]*cor
 		if model == "" {
 			model = "noop"
 		}
-		if sc.Kind == KindStraggler && i == 0 {
+		if sc.Kind == kindStraggler && i == 0 {
 			model = sc.StragglerModel
 		}
 		d := spec.ServiceDescription{
@@ -448,7 +448,7 @@ func (c *campaign) submitTask(ctx context.Context, idx int) {
 // FastBoot needs no virtual time, making the churn atomic in simulated
 // time: the offered schedule resumes exactly where it paused.
 func (c *campaign) startChurn(ctx context.Context) chan struct{} {
-	if c.sc.Kind != KindChurn {
+	if c.sc.Kind != kindChurn {
 		return nil
 	}
 	done := make(chan struct{})

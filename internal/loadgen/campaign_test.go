@@ -20,8 +20,8 @@ func exactScenarios() []Scenario {
 		{Name: "steady", Kind: KindSteady, Requests: 10000, Rate: 2000, Services: 4, Seed: 7, Interval: time.Second, TaskEvery: 1000},
 		{Name: "diurnal", Kind: KindDiurnal, Requests: 10000, Rate: 2000, Services: 4, Seed: 7, Interval: time.Second},
 		{Name: "hotspot", Kind: KindHotspot, Requests: 10000, Rate: 2000, Services: 4, Seed: 7, Interval: time.Second},
-		{Name: "straggler", Kind: KindStraggler, Requests: 4000, Rate: 800, Services: 4, Seed: 7, Interval: time.Second},
-		{Name: "churn", Kind: KindChurn, Requests: 10000, Rate: 2000, Services: 4, Seed: 7, Interval: time.Second},
+		{Name: "straggler", Kind: kindStraggler, Requests: 4000, Rate: 800, Services: 4, Seed: 7, Interval: time.Second},
+		{Name: "churn", Kind: kindChurn, Requests: 10000, Rate: 2000, Services: 4, Seed: 7, Interval: time.Second},
 	}
 }
 
@@ -139,7 +139,7 @@ func TestLoadScenarioExactCounts(t *testing.T) {
 func TestLoadCampaignDeterministicReplay(t *testing.T) {
 	for _, sc := range []Scenario{
 		{Name: "steady", Kind: KindSteady, Requests: 3000, Rate: 1500, Services: 4, Seed: 42},
-		{Name: "straggler", Kind: KindStraggler, Requests: 2000, Rate: 800, Services: 4, Seed: 42},
+		{Name: "straggler", Kind: kindStraggler, Requests: 2000, Rate: 800, Services: 4, Seed: 42},
 	} {
 		sc := sc
 		sc.KeepSamples = true
@@ -228,7 +228,7 @@ func TestLoadSketchWithinBoundOfOracle(t *testing.T) {
 // bucketing is checkable by hand.
 func TestLoadTraceCampaign(t *testing.T) {
 	sc := Scenario{
-		Name: "trace", Kind: KindTrace, Rate: 1, Services: 2, Seed: 9,
+		Name: "trace", Kind: kindTrace, Rate: 1, Services: 2, Seed: 9,
 		Interval: 100 * time.Millisecond,
 		// Arrivals at 10ms, 30ms, 60ms | 150ms | 250ms → intervals 3/1/1.
 		Trace: []time.Duration{

@@ -19,13 +19,13 @@ const (
 	KindDiurnal Kind = "diurnal"
 	// KindHotspot skews request targeting onto service 0.
 	KindHotspot Kind = "hotspot"
-	// KindStraggler hosts a slow model on service 0 (the others stay noop).
-	KindStraggler Kind = "straggler"
-	// KindChurn shuts down one of two pilots mid-stream, forcing the
+	// kindStraggler hosts a slow model on service 0 (the others stay noop).
+	kindStraggler Kind = "straggler"
+	// kindChurn shuts down one of two pilots mid-stream, forcing the
 	// session to re-place and re-publish the affected services.
-	KindChurn Kind = "churn"
-	// KindTrace replays an explicit inter-arrival gap sequence.
-	KindTrace Kind = "trace"
+	kindChurn Kind = "churn"
+	// kindTrace replays an explicit inter-arrival gap sequence.
+	kindTrace Kind = "trace"
 )
 
 // Scenario parameterizes one open-loop campaign.
@@ -52,7 +52,7 @@ type Scenario struct {
 	// MaxTokens bounds generation for non-noop backends.
 	MaxTokens int
 	// Model is the backend model every service hosts (default noop;
-	// KindStraggler still overrides service 0 with StragglerModel).
+	// kindStraggler still overrides service 0 with StragglerModel).
 	Model string
 	// MaxBatch bounds the per-service dispatcher batch (0/1 = no
 	// batching; >1 needs a batch-capable backend).
@@ -87,7 +87,7 @@ type Scenario struct {
 	// publishes each arrival.
 	Balance string
 
-	// StragglerModel is the model hosted by service 0 under KindStraggler
+	// StragglerModel is the model hosted by service 0 under kindStraggler
 	// (default vit-base, whose modelled inference takes milliseconds).
 	StragglerModel string
 
@@ -99,7 +99,7 @@ type Scenario struct {
 	// alongside service inference.
 	TaskEvery int
 
-	// Trace is the explicit gap sequence for KindTrace.
+	// Trace is the explicit gap sequence for kindTrace.
 	Trace []time.Duration
 
 	// KeepSamples retains every completion latency for oracle comparisons
@@ -143,7 +143,7 @@ func (sc Scenario) WithDefaults() Scenario {
 			sc.Balance = "p2c"
 		}
 	}
-	if sc.Kind == KindStraggler {
+	if sc.Kind == kindStraggler {
 		if sc.StragglerModel == "" {
 			sc.StragglerModel = "vit-base"
 		}
@@ -151,11 +151,11 @@ func (sc Scenario) WithDefaults() Scenario {
 			sc.MaxTokens = 8
 		}
 	}
-	if sc.Kind == KindChurn && sc.ChurnAt <= 0 {
+	if sc.Kind == kindChurn && sc.ChurnAt <= 0 {
 		// halfway through the expected campaign span
 		sc.ChurnAt = time.Duration(float64(sc.Requests) / sc.Rate / 2 * float64(time.Second))
 	}
-	if sc.Kind == KindTrace {
+	if sc.Kind == kindTrace {
 		sc.Requests = len(sc.Trace)
 	}
 	return sc
@@ -164,7 +164,7 @@ func (sc Scenario) WithDefaults() Scenario {
 // Validate rejects inconsistent scenarios.
 func (sc Scenario) Validate() error {
 	switch sc.Kind {
-	case KindSteady, KindDiurnal, KindHotspot, KindStraggler, KindChurn, KindTrace:
+	case KindSteady, KindDiurnal, KindHotspot, kindStraggler, kindChurn, kindTrace:
 	default:
 		return fmt.Errorf("loadgen: unknown scenario kind %q", sc.Kind)
 	}
@@ -185,10 +185,10 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("loadgen: scenario %s: %w", sc.Name, err)
 		}
 	}
-	if sc.Kind == KindChurn && sc.ChurnAt <= 0 {
+	if sc.Kind == kindChurn && sc.ChurnAt <= 0 {
 		return fmt.Errorf("loadgen: scenario %s needs a positive churn offset", sc.Name)
 	}
-	if sc.Kind == KindTrace && len(sc.Trace) == 0 {
+	if sc.Kind == kindTrace && len(sc.Trace) == 0 {
 		return fmt.Errorf("loadgen: scenario %s has an empty trace", sc.Name)
 	}
 	if sc.MaxBatch < 0 {
@@ -205,9 +205,9 @@ func (sc Scenario) arrivals(seed uint64) Arrivals {
 	src := rng.New(seed).Derive("arrivals")
 	switch sc.Kind {
 	case KindDiurnal:
-		return DiurnalArrivals(src, sc.Rate, sc.WaveAmp, sc.WavePeriod, sc.Requests)
-	case KindTrace:
-		return TraceArrivals(sc.Trace)
+		return newDiurnalArrivals(src, sc.Rate, sc.WaveAmp, sc.WavePeriod, sc.Requests)
+	case kindTrace:
+		return newTraceArrivals(sc.Trace)
 	default:
 		return PoissonArrivals(src, sc.Rate, sc.Requests)
 	}
@@ -221,7 +221,7 @@ func Catalog() []Scenario {
 		{Name: "steady", Kind: KindSteady, Requests: 50000, Rate: 2000, Services: 4, Seed: 7, TaskEvery: 1000},
 		{Name: "diurnal", Kind: KindDiurnal, Requests: 50000, Rate: 2000, Services: 4, Seed: 7},
 		{Name: "hotspot", Kind: KindHotspot, Requests: 50000, Rate: 2000, Services: 4, Seed: 7},
-		{Name: "straggler", Kind: KindStraggler, Requests: 20000, Rate: 800, Services: 4, Seed: 7},
-		{Name: "churn", Kind: KindChurn, Requests: 50000, Rate: 2000, Services: 4, Seed: 7},
+		{Name: "straggler", Kind: kindStraggler, Requests: 20000, Rate: 800, Services: 4, Seed: 7},
+		{Name: "churn", Kind: kindChurn, Requests: 50000, Rate: 2000, Services: 4, Seed: 7},
 	}
 }

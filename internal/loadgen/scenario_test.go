@@ -33,15 +33,15 @@ func TestScenarioWithDefaults(t *testing.T) {
 	if st.Balance != "" {
 		t.Errorf("steady scenario grew balance %q", st.Balance)
 	}
-	s := Scenario{Kind: KindStraggler}.WithDefaults()
+	s := Scenario{Kind: kindStraggler}.WithDefaults()
 	if s.StragglerModel != "vit-base" || s.MaxTokens != 8 {
 		t.Errorf("straggler defaults: model=%q tokens=%d", s.StragglerModel, s.MaxTokens)
 	}
-	c := Scenario{Kind: KindChurn, Requests: 1000, Rate: 100}.WithDefaults()
+	c := Scenario{Kind: kindChurn, Requests: 1000, Rate: 100}.WithDefaults()
 	if c.ChurnAt != 5*time.Second { // half of 1000/100 = 10s span
 		t.Errorf("churn default offset %v, want 5s", c.ChurnAt)
 	}
-	tr := Scenario{Kind: KindTrace, Trace: []time.Duration{1, 2, 3}}.WithDefaults()
+	tr := Scenario{Kind: kindTrace, Trace: []time.Duration{1, 2, 3}}.WithDefaults()
 	if tr.Requests != 3 {
 		t.Errorf("trace request count %d, want len(Trace)=3", tr.Requests)
 	}
@@ -59,11 +59,11 @@ func TestScenarioValidate(t *testing.T) {
 		{"no-rate", Scenario{Kind: KindSteady, Requests: 1}, false},
 		{"diurnal-amp-high", Scenario{Kind: KindDiurnal, Requests: 1, Rate: 1, WaveAmp: 1}, false},
 		{"hotspot-weight-high", Scenario{Kind: KindHotspot, Requests: 1, Rate: 1, HotspotWeight: 1.5}, false},
-		{"churn-no-offset", Scenario{Kind: KindChurn, Requests: 1, Rate: 1}, false},
+		{"churn-no-offset", Scenario{Kind: kindChurn, Requests: 1, Rate: 1}, false},
 		{"balance-p2c", Scenario{Kind: KindHotspot, Requests: 1, Rate: 1, Balance: "p2c"}, true},
 		{"balance-direct", Scenario{Kind: KindHotspot, Requests: 1, Rate: 1, Balance: "direct"}, true},
 		{"balance-unknown", Scenario{Kind: KindHotspot, Requests: 1, Rate: 1, Balance: "bogus"}, false},
-		{"trace-empty", Scenario{Kind: KindTrace, Requests: 1, Rate: 1}, false},
+		{"trace-empty", Scenario{Kind: kindTrace, Requests: 1, Rate: 1}, false},
 	} {
 		err := tc.sc.Validate()
 		if tc.ok && err != nil {

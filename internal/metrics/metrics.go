@@ -9,7 +9,6 @@ package metrics
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -174,36 +173,6 @@ func (c *Collector) Count(name string) int {
 	return len(s.vals)
 }
 
-// Names returns the sorted series names.
-func (c *Collector) Names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.series))
-	for n := range c.series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Merge folds other's series into c.
-func (c *Collector) Merge(other *Collector) {
-	for _, name := range other.Names() {
-		vals := other.Series(name)
-		s := c.get(name)
-		s.mu.Lock()
-		s.vals = append(s.vals, vals...)
-		s.mu.Unlock()
-	}
-}
-
-// Reset clears all series.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.series = make(map[string]*sampleSeries)
-	c.mu.Unlock()
-}
-
 // --- breakdown records -----------------------------------------------------
 
 // Breakdown is one measurement decomposed into named components.
@@ -278,22 +247,6 @@ func (t Table) Render() string {
 		writeRow(row)
 	}
 	return sb.String()
-}
-
-// WriteCSV exports every series as "series,sample_idx,seconds" rows for
-// offline analysis/plotting.
-func (c *Collector) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "series,sample_idx,seconds\n"); err != nil {
-		return err
-	}
-	for _, name := range c.Names() {
-		for i, v := range c.Series(name) {
-			if _, err := fmt.Fprintf(w, "%s,%d,%.9f\n", name, i, v.Seconds()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // FmtMeanStd renders "mean ± std" in seconds for a stats record.

@@ -123,42 +123,6 @@ func TestCollectorAddAll(t *testing.T) {
 	}
 }
 
-func TestCollectorNamesSorted(t *testing.T) {
-	c := NewCollector()
-	c.Add("z", ms(1))
-	c.Add("a", ms(1))
-	c.Add("m", ms(1))
-	names := c.Names()
-	if len(names) != 3 || names[0] != "a" || names[1] != "m" || names[2] != "z" {
-		t.Fatalf("Names = %v", names)
-	}
-}
-
-func TestCollectorMerge(t *testing.T) {
-	a, b := NewCollector(), NewCollector()
-	a.Add("x", ms(1))
-	b.Add("x", ms(3))
-	b.Add("y", ms(5))
-	a.Merge(b)
-	if a.Count("x") != 2 || a.Count("y") != 1 {
-		t.Fatalf("merge counts = %d/%d", a.Count("x"), a.Count("y"))
-	}
-	// merge must not alias b's storage
-	b.Add("x", ms(7))
-	if a.Count("x") != 2 {
-		t.Fatal("Merge aliased source collector")
-	}
-}
-
-func TestCollectorReset(t *testing.T) {
-	c := NewCollector()
-	c.Add("x", ms(1))
-	c.Reset()
-	if len(c.Names()) != 0 {
-		t.Fatal("Reset left series behind")
-	}
-}
-
 func TestCollectorConcurrent(t *testing.T) {
 	c := NewCollector()
 	var wg sync.WaitGroup

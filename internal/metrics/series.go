@@ -1,11 +1,6 @@
 package metrics
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"time"
-)
+import "time"
 
 // IntervalSeries aggregates a load campaign into fixed-width time buckets:
 // offered/completed/failed counts, peak queue depth, and a latency Sketch
@@ -17,7 +12,7 @@ import (
 // NewIntervalSeries; events before the origin land in interval 0. An
 // IntervalSeries is not safe for concurrent use — campaign drivers on the
 // virtual clock are cooperatively serialized, and concurrent collectors
-// each own a series and Merge afterwards.
+// each own a series.
 type IntervalSeries struct {
 	origin time.Time
 	width  time.Duration
@@ -35,18 +30,17 @@ type intervalAcc struct {
 
 // IntervalRow is one finished interval of an IntervalSeries.
 type IntervalRow struct {
-	Index         int           `json:"interval"`
-	Start         time.Duration `json:"start_s"` // offset from the series origin
-	Offered       int64         `json:"offered"`
-	Completed     int64         `json:"completed"`
-	Failed        int64         `json:"failed"`
-	QueuePeak     int64         `json:"queue_peak"`
-	OfferedRate   float64       `json:"offered_rate"`   // per second
-	CompletedRate float64       `json:"completed_rate"` // per second
-	P50           time.Duration `json:"p50_ms"`
-	P99           time.Duration `json:"p99_ms"`
-	Max           time.Duration `json:"max_ms"`
-	Mean          time.Duration `json:"mean_ms"`
+	Index         int
+	Start         time.Duration // offset from the series origin
+	Offered       int64
+	Completed     int64
+	Failed        int64
+	QueuePeak     int64
+	OfferedRate   float64 // per second
+	CompletedRate float64 // per second
+	P50           time.Duration
+	P99           time.Duration
+	Max           time.Duration
 }
 
 // NewIntervalSeries returns a series bucketing events into width-sized
@@ -58,9 +52,6 @@ func NewIntervalSeries(origin time.Time, width time.Duration, alpha float64) *In
 	}
 	return &IntervalSeries{origin: origin, width: width, alpha: alpha}
 }
-
-// Width returns the interval width.
-func (is *IntervalSeries) Width() time.Duration { return is.width }
 
 func (is *IntervalSeries) at(t time.Time) *intervalAcc {
 	idx := 0
@@ -113,7 +104,6 @@ func (is *IntervalSeries) Rows() []IntervalRow {
 			P50:           acc.sketch.Quantile(0.50),
 			P99:           acc.sketch.Quantile(0.99),
 			Max:           acc.sketch.Max(),
-			Mean:          acc.sketch.Stats().Mean,
 		}
 	}
 	return rows
@@ -137,102 +127,4 @@ func (is *IntervalSeries) Sketch() *Sketch {
 		all.Merge(acc.sketch) //nolint:errcheck // same alpha by construction
 	}
 	return all
-}
-
-// Merge folds other (same origin and width) into is.
-func (is *IntervalSeries) Merge(other *IntervalSeries) error {
-	if other == nil {
-		return nil
-	}
-	if other.width != is.width || !other.origin.Equal(is.origin) {
-		return fmt.Errorf("metrics: interval series mismatch: origin/width differ")
-	}
-	for i, acc := range other.rows {
-		for len(is.rows) <= i {
-			is.rows = append(is.rows, &intervalAcc{sketch: NewSketch(is.alpha)})
-		}
-		dst := is.rows[i]
-		dst.offered += acc.offered
-		dst.completed += acc.completed
-		dst.failed += acc.failed
-		if acc.queuePeak > dst.queuePeak {
-			dst.queuePeak = acc.queuePeak
-		}
-		if err := dst.sketch.Merge(acc.sketch); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// intervalCSVHeader is the stable column order of WriteCSV. Golden-file
-// tests pin it; changing it is a breaking change for downstream parsers.
-const intervalCSVHeader = "interval,start_s,offered,completed,failed,queue_peak,offered_rate,completed_rate,p50_ms,p99_ms,max_ms,mean_ms\n"
-
-// WriteCSV emits one row per interval with a fixed header and column
-// order. Rates are per second; latencies are milliseconds with three
-// decimals.
-func (is *IntervalSeries) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, intervalCSVHeader); err != nil {
-		return err
-	}
-	for _, r := range is.Rows() {
-		_, err := fmt.Fprintf(w, "%d,%.3f,%d,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
-			r.Index, r.Start.Seconds(), r.Offered, r.Completed, r.Failed, r.QueuePeak,
-			r.OfferedRate, r.CompletedRate,
-			durMillis(r.P50), durMillis(r.P99), durMillis(r.Max), durMillis(r.Mean))
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// intervalRowJSON mirrors IntervalRow with numeric units resolved
-// (seconds/milliseconds as floats) so the JSON is self-describing.
-type intervalRowJSON struct {
-	Interval      int     `json:"interval"`
-	StartS        float64 `json:"start_s"`
-	Offered       int64   `json:"offered"`
-	Completed     int64   `json:"completed"`
-	Failed        int64   `json:"failed"`
-	QueuePeak     int64   `json:"queue_peak"`
-	OfferedRate   float64 `json:"offered_rate"`
-	CompletedRate float64 `json:"completed_rate"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	MaxMs         float64 `json:"max_ms"`
-	MeanMs        float64 `json:"mean_ms"`
-}
-
-// WriteJSON emits the series as an indented JSON array, field order fixed
-// by the struct tags.
-func (is *IntervalSeries) WriteJSON(w io.Writer) error {
-	rows := is.Rows()
-	out := make([]intervalRowJSON, len(rows))
-	for i, r := range rows {
-		out[i] = intervalRowJSON{
-			Interval:      r.Index,
-			StartS:        round3(r.Start.Seconds()),
-			Offered:       r.Offered,
-			Completed:     r.Completed,
-			Failed:        r.Failed,
-			QueuePeak:     r.QueuePeak,
-			OfferedRate:   round3(r.OfferedRate),
-			CompletedRate: round3(r.CompletedRate),
-			P50Ms:         round3(durMillis(r.P50)),
-			P99Ms:         round3(durMillis(r.P99)),
-			MaxMs:         round3(durMillis(r.Max)),
-			MeanMs:        round3(durMillis(r.Mean)),
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-func durMillis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-func round3(f float64) float64 {
-	return float64(int64(f*1000+0.5)) / 1000
 }

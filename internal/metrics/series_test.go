@@ -1,15 +1,9 @@
 package metrics
 
 import (
-	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite golden files from current output")
 
 // goldenSeries builds a small deterministic series exercising every column:
 // multiple intervals, an empty middle interval, failures, and queue peaks.
@@ -37,43 +31,6 @@ func goldenSeries() *IntervalSeries {
 	return is
 }
 
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
-	}
-}
-
-func TestIntervalSeriesGoldenCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenSeries().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "interval_series.csv", buf.Bytes())
-}
-
-func TestIntervalSeriesGoldenJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenSeries().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "interval_series.json", buf.Bytes())
-}
-
 func TestIntervalSeriesCounts(t *testing.T) {
 	is := goldenSeries()
 	offered, completed, failed := is.Totals()
@@ -96,36 +53,6 @@ func TestIntervalSeriesCounts(t *testing.T) {
 	// rates: 3 offered over a 10s interval
 	if rows[0].OfferedRate != 0.3 || rows[0].CompletedRate != 0.2 {
 		t.Fatalf("row 0 rates = %v/%v", rows[0].OfferedRate, rows[0].CompletedRate)
-	}
-}
-
-func TestIntervalSeriesMerge(t *testing.T) {
-	origin := time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
-	mk := func() *IntervalSeries { return NewIntervalSeries(origin, time.Second, 0) }
-	a, b := mk(), mk()
-	a.Offered(origin)
-	a.Completed(origin, 10*time.Millisecond)
-	b.Offered(origin.Add(1500 * time.Millisecond))
-	b.Completed(origin.Add(1500*time.Millisecond), 30*time.Millisecond)
-	b.ObserveQueue(origin, 9)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	offered, completed, failed := a.Totals()
-	if offered != 2 || completed != 2 || failed != 0 {
-		t.Fatalf("merged Totals = %d/%d/%d", offered, completed, failed)
-	}
-	rows := a.Rows()
-	if len(rows) != 2 || rows[0].QueuePeak != 9 || rows[1].Offered != 1 {
-		t.Fatalf("merged rows = %+v", rows)
-	}
-	// width mismatch must refuse
-	c := NewIntervalSeries(origin, 2*time.Second, 0)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("width-mismatched Merge must error")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

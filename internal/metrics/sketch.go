@@ -50,8 +50,6 @@ type Sketch struct {
 	counts  []uint64 // dense, grown on demand; index = bucket
 	zero    uint64   // samples ≤ 0
 	n       uint64
-	sum     float64
-	sumsq   float64
 	min     time.Duration
 	max     time.Duration
 }
@@ -94,9 +92,6 @@ func (s *Sketch) Observe(v time.Duration) {
 		s.max = v
 	}
 	s.n++
-	f := float64(v)
-	s.sum += f
-	s.sumsq += f * f
 	if v <= 0 {
 		s.zero++
 		s.mu.Unlock()
@@ -177,32 +172,6 @@ func (s *Sketch) quantileLocked(q float64) time.Duration {
 	return s.max // unreachable when counts are consistent
 }
 
-// Stats summarizes the sketch in the same shape Compute returns: exact
-// N/mean/std/min/max, sketched percentiles.
-func (s *Sketch) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Stats{}
-	}
-	n := float64(s.n)
-	mean := s.sum / n
-	variance := s.sumsq/n - mean*mean
-	if variance < 0 {
-		variance = 0 // numerical noise
-	}
-	return Stats{
-		N:    int(s.n),
-		Mean: time.Duration(mean),
-		Std:  time.Duration(math.Sqrt(variance)),
-		Min:  s.min,
-		Max:  s.max,
-		P50:  s.quantileLocked(0.50),
-		P95:  s.quantileLocked(0.95),
-		P99:  s.quantileLocked(0.99),
-	}
-}
-
 // Merge folds other into s bucket-by-bucket. Both sketches must share the
 // same alpha: the bucket boundaries are a function of it, and adding
 // counts across different boundaries would silently void the error bound.
@@ -216,7 +185,6 @@ func (s *Sketch) Merge(other *Sketch) error {
 	other.mu.Lock()
 	oCounts := append([]uint64(nil), other.counts...)
 	oZero, oN := other.zero, other.n
-	oSum, oSumsq := other.sum, other.sumsq
 	oMin, oMax := other.min, other.max
 	oAlpha := other.alpha
 	other.mu.Unlock()
@@ -245,8 +213,6 @@ func (s *Sketch) Merge(other *Sketch) error {
 	}
 	s.zero += oZero
 	s.n += oN
-	s.sum += oSum
-	s.sumsq += oSumsq
 	return nil
 }
 
@@ -256,15 +222,4 @@ func (s *Sketch) MemoryBytes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.counts) * 8
-}
-
-// Reset clears the sketch, keeping its alpha.
-func (s *Sketch) Reset() {
-	s.mu.Lock()
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
-	s.zero, s.n, s.sum, s.sumsq = 0, 0, 0, 0
-	s.min, s.max = 0, 0
-	s.mu.Unlock()
 }

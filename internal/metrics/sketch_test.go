@@ -111,17 +111,6 @@ func TestSketchVsOracle(t *testing.T) {
 		for _, q := range []float64{0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999, 1.0} {
 			checkQuantile(t, name, sk, sorted, q)
 		}
-
-		// Stats mean/std must match Compute's exactly modulo float order.
-		exact := Compute(samples)
-		got := sk.Stats()
-		if got.N != exact.N || got.Min != exact.Min || got.Max != exact.Max {
-			t.Fatalf("%s: Stats N/Min/Max = %d/%v/%v, want %d/%v/%v",
-				name, got.N, got.Min, got.Max, exact.N, exact.Min, exact.Max)
-		}
-		if d := got.Mean - exact.Mean; d > time.Microsecond || d < -time.Microsecond {
-			t.Fatalf("%s: Stats Mean = %v, exact %v", name, got.Mean, exact.Mean)
-		}
 	}
 }
 
@@ -205,18 +194,13 @@ func TestSketchMemoryIndependent(t *testing.T) {
 	}
 }
 
-func TestSketchEmptyAndReset(t *testing.T) {
+func TestSketchEmpty(t *testing.T) {
 	sk := NewSketch(0)
 	if sk.Alpha() != DefaultSketchAlpha {
 		t.Fatalf("Alpha = %v, want default", sk.Alpha())
 	}
-	if sk.Quantile(0.5) != 0 || sk.Count() != 0 || (sk.Stats() != Stats{}) {
-		t.Fatal("empty sketch must be all-zero")
-	}
-	sk.Observe(time.Second)
-	sk.Reset()
 	if sk.Count() != 0 || sk.Quantile(1) != 0 || sk.Min() != 0 || sk.Max() != 0 {
-		t.Fatal("Reset must clear all state")
+		t.Fatal("empty sketch must be all-zero")
 	}
 }
 

@@ -95,9 +95,6 @@ func NewNetwork(clock simtime.Clock, src *rng.Source, resolve Resolver) *Network
 	}
 }
 
-// Clock returns the network's clock.
-func (n *Network) Clock() simtime.Clock { return n.clock }
-
 // Close shuts down every endpoint.
 func (n *Network) Close() error {
 	n.mu.Lock()

@@ -342,7 +342,7 @@ func TestSetTransportNames(t *testing.T) {
 		ok   bool
 	}{
 		{"", true},
-		{TransportInproc, true},
+		{transportInproc, true},
 		{TransportTCP, true},
 		{"TCP", false},
 		{"inproc ", false},
@@ -376,8 +376,8 @@ func TestSetTransportNames(t *testing.T) {
 // An inproc bind publishes its logical address, a TCP bind the dialable
 // tcp:// form; both answer a request dialled by the logical name.
 func TestBindViaTransportChoice(t *testing.T) {
-	for _, network := range []string{"", TransportInproc, TransportTCP} {
-		for _, bind := range []string{"", TransportInproc, TransportTCP} {
+	for _, network := range []string{"", transportInproc, TransportTCP} {
+		for _, bind := range []string{"", transportInproc, TransportTCP} {
 			t.Run(fmt.Sprintf("net=%q,bind=%q", network, bind), func(t *testing.T) {
 				n := NewNetwork(simtime.NewReal(), rng.New(1).Derive("net"), nil)
 				defer n.Close()

@@ -10,9 +10,9 @@ import (
 // agent in its own OS process sets TransportTCP, everything else binds on
 // the inproc default.
 const (
-	// TransportInproc is the default in-process transport with modelled
+	// transportInproc is the default in-process transport with modelled
 	// link latency on the session clock.
-	TransportInproc = "inproc"
+	transportInproc = "inproc"
 	// TransportTCP binds endpoints on real loopback TCP sockets speaking
 	// binary proto frames. Latency is whatever the kernel provides — the
 	// session's link model does not apply — which is the point: it is the
@@ -29,7 +29,7 @@ const tcpScheme = "tcp://"
 // empty string is valid and means "the network's default".
 func validTransport(name string) bool {
 	switch name {
-	case "", TransportInproc, TransportTCP:
+	case "", transportInproc, TransportTCP:
 		return true
 	}
 	return false
@@ -37,7 +37,7 @@ func validTransport(name string) bool {
 
 // SetTransport selects the default transport used by Bind-without-opinion
 // callers (BindVia with an empty transport name). The zero value is
-// TransportInproc. Unknown names are rejected.
+// transportInproc. Unknown names are rejected.
 func (n *Network) SetTransport(name string) error {
 	if !validTransport(name) {
 		return fmt.Errorf("msgq: unknown transport %q", name)
@@ -49,7 +49,7 @@ func (n *Network) SetTransport(name string) error {
 }
 
 // BindVia registers a REQ/REP server at the logical address addr on the
-// named transport (empty = the network default). On TransportInproc this
+// named transport (empty = the network default). On transportInproc this
 // is exactly Bind. On TransportTCP the server listens on a real loopback
 // socket; its Addr() returns the dialable "tcp://host:port" form, and the
 // logical address is registered so same-process Dial(addr) still works.
@@ -60,7 +60,7 @@ func (n *Network) BindVia(transport, addr string, h Handler) (Server, error) {
 		n.mu.Unlock()
 	}
 	switch transport {
-	case "", TransportInproc:
+	case "", transportInproc:
 		return n.Bind(addr, h)
 	case TransportTCP:
 		n.mu.Lock()

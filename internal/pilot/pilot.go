@@ -298,9 +298,6 @@ func (t *Task) UID() string { return t.machine.UID() }
 // State returns the task's current state.
 func (t *Task) State() states.State { return t.machine.Current() }
 
-// Description returns the submitted description.
-func (t *Task) Description() spec.TaskDescription { return t.desc }
-
 // Result returns the execution result (valid once DONE or FAILED).
 func (t *Task) Result() executor.Result {
 	t.mu.Lock()
@@ -521,9 +518,6 @@ func (p *Pilot) UID() string { return p.machine.UID() }
 
 // State returns the pilot's lifecycle state.
 func (p *Pilot) State() states.State { return p.machine.Current() }
-
-// Description returns the pilot description.
-func (p *Pilot) Description() spec.PilotDescription { return p.desc }
 
 // Nodes returns the pilot's virtual nodes.
 func (p *Pilot) Nodes() []*platform.Node { return p.nodes }

@@ -16,34 +16,34 @@ import (
 // Paper §IV-C measured latencies.
 const (
 	// DeltaInterNodeLatency: "inter-node-latency: 0.063 ms +/- 0.014 ms".
-	DeltaInterNodeLatencyMean = 63 * time.Microsecond
-	DeltaInterNodeLatencyStd  = 14 * time.Microsecond
+	deltaInterNodeLatencyMean = 63 * time.Microsecond
+	deltaInterNodeLatencyStd  = 14 * time.Microsecond
 	// DeltaToR3Latency: "node-to-node-latency: 0.47 ms +/- 0.04 ms".
-	DeltaToR3LatencyMean = 470 * time.Microsecond
-	DeltaToR3LatencyStd  = 40 * time.Microsecond
+	deltaToR3LatencyMean = 470 * time.Microsecond
+	deltaToR3LatencyStd  = 40 * time.Microsecond
 )
 
-// FrontierLaunchSaturation is the concurrency beyond which Fig. 3 shows a
+// frontierLaunchSaturation is the concurrency beyond which Fig. 3 shows a
 // growing system-level (MPI startup) launch overhead.
-const FrontierLaunchSaturation = 160
+const frontierLaunchSaturation = 160
 
 func localLatency(mean, std time.Duration) rng.DurationDist {
 	return rng.NormalDuration(mean, std)
 }
 
-// NewFrontier models an OLCF Frontier partition large enough for the
+// newFrontier models an OLCF Frontier partition large enough for the
 // paper's Exp 1 pilot: 640 GPUs = 80 nodes × 8 GPUs (AMD MI250X GCDs), 64
 // cores and 512 GB per node. The launch model produces near-constant
 // per-instance launch overhead up to 160 concurrent launches and a
 // super-linear penalty beyond, as observed in Fig. 3.
-func NewFrontier() *Platform {
+func newFrontier() *Platform {
 	p := New("frontier", 80, NodeSpec{Cores: 64, GPUs: 8, MemGB: 512})
 	p.IntraNodeLatency = localLatency(5*time.Microsecond, 1*time.Microsecond)
 	p.LocalLatency = localLatency(70*time.Microsecond, 15*time.Microsecond)
-	p.WANLatency["r3"] = rng.NormalDuration(DeltaToR3LatencyMean, DeltaToR3LatencyStd)
+	p.WANLatency["r3"] = rng.NormalDuration(deltaToR3LatencyMean, deltaToR3LatencyStd)
 	p.Launch = LaunchModel{
 		Base:       rng.NormalDuration(2200*time.Millisecond, 300*time.Millisecond),
-		Saturation: FrontierLaunchSaturation,
+		Saturation: frontierLaunchSaturation,
 		PenaltyExp: 1.6,
 	}
 	return p
@@ -54,8 +54,8 @@ func NewFrontier() *Platform {
 func NewDelta() *Platform {
 	p := New("delta", 4, NodeSpec{Cores: 64, GPUs: 4, MemGB: 256})
 	p.IntraNodeLatency = localLatency(5*time.Microsecond, 1*time.Microsecond)
-	p.LocalLatency = localLatency(DeltaInterNodeLatencyMean, DeltaInterNodeLatencyStd)
-	p.WANLatency["r3"] = rng.NormalDuration(DeltaToR3LatencyMean, DeltaToR3LatencyStd)
+	p.LocalLatency = localLatency(deltaInterNodeLatencyMean, deltaInterNodeLatencyStd)
+	p.WANLatency["r3"] = rng.NormalDuration(deltaToR3LatencyMean, deltaToR3LatencyStd)
 	p.Launch = LaunchModel{
 		Base:       rng.NormalDuration(1800*time.Millisecond, 250*time.Millisecond),
 		Saturation: 64,
@@ -64,16 +64,16 @@ func NewDelta() *Platform {
 	return p
 }
 
-// NewR3 models the R3 cloud server that hosts the remote, persistent model
+// newR3 models the R3 cloud server that hosts the remote, persistent model
 // services: one large node with enough GPUs for the 16-service sweeps.
 // Remote services are persistent (the paper does not measure their BT), so
 // the launch model is nominal.
-func NewR3() *Platform {
+func newR3() *Platform {
 	p := New("r3", 1, NodeSpec{Cores: 128, GPUs: 16, MemGB: 1024})
 	p.IntraNodeLatency = localLatency(5*time.Microsecond, 1*time.Microsecond)
 	p.LocalLatency = localLatency(20*time.Microsecond, 4*time.Microsecond)
-	p.WANLatency["delta"] = rng.NormalDuration(DeltaToR3LatencyMean, DeltaToR3LatencyStd)
-	p.WANLatency["frontier"] = rng.NormalDuration(DeltaToR3LatencyMean, DeltaToR3LatencyStd)
+	p.WANLatency["delta"] = rng.NormalDuration(deltaToR3LatencyMean, deltaToR3LatencyStd)
+	p.WANLatency["frontier"] = rng.NormalDuration(deltaToR3LatencyMean, deltaToR3LatencyStd)
 	p.Launch = LaunchModel{
 		Base:       rng.NormalDuration(500*time.Millisecond, 100*time.Millisecond),
 		Saturation: 0,
@@ -95,10 +95,10 @@ var (
 
 // Hetero-campus partition sizes.
 const (
-	// HeteroFatNodes is the number of fat (GPU) nodes in the campus.
-	HeteroFatNodes = 32
-	// HeteroThinNodes is the number of thin (CPU) nodes in the campus.
-	HeteroThinNodes = 96
+	// heteroFatNodes is the number of fat (GPU) nodes in the campus.
+	heteroFatNodes = 32
+	// heteroThinNodes is the number of thin (CPU) nodes in the campus.
+	heteroThinNodes = 96
 )
 
 // NewHeteroCampus models a mixed-shape campus cluster — the kind of
@@ -111,12 +111,12 @@ const (
 // it at figure scale.
 func NewHeteroCampus() *Platform {
 	p := NewMixed("hetero", []NodeGroup{
-		{Count: HeteroFatNodes, Spec: HeteroFatSpec},
-		{Count: HeteroThinNodes, Spec: HeteroThinSpec},
+		{Count: heteroFatNodes, Spec: HeteroFatSpec},
+		{Count: heteroThinNodes, Spec: HeteroThinSpec},
 	})
 	p.IntraNodeLatency = localLatency(5*time.Microsecond, 1*time.Microsecond)
 	p.LocalLatency = localLatency(90*time.Microsecond, 20*time.Microsecond)
-	p.WANLatency["r3"] = rng.NormalDuration(DeltaToR3LatencyMean, DeltaToR3LatencyStd)
+	p.WANLatency["r3"] = rng.NormalDuration(deltaToR3LatencyMean, deltaToR3LatencyStd)
 	p.Launch = LaunchModel{
 		Base:       rng.NormalDuration(2000*time.Millisecond, 300*time.Millisecond),
 		Saturation: 128,
@@ -129,7 +129,7 @@ func NewHeteroCampus() *Platform {
 // hetero campus into one topology with the Delta↔R3 WAN latency as the
 // default wide-area link.
 func DefaultTopology() *Topology {
-	t := NewTopology(NewFrontier(), NewDelta(), NewR3(), NewHeteroCampus())
-	t.DefaultWAN = rng.NormalDuration(DeltaToR3LatencyMean, DeltaToR3LatencyStd)
+	t := NewTopology(newFrontier(), NewDelta(), newR3(), NewHeteroCampus())
+	t.DefaultWAN = rng.NormalDuration(deltaToR3LatencyMean, deltaToR3LatencyStd)
 	return t
 }

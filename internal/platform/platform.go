@@ -10,7 +10,6 @@ package platform
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,8 +37,8 @@ type NodeSpec struct {
 
 // Covers reports whether a node of this shape could ever satisfy the
 // per-node demand — the one admission predicate shared by the
-// scheduler's satisfiability check, its snapshot's CanEverFit, and the
-// shape-aware task routers, so all three layers agree on what fits.
+// scheduler's satisfiability check and the shape-aware task routers, so
+// both layers agree on what fits.
 func (s NodeSpec) Covers(cores, gpus int, memGB float64) bool {
 	return s.Cores >= cores && s.GPUs >= gpus && s.MemGB >= memGB
 }
@@ -214,12 +213,6 @@ type LaunchModel struct {
 	PenaltyExp float64
 }
 
-// Sample draws the launch overhead for one instance when `concurrent`
-// instances are being launched together.
-func (m LaunchModel) Sample(src *rng.Source, concurrent int) time.Duration {
-	return m.Base.Sample(src) + m.Penalty(concurrent)
-}
-
 // Penalty returns the system-level startup penalty added to the base
 // launch overhead when `concurrent` instances launch together.
 func (m LaunchModel) Penalty(concurrent int) time.Duration {
@@ -298,16 +291,6 @@ func (p *Platform) Name() string { return p.name }
 // individually thread-safe).
 func (p *Platform) Nodes() []*Node { return p.nodes }
 
-// Node returns the named node, or nil.
-func (p *Platform) Node(name string) *Node {
-	for _, n := range p.nodes {
-		if n.name == name {
-			return n
-		}
-	}
-	return nil
-}
-
 // Shapes returns the platform's node composition as consecutive runs of
 // identical specs, in node order.
 func (p *Platform) Shapes() []NodeGroup { return ShapesOf(p.nodes) }
@@ -376,18 +359,6 @@ func (p *Platform) FreeCores() int {
 	return total
 }
 
-// Utilization returns the fraction of cores and GPUs currently allocated.
-func (p *Platform) Utilization() (cores, gpus float64) {
-	tc, tg := p.TotalCores(), p.TotalGPUs()
-	if tc > 0 {
-		cores = 1 - float64(p.FreeCores())/float64(tc)
-	}
-	if tg > 0 {
-		gpus = 1 - float64(p.FreeGPUs())/float64(tg)
-	}
-	return cores, gpus
-}
-
 // --- address scheme -------------------------------------------------------
 
 // Addr formats a transport address "platform/node/entity". Node may be
@@ -399,8 +370,8 @@ func Addr(platform, node, entity string) string {
 	return platform + "/" + node + "/" + entity
 }
 
-// ParseAddr splits an address produced by Addr.
-func ParseAddr(addr string) (platform, node, entity string, err error) {
+// parseAddr splits an address produced by Addr.
+func parseAddr(addr string) (platform, node, entity string, err error) {
 	parts := strings.SplitN(addr, "/", 3)
 	if len(parts) != 3 {
 		return "", "", "", fmt.Errorf("platform: malformed address %q", addr)
@@ -430,23 +401,13 @@ func NewTopology(platforms ...*Platform) *Topology {
 // Platform returns the named platform, or nil.
 func (t *Topology) Platform(name string) *Platform { return t.platforms[name] }
 
-// PlatformNames returns the sorted platform names.
-func (t *Topology) PlatformNames() []string {
-	names := make([]string, 0, len(t.platforms))
-	for n := range t.platforms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Resolver returns a msgq.Resolver implementing the topology: same node →
 // intra-node latency; same platform → local latency; different platforms →
 // WAN latency (source platform's entry for the target, else DefaultWAN).
 func (t *Topology) Resolver() msgq.Resolver {
 	return func(from, to string) msgq.LinkProfile {
-		fp, fn, _, errF := ParseAddr(from)
-		tp, tn, _, errT := ParseAddr(to)
+		fp, fn, _, errF := parseAddr(from)
+		tp, tn, _, errT := parseAddr(to)
 		if errF != nil || errT != nil {
 			return msgq.LinkProfile{} // unaddressed endpoints: free link
 		}

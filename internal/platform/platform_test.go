@@ -177,24 +177,9 @@ func TestPlatformTotals(t *testing.T) {
 	if p.FreeCores() != 256 || p.FreeGPUs() != 16 {
 		t.Fatal("fresh platform not fully free")
 	}
-	c, g := p.Utilization()
-	if c != 0 || g != 0 {
-		t.Fatalf("idle utilization = %v/%v", c, g)
-	}
 	p.Nodes()[0].TryAlloc(64, 4, 0)
-	c, g = p.Utilization()
-	if c != 0.25 || g != 0.25 {
-		t.Fatalf("utilization = %v/%v, want 0.25/0.25", c, g)
-	}
-}
-
-func TestPlatformNodeLookup(t *testing.T) {
-	p := New("test", 2, NodeSpec{Cores: 1})
-	if p.Node("test-node0001") == nil {
-		t.Fatal("Node lookup failed")
-	}
-	if p.Node("nope") != nil {
-		t.Fatal("Node lookup invented a node")
+	if p.FreeCores() != 192 || p.FreeGPUs() != 12 {
+		t.Fatalf("free after one full node = %d cores, %d gpus, want 192/12", p.FreeCores(), p.FreeGPUs())
 	}
 }
 
@@ -209,52 +194,47 @@ func TestNewPanicsOnZeroNodes(t *testing.T) {
 
 func TestAddrRoundTrip(t *testing.T) {
 	addr := Addr("delta", "delta-node0001", "service.0003")
-	p, n, e, err := ParseAddr(addr)
+	p, n, e, err := parseAddr(addr)
 	if err != nil || p != "delta" || n != "delta-node0001" || e != "service.0003" {
-		t.Fatalf("ParseAddr = %q %q %q %v", p, n, e, err)
+		t.Fatalf("parseAddr = %q %q %q %v", p, n, e, err)
 	}
 	addr = Addr("delta", "", "client.0001")
-	p, n, e, err = ParseAddr(addr)
+	p, n, e, err = parseAddr(addr)
 	if err != nil || p != "delta" || n != "" || e != "client.0001" {
-		t.Fatalf("ParseAddr(node-less) = %q %q %q %v", p, n, e, err)
+		t.Fatalf("parseAddr(node-less) = %q %q %q %v", p, n, e, err)
 	}
-	if _, _, _, err := ParseAddr("garbage"); err == nil {
-		t.Fatal("ParseAddr accepted malformed address")
+	if _, _, _, err := parseAddr("garbage"); err == nil {
+		t.Fatal("parseAddr accepted malformed address")
 	}
 }
 
 func TestLaunchModelSaturation(t *testing.T) {
-	src := rng.New(42)
 	m := LaunchModel{
 		Base:       rng.ConstDuration(2 * time.Second),
 		Saturation: 160,
 		PenaltyExp: 1.6,
 	}
-	low := m.Sample(src, 1)
-	at := m.Sample(src, 160)
-	over := m.Sample(src, 640)
-	if low != 2*time.Second || at != 2*time.Second {
-		t.Fatalf("below-saturation samples %v/%v, want 2s", low, at)
+	low := m.Penalty(1)
+	at := m.Penalty(160)
+	over := m.Penalty(640)
+	if low != 0 || at != 0 {
+		t.Fatalf("below-saturation penalties %v/%v, want 0", low, at)
 	}
-	if over <= 2*time.Second {
-		t.Fatalf("sample at 640 = %v, want > base", over)
-	}
-	// 640/160 = 4; 4^1.6 ≈ 9.19 → ~18.4s total
-	if over < 15*time.Second || over > 22*time.Second {
-		t.Fatalf("sample at 640 = %v, want ≈18s", over)
+	// 640/160 = 4; 4^1.6 ≈ 9.19 → (9.19-1) × 2s ≈ 16.4s on top of the base
+	if over < 15*time.Second || over > 18*time.Second {
+		t.Fatalf("penalty at 640 = %v, want ≈16.4s", over)
 	}
 }
 
 func TestLaunchModelNoSaturation(t *testing.T) {
-	src := rng.New(1)
 	m := LaunchModel{Base: rng.ConstDuration(time.Second)}
-	if d := m.Sample(src, 100000); d != time.Second {
-		t.Fatalf("unsaturated model sample = %v", d)
+	if d := m.Penalty(100000); d != 0 {
+		t.Fatalf("unsaturated model penalty = %v", d)
 	}
 }
 
 func TestCatalogShapes(t *testing.T) {
-	f := NewFrontier()
+	f := newFrontier()
 	if got := f.TotalGPUs(); got != 640 {
 		t.Fatalf("Frontier GPUs = %d, want 640 (paper Exp 1 pilot)", got)
 	}
@@ -262,7 +242,7 @@ func TestCatalogShapes(t *testing.T) {
 	if d.TotalCores() != 256 || d.TotalGPUs() != 16 {
 		t.Fatalf("Delta = %d cores / %d GPUs, want 256/16 (Table II)", d.TotalCores(), d.TotalGPUs())
 	}
-	r := NewR3()
+	r := newR3()
 	if r.TotalGPUs() < 16 {
 		t.Fatalf("R3 GPUs = %d, want >= 16 for the remote sweeps", r.TotalGPUs())
 	}
@@ -353,14 +333,13 @@ func TestTopologyAccessors(t *testing.T) {
 	if topo.Platform("delta") == nil || topo.Platform("nope") != nil {
 		t.Fatal("Platform lookup broken")
 	}
-	names := topo.PlatformNames()
 	want := []string{"delta", "frontier", "hetero", "r3"}
-	if len(names) != len(want) {
-		t.Fatalf("PlatformNames = %v, want %v", names, want)
+	if len(topo.platforms) != len(want) {
+		t.Fatalf("default topology has %d platforms, want %v", len(topo.platforms), want)
 	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("PlatformNames = %v, want %v", names, want)
+	for _, n := range want {
+		if topo.Platform(n) == nil {
+			t.Fatalf("default topology lacks %s", n)
 		}
 	}
 }
@@ -422,10 +401,10 @@ func TestHeteroCampusCatalog(t *testing.T) {
 	if len(shapes) != 2 {
 		t.Fatalf("hetero campus shapes = %+v, want fat + thin", shapes)
 	}
-	if shapes[0] != (NodeGroup{HeteroFatNodes, HeteroFatSpec}) {
+	if shapes[0] != (NodeGroup{heteroFatNodes, HeteroFatSpec}) {
 		t.Fatalf("fat partition = %+v", shapes[0])
 	}
-	if shapes[1] != (NodeGroup{HeteroThinNodes, HeteroThinSpec}) {
+	if shapes[1] != (NodeGroup{heteroThinNodes, HeteroThinSpec}) {
 		t.Fatalf("thin partition = %+v", shapes[1])
 	}
 	// The fat partition must come first in node order: the fragmentation
@@ -433,7 +412,7 @@ func TestHeteroCampusCatalog(t *testing.T) {
 	if p.Nodes()[0].Spec() != HeteroFatSpec {
 		t.Fatal("hetero campus does not lead with the fat partition")
 	}
-	if p.TotalGPUs() != HeteroFatNodes*HeteroFatSpec.GPUs {
+	if p.TotalGPUs() != heteroFatNodes*HeteroFatSpec.GPUs {
 		t.Fatalf("hetero GPUs = %d", p.TotalGPUs())
 	}
 }

@@ -8,7 +8,7 @@ package proto
 // anything else (the seed framed the whole envelope as JSON: two
 // json.Marshal calls per write and a full json.Unmarshal per read):
 //
-//	u32  payload length N (big endian), N ≤ MaxFrameSize
+//	u32  payload length N (big endian), N ≤ maxFrameSize
 //	--- payload, N bytes ---
 //	u8   version (frameVersion)
 //	u8   kind length   | kind bytes
@@ -49,7 +49,7 @@ const frameHeaderMax = 255
 // is hand-encoded straight into the frame, with no intermediate slice and
 // nothing cached on env; any other body goes through the envelope's
 // WireBody cache. The header is encoded directly either way, so a write
-// costs a single JSON pass. Frames above MaxFrameSize are rejected with
+// costs a single JSON pass. Frames above maxFrameSize are rejected with
 // ErrFrameTooLarge and reach no wire: on any error dst comes back at its
 // old length.
 func AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
@@ -87,7 +87,7 @@ func AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
 		dst = append(dst, body...)
 	}
 	payload := len(dst) - start - 4
-	if payload > MaxFrameSize {
+	if payload > maxFrameSize {
 		return dst[:start], ErrFrameTooLarge
 	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(payload))
@@ -207,7 +207,7 @@ func DecodeFrameInterned(payload []byte, in *Interner) (Envelope, error) {
 //
 // A clean close at a frame boundary returns io.EOF untouched; a stream
 // ending mid-frame returns a wrapped io.ErrUnexpectedEOF; a length prefix
-// above MaxFrameSize returns ErrFrameTooLarge without consuming the
+// above maxFrameSize returns ErrFrameTooLarge without consuming the
 // payload.
 func ReadFramePayload(r io.Reader, buf *[]byte) ([]byte, error) {
 	var hdr [4]byte
@@ -218,7 +218,7 @@ func ReadFramePayload(r io.Reader, buf *[]byte) ([]byte, error) {
 		return nil, fmt.Errorf("proto: read frame header: %w", err)
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > MaxFrameSize {
+	if n > maxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
 	if cap(*buf) < n {

@@ -137,7 +137,7 @@ func TestBinaryFrameReadErrors(t *testing.T) {
 	}
 	// Oversized length prefix.
 	var huge [8]byte
-	binary.BigEndian.PutUint32(huge[:4], MaxFrameSize+1)
+	binary.BigEndian.PutUint32(huge[:4], maxFrameSize+1)
 	if _, err := ReadFramePayload(bytes.NewReader(huge[:]), &buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized prefix: want ErrFrameTooLarge, got %v", err)
 	}
@@ -180,7 +180,7 @@ func TestAppendFrameLimits(t *testing.T) {
 	if _, err := AppendFrame(nil, &long); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("oversized kind: want ErrBadFrame, got %v", err)
 	}
-	big := Envelope{Kind: KindRequest, Body: bytes.Repeat([]byte("x"), MaxFrameSize)}
+	big := Envelope{Kind: KindRequest, Body: bytes.Repeat([]byte("x"), maxFrameSize)}
 	if _, err := AppendFrame(nil, &big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized body: want ErrFrameTooLarge, got %v", err)
 	}

@@ -70,7 +70,7 @@ func NewEnvelope(kind Kind, id uint64, from, to string, sent time.Time, body any
 	// and to re-encode later for the wire. Pointer payloads and payloads
 	// holding maps (Control.Args) are deliberately excluded — their
 	// referents could mutate after send.
-	case InferenceRequest, InferenceReply, Heartbeat, LoadReport, StateUpdate, Endpoint, ErrorBody:
+	case InferenceRequest, InferenceReply, Heartbeat, loadReport, StateUpdate, Endpoint, ErrorBody:
 		env.typed = body
 		return env, nil
 	}
@@ -131,8 +131,8 @@ func (e Envelope) Decode(want Kind, out any) error {
 				*dst = v
 				return nil
 			}
-		case *LoadReport:
-			if v, ok := e.typed.(LoadReport); ok {
+		case *loadReport:
+			if v, ok := e.typed.(loadReport); ok {
 				*dst = v
 				return nil
 			}
@@ -302,14 +302,14 @@ type Heartbeat struct {
 	Busy       bool      `json:"busy"`
 }
 
-// LoadReport is one endpoint's balancing gauges, pushed by whoever observes the instance (the session
+// loadReport is one endpoint's balancing gauges, pushed by whoever observes the instance (the session
 // autoscaler's control loop, a campaign's reporter) into the session
 // EndpointRegistry. Unlike Heartbeat — a liveness signal consumed by the
-// ServiceManager — a LoadReport exists only to steer balancing clients,
+// ServiceManager — a loadReport exists only to steer balancing clients,
 // and At is load-bearing: balancers treat a report older than their
 // staleness horizon as no information at all and fall back to blind
 // rotation rather than chase a gauge the world has moved past.
-type LoadReport struct {
+type loadReport struct {
 	ServiceUID string    `json:"service_uid"`
 	Queued     int       `json:"queued"`
 	InFlight   int       `json:"in_flight"`
@@ -324,9 +324,9 @@ type ErrorBody struct {
 
 // --- framing -------------------------------------------------------------
 
-// MaxFrameSize bounds a single framed message (16 MiB). Larger frames are
+// maxFrameSize bounds a single framed message (16 MiB). Larger frames are
 // rejected to protect against corrupt length prefixes.
-const MaxFrameSize = 16 << 20
+const maxFrameSize = 16 << 20
 
-// ErrFrameTooLarge is returned when a frame exceeds MaxFrameSize.
+// ErrFrameTooLarge is returned when a frame exceeds maxFrameSize.
 var ErrFrameTooLarge = errors.New("proto: frame exceeds maximum size")

@@ -38,14 +38,11 @@ func NewCaller(ep proto.Endpoint, clock simtime.Clock) (*Caller, error) {
 	return &Caller{ep: ep, hc: &http.Client{Timeout: 5 * time.Minute}, clock: clock}, nil
 }
 
-// Endpoint returns the wrapped endpoint.
-func (c *Caller) Endpoint() proto.Endpoint { return c.ep }
-
 // Infer implements service.Caller over HTTP.
 func (c *Caller) Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
 	c.seq++
 	start := c.clock.Now()
-	resp, err := c.generate(ctx, GenerateRequest{
+	resp, err := c.generate(ctx, generateRequest{
 		Model:     c.ep.Model,
 		Prompt:    prompt,
 		MaxTokens: maxTokens,
@@ -68,7 +65,7 @@ func (c *Caller) Infer(ctx context.Context, prompt string, maxTokens int) (proto
 }
 
 // generate POSTs one /api/generate call.
-func (c *Caller) generate(ctx context.Context, req GenerateRequest) (GenerateResponse, error) {
+func (c *Caller) generate(ctx context.Context, req generateRequest) (GenerateResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return GenerateResponse{}, err

@@ -19,8 +19,8 @@ import (
 	"repro/internal/serving"
 )
 
-// GenerateRequest is the POST /api/generate body.
-type GenerateRequest struct {
+// generateRequest is the POST /api/generate body.
+type generateRequest struct {
 	Model     string `json:"model"`
 	Prompt    string `json:"prompt"`
 	MaxTokens int    `json:"max_tokens,omitempty"`
@@ -96,7 +96,7 @@ func (g *Gateway) Close() error {
 }
 
 func (g *Gateway) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	var req GenerateRequest
+	var req generateRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, GenerateResponse{Error: "malformed request: " + err.Error()})
 		return

@@ -74,7 +74,7 @@ func getHealth(t *testing.T, g *Gateway) Health {
 func TestGenerateOverHTTP(t *testing.T) {
 	g, _ := newGateway(t, "llama-8b")
 	c := newCaller(t, g)
-	resp, err := c.generate(context.Background(), GenerateRequest{
+	resp, err := c.generate(context.Background(), generateRequest{
 		Model: "llama-8b", Prompt: "what genes respond to radiation", MaxTokens: 32,
 		RequestID: "req.1", ClientID: "client.1",
 	})
@@ -98,7 +98,7 @@ func TestGenerateConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.generate(context.Background(), GenerateRequest{Model: "noop", Prompt: "x"})
+			_, err := c.generate(context.Background(), generateRequest{Model: "noop", Prompt: "x"})
 			errs <- err
 		}()
 	}
@@ -125,7 +125,7 @@ func TestGenerateAgainstStoppedServer(t *testing.T) {
 	g, srv := newGateway(t, "noop")
 	srv.Stop()
 	c := newCaller(t, g)
-	if _, err := c.generate(context.Background(), GenerateRequest{Model: "noop", Prompt: "x"}); err == nil {
+	if _, err := c.generate(context.Background(), generateRequest{Model: "noop", Prompt: "x"}); err == nil {
 		t.Fatal("generate succeeded against stopped server")
 	}
 	if getHealth(t, g).Ready {
@@ -158,7 +158,7 @@ func TestGenerateAgainstDeadServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.generate(context.Background(), GenerateRequest{Model: "noop"}); err == nil {
+	if _, err := c.generate(context.Background(), generateRequest{Model: "noop"}); err == nil {
 		t.Fatal("generate against dead server succeeded")
 	}
 }

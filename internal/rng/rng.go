@@ -156,14 +156,14 @@ func (u Uniform) Sample(src *Source) float64 { return u.Lo + (u.Hi-u.Lo)*src.Flo
 func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
 
 // Normal is the normal distribution, optionally truncated below at Min
-// (re-sampled; Min is ignored when NaN). Use TruncNormal to construct.
+// (re-sampled; Min is ignored when NaN). Use truncNormal to construct.
 type Normal struct {
 	Mu, Sigma float64
 	Min       float64 // lower truncation bound; -Inf disables
 }
 
-// TruncNormal returns a normal distribution truncated below at min.
-func TruncNormal(mu, sigma, min float64) Normal {
+// truncNormal returns a normal distribution truncated below at min.
+func truncNormal(mu, sigma, min float64) Normal {
 	return Normal{Mu: mu, Sigma: sigma, Min: min}
 }
 
@@ -219,7 +219,7 @@ func ConstDuration(d time.Duration) DurationDist {
 // NormalDuration returns a duration distribution N(mu, sigma) truncated at
 // zero.
 func NormalDuration(mu, sigma time.Duration) DurationDist {
-	return DurationDist{D: TruncNormal(mu.Seconds(), sigma.Seconds(), 0)}
+	return DurationDist{D: truncNormal(mu.Seconds(), sigma.Seconds(), 0)}
 }
 
 // Sample draws one duration.

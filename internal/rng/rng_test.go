@@ -144,7 +144,7 @@ func TestDistMeans(t *testing.T) {
 
 func TestTruncNormalRespectsBound(t *testing.T) {
 	s := New(11)
-	d := TruncNormal(0.5, 2, 0) // heavy truncation
+	d := truncNormal(0.5, 2, 0) // heavy truncation
 	for i := 0; i < 5000; i++ {
 		if v := d.Sample(s); v < 0 {
 			t.Fatalf("truncated sample %v < 0", v)

@@ -17,10 +17,10 @@ import "repro/internal/spec"
 // degradation without changing the pinned default dispatch.
 type withRetry struct{ inner Router }
 
-// WithRetry wraps inner with retry-on-unsatisfiable semantics. Wrapping a
+// newWithRetry wraps inner with retry-on-unsatisfiable semantics. Wrapping a
 // shape-aware router is harmless (its picks always pass the fit check on
 // the first try).
-func WithRetry(inner Router) Router { return &withRetry{inner: inner} }
+func newWithRetry(inner Router) Router { return &withRetry{inner: inner} }
 
 // Name implements Router.
 func (r *withRetry) Name() string { return r.inner.Name() + "+retry" }

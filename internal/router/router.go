@@ -38,10 +38,10 @@ const (
 	// NameRoundRobin dispatches tasks over the attached pilots in strict
 	// rotation, blind to capacity — the seed TaskManager behaviour.
 	NameRoundRobin = "round-robin"
-	// NameLeastLoaded routes each task to the pilot with the shallowest
+	// nameLeastLoaded routes each task to the pilot with the shallowest
 	// scheduler wait pool, breaking ties toward the most free weighted
 	// capacity, then the lowest pilot index.
-	NameLeastLoaded = "least-loaded"
+	nameLeastLoaded = "least-loaded"
 	// NameCapacityFit routes shape-aware: only pilots whose node shapes
 	// can ever run the task are candidates, tasks nobody can ever fit
 	// are rejected at submit, and among candidates the router prefers
@@ -102,7 +102,7 @@ func (e ErrUnroutable) Error() string {
 // empty name selects NameRoundRobin, keeping the seed dispatch the
 // default at every selection point (session config, rpexp -router). A
 // "+retry" suffix (e.g. "round-robin+retry") wraps the named router in
-// WithRetry, giving blind routers retry-on-unsatisfiable degradation
+// newWithRetry, giving blind routers retry-on-unsatisfiable degradation
 // without changing the default dispatch sequence.
 func ByName(name string) (Router, error) {
 	if base, ok := strings.CutSuffix(name, "+retry"); ok && base != "" {
@@ -110,18 +110,18 @@ func ByName(name string) (Router, error) {
 		if err != nil {
 			return nil, err
 		}
-		return WithRetry(inner), nil
+		return newWithRetry(inner), nil
 	}
 	switch name {
-	case "", NameRoundRobin, "rr":
-		return NewRoundRobin(), nil
-	case NameLeastLoaded, "least_loaded":
-		return NewLeastLoaded(), nil
-	case NameCapacityFit, "capacity_fit", "capacityfit":
-		return NewCapacityFit(), nil
+	case "", NameRoundRobin:
+		return newRoundRobin(), nil
+	case nameLeastLoaded:
+		return newLeastLoaded(), nil
+	case NameCapacityFit:
+		return newCapacityFit(), nil
 	default:
 		return nil, fmt.Errorf("router: unknown router %q (want %s|%s|%s, optionally +retry)",
-			name, NameRoundRobin, NameLeastLoaded, NameCapacityFit)
+			name, NameRoundRobin, nameLeastLoaded, NameCapacityFit)
 	}
 }
 
@@ -142,10 +142,10 @@ func everFits(groups []platform.NodeGroup, d spec.TaskDescription) bool {
 // roundRobin is the seed dispatcher: strict rotation, blind to capacity.
 type roundRobin struct{ next int }
 
-// NewRoundRobin returns the default router. Its task→pilot sequence is
+// newRoundRobin returns the default router. Its task→pilot sequence is
 // pinned byte-for-byte to the seed TaskManager's round-robin by
 // TestRouterRoundRobinMatchesSeedSequence.
-func NewRoundRobin() Router { return &roundRobin{} }
+func newRoundRobin() Router { return &roundRobin{} }
 
 // Name implements Router.
 func (r *roundRobin) Name() string { return NameRoundRobin }
@@ -166,14 +166,14 @@ func (r *roundRobin) Route(targets []Target, d spec.TaskDescription) (int, error
 // leastLoaded routes on live pilot load.
 type leastLoaded struct{}
 
-// NewLeastLoaded returns a router that sends each task to the pilot with
+// newLeastLoaded returns a router that sends each task to the pilot with
 // the shallowest scheduler wait pool, breaking ties toward the most free
 // weighted capacity (on the global WeightedCapacity scale, so pilots on
 // different machines compare meaningfully), then the lowest index.
-func NewLeastLoaded() Router { return leastLoaded{} }
+func newLeastLoaded() Router { return leastLoaded{} }
 
 // Name implements Router.
-func (leastLoaded) Name() string { return NameLeastLoaded }
+func (leastLoaded) Name() string { return nameLeastLoaded }
 
 // Route implements Router.
 func (leastLoaded) Route(targets []Target, d spec.TaskDescription) (int, error) {
@@ -197,13 +197,13 @@ func (leastLoaded) Route(targets []Target, d spec.TaskDescription) (int, error) 
 // capacityFit routes shape-aware on snapshots.
 type capacityFit struct{}
 
-// NewCapacityFit returns the late-binding router: a task goes only to a
+// newCapacityFit returns the late-binding router: a task goes only to a
 // pilot whose node shapes can ever run it, preferring pilots whose free
 // single-node maxima say it may start right now (ranked least-loaded
 // among those), falling back to queueing on the least-loaded ever-fitting
 // pilot, and rejecting with ErrUnroutable when no attached pilot could
 // ever fit it.
-func NewCapacityFit() Router { return capacityFit{} }
+func newCapacityFit() Router { return capacityFit{} }
 
 // Name implements Router.
 func (capacityFit) Name() string { return NameCapacityFit }

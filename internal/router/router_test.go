@@ -45,8 +45,7 @@ func TestByName(t *testing.T) {
 	for name, want := range map[string]string{
 		"":             NameRoundRobin,
 		"round-robin":  NameRoundRobin,
-		"rr":           NameRoundRobin,
-		"least-loaded": NameLeastLoaded,
+		"least-loaded": nameLeastLoaded,
 		"capacity-fit": NameCapacityFit,
 	} {
 		r, err := ByName(name)
@@ -57,8 +56,10 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q).Name() = %q, want %q", name, r.Name(), want)
 		}
 	}
-	if _, err := ByName("strict"); err == nil {
-		t.Fatal("ByName accepted an unknown router")
+	for _, bad := range []string{"strict", "rr", "least_loaded", "capacity_fit", "capacityfit"} {
+		if _, err := ByName(bad); err == nil {
+			t.Fatalf("ByName accepted %q", bad)
+		}
 	}
 }
 
@@ -67,7 +68,7 @@ func TestByName(t *testing.T) {
 // when a selection is actually returned (the partial-failure semantics
 // the TaskManager exposes).
 func TestRoundRobinRotationAndNoAdvanceOnError(t *testing.T) {
-	r := NewRoundRobin()
+	r := newRoundRobin()
 	targets := []Target{
 		mkTarget("p0", fat, 2, 0, 256),
 		mkTarget("p1", fat, 2, 0, 256),
@@ -93,7 +94,7 @@ func TestRoundRobinRotationAndNoAdvanceOnError(t *testing.T) {
 }
 
 func TestLeastLoadedPrefersShallowQueueThenFreeCapacity(t *testing.T) {
-	r := NewLeastLoaded()
+	r := newLeastLoaded()
 	d := spec.TaskDescription{Name: "t", Cores: 1}
 	// p1 has the shallowest wait pool.
 	i, err := r.Route([]Target{
@@ -123,7 +124,7 @@ func TestLeastLoadedPrefersShallowQueueThenFreeCapacity(t *testing.T) {
 }
 
 func TestCapacityFitRoutesOnShapes(t *testing.T) {
-	r := NewCapacityFit()
+	r := newCapacityFit()
 	thinPilot := mkTarget("thin", thin, 96, 0, 96*16)
 	fatPilot := mkTarget("fat", fat, 32, 4, 32*128)
 
@@ -161,7 +162,7 @@ func TestCapacityFitRoutesOnShapes(t *testing.T) {
 // ever-fitting pilots, one whose free single-node maxima admit the task
 // right now beats a less-loaded pilot that would only queue it.
 func TestCapacityFitPrefersFitsNow(t *testing.T) {
-	r := NewCapacityFit()
+	r := newCapacityFit()
 	// Both pilots' shapes fit the task; busy's nodes are drained (nothing
 	// fits now) while full-capacity idle can start it immediately even
 	// though its wait pool is deeper.
@@ -209,7 +210,7 @@ func TestRoutersAreFreshInstances(t *testing.T) {
 // lands a fat task on a thin pilot is retried until a fitting pilot comes
 // up in rotation, while routable tasks keep the untouched inner sequence.
 func TestWithRetrySkipsNeverFittingPilots(t *testing.T) {
-	r := WithRetry(NewRoundRobin())
+	r := newWithRetry(newRoundRobin())
 	if r.Name() != NameRoundRobin+"+retry" {
 		t.Fatalf("Name = %q", r.Name())
 	}
@@ -247,7 +248,7 @@ func TestWithRetrySkipsNeverFittingPilots(t *testing.T) {
 // change a single pick while all tasks fit everywhere — the graceful-
 // degradation contract that keeps the seed dispatch pinned.
 func TestWithRetryMatchesInnerSequenceWhenEverythingFits(t *testing.T) {
-	plain, wrapped := NewRoundRobin(), WithRetry(NewRoundRobin())
+	plain, wrapped := newRoundRobin(), newWithRetry(newRoundRobin())
 	targets := []Target{
 		mkTarget("p0", fat, 2, 0, 256),
 		mkTarget("p1", fat, 2, 0, 256),
@@ -270,7 +271,7 @@ func TestWithRetryMatchesInnerSequenceWhenEverythingFits(t *testing.T) {
 // the wrapper rejects at submit with ErrUnroutable like the shape-aware
 // routers, instead of wedging the task anywhere.
 func TestWithRetryRejectsGloballyUnroutable(t *testing.T) {
-	r := WithRetry(NewRoundRobin())
+	r := newWithRetry(newRoundRobin())
 	targets := []Target{mkTarget("thin0", thin, 4, 0, 64)}
 	_, err := r.Route(targets, spec.TaskDescription{Name: "fat", Cores: fat.Cores, GPUs: fat.GPUs})
 	var unroutable ErrUnroutable
@@ -304,7 +305,7 @@ func TestByNameRetrySuffix(t *testing.T) {
 // TestCapacityFitRankDrain pins the overflow-drain ordering: fits-now
 // descriptions first, submission order within each class.
 func TestCapacityFitRankDrain(t *testing.T) {
-	cf, ok := NewCapacityFit().(Ranker)
+	cf, ok := newCapacityFit().(Ranker)
 	if !ok {
 		t.Fatal("capacity-fit does not implement Ranker")
 	}
@@ -327,7 +328,7 @@ func TestCapacityFitRankDrain(t *testing.T) {
 		}
 	}
 	// Round-robin has no ranking capability: the drain keeps seed order.
-	if _, ok := NewRoundRobin().(Ranker); ok {
+	if _, ok := newRoundRobin().(Ranker); ok {
 		t.Fatal("round-robin unexpectedly implements Ranker")
 	}
 }
@@ -341,11 +342,11 @@ func TestWithRetryForwardsRanker(t *testing.T) {
 		{Name: "big", Cores: 128},
 		{Name: "small", Cores: 8},
 	}
-	cf := WithRetry(NewCapacityFit()).(Ranker)
+	cf := newWithRetry(newCapacityFit()).(Ranker)
 	if got := cf.RankDrain(target, descs); len(got) != 2 || got[0] != 1 || got[1] != 0 {
 		t.Fatalf("capacity-fit+retry rank = %v, want [1 0]", got)
 	}
-	rr := WithRetry(NewRoundRobin()).(Ranker)
+	rr := newWithRetry(newRoundRobin()).(Ranker)
 	if got := rr.RankDrain(target, descs); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("round-robin+retry rank = %v, want identity [0 1]", got)
 	}

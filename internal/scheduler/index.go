@@ -42,8 +42,8 @@ type nodeIndex struct {
 	// every fitting leaf.
 	score []float64
 	// w is the leftover exchange rate the score dimension folds on,
-	// calibrated per pool from the node shape mix (DeriveWeights).
-	w Weights
+	// calibrated per pool from the node shape mix (deriveWeights).
+	w weights
 	// shapeOf maps each node index to its entry in shapes.
 	shapeOf []int
 	// shapes holds per-distinct-spec free-capacity aggregates, maintained
@@ -88,19 +88,19 @@ func newNodeIndex(nodes []*platform.Node) *nodeIndex {
 	for k, sh := range ix.shapes {
 		groups[k] = platform.NodeGroup{Count: sh.Nodes, Spec: sh.Spec}
 	}
-	ix.w = DeriveWeights(groups)
+	ix.w = deriveWeights(groups)
 	ix.refreshAll()
 	return ix
 }
 
 // WeightedCapacity folds a capacity (or demand) triple onto the global
-// default scale (DefaultWeights): cores + bestFitGPUWeight·gpus +
+// default scale (defaultWeights): cores + bestFitGPUWeight·gpus +
 // bestFitMemWeight·memGB. Exported so cross-pool rankings — the
 // fragmentation experiment's thin/fat split, the least-loaded router's
 // free-capacity comparison — share one exchange rate. Placement inside a
-// pool uses the pool-calibrated Weights instead (DeriveWeights).
+// pool uses the pool-calibrated weights instead (deriveWeights).
 func WeightedCapacity(cores, gpus int, memGB float64) float64 {
-	return DefaultWeights.Capacity(cores, gpus, memGB)
+	return defaultWeights.Capacity(cores, gpus, memGB)
 }
 
 // refresh re-reads one node's free counters into its leaf, folds the
@@ -195,8 +195,8 @@ func (ix *nodeIndex) covers(p, cores, gpus int, memGB float64) bool {
 // catalog's node shapes carry 8-16 cores per GPU) and 4 GB of memory like
 // one core, so the score compares leftovers of different dimensions on
 // one scale. Mixed pools recalibrate both rates from their actual shape
-// mix (DeriveWeights); these constants remain the single-shape and
-// cross-pool scale via DefaultWeights.
+// mix (deriveWeights); these constants remain the single-shape and
+// cross-pool scale via defaultWeights.
 const (
 	bestFitGPUWeight = 16
 	bestFitMemWeight = 0.25

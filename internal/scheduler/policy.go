@@ -9,21 +9,21 @@ import (
 	"repro/internal/platform"
 )
 
-// Policy names accepted by PolicyByName. The default ("", PolicyStrict)
+// Policy names accepted by PolicyByName. The default ("", policyStrict)
 // preserves the seed semantics the equivalence suite pins.
 const (
-	// PolicyStrict is strict-priority FIFO with head-of-line blocking: a
+	// policyStrict is strict-priority FIFO with head-of-line blocking: a
 	// blocked head is never bypassed, so services cannot be starved by a
 	// stream of small tasks (§III readiness over utilization).
-	PolicyStrict = "strict"
-	// PolicyBackfill grants the highest-priority *fitting* request when
+	policyStrict = "strict"
+	// policyBackfill grants the highest-priority *fitting* request when
 	// the head is blocked, bounded by a starvation limit (at most K
 	// bypasses or T of scheduler-clock time per blocked head).
-	PolicyBackfill = "backfill"
-	// PolicyBestFit is PolicyBackfill with best-fit node selection: every
+	policyBackfill = "backfill"
+	// policyBestFit is policyBackfill with best-fit node selection: every
 	// placement picks the fitting node with the least leftover capacity,
 	// minimizing fragmentation on heterogeneous node pools.
-	PolicyBestFit = "best-fit"
+	policyBestFit = "best-fit"
 )
 
 // Policy decides, one grant at a time, which waiting request the
@@ -51,29 +51,17 @@ type Policy interface {
 // Pool positions index the wait pool's backing array. Position 0 is the
 // head — the request strict priority order would grant next; the
 // remaining positions hold the other waiting requests in no particular
-// order (binary-heap layout), so order-sensitive policies must compare
-// positions with Before rather than assume sortedness.
+// order (binary-heap layout), so a policy that needs strict order among
+// them asks FirstFit rather than assume sortedness.
 type Pool struct{ s *Scheduler }
 
 // Len returns the number of waiting requests.
 func (p *Pool) Len() int { return p.s.waiting.len() }
 
-// Request returns the waiting request at position i.
-func (p *Pool) Request(i int) Request { return p.s.waiting.items[i].req }
-
 // Seq returns the submission sequence number of the request at position
 // i. Sequence numbers are unique and increase in submission order, so
 // they identify a particular head across Grant calls.
 func (p *Pool) Seq(i int) uint64 { return p.s.waiting.items[i].seq }
-
-// Before reports whether position i precedes position j in strict
-// (priority descending, submission order ascending) terms.
-func (p *Pool) Before(i, j int) bool { return p.s.waiting.less(i, j) }
-
-// Fits reports whether some node's current free capacity covers the
-// request at position i, without allocating. Like placement itself it
-// re-syncs the capacity index when an out-of-band release is detected.
-func (p *Pool) Fits(i int) bool { return p.s.fits(p.s.waiting.items[i].req) }
 
 // FirstFit returns the position of the request that strict (priority
 // desc, submission asc) order ranks first among the non-head requests
@@ -108,7 +96,7 @@ func (p *Pool) PlaceBestFit(i int) *platform.Allocation {
 func (p *Pool) Now() time.Time { return p.s.clock.Now() }
 
 // PolicyByName returns a fresh instance of the named built-in policy.
-// The empty name selects PolicyStrict. The backfill policies accept
+// The empty name selects policyStrict. The backfill policies accept
 // optional starvation-bound parameters after a colon —
 // "backfill:k=32,t=2m" or "best-fit:k=-1,t=-1" — where k is
 // BackfillConfig.MaxBypass (an integer, -1 disables the count bound) and
@@ -126,18 +114,18 @@ func PolicyByName(name string) (Policy, error) {
 		}
 	}
 	switch base {
-	case "", PolicyStrict, "fifo":
+	case "", policyStrict:
 		if hasParams {
 			return nil, fmt.Errorf("scheduler: policy %q: strict takes no parameters", name)
 		}
 		return Strict(), nil
-	case PolicyBackfill:
+	case policyBackfill:
 		return Backfill(cfg), nil
-	case PolicyBestFit, "bestfit", "best_fit":
+	case policyBestFit:
 		return BestFit(cfg), nil
 	default:
 		return nil, fmt.Errorf("scheduler: unknown policy %q (want %s|%s[:k=N,t=D]|%s[:k=N,t=D])",
-			name, PolicyStrict, PolicyBackfill, PolicyBestFit)
+			name, policyStrict, policyBackfill, policyBestFit)
 	}
 }
 
@@ -184,7 +172,7 @@ type strictPolicy struct{}
 func Strict() Policy { return strictPolicy{} }
 
 // Name implements Policy.
-func (strictPolicy) Name() string { return PolicyStrict }
+func (strictPolicy) Name() string { return policyStrict }
 
 // Grant implements Policy: place the head or nothing.
 func (strictPolicy) Grant(p *Pool) (int, *platform.Allocation) {
@@ -201,10 +189,10 @@ const (
 	// DefaultMaxBypass is the default K: how many times one blocked head
 	// may be overtaken before backfill suspends.
 	DefaultMaxBypass = 16
-	// DefaultMaxDelay is the default T: how long (scheduler-clock time) a
+	// defaultMaxDelay is the default T: how long (scheduler-clock time) a
 	// head may stay blocked while being overtaken before backfill
 	// suspends.
-	DefaultMaxDelay = 30 * time.Second
+	defaultMaxDelay = 30 * time.Second
 )
 
 // BackfillConfig bounds how far the backfill policies may starve a
@@ -217,7 +205,7 @@ type BackfillConfig struct {
 	// selects DefaultMaxBypass; negative disables the count bound.
 	MaxBypass int
 	// MaxDelay is T, the blocked-duration bound per head, measured on the
-	// scheduler clock. Zero selects DefaultMaxDelay; negative disables
+	// scheduler clock. Zero selects defaultMaxDelay; negative disables
 	// the time bound.
 	MaxDelay time.Duration
 }
@@ -227,7 +215,7 @@ func (c BackfillConfig) resolved() BackfillConfig {
 		c.MaxBypass = DefaultMaxBypass
 	}
 	if c.MaxDelay == 0 {
-		c.MaxDelay = DefaultMaxDelay
+		c.MaxDelay = defaultMaxDelay
 	}
 	return c
 }
@@ -276,9 +264,9 @@ func BestFit(cfg BackfillConfig) Policy {
 // Name implements Policy.
 func (b *backfillPolicy) Name() string {
 	if b.bestFit {
-		return PolicyBestFit
+		return policyBestFit
 	}
-	return PolicyBackfill
+	return policyBackfill
 }
 
 func (b *backfillPolicy) place(p *Pool, i int) *platform.Allocation {

@@ -15,12 +15,10 @@ func TestPolicyByName(t *testing.T) {
 		in   string
 		want string
 	}{
-		{"", PolicyStrict},
-		{"strict", PolicyStrict},
-		{"fifo", PolicyStrict},
-		{"backfill", PolicyBackfill},
-		{"best-fit", PolicyBestFit},
-		{"bestfit", PolicyBestFit},
+		{"", policyStrict},
+		{"strict", policyStrict},
+		{"backfill", policyBackfill},
+		{"best-fit", policyBestFit},
 	}
 	for _, c := range cases {
 		p, err := PolicyByName(c.in)
@@ -31,8 +29,10 @@ func TestPolicyByName(t *testing.T) {
 			t.Fatalf("PolicyByName(%q).Name() = %q, want %q", c.in, p.Name(), c.want)
 		}
 	}
-	if _, err := PolicyByName("round-robin"); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, bad := range []string{"round-robin", "fifo", "bestfit", "best_fit"} {
+		if _, err := PolicyByName(bad); err == nil {
+			t.Fatalf("PolicyByName(%q) accepted", bad)
+		}
 	}
 	// Parameterized backfill names.
 	p, err := PolicyByName("backfill:k=3,t=2m")
@@ -55,8 +55,8 @@ func TestPolicyByName(t *testing.T) {
 		}
 	}
 	// Backfill policies are stateful: instances must be fresh per call.
-	a, _ := PolicyByName(PolicyBackfill)
-	b, _ := PolicyByName(PolicyBackfill)
+	a, _ := PolicyByName(policyBackfill)
+	b, _ := PolicyByName(policyBackfill)
 	if a == b {
 		t.Fatal("PolicyByName returned a shared backfill instance")
 	}
@@ -65,8 +65,8 @@ func TestPolicyByName(t *testing.T) {
 func TestPolicyDefaultIsStrict(t *testing.T) {
 	s := New(nodes(1, 4, 0), func(Placement) {})
 	defer s.Close()
-	if got := s.Policy().Name(); got != PolicyStrict {
-		t.Fatalf("default policy = %q, want %q", got, PolicyStrict)
+	if got := s.Policy().Name(); got != policyStrict {
+		t.Fatalf("default policy = %q, want %q", got, policyStrict)
 	}
 }
 

@@ -78,21 +78,6 @@ func (s *Scheduler) Snapshot() Snapshot {
 	return sn
 }
 
-// CanEverFit reports whether some node shape's total capacity covers the
-// demand — the admission condition Submit enforces. A false answer means
-// the pool can never run such a task, busy or idle.
-func (sn Snapshot) CanEverFit(cores, gpus int, memGB float64) bool {
-	if cores < 0 || gpus < 0 || memGB < 0 {
-		return false
-	}
-	for _, sh := range sn.Shapes {
-		if sh.Spec.Covers(cores, gpus, memGB) {
-			return true
-		}
-	}
-	return false
-}
-
 // MayFitNow reports whether the demand passes the single-node free-maxima
 // check. It is a necessary condition for immediate placement, not a
 // sufficient one (the maxima may come from different nodes), so routers
@@ -119,48 +104,48 @@ func (sn Snapshot) FreeWeighted() float64 {
 
 // --- best-fit leftover weights ----------------------------------------------
 
-// Weights is the exchange rate best-fit leftovers are compared on: one
+// weights is the exchange rate best-fit leftovers are compared on: one
 // GPU counts as GPU cores, one GB of memory as Mem cores. Each capacity
-// index derives its own from the pool's shape mix (DeriveWeights), so the
+// index derives its own from the pool's shape mix (deriveWeights), so the
 // least-leftover scale self-calibrates on unusual machines.
-type Weights struct {
+type weights struct {
 	// GPU is the core-equivalent of one GPU.
 	GPU float64
 	// Mem is the core-equivalent of one GB of memory.
 	Mem float64
 }
 
-// DefaultWeights is the global scale (1 GPU = 16 cores, 4 GB = 1 core,
+// defaultWeights is the global scale (1 GPU = 16 cores, 4 GB = 1 core,
 // matching the catalog's 8-16 cores per GPU). Single-shape pools keep it
-// (see DeriveWeights), and cross-pool comparisons always use it.
-var DefaultWeights = Weights{GPU: bestFitGPUWeight, Mem: bestFitMemWeight}
+// (see deriveWeights), and cross-pool comparisons always use it.
+var defaultWeights = weights{GPU: bestFitGPUWeight, Mem: bestFitMemWeight}
 
 // Capacity folds a capacity (or demand) triple onto w's scale.
-func (w Weights) Capacity(cores, gpus int, memGB float64) float64 {
+func (w weights) Capacity(cores, gpus int, memGB float64) float64 {
 	return float64(cores) + w.GPU*float64(gpus) + w.Mem*memGB
 }
 
-// DeriveWeights calibrates best-fit leftover weights from a pool's actual
+// deriveWeights calibrates best-fit leftover weights from a pool's actual
 // shape mix: one GPU is worth the pool's observed cores-per-GPU ratio and
 // one GB of memory its cores-per-GB ratio, each computed over the nodes
 // that carry that dimension.
 //
 // The exchange rate only matters where leftovers from different shapes
 // compete, so pools with fewer than two distinct shapes keep
-// DefaultWeights — on a homogeneous pool every node offers the same
+// defaultWeights — on a homogeneous pool every node offers the same
 // dimensions and recalibrating could only perturb the seed-pinned
 // tie-breaks among partially drained nodes without improving any
 // cross-shape decision (TestDeriveWeightsHomogeneousIdenticalChoices pins
 // that homogeneous catalog platforms place identically under both).
-func DeriveWeights(groups []platform.NodeGroup) Weights {
+func deriveWeights(groups []platform.NodeGroup) weights {
 	distinct := make(map[platform.NodeSpec]bool, len(groups))
 	for _, g := range groups {
 		distinct[g.Spec] = true
 	}
 	if len(distinct) < 2 {
-		return DefaultWeights
+		return defaultWeights
 	}
-	w := DefaultWeights
+	w := defaultWeights
 	var gpuCores, gpus, memCores int
 	var mem float64
 	for _, g := range groups {

@@ -96,9 +96,6 @@ func TestSchedulerSnapshot(t *testing.T) {
 	if len(sn.Shapes) != 2 {
 		t.Fatalf("shapes = %d, want 2", len(sn.Shapes))
 	}
-	if !sn.CanEverFit(8, 2, 32) || sn.CanEverFit(9, 0, 0) || sn.CanEverFit(-1, 0, 0) {
-		t.Fatal("CanEverFit wrong on idle pool")
-	}
 	if !sn.MayFitNow(8, 2, 32) {
 		t.Fatal("idle pool must pass the free-maxima check for its largest shape")
 	}
@@ -130,9 +127,6 @@ func TestSchedulerSnapshot(t *testing.T) {
 	if sn.MayFitNow(8, 2, 32) {
 		t.Fatal("fat demand may not pass the maxima check with the fat node full")
 	}
-	if !sn.CanEverFit(8, 2, 32) {
-		t.Fatal("CanEverFit must ignore occupancy")
-	}
 	for _, sh := range sn.Shapes {
 		if sh.Spec == fat && (sh.FreeCores != 0 || sh.FreeGPUs != 0 || sh.FreeMemGB != 0) {
 			t.Fatalf("fat shape aggregate not drained: %+v", sh)
@@ -149,14 +143,14 @@ func TestSchedulerSnapshot(t *testing.T) {
 // from the nodes that carry those dimensions.
 func TestDeriveWeights(t *testing.T) {
 	homog := []platform.NodeGroup{{Count: 64, Spec: platform.NodeSpec{Cores: 64, GPUs: 8, MemGB: 512}}}
-	if w := DeriveWeights(homog); w != DefaultWeights {
-		t.Fatalf("homogeneous pool weights = %+v, want defaults %+v", w, DefaultWeights)
+	if w := deriveWeights(homog); w != defaultWeights {
+		t.Fatalf("homogeneous pool weights = %+v, want defaults %+v", w, defaultWeights)
 	}
 	hetero := []platform.NodeGroup{
 		{Count: 32, Spec: platform.NodeSpec{Cores: 128, GPUs: 16, MemGB: 1024}},
 		{Count: 96, Spec: platform.NodeSpec{Cores: 16, GPUs: 0, MemGB: 64}},
 	}
-	w := DeriveWeights(hetero)
+	w := deriveWeights(hetero)
 	if math.Abs(w.GPU-8) > 1e-9 { // 32·128 cores over 32·16 GPUs
 		t.Fatalf("derived GPU weight = %v, want 8", w.GPU)
 	}
@@ -170,8 +164,8 @@ func TestDeriveWeights(t *testing.T) {
 		{Count: 4, Spec: platform.NodeSpec{Cores: 32, GPUs: 0, MemGB: 128}},
 		{Count: 4, Spec: platform.NodeSpec{Cores: 8, GPUs: 0, MemGB: 32}},
 	}
-	w = DeriveWeights(cpuOnly)
-	if w.GPU != DefaultWeights.GPU {
+	w = deriveWeights(cpuOnly)
+	if w.GPU != defaultWeights.GPU {
 		t.Fatalf("GPU-less pool derived GPU weight %v, want default", w.GPU)
 	}
 	if math.Abs(w.Mem-0.25) > 1e-9 { // 160 cores / 640 GB
@@ -183,7 +177,7 @@ func TestDeriveWeights(t *testing.T) {
 // every homogeneous catalog platform the per-pool calibration is a no-op,
 // so best-fit picks exactly the node the global-scale fold picked —
 // verified by replaying randomized allocation/query churn against an
-// exhaustive oracle that folds on DefaultWeights explicitly.
+// exhaustive oracle that folds on defaultWeights explicitly.
 func TestDeriveWeightsHomogeneousIdenticalChoices(t *testing.T) {
 	shapes := map[string]platform.NodeSpec{
 		"frontier": {Cores: 64, GPUs: 8, MemGB: 512},
@@ -198,7 +192,7 @@ func TestDeriveWeightsHomogeneousIdenticalChoices(t *testing.T) {
 				nodes = append(nodes, platform.NewNode(fmt.Sprintf("n%02d", i), sp))
 			}
 			ix := newNodeIndex(nodes)
-			if ix.w != DefaultWeights {
+			if ix.w != defaultWeights {
 				t.Fatalf("homogeneous pool calibrated to %+v, want defaults", ix.w)
 			}
 			defaultOracle := func(cores, gpus int, mem float64) int {
@@ -208,7 +202,7 @@ func TestDeriveWeightsHomogeneousIdenticalChoices(t *testing.T) {
 					if fc < cores || fg < gpus || fm < mem {
 						continue
 					}
-					score := DefaultWeights.Capacity(fc-cores, fg-gpus, fm-mem)
+					score := defaultWeights.Capacity(fc-cores, fg-gpus, fm-mem)
 					if best < 0 || score < bestScore {
 						best, bestScore = i, score
 					}

@@ -13,12 +13,12 @@ import (
 	"repro/internal/proto"
 )
 
-// DefaultLoadHorizon is the load-report staleness horizon balancing
+// defaultLoadHorizon is the load-report staleness horizon balancing
 // clients apply: reports older than this are treated as no information and
 // load-aware pickers fall back to blind rotation. 10s comfortably covers
 // the autoscaler's 2s default report cadence and a campaign reporter's
 // coarser intervals.
-const DefaultLoadHorizon = 10 * time.Second
+const defaultLoadHorizon = 10 * time.Second
 
 // BalancerOptions tune a Balancer. The zero value selects a
 // power-of-two-choices picker with seed 0 and no clock (every report
@@ -96,7 +96,7 @@ func (b *Balancer) Infer(ctx context.Context, prompt string, maxTokens int) (pro
 // load plus the picker's probes (two for power-of-two-choices), zero
 // locks and zero allocations regardless of group size. With no replica
 // members it returns the base UID without consulting the picker. The
-// picker reads load reports under DefaultLoadHorizon as the staleness
+// picker reads load reports under defaultLoadHorizon as the staleness
 // bound.
 func (b *Balancer) Pick() string {
 	view := b.entry.group.Load()
@@ -105,7 +105,7 @@ func (b *Balancer) Pick() string {
 	}
 	minAt := int64(math.MaxInt64) // no timebase: every report is stale
 	if b.opts.Now != nil {
-		minAt = b.opts.Now().UnixNano() - int64(DefaultLoadHorizon)
+		minAt = b.opts.Now().UnixNano() - int64(defaultLoadHorizon)
 	}
 	return view.UID(b.opts.Picker.PickIndex(view, minAt))
 }
@@ -124,7 +124,7 @@ func (b *Balancer) resolver(uid string) (*Resolver, error) {
 	if r, ok := cur[uid]; ok {
 		return r, nil
 	}
-	r, err := NewResolver(b.reg, uid, b.dial, DefaultResolverRetries)
+	r, err := NewResolver(b.reg, uid, b.dial, defaultResolverRetries)
 	if err != nil {
 		return nil, err
 	}

@@ -185,7 +185,7 @@ func TestBalancerP2CPickDistribution(t *testing.T) {
 func TestBalancerStaleReportsFallBackToRotation(t *testing.T) {
 	reg := balReg(3)
 	reported := time.Unix(1000, 0)
-	now := reported.Add(DefaultLoadHorizon + time.Nanosecond) // 1 ns past the horizon
+	now := reported.Add(defaultLoadHorizon + time.Nanosecond) // 1 ns past the horizon
 	reg.ReportLoad("svc", Load{Queued: 0, At: reported})
 	reg.ReportLoad("m1", Load{Queued: 0, At: reported})
 	reg.ReportLoad("m2", Load{Queued: 100, At: reported})
@@ -209,7 +209,7 @@ func TestBalancerStaleReportsFallBackToRotation(t *testing.T) {
 		}
 	}
 	// exactly at the horizon the reports still count: p2c avoids the hot member
-	now = reported.Add(DefaultLoadHorizon)
+	now = reported.Add(defaultLoadHorizon)
 	for i := 0; i < 400; i++ {
 		if uid := b.Pick(); uid == "m2" {
 			t.Fatalf("pick %d went to the hot member with reports at the horizon", i)
@@ -218,7 +218,7 @@ func TestBalancerStaleReportsFallBackToRotation(t *testing.T) {
 }
 
 // TestBalancerLoadHorizonBoundary walks report ages across
-// DefaultLoadHorizon: up to and including the horizon the reports count and
+// defaultLoadHorizon: up to and including the horizon the reports count and
 // p2c never picks the hot member; past it, by as little as a nanosecond,
 // picks rotate exactly evenly.
 func TestBalancerLoadHorizonBoundary(t *testing.T) {
@@ -228,10 +228,10 @@ func TestBalancerLoadHorizonBoundary(t *testing.T) {
 	}{
 		{0, true},
 		{time.Second, true},
-		{DefaultLoadHorizon - time.Nanosecond, true},
-		{DefaultLoadHorizon, true},
-		{DefaultLoadHorizon + time.Nanosecond, false},
-		{DefaultLoadHorizon + time.Minute, false},
+		{defaultLoadHorizon - time.Nanosecond, true},
+		{defaultLoadHorizon, true},
+		{defaultLoadHorizon + time.Nanosecond, false},
+		{defaultLoadHorizon + time.Minute, false},
 	} {
 		t.Run(fmt.Sprintf("age=%v", tc.age), func(t *testing.T) {
 			reg := balReg(3)

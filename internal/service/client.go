@@ -48,9 +48,6 @@ func Dial(net *msgq.Network, clock simtime.Clock, clientUID string, ep proto.End
 	return &Client{uid: clientUID, clock: clock, conn: conn, ep: ep, uidPrefix: clientUID + ".req."}, nil
 }
 
-// Endpoint returns the endpoint this client talks to.
-func (c *Client) Endpoint() proto.Endpoint { return c.ep }
-
 // Close releases the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 

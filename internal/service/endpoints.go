@@ -28,9 +28,9 @@ type EndpointOp string
 
 // Endpoint registry operations.
 const (
-	EndpointPublish  EndpointOp = "publish"
-	EndpointSuspend  EndpointOp = "suspend"
-	EndpointWithdraw EndpointOp = "withdraw"
+	endpointPublish  EndpointOp = "publish"
+	endpointSuspend  EndpointOp = "suspend"
+	endpointWithdraw EndpointOp = "withdraw"
 )
 
 // EndpointObserver observes committed registry mutations. It is called
@@ -83,7 +83,7 @@ type endpointEntry struct {
 	// logical UID (base plus members), rebuilt under r.mu on every
 	// membership change. Balancers cache the entry pointer once and load
 	// the view per pick — no lock, no allocation.
-	group atomic.Pointer[GroupView]
+	group atomic.Pointer[groupView]
 	// pinned marks entries referenced by a balancing view (a group base
 	// or one of its members). The await placeholder cleanup must not
 	// delete them: a balancer holds their pointers.
@@ -102,24 +102,24 @@ type Load struct {
 	At       time.Time // session-clock stamp of the observation
 }
 
-// GroupView is an immutable balancing view: one logical service UID's
+// groupView is an immutable balancing view: one logical service UID's
 // base entry at index 0 plus its current replica members. It implements
 // loadbal.LoadView; Load reads the per-entry atomic gauges, so a pick
 // costs two atomic loads per probe and never blocks a registry mutation.
-type GroupView struct {
+type groupView struct {
 	uids    []string
 	entries []*endpointEntry
 }
 
 // Len returns the candidate count.
-func (g *GroupView) Len() int { return len(g.uids) }
+func (g *groupView) Len() int { return len(g.uids) }
 
 // UID returns candidate i's service UID.
-func (g *GroupView) UID(i int) string { return g.uids[i] }
+func (g *groupView) UID(i int) string { return g.uids[i] }
 
 // Load returns candidate i's reported depth and report stamp
 // (nanoseconds; 0 = never reported).
-func (g *GroupView) Load(i int) (int, int64) {
+func (g *groupView) Load(i int) (int, int64) {
 	e := g.entries[i]
 	return int(e.depth.Load()), e.loadAt.Load()
 }
@@ -132,7 +132,7 @@ func NewEndpointRegistry() *EndpointRegistry {
 // Publish records ep as the live endpoint of its service UID and returns
 // the new generation. Re-publication (failover onto a new pilot) bumps the
 // generation; a previously withdrawn UID may be published again (the
-// tombstone clears). Every waiter parked in AwaitLive/AwaitNewer wakes.
+// tombstone clears). Every waiter parked in AwaitNewer wakes.
 //
 // A publication stamped with a session incarnation below the registry
 // fence is rejected with ErrStaleIncarnation: after a crash recovery, a
@@ -158,7 +158,7 @@ func (r *EndpointRegistry) Publish(ep proto.Endpoint) (uint64, error) {
 	gen := e.gen
 	r.wakeLocked(e)
 	if r.observer != nil {
-		r.observer(EndpointPublish, ep.ServiceUID, ep, gen)
+		r.observer(endpointPublish, ep.ServiceUID, ep, gen)
 	}
 	r.mu.Unlock()
 	return gen, nil
@@ -222,7 +222,7 @@ func (r *EndpointRegistry) Suspend(uid string) {
 	if e := r.entries[uid]; e != nil {
 		e.live = false
 		if r.observer != nil {
-			r.observer(EndpointSuspend, uid, e.ep, e.gen)
+			r.observer(endpointSuspend, uid, e.ep, e.gen)
 		}
 	}
 	r.mu.Unlock()
@@ -242,7 +242,7 @@ func (r *EndpointRegistry) Withdraw(uid string) {
 	e.withdrawn = true
 	r.wakeLocked(e)
 	if r.observer != nil {
-		r.observer(EndpointWithdraw, uid, e.ep, e.gen)
+		r.observer(endpointWithdraw, uid, e.ep, e.gen)
 	}
 	r.mu.Unlock()
 }
@@ -322,12 +322,6 @@ func (r *EndpointRegistry) ByModel(model string) []proto.Endpoint {
 	return out
 }
 
-// AwaitLive blocks until uid has a live endpoint (any generation), the
-// UID is withdrawn, or ctx expires.
-func (r *EndpointRegistry) AwaitLive(ctx context.Context, uid string) (proto.Endpoint, uint64, error) {
-	return r.await(ctx, uid, 0)
-}
-
 // AwaitNewer blocks until uid has a live endpoint with a generation
 // strictly greater than after — the re-resolution primitive: a client
 // whose request failed on generation g parks here and wakes exactly when
@@ -382,7 +376,7 @@ func (r *EndpointRegistry) RemoveMember(group, member string) {
 // balancers hold view entry pointers, so the await placeholder cleanup
 // must never delete them. Caller holds r.mu.
 func (r *EndpointRegistry) rebuildGroupLocked(group string, e *endpointEntry) {
-	view := &GroupView{
+	view := &groupView{
 		uids:    make([]string, 0, len(e.replicas)+1),
 		entries: make([]*endpointEntry, 0, len(e.replicas)+1),
 	}

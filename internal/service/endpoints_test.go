@@ -162,7 +162,7 @@ func TestEndpointRegistryAwaitContextExpiry(t *testing.T) {
 	r := NewEndpointRegistry()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, _, err := r.AwaitLive(ctx, "never"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := r.AwaitNewer(ctx, "never", 0); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -544,10 +544,10 @@ func TestEndpointRegistryObserverAndRestore(t *testing.T) {
 	r.Publish(ep("svc", "b"))
 	r.Withdraw("svc")
 	want := []event{
-		{EndpointPublish, "svc", 1},
-		{EndpointSuspend, "svc", 1},
-		{EndpointPublish, "svc", 2},
-		{EndpointWithdraw, "svc", 2},
+		{endpointPublish, "svc", 1},
+		{endpointSuspend, "svc", 1},
+		{endpointPublish, "svc", 2},
+		{endpointWithdraw, "svc", 2},
 	}
 	if len(events) != len(want) {
 		t.Fatalf("events = %+v", events)
@@ -573,7 +573,7 @@ func TestEndpointRegistryObserverAndRestore(t *testing.T) {
 	r3.Restore("gone", 2, true)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if _, _, err := r3.AwaitLive(ctx, "gone"); !errors.Is(err, ErrWithdrawn) {
+	if _, _, err := r3.AwaitNewer(ctx, "gone", 0); !errors.Is(err, ErrWithdrawn) {
 		t.Fatalf("await on restored tombstone err = %v, want ErrWithdrawn", err)
 	}
 }

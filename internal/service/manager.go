@@ -52,7 +52,7 @@ type Config struct {
 	// PublishOverhead is the time to communicate a service endpoint to the
 	// client side — the Fig. 3 `publish` bootstrap component, sampled from
 	// PublishSrc once per publication (zero-valued:
-	// DefaultPublishOverhead).
+	// defaultPublishOverhead).
 	PublishOverhead rng.DurationDist
 	PublishSrc      *rng.Source
 	// OnPublish, when set, observes every endpoint publication as part of
@@ -101,9 +101,9 @@ type Manager struct {
 	closed   bool
 }
 
-// DefaultPublishOverhead matches Fig. 3: publish stays in the
+// defaultPublishOverhead matches Fig. 3: publish stays in the
 // sub-second band, under the ~2s launch time.
-func DefaultPublishOverhead() rng.DurationDist {
+func defaultPublishOverhead() rng.DurationDist {
 	return rng.NormalDuration(400*time.Millisecond, 120*time.Millisecond)
 }
 
@@ -114,7 +114,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, errors.New("service: incomplete manager config")
 	}
 	if cfg.PublishOverhead.IsZero() {
-		cfg.PublishOverhead = DefaultPublishOverhead()
+		cfg.PublishOverhead = defaultPublishOverhead()
 	}
 	return &Manager{cfg: cfg, services: make(map[string]*Instance)}, nil
 }
@@ -145,9 +145,6 @@ type Instance struct {
 
 // UID returns the service UID.
 func (s *Instance) UID() string { return s.machine.UID() }
-
-// Description returns the submitted description.
-func (s *Instance) Description() spec.ServiceDescription { return s.desc }
 
 // State returns the current lifecycle state.
 func (s *Instance) State() states.State { return s.machine.Current() }
@@ -191,18 +188,6 @@ func (s *Instance) Bootstrap() metrics.Breakdown {
 		"init":    s.initTime,
 		"publish": s.publishTime,
 	}}
-}
-
-// QueueDepth returns the server's live queue depth — queued plus
-// executing requests (0 when not active).
-func (s *Instance) QueueDepth() int {
-	s.mu.Lock()
-	srv := s.server
-	s.mu.Unlock()
-	if srv == nil {
-		return 0
-	}
-	return srv.QueueDepth()
 }
 
 // Queued returns requests admitted to the server's queue but not yet

@@ -16,11 +16,11 @@ import (
 // so a Resolver is transport-agnostic.
 type DialFn func(ep proto.Endpoint) (Caller, error)
 
-// DefaultResolverRetries bounds how many times one Infer call re-resolves
+// defaultResolverRetries bounds how many times one Infer call re-resolves
 // after a failure before surfacing the error. Each retry requires the
 // registry to publish a generation newer than the one that failed, so the
 // bound is on failovers survived per request, not on busy-loop attempts.
-const DefaultResolverRetries = 3
+const defaultResolverRetries = 3
 
 // Resolver is a Caller bound to a stable service UID instead of a raw
 // endpoint. Every Infer resolves the UID through the session
@@ -36,7 +36,7 @@ type Resolver struct {
 	reg  *EndpointRegistry
 	uid  string
 	dial DialFn
-	// retries bounds re-resolutions per Infer (DefaultResolverRetries).
+	// retries bounds re-resolutions per Infer (defaultResolverRetries).
 	retries int
 
 	mu         sync.Mutex
@@ -47,13 +47,13 @@ type Resolver struct {
 }
 
 // NewResolver builds a Resolver for uid over reg. dial must not be nil;
-// retries ≤ 0 selects DefaultResolverRetries.
+// retries ≤ 0 selects defaultResolverRetries.
 func NewResolver(reg *EndpointRegistry, uid string, dial DialFn, retries int) (*Resolver, error) {
 	if reg == nil || dial == nil {
 		return nil, fmt.Errorf("service: resolver for %s needs a registry and a dial function", uid)
 	}
 	if retries <= 0 {
-		retries = DefaultResolverRetries
+		retries = defaultResolverRetries
 	}
 	return &Resolver{reg: reg, uid: uid, dial: dial, retries: retries}, nil
 }

@@ -194,8 +194,8 @@ func TestUIDAssignmentUnique(t *testing.T) {
 func TestPriorityDefaulted(t *testing.T) {
 	r := newRig(t, 100000)
 	inst, _ := r.mgr.Submit(noopDesc("a"))
-	if inst.Description().Priority != spec.ServicePriority {
-		t.Fatalf("priority = %d, want %d", inst.Description().Priority, spec.ServicePriority)
+	if inst.desc.Priority != spec.ServicePriority {
+		t.Fatalf("priority = %d, want %d", inst.desc.Priority, spec.ServicePriority)
 	}
 }
 

@@ -44,17 +44,15 @@ type Backend interface {
 	Load() time.Duration
 	// Infer blocks for one inference and returns its result.
 	Infer(prompt string, maxTokens int) llm.Result
-	// MemGB returns the accelerator memory footprint.
-	MemGB() float64
 }
 
-// BatchBackend is optionally implemented by backends that can serve
+// batchBackend is optionally implemented by backends that can serve
 // several compatible requests in one model invocation (continuous
 // batching). InferBatch blocks for the whole batch and returns one result
 // per item, in order. A batch of one must be indistinguishable from Infer
 // — same randomness draws, same result bytes — so enabling batching never
 // perturbs an unbatched workload.
-type BatchBackend interface {
+type batchBackend interface {
 	Backend
 	InferBatch(items []llm.BatchItem) []llm.Result
 }
@@ -73,10 +71,7 @@ func (b LLMBackend) Infer(prompt string, maxTokens int) llm.Result {
 	return b.M.Infer(prompt, maxTokens)
 }
 
-// MemGB implements Backend.
-func (b LLMBackend) MemGB() float64 { return b.M.Spec().MemGB }
-
-// InferBatch implements BatchBackend via the llm batch cost model.
+// InferBatch implements batchBackend via the llm batch cost model.
 func (b LLMBackend) InferBatch(items []llm.BatchItem) []llm.Result {
 	return b.M.InferBatch(items)
 }
@@ -98,7 +93,7 @@ type Config struct {
 	QueueCap int
 	// MaxBatch bounds how many compatible queued requests (same model,
 	// none flagged NoBatch) one worker coalesces into a single batched
-	// inference. Effective only when Backend implements BatchBackend;
+	// inference. Effective only when Backend implements batchBackend;
 	// 0 or 1 disables batching (the paper's request-at-a-time service).
 	MaxBatch int
 	// ParseOverhead is the per-request deserialize/parse/serialize cost
@@ -111,7 +106,7 @@ type Config struct {
 	// idempotent redelivery: a request whose UID matches a remembered
 	// completion is answered from the cache instead of re-executed, making
 	// resolver park-and-retry safe for non-idempotent backends. 0 selects
-	// DefaultDedupWindow; negative disables deduplication.
+	// defaultDedupWindow; negative disables deduplication.
 	//
 	// Scope: the memory is per server instance. Retries that land on the
 	// same surviving instance (lost reply, suspend/resume of its
@@ -123,8 +118,8 @@ type Config struct {
 	DedupWindow int
 }
 
-// DefaultDedupWindow is the default completed-request memory size.
-const DefaultDedupWindow = 1024
+// defaultDedupWindow is the default completed-request memory size.
+const defaultDedupWindow = 1024
 
 // Server is one model-serving process.
 //
@@ -143,9 +138,9 @@ type Server struct {
 	// clocks, where parks and wakes need no bookkeeping).
 	run simtime.Runners
 	// batch is non-nil when batching is enabled (MaxBatch > 1 and the
-	// backend implements BatchBackend); workers then dispatch through
+	// backend implements batchBackend); workers then dispatch through
 	// dequeueBatch/serveBatch instead of the single-request path.
-	batch BatchBackend
+	batch batchBackend
 
 	mu       sync.Mutex
 	jobs     []*job      // queued, not yet picked up by a worker
@@ -244,11 +239,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.ParseOverhead = rng.NormalDuration(30*time.Microsecond, 10*time.Microsecond)
 	}
 	if cfg.DedupWindow == 0 {
-		cfg.DedupWindow = DefaultDedupWindow
+		cfg.DedupWindow = defaultDedupWindow
 	}
 	s := &Server{cfg: cfg, run: simtime.RunnersOf(cfg.Clock)}
 	if cfg.MaxBatch > 1 {
-		if bb, ok := cfg.Backend.(BatchBackend); ok {
+		if bb, ok := cfg.Backend.(batchBackend); ok {
 			s.batch = bb
 		}
 	}

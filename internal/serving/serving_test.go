@@ -515,7 +515,7 @@ func TestDedupDisabled(t *testing.T) {
 
 // --- Continuous batching (PR 8) ----------------------------------------------
 
-// recordingBackend is a BatchBackend that records every batch it serves.
+// recordingBackend is a batchBackend that records every batch it serves.
 // The entered/gate channels let tests hold the worker mid-inference so
 // the queue contents at the next dequeue are exactly known.
 type recordingBackend struct {
@@ -528,7 +528,6 @@ type recordingBackend struct {
 
 func (b *recordingBackend) Name() string        { return "rec" }
 func (b *recordingBackend) Load() time.Duration { return 0 }
-func (b *recordingBackend) MemGB() float64      { return 0 }
 
 func (b *recordingBackend) Infer(prompt string, maxTokens int) llm.Result {
 	return b.InferBatch([]llm.BatchItem{{Prompt: prompt, MaxTokens: maxTokens}})[0]

@@ -1,6 +1,8 @@
 // Package simtime provides the time substrate for the runtime and its
 // experiments. Every component in this repository receives a Clock instead
-// of calling the time package directly, which allows three execution modes:
+// of calling the time package directly. A Clock has four methods: Now,
+// Sleep, NewTimer and NewTicker; SleepCtx is Sleep cut short by a context.
+// Three implementations give three execution modes:
 //
 //   - Real: wall-clock time, used when driving actual remote services.
 //   - Scaled: wall-clock time compressed by a constant factor, used by
@@ -23,9 +25,6 @@ type Clock interface {
 	Now() time.Time
 	// Sleep blocks the calling goroutine for d of clock time.
 	Sleep(d time.Duration)
-	// After returns a channel that receives the clock time once d has
-	// elapsed.
-	After(d time.Duration) <-chan time.Time
 	// NewTimer returns a one-shot timer firing after d.
 	NewTimer(d time.Duration) Timer
 	// NewTicker returns a repeating ticker with period d.
@@ -47,11 +46,6 @@ type Ticker interface {
 	C() <-chan time.Time
 	// Stop turns off the ticker.
 	Stop()
-}
-
-// Since returns the clock time elapsed since t.
-func Since(c Clock, t time.Time) time.Duration {
-	return c.Now().Sub(t)
 }
 
 // SleepCtx sleeps for d of clock time or until ctx is done, whichever comes
@@ -86,9 +80,6 @@ func (Real) Now() time.Time { return time.Now() }
 
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
-
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // NewTimer implements Clock.
 func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }

@@ -312,7 +312,7 @@ func TestVirtualSelfWakeYieldsToEqualDeadline(t *testing.T) {
 	v := NewVirtualAuto(origin)
 	v.AddRunner()
 	defer v.DoneRunner()
-	ch := v.After(5 * time.Second) // same deadline, created first: lower seq
+	ch := v.NewTimer(5 * time.Second).C() // same deadline, created first: lower seq
 	v.Sleep(5 * time.Second)
 	select {
 	case at := <-ch:
@@ -361,7 +361,7 @@ func TestVirtualTickerDueBeforeSleeperFiresOnTheWay(t *testing.T) {
 func TestVirtualSleepSlowPathCallers(t *testing.T) {
 	t.Run("unregistered", func(t *testing.T) {
 		v := NewVirtualAuto(origin)
-		later := v.After(8 * time.Second)
+		later := v.NewTimer(8 * time.Second).C()
 		v.Sleep(5 * time.Second) // running is 0, not 1
 		if got := v.Now(); !got.Equal(origin.Add(5 * time.Second)) {
 			t.Fatalf("Now() = %v, want origin+5s", got)
@@ -397,7 +397,7 @@ func TestVirtualSleepSlowPathCallers(t *testing.T) {
 
 func TestVirtualAutoSleepNonPositiveReturnsImmediately(t *testing.T) {
 	v := NewVirtualAuto(origin)
-	v.After(time.Second)
+	v.NewTimer(time.Second)
 	v.Sleep(0)
 	v.Sleep(-time.Second)
 	if !v.Now().Equal(origin) || v.PendingSleepers() != 1 || freeSleepers(v) != 0 {

@@ -27,9 +27,6 @@ func NewScaled(factor float64, origin time.Time) *Scaled {
 	return &Scaled{scale: factor, origin: origin, realStart: time.Now()}
 }
 
-// Scale returns the compression factor.
-func (s *Scaled) Scale() float64 { return s.scale }
-
 // Now implements Clock.
 func (s *Scaled) Now() time.Time {
 	real := time.Since(s.realStart)
@@ -50,13 +47,6 @@ func (s *Scaled) compress(d time.Duration) time.Duration {
 
 // Sleep implements Clock.
 func (s *Scaled) Sleep(d time.Duration) { time.Sleep(s.compress(d)) }
-
-// After implements Clock.
-func (s *Scaled) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	time.AfterFunc(s.compress(d), func() { ch <- s.Now() })
-	return ch
-}
 
 // NewTimer implements Clock.
 func (s *Scaled) NewTimer(d time.Duration) Timer {

@@ -234,17 +234,9 @@ func (v *Virtual) Settle() {
 	<-ch
 }
 
-// After implements Clock. The returned channel fires when the clock reaches
-// now+d. In auto mode, After alone does not mark the goroutine blocked;
-// bracket the receive with Block/Unblock if needed.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	v.mu.Lock()
-	s := v.push(v.now.Add(d), 0)
-	v.mu.Unlock()
-	return s.ch
-}
-
-// NewTimer implements Clock.
+// NewTimer implements Clock. The timer fires when the clock reaches now+d.
+// In auto mode, a timer alone does not mark the goroutine blocked; bracket
+// the receive with Block/Unblock if needed.
 func (v *Virtual) NewTimer(d time.Duration) Timer {
 	v.mu.Lock()
 	s := v.push(v.now.Add(d), 0)

@@ -35,18 +35,18 @@ func TestVirtualAdvanceToBackwardsIsNoop(t *testing.T) {
 	}
 }
 
-func TestVirtualAfterFiresAtDeadline(t *testing.T) {
+func TestVirtualTimerFiresAtDeadline(t *testing.T) {
 	v := NewVirtual(origin)
-	ch := v.After(3 * time.Second)
+	ch := v.NewTimer(3 * time.Second).C()
 	select {
 	case <-ch:
-		t.Fatal("After fired before Advance")
+		t.Fatal("timer fired before Advance")
 	default:
 	}
 	v.Advance(2 * time.Second)
 	select {
 	case <-ch:
-		t.Fatal("After fired too early")
+		t.Fatal("timer fired too early")
 	default:
 	}
 	v.Advance(time.Second)
@@ -56,7 +56,7 @@ func TestVirtualAfterFiresAtDeadline(t *testing.T) {
 			t.Fatalf("fired at %v, want origin+3s", tm)
 		}
 	default:
-		t.Fatal("After did not fire at deadline")
+		t.Fatal("timer did not fire at deadline")
 	}
 }
 
@@ -163,9 +163,9 @@ func TestVirtualTickerDropsWhenSlow(t *testing.T) {
 
 func TestVirtualDeadlineOrdering(t *testing.T) {
 	v := NewVirtual(origin)
-	chA := v.After(3 * time.Second)
-	chB := v.After(1 * time.Second)
-	chC := v.After(2 * time.Second)
+	chA := v.NewTimer(3 * time.Second).C()
+	chB := v.NewTimer(1 * time.Second).C()
+	chC := v.NewTimer(2 * time.Second).C()
 	ready := func(ch <-chan time.Time) bool {
 		select {
 		case <-ch:
@@ -193,8 +193,8 @@ func TestVirtualNextDeadline(t *testing.T) {
 	if _, ok := v.NextDeadline(); ok {
 		t.Fatal("NextDeadline reported a deadline on empty clock")
 	}
-	v.After(7 * time.Second)
-	v.After(2 * time.Second)
+	v.NewTimer(7 * time.Second)
+	v.NewTimer(2 * time.Second)
 	dl, ok := v.NextDeadline()
 	if !ok || !dl.Equal(origin.Add(2*time.Second)) {
 		t.Fatalf("NextDeadline = %v/%v, want origin+2s/true", dl, ok)
@@ -300,7 +300,7 @@ func TestVirtualMonotonicityProperty(t *testing.T) {
 		prev := v.Now()
 		for _, s := range steps {
 			d := time.Duration(s%1000+1) * time.Millisecond
-			ch := v.After(d)
+			ch := v.NewTimer(d).C()
 			v.Advance(d)
 			got := <-ch
 			if got.Before(prev) {

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -57,13 +56,13 @@ type objWaiter struct {
 	ch       chan struct{}
 }
 
-// DefaultLocalBandwidth is used for copies when no link matches
+// defaultLocalBandwidth is used for copies when no link matches
 // (node-local NVMe-class storage).
-const DefaultLocalBandwidth = 2e9 // 2 GB/s
+const defaultLocalBandwidth = 2e9 // 2 GB/s
 
-// DefaultWANBandwidth approximates a Globus transfer over a production
+// defaultWANBandwidth approximates a Globus transfer over a production
 // WAN.
-const DefaultWANBandwidth = 1.25e9 // 10 Gb/s
+const defaultWANBandwidth = 1.25e9 // 10 Gb/s
 
 // NewManager returns a Manager with sensible default links.
 func NewManager(clock simtime.Clock, src *rng.Source) *Manager {
@@ -96,9 +95,9 @@ func (m *Manager) linkFor(src, dst string) (Link, bool) {
 	return Link{}, false
 }
 
-// SplitURI parses "platform:/path" into its parts. URIs without a platform
+// splitURI parses "platform:/path" into its parts. URIs without a platform
 // prefix belong to the local platform "".
-func SplitURI(uri string) (platform, path string) {
+func splitURI(uri string) (platform, path string) {
 	if i := strings.Index(uri, ":/"); i >= 0 {
 		return uri[:i], uri[i+1:]
 	}
@@ -111,8 +110,8 @@ func (m *Manager) Stage(d spec.StagingDirective) (time.Duration, error) {
 	if err := d.Validate(); err != nil {
 		return 0, fmt.Errorf("stager: %w", err)
 	}
-	srcPlat, _ := SplitURI(d.Source)
-	dstPlat, _ := SplitURI(d.Target)
+	srcPlat, _ := splitURI(d.Source)
+	dstPlat, _ := splitURI(d.Target)
 
 	var dur time.Duration
 	switch d.Mode {
@@ -121,9 +120,9 @@ func (m *Manager) Stage(d spec.StagingDirective) (time.Duration, error) {
 	case spec.StageCopy, spec.StageTransfer:
 		link, ok := m.linkFor(srcPlat, dstPlat)
 		if !ok {
-			bw := DefaultLocalBandwidth
+			bw := defaultLocalBandwidth
 			if d.Mode == spec.StageTransfer || srcPlat != dstPlat {
-				bw = DefaultWANBandwidth
+				bw = defaultWANBandwidth
 			}
 			link = Link{BytesPerSec: bw, Latency: rng.ConstDuration(50 * time.Millisecond)}
 		}
@@ -178,18 +177,6 @@ func (m *Manager) Lookup(uri string) (Object, bool) {
 	defer m.mu.Unlock()
 	o, ok := m.objects[uri]
 	return o, ok
-}
-
-// Objects returns all staged objects sorted by URI.
-func (m *Manager) Objects() []Object {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Object, 0, len(m.objects))
-	for _, o := range m.objects {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URI < out[j].URI })
-	return out
 }
 
 func (m *Manager) bytesUnderLocked(prefix string) int64 {

@@ -27,9 +27,9 @@ func TestSplitURI(t *testing.T) {
 		{"r3:/models/llama", "r3", "/models/llama"},
 	}
 	for _, c := range cases {
-		plat, path := SplitURI(c.in)
+		plat, path := splitURI(c.in)
 		if plat != c.plat || path != c.path {
-			t.Errorf("SplitURI(%q) = %q, %q", c.in, plat, path)
+			t.Errorf("splitURI(%q) = %q, %q", c.in, plat, path)
 		}
 	}
 }
@@ -114,8 +114,8 @@ func TestStageAllSequential(t *testing.T) {
 	if total != 2*time.Millisecond {
 		t.Fatalf("total = %v", total)
 	}
-	if len(m.Objects()) != 2 {
-		t.Fatalf("objects = %d", len(m.Objects()))
+	if len(m.objects) != 2 {
+		t.Fatalf("objects = %d", len(m.objects))
 	}
 }
 
@@ -131,17 +131,6 @@ func TestStageAllStopsOnError(t *testing.T) {
 	}
 	if _, ok := m.Lookup("delta:/d"); ok {
 		t.Fatal("StageAll continued past the error")
-	}
-}
-
-func TestObjectsSorted(t *testing.T) {
-	m, _ := newMgr()
-	for _, uri := range []string{"delta:/z", "delta:/a", "delta:/m"} {
-		m.Stage(spec.StagingDirective{Source: "delta:/src", Target: uri, Bytes: 1, Mode: spec.StageLink}) //nolint:errcheck
-	}
-	objs := m.Objects()
-	if objs[0].URI != "delta:/a" || objs[2].URI != "delta:/z" {
-		t.Fatalf("objects unsorted: %+v", objs)
 	}
 }
 

@@ -23,8 +23,8 @@ const (
 	PilotLaunching State = "PMGR_LAUNCHING"
 	PilotActive    State = "PMGR_ACTIVE"
 	PilotDone      State = "DONE"
-	PilotFailed    State = "FAILED"
-	PilotCanceled  State = "CANCELED"
+	pilotFailed    State = "FAILED"
+	pilotCanceled  State = "CANCELED"
 )
 
 // Task states, following RADICAL-Pilot's split between client-side (TMGR)
@@ -38,7 +38,7 @@ const (
 	TaskStagingOutput  State = "AGENT_STAGING_OUTPUT"
 	TaskDone           State = "DONE"
 	TaskFailed         State = "FAILED"
-	TaskCanceled       State = "CANCELED"
+	taskCanceled       State = "CANCELED"
 )
 
 // Service states. A service is a task whose lifecycle gains an explicit
@@ -118,9 +118,9 @@ var (
 		PilotLaunching: {PilotActive},
 		PilotActive:    {PilotDone},
 		PilotDone:      {},
-		PilotFailed:    {},
-		PilotCanceled:  {},
-	}, PilotFailed, PilotCanceled, PilotDone, PilotFailed, PilotCanceled), PilotDone, PilotFailed, PilotCanceled)
+		pilotFailed:    {},
+		pilotCanceled:  {},
+	}, pilotFailed, pilotCanceled, PilotDone, pilotFailed, pilotCanceled), PilotDone, pilotFailed, pilotCanceled)
 
 	taskModel = newModel(EntityTask, TaskNew, failureEdges(map[State][]State{
 		TaskNew:            {TaskTmgrScheduling},
@@ -131,8 +131,8 @@ var (
 		TaskStagingOutput:  {TaskDone},
 		TaskDone:           {},
 		TaskFailed:         {},
-		TaskCanceled:       {},
-	}, TaskFailed, TaskCanceled, TaskDone, TaskFailed, TaskCanceled), TaskDone, TaskFailed, TaskCanceled)
+		taskCanceled:       {},
+	}, TaskFailed, taskCanceled, TaskDone, TaskFailed, taskCanceled), TaskDone, TaskFailed, taskCanceled)
 
 	serviceModel = newModel(EntityService, ServiceNew, failureEdges(map[State][]State{
 		ServiceNew:            {ServiceSmgrScheduling},
@@ -176,9 +176,6 @@ func ModelFor(e Entity) *Model {
 		return nil
 	}
 }
-
-// Entity returns the model's entity kind.
-func (m *Model) Entity() Entity { return m.entity }
 
 // Initial returns the model's initial state.
 func (m *Model) Initial() State { return m.initial }
@@ -293,7 +290,7 @@ func (m *Machine) To(chain ...State) error {
 	for _, to := range chain {
 		if !m.model.CanTransition(prev, to) {
 			m.mu.Unlock()
-			return &TransitionError{Entity: m.model.entity, UID: m.uid, From: prev, To: to}
+			return &transitionError{Entity: m.model.entity, UID: m.uid, From: prev, To: to}
 		}
 		prev = to
 	}
@@ -332,7 +329,7 @@ func (m *Machine) To(chain ...State) error {
 func (m *Machine) Fail() error {
 	switch m.model.entity {
 	case EntityPilot:
-		return m.To(PilotFailed)
+		return m.To(pilotFailed)
 	case EntityService:
 		return m.To(ServiceFailed)
 	default:
@@ -381,8 +378,8 @@ func (m *Machine) Between(a, b State) (time.Duration, bool) {
 	return tb.Sub(ta), true
 }
 
-// TransitionError reports an illegal transition attempt.
-type TransitionError struct {
+// transitionError reports an illegal transition attempt.
+type transitionError struct {
 	Entity Entity
 	UID    string
 	From   State
@@ -390,6 +387,6 @@ type TransitionError struct {
 }
 
 // Error implements error.
-func (e *TransitionError) Error() string {
+func (e *transitionError) Error() string {
 	return fmt.Sprintf("states: illegal %s transition %s → %s (uid %s)", e.Entity, e.From, e.To, e.UID)
 }

@@ -67,12 +67,12 @@ func TestIllegalTransitionRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("illegal transition accepted")
 	}
-	var te *TransitionError
+	var te *transitionError
 	if !errors.As(err, &te) {
-		t.Fatalf("error type %T, want *TransitionError", err)
+		t.Fatalf("error type %T, want *transitionError", err)
 	}
 	if te.From != TaskNew || te.To != TaskExecuting {
-		t.Fatalf("TransitionError = %+v", te)
+		t.Fatalf("transitionError = %+v", te)
 	}
 	if m.Current() != TaskNew {
 		t.Fatal("machine moved despite rejection")
@@ -88,7 +88,7 @@ func TestNoEscapeFromFinalStates(t *testing.T) {
 			}
 			for _, to := range model.States() {
 				if model.CanTransition(s, to) {
-					t.Errorf("%s: final state %s has edge to %s", model.Entity(), s, to)
+					t.Errorf("%s: final state %s has edge to %s", model.entity, s, to)
 				}
 			}
 		}
@@ -99,9 +99,9 @@ func TestNoEscapeFromFinalStates(t *testing.T) {
 func TestEveryNonFinalStateCanFail(t *testing.T) {
 	for _, model := range []*Model{TaskModel(), ServiceModel(), PilotModel()} {
 		var failed State
-		switch model.Entity() {
+		switch model.entity {
 		case EntityPilot:
-			failed = PilotFailed
+			failed = pilotFailed
 		case EntityService:
 			failed = ServiceFailed
 		default:
@@ -112,7 +112,7 @@ func TestEveryNonFinalStateCanFail(t *testing.T) {
 				continue
 			}
 			if !model.CanTransition(s, failed) {
-				t.Errorf("%s: state %s cannot fail", model.Entity(), s)
+				t.Errorf("%s: state %s cannot fail", model.entity, s)
 			}
 		}
 	}
@@ -126,15 +126,15 @@ func TestFailHelper(t *testing.T) {
 	}{
 		{TaskModel(), TaskFailed},
 		{ServiceModel(), ServiceFailed},
-		{PilotModel(), PilotFailed},
+		{PilotModel(), pilotFailed},
 	}
 	for _, c := range cases {
 		m := NewMachine("x", c.model, clk)
 		if err := m.Fail(); err != nil {
-			t.Fatalf("%s Fail: %v", c.model.Entity(), err)
+			t.Fatalf("%s Fail: %v", c.model.entity, err)
 		}
 		if m.Current() != c.want {
-			t.Fatalf("%s Fail → %s, want %s", c.model.Entity(), m.Current(), c.want)
+			t.Fatalf("%s Fail → %s, want %s", c.model.entity, m.Current(), c.want)
 		}
 	}
 }
@@ -265,8 +265,8 @@ func TestMachineLegalityProperty(t *testing.T) {
 
 func TestModelAccessors(t *testing.T) {
 	m := ServiceModel()
-	if m.Entity() != EntityService {
-		t.Fatalf("Entity = %s", m.Entity())
+	if m.entity != EntityService {
+		t.Fatalf("Entity = %s", m.entity)
 	}
 	if m.Initial() != ServiceNew {
 		t.Fatalf("Initial = %s", m.Initial())
@@ -398,10 +398,10 @@ func TestToChain(t *testing.T) {
 		log = append(log, line)
 	})
 
-	var terr *TransitionError
+	var terr *transitionError
 	err := m.To(TaskTmgrScheduling, TaskStagingInput, TaskExecuting)
 	if !errors.As(err, &terr) || terr.From != TaskStagingInput || terr.To != TaskExecuting {
-		t.Fatalf("chain with an illegal last edge: %v, want a TransitionError naming it", err)
+		t.Fatalf("chain with an illegal last edge: %v, want a transitionError naming it", err)
 	}
 	if m.Current() != TaskNew || len(m.History()) != 1 || len(log) != 0 {
 		t.Fatalf("a refused chain left the machine in %s with %d records and told %v", m.Current(), len(m.History()), log)

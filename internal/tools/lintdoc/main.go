@@ -6,10 +6,11 @@
 //   - in the fully documented packages (scheduler, msgq, pilot), every
 //     exported top-level declaration — funcs, methods, types, and each
 //     exported const/var group — must have a doc comment,
-//   - in the closed-surface packages (experiments, usecases), every exported
-//     top-level func, type, var and const must be selected by another
-//     package of the module: a name nothing outside uses is unexported or
-//     deleted.
+//   - in every package under internal/, every exported top-level func,
+//     type, var and const must be selected by another package of the
+//     module: a name nothing outside uses is unexported or deleted. Err…
+//     names and types an exported declaration of their own package names
+//     are exempt.
 //
 // It exits non-zero listing every violation, so `go run
 // ./internal/tools/lintdoc` acts as the exported-comment check the docs
@@ -36,14 +37,6 @@ var fullDoc = map[string]bool{
 	"internal/scheduler": true,
 	"internal/msgq":      true,
 	"internal/pilot":     true,
-}
-
-// closedSurface lists the packages whose exported top-level names must
-// each be selected by another package of the module. Test files and the
-// bench/ module count as selectors; methods are not checked.
-var closedSurface = map[string]bool{
-	"internal/experiments": true,
-	"internal/usecases":    true,
 }
 
 func main() {
@@ -73,14 +66,17 @@ func main() {
 	fmt.Printf("lintdoc: %d packages documented\n", len(dirs))
 }
 
-// packageDirs returns every directory under internal/ and cmd/ that
-// contains non-test Go files, relative to root.
+// packageDirs returns every directory under internal/ and cmd/, testdata
+// trees aside, that contains non-test Go files, relative to root.
 func packageDirs(root string, report func(string, ...any)) []string {
 	var dirs []string
 	for _, top := range []string{"internal", "cmd"} {
 		_ = filepath.WalkDir(filepath.Join(root, top), func(path string, d os.DirEntry, err error) error {
 			if err != nil || !d.IsDir() {
 				return nil
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
 			}
 			ents, err := os.ReadDir(path)
 			if err != nil {
@@ -198,15 +194,20 @@ func recvName(t ast.Expr) string {
 	return "?"
 }
 
-// checkClosedSurface reports every exported top-level name of a
-// closedSurface package that no other package under root selects.
+// checkClosedSurface reports every exported top-level func, type, var and
+// const of a package under internal/ that no other package under root
+// selects. Test files and the bench/ module count as selectors; methods are
+// not checked. Two kinds of name are exempt: Err… sentinels and error types
+// (callers match them with errors.Is and errors.As) and a type that one of
+// its own package's exported declarations names in a signature, field or
+// type.
 func checkClosedSurface(root string, report func(string, ...any)) {
 	module, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		report("lintdoc: %v", err)
 		return
 	}
-	used := map[string]map[string]bool{} // closed package dir → names selected from outside
+	used := map[string]map[string]bool{} // internal package dir → names selected from outside
 	fset := token.NewFileSet()
 	_ = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -227,11 +228,11 @@ func checkClosedSurface(root string, report func(string, ...any)) {
 			return nil
 		}
 		rel, _ := filepath.Rel(root, filepath.Dir(p))
-		local := map[string]string{} // import name → closed package dir
+		local := map[string]string{} // import name → internal package dir
 		for _, imp := range f.Imports {
 			ipath, _ := strconv.Unquote(imp.Path.Value)
 			dir, ok := strings.CutPrefix(ipath, module+"/")
-			if !ok || !closedSurface[dir] || dir == filepath.ToSlash(rel) {
+			if !ok || !strings.HasPrefix(dir, "internal/") || dir == filepath.ToSlash(rel) {
 				continue
 			}
 			name := path.Base(ipath)
@@ -258,7 +259,10 @@ func checkClosedSurface(root string, report func(string, ...any)) {
 		return nil
 	})
 
-	for dir := range closedSurface {
+	for _, dir := range packageDirs(root, report) {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
 		pkgs, err := parser.ParseDir(fset, filepath.Join(root, dir), func(fi os.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
 		}, parser.SkipObjectResolution)
@@ -267,17 +271,103 @@ func checkClosedSurface(root string, report func(string, ...any)) {
 			continue
 		}
 		for _, pkg := range pkgs {
+			if pkg.Name == "main" {
+				continue
+			}
+			named := namedTypes(pkg)
 			for _, file := range pkg.Files {
 				for _, name := range exportedNames(file) {
-					if !used[dir][name.Name] {
-						p := fset.Position(name.Pos())
-						report("%s:%d: exported %s is selected by no other package; unexport or delete it",
-							filepath.ToSlash(p.Filename), p.Line, name.Name)
+					if used[dir][name.Name] || named[name.Name] || strings.HasPrefix(name.Name, "Err") {
+						continue
+					}
+					p := fset.Position(name.Pos())
+					report("%s:%d: exported %s is selected by no other package; unexport or delete it",
+						filepath.ToSlash(p.Filename), p.Line, name.Name)
+				}
+			}
+		}
+	}
+}
+
+// namedTypes returns the identifiers that the package's exported
+// declarations mention: in the signatures of exported funcs and of exported
+// methods on exported types, in the exported fields and methods of exported
+// types, and in the types of exported vars and consts. A type's mention of
+// itself does not count.
+func namedTypes(pkg *ast.Package) map[string]bool {
+	named := map[string]bool{}
+	collect := func(self string, n ast.Node) {
+		if n == nil {
+			return
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				return false // another package's name
+			case *ast.Ident:
+				if x.Name != self {
+					named[x.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	// fields collects the exported members of a struct or interface
+	// type, and the whole expression of any other type.
+	fields := func(self string, t ast.Expr) {
+		var list *ast.FieldList
+		switch x := t.(type) {
+		case *ast.StructType:
+			list = x.Fields
+		case *ast.InterfaceType:
+			list = x.Methods
+		default:
+			collect(self, t)
+			return
+		}
+		for _, f := range list.List {
+			exported := len(f.Names) == 0 // embedded
+			for _, id := range f.Names {
+				exported = exported || id.IsExported()
+			}
+			if exported {
+				collect(self, f.Type)
+			}
+		}
+	}
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				if d.Recv != nil {
+					if recv := recvName(d.Recv.List[0].Type); !ast.IsExported(strings.TrimPrefix(recv, "*")) {
+						continue
+					}
+				}
+				collect("", d.Type)
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							fields(s.Name.Name, s.Type)
+						}
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							if id.IsExported() {
+								collect("", s.Type)
+								break
+							}
+						}
 					}
 				}
 			}
 		}
 	}
+	return named
 }
 
 // exportedNames returns the exported top-level funcs, types, vars and

@@ -238,16 +238,6 @@ type SignatureResults struct {
 	Fit bio.DoseResponse
 }
 
-// TopPathway returns the best-ranked pathway of sample i.
-func (r *SignatureResults) TopPathway(i int) (bio.Enrichment, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i < 0 || i >= len(r.Enrichments) || len(r.Enrichments[i]) == 0 {
-		return bio.Enrichment{}, false
-	}
-	return r.Enrichments[i][0], true
-}
-
 // DoseFit returns the fitted dose-response.
 func (r *SignatureResults) DoseFit() bio.DoseResponse {
 	r.mu.Lock()

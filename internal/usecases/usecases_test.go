@@ -189,7 +189,7 @@ func TestSignatureComputePipelineEndToEnd(t *testing.T) {
 		if res.Hits[i] == nil {
 			t.Fatalf("sample %d has no hits", i)
 		}
-		if _, ok := res.TopPathway(i); !ok {
+		if len(res.Enrichments[i]) == 0 {
 			t.Fatalf("sample %d has no enrichment", i)
 		}
 	}
@@ -198,7 +198,7 @@ func TestSignatureComputePipelineEndToEnd(t *testing.T) {
 		t.Fatalf("dose-response slope %v, want positive (hotspot burden grows with dose)", fit.Slope)
 	}
 	// the highest-dose sample should rank radiation-response at the top
-	top, _ := res.TopPathway(7)
+	top := res.Enrichments[7][0]
 	if top.Pathway != "radiation-response" {
 		t.Fatalf("high-dose sample's top pathway = %s (p=%g)", top.Pathway, top.PValue)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -20,17 +21,17 @@ import (
 )
 
 // MaybeRunAgent turns the current process into a pilot agent when
-// EnvAgentConfig is set, and never returns in that case. Binaries that can
+// envAgentConfig is set, and never returns in that case. Binaries that can
 // host agents (cmd/rppilot, cmd/rpexp, test binaries that spawn agents)
 // must call it at the very top of main / TestMain, before flag parsing.
 func MaybeRunAgent() {
-	raw := os.Getenv(EnvAgentConfig)
+	raw := os.Getenv(envAgentConfig)
 	if raw == "" {
 		return
 	}
 	var cfg AgentConfig
 	if err := json.Unmarshal([]byte(raw), &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "rppilot agent: bad %s: %v\n", EnvAgentConfig, err)
+		fmt.Fprintf(os.Stderr, "rppilot agent: bad %s: %v\n", envAgentConfig, err)
 		os.Exit(2)
 	}
 	if err := RunAgent(cfg); err != nil {
@@ -47,8 +48,11 @@ func RunAgent(cfg AgentConfig) error {
 	if cfg.UID == "" {
 		return fmt.Errorf("xproc: agent without UID")
 	}
-	if cfg.Scale <= 0 {
+	switch {
+	case cfg.Scale == 0:
 		cfg.Scale = 2000
+	case !(cfg.Scale > 0) || math.IsInf(cfg.Scale, 1):
+		return fmt.Errorf("xproc: agent scale %v: want a finite positive number (0 selects 2000)", cfg.Scale)
 	}
 	plat := platform.DefaultTopology().Platform(cfg.Platform)
 	if plat == nil {
@@ -134,7 +138,7 @@ func (a *agent) stop() { a.stopOnce.Do(func() { close(a.done) }) }
 func (a *agent) handler() msgq.Handler {
 	return func(env proto.Envelope) proto.Envelope {
 		var call callBody
-		if err := env.Decode(KindCall, &call); err != nil {
+		if err := env.Decode(kindCall, &call); err != nil {
 			return a.reply(env, nil, err)
 		}
 		result, err := a.dispatch(call)

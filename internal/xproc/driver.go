@@ -47,7 +47,7 @@ func Spawn(ctx context.Context, cfg AgentConfig) (*Proc, error) {
 		return nil, fmt.Errorf("xproc: spawn: %w", err)
 	}
 	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), EnvAgentConfig+"="+string(raw))
+	cmd.Env = append(os.Environ(), envAgentConfig+"="+string(raw))
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
@@ -119,7 +119,7 @@ func (p *Proc) call(ctx context.Context, method string, args any, out any) error
 		}
 		body.Args = raw
 	}
-	env, err := proto.NewEnvelope(KindCall, p.nextID.Add(1), "driver", p.cfg.UID, time.Now(), body)
+	env, err := proto.NewEnvelope(kindCall, p.nextID.Add(1), "driver", p.cfg.UID, time.Now(), body)
 	if err != nil {
 		return err
 	}

@@ -23,9 +23,9 @@ import (
 	"repro/internal/spec"
 )
 
-// EnvAgentConfig is the environment variable carrying the JSON AgentConfig
+// envAgentConfig is the environment variable carrying the JSON AgentConfig
 // that turns a process into a pilot agent.
-const EnvAgentConfig = "RPPILOT_AGENT"
+const envAgentConfig = "RPPILOT_AGENT"
 
 // readyPrefix starts the one-line stdout handshake: the agent prints
 // "RPPILOT_READY <host:port>" once its control endpoint is listening.
@@ -50,16 +50,17 @@ type AgentConfig struct {
 	// Seed drives the agent's RNG tree.
 	Seed uint64 `json:"seed"`
 	// Scale is the agent clock compression (simtime.NewScaled at the
-	// session origin). <= 0 defaults to 2000.
+	// session origin): 0 selects 2000, anything else must be finite and
+	// positive.
 	Scale float64 `json:"scale"`
 	// SchedPolicy names the agent scheduler's placement policy (empty:
 	// platform default).
 	SchedPolicy string `json:"sched_policy,omitempty"`
 }
 
-// KindCall is the envelope kind of control RPCs on the agent channel.
+// kindCall is the envelope kind of control RPCs on the agent channel.
 // (proto.Kind is open-ended; the core message set is untouched.)
-const KindCall proto.Kind = "xproc_call"
+const kindCall proto.Kind = "xproc_call"
 
 // callBody is a control RPC request: a method name plus JSON arguments.
 type callBody struct {
