@@ -82,15 +82,10 @@ func applyScaleDefaults(d *spec.ServiceDescription) {
 }
 
 // startAutoscaler launches h's autoscale loop, clock-registered on a
-// runnability-accounting clock (the clock.Go rule: register before
-// spawn).
+// virtual clock (the clock.Go rule: register before spawn).
 func (sm *ServiceManager) startAutoscaler(h *Service) {
-	if run := simtime.RunnersOf(sm.sess.clock); run != nil {
-		run.AddRunner()
-		go func() {
-			defer run.DoneRunner()
-			sm.autoscale(h)
-		}()
+	if v := simtime.RunnersOf(sm.sess.clock); v != nil {
+		v.Go(func() { sm.autoscale(h) })
 	} else {
 		go sm.autoscale(h)
 	}

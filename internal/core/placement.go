@@ -168,7 +168,7 @@ type handle struct {
 	done chan struct{}
 	// parked counts the waiters finish owes a wake token on run (see wait).
 	parked int
-	run    simtime.Runners
+	run    *simtime.Virtual
 }
 
 // finishedChan is the Done of every handle nobody asked before it finished.
@@ -218,7 +218,7 @@ func (h *handle) Err() error {
 // the clock's books while it waits, and finish hands it its wake token before
 // the wake, so it resumes at the instant h finished. A waiter that ctx ends
 // takes its own token back.
-func (h *handle) wait(ctx context.Context, run simtime.Runners) error {
+func (h *handle) wait(ctx context.Context, run *simtime.Virtual) error {
 	h.mu.Lock()
 	if h.finished {
 		h.mu.Unlock()

@@ -388,11 +388,11 @@ func TestServiceFailoverClientContrast(t *testing.T) {
 
 // TestServiceWaitReadyRacingSubmit observes handles through Get while
 // Submit is still dispatching them — the window in which the handle has
-// no instance yet — and waits for readiness on a frozen virtual clock:
-// WaitReady must return on Submit's own signal, with no timer on any
-// clock and no simulated time passing.
+// no instance yet — and waits for readiness on a virtual clock: WaitReady
+// must return on Submit's own signal, with no timer on any clock and no
+// simulated time passing.
 func TestServiceWaitReadyRacingSubmit(t *testing.T) {
-	clock := simtime.NewVirtual(DefaultOrigin)
+	clock := simtime.NewVirtualAuto(DefaultOrigin)
 	s, err := NewSession(SessionConfig{Seed: 42, Clock: clock, FastBoot: true})
 	if err != nil {
 		t.Fatal(err)

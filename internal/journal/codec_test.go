@@ -337,7 +337,7 @@ func FuzzAppendMatchesJSON(f *testing.F) {
 	// One writer for the whole run, on a clock that never ticks: the fuzz
 	// function must be cheap and its coverage deterministic.
 	path := filepath.Join(f.TempDir(), "wal")
-	w, err := Open(Config{Path: path, Clock: simtime.NewVirtual(time.Unix(0, 0))})
+	w, err := Open(Config{Path: path, Clock: simtime.NewVirtualAuto(time.Unix(0, 0))})
 	if err != nil {
 		f.Fatal(err)
 	}

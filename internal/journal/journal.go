@@ -514,7 +514,9 @@ func Open(cfg Config) (*Writer, error) {
 		f: f, fsync: f.Sync, fwrite: f.Write, path: cfg.Path, clock: cfg.Clock, frames: make([]byte, 0, 1024),
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
-	go w.flusher(cfg.FlushEvery)
+	// Armed here, not on the flusher's goroutine: on a virtual clock the
+	// ticker's deadline and place in the event order are fixed at Open.
+	go w.flusher(w.clock.NewTicker(cfg.FlushEvery))
 	return w, nil
 }
 
@@ -769,9 +771,8 @@ func (w *Writer) write(kinds []Kind, raw []byte, ends []int) error {
 }
 
 // flusher batches fsync on the session clock.
-func (w *Writer) flusher(every time.Duration) {
+func (w *Writer) flusher(ticker simtime.Ticker) {
 	defer close(w.done)
-	ticker := w.clock.NewTicker(every)
 	defer ticker.Stop()
 	for {
 		select {

@@ -797,8 +797,17 @@ func TestWriterClosedAndCrashIdempotent(t *testing.T) {
 	}
 }
 
+// heldClock returns a virtual clock with the test goroutine registered on it
+// until the test ends: time moves only when the test sleeps.
+func heldClock(t *testing.T) *simtime.Virtual {
+	clock := simtime.NewVirtualAuto(time.Unix(0, 0))
+	clock.AddRunner()
+	t.Cleanup(clock.DoneRunner)
+	return clock
+}
+
 func TestFlusherSyncsOnClock(t *testing.T) {
-	clock := simtime.NewVirtual(time.Unix(0, 0))
+	clock := heldClock(t)
 	w, err := Open(Config{
 		Path:       filepath.Join(t.TempDir(), "j"),
 		Clock:      clock,
@@ -807,19 +816,23 @@ func TestFlusherSyncsOnClock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	synced := make(chan struct{}, 1)
+	w.mu.Lock()
+	fsync := w.fsync
+	w.fsync = func() error {
+		synced <- struct{}{}
+		return fsync()
+	}
+	w.mu.Unlock()
 	mustAppend(t, w, KindSession, SessionBody{UID: "s"})
-	// Advance repeatedly: the flusher's ticker registers asynchronously,
-	// so a single advance could land before the ticker exists.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, syncs := w.Stats(); syncs >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("flusher never synced after clock advance")
-		}
-		clock.Advance(100 * time.Millisecond)
-		time.Sleep(time.Millisecond)
+	clock.Sleep(100 * time.Millisecond) // the tick, armed at Open, fires first
+	select {
+	case <-synced:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the flusher did not sync a dirty journal on its tick")
+	}
+	if appends, syncs := w.Stats(); appends != 1 || syncs != 1 {
+		t.Fatalf("Stats() = %d appends, %d syncs, want 1, 1", appends, syncs)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -831,7 +844,7 @@ func TestFlusherSyncsOnClock(t *testing.T) {
 // they write is the next tick's to sync, and a Close that arrives while a
 // sync is blocked waits for it, syncs the rest and leaves a replayable file.
 func TestFlusherSyncsOutsideLock(t *testing.T) {
-	clock := simtime.NewVirtual(time.Unix(0, 0))
+	clock := heldClock(t)
 	path := filepath.Join(t.TempDir(), "j")
 	w, err := Open(Config{Path: path, Clock: clock, FlushEvery: 100 * time.Millisecond})
 	if err != nil {
@@ -846,14 +859,9 @@ func TestFlusherSyncsOutsideLock(t *testing.T) {
 		return fsync()
 	}
 	w.mu.Unlock()
-	for deadline := time.Now().Add(10 * time.Second); clock.PendingSleepers() == 0; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatal("the flusher never armed its ticker")
-		}
-	}
 	tick := func() {
 		t.Helper()
-		clock.Advance(100 * time.Millisecond)
+		clock.Sleep(100 * time.Millisecond)
 		select {
 		case <-entered:
 		case <-time.After(10 * time.Second):

@@ -84,33 +84,26 @@ func TestInferUnloadedPanics(t *testing.T) {
 
 func TestNoopInferInstantWithoutLoad(t *testing.T) {
 	spec, _ := Lookup("noop")
-	m := NewInstance(spec, simtime.NewVirtual(origin), rng.New(1))
-	// virtual clock, never advanced: any Sleep would hang, so returning at
-	// all proves zero duration.
-	done := make(chan Result, 1)
-	go func() { done <- m.Infer("anything", 100) }()
-	select {
-	case res := <-done:
-		if res.OutputTokens != 0 || res.Text != "" {
-			t.Fatalf("noop result = %+v", res)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("noop inference blocked")
+	clock := simtime.NewVirtualAuto(origin)
+	m := NewInstance(spec, clock, rng.New(1))
+	res := m.Infer("anything", 100)
+	if res.OutputTokens != 0 || res.Text != "" || res.Duration != 0 {
+		t.Fatalf("noop result = %+v", res)
+	}
+	if now := clock.Now(); !now.Equal(origin) {
+		t.Fatalf("noop inference moved the clock to %v", now)
 	}
 }
 
 func TestNoopLoadIsInstant(t *testing.T) {
 	spec, _ := Lookup("noop")
-	m := NewInstance(spec, simtime.NewVirtual(origin), rng.New(1))
-	done := make(chan time.Duration, 1)
-	go func() { done <- m.Load() }()
-	select {
-	case d := <-done:
-		if d != 0 {
-			t.Fatalf("noop load = %v", d)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("noop load blocked")
+	clock := simtime.NewVirtualAuto(origin)
+	m := NewInstance(spec, clock, rng.New(1))
+	if d := m.Load(); d != 0 {
+		t.Fatalf("noop load = %v", d)
+	}
+	if now := clock.Now(); !now.Equal(origin) {
+		t.Fatalf("noop load moved the clock to %v", now)
 	}
 }
 

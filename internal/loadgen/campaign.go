@@ -68,8 +68,8 @@ type Result struct {
 // registered campaign goroutine is parked, so request interleaving — and
 // with it every count and latency — replays exactly across runs. The
 // driver, the per-request goroutines and the churn controller register
-// with the clock (simtime.Runners); requests use non-cancellable contexts
-// so the whole REQ/REP round trip runs inline on the accounted goroutine.
+// with the clock; requests use non-cancellable contexts so the whole
+// REQ/REP round trip runs inline on the accounted goroutine.
 func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
@@ -134,7 +134,6 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		sc:        sc,
 		sess:      sess,
 		clock:     clock,
-		acct:      simtime.RunnersOf(clock),
 		pilots:    pilots,
 		handles:   handles,
 		resolvers: resolvers,
@@ -207,7 +206,6 @@ type campaign struct {
 	sc        Scenario
 	sess      *core.Session
 	clock     *simtime.Virtual
-	acct      simtime.Runners
 	pilots    []*pilot.Pilot
 	handles   []*core.Service
 	resolvers []*service.Balancer
@@ -356,10 +354,8 @@ func (c *campaign) drive(ctx context.Context) {
 			c.submitTask(ctx, i)
 		}
 	}
-	if c.acct != nil {
-		c.acct.Block()
-		defer c.acct.Unblock()
-	}
+	c.clock.Block()
+	defer c.clock.Unblock()
 	wg.Wait()
 }
 

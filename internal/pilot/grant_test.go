@@ -140,9 +140,11 @@ func TestTaskTransitionsReportedInChains(t *testing.T) {
 // TestEnqueuedAfterInputStaging: a task with input staging is the one with
 // something to wait for before the scheduler. Its SubmitTask returns while it
 // stages, on a goroutine of its own, and Enqueued closes once the staging is
-// over and the request is in the wait pool.
+// over and the request is in the wait pool. The test goroutine holds the
+// clock until it sleeps past the staging.
 func TestEnqueuedAfterInputStaging(t *testing.T) {
-	clock := simtime.NewVirtual(origin)
+	clock := simtime.NewVirtualAuto(origin)
+	clock.AddRunner()
 	src := rng.New(11)
 	net := msgq.NewNetwork(clock, src.Derive("net"), nil)
 	defer net.Close()
@@ -160,21 +162,17 @@ func TestEnqueuedAfterInputStaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); clock.PendingSleepers() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the task never started staging")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	clock.Settle() // the staging is asleep on the clock
 	select {
 	case <-task.Enqueued():
 		t.Fatal("Enqueued closed while the task stages its input")
 	default:
 	}
-	if got := task.State(); got != states.TaskStagingInput {
-		t.Fatalf("state while staging = %s", got)
+	if got := task.State(); got != states.TaskStagingInput || !clock.Now().Equal(origin) {
+		t.Fatalf("state while staging = %s at %v, want %s at origin", got, clock.Now(), states.TaskStagingInput)
 	}
-	clock.Advance(time.Hour)
+	clock.Sleep(time.Hour)
+	clock.DoneRunner()
 	select {
 	case <-task.Enqueued():
 	case <-time.After(10 * time.Second):

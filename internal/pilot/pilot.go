@@ -95,10 +95,10 @@ type Pilot struct {
 	cfg     Config
 	desc    spec.PilotDescription
 	machine *states.Machine
-	// run is the clock's runnability accounting (nil off the auto-advancing
-	// virtual clock): a goroutine the pilot starts for a task is registered
+	// run is the clock's runnability accounting (nil off the virtual
+	// clock): a goroutine the pilot starts for a task is registered
 	// before it starts.
-	run simtime.Runners
+	run *simtime.Virtual
 
 	// agent components
 	nodes  []*platform.Node // the pilot's virtual node view

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/platform"
 	"repro/internal/rng"
@@ -265,8 +264,9 @@ func TestIndexedPlacementMatchesSeedFirstFit(t *testing.T) {
 		const nNodes, nCores, nGPUs = 5, 16, 4
 		const memGB = 256.0 // must mirror the nodes() helper's spec exactly
 
+		clock := heldClock(t)
 		c := newCollector()
-		s := New(nodes(nNodes, nCores, nGPUs), c.fn)
+		s := New(nodes(nNodes, nCores, nGPUs), c.fn, WithClock(clock))
 		ref := newRefScheduler(nNodes, nCores, nGPUs, memGB)
 
 		granted := make(map[string][]Placement) // uid → live real placements
@@ -318,7 +318,7 @@ func TestIndexedPlacementMatchesSeedFirstFit(t *testing.T) {
 			syncGrants()
 		}
 		// final quiescence: both wait pools must agree
-		time.Sleep(10 * time.Millisecond)
+		clock.Settle()
 		if w := s.Waiting(); w != len(ref.waiting) {
 			t.Fatalf("trial %d: %d waiting, seed leaves %d", trial, w, len(ref.waiting))
 		}

@@ -18,10 +18,10 @@ package scheduler
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/platform"
 	"repro/internal/rng"
+	"repro/internal/simtime"
 )
 
 // invariantShapes is the node-shape alphabet the fuzzer draws pools
@@ -34,39 +34,20 @@ var invariantShapes = []platform.NodeSpec{
 	{Cores: 8, GPUs: 2, MemGB: 32},
 }
 
-// quiesce waits for genuine scheduler quiescence — every accepted
-// request is either granted or waiting (so no submission is still in
-// flight toward the scheduler goroutine), every grant has been
-// delivered to the collector, and the grant count has stayed put over
-// several settle windows — then returns a snapshot of all placements.
-// A bare "no new placement for one window" check would race a loaded
-// scheduler goroutine that simply had not run yet.
-func quiesce(t *testing.T, c *collector, s *Scheduler, accepted int) []Placement {
+// quiesce waits until every pass a Submit or Release kicked has ended (the
+// scheduler runs on clock, which the test goroutine holds), checks that every
+// accepted request is then either granted and delivered or waiting, and
+// returns a snapshot of all placements.
+func quiesce(t *testing.T, clock *simtime.Virtual, c *collector, s *Scheduler, accepted int) []Placement {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	stable, last := 0, -1
-	for {
-		g, w := s.Scheduled(), s.Waiting()
-		c.mu.Lock()
-		n := len(c.placed)
-		c.mu.Unlock()
-		if n == g && g+w == accepted && g == last {
-			if stable++; stable >= 3 {
-				c.mu.Lock()
-				out := append([]Placement{}, c.placed...)
-				c.mu.Unlock()
-				return out
-			}
-		} else {
-			stable = 0
-		}
-		last = g
-		if time.Now().After(deadline) {
-			t.Fatalf("scheduler did not quiesce within 5s (granted %d, waiting %d, delivered %d, accepted %d)",
-				g, w, n, accepted)
-		}
-		time.Sleep(10 * time.Millisecond)
+	clock.Settle()
+	g, w := s.Scheduled(), s.Waiting()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.placed); n != g || g+w != accepted {
+		t.Fatalf("scheduler at rest with %d granted, %d waiting, %d delivered, %d accepted", g, w, n, accepted)
 	}
+	return append([]Placement{}, c.placed...)
 }
 
 // checkAccounting asserts that every node's free counters equal its spec
@@ -140,8 +121,9 @@ func TestSchedulerInvariants(t *testing.T) {
 					return false
 				}
 
+				clock := heldClock(t)
 				c := newCollector()
-				s := New(nodes, c.fn, WithPolicy(pol.mk(src)))
+				s := New(nodes, c.fn, WithPolicy(pol.mk(src)), WithClock(clock))
 				accepted := 0
 				live := make(map[*Placement]bool)
 				consumed := 0 // prefix of c.placed already folded into live
@@ -172,7 +154,7 @@ func TestSchedulerInvariants(t *testing.T) {
 							accepted++
 						}
 					}
-					foldGrants(quiesce(t, c, s, accepted))
+					foldGrants(quiesce(t, clock, c, s, accepted))
 					checkAccounting(t, nodes, live)
 					if got := s.Scheduled() + s.Waiting(); got != accepted {
 						t.Fatalf("trial %d round %d: Scheduled+Waiting = %d, accepted = %d",
@@ -185,7 +167,7 @@ func TestSchedulerInvariants(t *testing.T) {
 							delete(live, p)
 						}
 					}
-					foldGrants(quiesce(t, c, s, accepted))
+					foldGrants(quiesce(t, clock, c, s, accepted))
 					checkAccounting(t, nodes, live)
 				}
 
@@ -197,7 +179,7 @@ func TestSchedulerInvariants(t *testing.T) {
 						s.Release(p.Alloc)
 						delete(live, p)
 					}
-					foldGrants(quiesce(t, c, s, accepted))
+					foldGrants(quiesce(t, clock, c, s, accepted))
 					if len(live) == 0 && s.Waiting() == 0 {
 						break
 					}

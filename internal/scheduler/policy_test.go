@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/platform"
 	"repro/internal/rng"
-	"repro/internal/simtime"
 )
 
 func TestPolicyByName(t *testing.T) {
@@ -74,18 +73,16 @@ func TestPolicyDefaultIsStrict(t *testing.T) {
 // strict policy behaves like the default: a small low-priority request
 // never jumps a blocked high-priority head.
 func TestPolicyStrictKeepsHeadOfLineBlocking(t *testing.T) {
+	clock := heldClock(t)
 	c := newCollector()
-	s := New(nodes(1, 4, 0), c.fn, WithPolicy(Strict()))
+	s := New(nodes(1, 4, 0), c.fn, WithPolicy(Strict()), WithClock(clock))
 	defer s.Close()
 	_ = s.Submit(Request{UID: "filler", Cores: 3})
 	c.waitN(t, 1)
 	_ = s.Submit(Request{UID: "big-service", Cores: 4, Priority: 100})
 	_ = s.Submit(Request{UID: "small-task", Cores: 1, Priority: 0})
-	time.Sleep(50 * time.Millisecond)
-	c.mu.Lock()
-	n := len(c.placed)
-	c.mu.Unlock()
-	if n != 1 {
+	clock.Settle()
+	if n := c.count(); n != 1 {
 		t.Fatalf("%d placements under strict, want 1", n)
 	}
 }
@@ -94,8 +91,9 @@ func TestPolicyStrictKeepsHeadOfLineBlocking(t *testing.T) {
 // the small task is granted from the capacity the blocked head cannot use,
 // and the head is still granted first once it fits.
 func TestPolicyBackfillBypassesBlockedHead(t *testing.T) {
+	clock := heldClock(t)
 	c := newCollector()
-	s := New(nodes(1, 4, 0), c.fn, WithPolicy(Backfill(BackfillConfig{})))
+	s := New(nodes(1, 4, 0), c.fn, WithPolicy(Backfill(BackfillConfig{})), WithClock(clock))
 	defer s.Close()
 	_ = s.Submit(Request{UID: "filler", Cores: 3})
 	filler := c.waitN(t, 1)[0]
@@ -111,12 +109,7 @@ func TestPolicyBackfillBypassesBlockedHead(t *testing.T) {
 	// wakes it. Two Scheduler.Release calls let it backfill late-task into the
 	// one core in between, about one run in twenty under -race.
 	_ = s.Submit(Request{UID: "late-task", Cores: 1, Priority: 0})
-	for g := s.Generation(); ; g = s.Generation() {
-		time.Sleep(5 * time.Millisecond)
-		if s.Generation() == g {
-			break
-		}
-	}
+	clock.Settle()
 	got[1].Alloc.Release()
 	s.Release(filler.Alloc)
 	got = c.waitN(t, 3)
@@ -131,23 +124,30 @@ func TestPolicyBackfillBypassesBlockedHead(t *testing.T) {
 
 // TestPolicyBackfillPrefersHighestPriorityFitting: backfill is not "first
 // fitting wins" — among the requests that fit, strict (priority, FIFO)
-// order still decides.
+// order still decides. The node is full while both candidates queue, and
+// the passes their Submits kicked have ended before a core frees: a pass
+// still scanning when Release frees the core could see it only after
+// passing mid-late over.
 func TestPolicyBackfillPrefersHighestPriorityFitting(t *testing.T) {
+	clock := heldClock(t)
 	c := newCollector()
-	s := New(nodes(1, 4, 0), c.fn, WithPolicy(Backfill(BackfillConfig{})))
+	s := New(nodes(1, 4, 0), c.fn, WithPolicy(Backfill(BackfillConfig{})), WithClock(clock))
 	defer s.Close()
 	_ = s.Submit(Request{UID: "filler", Cores: 3})
-	c.waitN(t, 1)
+	_ = s.Submit(Request{UID: "hold", Cores: 1})
+	hold := c.waitN(t, 2)[1]
 	_ = s.Submit(Request{UID: "blocked-head", Cores: 4, Priority: 100})
 	_ = s.Submit(Request{UID: "low-early", Cores: 1, Priority: 0})
 	_ = s.Submit(Request{UID: "mid-late", Cores: 1, Priority: 50})
-	got := c.waitN(t, 2)
-	if got[1].Req.UID != "mid-late" {
-		t.Fatalf("first backfill grant = %q, want the higher-priority mid-late", got[1].Req.UID)
+	clock.Settle()
+	s.Release(hold.Alloc)
+	got := c.waitN(t, 3)
+	if got[2].Req.UID != "mid-late" {
+		t.Fatalf("first backfill grant = %q, want the higher-priority mid-late", got[2].Req.UID)
 	}
-	s.Release(got[1].Alloc)
-	if got = c.waitN(t, 3); got[2].Req.UID != "low-early" {
-		t.Fatalf("second backfill grant = %q, want low-early", got[2].Req.UID)
+	s.Release(got[2].Alloc)
+	if got = c.waitN(t, 4); got[3].Req.UID != "low-early" {
+		t.Fatalf("second backfill grant = %q, want low-early", got[3].Req.UID)
 	}
 }
 
@@ -161,11 +161,12 @@ func TestPolicyBackfillStarvationBound(t *testing.T) {
 		maxBypass := 1 + src.Intn(12)
 		nSmall := 1 + src.Intn(3*maxBypass)
 		func() {
+			clock := heldClock(t)
 			c := newCollector()
 			s := New(nodes(1, 8, 0), c.fn, WithPolicy(Backfill(BackfillConfig{
 				MaxBypass: maxBypass,
 				MaxDelay:  -1, // isolate the count bound
-			})))
+			})), WithClock(clock))
 			defer s.Close()
 			_ = s.Submit(Request{UID: "hold", Cores: 1})
 			hold := c.waitN(t, 1)[0]
@@ -184,11 +185,8 @@ func TestPolicyBackfillStarvationBound(t *testing.T) {
 				s.Release(p.Alloc)
 			}
 			// The bound must now be in force: no further smalls sneak by.
-			time.Sleep(20 * time.Millisecond)
-			c.mu.Lock()
-			n := len(c.placed)
-			c.mu.Unlock()
-			if n != 1+want {
+			clock.Settle()
+			if n := c.count(); n != 1+want {
 				t.Fatalf("trial %d: %d grants while head blocked, starvation bound K=%d (smalls=%d)",
 					trial, n-1, maxBypass, nSmall)
 			}
@@ -214,11 +212,12 @@ func TestPolicyBackfillStarvationBound(t *testing.T) {
 // returns to the head, it must NOT receive a fresh budget — otherwise a
 // steady trickle of services plus small tasks could starve it forever.
 func TestPolicyBackfillBoundSurvivesHeadChurn(t *testing.T) {
+	clock := heldClock(t)
 	c := newCollector()
 	s := New(nodes(1, 8, 0), c.fn, WithPolicy(Backfill(BackfillConfig{
 		MaxBypass: 2,
 		MaxDelay:  -1,
-	})))
+	})), WithClock(clock))
 	defer s.Close()
 	_ = s.Submit(Request{UID: "hold", Cores: 1})
 	hold := c.waitN(t, 1)[0]
@@ -237,11 +236,8 @@ func TestPolicyBackfillBoundSurvivesHeadChurn(t *testing.T) {
 	s.Release(urgent.Alloc)
 	// big is back at the head with its budget spent: no more bypasses.
 	_ = s.Submit(Request{UID: "bypass-2", Cores: 1})
-	time.Sleep(20 * time.Millisecond)
-	c.mu.Lock()
-	n := len(c.placed)
-	c.mu.Unlock()
-	if n != 4 {
+	clock.Settle()
+	if n := c.count(); n != 4 {
 		t.Fatalf("%d grants after head churn, want 4: big's bypass budget must stay exhausted", n)
 	}
 	// Unblocking still grants big first, then the waiting small.
@@ -260,7 +256,7 @@ func TestPolicyBackfillBoundSurvivesHeadChurn(t *testing.T) {
 // head has been blocked longer than MaxDelay of simulated time, backfill
 // suspends even though the bypass count is far from exhausted.
 func TestPolicyBackfillTimeBound(t *testing.T) {
-	vclock := simtime.NewVirtual(time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC))
+	vclock := heldClock(t)
 	c := newCollector()
 	s := New(nodes(1, 4, 0), c.fn, WithPolicy(Backfill(BackfillConfig{
 		MaxBypass: -1, // isolate the time bound
@@ -276,13 +272,10 @@ func TestPolicyBackfillTimeBound(t *testing.T) {
 		t.Fatalf("grant inside the window = %q", first.Req.UID)
 	}
 	s.Release(first.Alloc)
-	vclock.Advance(11 * time.Second)
+	vclock.Sleep(11 * time.Second)
 	_ = s.Submit(Request{UID: "small-1", Cores: 1})
-	time.Sleep(20 * time.Millisecond)
-	c.mu.Lock()
-	n := len(c.placed)
-	c.mu.Unlock()
-	if n != 2 {
+	vclock.Settle()
+	if n := c.count(); n != 2 {
 		t.Fatalf("%d grants after T elapsed, want 2 (backfill suspended)", n)
 	}
 }
@@ -314,8 +307,9 @@ func TestPolicyBestFitReducesFragmentation(t *testing.T) {
 
 	// First-fit control: the 4-core task fragments the large node and the
 	// 64-core task is stuck waiting.
+	clock := heldClock(t)
 	c = newCollector()
-	s = New(hetero(), c.fn, WithPolicy(Strict()))
+	s = New(hetero(), c.fn, WithPolicy(Strict()), WithClock(clock))
 	defer s.Close()
 	_ = s.Submit(Request{UID: "small-task", Cores: 4})
 	_ = s.Submit(Request{UID: "large-task", Cores: 64})
@@ -323,7 +317,7 @@ func TestPolicyBestFitReducesFragmentation(t *testing.T) {
 	if node := got[0].Alloc.Node().Name(); node != "large" {
 		t.Fatalf("first-fit placed small-task on %q, want the large node", node)
 	}
-	time.Sleep(20 * time.Millisecond)
+	clock.Settle()
 	if w := s.Waiting(); w != 1 {
 		t.Fatalf("first-fit left %d waiting, want the fragmented large-task", w)
 	}

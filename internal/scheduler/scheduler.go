@@ -63,10 +63,10 @@ type Scheduler struct {
 	place  PlaceFn
 	policy Policy
 	clock  simtime.Clock
-	// run is the clock's runnability accounting (nil off the auto-advancing
-	// virtual clock): a wake of the loop holds a runner from its kick to the end
+	// run is the clock's runnability accounting (nil off the virtual
+	// clock): a wake of the loop holds a runner from its kick to the end
 	// of the pass it starts.
-	run simtime.Runners
+	run *simtime.Virtual
 
 	mu      sync.Mutex
 	index   *nodeIndex
@@ -272,7 +272,7 @@ func (s *Scheduler) Close() {
 	s.mu.Unlock()
 }
 
-// pokeLocked wakes the loop. On a runnability-accounting clock the wake
+// pokeLocked wakes the loop. On a virtual clock the wake
 // carries a runner, issued before the kick: a releasing task that exits must
 // not let the clock jump past the grant it just made possible. A kick already
 // pending carries one. Callers hold s.mu and have seen the scheduler open, so

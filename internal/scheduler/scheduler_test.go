@@ -51,6 +51,24 @@ func (c *collector) waitN(t *testing.T, n int) []Placement {
 	}
 }
 
+// count is how many placements have arrived.
+func (c *collector) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.placed)
+}
+
+// heldClock returns a virtual clock with the test goroutine registered on it
+// until the test ends. A scheduler on it holds a runner from each kick to the
+// end of the pass it starts, so the test's Settle returns once every pass a
+// Submit or Release asked for has ended.
+func heldClock(t *testing.T) *simtime.Virtual {
+	v := simtime.NewVirtualAuto(time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC))
+	v.AddRunner()
+	t.Cleanup(v.DoneRunner)
+	return v
+}
+
 func nodes(n, cores, gpus int) []*platform.Node {
 	p := platform.New("test", n, platform.NodeSpec{Cores: cores, GPUs: gpus, MemGB: 256})
 	return p.Nodes()
@@ -154,18 +172,16 @@ func TestFIFOWithinPriority(t *testing.T) {
 func TestHeadOfLineBlocking(t *testing.T) {
 	// Strict priority: a large high-priority head must NOT be bypassed by a
 	// small low-priority request (no backfill) — services must not starve.
+	clock := heldClock(t)
 	c := newCollector()
-	s := New(nodes(1, 4, 0), c.fn)
+	s := New(nodes(1, 4, 0), c.fn, WithClock(clock))
 	defer s.Close()
 	_ = s.Submit(Request{UID: "filler", Cores: 3})
 	c.waitN(t, 1)
 	_ = s.Submit(Request{UID: "big-service", Cores: 4, Priority: 100})
 	_ = s.Submit(Request{UID: "small-task", Cores: 1, Priority: 0})
-	time.Sleep(50 * time.Millisecond)
-	c.mu.Lock()
-	n := len(c.placed)
-	c.mu.Unlock()
-	if n != 1 {
+	clock.Settle()
+	if n := c.count(); n != 1 {
 		t.Fatalf("%d placements, want 1: small task must not jump the blocked service", n)
 	}
 }
@@ -268,8 +284,9 @@ func TestConservationProperty(t *testing.T) {
 // used to poke the loop, whose empty pass took the lock and advanced the
 // generation a second time.
 func TestReleaseWithoutWaiterDecidesNothing(t *testing.T) {
+	clock := heldClock(t)
 	c := newCollector()
-	s := New(nodes(1, 8, 0), c.fn)
+	s := New(nodes(1, 8, 0), c.fn, WithClock(clock))
 	defer s.Close()
 	const n = 4
 	for i := 0; i < n; i++ {
@@ -278,24 +295,11 @@ func TestReleaseWithoutWaiterDecidesNothing(t *testing.T) {
 		}
 	}
 	placed := c.waitN(t, n)
-	// The loop ends a pass that granted with one that does not: let it park.
-	settled := func() uint64 {
-		g := s.Generation()
-		for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
-			time.Sleep(5 * time.Millisecond)
-			next := s.Generation()
-			if next == g {
-				return g
-			}
-			g = next
-		}
-		t.Fatal("generation never settled")
-		return 0
-	}
 	for i, p := range placed {
-		before := settled()
+		clock.Settle() // the loop ends a pass that granted with one that does not
+		before := s.Generation()
 		s.Release(p.Alloc)
-		time.Sleep(20 * time.Millisecond) // a woken loop would have run by now
+		clock.Settle() // a woken loop would have run its pass
 		if got := s.Generation(); got != before+1 {
 			t.Fatalf("release %d with nothing waiting: generation %d -> %d, want one step", i, before, got)
 		}

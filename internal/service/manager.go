@@ -290,18 +290,14 @@ func (m *Manager) Submit(d spec.ServiceDescription) (*Instance, error) {
 	m.services[d.UID] = inst
 	m.mu.Unlock()
 
-	// Register the bootstrap goroutine with a runnability-accounting clock
-	// (the clock.Go rule): mid-session service spawns — the autoscaler's
-	// replicas — sleep for real model-load time, and an unregistered
-	// sleeper would let the auto-advancing clock move time while the
-	// bootstrap is still runnable, destroying determinism. On real/scaled
-	// clocks RunnersOf is nil and this is a plain goroutine as before.
-	if run := simtime.RunnersOf(m.cfg.Clock); run != nil {
-		run.AddRunner()
-		go func() {
-			defer run.DoneRunner()
-			m.bootstrap(inst)
-		}()
+	// Register the bootstrap goroutine with a virtual clock (the clock.Go
+	// rule): mid-session service spawns — the autoscaler's replicas — sleep
+	// for real model-load time, and an unregistered sleeper would let the
+	// clock move time while the bootstrap is still runnable, destroying
+	// determinism. On real/scaled clocks RunnersOf is nil and this is a
+	// plain goroutine.
+	if v := simtime.RunnersOf(m.cfg.Clock); v != nil {
+		v.Go(func() { m.bootstrap(inst) })
 	} else {
 		go m.bootstrap(inst)
 	}

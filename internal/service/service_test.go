@@ -294,9 +294,10 @@ func TestTerminateDrain(t *testing.T) {
 // first among themselves and then against Close: the service is ACTIVE
 // until its teardown ends, so all of them pass the state check, and exactly
 // one may own the stop (the others used to close probeStop a second time).
+// It runs on the virtual clock, where no start timeout lapses under host load.
 func TestTerminateSingleWinner(t *testing.T) {
 	for _, withClose := range []bool{false, true} {
-		r := newRig(t, 100000)
+		r := newRigOn(t, simtime.NewVirtualAuto(origin))
 		inst, _ := r.mgr.Submit(noopDesc("svc"))
 		waitReady(t, r, inst.UID())
 		const terminators = 4
@@ -597,7 +598,7 @@ func fmt18(prefix string, i int) string { return prefix + "." + string(rune('a'+
 // ErrorBody surfaces as a decode failure naming the service, not as an
 // error with an empty message.
 func TestInferMalformedErrorBody(t *testing.T) {
-	clock := simtime.NewVirtual(origin)
+	clock := simtime.NewVirtualAuto(origin)
 	net := msgq.NewNetwork(clock, rng.New(7), nil)
 	defer net.Close()
 	srv, err := net.Bind("svc.bad", func(env proto.Envelope) proto.Envelope {

@@ -125,10 +125,10 @@ const defaultDedupWindow = 1024
 //
 // The request queue is an explicit FIFO under s.mu with direct handoff to
 // parked workers rather than a Go channel: when the server runs on a
-// runnability-accounting clock (simtime.RunnersOf, i.e. an auto-advancing
-// virtual clock), every park and wake must be told to the clock under the
-// same critical section that moves the job, or the discrete-event loop
-// could advance time while a handoff is still in flight. Direct handoff
+// virtual clock (simtime.RunnersOf), every park and wake must be told to
+// the clock under the same critical section that moves the job, or the
+// discrete-event loop could advance time while a handoff is still in
+// flight. Direct handoff
 // also guarantees a wake token is consumed by exactly the worker it was
 // issued for, which a shared channel cannot (any worker may steal the
 // element).
@@ -136,7 +136,7 @@ type Server struct {
 	cfg Config
 	// run is the clock's runnability accounting (nil on real/scaled
 	// clocks, where parks and wakes need no bookkeeping).
-	run simtime.Runners
+	run *simtime.Virtual
 	// batch is non-nil when batching is enabled (MaxBatch > 1 and the
 	// backend implements batchBackend); workers then dispatch through
 	// dequeueBatch/serveBatch instead of the single-request path.

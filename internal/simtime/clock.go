@@ -7,10 +7,10 @@
 //   - Real: wall-clock time, used when driving actual remote services.
 //   - Scaled: wall-clock time compressed by a constant factor, used by
 //     modelserve, the xproc agent and the bench module's rpbench.
-//   - Virtual: a deterministic discrete-event clock, with manual advancement
-//     or cooperative auto-advancement. The experiments, the load harness,
-//     lucid-run's pipelines, core's default session clock and many unit
-//     tests run on it.
+//   - Virtual: a deterministic discrete-event clock that advances itself
+//     once every goroutine registered with it is parked. The experiments,
+//     the load harness, lucid-run's pipelines, core's default session clock
+//     and the unit tests that need simulated time run on it.
 package simtime
 
 import (
@@ -49,14 +49,13 @@ type Ticker interface {
 }
 
 // SleepCtx sleeps for d of clock time or until ctx is done, whichever comes
-// first. It returns ctx.Err if the context expired. On an auto-advancing
-// Virtual it is Sleep, which a cancel cuts short: the sleep pulls time
-// forward.
+// first. It returns ctx.Err if the context expired. On a Virtual it is
+// Sleep, which a cancel cuts short: the sleep pulls time forward.
 func SleepCtx(ctx context.Context, c Clock, d time.Duration) error {
 	if err := ctx.Err(); d <= 0 || err != nil {
 		return err
 	}
-	if v, ok := c.(*Virtual); ok && v.auto {
+	if v, ok := c.(*Virtual); ok {
 		return v.sleep(ctx, d)
 	}
 	t := c.NewTimer(d)

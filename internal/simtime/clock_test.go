@@ -38,13 +38,11 @@ func TestRealTimerAndTicker(t *testing.T) {
 }
 
 func TestSleepCtxCancelled(t *testing.T) {
-	v := NewVirtual(origin)
+	v := held(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() { errc <- SleepCtx(ctx, v, time.Hour) }()
-	for v.PendingSleepers() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	v.Go(func() { errc <- SleepCtx(ctx, v, time.Hour) })
+	v.Settle()
 	cancel()
 	select {
 	case err := <-errc:
@@ -54,10 +52,13 @@ func TestSleepCtxCancelled(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("SleepCtx did not observe cancellation")
 	}
+	if !v.Now().Equal(origin) {
+		t.Fatalf("clock moved to %v under a held clock", v.Now())
+	}
 }
 
 func TestSleepCtxNonPositive(t *testing.T) {
-	v := NewVirtual(origin)
+	v := NewVirtualAuto(origin)
 	if err := SleepCtx(context.Background(), v, 0); err != nil {
 		t.Fatalf("SleepCtx(0) = %v, want nil", err)
 	}

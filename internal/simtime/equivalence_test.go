@@ -277,7 +277,7 @@ func execute(t *testing.T, p program) progTrace {
 		t.Fatal("program deadlocked")
 	}
 	tr.now = v.Now().Sub(origin)
-	tr.pending = v.PendingSleepers()
+	tr.pending = pending(v)
 	return tr
 }
 
@@ -329,8 +329,8 @@ func TestVirtualSelfWakeYieldsToEqualDeadline(t *testing.T) {
 	if got := v.Now(); !got.Equal(origin.Add(6 * time.Second)) {
 		t.Fatalf("Now() = %v, want origin+6s", got)
 	}
-	if freeSleepers(v) != 1 || v.PendingSleepers() != 0 {
-		t.Fatalf("sole runnable sleeper did not self-wake: %d free, %d pending", freeSleepers(v), v.PendingSleepers())
+	if freeSleepers(v) != 1 || pending(v) != 0 {
+		t.Fatalf("sole runnable sleeper did not self-wake: %d free, %d pending", freeSleepers(v), pending(v))
 	}
 }
 
@@ -353,7 +353,10 @@ func TestVirtualTickerDueBeforeSleeperFiresOnTheWay(t *testing.T) {
 	if got := v.Now(); !got.Equal(origin.Add(10 * time.Second)) {
 		t.Fatalf("Now() = %v, want origin+10s", got)
 	}
-	if next, _ := v.NextDeadline(); !next.Equal(origin.Add(12 * time.Second)) {
+	v.mu.Lock()
+	next := v.sleepers[0].deadline
+	v.mu.Unlock()
+	if !next.Equal(origin.Add(12 * time.Second)) {
 		t.Fatalf("ticker re-armed for %v, want origin+12s", next)
 	}
 }
@@ -375,24 +378,6 @@ func TestVirtualSleepSlowPathCallers(t *testing.T) {
 			t.Fatal("unregistered caller took the self-wake path")
 		}
 	})
-	t.Run("manual", func(t *testing.T) {
-		v := NewVirtual(origin)
-		v.AddRunner() // inert on a manual clock, but makes running == 1
-		done := make(chan struct{})
-		go func() { v.Sleep(time.Second); close(done) }()
-		for v.PendingSleepers() == 0 {
-			select {
-			case <-done:
-				t.Fatal("Sleep returned on a manual clock before Advance")
-			case <-time.After(time.Millisecond):
-			}
-		}
-		v.Advance(time.Second)
-		<-done
-		for freeSleepers(v) == 0 { // Sleep returns its sleeper after the wake
-			time.Sleep(time.Millisecond)
-		}
-	})
 }
 
 func TestVirtualAutoSleepNonPositiveReturnsImmediately(t *testing.T) {
@@ -400,8 +385,8 @@ func TestVirtualAutoSleepNonPositiveReturnsImmediately(t *testing.T) {
 	v.NewTimer(time.Second)
 	v.Sleep(0)
 	v.Sleep(-time.Second)
-	if !v.Now().Equal(origin) || v.PendingSleepers() != 1 || freeSleepers(v) != 0 {
-		t.Fatalf("Sleep(<= 0) touched the clock: now %v, %d pending, %d free", v.Now(), v.PendingSleepers(), freeSleepers(v))
+	if !v.Now().Equal(origin) || pending(v) != 1 || freeSleepers(v) != 0 {
+		t.Fatalf("Sleep(<= 0) touched the clock: now %v, %d pending, %d free", v.Now(), pending(v), freeSleepers(v))
 	}
 }
 
@@ -414,8 +399,8 @@ func TestVirtualSequentialSleepsAllocateNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(sleeps, func() { v.Sleep(time.Millisecond) }); n != 0 {
 			t.Fatalf("%v allocs per self-woken Sleep, want 0", n)
 		}
-		if v.PendingSleepers() != 0 || freeSleepers(v) != 0 {
-			t.Fatalf("%d pending, %d free after self-woken sleeps", v.PendingSleepers(), freeSleepers(v))
+		if pending(v) != 0 || freeSleepers(v) != 0 {
+			t.Fatalf("%d pending, %d free after self-woken sleeps", pending(v), freeSleepers(v))
 		}
 		if got := v.Now(); !got.Equal(origin.Add((sleeps + 1) * time.Millisecond)) {
 			t.Fatalf("Now() = %v after %d+1 sleeps of 1ms", got, sleeps)
@@ -431,8 +416,8 @@ func TestVirtualSequentialSleepsAllocateNothing(t *testing.T) {
 			t.Fatalf("%v allocs per parked Sleep, want 0 (recycled sleeper)", n)
 		}
 		tk.Stop()
-		if v.PendingSleepers() != 0 || freeSleepers(v) != 1 {
-			t.Fatalf("%d pending, %d free after parked sleeps, want 0 and 1", v.PendingSleepers(), freeSleepers(v))
+		if pending(v) != 0 || freeSleepers(v) != 1 {
+			t.Fatalf("%d pending, %d free after parked sleeps, want 0 and 1", pending(v), freeSleepers(v))
 		}
 	})
 }

@@ -7,29 +7,41 @@ import (
 	"time"
 )
 
-// Virtual is a deterministic discrete-event Clock. Time only moves when it
-// is advanced, either explicitly via Advance/AdvanceTo, or — in
-// auto-advance mode — when every goroutine registered with the clock is
-// blocked in Sleep, at which point the clock jumps to the earliest pending
-// deadline.
+// Virtual is a deterministic discrete-event Clock. Time moves only when
+// every goroutine registered with the clock is parked and at least one of
+// them sleeps on it: the clock then jumps to the earliest pending deadline,
+// firing the timers and tickers due on the way in (deadline, seq) order.
+// Timers and tickers alone never pull time forward.
 //
-// Auto-advance mode implements the classic cooperative discrete-event
-// simulation contract: goroutines participating in simulated time must be
-// spawned with Go (or bracketed with AddRunner/DoneRunner), and goroutines
-// that block on channels rather than on the clock must bracket the blocking
-// region with Block/Unblock so the clock knows they are not runnable.
+// This is the classic cooperative discrete-event simulation contract, and a
+// component that hands work between goroutines over channels must keep the
+// clock's accounting of who is runnable:
+//
+//   - Go, or AddRunner/DoneRunner around the goroutine's lifetime, registers
+//     a goroutine that participates in simulated time. The spawner adds the
+//     runner before the go statement, never the goroutine itself.
+//   - Block marks the calling registered goroutine as parked on something
+//     other than the clock (a channel receive, a WaitGroup); Unblock marks it
+//     runnable again. A goroutine that wakes another via a channel send calls
+//     Unblock on the sleeper's behalf (a wake token) so the clock never
+//     advances while a wakeup is still in flight.
+//
+// The contract is asymmetric by design: a transient overcount (an extra
+// Unblock before the matching Block lands) merely pauses advancement until
+// the counts settle, while an undercount would let the clock advance
+// concurrently with runnable goroutines and destroy determinism. Protocols
+// built on the accounting therefore always issue the wake token before the
+// wake itself.
 type Virtual struct {
 	mu       sync.Mutex
 	now      time.Time
 	sleepers sleeperHeap
 	seq      uint64 // tiebreaker for equal deadlines: FIFO order
-	auto     bool
-	running  int // registered runnable goroutines (auto mode)
-	// sleeping counts pending blocksRunner sleepers (auto mode). The
-	// auto-advance loop only moves time while one exists: a Sleep waking
-	// is the only way firing can hand control back to a goroutine, so
-	// with none pending, advancing would just spin re-arming tickers —
-	// timers and tickers alone never pull time forward.
+	running  int    // registered runnable goroutines
+	// sleeping counts pending blocksRunner sleepers. The advance loop only
+	// moves time while one exists: a Sleep waking is the only way firing
+	// can hand control back to a goroutine, so with none pending,
+	// advancing would just spin re-arming tickers.
 	sleeping int
 	// free holds Sleep's spent sleepers for reuse. Their channels never
 	// leave Sleep, so a sleeper returned after its wake is safe to hand to
@@ -40,15 +52,18 @@ type Virtual struct {
 	settled chan struct{}
 }
 
-// NewVirtual returns a manually advanced virtual clock starting at origin.
-func NewVirtual(origin time.Time) *Virtual {
+// NewVirtualAuto returns a virtual clock starting at origin.
+func NewVirtualAuto(origin time.Time) *Virtual {
 	return &Virtual{now: origin}
 }
 
-// NewVirtualAuto returns a virtual clock in auto-advance mode starting at
-// origin.
-func NewVirtualAuto(origin time.Time) *Virtual {
-	return &Virtual{now: origin, auto: true}
+// RunnersOf returns c's runnability accounting: c itself when it is a
+// *Virtual, or nil for clocks that advance on their own (Real, Scaled).
+// Callers gate their accounting calls on the nil check, so the same code
+// runs unchanged on every clock.
+func RunnersOf(c Clock) *Virtual {
+	v, _ := c.(*Virtual)
+	return v
 }
 
 type sleeper struct {
@@ -58,8 +73,8 @@ type sleeper struct {
 	ch       chan time.Time
 	stopped  bool
 	index    int
-	// blocksRunner marks sleepers created by Sleep in auto mode: firing
-	// them returns a registered goroutine to the runnable pool.
+	// blocksRunner marks sleepers created by Sleep: firing them returns a
+	// registered goroutine to the runnable pool.
 	blocksRunner bool
 }
 
@@ -99,8 +114,8 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// Go spawns fn as a goroutine registered with the clock (auto mode). The
-// registration is released when fn returns.
+// Go spawns fn as a goroutine registered with the clock. The registration
+// is released when fn returns.
 func (v *Virtual) Go(fn func()) {
 	v.AddRunner()
 	go func() {
@@ -110,7 +125,7 @@ func (v *Virtual) Go(fn func()) {
 }
 
 // AddRunner registers the calling (or an about-to-start) goroutine as
-// runnable for auto-advance accounting.
+// runnable.
 func (v *Virtual) AddRunner() {
 	v.mu.Lock()
 	v.running++
@@ -148,20 +163,20 @@ func (v *Virtual) push(deadline time.Time, period time.Duration) *sleeper {
 	return s
 }
 
-// Sleep implements Clock. In auto mode the calling goroutine must be
-// registered; the clock treats it as blocked for the duration.
+// Sleep implements Clock. The clock treats the caller, normally a registered
+// goroutine, as blocked for the duration.
 func (v *Virtual) Sleep(d time.Duration) { v.sleep(context.Background(), d) }
 
-// sleep is Sleep cut short by ctx (SleepCtx on an auto-advancing clock). A
-// cancel takes the sleeper off the heap and returns the caller to the
-// runnable count; a sleeper that fired first wins.
+// sleep is Sleep cut short by ctx (SleepCtx on a Virtual). A cancel takes
+// the sleeper off the heap and returns the caller to the runnable count; a
+// sleeper that fired first wins.
 func (v *Virtual) sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil
 	}
 	v.mu.Lock()
 	deadline := v.now.Add(d)
-	if v.auto && v.running == 1 &&
+	if v.running == 1 &&
 		(len(v.sleepers) == 0 || deadline.Before(v.sleepers[0].deadline)) {
 		// Self-wake. The caller is the only runnable goroutine and its
 		// deadline is strictly the earliest, so maybeAdvanceLocked
@@ -181,16 +196,13 @@ func (v *Virtual) sleep(ctx context.Context, d time.Duration) error {
 		s, v.free = v.free[n-1], v.free[:n-1]
 		s.deadline, s.seq = deadline, v.seq
 	} else {
-		s = &sleeper{deadline: deadline, seq: v.seq, ch: make(chan time.Time, 1)}
+		s = &sleeper{deadline: deadline, seq: v.seq, ch: make(chan time.Time, 1), blocksRunner: true}
 	}
 	v.seq++
 	heap.Push(&v.sleepers, s)
-	if v.auto {
-		s.blocksRunner = true
-		v.sleeping++
-		v.running--
-		v.maybeAdvanceLocked()
-	}
+	v.sleeping++
+	v.running--
+	v.maybeAdvanceLocked()
 	v.mu.Unlock()
 	if done := ctx.Done(); done == nil {
 		<-s.ch
@@ -235,8 +247,8 @@ func (v *Virtual) Settle() {
 }
 
 // NewTimer implements Clock. The timer fires when the clock reaches now+d.
-// In auto mode, a timer alone does not mark the goroutine blocked; bracket
-// the receive with Block/Unblock if needed.
+// A timer alone does not mark the goroutine blocked; bracket the receive
+// with Block/Unblock if needed.
 func (v *Virtual) NewTimer(d time.Duration) Timer {
 	v.mu.Lock()
 	s := v.push(v.now.Add(d), 0)
@@ -292,49 +304,6 @@ func (t *virtualTicker) Stop() {
 	}
 }
 
-// Advance moves the clock forward by d, firing every timer, sleeper and
-// ticker whose deadline falls within the window, in deadline order.
-func (v *Virtual) Advance(d time.Duration) {
-	v.mu.Lock()
-	v.advanceToLocked(v.now.Add(d))
-	v.mu.Unlock()
-}
-
-// AdvanceTo moves the clock forward to t (no-op if t is not after now).
-func (v *Virtual) AdvanceTo(t time.Time) {
-	v.mu.Lock()
-	v.advanceToLocked(t)
-	v.mu.Unlock()
-}
-
-// PendingSleepers returns the number of unexpired timers/sleepers/tickers.
-func (v *Virtual) PendingSleepers() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.sleepers.Len()
-}
-
-// NextDeadline returns the earliest pending deadline and whether one exists.
-func (v *Virtual) NextDeadline() (time.Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.sleepers.Len() == 0 {
-		return time.Time{}, false
-	}
-	return v.sleepers[0].deadline, true
-}
-
-func (v *Virtual) advanceToLocked(target time.Time) {
-	for v.sleepers.Len() > 0 && !v.sleepers[0].deadline.After(target) {
-		s := heap.Pop(&v.sleepers).(*sleeper)
-		v.now = s.deadline
-		v.fireLocked(s)
-	}
-	if target.After(v.now) {
-		v.now = target
-	}
-}
-
 func (v *Virtual) fireLocked(s *sleeper) {
 	select {
 	case s.ch <- v.now:
@@ -346,23 +315,19 @@ func (v *Virtual) fireLocked(s *sleeper) {
 		v.seq++
 		heap.Push(&v.sleepers, s)
 	}
-	if v.auto && s.blocksRunner {
+	if s.blocksRunner {
 		v.sleeping--
 		v.running++ // the woken Sleep caller becomes runnable again
 	}
 }
 
 // maybeAdvanceLocked advances to the next deadline when no registered
-// goroutine is runnable (auto mode only). It keeps firing only while a
-// Sleep-blocked goroutine is still pending: waking a Sleep is the only
-// fire that returns control to a goroutine, so without one the loop
-// would spin forever re-arming periodic tickers (and drag the clock to
-// infinity). Timers and tickers due before the earliest pending Sleep
+// goroutine is runnable. It keeps firing only while a Sleep-blocked
+// goroutine is still pending: waking a Sleep is the only fire that returns
+// control to a goroutine, so without one the loop would spin forever
+// re-arming periodic tickers (and drag the clock to infinity). Timers and tickers due before the earliest pending Sleep
 // still fire, in deadline order, on the way there.
 func (v *Virtual) maybeAdvanceLocked() {
-	if !v.auto {
-		return
-	}
 	if v.settled != nil && v.running <= 1 {
 		close(v.settled)
 		v.settled = nil

@@ -11,45 +11,44 @@ import (
 
 var origin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
 
+// held returns a clock at origin with the test goroutine registered on it
+// until the test ends: time moves only when the test sleeps.
+func held(t *testing.T) *Virtual {
+	v := NewVirtualAuto(origin)
+	v.AddRunner()
+	t.Cleanup(v.DoneRunner)
+	return v
+}
+
+// pending is how many timers, tickers and sleepers wait on v.
+func pending(v *Virtual) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.sleepers)
+}
+
 func TestVirtualNowStartsAtOrigin(t *testing.T) {
-	v := NewVirtual(origin)
+	v := NewVirtualAuto(origin)
 	if !v.Now().Equal(origin) {
 		t.Fatalf("Now() = %v, want %v", v.Now(), origin)
 	}
 }
 
-func TestVirtualAdvanceMovesNow(t *testing.T) {
-	v := NewVirtual(origin)
-	v.Advance(5 * time.Second)
-	if got := v.Now(); !got.Equal(origin.Add(5 * time.Second)) {
-		t.Fatalf("Now() = %v, want origin+5s", got)
-	}
-}
-
-func TestVirtualAdvanceToBackwardsIsNoop(t *testing.T) {
-	v := NewVirtual(origin)
-	v.Advance(time.Second)
-	v.AdvanceTo(origin) // earlier than now
-	if got := v.Now(); !got.Equal(origin.Add(time.Second)) {
-		t.Fatalf("Now() = %v, want origin+1s", got)
-	}
-}
-
 func TestVirtualTimerFiresAtDeadline(t *testing.T) {
-	v := NewVirtual(origin)
+	v := held(t)
 	ch := v.NewTimer(3 * time.Second).C()
 	select {
 	case <-ch:
-		t.Fatal("timer fired before Advance")
+		t.Fatal("timer fired before the clock moved")
 	default:
 	}
-	v.Advance(2 * time.Second)
+	v.Sleep(2 * time.Second)
 	select {
 	case <-ch:
 		t.Fatal("timer fired too early")
 	default:
 	}
-	v.Advance(time.Second)
+	v.Sleep(time.Second)
 	select {
 	case tm := <-ch:
 		if !tm.Equal(origin.Add(3 * time.Second)) {
@@ -60,39 +59,39 @@ func TestVirtualTimerFiresAtDeadline(t *testing.T) {
 	}
 }
 
+// TestVirtualSleepWakesOnAdvance: a sleeper waits while a registered
+// goroutine is runnable and wakes, at its deadline, once the clock gets there.
 func TestVirtualSleepWakesOnAdvance(t *testing.T) {
-	v := NewVirtual(origin)
-	done := make(chan time.Time)
-	go func() {
+	v := held(t)
+	var woke time.Time
+	done := make(chan struct{})
+	v.Go(func() {
+		defer close(done)
 		v.Sleep(10 * time.Second)
-		done <- v.Now()
-	}()
-	// wait until the sleeper is registered
-	for v.PendingSleepers() == 0 {
-		time.Sleep(time.Millisecond)
+		woke = v.Now()
+	})
+	v.Settle()
+	if n := pending(v); n != 1 || !v.Now().Equal(origin) {
+		t.Fatalf("settled with %d pending at %v, want 1 at origin", n, v.Now())
 	}
-	v.Advance(10 * time.Second)
-	select {
-	case woke := <-done:
-		if !woke.Equal(origin.Add(10 * time.Second)) {
-			t.Fatalf("woke at %v, want origin+10s", woke)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("sleeper never woke")
+	v.Sleep(10 * time.Second) // ties with the sleeper, which fires first
+	<-done
+	if !woke.Equal(origin.Add(10 * time.Second)) {
+		t.Fatalf("woke at %v, want origin+10s", woke)
 	}
 }
 
 func TestVirtualSleepZeroReturnsImmediately(t *testing.T) {
-	v := NewVirtual(origin)
+	v := NewVirtualAuto(origin)
 	v.Sleep(0)
 	v.Sleep(-time.Second)
-	if v.PendingSleepers() != 0 {
+	if pending(v) != 0 || !v.Now().Equal(origin) {
 		t.Fatal("non-positive Sleep registered a sleeper")
 	}
 }
 
 func TestVirtualTimerStop(t *testing.T) {
-	v := NewVirtual(origin)
+	v := held(t)
 	tm := v.NewTimer(time.Second)
 	if !tm.Stop() {
 		t.Fatal("Stop() = false on pending timer")
@@ -100,7 +99,7 @@ func TestVirtualTimerStop(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop() = true")
 	}
-	v.Advance(2 * time.Second)
+	v.Sleep(2 * time.Second)
 	select {
 	case <-tm.C():
 		t.Fatal("stopped timer fired")
@@ -109,19 +108,19 @@ func TestVirtualTimerStop(t *testing.T) {
 }
 
 func TestVirtualTimerStopAfterFire(t *testing.T) {
-	v := NewVirtual(origin)
+	v := held(t)
 	tm := v.NewTimer(time.Second)
-	v.Advance(time.Second)
+	v.Sleep(time.Second)
 	if tm.Stop() {
 		t.Fatal("Stop() = true after fire")
 	}
 }
 
 func TestVirtualTickerFiresRepeatedly(t *testing.T) {
-	v := NewVirtual(origin)
+	v := held(t)
 	tk := v.NewTicker(time.Second)
 	for i := 1; i <= 3; i++ {
-		v.Advance(time.Second)
+		v.Sleep(time.Second)
 		select {
 		case tm := <-tk.C():
 			want := origin.Add(time.Duration(i) * time.Second)
@@ -133,7 +132,7 @@ func TestVirtualTickerFiresRepeatedly(t *testing.T) {
 		}
 	}
 	tk.Stop()
-	v.Advance(5 * time.Second)
+	v.Sleep(5 * time.Second)
 	select {
 	case <-tk.C():
 		t.Fatal("stopped ticker fired")
@@ -142,10 +141,10 @@ func TestVirtualTickerFiresRepeatedly(t *testing.T) {
 }
 
 func TestVirtualTickerDropsWhenSlow(t *testing.T) {
-	v := NewVirtual(origin)
+	v := held(t)
 	tk := v.NewTicker(time.Second)
 	defer tk.Stop()
-	v.Advance(10 * time.Second) // 10 periods, buffer of 1
+	v.Sleep(10 * time.Second) // 10 periods, buffer of 1
 	n := 0
 	for {
 		select {
@@ -162,7 +161,7 @@ func TestVirtualTickerDropsWhenSlow(t *testing.T) {
 }
 
 func TestVirtualDeadlineOrdering(t *testing.T) {
-	v := NewVirtual(origin)
+	v := held(t)
 	chA := v.NewTimer(3 * time.Second).C()
 	chB := v.NewTimer(1 * time.Second).C()
 	chC := v.NewTimer(2 * time.Second).C()
@@ -174,30 +173,17 @@ func TestVirtualDeadlineOrdering(t *testing.T) {
 			return false
 		}
 	}
-	v.Advance(time.Second)
+	v.Sleep(time.Second)
 	if !ready(chB) || ready(chA) || ready(chC) {
 		t.Fatal("after 1s only B should have fired")
 	}
-	v.Advance(time.Second)
+	v.Sleep(time.Second)
 	if !ready(chC) || ready(chA) {
 		t.Fatal("after 2s only C should additionally have fired")
 	}
-	v.Advance(time.Second)
+	v.Sleep(time.Second)
 	if !ready(chA) {
 		t.Fatal("after 3s A should have fired")
-	}
-}
-
-func TestVirtualNextDeadline(t *testing.T) {
-	v := NewVirtual(origin)
-	if _, ok := v.NextDeadline(); ok {
-		t.Fatal("NextDeadline reported a deadline on empty clock")
-	}
-	v.NewTimer(7 * time.Second)
-	v.NewTimer(2 * time.Second)
-	dl, ok := v.NextDeadline()
-	if !ok || !dl.Equal(origin.Add(2*time.Second)) {
-		t.Fatalf("NextDeadline = %v/%v, want origin+2s/true", dl, ok)
 	}
 }
 
@@ -293,15 +279,17 @@ func TestVirtualAutoBlockUnblock(t *testing.T) {
 }
 
 func TestVirtualMonotonicityProperty(t *testing.T) {
-	// Property: for any sequence of positive advances and timer arms, Now()
+	// Property: for any sequence of positive sleeps and timer arms, Now()
 	// never decreases and all timers fire at exactly their deadline.
 	f := func(steps []uint16) bool {
-		v := NewVirtual(origin)
+		v := NewVirtualAuto(origin)
+		v.AddRunner()
+		defer v.DoneRunner()
 		prev := v.Now()
 		for _, s := range steps {
 			d := time.Duration(s%1000+1) * time.Millisecond
 			ch := v.NewTimer(d).C()
-			v.Advance(d)
+			v.Sleep(d)
 			got := <-ch
 			if got.Before(prev) {
 				return false
@@ -318,16 +306,15 @@ func TestVirtualMonotonicityProperty(t *testing.T) {
 	}
 }
 
+// TestSleepCtxVirtual: an unregistered caller's cancellable sleep moves the
+// clock when nothing registered is runnable.
 func TestSleepCtxVirtual(t *testing.T) {
-	v := NewVirtual(origin)
-	done := make(chan error, 1)
-	go func() { done <- SleepCtx(t.Context(), v, time.Second) }()
-	for v.PendingSleepers() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	v.Advance(time.Second)
-	if err := <-done; err != nil {
+	v := NewVirtualAuto(origin)
+	if err := SleepCtx(t.Context(), v, time.Second); err != nil {
 		t.Fatalf("SleepCtx = %v, want nil", err)
+	}
+	if !v.Now().Equal(origin.Add(time.Second)) || pending(v) != 0 {
+		t.Fatalf("SleepCtx returned at %v with %d pending, want origin+1s and 0", v.Now(), pending(v))
 	}
 }
 
@@ -355,7 +342,7 @@ func TestSleepCtxAutoPullsTime(t *testing.T) {
 			t.Errorf("SleepCtx returned at %v, want origin+1s", v.Now())
 		}
 	})
-	if n := v.PendingSleepers(); n != 0 {
+	if n := pending(v); n != 0 {
 		t.Fatalf("%d sleepers pending after the sleep", n)
 	}
 }
@@ -428,8 +415,49 @@ func TestSettleWaitsForOthersToPark(t *testing.T) {
 		v.Settle()
 		mu.Lock()
 		defer mu.Unlock()
-		if ran != 3 || v.PendingSleepers() != 3 || !v.Now().Equal(origin) {
-			t.Errorf("Settle returned with %d of 3 run, %d asleep, at %v; want 3, 3, origin", ran, v.PendingSleepers(), v.Now())
+		if ran != 3 || pending(v) != 3 || !v.Now().Equal(origin) {
+			t.Errorf("Settle returned with %d of 3 run, %d asleep, at %v; want 3, 3, origin", ran, pending(v), v.Now())
 		}
 	})
+}
+
+// TestRunnersOf: only a virtual clock has runnability accounting; clocks that
+// advance on their own report none, so callers skip their accounting calls.
+func TestRunnersOf(t *testing.T) {
+	v := NewVirtualAuto(origin)
+	for _, tc := range []struct {
+		name  string
+		clock Clock
+		want  *Virtual
+	}{
+		{"virtual", v, v},
+		{"real", NewReal(), nil},
+		{"scaled", NewScaled(1000, origin), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := RunnersOf(tc.clock); got != tc.want {
+				t.Fatalf("RunnersOf(%T) = %p, want %p", tc.clock, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestVirtualTimersAloneDoNotPullTime: with every registered goroutine parked
+// and nobody in Sleep, a pending timer does not move the clock.
+func TestVirtualTimersAloneDoNotPullTime(t *testing.T) {
+	v := NewVirtualAuto(origin)
+	tm := v.NewTimer(time.Second)
+	v.AddRunner()
+	v.DoneRunner() // nothing runnable: the clock may advance only for a sleeper
+	select {
+	case <-tm.C():
+		t.Fatal("a timer alone pulled the clock to its deadline")
+	default:
+	}
+	if n := pending(v); n != 1 || !v.Now().Equal(origin) {
+		t.Fatalf("%d pending at %v, want 1 at origin", n, v.Now())
+	}
+	if !tm.Stop() {
+		t.Fatal("Stop() = false on a timer that never fired")
+	}
 }

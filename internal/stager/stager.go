@@ -35,7 +35,7 @@ type Link struct {
 type Manager struct {
 	clock simtime.Clock
 	src   *rng.Source
-	run   simtime.Runners // parks WaitBytes callers; nil off the virtual clock
+	run   *simtime.Virtual // parks WaitBytes callers; nil off the virtual clock
 
 	mu      sync.Mutex
 	links   map[string]Link // key "src→dst" platform pair, or "*" default

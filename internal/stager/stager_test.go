@@ -2,7 +2,6 @@ package stager
 
 import (
 	"context"
-	"runtime"
 	"testing"
 	"time"
 
@@ -196,9 +195,7 @@ func TestWaitBytesCancel(t *testing.T) {
 	}
 	at := clk.Now()
 	clk.Go(func() { clk.Sleep(time.Hour) })
-	for clk.PendingSleepers() == 0 && clk.Now().Equal(at) {
-		runtime.Gosched()
-	}
+	clk.Settle()
 	if got := clk.Now(); !got.Equal(at) {
 		t.Fatalf("clock moved %v while the cancelled waiter was runnable", got.Sub(at))
 	}

@@ -14,15 +14,24 @@ import (
 
 var origin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
 
+// held returns a virtual clock at origin with the test goroutine registered
+// on it until the test ends: each Sleep of the test moves it, exactly.
+func held(t *testing.T) *simtime.Virtual {
+	clk := simtime.NewVirtualAuto(origin)
+	clk.AddRunner()
+	t.Cleanup(clk.DoneRunner)
+	return clk
+}
+
 func TestTaskHappyPath(t *testing.T) {
-	clk := simtime.NewVirtual(origin)
+	clk := held(t)
 	m := NewMachine("task.0001", TaskModel(), clk)
 	path := []State{
 		TaskTmgrScheduling, TaskStagingInput, TaskScheduling,
 		TaskExecuting, TaskStagingOutput, TaskDone,
 	}
 	for _, s := range path {
-		clk.Advance(time.Second)
+		clk.Sleep(time.Second)
 		if err := m.To(s); err != nil {
 			t.Fatalf("To(%s): %v", s, err)
 		}
@@ -33,10 +42,13 @@ func TestTaskHappyPath(t *testing.T) {
 	if got := len(m.History()); got != len(path)+1 {
 		t.Fatalf("history length %d, want %d", got, len(path)+1)
 	}
+	if at, _ := m.EnteredAt(TaskDone); !at.Equal(origin.Add(time.Duration(len(path)) * time.Second)) {
+		t.Fatalf("DONE entered at %v, want origin+%ds", at, len(path))
+	}
 }
 
 func TestServiceHappyPath(t *testing.T) {
-	clk := simtime.NewVirtual(origin)
+	clk := simtime.NewVirtualAuto(origin)
 	m := NewMachine("service.0001", ServiceModel(), clk)
 	path := []State{
 		ServiceSmgrScheduling, ServiceStagingInput, ServiceScheduling,
@@ -51,7 +63,7 @@ func TestServiceHappyPath(t *testing.T) {
 }
 
 func TestPilotHappyPath(t *testing.T) {
-	clk := simtime.NewVirtual(origin)
+	clk := simtime.NewVirtualAuto(origin)
 	m := NewMachine("pilot.0000", PilotModel(), clk)
 	for _, s := range []State{PilotLaunching, PilotActive, PilotDone} {
 		if err := m.To(s); err != nil {
@@ -61,7 +73,7 @@ func TestPilotHappyPath(t *testing.T) {
 }
 
 func TestIllegalTransitionRejected(t *testing.T) {
-	clk := simtime.NewVirtual(origin)
+	clk := simtime.NewVirtualAuto(origin)
 	m := NewMachine("task.0002", TaskModel(), clk)
 	err := m.To(TaskExecuting) // NEW → EXECUTING skips four states
 	if err == nil {
@@ -80,7 +92,6 @@ func TestIllegalTransitionRejected(t *testing.T) {
 }
 
 func TestNoEscapeFromFinalStates(t *testing.T) {
-	clk := simtime.NewVirtual(origin)
 	for _, model := range []*Model{TaskModel(), ServiceModel(), PilotModel()} {
 		for _, s := range model.States() {
 			if !model.IsFinal(s) {
@@ -93,7 +104,6 @@ func TestNoEscapeFromFinalStates(t *testing.T) {
 			}
 		}
 	}
-	_ = clk
 }
 
 func TestEveryNonFinalStateCanFail(t *testing.T) {
@@ -119,7 +129,7 @@ func TestEveryNonFinalStateCanFail(t *testing.T) {
 }
 
 func TestFailHelper(t *testing.T) {
-	clk := simtime.NewVirtual(origin)
+	clk := simtime.NewVirtualAuto(origin)
 	cases := []struct {
 		model *Model
 		want  State
@@ -140,11 +150,11 @@ func TestFailHelper(t *testing.T) {
 }
 
 func TestHistoryTimestamps(t *testing.T) {
-	clk := simtime.NewVirtual(origin)
+	clk := held(t)
 	m := NewMachine("task.0003", TaskModel(), clk)
-	clk.Advance(3 * time.Second)
+	clk.Sleep(3 * time.Second)
 	_ = m.To(TaskTmgrScheduling)
-	clk.Advance(5 * time.Second)
+	clk.Sleep(5 * time.Second)
 	_ = m.To(TaskStagingInput)
 
 	at, ok := m.EnteredAt(TaskTmgrScheduling)
@@ -161,7 +171,7 @@ func TestHistoryTimestamps(t *testing.T) {
 }
 
 func TestCallbacksFire(t *testing.T) {
-	clk := simtime.NewVirtual(origin)
+	clk := simtime.NewVirtualAuto(origin)
 	m := NewMachine("task.0004", TaskModel(), clk)
 	var mu sync.Mutex
 	var got []State
@@ -183,7 +193,7 @@ func TestCallbacksFire(t *testing.T) {
 }
 
 func TestWaitChan(t *testing.T) {
-	clk := simtime.NewVirtual(origin)
+	clk := simtime.NewVirtualAuto(origin)
 	m := NewMachine("task.0005", TaskModel(), clk)
 	ch := m.WaitChan()
 	_ = m.To(TaskTmgrScheduling)
@@ -205,7 +215,7 @@ func TestWaitChan(t *testing.T) {
 }
 
 func TestConcurrentTransitionsOnlyOneWins(t *testing.T) {
-	clk := simtime.NewVirtual(origin)
+	clk := simtime.NewVirtualAuto(origin)
 	m := NewMachine("task.0006", TaskModel(), clk)
 	var wg sync.WaitGroup
 	errs := make([]error, 16)
@@ -236,7 +246,7 @@ func TestMachineLegalityProperty(t *testing.T) {
 	f := func(seedSteps []uint8, which uint8) bool {
 		model := models[int(which)%len(models)]
 		all := model.States()
-		clk := simtime.NewVirtual(origin)
+		clk := simtime.NewVirtualAuto(origin)
 		m := NewMachine("prop", model, clk)
 		for _, b := range seedSteps {
 			target := all[int(b)%len(all)]
@@ -323,7 +333,7 @@ func TestModelsShared(t *testing.T) {
 // runs the callback slice it read instead of a copy (OnTransition swaps in a
 // new slice).
 func TestTransitionAllocBudget(t *testing.T) {
-	clock := simtime.NewVirtual(origin)
+	clock := simtime.NewVirtualAuto(origin)
 	path := []State{TaskTmgrScheduling, TaskStagingInput, TaskScheduling, TaskExecuting, TaskStagingOutput, TaskDone}
 	machines := make([]*Machine, 50)
 	fired := 0
@@ -383,7 +393,7 @@ func (c *stepClock) Now() time.Time {
 // observer gets them all, once, after those; a waiter gets the first. A chain
 // with an illegal edge anywhere in it changes nothing and tells no one.
 func TestToChain(t *testing.T) {
-	clock := &stepClock{Clock: simtime.NewVirtual(origin)}
+	clock := &stepClock{Clock: simtime.NewVirtualAuto(origin)}
 	m := NewMachine("t", TaskModel(), clock)
 	var log []string
 	m.OnTransition(func(uid string, from, to State, at time.Time) {
@@ -445,7 +455,7 @@ func TestToChain(t *testing.T) {
 // TestOnTransitionDuringTo: a callback registered while another runs must
 // not disturb the slice the running To iterates.
 func TestOnTransitionDuringTo(t *testing.T) {
-	m := NewMachine("t", TaskModel(), simtime.NewVirtual(origin))
+	m := NewMachine("t", TaskModel(), simtime.NewVirtualAuto(origin))
 	var order []string
 	m.OnTransition(func(string, State, State, time.Time) {
 		order = append(order, "a")

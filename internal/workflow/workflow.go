@@ -148,7 +148,7 @@ func (r *Report) StageReport(name string) (StageReport, bool) {
 // Runner executes pipelines on a session.
 type Runner struct {
 	sess *core.Session
-	run  simtime.Runners // the clock's runnability accounting, nil off the virtual clock
+	run  *simtime.Virtual // the clock's runnability accounting, nil off the virtual clock
 }
 
 // NewRunner builds a Runner submitting to the given pilots through the
