@@ -42,9 +42,15 @@ func newIntSession(t *testing.T, scale float64) *core.Session {
 // TestHybridLocalRemoteInference runs the paper's headline scenario: one
 // client consumes a local (Delta, msgq) and a remote (R3, msgq over WAN)
 // model instance through identical interfaces, and the remote one costs
-// more communication time.
+// more communication time. The session takes the default clock, virtual
+// and auto-advancing, so the comparison does not ride on host jitter
+// scaled up into simulated time.
 func TestHybridLocalRemoteInference(t *testing.T) {
-	sess := newIntSession(t, 1000)
+	sess, err := core.NewSession(core.SessionConfig{Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sess.Close)
 	delta, err := sess.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Cores: 256, GPUs: 16})
 	if err != nil {
 		t.Fatal(err)

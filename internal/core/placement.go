@@ -224,6 +224,12 @@ func (h *handle) wait(ctx context.Context, run *simtime.Virtual) error {
 		h.mu.Unlock()
 		return nil
 	}
+	if err := ctx.Err(); err != nil {
+		// Never park on an ended ctx: between the park and the unpark the
+		// clock would count a running caller as blocked and could advance.
+		h.mu.Unlock()
+		return err
+	}
 	if h.done == nil {
 		h.done = make(chan struct{})
 	}

@@ -70,7 +70,7 @@ type SessionConfig struct {
 	// session-scoped UIDs so recovery can find the survivors.
 	JournalPath string
 	// JournalFlushEvery overrides the journal's fsync batching interval on
-	// the session clock (default journal.DefaultFlushEvery).
+	// the session clock (default 100ms, the journal's own).
 	JournalFlushEvery time.Duration
 }
 
@@ -356,9 +356,9 @@ func (s *Session) Dial(clientAddr string, ep proto.Endpoint) (service.Caller, er
 // follows failure-driven re-placements: it re-resolves and redials the
 // re-published endpoint instead of erroring into the dead address. Over
 // autoscaled replicas, picker spreads requests by the live load reports
-// (stale past service.DefaultLoadHorizon); an unscaled service is a group
-// of one and never consults it. A nil picker selects power-of-two-choices
-// seeded from the session seed and uid.
+// (stale after 10s, the service balancer's horizon); an unscaled service
+// is a group of one and never consults it. A nil picker selects
+// power-of-two-choices seeded from the session seed and uid.
 func (s *Session) DialService(clientAddr, uid string, picker loadbal.Picker) (*service.Balancer, error) {
 	dial := func(ep proto.Endpoint) (service.Caller, error) { return s.Dial(clientAddr, ep) }
 	return service.NewBalancer(s.sm.reg, uid, dial, service.BalancerOptions{

@@ -151,23 +151,11 @@ func (tm *TaskManager) AddPilot(p *pilot.Pilot) {
 		for i, t := range pending {
 			descs[i] = t.desc
 		}
-		// Accept the ranking only if it is a genuine permutation: an
-		// out-of-range or duplicated index from a custom Ranker must not
-		// panic the drain or dispatch a task twice while dropping another.
 		ranked := make([]*Task, 0, len(pending))
-		seen := make([]bool, len(pending))
-		valid := true
 		for _, i := range ranker.RankDrain(p, descs) {
-			if i < 0 || i >= len(pending) || seen[i] {
-				valid = false
-				break
-			}
-			seen[i] = true
 			ranked = append(ranked, pending[i])
 		}
-		if valid && len(ranked) == len(pending) {
-			pending = ranked
-		}
+		pending = ranked
 	}
 	for _, t := range pending {
 		// Ordered handoff: wait for each drained task to reach an agent

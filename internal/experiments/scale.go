@@ -68,7 +68,7 @@ func runScale(ctx context.Context, o Options) ([]metrics.Table, error) {
 	diurnal.Concurrency = 1
 	autoscaled := diurnal
 	autoscaled.Name = "diurnal-autoscaled"
-	autoscaled.MinReplicas, autoscaled.MaxReplicas = 1, 4
+	autoscaled.MaxReplicas = 4
 	scenarios = append(scenarios, diurnal, autoscaled)
 
 	t := metrics.Table{

@@ -24,6 +24,10 @@ import (
 // would dominate the virtual-clock event heap.
 const probeNever = 10000 * time.Hour
 
+// stragglerModel is the model service 0 hosts under kindStraggler: vit-base,
+// whose modelled inference takes milliseconds.
+const stragglerModel = "vit-base"
+
 // Result is the outcome of one campaign.
 type Result struct {
 	// Scenario is the (defaulted) scenario that ran.
@@ -260,7 +264,7 @@ func startBackends(ctx context.Context, sess *core.Session, sc Scenario) ([]*cor
 			model = "noop"
 		}
 		if sc.Kind == kindStraggler && i == 0 {
-			model = sc.StragglerModel
+			model = stragglerModel
 		}
 		d := spec.ServiceDescription{
 			TaskDescription: spec.TaskDescription{Name: fmt.Sprintf("ld-%02d", i)},
@@ -268,12 +272,7 @@ func startBackends(ctx context.Context, sess *core.Session, sc Scenario) ([]*cor
 			Concurrency:     sc.Concurrency,
 			QueueCap:        sc.QueueCap,
 			MaxBatch:        sc.MaxBatch,
-			MinReplicas:     sc.MinReplicas,
 			MaxReplicas:     sc.MaxReplicas,
-			ScaleInterval:   sc.ScaleInterval,
-			ScaleUpQueue:    sc.ScaleUpQueue,
-			ScaleDownQueue:  sc.ScaleDownQueue,
-			ScaleStabilize:  sc.ScaleStabilize,
 			StartTimeout:    time.Hour,
 			ProbeInterval:   probeNever,
 		}

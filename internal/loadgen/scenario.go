@@ -52,22 +52,16 @@ type Scenario struct {
 	// MaxTokens bounds generation for non-noop backends.
 	MaxTokens int
 	// Model is the backend model every service hosts (default noop;
-	// kindStraggler still overrides service 0 with StragglerModel).
+	// kindStraggler still overrides service 0 with stragglerModel).
 	Model string
 	// MaxBatch bounds the per-service dispatcher batch (0/1 = no
-	// batching; >1 needs a batch-capable backend).
+	// batching).
 	MaxBatch int
-	// MinReplicas/MaxReplicas bound the session autoscaler. MaxReplicas
-	// > 1 enables it, and requests route through a load-aware Balancer
-	// instead of a single Resolver.
-	MinReplicas int
+	// MaxReplicas bounds the session autoscaler, which keeps at least one
+	// replica and runs on the core defaults. MaxReplicas > 1 enables it,
+	// and requests route through a load-aware Balancer instead of a single
+	// Resolver.
 	MaxReplicas int
-	// ScaleInterval/ScaleUpQueue/ScaleDownQueue/ScaleStabilize tune the
-	// autoscaler's control loop (zero values take the core defaults).
-	ScaleInterval  time.Duration
-	ScaleUpQueue   float64
-	ScaleDownQueue float64
-	ScaleStabilize int
 
 	// WaveAmp is the diurnal amplitude as a fraction of Rate, in [0, 1).
 	WaveAmp float64
@@ -86,10 +80,6 @@ type Scenario struct {
 	// only sees that background load through the load reports the driver
 	// publishes each arrival.
 	Balance string
-
-	// StragglerModel is the model hosted by service 0 under kindStraggler
-	// (default vit-base, whose modelled inference takes milliseconds).
-	StragglerModel string
 
 	// ChurnAt is the campaign offset at which pilot 0 is shut down.
 	ChurnAt time.Duration
@@ -143,13 +133,8 @@ func (sc Scenario) WithDefaults() Scenario {
 			sc.Balance = "p2c"
 		}
 	}
-	if sc.Kind == kindStraggler {
-		if sc.StragglerModel == "" {
-			sc.StragglerModel = "vit-base"
-		}
-		if sc.MaxTokens == 0 {
-			sc.MaxTokens = 8
-		}
+	if sc.Kind == kindStraggler && sc.MaxTokens == 0 {
+		sc.MaxTokens = 8
 	}
 	if sc.Kind == kindChurn && sc.ChurnAt <= 0 {
 		// halfway through the expected campaign span
@@ -194,8 +179,8 @@ func (sc Scenario) Validate() error {
 	if sc.MaxBatch < 0 {
 		return fmt.Errorf("loadgen: scenario %s has a negative batch bound", sc.Name)
 	}
-	if sc.MinReplicas < 0 || sc.MaxReplicas < 0 {
-		return fmt.Errorf("loadgen: scenario %s has negative replica bounds", sc.Name)
+	if sc.MaxReplicas < 0 {
+		return fmt.Errorf("loadgen: scenario %s has a negative replica bound", sc.Name)
 	}
 	return nil
 }

@@ -50,7 +50,8 @@ type Config struct {
 	// excluded); defaults to N(10s, 2s).
 	BootTime rng.DurationDist
 	// PublishOverhead overrides the endpoint-publication overhead of the
-	// pilot's services (zero-valued: service.DefaultPublishOverhead).
+	// pilot's services (zero-valued: the service manager's default,
+	// N(400ms, 120ms)).
 	PublishOverhead rng.DurationDist
 	// LaunchModel overrides the platform's launch model (nil: platform
 	// default). Experiment harnesses that do not measure bootstrap use a

@@ -36,9 +36,6 @@ func appendBody(b []byte, body any) (_ []byte, ok bool) {
 		if v.MaxTokens != 0 {
 			b = strconv.AppendInt(append(b, `,"max_tokens":`...), int64(v.MaxTokens), 10)
 		}
-		if v.NoBatch {
-			b = append(b, `,"no_batch":true`...)
-		}
 		b, ok = jsonshape.AppendTime(append(b, `,"sent_at":`...), v.SentAt)
 		return append(b, '}'), ok
 	case InferenceReply:
@@ -81,9 +78,6 @@ func decodeBody(body []byte, out any) bool {
 		v.Prompt = stringAt(&c)
 		if c.Has(`,"max_tokens":`) {
 			v.MaxTokens = intAt(&c)
-		}
-		if c.Has(`,"no_batch":true`) {
-			v.NoBatch = true
 		}
 		c.Lit(`,"sent_at":`)
 		timeAt(&c, &v.SentAt)

@@ -197,10 +197,6 @@ type InferenceRequest struct {
 	Model      string `json:"model"` // model name, e.g. "llama-8b" or "noop"
 	Prompt     string `json:"prompt"`
 	MaxTokens  int    `json:"max_tokens,omitempty"`
-	// NoBatch excludes the request from batched inference: a server with
-	// continuous batching enabled serves it alone rather than coalescing
-	// it with compatible queued requests.
-	NoBatch bool `json:"no_batch,omitempty"`
 	// SentAt is the client clock time immediately before the request
 	// entered the transport; used for RT decomposition.
 	SentAt time.Time `json:"sent_at"`

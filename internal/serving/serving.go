@@ -5,12 +5,14 @@
 // single-threaded, and, as such, they only handle one request at a time,
 // queuing further incoming requests" — but lifting that simplification is
 // the paper's declared future work, and this package implements it: a
-// worker pool (Config.Concurrency) feeds a continuous-batching dispatcher
-// (Config.MaxBatch) that coalesces compatible queued requests into one
-// batched backend invocation whenever a worker frees up. Batches are not
-// fixed windows: each batch is sized by whatever happens to be queued at
-// dequeue time, so an idle server still serves single requests with no
-// added latency.
+// worker pool (Config.Concurrency) in which each worker, whenever it frees
+// up, takes the queue head plus the queued requests right behind it for
+// the same model, up to Config.MaxBatch, and serves them as one backend
+// invocation (continuous batching). Batches are not fixed windows: each is
+// sized by whatever happens to be queued at dequeue time, so an idle
+// server serves a lone request with no added latency, and the paper's
+// request-at-a-time service is simply MaxBatch 1 — every batch a batch of
+// one.
 package serving
 
 import (
@@ -42,18 +44,13 @@ type Backend interface {
 	Name() string
 	// Load blocks for the capability's initialization (model load).
 	Load() time.Duration
-	// Infer blocks for one inference and returns its result.
+	// Infer blocks for one inference and returns its result. The server
+	// calls it for every batch of one.
 	Infer(prompt string, maxTokens int) llm.Result
-}
-
-// batchBackend is optionally implemented by backends that can serve
-// several compatible requests in one model invocation (continuous
-// batching). InferBatch blocks for the whole batch and returns one result
-// per item, in order. A batch of one must be indistinguishable from Infer
-// — same randomness draws, same result bytes — so enabling batching never
-// perturbs an unbatched workload.
-type batchBackend interface {
-	Backend
+	// InferBatch serves several compatible requests in one model
+	// invocation (continuous batching): it blocks for the whole batch and
+	// returns one result per item, in order. Item by item it draws the
+	// randomness Infer would, so a batch of one returns Infer's result.
 	InferBatch(items []llm.BatchItem) []llm.Result
 }
 
@@ -71,7 +68,7 @@ func (b LLMBackend) Infer(prompt string, maxTokens int) llm.Result {
 	return b.M.Infer(prompt, maxTokens)
 }
 
-// InferBatch implements batchBackend via the llm batch cost model.
+// InferBatch implements Backend via the llm batch cost model.
 func (b LLMBackend) InferBatch(items []llm.BatchItem) []llm.Result {
 	return b.M.InferBatch(items)
 }
@@ -91,10 +88,9 @@ type Config struct {
 	Concurrency int
 	// QueueCap bounds the request queue. Default 4096.
 	QueueCap int
-	// MaxBatch bounds how many compatible queued requests (same model,
-	// none flagged NoBatch) one worker coalesces into a single batched
-	// inference. Effective only when Backend implements batchBackend;
-	// 0 or 1 disables batching (the paper's request-at-a-time service).
+	// MaxBatch bounds how many compatible queued requests (same model)
+	// one worker coalesces into a single batched inference. Default 1 —
+	// the paper's request-at-a-time service.
 	MaxBatch int
 	// ParseOverhead is the per-request deserialize/parse/serialize cost
 	// (the paper's `service` RT component). Default ≈ 30µs ± 10µs of
@@ -102,24 +98,21 @@ type Config struct {
 	// scheduling overhead adds to the measured span, landing the total in
 	// the paper's sub-communication band.
 	ParseOverhead rng.DurationDist
-	// DedupWindow caps the number of completed request UIDs remembered for
-	// idempotent redelivery: a request whose UID matches a remembered
-	// completion is answered from the cache instead of re-executed, making
-	// resolver park-and-retry safe for non-idempotent backends. 0 selects
-	// defaultDedupWindow; negative disables deduplication.
-	//
-	// Scope: the memory is per server instance. Retries that land on the
-	// same surviving instance (lost reply, suspend/resume of its
-	// registration) dedup; after a failover re-placement the replacement
-	// starts with empty memory, so a request that completed on the dead
-	// instance re-executes there — at-most-once per instance, not
-	// exactly-once across instances. A retry racing a still-in-flight
-	// first attempt also re-executes: only completions are remembered.
-	DedupWindow int
 }
 
-// defaultDedupWindow is the default completed-request memory size.
-const defaultDedupWindow = 1024
+// dedupWindow caps the number of completed request UIDs remembered for
+// idempotent redelivery: a request whose UID matches a remembered
+// completion is answered from the cache instead of re-executed, making
+// resolver park-and-retry safe for non-idempotent backends.
+//
+// Scope: the memory is per server instance. Retries that land on the
+// same surviving instance (lost reply, suspend/resume of its
+// registration) dedup; after a failover re-placement the replacement
+// starts with empty memory, so a request that completed on the dead
+// instance re-executes there — at-most-once per instance, not
+// exactly-once across instances. A retry racing a still-in-flight
+// first attempt also re-executes: only completions are remembered.
+const dedupWindow = 1024
 
 // Server is one model-serving process.
 //
@@ -137,10 +130,6 @@ type Server struct {
 	// run is the clock's runnability accounting (nil on real/scaled
 	// clocks, where parks and wakes need no bookkeeping).
 	run *simtime.Virtual
-	// batch is non-nil when batching is enabled (MaxBatch > 1 and the
-	// backend implements batchBackend); workers then dispatch through
-	// dequeueBatch/serveBatch instead of the single-request path.
-	batch batchBackend
 
 	mu       sync.Mutex
 	jobs     []*job      // queued, not yet picked up by a worker
@@ -232,26 +221,21 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
 	}
+	if cfg.MaxBatch <= 0 {
+		cfg.MaxBatch = 1
+	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4096
 	}
 	if cfg.ParseOverhead.IsZero() {
 		cfg.ParseOverhead = rng.NormalDuration(30*time.Microsecond, 10*time.Microsecond)
 	}
-	if cfg.DedupWindow == 0 {
-		cfg.DedupWindow = defaultDedupWindow
-	}
-	s := &Server{cfg: cfg, run: simtime.RunnersOf(cfg.Clock)}
-	if cfg.MaxBatch > 1 {
-		if bb, ok := cfg.Backend.(batchBackend); ok {
-			s.batch = bb
-		}
-	}
-	if cfg.DedupWindow > 0 {
-		s.dedupDone = make(map[string]int, cfg.DedupWindow)
-		s.dedupRing = make([]dedupEntry, cfg.DedupWindow)
-	}
-	return s, nil
+	return &Server{
+		cfg:       cfg,
+		run:       simtime.RunnersOf(cfg.Clock),
+		dedupDone: make(map[string]int, dedupWindow),
+		dedupRing: make([]dedupEntry, dedupWindow),
+	}, nil
 }
 
 // UID returns the server's identifier.
@@ -336,7 +320,7 @@ func (s *Server) Deduped() int64 { return s.deduped.Load() }
 
 // lookupDedup returns the remembered reply for a completed request UID.
 func (s *Server) lookupDedup(uid string) (proto.InferenceReply, bool) {
-	if s.dedupDone == nil || uid == "" {
+	if uid == "" {
 		return proto.InferenceReply{}, false
 	}
 	s.dedupMu.Lock()
@@ -350,7 +334,7 @@ func (s *Server) lookupDedup(uid string) (proto.InferenceReply, bool) {
 // remember records a completed request for idempotent redelivery, evicting
 // the oldest entry past the window.
 func (s *Server) remember(uid string, reply proto.InferenceReply) {
-	if s.dedupDone == nil || uid == "" {
+	if uid == "" {
 		return
 	}
 	s.dedupMu.Lock()
@@ -368,6 +352,10 @@ func (s *Server) remember(uid string, reply proto.InferenceReply) {
 	s.dedupMu.Unlock()
 }
 
+// worker is one dispatcher loop: each time it frees up it takes whatever
+// compatible requests are queued (up to MaxBatch) and serves them as one
+// backend invocation — continuous batching, no forming windows and no
+// added idle latency.
 func (s *Server) worker() {
 	defer s.workers.Done()
 	if s.run != nil {
@@ -375,40 +363,10 @@ func (s *Server) worker() {
 		// spawned — see the register-before-spawn comment there.
 		defer s.run.DoneRunner()
 	}
-	if s.batch != nil {
-		s.batchWorker()
-		return
-	}
-	park := make(chan *job, 1)
-	for {
-		j, ok := s.dequeue(park)
-		if !ok {
-			return
-		}
-		s.queued.Add(-1)
-		s.inflight.Add(1)
-		s.mu.Lock()
-		stopped := s.stopped
-		s.mu.Unlock()
-		if stopped {
-			// Immediate termination: flush queued jobs with error replies so
-			// their Submit callers unblock.
-			s.flushStopped(j)
-			continue
-		}
-		s.serve(j)
-	}
-}
-
-// batchWorker is the dispatcher loop of a batching server: each time the
-// worker frees up it takes whatever compatible requests are queued (up to
-// MaxBatch) and serves them as one backend invocation — continuous
-// batching, no forming windows and no added idle latency.
-func (s *Server) batchWorker() {
 	buf := make([]*job, 0, s.cfg.MaxBatch)
 	park := make(chan *job, 1)
 	for {
-		batch, ok := s.dequeueBatch(buf[:0], park)
+		batch, ok := s.dequeue(buf[:0], park)
 		if !ok {
 			return
 		}
@@ -419,12 +377,14 @@ func (s *Server) batchWorker() {
 		stopped := s.stopped
 		s.mu.Unlock()
 		if stopped {
+			// Immediate termination: flush dequeued jobs with error
+			// replies so their Submit callers unblock.
 			for _, j := range batch {
 				s.flushStopped(j)
 			}
 			continue
 		}
-		s.serveBatch(batch)
+		s.serve(batch)
 	}
 }
 
@@ -440,57 +400,25 @@ func (s *Server) flushStopped(j *job) {
 	})
 }
 
-// dequeue returns the next job, parking the worker when the queue is
-// empty. Buffered jobs are drained even after qclosed (Drain semantics;
-// Stop's flush happens in the worker loop), and false means the worker
-// should exit. A parked worker is handed its job (or a nil close wakeup)
-// directly by the waker, which also issues the runnability wake token
-// under s.mu — see the Server doc comment. park is the worker's own
-// one-slot channel: it is in s.waiters only while the worker is parked and
-// receives exactly one value per park, so it is empty again on return.
-func (s *Server) dequeue(park chan *job) (*job, bool) {
-	for {
-		s.mu.Lock()
-		if len(s.jobs) > 0 {
-			j := s.jobs[0]
-			s.jobs = s.jobs[1:]
-			s.mu.Unlock()
-			return j, true
-		}
-		if s.qclosed {
-			s.mu.Unlock()
-			return nil, false
-		}
-		s.waiters = append(s.waiters, park)
-		if s.run != nil {
-			s.run.Block()
-		}
-		s.mu.Unlock()
-		if j := <-park; j != nil {
-			return j, true
-		}
-		// nil wakeup: the queue closed while we were parked; loop to
-		// observe qclosed under the lock.
-	}
-}
-
-// dequeueBatch returns the next batch of compatible jobs, appending into
-// buf: the head of the queue plus every immediately following request for
-// the same model that is not flagged NoBatch, up to MaxBatch. A NoBatch
-// head forms a batch of one. Like dequeue, it parks the worker when the
-// queue is empty — a direct handoff then yields a batch of one, which is
-// exactly continuous batching's idle behavior.
-func (s *Server) dequeueBatch(buf []*job, park chan *job) ([]*job, bool) {
+// dequeue returns the next batch, appending into buf: the head of the
+// queue plus every immediately following request for the same model, up
+// to MaxBatch. It parks the worker when the queue is empty — a direct
+// handoff then yields a batch of one, which is exactly continuous
+// batching's idle behavior. Buffered jobs are drained even after qclosed
+// (Drain semantics; Stop's flush happens in the worker loop), and false
+// means the worker should exit. A parked worker is handed its job (or a
+// nil close wakeup) directly by the waker, which also issues the
+// runnability wake token under s.mu — see the Server doc comment. park is
+// the worker's own one-slot channel: it is in s.waiters only while the
+// worker is parked and receives exactly one value per park, so it is
+// empty again on return.
+func (s *Server) dequeue(buf []*job, park chan *job) ([]*job, bool) {
 	for {
 		s.mu.Lock()
 		if len(s.jobs) > 0 {
 			n := 1
-			head := s.jobs[0]
-			if !head.req.NoBatch {
-				for n < len(s.jobs) && n < s.cfg.MaxBatch &&
-					!s.jobs[n].req.NoBatch && s.jobs[n].req.Model == head.req.Model {
-					n++
-				}
+			for n < len(s.jobs) && n < s.cfg.MaxBatch && s.jobs[n].req.Model == s.jobs[0].req.Model {
+				n++
 			}
 			buf = append(buf, s.jobs[:n]...)
 			s.jobs = s.jobs[n:]
@@ -566,49 +494,15 @@ func (s *Server) reply(j *job, r proto.InferenceReply) {
 	j.done <- r
 }
 
-func (s *Server) serve(j *job) {
-	defer s.inflight.Add(-1)
-	clock := s.cfg.Clock
-	timing := proto.Timing{ReceivedAt: j.received, DequeuedAt: clock.Now()}
-
-	// Parse/deserialize overhead — half before inference (request parsing),
-	// half after (reply serialization), forming the `service` component.
-	overhead := s.cfg.ParseOverhead.Sample(s.cfg.Src)
-	if overhead > 0 {
-		clock.Sleep(overhead / 2)
-	}
-
-	timing.InferStartAt = clock.Now()
-	res := s.cfg.Backend.Infer(j.req.Prompt, j.req.MaxTokens)
-	timing.InferEndAt = clock.Now()
-
-	if overhead > 0 {
-		clock.Sleep(overhead - overhead/2)
-	}
-	timing.RepliedAt = clock.Now()
-
-	s.processed.Add(1)
-	reply := proto.InferenceReply{
-		RequestUID:   j.req.RequestUID,
-		ServiceUID:   s.cfg.UID,
-		Model:        s.cfg.Backend.Name(),
-		Text:         res.Text,
-		PromptTokens: res.PromptTokens,
-		OutputTokens: res.OutputTokens,
-		Timing:       timing,
-	}
-	s.remember(j.req.RequestUID, reply)
-	s.reply(j, reply)
-}
-
-// serveBatch executes one coalesced batch as a single backend invocation
-// and fans the results back out to every member's Submit caller. The
-// per-request parse overhead is still charged — batching amortizes model
-// compute, not request deserialization — with the summed overhead split
-// half before inference (request parsing) and half after (reply
-// serialization), mirroring the sequential path. Batch members share the
-// dequeue/infer/reply timestamps: they ride one forward pass.
-func (s *Server) serveBatch(batch []*job) {
+// serve executes one batch as a single backend invocation — Infer for a
+// batch of one, InferBatch otherwise — and fans the results back out to
+// every member's Submit caller. The per-request parse overhead is charged
+// per member — batching amortizes model compute, not request
+// deserialization — with the summed overhead split half before inference
+// (request parsing) and half after (reply serialization), forming the
+// `service` component. Batch members share the dequeue/infer/reply
+// timestamps: they ride one forward pass.
+func (s *Server) serve(batch []*job) {
 	defer s.inflight.Add(-int64(len(batch)))
 	clock := s.cfg.Clock
 	dequeued := clock.Now()
@@ -621,12 +515,17 @@ func (s *Server) serveBatch(batch []*job) {
 		clock.Sleep(overhead / 2)
 	}
 
-	items := make([]llm.BatchItem, len(batch))
-	for i, j := range batch {
-		items[i] = llm.BatchItem{Prompt: j.req.Prompt, MaxTokens: j.req.MaxTokens}
-	}
 	inferStart := clock.Now()
-	results := s.batch.InferBatch(items)
+	var results []llm.Result
+	if len(batch) == 1 {
+		results = []llm.Result{s.cfg.Backend.Infer(batch[0].req.Prompt, batch[0].req.MaxTokens)}
+	} else {
+		items := make([]llm.BatchItem, len(batch))
+		for i, j := range batch {
+			items[i] = llm.BatchItem{Prompt: j.req.Prompt, MaxTokens: j.req.MaxTokens}
+		}
+		results = s.cfg.Backend.InferBatch(items)
+	}
 	inferEnd := clock.Now()
 
 	if overhead > 0 {

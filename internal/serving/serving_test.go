@@ -411,7 +411,7 @@ func TestStartAfterStop(t *testing.T) {
 	}
 }
 
-func TestDedupWindowServesRedeliveryExactlyOnce(t *testing.T) {
+func TestDedupServesRedeliveryExactlyOnce(t *testing.T) {
 	s := newServer(t, "noop", 1)
 	start(t, s)
 	defer s.Stop()
@@ -445,77 +445,35 @@ func TestDedupWindowServesRedeliveryExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestDedupWindowEviction(t *testing.T) {
-	spec, err := llm.Lookup("noop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := simtime.NewScaled(100000, origin)
-	src := rng.New(7)
-	s, err := New(Config{
-		UID:         "service.0001",
-		Backend:     LLMBackend{M: llm.NewInstance(spec, clock, src.Derive("model"))},
-		Clock:       clock,
-		Src:         src.Derive("server"),
-		DedupWindow: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestDedupEviction: the completed-request memory holds the last
+// dedupWindow UIDs, so after dedupWindow+1 distinct requests the first
+// re-executes and the last is answered from memory.
+func TestDedupEviction(t *testing.T) {
+	s := newServer(t, "noop", 1)
 	start(t, s)
-	defer s.Stop()
-
-	for _, uid := range []string{"a", "b", "c"} { // "a" evicted at "c"
-		if _, err := s.Submit(context.Background(), req(uid, "p", 8)); err != nil {
-			t.Fatalf("submit %s: %v", uid, err)
+	uid := func(i int) string { return fmt.Sprintf("r%d", i) }
+	for i := 0; i <= dedupWindow; i++ {
+		if _, err := s.Submit(context.Background(), req(uid(i), "p", 8)); err != nil {
+			t.Fatalf("submit %s: %v", uid(i), err)
 		}
 	}
-	if _, err := s.Submit(context.Background(), req("a", "p", 8)); err != nil {
+	if _, err := s.Submit(context.Background(), req(uid(0), "p", 8)); err != nil {
 		t.Fatalf("resubmit evicted: %v", err)
 	}
-	if s.Processed() != 4 || s.Deduped() != 0 {
+	if s.Processed() != dedupWindow+2 || s.Deduped() != 0 {
 		t.Fatalf("evicted UID deduped: processed=%d deduped=%d", s.Processed(), s.Deduped())
 	}
-	if _, err := s.Submit(context.Background(), req("c", "p", 8)); err != nil {
+	if _, err := s.Submit(context.Background(), req(uid(dedupWindow), "p", 8)); err != nil {
 		t.Fatalf("resubmit remembered: %v", err)
 	}
-	if s.Deduped() != 1 {
-		t.Fatalf("remembered UID not deduped: %d", s.Deduped())
-	}
-}
-
-func TestDedupDisabled(t *testing.T) {
-	spec, err := llm.Lookup("noop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := simtime.NewScaled(100000, origin)
-	src := rng.New(7)
-	s, err := New(Config{
-		UID:         "service.0001",
-		Backend:     LLMBackend{M: llm.NewInstance(spec, clock, src.Derive("model"))},
-		Clock:       clock,
-		Src:         src.Derive("server"),
-		DedupWindow: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start(t, s)
-	defer s.Stop()
-	for i := 0; i < 2; i++ {
-		if _, err := s.Submit(context.Background(), req("same", "p", 8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Processed() != 2 || s.Deduped() != 0 {
-		t.Fatalf("disabled dedup intercepted: processed=%d deduped=%d", s.Processed(), s.Deduped())
+	if s.Processed() != dedupWindow+2 || s.Deduped() != 1 {
+		t.Fatalf("remembered UID not deduped: processed=%d deduped=%d", s.Processed(), s.Deduped())
 	}
 }
 
 // --- Continuous batching (PR 8) ----------------------------------------------
 
-// recordingBackend is a batchBackend that records every batch it serves.
+// recordingBackend is a Backend that records every batch it serves.
 // The entered/gate channels let tests hold the worker mid-inference so
 // the queue contents at the next dequeue are exactly known.
 type recordingBackend struct {
@@ -619,10 +577,9 @@ func drainBatches(t *testing.T, b *recordingBackend, wg *sync.WaitGroup, more in
 	wg.Wait()
 }
 
-func batchReq(uid, model string, noBatch bool) proto.InferenceRequest {
+func batchReq(uid, model string) proto.InferenceRequest {
 	r := req(uid, uid, 1)
 	r.Model = model
-	r.NoBatch = noBatch
 	return r
 }
 
@@ -636,11 +593,11 @@ func TestBatchFormationGroupsByModel(t *testing.T) {
 	defer s.Stop()
 	var wg sync.WaitGroup
 	plugAndQueue(t, s, b, &wg, []proto.InferenceRequest{
-		batchReq("r0", "a", false),
-		batchReq("r1", "a", false),
-		batchReq("r2", "a", false),
-		batchReq("r3", "b", false),
-		batchReq("r4", "a", false),
+		batchReq("r0", "a"),
+		batchReq("r1", "a"),
+		batchReq("r2", "a"),
+		batchReq("r3", "b"),
+		batchReq("r4", "a"),
 	})
 	drainBatches(t, b, &wg, 3)
 	want := [][]string{{"plug"}, {"r0", "r1", "r2"}, {"r3"}, {"r4"}}
@@ -662,7 +619,7 @@ func TestBatchFormationHonorsMaxBatch(t *testing.T) {
 	var wg sync.WaitGroup
 	var reqs []proto.InferenceRequest
 	for i := 0; i < 6; i++ {
-		reqs = append(reqs, batchReq(fmt.Sprintf("r%d", i), "a", false))
+		reqs = append(reqs, batchReq(fmt.Sprintf("r%d", i), "a"))
 	}
 	plugAndQueue(t, s, b, &wg, reqs)
 	drainBatches(t, b, &wg, 2)
@@ -672,24 +629,54 @@ func TestBatchFormationHonorsMaxBatch(t *testing.T) {
 	}
 }
 
-// TestBatchFormationHonorsNoBatch: a NoBatch head dequeues alone even
-// with compatible followers, and a NoBatch follower stops the extension.
-func TestBatchFormationHonorsNoBatch(t *testing.T) {
-	b := &recordingBackend{entered: make(chan struct{}), gate: make(chan struct{})}
-	s := newBatchServer(t, b, 4)
-	start(t, s)
-	defer s.Stop()
-	var wg sync.WaitGroup
-	plugAndQueue(t, s, b, &wg, []proto.InferenceRequest{
-		batchReq("n0", "a", true),
-		batchReq("r1", "a", false),
-		batchReq("n2", "a", true),
-		batchReq("r3", "a", false),
-	})
-	drainBatches(t, b, &wg, 4)
-	want := [][]string{{"plug"}, {"n0"}, {"r1"}, {"n2"}, {"r3"}}
-	if got := b.recorded(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("batches = %v, want %v", got, want)
+// TestLoneRequestBatchOfOne: a request that never queues is a batch of
+// one, so a MaxBatch 8 server and a MaxBatch 1 server built from the same
+// seed reply identically — text, token counts and every Timing stamp.
+func TestLoneRequestBatchOfOne(t *testing.T) {
+	serve := func(maxBatch int) []proto.InferenceReply {
+		clock := simtime.NewVirtualAuto(origin)
+		spec, err := llm.Lookup("vit-base")
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := rng.New(7)
+		s, err := New(Config{
+			UID:         "service.0001",
+			Backend:     LLMBackend{M: llm.NewInstance(spec, clock, src.Derive("model"))},
+			Clock:       clock,
+			Src:         src.Derive("server"),
+			Concurrency: 1,
+			MaxBatch:    maxBatch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start(t, s)
+		t.Cleanup(s.Stop)
+		replies := make([]proto.InferenceReply, 4)
+		done := make(chan struct{})
+		clock.Go(func() {
+			defer close(done)
+			for i := range replies {
+				reply, err := s.Submit(context.Background(), req(fmt.Sprintf("r%d", i), "classify", 64))
+				if err != nil {
+					t.Error(err)
+				}
+				replies[i] = reply
+			}
+		})
+		<-done
+		return replies
+	}
+	single, batching := serve(1), serve(8)
+	for i, r := range single {
+		if r.Timing.QueueTime() != 0 || r.OutputTokens == 0 || r.Timing.InferTime() == 0 {
+			t.Fatalf("request %d: queued %v, %d tokens in %v", i, r.Timing.QueueTime(), r.OutputTokens, r.Timing.InferTime())
+		}
+		b := batching[i]
+		if r.Text != b.Text || r.PromptTokens != b.PromptTokens || r.OutputTokens != b.OutputTokens || r.Timing != b.Timing {
+			t.Fatalf("request %d: MaxBatch 1 %+v\nMaxBatch 8 %+v", i, r, b)
+		}
 	}
 }
 
