@@ -4,7 +4,7 @@
 // Usage:
 //
 //	rpexp [-exp name|all] [-deploy d] [-scaling s] [-counts list] [-requests n]
-//	      [-seed n] [-sched policy] [-router name] [-platform name] [-churn]
+//	      [-seed n] [-sched policy] [-platform name] [-churn]
 //	      [-scenarios list] [-balance list] [-cpuprofile file] [-memprofile file]
 //
 // `rpexp -exp <unknown>` lists the experiments; `rpexp -h` explains the
@@ -52,8 +52,7 @@ func run(registry []experiments.Experiment, args []string, stdout, stderr io.Wri
 	fs.StringVar(&o.Counts, "counts", "", "comma-separated instance counts for exp 1 (default: paper sweep)")
 	fs.IntVar(&o.Requests, "requests", 0, "requests per client (default: paper values)")
 	fs.Uint64Var(&o.Seed, "seed", 0, "override RNG seed (0: per-experiment defaults)")
-	fs.StringVar(&o.Sched, "sched", "", "pilot scheduling policy: strict|backfill[:k=N,t=D]|best-fit[:k=N,t=D] (default strict)")
-	fs.StringVar(&o.Router, "router", "", "session task router: round-robin|least-loaded|capacity-fit, optionally +retry (default round-robin; for -exp route it selects the single challenger row)")
+	fs.StringVar(&o.Sched, "sched", "", "pilot scheduling policy: strict|backfill|best-fit (default strict)")
 	fs.StringVar(&o.Platform, "platform", "hetero", "mixed-shape platform for the frag/route ablations")
 	fs.BoolVar(&o.Churn, "churn", false, "steady-state fragmentation ablation: transient holders + arrival waves")
 	fs.StringVar(&o.Scenarios, "scenarios", "", "comma-separated scenario name filter for -exp load (default: full catalog)")

@@ -83,7 +83,6 @@ func TestRunRejectsNonsenseBeforeRunning(t *testing.T) {
 		{"-scaling", "sideways"},
 		{"-counts", "1,x"},
 		{"-sched", "nosuch"},
-		{"-router", "nosuch"},
 		{"-requests", "-1"},
 		{"-nosuchflag"},
 	} {

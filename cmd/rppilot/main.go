@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/xproc"
@@ -28,15 +30,28 @@ import (
 
 func main() {
 	xproc.MaybeRunAgent()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
-	uid := flag.String("uid", "pilot.0000", "pilot UID")
-	plat := flag.String("platform", "hetero", "catalog platform to carve the pilot from")
-	nodes := flag.Int("nodes", 0, "pilot node count (0: whole platform)")
-	skip := flag.Int("skip", 0, "nodes to pre-allocate before acquiring (partition carving)")
-	seed := flag.Uint64("seed", 1, "RNG seed")
-	scale := flag.Float64("scale", 2000, "clock compression factor")
-	sched := flag.String("sched", "", "pilot scheduling policy (default strict)")
-	flag.Parse()
+// run parses args and runs the agent until a shutdown RPC arrives or stdin
+// reaches EOF, printing the ready line to stdout and any diagnostic to
+// stderr. It returns the process exit code.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rppilot", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	uid := fs.String("uid", "pilot.0000", "pilot UID")
+	plat := fs.String("platform", "hetero", "catalog platform to carve the pilot from")
+	nodes := fs.Int("nodes", 0, "pilot node count (0: whole platform)")
+	skip := fs.Int("skip", 0, "nodes to pre-allocate before acquiring (partition carving)")
+	seed := fs.Uint64("seed", 1, "RNG seed")
+	scale := fs.Float64("scale", 2000, "clock compression factor")
+	sched := fs.String("sched", "", "pilot scheduling policy: strict|backfill|best-fit (default strict)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	err := xproc.RunAgent(xproc.AgentConfig{
 		UID:         *uid,
@@ -46,9 +61,10 @@ func main() {
 		Seed:        *seed,
 		Scale:       *scale,
 		SchedPolicy: *sched,
-	})
+	}, stdin, stdout)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rppilot: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "rppilot: %v\n", err)
+		return 1
 	}
+	return 0
 }

@@ -223,7 +223,10 @@ func tcpInferClient(tb testing.TB) *service.Client {
 	tb.Cleanup(srv.Stop)
 	net := msgq.NewNetwork(clock, src.Derive("net"), nil)
 	tb.Cleanup(func() { _ = net.Close() })
-	bind, err := net.BindVia(msgq.TransportTCP, "svc.0", srv.Handler())
+	if err := net.SetTransport(msgq.TransportTCP); err != nil {
+		tb.Fatal(err)
+	}
+	bind, err := net.Bind("svc.0", srv.Handler())
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -281,15 +281,15 @@ func TestPolicySelectionThreadsToPilots(t *testing.T) {
 // strict session they would be stuck behind it. The blocked head is held
 // blocked by hour-long holder tasks, so the discriminating assertion is
 // that the smalls are DONE while the blocker has not even started. The
-// policy name pins generous explicit bounds (k=64, time bound off) so the
-// assertion cannot race the default starvation limits on a compressed
-// clock.
+// session runs on the auto-advancing virtual clock with the default
+// starvation bounds (K=16, T=30 s): the test goroutine holds the clock
+// while it submits, so both smalls bypass the head at the instant it
+// blocked and finish 2 s of simulated time later, inside both bounds.
 func TestPolicyBackfillKeepsTasksFlowingEndToEnd(t *testing.T) {
-	s, err := NewSession(SessionConfig{
-		Seed:        7,
-		Clock:       simtime.NewScaled(100000, DefaultOrigin),
-		SchedPolicy: "backfill:k=64,t=-1",
-	})
+	clock := simtime.NewVirtualAuto(DefaultOrigin)
+	clock.AddRunner()
+	defer clock.DoneRunner()
+	s, err := NewSession(SessionConfig{Seed: 7, Clock: clock, SchedPolicy: "backfill"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,8 @@ func TestPolicyBackfillKeepsTasksFlowingEndToEnd(t *testing.T) {
 	defer cancel()
 
 	// Tasks run through the scheduler asynchronously, so sequence on
-	// observed task states rather than submission order.
+	// observed task states rather than submission order. The clock stands
+	// still meanwhile: this goroutine is registered and never parks.
 	waitState := func(task *Task, want states.State) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)

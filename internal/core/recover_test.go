@@ -49,10 +49,21 @@ func submitAttachedPilot(t *testing.T, s *Session) *pilot.Pilot {
 	return p
 }
 
+// TestRecoverReattachesInFlightWork runs on the auto-advancing virtual
+// clock, held by the test goroutine: simulated time moves only while it
+// parks (WaitReady, Wait), so the hour-long tasks are still running when
+// the client dies and Recover runs, however loaded the host.
 func TestRecoverReattachesInFlightWork(t *testing.T) {
-	s, jp := newJournaledSession(t, 7)
-	p1 := submitAttachedPilot(t, s)
-	p2 := submitAttachedPilot(t, s)
+	clock := simtime.NewVirtualAuto(DefaultOrigin)
+	clock.AddRunner()
+	defer clock.DoneRunner()
+	jp := filepath.Join(t.TempDir(), "session.wal")
+	s, err := NewSession(SessionConfig{Seed: 7, Clock: clock, FastBoot: true, JournalPath: jp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAttachedPilot(t, s)
+	submitAttachedPilot(t, s)
 
 	svc, err := s.ServiceManager().Submit(spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "llm", GPUs: 1},
@@ -64,7 +75,11 @@ func TestRecoverReattachesInFlightWork(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := svc.WaitReady(ctx); err != nil {
+	// WaitReady waits on a channel, not on the clock: park meanwhile.
+	clock.Block()
+	err = svc.WaitReady(ctx)
+	clock.Unblock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	preGen := s.EndpointRegistry().Generation(svc.UID())
@@ -86,6 +101,7 @@ func TestRecoverReattachesInFlightWork(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
+	submitted := clock.Now()
 
 	s.Abandon()
 
@@ -127,9 +143,13 @@ func TestRecoverReattachesInFlightWork(t *testing.T) {
 	if ep.Incarnation != 2 {
 		t.Fatalf("endpoint incarnation = %d, want 2", ep.Incarnation)
 	}
-	// The reattached tasks run to completion on the surviving pilots.
+	// The reattached tasks run to completion on the surviving pilots, an
+	// hour after they were submitted.
 	if err := s2.TaskManager().Wait(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if ran := clock.Now().Sub(submitted); ran != time.Hour {
+		t.Fatalf("reattached tasks done %v after submission, want 1h", ran)
 	}
 	for _, uid := range rep.TasksReattached {
 		rt, ok := findTask(s2, uid)
@@ -137,8 +157,6 @@ func TestRecoverReattachesInFlightWork(t *testing.T) {
 			t.Fatalf("task %s did not finish after recovery", uid)
 		}
 	}
-	_ = p1
-	_ = p2
 }
 
 func findTask(s *Session, uid string) (*Task, bool) {

@@ -55,11 +55,11 @@ type SessionConfig struct {
 	// bootstrap is out of scope).
 	FastBoot bool
 	// SchedPolicy names the placement policy every pilot's agent
-	// scheduler uses ("strict", "backfill", "best-fit"). Empty defers to
-	// the platform's default, then to strict.
+	// scheduler uses ("strict", "backfill", "best-fit"). Empty selects
+	// strict.
 	SchedPolicy string
 	// Router names the session-level task→pilot routing strategy of the
-	// TaskManager ("round-robin", "least-loaded", "capacity-fit"). Empty
+	// TaskManager ("round-robin", "capacity-fit"). Empty
 	// selects round-robin, the seed dispatch.
 	Router string
 	// JournalPath, when set, makes the session durable: every entity

@@ -113,7 +113,6 @@ func btPoint(ctx context.Context, o Options, n, partition int) (row btRow, err e
 	err = runTestbed(core.SessionConfig{
 		Seed:        o.Seed + uint64(n),
 		SchedPolicy: o.Sched,
-		Router:      o.Router,
 	}, []spec.PilotDescription{{
 		Platform: "frontier", GPUs: 640, // Table II: 640 GPUs/pilot
 	}}, func(tb *testbed) error {
@@ -247,7 +246,6 @@ func (e rtExp) point(ctx context.Context, o Options, d deployment, clients, serv
 		// Exp 2/3 measure steady-state RT/IT, not bootstrap.
 		FastBoot:    true,
 		SchedPolicy: o.Sched,
-		Router:      o.Router,
 	}, pilots, func(tb *testbed) error {
 		clientPilot, svcPilot := tb.pilots[0], tb.pilots[len(tb.pilots)-1]
 		eps, err := startServices(ctx, tb, svcPilot, e.model, services)

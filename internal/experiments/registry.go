@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/router"
 	"repro/internal/scheduler"
 	"repro/internal/usecases"
 )
@@ -27,7 +26,6 @@ type Options struct {
 	Requests  int    // -requests: request budget
 	Seed      uint64 // -seed
 	Sched     string // -sched: pilot scheduling policy
-	Router    string // -router: session task router
 	Platform  string // -platform: mixed-shape platform (frag, route, svcfail, xproc)
 	Churn     bool   // -churn: steady-state variant of frag
 	Scenarios string // -scenarios: name filter for load
@@ -38,7 +36,6 @@ type Options struct {
 // once, so the caller can refuse them before anything starts.
 func (o Options) Validate() error {
 	_, sched := scheduler.PolicyByName(o.Sched)
-	_, rt := router.ByName(o.Router)
 	_, deploy := o.deployments()
 	_, scaling := o.scalings()
 	_, counts := o.counts()
@@ -46,7 +43,7 @@ func (o Options) Validate() error {
 	if o.Requests < 0 {
 		requests = fmt.Errorf("bad -requests %d", o.Requests)
 	}
-	return errors.Join(sched, rt, deploy, scaling, counts, requests)
+	return errors.Join(sched, deploy, scaling, counts, requests)
 }
 
 func (o Options) deployments() ([]deployment, error) {

@@ -35,11 +35,7 @@ const (
 
 // runRoute executes the routing ablation: identical workloads on
 // identically mismatched pilots — one whole-node task per fat node plus one
-// thin task per thin node — once per router. The routers are round-robin
-// and the challenger: capacity-fit, unless -router names another.
-// Round-robin's and capacity-fit's outcomes depend on submission order and
-// static shapes only; least-loaded routes on live wait-pool snapshots, so
-// its row varies from run to run and has to be asked for.
+// thin task per thin node — once per router in routeRouters.
 func runRoute(ctx context.Context, o Options) ([]metrics.Table, error) {
 	o.Platform, o.Seed = cmp.Or(o.Platform, defaultPlatform), cmp.Or(o.Seed, routeSeed)
 	shapes, thin, fat, err := shapesOf(o.Platform, true)
@@ -47,7 +43,7 @@ func runRoute(ctx context.Context, o Options) ([]metrics.Table, error) {
 		return nil, fmt.Errorf("experiments: route: %w", err)
 	}
 	w := newRouteWorkload(shapes, thin, fat, fat.Count, thin.Count)
-	rows, err := routeRows(ctx, o, []string{router.NameRoundRobin, cmp.Or(o.Router, router.NameCapacityFit)}, w)
+	rows, err := routeRows(ctx, o, w)
 	if err != nil {
 		return nil, err
 	}
@@ -105,10 +101,16 @@ func (w routeWorkload) String() string {
 		w.fatTasks, w.fat.Cores, w.fat.GPUs, w.thinTasks, w.thin.Cores)
 }
 
+// routeRouters are the routers the route and xproc ablations compare:
+// blind round-robin against shape-aware capacity-fit. Both decide from
+// submission order and static shapes only, so their outcome counts do not
+// depend on timing.
+var routeRouters = []string{router.NameRoundRobin, router.NameCapacityFit}
+
 // routeRows runs the workload in process once per router.
-func routeRows(ctx context.Context, o Options, routers []string, w routeWorkload) ([]routeRow, error) {
+func routeRows(ctx context.Context, o Options, w routeWorkload) ([]routeRow, error) {
 	var rows []routeRow
-	for _, rt := range routers {
+	for _, rt := range routeRouters {
 		row, err := routePoint(ctx, o, rt, w)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: route %s on %s: %w", rt, o.Platform, err)

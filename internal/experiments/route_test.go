@@ -21,7 +21,7 @@ func TestRouteCapacityFitRunsWhatRoundRobinWedges(t *testing.T) {
 	}
 	w := newRouteWorkload(shapes, thin, fat, 4, 8)
 	o := Options{Platform: defaultPlatform, Seed: routeSeed}
-	rows, err := routeRows(context.Background(), o, []string{router.NameRoundRobin, router.NameCapacityFit}, w)
+	rows, err := routeRows(context.Background(), o, w)
 	if err != nil {
 		t.Fatal(err)
 	}

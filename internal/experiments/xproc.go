@@ -14,9 +14,7 @@ package experiments
 // quantity: the drivers submit identical workloads in identical order to
 // identically carved pilots, and the routers compared here (round-robin,
 // capacity-fit) decide from submission order and static shapes only, so
-// the done/failed/rejected tallies are timing-independent. least-loaded
-// is deliberately excluded — it reads live queue-depth snapshots, which
-// real-clock agent processes cannot reproduce deterministically.
+// the done/failed/rejected tallies are timing-independent.
 
 import (
 	"cmp"
@@ -90,22 +88,21 @@ type xprocResult struct {
 
 // xprocRows runs the route and failover scenarios once with pilots as OS
 // processes over TCP, once in-proc. The routers are round-robin and
-// capacity-fit, the deterministic ones (see the file comment).
+// capacity-fit (routeRouters).
 func xprocRows(ctx context.Context, o Options) (*xprocResult, error) {
 	shapes, thin, fat, err := shapesOf(o.Platform, true)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: xproc: %w", err)
 	}
 	res := &xprocResult{workload: newRouteWorkload(shapes, thin, fat, xprocFatTasks, xprocThinTasks)}
-	routers := []string{router.NameRoundRobin, router.NameCapacityFit}
-	if res.routeInproc, err = routeRows(ctx, o, routers, res.workload); err != nil {
+	if res.routeInproc, err = routeRows(ctx, o, res.workload); err != nil {
 		return nil, fmt.Errorf("experiments: xproc in-proc route baseline: %w", err)
 	}
 	if res.svcFailInproc, err = svcFailRows(ctx, o); err != nil {
 		return nil, fmt.Errorf("experiments: xproc in-proc svcfail baseline: %w", err)
 	}
 	// One fresh agent set per router and per client style.
-	for _, rt := range routers {
+	for _, rt := range routeRouters {
 		row, err := xprocRoutePoint(ctx, o, rt, res.workload)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: xproc route %s: %w", rt, err)

@@ -101,19 +101,19 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The balanced hotspot shape turns service 0's client into a
-	// load-aware Balancer over the whole fleet: the registry group under
-	// service 0 lists the other services as members, and the driver
-	// publishes load reports each arrival so the picker can steer the
-	// skewed mass away from the direct background traffic.
-	balanced := sc.Kind == KindHotspot && sc.Balance != "direct" && sc.Services > 1
+	// A hotspot turns service 0's client into a load-aware Balancer over
+	// the whole fleet: the registry group under service 0 lists the other
+	// services as members, and the driver publishes load reports each
+	// arrival so the picker can steer the skewed mass away from the direct
+	// background traffic.
+	balanced := sc.Kind == KindHotspot && sc.Services > 1
 	if balanced {
 		reg := sess.EndpointRegistry()
 		for _, h := range handles[1:] {
 			reg.AddMember(handles[0].UID(), h.UID())
 		}
 	}
-	// Only service 0's client of a balanced hotspot names a picker; every
+	// Only service 0's client of a hotspot names a picker; every
 	// other client takes the session default, which an unscaled service —
 	// a group of one — never consults.
 	pickers := make([]loadbal.Picker, len(handles))

@@ -71,11 +71,10 @@ type Scenario struct {
 	// HotspotWeight is the probability mass targeted at service 0.
 	HotspotWeight float64
 
-	// Balance selects how KindHotspot routes its skewed mass: "direct"
-	// sends it straight at service 0 (the legacy shape), anything else
-	// forms a registry balancing group over the whole fleet and dials
-	// service 0 through a Session.DialService client with that picker
-	// ("p2c" by default, "round-robin", "least-loaded"). The unskewed
+	// Balance names the picker KindHotspot routes its skewed mass with
+	// ("p2c" by default, "round-robin", "least-loaded"): the skewed mass
+	// goes through a registry balancing group over the whole fleet, dialled
+	// as service 0 by a Session.DialService client. The unskewed
 	// remainder keeps hitting services 1..N-1 directly, so the balancer
 	// only sees that background load through the load reports the driver
 	// publishes each arrival.
@@ -165,10 +164,8 @@ func (sc Scenario) Validate() error {
 	if sc.Kind == KindHotspot && (sc.HotspotWeight < 0 || sc.HotspotWeight > 1) {
 		return fmt.Errorf("loadgen: scenario %s hotspot weight %v outside [0, 1]", sc.Name, sc.HotspotWeight)
 	}
-	if sc.Balance != "" && sc.Balance != "direct" {
-		if _, err := loadbal.PickerByName(sc.Balance, 0); err != nil {
-			return fmt.Errorf("loadgen: scenario %s: %w", sc.Name, err)
-		}
+	if _, err := loadbal.PickerByName(sc.Balance, 0); err != nil {
+		return fmt.Errorf("loadgen: scenario %s: %w", sc.Name, err)
 	}
 	if sc.Kind == kindChurn && sc.ChurnAt <= 0 {
 		return fmt.Errorf("loadgen: scenario %s needs a positive churn offset", sc.Name)

@@ -25,10 +25,6 @@ func TestScenarioWithDefaults(t *testing.T) {
 	if h.Balance != "p2c" {
 		t.Errorf("hotspot default balance %q, want p2c", h.Balance)
 	}
-	hd := Scenario{Kind: KindHotspot, Balance: "direct"}.WithDefaults()
-	if hd.Balance != "direct" {
-		t.Errorf("explicit direct balance overridden to %q", hd.Balance)
-	}
 	st := Scenario{Kind: KindSteady}.WithDefaults()
 	if st.Balance != "" {
 		t.Errorf("steady scenario grew balance %q", st.Balance)
@@ -61,7 +57,6 @@ func TestScenarioValidate(t *testing.T) {
 		{"hotspot-weight-high", Scenario{Kind: KindHotspot, Requests: 1, Rate: 1, HotspotWeight: 1.5}, false},
 		{"churn-no-offset", Scenario{Kind: kindChurn, Requests: 1, Rate: 1}, false},
 		{"balance-p2c", Scenario{Kind: KindHotspot, Requests: 1, Rate: 1, Balance: "p2c"}, true},
-		{"balance-direct", Scenario{Kind: KindHotspot, Requests: 1, Rate: 1, Balance: "direct"}, true},
 		{"balance-unknown", Scenario{Kind: KindHotspot, Requests: 1, Rate: 1, Balance: "bogus"}, false},
 		{"trace-empty", Scenario{Kind: kindTrace, Requests: 1, Rate: 1}, false},
 	} {

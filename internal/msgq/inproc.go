@@ -18,10 +18,10 @@ type inprocServer struct {
 	closed  atomic.Bool
 }
 
-// Bind registers a REQ/REP server at addr. Requests are served
-// concurrently; serialization (e.g. the paper's single-threaded services)
-// is the handler's responsibility.
-func (n *Network) Bind(addr string, h Handler) (Server, error) {
+// bindInproc registers an in-process REQ/REP server at addr. Requests are
+// served concurrently; serialization (e.g. the paper's single-threaded
+// services) is the handler's responsibility.
+func (n *Network) bindInproc(addr string, h Handler) (Server, error) {
 	if h == nil {
 		return nil, fmt.Errorf("msgq: bind %s: nil handler", addr)
 	}

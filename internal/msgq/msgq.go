@@ -76,7 +76,7 @@ type Network struct {
 
 	mu        sync.Mutex // guards closed and transport; serializes registry writes
 	closed    bool
-	transport string   // default transport for BindVia(""); zero value = inproc
+	transport string   // transport Bind registers on; zero value = inproc
 	reps      sync.Map // addr → *inprocServer
 	pubs      sync.Map // addr → *inprocPublisher
 	tcpBinds  sync.Map // addr → *tcpBind (logical name → TCP listener)

@@ -260,15 +260,25 @@ func TestTCPWorkerServerConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestNetworkBindViaTCP exercises the transport seam: a TCP bind is
+// tcpNetwork returns a network whose Bind listens on loopback TCP.
+func tcpNetwork(t *testing.T, clock simtime.Clock) *Network {
+	t.Helper()
+	n := NewNetwork(clock, rng.New(1).Derive("net"), nil)
+	if err := n.SetTransport(TransportTCP); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestNetworkBindTCP exercises the transport seam: a TCP bind is
 // reachable by logical name in-process and by its published tcp:// address
 // from a completely separate Network (standing in for another process).
-func TestNetworkBindViaTCP(t *testing.T) {
+func TestNetworkBindTCP(t *testing.T) {
 	clock := simtime.NewReal()
-	n := NewNetwork(clock, rng.New(1).Derive("net"), nil)
+	n := tcpNetwork(t, clock)
 	defer n.Close()
 
-	srv, err := n.BindVia(TransportTCP, "plat/node/svc", echoHandler)
+	srv, err := n.Bind("plat/node/svc", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,14 +311,14 @@ func TestNetworkBindViaTCP(t *testing.T) {
 	}
 
 	// Double bind of the logical name is refused.
-	if _, err := n.BindVia(TransportTCP, "plat/node/svc", echoHandler); !errors.Is(err, ErrAddrInUse) {
+	if _, err := n.Bind("plat/node/svc", echoHandler); !errors.Is(err, ErrAddrInUse) {
 		t.Fatalf("double bind: %v, want ErrAddrInUse", err)
 	}
 	// Closing frees the logical name.
 	if err := srv.Close(); err != nil {
 		t.Fatalf("bind close: %v", err)
 	}
-	if _, err := n.BindVia(TransportTCP, "plat/node/svc", echoHandler); err != nil {
+	if _, err := n.Bind("plat/node/svc", echoHandler); err != nil {
 		t.Fatalf("rebind after close: %v", err)
 	}
 }
@@ -322,8 +332,8 @@ func TestSetTransport(t *testing.T) {
 	if err := n.SetTransport(TransportTCP); err != nil {
 		t.Fatal(err)
 	}
-	// Default-transport binds now land on TCP.
-	srv, err := n.BindVia("", "a/b/c", echoHandler)
+	// Binds now land on TCP.
+	srv, err := n.Bind("a/b/c", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,63 +368,60 @@ func TestSetTransportNames(t *testing.T) {
 			if tc.ok {
 				return
 			}
-			// A refused name changed nothing: the default bind stays inproc.
-			srv, err := n.BindVia("", "a/b/c", echoHandler)
+			// A refused name changed nothing: the bind stays inproc.
+			srv, err := n.Bind("a/b/c", echoHandler)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
 			if addr := srv.Addr(); addr != "a/b/c" {
-				t.Fatalf("default bind Addr = %q after a refused SetTransport, want the inproc name", addr)
+				t.Fatalf("bind Addr = %q after a refused SetTransport, want the inproc name", addr)
 			}
 		})
 	}
 }
 
-// TestBindViaTransportChoice pins where an endpoint lands: an explicit
-// BindVia transport wins, and an empty one takes the network's transport.
-// An inproc bind publishes its logical address, a TCP bind the dialable
-// tcp:// form; both answer a request dialled by the logical name.
-func TestBindViaTransportChoice(t *testing.T) {
+// TestBindTransportChoice pins where an endpoint lands: on the network's
+// transport. An inproc bind publishes its logical address, a TCP bind the
+// dialable tcp:// form; both answer a request dialled by the logical name.
+func TestBindTransportChoice(t *testing.T) {
 	for _, network := range []string{"", transportInproc, TransportTCP} {
-		for _, bind := range []string{"", transportInproc, TransportTCP} {
-			t.Run(fmt.Sprintf("net=%q,bind=%q", network, bind), func(t *testing.T) {
-				n := NewNetwork(simtime.NewReal(), rng.New(1).Derive("net"), nil)
-				defer n.Close()
-				if err := n.SetTransport(network); err != nil {
-					t.Fatal(err)
-				}
-				srv, err := n.BindVia(bind, "plat/node/svc", echoHandler)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer srv.Close()
-				wantTCP := bind == TransportTCP || (bind == "" && network == TransportTCP)
-				if gotTCP := strings.HasPrefix(srv.Addr(), tcpScheme); gotTCP != wantTCP {
-					t.Fatalf("bind Addr = %q, want TCP=%v", srv.Addr(), wantTCP)
-				}
-				if !wantTCP && srv.Addr() != "plat/node/svc" {
-					t.Fatalf("inproc bind Addr = %q, want the logical address", srv.Addr())
-				}
-				c, err := n.Dial("cli", "plat/node/svc")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				env, _ := proto.NewEnvelope(proto.KindRequest, 0, "cli", "svc", t0, proto.InferenceRequest{Prompt: "q"})
-				if _, err := c.Request(context.Background(), env); err != nil {
-					t.Fatalf("request by logical name: %v", err)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("net=%q", network), func(t *testing.T) {
+			n := NewNetwork(simtime.NewReal(), rng.New(1).Derive("net"), nil)
+			defer n.Close()
+			if err := n.SetTransport(network); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := n.Bind("plat/node/svc", echoHandler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			wantTCP := network == TransportTCP
+			if gotTCP := strings.HasPrefix(srv.Addr(), tcpScheme); gotTCP != wantTCP {
+				t.Fatalf("bind Addr = %q, want TCP=%v", srv.Addr(), wantTCP)
+			}
+			if !wantTCP && srv.Addr() != "plat/node/svc" {
+				t.Fatalf("inproc bind Addr = %q, want the logical address", srv.Addr())
+			}
+			c, err := n.Dial("cli", "plat/node/svc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			env, _ := proto.NewEnvelope(proto.KindRequest, 0, "cli", "svc", t0, proto.InferenceRequest{Prompt: "q"})
+			if _, err := c.Request(context.Background(), env); err != nil {
+				t.Fatalf("request by logical name: %v", err)
+			}
+		})
 	}
 }
 
 // TestNetworkCloseClosesTCPBinds ensures Close tears TCP listeners down
 // with the rest of the endpoints.
 func TestNetworkCloseClosesTCPBinds(t *testing.T) {
-	n := NewNetwork(simtime.NewReal(), rng.New(1).Derive("net"), nil)
-	srv, err := n.BindVia(TransportTCP, "x/y/z", echoHandler)
+	n := tcpNetwork(t, simtime.NewReal())
+	srv, err := n.Bind("x/y/z", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// Transport names selectable via Network.SetTransport / Network.BindVia.
-// The network's transport is the one place a process chooses: a pilot
+// Transport names selectable via Network.SetTransport. The network's
+// transport is the one place a process chooses: a pilot
 // agent in its own OS process sets TransportTCP, everything else binds on
 // the inproc default.
 const (
@@ -35,9 +35,8 @@ func validTransport(name string) bool {
 	return false
 }
 
-// SetTransport selects the default transport used by Bind-without-opinion
-// callers (BindVia with an empty transport name). The zero value is
-// transportInproc. Unknown names are rejected.
+// SetTransport selects the transport Bind registers servers on. The zero
+// value is transportInproc. Unknown names are rejected.
 func (n *Network) SetTransport(name string) error {
 	if !validTransport(name) {
 		return fmt.Errorf("msgq: unknown transport %q", name)
@@ -48,40 +47,31 @@ func (n *Network) SetTransport(name string) error {
 	return nil
 }
 
-// BindVia registers a REQ/REP server at the logical address addr on the
-// named transport (empty = the network default). On transportInproc this
-// is exactly Bind. On TransportTCP the server listens on a real loopback
-// socket; its Addr() returns the dialable "tcp://host:port" form, and the
-// logical address is registered so same-process Dial(addr) still works.
-func (n *Network) BindVia(transport, addr string, h Handler) (Server, error) {
-	if transport == "" {
-		n.mu.Lock()
-		transport = n.transport
-		n.mu.Unlock()
+// Bind registers a REQ/REP server at the logical address addr on the
+// network's transport (SetTransport). On transportInproc the server lives
+// in this process. On TransportTCP it listens on a real loopback socket;
+// its Addr() returns the dialable "tcp://host:port" form, and the logical
+// address is registered so same-process Dial(addr) still works.
+func (n *Network) Bind(addr string, h Handler) (Server, error) {
+	n.mu.Lock()
+	transport, closed := n.transport, n.closed
+	n.mu.Unlock()
+	if transport != TransportTCP {
+		return n.bindInproc(addr, h)
 	}
-	switch transport {
-	case "", transportInproc:
-		return n.Bind(addr, h)
-	case TransportTCP:
-		n.mu.Lock()
-		closed := n.closed
-		n.mu.Unlock()
-		if closed {
-			return nil, ErrClosed
-		}
-		srv, err := ListenTCPOpts("127.0.0.1:0", h, TCPServerOptions{})
-		if err != nil {
-			return nil, err
-		}
-		b := &tcpBind{n: n, addr: addr, srv: srv}
-		if _, loaded := n.tcpBinds.LoadOrStore(addr, b); loaded {
-			_ = srv.Close()
-			return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
-		}
-		return b, nil
-	default:
-		return nil, fmt.Errorf("msgq: unknown transport %q", transport)
+	if closed {
+		return nil, ErrClosed
 	}
+	srv, err := ListenTCPOpts("127.0.0.1:0", h, TCPServerOptions{})
+	if err != nil {
+		return nil, err
+	}
+	b := &tcpBind{n: n, addr: addr, srv: srv}
+	if _, loaded := n.tcpBinds.LoadOrStore(addr, b); loaded {
+		_ = srv.Close()
+		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
+	}
+	return b, nil
 }
 
 // Dial connects a client at address from to the server bound at to. The
@@ -104,7 +94,7 @@ func (n *Network) Dial(from, to string) (Client, error) {
 // address (any process).
 type tcpBind struct {
 	n    *Network
-	addr string // logical address as passed to BindVia
+	addr string // logical address as passed to Bind
 	srv  *TCPServer
 }
 

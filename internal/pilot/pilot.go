@@ -58,9 +58,8 @@ type Config struct {
 	// zero model to skip launch sleeps.
 	LaunchModel *platform.LaunchModel
 	// SchedPolicy names the agent scheduler's placement policy ("strict",
-	// "backfill", "best-fit"). Empty falls back to the platform's
-	// SchedPolicy, then to strict. Each pilot gets a fresh policy
-	// instance, so backfill starvation state is never shared.
+	// "backfill", "best-fit"; empty = strict). Each pilot gets a fresh
+	// policy instance, so backfill starvation state is never shared.
 	SchedPolicy string
 	// Hooks are the session-side observers the pilot runs under from its
 	// first transition (LAUNCHING) on; Rebind replaces them.
@@ -318,11 +317,7 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 	if cfg.BootTime.IsZero() {
 		cfg.BootTime = rng.NormalDuration(10*time.Second, 2*time.Second)
 	}
-	polName := cfg.SchedPolicy
-	if polName == "" {
-		polName = cfg.Platform.SchedPolicy
-	}
-	policy, err := scheduler.PolicyByName(polName)
+	policy, err := scheduler.PolicyByName(cfg.SchedPolicy)
 	if err != nil {
 		return nil, err
 	}

@@ -546,19 +546,17 @@ func TestLaunchMixedCapacityAccumulates(t *testing.T) {
 	}
 }
 
-// TestPolicyResolutionPrecedence pins the policy fallback chain: an
-// explicit Config.SchedPolicy wins, otherwise the platform's default
-// applies, otherwise strict — and a bad name fails the launch before any
-// resources are acquired.
-func TestPolicyResolutionPrecedence(t *testing.T) {
-	launch := func(platPolicy, cfgPolicy string) (*Pilot, error) {
+// TestPolicyResolution pins the policy selection: Config.SchedPolicy
+// names the agent scheduler's policy, empty means strict, and a bad name
+// fails the launch before any resources are acquired.
+func TestPolicyResolution(t *testing.T) {
+	launch := func(policy string) (*Pilot, error) {
 		clock := simtime.NewScaled(100000, origin)
 		src := rng.New(11)
 		plat := platform.NewDelta()
-		plat.SchedPolicy = platPolicy
 		net := msgq.NewNetwork(clock, src.Derive("net"), platform.NewTopology(plat).Resolver())
 		p, err := Launch(Config{
-			Clock: clock, Src: src, Net: net, Platform: plat, SchedPolicy: cfgPolicy,
+			Clock: clock, Src: src, Net: net, Platform: plat, SchedPolicy: policy,
 		}, deltaPilot())
 		if err == nil {
 			t.Cleanup(func() {
@@ -571,31 +569,17 @@ func TestPolicyResolutionPrecedence(t *testing.T) {
 		return p, err
 	}
 
-	p, err := launch("", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Scheduler().Policy().Name(); got != "strict" {
-		t.Fatalf("default policy = %q, want strict", got)
-	}
-
-	p, err = launch("backfill", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Scheduler().Policy().Name(); got != "backfill" {
-		t.Fatalf("platform-default policy = %q, want backfill", got)
+	for policy, want := range map[string]string{"": "strict", "best-fit": "best-fit"} {
+		p, err := launch(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Scheduler().Policy().Name(); got != want {
+			t.Fatalf("policy %q = %q, want %q", policy, got, want)
+		}
 	}
 
-	p, err = launch("backfill", "best-fit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Scheduler().Policy().Name(); got != "best-fit" {
-		t.Fatalf("config override policy = %q, want best-fit", got)
-	}
-
-	if _, err = launch("", "florble"); err == nil {
+	if _, err := launch("florble"); err == nil {
 		t.Fatal("Launch accepted an unknown policy name")
 	}
 }

@@ -239,11 +239,6 @@ type Platform struct {
 	WANLatency map[string]rng.DurationDist
 	// Launch models service/task launch overhead.
 	Launch LaunchModel
-	// SchedPolicy names the default scheduling policy for pilots acquired
-	// on this platform ("strict", "backfill", "best-fit"; empty = strict).
-	// pilot.Config.SchedPolicy and core.SessionConfig.SchedPolicy override
-	// it per pilot and per session.
-	SchedPolicy string
 }
 
 // New assembles a platform of n identical nodes.

@@ -6,15 +6,14 @@
 // inside one pilot a request lands on, a Router decides which pilot a
 // task is dispatched to in the first place.
 //
-// Three routers ship built in. RoundRobin is the default and reproduces
+// Two routers ship built in. RoundRobin is the default and reproduces
 // the seed TaskManager's dispatch sequence byte for byte (pinned by an
-// equivalence test in core). LeastLoaded routes on live pilot load —
-// wait-pool depth first, free capacity second. CapacityFit is
-// shape-aware: it consults each pilot's node-shape composition and its
-// scheduler's capacity/queue-depth snapshot, sends a task that only one
-// pilot's shapes can ever run to that pilot, and rejects at submit a
-// task no attached pilot could ever fit, instead of letting it wedge in
-// a blind pilot's wait pool.
+// equivalence test in core). CapacityFit is shape-aware: it consults
+// each pilot's node-shape composition and its scheduler's
+// capacity/queue-depth snapshot, sends a task that only one pilot's
+// shapes can ever run to that pilot, and rejects at submit a task no
+// attached pilot could ever fit, instead of letting it wedge in a blind
+// pilot's wait pool.
 //
 // Routers keep per-selection state (the round-robin cursor) and are not
 // safe for concurrent use: the TaskManager serializes Route calls under
@@ -25,7 +24,6 @@ package router
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/platform"
 	"repro/internal/scheduler"
@@ -38,10 +36,6 @@ const (
 	// NameRoundRobin dispatches tasks over the attached pilots in strict
 	// rotation, blind to capacity — the seed TaskManager behaviour.
 	NameRoundRobin = "round-robin"
-	// nameLeastLoaded routes each task to the pilot with the shallowest
-	// scheduler wait pool, breaking ties toward the most free weighted
-	// capacity, then the lowest pilot index.
-	nameLeastLoaded = "least-loaded"
 	// NameCapacityFit routes shape-aware: only pilots whose node shapes
 	// can ever run the task are candidates, tasks nobody can ever fit
 	// are rejected at submit, and among candidates the router prefers
@@ -100,28 +94,16 @@ func (e ErrUnroutable) Error() string {
 
 // ByName returns a fresh instance of the named built-in router. The
 // empty name selects NameRoundRobin, keeping the seed dispatch the
-// default at every selection point (session config, rpexp -router). A
-// "+retry" suffix (e.g. "round-robin+retry") wraps the named router in
-// newWithRetry, giving blind routers retry-on-unsatisfiable degradation
-// without changing the default dispatch sequence.
+// default at every selection point (session config, journaled session).
 func ByName(name string) (Router, error) {
-	if base, ok := strings.CutSuffix(name, "+retry"); ok && base != "" {
-		inner, err := ByName(base)
-		if err != nil {
-			return nil, err
-		}
-		return newWithRetry(inner), nil
-	}
 	switch name {
 	case "", NameRoundRobin:
 		return newRoundRobin(), nil
-	case nameLeastLoaded:
-		return newLeastLoaded(), nil
 	case NameCapacityFit:
 		return newCapacityFit(), nil
 	default:
-		return nil, fmt.Errorf("router: unknown router %q (want %s|%s|%s, optionally +retry)",
-			name, NameRoundRobin, nameLeastLoaded, NameCapacityFit)
+		return nil, fmt.Errorf("router: unknown router %q (want %s|%s)",
+			name, NameRoundRobin, NameCapacityFit)
 	}
 }
 
@@ -159,37 +141,6 @@ func (r *roundRobin) Route(targets []Target, d spec.TaskDescription) (int, error
 	i := r.next % len(targets)
 	r.next++
 	return i, nil
-}
-
-// --- least-loaded ------------------------------------------------------------
-
-// leastLoaded routes on live pilot load.
-type leastLoaded struct{}
-
-// newLeastLoaded returns a router that sends each task to the pilot with
-// the shallowest scheduler wait pool, breaking ties toward the most free
-// weighted capacity (on the global WeightedCapacity scale, so pilots on
-// different machines compare meaningfully), then the lowest index.
-func newLeastLoaded() Router { return leastLoaded{} }
-
-// Name implements Router.
-func (leastLoaded) Name() string { return nameLeastLoaded }
-
-// Route implements Router.
-func (leastLoaded) Route(targets []Target, d spec.TaskDescription) (int, error) {
-	if len(targets) == 0 {
-		return 0, ErrNoTargets
-	}
-	best, bestWaiting, bestFree := -1, 0, 0.0
-	for i, t := range targets {
-		sn := t.Snapshot()
-		free := sn.FreeWeighted()
-		if best < 0 || sn.Waiting < bestWaiting ||
-			(sn.Waiting == bestWaiting && free > bestFree) {
-			best, bestWaiting, bestFree = i, sn.Waiting, free
-		}
-	}
-	return best, nil
 }
 
 // --- capacity-fit ------------------------------------------------------------

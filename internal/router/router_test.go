@@ -45,7 +45,6 @@ func TestByName(t *testing.T) {
 	for name, want := range map[string]string{
 		"":             NameRoundRobin,
 		"round-robin":  NameRoundRobin,
-		"least-loaded": nameLeastLoaded,
 		"capacity-fit": NameCapacityFit,
 	} {
 		r, err := ByName(name)
@@ -56,7 +55,7 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q).Name() = %q, want %q", name, r.Name(), want)
 		}
 	}
-	for _, bad := range []string{"strict", "rr", "least_loaded", "capacity_fit", "capacityfit"} {
+	for _, bad := range []string{"strict", "rr", "least-loaded", "capacity_fit", "capacityfit", "round-robin+retry", "capacity-fit+retry"} {
 		if _, err := ByName(bad); err == nil {
 			t.Fatalf("ByName accepted %q", bad)
 		}
@@ -90,36 +89,6 @@ func TestRoundRobinRotationAndNoAdvanceOnError(t *testing.T) {
 	// The failed call must not have advanced the cursor.
 	if got, _ := r.Route(targets, d); got != 0 {
 		t.Fatalf("cursor advanced across a failed route: got %d, want 0", got)
-	}
-}
-
-func TestLeastLoadedPrefersShallowQueueThenFreeCapacity(t *testing.T) {
-	r := newLeastLoaded()
-	d := spec.TaskDescription{Name: "t", Cores: 1}
-	// p1 has the shallowest wait pool.
-	i, err := r.Route([]Target{
-		mkTarget("p0", fat, 2, 5, 256),
-		mkTarget("p1", fat, 2, 1, 0),
-		mkTarget("p2", fat, 2, 3, 256),
-	}, d)
-	if err != nil || i != 1 {
-		t.Fatalf("route = %d, %v; want 1", i, err)
-	}
-	// Equal wait depth: more free weighted capacity wins.
-	i, err = r.Route([]Target{
-		mkTarget("p0", fat, 2, 2, 4),
-		mkTarget("p1", fat, 2, 2, 200),
-	}, d)
-	if err != nil || i != 1 {
-		t.Fatalf("route = %d, %v; want 1 (more free capacity)", i, err)
-	}
-	// Full tie: lowest index, deterministically.
-	i, err = r.Route([]Target{
-		mkTarget("p0", fat, 2, 2, 8),
-		mkTarget("p1", fat, 2, 2, 8),
-	}, d)
-	if err != nil || i != 0 {
-		t.Fatalf("route = %d, %v; want 0 (tie → lowest index)", i, err)
 	}
 }
 
@@ -186,6 +155,108 @@ func TestCapacityFitPrefersFitsNow(t *testing.T) {
 	}
 }
 
+// TestCapacityFitPrefersShallowQueueThenFreeCapacity pins the ranking
+// inside one fits-now class: the shallowest wait pool wins, then the
+// most weighted free capacity, then the lowest index.
+func TestCapacityFitPrefersShallowQueueThenFreeCapacity(t *testing.T) {
+	r := newCapacityFit()
+	d := spec.TaskDescription{Name: "t", Cores: 1}
+	// Every pilot fits the task now; p1 has the shallowest wait pool.
+	i, err := r.Route([]Target{
+		mkTarget("p0", fat, 2, 5, 256),
+		mkTarget("p1", fat, 2, 1, 8),
+		mkTarget("p2", fat, 2, 3, 256),
+	}, d)
+	if err != nil || i != 1 {
+		t.Fatalf("route = %d, %v; want 1", i, err)
+	}
+	// Equal wait depth: more free weighted capacity wins.
+	i, err = r.Route([]Target{
+		mkTarget("p0", fat, 2, 2, 4),
+		mkTarget("p1", fat, 2, 2, 200),
+	}, d)
+	if err != nil || i != 1 {
+		t.Fatalf("route = %d, %v; want 1 (more free capacity)", i, err)
+	}
+	// Full tie: lowest index, deterministically.
+	i, err = r.Route([]Target{
+		mkTarget("p0", fat, 2, 2, 8),
+		mkTarget("p1", fat, 2, 2, 8),
+	}, d)
+	if err != nil || i != 0 {
+		t.Fatalf("route = %d, %v; want 0 (tie → lowest index)", i, err)
+	}
+}
+
+// TestCapacityFitChecksEveryShapeDimension: the ever-fits filter covers
+// GPUs and memory as well as cores, so a GPU task skips an idle CPU-only
+// pilot and a task larger than every node's memory is rejected.
+func TestCapacityFitChecksEveryShapeDimension(t *testing.T) {
+	r := newCapacityFit()
+	cpuOnly := mkTarget("cpu", thin, 8, 0, 8*16)
+	gpu := mkTarget("gpu", fat, 1, 6, 0)
+	i, err := r.Route([]Target{cpuOnly, gpu}, spec.TaskDescription{Name: "g", Cores: 1, GPUs: 1})
+	if err != nil || i != 1 {
+		t.Fatalf("gpu task route = %d, %v; want 1 (only pilot with GPUs)", i, err)
+	}
+	_, err = r.Route([]Target{cpuOnly, gpu}, spec.TaskDescription{Name: "m", Cores: 1, MemGB: 2048})
+	var unroutable ErrUnroutable
+	if !errors.As(err, &unroutable) {
+		t.Fatalf("memory task err = %v, want ErrUnroutable", err)
+	}
+	if unroutable.MemGB != 2048 || unroutable.Cores != 1 || unroutable.GPUs != 0 {
+		t.Fatalf("ErrUnroutable echoes %+v", unroutable)
+	}
+}
+
+// TestErrUnroutableNamesTask: the rejection names the task by UID when it
+// has one and by name otherwise, and its message carries the demand.
+func TestErrUnroutableNamesTask(t *testing.T) {
+	r := newCapacityFit()
+	targets := []Target{mkTarget("thin0", thin, 4, 0, 64)}
+	for _, tc := range []struct {
+		d    spec.TaskDescription
+		want string
+	}{
+		{spec.TaskDescription{UID: "task.000007", Name: "big", Cores: 32}, "task.000007"},
+		{spec.TaskDescription{Name: "big", Cores: 32}, "big"},
+	} {
+		_, err := r.Route(targets, tc.d)
+		var unroutable ErrUnroutable
+		if !errors.As(err, &unroutable) {
+			t.Fatalf("err = %v, want ErrUnroutable", err)
+		}
+		if unroutable.Task != tc.want {
+			t.Fatalf("Task = %q, want %q", unroutable.Task, tc.want)
+		}
+		msg := "router: task " + tc.want + " (32 cores, 0 gpus, 0.0 GB per node) fits no attached pilot's node shapes"
+		if err.Error() != msg {
+			t.Fatalf("Error() = %q, want %q", err.Error(), msg)
+		}
+	}
+}
+
+// TestRoundRobinIsBlindToShapes pins the seed semantics the default
+// router keeps: it never inspects shapes, so a task no pilot could run is
+// still dispatched in rotation rather than rejected at submit.
+func TestRoundRobinIsBlindToShapes(t *testing.T) {
+	r := newRoundRobin()
+	targets := []Target{
+		mkTarget("thin0", thin, 4, 0, 64),
+		mkTarget("thin1", thin, 4, 0, 64),
+	}
+	d := spec.TaskDescription{Name: "fat", Cores: fat.Cores, GPUs: fat.GPUs}
+	for want := range 4 {
+		i, err := r.Route(targets, d)
+		if err != nil {
+			t.Fatalf("route %d: %v", want, err)
+		}
+		if i != want%2 {
+			t.Fatalf("route %d = %d, want %d", want, i, want%2)
+		}
+	}
+}
+
 // TestRoutersAreFreshInstances guards the per-manager state contract:
 // ByName must hand out independent cursors.
 func TestRoutersAreFreshInstances(t *testing.T) {
@@ -201,102 +272,6 @@ func TestRoutersAreFreshInstances(t *testing.T) {
 	}
 	if i, _ := b.Route(targets, d); i != 0 {
 		t.Fatalf("b first route = %d; cursors shared between instances", i)
-	}
-}
-
-// --- retry wrapper -----------------------------------------------------------
-
-// TestWithRetrySkipsNeverFittingPilots: a blind round-robin pick that
-// lands a fat task on a thin pilot is retried until a fitting pilot comes
-// up in rotation, while routable tasks keep the untouched inner sequence.
-func TestWithRetrySkipsNeverFittingPilots(t *testing.T) {
-	r := newWithRetry(newRoundRobin())
-	if r.Name() != NameRoundRobin+"+retry" {
-		t.Fatalf("Name = %q", r.Name())
-	}
-	targets := []Target{
-		mkTarget("fat0", fat, 2, 0, 256),
-		mkTarget("thin0", thin, 4, 0, 64),
-	}
-	fatTask := spec.TaskDescription{Name: "fat", Cores: fat.Cores, GPUs: fat.GPUs}
-	thinTask := spec.TaskDescription{Name: "thin", Cores: 1}
-
-	// Blind round-robin would route the second fat task to thin0 (it can
-	// never run there); the wrapper advances past it to fat0 every time.
-	for i := 0; i < 4; i++ {
-		got, err := r.Route(targets, fatTask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 0 {
-			t.Fatalf("fat task %d routed to %s", i, targets[got].UID())
-		}
-	}
-	// Routable tasks see plain rotation: the 4 fat tasks consumed 7 inner
-	// cursor steps (1 + 3×2), so the thin task continues the sequence at
-	// step 7 — thin0 on a two-target rotation.
-	got, err := r.Route(targets, thinTask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("thin task routed to %s, want thin0 (cursor continues)", targets[got].UID())
-	}
-}
-
-// TestWithRetryMatchesInnerSequenceWhenEverythingFits: wrapping must not
-// change a single pick while all tasks fit everywhere — the graceful-
-// degradation contract that keeps the seed dispatch pinned.
-func TestWithRetryMatchesInnerSequenceWhenEverythingFits(t *testing.T) {
-	plain, wrapped := newRoundRobin(), newWithRetry(newRoundRobin())
-	targets := []Target{
-		mkTarget("p0", fat, 2, 0, 256),
-		mkTarget("p1", fat, 2, 0, 256),
-		mkTarget("p2", fat, 2, 0, 256),
-	}
-	d := spec.TaskDescription{Name: "t", Cores: 1}
-	for i := 0; i < 12; i++ {
-		a, err1 := plain.Route(targets, d)
-		b, err2 := wrapped.Route(targets, d)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if a != b {
-			t.Fatalf("pick %d diverged: plain %d, wrapped %d", i, a, b)
-		}
-	}
-}
-
-// TestWithRetryRejectsGloballyUnroutable: when no target could ever fit,
-// the wrapper rejects at submit with ErrUnroutable like the shape-aware
-// routers, instead of wedging the task anywhere.
-func TestWithRetryRejectsGloballyUnroutable(t *testing.T) {
-	r := newWithRetry(newRoundRobin())
-	targets := []Target{mkTarget("thin0", thin, 4, 0, 64)}
-	_, err := r.Route(targets, spec.TaskDescription{Name: "fat", Cores: fat.Cores, GPUs: fat.GPUs})
-	var unroutable ErrUnroutable
-	if !errors.As(err, &unroutable) {
-		t.Fatalf("err = %v, want ErrUnroutable", err)
-	}
-	if _, err := r.Route(nil, spec.TaskDescription{Name: "t", Cores: 1}); !errors.Is(err, ErrNoTargets) {
-		t.Fatalf("err = %v, want ErrNoTargets", err)
-	}
-}
-
-// TestByNameRetrySuffix: the "+retry" suffix wraps any built-in.
-func TestByNameRetrySuffix(t *testing.T) {
-	r, err := ByName("round-robin+retry")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Name() != NameRoundRobin+"+retry" {
-		t.Fatalf("Name = %q", r.Name())
-	}
-	if _, err := ByName("+retry"); err == nil {
-		t.Fatal("ByName accepted a bare +retry")
-	}
-	if _, err := ByName("bogus+retry"); err == nil {
-		t.Fatal("ByName accepted an unknown inner router")
 	}
 }
 
@@ -333,21 +308,25 @@ func TestCapacityFitRankDrain(t *testing.T) {
 	}
 }
 
-// TestWithRetryForwardsRanker: wrapping must not lose the inner router's
-// drain-ranking capability (capacity-fit+retry keeps fits-now-first),
-// and a ranking-less inner router yields the identity permutation.
-func TestWithRetryForwardsRanker(t *testing.T) {
-	target := mkTarget("p0", fat, 2, 0, 16)
+// TestCapacityFitRankDrainKeepsOrderWithinOneClass: when every parked
+// description falls in the same class (all fit now, or none does), the
+// drain is exactly submission order.
+func TestCapacityFitRankDrainKeepsOrderWithinOneClass(t *testing.T) {
+	cf := newCapacityFit().(Ranker)
 	descs := []spec.TaskDescription{
-		{Name: "big", Cores: 128},
-		{Name: "small", Cores: 8},
+		{Name: "a", Cores: 8},
+		{Name: "b", Cores: 2},
+		{Name: "c", Cores: 4},
 	}
-	cf := newWithRetry(newCapacityFit()).(Ranker)
-	if got := cf.RankDrain(target, descs); len(got) != 2 || got[0] != 1 || got[1] != 0 {
-		t.Fatalf("capacity-fit+retry rank = %v, want [1 0]", got)
+	drained := mkTarget("drained", fat, 2, 0, 0)
+	idle := mkTarget("idle", fat, 2, 0, 256)
+	for _, target := range []Target{drained, idle} {
+		got := cf.RankDrain(target, descs)
+		if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+			t.Fatalf("%s: rank = %v, want [0 1 2]", target.UID(), got)
+		}
 	}
-	rr := newWithRetry(newRoundRobin()).(Ranker)
-	if got := rr.RankDrain(target, descs); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("round-robin+retry rank = %v, want identity [0 1]", got)
+	if got := cf.RankDrain(idle, nil); len(got) != 0 {
+		t.Fatalf("empty drain = %v", got)
 	}
 }

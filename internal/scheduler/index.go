@@ -96,7 +96,7 @@ func newNodeIndex(nodes []*platform.Node) *nodeIndex {
 // WeightedCapacity folds a capacity (or demand) triple onto the global
 // default scale (defaultWeights): cores + bestFitGPUWeight·gpus +
 // bestFitMemWeight·memGB. Exported so cross-pool rankings — the
-// fragmentation experiment's thin/fat split, the least-loaded router's
+// fragmentation experiment's thin/fat split, the capacity-fit router's
 // free-capacity comparison — share one exchange rate. Placement inside a
 // pool uses the pool-calibrated weights instead (deriveWeights).
 func WeightedCapacity(cores, gpus int, memGB float64) float64 {

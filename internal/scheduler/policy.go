@@ -2,8 +2,6 @@ package scheduler
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/platform"
@@ -96,70 +94,21 @@ func (p *Pool) PlaceBestFit(i int) *platform.Allocation {
 func (p *Pool) Now() time.Time { return p.s.clock.Now() }
 
 // PolicyByName returns a fresh instance of the named built-in policy.
-// The empty name selects policyStrict. The backfill policies accept
-// optional starvation-bound parameters after a colon —
-// "backfill:k=32,t=2m" or "best-fit:k=-1,t=-1" — where k is
-// BackfillConfig.MaxBypass (an integer, -1 disables the count bound) and
-// t is BackfillConfig.MaxDelay (a Go duration, -1 disables the time
-// bound); omitted parameters keep their defaults. This is the config
-// surface of every name-threaded selection point (session, pilot,
-// platform, CLI flags).
+// The empty name selects policyStrict; the backfill policies take the
+// default starvation bounds. This is the config surface of every
+// name-threaded selection point (session, pilot, CLI flags).
 func PolicyByName(name string) (Policy, error) {
-	base, params, hasParams := strings.Cut(name, ":")
-	var cfg BackfillConfig
-	if hasParams {
-		var err error
-		if cfg, err = parseBackfillParams(params); err != nil {
-			return nil, fmt.Errorf("scheduler: policy %q: %w", name, err)
-		}
-	}
-	switch base {
+	switch name {
 	case "", policyStrict:
-		if hasParams {
-			return nil, fmt.Errorf("scheduler: policy %q: strict takes no parameters", name)
-		}
 		return Strict(), nil
 	case policyBackfill:
-		return Backfill(cfg), nil
+		return Backfill(BackfillConfig{}), nil
 	case policyBestFit:
-		return BestFit(cfg), nil
+		return BestFit(BackfillConfig{}), nil
 	default:
-		return nil, fmt.Errorf("scheduler: unknown policy %q (want %s|%s[:k=N,t=D]|%s[:k=N,t=D])",
+		return nil, fmt.Errorf("scheduler: unknown policy %q (want %s|%s|%s)",
 			name, policyStrict, policyBackfill, policyBestFit)
 	}
-}
-
-// parseBackfillParams parses the "k=N,t=D" suffix of a backfill policy
-// name into a BackfillConfig.
-func parseBackfillParams(params string) (BackfillConfig, error) {
-	var cfg BackfillConfig
-	for _, kv := range strings.Split(params, ",") {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok || val == "" {
-			return cfg, fmt.Errorf("malformed parameter %q (want k=N or t=D)", kv)
-		}
-		switch key {
-		case "k":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return cfg, fmt.Errorf("k=%q is not an integer", val)
-			}
-			cfg.MaxBypass = n
-		case "t":
-			if val == "-1" {
-				cfg.MaxDelay = -1
-				break
-			}
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return cfg, fmt.Errorf("t=%q is not a duration", val)
-			}
-			cfg.MaxDelay = d
-		default:
-			return cfg, fmt.Errorf("unknown parameter %q (want k or t)", key)
-		}
-	}
-	return cfg, nil
 }
 
 // --- strict ------------------------------------------------------------------

@@ -33,22 +33,8 @@ func TestPolicyByName(t *testing.T) {
 			t.Fatalf("PolicyByName(%q) accepted", bad)
 		}
 	}
-	// Parameterized backfill names.
-	p, err := PolicyByName("backfill:k=3,t=2m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg := p.(*backfillPolicy).cfg; cfg.MaxBypass != 3 || cfg.MaxDelay != 2*time.Minute {
-		t.Fatalf("parsed config = %+v", cfg)
-	}
-	p, err = PolicyByName("best-fit:k=-1,t=-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg := p.(*backfillPolicy).cfg; cfg.MaxBypass != -1 || cfg.MaxDelay != -1 {
-		t.Fatalf("parsed disabled bounds = %+v", cfg)
-	}
-	for _, bad := range []string{"strict:k=1", "backfill:k=x", "backfill:t=soon", "backfill:q=1", "backfill:k"} {
+	// A policy name is the bare name: the starvation-bound grammar is gone.
+	for _, bad := range []string{"strict:k=1", "backfill:k=3,t=2m", "best-fit:k=-1,t=-1", "backfill:", "best-fit:"} {
 		if _, err := PolicyByName(bad); err == nil {
 			t.Fatalf("PolicyByName(%q) accepted", bad)
 		}

@@ -17,8 +17,7 @@
 // by a pluggable Policy (see policy.go). The default, Strict, keeps the
 // seed semantics: first-fit placement and hard head-of-line blocking.
 // Backfill and BestFit trade bounded head starvation for utilization and
-// lower fragmentation; select them per pilot via pilot.Config.SchedPolicy
-// or per platform via platform.Platform.SchedPolicy.
+// lower fragmentation; select them per pilot via pilot.Config.SchedPolicy.
 package scheduler
 
 import (

@@ -88,7 +88,7 @@ func (sn Snapshot) MayFitNow(cores, gpus int, memGB float64) bool {
 
 // FreeWeighted folds the pool's total free capacity onto the global
 // weighted scale (WeightedCapacity). Cross-pilot comparisons — the
-// least-loaded router ranking pilots against each other — need one common
+// capacity-fit router ranking pilots against each other — need one common
 // exchange rate, so this deliberately uses the global default weights,
 // not the pool-calibrated ones best-fit placement optimizes internally.
 func (sn Snapshot) FreeWeighted() float64 {

@@ -472,13 +472,13 @@ func (m *Manager) bootstrap(inst *Instance) {
 	addr := platform.Addr(m.cfg.Platform, node, d.UID)
 	// The network's transport decides: over TCP (a pilot agent in its own
 	// process) the published address is the dialable "tcp://host:port" form.
-	apiSrv, err := m.cfg.Net.BindVia("", addr, server.Handler())
+	apiSrv, err := m.cfg.Net.Bind(addr, server.Handler())
 	if err != nil {
 		server.Stop()
 		fail(err)
 		return
 	}
-	ctlSrv, err := m.cfg.Net.BindVia("", addr+".ctl", m.controlHandler(inst))
+	ctlSrv, err := m.cfg.Net.Bind(addr+".ctl", m.controlHandler(inst))
 	if err != nil {
 		_ = apiSrv.Close()
 		server.Stop()

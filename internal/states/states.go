@@ -230,6 +230,11 @@ type Machine struct {
 	callbacks []Callback
 	batch     BatchCallback
 	waiters   []chan State
+	// Callbacks run in commit order: each committing To draws a ticket
+	// and runs its callbacks once every earlier ticket is delivered; one
+	// that has to wait parks on turn, which the next delivery closes.
+	issued, delivered uint32
+	turn              chan struct{}
 }
 
 // NewMachine returns a Machine in the model's initial state, timestamped
@@ -258,7 +263,7 @@ func (m *Machine) IsFinal() bool {
 }
 
 // OnTransition registers cb to run (synchronously, outside the machine
-// lock) after every committed transition.
+// lock) after every committed transition, in commit order.
 func (m *Machine) OnTransition(cb Callback) {
 	m.mu.Lock()
 	// Copy on write: To runs the slice it read without copying it.
@@ -279,7 +284,10 @@ func (m *Machine) OnBatch(cb BatchCallback) {
 // To moves the machine along chain, one state after the other. Every edge is
 // checked first: an illegal one returns an error and leaves the machine where
 // it was. Each step is stamped with its own clock reading; a WaitChan armed
-// before the call receives the first state of the chain.
+// before the call receives the first state of the chain. The callbacks run
+// on the caller once every earlier To's callbacks have returned, so
+// observers see the transitions in the order they were committed; a
+// callback must not make a legal transition of its own machine.
 func (m *Machine) To(chain ...State) error {
 	if len(chain) == 0 {
 		return nil
@@ -304,6 +312,9 @@ func (m *Machine) To(chain ...State) error {
 	cbs, batch := m.callbacks, m.batch
 	fire := m.waiters
 	m.waiters = nil
+	ticket := m.issued
+	m.issued++
+	wait := ticket != m.delivered
 	m.mu.Unlock()
 	for _, w := range fire {
 		// non-blocking: waiter channels are buffered
@@ -311,6 +322,9 @@ func (m *Machine) To(chain ...State) error {
 		case w <- chain[0]:
 		default:
 		}
+	}
+	if wait {
+		m.awaitTurn(ticket)
 	}
 	prev = from
 	for _, s := range steps {
@@ -322,7 +336,29 @@ func (m *Machine) To(chain ...State) error {
 	if batch != nil {
 		batch(m.uid, from, steps)
 	}
+	m.mu.Lock()
+	m.delivered++
+	if m.turn != nil {
+		close(m.turn)
+		m.turn = nil
+	}
+	m.mu.Unlock()
 	return nil
+}
+
+// awaitTurn parks the caller until every ticket before ticket is delivered.
+func (m *Machine) awaitTurn(ticket uint32) {
+	m.mu.Lock()
+	for ticket != m.delivered {
+		if m.turn == nil {
+			m.turn = make(chan struct{})
+		}
+		turn := m.turn
+		m.mu.Unlock()
+		<-turn
+		m.mu.Lock()
+	}
+	m.mu.Unlock()
 }
 
 // Fail moves the machine to its model's FAILED state if legal.

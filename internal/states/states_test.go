@@ -469,3 +469,47 @@ func TestOnTransitionDuringTo(t *testing.T) {
 		t.Fatalf("first transition ran %v, want [a b]", order)
 	}
 }
+
+// TestToDeliversInCommitOrder: a To that commits while an earlier To's
+// callbacks still run delivers its own only after they have returned. The
+// first callback holds until a second To has committed, then gives that To
+// 50 ms to overtake it: the observers must still see the commit order.
+func TestToDeliversInCommitOrder(t *testing.T) {
+	m := NewMachine("svc", ServiceModel(), simtime.NewReal())
+	var mu sync.Mutex
+	var seen []string
+	record := func(s string) {
+		mu.Lock()
+		seen = append(seen, s)
+		mu.Unlock()
+	}
+	second := make(chan error, 1)
+	m.OnTransition(func(_ string, _, to State, _ time.Time) {
+		if to == ServiceSmgrScheduling {
+			go func() { second <- m.To(ServiceFailed) }()
+			for m.Current() != ServiceFailed {
+				time.Sleep(time.Millisecond)
+			}
+			select {
+			case err := <-second:
+				second <- err
+			case <-time.After(50 * time.Millisecond):
+			}
+		}
+		record(string(to))
+	})
+	m.OnBatch(func(_ string, _ State, steps []Record) { record("batch " + string(steps[len(steps)-1].State)) })
+	if err := m.To(ServiceSmgrScheduling); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		string(ServiceSmgrScheduling), "batch " + string(ServiceSmgrScheduling),
+		string(ServiceFailed), "batch " + string(ServiceFailed),
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("observers saw %q, want %q", seen, want)
+	}
+}

@@ -34,7 +34,7 @@ func MaybeRunAgent() {
 		fmt.Fprintf(os.Stderr, "rppilot agent: bad %s: %v\n", envAgentConfig, err)
 		os.Exit(2)
 	}
-	if err := RunAgent(cfg); err != nil {
+	if err := RunAgent(cfg, os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "rppilot agent %s: %v\n", cfg.UID, err)
 		os.Exit(1)
 	}
@@ -44,7 +44,7 @@ func MaybeRunAgent() {
 // RunAgent launches one pilot on a TCP-transport network, serves control
 // RPCs, and blocks until a shutdown RPC arrives or stdin reaches EOF (the
 // driver died). The ready handshake line goes to stdout.
-func RunAgent(cfg AgentConfig) error {
+func RunAgent(cfg AgentConfig, stdin io.Reader, stdout io.Writer) error {
 	if cfg.UID == "" {
 		return fmt.Errorf("xproc: agent without UID")
 	}
@@ -105,12 +105,12 @@ func RunAgent(cfg AgentConfig) error {
 		_ = p.Shutdown()
 		return err
 	}
-	fmt.Printf("%s%s\n", readyPrefix, srv.Addr())
+	fmt.Fprintf(stdout, "%s%s\n", readyPrefix, srv.Addr())
 
 	// The driver holds our stdin pipe open for our lifetime: EOF means it
 	// exited (or killed us softly) and we must not linger.
 	go func() {
-		_, _ = io.Copy(io.Discard, os.Stdin)
+		_, _ = io.Copy(io.Discard, stdin)
 		a.stop()
 	}()
 

@@ -54,7 +54,7 @@ type AgentConfig struct {
 	// positive.
 	Scale float64 `json:"scale"`
 	// SchedPolicy names the agent scheduler's placement policy (empty:
-	// platform default).
+	// strict).
 	SchedPolicy string `json:"sched_policy,omitempty"`
 }
 

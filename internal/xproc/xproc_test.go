@@ -3,6 +3,7 @@ package xproc
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -122,7 +123,7 @@ func TestShutdownAfterKill(t *testing.T) {
 func TestRunAgentBadScale(t *testing.T) {
 	for _, scale := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		t.Run(fmt.Sprint(scale), func(t *testing.T) {
-			err := RunAgent(AgentConfig{UID: "agent.scale", Platform: "delta", Scale: scale})
+			err := RunAgent(AgentConfig{UID: "agent.scale", Platform: "delta", Scale: scale}, strings.NewReader(""), io.Discard)
 			if err == nil || !strings.Contains(err.Error(), "scale") {
 				t.Fatalf("RunAgent(scale %v) = %v, want a scale error", scale, err)
 			}
