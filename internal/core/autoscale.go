@@ -171,7 +171,7 @@ func (sm *ServiceManager) scaleTick(h *Service) {
 	if serving > h.peakReps {
 		h.peakReps = serving
 	}
-	finished := h.finished
+	finished := h.done.Fired()
 	h.mu.Unlock()
 	if finished {
 		return
@@ -327,7 +327,7 @@ func (sm *ServiceManager) fillStandbys(h *Service) {
 	}
 	h.standbys = kept
 	deficit := h.desc.WarmStandbys - len(kept)
-	finished := h.finished || h.terminated
+	finished := h.done.Fired() || h.terminated
 	h.mu.Unlock()
 	if finished {
 		return

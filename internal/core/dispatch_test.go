@@ -271,7 +271,9 @@ func TestDoneAskedBeforeDuringAndAfter(t *testing.T) {
 	}
 	after := &handle{uid: "after"}
 	after.finish(nil)
-	if !closed(after.Done()) || after.Done() != (<-chan struct{})(finishedChan) {
+	var fired simtime.Latch
+	fired.Fire()
+	if !closed(after.Done()) || after.Done() != fired.Done() {
 		t.Fatal("a handle nobody asked does not hand out the shared closed channel")
 	}
 	for round := 0; round < 50; round++ {
@@ -320,8 +322,10 @@ func TestWaitOnFinishedTasksMakesNoChannel(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Wait over %d finished tasks allocates %.1f objects, want none", n, allocs)
 	}
+	var fired simtime.Latch
+	fired.Fire()
 	for _, task := range tasks {
-		if task.done != finishedChan {
+		if task.Done() != fired.Done() {
 			t.Fatalf("task %s has a channel of its own", task.UID())
 		}
 	}

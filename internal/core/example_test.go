@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/simtime"
 	"repro/internal/spec"
 )
 
@@ -23,6 +24,11 @@ func ExampleNewSession() {
 		log.Fatal(err)
 	}
 	defer sess.Close()
+	// The default clock is virtual: the goroutine that drives the session
+	// registers with it, so its sleeps and waits park on the clock's books.
+	clock := sess.Clock().(*simtime.Virtual)
+	clock.AddRunner()
+	defer clock.DoneRunner()
 
 	// 2. Pilot: acquire Delta resources (Table II: 256 cores / 16 GPUs).
 	p, err := sess.PilotManager().Submit(spec.PilotDescription{

@@ -159,24 +159,11 @@ func (pl *placer) isClosed() bool {
 type handle struct {
 	uid string
 
-	mu       sync.Mutex // also guards the embedding handle's own fields
-	p        *pilot.Pilot
-	finished bool
-	err      error
-	// done is made by the first Done that comes before finish; finish closes
-	// it, or puts the one closed channel in its place.
-	done chan struct{}
-	// parked counts the waiters finish owes a wake token on run (see wait).
-	parked int
-	run    *simtime.Virtual
+	mu   sync.Mutex // also guards the embedding handle's own fields
+	p    *pilot.Pilot
+	err  error
+	done simtime.Latch // fires when the handle settles
 }
-
-// finishedChan is the Done of every handle nobody asked before it finished.
-var finishedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // UID returns the stable logical UID: the key the entity keeps across
 // re-routes and re-placements (and the one clients resolve a service by).
@@ -199,10 +186,7 @@ func (h *handle) Pilot() string {
 func (h *handle) Done() <-chan struct{} {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.done == nil {
-		h.done = make(chan struct{})
-	}
-	return h.done
+	return h.done.Done()
 }
 
 // Err returns the final error (nil on success or graceful termination;
@@ -213,66 +197,24 @@ func (h *handle) Err() error {
 	return h.err
 }
 
-// wait blocks until h finishes or ctx ends. With run set, the caller is a
-// registered goroutine of an auto-advancing virtual clock: it is parked on
-// the clock's books while it waits, and finish hands it its wake token before
-// the wake, so it resumes at the instant h finished. A waiter that ctx ends
-// takes its own token back.
-func (h *handle) wait(ctx context.Context, run *simtime.Virtual) error {
-	h.mu.Lock()
-	if h.finished {
-		h.mu.Unlock()
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		// Never park on an ended ctx: between the park and the unpark the
-		// clock would count a running caller as blocked and could advance.
-		h.mu.Unlock()
-		return err
-	}
-	if h.done == nil {
-		h.done = make(chan struct{})
-	}
-	done := h.done
-	if run != nil {
-		h.parked++
-		h.run = run
-		run.Block()
-	}
-	h.mu.Unlock()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-	}
+// wait blocks until h finishes or ctx ends, parked on c (see simtime.Latch).
+func (h *handle) wait(ctx context.Context, c simtime.Clock) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.finished {
-		return nil
-	}
-	if run != nil {
-		h.parked--
-		run.Unblock()
-	}
-	return ctx.Err()
+	return h.done.Wait(ctx, c, &h.mu)
 }
 
 // finish seals the logical entity exactly once.
 func (h *handle) finish(err error) {
 	h.mu.Lock()
-	if h.finished {
-		h.mu.Unlock()
-		return
+	defer h.mu.Unlock()
+	h.finishLocked(err)
+}
+
+// finishLocked is finish under h.mu.
+func (h *handle) finishLocked(err error) {
+	if !h.done.Fired() {
+		h.err = err
+		h.done.Fire()
 	}
-	h.finished = true
-	h.err = err
-	for ; h.parked > 0; h.parked-- {
-		h.run.Unblock() // the waiter's wake token, before the wake
-	}
-	if h.done == nil {
-		h.done = finishedChan
-	} else {
-		close(h.done)
-	}
-	h.mu.Unlock()
 }

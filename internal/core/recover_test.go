@@ -75,11 +75,7 @@ func TestRecoverReattachesInFlightWork(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	// WaitReady waits on a channel, not on the clock: park meanwhile.
-	clock.Block()
-	err = svc.WaitReady(ctx)
-	clock.Unblock()
-	if err != nil {
+	if err := svc.WaitReady(ctx); err != nil {
 		t.Fatal(err)
 	}
 	preGen := s.EndpointRegistry().Generation(svc.UID())

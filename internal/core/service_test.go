@@ -18,6 +18,7 @@ import (
 	"repro/internal/loadbal"
 	"repro/internal/pilot"
 	"repro/internal/platform"
+	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
@@ -579,4 +580,81 @@ func TestServiceTerminateWithdrawsRegistry(t *testing.T) {
 	if _, _, ok := s.EndpointRegistry().Resolve(h.UID()); ok {
 		t.Fatal("terminated service still resolvable")
 	}
+}
+
+// TestWaitsParkTheirCaller: on the auto-advancing clock, with an hour-long
+// sleeper pending, a registered goroutine calls each readiness and
+// completion wait of the runtime with no Block/Unblock around it. Each parks
+// its caller and returns at the instant its llama-8b service turned ACTIVE
+// or its task was DONE. A wait that did not park would hold the clock until
+// its ctx ran out; one woken without its token would read the sleeper's hour.
+func TestWaitsParkTheirCaller(t *testing.T) {
+	clock := simtime.NewVirtualAuto(DefaultOrigin)
+	errc := make(chan error, 1)
+	clock.Go(func() { errc <- waitsParkTheirCaller(clock) })
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+func waitsParkTheirCaller(clock *simtime.Virtual) error {
+	s, err := NewSession(SessionConfig{Seed: 7, Clock: clock, FastBoot: true})
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	p, err := s.PilotManager().Submit(deltaPilotDesc())
+	if err != nil {
+		return err
+	}
+	sm := s.ServiceManager()
+	sm.AddPilot(p)
+	clock.Go(func() { clock.Sleep(time.Hour) })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	for _, w := range []struct {
+		name string
+		wait func(*Service) error
+	}{
+		{"core.Service.WaitReady", func(h *Service) error { return h.WaitReady(ctx) }},
+		{"core.ServiceManager.WaitReady", func(h *Service) error { return sm.WaitReady(ctx, h.UID()) }},
+		{"service.Manager.WaitReady", func(h *Service) error { return p.Services().WaitReady(ctx, h.Instance().UID()) }},
+	} {
+		h, err := sm.Submit(spec.ServiceDescription{
+			TaskDescription: spec.TaskDescription{Name: "llm", GPUs: 1},
+			Model:           "llama-8b",
+		})
+		if err != nil {
+			return err
+		}
+		// The caller holds the clock until it waits: the hook is in long
+		// before the bootstrap's first sleep ends.
+		active := make(chan time.Time, 1)
+		h.Instance().OnTransition(func(_ string, _, to states.State, at time.Time) {
+			if to == states.ServiceActive {
+				active <- at
+			}
+		})
+		if err := w.wait(h); err != nil {
+			return fmt.Errorf("%s: %w", w.name, err)
+		}
+		if now, at := clock.Now(), <-active; !now.Equal(at) {
+			return fmt.Errorf("%s returned at %v, the service was ACTIVE at %v", w.name, now.Sub(DefaultOrigin), at.Sub(DefaultOrigin))
+		}
+	}
+
+	const d = 5 * time.Second
+	submitted := clock.Now()
+	task, err := p.SubmitTask(context.Background(), spec.TaskDescription{Name: "task", Cores: 1, Duration: rng.ConstDuration(d)})
+	if err != nil {
+		return err
+	}
+	if err := p.WaitTasks(ctx, task.UID()); err != nil {
+		return fmt.Errorf("pilot.WaitTasks: %w", err)
+	}
+	if now, want := clock.Now(), submitted.Add(task.Result().LaunchTime+d); !now.Equal(want) {
+		return fmt.Errorf("pilot.WaitTasks returned at %v, the task was DONE at %v", now.Sub(DefaultOrigin), want.Sub(DefaultOrigin))
+	}
+	return nil
 }

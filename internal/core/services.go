@@ -12,6 +12,7 @@ import (
 	"repro/internal/pilot"
 	"repro/internal/proto"
 	"repro/internal/service"
+	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
 )
@@ -49,8 +50,11 @@ type Service struct {
 	// guarded by handle.mu. inst is the current pilot-level base instance:
 	// under h.uid normally, under the promoted standby's <uid>.sN after a
 	// promotion, which is the UID the agent-facing paths must address it by.
-	inst         *service.Instance
-	swapped      chan struct{} // closed and re-made whenever inst is installed or replaced
+	inst *service.Instance
+	// ready is the readiness latch of the current incarnation: it fires when
+	// the incarnation's instance turns ACTIVE, when the incarnation is given
+	// up for a re-placement, and when the handle settles.
+	ready        *simtime.Latch
 	replacements int
 	terminated   bool
 	down         *service.Instance // the instance whose end instanceDown is deciding
@@ -77,32 +81,61 @@ type Service struct {
 func (sm *ServiceManager) newService(d spec.ServiceDescription) *Service {
 	return &Service{
 		handle: handle{uid: d.UID},
-		sm:     sm, desc: d, swapped: make(chan struct{}),
+		sm:     sm, desc: d, ready: new(simtime.Latch),
 	}
 }
 
-// install makes inst on p the handle's current instance and wakes every
-// WaitReady parked on the previous one (or on none). bump, when non-nil,
-// is the failover counter the swap accounts to, raised under the same
-// lock so a woken waiter already reads it. inst's end is then instanceDown's
-// to decide: its final transition calls it, on the goroutine that makes it.
+// install makes inst on p the handle's current instance; its turning ACTIVE
+// fires the incarnation's ready latch. bump, when non-nil, is the failover
+// counter the swap accounts to, raised under the same lock so a woken waiter
+// already reads it. inst's end is then instanceDown's to decide: its final
+// transition calls it, on the goroutine that makes it.
 func (h *Service) install(inst *service.Instance, p *pilot.Pilot, bump *int) {
 	h.mu.Lock()
 	h.inst, h.p = inst, p
 	if bump != nil {
 		*bump++
 	}
-	close(h.swapped)
-	h.swapped = make(chan struct{})
+	ready := h.ready
 	h.mu.Unlock()
-	inst.OnTransition(func(string, states.State, states.State, time.Time) {
+	active := func() {
+		h.mu.Lock()
+		ready.Fire()
+		h.mu.Unlock()
+	}
+	inst.OnTransition(func(_ string, _, to states.State, _ time.Time) {
+		if to == states.ServiceActive {
+			active()
+		}
 		if inst.Final() {
 			h.sm.instanceDown(h, inst)
 		}
 	})
-	if inst.Final() { // final before the hook was in
+	// ACTIVE or final before the hook was in
+	if inst.State() == states.ServiceActive {
+		active()
+	}
+	if inst.Final() {
 		h.sm.instanceDown(h, inst)
 	}
+}
+
+// finish settles the handle and releases every WaitReady.
+func (h *Service) finish(err error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.finishLocked(err)
+	h.ready.Fire()
+}
+
+// replaceIncarnation gives up the current incarnation: its waiters move on to
+// the next one, whose instance install will bring.
+func (h *Service) replaceIncarnation() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	old := h.ready
+	h.ready = new(simtime.Latch)
+	old.Fire()
 }
 
 // Description returns the submitted description (after defaulting).
@@ -242,48 +275,24 @@ func (h *Service) Standbys() int {
 // WaitReady blocks until the service is ACTIVE (following it across
 // re-placements: during a failover it waits for the replacement instead
 // of surfacing the transient failure), or returns the final error when
-// the service fails for good.
+// the service fails for good. On a virtual clock the caller must be
+// registered: it parks until the instant the service turns ACTIVE.
 func (h *Service) WaitReady(ctx context.Context) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	for {
-		h.mu.Lock()
-		inst := h.inst
-		finished, err := h.finished, h.err
-		swapped := h.swapped
-		h.mu.Unlock()
-		if finished {
-			if err == nil {
-				err = fmt.Errorf("core: service %s reached a final state before ACTIVE", h.uid)
-			}
+		ready := h.ready
+		if err := ready.Wait(ctx, h.sm.sess.clock, &h.mu); err != nil {
 			return err
 		}
-		if inst == nil {
-			// dispatch in flight (handle observed through Get between
-			// routing and submission): Submit signals swapped when it
-			// installs the instance, and finishes the handle if it cannot
-			select {
-			case <-swapped:
-			case <-h.Done():
-			case <-ctx.Done():
-				return ctx.Err()
+		if h.done.Fired() {
+			if h.err == nil {
+				return fmt.Errorf("core: service %s reached a final state before ACTIVE", h.uid)
 			}
-			continue
+			return h.err
 		}
-		if inst.State() == states.ServiceActive {
+		if h.ready == ready {
 			return nil
-		}
-		ch := inst.Changed()
-		// re-check after registering the waiter (lost-wakeup race), then
-		// wait on whichever happens first: a state transition, a
-		// re-placement swap, or the handle settling.
-		if inst.State() == states.ServiceActive {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-swapped:
-		case <-h.Done():
-		case <-ctx.Done():
-			return ctx.Err()
 		}
 	}
 }
@@ -472,6 +481,7 @@ func (sm *ServiceManager) instanceDown(h *Service, inst *service.Instance) {
 		// no standby survives does it fall back to routing the description
 		// over the survivors and re-bootstrapping.
 		sm.reg.Suspend(h.uid)
+		h.replaceIncarnation()
 		if sm.promoteStandby(h) {
 			return
 		}
@@ -548,7 +558,7 @@ func (sm *ServiceManager) Terminate(uid string, drain bool) error {
 		return fmt.Errorf("core: service %s not owned by this manager", uid)
 	}
 	h.mu.Lock()
-	if h.finished {
+	if h.done.Fired() {
 		err := h.err
 		h.mu.Unlock()
 		if err != nil {
@@ -568,7 +578,7 @@ func (sm *ServiceManager) Terminate(uid string, drain bool) error {
 	h.mu.Unlock()
 	if err := p.Services().Terminate(instUID, drain); err != nil {
 		h.mu.Lock()
-		finishedMeanwhile := h.finished
+		finishedMeanwhile := h.done.Fired()
 		h.terminated = false
 		h.mu.Unlock()
 		if finishedMeanwhile {

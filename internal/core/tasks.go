@@ -9,7 +9,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/pilot"
 	"repro/internal/router"
-	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
 )
@@ -116,7 +115,7 @@ func (t *Task) State() states.State {
 	if t.cur != nil {
 		return t.cur.State()
 	}
-	if t.finished {
+	if t.done.Fired() {
 		if t.err != nil {
 			return states.TaskFailed
 		}
@@ -382,13 +381,12 @@ func (tm *TaskManager) Wait(ctx context.Context, tasks ...*Task) error {
 	if len(tasks) == 0 {
 		tasks = tm.Tasks()
 	}
-	run := simtime.RunnersOf(tm.sess.clock)
 	var firstErr error
 	for _, t := range tasks {
 		if t.tm != tm {
 			return fmt.Errorf("core: task %s not owned by this manager", t.UID())
 		}
-		if err := t.wait(ctx, run); err != nil {
+		if err := t.wait(ctx, tm.sess.clock); err != nil {
 			return err
 		}
 		if err := t.Err(); err != nil && firstErr == nil {

@@ -139,7 +139,7 @@ func crashRecPoint(ctx context.Context, seed uint64, point string, journaled boo
 		if err != nil {
 			return err
 		}
-		if err := tb.wait(func() error { return svc.WaitReady(ctx) }); err != nil {
+		if err := svc.WaitReady(ctx); err != nil {
 			return err
 		}
 

@@ -135,7 +135,7 @@ func btPoint(ctx context.Context, o Options, n, partition int) (row btRow, err e
 			}
 			// partitioned mode gates each wave on the previous one, capping
 			// launch concurrency at the wave size
-			if err := tb.wait(func() error { return sm.WaitReady(ctx, batch...) }); err != nil {
+			if err := sm.WaitReady(ctx, batch...); err != nil {
 				return err
 			}
 			uids = append(uids, batch...)
@@ -272,7 +272,7 @@ func startServices(ctx context.Context, tb *testbed, svcPilot *pilot.Pilot, mode
 		// its clients' link latencies, before the next reaches the scheduler.
 		tb.clock.Settle()
 	}
-	if err := tb.wait(func() error { return mgr.WaitReady(ctx, uids...) }); err != nil {
+	if err := mgr.WaitReady(ctx, uids...); err != nil {
 		return nil, err
 	}
 	// publication precedes ACTIVE, so every ready instance has its endpoint
@@ -326,7 +326,7 @@ func (e rtExp) runClients(ctx context.Context, tb *testbed, clientPilot *pilot.P
 		// draws its first hop from the network's one stream in client order.
 		tb.clock.Settle()
 	}
-	return tb.wait(func() error { return clientPilot.WaitTasks(ctx, uids...) })
+	return clientPilot.WaitTasks(ctx, uids...)
 }
 
 // --- Table II -----------------------------------------------------------------

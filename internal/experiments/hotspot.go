@@ -27,7 +27,6 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/spec"
-	"repro/internal/states"
 )
 
 const (
@@ -139,10 +138,8 @@ func hotspotFailover(ctx context.Context, seed uint64, mode string) (f failover,
 		// those goroutines to finish.
 		for _, p := range tb.pilots {
 			for _, inst := range p.Services().List() {
-				if inst.State() != states.ServiceActive {
-					if err := tb.wait(func() error { return p.Services().WaitReady(ctx, inst.UID()) }); err != nil {
-						return err
-					}
+				if err := p.Services().WaitReady(ctx, inst.UID()); err != nil {
+					return err
 				}
 			}
 		}

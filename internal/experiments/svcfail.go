@@ -169,7 +169,7 @@ func svcFailPoint(ctx context.Context, o Options, client string, shapes []platfo
 		if err != nil {
 			return err
 		}
-		if err := tb.wait(func() error { return h.WaitReady(ctx) }); err != nil {
+		if err := h.WaitReady(ctx); err != nil {
 			return err
 		}
 		row = svcFailRow{Client: client, HostBefore: h.Pilot()}

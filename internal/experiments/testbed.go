@@ -30,7 +30,7 @@ type testbed struct {
 // clock, submits one pilot per description, in order, runs drive and closes
 // the session. All of it runs on the point's driver: one goroutine registered
 // with the clock, so simulated time moves only while the driver sleeps on the
-// clock or waits (tb.wait, TaskManager.Wait), and every number a point
+// clock or parks in one of the runtime's waits, and every number a point
 // reports replays exactly.
 func runTestbed(scfg core.SessionConfig, pilots []spec.PilotDescription, drive func(*testbed) error) error {
 	clock := simtime.NewVirtualAuto(core.DefaultOrigin)
@@ -59,14 +59,6 @@ func runTestbed(scfg core.SessionConfig, pilots []spec.PilotDescription, drive f
 		errc <- err
 	})
 	return <-errc
-}
-
-// wait runs one blocking wait of the driver (on a channel, not on the clock)
-// with the clock told the driver is parked meanwhile.
-func (tb *testbed) wait(fn func() error) error {
-	tb.clock.Block()
-	defer tb.clock.Unblock()
-	return fn()
 }
 
 // shapesOf resolves a catalog platform to its node-shape partitions and
@@ -151,11 +143,11 @@ type failover struct {
 }
 
 // killHost shuts down the pilot hosting h and waits for the session to
-// bring the service back: the re-publication past the old generation, then
-// the handle ACTIVE again. The shutdown decides the failover on the driver:
-// a promotion is published, a re-placement's bootstrap registered with the
-// clock, before it returns. What is already there is not waited for — the
-// driver parked would let time run on under it.
+// bring the service back: the handle ACTIVE again, its endpoint re-published
+// past the old generation (publication precedes ACTIVE, at the same instant).
+// The shutdown decides the failover on the driver: a promotion is published,
+// a re-placement's bootstrap registered with the clock, before it returns, so
+// a promoted service is ready without the driver parking at all.
 func (tb *testbed) killHost(ctx context.Context, h *core.Service) (failover, error) {
 	host, ok := tb.PilotManager().Get(h.Pilot())
 	if !ok {
@@ -167,24 +159,17 @@ func (tb *testbed) killHost(ctx context.Context, h *core.Service) (failover, err
 	if err := host.Shutdown(); err != nil {
 		return failover{}, err
 	}
+	if err := h.WaitReady(ctx); err != nil {
+		return failover{}, fmt.Errorf("service not ready after failover: %w", err)
+	}
 	_, gen, live := reg.Resolve(h.UID())
 	if !live || gen <= before {
-		err := tb.wait(func() (err error) {
-			_, gen, err = reg.AwaitNewer(ctx, h.UID(), before)
-			return err
-		})
-		if err != nil {
-			return failover{}, fmt.Errorf("failover re-publication never landed: %w", err)
-		}
+		return failover{}, fmt.Errorf("failover re-publication never landed: generation %d after %d", gen, before)
 	}
-	f := failover{Generation: gen, Generations: gen - before, Latency: tb.clock.Now().Sub(killed)}
-	if h.State() != states.ServiceActive {
-		if err := tb.wait(func() error { return h.WaitReady(ctx) }); err != nil {
-			return f, fmt.Errorf("service not ready after failover: %w", err)
-		}
-	}
-	f.Host, f.Replacements, f.Promotions = h.Pilot(), h.Replacements(), h.Promotions()
-	return f, nil
+	return failover{
+		Generation: gen, Generations: gen - before, Latency: tb.clock.Now().Sub(killed),
+		Host: h.Pilot(), Replacements: h.Replacements(), Promotions: h.Promotions(),
+	}, nil
 }
 
 // submitRunning submits descs through the task manager and returns once

@@ -288,7 +288,11 @@ func startBackends(ctx context.Context, sess *core.Session, sc Scenario) ([]*cor
 		handles = append(handles, h)
 		uids = append(uids, h.UID())
 	}
-	if err := sm.WaitReady(ctx, uids...); err != nil {
+	clock := sess.Clock().(*simtime.Virtual)
+	clock.AddRunner() // WaitReady parks its caller on the clock's books
+	err := sm.WaitReady(ctx, uids...)
+	clock.DoneRunner()
+	if err != nil {
 		return nil, err
 	}
 	return handles, nil

@@ -357,8 +357,16 @@ func TestContextCancelAroundGrant(t *testing.T) {
 // TestTaskChannelsAskedBeforeDuringAndAfter: Enqueued and the channel WaitTasks
 // waits on are made for whoever asks before the event, and everybody sees the
 // close: asked before it, while it happens (64 askers racing it), and after,
-// when both are the one closed channel and the task never had its own.
+// when both are the one closed channel every fired latch shares.
 func TestTaskChannelsAskedBeforeDuringAndAfter(t *testing.T) {
+	var fired simtime.Latch
+	fired.Fire()
+	shared := fired.Done()
+	settledChan := func(t *Task) <-chan struct{} {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		return t.done.Done()
+	}
 	closed := func(ch <-chan struct{}) bool {
 		select {
 		case <-ch:
@@ -373,7 +381,7 @@ func TestTaskChannelsAskedBeforeDuringAndAfter(t *testing.T) {
 		fire func(*Task)
 	}{
 		{"enqueued", (*Task).Enqueued, (*Task).markEnqueued},
-		{"settled", (*Task).settledChan, (*Task).settle},
+		{"settled", settledChan, (*Task).settle},
 	} {
 		t.Run(ev.name, func(t *testing.T) {
 			before := &Task{}
@@ -387,8 +395,8 @@ func TestTaskChannelsAskedBeforeDuringAndAfter(t *testing.T) {
 			}
 			after := &Task{}
 			ev.fire(after)
-			if ev.ask(after) != (<-chan struct{})(closedChan) || after.enqueued.ch != nil || after.done.ch != nil {
-				t.Fatal("a task nobody asked made a channel of its own")
+			if ev.ask(after) != shared {
+				t.Fatal("a task nobody asked before the event has a channel of its own")
 			}
 			for round := 0; round < 50; round++ {
 				task := &Task{}
@@ -425,7 +433,7 @@ func TestTaskChannelsAskedBeforeDuringAndAfter(t *testing.T) {
 	if err := waitTasks(t, p, task.UID()); err != nil {
 		t.Fatal(err)
 	}
-	if task.Enqueued() != (<-chan struct{})(closedChan) || task.enqueued.ch != nil {
+	if task.Enqueued() != shared {
 		t.Fatal("a finished task made a channel for Enqueued")
 	}
 }
@@ -461,9 +469,7 @@ func TestGrantedTaskOnVirtualClock(t *testing.T) {
 		if waiter, err = p.SubmitTask(ctx, spec.TaskDescription{Name: "waiter", Cores: 64, Duration: rng.ConstDuration(d)}); err != nil {
 			return
 		}
-		clock.Block()
 		err = p.WaitTasks(context.Background(), holder.UID(), waiter.UID())
-		clock.Unblock()
 	})
 	<-done
 	if err != nil {

@@ -150,41 +150,6 @@ func Lookup(uid string) (*Pilot, bool) {
 	return p, ok
 }
 
-// latch is an event that happens once, guarded by its owner's mutex. Its
-// channel is made when somebody asks for it before the event; after it,
-// everybody gets the one closed channel.
-type latch struct {
-	fired bool
-	ch    chan struct{}
-}
-
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-func (l *latch) fire() {
-	if l.fired {
-		return
-	}
-	l.fired = true
-	if l.ch != nil {
-		close(l.ch)
-	}
-}
-
-func (l *latch) wait() <-chan struct{} {
-	switch {
-	case l.ch != nil:
-		return l.ch
-	case l.fired:
-		return closedChan
-	}
-	l.ch = make(chan struct{})
-	return l.ch
-}
-
 // Task is one managed compute task.
 type Task struct {
 	desc    spec.TaskDescription
@@ -201,13 +166,13 @@ type Task struct {
 	// scheduler accepted its request (or the task settled without ever
 	// reaching the scheduler). Session-level ordered handoffs gate on it
 	// instead of polling the scheduler's snapshot.
-	enqueued latch
+	enqueued simtime.Latch
 	// settled says the completion hooks are running or have run; done fires
 	// when they have returned too: the task is final and every observer of the
 	// final transition (profile, journal, publish) has returned. WaitTasks
 	// waits on it.
 	settled bool
-	done    latch
+	done    simtime.Latch
 	// onDone is the first completion hook, moreDone any after it: a task has
 	// one, its session's settle.
 	onDone   func()
@@ -252,7 +217,7 @@ func (t *Task) settle() {
 		fn()
 	}
 	t.mu.Lock()
-	t.done.fire()
+	t.done.Fire()
 	t.mu.Unlock()
 }
 
@@ -262,20 +227,13 @@ func (t *Task) settle() {
 func (t *Task) Enqueued() <-chan struct{} {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.enqueued.wait()
+	return t.enqueued.Done()
 }
 
 func (t *Task) markEnqueued() {
 	t.mu.Lock()
-	t.enqueued.fire()
+	t.enqueued.Fire()
 	t.mu.Unlock()
-}
-
-// settledChan returns a channel closed once settle has returned.
-func (t *Task) settledChan() <-chan struct{} {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done.wait()
 }
 
 // fail ends the task in FAILED with err and settles it. Whoever calls it owns
@@ -723,7 +681,9 @@ func (p *Pilot) Tasks() []*Task {
 }
 
 // WaitTasks blocks until every listed task (all tasks when none listed)
-// reaches a final state, or ctx expires. It returns the first failure.
+// reaches a final state, or ctx expires. It returns the first failure. On a
+// virtual clock the caller must be registered: it parks until the last of
+// them settles.
 func (p *Pilot) WaitTasks(ctx context.Context, uids ...string) error {
 	if len(uids) == 0 {
 		for _, t := range p.Tasks() {
@@ -736,15 +696,11 @@ func (p *Pilot) WaitTasks(ctx context.Context, uids ...string) error {
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrUnknownTask, uid)
 		}
-		done := t.settledChan()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			select {
-			case <-done: // settled tasks are reported whatever ctx says
-			default:
-				return ctx.Err()
-			}
+		t.mu.Lock()
+		err := t.done.Wait(ctx, p.cfg.Clock, &t.mu)
+		t.mu.Unlock()
+		if err != nil {
+			return err
 		}
 		if t.State() == states.TaskFailed && firstErr == nil {
 			firstErr = t.Result().Err

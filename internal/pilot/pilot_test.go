@@ -378,9 +378,7 @@ func TestStateCallbackObservesTransitions(t *testing.T) {
 		}); err != nil {
 			return
 		}
-		clock.Block()
 		err = p.WaitTasks(context.Background(), task.UID())
-		clock.Unblock()
 	})
 	<-done
 	if err != nil {

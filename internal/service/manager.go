@@ -136,6 +136,8 @@ type Instance struct {
 	stopping  bool // a Terminate has claimed the stop; guards probeStop's close
 	killed    bool
 	failErr   error
+	// ready fires when the instance turns ACTIVE or reaches a final state.
+	ready simtime.Latch
 
 	// bootstrap components (Fig. 3)
 	launchTime  time.Duration
@@ -165,11 +167,6 @@ func (s *Instance) Err() error {
 
 // Final reports whether the instance reached a final lifecycle state.
 func (s *Instance) Final() bool { return s.machine.IsFinal() }
-
-// Changed returns a channel that fires on the instance's next state
-// transition. Watchers must re-check state after registering (the usual
-// lost-wakeup re-check), exactly like states.Machine.WaitChan.
-func (s *Instance) Changed() <-chan states.State { return s.machine.WaitChan() }
 
 // OnTransition registers cb to run after each later state transition of the
 // instance, on the goroutine that makes it and after the manager's
@@ -287,6 +284,13 @@ func (m *Manager) Submit(d spec.ServiceDescription) (*Instance, error) {
 	if m.cfg.StateCallback != nil {
 		inst.machine.OnTransition(m.cfg.StateCallback)
 	}
+	inst.machine.OnTransition(func(_ string, _, to states.State, _ time.Time) {
+		if to == states.ServiceActive || states.ServiceModel().IsFinal(to) {
+			inst.mu.Lock()
+			inst.ready.Fire()
+			inst.mu.Unlock()
+		}
+	})
 	m.services[d.UID] = inst
 	m.mu.Unlock()
 
@@ -615,38 +619,26 @@ func (m *Manager) teardown(inst *Instance) {
 	}
 }
 
-// WaitReady blocks until every listed service is ACTIVE (or any fails).
+// WaitReady blocks until every listed service is ACTIVE (or any fails). On a
+// virtual clock the caller must be registered: it parks until the last of
+// them turns ACTIVE.
 func (m *Manager) WaitReady(ctx context.Context, uids ...string) error {
 	for _, uid := range uids {
 		inst, ok := m.Get(uid)
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrUnknownService, uid)
 		}
-		for {
-			switch inst.machine.Current() {
-			case states.ServiceActive:
-			case states.ServiceFailed, states.ServiceCanceled, states.ServiceDone:
-				err := inst.Err()
-				if err == nil {
-					err = fmt.Errorf("service %s reached %s before ACTIVE", uid, inst.machine.Current())
-				}
+		inst.mu.Lock()
+		err := inst.ready.Wait(ctx, m.cfg.Clock, &inst.mu)
+		inst.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		if s := inst.machine.Current(); s != states.ServiceActive {
+			if err := inst.Err(); err != nil {
 				return err
-			default:
-				ch := inst.machine.WaitChan()
-				// re-check after registering the waiter: the transition to
-				// ACTIVE may have been the machine's last, in which case the
-				// channel never fires (lost-wakeup race)
-				if s := inst.machine.Current(); s == states.ServiceActive || inst.machine.IsFinal() {
-					continue
-				}
-				select {
-				case <-ch:
-					continue
-				case <-ctx.Done():
-					return ctx.Err()
-				}
 			}
-			break
+			return fmt.Errorf("service %s reached %s before ACTIVE", uid, s)
 		}
 	}
 	return nil

@@ -90,10 +90,16 @@ func noopDesc(name string) spec.ServiceDescription {
 	}
 }
 
+// waitReady waits for uids on the test goroutine, registered with a virtual
+// clock for the wait: WaitReady parks its caller on the clock's books.
 func waitReady(t *testing.T, r *rig, uids ...string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	if v := simtime.RunnersOf(r.clock); v != nil {
+		v.AddRunner()
+		defer v.DoneRunner()
+	}
 	if err := r.mgr.WaitReady(ctx, uids...); err != nil {
 		t.Fatal(err)
 	}

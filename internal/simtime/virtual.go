@@ -24,7 +24,8 @@ import (
 //     other than the clock (a channel receive, a WaitGroup); Unblock marks it
 //     runnable again. A goroutine that wakes another via a channel send calls
 //     Unblock on the sleeper's behalf (a wake token) so the clock never
-//     advances while a wakeup is still in flight.
+//     advances while a wakeup is still in flight. A Latch does both for a
+//     one-shot event.
 //
 // The contract is asymmetric by design: a transient overcount (an extra
 // Unblock before the matching Block lands) merely pauses advancement until

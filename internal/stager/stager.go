@@ -35,7 +35,6 @@ type Link struct {
 type Manager struct {
 	clock simtime.Clock
 	src   *rng.Source
-	run   *simtime.Virtual // parks WaitBytes callers; nil off the virtual clock
 
 	mu      sync.Mutex
 	links   map[string]Link // key "src→dst" platform pair, or "*" default
@@ -53,7 +52,7 @@ type Object struct {
 type objWaiter struct {
 	prefix   string
 	minBytes int64
-	ch       chan struct{}
+	open     simtime.Latch // guarded by Manager.mu
 }
 
 // defaultLocalBandwidth is used for copies when no link matches
@@ -69,7 +68,6 @@ func NewManager(clock simtime.Clock, src *rng.Source) *Manager {
 	return &Manager{
 		clock:   clock,
 		src:     src,
-		run:     simtime.RunnersOf(clock),
 		links:   make(map[string]Link),
 		objects: make(map[string]Object),
 	}
@@ -159,10 +157,7 @@ func (m *Manager) register(obj Object) {
 	var keep []*objWaiter
 	for _, w := range m.waiters {
 		if m.bytesUnderLocked(w.prefix) >= w.minBytes {
-			if m.run != nil {
-				m.run.Unblock() // the waiter's wake token, before the wake
-			}
-			close(w.ch)
+			w.open.Fire()
 		} else {
 			keep = append(keep, w)
 		}
@@ -198,36 +193,21 @@ func (m *Manager) BytesUnder(prefix string) int64 {
 
 // WaitBytes blocks until at least minBytes of data are staged under prefix
 // — the §II-A gate "training ... starting only when sufficient processed data
-// are available" — or ctx ends, whose error it then returns. On an
-// auto-advancing virtual clock the caller must be registered with the clock:
-// it is parked on the clock's books while it waits, and the staging that
-// opens the gate hands it its wake token before the wake.
+// are available" — or ctx ends, whose error it then returns. On a virtual
+// clock the caller must be registered: it parks until the staging that opens
+// the gate.
 func (m *Manager) WaitBytes(ctx context.Context, prefix string, minBytes int64) error {
 	m.mu.Lock()
-	if m.bytesUnderLocked(prefix) >= minBytes {
-		m.mu.Unlock()
-		return nil
-	}
-	w := &objWaiter{prefix: prefix, minBytes: minBytes, ch: make(chan struct{})}
-	m.waiters = append(m.waiters, w)
-	if m.run != nil {
-		m.run.Block()
-	}
-	m.mu.Unlock()
-	select {
-	case <-w.ch:
-		return nil
-	case <-ctx.Done():
-	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := slices.Index(m.waiters, w)
-	if i < 0 {
-		return nil // the gate opened first
+	if m.bytesUnderLocked(prefix) >= minBytes {
+		return nil
 	}
-	m.waiters = slices.Delete(m.waiters, i, i+1)
-	if m.run != nil {
-		m.run.Unblock()
+	w := &objWaiter{prefix: prefix, minBytes: minBytes}
+	m.waiters = append(m.waiters, w)
+	err := w.open.Wait(ctx, m.clock, &m.mu)
+	if err != nil {
+		i := slices.Index(m.waiters, w)
+		m.waiters = slices.Delete(m.waiters, i, i+1)
 	}
-	return ctx.Err()
+	return err
 }

@@ -59,7 +59,7 @@ const (
 	ServiceDraining       State = "SERVICE_DRAINING"
 	ServiceDone           State = "DONE"
 	ServiceFailed         State = "FAILED"
-	ServiceCanceled       State = "CANCELED"
+	serviceCanceled       State = "CANCELED"
 )
 
 // Entity discriminates the three state models.
@@ -146,8 +146,8 @@ var (
 		ServiceDraining:       {ServiceDone},
 		ServiceDone:           {},
 		ServiceFailed:         {},
-		ServiceCanceled:       {},
-	}, ServiceFailed, ServiceCanceled, ServiceDone, ServiceFailed, ServiceCanceled), ServiceDone, ServiceFailed, ServiceCanceled)
+		serviceCanceled:       {},
+	}, ServiceFailed, serviceCanceled, ServiceDone, ServiceFailed, serviceCanceled), ServiceDone, ServiceFailed, serviceCanceled)
 )
 
 // PilotModel returns the pilot state model.
@@ -229,7 +229,6 @@ type Machine struct {
 	hist      [maxDepth]Record
 	callbacks []Callback
 	batch     BatchCallback
-	waiters   []chan State
 	// Callbacks run in commit order: each committing To draws a ticket
 	// and runs its callbacks once every earlier ticket is delivered; one
 	// that has to wait parks on turn, which the next delivery closes.
@@ -283,8 +282,7 @@ func (m *Machine) OnBatch(cb BatchCallback) {
 
 // To moves the machine along chain, one state after the other. Every edge is
 // checked first: an illegal one returns an error and leaves the machine where
-// it was. Each step is stamped with its own clock reading; a WaitChan armed
-// before the call receives the first state of the chain. The callbacks run
+// it was. Each step is stamped with its own clock reading. The callbacks run
 // on the caller once every earlier To's callbacks have returned, so
 // observers see the transitions in the order they were committed; a
 // callback must not make a legal transition of its own machine.
@@ -310,19 +308,10 @@ func (m *Machine) To(chain ...State) error {
 	// outside the lock.
 	steps := m.history[len(m.history)-len(chain):]
 	cbs, batch := m.callbacks, m.batch
-	fire := m.waiters
-	m.waiters = nil
 	ticket := m.issued
 	m.issued++
 	wait := ticket != m.delivered
 	m.mu.Unlock()
-	for _, w := range fire {
-		// non-blocking: waiter channels are buffered
-		select {
-		case w <- chain[0]:
-		default:
-		}
-	}
 	if wait {
 		m.awaitTurn(ticket)
 	}
@@ -371,16 +360,6 @@ func (m *Machine) Fail() error {
 	default:
 		return m.To(TaskFailed)
 	}
-}
-
-// WaitChan returns a buffered channel receiving each subsequent state (one
-// notification per registered wait; re-arm by calling again).
-func (m *Machine) WaitChan() <-chan State {
-	ch := make(chan State, 1)
-	m.mu.Lock()
-	m.waiters = append(m.waiters, ch)
-	m.mu.Unlock()
-	return ch
 }
 
 // History returns a copy of the timestamped transition history.

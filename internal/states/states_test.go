@@ -192,24 +192,30 @@ func TestCallbacksFire(t *testing.T) {
 	}
 }
 
-func TestWaitChan(t *testing.T) {
+// TestOnTransitionWatcher: a watcher registered before a transition hears
+// of it, and of each later one exactly once, as it commits.
+func TestOnTransitionWatcher(t *testing.T) {
 	clk := simtime.NewVirtualAuto(origin)
 	m := NewMachine("task.0005", TaskModel(), clk)
-	ch := m.WaitChan()
+	ch := make(chan State, 2)
+	m.OnTransition(func(_ string, _, to State, _ time.Time) { ch <- to })
 	_ = m.To(TaskTmgrScheduling)
 	select {
 	case s := <-ch:
 		if s != TaskTmgrScheduling {
-			t.Fatalf("WaitChan delivered %s", s)
+			t.Fatalf("watcher heard %s", s)
 		}
 	default:
-		t.Fatal("WaitChan did not deliver")
+		t.Fatal("watcher heard nothing")
 	}
-	// one-shot: further transitions do not re-notify this channel
+	// the next transition is heard once, and only it
 	_ = m.To(TaskStagingInput)
+	if s := <-ch; s != TaskStagingInput {
+		t.Fatalf("watcher heard %s, want %s", s, TaskStagingInput)
+	}
 	select {
 	case s := <-ch:
-		t.Fatalf("WaitChan re-fired with %s", s)
+		t.Fatalf("watcher re-heard %s", s)
 	default:
 	}
 }
@@ -420,7 +426,6 @@ func TestToChain(t *testing.T) {
 		t.Fatalf("empty chain: %v, told %v", err, log)
 	}
 
-	wait := m.WaitChan()
 	if err := m.To(TaskTmgrScheduling, TaskStagingInput, TaskScheduling); err != nil {
 		t.Fatal(err)
 	}
@@ -432,9 +437,6 @@ func TestToChain(t *testing.T) {
 	}
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("observers saw\n%q, want\n%q", log, want)
-	}
-	if got := <-wait; got != TaskTmgrScheduling {
-		t.Fatalf("waiter received %s, want the chain's first state", got)
 	}
 	if m.Current() != TaskScheduling {
 		t.Fatalf("current = %s", m.Current())

@@ -172,13 +172,11 @@ func NewRunner(sess *core.Session, pilots ...*pilot.Pilot) (*Runner, error) {
 //
 // A stage starts on its own goroutine once its last dependency finished. On
 // an auto-advancing virtual clock Run's caller must be registered with the
-// clock; so is each stage goroutine, and every wait on something other than
-// the clock is bracketed Block/Unblock, a Pre or Post hook's by the hook.
-// Task waits (TaskManager.Wait) and Run's own are woken with their runner
-// token, so their stamps are exact; a wait for service readiness is exact
-// only while nothing else sleeps on the clock. Stages ready at one instant
-// start in the Go scheduler's order, so they replay exactly only if they
-// draw on no shared source in the same instant.
+// clock; so is each stage goroutine. Run's own waits park on the clock, so
+// every stamp is exact; a Pre or Post hook that waits on something other
+// than the clock brackets that wait Block/Unblock itself. Stages ready at one
+// instant start in the Go scheduler's order, so they replay exactly only if
+// they draw on no shared source in the same instant.
 func (r *Runner) Run(ctx context.Context, p *Pipeline) (*Report, error) {
 	next, err := p.dependents()
 	if err != nil {
@@ -197,9 +195,9 @@ func (r *Runner) Run(ctx context.Context, p *Pipeline) (*Report, error) {
 	report.Stages = make([]StageReport, len(p.Stages))
 	svcs := make([][]*core.Service, len(p.Stages)) // started per stage
 	var (
-		mu        sync.Mutex // guards waiting, failed and remaining
+		mu        sync.Mutex // guards waiting, failed, remaining and finished
 		remaining = len(p.Stages)
-		finished  = make(chan struct{})
+		finished  simtime.Latch
 	)
 	var start func(i int)
 	start = func(i int) {
@@ -230,17 +228,12 @@ func (r *Runner) Run(ctx context.Context, p *Pipeline) (*Report, error) {
 					ready = append(ready, n)
 				}
 			}
-			remaining--
-			last := remaining == 0
+			if remaining--; remaining == 0 {
+				finished.Fire()
+			}
 			mu.Unlock()
 			for _, n := range ready {
 				start(n)
-			}
-			if last {
-				if r.run != nil {
-					r.run.Unblock() // Run's wake token, before the wake
-				}
-				close(finished)
 			}
 		}()
 	}
@@ -252,10 +245,9 @@ func (r *Runner) Run(ctx context.Context, p *Pipeline) (*Report, error) {
 		}
 	}
 	if len(p.Stages) > 0 {
-		if r.run != nil {
-			r.run.Block()
-		}
-		<-finished
+		mu.Lock()
+		_ = finished.Wait(context.Background(), clock, &mu) // nil: the ctx never ends
+		mu.Unlock()
 	}
 	report.Finished = clock.Now()
 
@@ -292,17 +284,8 @@ func (r *Runner) runStage(ctx context.Context, s *Stage, rep *StageReport, svcs 
 		*svcs = append(*svcs, inst)
 		svcUIDs = append(svcUIDs, inst.UID())
 	}
-	if len(svcUIDs) > 0 {
-		if r.run != nil {
-			r.run.Block() // parked on the services, not on the clock
-		}
-		err := sm.WaitReady(ctx, svcUIDs...)
-		if r.run != nil {
-			r.run.Unblock()
-		}
-		if err != nil {
-			return fmt.Errorf("workflow: stage %s services: %w", s.Name, err)
-		}
+	if err := sm.WaitReady(ctx, svcUIDs...); err != nil {
+		return fmt.Errorf("workflow: stage %s services: %w", s.Name, err)
 	}
 	rep.Services = len(svcUIDs)
 

@@ -325,6 +325,34 @@ func TestStagePilotRoutingHint(t *testing.T) {
 	}
 }
 
+// TestServiceReadinessStampExact: a stage waits for its llama-8b service
+// while an unrelated goroutine sleeps an hour. The readiness wait parks the
+// stage and the service's activation hands it its wake token, so the Post hook
+// reads the instant the service turned ACTIVE, never the sleeper's hour.
+func TestServiceReadinessStampExact(t *testing.T) {
+	r, sess := newRunner(t)
+	clock := sess.Clock().(*simtime.Virtual)
+	clock.Go(func() { clock.Sleep(time.Hour) })
+	var ready time.Duration
+	p := &Pipeline{Name: "serve", Stages: []*Stage{{
+		Name: "llm",
+		Services: []spec.ServiceDescription{{
+			TaskDescription: spec.TaskDescription{Name: "llm", GPUs: 1},
+			Model:           "llama-8b",
+		}},
+		Post: func(context.Context, *core.Session) error {
+			ready = clock.Now().Sub(core.DefaultOrigin)
+			return nil
+		},
+	}}}
+	if _, err := r.Run(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	if want := 27909657801 * time.Nanosecond; ready != want {
+		t.Fatalf("Post hook ran at %v, want the service's ACTIVE at %v", ready, want)
+	}
+}
+
 // TestPreHookChannelWaitReplays runs B after A, with B's Pre hook parked on
 // a channel that a clock-registered goroutine closes 5 s after A ends. The
 // hook brackets its wait as Run's doc asks and the closer hands it its
