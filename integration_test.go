@@ -95,7 +95,7 @@ func TestHybridLocalRemoteInference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coll.Add("comm", bd.Components["communication"])
+			coll.Add("comm", bd.Get("communication"))
 		}
 		return coll.Stats("comm").Mean
 	}
@@ -254,7 +254,7 @@ func TestRESTRemoteThroughSessionDial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.OutputTokens < 1 || bd.Components["inference"] <= 0 {
+	if reply.OutputTokens < 1 || bd.Get("inference") <= 0 {
 		t.Fatalf("reply = %+v bd = %+v", reply, bd)
 	}
 }

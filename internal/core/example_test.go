@@ -58,7 +58,7 @@ func ExampleNewSession() {
 	bt := inst.Bootstrap()
 	fmt.Printf("service %s ACTIVE at %s\n", inst.UID(), inst.Endpoint().Address)
 	fmt.Printf("  bootstrap: launch=%.2fs init=%.2fs publish=%.2fs (Fig. 3 components)\n",
-		bt.Components["launch"].Seconds(), bt.Components["init"].Seconds(), bt.Components["publish"].Seconds())
+		bt.Get("launch").Seconds(), bt.Get("init").Seconds(), bt.Get("publish").Seconds())
 
 	// 4. Inference through the service endpoint.
 	client, err := sess.Dial(platform.Addr("delta", "", "client.0001"), inst.Endpoint())
@@ -72,7 +72,7 @@ func ExampleNewSession() {
 	}
 	fmt.Printf("inference: %d prompt + %d output tokens\n", reply.PromptTokens, reply.OutputTokens)
 	fmt.Printf("  response time: communication=%.4fs service=%.4fs inference=%.3fs (Fig. 6 components)\n",
-		rt.Components["communication"].Seconds(), rt.Components["service"].Seconds(), rt.Components["inference"].Seconds())
+		rt.Get("communication").Seconds(), rt.Get("service").Seconds(), rt.Get("inference").Seconds())
 	fmt.Printf("  reply: %.60s...\n", reply.Text)
 
 	// 5. Graceful teardown.

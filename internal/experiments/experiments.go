@@ -146,7 +146,7 @@ func btPoint(ctx context.Context, o Options, n, partition int) (row btRow, err e
 		for _, uid := range uids {
 			inst, _ := sm.Get(uid)
 			bt := inst.Bootstrap()
-			coll.AddAll("bt", bt.Components)
+			coll.AddAll("bt", bt)
 			coll.Add("bt.total", bt.Total())
 		}
 		row.Launch, row.Init = coll.Stats("bt.launch"), coll.Stats("bt.init")
@@ -311,7 +311,7 @@ func (e rtExp) runClients(ctx context.Context, tb *testbed, clientPilot *pilot.P
 					if err != nil {
 						return err
 					}
-					coll.AddAll("rt", rt.Components)
+					coll.AddAll("rt", rt)
 					coll.Add("rt.total", rt.Total())
 				}
 				return nil

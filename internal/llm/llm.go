@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode"
 
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -267,8 +268,19 @@ func (m *Instance) outputLength(maxTokens int) int {
 
 // countTokens approximates tokenization: whitespace-split words count ~1.3
 // tokens each (subword splitting), matching common LLM tokenizer density.
+// Words are what strings.Fields returns, counted in place: runs of runes
+// unicode.IsSpace rejects, an invalid UTF-8 byte counting as a non-space
+// rune.
 func countTokens(text string) int {
-	words := len(strings.Fields(text))
+	words := 0
+	inWord := false
+	for _, r := range text {
+		space := unicode.IsSpace(r)
+		if !space && !inWord {
+			words++
+		}
+		inWord = !space
+	}
 	if words == 0 {
 		return 0
 	}
@@ -282,14 +294,27 @@ var vocabulary = []string{
 	"analysis", "protein", "expression", "cluster", "sample", "annotation",
 }
 
+// longestWord is the length of vocabulary's longest word.
+var longestWord = func() int {
+	n := 0
+	for _, w := range vocabulary {
+		n = max(n, len(w))
+	}
+	return n
+}()
+
 // GenerateText produces deterministic pseudo-text of n tokens for the
-// given model name and RNG stream.
+// given model name and RNG stream. Its builder is sized once for n of the
+// longest word, so the text is its one allocation.
 func GenerateText(src *rng.Source, model string, n int) string {
 	if n <= 0 {
 		return ""
 	}
 	var sb strings.Builder
-	sb.WriteString("[" + model + "]")
+	sb.Grow(len(model) + 2 + n*(1+longestWord))
+	sb.WriteByte('[')
+	sb.WriteString(model)
+	sb.WriteByte(']')
 	for i := 0; i < n; i++ {
 		sb.WriteByte(' ')
 		sb.WriteString(vocabulary[src.Intn(len(vocabulary))])

@@ -181,6 +181,51 @@ func TestCountTokens(t *testing.T) {
 	}
 }
 
+// fieldsTokens is countTokens as it was written on strings.Fields: the
+// oracle the in-place count must agree with.
+func fieldsTokens(text string) int {
+	words := len(strings.Fields(text))
+	if words == 0 {
+		return 0
+	}
+	return (words*13 + 9) / 10
+}
+
+// TestCountTokensMatchesFields holds the in-place word count to
+// strings.Fields on the inputs where the two could part: Unicode spaces
+// outside ASCII, a non-breaking space, and bytes that are not UTF-8.
+func TestCountTokensMatchesFields(t *testing.T) {
+	for _, in := range []string{
+		"",
+		"    ",
+		"\t\n\v\f\r ",
+		"a\u0085b",              // NEL: a space to unicode.IsSpace
+		"a\u00a0b \u00a0",       // NO-BREAK SPACE
+		"\u2003a\u2003b\u2003",  // EM SPACE
+		"a\u3000b\u3000\u3000c", // IDEOGRAPHIC SPACE
+		"a\u200bb",              // ZERO WIDTH SPACE: not a space
+		"\xff",
+		"a \xff b\xfe\xfd c",
+		"\xe3\x80 a", // a truncated IDEOGRAPHIC SPACE
+		"compare the radiation dose signatures of 12 cell lines",
+	} {
+		if got, want := countTokens(in), fieldsTokens(in); got != want {
+			t.Errorf("countTokens(%q) = %d, strings.Fields gives %d", in, got, want)
+		}
+	}
+}
+
+func FuzzCountTokensMatchesFields(f *testing.F) {
+	for _, seed := range []string{"", " ", "a b", "a\u0085b\u00a0c", "\u3000x\u2003", "\xff \xfe", "x\xe3\x80"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		if got, want := countTokens(in), fieldsTokens(in); got != want {
+			t.Fatalf("countTokens(%q) = %d, strings.Fields gives %d", in, got, want)
+		}
+	})
+}
+
 func TestGenerateText(t *testing.T) {
 	src := rng.New(9)
 	txt := GenerateText(src, "llama-8b", 10)
@@ -192,6 +237,27 @@ func TestGenerateText(t *testing.T) {
 	}
 	if GenerateText(src, "m", 0) != "" {
 		t.Fatal("zero-token generation non-empty")
+	}
+}
+
+// TestGenerateTextGolden pins the bytes GenerateText returns for a pinned
+// seed and that the text is its one allocation.
+func TestGenerateTextGolden(t *testing.T) {
+	src := rng.New(2024)
+	for _, c := range []struct {
+		model string
+		n     int
+		want  string
+	}{
+		{"llama-8b", 24, "[llama-8b] dose cell pilot signature sample annotation pilot analysis model signature signature protein response inference dose pilot dose annotation response annotation model sample analysis sample"},
+		{"vit-base", 8, "[vit-base] pilot task pathway pathway analysis service service variant"},
+	} {
+		if got := GenerateText(src, c.model, c.n); got != c.want {
+			t.Errorf("GenerateText(%s, %d) = %q, want %q", c.model, c.n, got, c.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { GenerateText(src, "llama-8b", 24) }); allocs != 1 {
+		t.Errorf("GenerateText allocates %.1f objects, want 1", allocs)
 	}
 }
 

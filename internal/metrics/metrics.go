@@ -133,11 +133,13 @@ func (c *Collector) Add(name string, v time.Duration) {
 	s.mu.Unlock()
 }
 
-// AddAll appends every component of a breakdown, prefixing each component
-// name with prefix and a dot.
-func (c *Collector) AddAll(prefix string, components map[string]time.Duration) {
-	for k, v := range components {
-		c.Add(prefix+"."+k, v)
+// AddAll appends every named part of b, in b's order, to the series named
+// prefix, a dot and the part's name.
+func (c *Collector) AddAll(prefix string, b Breakdown) {
+	for _, p := range b {
+		if p.Name != "" {
+			c.Add(prefix+"."+p.Name, p.D)
+		}
 	}
 }
 
@@ -175,18 +177,33 @@ func (c *Collector) Count(name string) int {
 
 // --- breakdown records -----------------------------------------------------
 
-// Breakdown is one measurement decomposed into named components.
-type Breakdown struct {
-	Components map[string]time.Duration
+// Breakdown is one measurement split into three named parts: BT's launch /
+// init / publish or RT's communication / service / inference. The names
+// are constants of whoever builds it, so a Breakdown holds no reference of
+// its own and building, returning and reading one allocates nothing. The
+// zero Breakdown has no named part.
+type Breakdown [3]struct {
+	Name string
+	D    time.Duration
 }
 
-// Total sums all components.
+// Total sums the parts.
 func (b Breakdown) Total() time.Duration {
 	var t time.Duration
-	for _, v := range b.Components {
-		t += v
+	for _, p := range b {
+		t += p.D
 	}
 	return t
+}
+
+// Get returns the named part, 0 when b has no part of that name.
+func (b Breakdown) Get(name string) time.Duration {
+	for _, p := range b {
+		if p.Name == name {
+			return p.D
+		}
+	}
+	return 0
 }
 
 // --- table rendering --------------------------------------------------------

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -111,15 +113,27 @@ func TestCollectorSeriesIsCopy(t *testing.T) {
 	}
 }
 
+// TestCollectorAddAll pins the series AddAll feeds: one per named part,
+// named as the map-keyed breakdown named them, and none for a zero one.
 func TestCollectorAddAll(t *testing.T) {
 	c := NewCollector()
-	c.AddAll("rt", map[string]time.Duration{
-		"communication": ms(1), "service": ms(2), "inference": ms(3),
-	})
-	for _, comp := range []string{"communication", "service", "inference"} {
-		if c.Count("rt."+comp) != 1 {
-			t.Fatalf("component %s not recorded", comp)
-		}
+	c.AddAll("rt", Breakdown{{"communication", ms(1)}, {"service", ms(2)}, {"inference", ms(3)}})
+	c.AddAll("bt", Breakdown{{"launch", ms(4)}, {"init", ms(5)}, {"publish", ms(6)}})
+	c.AddAll("none", Breakdown{})
+	var names []string
+	for name := range c.series {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	want := []string{"bt.init", "bt.launch", "bt.publish", "rt.communication", "rt.inference", "rt.service"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("series %v, want %v", names, want)
+	}
+	if got := c.Series("rt.service"); len(got) != 1 || got[0] != ms(2) {
+		t.Fatalf("rt.service = %v, want [2ms]", got)
+	}
+	if got := c.Series("bt.publish"); len(got) != 1 || got[0] != ms(6) {
+		t.Fatalf("bt.publish = %v, want [6ms]", got)
 	}
 }
 
@@ -142,9 +156,24 @@ func TestCollectorConcurrent(t *testing.T) {
 }
 
 func TestBreakdownTotal(t *testing.T) {
-	b := Breakdown{Components: map[string]time.Duration{"a": ms(1), "b": ms(2)}}
-	if b.Total() != ms(3) {
-		t.Fatalf("Total = %v", b.Total())
+	b := Breakdown{{"communication", ms(1)}, {"service", ms(2)}, {"inference", ms(4)}}
+	if b.Total() != b[0].D+b[1].D+b[2].D || b.Total() != ms(7) {
+		t.Fatalf("Total = %v, want the parts' sum 7ms", b.Total())
+	}
+	if zero := (Breakdown{}); zero.Total() != 0 {
+		t.Fatalf("zero breakdown: Total %v", zero.Total())
+	}
+}
+
+func TestBreakdownGet(t *testing.T) {
+	b := Breakdown{{"launch", ms(1)}, {"init", ms(2)}, {"publish", ms(4)}}
+	for _, p := range b {
+		if got := b.Get(p.Name); got != p.D {
+			t.Fatalf("Get(%q) = %v, want %v", p.Name, got, p.D)
+		}
+	}
+	if got := b.Get("communication"); got != 0 {
+		t.Fatalf("Get of an absent part = %v, want 0", got)
 	}
 }
 

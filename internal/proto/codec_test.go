@@ -155,6 +155,19 @@ func checkDecode[T any](t *testing.T, kind Kind, body []byte, prefilled T) bool 
 	return took
 }
 
+// checkTypedDecode holds a typed decoder (DecodeRequest, DecodeReply) to
+// encoding/json decoding body into a zero T: the same error verdict, and
+// on success the same value.
+func checkTypedDecode[T any](t *testing.T, kind Kind, body []byte, decode func(Envelope) (T, error)) {
+	t.Helper()
+	var slow T
+	slowErr := json.Unmarshal(body, &slow)
+	got, err := decode(Envelope{Kind: kind, Body: body})
+	if (err == nil) != (slowErr == nil) || (err == nil && !reflect.DeepEqual(got, slow)) {
+		t.Fatalf("%q:\ntyped %+v (%v)\njson  %+v (%v)", body, got, err, slow, slowErr)
+	}
+}
+
 // FuzzBodyDecodeMatchesJSON throws arbitrary bytes at the body decoder,
 // starting from the writer's shape and everything one byte away from it.
 // The shapes include a request as an older writer sent it, with the since
@@ -205,6 +218,8 @@ func FuzzBodyDecodeMatchesJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecode(t, KindRequest, body, prefilledRequest)
 		checkDecode(t, KindReply, body, prefilledReply)
+		checkTypedDecode(t, KindRequest, body, Envelope.DecodeRequest)
+		checkTypedDecode(t, KindReply, body, Envelope.DecodeReply)
 	})
 }
 
@@ -258,5 +273,81 @@ func TestBodyCodecAllocs(t *testing.T) {
 	}
 	if got != req {
 		t.Fatalf("decoded %+v, want %+v", got, req)
+	}
+}
+
+// TestTypedDecode runs DecodeRequest and DecodeReply down each of their
+// three paths — the in-process snapshot, a wire body in the hand codec's
+// shape, a body only encoding/json reads — and holds each to Decode's
+// result and to its allocations: none for a snapshot, the strings for a
+// wire body.
+func TestTypedDecode(t *testing.T) {
+	req := InferenceRequest{RequestUID: "client.0.req.000001", ClientUID: "client.0", Model: "noop",
+		Prompt: "hello world", MaxTokens: 8, SentAt: t0}
+	rep := InferenceReply{RequestUID: "client.0.req.000001", ServiceUID: "svc.0", Model: "noop", Text: "ok",
+		PromptTokens: 3, OutputTokens: 1, Timing: Timing{ReceivedAt: t0, RepliedAt: t0.Add(time.Millisecond)}}
+	inproc := func(kind Kind, body any) Envelope {
+		env, err := NewEnvelope(kind, 1, "client.0", "svc.0", t0, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	wire := func(kind Kind, body any) Envelope {
+		env := inproc(kind, body)
+		frame, err := AppendFrame(nil, &env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := DecodeFrame(frame[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	spaced := func(kind Kind, body any) Envelope { // whitespace: the hand codec declines
+		raw, err := json.MarshalIndent(body, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Envelope{Kind: kind, Body: raw}
+	}
+	for _, path := range []struct {
+		name   string
+		build  func(Kind, any) Envelope
+		allocs float64
+	}{{"snapshot", inproc, 0}, {"wire", wire, 4}, {"json", spaced, -1}} {
+		renv, penv := path.build(KindRequest, req), path.build(KindReply, rep)
+		var wantReq InferenceRequest
+		var wantRep InferenceReply
+		if err := renv.Decode(KindRequest, &wantReq); err != nil {
+			t.Fatal(err)
+		}
+		if err := penv.Decode(KindReply, &wantRep); err != nil {
+			t.Fatal(err)
+		}
+		gotReq, err := renv.DecodeRequest()
+		if err != nil || gotReq != wantReq || !gotReq.SentAt.Equal(req.SentAt) || gotReq.Prompt != req.Prompt {
+			t.Errorf("%s: DecodeRequest = %+v, %v; Decode gives %+v", path.name, gotReq, err, wantReq)
+		}
+		gotRep, err := penv.DecodeReply()
+		if err != nil || gotRep != wantRep || gotRep.Text != rep.Text || !gotRep.Timing.RepliedAt.Equal(rep.Timing.RepliedAt) {
+			t.Errorf("%s: DecodeReply = %+v, %v; Decode gives %+v", path.name, gotRep, err, wantRep)
+		}
+		if path.allocs < 0 {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, func() { gotReq, _ = renv.DecodeRequest() }); n != path.allocs {
+			t.Errorf("%s: DecodeRequest allocates %.1f objects, want %g", path.name, n, path.allocs)
+		}
+		if n := testing.AllocsPerRun(100, func() { gotRep, _ = penv.DecodeReply() }); n != path.allocs {
+			t.Errorf("%s: DecodeReply allocates %.1f objects, want %g", path.name, n, path.allocs)
+		}
+	}
+	if _, err := inproc(KindReply, rep).DecodeRequest(); err == nil {
+		t.Error("DecodeRequest accepted a reply")
+	}
+	if _, err := (Envelope{Kind: KindReply, Body: []byte(`{"prompt_tokens":"x"}`)}).DecodeReply(); err == nil {
+		t.Error("DecodeReply accepted a malformed body")
 	}
 }

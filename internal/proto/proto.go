@@ -110,48 +110,14 @@ func marshalTyped(scratch []byte, v any) ([]byte, error) {
 // Decode unmarshals the envelope body into out, validating the kind first.
 // When the envelope still carries its in-process payload snapshot and out
 // is a pointer to the same payload type, the decode is a plain struct copy.
+// out escapes into json.Unmarshal; a request or reply decodes without that
+// through DecodeRequest or DecodeReply.
 func (e Envelope) Decode(want Kind, out any) error {
 	if e.Kind != want {
-		return fmt.Errorf("proto: decode kind %q as %q", e.Kind, want)
+		return kindError(e.Kind, want)
 	}
-	if e.typed != nil {
-		switch dst := out.(type) {
-		case *InferenceRequest:
-			if v, ok := e.typed.(InferenceRequest); ok {
-				*dst = v
-				return nil
-			}
-		case *InferenceReply:
-			if v, ok := e.typed.(InferenceReply); ok {
-				*dst = v
-				return nil
-			}
-		case *Heartbeat:
-			if v, ok := e.typed.(Heartbeat); ok {
-				*dst = v
-				return nil
-			}
-		case *loadReport:
-			if v, ok := e.typed.(loadReport); ok {
-				*dst = v
-				return nil
-			}
-		case *StateUpdate:
-			if v, ok := e.typed.(StateUpdate); ok {
-				*dst = v
-				return nil
-			}
-		case *Endpoint:
-			if v, ok := e.typed.(Endpoint); ok {
-				*dst = v
-				return nil
-			}
-		case *ErrorBody:
-			if v, ok := e.typed.(ErrorBody); ok {
-				*dst = v
-				return nil
-			}
-		}
+	if e.typed != nil && copySnapshot(out, e.typed) {
+		return nil
 	}
 	raw, err := (&e).WireBody() // lazy body: materialize for the JSON path
 	if err != nil {
@@ -164,6 +130,81 @@ func (e Envelope) Decode(want Kind, out any) error {
 		return fmt.Errorf("proto: decode %s body: %w", e.Kind, err)
 	}
 	return nil
+}
+
+// copySnapshot copies snapshot v into *out when out points at v's type.
+func copySnapshot(out, v any) bool {
+	switch dst := out.(type) {
+	case *InferenceRequest:
+		return assign(dst, v)
+	case *InferenceReply:
+		return assign(dst, v)
+	case *Heartbeat:
+		return assign(dst, v)
+	case *loadReport:
+		return assign(dst, v)
+	case *StateUpdate:
+		return assign(dst, v)
+	case *Endpoint:
+		return assign(dst, v)
+	case *ErrorBody:
+		return assign(dst, v)
+	}
+	return false
+}
+
+func assign[T any](dst *T, v any) bool {
+	t, ok := v.(T)
+	if ok {
+		*dst = t
+	}
+	return ok
+}
+
+// DecodeRequest returns the body of a KindRequest envelope.
+func (e Envelope) DecodeRequest() (InferenceRequest, error) {
+	return decodeAs[InferenceRequest](e, KindRequest)
+}
+
+// DecodeReply returns the body of a KindReply envelope.
+func (e Envelope) DecodeReply() (InferenceReply, error) {
+	return decodeAs[InferenceReply](e, KindReply)
+}
+
+// decodeAs returns e's body as a T. The in-process snapshot is returned as
+// a copy and a body in the hand codec's shape is decoded into a T on the
+// caller's stack; only a body left to json.Unmarshal allocates its target.
+func decodeAs[T any](e Envelope, want Kind) (T, error) {
+	var v T
+	if e.Kind != want {
+		return v, kindError(e.Kind, want)
+	}
+	if t, ok := e.typed.(T); ok {
+		return t, nil
+	}
+	raw, err := e.WireBody()
+	if err != nil {
+		return v, err
+	}
+	if decodeBody(raw, &v) {
+		return v, nil
+	}
+	return unmarshalAs[T](e.Kind, raw)
+}
+
+// unmarshalAs decodes raw into a fresh T with encoding/json. It is a
+// function of its own so that the one target json.Unmarshal holds on to is
+// allocated on this path alone.
+func unmarshalAs[T any](kind Kind, raw []byte) (T, error) {
+	v := new(T)
+	if err := json.Unmarshal(raw, v); err != nil {
+		return *v, fmt.Errorf("proto: decode %s body: %w", kind, err)
+	}
+	return *v, nil
+}
+
+func kindError(got, want Kind) error {
+	return fmt.Errorf("proto: decode kind %q as %q", got, want)
 }
 
 // lenScratch holds the buffers EncodedBodyLen encodes into to measure.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -24,7 +25,7 @@ type Caller struct {
 	hc    *http.Client
 	clock simtime.Clock
 
-	seq uint64
+	seq atomic.Uint64 // request IDs: concurrent calls each draw their own
 }
 
 var _ service.Caller = (*Caller)(nil)
@@ -40,20 +41,20 @@ func NewCaller(ep proto.Endpoint, clock simtime.Clock) (*Caller, error) {
 
 // Infer implements service.Caller over HTTP.
 func (c *Caller) Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
-	c.seq++
+	requestID := fmt.Sprintf("%s.rest.%06d", c.ep.ServiceUID, c.seq.Add(1))
 	start := c.clock.Now()
 	resp, err := c.generate(ctx, generateRequest{
 		Model:     c.ep.Model,
 		Prompt:    prompt,
 		MaxTokens: maxTokens,
-		RequestID: fmt.Sprintf("%s.rest.%06d", c.ep.ServiceUID, c.seq),
+		RequestID: requestID,
 	})
 	total := c.clock.Now().Sub(start)
 	if err != nil {
 		return proto.InferenceReply{}, metrics.Breakdown{}, err
 	}
 	reply := proto.InferenceReply{
-		RequestUID:   fmt.Sprintf("%s.rest.%06d", c.ep.ServiceUID, c.seq),
+		RequestUID:   requestID,
 		ServiceUID:   resp.ServiceUID,
 		Model:        resp.Model,
 		Text:         resp.Response,

@@ -2,6 +2,7 @@ package restapi
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,11 +32,52 @@ func TestCallerInferRoundTrip(t *testing.T) {
 	if reply.Model != "llama-8b" || reply.OutputTokens < 1 {
 		t.Fatalf("reply = %+v", reply)
 	}
-	if bd.Components["inference"] <= 0 {
+	if bd.Get("inference") <= 0 {
 		t.Fatal("no inference component in REST breakdown")
 	}
 	if bd.Total() <= 0 {
 		t.Fatal("empty breakdown total")
+	}
+}
+
+// TestCallerConcurrentInfer shares one Caller between goroutines: each
+// call draws its own request ID, and its reply carries the ID it was sent
+// under, so no two replies share one.
+func TestCallerConcurrentInfer(t *testing.T) {
+	const goroutines, calls = 8, 50
+	g, _ := newGateway(t, "noop")
+	caller, err := NewCaller(g.Endpoint(), simtime.NewScaled(1000, origin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer caller.Close()
+	uids := make(chan string, goroutines*calls)
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < calls; j++ {
+				reply, _, err := caller.Infer(context.Background(), "x", 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				uids <- reply.RequestUID
+			}
+		}()
+	}
+	wg.Wait()
+	close(uids)
+	seen := make(map[string]bool, goroutines*calls)
+	for uid := range uids {
+		if seen[uid] {
+			t.Fatalf("request UID %s on two replies", uid)
+		}
+		seen[uid] = true
+	}
+	if len(seen) != goroutines*calls {
+		t.Fatalf("%d distinct request UIDs, want %d", len(seen), goroutines*calls)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -87,8 +88,8 @@ func (c *Client) Infer(ctx context.Context, prompt string, maxTokens int) (proto
 		}
 		return proto.InferenceReply{}, metrics.Breakdown{}, fmt.Errorf("service %s: %s", c.ep.ServiceUID, eb.Msg)
 	}
-	var reply proto.InferenceReply
-	if err := out.Decode(proto.KindReply, &reply); err != nil {
+	reply, err := out.DecodeReply()
+	if err != nil {
 		return proto.InferenceReply{}, metrics.Breakdown{}, err
 	}
 	if reply.Err != "" {
@@ -98,15 +99,20 @@ func (c *Client) Infer(ctx context.Context, prompt string, maxTokens int) (proto
 }
 
 // requestUID renders "<client>.req.NNNNNN" (zero-padded to six digits,
-// like the seed's fmt.Sprintf format) in one allocation.
+// like the seed's fmt.Sprintf format). The digits go to a stack buffer
+// first, so the string's bytes are the one allocation.
 func (c *Client) requestUID(id uint64) string {
-	buf := make([]byte, 0, len(c.uidPrefix)+20)
-	buf = append(buf, c.uidPrefix...)
-	for w := uint64(100000); w > 1 && id < w; w /= 10 {
-		buf = append(buf, '0')
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], id, 10)
+	pad := max(0, 6-len(d))
+	var sb strings.Builder
+	sb.Grow(len(c.uidPrefix) + pad + len(d))
+	sb.WriteString(c.uidPrefix)
+	for ; pad > 0; pad-- {
+		sb.WriteByte('0')
 	}
-	buf = strconv.AppendUint(buf, id, 10)
-	return string(buf)
+	sb.Write(d)
+	return sb.String()
 }
 
 // DecomposeRT splits a measured round-trip total into the paper's RT
@@ -123,9 +129,5 @@ func DecomposeRT(total time.Duration, t proto.Timing) metrics.Breakdown {
 	if comm < 0 {
 		comm = 0
 	}
-	return metrics.Breakdown{Components: map[string]time.Duration{
-		"communication": comm,
-		"service":       svc,
-		"inference":     infer,
-	}}
+	return metrics.Breakdown{{"communication", comm}, {"service", svc}, {"inference", infer}}
 }

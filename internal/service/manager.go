@@ -180,11 +180,7 @@ func (s *Instance) OnTransition(cb states.Callback) { s.machine.OnTransition(cb)
 func (s *Instance) Bootstrap() metrics.Breakdown {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return metrics.Breakdown{Components: map[string]time.Duration{
-		"launch":  s.launchTime,
-		"init":    s.initTime,
-		"publish": s.publishTime,
-	}}
+	return metrics.Breakdown{{"launch", s.launchTime}, {"init", s.initTime}, {"publish", s.publishTime}}
 }
 
 // Queued returns requests admitted to the server's queue but not yet

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -150,9 +152,15 @@ func TestBootstrapBreakdownShape(t *testing.T) {
 	inst, _ := r.mgr.Submit(llamaDesc("svc"))
 	waitReady(t, r, inst.UID())
 	bt := inst.Bootstrap()
-	launch := bt.Components["launch"]
-	init := bt.Components["init"]
-	publish := bt.Components["publish"]
+	if names := [3]string{bt[0].Name, bt[1].Name, bt[2].Name}; names != [3]string{"launch", "init", "publish"} {
+		t.Fatalf("bootstrap parts %v, want launch, init, publish", names)
+	}
+	launch := bt.Get("launch")
+	init := bt.Get("init")
+	publish := bt.Get("publish")
+	if bt.Total() != launch+init+publish {
+		t.Fatalf("Total %v, parts sum to %v", bt.Total(), launch+init+publish)
+	}
 	if init <= launch {
 		t.Fatalf("init (%v) must dominate launch (%v)", init, launch)
 	}
@@ -179,12 +187,54 @@ func TestBootstrapStateTimestampsConsistent(t *testing.T) {
 	// state-derived init duration must match the measured server load time
 	// within clock skew
 	bt := inst.Bootstrap()
-	diff := d - bt.Components["init"]
+	diff := d - bt.Get("init")
 	if diff < 0 {
 		diff = -diff
 	}
 	if diff > 5*time.Second {
-		t.Fatalf("state-derived init %v vs measured %v", d, bt.Components["init"])
+		t.Fatalf("state-derived init %v vs measured %v", d, bt.Get("init"))
+	}
+}
+
+// TestDecomposeRT pins the RT split's parts, their order and names, and
+// that building it allocates nothing.
+func TestDecomposeRT(t *testing.T) {
+	at := time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
+	tm := proto.Timing{
+		ReceivedAt:   at,
+		DequeuedAt:   at.Add(5 * time.Microsecond),
+		InferStartAt: at.Add(20 * time.Microsecond),
+		InferEndAt:   at.Add(120 * time.Microsecond),
+		RepliedAt:    at.Add(140 * time.Microsecond),
+	}
+	rt := DecomposeRT(300*time.Microsecond, tm)
+	want := metrics.Breakdown{
+		{"communication", 160 * time.Microsecond}, {"service", 40 * time.Microsecond}, {"inference", 100 * time.Microsecond},
+	}
+	if rt != want {
+		t.Fatalf("DecomposeRT = %v, want %v", rt, want)
+	}
+	if rt.Total() != 300*time.Microsecond {
+		t.Fatalf("Total = %v, want the measured 300µs", rt.Total())
+	}
+	var sink metrics.Breakdown
+	if allocs := testing.AllocsPerRun(100, func() { sink = DecomposeRT(300*time.Microsecond, tm) }); allocs != 0 {
+		t.Fatalf("DecomposeRT allocates %.1f objects, want 0", allocs)
+	}
+	_ = sink
+}
+
+// TestRequestUID holds requestUID to the fmt.Sprintf format it replaces and
+// to its one allocation.
+func TestRequestUID(t *testing.T) {
+	c := &Client{uidPrefix: "delta.client.0001.req."}
+	for _, id := range []uint64{0, 1, 9, 10, 99999, 100000, 999999, 1000000, 1 << 40, math.MaxUint64} {
+		if got, want := c.requestUID(id), fmt.Sprintf("delta.client.0001.req.%06d", id); got != want {
+			t.Errorf("requestUID(%d) = %q, want %q", id, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.requestUID(4242) }); allocs != 1 {
+		t.Errorf("requestUID allocates %.1f objects, want 1", allocs)
 	}
 }
 
@@ -221,12 +271,12 @@ func TestInferenceRoundTripThroughEndpoint(t *testing.T) {
 	if reply.Model != "llama-8b" || reply.OutputTokens < 1 {
 		t.Fatalf("reply = %+v", reply)
 	}
-	if rt.Components["inference"] <= 0 {
+	if rt.Get("inference") <= 0 {
 		t.Fatal("no inference component measured")
 	}
 	// Fig. 6: inference dominates for a real model
-	if rt.Components["inference"] < rt.Components["communication"] {
-		t.Fatalf("inference %v below communication %v", rt.Components["inference"], rt.Components["communication"])
+	if rt.Get("inference") < rt.Get("communication") {
+		t.Fatalf("inference %v below communication %v", rt.Get("inference"), rt.Get("communication"))
 	}
 }
 
@@ -248,7 +298,7 @@ func TestNoopRTCommunicationDominates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg.AddAll("rt", rt.Components)
+		agg.AddAll("rt", rt)
 	}
 	comm := agg.Stats("rt.communication").Mean
 	infer := agg.Stats("rt.inference").Mean

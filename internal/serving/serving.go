@@ -132,9 +132,9 @@ type Server struct {
 	run *simtime.Virtual
 
 	mu       sync.Mutex
-	jobs     []*job      // queued, not yet picked up by a worker
-	waiters  []chan *job // parked workers, FIFO; each receives one job or nil
-	qclosed  bool        // no further jobs will be queued (Drain/Stop)
+	jobs     fifo[*job]      // queued, not yet picked up by a worker
+	waiters  fifo[chan *job] // parked workers; each receives one job or nil
+	qclosed  bool            // no further jobs will be queued (Drain/Stop)
 	started  bool
 	ready    bool
 	draining bool
@@ -415,13 +415,12 @@ func (s *Server) flushStopped(j *job) {
 func (s *Server) dequeue(buf []*job, park chan *job) ([]*job, bool) {
 	for {
 		s.mu.Lock()
-		if len(s.jobs) > 0 {
-			n := 1
-			for n < len(s.jobs) && n < s.cfg.MaxBatch && s.jobs[n].req.Model == s.jobs[0].req.Model {
-				n++
+		if s.jobs.len() > 0 {
+			head := s.jobs.pop()
+			buf = append(buf, head)
+			for n := 1; n < s.cfg.MaxBatch && s.jobs.len() > 0 && s.jobs.at(0).req.Model == head.req.Model; n++ {
+				buf = append(buf, s.jobs.pop())
 			}
-			buf = append(buf, s.jobs[:n]...)
-			s.jobs = s.jobs[n:]
 			s.mu.Unlock()
 			return buf, true
 		}
@@ -429,7 +428,7 @@ func (s *Server) dequeue(buf []*job, park chan *job) ([]*job, bool) {
 			s.mu.Unlock()
 			return nil, false
 		}
-		s.waiters = append(s.waiters, park)
+		s.waiters.push(park)
 		if s.run != nil {
 			s.run.Block()
 		}
@@ -446,19 +445,18 @@ func (s *Server) dequeue(buf []*job, park chan *job) ([]*job, bool) {
 // wake token) or appends it to the job buffer. It reports false when the
 // buffer is at capacity. Callers hold s.mu.
 func (s *Server) enqueueLocked(j *job) bool {
-	if len(s.waiters) > 0 {
-		ch := s.waiters[0]
-		s.waiters = s.waiters[1:]
+	if s.waiters.len() > 0 {
+		ch := s.waiters.pop()
 		if s.run != nil {
 			s.run.Unblock() // wake token: issued before the wake itself
 		}
 		ch <- j
 		return true
 	}
-	if len(s.jobs) >= s.cfg.QueueCap {
+	if s.jobs.len() >= s.cfg.QueueCap {
 		return false
 	}
-	s.jobs = append(s.jobs, j)
+	s.jobs.push(j)
 	return true
 }
 
@@ -466,13 +464,12 @@ func (s *Server) enqueueLocked(j *job) bool {
 // with a nil job. Callers hold s.mu.
 func (s *Server) closeQueueLocked() {
 	s.qclosed = true
-	for _, ch := range s.waiters {
+	for s.waiters.len() > 0 {
 		if s.run != nil {
 			s.run.Unblock()
 		}
-		ch <- nil
+		s.waiters.pop() <- nil
 	}
-	s.waiters = nil
 }
 
 // reply delivers the worker's single reply for j, issuing the requester's
@@ -641,8 +638,8 @@ func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.
 // requests and server-side rejections come back as KindError envelopes.
 func (s *Server) Handler() func(proto.Envelope) proto.Envelope {
 	return func(env proto.Envelope) proto.Envelope {
-		var req proto.InferenceRequest
-		if err := env.Decode(proto.KindRequest, &req); err != nil {
+		req, err := env.DecodeRequest()
+		if err != nil {
 			return s.errEnvelope(env, fmt.Sprintf("%v: %v", ErrBadRequest, err))
 		}
 		reply, err := s.Submit(context.Background(), req)

@@ -440,7 +440,7 @@ func Signature(cfg SignatureConfig, src *rng.Source) *workflow.Pipeline {
 					return err
 				}
 				if coll != nil {
-					coll.AddAll("sig.llm", rt.Components)
+					coll.AddAll("sig.llm", rt)
 				}
 			}
 			return nil
