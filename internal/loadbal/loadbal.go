@@ -7,13 +7,9 @@
 package loadbal
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 )
-
-// ErrNoEndpoints is returned by a pooled client with no live candidates.
-var ErrNoEndpoints = errors.New("loadbal: no endpoints")
 
 // LoadView is an index-addressed snapshot of one balancing group's
 // candidates with per-candidate load gauges. Implementations must be

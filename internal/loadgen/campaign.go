@@ -19,11 +19,6 @@ import (
 	"repro/internal/spec"
 )
 
-// probeNever pushes the liveness probe ticker past any campaign horizon:
-// probes are irrelevant to open-loop measurement and a short probe period
-// would dominate the virtual-clock event heap.
-const probeNever = 10000 * time.Hour
-
 // stragglerModel is the model service 0 hosts under kindStraggler: vit-base,
 // whose modelled inference takes milliseconds.
 const stragglerModel = "vit-base"
@@ -274,7 +269,6 @@ func startBackends(ctx context.Context, sess *core.Session, sc Scenario) ([]*cor
 			MaxBatch:        sc.MaxBatch,
 			MaxReplicas:     sc.MaxReplicas,
 			StartTimeout:    time.Hour,
-			ProbeInterval:   probeNever,
 		}
 		if model == "noop" {
 			d.Cores = 1

@@ -12,6 +12,7 @@ import (
 	"repro/internal/msgq"
 	"repro/internal/platform"
 	"repro/internal/rng"
+	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
@@ -484,4 +485,103 @@ func TestGrantedTaskOnVirtualClock(t *testing.T) {
 	if want := started.Add(waiter.Result().LaunchTime + d); !finished.Equal(want) || waiter.Result().LaunchTime <= 0 {
 		t.Fatalf("waiter DONE at %v after a %v launch, want %v", finished, waiter.Result().LaunchTime, want)
 	}
+}
+
+// queuedBehindService runs, on the auto-advancing clock, a one-node pilot whose
+// 64 cores a service holds and a 64-core task queued behind them. At the
+// instant the service is ACTIVE it stops the service with stop, and it returns
+// the task once DONE together with that instant. The wait is bounded: a
+// service whose cores go back behind the scheduler's back leaves the task
+// queued, with nothing left to wake it.
+func queuedBehindService(t *testing.T, stop func(*Pilot, *service.Instance) error) (*Task, time.Time) {
+	t.Helper()
+	clock := simtime.NewVirtualAuto(origin)
+	src := rng.New(11)
+	net := msgq.NewNetwork(clock, src.Derive("net"), nil)
+	defer net.Close()
+	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.NewDelta(),
+		BootTime: rng.ConstDuration(0)}, spec.PilotDescription{Platform: "delta", Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Shutdown() //nolint:errcheck
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var task *Task
+	var stoppedAt time.Time
+	done := make(chan struct{})
+	clock.Go(func() {
+		defer close(done)
+		var inst *service.Instance
+		if inst, err = p.Services().Submit(spec.ServiceDescription{
+			TaskDescription: spec.TaskDescription{Name: "svc", Cores: 64},
+			Model:           "noop",
+			ProbeInterval:   probeInterval,
+		}); err != nil {
+			return
+		}
+		if err = p.Services().WaitReady(ctx, inst.UID()); err != nil {
+			return
+		}
+		if task, err = p.SubmitTask(ctx, spec.TaskDescription{Name: "queued", Cores: 64,
+			Duration: rng.ConstDuration(queuedTaskDuration)}); err != nil {
+			return
+		}
+		clock.Settle() // the pass the submission kicked has ended: the task waits in the pool
+		stoppedAt = clock.Now()
+		if err = stop(p, inst); err != nil {
+			return
+		}
+		err = p.WaitTasks(ctx, task.UID())
+	})
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	return task, stoppedAt
+}
+
+const (
+	probeInterval      = 2 * time.Second
+	queuedTaskDuration = 3 * time.Second
+)
+
+// checkGrantedAt asserts the queued task started at the instant its cores came
+// back and is DONE exactly its launch plus its Duration later.
+func checkGrantedAt(t *testing.T, task *Task, freed time.Time) {
+	t.Helper()
+	started, _ := task.machine.EnteredAt(states.TaskExecuting)
+	finished, _ := task.machine.EnteredAt(states.TaskDone)
+	if !started.Equal(freed) {
+		t.Fatalf("queued task started at %v, want %v, when the service's cores came back", started, freed)
+	}
+	launch := task.Result().LaunchTime
+	if want := freed.Add(launch + queuedTaskDuration); !finished.Equal(want) || launch <= 0 {
+		t.Fatalf("queued task DONE at %v after a %v launch, want %v", finished, launch, want)
+	}
+}
+
+// TestQueuedTaskGetsTerminatedServiceCores: terminating a service hands its
+// cores to the task queued behind it at the instant of the Terminate.
+func TestQueuedTaskGetsTerminatedServiceCores(t *testing.T) {
+	task, at := queuedBehindService(t, func(p *Pilot, inst *service.Instance) error {
+		return p.Services().Terminate(inst.UID(), false)
+	})
+	checkGrantedAt(t, task, at)
+}
+
+// TestQueuedTaskGetsKilledServiceCores: a killed service's liveness probe marks
+// it FAILED two probe intervals after the kill, and its cores go to the task
+// queued behind it at that instant.
+func TestQueuedTaskGetsKilledServiceCores(t *testing.T) {
+	var inst *service.Instance
+	task, at := queuedBehindService(t, func(_ *Pilot, i *service.Instance) error {
+		inst = i
+		i.Kill()
+		return nil
+	})
+	if inst.State() != states.ServiceFailed {
+		t.Fatalf("killed service in %s, want FAILED", inst.State())
+	}
+	checkGrantedAt(t, task, at.Add(2*probeInterval))
 }

@@ -12,21 +12,11 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/msgq"
 	"repro/internal/rng"
 )
-
-// releaseEpoch counts every allocation release in the process. Schedulers
-// compare it against the releases they performed themselves to detect
-// capacity returned behind their back (allocations released directly
-// rather than through Scheduler.Release) without scanning nodes.
-var releaseEpoch atomic.Uint64
-
-// ReleaseEpoch returns the process-wide allocation release counter.
-func ReleaseEpoch() uint64 { return releaseEpoch.Load() }
 
 // NodeSpec describes the hardware of one node type.
 type NodeSpec struct {
@@ -117,7 +107,9 @@ func (n *Node) Free() (cores, gpus int, memGB float64) {
 	return n.freeCores, n.freeGPUs, n.spec.MemGB - n.memUsedGB
 }
 
-// Allocation records resources held on one node. Release it exactly once.
+// Allocation records resources held on one node. Release it exactly once;
+// an allocation a scheduler granted goes back through Scheduler.Release,
+// which keeps the scheduler's capacity index exact.
 type Allocation struct {
 	node  *Node
 	Cores []int
@@ -148,7 +140,6 @@ func (a *Allocation) Release() {
 		a.node.freeCores += len(a.Cores)
 		a.node.freeGPUs += len(a.GPUs)
 		a.node.memUsedGB -= a.MemGB
-		releaseEpoch.Add(1)
 	})
 }
 

@@ -13,14 +13,13 @@ import (
 // frozen wait pool.
 func newBenchScheduler(nodes []*platform.Node, pol Policy) *Scheduler {
 	s := &Scheduler{
-		nodes:     nodes,
-		policy:    pol,
-		waiting:   newWaitHeap(),
-		clock:     simtime.NewReal(),
-		index:     newNodeIndex(nodes),
-		nodeOf:    make(map[*platform.Node]int, len(nodes)),
-		kick:      make(chan struct{}, 1),
-		seenEpoch: platform.ReleaseEpoch(),
+		nodes:   nodes,
+		policy:  pol,
+		waiting: newWaitHeap(),
+		clock:   simtime.NewReal(),
+		index:   newNodeIndex(nodes),
+		nodeOf:  make(map[*platform.Node]int, len(nodes)),
+		kick:    make(chan struct{}, 1),
 	}
 	for i, n := range nodes {
 		s.nodeOf[n] = i

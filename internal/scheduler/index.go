@@ -19,13 +19,12 @@ import (
 // backtracks: a pruned descent is retried in the right sibling. Leaves are
 // exact, which keeps the result identical to the linear first-fit.
 //
-// The tree is owned by the scheduler goroutine (guarded by Scheduler.mu)
-// and refreshed from the nodes' maintained free counters: point refreshes
-// after every grant and release the scheduler performs itself, and a full
-// refresh before concluding that nothing fits — which re-synchronizes any
-// capacity released behind the scheduler's back (allocations released
-// directly rather than through Scheduler.Release), exactly the staleness
-// the seed's rescan-every-time loop tolerated.
+// The tree is guarded by Scheduler.mu and mirrors the nodes' maintained free
+// counters exactly: a grant allocates and a Scheduler.Release frees under
+// that lock, each followed by a point refresh of its leaf. Nothing else
+// touches the nodes' capacity, so the index never needs a re-sync; an
+// allocation released behind the scheduler's back would stay invisible to
+// it until that node's next grant or release.
 type nodeIndex struct {
 	nodes []*platform.Node
 	size  int // number of leaves: smallest power of two ≥ len(nodes)

@@ -345,8 +345,7 @@ func equalInts(a, b []int) bool {
 
 // TestNegativeDemandRejected pins the guard against demand values no node
 // can ever grant: Node.TryAlloc rejects negative requests, so admitting
-// one would leave it wedged at the wait-pool head (and, with the index's
-// miss-recovery loop, livelock the scheduler goroutine).
+// one would leave it wedged at the wait-pool head.
 func TestNegativeDemandRejected(t *testing.T) {
 	c := newCollector()
 	s := New(nodes(1, 8, 2), c.fn)
@@ -367,27 +366,6 @@ func TestNegativeDemandRejected(t *testing.T) {
 	}
 	if got := c.waitN(t, 1); got[0].Req.UID != "ok" {
 		t.Fatalf("placement = %+v", got[0])
-	}
-}
-
-// TestOutOfBandReleaseRecovered verifies the release-epoch re-sync: when
-// an allocation is released directly (bypassing Scheduler.Release, as the
-// service manager's failure paths do), the next scheduling kick must still
-// see the freed capacity.
-func TestOutOfBandReleaseRecovered(t *testing.T) {
-	c := newCollector()
-	s := New(nodes(1, 4, 0), c.fn)
-	defer s.Close()
-	_ = s.Submit(Request{UID: "a", Cores: 4})
-	first := c.waitN(t, 1)[0]
-	_ = s.Submit(Request{UID: "b", Cores: 4})
-	first.Alloc.Release() // behind the scheduler's back: no index refresh
-	s.mu.Lock()
-	s.pokeLocked() // a bare kick, as any later Submit would deliver
-	s.mu.Unlock()
-	got := c.waitN(t, 2)
-	if got[1].Req.UID != "b" {
-		t.Fatalf("placement after out-of-band release = %s", got[1].Req.UID)
 	}
 }
 

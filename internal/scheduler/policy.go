@@ -257,14 +257,7 @@ func (b *backfillPolicy) Grant(p *Pool) (int, *platform.Allocation) {
 	if best < 0 {
 		return 0, nil
 	}
-	alloc := b.place(p, best)
-	if alloc == nil {
-		// Fits raced a stale index leaf; the placement attempt refreshed
-		// it. Treat as blocked rather than rescanning — the next kick
-		// retries with corrected counters.
-		return 0, nil
-	}
 	hs.bypasses++
 	delete(b.heads, p.Seq(best)) // the backfilled request may have head history
-	return best, alloc
+	return best, b.place(p, best)
 }

@@ -90,14 +90,13 @@ func TestPolicyBackfillBypassesBlockedHead(t *testing.T) {
 		t.Fatalf("backfilled %q, want small-task", got[1].Req.UID)
 	}
 	// Freeing everything must grant the head before anything else. The two
-	// releases have to reach the loop as one: once it has parked on late-task
-	// (nothing fits), the first goes back behind its back and only the second
-	// wakes it. Two Scheduler.Release calls let it backfill late-task into the
-	// one core in between, about one run in twenty under -race.
+	// releases have to reach the loop as one, once it has parked on late-task
+	// (nothing fits): two Scheduler.Release calls let it backfill late-task
+	// into the capacity the first returns, about one run in twenty under
+	// -race.
 	_ = s.Submit(Request{UID: "late-task", Cores: 1, Priority: 0})
 	clock.Settle()
-	got[1].Alloc.Release()
-	s.Release(filler.Alloc)
+	releaseTogether(s, got[1].Alloc, filler.Alloc)
 	got = c.waitN(t, 3)
 	if got[2].Req.UID != "big-service" {
 		t.Fatalf("post-release grant = %s, want big-service", got[2].Req.UID)
@@ -106,6 +105,20 @@ func TestPolicyBackfillBypassesBlockedHead(t *testing.T) {
 	if got = c.waitN(t, 4); got[3].Req.UID != "late-task" {
 		t.Fatalf("final grant = %s, want late-task", got[3].Req.UID)
 	}
+}
+
+// releaseTogether is Scheduler.Release for several allocations at once: the
+// nodes and their index leaves change under one hold of s.mu, so no pass sees
+// some of the capacity back without the rest.
+func releaseTogether(s *Scheduler, allocs ...*platform.Allocation) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, a := range allocs {
+		a.Release()
+		s.index.refresh(s.nodeOf[a.Node()])
+	}
+	s.gen.Add(1)
+	s.pokeLocked()
 }
 
 // TestPolicyBackfillPrefersHighestPriorityFitting: backfill is not "first

@@ -77,20 +77,14 @@ type Scheduler struct {
 
 	scheduled int
 	failed    int
-	// seenEpoch mirrors platform.ReleaseEpoch for the releases this
-	// scheduler has already folded into its index (its own Releases are
-	// point-refreshed; a full-refresh miss recovery accounts the rest).
-	// While they match, no capacity has been returned behind the
-	// scheduler's back and a placement miss needs no O(nodes) re-sync.
-	seenEpoch uint64
 
 	// batch (the grant buffer) and pool (the policy's window) are reused
 	// across scheduling passes; only the scheduler goroutine touches them.
 	batch []Placement
 	pool  Pool
 
-	// gen counts state mutations (submissions, grants, releases, index
-	// re-syncs). Snapshot caches its last result against it, so repeated
+	// gen counts state mutations (submissions, grants, releases, close).
+	// Snapshot caches its last result against it, so repeated
 	// probes over an unchanged scheduler — a router ranking the same pilot
 	// for every task of a submit batch — skip the lock and the shape-table
 	// copy entirely. Bumped only while mu is held; read lock-free.
@@ -145,15 +139,14 @@ func WithClock(c simtime.Clock) Option {
 // Without options it schedules with the Strict policy on the wall clock.
 func New(nodes []*platform.Node, place PlaceFn, opts ...Option) *Scheduler {
 	s := &Scheduler{
-		nodes:     nodes,
-		place:     place,
-		policy:    Strict(),
-		clock:     simtime.NewReal(),
-		index:     newNodeIndex(nodes),
-		nodeOf:    make(map[*platform.Node]int, len(nodes)),
-		waiting:   newWaitHeap(),
-		kick:      make(chan struct{}, 1),
-		seenEpoch: platform.ReleaseEpoch(),
+		nodes:   nodes,
+		place:   place,
+		policy:  Strict(),
+		clock:   simtime.NewReal(),
+		index:   newNodeIndex(nodes),
+		nodeOf:  make(map[*platform.Node]int, len(nodes)),
+		waiting: newWaitHeap(),
+		kick:    make(chan struct{}, 1),
 	}
 	s.pool.s = s
 	for _, opt := range opts {
@@ -211,28 +204,18 @@ func (s *Scheduler) satisfiable(req Request) bool {
 	return false
 }
 
-// Release returns an allocation to its node and, when a request waits for
-// capacity, re-kicks scheduling. The look at the wait pool and Submit's push
-// are under the same lock, and Submit kicks for itself: a request that arrives
-// after the look finds the capacity already returned. A closed scheduler is
-// not kicked.
+// Release returns an allocation the scheduler granted to its node and, when
+// a request waits for capacity, re-kicks scheduling. It is the only way a
+// grant's capacity comes back: the node and its index leaf change under one
+// hold of s.mu, so no pass ever sees one without the other. The look at the
+// wait pool and Submit's push are under the same lock, and Submit kicks for
+// itself: a request that arrives after the look finds the capacity already
+// returned. A closed scheduler is not kicked.
 func (s *Scheduler) Release(a *platform.Allocation) {
-	before := platform.ReleaseEpoch()
-	a.Release()
-	after := platform.ReleaseEpoch()
 	s.mu.Lock()
+	a.Release()
 	if i, ok := s.nodeOf[a.Node()]; ok {
 		s.index.refresh(i)
-		// Account our own release so a later placement miss does not
-		// mistake it for out-of-band capacity needing a full re-sync.
-		// Advance only when this call provably was release number
-		// before+1 and nothing else interleaved — any ambiguity
-		// (concurrent releases elsewhere, an already-released alloc)
-		// leaves seenEpoch behind, which merely costs one conservative
-		// refreshAll later, never a missed placement.
-		if s.seenEpoch == before && after == before+1 {
-			s.seenEpoch = after
-		}
 	}
 	s.gen.Add(1)
 	if !s.closed && s.waiting.len() > 0 {
@@ -325,15 +308,14 @@ func (s *Scheduler) schedule() {
 			s.scheduled++
 			s.batch = append(s.batch, Placement{Req: it.req, Alloc: alloc})
 		}
-		// A pass may mutate the index even without granting (a policy's
-		// tryPlace/fits re-sync after an out-of-band release), so the
-		// generation advances unconditionally — an occasional spurious
-		// snapshot rebuild, never a stale one.
-		s.gen.Add(1)
-		s.mu.Unlock()
 		if len(s.batch) == 0 {
+			s.mu.Unlock()
 			return
 		}
+		// Only a grant changes what Snapshot reads: a pass that grants
+		// nothing leaves the pool and the index as it found them.
+		s.gen.Add(1)
+		s.mu.Unlock()
 		for _, p := range s.batch {
 			s.place(p)
 		}
@@ -342,56 +324,26 @@ func (s *Scheduler) schedule() {
 
 // tryPlace attempts placement of req via the capacity index: first-fit
 // (lowest fitting node index) by default, least-leftover when bestFit is
-// set. Callers hold s.mu.
+// set. The index is exact, so a node it finds takes the allocation. Callers
+// hold s.mu.
 func (s *Scheduler) tryPlace(req Request, bestFit bool) *platform.Allocation {
 	find := s.index.find
 	if bestFit {
 		find = s.index.findBest
 	}
-	refreshed := false
-	for {
-		i := find(req.Cores, req.GPUs, req.MemGB)
-		if i < 0 {
-			if refreshed {
-				return nil
-			}
-			// The index can only under-report capacity if an allocation
-			// was released directly (not through Scheduler.Release) since
-			// we last synced. The release-epoch comparison detects that
-			// without touching any node; only a genuine out-of-band
-			// release pays the O(nodes) re-sync.
-			epoch := platform.ReleaseEpoch()
-			if epoch == s.seenEpoch {
-				return nil
-			}
-			s.seenEpoch = epoch
-			s.index.refreshAll()
-			refreshed = true
-			continue
-		}
-		a := s.nodes[i].TryAlloc(req.Cores, req.GPUs, req.MemGB)
-		s.index.refresh(i)
-		if a != nil {
-			return a
-		}
-		// The leaf was stale-high (capacity consumed behind the
-		// scheduler's back); the refresh above corrected it — retry.
+	i := find(req.Cores, req.GPUs, req.MemGB)
+	if i < 0 {
+		return nil
 	}
+	a := s.nodes[i].TryAlloc(req.Cores, req.GPUs, req.MemGB)
+	s.index.refresh(i)
+	return a
 }
 
-// fits reports whether some node's current free capacity covers req,
-// re-syncing the index once when an out-of-band release may have returned
-// capacity behind the scheduler's back. Callers hold s.mu.
+// fits reports whether some node's free capacity covers req. The index
+// answers exactly: every grant and every Release refreshes its leaf under
+// s.mu, which callers hold.
 func (s *Scheduler) fits(req Request) bool {
-	if s.index.find(req.Cores, req.GPUs, req.MemGB) >= 0 {
-		return true
-	}
-	epoch := platform.ReleaseEpoch()
-	if epoch == s.seenEpoch {
-		return false
-	}
-	s.seenEpoch = epoch
-	s.index.refreshAll()
 	return s.index.find(req.Cores, req.GPUs, req.MemGB) >= 0
 }
 

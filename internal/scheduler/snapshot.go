@@ -49,7 +49,7 @@ type Snapshot struct {
 // shapes) data under one lock acquisition.
 //
 // The result is cached against the scheduler's mutation generation: while
-// nothing changed (no submit, grant, release or index re-sync), repeated
+// nothing changed (no submit, grant, release or close), repeated
 // calls return the cached value without taking the lock at all — the
 // regime a session router is in while it places a whole submit batch
 // against an idle or slow-moving pilot. Callers must treat the Shapes

@@ -12,9 +12,8 @@ import (
 
 // TestSnapshotTracksShapeAggregates pins the incrementally maintained
 // per-shape free-capacity aggregates against a from-scratch recomputation
-// under random allocation/release churn, including the out-of-band
-// release path (Release not routed through the index's point refresh
-// until a refreshAll).
+// under random allocation/release churn, point refreshes and periodic full
+// rebuilds alike.
 func TestSnapshotTracksShapeAggregates(t *testing.T) {
 	specs := []platform.NodeSpec{
 		{Cores: 128, GPUs: 16, MemGB: 1024},

@@ -85,7 +85,7 @@ type endpointEntry struct {
 	// the view per pick — no lock, no allocation.
 	group atomic.Pointer[groupView]
 	// pinned marks entries referenced by a balancing view (a group base
-	// or one of its members). The await placeholder cleanup must not
+	// or one of its members). AwaitNewer's placeholder cleanup must not
 	// delete them: a balancer holds their pointers.
 	pinned bool
 }
@@ -329,7 +329,47 @@ func (r *EndpointRegistry) ByModel(model string) []proto.Endpoint {
 // registry already holds a newer live endpoint (the client lost the race
 // to the re-publish, which is the good case).
 func (r *EndpointRegistry) AwaitNewer(ctx context.Context, uid string, after uint64) (proto.Endpoint, uint64, error) {
-	return r.await(ctx, uid, after)
+	for {
+		r.mu.Lock()
+		e := r.entries[uid]
+		if e == nil {
+			e = &endpointEntry{}
+			r.entries[uid] = e
+		}
+		if e.withdrawn {
+			r.mu.Unlock()
+			return proto.Endpoint{}, 0, fmt.Errorf("%w: %s", ErrWithdrawn, uid)
+		}
+		if e.live && e.gen > after {
+			ep, gen := e.ep, e.gen
+			r.mu.Unlock()
+			return ep, gen, nil
+		}
+		ch := make(chan struct{})
+		e.waiters = append(e.waiters, ch)
+		r.mu.Unlock()
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			// Unregister the waiter (a concurrent wake may already have
+			// consumed it) and drop the entry again if it was only ever a
+			// placeholder this call synthesized — a long-lived session
+			// polling unknown or never-republished UIDs with per-request
+			// timeouts must not grow the registry without bound.
+			r.mu.Lock()
+			for i, w := range e.waiters {
+				if w == ch {
+					e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
+					break
+				}
+			}
+			if e.gen == 0 && !e.live && !e.withdrawn && !e.pinned && len(e.waiters) == 0 && len(e.replicas) == 0 {
+				delete(r.entries, uid)
+			}
+			r.mu.Unlock()
+			return proto.Endpoint{}, 0, ctx.Err()
+		}
+	}
 }
 
 // AddMember records member (a replica service UID) under the logical
@@ -373,7 +413,7 @@ func (r *EndpointRegistry) RemoveMember(group, member string) {
 // rebuildGroupLocked swaps in a fresh immutable balancing view for the
 // group after a membership change. Member entries are created eagerly
 // (membership can precede publication) and pinned along with the base:
-// balancers hold view entry pointers, so the await placeholder cleanup
+// balancers hold view entry pointers, so AwaitNewer's placeholder cleanup
 // must never delete them. Caller holds r.mu.
 func (r *EndpointRegistry) rebuildGroupLocked(group string, e *endpointEntry) {
 	view := &groupView{
@@ -422,48 +462,4 @@ func (r *EndpointRegistry) ReportLoad(uid string, l Load) {
 		e.loadAt.Store(l.At.UnixNano())
 	}
 	r.mu.Unlock()
-}
-
-func (r *EndpointRegistry) await(ctx context.Context, uid string, after uint64) (proto.Endpoint, uint64, error) {
-	for {
-		r.mu.Lock()
-		e := r.entries[uid]
-		if e == nil {
-			e = &endpointEntry{}
-			r.entries[uid] = e
-		}
-		if e.withdrawn {
-			r.mu.Unlock()
-			return proto.Endpoint{}, 0, fmt.Errorf("%w: %s", ErrWithdrawn, uid)
-		}
-		if e.live && e.gen > after {
-			ep, gen := e.ep, e.gen
-			r.mu.Unlock()
-			return ep, gen, nil
-		}
-		ch := make(chan struct{})
-		e.waiters = append(e.waiters, ch)
-		r.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			// Unregister the waiter (a concurrent wake may already have
-			// consumed it) and drop the entry again if it was only ever a
-			// placeholder this call synthesized — a long-lived session
-			// polling unknown or never-republished UIDs with per-request
-			// timeouts must not grow the registry without bound.
-			r.mu.Lock()
-			for i, w := range e.waiters {
-				if w == ch {
-					e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
-					break
-				}
-			}
-			if e.gen == 0 && !e.live && !e.withdrawn && !e.pinned && len(e.waiters) == 0 && len(e.replicas) == 0 {
-				delete(r.entries, uid)
-			}
-			r.mu.Unlock()
-			return proto.Endpoint{}, 0, ctx.Err()
-		}
-	}
 }

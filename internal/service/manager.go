@@ -125,17 +125,20 @@ type Instance struct {
 	machine *states.Machine
 	mgr     *Manager
 
-	mu        sync.Mutex
-	server    *serving.Server
-	endpoint  proto.Endpoint
-	alloc     interface{ Release() }
-	apiSrv    msgq.Server
-	ctlSrv    msgq.Server
-	probe     simtime.Ticker
-	probeStop chan struct{}
-	stopping  bool // a Terminate has claimed the stop; guards probeStop's close
-	killed    bool
-	failErr   error
+	mu       sync.Mutex
+	server   *serving.Server
+	endpoint proto.Endpoint
+	alloc    *platform.Allocation
+	apiSrv   msgq.Server
+	ctlSrv   msgq.Server
+	// probeCtx bounds the liveness probe; a Terminate's claim or the
+	// instance's final state cancels it.
+	probeCtx  context.Context
+	stopProbe context.CancelFunc
+	stopping  bool // a Terminate or the probe has claimed the stop and the teardown
+	// down fires when the instance is killed: its backend stops answering.
+	down    simtime.Latch
+	failErr error
 	// ready fires when the instance turns ACTIVE or reaches a final state.
 	ready simtime.Latch
 
@@ -233,12 +236,12 @@ func (s *Instance) Deduped() int64 {
 	return srv.Deduped()
 }
 
-// Kill simulates a service process crash: the backend stops answering, so
-// the next liveness probe marks the service FAILED. Used by failure
-// injection tests.
+// Kill simulates a service process crash: the backend stops answering, and
+// the liveness probe marks the service FAILED two probe intervals later.
+// Used by failure injection tests.
 func (s *Instance) Kill() {
 	s.mu.Lock()
-	s.killed = true
+	s.down.Fire()
 	srv := s.server
 	s.mu.Unlock()
 	if srv != nil {
@@ -272,36 +275,43 @@ func (m *Manager) Submit(d spec.ServiceDescription) (*Instance, error) {
 		d.StartTimeout = defaultStartTimeout
 	}
 	inst := &Instance{
-		desc:      d,
-		machine:   states.NewMachine(d.UID, states.ServiceModel(), m.cfg.Clock),
-		mgr:       m,
-		probeStop: make(chan struct{}),
+		desc:    d,
+		machine: states.NewMachine(d.UID, states.ServiceModel(), m.cfg.Clock),
+		mgr:     m,
 	}
+	inst.probeCtx, inst.stopProbe = context.WithCancel(context.Background())
 	if m.cfg.StateCallback != nil {
 		inst.machine.OnTransition(m.cfg.StateCallback)
 	}
 	inst.machine.OnTransition(func(_ string, _, to states.State, _ time.Time) {
-		if to == states.ServiceActive || states.ServiceModel().IsFinal(to) {
+		final := states.ServiceModel().IsFinal(to)
+		if to == states.ServiceActive || final {
 			inst.mu.Lock()
 			inst.ready.Fire()
 			inst.mu.Unlock()
+		}
+		if final {
+			inst.stopProbe()
 		}
 	})
 	m.services[d.UID] = inst
 	m.mu.Unlock()
 
-	// Register the bootstrap goroutine with a virtual clock (the clock.Go
-	// rule): mid-session service spawns — the autoscaler's replicas — sleep
-	// for real model-load time, and an unregistered sleeper would let the
-	// clock move time while the bootstrap is still runnable, destroying
-	// determinism. On real/scaled clocks RunnersOf is nil and this is a
-	// plain goroutine.
-	if v := simtime.RunnersOf(m.cfg.Clock); v != nil {
-		v.Go(func() { m.bootstrap(inst) })
-	} else {
-		go m.bootstrap(inst)
-	}
+	m.spawn(func() { m.bootstrap(inst) })
 	return inst, nil
+}
+
+// spawn starts fn on a goroutine registered with a virtual clock (the
+// clock.Go rule): a service's bootstrap and its liveness probe sleep
+// simulated time, and an unregistered sleeper would let the clock move time
+// while it is still runnable, destroying determinism. On real/scaled clocks
+// RunnersOf is nil and this is a plain goroutine.
+func (m *Manager) spawn(fn func()) {
+	if v := simtime.RunnersOf(m.cfg.Clock); v != nil {
+		v.Go(fn)
+	} else {
+		go fn()
+	}
 }
 
 // Get returns a managed instance.
@@ -333,7 +343,7 @@ func (m *Manager) bootstrap(inst *Instance) {
 		inst.mu.Unlock()
 		_ = inst.machine.Fail()
 		if alloc != nil {
-			alloc.Release()
+			m.cfg.Sched.Release(alloc)
 		}
 	}
 
@@ -402,7 +412,7 @@ func (m *Manager) bootstrap(inst *Instance) {
 
 	// launch on the target resource (BT `launch`)
 	if err := inst.machine.To(states.ServiceLaunching); err != nil {
-		pl.Alloc.Release()
+		m.cfg.Sched.Release(pl.Alloc)
 		fail(err)
 		return
 	}
@@ -517,7 +527,7 @@ func (m *Manager) bootstrap(inst *Instance) {
 		fail(err)
 		return
 	}
-	go m.probeLoop(inst)
+	m.spawn(func() { m.probeLoop(inst) })
 }
 
 // --- control channel -------------------------------------------------------
@@ -533,7 +543,7 @@ func (m *Manager) controlHandler(inst *Instance) msgq.Handler {
 		switch ctl.Command {
 		case proto.CtlPing:
 			inst.mu.Lock()
-			srv, killed := inst.server, inst.killed
+			srv, killed := inst.server, inst.down.Fired()
 			inst.mu.Unlock()
 			hb := proto.Heartbeat{ServiceUID: inst.UID(), At: m.cfg.Clock.Now()}
 			if srv != nil && !killed {
@@ -561,41 +571,29 @@ func (m *Manager) controlHandler(inst *Instance) msgq.Handler {
 	}
 }
 
-// probeLoop performs periodic liveness checks; two consecutive failed
-// probes mark the service FAILED and withdraw its endpoint.
+// probeLoop is an ACTIVE instance's liveness probe. The backend stops
+// answering only when the instance is killed, so the probe parks until then
+// and sleeps through the two probe intervals whose misses mark the service
+// FAILED and withdraw its endpoint. A Terminate ends it. On a virtual clock it
+// parks and sleeps on the clock's books: the kill is detected at the same
+// instant on every run.
 func (m *Manager) probeLoop(inst *Instance) {
-	ticker := m.cfg.Clock.NewTicker(inst.desc.ProbeInterval)
 	inst.mu.Lock()
-	inst.probe = ticker
+	err := inst.down.Wait(inst.probeCtx, m.cfg.Clock, &inst.mu)
 	inst.mu.Unlock()
-	defer ticker.Stop()
-	misses := 0
-	for {
-		select {
-		case <-inst.probeStop:
-			return
-		case <-ticker.C():
-			inst.mu.Lock()
-			srv, killed := inst.server, inst.killed
-			inst.mu.Unlock()
-			alive := srv != nil && srv.Ready() && !killed
-			if alive {
-				misses = 0
-				continue
-			}
-			misses++
-			if misses >= 2 {
-				if inst.machine.Current() == states.ServiceActive {
-					inst.mu.Lock()
-					inst.failErr = errors.New("service: liveness probe failed")
-					inst.mu.Unlock()
-					_ = inst.machine.Fail()
-					m.teardown(inst)
-				}
-				return
-			}
-		}
+	if err != nil || simtime.SleepCtx(inst.probeCtx, m.cfg.Clock, 2*inst.desc.ProbeInterval) != nil {
+		return
 	}
+	inst.mu.Lock()
+	if inst.stopping {
+		inst.mu.Unlock()
+		return // a Terminate owns the stop
+	}
+	inst.stopping = true
+	inst.failErr = errors.New("service: liveness probe failed")
+	inst.mu.Unlock()
+	_ = inst.machine.Fail()
+	m.teardown(inst)
 }
 
 // teardown closes transports and releases resources.
@@ -611,7 +609,7 @@ func (m *Manager) teardown(inst *Instance) {
 		_ = ctl.Close()
 	}
 	if alloc != nil {
-		alloc.Release()
+		m.cfg.Sched.Release(alloc)
 	}
 }
 
@@ -652,8 +650,8 @@ func (m *Manager) Terminate(uid string, drain bool) error {
 		return fmt.Errorf("%w: %s in %s", ErrNotActive, uid, inst.machine.Current())
 	}
 	// The service stays ACTIVE until its teardown is done, so the state
-	// check alone admits every concurrent Terminate and Close: the
-	// stopping flag picks the one that owns probeStop and the teardown.
+	// check alone admits every concurrent Terminate, Close and failing
+	// probe: the stopping flag picks the one that owns the teardown.
 	inst.mu.Lock()
 	lost := inst.stopping
 	inst.stopping = true
@@ -662,7 +660,7 @@ func (m *Manager) Terminate(uid string, drain bool) error {
 	if lost {
 		return fmt.Errorf("%w: %s is already being terminated", ErrNotActive, uid)
 	}
-	close(inst.probeStop)
+	inst.stopProbe()
 	if drain {
 		if err := inst.machine.To(states.ServiceDraining); err != nil {
 			return err

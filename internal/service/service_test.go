@@ -397,6 +397,76 @@ func TestTerminateSingleWinner(t *testing.T) {
 	}
 }
 
+// TestKilledServiceFailsTwoProbesLater: on the virtual clock a killed service
+// is FAILED exactly two probe intervals after the kill, and a Terminate
+// before then wins: the service is DONE and its probe ends without failing it.
+func TestKilledServiceFailsTwoProbesLater(t *testing.T) {
+	for _, terminate := range []bool{false, true} {
+		v := simtime.NewVirtualAuto(origin)
+		r := newRigOn(t, v)
+		d := noopDesc("victim")
+		d.ProbeInterval = 2 * time.Second
+		inst, _ := r.mgr.Submit(d)
+		waitReady(t, r, inst.UID())
+		v.AddRunner()
+		var failedAt time.Time
+		inst.OnTransition(func(_ string, _, to states.State, at time.Time) {
+			if to == states.ServiceFailed {
+				failedAt = at
+			}
+		})
+		killedAt := v.Now()
+		inst.Kill()
+		if terminate {
+			v.Sleep(d.ProbeInterval)
+			if err := r.mgr.Terminate(inst.UID(), false); err != nil {
+				t.Fatalf("Terminate one probe interval after the kill: %v", err)
+			}
+		}
+		v.Sleep(3 * d.ProbeInterval)
+		v.DoneRunner()
+		switch {
+		case terminate && inst.State() != states.ServiceDone:
+			t.Errorf("terminated killed service in %s, want DONE", inst.State())
+		case !terminate && (inst.State() != states.ServiceFailed || !failedAt.Equal(killedAt.Add(2*d.ProbeInterval))):
+			t.Errorf("killed service in %s at %v, want FAILED at %v", inst.State(), failedAt, killedAt.Add(2*d.ProbeInterval))
+		}
+	}
+}
+
+// TestKilledProbeVsTerminateSingleWinner: a Terminate racing the probe that
+// fails a killed service has one winner. Either the Terminate returns nil and
+// the service is DONE, or it returns ErrNotActive and the probe's FAILED
+// stands; both ways the service's cores come back once, through the
+// scheduler.
+func TestKilledProbeVsTerminateSingleWinner(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		r := newRig(t, 100000)
+		d := noopDesc("victim")
+		d.ProbeInterval = 2 * time.Second // 40 µs of wall clock to detection
+		inst, _ := r.mgr.Submit(d)
+		waitReady(t, r, inst.UID())
+		inst.Kill()
+		time.Sleep(time.Duration(i) * 4 * time.Microsecond) // either side of the detection
+		err := r.mgr.Terminate(inst.UID(), false)
+		want := states.ServiceDone
+		if err != nil {
+			if !errors.Is(err, ErrNotActive) {
+				t.Fatalf("run %d: Terminate = %v, want nil or ErrNotActive", i, err)
+			}
+			want = states.ServiceFailed
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for (inst.State() != want || r.sched.Snapshot().MaxFreeCores != 64) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if inst.State() != want || r.sched.Snapshot().MaxFreeCores != 64 {
+			t.Fatalf("run %d: Terminate = %v, service %s with %d cores free on its node, want %s with 64",
+				i, err, inst.State(), r.sched.Snapshot().MaxFreeCores, want)
+		}
+	}
+}
+
 func TestTerminateReleasesResources(t *testing.T) {
 	r := newRig(t, 100000)
 	free := r.plat.FreeGPUs()

@@ -169,7 +169,8 @@ type ServiceDescription struct {
 	// standby pool is re-filled in the background. Zero disables.
 	WarmStandbys int
 	// ProbeInterval is the liveness-probe period of the ServiceManager
-	// (default 5s).
+	// (default 5s): a killed service is marked FAILED two periods after
+	// the kill.
 	ProbeInterval time.Duration
 	// StartTimeout bounds launch+init+publish before the manager declares
 	// the service failed (default 10m).
