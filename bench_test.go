@@ -3,7 +3,7 @@
 // the experiment registry — balancer picks, scheduler priority, backfill,
 // fragmentation and the load-harness catalog. The paper's other tables and
 // figures are `rpexp -exp <name>`, pinned byte for byte by the goldens
-// under cmd/rpexp/testdata.
+// under internal/experiments/testdata (TestGoldenSections).
 package repro
 
 import (

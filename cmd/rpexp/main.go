@@ -92,11 +92,7 @@ func run(registry []experiments.Experiment, args []string, stdout, stderr io.Wri
 	for _, e := range selected {
 		sections, err := e.Run(context.Background(), o)
 		for _, s := range sections {
-			fmt.Fprintf(stdout, "== %s ==\n", s.Title)
-			for _, t := range s.Tables {
-				fmt.Fprint(stdout, t.Render())
-			}
-			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, s.Render())
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "rpexp: %s: %v\n", e.Title, err)

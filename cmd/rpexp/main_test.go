@@ -4,25 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/xproc"
 )
-
-// TestMain lets this test binary double as the pilot-agent executable the
-// xproc golden re-executes (see internal/experiments/xproc_test.go).
-func TestMain(m *testing.M) {
-	xproc.MaybeRunAgent()
-	os.Exit(m.Run())
-}
 
 // allOrder is the order `-exp all` has always run the experiments in.
 var allOrder = []string{"table1", "table2", "1", "frag", "route", "svcfail", "load", "scale", "hotspot", "xproc", "crashrec", "2", "3"}
@@ -84,6 +74,9 @@ func TestRunRejectsNonsenseBeforeRunning(t *testing.T) {
 		{"-counts", "1,x"},
 		{"-sched", "nosuch"},
 		{"-requests", "-1"},
+		{"-balance", "nosuch"},
+		{"-scenarios", "nosuch"},
+		{"-platform", "nosuch"},
 		{"-nosuchflag"},
 	} {
 		var ran []string
@@ -104,55 +97,20 @@ func TestRunRejectsNonsenseBeforeRunning(t *testing.T) {
 	}
 }
 
-// TestGoldenSections pins every section whose output is deterministic to its
-// file under testdata: the count tables as the pre-registry binary printed
-// them, and the paper's figures (Exp 1-3), which run on the virtual clock and
-// must read the same at any GOMAXPROCS. The full Exp 2 sweep (1,024
-// requests per client) is compared once, at the host's GOMAXPROCS; its
-// 64-request sweep carries the check at 1, 2 and 8.
-func TestGoldenSections(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs eleven experiments, one of them over agent processes")
+// TestRunPrintsGolden runs one real registry entry through the whole
+// command, rpexp's flag defaults included, and compares what it prints with
+// the golden file internal/experiments checks that experiment's sections
+// against.
+func TestRunPrintsGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", "svcfail.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	anyProcs := map[string]bool{"exp1": true, "exp2-r64": true, "exp3": true}
-	for golden, args := range map[string][]string{
-		"table1":     {"-exp", "table1"},
-		"table2":     {"-exp", "table2"},
-		"svcfail":    {"-exp", "svcfail"},
-		"frag":       {"-exp", "frag"},
-		"frag-churn": {"-exp", "frag", "-churn"},
-		"crashrec":   {"-exp", "crashrec"},
-		"xproc":      {"-exp", "xproc"},
-		"route":      {"-exp", "route"},
-		"exp1":       {"-exp", "1"},
-		"exp2":       {"-exp", "2"},
-		"exp2-r64":   {"-exp", "2", "-requests", "64"},
-		"exp3":       {"-exp", "3"},
-	} {
-		t.Run(golden, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", golden+".txt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			check := func(t *testing.T) {
-				var out, errb bytes.Buffer
-				if code := run(experiments.Registry(), args, &out, &errb); code != 0 {
-					t.Fatalf("exit %d: %s", code, errb.String())
-				}
-				if !bytes.Equal(out.Bytes(), want) {
-					t.Fatalf("output differs from testdata/%s.txt\n--- got\n%s--- want\n%s", golden, out.String(), want)
-				}
-			}
-			if !anyProcs[golden] {
-				check(t)
-				return
-			}
-			for _, n := range []int{1, 2, 8} {
-				t.Run(fmt.Sprint("GOMAXPROCS=", n), func(t *testing.T) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
-					check(t)
-				})
-			}
-		})
+	var out, errb bytes.Buffer
+	if code := run(experiments.Registry(), []string{"-exp", "svcfail"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("output differs from svcfail.txt\n--- got\n%s--- want\n%s", out.String(), want)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -9,20 +10,6 @@ import (
 
 	"repro/internal/metrics"
 )
-
-// column returns every row's cell under the named header of t.
-func column(t *testing.T, tab metrics.Table, name string) []string {
-	t.Helper()
-	i := slices.Index(tab.Header, name)
-	if i < 0 {
-		t.Fatalf("table %q has no column %q (header %v)", tab.Title, name, tab.Header)
-	}
-	out := make([]string, len(tab.Rows))
-	for r, row := range tab.Rows {
-		out[r] = row[i]
-	}
-	return out
-}
 
 // TestExp1PartitionedBootstrap pins the paper's §IV-B mitigation for the
 // post-160 launch penalty at 640 services: bootstrapping in waves of 160
@@ -86,145 +73,140 @@ func TestExp1Determinism(t *testing.T) {
 	}
 }
 
+// means parses the mean of every "mean ± std" cell under the named header.
+func means(t *testing.T, tab metrics.Table, name string) []float64 {
+	t.Helper()
+	var out []float64
+	for _, cell := range column(t, tab, name) {
+		var mean, std float64
+		if _, err := fmt.Sscanf(cell, "%f ± %f", &mean, &std); err != nil {
+			t.Fatalf("%s cell %q: %v", name, cell, err)
+		}
+		out = append(out, mean)
+	}
+	return out
+}
+
+// checkColumn fails t unless the named column of tab holds exactly want.
+func checkColumn(t *testing.T, tab metrics.Table, name string, want ...string) {
+	t.Helper()
+	if got := column(t, tab, name); !slices.Equal(got, want) {
+		t.Errorf("%s, %s:\n got  %q\n want %q", tab.Title, name, got, want)
+	}
+}
+
+// TestExp1BootstrapShape reads Fig. 3 off the Exp 1 run: one row per paper
+// instance count; in every row init dominates launch and publish stays under
+// it; launch is flat at about 2.2 s up to the 160-instance saturation and
+// super-linear past it; init stays flat across the sweep.
 func TestExp1BootstrapShape(t *testing.T) {
-	ctx := context.Background()
-	o := Options{Seed: 1}
-	var rows []btRow
-	for _, n := range []int{1, 8, 320} {
-		row, err := btPoint(ctx, o, n, 0)
-		if err != nil {
-			t.Fatal(err)
+	tab := run(t, "1", Options{})[0].Tables[0]
+	checkColumn(t, tab, "#instances", "1", "2", "4", "8", "20", "40", "80", "160", "320", "640")
+	checkColumn(t, tab, "launch", "2.360 ± 0.000", "2.011 ± 0.098", "2.264 ± 0.186", "2.210 ± 0.193", "2.240 ± 0.231",
+		"2.180 ± 0.283", "2.223 ± 0.298", "2.208 ± 0.296", "6.683 ± 0.302", "20.221 ± 0.299")
+	launch, init, publish := means(t, tab, "launch"), means(t, tab, "init"), means(t, tab, "publish")
+	for i, n := range column(t, tab, "#instances") {
+		if init[i] <= launch[i] || publish[i] >= launch[i] {
+			t.Errorf("N=%s: init %.3f, launch %.3f, publish %.3f; want init > launch > publish", n, init[i], launch[i], publish[i])
 		}
-		if row.Launch.N != n || row.Init.N != n {
-			t.Fatalf("N=%d: sample counts %d/%d", n, row.Launch.N, row.Init.N)
-		}
-		// Fig. 3: init dominates launch; publish below launch
-		if row.Init.Mean <= row.Launch.Mean {
-			t.Fatalf("N=%d: init %v !> launch %v", n, row.Init.Mean, row.Launch.Mean)
-		}
-		if row.Publish.Mean >= row.Launch.Mean {
-			t.Fatalf("N=%d: publish %v !< launch %v", n, row.Publish.Mean, row.Launch.Mean)
-		}
-		rows = append(rows, row)
 	}
-	// Fig. 3: launch grows past the 160-instance saturation
-	if rows[2].Launch.Mean <= 2*rows[0].Launch.Mean {
-		t.Fatalf("launch at 320 (%v) not markedly above launch at 1 (%v)",
-			rows[2].Launch.Mean, rows[0].Launch.Mean)
+	if launch[8] <= 2*launch[0] || launch[9] <= launch[8] {
+		t.Errorf("launch %.3f s at 320 and %.3f s at 640, want far above %.3f s at 1 and growing", launch[8], launch[9], launch[0])
 	}
-	// init stays roughly flat (per instance) across the sweep
-	ratio := float64(rows[2].Init.Mean) / float64(rows[0].Init.Mean)
-	if ratio > 2.0 || ratio < 0.5 {
-		t.Fatalf("init mean drifted by %.2fx across the sweep", ratio)
-	}
-	tables, err := runExp1(ctx, Options{Counts: "1,8", Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tables[0].Title, "Fig. 3") {
-		t.Fatalf("title %q", tables[0].Title)
-	}
-	if got := column(t, tables[0], "#instances"); !slices.Equal(got, []string{"1", "8"}) {
-		t.Fatalf("instance counts %v", got)
+	if lo, hi := slices.Min(init), slices.Max(init); hi > 2*lo {
+		t.Errorf("init mean drifted from %.3f to %.3f across the sweep", lo, hi)
 	}
 }
 
+// rtSections reads the Exp 2 or Exp 3 run under o and checks its sections
+// come in the order -deploy both -scaling both gives them: local strong,
+// local weak, remote strong, remote weak.
+func rtSections(t *testing.T, name, title string, o Options) []metrics.Table {
+	t.Helper()
+	var tabs []metrics.Table
+	for i, s := range run(t, name, o) {
+		d, sc := []deployment{deployLocal, deployRemote}[i/2], []scaling{scalingStrong, scalingWeak}[i%2]
+		if want := fmt.Sprintf("%s (%s, %s)", title, d, sc); s.Title != want || len(s.Tables) != 1 {
+			t.Fatalf("section %d: %q with %d tables, want %q with one", i, s.Title, len(s.Tables), want)
+		}
+		tabs = append(tabs, s.Tables[0])
+	}
+	if len(tabs) != 4 {
+		t.Fatalf("%d sections, want 4", len(tabs))
+	}
+	return tabs
+}
+
+// TestExp2LocalNoopShape reads Fig. 4 off the 64-request Exp 2 run: the
+// NOOP model does no inference, so in every local row communication
+// dominates it; a lone client on the node pays 0.010 ms a round trip, and
+// contending clients about 0.097 ms.
 func TestExp2LocalNoopShape(t *testing.T) {
-	const requests = 32
-	for _, pair := range [][2]int{{4, 1}, {4, 4}} {
-		coll, err := exp2.point(context.Background(), Options{Requests: requests, Seed: 2}, deployLocal, pair[0], pair[1])
-		if err != nil {
-			t.Fatal(err)
+	tabs := rtSections(t, "2", "Experiment 2", Options{Requests: 64})
+	for _, tab := range tabs[:2] {
+		if !strings.Contains(tab.Title, "Fig. 4") {
+			t.Errorf("local table %q is not Fig. 4", tab.Title)
 		}
-		total, comm, infer := coll.Stats("rt.total"), coll.Stats("rt.communication"), coll.Stats("rt.inference")
-		if total.N != pair[0]*requests {
-			t.Fatalf("%d/%d: %d samples, want %d", pair[0], pair[1], total.N, pair[0]*requests)
-		}
-		// Exp 2: communication dominates the NOOP response time
-		if comm.Mean <= infer.Mean {
-			t.Fatalf("%d/%d: communication %v !> inference %v", pair[0], pair[1], comm.Mean, infer.Mean)
+		comm, infer := means(t, tab, "communication"), means(t, tab, "inference")
+		for i := range comm {
+			if comm[i] <= infer[i] {
+				t.Errorf("%s: communication %.3f ms !> inference %.3f ms", tab.Rows[i][0], comm[i], infer[i])
+			}
 		}
 	}
+	checkColumn(t, tabs[1], "communication", "0.010 ± 0.001", "0.067 ± 0.058", "0.096 ± 0.052", "0.098 ± 0.054", "0.096 ± 0.053")
+	checkColumn(t, tabs[1], "inference", "0.000 ± 0.000", "0.000 ± 0.000", "0.000 ± 0.000", "0.000 ± 0.000", "0.000 ± 0.000")
 }
 
+// TestExp2RemoteSlowerThanLocal reads Figs. 4 and 5 off the 64-request Exp 2
+// run: the paper's remote hop (0.47 ms against 0.063 ms local) makes every
+// remote round trip at least 0.4 ms and 1.3x slower than the local one at
+// the same sweep point.
 func TestExp2RemoteSlowerThanLocal(t *testing.T) {
-	comm := func(d deployment) time.Duration {
-		coll, err := exp2.point(context.Background(), Options{Requests: 64, Seed: 7}, d, 2, 2)
-		if err != nil {
-			t.Fatal(err)
+	tabs := rtSections(t, "2", "Experiment 2", Options{Requests: 64})
+	for i, local := range tabs[:2] {
+		remote := tabs[2+i]
+		if !strings.Contains(remote.Title, "Fig. 5") {
+			t.Errorf("remote table %q is not Fig. 5", remote.Title)
 		}
-		return coll.Stats("rt.communication").Mean
+		lc, rc := means(t, local, "communication"), means(t, remote, "communication")
+		for j := range lc {
+			if rc[j]-lc[j] < 0.4 || rc[j] < 1.3*lc[j] {
+				t.Errorf("%s: remote communication %.3f ms not clearly above local %.3f ms", local.Rows[j][0], rc[j], lc[j])
+			}
+		}
 	}
-	lc, rc := comm(deployLocal), comm(deployRemote)
-	// paper: remote latency 0.47ms vs local 0.063ms per hop → a round trip
-	// (2 hops) is modelled ~0.81ms slower remote
-	if rc-lc < 400*time.Microsecond {
-		t.Fatalf("remote communication %v not clearly above local %v (want ≥ 400µs gap)", rc, lc)
-	}
-	if float64(rc) < 1.3*float64(lc) {
-		t.Fatalf("remote communication %v not clearly above local %v", rc, lc)
-	}
+	checkColumn(t, tabs[3], "communication", "0.929 ± 0.049", "0.937 ± 0.056", "0.936 ± 0.052", "0.945 ± 0.055", "0.938 ± 0.057")
 }
 
+// TestExp3InferenceDominates reads Fig. 6 off the Exp 3 run: in the
+// uncontended weak-scaling sweep llama-8b inference takes seconds and dwarfs
+// the millisecond remote hop.
 func TestExp3InferenceDominates(t *testing.T) {
-	e := rtExp{model: "llama-8b", maxTokens: 128}
-	coll, err := e.point(context.Background(), Options{Requests: 2, Seed: 3}, deployRemote, 2, 2)
-	if err != nil {
-		t.Fatal(err)
+	tab := rtSections(t, "3", "Experiment 3", Options{})[3]
+	if !strings.Contains(tab.Title, "Fig. 6") {
+		t.Errorf("table %q is not Fig. 6", tab.Title)
 	}
-	infer, comm := coll.Stats("rt.inference").Mean, coll.Stats("rt.communication").Mean
-	// Fig. 6: inference dwarfs both communication and queue/service time in
-	// the weak-scaling (uncontended) regime
-	if infer < 5*comm {
-		t.Fatalf("inference %v does not dominate communication %v", infer, comm)
-	}
-	if infer < 500*time.Millisecond {
-		t.Fatalf("inference %v implausibly fast for llama-8b", infer)
+	checkColumn(t, tab, "communication", "0.001 ± 0.000", "0.001 ± 0.000", "0.001 ± 0.000", "0.001 ± 0.000", "0.001 ± 0.000")
+	checkColumn(t, tab, "inference", "2.303 ± 0.411", "2.678 ± 0.467", "2.550 ± 0.746", "2.674 ± 0.804", "2.786 ± 0.728")
+	comm, infer := means(t, tab, "communication"), means(t, tab, "inference")
+	for i := range infer {
+		if infer[i] < 5*comm[i] || infer[i] < 0.5 {
+			t.Errorf("%s: inference %.3f s does not dominate communication %.3f s", tab.Rows[i][0], infer[i], comm[i])
+		}
 	}
 }
 
+// TestExp3StrongScalingQueueing reads the queueing of Fig. 6 off the Exp 3
+// run: 16 clients on single-threaded services wait for them, less with every
+// doubling of the services, not at all once each client has its own.
 func TestExp3StrongScalingQueueing(t *testing.T) {
-	// 4 clients on 1 single-threaded service vs 4 on 4: the contended
-	// configuration must show far larger service (queue) time.
-	e := rtExp{model: "llama-8b", maxTokens: 64}
-	service := func(services int) time.Duration {
-		coll, err := e.point(context.Background(), Options{Requests: 2, Seed: 4}, deployLocal, 4, services)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return coll.Stats("rt.service").Mean
-	}
-	if contended, uncontended := service(1), service(4); contended < 2*uncontended {
-		t.Fatalf("queueing: contended service time %v vs uncontended %v — no backlog visible",
-			contended, uncontended)
-	}
-}
-
-func TestRTTableRendering(t *testing.T) {
-	ctx := context.Background()
-	tab, err := exp3.table(ctx, Options{Requests: 1, Seed: 3}, deployRemote, [][2]int{{1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := tab.Render(); !strings.Contains(out, "Fig. 6") || !strings.Contains(out, "1/1") {
-		t.Fatalf("table:\n%s", out)
-	}
-	for d, fig := range map[deployment]string{deployLocal: "Fig. 4", deployRemote: "Fig. 5"} {
-		tab, err := exp2.table(ctx, Options{Requests: 1}, d, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(tab.Render(), fig) {
-			t.Fatalf("%s title missing from %s table", fig, d)
-		}
-	}
-}
-
-func TestTableII(t *testing.T) {
-	out := tableII().Render()
-	for _, want := range []string{"Frontier", "Delta and R3", "llama 8b", "strong/weak"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table II missing %q:\n%s", want, out)
+	tab := rtSections(t, "3", "Experiment 3", Options{})[0]
+	checkColumn(t, tab, "service", "39.571 ± 8.728", "17.503 ± 3.939", "7.719 ± 2.105", "2.498 ± 0.913", "0.000 ± 0.000")
+	service := means(t, tab, "service")
+	for i := 1; i < len(service); i++ {
+		if service[i] >= service[i-1] {
+			t.Errorf("%s: service time %.3f s, not below %.3f s at %s", tab.Rows[i][0], service[i], service[i-1], tab.Rows[i-1][0])
 		}
 	}
 }

@@ -54,35 +54,12 @@ const (
 // hotspotBalancers are the pickers compared unless -balance names others.
 var hotspotBalancers = []string{"p2c", "round-robin", "least-loaded"}
 
-// runHotspot executes the ablation: one open-loop campaign per picker on
-// the identical seeded schedule, then the warm-vs-cold failover contrast.
+// runHotspot executes the ablation: one open-loop campaign per picker of
+// -balance on the identical seeded schedule, then the warm-vs-cold failover
+// contrast.
 func runHotspot(ctx context.Context, o Options) ([]metrics.Table, error) {
 	o.Requests, o.Seed = cmp.Or(o.Requests, hotspotRequests), cmp.Or(o.Seed, hotspotSeed)
-	pickers, err := hotspotCampaigns(ctx, o)
-	if err != nil {
-		return nil, err
-	}
-	failovers := metrics.Table{
-		Title: fmt.Sprintf(
-			"Failover cost — hosting pilot killed, %d warm standby vs cold re-bootstrap (virtual time)",
-			hotspotStandbys),
-		Header: []string{"mode", "failover latency", "generations", "promotions", "replacements"},
-	}
-	for _, mode := range []string{failoverWarm, failoverCold} {
-		f, err := hotspotFailover(ctx, o.Seed, mode)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: hotspot failover %s: %w", mode, err)
-		}
-		failovers.AddRow(mode, fmtDur(f.Latency),
-			fmt.Sprint(f.Generations), fmt.Sprint(f.Promotions), fmt.Sprint(f.Replacements))
-	}
-	return []metrics.Table{pickers, failovers}, nil
-}
-
-// hotspotCampaigns runs the skewed stream once per picker of -balance and
-// renders the picker matrix.
-func hotspotCampaigns(ctx context.Context, o Options) (metrics.Table, error) {
-	t := metrics.Table{
+	pickers := metrics.Table{
 		Title: fmt.Sprintf(
 			"Hotspot-balancing ablation — %.0f%% skewed mass over %d backends at %.0f req/s, identical seeded stream per picker",
 			hotspotWeight*100, hotspotServices, float64(hotspotRate)),
@@ -107,12 +84,26 @@ func hotspotCampaigns(ctx context.Context, o Options) (metrics.Table, error) {
 			Interval:      hotspotInterval,
 		})
 		if err != nil {
-			return t, fmt.Errorf("experiments: hotspot %s: %w", bal, err)
+			return nil, fmt.Errorf("experiments: hotspot %s: %w", bal, err)
 		}
-		t.AddRow(slices.Concat([]string{bal}, campaignCounts(r),
+		pickers.AddRow(slices.Concat([]string{bal}, campaignCounts(r),
 			fmtDurs(r.Latency.Quantile(0.50), r.Latency.Quantile(0.99), r.Latency.Max(), r.Duration, r.Wall))...)
 	}
-	return t, nil
+	failovers := metrics.Table{
+		Title: fmt.Sprintf(
+			"Failover cost — hosting pilot killed, %d warm standby vs cold re-bootstrap (virtual time)",
+			hotspotStandbys),
+		Header: []string{"mode", "failover latency", "generations", "promotions", "replacements"},
+	}
+	for _, mode := range []string{failoverWarm, failoverCold} {
+		f, err := hotspotFailover(ctx, o.Seed, mode)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: hotspot failover %s: %w", mode, err)
+		}
+		failovers.AddRow(mode, fmtDur(f.Latency),
+			fmt.Sprint(f.Generations), fmt.Sprint(f.Promotions), fmt.Sprint(f.Replacements))
+	}
+	return []metrics.Table{pickers, failovers}, nil
 }
 
 // hotspotFailover measures the virtual-time cost of one pilot kill

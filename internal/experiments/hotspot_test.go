@@ -2,95 +2,61 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"testing"
 	"time"
 )
 
-// hotspotP99s runs the picker campaigns and returns each picker's p99.
-func hotspotP99s(t *testing.T, requests int) (map[string]time.Duration, [][]string) {
-	t.Helper()
-	tab, err := hotspotCampaigns(context.Background(), Options{Requests: requests, Seed: hotspotSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	offered, completed, failed := column(t, tab, "offered"), column(t, tab, "completed"), column(t, tab, "failed")
-	p99s := map[string]time.Duration{}
-	for i, bal := range column(t, tab, "balancer") {
-		if want := fmt.Sprint(requests); offered[i] != want || completed[i] != want || failed[i] != "0" {
-			t.Errorf("%s: offered/completed/failed = %s/%s/%s, want %s/%s/0", bal, offered[i], completed[i], failed[i], want, want)
-		}
-		p99, err := time.ParseDuration(column(t, tab, "p99")[i])
+// TestHotspotAblationAcceptance reads the acceptance contrast at half the
+// default request budget: under the identical 80%-skewed seeded stream,
+// load-aware p2c beats blind round-robin strictly at p99 and stays within a
+// 2x band of the full-scan least-loaded oracle — at two probes per pick
+// instead of a member-set scan. A warm failover is one promotion and one
+// generation at no simulated cost; a cold one re-bootstraps the service.
+func TestHotspotAblationAcceptance(t *testing.T) {
+	tabs := run(t, "hotspot", Options{Requests: 8000})[0].Tables
+	checkRows(t, tabs[0], [][]string{
+		{"p2c", "8000", "8000", "0", "4.116ms", "11.416ms", "17.19ms", "9.99s"},
+		{"round-robin", "8000", "8000", "0", "4.035ms", "13.667ms", "23.274ms", "9.994s"},
+		{"least-loaded", "8000", "8000", "0", "3.8ms", "9.924ms", "16.24ms", "9.991s"},
+	})
+	p99 := map[string]time.Duration{}
+	for i, cell := range column(t, tabs[0], "p99") {
+		d, err := time.ParseDuration(cell)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p99s[bal] = p99
+		p99[tabs[0].Rows[i][0]] = d
 	}
-	if len(p99s) != len(hotspotBalancers) {
-		t.Fatalf("got %d balancer rows, want %d", len(p99s), len(hotspotBalancers))
+	if p99["p2c"] >= p99["round-robin"] || p99["p2c"] > 2*p99["least-loaded"] {
+		t.Errorf("p99: p2c %v, round-robin %v, least-loaded %v; want p2c below round-robin and within 2x of least-loaded",
+			p99["p2c"], p99["round-robin"], p99["least-loaded"])
 	}
-	return p99s, tab.Rows
-}
-
-// TestHotspotAblationAcceptance drives the full ablation once and checks
-// the acceptance contrast: under the identical 80%-skewed seeded stream,
-// load-aware p2c must beat blind round-robin strictly at p99 and stay
-// within a small band of the full-scan least-loaded oracle — at two
-// probes per pick instead of a member-set scan.
-func TestHotspotAblationAcceptance(t *testing.T) {
-	p99, _ := hotspotP99s(t, 8000)
-	if p99["p2c"] >= p99["round-robin"] {
-		t.Errorf("p2c p99 %v not strictly better than blind round-robin %v", p99["p2c"], p99["round-robin"])
-	}
-	if p99["p2c"] > 2*p99["least-loaded"] {
-		t.Errorf("p2c p99 %v outside 2x band of least-loaded oracle %v", p99["p2c"], p99["least-loaded"])
-	}
-
-	warm, err := hotspotFailover(context.Background(), hotspotSeed, failoverWarm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := hotspotFailover(context.Background(), hotspotSeed, failoverCold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Generations != 1 {
-		t.Errorf("warm failover cost %d generations, want exactly 1", warm.Generations)
-	}
-	if warm.Promotions != 1 || warm.Replacements != 0 {
-		t.Errorf("warm failover: promotions=%d replacements=%d, want 1/0", warm.Promotions, warm.Replacements)
-	}
-	if cold.Promotions != 0 || cold.Replacements != 1 {
-		t.Errorf("cold failover: promotions=%d replacements=%d, want 0/1", cold.Promotions, cold.Replacements)
-	}
-	if warm.Latency != 0 {
-		t.Errorf("warm failover latency %v, want 0: a promotion is one publish, no simulated time", warm.Latency)
-	}
-	if warm.Latency >= cold.Latency {
-		t.Errorf("warm failover latency %v not below cold re-bootstrap %v", warm.Latency, cold.Latency)
-	}
+	checkRows(t, tabs[1], [][]string{
+		{failoverWarm, "0s", "1", "1", "0"},
+		{failoverCold, "2.057s", "1", "0", "1"},
+	})
 }
 
 // TestHotspotAblationDeterministicReplay pins the ablation to exact replay:
-// the same options must reproduce every count and percentile the picker
-// matrix prints, and both failovers to the nanosecond.
+// at 3000 requests a picker, a second execution under the same options
+// reproduces every count and percentile of the picker matrix, and each
+// failover, run twice more, replays to the nanosecond.
 func TestHotspotAblationDeterministicReplay(t *testing.T) {
-	withoutWall := func(rows [][]string) [][]string {
-		out := make([][]string, len(rows))
-		for i, row := range rows {
-			out[i] = row[:len(row)-1] // wall time is the one legitimately varying cell
-		}
-		return out
+	ctx := context.Background()
+	o := Options{Requests: 3000}
+	again, err := entry(t, "hotspot").Run(ctx, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, a := hotspotP99s(t, 3000)
-	_, b := hotspotP99s(t, 3000)
-	if !slices.EqualFunc(withoutWall(a), withoutWall(b), slices.Equal) {
-		t.Errorf("picker matrix replay diverged:\n  %v\n  %v", a, b)
+	for i, tab := range run(t, "hotspot", o)[0].Tables {
+		if a, b := rows(tab), rows(again[0].Tables[i]); !slices.EqualFunc(a, b, slices.Equal) {
+			t.Errorf("%s: replay diverged:\n  %q\n  %q", tab.Title, a, b)
+		}
 	}
 	for _, mode := range []string{failoverWarm, failoverCold} {
-		fa, errA := hotspotFailover(context.Background(), hotspotSeed, mode)
-		fb, errB := hotspotFailover(context.Background(), hotspotSeed, mode)
+		fa, errA := hotspotFailover(ctx, hotspotSeed, mode)
+		fb, errB := hotspotFailover(ctx, hotspotSeed, mode)
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}

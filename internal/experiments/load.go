@@ -17,21 +17,9 @@ import (
 // whose name contains one of its comma-separated substrings; -requests and
 // -seed override every scenario's own.
 func runLoad(ctx context.Context, o Options) ([]metrics.Table, error) {
-	scenarios := loadgen.Catalog()
-	if o.Scenarios != "" {
-		var keep []loadgen.Scenario
-		for _, sc := range scenarios {
-			for _, pat := range splitList(o.Scenarios) {
-				if strings.Contains(sc.Name, pat) {
-					keep = append(keep, sc)
-					break
-				}
-			}
-		}
-		if len(keep) == 0 {
-			return nil, fmt.Errorf("experiments: load: filter %q matches no scenario", o.Scenarios)
-		}
-		scenarios = keep
+	scenarios, err := o.scenarios()
+	if err != nil {
+		return nil, err
 	}
 	t := metrics.Table{
 		Title: "Open-loop load matrix — exact-count campaigns on the virtual clock",
@@ -56,6 +44,26 @@ func runLoad(ctx context.Context, o Options) ([]metrics.Table, error) {
 			[]string{fmt.Sprintf("%dB", r.SketchBytes)})...)
 	}
 	return []metrics.Table{t}, nil
+}
+
+// scenarios returns the loadgen catalog in catalog order, keeping under a
+// -scenarios list only the scenarios whose name contains one of its items;
+// a list matching nothing is an error.
+func (o Options) scenarios() ([]loadgen.Scenario, error) {
+	pats := splitList(o.Scenarios)
+	if len(pats) == 0 {
+		return loadgen.Catalog(), nil
+	}
+	var keep []loadgen.Scenario
+	for _, sc := range loadgen.Catalog() {
+		if slices.ContainsFunc(pats, func(pat string) bool { return strings.Contains(sc.Name, pat) }) {
+			keep = append(keep, sc)
+		}
+	}
+	if len(keep) == 0 {
+		return nil, fmt.Errorf("experiments: load: filter %q matches no scenario", o.Scenarios)
+	}
+	return keep, nil
 }
 
 // campaignCounts renders a campaign's offered/completed/failed cells,

@@ -4,12 +4,14 @@ package experiments
 // `-exp all` runs it. Adding an experiment is one entry here.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
+	"repro/internal/loadbal"
 	"repro/internal/metrics"
 	"repro/internal/scheduler"
 	"repro/internal/usecases"
@@ -33,17 +35,25 @@ type Options struct {
 }
 
 // Validate rejects option values no experiment could run, all of them at
-// once, so the caller can refuse them before anything starts.
+// once, so the caller can refuse them before anything starts. It asks the
+// lookups the experiments themselves use, so it rejects unknown names only:
+// a known platform route cannot split stays route's own error.
 func (o Options) Validate() error {
 	_, sched := scheduler.PolicyByName(o.Sched)
 	_, deploy := o.deployments()
 	_, scaling := o.scalings()
 	_, counts := o.counts()
-	var requests error
-	if o.Requests < 0 {
-		requests = fmt.Errorf("bad -requests %d", o.Requests)
+	_, _, _, plat := shapesOf(cmp.Or(o.Platform, defaultPlatform), false)
+	_, scenarios := o.scenarios()
+	errs := []error{sched, deploy, scaling, counts, plat, scenarios}
+	for _, name := range splitList(o.Balance) {
+		_, err := loadbal.PickerByName(name, 0)
+		errs = append(errs, err)
 	}
-	return errors.Join(sched, deploy, scaling, counts, requests)
+	if o.Requests < 0 {
+		errs = append(errs, fmt.Errorf("bad -requests %d", o.Requests))
+	}
+	return errors.Join(errs...)
 }
 
 func (o Options) deployments() ([]deployment, error) {
@@ -98,6 +108,18 @@ const defaultPlatform = "hetero"
 type Section struct {
 	Title  string
 	Tables []metrics.Table
+}
+
+// Render formats the section as rpexp prints it: the title framed in
+// "==", each table, then a blank line.
+func (s Section) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s ==\n", s.Title)
+	for _, t := range s.Tables {
+		b.WriteString(t.Render())
+	}
+	b.WriteString("\n")
+	return b.String()
 }
 
 // Experiment is one registry entry: the -exp name, a title, and the

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"strconv"
@@ -10,7 +9,7 @@ import (
 	"time"
 )
 
-// TestScaleAblation runs the serving-scalability ablation at 4000 requests
+// TestScaleAblation reads the serving-scalability ablation at 4000 requests
 // a sweep campaign (the diurnal pair keeps its 48000) and pins what
 // replays: every row's exact counts and the autoscaler's peak of 4
 // replicas. Throughput and quantiles are checked as contrasts only —
@@ -19,11 +18,7 @@ import (
 // the batched and autoscaled campaigns do not replay them exactly
 // (bench/README.md hazard 3: batched sketches do not replay exactly).
 func TestScaleAblation(t *testing.T) {
-	tables, err := runScale(context.Background(), Options{Requests: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := tables[0]
+	tab := run(t, "scale", Options{Requests: 4000})[0].Tables[0]
 	configs := column(t, tab, "config")
 	want := []string{
 		"single@250", "concurrent@250", "batched@250",

@@ -8,7 +8,7 @@ package experiments
 // transport) and asserts outcome-count equality against the in-proc
 // baselines — the determinism contract of the transport seam: swapping
 // the wire under the session changes timing, not outcomes. runXproc
-// drives both scenario families and is the `rpexp -exp xproc` table.
+// drives both scenario families and is the `rpexp -exp xproc` table pair.
 //
 // Outcome counts (not placements or latencies) are the comparable
 // quantity: the drivers submit identical workloads in identical order to
@@ -46,22 +46,38 @@ const (
 	xprocScale = 2000
 )
 
-// runXproc executes the cross-process ablation and renders each scenario's
+// runXproc runs the route and failover scenarios once with pilots as OS
+// processes over TCP, once in-proc, and renders each scenario's
 // cross-process and in-proc rows interleaved per router or client style.
+// The routers are round-robin and capacity-fit (routeRouters).
 func runXproc(ctx context.Context, o Options) ([]metrics.Table, error) {
 	o.Platform, o.Requests, o.Seed = cmp.Or(o.Platform, defaultPlatform), cmp.Or(o.Requests, xprocRequests), cmp.Or(o.Seed, xprocSeed)
-	res, err := xprocRows(ctx, o)
+	shapes, thin, fat, err := shapesOf(o.Platform, true)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: xproc: %w", err)
+	}
+	w := newRouteWorkload(shapes, thin, fat, xprocFatTasks, xprocThinTasks)
+	routeInproc, err := routeRows(ctx, o, w)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: xproc in-proc route baseline: %w", err)
+	}
+	svcFailInproc, err := svcFailRows(ctx, o)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: xproc in-proc svcfail baseline: %w", err)
 	}
 	route := metrics.Table{
 		Title: fmt.Sprintf("Cross-process route ablation — %s carved into per-shape agent processes over TCP, %s",
-			o.Platform, res.workload),
+			o.Platform, w),
 		Header: []string{"router", "variant", "fat done", "fat failed", "thin done", "thin failed", "rejected"},
 	}
-	for i, row := range res.route {
-		route.AddRow(slices.Concat([]string{row.Router, "os-process"}, row.cells(res.workload))...)
-		route.AddRow(slices.Concat([]string{row.Router, "in-proc"}, res.routeInproc[i].cells(res.workload))...)
+	// One fresh agent set per router and per client style.
+	for i, rt := range routeRouters {
+		row, err := xprocRoutePoint(ctx, o, rt, w)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: xproc route %s: %w", rt, err)
+		}
+		route.AddRow(slices.Concat([]string{row.Router, "os-process"}, row.cells(w))...)
+		route.AddRow(slices.Concat([]string{row.Router, "in-proc"}, routeInproc[i].cells(w))...)
 	}
 	killAfter := o.Requests / 2
 	svcFail := metrics.Table{
@@ -70,53 +86,15 @@ func runXproc(ctx context.Context, o Options) ([]metrics.Table, error) {
 			killAfter, o.Requests, o.Requests-killAfter),
 		Header: []string{"client", "variant", "pre-kill ok", "recovered", "failed", "re-resolved", "endpoint gen"},
 	}
-	for i, row := range res.svcFail {
-		in := res.svcFailInproc[i]
-		svcFail.AddRow(slices.Concat([]string{row.Client, "os-process"}, row.cells(o.Requests), []string{fmt.Sprint(row.Generation)})...)
-		svcFail.AddRow(slices.Concat([]string{in.Client, "in-proc"}, in.cells(o.Requests), []string{fmt.Sprint(in.Generation)})...)
-	}
-	return []metrics.Table{route, svcFail}, nil
-}
-
-// xprocResult is each scenario's cross-process rows next to its in-proc
-// baseline rows on the identical workload.
-type xprocResult struct {
-	workload               routeWorkload
-	route, routeInproc     []routeRow   // one row per router
-	svcFail, svcFailInproc []svcFailRow // one row per client style
-}
-
-// xprocRows runs the route and failover scenarios once with pilots as OS
-// processes over TCP, once in-proc. The routers are round-robin and
-// capacity-fit (routeRouters).
-func xprocRows(ctx context.Context, o Options) (*xprocResult, error) {
-	shapes, thin, fat, err := shapesOf(o.Platform, true)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: xproc: %w", err)
-	}
-	res := &xprocResult{workload: newRouteWorkload(shapes, thin, fat, xprocFatTasks, xprocThinTasks)}
-	if res.routeInproc, err = routeRows(ctx, o, res.workload); err != nil {
-		return nil, fmt.Errorf("experiments: xproc in-proc route baseline: %w", err)
-	}
-	if res.svcFailInproc, err = svcFailRows(ctx, o); err != nil {
-		return nil, fmt.Errorf("experiments: xproc in-proc svcfail baseline: %w", err)
-	}
-	// One fresh agent set per router and per client style.
-	for _, rt := range routeRouters {
-		row, err := xprocRoutePoint(ctx, o, rt, res.workload)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: xproc route %s: %w", rt, err)
-		}
-		res.route = append(res.route, row)
-	}
-	for _, in := range res.svcFailInproc {
+	for _, in := range svcFailInproc {
 		row, err := xprocSvcFailPoint(ctx, o, in.Client, shapes)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: xproc svcfail %s: %w", in.Client, err)
 		}
-		res.svcFail = append(res.svcFail, row)
+		svcFail.AddRow(slices.Concat([]string{row.Client, "os-process"}, row.cells(o.Requests), []string{fmt.Sprint(row.Generation)})...)
+		svcFail.AddRow(slices.Concat([]string{in.Client, "in-proc"}, in.cells(o.Requests), []string{fmt.Sprint(in.Generation)})...)
 	}
-	return res, nil
+	return []metrics.Table{route, svcFail}, nil
 }
 
 // spawnAgents starts one pilot-agent process per node-shape partition of

@@ -143,12 +143,17 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	c.series = metrics.NewIntervalSeries(c.t0, sc.Interval, metrics.DefaultSketchAlpha)
 	c.maxDone = c.t0
 
+	// Hold the clock until the driver is registered too: the churn
+	// controller's sleep alone would let time jump by ChurnAt before the
+	// first arrival.
+	clock.AddRunner()
 	churnDone := c.startChurn(ctx)
 	driverDone := make(chan struct{})
 	clock.Go(func() {
 		defer close(driverDone)
 		c.drive(ctx)
 	})
+	clock.DoneRunner()
 	select {
 	case <-driverDone:
 	case <-ctx.Done():

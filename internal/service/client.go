@@ -15,8 +15,8 @@ import (
 	"repro/internal/simtime"
 )
 
-// Caller is the client-side inference interface, satisfied by the msgq
-// Client, restapi.Caller, the Resolver and the Balancer. Client tasks
+// Caller is the client-side inference interface, satisfied by Client,
+// restapi.Caller, the Resolver and the Balancer. Client tasks
 // program against Caller, so local and remote model instances are
 // interchangeable — the interoperability §III requires.
 type Caller interface {

@@ -527,6 +527,15 @@ func (m *Manager) bootstrap(inst *Instance) {
 		fail(err)
 		return
 	}
+	// Close terminates the services that are ACTIVE when it looks; one that
+	// turns ACTIVE after that finds the manager closed and stops itself.
+	m.mu.Lock()
+	closed := m.closed
+	m.mu.Unlock()
+	if closed {
+		_ = m.Terminate(d.UID, false)
+		return
+	}
 	m.spawn(func() { m.probeLoop(inst) })
 }
 

@@ -247,6 +247,24 @@ func TestUIDAssignmentUnique(t *testing.T) {
 	}
 }
 
+// TestCloseDuringBootstrapTerminatesService: Close skips a service still
+// bootstrapping, and the bootstrap, reaching ACTIVE on a closed manager,
+// terminates the service itself. No instance stays ACTIVE, and no liveness
+// probe or serving worker outlives the manager.
+func TestCloseDuringBootstrapTerminatesService(t *testing.T) {
+	v := simtime.NewVirtualAuto(origin)
+	r := newRigOn(t, v)
+	v.AddRunner() // the clock holds still: Close runs before the launch
+	inst, _ := r.mgr.Submit(noopDesc("late"))
+	r.mgr.Close()
+	_ = r.mgr.WaitReady(context.Background(), inst.UID()) // parks until ACTIVE
+	v.Settle()
+	v.DoneRunner()
+	if st := inst.State(); st != states.ServiceDone {
+		t.Fatalf("service submitted before Close is %s after its bootstrap, want %s", st, states.ServiceDone)
+	}
+}
+
 func TestPriorityDefaulted(t *testing.T) {
 	r := newRig(t, 100000)
 	inst, _ := r.mgr.Submit(noopDesc("a"))
