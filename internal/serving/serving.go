@@ -566,7 +566,9 @@ func (s *Server) serve(batch []*job) {
 // a token. Both sides stay exact at every instant, so cancellation is
 // deterministic on the auto-advancing virtual clock. If the reply commits
 // first (its token already in flight), the caller loses the CAS and takes
-// the completed reply instead of the ctx error.
+// the completed reply instead of the ctx error. A ctx that can never be
+// cancelled (Done returns nil, as under Handler) skips the drop box: the
+// caller receives the reply directly.
 func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.InferenceReply, error) {
 	j := jobPool.Get().(*job)
 	j.req = req
@@ -610,11 +612,18 @@ func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.
 	if s.run != nil {
 		s.run.Block()
 	}
+	done := ctx.Done()
+	if done == nil {
+		// Nothing but the reply can end this wait (Handler's case).
+		reply := <-j.done
+		j.recycle()
+		return reply, nil
+	}
 	select {
 	case reply := <-j.done:
 		j.recycle()
 		return reply, nil
-	case <-ctx.Done():
+	case <-done:
 		if j.state.CompareAndSwap(jobWaiting, jobAbandoned) {
 			// We own the abandonment: rebalance our own Block token now.
 			// The worker's reply will observe jobAbandoned and recycle the

@@ -778,3 +778,66 @@ func TestCancellationDeterministicOnVirtualClock(t *testing.T) {
 		t.Fatalf("virtual end times diverge: %v vs %v", e1, e2)
 	}
 }
+
+// TestSubmitWaitsAgree: a context that can never be cancelled waits for its
+// reply with a plain receive, a cancellable one in a select beside its Done.
+// On the virtual clock one request stream, queued and batched, gets the same
+// replies and Timing stamps either way.
+func TestSubmitWaitsAgree(t *testing.T) {
+	run := func(ctx context.Context) []proto.InferenceReply {
+		clock := simtime.NewVirtualAuto(origin)
+		spec, err := llm.Lookup("vit-base")
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := rng.New(7)
+		s, err := New(Config{
+			UID:         "service.0001",
+			Backend:     LLMBackend{M: llm.NewInstance(spec, clock, src.Derive("model"))},
+			Clock:       clock,
+			Src:         src.Derive("server"),
+			Concurrency: 1,
+			MaxBatch:    4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Stop)
+		start(t, s)
+		replies := make([]proto.InferenceReply, 24)
+		var wg sync.WaitGroup
+		wg.Add(len(replies))
+		clock.AddRunner() // the spawner holds the clock until every request is out
+		for i := range replies {
+			clock.Go(func() {
+				defer wg.Done()
+				// One arrival an instant: two at once would enqueue in either order.
+				clock.Sleep(time.Duration(1+i) * time.Millisecond)
+				reply, err := s.Submit(ctx, req(fmt.Sprintf("r%d", i), "prompt", 8+i))
+				if err != nil {
+					t.Error(err)
+				}
+				replies[i] = reply
+			})
+		}
+		clock.DoneRunner()
+		wg.Wait()
+		return replies
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	plain, selecting := run(context.Background()), run(ctx)
+	for i := range plain {
+		if !reflect.DeepEqual(plain[i], selecting[i]) {
+			t.Fatalf("request %d: plain receive got\n%+v\nselect got\n%+v", i, plain[i], selecting[i])
+		}
+	}
+	batches := map[time.Time]bool{}
+	for _, r := range plain {
+		batches[r.Timing.DequeuedAt] = true
+	}
+	if tm := plain[len(plain)-1].Timing; tm.QueueTime() <= 0 || len(batches) >= len(plain) {
+		t.Fatalf("the stream did not queue and batch: last request queued %v, %d batches for %d requests",
+			tm.QueueTime(), len(batches), len(plain))
+	}
+}

@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -26,16 +28,18 @@ const progUnit = time.Microsecond
 type progOp int
 
 const (
-	opSleep progOp = iota // Sleep(d)
-	opBlock               // park in Block until a helper that sleeps d hands over
-	opTimer               // NewTimer(d)
-	opStop                // Stop the k-th timer this goroutine created
+	opSleep  progOp = iota // Sleep(d)
+	opBlock                // park in Block until a helper that sleeps d hands over
+	opTimer                // NewTimer(d)
+	opStop                 // Stop the k-th timer this goroutine created
+	opCancel               // SleepCtx(long), cancelled by a helper that sleeps d
 )
 
 type progStep struct {
-	op progOp
-	d  time.Duration
-	k  int
+	op   progOp
+	d    time.Duration
+	long time.Duration // opCancel's SleepCtx, longer than d
+	k    int
 }
 
 type program struct {
@@ -52,12 +56,15 @@ func randomProgram(r *rand.Rand) program {
 		timers := 0
 		for n := 4 + r.Intn(24); n > 0; n-- {
 			d := mod * time.Duration(1+r.Intn(6))
-			switch c := r.Intn(10); {
+			switch c := r.Intn(12); {
 			case c < 4:
 				script = append(script, progStep{op: opSleep, d: d})
 			case c < 6:
 				script = append(script, progStep{op: opBlock, d: d})
-			case c < 9 || timers == 0:
+			case c < 8:
+				long := d + mod*time.Duration(1+r.Intn(6))
+				script = append(script, progStep{op: opCancel, d: d, long: long})
+			case c < 11 || timers == 0:
 				script = append(script, progStep{op: opTimer, d: d})
 				timers++
 			default:
@@ -96,7 +103,7 @@ func expect(p program) progTrace {
 	type event struct {
 		deadline time.Duration
 		seq      int
-		g, k     int // wake: g, k = -1; timer: g and its index; tick: g = -1
+		g, k     int // wake: g, k = -1; cancel: g, k = -2; timer: g and its index; tick: g = -1
 	}
 	type timer struct {
 		deadline                 time.Duration
@@ -130,6 +137,10 @@ func expect(p program) progTrace {
 			switch s := p.scripts[g][pc[g]]; s.op {
 			case opSleep, opBlock:
 				push(event{deadline: tr.now + s.d, g: g, k: -1})
+				return
+			case opCancel:
+				push(event{deadline: tr.now + s.long, g: g, k: -1})
+				push(event{deadline: tr.now + s.d, g: g, k: -2})
 				return
 			case opTimer:
 				push(event{deadline: tr.now + s.d, g: g, k: len(timers[g])})
@@ -180,6 +191,9 @@ func expect(p program) progTrace {
 			timers[e.g][e.k].fired = true
 		default:
 			g := e.g
+			if e.k == -2 { // the cancel cuts g's long sleep short
+				remove(func(e event) bool { return e.g == g && e.k == -1 })
+			}
 			w := wakeEntry(g, pc[g], tr.now)
 			tr.wakes = append(tr.wakes, w)
 			tr.logs[g] = append(tr.logs[g], w)
@@ -237,6 +251,18 @@ func execute(t *testing.T, p program) progTrace {
 					})
 					v.Block()
 					<-ch
+				case opCancel:
+					ctx, cancel := context.WithCancel(context.Background())
+					back := make(chan struct{})
+					v.Go(func() {
+						v.Sleep(s.d)
+						cancel()
+						<-back // runnable: holds the clock until the sleeper is back
+					})
+					if err := SleepCtx(ctx, v, s.long); !errors.Is(err, context.Canceled) {
+						log(fmt.Sprintf("SleepCtx = %v, want context.Canceled", err))
+					}
+					close(back)
 				}
 				w := wakeEntry(g, i, v.Now().Sub(origin))
 				mu.Lock()
@@ -356,8 +382,8 @@ func TestVirtualTickerDueBeforeSleeperFiresOnTheWay(t *testing.T) {
 	v.mu.Lock()
 	next := v.sleepers[0].deadline
 	v.mu.Unlock()
-	if !next.Equal(origin.Add(12 * time.Second)) {
-		t.Fatalf("ticker re-armed for %v, want origin+12s", next)
+	if next != int64(12*time.Second) {
+		t.Fatalf("ticker re-armed for origin+%v, want origin+12s", time.Duration(next))
 	}
 }
 

@@ -1,17 +1,18 @@
 package simtime
 
 import (
-	"container/heap"
 	"context"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Virtual is a deterministic discrete-event Clock. Time moves only when
-// every goroutine registered with the clock is parked and at least one of
-// them sleeps on it: the clock then jumps to the earliest pending deadline,
-// firing the timers and tickers due on the way in (deadline, seq) order.
-// Timers and tickers alone never pull time forward.
+// Virtual is a deterministic discrete-event Clock. Its reading moves only
+// when every goroutine registered with the clock is parked and at least one
+// of them sleeps on it: the clock then jumps to the earliest pending
+// deadline, firing the timers and tickers due on the way in (deadline, seq)
+// order. Timers and tickers alone never pull time forward.
 //
 // This is the classic cooperative discrete-event simulation contract, and a
 // component that hands work between goroutines over channels must keep the
@@ -33,9 +34,17 @@ import (
 // concurrently with runnable goroutines and destroy determinism. Protocols
 // built on the accounting therefore always issue the wake token before the
 // wake itself.
+//
+// The reading is an offset from the origin that only the advance and the
+// self-wake move, under the clock's lock; Now reads it without the lock.
+// While a registered caller is runnable the reading cannot move, so Now
+// gives it what it saw last; the atomic keeps unregistered readers
+// race-free.
 type Virtual struct {
-	mu       sync.Mutex
-	now      time.Time
+	origin time.Time
+	at     atomic.Int64 // the reading, in nanoseconds since origin; written under mu
+	mu     sync.Mutex
+	// sleepers is ordered by (deadline, seq); deadlines are offsets like at.
 	sleepers sleeperHeap
 	seq      uint64 // tiebreaker for equal deadlines: FIFO order
 	running  int    // registered runnable goroutines
@@ -55,7 +64,7 @@ type Virtual struct {
 
 // NewVirtualAuto returns a virtual clock starting at origin.
 func NewVirtualAuto(origin time.Time) *Virtual {
-	return &Virtual{now: origin}
+	return &Virtual{origin: origin}
 }
 
 // RunnersOf returns c's runnability accounting: c itself when it is a
@@ -68,7 +77,7 @@ func RunnersOf(c Clock) *Virtual {
 }
 
 type sleeper struct {
-	deadline time.Time
+	deadline int64 // offset from origin, like Virtual.at
 	seq      uint64
 	period   time.Duration // > 0 for tickers: re-armed on fire
 	ch       chan time.Time
@@ -79,40 +88,87 @@ type sleeper struct {
 	blocksRunner bool
 }
 
+// after is the deadline d past at, saturated at the largest offset so a
+// far deadline cannot wrap to the front of the heap.
+func after(at int64, d time.Duration) int64 {
+	if t := at + int64(d); d <= 0 || t > at {
+		return t
+	}
+	return math.MaxInt64
+}
+
+// sleeperHeap is a binary min-heap on (deadline, seq); every sleeper
+// knows its index.
 type sleeperHeap []*sleeper
 
-func (h sleeperHeap) Len() int { return len(h) }
-func (h sleeperHeap) Less(i, j int) bool {
-	if !h[i].deadline.Equal(h[j].deadline) {
-		return h[i].deadline.Before(h[j].deadline)
-	}
-	return h[i].seq < h[j].seq
+func less(a, b *sleeper) bool {
+	return a.deadline < b.deadline || a.deadline == b.deadline && a.seq < b.seq
 }
-func (h sleeperHeap) Swap(i, j int) {
+
+func (h sleeperHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
-func (h *sleeperHeap) Push(x any) {
-	s := x.(*sleeper)
+
+func (h sleeperHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !less(h[j], h[i]) {
+			return
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts the i0-th sleeper down and reports whether it moved.
+func (h sleeperHeap) down(i0 int) bool {
+	i, n := i0, len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && less(h[r], h[j]) {
+			j = r
+		}
+		if !less(h[j], h[i]) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *sleeperHeap) push(s *sleeper) {
 	s.index = len(*h)
 	*h = append(*h, s)
+	h.up(s.index)
 }
-func (h *sleeperHeap) Pop() any {
+
+// remove takes the i-th sleeper off the heap and returns it; remove(0)
+// pops the earliest.
+func (h *sleeperHeap) remove(i int) *sleeper {
 	old := *h
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	s := old[i]
+	if i != n {
+		old.swap(i, n)
+	}
+	old[n] = nil
+	*h = old[:n]
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
 	s.index = -1
-	*h = old[:n-1]
 	return s
 }
 
 // Now implements Clock.
 func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
+	return v.origin.Add(time.Duration(v.at.Load()))
 }
 
 // Go spawns fn as a goroutine registered with the clock. The registration
@@ -157,10 +213,10 @@ func (v *Virtual) Unblock() {
 	v.mu.Unlock()
 }
 
-func (v *Virtual) push(deadline time.Time, period time.Duration) *sleeper {
-	s := &sleeper{deadline: deadline, seq: v.seq, period: period, ch: make(chan time.Time, 1)}
+func (v *Virtual) push(d, period time.Duration) *sleeper {
+	s := &sleeper{deadline: after(v.at.Load(), d), seq: v.seq, period: period, ch: make(chan time.Time, 1)}
 	v.seq++
-	heap.Push(&v.sleepers, s)
+	v.sleepers.push(s)
 	return s
 }
 
@@ -176,18 +232,18 @@ func (v *Virtual) sleep(ctx context.Context, d time.Duration) error {
 		return nil
 	}
 	v.mu.Lock()
-	deadline := v.now.Add(d)
+	deadline := after(v.at.Load(), d)
 	if v.running == 1 &&
-		(len(v.sleepers) == 0 || deadline.Before(v.sleepers[0].deadline)) {
+		(len(v.sleepers) == 0 || deadline < v.sleepers[0].deadline) {
 		// Self-wake. The caller is the only runnable goroutine and its
 		// deadline is strictly the earliest, so maybeAdvanceLocked
-		// would pop this very sleeper first, move now to its
+		// would pop this very sleeper first, move the reading to its
 		// deadline, put running back to 1 and stop: do just that. An
 		// equal deadline is not enough — the pending sleeper has the
 		// lower seq and fires first. running == 1, not <= 1: after an
 		// unregistered caller's own wake running is still <= 0 and the
 		// loop keeps firing.
-		v.now = deadline
+		v.at.Store(deadline)
 		v.seq++
 		v.mu.Unlock()
 		return nil
@@ -200,7 +256,7 @@ func (v *Virtual) sleep(ctx context.Context, d time.Duration) error {
 		s = &sleeper{deadline: deadline, seq: v.seq, ch: make(chan time.Time, 1), blocksRunner: true}
 	}
 	v.seq++
-	heap.Push(&v.sleepers, s)
+	v.sleepers.push(s)
 	v.sleeping++
 	v.running--
 	v.maybeAdvanceLocked()
@@ -213,7 +269,7 @@ func (v *Virtual) sleep(ctx context.Context, d time.Duration) error {
 		case <-done:
 			v.mu.Lock()
 			if s.index >= 0 { // still pending
-				heap.Remove(&v.sleepers, s.index)
+				v.sleepers.remove(s.index)
 				v.sleeping--
 				v.running++
 				v.free = append(v.free, s)
@@ -252,7 +308,7 @@ func (v *Virtual) Settle() {
 // with Block/Unblock if needed.
 func (v *Virtual) NewTimer(d time.Duration) Timer {
 	v.mu.Lock()
-	s := v.push(v.now.Add(d), 0)
+	s := v.push(d, 0)
 	v.mu.Unlock()
 	return &virtualTimer{clock: v, s: s}
 }
@@ -271,7 +327,7 @@ func (t *virtualTimer) Stop() bool {
 		return false
 	}
 	t.s.stopped = true
-	heap.Remove(&t.clock.sleepers, t.s.index)
+	t.clock.sleepers.remove(t.s.index)
 	return true
 }
 
@@ -281,7 +337,7 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 		panic("simtime: non-positive ticker period")
 	}
 	v.mu.Lock()
-	s := v.push(v.now.Add(d), d)
+	s := v.push(d, d)
 	v.mu.Unlock()
 	return &virtualTicker{clock: v, s: s}
 }
@@ -301,20 +357,20 @@ func (t *virtualTicker) Stop() {
 	}
 	t.s.stopped = true
 	if t.s.index >= 0 {
-		heap.Remove(&t.clock.sleepers, t.s.index)
+		t.clock.sleepers.remove(t.s.index)
 	}
 }
 
 func (v *Virtual) fireLocked(s *sleeper) {
 	select {
-	case s.ch <- v.now:
+	case s.ch <- v.Now():
 	default: // slow consumer: drop, like time.Ticker
 	}
 	if s.period > 0 && !s.stopped {
-		s.deadline = s.deadline.Add(s.period)
+		s.deadline = after(s.deadline, s.period)
 		s.seq = v.seq
 		v.seq++
-		heap.Push(&v.sleepers, s)
+		v.sleepers.push(s)
 	}
 	if s.blocksRunner {
 		v.sleeping--
@@ -333,9 +389,9 @@ func (v *Virtual) maybeAdvanceLocked() {
 		close(v.settled)
 		v.settled = nil
 	}
-	for v.running <= 0 && v.sleeping > 0 && v.sleepers.Len() > 0 {
-		s := heap.Pop(&v.sleepers).(*sleeper)
-		v.now = s.deadline
+	for v.running <= 0 && v.sleeping > 0 && len(v.sleepers) > 0 {
+		s := v.sleepers.remove(0)
+		v.at.Store(s.deadline)
 		v.fireLocked(s)
 	}
 }

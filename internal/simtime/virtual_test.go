@@ -3,7 +3,11 @@ package simtime
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -459,5 +463,92 @@ func TestVirtualTimersAloneDoNotPullTime(t *testing.T) {
 	}
 	if !tm.Stop() {
 		t.Fatal("Stop() = false on a timer that never fired")
+	}
+}
+
+// TestVirtualFarTimerStaysBehind: a timer set as far ahead as a Duration
+// reaches stays pending behind a later finite timer and sleep; its deadline
+// does not wrap round to the front of the heap.
+func TestVirtualFarTimerStaysBehind(t *testing.T) {
+	v := held(t)
+	v.Sleep(time.Hour)
+	far := v.NewTimer(time.Duration(math.MaxInt64))
+	near := v.NewTimer(time.Hour)
+	v.Sleep(2 * time.Hour) // parks behind near, which fires at origin+2h
+	select {
+	case at := <-far.C():
+		t.Fatalf("the far timer fired at %v", at)
+	default:
+	}
+	if at := <-near.C(); !at.Equal(origin.Add(2 * time.Hour)) {
+		t.Fatalf("near timer fired at %v, want origin+2h", at)
+	}
+	if got, want := v.Now(), origin.Add(3*time.Hour); !got.Equal(want) || pending(v) != 1 {
+		t.Fatalf("Now() = %v with %d pending, want %v with 1", got, pending(v), want)
+	}
+	if !far.Stop() {
+		t.Fatal("Stop() = false on the far timer, which never fired")
+	}
+}
+
+// TestVirtualNowWhileAdvancing: Now takes no lock, so goroutines the clock
+// does not know about read it while registered ones sleep it forward. Every
+// reading is an instant of the sleepers' schedule, and no reader sees the
+// clock go back.
+func TestVirtualNowWhileAdvancing(t *testing.T) {
+	const sleeps = 500
+	steps := []time.Duration{2 * time.Millisecond, 3 * time.Millisecond}
+	instants := map[time.Duration]bool{0: true}
+	for _, d := range steps {
+		for i := 1; i <= sleeps; i++ {
+			instants[time.Duration(i)*d] = true
+		}
+	}
+	v := NewVirtualAuto(origin)
+	var stop atomic.Bool
+	errs := make([]error, 3)
+	var readers sync.WaitGroup
+	for r := range errs {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var prev time.Duration
+			for !stop.Load() {
+				now := v.Now().Sub(origin)
+				switch {
+				case !instants[now]:
+					errs[r] = fmt.Errorf("reader %d read origin+%v, not an instant of the schedule", r, now)
+					return
+				case now < prev:
+					errs[r] = fmt.Errorf("reader %d read origin+%v after origin+%v", r, now, prev)
+					return
+				}
+				prev = now
+				runtime.Gosched() // let the sleepers run at GOMAXPROCS 1
+			}
+		}()
+	}
+	var sleepers sync.WaitGroup
+	v.AddRunner() // hold the clock until both sleepers are registered
+	for _, d := range steps {
+		sleepers.Add(1)
+		v.Go(func() {
+			defer sleepers.Done()
+			for i := 0; i < sleeps; i++ {
+				v.Sleep(d)
+			}
+		})
+	}
+	v.DoneRunner()
+	sleepers.Wait()
+	stop.Store(true)
+	readers.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if got, want := v.Now(), origin.Add(sleeps*3*time.Millisecond); !got.Equal(want) {
+		t.Fatalf("Now() = %v after the schedule, want %v", got, want)
 	}
 }
