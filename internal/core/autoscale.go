@@ -84,11 +84,7 @@ func applyScaleDefaults(d *spec.ServiceDescription) {
 // startAutoscaler launches h's autoscale loop, clock-registered on a
 // virtual clock (the clock.Go rule: register before spawn).
 func (sm *ServiceManager) startAutoscaler(h *Service) {
-	if v := simtime.RunnersOf(sm.sess.clock); v != nil {
-		v.Go(func() { sm.autoscale(h) })
-	} else {
-		go sm.autoscale(h)
-	}
+	simtime.RunnersOf(sm.sess.clock).Go(func() { sm.autoscale(h) })
 }
 
 // autoscale is the per-handle control loop: one evaluation per

@@ -56,7 +56,10 @@ func TestAutoscalerScalesUpAndBackDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := s.ServiceManager().WaitReady(ctx, h.UID()); err != nil {
+	clock.AddRunner() // WaitReady parks its caller on the clock's books
+	err = s.ServiceManager().WaitReady(ctx, h.UID())
+	clock.DoneRunner()
+	if err != nil {
 		t.Fatal(err)
 	}
 	bal, err := s.DialService(platform.Addr("delta", "", "as-client"), h.UID(), nil)
@@ -140,7 +143,10 @@ func TestAutoscalerStaysAtOneBelowThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := s.ServiceManager().WaitReady(ctx, h.UID()); err != nil {
+	clock.AddRunner() // WaitReady parks its caller on the clock's books
+	err = s.ServiceManager().WaitReady(ctx, h.UID())
+	clock.DoneRunner()
+	if err != nil {
 		t.Fatal(err)
 	}
 	bal, err := s.DialService(platform.Addr("delta", "", "idle-client"), h.UID(), nil)

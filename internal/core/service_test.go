@@ -19,6 +19,7 @@ import (
 	"repro/internal/pilot"
 	"repro/internal/platform"
 	"repro/internal/rng"
+	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
@@ -505,8 +506,8 @@ func TestDialServiceGroupOfOne(t *testing.T) {
 }
 
 // TestServiceAgentTerminationWithdrawsRegistry: a graceful termination
-// initiated below the session (agent-level Terminate — the control
-// channel's CtlTerminate path) must still tombstone the session registry
+// initiated below the session (an agent-level service.Manager.Terminate)
+// must still tombstone the session registry
 // entry when the watcher settles the handle, or parked resolvers would
 // wait forever for a re-publication.
 func TestServiceAgentTerminationWithdrawsRegistry(t *testing.T) {
@@ -584,7 +585,7 @@ func TestServiceTerminateWithdrawsRegistry(t *testing.T) {
 
 // TestWaitsParkTheirCaller: on the auto-advancing clock, with an hour-long
 // sleeper pending, a registered goroutine calls each readiness and
-// completion wait of the runtime with no Block/Unblock around it. Each parks
+// completion wait of the runtime with no runner bracket around it. Each parks
 // its caller and returns at the instant its llama-8b service turned ACTIVE
 // or its task was DONE. A wait that did not park would hold the clock until
 // its ctx ran out; one woken without its token would read the sleeper's hour.
@@ -655,6 +656,67 @@ func waitsParkTheirCaller(clock *simtime.Virtual) error {
 	}
 	if now, want := clock.Now(), submitted.Add(task.Result().LaunchTime+d); !now.Equal(want) {
 		return fmt.Errorf("pilot.WaitTasks returned at %v, the task was DONE at %v", now.Sub(DefaultOrigin), want.Sub(DefaultOrigin))
+	}
+	return nil
+}
+
+// TestQueuedServiceReplacedAtShutdown: on the auto-advancing clock a service
+// waits for the cores of a one-node pilot that a task holds. When that pilot
+// shuts down, the service fails with service.ErrHostStopped, and the session
+// re-places it on the pilot added meanwhile, where it turns ACTIVE.
+func TestQueuedServiceReplacedAtShutdown(t *testing.T) {
+	clock := simtime.NewVirtualAuto(DefaultOrigin)
+	errc := make(chan error, 1)
+	clock.Go(func() { errc <- queuedServiceReplacedAtShutdown(clock) })
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+func queuedServiceReplacedAtShutdown(clock *simtime.Virtual) error {
+	s, err := NewSession(SessionConfig{Seed: 7, Clock: clock, FastBoot: true})
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	oneNode := spec.PilotDescription{Platform: "delta", Nodes: 1}
+	full, err := s.PilotManager().Submit(oneNode)
+	if err != nil {
+		return err
+	}
+	s.ServiceManager().AddPilot(full)
+	if _, err := full.SubmitTask(ctx, spec.TaskDescription{Name: "hog", Cores: 64,
+		Duration: rng.ConstDuration(time.Hour)}); err != nil {
+		return err
+	}
+	clock.Settle() // the hog has the node before the service's raised priority counts
+	h, err := s.ServiceManager().Submit(noopService("queued"))
+	if err != nil {
+		return err
+	}
+	first := h.Instance()
+	clock.Settle()
+	if st := first.State(); st != states.ServiceScheduling {
+		return fmt.Errorf("service in %s behind the hog, want %s", st, states.ServiceScheduling)
+	}
+	spare, err := s.PilotManager().Submit(oneNode)
+	if err != nil {
+		return err
+	}
+	s.ServiceManager().AddPilot(spare)
+	if err := full.Shutdown(); err != nil {
+		return err
+	}
+	if err := h.WaitReady(ctx); err != nil {
+		return fmt.Errorf("re-placed service: %w", err)
+	}
+	if err := first.Err(); !errors.Is(err, service.ErrHostStopped) {
+		return fmt.Errorf("queued instance ended with %v, want service.ErrHostStopped", err)
+	}
+	if h.Pilot() != spare.UID() || h.Replacements() != 1 {
+		return fmt.Errorf("service on %s after %d re-placements, want %s after 1", h.Pilot(), h.Replacements(), spare.UID())
 	}
 	return nil
 }

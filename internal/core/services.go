@@ -459,8 +459,7 @@ func (sm *ServiceManager) instanceDown(h *Service, inst *service.Instance) {
 	switch {
 	case terminated || !pilotDead:
 		// The handle is settling for good: session Terminate, an
-		// agent-level graceful termination via the control channel, or
-		// an own failure on a healthy pilot.
+		// agent-level Terminate, or an own failure on a healthy pilot.
 		sm.settle(h, inst.Err())
 	case h.desc.Pilot != "":
 		// Pinned services mirror pinned-task semantics: surface the

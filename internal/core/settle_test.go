@@ -388,9 +388,9 @@ func waitOnVirtualClock(clock *simtime.Virtual) error {
 	}
 	now := clock.Now()
 	// The update hop runs on the clock: hold it blocked while reading.
-	clock.Block()
+	clock.DoneRunner()
 	done, err := doneStamp(sub, tasks[0].UID())
-	clock.Unblock()
+	clock.AddRunner()
 	if err != nil {
 		return err
 	}

@@ -159,6 +159,7 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+	c.inflight.Wait()
 	if churnDone != nil {
 		select {
 		case <-churnDone:
@@ -228,6 +229,10 @@ type campaign struct {
 	maxDone time.Time
 
 	churnErr error
+
+	// inflight counts the requests drive handed to a runner and Run waits
+	// for: drive itself returns when the arrival schedule ends.
+	inflight sync.WaitGroup
 }
 
 // startPilots submits the campaign pilots (two for churn — one to kill,
@@ -299,9 +304,9 @@ func startBackends(ctx context.Context, sess *core.Session, sc Scenario) ([]*cor
 
 // drive runs the open-loop arrival schedule on a clock-registered
 // goroutine: sleep the next gap, stamp the arrival, hand the request to a
-// request runner, repeat. The final wait for in-flight requests is
-// bracketed with Block/Unblock so the clock keeps advancing while the
-// driver parks on the WaitGroup.
+// request runner, repeat. It returns when the schedule ends; Run, which is
+// not registered with the clock, waits for the requests still in flight
+// (c.inflight).
 //
 // drive owns the request runners. A runner lives as long as the campaign
 // and keeps the stack its first request grew; between requests it parks,
@@ -313,14 +318,13 @@ func startBackends(ctx context.Context, sess *core.Session, sc Scenario) ([]*cor
 func (c *campaign) drive(ctx context.Context) {
 	arr := c.sc.arrivals(c.sc.Seed)
 	targets := rng.New(c.sc.Seed).Derive("targets")
-	var wg sync.WaitGroup
 	type job struct{ idx, svc int }
 	jobs := make(chan job)
 	defer close(jobs)
 	runner := func(j job) {
 		for ok := true; ok; j, ok = <-jobs {
 			c.request(j.idx, j.svc)
-			wg.Done()
+			c.inflight.Done()
 			c.clock.DoneRunner()
 		}
 	}
@@ -345,7 +349,7 @@ func (c *campaign) drive(ctx context.Context) {
 		c.mu.Unlock()
 
 		j := job{i, svc}
-		wg.Add(1)
+		c.inflight.Add(1)
 		c.clock.AddRunner()
 		select {
 		case jobs <- j:
@@ -356,9 +360,6 @@ func (c *campaign) drive(ctx context.Context) {
 			c.submitTask(ctx, i)
 		}
 	}
-	c.clock.Block()
-	defer c.clock.Unblock()
-	wg.Wait()
 }
 
 // reportLoads publishes each backend's queue gauges into the registry —
@@ -441,7 +442,7 @@ func (c *campaign) submitTask(ctx context.Context, idx int) {
 // startChurn launches the mid-stream pilot-churn controller on a
 // registered goroutine: at ChurnAt it shuts down pilot 0 and parks in
 // AwaitNewer until every affected service has re-published from the
-// survivor. The controller stays registered (it never calls Block), so
+// survivor. The controller stays registered (AwaitNewer does not park it), so
 // the clock is frozen for the whole failover — re-placement under
 // FastBoot needs no virtual time, making the churn atomic in simulated
 // time: the offered schedule resumes exactly where it paused.

@@ -585,3 +585,123 @@ func TestQueuedTaskGetsKilledServiceCores(t *testing.T) {
 	}
 	checkGrantedAt(t, task, at.Add(2*probeInterval))
 }
+
+// bootstrapPilot launches a one-node delta pilot (64 cores, 4 GPUs) on the
+// auto-advancing clock with no boot time; the same seed gives every service
+// of the same UID the same modelled bootstrap.
+func bootstrapPilot(t *testing.T, clock *simtime.Virtual) *Pilot {
+	t.Helper()
+	src := rng.New(11)
+	net := msgq.NewNetwork(clock, src.Derive("net"), nil)
+	t.Cleanup(func() { _ = net.Close() })
+	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.NewDelta(),
+		BootTime: rng.ConstDuration(0)}, spec.PilotDescription{Platform: "delta", Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Shutdown() })
+	return p
+}
+
+// TestQueuedServiceStartsWhenCoresFree: on the auto-advancing clock a task
+// holds every core of a one-node pilot for a minute, and a 1-core noop
+// service queues behind it. The queued service holds no goroutine, so the
+// clock moves on: the service is granted at the task's DONE and is ACTIVE
+// its modelled bootstrap later, at the same instant on every run. A bootstrap
+// that waited for its grant on a registered goroutine froze the clock at +0.
+func TestQueuedServiceStartsWhenCoresFree(t *testing.T) {
+	clock := simtime.NewVirtualAuto(origin)
+	p := bootstrapPilot(t, clock)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var hog *Task
+	var inst *service.Instance
+	var err error
+	done := make(chan struct{})
+	clock.Go(func() {
+		defer close(done)
+		if hog, err = p.SubmitTask(ctx, spec.TaskDescription{Name: "hog", Cores: 64,
+			Duration: rng.ConstDuration(time.Minute)}); err != nil {
+			return
+		}
+		clock.Settle()
+		if inst, err = p.Services().Submit(spec.ServiceDescription{
+			TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1},
+			Model:           "noop",
+			StartTimeout:    time.Hour,
+		}); err != nil {
+			return
+		}
+		err = p.Services().WaitReady(ctx, inst.UID())
+	})
+	<-done
+	if err != nil {
+		t.Fatalf("%v (clock at +%v)", err, clock.Now().Sub(origin))
+	}
+	hogDone, _ := hog.machine.EnteredAt(states.TaskDone)
+	active := clock.Now()
+	if want := hogDone.Add(inst.Bootstrap().Total()); !active.Equal(want) {
+		t.Fatalf("service ACTIVE at +%v, want the hog's DONE +%v plus its bootstrap %v",
+			active.Sub(origin), hogDone.Sub(origin), inst.Bootstrap().Total())
+	}
+	if want := 63763003215 * time.Nanosecond; active.Sub(origin) != want {
+		t.Fatalf("service ACTIVE at +%v, want +%v", active.Sub(origin), want)
+	}
+}
+
+// TestServiceStartTimeoutFailsExactly: a llama-8b service whose StartTimeout
+// falls between its modelled launch and the end of its model load fails
+// after init, at its submission plus launch plus init, on every run. A twin
+// on a fresh pilot with the same seed and a long timeout reads the modelled
+// phases.
+func TestServiceStartTimeoutFailsExactly(t *testing.T) {
+	run := func(timeout time.Duration) (*Pilot, *service.Instance, time.Time, time.Time) {
+		clock := simtime.NewVirtualAuto(origin)
+		p := bootstrapPilot(t, clock)
+		var inst *service.Instance
+		var submitted, settled time.Time
+		var err error
+		done := make(chan struct{})
+		clock.Go(func() {
+			defer close(done)
+			submitted = clock.Now()
+			if inst, err = p.Services().Submit(spec.ServiceDescription{
+				TaskDescription: spec.TaskDescription{Name: "llm", GPUs: 1},
+				Model:           "llama-8b",
+				StartTimeout:    timeout,
+			}); err != nil {
+				return
+			}
+			_ = p.Services().WaitReady(context.Background(), inst.UID())
+			settled = clock.Now()
+			clock.Settle() // the failed bootstrap gives its GPU back after its FAILED
+
+		})
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, inst, submitted, settled
+	}
+	_, twin, _, _ := run(time.Hour)
+	if twin.State() != states.ServiceActive {
+		t.Fatalf("twin in %s (%v), want ACTIVE", twin.State(), twin.Err())
+	}
+	launch, init := twin.Bootstrap().Get("launch"), twin.Bootstrap().Get("init")
+	if launch <= 0 || init <= 0 {
+		t.Fatalf("twin's launch %v and init %v, want both modelled", launch, init)
+	}
+	for i := 0; i < 3; i++ {
+		p, inst, submitted, failed := run(launch + init/2)
+		if inst.State() != states.ServiceFailed || inst.Err() == nil ||
+			inst.Err().Error() != "service "+inst.UID()+": start timeout after init" {
+			t.Fatalf("run %d: service in %s with %v, want FAILED by its start timeout after init", i, inst.State(), inst.Err())
+		}
+		if want := submitted.Add(launch + init); !failed.Equal(want) {
+			t.Fatalf("run %d: FAILED at +%v, want its launch plus init +%v", i, failed.Sub(origin), want.Sub(origin))
+		}
+		if got := p.Snapshot().MaxFreeGPUs; got != 4 {
+			t.Fatalf("run %d: %d GPUs free after the timeout, want all 4", i, got)
+		}
+	}
+}

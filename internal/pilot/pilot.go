@@ -548,9 +548,7 @@ func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, 
 	case err != nil:
 		t.fail(err)
 	case staged:
-		if p.run != nil {
-			p.run.AddRunner() // register before spawn; stageIn deregisters
-		}
+		p.run.AddRunner() // register before spawn; stageIn deregisters
 		go p.stageIn(ctx, t)
 	default:
 		p.admit(ctx, t)
@@ -560,9 +558,7 @@ func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, 
 
 // stageIn stages t's input, then takes it to the agent scheduler.
 func (p *Pilot) stageIn(ctx context.Context, t *Task) {
-	if p.run != nil {
-		defer p.run.DoneRunner()
-	}
+	defer p.run.DoneRunner()
 	_, err := p.stage.StageAll(t.desc.InputStaging)
 	if err == nil {
 		err = t.machine.To(states.TaskScheduling)
@@ -589,9 +585,7 @@ func (p *Pilot) admit(ctx context.Context, t *Task) {
 		})
 	}
 	p.router.Then(d.UID, func(pl scheduler.Placement) {
-		if p.run != nil {
-			p.run.AddRunner() // register before spawn; execute deregisters
-		}
+		p.run.AddRunner() // register before spawn; execute deregisters
 		go p.execute(ctx, t, pl)
 	})
 	err := p.sched.Submit(scheduler.Request{
@@ -631,9 +625,7 @@ func (p *Pilot) admit(ctx context.Context, t *Task) {
 // STAGING_OUTPUT → DONE (the last two in one piece when nothing is staged
 // out), then the completion hooks.
 func (p *Pilot) execute(ctx context.Context, t *Task, pl scheduler.Placement) {
-	if p.run != nil {
-		defer p.run.DoneRunner()
-	}
+	defer p.run.DoneRunner()
 	d := &t.desc
 	if err := t.machine.To(states.TaskExecuting); err != nil {
 		p.sched.Release(pl.Alloc)

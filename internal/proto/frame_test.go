@@ -53,7 +53,7 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 }
 
 func TestBinaryFrameZeroTimeAndEmptyBody(t *testing.T) {
-	env := Envelope{Kind: KindControl, ID: 7, From: "a"}
+	env := Envelope{Kind: KindStateUpdate, ID: 7, From: "a"}
 	frame, err := AppendFrame(nil, &env)
 	if err != nil {
 		t.Fatalf("AppendFrame: %v", err)
@@ -209,7 +209,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // FuzzReadFramePayload asserts the stream reader never panics on arbitrary
 // byte streams and fails only with typed or io errors.
 func FuzzReadFramePayload(f *testing.F) {
-	env, _ := NewEnvelope(KindHeartbeat, 1, "s", "", time.Unix(3, 4).UTC(), Heartbeat{ServiceUID: "s"})
+	env, _ := NewEnvelope(KindStateUpdate, 1, "s", "", time.Unix(3, 4).UTC(), StateUpdate{EntityUID: "s"})
 	frame, err := AppendFrame(nil, &env)
 	if err != nil {
 		f.Fatal(err)

@@ -22,9 +22,7 @@ type Kind string
 const (
 	KindRequest     Kind = "request"      // task → service: API call
 	KindReply       Kind = "reply"        // service → task: API response
-	KindControl     Kind = "control"      // manager → service: control command
 	KindStateUpdate Kind = "state_update" // any → updater: entity state change
-	KindHeartbeat   Kind = "heartbeat"    // service → manager: liveness
 	KindError       Kind = "error"        // any → any: failure report
 )
 
@@ -68,9 +66,9 @@ func NewEnvelope(kind Kind, id uint64, from, to string, sent time.Time, body any
 	// Value-typed payloads with no reference fields are true snapshots
 	// (boxed copies): safe to keep for the in-process decode fast path
 	// and to re-encode later for the wire. Pointer payloads and payloads
-	// holding maps (Control.Args) are deliberately excluded — their
-	// referents could mutate after send.
-	case InferenceRequest, InferenceReply, Heartbeat, loadReport, StateUpdate, Endpoint, ErrorBody:
+	// holding maps are deliberately excluded — their referents could
+	// mutate after send.
+	case InferenceRequest, InferenceReply, StateUpdate, Endpoint, ErrorBody:
 		env.typed = body
 		return env, nil
 	}
@@ -138,10 +136,6 @@ func copySnapshot(out, v any) bool {
 	case *InferenceRequest:
 		return assign(dst, v)
 	case *InferenceReply:
-		return assign(dst, v)
-	case *Heartbeat:
-		return assign(dst, v)
-	case *loadReport:
 		return assign(dst, v)
 	case *StateUpdate:
 		return assign(dst, v)
@@ -277,23 +271,6 @@ type InferenceReply struct {
 	Err          string `json:"err,omitempty"`
 }
 
-// ControlCommand names a service control operation.
-type ControlCommand string
-
-// Control commands supported by the service control channel.
-const (
-	CtlDrain     ControlCommand = "drain"     // stop accepting, finish queue
-	CtlTerminate ControlCommand = "terminate" // stop now
-	CtlPing      ControlCommand = "ping"      // liveness probe
-)
-
-// Control is the payload of a KindControl message.
-type Control struct {
-	Command ControlCommand    `json:"command"`
-	Target  string            `json:"target"` // service UID
-	Args    map[string]string `json:"args,omitempty"`
-}
-
 // Endpoint is where a service can be reached, as it publishes it to the
 // session's endpoint registry (paper Exp 1 "publish" component).
 type Endpoint struct {
@@ -323,34 +300,6 @@ type StateUpdate struct {
 	State     string    `json:"state"`
 	At        time.Time `json:"at"`
 	Detail    string    `json:"detail,omitempty"`
-}
-
-// Heartbeat is the payload of a KindHeartbeat message. QueueDepth is the
-// compatibility sum of the two honest gauges: Queued (admitted, waiting
-// for a worker) and InFlight (currently executing). Busy means the
-// service is executing at least one request — a deep queue alone does
-// not set it.
-type Heartbeat struct {
-	ServiceUID string    `json:"service_uid"`
-	At         time.Time `json:"at"`
-	QueueDepth int       `json:"queue_depth"`
-	Queued     int       `json:"queued"`
-	InFlight   int       `json:"in_flight"`
-	Busy       bool      `json:"busy"`
-}
-
-// loadReport is one endpoint's balancing gauges, pushed by whoever observes the instance (the session
-// autoscaler's control loop, a campaign's reporter) into the session
-// EndpointRegistry. Unlike Heartbeat — a liveness signal consumed by the
-// ServiceManager — a loadReport exists only to steer balancing clients,
-// and At is load-bearing: balancers treat a report older than their
-// staleness horizon as no information at all and fall back to blind
-// rotation rather than chase a gauge the world has moved past.
-type loadReport struct {
-	ServiceUID string    `json:"service_uid"`
-	Queued     int       `json:"queued"`
-	InFlight   int       `json:"in_flight"`
-	At         time.Time `json:"at"`
 }
 
 // ErrorBody is the payload of a KindError message.

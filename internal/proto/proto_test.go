@@ -84,8 +84,8 @@ func readFrame(r io.Reader) (Envelope, error) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	env, _ := NewEnvelope(KindHeartbeat, 3, "service.0001", "", t0,
-		Heartbeat{ServiceUID: "service.0001", At: t0, QueueDepth: 4, Busy: true})
+	env, _ := NewEnvelope(KindStateUpdate, 3, "service.0001", "", t0,
+		StateUpdate{EntityUID: "service.0001", Entity: "service", State: "ACTIVE", At: t0})
 	frame, err := AppendFrame(nil, &env)
 	if err != nil {
 		t.Fatal(err)
@@ -94,22 +94,22 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindHeartbeat || got.ID != 3 || got.From != "service.0001" {
+	if got.Kind != KindStateUpdate || got.ID != 3 || got.From != "service.0001" {
 		t.Fatalf("frame round trip mismatch: %+v", got)
 	}
-	var hb Heartbeat
-	if err := got.Decode(KindHeartbeat, &hb); err != nil {
+	var su StateUpdate
+	if err := got.Decode(KindStateUpdate, &su); err != nil {
 		t.Fatal(err)
 	}
-	if hb.QueueDepth != 4 || !hb.Busy {
-		t.Fatalf("heartbeat body mismatch: %+v", hb)
+	if su.State != "ACTIVE" || !su.At.Equal(t0) {
+		t.Fatalf("state update body mismatch: %+v", su)
 	}
 }
 
 func TestFrameMultipleSequential(t *testing.T) {
 	var stream []byte
 	for i := uint64(0); i < 10; i++ {
-		env, _ := NewEnvelope(KindControl, i, "mgr", "svc", t0, Control{Command: CtlPing, Target: "svc"})
+		env, _ := NewEnvelope(KindError, i, "mgr", "svc", t0, ErrorBody{Origin: "mgr", Msg: "ping"})
 		var err error
 		if stream, err = AppendFrame(stream, &env); err != nil {
 			t.Fatal(err)

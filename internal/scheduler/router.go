@@ -7,8 +7,8 @@ import (
 
 // Router hands each placement to whoever waits for it. A pilot agent creates
 // one Router and installs Route as the scheduler's PlaceFn; managers register
-// a continuation (Then), or a channel over one (Expect), before submitting so
-// the placement finds its consumer. Route, Cancel and Drain take a waiter out
+// a continuation (Then) before submitting so the placement finds its
+// consumer. Route, Cancel and Drain take a waiter out
 // of the one table under one lock: exactly one of them gets each.
 type Router struct {
 	mu   sync.Mutex
@@ -30,19 +30,11 @@ func (r *Router) Then(uid string, fn func(Placement)) {
 	r.mu.Unlock()
 }
 
-// Expect is Then for a waiter that parks on a channel: the placement of uid
-// arrives on the one returned.
-func (r *Router) Expect(uid string) <-chan Placement {
-	ch := make(chan Placement, 1)
-	r.Then(uid, func(p Placement) { ch <- p })
-	return ch
-}
-
 // Cancel removes interest in uid (e.g. submission failed, task context
 // cancelled, pilot stopping). It reports whether the waiter was still
 // registered: a false return means Route already committed to this uid —
-// its continuation has the placement (an Expect channel holds it) and the
-// waiter must release it, or the allocation leaks — or a Drain took it.
+// its continuation has the placement and must release it, or the allocation
+// leaks — or a Drain took it.
 func (r *Router) Cancel(uid string) bool {
 	r.mu.Lock()
 	_, ok := r.then[uid]
@@ -55,8 +47,8 @@ func (r *Router) Cancel(uid string) bool {
 // sorted. A waiter registered while it runs may be missed: one that registers
 // without a goroutine watching the stop signal looks at that signal after
 // Then, and withdraws with Cancel. A pilot's shutdown fails its queued tasks
-// with Drain; its bootstrapping services watch the signal themselves and
-// stay.
+// with Drain, and its service manager's Close then fails its queued services
+// the same way.
 func (r *Router) Drain(owns func(uid string) bool) []string {
 	r.mu.Lock()
 	uids := make([]string, 0, len(r.then))

@@ -260,13 +260,11 @@ func (s *Scheduler) Close() {
 // pending carries one. Callers hold s.mu and have seen the scheduler open, so
 // every kick sent is one the loop receives.
 func (s *Scheduler) pokeLocked() {
-	if s.run != nil {
-		s.run.AddRunner()
-	}
+	s.run.AddRunner()
 	select {
 	case s.kick <- struct{}{}:
 	default:
-		s.doneRunner()
+		s.run.DoneRunner()
 	}
 }
 
@@ -275,12 +273,6 @@ func (s *Scheduler) pokeLocked() {
 func (s *Scheduler) loop() {
 	for range s.kick {
 		s.schedule()
-		s.doneRunner()
-	}
-}
-
-func (s *Scheduler) doneRunner() {
-	if s.run != nil {
 		s.run.DoneRunner()
 	}
 }

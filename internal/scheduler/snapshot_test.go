@@ -104,7 +104,8 @@ func TestSchedulerSnapshot(t *testing.T) {
 	}
 
 	// Occupy the fat node, queue an un-placeable-now request behind it.
-	ch := router.Expect("hog")
+	ch := make(chan Placement, 1)
+	router.Then("hog", func(p Placement) { ch <- p })
 	if err := s.Submit(Request{UID: "hog", Cores: 8, GPUs: 2, MemGB: 32}); err != nil {
 		t.Fatal(err)
 	}

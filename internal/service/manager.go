@@ -2,7 +2,7 @@
 // service-oriented runtime extension. It provides the ServiceManager that
 // complements the existing TaskManager (Fig. 2), the Service base
 // behaviour (a managed process exposing a well-defined API with readiness
-// and liveness management), endpoint publication, control channels, and
+// and liveness management), endpoint publication, and
 // the priority relation that starts services before compute tasks.
 package service
 
@@ -33,10 +33,10 @@ var (
 	ErrUnknownService = errors.New("service: unknown service")
 	ErrNotActive      = errors.New("service: not active")
 	// ErrHostStopped marks a service that failed because its hosting pilot
-	// stopped underneath it (scheduler closed, or the pilot's stop channel
-	// fired while the service waited for placement). The session-level
-	// ServiceManager treats it — together with the pilot's own stop signal
-	// — as the trigger for failure-driven re-placement.
+	// stopped underneath it (scheduler closed, the service still waiting for
+	// cores at Close, or the pilot's stop channel closed mid-bootstrap). The
+	// session-level ServiceManager treats it — together with the pilot's own
+	// stop signal — as the trigger for failure-driven re-placement.
 	ErrHostStopped = errors.New("service: hosting pilot stopped")
 )
 
@@ -63,11 +63,10 @@ type Config struct {
 	// re-bootstrap re-publishes with a bumped generation atomically with
 	// the new instance's activation).
 	OnPublish func(proto.Endpoint)
-	// Stopped, when set, is closed when the hosting pilot shuts down.
-	// Services still waiting for placement observe it and fail fast with
-	// ErrHostStopped instead of sitting out their start timeout on a dead
-	// scheduler — the same fast-fail contract pilot tasks get from the
-	// pilot's stopped channel.
+	// Stopped, when set, is closed when the hosting pilot shuts down, before
+	// Close. A bootstrap looks at it at its grant and at each phase boundary
+	// after, and fails with ErrHostStopped instead of publishing a dead
+	// endpoint; Close then fails the services still waiting for cores.
 	Stopped <-chan struct{}
 	// Platform is the hosting platform's name (address prefix).
 	Platform string
@@ -130,7 +129,6 @@ type Instance struct {
 	endpoint proto.Endpoint
 	alloc    *platform.Allocation
 	apiSrv   msgq.Server
-	ctlSrv   msgq.Server
 	// probeCtx bounds the liveness probe; a Terminate's claim or the
 	// instance's final state cancels it.
 	probeCtx  context.Context
@@ -306,13 +304,7 @@ func (m *Manager) Submit(d spec.ServiceDescription) (*Instance, error) {
 // simulated time, and an unregistered sleeper would let the clock move time
 // while it is still runnable, destroying determinism. On real/scaled clocks
 // RunnersOf is nil and this is a plain goroutine.
-func (m *Manager) spawn(fn func()) {
-	if v := simtime.RunnersOf(m.cfg.Clock); v != nil {
-		v.Go(fn)
-	} else {
-		go fn()
-	}
-}
+func (m *Manager) spawn(fn func()) { simtime.RunnersOf(m.cfg.Clock).Go(fn) }
 
 // Get returns a managed instance.
 func (m *Manager) Get(uid string) (*Instance, bool) {
@@ -333,120 +325,109 @@ func (m *Manager) List() []*Instance {
 	return out
 }
 
-// bootstrap drives one service task through its lifecycle until ACTIVE.
+// bootstrap takes a submitted service to the agent scheduler:
+// SMGR_SCHEDULING, input staging, AGENT_SCHEDULING. The grant is a
+// continuation, as a task's is: it starts launch on a goroutine registered
+// with the clock, so a service waiting for cores holds no goroutine and
+// simulated time moves on while it waits. Until then the service is an entry
+// in the router's table, and whoever takes it out — the grant, Close, or
+// bootstrap itself — is the one that goes on with it.
 func (m *Manager) bootstrap(inst *Instance) {
-	fail := func(err error) {
-		inst.mu.Lock()
-		inst.failErr = err
-		alloc := inst.alloc
-		inst.alloc = nil
-		inst.mu.Unlock()
-		_ = inst.machine.Fail()
-		if alloc != nil {
-			m.cfg.Sched.Release(alloc)
-		}
-	}
-
 	d := inst.desc
 	if err := inst.machine.To(states.ServiceSmgrScheduling); err != nil {
-		fail(err)
+		m.fail(inst, err)
 		return
 	}
 
 	// input staging
 	if err := inst.machine.To(states.ServiceStagingInput); err != nil {
-		fail(err)
+		m.fail(inst, err)
 		return
 	}
+	var spent time.Duration // the start so far, as StartTimeout counts it
 	if m.cfg.Stage != nil && len(d.InputStaging) > 0 {
-		if _, err := m.cfg.Stage.StageAll(d.InputStaging); err != nil {
-			fail(err)
+		staged, err := m.cfg.Stage.StageAll(d.InputStaging)
+		if err != nil {
+			m.fail(inst, err)
 			return
 		}
+		spent = staged
 	}
 
 	// agent scheduling: services carry raised priority
 	if err := inst.machine.To(states.ServiceScheduling); err != nil {
-		fail(err)
+		m.fail(inst, err)
 		return
 	}
-	placed := m.cfg.Router.Expect(d.UID)
+	queued := m.cfg.Clock.Now()
+	m.cfg.Router.Then(d.UID, func(pl scheduler.Placement) {
+		granted := spent + m.cfg.Clock.Now().Sub(queued)
+		simtime.RunnersOf(m.cfg.Clock).Go(func() { m.launch(inst, pl, granted) })
+	})
 	err := m.cfg.Sched.Submit(scheduler.Request{
 		UID: d.UID, Cores: d.Cores, GPUs: d.GPUs, MemGB: d.MemGB, Priority: d.Priority,
 	})
 	if err != nil {
-		m.cfg.Router.Cancel(d.UID)
 		if errors.Is(err, scheduler.ErrClosed) {
 			// The scheduler shut down between submission and enqueue: the
 			// pilot is stopping, not the service misbehaving.
 			err = fmt.Errorf("%w: %v", ErrHostStopped, err)
 		}
-		fail(err)
-		return
-	}
-
-	// abandon cancels the placement expectation; if a grant is already
-	// committed (Cancel finds no waiter), exactly one placement is in
-	// flight on the buffered channel: receive it and give the capacity
-	// back.
-	abandon := func() {
-		if !m.cfg.Router.Cancel(d.UID) {
-			pl := <-placed
-			m.cfg.Sched.Release(pl.Alloc)
+		if m.cfg.Router.Cancel(d.UID) {
+			m.fail(inst, err)
 		}
-	}
-	var pl scheduler.Placement
-	startDeadline := m.cfg.Clock.NewTimer(d.StartTimeout)
-	defer startDeadline.Stop()
-	select {
-	case pl = <-placed:
-	case <-m.cfg.Stopped:
-		abandon()
-		fail(fmt.Errorf("%w: %s while scheduling", ErrHostStopped, d.UID))
 		return
-	case <-startDeadline.C():
-		abandon()
-		fail(fmt.Errorf("service %s: start timeout in scheduling", d.UID))
+	}
+	// Registered first, looked second: a shutdown that drained the table
+	// before the continuation was in it closed Stopped before that. If Cancel
+	// finds nothing, the grant or the drain has the service.
+	select {
+	case <-m.cfg.Stopped:
+		if m.cfg.Router.Cancel(d.UID) {
+			m.fail(inst, fmt.Errorf("%w: %s while scheduling", ErrHostStopped, d.UID))
+		}
+	default:
+	}
+}
+
+// launch is a service from its grant on: launch, init and publish (the BT
+// components of Fig. 3), then ACTIVE. At the grant and at each phase boundary
+// after it, a stopped host or an overrun StartTimeout ends the bootstrap.
+// spent is what the start took up to the grant: input staging, then the wait
+// for cores on the session clock. Each phase adds its modelled duration. On a
+// virtual clock the sum is the time since submission; on a scaled one, host
+// stalls between the phases do not count.
+func (m *Manager) launch(inst *Instance, pl scheduler.Placement, spent time.Duration) {
+	d := inst.desc
+	inst.mu.Lock()
+	inst.alloc = pl.Alloc
+	inst.mu.Unlock()
+	if m.interrupted(inst, spent, "at its grant") {
 		return
 	}
 
 	// launch on the target resource (BT `launch`)
 	if err := inst.machine.To(states.ServiceLaunching); err != nil {
-		m.cfg.Sched.Release(pl.Alloc)
-		fail(err)
+		m.fail(inst, err)
 		return
 	}
-	inst.mu.Lock()
-	inst.alloc = pl.Alloc
-	inst.mu.Unlock()
 	launchDur := m.cfg.Exec.Launch(d.UID)
-
+	spent += launchDur
 	// The launch and init phases sleep simulated time; a pilot shutdown
 	// during them must not let this bootstrap straggle on and publish a
-	// dead endpoint after the session has started a failover. Check the
-	// stop signal at each phase boundary (the publish-phase check below
-	// is the one that guards the registry).
-	stopCheck := func() bool {
-		select {
-		case <-m.cfg.Stopped:
-			fail(fmt.Errorf("%w: %s during bootstrap", ErrHostStopped, d.UID))
-			return true
-		default:
-			return false
-		}
-	}
-	if stopCheck() {
+	// dead endpoint after the session has started a failover.
+	if m.interrupted(inst, spent, "after launch") {
 		return
 	}
 
 	// capability initialization: model load (BT `init`)
 	if err := inst.machine.To(states.ServiceInitializing); err != nil {
-		fail(err)
+		m.fail(inst, err)
 		return
 	}
 	spec_, err := llm.Lookup(d.Model)
 	if err != nil {
-		fail(err)
+		m.fail(inst, err)
 		return
 	}
 	server, err := serving.New(serving.Config{
@@ -459,23 +440,24 @@ func (m *Manager) bootstrap(inst *Instance) {
 		MaxBatch:    d.MaxBatch,
 	})
 	if err != nil {
-		fail(err)
+		m.fail(inst, err)
 		return
 	}
 	initDur, err := server.Start()
 	if err != nil {
-		fail(err)
+		m.fail(inst, err)
+		return
+	}
+	spent += initDur
+	if m.interrupted(inst, spent, "after init") {
+		server.Stop()
 		return
 	}
 
 	// endpoint publication (BT `publish`)
-	if stopCheck() {
-		server.Stop()
-		return
-	}
 	if err := inst.machine.To(states.ServicePublishing); err != nil {
 		server.Stop()
-		fail(err)
+		m.fail(inst, err)
 		return
 	}
 	node := pl.Alloc.Node().Name()
@@ -485,14 +467,7 @@ func (m *Manager) bootstrap(inst *Instance) {
 	apiSrv, err := m.cfg.Net.Bind(addr, server.Handler())
 	if err != nil {
 		server.Stop()
-		fail(err)
-		return
-	}
-	ctlSrv, err := m.cfg.Net.Bind(addr+".ctl", m.controlHandler(inst))
-	if err != nil {
-		_ = apiSrv.Close()
-		server.Stop()
-		fail(err)
+		m.fail(inst, err)
 		return
 	}
 	// Publish the server's own address: identical to the logical addr on
@@ -501,6 +476,12 @@ func (m *Manager) bootstrap(inst *Instance) {
 	publishDur := m.cfg.PublishOverhead.Sample(m.cfg.PublishSrc)
 	if publishDur > 0 {
 		m.cfg.Clock.Sleep(publishDur)
+	}
+	spent += publishDur
+	if m.interrupted(inst, spent, "after publish") {
+		_ = apiSrv.Close()
+		server.Stop()
+		return
 	}
 	ep := proto.Endpoint{
 		ServiceUID:  d.UID,
@@ -513,7 +494,6 @@ func (m *Manager) bootstrap(inst *Instance) {
 	inst.mu.Lock()
 	inst.server = server
 	inst.apiSrv = apiSrv
-	inst.ctlSrv = ctlSrv
 	inst.launchTime = launchDur
 	inst.initTime = initDur
 	inst.publishTime = publishDur
@@ -524,7 +504,7 @@ func (m *Manager) bootstrap(inst *Instance) {
 	}
 
 	if err := inst.machine.To(states.ServiceActive); err != nil {
-		fail(err)
+		m.fail(inst, err)
 		return
 	}
 	// Close terminates the services that are ACTIVE when it looks; one that
@@ -539,44 +519,34 @@ func (m *Manager) bootstrap(inst *Instance) {
 	m.spawn(func() { m.probeLoop(inst) })
 }
 
-// --- control channel -------------------------------------------------------
+// interrupted fails inst and reports true when its host has stopped or its
+// bootstrap has spent more than StartTimeout; when says where it is.
+func (m *Manager) interrupted(inst *Instance, spent time.Duration, when string) bool {
+	var err error
+	select {
+	case <-m.cfg.Stopped:
+		err = fmt.Errorf("%w: %s %s", ErrHostStopped, inst.UID(), when)
+	default:
+		if spent > inst.desc.StartTimeout {
+			err = fmt.Errorf("service %s: start timeout %s", inst.UID(), when)
+		}
+	}
+	if err != nil {
+		m.fail(inst, err)
+	}
+	return err != nil
+}
 
-func (m *Manager) controlHandler(inst *Instance) msgq.Handler {
-	return func(env proto.Envelope) proto.Envelope {
-		var ctl proto.Control
-		if err := env.Decode(proto.KindControl, &ctl); err != nil {
-			out, _ := proto.NewEnvelope(proto.KindError, env.ID, inst.UID(), env.From, m.cfg.Clock.Now(),
-				proto.ErrorBody{Origin: inst.UID(), Msg: err.Error()})
-			return out
-		}
-		switch ctl.Command {
-		case proto.CtlPing:
-			inst.mu.Lock()
-			srv, killed := inst.server, inst.down.Fired()
-			inst.mu.Unlock()
-			hb := proto.Heartbeat{ServiceUID: inst.UID(), At: m.cfg.Clock.Now()}
-			if srv != nil && !killed {
-				hb.Queued = srv.Queued()
-				hb.InFlight = srv.InFlight()
-				hb.QueueDepth = hb.Queued + hb.InFlight
-				// Busy means "executing", not "has work somewhere": a
-				// backlogged-but-stalled replica must not look busy.
-				hb.Busy = hb.InFlight > 0
-			}
-			if killed || srv == nil || !srv.Ready() {
-				out, _ := proto.NewEnvelope(proto.KindError, env.ID, inst.UID(), env.From, m.cfg.Clock.Now(),
-					proto.ErrorBody{Origin: inst.UID(), Msg: "service not ready"})
-				return out
-			}
-			out, _ := proto.NewEnvelope(proto.KindHeartbeat, env.ID, inst.UID(), env.From, m.cfg.Clock.Now(), hb)
-			return out
-		case proto.CtlDrain:
-			go m.Terminate(inst.UID(), true) //nolint:errcheck
-		case proto.CtlTerminate:
-			go m.Terminate(inst.UID(), false) //nolint:errcheck
-		}
-		out, _ := proto.NewEnvelope(proto.KindControl, env.ID, inst.UID(), env.From, m.cfg.Clock.Now(), ctl)
-		return out
+// fail ends inst in FAILED with err and gives back the cores it holds.
+func (m *Manager) fail(inst *Instance, err error) {
+	inst.mu.Lock()
+	inst.failErr = err
+	alloc := inst.alloc
+	inst.alloc = nil
+	inst.mu.Unlock()
+	_ = inst.machine.Fail()
+	if alloc != nil {
+		m.cfg.Sched.Release(alloc)
 	}
 }
 
@@ -608,14 +578,11 @@ func (m *Manager) probeLoop(inst *Instance) {
 // teardown closes transports and releases resources.
 func (m *Manager) teardown(inst *Instance) {
 	inst.mu.Lock()
-	api, ctl, alloc := inst.apiSrv, inst.ctlSrv, inst.alloc
-	inst.apiSrv, inst.ctlSrv, inst.alloc = nil, nil, nil
+	api, alloc := inst.apiSrv, inst.alloc
+	inst.apiSrv, inst.alloc = nil, nil
 	inst.mu.Unlock()
 	if api != nil {
 		_ = api.Close()
-	}
-	if ctl != nil {
-		_ = ctl.Close()
 	}
 	if alloc != nil {
 		m.cfg.Sched.Release(alloc)
@@ -685,7 +652,10 @@ func (m *Manager) Terminate(uid string, drain bool) error {
 }
 
 // Close terminates every service (without drain) and refuses new
-// submissions.
+// submissions. Once the host has stopped (Config.Stopped closed), Close also
+// takes the services still waiting for cores out of the router's table and
+// fails them with ErrHostStopped, as the pilot's shutdown does its queued
+// tasks.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	m.closed = true
@@ -694,6 +664,14 @@ func (m *Manager) Close() {
 		insts = append(insts, s)
 	}
 	m.mu.Unlock()
+	select {
+	case <-m.cfg.Stopped:
+		for _, uid := range m.cfg.Router.Drain(func(uid string) bool { _, ok := m.Get(uid); return ok }) {
+			inst, _ := m.Get(uid)
+			m.fail(inst, fmt.Errorf("%w: %s while scheduling", ErrHostStopped, uid))
+		}
+	default:
+	}
 	for _, s := range insts {
 		if s.machine.Current() == states.ServiceActive {
 			_ = m.Terminate(s.UID(), false)

@@ -52,7 +52,7 @@ func newRigOn(t *testing.T, clock simtime.Clock) *rig {
 	topo := platform.NewTopology(plat)
 	net := msgq.NewNetwork(clock, src.Derive("net"), topo.Resolver())
 	rtr := scheduler.NewRouter()
-	sched := scheduler.New(plat.Nodes(), func(p scheduler.Placement) { rtr.Route(p) })
+	sched := scheduler.New(plat.Nodes(), func(p scheduler.Placement) { rtr.Route(p) }, scheduler.WithClock(clock))
 	exec := executor.New(clock, src.Derive("exec"), plat.Launch)
 	mgr, err := NewManager(Config{
 		Clock: clock, Src: src.Derive("mgr"), Net: net,
@@ -322,30 +322,6 @@ func TestNoopRTCommunicationDominates(t *testing.T) {
 	infer := agg.Stats("rt.inference").Mean
 	if comm <= infer {
 		t.Fatalf("communication (%v) must dominate noop inference (%v)", comm, infer)
-	}
-}
-
-func TestControlPing(t *testing.T) {
-	r := newRig(t, 100000)
-	inst, _ := r.mgr.Submit(noopDesc("svc"))
-	waitReady(t, r, inst.UID())
-	conn, err := r.net.Dial("probe", inst.Endpoint().Address+".ctl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	env, _ := proto.NewEnvelope(proto.KindControl, 1, "probe", inst.UID(), r.clock.Now(),
-		proto.Control{Command: proto.CtlPing, Target: inst.UID()})
-	out, err := conn.Request(context.Background(), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hb proto.Heartbeat
-	if err := out.Decode(proto.KindHeartbeat, &hb); err != nil {
-		t.Fatalf("ping reply not a heartbeat: %v (%+v)", err, out)
-	}
-	if hb.ServiceUID != inst.UID() {
-		t.Fatalf("heartbeat = %+v", hb)
 	}
 }
 

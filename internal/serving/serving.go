@@ -116,25 +116,20 @@ const dedupWindow = 1024
 
 // Server is one model-serving process.
 //
-// The request queue is an explicit FIFO under s.mu with direct handoff to
-// parked workers rather than a Go channel: when the server runs on a
-// virtual clock (simtime.RunnersOf), every park and wake must be told to
-// the clock under the same critical section that moves the job, or the
-// discrete-event loop could advance time while a handoff is still in
-// flight. Direct handoff
-// also guarantees a wake token is consumed by exactly the worker it was
-// issued for, which a shared channel cannot (any worker may steal the
-// element).
+// The request queue is an explicit FIFO under s.mu rather than a Go
+// channel. A worker with nothing to do parks on its own simtime.Handoff,
+// listed in waiters, and a request that finds one parked goes straight to
+// it. On a virtual clock the hand-off issues the worker's wake token before
+// the job, so the clock cannot advance while a hand-off is in flight, and
+// the token reaches exactly the worker it was issued for, which a shared
+// channel cannot promise (any worker may steal the element).
 type Server struct {
 	cfg Config
-	// run is the clock's runnability accounting (nil on real/scaled
-	// clocks, where parks and wakes need no bookkeeping).
-	run *simtime.Virtual
 
 	mu       sync.Mutex
-	jobs     fifo[*job]      // queued, not yet picked up by a worker
-	waiters  fifo[chan *job] // parked workers; each receives one job or nil
-	qclosed  bool            // no further jobs will be queued (Drain/Stop)
+	jobs     fifo[*job]                   // queued, not yet picked up by a worker
+	waiters  fifo[*simtime.Handoff[*job]] // parked workers; each receives one job or nil
+	qclosed  bool                         // no further jobs will be queued (Drain/Stop)
 	started  bool
 	ready    bool
 	draining bool
@@ -171,40 +166,26 @@ type dedupEntry struct {
 	reply proto.InferenceReply
 }
 
-// Drop-box states for job.state: the single-word handoff protocol between
-// the worker's reply and a Submit caller abandoning the wait on ctx
-// expiry. Exactly one side wins the CAS out of jobWaiting; the loser
-// takes the cleanup duty the winner left behind (see reply and Submit).
-const (
-	jobWaiting   int32 = iota // Submit caller is (or will be) parked on done
-	jobReplied                // worker committed the reply; wake token issued
-	jobAbandoned              // caller left; worker recycles on reply
-)
-
 type job struct {
 	req      proto.InferenceRequest
 	received time.Time
-	done     chan proto.InferenceReply
-	state    atomic.Int32 // jobWaiting | jobReplied | jobAbandoned
+	done     simtime.Handoff[proto.InferenceReply] // the worker's reply to the Submit caller
 }
 
 // recycle resets the job and returns it to the pool. Callers must own the
-// job outright: either the reply has been consumed, the job never reached
-// the queue, or the worker observed jobAbandoned (so no send into done is
-// outstanding or ever will be).
+// job outright: the reply has been received, the job never reached the
+// queue, or the reply's Send found the caller gone.
 func (j *job) recycle() {
 	j.req = proto.InferenceRequest{}
-	j.state.Store(jobWaiting)
 	jobPool.Put(j)
 }
 
-// jobPool recycles jobs and their reply channels across requests. Every
-// path returns its job: completed submissions recycle after consuming the
+// jobPool recycles jobs and their reply hand-offs across requests. Every
+// path returns its job: completed submissions recycle after receiving the
 // reply, rejected ones before parking, and abandoned ones (ctx expiry)
-// are recycled by the worker when its reply hits the jobAbandoned
-// drop-box state.
+// are recycled by the worker whose reply found the caller gone.
 var jobPool = sync.Pool{
-	New: func() any { return &job{done: make(chan proto.InferenceReply, 1)} },
+	New: func() any { return new(job) },
 }
 
 // New validates cfg and returns an unstarted Server.
@@ -232,7 +213,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:       cfg,
-		run:       simtime.RunnersOf(cfg.Clock),
 		dedupDone: make(map[string]int, dedupWindow),
 		dedupRing: make([]dedupEntry, dedupWindow),
 	}, nil
@@ -268,17 +248,15 @@ func (s *Server) Start() (time.Duration, error) {
 	}
 	s.ready = true
 	s.loadTime = load
+	run := simtime.RunnersOf(s.cfg.Clock)
 	for i := 0; i < s.cfg.Concurrency; i++ {
 		s.workers.Add(1)
-		if s.run != nil {
-			// Register before spawn (the clock.Go rule): the runner token
-			// must exist before Start returns, or the auto-advancing clock
-			// could move time past workers the Go scheduler has not run yet
-			// — queued jobs would then stall for a scheduler-dependent span
-			// of virtual time, destroying both latency and determinism.
-			s.run.AddRunner()
-		}
-		go s.worker()
+		// Register before spawn (the clock.Go rule): the runner token must
+		// exist before Start returns, or the auto-advancing clock could move
+		// time past workers the Go scheduler has not run yet — queued jobs
+		// would then stall for a scheduler-dependent span of virtual time,
+		// destroying both latency and determinism.
+		run.Go(s.worker)
 	}
 	s.mu.Unlock()
 	return load, nil
@@ -358,15 +336,10 @@ func (s *Server) remember(uid string, reply proto.InferenceReply) {
 // added idle latency.
 func (s *Server) worker() {
 	defer s.workers.Done()
-	if s.run != nil {
-		// The matching AddRunner ran in Start, before this goroutine was
-		// spawned — see the register-before-spawn comment there.
-		defer s.run.DoneRunner()
-	}
 	buf := make([]*job, 0, s.cfg.MaxBatch)
-	park := make(chan *job, 1)
+	var park simtime.Handoff[*job]
 	for {
-		batch, ok := s.dequeue(buf[:0], park)
+		batch, ok := s.dequeue(buf[:0], &park)
 		if !ok {
 			return
 		}
@@ -407,12 +380,10 @@ func (s *Server) flushStopped(j *job) {
 // batching's idle behavior. Buffered jobs are drained even after qclosed
 // (Drain semantics; Stop's flush happens in the worker loop), and false
 // means the worker should exit. A parked worker is handed its job (or a
-// nil close wakeup) directly by the waker, which also issues the
-// runnability wake token under s.mu — see the Server doc comment. park is
-// the worker's own one-slot channel: it is in s.waiters only while the
-// worker is parked and receives exactly one value per park, so it is
-// empty again on return.
-func (s *Server) dequeue(buf []*job, park chan *job) ([]*job, bool) {
+// nil close wakeup) directly by the waker under s.mu — see the Server doc
+// comment. park is the worker's own hand-off: it is in s.waiters only while
+// the worker is parked, and it carries exactly one value per park.
+func (s *Server) dequeue(buf []*job, park *simtime.Handoff[*job]) ([]*job, bool) {
 	for {
 		s.mu.Lock()
 		if s.jobs.len() > 0 {
@@ -428,12 +399,10 @@ func (s *Server) dequeue(buf []*job, park chan *job) ([]*job, bool) {
 			s.mu.Unlock()
 			return nil, false
 		}
+		park.Arm(s.cfg.Clock)
 		s.waiters.push(park)
-		if s.run != nil {
-			s.run.Block()
-		}
 		s.mu.Unlock()
-		if j := <-park; j != nil {
+		if j, _ := park.Recv(context.Background()); j != nil {
 			return append(buf, j), true
 		}
 		// nil wakeup: the queue closed while we were parked; loop to
@@ -441,16 +410,12 @@ func (s *Server) dequeue(buf []*job, park chan *job) ([]*job, bool) {
 	}
 }
 
-// enqueueLocked hands j to a parked worker (direct handoff, issuing the
-// wake token) or appends it to the job buffer. It reports false when the
-// buffer is at capacity. Callers hold s.mu.
+// enqueueLocked hands j to a parked worker (direct hand-off) or appends it
+// to the job buffer. It reports false when the buffer is at capacity.
+// Callers hold s.mu.
 func (s *Server) enqueueLocked(j *job) bool {
 	if s.waiters.len() > 0 {
-		ch := s.waiters.pop()
-		if s.run != nil {
-			s.run.Unblock() // wake token: issued before the wake itself
-		}
-		ch <- j
+		s.waiters.pop().Send(j)
 		return true
 	}
 	if s.jobs.len() >= s.cfg.QueueCap {
@@ -465,30 +430,17 @@ func (s *Server) enqueueLocked(j *job) bool {
 func (s *Server) closeQueueLocked() {
 	s.qclosed = true
 	for s.waiters.len() > 0 {
-		if s.run != nil {
-			s.run.Unblock()
-		}
-		s.waiters.pop() <- nil
+		s.waiters.pop().Send(nil)
 	}
 }
 
-// reply delivers the worker's single reply for j, issuing the requester's
-// wake token first so a runnability-accounting clock cannot advance while
-// the Submit caller's wakeup is in flight. If the Submit caller abandoned
-// the wait (ctx expiry), the jobAbandoned drop-box state redirects the
-// reply: the worker consumes it on the caller's behalf — recycling the
-// job, issuing no wake token (nobody is parked) — so the runner
-// accounting stays exact at every instant and cancellation is
-// deterministic on the auto-advancing virtual clock.
+// reply hands the worker's single reply for j to its Submit caller. If the
+// caller gave up first (ctx expiry), the hand-off refuses the reply, and
+// the worker recycles the job in the caller's place.
 func (s *Server) reply(j *job, r proto.InferenceReply) {
-	if !j.state.CompareAndSwap(jobWaiting, jobReplied) {
+	if !j.done.Send(r) {
 		j.recycle()
-		return
 	}
-	if s.run != nil {
-		s.run.Unblock()
-	}
-	j.done <- r
 }
 
 // serve executes one batch as a single backend invocation — Infer for a
@@ -557,22 +509,17 @@ func (s *Server) serve(batch []*job) {
 //
 // The enqueue happens under s.mu, in the same critical section as the
 // state check: Stop and Drain close the queue under the same lock, so an
-// accepted request can never race the close. On a runnability-accounting
-// clock the caller parks as Block'd while it waits; the worker's reply
-// carries the matching wake token. A caller that abandons the wait on ctx
-// expiry settles accounts through the job's drop-box state: it rebalances
-// its own Block with an Unblock the moment it leaves, and the worker's
-// eventual reply — seeing jobAbandoned — recycles the job without issuing
-// a token. Both sides stay exact at every instant, so cancellation is
-// deterministic on the auto-advancing virtual clock. If the reply commits
-// first (its token already in flight), the caller loses the CAS and takes
-// the completed reply instead of the ctx error. A ctx that can never be
-// cancelled (Done returns nil, as under Handler) skips the drop box: the
-// caller receives the reply directly.
+// accepted request can never race the close. The caller then waits on the
+// job's hand-off, parked on a virtual clock's books until the worker's
+// reply wakes it. A caller that gives up on ctx leaves the job to the
+// worker, whose reply finds it gone and recycles it; a reply that lands
+// first wins, and the caller takes it instead of the ctx error. Either way
+// cancellation is deterministic on the auto-advancing virtual clock.
 func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.InferenceReply, error) {
 	j := jobPool.Get().(*job)
 	j.req = req
 	j.received = s.cfg.Clock.Now()
+	j.done.Arm(s.cfg.Clock)
 
 	s.mu.Lock()
 	var rejection error
@@ -609,37 +556,11 @@ func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.
 		j.recycle()
 		return proto.InferenceReply{}, rejection
 	}
-	if s.run != nil {
-		s.run.Block()
-	}
-	done := ctx.Done()
-	if done == nil {
-		// Nothing but the reply can end this wait (Handler's case).
-		reply := <-j.done
+	reply, err := j.done.Recv(ctx)
+	if err == nil {
 		j.recycle()
-		return reply, nil
 	}
-	select {
-	case reply := <-j.done:
-		j.recycle()
-		return reply, nil
-	case <-done:
-		if j.state.CompareAndSwap(jobWaiting, jobAbandoned) {
-			// We own the abandonment: rebalance our own Block token now.
-			// The worker's reply will observe jobAbandoned and recycle the
-			// job without issuing a token — see reply.
-			if s.run != nil {
-				s.run.Unblock()
-			}
-			return proto.InferenceReply{}, ctx.Err()
-		}
-		// Lost the race: the reply committed first and its wake token is
-		// already in flight for us. Take the reply — the request did
-		// complete.
-		reply := <-j.done
-		j.recycle()
-		return reply, nil
-	}
+	return reply, err
 }
 
 // Handler returns the msgq request handler exposing the server: it decodes

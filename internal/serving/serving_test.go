@@ -279,7 +279,7 @@ func TestHandlerBadRequest(t *testing.T) {
 	s := newServer(t, "noop", 1)
 	start(t, s)
 	h := s.Handler()
-	env, _ := proto.NewEnvelope(proto.KindControl, 1, "x", "y", origin, proto.Control{})
+	env, _ := proto.NewEnvelope(proto.KindStateUpdate, 1, "x", "y", origin, proto.StateUpdate{})
 	out := h(env)
 	if out.Kind != proto.KindError {
 		t.Fatalf("handler accepted wrong-kind request: %+v", out)
@@ -680,8 +680,8 @@ func TestLoneRequestBatchOfOne(t *testing.T) {
 	}
 }
 
-// TestCancellationDeterministicOnVirtualClock pins the drop-box
-// cancellation protocol's determinism: on an auto-advancing virtual
+// TestCancellationDeterministicOnVirtualClock pins the reply hand-off's
+// cancellation determinism: on an auto-advancing virtual
 // clock, a plug inference occupies the single worker while ten requests
 // queue behind it; half carry contexts canceled at 10ms of virtual time
 // — far inside the plug's ~1s inference, so exactly those five abandon
@@ -739,7 +739,7 @@ func TestCancellationDeterministicOnVirtualClock(t *testing.T) {
 						// Hold the clock (registered, parked on a plain
 						// channel) until the abandonment commits, so
 						// virtual time cannot jump to the plug's end and
-						// let the reply win the drop-box race.
+						// let the reply win the hand-off race.
 						<-retOut
 					})
 				}

@@ -14,18 +14,13 @@
 //
 // On a Virtual one rule keeps every stamp exact: a goroutine that waits must
 // be registered with the clock (Virtual.Go, AddRunner), and it waits through
-// the clock, in Sleep, SleepCtx, Settle or a Latch's Wait. The clock then
-// counts it as parked, and whoever wakes it hands it its wake token first, so
-// time cannot move between the wake and the waiter running. Every one-shot
-// wait of the runtime is a Latch. Three hand-offs keep their own Block/Unblock
-// accounting:
-//
-//   - serving's per-request hand-off: it carries the reply through pooled
-//     jobs on the measured campaign path, and a Latch carries no value;
-//   - loadgen's final wait for its in-flight requests: it counts requests
-//     down on a sync.WaitGroup, and nothing after it reads the clock;
-//   - the scheduler's kick: its loop wakes once per kick, again and again,
-//     and each kick carries the runner the pass runs on.
+// the clock, in Sleep, SleepCtx, Settle, a Latch's Wait or a Handoff's Recv.
+// The clock then counts it as parked, and whoever wakes it hands it its wake
+// token first, so time cannot move between the wake and the waiter running.
+// Every one-shot wait of the runtime is a Latch; every wait for a value handed
+// over by another goroutine is a Handoff. One wait keeps its own accounting:
+// the scheduler's kick. Its loop wakes once per kick, again and again, and
+// each kick carries the runner the pass runs on.
 package simtime
 
 import (

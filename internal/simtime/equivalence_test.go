@@ -28,17 +28,19 @@ const progUnit = time.Microsecond
 type progOp int
 
 const (
-	opSleep  progOp = iota // Sleep(d)
-	opBlock                // park in Block until a helper that sleeps d hands over
-	opTimer                // NewTimer(d)
-	opStop                 // Stop the k-th timer this goroutine created
-	opCancel               // SleepCtx(long), cancelled by a helper that sleeps d
+	opSleep   progOp = iota // Sleep(d)
+	opRecv                  // Handoff.Recv until a helper that sleeps d sends
+	opSend                  // Handoff.Send to a helper that sleeps d and sends back
+	opAbandon               // Handoff.Recv whose ctx a helper that sleeps d cancels; a helper that sleeps long sends too late
+	opTimer                 // NewTimer(d)
+	opStop                  // Stop the k-th timer this goroutine created
+	opCancel                // SleepCtx(long), cancelled by a helper that sleeps d
 )
 
 type progStep struct {
 	op   progOp
 	d    time.Duration
-	long time.Duration // opCancel's SleepCtx, longer than d
+	long time.Duration // opCancel's SleepCtx and opAbandon's late Send, longer than d
 	k    int
 }
 
@@ -56,15 +58,20 @@ func randomProgram(r *rand.Rand) program {
 		timers := 0
 		for n := 4 + r.Intn(24); n > 0; n-- {
 			d := mod * time.Duration(1+r.Intn(6))
-			switch c := r.Intn(12); {
+			switch c := r.Intn(16); {
 			case c < 4:
 				script = append(script, progStep{op: opSleep, d: d})
 			case c < 6:
-				script = append(script, progStep{op: opBlock, d: d})
+				script = append(script, progStep{op: opRecv, d: d})
 			case c < 8:
+				script = append(script, progStep{op: opSend, d: d})
+			case c < 10:
+				long := d + mod*time.Duration(1+r.Intn(6))
+				script = append(script, progStep{op: opAbandon, d: d, long: long})
+			case c < 12:
 				long := d + mod*time.Duration(1+r.Intn(6))
 				script = append(script, progStep{op: opCancel, d: d, long: long})
-			case c < 11 || timers == 0:
+			case c < 15 || timers == 0:
 				script = append(script, progStep{op: opTimer, d: d})
 				timers++
 			default:
@@ -77,12 +84,14 @@ func randomProgram(r *rand.Rand) program {
 }
 
 // progTrace is what a run of a program shows: every goroutine's own log,
-// the global order of wakes, and the clock's final state.
+// the global order of wakes, the clock's final state, and what the helpers
+// saw go wrong.
 type progTrace struct {
 	logs    [][]string
 	wakes   []string
 	now     time.Duration
 	pending int
+	bad     []string
 }
 
 func wakeEntry(g, step int, now time.Duration) string {
@@ -103,7 +112,7 @@ func expect(p program) progTrace {
 	type event struct {
 		deadline time.Duration
 		seq      int
-		g, k     int // wake: g, k = -1; cancel: g, k = -2; timer: g and its index; tick: g = -1
+		g, k     int // wake: g, k = -1; cancel: g, k = -2; late send: g, k = -3; timer: g and its index; tick: g = -1
 	}
 	type timer struct {
 		deadline                 time.Duration
@@ -135,8 +144,12 @@ func expect(p program) progTrace {
 	run := func(g int) {
 		for ; pc[g] < len(p.scripts[g]); pc[g]++ {
 			switch s := p.scripts[g][pc[g]]; s.op {
-			case opSleep, opBlock:
+			case opSleep, opRecv, opSend:
 				push(event{deadline: tr.now + s.d, g: g, k: -1})
+				return
+			case opAbandon:
+				push(event{deadline: tr.now + s.long, g: g, k: -3})
+				push(event{deadline: tr.now + s.d, g: g, k: -2})
 				return
 			case opCancel:
 				push(event{deadline: tr.now + s.long, g: g, k: -1})
@@ -189,6 +202,7 @@ func expect(p program) progTrace {
 			push(event{deadline: e.deadline + p.period, g: -1})
 		case e.k >= 0:
 			timers[e.g][e.k].fired = true
+		case e.k == -3: // the late Send finds the Recv gone
 		default:
 			g := e.g
 			if e.k == -2 { // the cancel cuts g's long sleep short
@@ -220,7 +234,12 @@ func execute(t *testing.T, p program) progTrace {
 	t.Helper()
 	v := NewVirtualAuto(origin)
 	tr := progTrace{logs: make([][]string, len(p.scripts))}
-	var mu sync.Mutex // guards tr.wakes
+	var mu sync.Mutex // guards tr.wakes and tr.bad
+	bad := func(s string) {
+		mu.Lock()
+		tr.bad = append(tr.bad, s)
+		mu.Unlock()
+	}
 	ticker := v.NewTicker(p.period)
 	var wg sync.WaitGroup
 	v.AddRunner() // register before spawn: hold the clock until every goroutine has its token
@@ -242,15 +261,55 @@ func execute(t *testing.T, p program) progTrace {
 					continue
 				case opSleep:
 					v.Sleep(s.d)
-				case opBlock:
-					ch := make(chan struct{})
+				case opRecv:
+					var h Handoff[int]
+					h.Arm(v)
 					v.Go(func() {
 						v.Sleep(s.d)
-						v.Unblock() // the wake token, before the wake
-						ch <- struct{}{}
+						if !h.Send(i) {
+							bad(fmt.Sprintf("g%d step %d: Send refused", g, i))
+						}
 					})
-					v.Block()
-					<-ch
+					if got, err := h.Recv(context.Background()); got != i || err != nil {
+						log(fmt.Sprintf("Recv = %d, %v, want %d, nil", got, err, i))
+					}
+				case opSend:
+					var there, back Handoff[int]
+					there.Arm(v)
+					back.Arm(v)
+					v.Go(func() {
+						got, _ := there.Recv(context.Background())
+						v.Sleep(s.d)
+						back.Send(got + 1)
+					})
+					if !there.Send(i) {
+						log("Send refused")
+					}
+					if got, _ := back.Recv(context.Background()); got != i+1 {
+						log(fmt.Sprintf("sent %d, got %d back", i, got))
+					}
+				case opAbandon:
+					var h Handoff[int]
+					h.Arm(v)
+					ctx, cancel := context.WithCancel(context.Background())
+					back := make(chan struct{})
+					v.Go(func() {
+						v.Sleep(s.d)
+						cancel()
+						<-back // runnable: holds the clock until the receiver is back
+					})
+					wg.Add(1)
+					v.Go(func() {
+						defer wg.Done()
+						v.Sleep(s.long)
+						if h.Send(i) {
+							bad(fmt.Sprintf("g%d step %d: a Send after the abandon was delivered", g, i))
+						}
+					})
+					if _, err := h.Recv(ctx); !errors.Is(err, context.Canceled) {
+						log(fmt.Sprintf("Recv = %v, want context.Canceled", err))
+					}
+					close(back)
 				case opCancel:
 					ctx, cancel := context.WithCancel(context.Background())
 					back := make(chan struct{})
@@ -322,6 +381,9 @@ func TestVirtualAutoDeliversDeadlineSeqOrder(t *testing.T) {
 		if got.now != want.now || got.pending != want.pending {
 			t.Fatalf("seed %d: ended at %v with %d pending, want %v with %d",
 				seed, got.now, got.pending, want.now, want.pending)
+		}
+		if len(got.bad) > 0 {
+			t.Fatalf("seed %d: %v", seed, got.bad)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func (l *Latch) Fire() {
 	}
 	l.fired = true
 	for ; l.parked > 0; l.parked-- {
-		l.run.Unblock()
+		l.run.AddRunner()
 	}
 	if l.ch != nil {
 		close(l.ch)
@@ -77,12 +77,9 @@ func (l *Latch) Wait(ctx context.Context, c Clock, mu sync.Locker) error {
 		return err
 	}
 	done := l.Done()
-	run := RunnersOf(c)
-	if run != nil {
-		l.run = run
-		l.parked++
-		run.Block()
-	}
+	l.run = RunnersOf(c)
+	l.parked++
+	l.run.DoneRunner()
 	mu.Unlock()
 	select {
 	case <-done:
@@ -92,9 +89,7 @@ func (l *Latch) Wait(ctx context.Context, c Clock, mu sync.Locker) error {
 	if l.fired {
 		return nil
 	}
-	if run != nil {
-		l.parked--
-		run.Unblock()
-	}
+	l.parked--
+	l.run.AddRunner()
 	return ctx.Err()
 }

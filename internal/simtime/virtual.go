@@ -15,21 +15,20 @@ import (
 // order. Timers and tickers alone never pull time forward.
 //
 // This is the classic cooperative discrete-event simulation contract, and a
-// component that hands work between goroutines over channels must keep the
-// clock's accounting of who is runnable:
+// component that hands work between goroutines must keep the clock's
+// accounting of who is runnable:
 //
 //   - Go, or AddRunner/DoneRunner around the goroutine's lifetime, registers
 //     a goroutine that participates in simulated time. The spawner adds the
 //     runner before the go statement, never the goroutine itself.
-//   - Block marks the calling registered goroutine as parked on something
-//     other than the clock (a channel receive, a WaitGroup); Unblock marks it
-//     runnable again. A goroutine that wakes another via a channel send calls
-//     Unblock on the sleeper's behalf (a wake token) so the clock never
-//     advances while a wakeup is still in flight. A Latch does both for a
-//     one-shot event.
+//   - A registered goroutine waits only through the clock: Sleep, SleepCtx,
+//     Settle, a Latch's Wait or a Handoff's Recv. The waiter is parked on the
+//     clock's books, and whoever wakes it issues its wake token first, so the
+//     clock never advances while a wakeup is still in flight. The scheduler's
+//     kick is the one exception: its runner token rides each kick.
 //
-// The contract is asymmetric by design: a transient overcount (an extra
-// Unblock before the matching Block lands) merely pauses advancement until
+// The contract is asymmetric by design: a transient overcount (a wake token
+// issued before the matching park lands) merely pauses advancement until
 // the counts settle, while an undercount would let the clock advance
 // concurrently with runnable goroutines and destroy determinism. Protocols
 // built on the accounting therefore always issue the wake token before the
@@ -69,8 +68,8 @@ func NewVirtualAuto(origin time.Time) *Virtual {
 
 // RunnersOf returns c's runnability accounting: c itself when it is a
 // *Virtual, or nil for clocks that advance on their own (Real, Scaled).
-// Callers gate their accounting calls on the nil check, so the same code
-// runs unchanged on every clock.
+// Go, AddRunner and DoneRunner accept that nil, so the same code runs
+// unchanged on every clock.
 func RunnersOf(c Clock) *Virtual {
 	v, _ := c.(*Virtual)
 	return v
@@ -172,8 +171,12 @@ func (v *Virtual) Now() time.Time {
 }
 
 // Go spawns fn as a goroutine registered with the clock. The registration
-// is released when fn returns.
+// is released when fn returns. On a nil v it is a plain go statement.
 func (v *Virtual) Go(fn func()) {
+	if v == nil {
+		go fn()
+		return
+	}
 	v.AddRunner()
 	go func() {
 		defer v.DoneRunner()
@@ -182,34 +185,27 @@ func (v *Virtual) Go(fn func()) {
 }
 
 // AddRunner registers the calling (or an about-to-start) goroutine as
-// runnable.
+// runnable, or hands a parked one its wake token. It does nothing on a nil
+// v.
 func (v *Virtual) AddRunner() {
+	if v == nil {
+		return
+	}
 	v.mu.Lock()
 	v.running++
 	v.mu.Unlock()
 }
 
-// DoneRunner deregisters a goroutine previously registered with AddRunner.
+// DoneRunner deregisters a goroutine previously registered with AddRunner,
+// or parks a registered one on the clock's books. It does nothing on a nil
+// v.
 func (v *Virtual) DoneRunner() {
+	if v == nil {
+		return
+	}
 	v.mu.Lock()
 	v.running--
 	v.maybeAdvanceLocked()
-	v.mu.Unlock()
-}
-
-// Block marks the calling registered goroutine as not runnable, because it
-// is about to wait on something other than the clock (e.g. a channel).
-func (v *Virtual) Block() {
-	v.mu.Lock()
-	v.running--
-	v.maybeAdvanceLocked()
-	v.mu.Unlock()
-}
-
-// Unblock marks the calling registered goroutine as runnable again.
-func (v *Virtual) Unblock() {
-	v.mu.Lock()
-	v.running++
 	v.mu.Unlock()
 }
 
@@ -288,7 +284,7 @@ func (v *Virtual) sleep(ctx context.Context, d time.Duration) error {
 
 // Settle blocks the calling goroutine, which must be registered and runnable,
 // until every other registered goroutine is parked: asleep on the clock or
-// blocked. The caller stays runnable, so time does not move meanwhile: Settle
+// waiting through it. The caller stays runnable, so time does not move meanwhile: Settle
 // returns once everything due at the present instant has run. One caller at a
 // time.
 func (v *Virtual) Settle() {
@@ -304,8 +300,8 @@ func (v *Virtual) Settle() {
 }
 
 // NewTimer implements Clock. The timer fires when the clock reaches now+d.
-// A timer alone does not mark the goroutine blocked; bracket the receive
-// with Block/Unblock if needed.
+// A timer alone does not park its reader: a registered goroutine that
+// receives from it still counts as runnable.
 func (v *Virtual) NewTimer(d time.Duration) Timer {
 	v.mu.Lock()
 	s := v.push(d, 0)

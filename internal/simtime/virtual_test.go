@@ -256,20 +256,19 @@ func TestVirtualAutoAdvanceTwoGoroutinesInterleave(t *testing.T) {
 	}
 }
 
-func TestVirtualAutoBlockUnblock(t *testing.T) {
+func TestVirtualAutoHandoffWakesAtSend(t *testing.T) {
 	v := NewVirtualAuto(origin)
-	ch := make(chan int)
+	var h Handoff[int]
+	h.Arm(v)
 	done := make(chan time.Time)
-	// Producer sleeps 5s then sends; consumer blocks on the channel. Without
-	// Block/Unblock the clock would stall (consumer counted as runnable).
+	// Producer sleeps 5s then sends; consumer waits on the hand-off. A
+	// consumer counted as runnable while it waits would stall the clock.
 	v.Go(func() {
 		v.Sleep(5 * time.Second)
-		ch <- 1
+		h.Send(1)
 	})
 	v.Go(func() {
-		v.Block()
-		<-ch
-		v.Unblock()
+		h.Recv(context.Background())
 		done <- v.Now()
 	})
 	select {
@@ -278,7 +277,7 @@ func TestVirtualAutoBlockUnblock(t *testing.T) {
 			t.Fatalf("consumer resumed at %v, want origin+5s", woke)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Block/Unblock coordination deadlocked")
+		t.Fatal("hand-off deadlocked")
 	}
 }
 

@@ -172,8 +172,11 @@ type ServiceDescription struct {
 	// (default 5s): a killed service is marked FAILED two periods after
 	// the kill.
 	ProbeInterval time.Duration
-	// StartTimeout bounds launch+init+publish before the manager declares
-	// the service failed (default 10m).
+	// StartTimeout bounds a service's start, from submission to ACTIVE: its
+	// input staging, its wait for cores on the session clock, and its
+	// modelled launch, init and publish. The manager checks it at the grant
+	// and after each phase, and fails a service that has overrun it
+	// (default 10m).
 	StartTimeout time.Duration
 	// Persistent services survive workload completion and must be
 	// terminated explicitly (remote/R3-style deployments).

@@ -173,8 +173,8 @@ func NewRunner(sess *core.Session, pilots ...*pilot.Pilot) (*Runner, error) {
 // A stage starts on its own goroutine once its last dependency finished. On
 // an auto-advancing virtual clock Run's caller must be registered with the
 // clock; so is each stage goroutine. Run's own waits park on the clock, so
-// every stamp is exact; a Pre or Post hook that waits on something other
-// than the clock brackets that wait Block/Unblock itself. Stages ready at one
+// every stamp is exact; a Pre or Post hook that waits for another goroutine
+// waits through the clock too, on a simtime.Latch or Handoff. Stages ready at one
 // instant start in the Go scheduler's order, so they replay exactly only if
 // they draw on no shared source in the same instant.
 func (r *Runner) Run(ctx context.Context, p *Pipeline) (*Report, error) {
@@ -201,13 +201,7 @@ func (r *Runner) Run(ctx context.Context, p *Pipeline) (*Report, error) {
 	)
 	var start func(i int)
 	start = func(i int) {
-		if r.run != nil {
-			r.run.AddRunner()
-		}
-		go func() {
-			if r.run != nil {
-				defer r.run.DoneRunner()
-			}
+		r.run.Go(func() {
 			s, rep := p.Stages[i], &report.Stages[i]
 			*rep = StageReport{Stage: s.Name, Err: failed[i]}
 			if rep.Err == nil {
@@ -235,7 +229,7 @@ func (r *Runner) Run(ctx context.Context, p *Pipeline) (*Report, error) {
 			for _, n := range ready {
 				start(n)
 			}
-		}()
+		})
 	}
 	// roots from the descriptions, not from waiting: a started root
 	// decrements waiting concurrently and starts its dependents itself

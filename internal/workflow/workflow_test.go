@@ -354,32 +354,31 @@ func TestServiceReadinessStampExact(t *testing.T) {
 }
 
 // TestPreHookChannelWaitReplays runs B after A, with B's Pre hook parked on
-// a channel that a clock-registered goroutine closes 5 s after A ends. The
-// hook brackets its wait as Run's doc asks and the closer hands it its
-// runner token before the wake, so every stamp is the model's exact value
-// while an hour-long sleeper is pending.
+// a simtime.Handoff that a clock-registered goroutine sends on 5 s after A
+// ends. The hook waits through the clock as Run's doc asks, and the sender
+// hands it its runner token before the wake, so every stamp is the model's
+// exact value while an hour-long sleeper is pending.
 func TestPreHookChannelWaitReplays(t *testing.T) {
 	r, sess := newRunner(t)
 	clock := sess.Clock().(*simtime.Virtual)
 	// an unrelated sleeper: a wait whose waker hands back no runner token
 	// lets the clock jump to it
 	clock.Go(func() { clock.Sleep(time.Hour) })
-	open := make(chan struct{})
+	var open simtime.Handoff[struct{}]
+	open.Arm(clock)
 	p := &Pipeline{Name: "gated", Stages: []*Stage{
 		{Name: "a", Tasks: []spec.TaskDescription{simTask("ta", 10*time.Second)},
 			Post: func(ctx context.Context, s *core.Session) error {
 				clock.Go(func() {
 					clock.Sleep(5 * time.Second)
-					clock.Unblock() // the hook's wake token, before the wake
-					close(open)
+					open.Send(struct{}{})
 				})
 				return nil
 			}},
 		{Name: "b", After: []string{"a"}, Tasks: []spec.TaskDescription{simTask("tb", 20*time.Second)},
 			Pre: func(ctx context.Context, s *core.Session) error {
-				clock.Block()
-				<-open
-				return nil
+				_, err := open.Recv(ctx)
+				return err
 			}},
 	}}
 	rep, err := r.Run(context.Background(), p)
