@@ -68,7 +68,9 @@ type Result struct {
 // with it every count and latency — replays exactly across runs. The
 // driver, the per-request goroutines and the churn controller register
 // with the clock; requests use non-cancellable contexts so the whole
-// REQ/REP round trip runs inline on the accounted goroutine.
+// REQ/REP round trip runs inline on the accounted goroutine, and so does
+// the service side when the request finds its server idle (serving.Server
+// serves it on the caller, in the parked worker's place).
 func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {

@@ -12,7 +12,9 @@
 // sized by whatever happens to be queued at dequeue time, so an idle
 // server serves a lone request with no added latency, and the paper's
 // request-at-a-time service is simply MaxBatch 1 — every batch a batch of
-// one.
+// one. A lone request whose caller cannot give up is served by that caller,
+// in the idle worker's place: the same batch of one, without waking the
+// worker to serve it or the caller to take the reply.
 package serving
 
 import (
@@ -83,8 +85,9 @@ type Config struct {
 	Clock simtime.Clock
 	// Src samples service-side overheads. Required.
 	Src *rng.Source
-	// Concurrency is the number of worker goroutines. Default 1 — the
-	// paper's single-threaded service.
+	// Concurrency bounds the batches in service at once: each is served
+	// by a worker, or by a Submit caller that found a worker idle and
+	// holds its place. Default 1 — the paper's single-threaded service.
 	Concurrency int
 	// QueueCap bounds the request queue. Default 4096.
 	QueueCap int
@@ -123,6 +126,14 @@ const dedupWindow = 1024
 // the job, so the clock cannot advance while a hand-off is in flight, and
 // the token reaches exactly the worker it was issued for, which a shared
 // channel cannot promise (any worker may steal the element).
+//
+// A Submit whose ctx can never end does not hand off to a parked worker:
+// it takes the worker's hand-off out of waiters, serves its request as the
+// worker would, and then gives the place back (giveBack). The worker stays
+// parked throughout, so Concurrency still bounds the batches in service,
+// and an idle request costs no goroutine wake-up. A request that must
+// queue, or whose ctx can end, is handed off as above, so cancellation
+// behaves the same on both paths.
 type Server struct {
 	cfg Config
 
@@ -135,11 +146,12 @@ type Server struct {
 	draining bool
 	stopped  bool
 	loadTime time.Duration
-	workers  sync.WaitGroup
+	live     int           // workers not yet exited
+	exited   simtime.Latch // fired by the last worker to exit; Drain waits on it
 
 	// queued counts requests admitted to the queue (or in handoff to a
-	// worker) but not yet being served; inflight counts requests a worker
-	// is executing. They are split so load signals can tell a fully-busy-
+	// worker) but not yet being served; inflight counts requests in
+	// service, by a worker or by an inline caller. They are split so load signals can tell a fully-busy-
 	// but-empty-queue replica from a backlogged one — the autoscaler and
 	// balancer read Queued, liveness probes read InFlight.
 	queued    atomic.Int64
@@ -169,14 +181,15 @@ type dedupEntry struct {
 type job struct {
 	req      proto.InferenceRequest
 	received time.Time
-	done     simtime.Handoff[proto.InferenceReply] // the worker's reply to the Submit caller
+	reply    proto.InferenceReply      // written by whoever serves the job
+	done     simtime.Handoff[struct{}] // a worker's wake-up of the Submit caller once reply is written
 }
 
 // recycle resets the job and returns it to the pool. Callers must own the
-// job outright: the reply has been received, the job never reached the
-// queue, or the reply's Send found the caller gone.
+// job outright: the reply has been read, the job never reached the queue,
+// or the worker's Send found the caller gone.
 func (j *job) recycle() {
-	j.req = proto.InferenceRequest{}
+	j.req, j.reply = proto.InferenceRequest{}, proto.InferenceReply{}
 	jobPool.Put(j)
 }
 
@@ -248,9 +261,9 @@ func (s *Server) Start() (time.Duration, error) {
 	}
 	s.ready = true
 	s.loadTime = load
+	s.live = s.cfg.Concurrency
 	run := simtime.RunnersOf(s.cfg.Clock)
 	for i := 0; i < s.cfg.Concurrency; i++ {
-		s.workers.Add(1)
 		// Register before spawn (the clock.Go rule): the runner token must
 		// exist before Start returns, or the auto-advancing clock could move
 		// time past workers the Go scheduler has not run yet — queued jobs
@@ -279,7 +292,7 @@ func (s *Server) LoadTime() time.Duration {
 // Queued returns requests admitted but not yet picked up by a worker.
 func (s *Server) Queued() int { return int(s.queued.Load()) }
 
-// InFlight returns requests currently being executed by workers.
+// InFlight returns requests currently in service.
 func (s *Server) InFlight() int { return int(s.inflight.Load()) }
 
 // QueueDepth returns queued plus executing requests — the compatibility
@@ -335,7 +348,6 @@ func (s *Server) remember(uid string, reply proto.InferenceReply) {
 // backend invocation — continuous batching, no forming windows and no
 // added idle latency.
 func (s *Server) worker() {
-	defer s.workers.Done()
 	buf := make([]*job, 0, s.cfg.MaxBatch)
 	var park simtime.Handoff[*job]
 	for {
@@ -355,22 +367,30 @@ func (s *Server) worker() {
 			for _, j := range batch {
 				s.flushStopped(j)
 			}
-			continue
+		} else {
+			s.serve(batch)
 		}
-		s.serve(batch)
+		// A caller that gave up first refuses its wake-up, and the worker
+		// recycles the job in its place.
+		for _, j := range batch {
+			if !j.done.Send(struct{}{}) {
+				j.recycle()
+			}
+		}
 	}
 }
 
-// flushStopped replies ErrStopped for a dequeued job of a stopped server.
-// The caller has already moved the job's count from queued to inflight.
+// flushStopped writes ErrStopped as the reply of a dequeued job of a
+// stopped server. The caller has already moved the job's count from queued
+// to inflight.
 func (s *Server) flushStopped(j *job) {
 	s.inflight.Add(-1)
 	s.rejected.Add(1)
-	s.reply(j, proto.InferenceReply{
+	j.reply = proto.InferenceReply{
 		RequestUID: j.req.RequestUID,
 		ServiceUID: s.cfg.UID,
 		Err:        ErrStopped.Error(),
-	})
+	}
 }
 
 // dequeue returns the next batch, appending into buf: the head of the
@@ -396,6 +416,9 @@ func (s *Server) dequeue(buf []*job, park *simtime.Handoff[*job]) ([]*job, bool)
 			return buf, true
 		}
 		if s.qclosed {
+			if s.live--; s.live == 0 {
+				s.exited.Fire()
+			}
 			s.mu.Unlock()
 			return nil, false
 		}
@@ -405,8 +428,9 @@ func (s *Server) dequeue(buf []*job, park *simtime.Handoff[*job]) ([]*job, bool)
 		if j, _ := park.Recv(context.Background()); j != nil {
 			return append(buf, j), true
 		}
-		// nil wakeup: the queue closed while we were parked; loop to
-		// observe qclosed under the lock.
+		// nil wakeup: the queue closed while we were parked, or a caller
+		// that served in our place left jobs queued; loop to look again
+		// under the lock.
 	}
 }
 
@@ -434,23 +458,27 @@ func (s *Server) closeQueueLocked() {
 	}
 }
 
-// reply hands the worker's single reply for j to its Submit caller. If the
-// caller gave up first (ctx expiry), the hand-off refuses the reply, and
-// the worker recycles the job in the caller's place.
-func (s *Server) reply(j *job, r proto.InferenceReply) {
-	if !j.done.Send(r) {
-		j.recycle()
+// giveBack ends a Submit's inline serve: it returns the place of the parked
+// worker whose hand-off idle is. A worker owed work (jobs queued meanwhile)
+// or an exit (the queue closed) is woken with nil to look again; otherwise
+// it goes back on waiters, as though it had never been taken.
+func (s *Server) giveBack(idle *simtime.Handoff[*job]) {
+	s.mu.Lock()
+	if s.jobs.len() > 0 || s.qclosed {
+		idle.Send(nil)
+	} else {
+		s.waiters.push(idle)
 	}
+	s.mu.Unlock()
 }
 
 // serve executes one batch as a single backend invocation — Infer for a
-// batch of one, InferBatch otherwise — and fans the results back out to
-// every member's Submit caller. The per-request parse overhead is charged
-// per member — batching amortizes model compute, not request
-// deserialization — with the summed overhead split half before inference
-// (request parsing) and half after (reply serialization), forming the
-// `service` component. Batch members share the dequeue/infer/reply
-// timestamps: they ride one forward pass.
+// batch of one, InferBatch otherwise — and writes every member's reply on
+// its job. The per-request parse overhead is charged per member — batching
+// amortizes model compute, not request deserialization — with the summed
+// overhead split half before inference (request parsing) and half after
+// (reply serialization), forming the `service` component. Batch members
+// share the dequeue/infer/reply timestamps: they ride one forward pass.
 func (s *Server) serve(batch []*job) {
 	defer s.inflight.Add(-int64(len(batch)))
 	clock := s.cfg.Clock
@@ -484,7 +512,7 @@ func (s *Server) serve(batch []*job) {
 
 	for i, j := range batch {
 		s.processed.Add(1)
-		reply := proto.InferenceReply{
+		j.reply = proto.InferenceReply{
 			RequestUID:   j.req.RequestUID,
 			ServiceUID:   s.cfg.UID,
 			Model:        s.cfg.Backend.Name(),
@@ -499,8 +527,7 @@ func (s *Server) serve(batch []*job) {
 				RepliedAt:    replied,
 			},
 		}
-		s.remember(j.req.RequestUID, reply)
-		s.reply(j, reply)
+		s.remember(j.req.RequestUID, j.reply)
 	}
 }
 
@@ -515,6 +542,12 @@ func (s *Server) serve(batch []*job) {
 // worker, whose reply finds it gone and recycles it; a reply that lands
 // first wins, and the caller takes it instead of the ctx error. Either way
 // cancellation is deterministic on the auto-advancing virtual clock.
+//
+// A caller whose ctx can never end and that finds a worker parked serves
+// the request itself, in that worker's place (see Server). The state check
+// doubles as the stopped check a worker makes after a dequeue: both hold
+// s.mu. On a virtual clock the caller must be registered, as it must to
+// wait.
 func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.InferenceReply, error) {
 	j := jobPool.Get().(*job)
 	j.req = req
@@ -523,6 +556,7 @@ func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.
 
 	s.mu.Lock()
 	var rejection error
+	var idle *simtime.Handoff[*job] // the parked worker whose place the caller takes
 	switch {
 	case s.stopped:
 		rejection = ErrStopped
@@ -543,9 +577,13 @@ func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.
 			j.recycle()
 			return reply, nil
 		}
-		if s.enqueueLocked(j) {
+		switch {
+		case ctx.Done() == nil && s.waiters.len() > 0:
+			idle = s.waiters.pop()
+			s.inflight.Add(1)
+		case s.enqueueLocked(j):
 			s.queued.Add(1)
-		} else {
+		default:
 			rejection = ErrQueueFull
 		}
 	}
@@ -556,11 +594,15 @@ func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.
 		j.recycle()
 		return proto.InferenceReply{}, rejection
 	}
-	reply, err := j.done.Recv(ctx)
-	if err == nil {
-		j.recycle()
+	if idle != nil {
+		s.serve([]*job{j})
+		s.giveBack(idle)
+	} else if _, err := j.done.Recv(ctx); err != nil {
+		return proto.InferenceReply{}, err
 	}
-	return reply, err
+	reply := j.reply
+	j.recycle()
+	return reply, nil
 }
 
 // Handler returns the msgq request handler exposing the server: it decodes
@@ -595,25 +637,21 @@ func (s *Server) errEnvelope(req proto.Envelope, msg string) proto.Envelope {
 }
 
 // Drain stops accepting new requests and blocks until the queue empties
-// and all workers finish.
+// and all workers finish, inline serves included. On a virtual clock the
+// caller waits through the clock, so it must be registered.
 func (s *Server) Drain() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.stopped || s.draining {
-		s.mu.Unlock()
 		return
 	}
 	s.draining = true
-	started := s.ready
-	if started {
+	if s.ready {
 		s.closeQueueLocked() // under s.mu: serialized against Submit's enqueue
+		// nil: the ctx never ends. Wait unlocks s.mu while it waits.
+		_ = s.exited.Wait(context.Background(), s.cfg.Clock, &s.mu)
 	}
-	s.mu.Unlock()
-	if started {
-		s.workers.Wait()
-	}
-	s.mu.Lock()
 	s.stopped = true
-	s.mu.Unlock()
 }
 
 // Stop terminates immediately: queued but unserved requests receive

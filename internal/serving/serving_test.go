@@ -780,11 +780,14 @@ func TestCancellationDeterministicOnVirtualClock(t *testing.T) {
 }
 
 // TestSubmitWaitsAgree: a context that can never be cancelled waits for its
-// reply with a plain receive, a cancellable one in a select beside its Done.
-// On the virtual clock one request stream, queued and batched, gets the same
-// replies and Timing stamps either way.
+// reply with a plain receive, a cancellable one in a select beside its Done;
+// and a request of the first kind that finds the worker parked is served by
+// its caller, where one of the second kind is handed to the worker. On the
+// virtual clock each of two request streams, one queued and batched and one
+// that always finds the server idle, gets the same replies and Timing stamps
+// either way.
 func TestSubmitWaitsAgree(t *testing.T) {
-	run := func(ctx context.Context) []proto.InferenceReply {
+	run := func(ctx context.Context, spacing time.Duration) []proto.InferenceReply {
 		clock := simtime.NewVirtualAuto(origin)
 		spec, err := llm.Lookup("vit-base")
 		if err != nil {
@@ -805,14 +808,13 @@ func TestSubmitWaitsAgree(t *testing.T) {
 		t.Cleanup(s.Stop)
 		start(t, s)
 		replies := make([]proto.InferenceReply, 24)
-		var wg sync.WaitGroup
-		wg.Add(len(replies))
+		done := make(chan struct{}, len(replies))
 		clock.AddRunner() // the spawner holds the clock until every request is out
 		for i := range replies {
 			clock.Go(func() {
-				defer wg.Done()
+				defer func() { done <- struct{}{} }()
 				// One arrival an instant: two at once would enqueue in either order.
-				clock.Sleep(time.Duration(1+i) * time.Millisecond)
+				clock.Sleep(time.Duration(1+i) * spacing)
 				reply, err := s.Submit(ctx, req(fmt.Sprintf("r%d", i), "prompt", 8+i))
 				if err != nil {
 					t.Error(err)
@@ -821,23 +823,187 @@ func TestSubmitWaitsAgree(t *testing.T) {
 			})
 		}
 		clock.DoneRunner()
-		wg.Wait()
+		awaitN(t, clock, done, len(replies))
 		return replies
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	plain, selecting := run(context.Background()), run(ctx)
-	for i := range plain {
-		if !reflect.DeepEqual(plain[i], selecting[i]) {
-			t.Fatalf("request %d: plain receive got\n%+v\nselect got\n%+v", i, plain[i], selecting[i])
+	// The queued stream's arrivals come faster than the worker serves them;
+	// the idle stream's come further apart than one service time (at most
+	// ~20 ms here), so every request finds the worker parked.
+	for _, spacing := range []time.Duration{time.Millisecond, 100 * time.Millisecond} {
+		plain, selecting := run(context.Background(), spacing), run(ctx, spacing)
+		for i := range plain {
+			if !reflect.DeepEqual(plain[i], selecting[i]) {
+				t.Fatalf("spacing %v, request %d: plain receive got\n%+v\nselect got\n%+v", spacing, i, plain[i], selecting[i])
+			}
+		}
+		batches := map[time.Time]bool{}
+		var queued int
+		for _, r := range plain {
+			batches[r.Timing.DequeuedAt] = true
+			if r.Timing.QueueTime() > 0 {
+				queued++
+			}
+		}
+		idle := spacing > time.Millisecond
+		switch {
+		case idle && queued > 0:
+			t.Fatalf("the idle stream queued %d of %d requests", queued, len(plain))
+		case !idle && (plain[len(plain)-1].Timing.QueueTime() <= 0 || len(batches) >= len(plain)):
+			t.Fatalf("the stream did not queue and batch: last request queued %v, %d batches for %d requests",
+				plain[len(plain)-1].Timing.QueueTime(), len(batches), len(plain))
 		}
 	}
-	batches := map[time.Time]bool{}
-	for _, r := range plain {
-		batches[r.Timing.DequeuedAt] = true
+}
+
+// awaitN receives n signals from done, failing the test once that has
+// taken 3 s of wall time: on a virtual clock, a wait the clock cannot see
+// freezes it, and whatever was due later never comes.
+func awaitN(t *testing.T, clock *simtime.Virtual, done <-chan struct{}, n int) {
+	t.Helper()
+	guard := time.After(3 * time.Second)
+	for range n {
+		select {
+		case <-done:
+		case <-guard:
+			t.Fatalf("still waiting after 3 s of wall time, clock at +%v", clock.Now().Sub(origin))
+		}
 	}
-	if tm := plain[len(plain)-1].Timing; tm.QueueTime() <= 0 || len(batches) >= len(plain) {
-		t.Fatalf("the stream did not queue and batch: last request queued %v, %d batches for %d requests",
-			tm.QueueTime(), len(batches), len(plain))
+}
+
+// TestDrainWhileExecutingOnVirtualClock: a Drain called while a ~0.5 s
+// request is in service waits for it through the clock, so it returns at
+// the instant that request is replied to, whether a worker serves it (a
+// cancellable ctx) or its caller does, in the idle worker's place.
+func TestDrainWhileExecutingOnVirtualClock(t *testing.T) {
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{{"worker", cancellable}, {"inline", context.Background()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := simtime.NewVirtualAuto(origin)
+			s := newServerOn(t, "vit-base", 1, clock)
+			start(t, s)
+			var reply proto.InferenceReply
+			var drained time.Time
+			done := make(chan struct{}, 2)
+			clock.AddRunner() // the spawner holds the clock until both are out
+			clock.Go(func() {
+				defer func() { done <- struct{}{} }()
+				var err error
+				if reply, err = s.Submit(tc.ctx, req("long", "p", 2048)); err != nil { // ~0.5 s in service
+					t.Error(err)
+				}
+			})
+			clock.Go(func() {
+				defer func() { done <- struct{}{} }()
+				clock.Sleep(time.Millisecond)
+				s.Drain()
+				drained = clock.Now()
+			})
+			clock.DoneRunner()
+			awaitN(t, clock, done, 2)
+			tm := reply.Timing
+			if tm.RepliedAt.Sub(tm.ReceivedAt) < 100*time.Millisecond || !drained.Equal(tm.RepliedAt) {
+				t.Fatalf("Drain returned at +%v; the request was received at +%v and replied to at +%v",
+					drained.Sub(origin), tm.ReceivedAt.Sub(origin), tm.RepliedAt.Sub(origin))
+			}
+		})
 	}
+}
+
+// TestSubmitDuringInlineServeQueues: while a caller serves its request in
+// the only worker's place, a second request finds no worker parked and
+// queues; giving the place back wakes the worker, which takes it up at the
+// first request's RepliedAt.
+func TestSubmitDuringInlineServeQueues(t *testing.T) {
+	clock := simtime.NewVirtualAuto(origin)
+	s := newServerOn(t, "vit-base", 1, clock)
+	start(t, s)
+	var first, second proto.InferenceReply
+	done := make(chan struct{}, 2)
+	submit := func(reply *proto.InferenceReply, after time.Duration, maxTokens int) {
+		clock.Go(func() {
+			defer func() { done <- struct{}{} }()
+			clock.Sleep(after)
+			var err error
+			if *reply, err = s.Submit(context.Background(), req(fmt.Sprint(after), "p", maxTokens)); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	clock.AddRunner() // the spawner holds the clock until both are out
+	submit(&first, time.Millisecond, 2048)
+	submit(&second, 2*time.Millisecond, 8)
+	clock.DoneRunner()
+	awaitN(t, clock, done, 2)
+	if first.Timing.QueueTime() != 0 || second.Timing.QueueTime() <= 0 ||
+		!second.Timing.DequeuedAt.Equal(first.Timing.RepliedAt) {
+		t.Fatalf("first %+v\nsecond %+v: the second should queue until the first is replied to", first.Timing, second.Timing)
+	}
+}
+
+// TestInlineServeVsStopSingleWinner: a Stop races a request that finds the
+// worker parked, so that its caller serves it. By the clock the Stop lands
+// at the request's own instant (a race in wall time), inside its serve or
+// after it. The caller gets either the whole reply or ErrStopped, never an
+// error reply, and the worker exits: Stop wakes it when it is in waiters,
+// and the caller's giveBack when the caller holds its place.
+func TestInlineServeVsStopSingleWinner(t *testing.T) {
+	var refused, during, after int
+	for round := range 240 {
+		clock := simtime.NewVirtualAuto(origin)
+		s := newServerOn(t, "vit-base", 1, clock) // 8 tokens: 1–3 ms in service
+		start(t, s)
+		parked, gun := make(chan struct{}), make(chan struct{})
+		done := make(chan struct{}, 2)
+		var reply proto.InferenceReply
+		var err error
+		var stoppedAt time.Time
+		clock.Go(func() {
+			defer func() { done <- struct{}{} }()
+			clock.Settle() // the worker is parked
+			close(parked)
+			<-gun
+			reply, err = s.Submit(context.Background(), req("r", "p", 8))
+		})
+		<-parked
+		stop := func() {
+			defer func() { done <- struct{}{} }()
+			<-gun
+			clock.Sleep([]time.Duration{0, time.Millisecond, 5 * time.Millisecond}[round%3])
+			s.Stop()
+			stoppedAt = clock.Now()
+		}
+		if round%2 == 0 {
+			clock.Go(stop)
+			close(gun)
+		} else {
+			close(gun) // the submitter gets a head start
+			clock.Go(stop)
+		}
+		awaitN(t, clock, done, 2)
+		switch {
+		case errors.Is(err, ErrStopped):
+			refused++
+		case err != nil || reply.Err != "" || reply.Model != "vit-base" || reply.OutputTokens == 0:
+			t.Fatalf("round %d: reply %+v, err %v", round, reply, err)
+		case stoppedAt.Before(reply.Timing.RepliedAt):
+			during++
+		default:
+			after++
+		}
+		s.mu.Lock()
+		exited := s.exited.Done()
+		s.mu.Unlock()
+		select {
+		case <-exited:
+		case <-time.After(3 * time.Second):
+			t.Fatalf("round %d: the worker had not exited 3 s after Stop", round)
+		}
+	}
+	t.Logf("refused %d, stopped during the serve %d, after it %d", refused, during, after)
 }
