@@ -361,11 +361,10 @@ func (s *Session) Dial(clientAddr string, ep proto.Endpoint) (service.Caller, er
 // power-of-two-choices seeded from the session seed and uid.
 func (s *Session) DialService(clientAddr, uid string, picker loadbal.Picker) (*service.Balancer, error) {
 	dial := func(ep proto.Endpoint) (service.Caller, error) { return s.Dial(clientAddr, ep) }
-	return service.NewBalancer(s.sm.reg, uid, dial, service.BalancerOptions{
-		Picker: picker,
-		Seed:   s.src.Derive("balance." + uid).Uint64(),
-		Now:    s.clock.Now,
-	})
+	if picker == nil {
+		picker = loadbal.NewP2C(s.src.Derive("balance." + uid).Uint64())
+	}
+	return service.NewBalancer(s.sm.reg, uid, dial, service.BalancerOptions{Picker: picker, Now: s.clock.Now})
 }
 
 // Close shuts the session down: pilots, services, network. Tasks still

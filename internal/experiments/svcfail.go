@@ -102,15 +102,6 @@ func svcFailRows(ctx context.Context, o Options) ([]svcFailRow, error) {
 	return rows, nil
 }
 
-// resolvingCaller is a client that follows a service UID across endpoint
-// re-publications and counts its stale-generation redials: a
-// service.Balancer inside a session, a service.Resolver over a bare
-// registry.
-type resolvingCaller interface {
-	service.Caller
-	Reresolved() int
-}
-
 // run drives the scenario both the in-process and the OS-process failover
 // points share, under the row's client style: dial (the caching client
 // dials the published endpoint once and keeps it — the seed behaviour — the
@@ -120,9 +111,9 @@ type resolvingCaller interface {
 // provably live again, so both styles race a live service and the contrast
 // isolates the client's endpoint-resolution strategy.
 func (row *svcFailRow) run(ctx context.Context, requests int,
-	dialCaching func() (service.Caller, error), dialResolving func() (resolvingCaller, error), failover func() error) error {
+	dialCaching func() (service.Caller, error), dialResolving func() (*service.Balancer, error), failover func() error) error {
 	var caller service.Caller
-	var resolver resolvingCaller
+	var resolver *service.Balancer
 	var err error
 	switch row.Client {
 	case svcFailClientCaching:
@@ -176,7 +167,7 @@ func svcFailPoint(ctx context.Context, o Options, client string, shapes []platfo
 		clientAddr := platform.Addr(o.Platform, "", "svcfail-client")
 		return row.run(ctx, o.Requests,
 			func() (service.Caller, error) { return tb.Dial(clientAddr, h.Endpoint()) },
-			func() (resolvingCaller, error) { return tb.DialService(clientAddr, h.UID(), nil) },
+			func() (*service.Balancer, error) { return tb.DialService(clientAddr, h.UID(), nil) },
 			func() error {
 				f, err := tb.killHost(ctx, h)
 				row.Generation, row.HostAfter, row.Replacements = f.Generation, f.Host, f.Replacements

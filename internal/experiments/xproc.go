@@ -230,7 +230,7 @@ func xprocSvcFailPoint(ctx context.Context, o Options, client string, shapes []p
 	}
 	err = row.run(ctx, o.Requests,
 		func() (service.Caller, error) { return dial(ep) },
-		func() (resolvingCaller, error) { return service.NewResolver(reg, desc.UID, dial, 0) },
+		func() (*service.Balancer, error) { return service.NewResolver(reg, desc.UID, dial, 0) },
 		func() error {
 			// SIGKILL the hosting process, then re-place the service on the
 			// survivor and re-publish its endpoint under the same UID.

@@ -1,6 +1,6 @@
 // Package loadgen is the open-loop load-generation harness: deterministic
 // arrival processes (Poisson, diurnal, trace-driven) drive request
-// campaigns through the real core.Session / Router / Resolver seams on an
+// campaigns through the real core.Session / Router / Balancer seams on an
 // auto-advancing virtual clock, so million-request campaigns complete in
 // seconds of wall time with exactly reproducible counts.
 //

@@ -37,7 +37,7 @@ type Result struct {
 	TasksDone      int64
 	// Replacements counts session-level service re-placements (churn).
 	Replacements int
-	// Reresolved counts resolver re-resolutions after endpoint failures.
+	// Reresolved counts balancer re-resolutions after endpoint failures.
 	Reresolved int
 	// PeakReplicas is the highest concurrent serving-replica count any
 	// backend reached (1 unless the autoscaler was enabled).

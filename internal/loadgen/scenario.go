@@ -59,8 +59,8 @@ type Scenario struct {
 	MaxBatch int
 	// MaxReplicas bounds the session autoscaler, which keeps at least one
 	// replica and runs on the core defaults. MaxReplicas > 1 enables it,
-	// and requests route through a load-aware Balancer instead of a single
-	// Resolver.
+	// and each service's Balancer spreads requests over its replicas by
+	// load instead of sending them all to the base UID.
 	MaxReplicas int
 
 	// WaveAmp is the diurnal amplitude as a fraction of Rate, in [0, 1).

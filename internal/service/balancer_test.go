@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"repro/internal/loadbal"
+	"repro/internal/metrics"
+	"repro/internal/msgq"
 	"repro/internal/proto"
 )
 
@@ -107,7 +109,7 @@ func TestBalancerLeastLoadedPrefersIdleMember(t *testing.T) {
 func TestBalancerNoMembersPicksBase(t *testing.T) {
 	reg := NewEndpointRegistry()
 	reg.Publish(ep("svc", "addr-svc"))
-	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{Seed: 1})
+	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{Picker: loadbal.NewP2C(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +136,8 @@ func TestBalancerP2CPickDistribution(t *testing.T) {
 	reg.ReportLoad("m2", Load{Queued: 100, At: now}) // the hot member
 
 	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Seed: 1,
-		Now:  func() time.Time { return now },
+		Picker: loadbal.NewP2C(1),
+		Now:    func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +163,8 @@ func TestBalancerP2CPickDistribution(t *testing.T) {
 
 	// determinism: a same-seed balancer reproduces the sequence exactly
 	b2, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Seed: 1,
-		Now:  func() time.Time { return now },
+		Picker: loadbal.NewP2C(1),
+		Now:    func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +194,8 @@ func TestBalancerStaleReportsFallBackToRotation(t *testing.T) {
 	reg.ReportLoad("m3", Load{Queued: 0, At: reported})
 
 	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Seed: 1,
-		Now:  func() time.Time { return now },
+		Picker: loadbal.NewP2C(1),
+		Now:    func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,8 +244,8 @@ func TestBalancerLoadHorizonBoundary(t *testing.T) {
 			reg.ReportLoad("m2", Load{Queued: 100, At: reported})
 			now := reported.Add(tc.age)
 			b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-				Seed: 1,
-				Now:  func() time.Time { return now },
+				Picker: loadbal.NewP2C(1),
+				Now:    func() time.Time { return now },
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -273,7 +275,7 @@ func TestBalancerNoTimebaseIgnoresLoad(t *testing.T) {
 	reg := balReg(1)
 	reg.ReportLoad("svc", Load{Queued: 100, At: time.Unix(1000, 0)})
 	reg.ReportLoad("m1", Load{Queued: 0, At: time.Unix(1000, 0)})
-	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{Seed: 1})
+	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{Picker: loadbal.NewP2C(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +299,8 @@ func TestBalancerMembershipChurnDuringPick(t *testing.T) {
 	now := time.Unix(1000, 0)
 	valid := map[string]bool{"svc": true, "m1": true, "m2": true, "m3": true, "m4": true}
 	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Seed: 7,
-		Now:  func() time.Time { return now },
+		Picker: loadbal.NewP2C(7),
+		Now:    func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -354,8 +356,8 @@ func TestBalancerPickZeroAllocs(t *testing.T) {
 		reg.ReportLoad(fmt.Sprintf("m%d", i), Load{Queued: i, At: now})
 	}
 	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Seed: 3,
-		Now:  func() time.Time { return now },
+		Picker: loadbal.NewP2C(3),
+		Now:    func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,8 +378,8 @@ func BenchmarkBalancerPick(b *testing.B) {
 		reg.ReportLoad(fmt.Sprintf("m%d", i), Load{Queued: i, At: now})
 	}
 	bal, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Seed: 3,
-		Now:  func() time.Time { return now },
+		Picker: loadbal.NewP2C(3),
+		Now:    func() time.Time { return now },
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -387,5 +389,183 @@ func BenchmarkBalancerPick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = bal.Pick()
+	}
+}
+
+// closeFake is a backend connection that counts its closes. When parked
+// is set its Infer signals there, waits until the connection is closed and
+// then fails as a closed msgq connection does.
+type closeFake struct {
+	addr   string
+	parked chan<- struct{}
+	shut   chan struct{} // closed by the first Close
+	closes atomic.Int32
+}
+
+func (f *closeFake) Infer(context.Context, string, int) (proto.InferenceReply, metrics.Breakdown, error) {
+	if f.parked != nil {
+		f.parked <- struct{}{}
+		<-f.shut
+		return proto.InferenceReply{}, metrics.Breakdown{}, fmt.Errorf("%w: %s", msgq.ErrClosed, f.addr)
+	}
+	return proto.InferenceReply{ServiceUID: "svc", Text: f.addr}, metrics.Breakdown{}, nil
+}
+
+func (f *closeFake) Close() error {
+	if f.closes.Add(1) == 1 {
+		close(f.shut)
+	}
+	return nil
+}
+
+// awaiters counts the callers parked in AwaitNewer on uid.
+func awaiters(reg *EndpointRegistry, uid string) int {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	if e := reg.entries[uid]; e != nil {
+		return len(e.waiters)
+	}
+	return 0
+}
+
+// TestBalancerCloseVsInferSingleWinner: Close ends every Infer it races —
+// one whose request is in flight, one waiting for the UID's first
+// publication, one whose first dial lands after Close — within a guard,
+// and every connection dialled is closed exactly once, by Close or by the
+// Infer that finds the balancer closed.
+func TestBalancerCloseVsInferSingleWinner(t *testing.T) {
+	const guard = 2 * time.Second
+	for _, tc := range []struct {
+		name   string
+		dials  int  // 0: the UID is never published
+		inCall bool // the dialled connection parks its request until closed
+	}{
+		{name: "in-flight", dials: 1, inCall: true},
+		{name: "first-publication"},
+		{name: "first-dial", dials: 1}, // the dial returns only after Close
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewEndpointRegistry()
+			if tc.dials > 0 {
+				reg.Publish(ep("svc", "addr-svc"))
+			}
+			var mu sync.Mutex
+			var dialled []*closeFake
+			ready, gate := make(chan struct{}, 1), make(chan struct{})
+			dial := func(e proto.Endpoint) (Caller, error) {
+				f := &closeFake{addr: e.Address, shut: make(chan struct{})}
+				mu.Lock()
+				dialled = append(dialled, f)
+				mu.Unlock()
+				if tc.inCall {
+					f.parked = ready
+				} else {
+					ready <- struct{}{}
+					<-gate
+				}
+				return f, nil
+			}
+			b, err := NewBalancer(reg, "svc", dial, BalancerOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := b.Infer(context.Background(), "x", 0)
+				done <- err
+			}()
+			if tc.dials > 0 {
+				<-ready
+			} else {
+				for awaiters(reg, "svc") == 0 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			_ = b.Close()
+			close(gate)
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("Infer succeeded across Close")
+				}
+			case <-time.After(guard):
+				t.Fatalf("Infer still parked %v after Close", guard)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(dialled) != tc.dials {
+				t.Fatalf("dialled %d connections, want %d", len(dialled), tc.dials)
+			}
+			for i, f := range dialled {
+				if n := f.closes.Load(); n != 1 {
+					t.Fatalf("connection %d closed %d times, want exactly once", i, n)
+				}
+			}
+		})
+	}
+}
+
+// TestBalancerMemberFailoverRetriesSameMember: a request picked for a
+// replica member whose address dies is retried on that member once it is
+// re-published, answered by the new endpoint, and never moves to (or
+// redials) the base.
+func TestBalancerMemberFailoverRetriesSameMember(t *testing.T) {
+	reg := balReg(1)
+	var dead atomic.Value
+	dead.Store("")
+	var mu sync.Mutex
+	dials := map[string]int{}
+	dial := func(e proto.Endpoint) (Caller, error) {
+		mu.Lock()
+		dials[e.Address]++
+		mu.Unlock()
+		return &fakeCaller{uid: e.ServiceUID, addr: e.Address, dead: &dead}, nil
+	}
+	b, err := NewBalancer(reg, "svc", dial, BalancerOptions{Picker: loadbal.NewRoundRobin()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	ctx := context.Background()
+	for i := 0; i < 2; i++ { // warm svc, then m1
+		if _, _, err := b.Infer(ctx, "x", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dead.Store("addr-m1")
+	type answer struct {
+		reply proto.InferenceReply
+		err   error
+	}
+	answers := make(chan answer, 2)
+	go func() {
+		for i := 0; i < 2; i++ { // svc, then m1
+			reply, _, err := b.Infer(ctx, "x", 0)
+			answers <- answer{reply, err}
+		}
+	}()
+	if a := <-answers; a.err != nil || a.reply.ServiceUID != "svc" {
+		t.Fatalf("base request = %+v, %v", a.reply, a.err)
+	}
+	for awaiters(reg, "m1") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	reg.Publish(ep("m1", "addr-m1-new"))
+	select {
+	case a := <-answers:
+		if a.err != nil || a.reply.ServiceUID != "m1" || a.reply.Text != "addr-m1-new" {
+			t.Fatalf("failed-over request = %+v, %v; want the new m1", a.reply, a.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("member request never failed over")
+	}
+	if n := b.Reresolved(); n != 1 {
+		t.Fatalf("Reresolved = %d, want 1", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := map[string]int{"addr-svc": 1, "addr-m1": 1, "addr-m1-new": 1}; fmt.Sprint(dials) != fmt.Sprint(want) {
+		t.Fatalf("dials = %v, want %v", dials, want)
 	}
 }

@@ -15,8 +15,9 @@ import (
 	"repro/internal/simtime"
 )
 
-// Caller is the client-side inference interface, satisfied by Client,
-// restapi.Caller, the Resolver and the Balancer. Client tasks
+// Caller is the client-side inference interface, satisfied by the
+// package's two client types (Client, bound to one endpoint, and
+// Balancer, bound to a service UID) and by restapi.Caller. Client tasks
 // program against Caller, so local and remote model instances are
 // interchangeable — the interoperability §III requires.
 type Caller interface {

@@ -763,7 +763,11 @@ func TestCancellationDeterministicOnVirtualClock(t *testing.T) {
 			}
 		})
 		wg.Wait()
-		s.Drain() // the worker finishes the abandoned leftovers
+		// The worker finishes the abandoned leftovers. Drain parks on the
+		// clock's books, so its caller holds a runner while it waits.
+		clock.AddRunner()
+		s.Drain()
+		clock.DoneRunner()
 		return done.Load(), ctxErr.Load(), clock.Now()
 	}
 	c1, x1, e1 := run()
