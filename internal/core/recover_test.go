@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/pilot"
+	"repro/internal/platform"
 	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/service"
@@ -318,7 +319,12 @@ func TestRecoverFencesStaleIncarnation(t *testing.T) {
 	}
 }
 
-func TestRecoverDedupServesRedeliveredRequestOnce(t *testing.T) {
+// TestRecoveredClientGetsItsOwnReply: a client asks the service one
+// question, the session dies and recovers, and a new client at the same
+// address asks another. Both clients number their requests from 1, so the
+// two requests share a request UID; the service executes the second, and
+// its client gets the reply to its own question.
+func TestRecoveredClientGetsItsOwnReply(t *testing.T) {
 	s, jp := newJournaledSession(t, 19)
 	submitAttachedPilot(t, s)
 	svc, err := s.ServiceManager().Submit(spec.ServiceDescription{
@@ -334,6 +340,21 @@ func TestRecoverDedupServesRedeliveredRequestOnce(t *testing.T) {
 	if err := svc.WaitReady(ctx); err != nil {
 		t.Fatal(err)
 	}
+	addr := platform.Addr("delta", "", "client.0")
+	ask := func(s *Session, prompt string, maxTokens int) proto.InferenceReply {
+		t.Helper()
+		cl, err := s.DialService(addr, svc.UID(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		reply, _, err := cl.Infer(ctx, prompt, maxTokens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	before := ask(s, "what genes respond to radiation", 64)
 	s.Abandon()
 
 	s2, _, err := Recover(jp, RecoverConfig{})
@@ -345,51 +366,23 @@ func TestRecoverDedupServesRedeliveredRequestOnce(t *testing.T) {
 	if err := rsvc.WaitReady(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ep, _, ok := s2.EndpointRegistry().Resolve(svc.UID())
-	if !ok {
+	if _, _, ok := s2.EndpointRegistry().Resolve(svc.UID()); !ok {
 		t.Fatal("service not resolvable after recovery")
 	}
 
-	// A client that lost its reply redelivers the same request UID after
-	// the crash; the service must execute it exactly once.
-	conn, err := s2.Network().Dial("client.0", ep.Address)
-	if err != nil {
-		t.Fatal(err)
+	after := ask(s2, "summarize", 3)
+	if after.RequestUID != before.RequestUID {
+		t.Fatalf("request UIDs %s and %s differ; the test needs them equal", before.RequestUID, after.RequestUID)
 	}
-	req := proto.InferenceRequest{
-		RequestUID: "client.0.req.000001",
-		ClientUID:  "client.0",
-		Model:      ep.Model,
-		Prompt:     "hello",
-		MaxTokens:  16,
-		SentAt:     s2.Clock().Now(),
+	if before.OutputTokens <= 3 {
+		t.Fatalf("pre-crash reply: %d output tokens, want more than the limit of 3", before.OutputTokens)
 	}
-	send := func() proto.InferenceReply {
-		env, err := proto.NewEnvelope(proto.KindRequest, 1, "client.0", ep.ServiceUID, s2.Clock().Now(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := conn.Request(ctx, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var reply proto.InferenceReply
-		if err := out.Decode(proto.KindReply, &reply); err != nil {
-			t.Fatal(err)
-		}
-		return reply
+	if after.OutputTokens < 1 || after.OutputTokens > 3 || after.Text == before.Text {
+		t.Fatalf("post-recovery reply: %d tokens %q, want its own of at most 3 (pre-crash: %d tokens %q)",
+			after.OutputTokens, after.Text, before.OutputTokens, before.Text)
 	}
-	first := send()
-	second := send()
-	inst := rsvc.Instance()
-	if got := inst.Processed(); got != 1 {
-		t.Fatalf("processed = %d, want exactly 1", got)
-	}
-	if got := inst.Deduped(); got != 1 {
-		t.Fatalf("deduped = %d, want 1", got)
-	}
-	if first.Timing != second.Timing {
-		t.Fatalf("redelivered reply differs: %+v vs %+v", first.Timing, second.Timing)
+	if got := rsvc.Instance().Processed(); got != 2 {
+		t.Fatalf("processed = %d, want 2", got)
 	}
 }
 

@@ -81,6 +81,36 @@ func TestCallerConcurrentInfer(t *testing.T) {
 	}
 }
 
+// TestCallersGetTheirOwnReplies gives two Callers of one gateway
+// different prompts. Each numbers its requests from 1, so their first
+// requests share a request ID; the server executes both, and each Caller
+// gets the reply to its own prompt.
+func TestCallersGetTheirOwnReplies(t *testing.T) {
+	g, srv := newGateway(t, "llama-8b")
+	a, b := newCaller(t, g), newCaller(t, g)
+	ra, _, err := a.Infer(context.Background(), "what genes respond to radiation", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, _, err := b.Infer(context.Background(), "summarize", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.RequestUID != rb.RequestUID {
+		t.Fatalf("request IDs %s and %s differ; the test needs them equal", ra.RequestUID, rb.RequestUID)
+	}
+	if ra.OutputTokens <= 4 {
+		t.Fatalf("caller A: %d output tokens, want more than B's limit of 4", ra.OutputTokens)
+	}
+	if rb.OutputTokens < 1 || rb.OutputTokens > 4 || rb.Text == ra.Text {
+		t.Fatalf("caller B got %d tokens %q, want its own reply of at most 4 (A's: %d tokens %q)",
+			rb.OutputTokens, rb.Text, ra.OutputTokens, ra.Text)
+	}
+	if got := srv.Processed(); got != 2 {
+		t.Fatalf("processed = %d, want 2", got)
+	}
+}
+
 func TestCallerErrorPropagation(t *testing.T) {
 	g, srv := newGateway(t, "noop")
 	srv.Stop()

@@ -129,11 +129,12 @@ func NewResolver(reg *EndpointRegistry, uid string, dial DialFn, retries int) (*
 // member and blocks for its reply. The happy path costs one registry
 // generation check over a plain Caller; on an endpoint failure it parks
 // in AwaitNewer until the failover re-publication lands (bounded by ctx,
-// Close and the retry budget) and retries the same request against the
-// member's new endpoint. Application-level errors from a live,
-// current-generation service (a full queue, a model error) surface
-// immediately — they are the service answering, not the endpoint dying,
-// and no re-publication would change the outcome.
+// Close and the retry budget) and re-sends the prompt as a new request to
+// the member's new endpoint. A request that failed mid-flight on a dying
+// instance may therefore run on both instances. Application-level errors
+// from a live, current-generation service (a full queue, a model error)
+// surface immediately — they are the service answering, not the endpoint
+// dying, and no re-publication would change the outcome.
 func (b *Balancer) Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
 	uid := b.Pick()
 	m := b.member(uid)

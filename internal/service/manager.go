@@ -221,19 +221,6 @@ func (s *Instance) Processed() int64 {
 	return srv.Processed()
 }
 
-// Deduped returns the number of requests the instance's server answered
-// from its completed-request memory instead of re-executing (0 when not
-// active).
-func (s *Instance) Deduped() int64 {
-	s.mu.Lock()
-	srv := s.server
-	s.mu.Unlock()
-	if srv == nil {
-		return 0
-	}
-	return srv.Deduped()
-}
-
 // Kill simulates a service process crash: the backend stops answering, and
 // the liveness probe marks the service FAILED two probe intervals later.
 // Used by failure injection tests.

@@ -103,20 +103,6 @@ type Config struct {
 	ParseOverhead rng.DurationDist
 }
 
-// dedupWindow caps the number of completed request UIDs remembered for
-// idempotent redelivery: a request whose UID matches a remembered
-// completion is answered from the cache instead of re-executed, making
-// resolver park-and-retry safe for non-idempotent backends.
-//
-// Scope: the memory is per server instance. Retries that land on the
-// same surviving instance (lost reply, suspend/resume of its
-// registration) dedup; after a failover re-placement the replacement
-// starts with empty memory, so a request that completed on the dead
-// instance re-executes there — at-most-once per instance, not
-// exactly-once across instances. A retry racing a still-in-flight
-// first attempt also re-executes: only completions are remembered.
-const dedupWindow = 1024
-
 // Server is one model-serving process.
 //
 // The request queue is an explicit FIFO under s.mu rather than a Go
@@ -158,24 +144,6 @@ type Server struct {
 	inflight  atomic.Int64
 	processed atomic.Int64
 	rejected  atomic.Int64
-	deduped   atomic.Int64
-
-	// dedupMu guards the completed-request memory (separate from s.mu:
-	// remember() runs on the worker goroutine while Submit holds s.mu).
-	// Replies live in a fixed-size FIFO ring and the map holds only ring
-	// indices: a reply struct is too large for direct map storage, so a
-	// map[string]reply would box every insert — and the round-trip alloc
-	// budget is pinned by a benchmark.
-	dedupMu   sync.Mutex
-	dedupDone map[string]int
-	dedupRing []dedupEntry
-	dedupNext int
-}
-
-// dedupEntry is one remembered completion in the dedup ring.
-type dedupEntry struct {
-	uid   string
-	reply proto.InferenceReply
 }
 
 type job struct {
@@ -224,11 +192,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ParseOverhead.IsZero() {
 		cfg.ParseOverhead = rng.NormalDuration(30*time.Microsecond, 10*time.Microsecond)
 	}
-	return &Server{
-		cfg:       cfg,
-		dedupDone: make(map[string]int, dedupWindow),
-		dedupRing: make([]dedupEntry, dedupWindow),
-	}, nil
+	return &Server{cfg: cfg}, nil
 }
 
 // UID returns the server's identifier.
@@ -305,43 +269,10 @@ func (s *Server) Processed() int64 { return s.processed.Load() }
 // Rejected returns the number of rejected requests.
 func (s *Server) Rejected() int64 { return s.rejected.Load() }
 
-// Deduped returns the number of requests answered from the completed-
-// request memory instead of re-executed.
-func (s *Server) Deduped() int64 { return s.deduped.Load() }
-
-// lookupDedup returns the remembered reply for a completed request UID.
-func (s *Server) lookupDedup(uid string) (proto.InferenceReply, bool) {
-	if uid == "" {
-		return proto.InferenceReply{}, false
-	}
-	s.dedupMu.Lock()
-	defer s.dedupMu.Unlock()
-	if idx, ok := s.dedupDone[uid]; ok {
-		return s.dedupRing[idx].reply, true
-	}
-	return proto.InferenceReply{}, false
-}
-
-// remember records a completed request for idempotent redelivery, evicting
-// the oldest entry past the window.
-func (s *Server) remember(uid string, reply proto.InferenceReply) {
-	if uid == "" {
-		return
-	}
-	s.dedupMu.Lock()
-	if idx, exists := s.dedupDone[uid]; exists {
-		s.dedupRing[idx].reply = reply
-	} else {
-		slot := &s.dedupRing[s.dedupNext]
-		if slot.uid != "" {
-			delete(s.dedupDone, slot.uid)
-		}
-		slot.uid, slot.reply = uid, reply
-		s.dedupDone[uid] = s.dedupNext
-		s.dedupNext = (s.dedupNext + 1) % len(s.dedupRing)
-	}
-	s.dedupMu.Unlock()
-}
+// Deduped returns 0: a server executes every request it accepts, and a
+// request UID only labels its reply. Its only reader is bench/rpbench,
+// which is why it remains.
+func (s *Server) Deduped() int64 { return 0 }
 
 // worker is one dispatcher loop: each time it frees up it takes whatever
 // compatible requests are queued (up to MaxBatch) and serves them as one
@@ -527,7 +458,6 @@ func (s *Server) serve(batch []*job) {
 				RepliedAt:    replied,
 			},
 		}
-		s.remember(j.req.RequestUID, j.reply)
 	}
 }
 
@@ -564,28 +494,13 @@ func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.
 		rejection = ErrDraining
 	case !s.ready:
 		rejection = ErrNotReady
-	}
-	if rejection == nil {
-		// Idempotent redelivery: a request UID already served to
-		// completion is answered from memory — the client's first attempt
-		// raced a failover or a lost reply, and re-executing it would
-		// double-apply a non-idempotent backend. Checked after the state
-		// gate so a stopped server still rejects everything.
-		if reply, ok := s.lookupDedup(req.RequestUID); ok {
-			s.mu.Unlock()
-			s.deduped.Add(1)
-			j.recycle()
-			return reply, nil
-		}
-		switch {
-		case ctx.Done() == nil && s.waiters.len() > 0:
-			idle = s.waiters.pop()
-			s.inflight.Add(1)
-		case s.enqueueLocked(j):
-			s.queued.Add(1)
-		default:
-			rejection = ErrQueueFull
-		}
+	case ctx.Done() == nil && s.waiters.len() > 0:
+		idle = s.waiters.pop()
+		s.inflight.Add(1)
+	case s.enqueueLocked(j):
+		s.queued.Add(1)
+	default:
+		rejection = ErrQueueFull
 	}
 	s.mu.Unlock()
 

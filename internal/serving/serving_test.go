@@ -411,63 +411,46 @@ func TestStartAfterStop(t *testing.T) {
 	}
 }
 
-func TestDedupServesRedeliveryExactlyOnce(t *testing.T) {
-	s := newServer(t, "noop", 1)
-	start(t, s)
-	defer s.Stop()
-
-	first, err := s.Submit(context.Background(), req("dup-1", "p", 8))
-	if err != nil {
-		t.Fatalf("first submit: %v", err)
-	}
-	// Redelivery of the same request UID (a resolver retry after a lost
-	// reply) must answer from memory, not re-execute.
-	second, err := s.Submit(context.Background(), req("dup-1", "p", 8))
-	if err != nil {
-		t.Fatalf("redelivery: %v", err)
-	}
-	if s.Processed() != 1 {
-		t.Fatalf("Processed = %d, want exactly 1 execution", s.Processed())
-	}
-	if s.Deduped() != 1 {
-		t.Fatalf("Deduped = %d, want 1", s.Deduped())
-	}
-	if second.RequestUID != first.RequestUID || second.Text != first.Text ||
-		second.Timing != first.Timing {
-		t.Fatalf("cached reply differs: %+v vs %+v", second, first)
-	}
-	// A fresh UID still executes.
-	if _, err := s.Submit(context.Background(), req("dup-2", "p", 8)); err != nil {
-		t.Fatalf("fresh submit: %v", err)
-	}
-	if s.Processed() != 2 || s.Deduped() != 1 {
-		t.Fatalf("after fresh UID: processed=%d deduped=%d", s.Processed(), s.Deduped())
-	}
-}
-
-// TestDedupEviction: the completed-request memory holds the last
-// dedupWindow UIDs, so after dedupWindow+1 distinct requests the first
-// re-executes and the last is answered from memory.
-func TestDedupEviction(t *testing.T) {
-	s := newServer(t, "noop", 1)
-	start(t, s)
-	uid := func(i int) string { return fmt.Sprintf("r%d", i) }
-	for i := 0; i <= dedupWindow; i++ {
-		if _, err := s.Submit(context.Background(), req(uid(i), "p", 8)); err != nil {
-			t.Fatalf("submit %s: %v", uid(i), err)
-		}
-	}
-	if _, err := s.Submit(context.Background(), req(uid(0), "p", 8)); err != nil {
-		t.Fatalf("resubmit evicted: %v", err)
-	}
-	if s.Processed() != dedupWindow+2 || s.Deduped() != 0 {
-		t.Fatalf("evicted UID deduped: processed=%d deduped=%d", s.Processed(), s.Deduped())
-	}
-	if _, err := s.Submit(context.Background(), req(uid(dedupWindow), "p", 8)); err != nil {
-		t.Fatalf("resubmit remembered: %v", err)
-	}
-	if s.Processed() != dedupWindow+2 || s.Deduped() != 1 {
-		t.Fatalf("remembered UID not deduped: processed=%d deduped=%d", s.Processed(), s.Deduped())
+// TestRequestUIDIsALabel: two requests that share a request UID are each
+// executed, and each reply answers its own prompt, whether the request is
+// submitted on a plain or on a cancellable ctx.
+func TestRequestUIDIsALabel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+	}{
+		{"plain", func() (context.Context, context.CancelFunc) { return context.Background(), func() {} }},
+		{"cancellable", func() (context.Context, context.CancelFunc) { return context.WithCancel(context.Background()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t, "llama-8b", 1)
+			start(t, s)
+			submit := func(prompt string, maxTokens int) proto.InferenceReply {
+				t.Helper()
+				ctx, cancel := tc.ctx()
+				defer cancel()
+				reply, err := s.Submit(ctx, req("same-1", prompt, maxTokens))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return reply
+			}
+			first := submit("what genes respond to radiation", 64)
+			second := submit("summarize", 4)
+			if first.RequestUID != "same-1" || second.RequestUID != "same-1" {
+				t.Fatalf("request UIDs %q and %q, want both echoed as same-1", first.RequestUID, second.RequestUID)
+			}
+			if first.OutputTokens <= 4 {
+				t.Fatalf("first reply: %d output tokens, want more than the second's limit of 4", first.OutputTokens)
+			}
+			if second.OutputTokens < 1 || second.OutputTokens > 4 || second.Text == first.Text {
+				t.Fatalf("second reply: %d tokens %q, want its own of at most 4 (first: %d tokens %q)",
+					second.OutputTokens, second.Text, first.OutputTokens, first.Text)
+			}
+			if s.Processed() != 2 || s.Deduped() != 0 {
+				t.Fatalf("processed=%d deduped=%d, want 2 and 0", s.Processed(), s.Deduped())
+			}
+		})
 	}
 }
 
