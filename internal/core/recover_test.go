@@ -490,11 +490,11 @@ func TestRecoverErrorsWithoutJournal(t *testing.T) {
 	}
 }
 
-// TestSessionCloseSettlesReplacementRace pins the Close-vs-watcher race:
+// TestSessionCloseSettlesRacingReplacement pins the Close-vs-watcher race:
 // a service watcher that observes its pilot dying during session close
 // must settle the handle with ErrSessionClosed instead of re-placing the
 // service onto a pilot the session is about to tear down.
-func TestSessionCloseSettlesReplacementRace(t *testing.T) {
+func TestSessionCloseSettlesRacingReplacement(t *testing.T) {
 	s := newSession(t, 100000)
 	p1, err := s.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Cores: 128, GPUs: 8})
 	if err != nil {

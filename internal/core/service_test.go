@@ -273,12 +273,12 @@ func TestServiceFailoverNoSurvivorFails(t *testing.T) {
 	}
 }
 
-// TestServiceFailoverHooksSingleWinner: a pilot shutdown that races its
+// TestServiceFailoverHooksSingleWinnerRace: a pilot shutdown that races its
 // service's bootstrap reaches the failover decision twice — from the
 // shutdown (the instance it terminates, or the pilot's own end) and from the
 // bootstrap failing on its own goroutine — and exactly one of them re-places
 // the service, once, on the survivor.
-func TestServiceFailoverHooksSingleWinner(t *testing.T) {
+func TestServiceFailoverHooksSingleWinnerRace(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s := newSession(t, 100000)
 		sm := s.ServiceManager()
@@ -583,13 +583,13 @@ func TestServiceTerminateWithdrawsRegistry(t *testing.T) {
 	}
 }
 
-// TestWaitsParkTheirCaller: on the auto-advancing clock, with an hour-long
+// TestWaitsParkTheirCallerRace: on the auto-advancing clock, with an hour-long
 // sleeper pending, a registered goroutine calls each readiness and
 // completion wait of the runtime with no runner bracket around it. Each parks
 // its caller and returns at the instant its llama-8b service turned ACTIVE
 // or its task was DONE. A wait that did not park would hold the clock until
 // its ctx ran out; one woken without its token would read the sleeper's hour.
-func TestWaitsParkTheirCaller(t *testing.T) {
+func TestWaitsParkTheirCallerRace(t *testing.T) {
 	clock := simtime.NewVirtualAuto(DefaultOrigin)
 	errc := make(chan error, 1)
 	clock.Go(func() { errc <- waitsParkTheirCaller(clock) })

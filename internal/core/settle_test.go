@@ -39,12 +39,12 @@ func gatedDescs(n int, started chan<- struct{}, release <-chan struct{}) []spec.
 	return descs
 }
 
-// TestTaskSettleSingleWinnerAfterJournal: a task is settled by its pilot's
+// TestTaskSettleSingleWinnerAfterJournalRace: a task is settled by its pilot's
 // completion hook, which runs after the Updater has journaled the final
 // transition. So the moment Wait returns the journal holds all eight records
 // of every task (and the seven of the session and its two pilots), with
 // nothing to poll for, and every task was settled once, where it was placed.
-func TestTaskSettleSingleWinnerAfterJournal(t *testing.T) {
+func TestTaskSettleSingleWinnerAfterJournalRace(t *testing.T) {
 	const n = 400
 	s, err := NewSession(SessionConfig{
 		Seed:              7,
@@ -162,11 +162,11 @@ func TestTaskSettleHookSeesDoneRecord(t *testing.T) {
 	}
 }
 
-// TestShutdownReroutesQueuedSingleWinner: a pilot that shuts down with 200
+// TestShutdownReroutesQueuedSingleWinnerRace: a pilot that shuts down with 200
 // unpinned tasks queued behind a holder hands every one of them to the
 // session exactly once, through its completion hook and on the task's own
 // goroutine; each lands on the surviving pilot and finishes there.
-func TestShutdownReroutesQueuedSingleWinner(t *testing.T) {
+func TestShutdownReroutesQueuedSingleWinnerRace(t *testing.T) {
 	const n = 200
 	s := newSession(t, 100000)
 	tm := s.TaskManager()

@@ -228,7 +228,7 @@ func TestWarmStandbyPromotionVsConcurrentClose(t *testing.T) {
 	}
 }
 
-// TestStandbyRefillSingleOwner pins who refills a drained standby pool: the
+// TestStandbyRefillSingleOwnerRace pins who refills a drained standby pool: the
 // autoscale tick alone. fillStandbys computes the deficit under h.mu and
 // spawns outside it, so when a promotion also refilled (on a goroutine of
 // its own) the two owners could both see deficit 1 and the pool held two
@@ -237,7 +237,7 @@ func TestWarmStandbyPromotionVsConcurrentClose(t *testing.T) {
 // longer than any goroutine the promotion could have started needs to run —
 // the pool must still be empty with no second standby ever named; the one
 // tick the test then runs by hand refills it to exactly one.
-func TestStandbyRefillSingleOwner(t *testing.T) {
+func TestStandbyRefillSingleOwnerRace(t *testing.T) {
 	s := newSession(t, 1000)
 	sm := s.ServiceManager()
 	var pilots [2]*pilot.Pilot

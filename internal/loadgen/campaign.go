@@ -66,11 +66,13 @@ type Result struct {
 // of the scenario seed; the virtual clock advances only when every
 // registered campaign goroutine is parked, so request interleaving — and
 // with it every count and latency — replays exactly across runs. The
-// driver, the per-request goroutines and the churn controller register
-// with the clock; requests use non-cancellable contexts so the whole
-// REQ/REP round trip runs inline on the accounted goroutine, and so does
-// the service side when the request finds its server idle (serving.Server
-// serves it on the caller, in the parked worker's place).
+// arrivals are served by a crew of goroutines (see drive), which hold
+// runner tokens while they lead or serve a request, and the churn
+// controller registers with the clock too; requests use non-cancellable
+// contexts so the whole REQ/REP round trip runs inline on the accounted
+// goroutine, and so does the service side when the request finds its
+// server idle (serving.Server serves it on the caller, in the parked
+// worker's place).
 func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
@@ -100,7 +102,7 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	}
 	// A hotspot turns service 0's client into a load-aware Balancer over
 	// the whole fleet: the registry group under service 0 lists the other
-	// services as members, and the driver publishes load reports each
+	// services as members, and the leader publishes load reports each
 	// arrival so the picker can steer the skewed mass away from the direct
 	// background traffic.
 	balanced := sc.Kind == KindHotspot && sc.Services > 1
@@ -141,27 +143,26 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		balanced:  balanced,
 		t0:        clock.Now(),
 		bg:        context.Background(),
+		arr:       sc.arrivals(sc.Seed),
+		targets:   rng.New(sc.Seed).Derive("targets"),
+		ended:     make(chan struct{}),
 	}
 	c.series = metrics.NewIntervalSeries(c.t0, sc.Interval, metrics.DefaultSketchAlpha)
 	c.maxDone = c.t0
 
-	// Hold the clock until the driver is registered too: the churn
+	// Hold the clock until the first arrival is on it too: the churn
 	// controller's sleep alone would let time jump by ChurnAt before the
 	// first arrival.
 	clock.AddRunner()
+	c.drive(ctx)
 	churnDone := c.startChurn(ctx)
-	driverDone := make(chan struct{})
-	clock.Go(func() {
-		defer close(driverDone)
-		c.drive(ctx)
-	})
 	clock.DoneRunner()
 	select {
-	case <-driverDone:
+	case <-c.ended:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	c.inflight.Wait()
+	c.crew.Wait()
 	if churnDone != nil {
 		select {
 		case <-churnDone:
@@ -207,8 +208,8 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	return res, nil
 }
 
-// campaign is the mutable state shared by the driver, the per-request
-// goroutines and the churn controller.
+// campaign is the mutable state shared by the crew that serves the
+// arrivals and the churn controller.
 type campaign struct {
 	sc        Scenario
 	sess      *core.Session
@@ -232,9 +233,26 @@ type campaign struct {
 
 	churnErr error
 
-	// inflight counts the requests drive handed to a runner and Run waits
-	// for: drive itself returns when the arrival schedule ends.
-	inflight sync.WaitGroup
+	// arr and targets are the arrival schedule, read only by the crew
+	// member that leads.
+	arr     Arrivals
+	targets *rng.Source
+
+	crewMu sync.Mutex // guards idle, and closing ended
+	// idle holds the crew members parked on their alarms, the most recently
+	// parked last.
+	idle []*follower
+	// ended is closed at the schedule's last arrival.
+	ended chan struct{}
+	// crew counts the live crew members; Run waits for the last of them.
+	crew sync.WaitGroup
+}
+
+// follower is one member of the crew: a goroutine that parks on its alarm
+// while idle and leads the schedule from arrival idx when the alarm fires.
+type follower struct {
+	alarm *simtime.Alarm
+	idx   int // written by the leader that sets alarm
 }
 
 // startPilots submits the campaign pilots (two for churn — one to kill,
@@ -304,71 +322,135 @@ func startBackends(ctx context.Context, sess *core.Session, sc Scenario) ([]*cor
 	return handles, nil
 }
 
-// drive runs the open-loop arrival schedule on a clock-registered
-// goroutine: sleep the next gap, stamp the arrival, hand the request to a
-// request runner, repeat. It returns when the schedule ends; Run, which is
-// not registered with the clock, waits for the requests still in flight
-// (c.inflight).
+// drive starts the open-loop arrival schedule: it sets a crew member's
+// alarm for the first arrival. The caller holds the clock.
 //
-// drive owns the request runners. A runner lives as long as the campaign
-// and keeps the stack its first request grew; between requests it parks,
-// unregistered, on the unbuffered jobs channel. The driver takes the
-// runner token before the hand-off (register-before-spawn, as clock.Go
-// does) and starts a new runner only when none is parked, so how many
-// exist depends on host scheduling while no count, sample or timestamp
-// does. Closing jobs after the last request stops them all.
+// The arrivals are served by a crew of goroutines in the Leader/Followers
+// pattern: the member whose alarm fires for an arrival serves it itself
+// (lead), and hands the schedule on only when its request outlasts the gap
+// to the next arrival. Idle members park on their alarms off the clock's
+// books and keep the stacks their requests grew. How many members a
+// campaign starts depends on how its requests overlap; no count, sample or
+// timestamp depends on the host.
 func (c *campaign) drive(ctx context.Context) {
-	arr := c.sc.arrivals(c.sc.Seed)
-	targets := rng.New(c.sc.Seed).Derive("targets")
-	type job struct{ idx, svc int }
-	jobs := make(chan job)
-	defer close(jobs)
-	runner := func(j job) {
-		for ok := true; ok; j, ok = <-jobs {
-			c.request(j.idx, j.svc)
-			c.inflight.Done()
-			c.clock.DoneRunner()
-		}
+	gap, ok := c.arr.Next()
+	if !ok {
+		c.end()
+		return
 	}
-	for i := 0; ; i++ {
-		gap, ok := arr.Next()
-		if !ok {
-			break
-		}
-		if gap > 0 {
-			c.clock.Sleep(gap)
-		}
-		now := c.clock.Now()
-		if c.balanced {
-			c.reportLoads(now)
-		}
-		svc := c.pickTarget(i, targets)
-		c.offered.Add(1)
-		depth := c.outstanding.Add(1)
-		c.mu.Lock()
-		c.series.Offered(now)
-		c.series.ObserveQueue(now, depth)
-		c.mu.Unlock()
+	c.setFollower(ctx, 0, gap)
+}
 
-		j := job{i, svc}
-		c.inflight.Add(1)
-		c.clock.AddRunner()
-		select {
-		case jobs <- j:
-		default:
-			go runner(j)
+// lead runs the schedule from arrival i on a registered goroutine. At each
+// arrival it stamps the arrival, draws the gap to the next one, sets an idle
+// member's alarm for it and serves the request itself. A request done before
+// the next arrival takes the alarm back and sleeps to the arrival, so the
+// next one costs no goroutine switch; one that is not has been overtaken by
+// the follower, and lead returns. It also returns at the last arrival, once
+// its request is done.
+func (c *campaign) lead(ctx context.Context, i int) {
+	for ; ; i++ {
+		svc := c.arrive(ctx, i)
+		gap, ok := c.arr.Next()
+		if !ok {
+			c.end()
+			c.request(i, svc)
+			return
 		}
-		if c.sc.TaskEvery > 0 && i%c.sc.TaskEvery == 0 {
-			c.submitTask(ctx, i)
+		next := c.clock.Now().Add(gap)
+		f, ticket := c.setFollower(ctx, i+1, gap)
+		c.request(i, svc)
+		if !f.alarm.Cancel(ticket) {
+			return // f leads from i+1
+		}
+		c.rejoin(f)
+		c.clock.Sleep(next.Sub(c.clock.Now()))
+	}
+}
+
+// arrive stamps the i-th arrival, submits its side-channel task when one is
+// due and returns the backend its request goes to.
+func (c *campaign) arrive(ctx context.Context, i int) int {
+	now := c.clock.Now()
+	if c.balanced {
+		c.reportLoads(now)
+	}
+	svc := c.pickTarget(i)
+	c.offered.Add(1)
+	depth := c.outstanding.Add(1)
+	c.mu.Lock()
+	c.series.Offered(now)
+	c.series.ObserveQueue(now, depth)
+	c.mu.Unlock()
+	if c.sc.TaskEvery > 0 && i%c.sc.TaskEvery == 0 {
+		c.submitTask(ctx, i)
+	}
+	return svc
+}
+
+// setFollower sets an idle crew member's alarm, or a new member's, to lead
+// from arrival i in gap, and returns the member and the arming's ticket.
+func (c *campaign) setFollower(ctx context.Context, i int, gap time.Duration) (*follower, uint64) {
+	c.crewMu.Lock()
+	var f *follower
+	if n := len(c.idle); n > 0 {
+		f, c.idle = c.idle[n-1], c.idle[:n-1]
+	}
+	c.crewMu.Unlock()
+	if f == nil {
+		f = &follower{alarm: c.clock.NewAlarm()}
+		c.crew.Add(1)
+		go c.follow(ctx, f)
+	}
+	f.idx = i
+	return f, f.alarm.Set(gap)
+}
+
+// follow is a crew member's life: park on its alarm, lead from the arrival
+// the alarm fires for, rejoin the idle members, until the schedule ends.
+func (c *campaign) follow(ctx context.Context, f *follower) {
+	defer c.crew.Done()
+	for f.alarm.Wait() {
+		c.lead(ctx, f.idx)
+		idle := c.rejoin(f)
+		c.clock.DoneRunner() // the token the alarm's fire handed over
+		if !idle {
+			return
 		}
 	}
 }
 
+// rejoin puts f back among the idle members and reports whether it did:
+// once the schedule has ended, members exit instead.
+func (c *campaign) rejoin(f *follower) bool {
+	c.crewMu.Lock()
+	defer c.crewMu.Unlock()
+	select {
+	case <-c.ended:
+		return false
+	default:
+	}
+	c.idle = append(c.idle, f)
+	return true
+}
+
+// end marks the schedule's last arrival: the idle members exit, and so does
+// every busy one once its request is done.
+func (c *campaign) end() {
+	c.crewMu.Lock()
+	defer c.crewMu.Unlock()
+	close(c.ended)
+	for _, f := range c.idle {
+		f.alarm.Close()
+	}
+	c.idle = nil
+}
+
 // reportLoads publishes each backend's queue gauges into the registry —
 // the load signal the balanced hotspot's picker probes. Reporting rides
-// the driver's own arrival wake-ups, so report freshness equals the
-// inter-arrival gap and the schedule stays a pure function of the seed
-// (no extra clock-registered goroutine to interleave).
+// the leader's arrivals, so report freshness equals the inter-arrival gap
+// and the schedule stays a pure function of the seed (no extra
+// clock-registered goroutine to interleave).
 func (c *campaign) reportLoads(now time.Time) {
 	reg := c.sess.EndpointRegistry()
 	for _, h := range c.handles {
@@ -380,13 +462,13 @@ func (c *campaign) reportLoads(now time.Time) {
 
 // pickTarget maps the i-th arrival to a backend: round-robin by default,
 // rng-skewed under the hotspot scenario.
-func (c *campaign) pickTarget(i int, targets *rng.Source) int {
+func (c *campaign) pickTarget(i int) int {
 	n := len(c.resolvers)
 	if c.sc.Kind == KindHotspot && n > 1 {
-		if targets.Float64() < c.sc.HotspotWeight {
+		if c.targets.Float64() < c.sc.HotspotWeight {
 			return 0
 		}
-		return 1 + targets.Intn(n-1)
+		return 1 + c.targets.Intn(n-1)
 	}
 	return i % n
 }
@@ -426,7 +508,7 @@ func requestPrompt(idx int) string {
 }
 
 // submitTask pushes one no-op compute task through the TaskManager seam.
-// Submission never parks on virtual time, so the driver calls it inline.
+// Submission never parks on virtual time, so the leader calls it inline.
 func (c *campaign) submitTask(ctx context.Context, idx int) {
 	ts, err := c.sess.TaskManager().Submit(ctx, spec.TaskDescription{
 		Name:  fmt.Sprintf("ld-task-%06d", idx),

@@ -134,12 +134,17 @@ func TestLoadScenarioExactCounts(t *testing.T) {
 }
 
 // TestLoadCampaignDeterministicReplay runs the lightest and the most
-// contended scenario twice each and requires bit-identical results —
-// counts, makespan, and every sketched percentile.
+// contended scenario, the failover and the balanced hotspot several times
+// each and requires bit-identical results — counts, makespan, and every
+// sketched percentile and sample. Under churn a leader hands the schedule
+// over while the failover holds the clock still; under hotspot the
+// hand-overs happen under the p2c balancer.
 func TestLoadCampaignDeterministicReplay(t *testing.T) {
 	for _, sc := range []Scenario{
 		{Name: "steady", Kind: KindSteady, Requests: 3000, Rate: 1500, Services: 4, Seed: 42},
 		{Name: "straggler", Kind: kindStraggler, Requests: 2000, Rate: 800, Services: 4, Seed: 42},
+		{Name: "churn", Kind: kindChurn, Requests: 3000, Rate: 1500, Services: 4, Seed: 42},
+		{Name: "hotspot", Kind: KindHotspot, Requests: 3000, Rate: 1500, Services: 4, Seed: 42},
 	} {
 		sc := sc
 		sc.KeepSamples = true
@@ -148,9 +153,8 @@ func TestLoadCampaignDeterministicReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// How many request runners a campaign starts depends on the
-			// host's scheduling, so replay it with one and with every
-			// processor: no count and no sample may tell them apart.
+			// Replay it with one and with every processor: no count and
+			// no sample may tell them apart.
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 			for _, procs := range []int{1, runtime.NumCPU()} {
 				runtime.GOMAXPROCS(procs)

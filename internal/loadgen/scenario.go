@@ -76,7 +76,7 @@ type Scenario struct {
 	// goes through a registry balancing group over the whole fleet, dialled
 	// as service 0 by a Session.DialService client. The unskewed
 	// remainder keeps hitting services 1..N-1 directly, so the balancer
-	// only sees that background load through the load reports the driver
+	// only sees that background load through the load reports the leader
 	// publishes each arrival.
 	Balance string
 

@@ -224,12 +224,12 @@ func TestPreGrantFailureFinalAtSubmit(t *testing.T) {
 	}
 }
 
-// TestSubmitVsShutdownSingleWinner: 64 SubmitTask calls race one Shutdown.
+// TestSubmitVsShutdownSingleWinnerRace: 64 SubmitTask calls race one Shutdown.
 // Every task the pilot accepted ends — DONE if its grant came first, failed
 // with ErrPilotStopped if the drain or its own look at the stop signal did —
 // its completion hook runs once, and none is left in AGENT_SCHEDULING on a
 // closed wait pool.
-func TestSubmitVsShutdownSingleWinner(t *testing.T) {
+func TestSubmitVsShutdownSingleWinnerRace(t *testing.T) {
 	const n = 64
 	p, _, release := heldNode(t)
 	var wg sync.WaitGroup
@@ -561,19 +561,19 @@ func checkGrantedAt(t *testing.T, task *Task, freed time.Time) {
 	}
 }
 
-// TestQueuedTaskGetsTerminatedServiceCores: terminating a service hands its
+// TestQueuedTaskGetsTerminatedServiceCoresRace: terminating a service hands its
 // cores to the task queued behind it at the instant of the Terminate.
-func TestQueuedTaskGetsTerminatedServiceCores(t *testing.T) {
+func TestQueuedTaskGetsTerminatedServiceCoresRace(t *testing.T) {
 	task, at := queuedBehindService(t, func(p *Pilot, inst *service.Instance) error {
 		return p.Services().Terminate(inst.UID(), false)
 	})
 	checkGrantedAt(t, task, at)
 }
 
-// TestQueuedTaskGetsKilledServiceCores: a killed service's liveness probe marks
+// TestQueuedTaskGetsKilledServiceCoresRace: a killed service's liveness probe marks
 // it FAILED two probe intervals after the kill, and its cores go to the task
 // queued behind it at that instant.
-func TestQueuedTaskGetsKilledServiceCores(t *testing.T) {
+func TestQueuedTaskGetsKilledServiceCoresRace(t *testing.T) {
 	var inst *service.Instance
 	task, at := queuedBehindService(t, func(_ *Pilot, i *service.Instance) error {
 		inst = i

@@ -122,11 +122,11 @@ func TestShutdownReleasesPlatform(t *testing.T) {
 	}
 }
 
-// TestShutdownSingleWinner races N Shutdowns: exactly one runs the
+// TestShutdownSingleWinnerRace races N Shutdowns: exactly one runs the
 // teardown and returns nil, every loser gets ErrNotActive only once the
 // pilot is fully down (state DONE, platform released) — run under -race,
 // where two teardowns used to collide on the allocation list.
-func TestShutdownSingleWinner(t *testing.T) {
+func TestShutdownSingleWinnerRace(t *testing.T) {
 	p, plat := newPilot(t, 100000, deltaPilot())
 	const callers = 8
 	errs := make([]error, callers)
@@ -687,10 +687,10 @@ func gatedTask(t *testing.T, want states.State, payloadErr error) (p *Pilot, tas
 	return p, task, observed, release
 }
 
-// TestWaitTasksSingleWinner: 64 concurrent WaitTasks on one task each return
+// TestWaitTasksSingleWinnerRace: 64 concurrent WaitTasks on one task each return
 // once, with the task's verdict, and none before the task is final and the
 // observers of its final transition have returned.
-func TestWaitTasksSingleWinner(t *testing.T) {
+func TestWaitTasksSingleWinnerRace(t *testing.T) {
 	boom := errors.New("boom")
 	for _, tc := range []struct {
 		name string
@@ -738,11 +738,11 @@ func TestWaitTasksSingleWinner(t *testing.T) {
 	}
 }
 
-// TestOnDoneSingleWinner registers 64 hooks while the task runs to its end:
+// TestOnDoneSingleWinnerRace registers 64 hooks while the task runs to its end:
 // whichever side of the final transition a registration lands on, its hook
 // runs exactly once, after the transition's observers have returned; a hook
 // registered on a settled task runs before OnDone returns.
-func TestOnDoneSingleWinner(t *testing.T) {
+func TestOnDoneSingleWinnerRace(t *testing.T) {
 	p, task, observed, release := gatedTask(t, states.TaskDone, nil)
 	const hooks = 64
 	var fired [hooks]atomic.Int32

@@ -40,10 +40,10 @@ func TestCallerInferRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCallerConcurrentInfer shares one Caller between goroutines: each
+// TestCallerConcurrentInferRace shares one Caller between goroutines: each
 // call draws its own request ID, and its reply carries the ID it was sent
 // under, so no two replies share one.
-func TestCallerConcurrentInfer(t *testing.T) {
+func TestCallerConcurrentInferRace(t *testing.T) {
 	const goroutines, calls = 8, 50
 	g, _ := newGateway(t, "noop")
 	caller, err := NewCaller(g.Endpoint(), simtime.NewScaled(1000, origin))

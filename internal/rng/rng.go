@@ -42,9 +42,12 @@ func (s *Source) Derive(name string) *Source {
 	return New(mix(base ^ h.Sum64()))
 }
 
+// gamma is splitmix64's state increment.
+const gamma = 0x9e3779b97f4a7c15
+
 // mix is one splitmix64 output step applied to z as state.
 func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
+	z += gamma
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -53,17 +56,27 @@ func mix(z uint64) uint64 {
 // Uint64 returns the next 64 uniformly distributed bits.
 func (s *Source) Uint64() uint64 {
 	s.mu.Lock()
-	s.state += 0x9e3779b97f4a7c15
 	z := s.state
+	s.state += gamma
 	s.mu.Unlock()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return mix(z)
 }
 
 // Float64 returns a uniform float in [0, 1).
 func (s *Source) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
+	return unit(s.Uint64())
+}
+
+// float64Locked is Float64 for a caller that holds s.mu.
+func (s *Source) float64Locked() float64 {
+	z := s.state
+	s.state += gamma
+	return unit(mix(z))
+}
+
+// unit maps 64 random bits to a uniform float in [0, 1).
+func unit(z uint64) float64 {
+	return float64(z>>11) / (1 << 53)
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -86,7 +99,9 @@ func (s *Source) Perm(n int) []int {
 }
 
 // Normal returns a normally distributed float with the given mean and
-// standard deviation (Box-Muller).
+// standard deviation (Box-Muller). Each variate is drawn under one hold of
+// the lock, so concurrent callers share out the serial stream's variates:
+// none is drawn twice and none is lost.
 func (s *Source) Normal(mean, std float64) float64 {
 	s.mu.Lock()
 	if s.hasSpare {
@@ -95,21 +110,15 @@ func (s *Source) Normal(mean, std float64) float64 {
 		s.mu.Unlock()
 		return mean + std*v
 	}
-	s.mu.Unlock()
-	var u, v float64
-	for {
-		u = s.Float64()
-		if u > 0 {
-			break
-		}
+	var u float64
+	for u == 0 {
+		u = s.float64Locked()
 	}
-	v = s.Float64()
+	v := s.float64Locked()
 	r := math.Sqrt(-2 * math.Log(u))
 	z0 := r * math.Cos(2*math.Pi*v)
-	z1 := r * math.Sin(2*math.Pi*v)
-	s.mu.Lock()
 	s.hasSpare = true
-	s.spare = z1
+	s.spare = r * math.Sin(2*math.Pi*v)
 	s.mu.Unlock()
 	return mean + std*z0
 }

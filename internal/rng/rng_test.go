@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -96,6 +98,59 @@ func TestNormalMoments(t *testing.T) {
 	}
 	if math.Abs(std-2) > 0.1 {
 		t.Fatalf("normal std = %v, want ~2", std)
+	}
+}
+
+// TestNormalStreamPinned: the first variates of seeded streams, as the
+// Box-Muller pairs and their spares came out when each variate still took
+// the lock up to four times.
+func TestNormalStreamPinned(t *testing.T) {
+	s := New(7)
+	for i, want := range []float64{
+		1.3649922974572284, 0.14452122126941497, -0.396523975253818,
+		-0.22759631143286663, 0.004498526159832092, 1.2594330585885882,
+	} {
+		if got := s.Normal(0, 1); got != want {
+			t.Fatalf("New(7) variate %d = %v, want %v", i, got, want)
+		}
+	}
+	d := New(7).Derive("normal")
+	for i, want := range []float64{8.874249158042517, 12.578204053253693, 9.143422828839997} {
+		if got := d.Normal(10, 2); got != want {
+			t.Fatalf("derived variate %d = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestNormalConcurrentDrawsShareTheStream: goroutines drawing from one
+// Source get exactly the serial stream's variates between them, each once.
+// Two callers that both found no spare and both stored one would lose a
+// variate and draw a pair the serial stream does not have.
+func TestNormalConcurrentDrawsShareTheStream(t *testing.T) {
+	const workers, draws = 8, 20000
+	shared := New(21)
+	got := make([][]float64, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < draws; i++ {
+				got[w] = append(got[w], shared.Normal(0, 1))
+			}
+		}()
+	}
+	wg.Wait()
+	all := slices.Concat(got...)
+	serial := New(21)
+	want := make([]float64, len(all))
+	for i := range want {
+		want[i] = serial.Normal(0, 1)
+	}
+	slices.Sort(all)
+	slices.Sort(want)
+	if !slices.Equal(all, want) {
+		t.Fatal("concurrent draws are not the serial stream's variates")
 	}
 }
 

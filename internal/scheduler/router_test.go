@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// TestRouterSingleWinnerRouteCancelDrain: a grant, a cancellation and the
+// TestRouterSingleWinnerRouteCancelDrainRace: a grant, a cancellation and the
 // shutdown drain race for every waiter of the continuation table, and each
 // waiter goes to exactly one of them.
-func TestRouterSingleWinnerRouteCancelDrain(t *testing.T) {
+func TestRouterSingleWinnerRouteCancelDrainRace(t *testing.T) {
 	const n = 256
 	r := NewRouter()
 	var routed, cancelled, drained [n]atomic.Int32
@@ -71,12 +71,12 @@ func TestRouterSingleWinnerRouteCancelDrain(t *testing.T) {
 	}
 }
 
-// TestRouterDrainedPlacementReleasedSingleWinner: the scheduler commits a
+// TestRouterDrainedPlacementReleasedSingleWinnerRace: the scheduler commits a
 // placement while the shutdown drain takes its waiter. Whichever wins, the
 // capacity is given back exactly once — by the PlaceFn when Route finds the
 // waiter gone, by the waiter when its continuation ran — and the scheduler's
 // snapshot shows all of it free.
-func TestRouterDrainedPlacementReleasedSingleWinner(t *testing.T) {
+func TestRouterDrainedPlacementReleasedSingleWinnerRace(t *testing.T) {
 	const n = 64
 	r := NewRouter()
 	var s *Scheduler

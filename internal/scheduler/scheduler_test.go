@@ -323,11 +323,11 @@ func TestReleaseWithoutWaiterDecidesNothing(t *testing.T) {
 	c.waitN(t, n+2)
 }
 
-// TestSubmitVsReleasePokeSingleWinner: a request that fits only after a
+// TestSubmitVsReleasePokeSingleWinnerRace: a request that fits only after a
 // concurrent Release is always granted. Release looks at the wait pool under
 // the lock Submit pushes under, and Submit kicks for itself: whichever of the
 // two comes second under the lock wakes the loop, after the capacity is back.
-func TestSubmitVsReleasePokeSingleWinner(t *testing.T) {
+func TestSubmitVsReleasePokeSingleWinnerRace(t *testing.T) {
 	c := newCollector()
 	s := New(nodes(1, 4, 0), c.fn)
 	defer s.Close()

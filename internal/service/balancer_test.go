@@ -428,12 +428,12 @@ func awaiters(reg *EndpointRegistry, uid string) int {
 	return 0
 }
 
-// TestBalancerCloseVsInferSingleWinner: Close ends every Infer it races —
+// TestBalancerCloseVsInferSingleWinnerRace: Close ends every Infer it races —
 // one whose request is in flight, one waiting for the UID's first
 // publication, one whose first dial lands after Close — within a guard,
 // and every connection dialled is closed exactly once, by Close or by the
 // Infer that finds the balancer closed.
-func TestBalancerCloseVsInferSingleWinner(t *testing.T) {
+func TestBalancerCloseVsInferSingleWinnerRace(t *testing.T) {
 	const guard = 2 * time.Second
 	for _, tc := range []struct {
 		name   string

@@ -340,12 +340,12 @@ func TestTerminateDrain(t *testing.T) {
 	}
 }
 
-// TestTerminateSingleWinner races several Terminates of one ACTIVE service,
+// TestTerminateSingleWinnerRace races several Terminates of one ACTIVE service,
 // first among themselves and then against Close: the service is ACTIVE
 // until its teardown ends, so all of them pass the state check, and exactly
 // one may own the stop (the others used to close probeStop a second time).
 // It runs on the virtual clock, where no start timeout lapses under host load.
-func TestTerminateSingleWinner(t *testing.T) {
+func TestTerminateSingleWinnerRace(t *testing.T) {
 	for _, withClose := range []bool{false, true} {
 		r := newRigOn(t, simtime.NewVirtualAuto(origin))
 		inst, _ := r.mgr.Submit(noopDesc("svc"))
@@ -428,12 +428,12 @@ func TestKilledServiceFailsTwoProbesLater(t *testing.T) {
 	}
 }
 
-// TestKilledProbeVsTerminateSingleWinner: a Terminate racing the probe that
+// TestKilledProbeVsTerminateSingleWinnerRace: a Terminate racing the probe that
 // fails a killed service has one winner. Either the Terminate returns nil and
 // the service is DONE, or it returns ErrNotActive and the probe's FAILED
 // stands; both ways the service's cores come back once, through the
 // scheduler.
-func TestKilledProbeVsTerminateSingleWinner(t *testing.T) {
+func TestKilledProbeVsTerminateSingleWinnerRace(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		r := newRig(t, 100000)
 		d := noopDesc("victim")

@@ -933,13 +933,13 @@ func TestSubmitDuringInlineServeQueues(t *testing.T) {
 	}
 }
 
-// TestInlineServeVsStopSingleWinner: a Stop races a request that finds the
+// TestInlineServeVsStopSingleWinnerRace: a Stop races a request that finds the
 // worker parked, so that its caller serves it. By the clock the Stop lands
 // at the request's own instant (a race in wall time), inside its serve or
 // after it. The caller gets either the whole reply or ErrStopped, never an
 // error reply, and the worker exits: Stop wakes it when it is in waiters,
 // and the caller's giveBack when the caller holds its place.
-func TestInlineServeVsStopSingleWinner(t *testing.T) {
+func TestInlineServeVsStopSingleWinnerRace(t *testing.T) {
 	var refused, during, after int
 	for round := range 240 {
 		clock := simtime.NewVirtualAuto(origin)

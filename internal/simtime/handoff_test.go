@@ -97,11 +97,11 @@ func TestHandoffAbandonTakesItsTokenBack(t *testing.T) {
 	}
 }
 
-// TestHandoffSendVsAbandonSingleWinner: a Send and a ctx end race for one
+// TestHandoffSendVsAbandonSingleWinnerRace: a Send and a ctx end race for one
 // parked waiter. Exactly one wins: the value is delivered and Send reports
 // it, or the waiter gives up and Send refuses. Either way the waiter's
 // token is issued once and taken once.
-func TestHandoffSendVsAbandonSingleWinner(t *testing.T) {
+func TestHandoffSendVsAbandonSingleWinnerRace(t *testing.T) {
 	var delivered, abandoned int
 	for round := 0; round < 500; round++ {
 		v := NewVirtualAuto(origin)

@@ -15,9 +15,9 @@ func running(v *Virtual) int {
 	return v.running
 }
 
-// TestLatchFiredBeforeWait: a wait on a fired latch returns at once, parks
+// TestLatchFiredBeforeWaitRace: a wait on a fired latch returns at once, parks
 // nobody and makes no channel: Done hands out the one shared closed channel.
-func TestLatchFiredBeforeWait(t *testing.T) {
+func TestLatchFiredBeforeWaitRace(t *testing.T) {
 	v := held(t)
 	var mu sync.Mutex
 	l := new(Latch)
@@ -37,10 +37,10 @@ func TestLatchFiredBeforeWait(t *testing.T) {
 	mu.Unlock()
 }
 
-// TestLatchWakesEveryParkedWaiter: n registered waiters park on the latch;
+// TestLatchWakesEveryParkedWaiterRace: n registered waiters park on the latch;
 // Fire gives exactly n wake tokens, and each waiter resumes at the instant
 // of the fire.
-func TestLatchWakesEveryParkedWaiter(t *testing.T) {
+func TestLatchWakesEveryParkedWaiterRace(t *testing.T) {
 	const n = 8
 	v := held(t)
 	var mu sync.Mutex
@@ -79,9 +79,9 @@ func TestLatchWakesEveryParkedWaiter(t *testing.T) {
 	}
 }
 
-// TestLatchAbandonTakesItsTokenBack: a waiter whose ctx ends returns its own
+// TestLatchAbandonTakesItsTokenBackRace: a waiter whose ctx ends returns its own
 // token, and a later Fire owes it none.
-func TestLatchAbandonTakesItsTokenBack(t *testing.T) {
+func TestLatchAbandonTakesItsTokenBackRace(t *testing.T) {
 	v := held(t)
 	var mu sync.Mutex
 	var l Latch
@@ -110,10 +110,10 @@ func TestLatchAbandonTakesItsTokenBack(t *testing.T) {
 	}
 }
 
-// TestLatchFireRacesAbandon: a Fire and a ctx end race for one parked
+// TestLatchFireRacesAbandonRace: a Fire and a ctx end race for one parked
 // waiter. Whichever wins, the waiter's token is issued once and taken once:
 // the count settles back to the test goroutine alone.
-func TestLatchFireRacesAbandon(t *testing.T) {
+func TestLatchFireRacesAbandonRace(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		v := NewVirtualAuto(origin)
 		v.AddRunner()

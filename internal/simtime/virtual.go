@@ -26,6 +26,10 @@ import (
 //     clock's books, and whoever wakes it issues its wake token first, so the
 //     clock never advances while a wakeup is still in flight. The scheduler's
 //     kick is the one exception: its runner token rides each kick.
+//   - Or it gives its token back and parks in an Alarm's Wait, off the
+//     clock's books: a running goroutine sets the alarm for it, the alarm
+//     counts as a pending sleep until it fires, and the fire issues the
+//     waiter's token before the wake.
 //
 // The contract is asymmetric by design: a transient overcount (a wake token
 // issued before the matching park lands) merely pauses advancement until

@@ -490,11 +490,11 @@ func TestVirtualFarTimerStaysBehind(t *testing.T) {
 	}
 }
 
-// TestVirtualNowWhileAdvancing: Now takes no lock, so goroutines the clock
+// TestVirtualNowWhileAdvancingRace: Now takes no lock, so goroutines the clock
 // does not know about read it while registered ones sleep it forward. Every
 // reading is an instant of the sleepers' schedule, and no reader sees the
 // clock go back.
-func TestVirtualNowWhileAdvancing(t *testing.T) {
+func TestVirtualNowWhileAdvancingRace(t *testing.T) {
 	const sleeps = 500
 	steps := []time.Duration{2 * time.Millisecond, 3 * time.Millisecond}
 	instants := map[time.Duration]bool{0: true}

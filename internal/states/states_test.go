@@ -472,11 +472,11 @@ func TestOnTransitionDuringTo(t *testing.T) {
 	}
 }
 
-// TestToDeliversInCommitOrder: a To that commits while an earlier To's
+// TestToDeliversInCommitOrderRace: a To that commits while an earlier To's
 // callbacks still run delivers its own only after they have returned. The
 // first callback holds until a second To has committed, then gives that To
 // 50 ms to overtake it: the observers must still see the commit order.
-func TestToDeliversInCommitOrder(t *testing.T) {
+func TestToDeliversInCommitOrderRace(t *testing.T) {
 	m := NewMachine("svc", ServiceModel(), simtime.NewReal())
 	var mu sync.Mutex
 	var seen []string

@@ -325,11 +325,11 @@ func TestStagePilotRoutingHint(t *testing.T) {
 	}
 }
 
-// TestServiceReadinessStampExact: a stage waits for its llama-8b service
+// TestServiceReadinessStampExactRace: a stage waits for its llama-8b service
 // while an unrelated goroutine sleeps an hour. The readiness wait parks the
 // stage and the service's activation hands it its wake token, so the Post hook
 // reads the instant the service turned ACTIVE, never the sleeper's hour.
-func TestServiceReadinessStampExact(t *testing.T) {
+func TestServiceReadinessStampExactRace(t *testing.T) {
 	r, sess := newRunner(t)
 	clock := sess.Clock().(*simtime.Virtual)
 	clock.Go(func() { clock.Sleep(time.Hour) })
