@@ -68,7 +68,7 @@ func TestHybridLocalRemoteInference(t *testing.T) {
 	}
 	remoteSvc, err := r3.Services().Submit(spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "remote", Cores: 1},
-		Model:           "noop", ProbeInterval: time.Hour, Persistent: true,
+		Model:           "noop", ProbeInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,14 +9,13 @@ import (
 	"repro/internal/pilot"
 	"repro/internal/service"
 	"repro/internal/simtime"
-	"repro/internal/spec"
 	"repro/internal/states"
 )
 
 // This file implements the session autoscaler: the control loop that
 // closes the paper's declared-future-work loop by scaling a service's
 // replica count with demand. A service submitted with MaxReplicas > 1
-// gets a per-handle loop on the session clock that each ScaleInterval
+// gets a per-handle loop on the session clock that each scaleInterval
 // reads the honest per-endpoint queue gauges (serving.Server's Queued
 // split, PR-8), publishes them as registry load reports for balancing
 // clients, and spawns or retires replica instances under the logical
@@ -62,24 +61,19 @@ type standbyRef struct {
 	held bool // seen ACTIVE and suspended: ready for promotion
 }
 
-// applyScaleDefaults fills the autoscaler knobs of a scaled description.
-func applyScaleDefaults(d *spec.ServiceDescription) {
-	if d.MinReplicas == 0 {
-		d.MinReplicas = 1
-	}
-	if d.ScaleInterval <= 0 {
-		d.ScaleInterval = 2 * time.Second
-	}
-	if d.ScaleUpQueue <= 0 {
-		d.ScaleUpQueue = 4
-	}
-	if d.ScaleDownQueue <= 0 {
-		d.ScaleDownQueue = 1
-	}
-	if d.ScaleStabilize <= 0 {
-		d.ScaleStabilize = 3
-	}
-}
+// The autoscaler's control law. Every evaluation falls scaleInterval of
+// session clock after the last. A mean of scaleUpQueue or more queued
+// requests per serving replica adds one, up to MaxReplicas. At or below
+// scaleDownQueue, an evaluation counts toward retiring one, and the
+// scaleStabilize-th consecutive one retires it: the hysteresis that keeps a
+// bursty trough from thrashing replicas. The base instance is never
+// retired.
+const (
+	scaleInterval  = 2 * time.Second
+	scaleUpQueue   = 4
+	scaleDownQueue = 1
+	scaleStabilize = 3
+)
 
 // startAutoscaler launches h's autoscale loop, clock-registered on a
 // virtual clock (the clock.Go rule: register before spawn).
@@ -88,11 +82,11 @@ func (sm *ServiceManager) startAutoscaler(h *Service) {
 }
 
 // autoscale is the per-handle control loop: one evaluation per
-// ScaleInterval of the session clock until the logical service reaches a
+// scaleInterval of the session clock until the logical service reaches a
 // final state, then a best-effort teardown of surviving replicas.
 func (sm *ServiceManager) autoscale(h *Service) {
 	for {
-		sm.sess.clock.Sleep(h.desc.ScaleInterval)
+		sm.sess.clock.Sleep(scaleInterval)
 		select {
 		case <-h.Done():
 			sm.scaleShutdown(h)
@@ -182,27 +176,20 @@ func (sm *ServiceManager) scaleTick(h *Service) {
 
 	// Phase 3 — the scaling decision (demand-scaled services only). Mean
 	// queued requests per serving replica against the up/down thresholds;
-	// scale-down waits for ScaleStabilize consecutive quiet evaluations
+	// scale-down waits for scaleStabilize consecutive quiet evaluations
 	// (hysteresis) and retires the newest replica, never the base
 	// instance.
 	if d.MaxReplicas <= 1 {
 		return
 	}
 	mean := float64(queued) / float64(serving)
-	minReps := d.MinReplicas
-	if minReps < 1 {
-		minReps = 1
-	}
 	switch {
-	case serving+pending < minReps:
+	case mean >= scaleUpQueue && serving+pending < d.MaxReplicas:
 		h.below = 0
 		sm.spawnReplica(h)
-	case mean >= d.ScaleUpQueue && serving+pending < d.MaxReplicas:
-		h.below = 0
-		sm.spawnReplica(h)
-	case mean <= d.ScaleDownQueue && pending == 0:
+	case mean <= scaleDownQueue && pending == 0:
 		h.below++
-		if h.below >= d.ScaleStabilize && serving > minReps {
+		if h.below >= scaleStabilize && serving > 1 {
 			h.below = 0
 			sm.retireNewest(h)
 		}
@@ -220,7 +207,7 @@ func (sm *ServiceManager) scaleTick(h *Service) {
 func (sm *ServiceManager) spawn(h *Service, uid string, exclude map[string]bool) (*service.Instance, *pilot.Pilot, error) {
 	d := h.desc
 	d.UID = uid
-	d.WarmStandbys, d.MinReplicas, d.MaxReplicas = 0, 0, 0
+	d.WarmStandbys, d.MaxReplicas = 0, 0
 	var inst *service.Instance
 	p, err := sm.place(&d.TaskDescription, exclude, func(p *pilot.Pilot) (err error) {
 		inst, err = p.Services().Submit(d)

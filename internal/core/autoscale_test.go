@@ -24,7 +24,7 @@ import (
 // autoscaler grows the fleet to its MaxReplicas bound of three (exactly:
 // the in-flight bootstrap counts against the bound, so the peak cannot
 // overshoot), every request completes, and once the queue drains the
-// ScaleStabilize hysteresis retires the replicas back down to one.
+// scaleStabilize hysteresis retires the replicas back down to one.
 func TestAutoscalerScalesUpAndBackDown(t *testing.T) {
 	clock := simtime.NewVirtualAuto(DefaultOrigin)
 	s, err := NewSession(SessionConfig{Seed: 42, Clock: clock, FastBoot: true})
@@ -43,12 +43,7 @@ func TestAutoscalerScalesUpAndBackDown(t *testing.T) {
 		Model:           "vit-base",
 		Concurrency:     1,
 		QueueCap:        20000,
-		MinReplicas:     1,
 		MaxReplicas:     3,
-		ScaleInterval:   time.Second,
-		ScaleUpQueue:    2,
-		ScaleDownQueue:  1,
-		ScaleStabilize:  2,
 		ProbeInterval:   10000 * time.Hour,
 		StartTimeout:    time.Hour,
 	})
@@ -96,7 +91,7 @@ func TestAutoscalerScalesUpAndBackDown(t *testing.T) {
 	if pk := h.PeakReplicas(); pk != 3 {
 		t.Fatalf("peak replicas = %d, want exactly MaxReplicas (3)", pk)
 	}
-	// Idle now: the hysteresis retires both replicas (two quiet
+	// Idle now: the hysteresis retires both replicas (scaleStabilize quiet
 	// evaluations each, two-phase drain) back down to the base instance.
 	deadline := time.Now().Add(30 * time.Second)
 	for h.Replicas() != 1 {
@@ -130,12 +125,7 @@ func TestAutoscalerStaysAtOneBelowThreshold(t *testing.T) {
 		TaskDescription: spec.TaskDescription{Name: "idle", GPUs: 1},
 		Model:           "vit-base",
 		Concurrency:     1,
-		MinReplicas:     1,
 		MaxReplicas:     3,
-		ScaleInterval:   time.Second,
-		ScaleUpQueue:    2,
-		ScaleDownQueue:  1,
-		ScaleStabilize:  2,
 		ProbeInterval:   10000 * time.Hour,
 		StartTimeout:    time.Hour,
 	})

@@ -343,9 +343,6 @@ func (sm *ServiceManager) Submit(d spec.ServiceDescription) (*Service, error) {
 	if d.Priority == 0 {
 		d.Priority = spec.ServicePriority
 	}
-	if d.MaxReplicas > 1 || d.WarmStandbys > 0 {
-		applyScaleDefaults(&d)
-	}
 	sm.mu.Lock()
 	if d.UID == "" {
 		sm.seq++

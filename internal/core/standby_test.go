@@ -6,12 +6,12 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/pilot"
 	"repro/internal/platform"
+	"repro/internal/simtime"
 	"repro/internal/spec"
 )
 
@@ -232,13 +232,19 @@ func TestWarmStandbyPromotionVsConcurrentClose(t *testing.T) {
 // autoscale tick alone. fillStandbys computes the deficit under h.mu and
 // spawns outside it, so when a promotion also refilled (on a goroutine of
 // its own) the two owners could both see deficit 1 and the pool held two
-// spares for good. The tick never fires here (ScaleInterval is a simulated
-// year), so after a promotion — and after a whole unrelated bootstrap, far
-// longer than any goroutine the promotion could have started needs to run —
-// the pool must still be empty with no second standby ever named; the one
-// tick the test then runs by hand refills it to exactly one.
+// spares for good. On the virtual clock the ticks fall every scaleInterval
+// from the Submit instant: a promotion halfway between two ticks must leave
+// the pool empty with no second standby named once everything due at that
+// instant has run, and the next tick refills it to exactly one.
 func TestStandbyRefillSingleOwnerRace(t *testing.T) {
-	s := newSession(t, 1000)
+	clock := simtime.NewVirtualAuto(DefaultOrigin)
+	clock.AddRunner() // the test drives the session: time moves only while it waits
+	t.Cleanup(clock.DoneRunner)
+	s, err := NewSession(SessionConfig{Seed: 42, Clock: clock, FastBoot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
 	sm := s.ServiceManager()
 	var pilots [2]*pilot.Pilot
 	for i := range pilots {
@@ -248,17 +254,6 @@ func TestStandbyRefillSingleOwnerRace(t *testing.T) {
 		}
 		sm.AddPilot(p)
 		pilots[i] = p
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	spin := func(what string, ok func() bool) {
-		t.Helper()
-		for !ok() {
-			if ctx.Err() != nil {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			runtime.Gosched()
-		}
 	}
 	pool := func() (named, pooled int) {
 		h, _ := sm.Get("spared")
@@ -270,15 +265,21 @@ func TestStandbyRefillSingleOwnerRace(t *testing.T) {
 	d := noopService("spared")
 	d.UID = "spared"
 	d.WarmStandbys = 1
-	d.ScaleInterval = 365 * 24 * time.Hour
+	submitted := clock.Now()
 	h, err := sm.Submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	if err := h.WaitReady(ctx); err != nil {
 		t.Fatal(err)
 	}
-	spin("the first standby", func() bool { return h.Standbys() == 1 })
+	// Once the standby is held, go halfway between the next two ticks.
+	for h.Standbys() != 1 {
+		clock.Sleep(scaleInterval / 2)
+	}
+	since := clock.Now().Sub(submitted)
+	clock.Sleep(since/scaleInterval*scaleInterval + scaleInterval*3/2 - since)
 	_, gen, ok := s.EndpointRegistry().Resolve(h.UID())
 	if !ok {
 		t.Fatal("no live endpoint before failover")
@@ -287,26 +288,17 @@ func TestStandbyRefillSingleOwnerRace(t *testing.T) {
 	if err := pilots[0].Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.EndpointRegistry().AwaitNewer(ctx, h.UID(), gen); err != nil {
-		t.Fatal(err)
-	}
-	if h.Promotions() != 1 {
-		t.Fatalf("promotions = %d, want 1", h.Promotions())
-	}
-	other, err := sm.Submit(noopService("unrelated"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.WaitReady(ctx); err != nil {
-		t.Fatal(err)
+	clock.Settle()
+	if _, g, ok := s.EndpointRegistry().Resolve(h.UID()); !ok || g != gen+1 || h.Promotions() != 1 {
+		t.Fatalf("promotions = %d, generation %d -> %d; want 1 promotion, one bump", h.Promotions(), gen, g)
 	}
 	if named, pooled := pool(); named != 1 || pooled != 0 {
 		t.Fatalf("after the promotion alone: %d standbys named, %d pooled; want 1 and 0 (the tick owns the refill)", named, pooled)
 	}
 
-	sm.scaleTick(h)
-	spin("the refilled standby", func() bool { return h.Standbys() == 1 })
+	clock.Sleep(scaleInterval / 2)
+	clock.Settle()
 	if named, pooled := pool(); named != 2 || pooled != 1 {
-		t.Fatalf("after one tick: %d standbys named, %d pooled; want 2 and 1", named, pooled)
+		t.Fatalf("after the next tick: %d standbys named, %d pooled; want 2 and 1", named, pooled)
 	}
 }

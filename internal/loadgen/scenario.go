@@ -58,9 +58,9 @@ type Scenario struct {
 	// batching).
 	MaxBatch int
 	// MaxReplicas bounds the session autoscaler, which keeps at least one
-	// replica and runs on the core defaults. MaxReplicas > 1 enables it,
-	// and each service's Balancer spreads requests over its replicas by
-	// load instead of sending them all to the base UID.
+	// replica and runs on core's fixed control law. MaxReplicas > 1
+	// enables it, and each service's Balancer spreads requests over its
+	// replicas by load instead of sending them all to the base UID.
 	MaxReplicas int
 
 	// WaveAmp is the diurnal amplitude as a fraction of Rate, in [0, 1).

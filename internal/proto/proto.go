@@ -299,7 +299,6 @@ type StateUpdate struct {
 	Entity    string    `json:"entity"` // "pilot" | "task" | "service"
 	State     string    `json:"state"`
 	At        time.Time `json:"at"`
-	Detail    string    `json:"detail,omitempty"`
 }
 
 // ErrorBody is the payload of a KindError message.

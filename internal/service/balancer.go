@@ -29,7 +29,7 @@ const defaultRetries = 3
 // defaultLoadHorizon is the load-report staleness horizon balancing
 // clients apply: reports older than this are treated as no information and
 // load-aware pickers fall back to blind rotation. 10s comfortably covers
-// the autoscaler's 2s default report cadence and a campaign reporter's
+// the autoscaler's 2s report cadence and a campaign reporter's
 // coarser intervals.
 const defaultLoadHorizon = 10 * time.Second
 

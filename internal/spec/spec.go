@@ -139,28 +139,12 @@ type ServiceDescription struct {
 	// worker coalesces into a single batched inference (continuous
 	// batching). 0 or 1 disables batching.
 	MaxBatch int
-	// MinReplicas and MaxReplicas bound the session autoscaler. A
-	// MaxReplicas above 1 enables demand-driven scaling: the session
-	// watches the service's queue depth over the session clock and
-	// spawns/retires replica instances under this logical service UID.
-	// MinReplicas defaults to 1; zero values leave the service unscaled.
-	MinReplicas int
+	// MaxReplicas bounds the session autoscaler. Above 1 it enables
+	// demand-driven scaling: the session watches the service's queue depth
+	// over the session clock and spawns/retires replica instances under
+	// this logical service UID, never below the base instance. Zero leaves
+	// the service unscaled.
 	MaxReplicas int
-	// ScaleInterval is the autoscaler evaluation period on the session
-	// clock (default 2s).
-	ScaleInterval time.Duration
-	// ScaleUpQueue is the mean queued-requests-per-replica threshold at
-	// or above which the autoscaler adds a replica (default 4).
-	ScaleUpQueue float64
-	// ScaleDownQueue is the mean queued-requests-per-replica threshold at
-	// or below which an evaluation counts toward retiring a replica
-	// (default 1).
-	ScaleDownQueue float64
-	// ScaleStabilize is the number of consecutive at-or-below-
-	// ScaleDownQueue evaluations required before a replica is retired —
-	// the scale-down hysteresis that keeps a bursty trough from thrashing
-	// replicas (default 3).
-	ScaleStabilize int
 	// WarmStandbys pre-bootstraps this many standby instances on pilots
 	// distinct from the base host, held suspended (published but not
 	// resolvable) in the session endpoint registry. When the hosting pilot
@@ -178,9 +162,6 @@ type ServiceDescription struct {
 	// and after each phase, and fails a service that has overrun it
 	// (default 10m).
 	StartTimeout time.Duration
-	// Persistent services survive workload completion and must be
-	// terminated explicitly (remote/R3-style deployments).
-	Persistent bool
 }
 
 // Validate checks the service description.
@@ -194,15 +175,8 @@ func (d ServiceDescription) Validate() error {
 	if d.MaxBatch < 0 {
 		return fmt.Errorf("spec: service %q: negative max batch", d.Name)
 	}
-	if d.MinReplicas < 0 || d.MaxReplicas < 0 {
+	if d.MaxReplicas < 0 {
 		return fmt.Errorf("spec: service %q: negative replica bound", d.Name)
-	}
-	if d.MaxReplicas > 0 && d.MinReplicas > d.MaxReplicas {
-		return fmt.Errorf("spec: service %q: min replicas %d above max %d",
-			d.Name, d.MinReplicas, d.MaxReplicas)
-	}
-	if d.ScaleUpQueue < 0 || d.ScaleDownQueue < 0 || d.ScaleStabilize < 0 {
-		return fmt.Errorf("spec: service %q: negative autoscaler threshold", d.Name)
 	}
 	if d.WarmStandbys < 0 {
 		return fmt.Errorf("spec: service %q: negative warm-standby count", d.Name)
@@ -225,8 +199,6 @@ type PilotDescription struct {
 	Nodes int
 	Cores int
 	GPUs  int
-	// Runtime bounds the pilot's lifetime (0 = unbounded).
-	Runtime time.Duration
 }
 
 // Validate checks the pilot description.

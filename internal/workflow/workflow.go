@@ -44,11 +44,6 @@ type Stage struct {
 	Pilot string
 	// Post runs after all tasks complete.
 	Post Hook
-	// KeepServices leaves this stage's services running after the
-	// pipeline ends (as if their descriptions were marked Persistent).
-	// By default pipeline-started services are drained and terminated at
-	// pipeline end.
-	KeepServices bool
 }
 
 // Pipeline is a named stage DAG.
@@ -166,9 +161,9 @@ func NewRunner(sess *core.Session, pilots ...*pilot.Pilot) (*Runner, error) {
 
 // Run executes the pipeline DAG. Independent stages run concurrently; a
 // stage failure fails its dependents transitively but lets independent
-// branches finish. Services started by the pipeline are terminated at
-// pipeline end unless their description marks them Persistent. The report
-// lists the stages in pipeline order.
+// branches finish. Services started by the pipeline's stages are terminated
+// at pipeline end; a service the session started outside the pipeline
+// outlives it. The report lists the stages in pipeline order.
 //
 // A stage starts on its own goroutine once its last dependency finished. On
 // an auto-advancing virtual clock Run's caller must be registered with the
@@ -245,13 +240,10 @@ func (r *Runner) Run(ctx context.Context, p *Pipeline) (*Report, error) {
 	}
 	report.Finished = clock.Now()
 
-	// terminate services started by this run, unless their description is
-	// Persistent or their stage asked to keep them
-	for i, s := range p.Stages {
-		for _, inst := range svcs[i] {
-			if !s.KeepServices && !inst.Description().Persistent {
-				_ = r.sess.ServiceManager().Terminate(inst.UID(), true)
-			}
+	// terminate services started by this run
+	for _, started := range svcs {
+		for _, inst := range started {
+			_ = r.sess.ServiceManager().Terminate(inst.UID(), true)
 		}
 	}
 	for _, st := range report.Stages {

@@ -205,33 +205,46 @@ func TestStageWithServices(t *testing.T) {
 	if !sawEndpoint.Load() {
 		t.Fatal("service endpoint not visible during stage")
 	}
-	// non-persistent services are terminated at pipeline end
+	// the services the pipeline's stages started are terminated at its end
 	if got := len(sess.EndpointRegistry().ByModel("noop")); got != 0 {
 		t.Fatalf("%d endpoints left after pipeline end", got)
 	}
 }
 
-func TestKeepServicesSurvivePipeline(t *testing.T) {
+// TestSessionServiceOutlivesPipeline: a service the session started before a
+// pipeline is not the pipeline's to stop. It survives the pipeline's end,
+// which terminates the stage-started service beside it, and a second
+// pipeline consumes it.
+func TestSessionServiceOutlivesPipeline(t *testing.T) {
 	r, sess := newRunner(t)
-	p := &Pipeline{Name: "keep", Stages: []*Stage{
+	ctx := context.Background()
+	kept, err := sess.ServiceManager().Submit(spec.ServiceDescription{
+		TaskDescription: spec.TaskDescription{Name: "kept", Cores: 1},
+		Model:           "noop",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kept.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	p := &Pipeline{Name: "serve", Stages: []*Stage{
 		{
-			Name:         "serve",
-			KeepServices: true,
+			Name: "serve",
 			Services: []spec.ServiceDescription{{
-				TaskDescription: spec.TaskDescription{Name: "kept", Cores: 1},
+				TaskDescription: spec.TaskDescription{Name: "staged", Cores: 1},
 				Model:           "noop",
 			}},
 		},
 	}}
-	ctx := context.Background()
 	if _, err := r.Run(ctx, p); err != nil {
 		t.Fatal(err)
 	}
 	eps := sess.EndpointRegistry().ByModel("noop")
-	if len(eps) != 1 {
-		t.Fatalf("kept service endpoints = %d, want 1", len(eps))
+	if len(eps) != 1 || eps[0].ServiceUID != kept.UID() {
+		t.Fatalf("endpoints after pipeline end = %+v, want only the session's %s", eps, kept.UID())
 	}
-	// a second pipeline can consume the kept service without starting one
+	// a second pipeline consumes the session's service without starting one
 	consume := &Pipeline{Name: "consume", Stages: []*Stage{
 		{Name: "use", Post: func(ctx context.Context, s *core.Session) error {
 			cl, err := s.Dial("delta//keeper-client", eps[0])
