@@ -163,6 +163,15 @@ func BenchmarkAblationSchedulerPriority(b *testing.B) {
 	}
 }
 
+// strictPolicy builds the default policy by its name, as a pilot does.
+func strictPolicy() scheduler.Policy {
+	p, err := scheduler.PolicyByName("strict")
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // BenchmarkAblationBackfill quantifies the strict-vs-backfill trade-off
 // on the regime the paper's continuous scheduler cares about: a
 // saturated 1024-node pilot (every node down to its last core) with a
@@ -176,7 +185,7 @@ func BenchmarkAblationSchedulerPriority(b *testing.B) {
 func BenchmarkAblationBackfill(b *testing.B) {
 	const nNodes, nSmall = 1024, 256
 	unbounded := scheduler.BackfillConfig{MaxBypass: -1, MaxDelay: -1}
-	countOnly := scheduler.BackfillConfig{MaxDelay: -1} // K = DefaultMaxBypass
+	countOnly := scheduler.BackfillConfig{MaxDelay: -1} // K at its default, 16
 	policies := []struct {
 		name string
 		mk   func() scheduler.Policy
@@ -184,8 +193,8 @@ func BenchmarkAblationBackfill(b *testing.B) {
 		// the head is blocked: 0 (strict), K, or all of them.
 		bypasses int
 	}{
-		{"strict", func() scheduler.Policy { return scheduler.Strict() }, 0},
-		{"backfill-k16", func() scheduler.Policy { return scheduler.Backfill(countOnly) }, scheduler.DefaultMaxBypass},
+		{"strict", strictPolicy, 0},
+		{"backfill-k16", func() scheduler.Policy { return scheduler.Backfill(countOnly) }, 16},
 		{"backfill-unbounded", func() scheduler.Policy { return scheduler.Backfill(unbounded) }, nSmall},
 		{"best-fit-unbounded", func() scheduler.Policy { return scheduler.BestFit(unbounded) }, nSmall},
 	}
@@ -263,7 +272,7 @@ func BenchmarkAblationFragmentation(b *testing.B) {
 		// deterministic outcome: total grants and larges among them
 		larges int
 	}{
-		{"first-fit", func() scheduler.Policy { return scheduler.Strict() }, 0},
+		{"first-fit", strictPolicy, 0},
 		{"best-fit", func() scheduler.Policy {
 			return scheduler.BestFit(scheduler.BackfillConfig{MaxBypass: -1, MaxDelay: -1})
 		}, nLarge},

@@ -11,9 +11,39 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/restapi"
 )
+
+// The wire bodies as a client reads them, keyed independently of the
+// server's types. decodeStrict refuses a key they do not name, so a key
+// renamed on the server fails the test.
+type (
+	healthBody struct {
+		ServiceUID string `json:"service_uid"`
+		Model      string `json:"model"`
+		Ready      bool   `json:"ready"`
+		Queued     int    `json:"queued"`
+		InFlight   int    `json:"in_flight"`
+		QueueDepth int    `json:"queue_depth"`
+		Processed  int64  `json:"processed"`
+	}
+	generateBody struct {
+		Model        string          `json:"model"`
+		Response     string          `json:"response"`
+		PromptTokens int             `json:"prompt_tokens"`
+		OutputTokens int             `json:"output_tokens"`
+		ServiceUID   string          `json:"service_uid"`
+		Timing       json.RawMessage `json:"timing"`
+		Error        string          `json:"error"`
+	}
+)
+
+// decodeStrict decodes resp's body into v and closes it.
+func decodeStrict(resp *http.Response, v any) error {
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
 
 // TestServeGenerateDrain drives run end to end: it binds an ephemeral
 // port, answers a health probe and one generate call over real HTTP, and
@@ -61,10 +91,8 @@ func TestServeGenerateDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h restapi.Health
-	err = json.NewDecoder(resp.Body).Decode(&h)
-	resp.Body.Close()
-	if err != nil {
+	var h healthBody
+	if err := decodeStrict(resp, &h); err != nil {
 		t.Fatal(err)
 	}
 	if !h.Ready || h.Model != "llama-8b" || h.ServiceUID != "r3.service.0001" {
@@ -76,14 +104,12 @@ func TestServeGenerateDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var g restapi.GenerateResponse
-	err = json.NewDecoder(resp.Body).Decode(&g)
-	resp.Body.Close()
-	if err != nil {
+	var g generateBody
+	if err := decodeStrict(resp, &g); err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK || g.Model != "llama-8b" || g.ServiceUID != "r3.service.0001" ||
-		g.Response == "" || g.PromptTokens < 1 || g.OutputTokens < 1 || g.OutputTokens > 16 {
+		g.Response == "" || g.PromptTokens < 1 || g.OutputTokens < 1 || g.OutputTokens > 16 || len(g.Timing) == 0 {
 		t.Fatalf("generate = %d %+v", resp.StatusCode, g)
 	}
 

@@ -78,7 +78,7 @@ func parentScript() (recs []scriptRec, torn scriptRec) {
 	tr("pilot", "pilot.0001", "NEW", "PMGR_LAUNCHING", at(1))
 	tr("pilot", "pilot.0001", "PMGR_LAUNCHING", "PMGR_ACTIVE", at(2))
 	// task.0001: the full happy path, sub-second and fixed-zone stamps.
-	app(KindTask, TaskBody{UID: "task.0001", Desc: spec.TaskDescription{UID: "task.0001", Cores: 1, Duration: rng.ConstDuration(3 * time.Second)}})
+	app(kindTask, TaskBody{UID: "task.0001", Desc: spec.TaskDescription{UID: "task.0001", Cores: 1, Duration: rng.ConstDuration(3 * time.Second)}})
 	tr("task", "task.0001", "NEW", "TMGR_SCHEDULING", at(3).Add(123456789))
 	app(KindBind, BindBody{Entity: "task", UID: "task.0001", Pilot: "pilot.0001"})
 	tr("task", "task.0001", "TMGR_SCHEDULING", "AGENT_STAGING_INPUT", at(4).In(east))
@@ -88,7 +88,7 @@ func parentScript() (recs []scriptRec, torn scriptRec) {
 	tr("task", "task.0001", "AGENT_STAGING_OUTPUT", "DONE", at(8))
 	// A UID encoding/json escapes: <, & and a quote, a tab, U+2028, é.
 	odd := "task.\"<odd>&\t\u2028é"
-	app(KindTask, TaskBody{UID: odd, Desc: spec.TaskDescription{UID: odd, Cores: 2, GPUs: 1}})
+	app(kindTask, TaskBody{UID: odd, Desc: spec.TaskDescription{UID: odd, Cores: 2, GPUs: 1}})
 	app(KindBind, BindBody{Entity: "task", UID: odd, Pilot: "pilot.0001"})
 	tr("task", odd, "NEW", "TMGR_SCHEDULING", at(9))
 	tr("task", odd, "TMGR_SCHEDULING", "FAILED", at(10))
@@ -98,7 +98,7 @@ func parentScript() (recs []scriptRec, torn scriptRec) {
 	tr("task", "ghost", "NEW", "TMGR_SCHEDULING", at(13))           // unknown uid
 	tr("job", "task.0001", "NEW", "DONE", at(14))                   // unknown entity
 	tr("pilot", "pilot.0001", "PMGR_ACTIVE", "NEW", at(15))         // illegal
-	app(KindTask, TaskBody{UID: "task.0001", Desc: spec.TaskDescription{UID: "task.0001"}})
+	app(kindTask, TaskBody{UID: "task.0001", Desc: spec.TaskDescription{UID: "task.0001"}})
 	app(KindBind, BindBody{Entity: "task", UID: "ghost", Pilot: "pilot.0001"})
 	app(Kind("bogus"), map[string]int{"x": 1})
 	app(KindSession, SessionBody{UID: "stale", Incarnation: 0})
@@ -155,7 +155,7 @@ func chainOf(b TransitionBody) (entity, uid string, from states.State, steps []s
 func appendTyped(w *Writer, kind Kind, body any) error {
 	switch b := body.(type) {
 	case TaskBody:
-		if kind == KindTask {
+		if kind == kindTask {
 			return w.AppendTask(b)
 		}
 	case BindBody:
@@ -217,7 +217,7 @@ func appendChained(w *Writer, recs []scriptRec) error {
 func appendDispatched(w *Writer, recs []scriptRec) error {
 	for i := 0; i < len(recs); {
 		var task *TaskBody
-		if tb, ok := recs[i].body.(TaskBody); ok && recs[i].kind == KindTask && i+1 < len(recs) {
+		if tb, ok := recs[i].body.(TaskBody); ok && recs[i].kind == kindTask && i+1 < len(recs) {
 			if next, ok := recs[i+1].body.(BindBody); ok && recs[i+1].kind == KindBind && next.UID == tb.UID {
 				task = &tb
 				i++
@@ -227,7 +227,7 @@ func appendDispatched(w *Writer, recs []scriptRec) error {
 		if !ok || recs[i].kind != KindBind {
 			// Not a dispatch: up to the next bind (or description), as before.
 			j := i + 1
-			for j < len(recs) && recs[j].kind != KindBind && recs[j].kind != KindTask {
+			for j < len(recs) && recs[j].kind != KindBind && recs[j].kind != kindTask {
 				j++
 			}
 			if err := appendChained(w, recs[i:j]); err != nil {
@@ -418,7 +418,7 @@ func FuzzAppendMatchesJSON(f *testing.F) {
 			{Kind(kind), BindBody{Entity: a, UID: b, Pilot: c}},
 			{KindTransition, TransitionBody{Entity: a, UID: b, From: c, To: d, At: at}},
 			{KindBind, BindBody{Entity: a, UID: b, Pilot: c}},
-			{KindTask, TaskBody{UID: a, Desc: spec.TaskDescription{UID: b, Name: c, Pilot: d, Cores: int(zone), MemGB: float64(nsec)}}},
+			{kindTask, TaskBody{UID: a, Desc: spec.TaskDescription{UID: b, Name: c, Pilot: d, Cores: int(zone), MemGB: float64(nsec)}}},
 		} {
 			for _, door := range doors {
 				// The file is opened O_APPEND: the next record lands at offset 0.
@@ -469,7 +469,7 @@ func FuzzAppendMatchesJSON(f *testing.F) {
 				{KindTransition, TransitionBody{Entity: a, UID: b, From: c, To: d, At: at}},
 				{KindTransition, TransitionBody{Entity: a, UID: b, From: d, To: c, At: at}}}
 			if desc != nil {
-				recs = append([]scriptRec{{KindTask, task}}, recs...)
+				recs = append([]scriptRec{{kindTask, task}}, recs...)
 			}
 			var want []byte
 			wantErr := error(nil)
@@ -506,7 +506,7 @@ func checkPayload(t *testing.T, payload []byte) {
 		if fast.Kind != slow.Kind || fast.Seq != slow.Seq || !bytes.Equal(fast.Body, slow.Body) {
 			t.Fatalf("%q: fast %+v, encoding/json %+v", payload, fast.Record, slow)
 		}
-		if fast.Kind == KindTask {
+		if fast.Kind == kindTask {
 			checkTaskBody(t, fast.Body)
 		}
 	}
@@ -588,7 +588,7 @@ func TestDecodeFastPathTakesWriterShape(t *testing.T) {
 		TransitionBody{Entity: "task", UID: "task.0001", From: "NEW", To: "TMGR_SCHEDULING", At: time.Unix(1, 5).In(time.FixedZone("z", -3600))},
 		BindBody{Entity: "task", UID: "task.0001", Pilot: "pilot.0001"},
 		TaskBody{UID: "task.0001", Desc: spec.TaskDescription{UID: "task.0001", Name: "n", Cores: 1, GPUs: 2, MemGB: 1.5e-7,
-			Duration: rng.DurationDist{D: rng.Normal{Mu: 1, Sigma: 2, Min: 0}}, Priority: -3, Pilot: "pilot.0001"}},
+			Duration: rng.NormalDuration(time.Second, 2*time.Second), Priority: -3, Pilot: "pilot.0001"}},
 		TaskBody{UID: "task.0002", Desc: spec.TaskDescription{UID: "other", Func: func(context.Context) error { return nil }}},
 	} {
 		raw, err := json.Marshal(body)
@@ -620,7 +620,7 @@ func TestDecodeFastPathTakesWriterShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFast := counts(map[Kind]int{KindTask: 3, KindBind: 3, KindTransition: 18})
+	wantFast := counts(map[Kind]int{kindTask: 3, KindBind: 3, KindTransition: 18})
 	wantJSON := counts(map[Kind]int{KindSession: 1, KindPilot: 1})
 	if stats.FastDecodes != wantFast || stats.JSONDecodes != wantJSON {
 		t.Fatalf("fast %v, encoding/json %v; want %v and %v", stats.FastDecodes, stats.JSONDecodes, wantFast, wantJSON)
@@ -632,7 +632,7 @@ func TestDecodeFastPathTakesWriterShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON = counts(map[Kind]int{KindSession: 3, KindPilot: 1, KindService: 1, KindEndpoint: 5, "bogus": 1, KindTask: 1, KindBind: 1, KindTransition: 3})
+	wantJSON = counts(map[Kind]int{KindSession: 3, KindPilot: 1, KindService: 1, KindEndpoint: 5, "bogus": 1, kindTask: 1, KindBind: 1, KindTransition: 3})
 	if stats.JSONDecodes != wantJSON {
 		t.Fatalf("parent.wal: encoding/json %v, want %v", stats.JSONDecodes, wantJSON)
 	}
@@ -665,7 +665,7 @@ func writeTaskWAL(t testing.TB, n int) []byte {
 	path := []string{"NEW", "TMGR_SCHEDULING", "AGENT_STAGING_INPUT", "AGENT_SCHEDULING", "AGENT_EXECUTING", "AGENT_STAGING_OUTPUT", "DONE"}
 	for i := 0; i < n; i++ {
 		uid := fmt.Sprintf("task.%06d", i)
-		app(KindTask, TaskBody{UID: uid, Desc: spec.TaskDescription{UID: uid, Cores: 1, Duration: rng.ConstDuration(time.Second)}})
+		app(kindTask, TaskBody{UID: uid, Desc: spec.TaskDescription{UID: uid, Cores: 1, Duration: rng.ConstDuration(time.Second)}})
 		app(KindTransition, TransitionBody{Entity: "task", UID: uid, From: path[0], To: path[1], At: at})
 		app(KindBind, BindBody{Entity: "task", UID: uid, Pilot: "pilot.0001"})
 		for s := 1; s < len(path)-1; s++ {

@@ -107,10 +107,10 @@ const (
 	// KindSession opens a journal (and re-opens it per recovery
 	// incarnation): session identity, seed and configuration.
 	KindSession Kind = "session"
-	// KindPilot, KindTask and KindService record a description the moment
+	// KindPilot, kindTask and KindService record a description the moment
 	// the session accepts it — the WAL intent preceding the action.
 	KindPilot   Kind = "pilot"
-	KindTask    Kind = "task"
+	kindTask    Kind = "task"
 	KindService Kind = "service"
 	// KindBind records a placement decision: which pilot a task or
 	// service was dispatched to.
@@ -122,7 +122,7 @@ const (
 )
 
 // kinds lists the record kinds in the order ReplayStats counts them.
-var kinds = [...]Kind{KindSession, KindPilot, KindTask, KindService, KindBind, KindTransition, KindEndpoint}
+var kinds = [...]Kind{KindSession, KindPilot, kindTask, KindService, KindBind, KindTransition, KindEndpoint}
 
 const nKinds = len(kinds) + 1 // and a slot for every kind this package does not write
 
@@ -156,7 +156,7 @@ type PilotBody struct {
 	Desc spec.PilotDescription `json:"desc"`
 }
 
-// TaskBody is the KindTask payload. Function payloads (TaskDescription.
+// TaskBody is the kindTask payload. Function payloads (TaskDescription.
 // Func) are not serializable and are dropped: a recovered task that must
 // be re-run re-executes its Duration payload only.
 type TaskBody struct {
@@ -400,8 +400,8 @@ func decodeFast(payload []byte, d *decoded) (ok bool) {
 	case string(KindBind):
 		d.Kind = KindBind
 		d.v, d.fast = scanBody(body, bindKeys, false)
-	case string(KindTask):
-		d.Kind = KindTask
+	case string(kindTask):
+		d.Kind = kindTask
 		d.fast = scanTask(body, &d.task)
 	default:
 		d.Kind = Kind(kind)
@@ -567,16 +567,16 @@ func (w *Writer) Append(kind Kind, body any) error {
 	return w.write([]Kind{kind}, raw, nil)
 }
 
-// AppendTask is Append(KindTask, b).
+// AppendTask is Append(kindTask, b).
 func (w *Writer) AppendTask(b TaskBody) error {
 	buf := bodyPool.Get().(*bodyBuf)
 	defer bodyPool.Put(buf)
 	raw, ok := appendTask(buf.raw[:0], &b)
 	if !ok {
-		return w.appendJSON(KindTask, b)
+		return w.appendJSON(kindTask, b)
 	}
 	buf.raw = raw
-	return w.write([]Kind{KindTask}, raw, nil)
+	return w.write([]Kind{kindTask}, raw, nil)
 }
 
 // AppendBind is Append(KindBind, b).
@@ -590,7 +590,7 @@ func (w *Writer) AppendBind(b BindBody) error {
 // taskKinds are the kinds of the records a task's dispatch journals, in file
 // order. write gives every record past the last of its kinds that last kind,
 // so they frame a chain of any length behind the bind.
-var taskKinds = []Kind{KindTask, KindBind, KindTransition}
+var taskKinds = []Kind{kindTask, KindBind, KindTransition}
 
 // envelopeMax is more than the envelope adds to a body: a body this far under
 // maxRecordSize makes a record write accepts.
@@ -1076,7 +1076,7 @@ func (r *replayer) apply() error {
 		snap.Pilots = append(snap.Pilots, ps)
 		stats.Applied++
 
-	case KindTask:
+	case kindTask:
 		b := &rec.task
 		if !rec.fast {
 			*b = TaskBody{}

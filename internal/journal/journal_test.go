@@ -49,7 +49,7 @@ func writeBasicJournal(t *testing.T, w *Writer) {
 	mustAppend(t, w, KindPilot, PilotBody{UID: "p1", Desc: spec.PilotDescription{UID: "p1", Platform: "r3", Nodes: 2}})
 	mustAppend(t, w, KindTransition, TransitionBody{Entity: "pilot", UID: "p1", From: "NEW", To: "PMGR_LAUNCHING"})
 	mustAppend(t, w, KindTransition, TransitionBody{Entity: "pilot", UID: "p1", From: "PMGR_LAUNCHING", To: "PMGR_ACTIVE"})
-	mustAppend(t, w, KindTask, TaskBody{UID: "t1", Desc: spec.TaskDescription{
+	mustAppend(t, w, kindTask, TaskBody{UID: "t1", Desc: spec.TaskDescription{
 		UID: "t1", Cores: 1, Duration: rng.ConstDuration(3 * time.Second),
 	}})
 	mustAppend(t, w, KindBind, BindBody{Entity: "task", UID: "t1", Pilot: "p1"})
@@ -172,7 +172,7 @@ func TestReplayFlippedChecksumByte(t *testing.T) {
 func TestReplayDuplicateAndOutOfOrderTransitions(t *testing.T) {
 	w := openTestWriter(t)
 	mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
-	mustAppend(t, w, KindTask, TaskBody{UID: "t1", Desc: spec.TaskDescription{UID: "t1", Cores: 1}})
+	mustAppend(t, w, kindTask, TaskBody{UID: "t1", Desc: spec.TaskDescription{UID: "t1", Cores: 1}})
 	mustAppend(t, w, KindTransition, TransitionBody{Entity: "task", UID: "t1", From: "NEW", To: "TMGR_SCHEDULING"})
 	// Exact duplicate: to == current.
 	mustAppend(t, w, KindTransition, TransitionBody{Entity: "task", UID: "t1", From: "NEW", To: "TMGR_SCHEDULING"})
@@ -181,7 +181,7 @@ func TestReplayDuplicateAndOutOfOrderTransitions(t *testing.T) {
 	// Unknown UID.
 	mustAppend(t, w, KindTransition, TransitionBody{Entity: "task", UID: "ghost", From: "NEW", To: "TMGR_SCHEDULING"})
 	// Duplicate description.
-	mustAppend(t, w, KindTask, TaskBody{UID: "t1", Desc: spec.TaskDescription{UID: "t1", Cores: 1}})
+	mustAppend(t, w, kindTask, TaskBody{UID: "t1", Desc: spec.TaskDescription{UID: "t1", Cores: 1}})
 	// Illegal edge from the current state.
 	mustAppend(t, w, KindTransition, TransitionBody{Entity: "task", UID: "t1", From: "TMGR_SCHEDULING", To: "DONE"})
 	if err := w.Close(); err != nil {
@@ -226,7 +226,7 @@ func TestReplayCachesKeepVerdicts(t *testing.T) {
 	tr := func(uid, from, to string, at time.Time) {
 		mustAppend(t, w, KindTransition, TransitionBody{Entity: "task", UID: uid, From: from, To: to, At: at})
 	}
-	task := func(uid string, d spec.TaskDescription) { mustAppend(t, w, KindTask, TaskBody{UID: uid, Desc: d}) }
+	task := func(uid string, d spec.TaskDescription) { mustAppend(t, w, kindTask, TaskBody{UID: uid, Desc: d}) }
 	descA := spec.TaskDescription{UID: "A", Name: "n", Cores: 1}
 	descB := spec.TaskDescription{UID: "B", Name: "n", Cores: 2}
 	descC := spec.TaskDescription{UID: "c-desc", Name: "m", Cores: 1, Pilot: "p1"}
@@ -269,7 +269,7 @@ func TestReplayCachesKeepVerdicts(t *testing.T) {
 	}
 	wantSnap := &Snapshot{
 		Session: SessionBody{UID: "s", Incarnation: 1},
-		Pilots:  []*PilotState{{Desc: spec.PilotDescription{UID: "p1", Platform: "r3", Nodes: 1}, State: states.PilotNew}},
+		Pilots:  []*PilotState{{Desc: spec.PilotDescription{UID: "p1", Platform: "r3", Nodes: 1}, State: states.PilotModel().Initial()}},
 		Tasks: []*TaskState{
 			{Desc: descA, State: states.TaskTmgrScheduling, Pilot: "p1"},
 			{Desc: descB, State: states.TaskTmgrScheduling, Pilot: "p.ghost"},
@@ -283,7 +283,7 @@ func TestReplayCachesKeepVerdicts(t *testing.T) {
 		Records: 22, Applied: 17, Skipped: 5, ValidBytes: stats.ValidBytes,
 		SkipReasons: map[string]int{"transition-unknown-uid": 1, "out-of-order-transition": 1, "duplicate-desc": 1,
 			"duplicate-transition": 1, "unknown-kind": 1},
-		FastDecodes: counts(map[Kind]int{KindTask: 4, KindBind: 2, KindTransition: 13}),
+		FastDecodes: counts(map[Kind]int{kindTask: 4, KindBind: 2, KindTransition: 13}),
 		JSONDecodes: counts(map[Kind]int{KindSession: 1, KindPilot: 1, "bogus": 1}),
 	}
 	if !reflect.DeepEqual(stats, wantStats) {
@@ -325,18 +325,18 @@ func TestWriterCrashModes(t *testing.T) {
 		fired := false
 		w.OnCrash(func() { fired = true })
 		w.SetCrashHook(func(rec Record) CrashMode {
-			if rec.Kind == KindTask {
+			if rec.Kind == kindTask {
 				return CrashLost
 			}
 			return NoCrash
 		})
-		if err := w.Append(KindTask, TaskBody{UID: "t1"}); !errors.Is(err, ErrCrashed) {
+		if err := w.Append(kindTask, TaskBody{UID: "t1"}); !errors.Is(err, ErrCrashed) {
 			t.Fatalf("crashing append err = %v, want ErrCrashed", err)
 		}
 		if !fired {
 			t.Fatal("OnCrash did not fire")
 		}
-		if err := w.Append(KindTask, TaskBody{UID: "t2"}); !errors.Is(err, ErrCrashed) {
+		if err := w.Append(kindTask, TaskBody{UID: "t2"}); !errors.Is(err, ErrCrashed) {
 			t.Fatalf("post-crash append err = %v, want ErrCrashed", err)
 		}
 		_, stats, err := ReplayFile(w.path)
@@ -352,12 +352,12 @@ func TestWriterCrashModes(t *testing.T) {
 		w := openTestWriter(t)
 		mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
 		w.SetCrashHook(func(rec Record) CrashMode {
-			if rec.Kind == KindTask {
+			if rec.Kind == kindTask {
 				return CrashTorn
 			}
 			return NoCrash
 		})
-		if err := w.Append(KindTask, TaskBody{UID: "t1"}); !errors.Is(err, ErrCrashed) {
+		if err := w.Append(kindTask, TaskBody{UID: "t1"}); !errors.Is(err, ErrCrashed) {
 			t.Fatalf("crashing append err = %v, want ErrCrashed", err)
 		}
 		_, stats, err := ReplayFile(w.path)
@@ -395,7 +395,7 @@ func TestAppendTransitionsMatchesOneByOne(t *testing.T) {
 	chained, single := openTestWriter(t), openTestWriter(t)
 	for _, w := range []*Writer{chained, single} {
 		mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
-		mustAppend(t, w, KindTask, TaskBody{UID: "t1"})
+		mustAppend(t, w, kindTask, TaskBody{UID: "t1"})
 	}
 	from := states.TaskNew
 	for _, chain := range taskChains(at) {
@@ -443,7 +443,7 @@ func TestAppendTransitionsCrashVerdicts(t *testing.T) {
 			t.Run(fmt.Sprintf("mode%d/record%d", mode, k), func(t *testing.T) {
 				w := openTestWriter(t)
 				mustAppend(t, w, KindSession, SessionBody{UID: "s", Incarnation: 1})
-				mustAppend(t, w, KindTask, TaskBody{UID: "t1"})
+				mustAppend(t, w, kindTask, TaskBody{UID: "t1"})
 				want := readFile(t, w.path)
 				var asked []uint64
 				w.SetCrashHook(func(rec Record) CrashMode {
@@ -632,7 +632,7 @@ func TestAppendDispatchCrashVerdicts(t *testing.T) {
 	chain := taskChains(at)[0]
 	desc := spec.TaskDescription{UID: "t1", Cores: 1}
 	bodies := []scriptRec{
-		{KindTask, TaskBody{UID: "t1", Desc: desc}},
+		{kindTask, TaskBody{UID: "t1", Desc: desc}},
 		{KindBind, BindBody{Entity: "task", UID: "t1", Pilot: "pilot.0001"}},
 	}
 	from := states.TaskNew
@@ -678,7 +678,7 @@ func TestAppendDispatchCrashVerdicts(t *testing.T) {
 				if got := readFile(t, w.path); !bytes.Equal(got, want) {
 					t.Fatalf("file after the verdict:\n got %q\nwant %q", got, want)
 				}
-				if len(asked) != k || asked[0] != KindTask || asked[k-1] != bodies[k-1].kind || fired != 1 {
+				if len(asked) != k || asked[0] != kindTask || asked[k-1] != bodies[k-1].kind || fired != 1 {
 					t.Fatalf("hook asked about %v, OnCrash fired %d times", asked, fired)
 				}
 				if appends, _ := w.Stats(); appends != int64(k) || !w.Crashed() {
@@ -1010,7 +1010,7 @@ func TestReplayFileStreamsLikeReplay(t *testing.T) {
 		mustAppend(t, w, KindTransition, TransitionBody{Entity: "task", UID: "t1", From: "NEW", To: "TMGR_SCHEDULING"})
 	}
 	long := strings.Repeat("n", 3*replayBuffer+17)
-	mustAppend(t, w, KindTask, TaskBody{UID: "big", Desc: spec.TaskDescription{UID: "big", Name: long, Cores: 1}})
+	mustAppend(t, w, kindTask, TaskBody{UID: "big", Desc: spec.TaskDescription{UID: "big", Name: long, Cores: 1}})
 	mustAppend(t, w, KindTransition, TransitionBody{Entity: "task", UID: "big", From: "NEW", To: "TMGR_SCHEDULING"})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -110,19 +110,16 @@ func (b *RoundRobin) PickIndex(v LoadView, _ int64) int {
 	return int((b.n.Add(1) - 1) % uint64(n))
 }
 
-// LeastLoaded is the full-scan argmin Picker: O(group) per pick, the
+// leastLoaded is the full-scan argmin Picker: O(group) per pick, the
 // quality ceiling the ablation holds P2C against. Ties break on a
 // rotating offset so equally-idle replicas share bursts that land
 // between two load reports.
-type LeastLoaded struct {
+type leastLoaded struct {
 	n atomic.Uint64
 }
 
-// NewLeastLoaded returns a full-scan least-loaded picker.
-func NewLeastLoaded() *LeastLoaded { return &LeastLoaded{} }
-
 // PickIndex implements Picker.
-func (b *LeastLoaded) PickIndex(v LoadView, _ int64) int {
+func (b *leastLoaded) PickIndex(v LoadView, _ int64) int {
 	n := v.Len()
 	if n <= 1 {
 		return 0
@@ -152,7 +149,7 @@ func PickerByName(name string, seed uint64) (Picker, error) {
 	case "round-robin":
 		return NewRoundRobin(), nil
 	case "least-loaded":
-		return NewLeastLoaded(), nil
+		return &leastLoaded{}, nil
 	default:
 		return nil, fmt.Errorf("loadbal: unknown picker %q (want p2c|round-robin|least-loaded)", name)
 	}

@@ -65,14 +65,14 @@ func TestRoundRobinFairnessProperty(t *testing.T) {
 }
 
 func TestLeastLoadedPicksShallowest(t *testing.T) {
-	b := NewLeastLoaded()
+	b := &leastLoaded{}
 	if got := b.PickIndex(depths{5, 1, 3}, 0); got != 1 {
 		t.Fatalf("picked %d, want the shallowest queue (1)", got)
 	}
 }
 
 func TestLeastLoadedTieBreaksAcrossCalls(t *testing.T) {
-	b := NewLeastLoaded()
+	b := &leastLoaded{}
 	v := make(depths, 4)
 	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
@@ -84,13 +84,13 @@ func TestLeastLoadedTieBreaksAcrossCalls(t *testing.T) {
 }
 
 func TestLeastLoadedEmpty(t *testing.T) {
-	if got := NewLeastLoaded().PickIndex(depths(nil), 0); got != 0 {
+	if got := (&leastLoaded{}).PickIndex(depths(nil), 0); got != 0 {
 		t.Fatalf("PickIndex over no candidates = %d, want 0", got)
 	}
 }
 
 func TestLeastLoadedAdaptsToChangingDepths(t *testing.T) {
-	b := NewLeastLoaded()
+	b := &leastLoaded{}
 	v := depths{0, 0}
 	first := b.PickIndex(v, 0)
 	v[first] = 10
@@ -106,7 +106,7 @@ func TestPickerByName(t *testing.T) {
 		"":             &P2C{},
 		"p2c":          &P2C{},
 		"round-robin":  &RoundRobin{},
-		"least-loaded": &LeastLoaded{},
+		"least-loaded": &leastLoaded{},
 	} {
 		p, err := PickerByName(name, 1)
 		if err != nil {

@@ -218,9 +218,13 @@ func TestLoadSketchWithinBoundOfOracle(t *testing.T) {
 				t.Errorf("sketch max %v, oracle %v (max must be exact)", r.Latency.Max(), sorted[len(sorted)-1])
 			}
 			// The exact-summary oracle agrees on N and extremes too.
-			st := metrics.Compute(r.Samples)
+			exactSeries := metrics.NewCollector()
+			for _, v := range r.Samples {
+				exactSeries.Add("latency", v)
+			}
+			st := exactSeries.Stats("latency")
 			if int64(st.N) != r.Completed || st.Max != r.Latency.Max() || st.Min != r.Latency.Min() {
-				t.Errorf("Compute oracle disagrees: N=%d max=%v min=%v vs completed=%d max=%v min=%v",
+				t.Errorf("Stats oracle disagrees: N=%d max=%v min=%v vs completed=%d max=%v min=%v",
 					st.N, st.Max, st.Min, r.Completed, r.Latency.Max(), r.Latency.Min())
 			}
 		})

@@ -28,9 +28,9 @@ type Stats struct {
 	P99  time.Duration
 }
 
-// Compute returns the summary statistics of values. A nil or empty input
+// compute returns the summary statistics of values. A nil or empty input
 // yields a zero Stats.
-func Compute(values []time.Duration) Stats {
+func compute(values []time.Duration) Stats {
 	if len(values) == 0 {
 		return Stats{}
 	}
@@ -160,7 +160,7 @@ func (c *Collector) Series(name string) []time.Duration {
 }
 
 // Stats computes summary statistics for the named series.
-func (c *Collector) Stats(name string) Stats { return Compute(c.Series(name)) }
+func (c *Collector) Stats(name string) Stats { return compute(c.Series(name)) }
 
 // Count returns the number of samples in the named series.
 func (c *Collector) Count(name string) int {

@@ -13,7 +13,7 @@ import (
 func ms(v int) time.Duration { return time.Duration(v) * time.Millisecond }
 
 func TestComputeBasic(t *testing.T) {
-	s := Compute([]time.Duration{ms(10), ms(20), ms(30), ms(40)})
+	s := compute([]time.Duration{ms(10), ms(20), ms(30), ms(40)})
 	if s.N != 4 {
 		t.Fatalf("N = %d", s.N)
 	}
@@ -29,30 +29,30 @@ func TestComputeBasic(t *testing.T) {
 }
 
 func TestComputeEmpty(t *testing.T) {
-	s := Compute(nil)
+	s := compute(nil)
 	if s.N != 0 || s.Mean != 0 || s.P99 != 0 {
-		t.Fatalf("empty Compute = %+v", s)
+		t.Fatalf("empty compute = %+v", s)
 	}
 }
 
 func TestComputeSingle(t *testing.T) {
-	s := Compute([]time.Duration{ms(7)})
+	s := compute([]time.Duration{ms(7)})
 	if s.Mean != ms(7) || s.Std != 0 || s.P50 != ms(7) || s.P99 != ms(7) {
-		t.Fatalf("single Compute = %+v", s)
+		t.Fatalf("single compute = %+v", s)
 	}
 }
 
 func TestComputeDoesNotMutateInput(t *testing.T) {
 	in := []time.Duration{ms(3), ms(1), ms(2)}
-	Compute(in)
+	compute(in)
 	if in[0] != ms(3) || in[1] != ms(1) || in[2] != ms(2) {
-		t.Fatal("Compute sorted the caller's slice")
+		t.Fatal("compute sorted the caller's slice")
 	}
 }
 
 func TestComputeStd(t *testing.T) {
 	// values 10,10,20,20 → mean 15, std 5
-	s := Compute([]time.Duration{ms(10), ms(10), ms(20), ms(20)})
+	s := compute([]time.Duration{ms(10), ms(10), ms(20), ms(20)})
 	if s.Std < ms(5)-time.Microsecond || s.Std > ms(5)+time.Microsecond {
 		t.Fatalf("Std = %v, want 5ms", s.Std)
 	}
@@ -63,7 +63,7 @@ func TestPercentileNearestRank(t *testing.T) {
 	for i := range vals {
 		vals[i] = ms(i + 1) // 1..100 ms
 	}
-	s := Compute(vals)
+	s := compute(vals)
 	if s.P50 != ms(50) || s.P95 != ms(95) || s.P99 != ms(99) {
 		t.Fatalf("percentiles = %v/%v/%v", s.P50, s.P95, s.P99)
 	}
@@ -79,7 +79,7 @@ func TestStatsInvariantProperty(t *testing.T) {
 		for i, r := range raw {
 			vals[i] = time.Duration(r) * time.Microsecond
 		}
-		s := Compute(vals)
+		s := compute(vals)
 		return s.Min <= s.P50 && s.P50 <= s.P95 && s.P95 <= s.P99 &&
 			s.P99 <= s.Max && s.Min <= s.Mean && s.Mean <= s.Max
 	}

@@ -23,7 +23,7 @@ const maxSketchBuckets = 1 << 16
 //
 // Accuracy contract: for every q, Quantile(q) is within relative error α
 // of the exact nearest-rank quantile (rank = ceil(q·n), the convention
-// Compute uses), deterministically — the rank-th smallest sample falls in
+// Collector.Stats uses), deterministically — the rank-th smallest sample falls in
 // some bucket, the rank walk lands in that bucket, and the estimate is
 // within α of every value the bucket covers. Min and max are tracked
 // exactly, so Quantile(q) at the extreme ranks returns them exactly.
@@ -33,8 +33,8 @@ const maxSketchBuckets = 1 << 16
 // report the same figure to the last digit, so a quantile that reads the same
 // at every seed says the seeds agree within α, not that they agree. Compare
 // runs on a sketch quantile only across differences larger than that; a
-// caller that needs finer keeps the samples and ranks them (Compute, which
-// loadgen.Scenario.KeepSamples feeds).
+// caller that needs finer keeps the samples and ranks them (Collector.Stats
+// over what loadgen.Scenario.KeepSamples keeps).
 //
 // Memory is O(log(max/min)/α) — independent of the number of samples
 // observed (MemoryBytes reports it) — and Merge folds two sketches with
@@ -129,7 +129,7 @@ func (s *Sketch) Max() time.Duration {
 }
 
 // Quantile returns the q-quantile estimate (nearest-rank convention,
-// rank = ceil(q·n), matching Compute). The extreme ranks return the exact
+// rank = ceil(q·n), matching Collector.Stats). The extreme ranks return the exact
 // min/max; interior ranks are within relative error Alpha of the exact
 // nearest-rank value. An empty sketch returns 0.
 func (s *Sketch) Quantile(q float64) time.Duration {

@@ -58,7 +58,7 @@ func adversarialDistributions(src *rng.Source) map[string][]time.Duration {
 
 	heavy := make([]time.Duration, 20000)
 	for i := range heavy {
-		heavy[i] = time.Duration(src.LogNormal(16, 2.5)) // spans µs..minutes
+		heavy[i] = time.Duration(math.Exp(src.Normal(16, 2.5))) // log-normal: spans µs..minutes
 	}
 	out["heavy-tailed"] = heavy
 
@@ -88,7 +88,7 @@ func adversarialDistributions(src *rng.Source) map[string][]time.Duration {
 }
 
 // TestSketchVsOracle pins the sketch against the exact sort-based oracle
-// (metrics.Compute's percentile) over adversarial distributions: every
+// (compute's percentile) over adversarial distributions: every
 // quantile must land within the documented relative-error bound, and
 // min/max must be exact.
 func TestSketchVsOracle(t *testing.T) {

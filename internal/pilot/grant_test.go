@@ -149,7 +149,7 @@ func TestEnqueuedAfterInputStaging(t *testing.T) {
 	src := rng.New(11)
 	net := msgq.NewNetwork(clock, src.Derive("net"), nil)
 	defer net.Close()
-	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.NewDelta(),
+	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.DefaultTopology().Platform("delta"),
 		BootTime: rng.ConstDuration(0), LaunchModel: &platform.LaunchModel{}}, deltaPilot())
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +450,7 @@ func TestGrantedTaskOnVirtualClock(t *testing.T) {
 	src := rng.New(11)
 	net := msgq.NewNetwork(clock, src.Derive("net"), nil)
 	defer net.Close()
-	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.NewDelta(),
+	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.DefaultTopology().Platform("delta"),
 		BootTime: rng.ConstDuration(0)}, spec.PilotDescription{Platform: "delta", Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -499,7 +499,7 @@ func queuedBehindService(t *testing.T, stop func(*Pilot, *service.Instance) erro
 	src := rng.New(11)
 	net := msgq.NewNetwork(clock, src.Derive("net"), nil)
 	defer net.Close()
-	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.NewDelta(),
+	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.DefaultTopology().Platform("delta"),
 		BootTime: rng.ConstDuration(0)}, spec.PilotDescription{Platform: "delta", Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -580,7 +580,7 @@ func TestQueuedTaskGetsKilledServiceCoresRace(t *testing.T) {
 		i.Kill()
 		return nil
 	})
-	if inst.State() != states.ServiceFailed {
+	if !inst.Final() || inst.Err() == nil {
 		t.Fatalf("killed service in %s, want FAILED", inst.State())
 	}
 	checkGrantedAt(t, task, at.Add(2*probeInterval))
@@ -594,7 +594,7 @@ func bootstrapPilot(t *testing.T, clock *simtime.Virtual) *Pilot {
 	src := rng.New(11)
 	net := msgq.NewNetwork(clock, src.Derive("net"), nil)
 	t.Cleanup(func() { _ = net.Close() })
-	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.NewDelta(),
+	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.DefaultTopology().Platform("delta"),
 		BootTime: rng.ConstDuration(0)}, spec.PilotDescription{Platform: "delta", Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -693,7 +693,7 @@ func TestServiceStartTimeoutFailsExactly(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		p, inst, submitted, failed := run(launch + init/2)
-		if inst.State() != states.ServiceFailed || inst.Err() == nil ||
+		if !inst.Final() || inst.Err() == nil ||
 			inst.Err().Error() != "service "+inst.UID()+": start timeout after init" {
 			t.Fatalf("run %d: service in %s with %v, want FAILED by its start timeout after init", i, inst.State(), inst.Err())
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,7 +33,7 @@ func newHookedPilot(t *testing.T, scale float64, desc spec.PilotDescription, hoo
 	t.Helper()
 	clock := simtime.NewScaled(scale, origin)
 	src := rng.New(11)
-	plat := platform.NewDelta()
+	plat := platform.DefaultTopology().Platform("delta")
 	topo := platform.NewTopology(plat)
 	net := msgq.NewNetwork(clock, src.Derive("net"), topo.Resolver())
 	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: plat, Hooks: hooks}, desc)
@@ -78,7 +79,7 @@ func TestLaunchByNodeCount(t *testing.T) {
 func TestLaunchInsufficient(t *testing.T) {
 	clock := simtime.NewScaled(100000, origin)
 	src := rng.New(1)
-	plat := platform.NewDelta()
+	plat := platform.DefaultTopology().Platform("delta")
 	net := msgq.NewNetwork(clock, src, nil)
 	defer net.Close()
 	_, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: plat},
@@ -94,7 +95,7 @@ func TestLaunchInsufficient(t *testing.T) {
 func TestLaunchValidation(t *testing.T) {
 	clock := simtime.NewScaled(1000, origin)
 	src := rng.New(1)
-	plat := platform.NewDelta()
+	plat := platform.DefaultTopology().Platform("delta")
 	net := msgq.NewNetwork(clock, src, nil)
 	defer net.Close()
 	if _, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: plat},
@@ -369,7 +370,7 @@ func TestStateCallbackObservesTransitions(t *testing.T) {
 	done := make(chan struct{})
 	clock.Go(func() {
 		defer close(done)
-		if p, err = Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.NewDelta(), Hooks: hooks}, deltaPilot()); err != nil {
+		if p, err = Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.DefaultTopology().Platform("delta"), Hooks: hooks}, deltaPilot()); err != nil {
 			return
 		}
 		var task *Task
@@ -461,7 +462,7 @@ func newPilotOn(t *testing.T, plat *platform.Platform, desc spec.PilotDescriptio
 // whole-campus pilot on a mixed platform owns nodes of every shape and
 // reports them through Shapes.
 func TestLaunchSpansMixedShapes(t *testing.T) {
-	plat := platform.NewHeteroCampus()
+	plat := platform.DefaultTopology().Platform("hetero")
 	p := newPilotOn(t, plat, spec.PilotDescription{
 		Platform: "hetero", Nodes: len(plat.Nodes()),
 	}, "")
@@ -472,8 +473,8 @@ func TestLaunchSpansMixedShapes(t *testing.T) {
 	if len(shapes) != 2 {
 		t.Fatalf("pilot shapes = %+v, want fat + thin", shapes)
 	}
-	if shapes[0].Spec != platform.HeteroFatSpec || shapes[1].Spec != platform.HeteroThinSpec {
-		t.Fatalf("pilot shape specs = %+v", shapes)
+	if !slices.Equal(shapes, plat.Shapes()) {
+		t.Fatalf("pilot shapes = %+v, want the campus's %+v", shapes, plat.Shapes())
 	}
 	if plat.FreeCores() != 0 || plat.FreeGPUs() != 0 {
 		t.Fatal("whole-campus pilot left platform capacity unreserved")
@@ -551,7 +552,7 @@ func TestPolicyResolution(t *testing.T) {
 	launch := func(policy string) (*Pilot, error) {
 		clock := simtime.NewScaled(100000, origin)
 		src := rng.New(11)
-		plat := platform.NewDelta()
+		plat := platform.DefaultTopology().Platform("delta")
 		net := msgq.NewNetwork(clock, src.Derive("net"), platform.NewTopology(plat).Resolver())
 		p, err := Launch(Config{
 			Clock: clock, Src: src, Net: net, Platform: plat, SchedPolicy: policy,

@@ -49,9 +49,9 @@ func newFrontier() *Platform {
 	return p
 }
 
-// NewDelta models the NCSA Delta partition of Exp 2/3: a 256-core /
+// newDelta models the NCSA Delta partition of Exp 2/3: a 256-core /
 // 16-GPU pilot is 4 nodes × 64 cores × 4 A100s, 256 GB per node.
-func NewDelta() *Platform {
+func newDelta() *Platform {
 	p := New("delta", 4, NodeSpec{Cores: 64, GPUs: 4, MemGB: 256})
 	p.IntraNodeLatency = localLatency(5*time.Microsecond, 1*time.Microsecond)
 	p.LocalLatency = localLatency(deltaInterNodeLatencyMean, deltaInterNodeLatencyStd)
@@ -87,10 +87,10 @@ func newR3() *Platform {
 // first-fit placement then fragments the fat nodes with small tasks,
 // which is exactly the failure mode best-fit placement is for.
 var (
-	// HeteroFatSpec is the hetero campus's GPU-partition node shape.
-	HeteroFatSpec = NodeSpec{Cores: 128, GPUs: 16, MemGB: 1024}
-	// HeteroThinSpec is the hetero campus's CPU-partition node shape.
-	HeteroThinSpec = NodeSpec{Cores: 16, GPUs: 0, MemGB: 64}
+	// heteroFatSpec is the hetero campus's GPU-partition node shape.
+	heteroFatSpec = NodeSpec{Cores: 128, GPUs: 16, MemGB: 1024}
+	// heteroThinSpec is the hetero campus's CPU-partition node shape.
+	heteroThinSpec = NodeSpec{Cores: 16, GPUs: 0, MemGB: 64}
 )
 
 // Hetero-campus partition sizes.
@@ -101,7 +101,7 @@ const (
 	heteroThinNodes = 96
 )
 
-// NewHeteroCampus models a mixed-shape campus cluster — the kind of
+// newHeteroCampus models a mixed-shape campus cluster — the kind of
 // machine the paper's three single-shape testbeds bracket but never
 // combine: a fat GPU partition (32 × 128 cores/16 GPUs/1024 GB) in front
 // of a thin CPU partition (96 × 16 cores/64 GB, no GPUs) behind one
@@ -109,10 +109,10 @@ const (
 // whole-campus pilots span both shapes, and the fragmentation ablation
 // (`rpexp -exp frag`) compares first-fit against best-fit placement on
 // it at figure scale.
-func NewHeteroCampus() *Platform {
+func newHeteroCampus() *Platform {
 	p := NewMixed("hetero", []NodeGroup{
-		{Count: heteroFatNodes, Spec: HeteroFatSpec},
-		{Count: heteroThinNodes, Spec: HeteroThinSpec},
+		{Count: heteroFatNodes, Spec: heteroFatSpec},
+		{Count: heteroThinNodes, Spec: heteroThinSpec},
 	})
 	p.IntraNodeLatency = localLatency(5*time.Microsecond, 1*time.Microsecond)
 	p.LocalLatency = localLatency(90*time.Microsecond, 20*time.Microsecond)
@@ -129,7 +129,7 @@ func NewHeteroCampus() *Platform {
 // hetero campus into one topology with the Delta↔R3 WAN latency as the
 // default wide-area link.
 func DefaultTopology() *Topology {
-	t := NewTopology(newFrontier(), NewDelta(), newR3(), NewHeteroCampus())
+	t := NewTopology(newFrontier(), newDelta(), newR3(), newHeteroCampus())
 	t.DefaultWAN = rng.NormalDuration(deltaToR3LatencyMean, deltaToR3LatencyStd)
 	return t
 }

@@ -238,7 +238,7 @@ func TestCatalogShapes(t *testing.T) {
 	if got := f.TotalGPUs(); got != 640 {
 		t.Fatalf("Frontier GPUs = %d, want 640 (paper Exp 1 pilot)", got)
 	}
-	d := NewDelta()
+	d := newDelta()
 	if d.TotalCores() != 256 || d.TotalGPUs() != 16 {
 		t.Fatalf("Delta = %d cores / %d GPUs, want 256/16 (Table II)", d.TotalCores(), d.TotalGPUs())
 	}
@@ -249,7 +249,7 @@ func TestCatalogShapes(t *testing.T) {
 }
 
 func TestCatalogLatencies(t *testing.T) {
-	d := NewDelta()
+	d := newDelta()
 	src := rng.New(7)
 	const n = 2000
 	var sum time.Duration
@@ -303,7 +303,7 @@ func TestTopologyResolver(t *testing.T) {
 }
 
 func TestTopologyResolverFallbacks(t *testing.T) {
-	topo := NewTopology(NewDelta())
+	topo := NewTopology(newDelta())
 	topo.DefaultWAN = rng.ConstDuration(time.Millisecond)
 	resolve := topo.Resolver()
 	src := rng.New(1)
@@ -316,7 +316,7 @@ func TestTopologyResolverFallbacks(t *testing.T) {
 	// reverse entry: mars knows delta but not vice versa
 	mars := New("mars", 1, NodeSpec{Cores: 1})
 	mars.WANLatency["delta"] = rng.ConstDuration(2 * time.Millisecond)
-	topo2 := NewTopology(NewDelta(), mars)
+	topo2 := NewTopology(newDelta(), mars)
 	p = topo2.Resolver()(Addr("delta", "x", "t"), Addr("mars", "m0", "s"))
 	if got := p.Latency.Sample(src); got != 2*time.Millisecond {
 		t.Fatalf("reverse WAN lookup = %v, want 2ms", got)
@@ -396,23 +396,23 @@ func TestNewMixedPanicsOnBadGroup(t *testing.T) {
 }
 
 func TestHeteroCampusCatalog(t *testing.T) {
-	p := NewHeteroCampus()
+	p := newHeteroCampus()
 	shapes := p.Shapes()
 	if len(shapes) != 2 {
 		t.Fatalf("hetero campus shapes = %+v, want fat + thin", shapes)
 	}
-	if shapes[0] != (NodeGroup{heteroFatNodes, HeteroFatSpec}) {
+	if shapes[0] != (NodeGroup{heteroFatNodes, heteroFatSpec}) {
 		t.Fatalf("fat partition = %+v", shapes[0])
 	}
-	if shapes[1] != (NodeGroup{heteroThinNodes, HeteroThinSpec}) {
+	if shapes[1] != (NodeGroup{heteroThinNodes, heteroThinSpec}) {
 		t.Fatalf("thin partition = %+v", shapes[1])
 	}
 	// The fat partition must come first in node order: the fragmentation
 	// ablation depends on first-fit landing small tasks on fat nodes.
-	if p.Nodes()[0].Spec() != HeteroFatSpec {
+	if p.Nodes()[0].Spec() != heteroFatSpec {
 		t.Fatal("hetero campus does not lead with the fat partition")
 	}
-	if p.TotalGPUs() != heteroFatNodes*HeteroFatSpec.GPUs {
+	if p.TotalGPUs() != heteroFatNodes*heteroFatSpec.GPUs {
 		t.Fatalf("hetero GPUs = %d", p.TotalGPUs())
 	}
 }

@@ -66,24 +66,24 @@ func (c *Caller) Infer(ctx context.Context, prompt string, maxTokens int) (proto
 }
 
 // generate POSTs one /api/generate call.
-func (c *Caller) generate(ctx context.Context, req generateRequest) (GenerateResponse, error) {
+func (c *Caller) generate(ctx context.Context, req generateRequest) (generateResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return GenerateResponse{}, err
+		return generateResponse{}, err
 	}
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.ep.Address+"/api/generate", bytes.NewReader(body))
 	if err != nil {
-		return GenerateResponse{}, err
+		return generateResponse{}, err
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(httpReq)
 	if err != nil {
-		return GenerateResponse{}, fmt.Errorf("restapi: generate: %w", err)
+		return generateResponse{}, fmt.Errorf("restapi: generate: %w", err)
 	}
 	defer resp.Body.Close()
-	var out GenerateResponse
+	var out generateResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&out); err != nil {
-		return GenerateResponse{}, fmt.Errorf("restapi: decode response: %w", err)
+		return generateResponse{}, fmt.Errorf("restapi: decode response: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg := out.Error

@@ -28,8 +28,8 @@ type generateRequest struct {
 	ClientID  string `json:"client_id,omitempty"`
 }
 
-// GenerateResponse is the POST /api/generate reply body.
-type GenerateResponse struct {
+// generateResponse is the POST /api/generate reply body.
+type generateResponse struct {
 	Model        string       `json:"model"`
 	Response     string       `json:"response"`
 	PromptTokens int          `json:"prompt_tokens"`
@@ -39,8 +39,8 @@ type GenerateResponse struct {
 	Error        string       `json:"error,omitempty"`
 }
 
-// Health is the GET /api/health body.
-type Health struct {
+// health is the GET /api/health body.
+type health struct {
 	ServiceUID string `json:"service_uid"`
 	Model      string `json:"model"`
 	Ready      bool   `json:"ready"`
@@ -98,7 +98,7 @@ func (g *Gateway) Close() error {
 func (g *Gateway) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	var req generateRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, GenerateResponse{Error: "malformed request: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, generateResponse{Error: "malformed request: " + err.Error()})
 		return
 	}
 	reply, err := g.srv.Submit(r.Context(), proto.InferenceRequest{
@@ -108,15 +108,18 @@ func (g *Gateway) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		Prompt:     req.Prompt,
 		MaxTokens:  req.MaxTokens,
 	})
+	if err == nil && reply.Err != "" {
+		err = errors.New(reply.Err) // a queued request Stop flushed
+	}
 	if err != nil {
 		status := http.StatusServiceUnavailable
 		if errors.Is(err, serving.ErrQueueFull) {
 			status = http.StatusTooManyRequests
 		}
-		writeJSON(w, status, GenerateResponse{Error: err.Error()})
+		writeJSON(w, status, generateResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, GenerateResponse{
+	writeJSON(w, http.StatusOK, generateResponse{
 		Model:        reply.Model,
 		Response:     reply.Text,
 		PromptTokens: reply.PromptTokens,
@@ -127,7 +130,7 @@ func (g *Gateway) handleGenerate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, Health{
+	writeJSON(w, http.StatusOK, health{
 		ServiceUID: g.srv.UID(),
 		Model:      g.srv.Model(),
 		Ready:      g.srv.Ready(),

@@ -57,14 +57,14 @@ func newCaller(t *testing.T, g *Gateway) *Caller {
 }
 
 // getHealth fetches g's GET /api/health record.
-func getHealth(t *testing.T, g *Gateway) Health {
+func getHealth(t *testing.T, g *Gateway) health {
 	t.Helper()
 	resp, err := http.Get(g.URL() + "/api/health")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var h Health
+	var h health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +130,81 @@ func TestGenerateAgainstStoppedServer(t *testing.T) {
 	}
 	if getHealth(t, g).Ready {
 		t.Fatal("stopped server reports ready")
+	}
+}
+
+// gateBackend holds every inference until release closes, and reports on
+// entered each one it starts.
+type gateBackend struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b gateBackend) Name() string        { return "gate" }
+func (b gateBackend) Load() time.Duration { return 0 }
+
+func (b gateBackend) Infer(string, int) llm.Result {
+	b.entered <- struct{}{}
+	<-b.release
+	return llm.Result{Text: "done", PromptTokens: 1, OutputTokens: 1}
+}
+
+func (b gateBackend) InferBatch(items []llm.BatchItem) []llm.Result {
+	out := make([]llm.Result, len(items))
+	for i, it := range items {
+		out[i] = b.Infer(it.Prompt, it.MaxTokens)
+	}
+	return out
+}
+
+// TestStopFlushedRequestFails: a request still queued when the server
+// stops gets the server's ErrStopped reply, and the gateway answers it as a
+// failure (503) rather than as an empty success.
+func TestStopFlushedRequestFails(t *testing.T) {
+	gate := gateBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	clock := simtime.NewScaled(100000, origin)
+	srv, err := serving.New(serving.Config{UID: "r3.service.0001", Backend: gate, Clock: clock, Src: rng.New(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGateway(srv, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	c := newCaller(t, g)
+
+	type result struct {
+		reply proto.InferenceReply
+		err   error
+	}
+	infer := func() chan result {
+		out := make(chan result, 1)
+		go func() {
+			reply, _, err := c.Infer(context.Background(), "x", 1)
+			out <- result{reply, err}
+		}()
+		return out
+	}
+	served := infer()
+	<-gate.entered
+	flushed := infer()
+	for deadline := time.Now().Add(10 * time.Second); srv.Queued() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never queued")
+		}
+	}
+	srv.Stop()
+	close(gate.release)
+
+	if r := <-served; r.err != nil || r.reply.Text != "done" {
+		t.Fatalf("in-service request: %+v, %v; want its reply", r.reply, r.err)
+	}
+	if r := <-flushed; r.err == nil || !strings.Contains(r.err.Error(), serving.ErrStopped.Error()) {
+		t.Fatalf("flushed request: %+v, %v; want the server's %q", r.reply, r.err, serving.ErrStopped)
 	}
 }
 

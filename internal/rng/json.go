@@ -8,7 +8,7 @@ import (
 
 // distJSON is the wire form of a Dist. Every catalog distribution maps to
 // one kind; the parameters not used by a kind stay at their zero value.
-// Normal's lower truncation bound is a pointer because -Inf (the
+// normal's lower truncation bound is a pointer because -Inf (the
 // untruncated case) has no JSON representation — absence means -Inf.
 type distJSON struct {
 	Kind  string   `json:"kind"`
@@ -18,12 +18,11 @@ type distJSON struct {
 	Mu    float64  `json:"mu,omitempty"`
 	Sigma float64  `json:"sigma,omitempty"`
 	Min   *float64 `json:"min,omitempty"`
-	Mean  float64  `json:"mean,omitempty"`
 }
 
 // MarshalJSON serializes the distribution so task descriptions survive a
 // write-ahead journal round trip. The catalog distributions round-trip
-// exactly; a caller-defined Dist implementation degrades to a Const at its
+// exactly; a caller-defined Dist implementation degrades to a constant at its
 // Mean (the journal cannot serialize arbitrary code, and the mean
 // preserves the workload's expected cost).
 func (dd DurationDist) MarshalJSON() ([]byte, error) {
@@ -32,20 +31,16 @@ func (dd DurationDist) MarshalJSON() ([]byte, error) {
 	}
 	var out distJSON
 	switch d := dd.D.(type) {
-	case Const:
+	case constant:
 		out = distJSON{Kind: "const", V: d.V}
 	case Uniform:
 		out = distJSON{Kind: "uniform", Lo: d.Lo, Hi: d.Hi}
-	case Normal:
+	case normal:
 		out = distJSON{Kind: "normal", Mu: d.Mu, Sigma: d.Sigma}
 		if !math.IsInf(d.Min, -1) {
 			min := d.Min
 			out.Min = &min
 		}
-	case LogNormal:
-		out = distJSON{Kind: "lognormal", Mu: d.Mu, Sigma: d.Sigma}
-	case Exponential:
-		out = distJSON{Kind: "exponential", Mean: d.MeanV}
 	default:
 		out = distJSON{Kind: "const", V: dd.D.Mean()}
 	}
@@ -64,7 +59,7 @@ func (dd *DurationDist) UnmarshalJSON(data []byte) error {
 	}
 	switch in.Kind {
 	case "const":
-		dd.D = Const{V: in.V}
+		dd.D = constant{V: in.V}
 	case "uniform":
 		dd.D = Uniform{Lo: in.Lo, Hi: in.Hi}
 	case "normal":
@@ -72,11 +67,7 @@ func (dd *DurationDist) UnmarshalJSON(data []byte) error {
 		if in.Min != nil {
 			min = *in.Min
 		}
-		dd.D = Normal{Mu: in.Mu, Sigma: in.Sigma, Min: min}
-	case "lognormal":
-		dd.D = LogNormal{Mu: in.Mu, Sigma: in.Sigma}
-	case "exponential":
-		dd.D = Exponential{MeanV: in.Mean}
+		dd.D = normal{Mu: in.Mu, Sigma: in.Sigma, Min: min}
 	default:
 		return fmt.Errorf("rng: unknown distribution kind %q", in.Kind)
 	}

@@ -123,11 +123,6 @@ func (s *Source) Normal(mean, std float64) float64 {
 	return mean + std*z0
 }
 
-// LogNormal returns exp(N(mu, sigma)).
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
 // Exponential returns an exponentially distributed float with the given
 // mean (i.e. rate 1/mean).
 func (s *Source) Exponential(mean float64) float64 {
@@ -146,14 +141,14 @@ type Dist interface {
 	Mean() float64
 }
 
-// Const is a degenerate distribution always returning V.
-type Const struct{ V float64 }
+// constant is a degenerate distribution always returning V.
+type constant struct{ V float64 }
 
 // Sample implements Dist.
-func (c Const) Sample(*Source) float64 { return c.V }
+func (c constant) Sample(*Source) float64 { return c.V }
 
 // Mean implements Dist.
-func (c Const) Mean() float64 { return c.V }
+func (c constant) Mean() float64 { return c.V }
 
 // Uniform is the uniform distribution on [Lo, Hi).
 type Uniform struct{ Lo, Hi float64 }
@@ -164,21 +159,21 @@ func (u Uniform) Sample(src *Source) float64 { return u.Lo + (u.Hi-u.Lo)*src.Flo
 // Mean implements Dist.
 func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
 
-// Normal is the normal distribution, optionally truncated below at Min
+// normal is the normal distribution, optionally truncated below at Min
 // (re-sampled; Min is ignored when NaN). Use truncNormal to construct.
-type Normal struct {
+type normal struct {
 	Mu, Sigma float64
 	Min       float64 // lower truncation bound; -Inf disables
 }
 
 // truncNormal returns a normal distribution truncated below at min.
-func truncNormal(mu, sigma, min float64) Normal {
-	return Normal{Mu: mu, Sigma: sigma, Min: min}
+func truncNormal(mu, sigma, min float64) normal {
+	return normal{Mu: mu, Sigma: sigma, Min: min}
 }
 
 // Sample implements Dist. Truncation clamps after 16 rejected draws to
 // guarantee termination for pathological parameters.
-func (n Normal) Sample(src *Source) float64 {
+func (n normal) Sample(src *Source) float64 {
 	for i := 0; i < 16; i++ {
 		v := src.Normal(n.Mu, n.Sigma)
 		if v >= n.Min {
@@ -191,26 +186,7 @@ func (n Normal) Sample(src *Source) float64 {
 // Mean implements Dist. For truncated normals this returns the untruncated
 // mean, which is accurate when Min is several sigmas below Mu (the only
 // regime used here).
-func (n Normal) Mean() float64 { return n.Mu }
-
-// LogNormal is parameterized by the mean and sigma of the underlying
-// normal.
-type LogNormal struct{ Mu, Sigma float64 }
-
-// Sample implements Dist.
-func (l LogNormal) Sample(src *Source) float64 { return src.LogNormal(l.Mu, l.Sigma) }
-
-// Mean implements Dist.
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// Exponential distribution with the given mean.
-type Exponential struct{ MeanV float64 }
-
-// Sample implements Dist.
-func (e Exponential) Sample(src *Source) float64 { return src.Exponential(e.MeanV) }
-
-// Mean implements Dist.
-func (e Exponential) Mean() float64 { return e.MeanV }
+func (n normal) Mean() float64 { return n.Mu }
 
 // DurationDist samples a Dist as a time.Duration, interpreting the
 // underlying distribution's unit as seconds. Negative samples are clamped
@@ -222,7 +198,7 @@ func Seconds(d Dist) DurationDist { return DurationDist{D: d} }
 
 // ConstDuration returns a degenerate duration distribution.
 func ConstDuration(d time.Duration) DurationDist {
-	return DurationDist{D: Const{V: d.Seconds()}}
+	return DurationDist{D: constant{V: d.Seconds()}}
 }
 
 // NormalDuration returns a duration distribution N(mu, sigma) truncated at

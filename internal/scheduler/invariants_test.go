@@ -89,7 +89,7 @@ func TestSchedulerInvariants(t *testing.T) {
 		name string
 		mk   func(src *rng.Source) Policy
 	}{
-		{"strict", func(*rng.Source) Policy { return Strict() }},
+		{"strict", func(*rng.Source) Policy { return strictPolicy{} }},
 		{"backfill", func(src *rng.Source) Policy {
 			return Backfill(BackfillConfig{MaxBypass: 1 + src.Intn(32), MaxDelay: -1})
 		}},

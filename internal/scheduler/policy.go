@@ -100,7 +100,7 @@ func (p *Pool) Now() time.Time { return p.s.clock.Now() }
 func PolicyByName(name string) (Policy, error) {
 	switch name {
 	case "", policyStrict:
-		return Strict(), nil
+		return strictPolicy{}, nil
 	case policyBackfill:
 		return Backfill(BackfillConfig{}), nil
 	case policyBestFit:
@@ -113,12 +113,10 @@ func PolicyByName(name string) (Policy, error) {
 
 // --- strict ------------------------------------------------------------------
 
-type strictPolicy struct{}
-
-// Strict returns the default policy: strict priority order, first-fit
+// strictPolicy is the default policy: strict priority order, first-fit
 // placement, no backfill. Its grant sequence is pinned byte-for-byte to
 // the seed scheduler by TestIndexedPlacementMatchesSeedFirstFit.
-func Strict() Policy { return strictPolicy{} }
+type strictPolicy struct{}
 
 // Name implements Policy.
 func (strictPolicy) Name() string { return policyStrict }
@@ -135,9 +133,9 @@ func (strictPolicy) Grant(p *Pool) (int, *platform.Allocation) {
 
 // Starvation-bound defaults for the backfill policies.
 const (
-	// DefaultMaxBypass is the default K: how many times one blocked head
+	// defaultMaxBypass is the default K: how many times one blocked head
 	// may be overtaken before backfill suspends.
-	DefaultMaxBypass = 16
+	defaultMaxBypass = 16
 	// defaultMaxDelay is the default T: how long (scheduler-clock time) a
 	// head may stay blocked while being overtaken before backfill
 	// suspends.
@@ -151,7 +149,7 @@ const (
 // guarantee survives backfill.
 type BackfillConfig struct {
 	// MaxBypass is K, the bypass-count bound per blocked head. Zero
-	// selects DefaultMaxBypass; negative disables the count bound.
+	// selects defaultMaxBypass; negative disables the count bound.
 	MaxBypass int
 	// MaxDelay is T, the blocked-duration bound per head, measured on the
 	// scheduler clock. Zero selects defaultMaxDelay; negative disables
@@ -161,7 +159,7 @@ type BackfillConfig struct {
 
 func (c BackfillConfig) resolved() BackfillConfig {
 	if c.MaxBypass == 0 {
-		c.MaxBypass = DefaultMaxBypass
+		c.MaxBypass = defaultMaxBypass
 	}
 	if c.MaxDelay == 0 {
 		c.MaxDelay = defaultMaxDelay

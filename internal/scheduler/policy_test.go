@@ -61,7 +61,7 @@ func TestPolicyDefaultIsStrict(t *testing.T) {
 func TestPolicyStrictKeepsHeadOfLineBlocking(t *testing.T) {
 	clock := heldClock(t)
 	c := newCollector()
-	s := New(nodes(1, 4, 0), c.fn, WithPolicy(Strict()), WithClock(clock))
+	s := New(nodes(1, 4, 0), c.fn, WithPolicy(strictPolicy{}), WithClock(clock))
 	defer s.Close()
 	_ = s.Submit(Request{UID: "filler", Cores: 3})
 	c.waitN(t, 1)
@@ -308,7 +308,7 @@ func TestPolicyBestFitReducesFragmentation(t *testing.T) {
 	// 64-core task is stuck waiting.
 	clock := heldClock(t)
 	c = newCollector()
-	s = New(hetero(), c.fn, WithPolicy(Strict()), WithClock(clock))
+	s = New(hetero(), c.fn, WithPolicy(strictPolicy{}), WithClock(clock))
 	defer s.Close()
 	_ = s.Submit(Request{UID: "small-task", Cores: 4})
 	_ = s.Submit(Request{UID: "large-task", Cores: 64})

@@ -141,7 +141,7 @@ func New(nodes []*platform.Node, place PlaceFn, opts ...Option) *Scheduler {
 	s := &Scheduler{
 		nodes:   nodes,
 		place:   place,
-		policy:  Strict(),
+		policy:  strictPolicy{},
 		clock:   simtime.NewReal(),
 		index:   newNodeIndex(nodes),
 		nodeOf:  make(map[*platform.Node]int, len(nodes)),

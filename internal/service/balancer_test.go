@@ -89,8 +89,12 @@ func TestBalancerLeastLoadedPrefersIdleMember(t *testing.T) {
 	reg.ReportLoad("svc", Load{Queued: 3, InFlight: 1, At: now})
 	reg.ReportLoad("m1", Load{At: now})
 	reg.ReportLoad("m2", Load{Queued: 1, At: now})
+	picker, err := loadbal.PickerByName("least-loaded", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b, err := NewBalancer(reg, "svc", balDial, BalancerOptions{
-		Picker: loadbal.NewLeastLoaded(),
+		Picker: picker,
 		Now:    func() time.Time { return now },
 	})
 	if err != nil {

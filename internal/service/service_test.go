@@ -48,7 +48,7 @@ func newRig(t *testing.T, scale float64) *rig {
 func newRigOn(t *testing.T, clock simtime.Clock) *rig {
 	t.Helper()
 	src := rng.New(7)
-	plat := platform.NewDelta()
+	plat := platform.DefaultTopology().Platform("delta")
 	topo := platform.NewTopology(plat)
 	net := msgq.NewNetwork(clock, src.Derive("net"), topo.Resolver())
 	rtr := scheduler.NewRouter()
@@ -91,6 +91,9 @@ func noopDesc(name string) spec.ServiceDescription {
 		Model:           "noop",
 	}
 }
+
+// failed reports whether inst ended FAILED: final, with a cause.
+func failed(inst *Instance) bool { return inst.Final() && inst.Err() != nil }
 
 // waitReady waits for uids on the test goroutine, registered with a virtual
 // clock for the wait: WaitReady parks its caller on the clock's books.
@@ -403,10 +406,10 @@ func TestKilledServiceFailsTwoProbesLater(t *testing.T) {
 		inst, _ := r.mgr.Submit(d)
 		waitReady(t, r, inst.UID())
 		v.AddRunner()
-		var failedAt time.Time
+		var finalAt time.Time
 		inst.OnTransition(func(_ string, _, to states.State, at time.Time) {
-			if to == states.ServiceFailed {
-				failedAt = at
+			if states.ServiceModel().IsFinal(to) {
+				finalAt = at
 			}
 		})
 		killedAt := v.Now()
@@ -422,8 +425,8 @@ func TestKilledServiceFailsTwoProbesLater(t *testing.T) {
 		switch {
 		case terminate && inst.State() != states.ServiceDone:
 			t.Errorf("terminated killed service in %s, want DONE", inst.State())
-		case !terminate && (inst.State() != states.ServiceFailed || !failedAt.Equal(killedAt.Add(2*d.ProbeInterval))):
-			t.Errorf("killed service in %s at %v, want FAILED at %v", inst.State(), failedAt, killedAt.Add(2*d.ProbeInterval))
+		case !terminate && (!failed(inst) || !finalAt.Equal(killedAt.Add(2*d.ProbeInterval))):
+			t.Errorf("killed service in %s at %v, want FAILED at %v", inst.State(), finalAt, killedAt.Add(2*d.ProbeInterval))
 		}
 	}
 }
@@ -443,18 +446,18 @@ func TestKilledProbeVsTerminateSingleWinnerRace(t *testing.T) {
 		inst.Kill()
 		time.Sleep(time.Duration(i) * 4 * time.Microsecond) // either side of the detection
 		err := r.mgr.Terminate(inst.UID(), false)
-		want := states.ServiceDone
+		if err != nil && !errors.Is(err, ErrNotActive) {
+			t.Fatalf("run %d: Terminate = %v, want nil or ErrNotActive", i, err)
+		}
+		want, ended := "DONE", func() bool { return inst.State() == states.ServiceDone }
 		if err != nil {
-			if !errors.Is(err, ErrNotActive) {
-				t.Fatalf("run %d: Terminate = %v, want nil or ErrNotActive", i, err)
-			}
-			want = states.ServiceFailed
+			want, ended = "FAILED", func() bool { return failed(inst) }
 		}
 		deadline := time.Now().Add(5 * time.Second)
-		for (inst.State() != want || r.sched.Snapshot().MaxFreeCores != 64) && time.Now().Before(deadline) {
+		for (!ended() || r.sched.Snapshot().MaxFreeCores != 64) && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		if inst.State() != want || r.sched.Snapshot().MaxFreeCores != 64 {
+		if !ended() || r.sched.Snapshot().MaxFreeCores != 64 {
 			t.Fatalf("run %d: Terminate = %v, service %s with %d cores free on its node, want %s with 64",
 				i, err, inst.State(), r.sched.Snapshot().MaxFreeCores, want)
 		}
@@ -496,7 +499,7 @@ func TestBootstrapFailsOnUnknownModel(t *testing.T) {
 	if err := r.mgr.WaitReady(ctx, inst.UID()); err == nil {
 		t.Fatal("WaitReady succeeded for unknown model")
 	}
-	if inst.State() != states.ServiceFailed {
+	if !failed(inst) {
 		t.Fatalf("state = %s, want FAILED", inst.State())
 	}
 }
@@ -542,10 +545,10 @@ func TestLivenessProbeDetectsKill(t *testing.T) {
 	waitReady(t, r, inst.UID())
 	inst.Kill()
 	deadline := time.Now().Add(5 * time.Second)
-	for inst.State() != states.ServiceFailed && time.Now().Before(deadline) {
+	for !failed(inst) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if inst.State() != states.ServiceFailed {
+	if !failed(inst) {
 		t.Fatalf("state = %s, want FAILED after kill", inst.State())
 	}
 }

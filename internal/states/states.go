@@ -19,7 +19,7 @@ type State string
 
 // Pilot states (client-side manager prefix PMGR, mirroring RP).
 const (
-	PilotNew       State = "NEW"
+	pilotNew       State = "NEW"
 	PilotLaunching State = "PMGR_LAUNCHING"
 	PilotActive    State = "PMGR_ACTIVE"
 	PilotDone      State = "DONE"
@@ -58,7 +58,7 @@ const (
 	ServiceActive         State = "SERVICE_ACTIVE"
 	ServiceDraining       State = "SERVICE_DRAINING"
 	ServiceDone           State = "DONE"
-	ServiceFailed         State = "FAILED"
+	serviceFailed         State = "FAILED"
 	serviceCanceled       State = "CANCELED"
 )
 
@@ -113,8 +113,8 @@ func failureEdges(edges map[State][]State, failed, canceled State, finals ...Sta
 // The three models are built once and never mutated after init, so every
 // machine and every replayed record shares them.
 var (
-	pilotModel = newModel(EntityPilot, PilotNew, failureEdges(map[State][]State{
-		PilotNew:       {PilotLaunching},
+	pilotModel = newModel(EntityPilot, pilotNew, failureEdges(map[State][]State{
+		pilotNew:       {PilotLaunching},
 		PilotLaunching: {PilotActive},
 		PilotActive:    {PilotDone},
 		PilotDone:      {},
@@ -145,9 +145,9 @@ var (
 		ServiceActive:         {ServiceDraining, ServiceDone},
 		ServiceDraining:       {ServiceDone},
 		ServiceDone:           {},
-		ServiceFailed:         {},
+		serviceFailed:         {},
 		serviceCanceled:       {},
-	}, ServiceFailed, serviceCanceled, ServiceDone, ServiceFailed, serviceCanceled), ServiceDone, ServiceFailed, serviceCanceled)
+	}, serviceFailed, serviceCanceled, ServiceDone, serviceFailed, serviceCanceled), ServiceDone, serviceFailed, serviceCanceled)
 )
 
 // PilotModel returns the pilot state model.
@@ -356,7 +356,7 @@ func (m *Machine) Fail() error {
 	case EntityPilot:
 		return m.To(pilotFailed)
 	case EntityService:
-		return m.To(ServiceFailed)
+		return m.To(serviceFailed)
 	default:
 		return m.To(TaskFailed)
 	}

@@ -113,7 +113,7 @@ func TestEveryNonFinalStateCanFail(t *testing.T) {
 		case EntityPilot:
 			failed = pilotFailed
 		case EntityService:
-			failed = ServiceFailed
+			failed = serviceFailed
 		default:
 			failed = TaskFailed
 		}
@@ -135,7 +135,7 @@ func TestFailHelper(t *testing.T) {
 		want  State
 	}{
 		{TaskModel(), TaskFailed},
-		{ServiceModel(), ServiceFailed},
+		{ServiceModel(), serviceFailed},
 		{PilotModel(), pilotFailed},
 	}
 	for _, c := range cases {
@@ -488,8 +488,8 @@ func TestToDeliversInCommitOrderRace(t *testing.T) {
 	second := make(chan error, 1)
 	m.OnTransition(func(_ string, _, to State, _ time.Time) {
 		if to == ServiceSmgrScheduling {
-			go func() { second <- m.To(ServiceFailed) }()
-			for m.Current() != ServiceFailed {
+			go func() { second <- m.To(serviceFailed) }()
+			for m.Current() != serviceFailed {
 				time.Sleep(time.Millisecond)
 			}
 			select {
@@ -509,7 +509,7 @@ func TestToDeliversInCommitOrderRace(t *testing.T) {
 	}
 	want := []string{
 		string(ServiceSmgrScheduling), "batch " + string(ServiceSmgrScheduling),
-		string(ServiceFailed), "batch " + string(ServiceFailed),
+		string(serviceFailed), "batch " + string(serviceFailed),
 	}
 	if !reflect.DeepEqual(seen, want) {
 		t.Fatalf("observers saw %q, want %q", seen, want)

@@ -7,14 +7,17 @@
 //     exported top-level declaration — funcs, methods, types, and each
 //     exported const/var group — must have a doc comment,
 //   - in every package under internal/, every exported top-level func,
-//     type, var and const must be selected by another package of the
-//     module: a name nothing outside uses is unexported or deleted. Err…
-//     names and types an exported declaration of their own package names
-//     are exempt.
+//     type, var and const must be selected by a program: by a non-test
+//     file of another package, in the module or in the bench/ module. A
+//     name only tests use is unexported or deleted. Err… names, types an
+//     exported declaration of their own package names, and the test
+//     harnesses in testOnly are exempt.
 //
 // It exits non-zero listing every violation, so `go run
 // ./internal/tools/lintdoc` acts as the exported-comment check the docs
-// CI job runs (a revive/golint subset with no external dependency).
+// CI job runs (a revive/golint subset with no external dependency). On
+// success it prints how many top-level names internal/ exports, and how
+// many with its exported methods.
 package main
 
 import (
@@ -39,6 +42,21 @@ var fullDoc = map[string]bool{
 	"internal/pilot":     true,
 }
 
+// testOnly lists the exported names under internal/ that only tests select,
+// keyed "dir.Name", each kept for a reason no program gives.
+var testOnly = map[string]bool{
+	// The TestMain harness of the packages under the goroutine leak check.
+	"internal/leakcheck.Main": true,
+	// Synthetic machines: the exact-count tests and ablations of other
+	// packages build pools of a chosen size and shape on them.
+	"internal/platform.New":         true,
+	"internal/platform.NewMixed":    true,
+	"internal/platform.NewTopology": true,
+	// The root best-fit benchmarks run it without starvation bounds, which
+	// PolicyByName cannot build.
+	"internal/scheduler.BestFit": true,
+}
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
@@ -53,7 +71,7 @@ func main() {
 	for _, dir := range dirs {
 		checkDir(root, dir, report)
 	}
-	checkClosedSurface(root, report)
+	names, methods := checkClosedSurface(root, testOnly, report)
 
 	if len(violations) > 0 {
 		sort.Strings(violations)
@@ -63,7 +81,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lintdoc: %d violation(s)\n", len(violations))
 		os.Exit(1)
 	}
-	fmt.Printf("lintdoc: %d packages documented\n", len(dirs))
+	fmt.Printf("lintdoc: %d packages documented; internal/ exports %d top-level names, %d with methods\n",
+		len(dirs), names, names+methods)
 }
 
 // packageDirs returns every directory under internal/ and cmd/, testdata
@@ -195,17 +214,19 @@ func recvName(t ast.Expr) string {
 }
 
 // checkClosedSurface reports every exported top-level func, type, var and
-// const of a package under internal/ that no other package under root
-// selects. Test files and the bench/ module count as selectors; methods are
-// not checked. Two kinds of name are exempt: Err… sentinels and error types
-// (callers match them with errors.Is and errors.As) and a type that one of
-// its own package's exported declarations names in a signature, field or
-// type.
-func checkClosedSurface(root string, report func(string, ...any)) {
+// const of a package under internal/ that no non-test file of another
+// package under root selects; the bench/ module's files count, test files
+// do not, and methods are not checked. Three kinds of name are exempt: Err…
+// sentinels and error types (callers match them with errors.Is and
+// errors.As), a type that one of its own package's exported declarations
+// names in a signature, field or type, and the "dir.Name" keys of allow.
+// It returns the exported top-level names and the exported methods it
+// found in the non-test files of those packages.
+func checkClosedSurface(root string, allow map[string]bool, report func(string, ...any)) (names, methods int) {
 	module, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		report("lintdoc: %v", err)
-		return
+		return 0, 0
 	}
 	used := map[string]map[string]bool{} // internal package dir → names selected from outside
 	fset := token.NewFileSet()
@@ -219,7 +240,7 @@ func checkClosedSurface(root string, report func(string, ...any)) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") {
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
@@ -276,17 +297,20 @@ func checkClosedSurface(root string, report func(string, ...any)) {
 			}
 			named := namedTypes(pkg)
 			for _, file := range pkg.Files {
-				for _, name := range exportedNames(file) {
-					if used[dir][name.Name] || named[name.Name] || strings.HasPrefix(name.Name, "Err") {
+				declared, m := exportedNames(file)
+				names, methods = names+len(declared), methods+m
+				for _, name := range declared {
+					if used[dir][name.Name] || named[name.Name] || strings.HasPrefix(name.Name, "Err") || allow[dir+"."+name.Name] {
 						continue
 					}
 					p := fset.Position(name.Pos())
-					report("%s:%d: exported %s is selected by no other package; unexport or delete it",
+					report("%s:%d: exported %s is selected by no program outside its package; unexport or delete it",
 						filepath.ToSlash(p.Filename), p.Line, name.Name)
 				}
 			}
 		}
 	}
+	return names, methods
 }
 
 // namedTypes returns the identifiers that the package's exported
@@ -371,9 +395,8 @@ func namedTypes(pkg *ast.Package) map[string]bool {
 }
 
 // exportedNames returns the exported top-level funcs, types, vars and
-// consts declared in file; methods are not among them.
-func exportedNames(file *ast.File) []*ast.Ident {
-	var out []*ast.Ident
+// consts declared in file, and counts its exported methods apart.
+func exportedNames(file *ast.File) (out []*ast.Ident, methods int) {
 	add := func(ids ...*ast.Ident) {
 		for _, id := range ids {
 			if id.IsExported() {
@@ -386,6 +409,8 @@ func exportedNames(file *ast.File) []*ast.Ident {
 		case *ast.FuncDecl:
 			if d.Recv == nil {
 				add(d.Name)
+			} else if d.Name.IsExported() {
+				methods++
 			}
 		case *ast.GenDecl:
 			for _, s := range d.Specs {
@@ -398,7 +423,7 @@ func exportedNames(file *ast.File) []*ast.Ident {
 			}
 		}
 	}
-	return out
+	return out, methods
 }
 
 // modulePath reads the module path from a go.mod file.

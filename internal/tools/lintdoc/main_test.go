@@ -7,12 +7,13 @@ import (
 )
 
 // TestClosedSurface runs the check on a fixture module: a func or const only
-// its own package selects is reported, and so is a type only an unexported
-// field names; a type an exported signature or field names, an Err…
-// sentinel and a func only another package's test selects are not.
+// its own package selects is reported, and so are a type only an unexported
+// field names and a func only another package's test selects; a type an
+// exported signature or field names, an Err… sentinel, a func a non-test
+// file of the nested bench module selects and an allowed func are not.
 func TestClosedSurface(t *testing.T) {
 	var got []string
-	checkClosedSurface("testdata/closed", func(format string, args ...any) {
+	names, methods := checkClosedSurface("testdata/closed", map[string]bool{"internal/a.Kept": true}, func(format string, args ...any) {
 		got = append(got, fmt.Sprintf(format, args...))
 	})
 	all := strings.Join(got, "\n")
@@ -23,20 +24,25 @@ func TestClosedSurface(t *testing.T) {
 		"Shape":   false, // named by Measure's signature
 		"Unit":    false, // named by Shape's exported field
 		"ErrGone": false, // a sentinel
-		"Measure": false, // selected by another package's test
+		"Measure": true,  // selected only by another package's test
+		"Wide":    false, // selected by the nested bench module
+		"Kept":    false, // allowed
 	}
 	for name, reported := range cases {
 		t.Run(name, func(t *testing.T) {
-			hit := strings.Contains(all, "exported "+name+" is selected by no other package")
+			hit := strings.Contains(all, "exported "+name+" is selected by no program")
 			if hit != reported {
 				t.Fatalf("%s reported = %v, want %v (violations %q)", name, hit, reported, got)
 			}
 		})
 	}
-	if len(got) != 3 {
-		t.Fatalf("violations = %q, want exactly three", got)
+	if len(got) != 4 {
+		t.Fatalf("violations = %q, want exactly four", got)
 	}
-	if !strings.Contains(all, "internal/a/a.go:20: exported Local ") {
+	if names != 9 || methods != 1 {
+		t.Fatalf("counted %d names and %d methods, want 9 and 1", names, methods)
+	}
+	if !strings.Contains(all, "internal/a/a.go:26: exported Local ") {
 		t.Fatalf("violations %q do not point at Local's line", got)
 	}
 }

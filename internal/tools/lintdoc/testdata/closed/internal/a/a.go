@@ -16,6 +16,12 @@ type Shape struct {
 // Measure is selected only by another package's test.
 func Measure(s Shape) int { return s.N }
 
+// Wide is selected only by a non-test file of the nested bench module.
+func Wide() int { return 2 }
+
+// Kept is selected by no other package, and allowed.
+func Kept() int { return 4 }
+
 // Local is selected only inside package a.
 func Local() int { return 1 }
 
@@ -28,4 +34,7 @@ type Secret int
 // Limit is a constant used only inside package a.
 const Limit = 3
 
-func use() int { return Local() + Measure(Shape{}) + Limit }
+func use() int { return Local() + Measure(Shape{}) + Limit + Kept() }
+
+// Double is an exported method: counted, not checked.
+func (u Unit) Double() Unit { return 2 * u }
