@@ -17,6 +17,7 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/platform"
+	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/simtime"
 	"repro/internal/spec"
@@ -31,19 +32,19 @@ import (
 func BenchmarkTable1UseCases(b *testing.B) {
 	cases := []struct {
 		name  string
-		build func(sess *core.Session, coll *metrics.Collector) *workflow.Pipeline
+		build func(src *rng.Source, coll *metrics.Collector) *workflow.Pipeline
 	}{
-		{"cell-painting", func(sess *core.Session, _ *metrics.Collector) *workflow.Pipeline {
+		{"cell-painting", func(src *rng.Source, _ *metrics.Collector) *workflow.Pipeline {
 			return usecases.CellPainting(usecases.CellPaintingConfig{
 				DatasetBytes: 8 << 30, Shards: 4, HPOTrials: 4,
-			}, sess.RNG())
+			}, src)
 		}},
-		{"signature-detection", func(sess *core.Session, coll *metrics.Collector) *workflow.Pipeline {
+		{"signature-detection", func(src *rng.Source, coll *metrics.Collector) *workflow.Pipeline {
 			return usecases.Signature(usecases.SignatureConfig{
 				Samples: 5, UseLLM: true, LLMQueries: 2, Collector: coll,
-			}, sess.RNG())
+			}, src)
 		}},
-		{"uncertainty-quantification", func(sess *core.Session, _ *metrics.Collector) *workflow.Pipeline {
+		{"uncertainty-quantification", func(_ *rng.Source, _ *metrics.Collector) *workflow.Pipeline {
 			return usecases.UQ(usecases.UQConfig{Seeds: 2})
 		}},
 	}
@@ -66,7 +67,7 @@ func BenchmarkTable1UseCases(b *testing.B) {
 					b.Fatal(err)
 				}
 				coll := metrics.NewCollector()
-				rep, err := runner.Run(context.Background(), c.build(sess, coll))
+				rep, err := runner.Run(context.Background(), c.build(rng.New(uint64(i)), coll))
 				if err != nil {
 					b.Fatal(err)
 				}

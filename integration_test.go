@@ -290,14 +290,14 @@ func TestUpdaterObservesServiceLifecycle(t *testing.T) {
 	if err := sm.WaitReady(ctx, inst.UID()); err != nil {
 		t.Fatal(err)
 	}
-	if inst.State() != states.ServiceActive {
-		t.Fatalf("state = %s", inst.State())
+	if inst.Instance().State() != states.ServiceActive {
+		t.Fatalf("state = %s", inst.Instance().State())
 	}
 	if err := sm.Terminate(inst.UID(), true); err != nil {
 		t.Fatal(err)
 	}
-	if inst.State() != states.ServiceDone {
-		t.Fatalf("state after terminate = %s", inst.State())
+	if inst.Instance().State() != states.ServiceDone {
+		t.Fatalf("state after terminate = %s", inst.Instance().State())
 	}
 }
 
@@ -316,11 +316,12 @@ func TestFullLUCIDCampaign(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
+	src := rng.New(99)
 	pipes := []*workflow.Pipeline{
 		usecases.CellPainting(usecases.CellPaintingConfig{
 			DatasetBytes: 4 << 30, Shards: 4, HPOTrials: 4,
-		}, sess.RNG()),
-		usecases.Signature(usecases.SignatureConfig{Samples: 5}, sess.RNG()),
+		}, src),
+		usecases.Signature(usecases.SignatureConfig{Samples: 5}, src),
 		usecases.UQ(usecases.UQConfig{Seeds: 2}),
 	}
 	for _, pipe := range pipes {

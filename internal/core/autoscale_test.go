@@ -94,9 +94,9 @@ func TestAutoscalerScalesUpAndBackDown(t *testing.T) {
 	// Idle now: the hysteresis retires both replicas (scaleStabilize quiet
 	// evaluations each, two-phase drain) back down to the base instance.
 	deadline := time.Now().Add(30 * time.Second)
-	for h.Replicas() != 1 {
+	for replicas(h) != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("replicas = %d, want 1 after idle scale-down", h.Replicas())
+			t.Fatalf("replicas = %d, want 1 after idle scale-down", replicas(h))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -171,7 +171,21 @@ func TestAutoscalerStaysAtOneBelowThreshold(t *testing.T) {
 	if pk := h.PeakReplicas(); pk != 1 {
 		t.Fatalf("peak replicas = %d, want 1 (threshold never crossed)", pk)
 	}
-	if n := h.Replicas(); n != 1 {
+	if n := replicas(h); n != 1 {
 		t.Fatalf("replicas = %d, want 1", n)
 	}
+}
+
+// replicas returns h's serving-replica count: the base instance plus every
+// autoscaled replica admitted to the balancing group.
+func replicas(h *Service) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := 1
+	for _, r := range h.reps {
+		if r.member && !r.draining {
+			n++
+		}
+	}
+	return n
 }

@@ -179,8 +179,8 @@ func TestRemoteEndpointRegistration(t *testing.T) {
 	s.RegisterRemote(proto.Endpoint{ServiceUID: "r3.svc.1", Model: "llama-8b", Address: "r3/r3-node0000/svc.1", Protocol: "msgq"})
 	s.RegisterRemote(proto.Endpoint{ServiceUID: "r3.svc.2", Model: "noop", Address: "r3/r3-node0000/svc.2", Protocol: "msgq"})
 	reg := s.EndpointRegistry()
-	if got := len(reg.All()); got != 2 {
-		t.Fatalf("all remotes = %d", got)
+	if got := len(reg.ByModel("noop")); got != 1 {
+		t.Fatalf("noop remotes = %d, want 1", got)
 	}
 	eps := reg.ByModel("llama-8b")
 	if len(eps) != 1 || eps[0].ServiceUID != "r3.svc.1" || eps[0].Generation != 1 {

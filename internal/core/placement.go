@@ -140,13 +140,6 @@ func (pl *placer) route(targets []router.Target, d *spec.TaskDescription) (*pilo
 	return targets[i].(*pilot.Pilot), nil
 }
 
-// RouterName returns the name of the manager's active router.
-func (pl *placer) RouterName() string {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.rt.Name()
-}
-
 // isClosed reports whether the owning session shut the manager down.
 func (pl *placer) isClosed() bool {
 	pl.mu.Lock()

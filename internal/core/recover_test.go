@@ -381,9 +381,6 @@ func TestRecoveredClientGetsItsOwnReply(t *testing.T) {
 		t.Fatalf("post-recovery reply: %d tokens %q, want its own of at most 3 (pre-crash: %d tokens %q)",
 			after.OutputTokens, after.Text, before.OutputTokens, before.Text)
 	}
-	if got := rsvc.Instance().Processed(); got != 2 {
-		t.Fatalf("processed = %d, want 2", got)
-	}
 }
 
 func TestRecoverTwiceBumpsIncarnation(t *testing.T) {

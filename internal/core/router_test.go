@@ -76,7 +76,7 @@ func TestRouterRoundRobinMatchesSeedSequence(t *testing.T) {
 		pilots = append(pilots, p)
 		tm.AddPilot(p)
 	}
-	if got := tm.RouterName(); got != router.NameRoundRobin {
+	if got := tm.rt.Name(); got != router.NameRoundRobin {
 		t.Fatalf("default router = %q, want %q", got, router.NameRoundRobin)
 	}
 
@@ -124,7 +124,7 @@ func TestRouterSelectionThreadsToSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.TaskManager().RouterName(); got != router.NameCapacityFit {
+	if got := s.TaskManager().rt.Name(); got != router.NameCapacityFit {
 		t.Fatalf("router = %q, want capacity-fit", got)
 	}
 }
@@ -307,9 +307,9 @@ func TestOverflowPoolHoldsTasksUntilCapacityArrives(t *testing.T) {
 	// No active pilot: the task must land in the overflow pool, reported
 	// as session-held.
 	deadline := time.Now().Add(10 * time.Second)
-	for tm.Overflow() != 1 {
+	for overflow(tm) != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("overflow = %d, want 1", tm.Overflow())
+			t.Fatalf("overflow = %d, want 1", overflow(tm))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -325,8 +325,8 @@ func TestOverflowPoolHoldsTasksUntilCapacityArrives(t *testing.T) {
 	if err := tm.Wait(ctx, queued[0]); err != nil {
 		t.Fatalf("late-bound task failed: %v", err)
 	}
-	if tm.Overflow() != 0 {
-		t.Fatalf("overflow not drained: %d", tm.Overflow())
+	if overflow(tm) != 0 {
+		t.Fatalf("overflow not drained: %d", overflow(tm))
 	}
 	if queued[0].Pilot() != b.UID() {
 		t.Fatalf("late-bound task on %s, want %s", queued[0].Pilot(), b.UID())
@@ -455,9 +455,9 @@ func TestOverflowDrainRankedByRouter(t *testing.T) {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for tm.Overflow() != 2 {
+		for overflow(tm) != 2 {
 			if time.Now().After(deadline) {
-				t.Fatalf("overflow = %d, want 2", tm.Overflow())
+				t.Fatalf("overflow = %d, want 2", overflow(tm))
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -520,4 +520,11 @@ func TestOverflowDrainRankedByRouter(t *testing.T) {
 			t.Fatalf("big state = %s, want queued", st)
 		}
 	})
+}
+
+// overflow returns how many tasks wait in tm's session overflow pool.
+func overflow(tm *TaskManager) int {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	return len(tm.overflow)
 }

@@ -575,8 +575,8 @@ func TestServiceTerminateWithdrawsRegistry(t *testing.T) {
 	if h.Err() != nil {
 		t.Fatalf("graceful terminate err = %v", h.Err())
 	}
-	if h.State() != states.ServiceDone {
-		t.Fatalf("state = %s", h.State())
+	if st := h.Instance().State(); st != states.ServiceDone {
+		t.Fatalf("state = %s", st)
 	}
 	if _, _, ok := s.EndpointRegistry().Resolve(h.UID()); ok {
 		t.Fatal("terminated service still resolvable")

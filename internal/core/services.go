@@ -138,9 +138,6 @@ func (h *Service) replaceIncarnation() {
 	old.Fire()
 }
 
-// Description returns the submitted description (after defaulting).
-func (h *Service) Description() spec.ServiceDescription { return h.desc }
-
 // Instance returns the current pilot-level instance. It changes across
 // re-placements and is nil for the instant between routing and dispatch;
 // prefer the handle's own accessors, which tolerate that window.
@@ -148,15 +145,6 @@ func (h *Service) Instance() *service.Instance {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.inst
-}
-
-// State returns the current lifecycle state of the live instance (NEW
-// while dispatch is still in flight).
-func (h *Service) State() states.State {
-	if inst := h.Instance(); inst != nil {
-		return inst.State()
-	}
-	return states.ServiceNew
 }
 
 // Endpoint returns the service's current endpoint: the session registry's
@@ -201,21 +189,6 @@ func (h *Service) sumServing(gauge func(*service.Instance) int) int {
 	for _, r := range h.reps {
 		if r.member && !r.draining {
 			n += gauge(r.inst)
-		}
-	}
-	return n
-}
-
-// Replicas returns the current serving-replica count: the base instance
-// plus every autoscaled replica admitted to the balancing group (1 for
-// unscaled services).
-func (h *Service) Replicas() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := 1
-	for _, r := range h.reps {
-		if r.member && !r.draining {
-			n++
 		}
 	}
 	return n

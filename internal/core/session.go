@@ -224,9 +224,6 @@ func (s *Session) journalAppend(kind journal.Kind, body any) {
 // Clock returns the session clock.
 func (s *Session) Clock() simtime.Clock { return s.clock }
 
-// RNG returns the session's root RNG source.
-func (s *Session) RNG() *rng.Source { return s.src }
-
 // Network returns the session's communication network.
 func (s *Session) Network() *msgq.Network { return s.net }
 

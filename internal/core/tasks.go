@@ -409,14 +409,6 @@ func (tm *TaskManager) Tasks() []*Task {
 	return out
 }
 
-// Overflow reports how many tasks are parked in the session overflow
-// pool awaiting an active pilot.
-func (tm *TaskManager) Overflow() int {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	return len(tm.overflow)
-}
-
 // sortTasks orders tasks by UID — submission order for manager-assigned
 // UIDs, which embed the session sequence number.
 func sortTasks(tasks []*Task) {

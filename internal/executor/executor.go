@@ -40,8 +40,6 @@ type Executor struct {
 	// collective nature of MPI startup: every instance of a large burst
 	// pays the system-level cost, regardless of arrival order.
 	launchPeak atomic.Int64
-	completed  atomic.Int64
-	failures   atomic.Int64
 }
 
 // New returns an Executor for one pilot's platform.
@@ -107,10 +105,8 @@ func (e *Executor) RunPayload(ctx context.Context, d spec.TaskDescription) (time
 	}
 	elapsed := e.clock.Now().Sub(start)
 	if err != nil {
-		e.failures.Add(1)
 		return elapsed, fmt.Errorf("executor: payload %s: %w", d.UID, err)
 	}
-	e.completed.Add(1)
 	return elapsed, nil
 }
 
@@ -124,6 +120,3 @@ func (e *Executor) Execute(ctx context.Context, sched *scheduler.Scheduler, p sc
 	res.ExecTime, res.Err = e.RunPayload(ctx, d)
 	return res
 }
-
-// Completed returns the number of successful payloads.
-func (e *Executor) Completed() int { return int(e.completed.Load()) }

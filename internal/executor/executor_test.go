@@ -80,9 +80,6 @@ func TestRunPayloadDuration(t *testing.T) {
 	if elapsed < 4*time.Second {
 		t.Fatalf("payload elapsed %v, want ≈5s sim", elapsed)
 	}
-	if e.Completed() != 1 || e.failures.Load() != 0 {
-		t.Fatalf("counts = %d/%d", e.Completed(), e.failures.Load())
-	}
 }
 
 func TestRunPayloadFunc(t *testing.T) {
@@ -129,9 +126,6 @@ func TestRunPayloadFuncError(t *testing.T) {
 	_, err := e.RunPayload(context.Background(), d)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	if e.failures.Load() != 1 {
-		t.Fatalf("Failures = %d", e.failures.Load())
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/loadgen"
@@ -44,8 +43,7 @@ const (
 	// hotspotWeight is the probability mass routed through the balancer;
 	// the rest hits services 1..N-1 directly as background load.
 	hotspotWeight   = 0.8
-	hotspotInterval = time.Second // the campaigns' time-series bucket width
-	hotspotStandbys = 1           // the warm failover's standby pool
+	hotspotStandbys = 1 // the warm failover's standby pool
 
 	failoverWarm = "warm-standby"
 	failoverCold = "cold-replace"
@@ -81,7 +79,6 @@ func runHotspot(ctx context.Context, o Options) ([]metrics.Table, error) {
 			HotspotWeight: hotspotWeight,
 			Balance:       bal,
 			Seed:          o.Seed,
-			Interval:      hotspotInterval,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: hotspot %s: %w", bal, err)

@@ -944,7 +944,15 @@ type Snapshot struct {
 // that is longer grows it.
 const replayBuffer = 64 << 10
 
-// ReplayFile replays the journal at path. See replay.
+// ReplayFile decodes and applies every record of the journal at path,
+// streaming it through a replayBuffer. Application is all-or-nothing with
+// respect to structural validity: any checksum, framing or JSON failure
+// before the final record returns an error and no snapshot (stats still
+// report what was seen). Semantically impossible records — duplicate
+// descriptions, out-of-order or illegal transitions, references to unknown
+// UIDs — are skipped and accounted, mirroring a transactional importer: the
+// journal is evidence, replay is the validator. A truncated final record is
+// tolerated as the torn tail of a crash mid-append.
 func ReplayFile(path string) (*Snapshot, *ReplayStats, error) {
 	r := newReplayer()
 	f, err := os.Open(path)
@@ -966,23 +974,6 @@ func ReplayFile(path string) (*Snapshot, *ReplayStats, error) {
 			return nil, r.stats, err
 		}
 		buf = buf[:copy(buf, buf[used:])]
-	}
-	return r.snap, r.stats, nil
-}
-
-// replay decodes and applies every record in data. Application is
-// all-or-nothing with respect to structural validity: any checksum,
-// framing or JSON failure before the final record returns an error and no
-// snapshot (stats still report what was seen). Semantically impossible
-// records — duplicate descriptions, out-of-order or illegal transitions,
-// references to unknown UIDs — are skipped and accounted, mirroring a
-// transactional importer: the journal is evidence, replay is the
-// validator. A truncated final record is tolerated as the torn tail of a
-// crash mid-append.
-func replay(data []byte) (*Snapshot, *ReplayStats, error) {
-	r := newReplayer()
-	if _, err := r.feed(data, true); err != nil {
-		return nil, r.stats, err
 	}
 	return r.snap, r.stats, nil
 }

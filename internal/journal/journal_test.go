@@ -21,6 +21,16 @@ import (
 	"repro/internal/states"
 )
 
+// replay applies data as ReplayFile applies a file, in one stretch: the
+// in-memory reference the streaming replay is compared with.
+func replay(data []byte) (*Snapshot, *ReplayStats, error) {
+	r := newReplayer()
+	if _, err := r.feed(data, true); err != nil {
+		return nil, r.stats, err
+	}
+	return r.snap, r.stats, nil
+}
+
 func openTestWriter(t *testing.T) *Writer {
 	t.Helper()
 	w, err := Open(Config{

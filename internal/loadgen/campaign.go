@@ -47,15 +47,13 @@ type Result struct {
 	Duration time.Duration
 	// Wall is the real time the campaign took.
 	Wall time.Duration
-	// Series is the per-interval time series (counts, rates, percentiles).
-	Series *metrics.IntervalSeries
-	// Latency is the campaign-wide latency sketch (merged across
-	// intervals).
+	// Latency is the campaign-wide latency sketch, one observation per
+	// completed request.
 	Latency *metrics.Sketch
-	// SketchBytes is the merged sketch's bucket footprint.
+	// SketchBytes is the latency sketch's bucket footprint.
 	SketchBytes int
 	// Samples holds every completion latency when Scenario.KeepSamples
-	// was set (oracle comparisons in tests), nil otherwise.
+	// was set (exact quantiles), nil otherwise.
 	Samples []time.Duration
 }
 
@@ -146,8 +144,8 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		arr:       sc.arrivals(sc.Seed),
 		targets:   rng.New(sc.Seed).Derive("targets"),
 		ended:     make(chan struct{}),
+		latency:   metrics.NewSketch(metrics.DefaultSketchAlpha),
 	}
-	c.series = metrics.NewIntervalSeries(c.t0, sc.Interval, metrics.DefaultSketchAlpha)
 	c.maxDone = c.t0
 
 	// Hold the clock until the first arrival is on it too: the churn
@@ -191,11 +189,10 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		TasksDone:      c.tasksDone.Load(),
 		Duration:       c.maxDone.Sub(c.t0),
 		Wall:           time.Since(wallStart),
-		Series:         c.series,
+		Latency:        c.latency,
+		SketchBytes:    c.latency.MemoryBytes(),
 		Samples:        c.samples,
 	}
-	res.Latency = c.series.Sketch()
-	res.SketchBytes = res.Latency.MemoryBytes()
 	for _, h := range handles {
 		res.Replacements += h.Replacements()
 		if pr := h.PeakReplicas(); pr > res.PeakReplicas {
@@ -222,12 +219,11 @@ type campaign struct {
 	bg        context.Context
 
 	offered, completed, failed atomic.Int64
-	outstanding                atomic.Int64
 	tasksDone                  atomic.Int64
 	tasks                      []*core.Task
 
-	mu      sync.Mutex // guards series, samples, maxDone
-	series  *metrics.IntervalSeries
+	mu      sync.Mutex // guards latency, samples, maxDone
+	latency *metrics.Sketch
 	samples []time.Duration
 	maxDone time.Time
 
@@ -371,17 +367,11 @@ func (c *campaign) lead(ctx context.Context, i int) {
 // arrive stamps the i-th arrival, submits its side-channel task when one is
 // due and returns the backend its request goes to.
 func (c *campaign) arrive(ctx context.Context, i int) int {
-	now := c.clock.Now()
 	if c.balanced {
-		c.reportLoads(now)
+		c.reportLoads(c.clock.Now())
 	}
 	svc := c.pickTarget(i)
 	c.offered.Add(1)
-	depth := c.outstanding.Add(1)
-	c.mu.Lock()
-	c.series.Offered(now)
-	c.series.ObserveQueue(now, depth)
-	c.mu.Unlock()
 	if c.sc.TaskEvery > 0 && i%c.sc.TaskEvery == 0 {
 		c.submitTask(ctx, i)
 	}
@@ -480,16 +470,14 @@ func (c *campaign) request(idx, svc int) {
 	start := c.clock.Now()
 	_, _, err := c.resolvers[svc].Infer(c.bg, requestPrompt(idx), c.sc.MaxTokens)
 	end := c.clock.Now()
-	c.outstanding.Add(-1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
 		c.failed.Add(1)
-		c.series.Failed(end)
 	} else {
 		c.completed.Add(1)
 		lat := end.Sub(start)
-		c.series.Completed(end, lat)
+		c.latency.Observe(lat)
 		if c.sc.KeepSamples {
 			c.samples = append(c.samples, lat)
 		}

@@ -47,8 +47,6 @@ type Scenario struct {
 	QueueCap int
 	// Seed drives every stochastic choice (arrivals, targeting, models).
 	Seed uint64
-	// Interval is the time-series bucket width (default 5s).
-	Interval time.Duration
 	// MaxTokens bounds generation for non-noop backends.
 	MaxTokens int
 	// Model is the backend model every service hosts (default noop;
@@ -91,8 +89,9 @@ type Scenario struct {
 	// Trace is the explicit gap sequence for kindTrace.
 	Trace []time.Duration
 
-	// KeepSamples retains every completion latency for oracle comparisons
-	// (tests only — it reintroduces O(n) memory).
+	// KeepSamples retains every completion latency, for exact quantiles
+	// where the sketch's relative error is too coarse; it costs O(n)
+	// memory.
 	KeepSamples bool
 }
 
@@ -112,9 +111,6 @@ func (sc Scenario) WithDefaults() Scenario {
 	}
 	if sc.Services <= 0 {
 		sc.Services = 4
-	}
-	if sc.Interval <= 0 {
-		sc.Interval = 5 * time.Second
 	}
 	if sc.Kind == KindDiurnal {
 		if sc.WaveAmp == 0 {

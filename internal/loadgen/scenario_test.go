@@ -10,7 +10,7 @@ func TestScenarioWithDefaults(t *testing.T) {
 	if sc.Kind != KindSteady || sc.Name != "steady" {
 		t.Errorf("zero scenario defaulted to kind %q name %q", sc.Kind, sc.Name)
 	}
-	if sc.Requests != 10000 || sc.Rate != 1000 || sc.Services != 4 || sc.Interval != 5*time.Second {
+	if sc.Requests != 10000 || sc.Rate != 1000 || sc.Services != 4 {
 		t.Errorf("unexpected defaults: %+v", sc)
 	}
 

@@ -2,17 +2,13 @@ package metrics
 
 import "time"
 
-// IntervalSeries aggregates a load campaign into fixed-width time buckets:
-// offered/completed/failed counts, peak queue depth, and a latency Sketch
-// per interval. It is the streaming replacement for collecting every
-// sample and sorting at the end — memory grows with campaign *duration*
-// (one row per interval), never with request count.
+// IntervalSeries buckets arrivals and completions into fixed-width time
+// intervals, with a latency Sketch per interval. Only bench/rpbench's sink
+// probes call it, to price its two recording calls.
 //
 // Timestamps are bucketed relative to the origin passed to
 // NewIntervalSeries; events before the origin land in interval 0. An
-// IntervalSeries is not safe for concurrent use — campaign drivers on the
-// virtual clock are cooperatively serialized, and concurrent collectors
-// each own a series.
+// IntervalSeries is not safe for concurrent use.
 type IntervalSeries struct {
 	origin time.Time
 	width  time.Duration
@@ -23,24 +19,7 @@ type IntervalSeries struct {
 type intervalAcc struct {
 	offered   int64
 	completed int64
-	failed    int64
-	queuePeak int64
 	sketch    *Sketch
-}
-
-// IntervalRow is one finished interval of an IntervalSeries.
-type IntervalRow struct {
-	Index         int
-	Start         time.Duration // offset from the series origin
-	Offered       int64
-	Completed     int64
-	Failed        int64
-	QueuePeak     int64
-	OfferedRate   float64 // per second
-	CompletedRate float64 // per second
-	P50           time.Duration
-	P99           time.Duration
-	Max           time.Duration
 }
 
 // NewIntervalSeries returns a series bucketing events into width-sized
@@ -72,59 +51,4 @@ func (is *IntervalSeries) Completed(t time.Time, d time.Duration) {
 	acc := is.at(t)
 	acc.completed++
 	acc.sketch.Observe(d)
-}
-
-// Failed records one failed request at time t.
-func (is *IntervalSeries) Failed(t time.Time) { is.at(t).failed++ }
-
-// ObserveQueue records an instantaneous queue depth at time t; the row
-// keeps the peak.
-func (is *IntervalSeries) ObserveQueue(t time.Time, depth int64) {
-	acc := is.at(t)
-	if depth > acc.queuePeak {
-		acc.queuePeak = depth
-	}
-}
-
-// Rows materializes the series, one row per interval from the origin to
-// the last interval that saw an event.
-func (is *IntervalSeries) Rows() []IntervalRow {
-	secs := is.width.Seconds()
-	rows := make([]IntervalRow, len(is.rows))
-	for i, acc := range is.rows {
-		rows[i] = IntervalRow{
-			Index:         i,
-			Start:         time.Duration(i) * is.width,
-			Offered:       acc.offered,
-			Completed:     acc.completed,
-			Failed:        acc.failed,
-			QueuePeak:     acc.queuePeak,
-			OfferedRate:   float64(acc.offered) / secs,
-			CompletedRate: float64(acc.completed) / secs,
-			P50:           acc.sketch.Quantile(0.50),
-			P99:           acc.sketch.Quantile(0.99),
-			Max:           acc.sketch.Max(),
-		}
-	}
-	return rows
-}
-
-// Totals sums counts across all intervals.
-func (is *IntervalSeries) Totals() (offered, completed, failed int64) {
-	for _, acc := range is.rows {
-		offered += acc.offered
-		completed += acc.completed
-		failed += acc.failed
-	}
-	return
-}
-
-// Sketch merges every interval's latency sketch into one campaign-wide
-// sketch and returns it.
-func (is *IntervalSeries) Sketch() *Sketch {
-	all := NewSketch(is.alpha)
-	for _, acc := range is.rows {
-		all.Merge(acc.sketch) //nolint:errcheck // same alpha by construction
-	}
-	return all
 }

@@ -5,64 +5,74 @@ import (
 	"time"
 )
 
-// goldenSeries builds a small deterministic series exercising every column:
-// multiple intervals, an empty middle interval, failures, and queue peaks.
-func goldenSeries() *IntervalSeries {
-	origin := time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
-	is := NewIntervalSeries(origin, 10*time.Second, DefaultSketchAlpha)
-	at := func(d time.Duration) time.Time { return origin.Add(d) }
+var seriesOrigin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
 
-	// interval 0: three offered, two completed, one failed
+// goldenSeries builds a small deterministic series: three intervals, the
+// middle one empty.
+func goldenSeries() *IntervalSeries {
+	is := NewIntervalSeries(seriesOrigin, 10*time.Second, DefaultSketchAlpha)
+	at := func(d time.Duration) time.Time { return seriesOrigin.Add(d) }
+
+	// interval 0: three offered, two completed
 	is.Offered(at(1 * time.Second))
 	is.Offered(at(2 * time.Second))
 	is.Offered(at(3 * time.Second))
 	is.Completed(at(2*time.Second), 5*time.Millisecond)
 	is.Completed(at(4*time.Second), 7*time.Millisecond)
-	is.Failed(at(9 * time.Second))
-	is.ObserveQueue(at(3*time.Second), 4)
-	is.ObserveQueue(at(5*time.Second), 2)
 
 	// interval 1: empty (pinned as an all-zero row)
 
 	// interval 2: one offered/completed with a 2s latency
 	is.Offered(at(25 * time.Second))
 	is.Completed(at(27*time.Second), 2*time.Second)
-	is.ObserveQueue(at(26*time.Second), 1)
 	return is
 }
 
 func TestIntervalSeriesCounts(t *testing.T) {
 	is := goldenSeries()
-	offered, completed, failed := is.Totals()
-	if offered != 4 || completed != 3 || failed != 1 {
-		t.Fatalf("Totals = %d/%d/%d, want 4/3/1", offered, completed, failed)
+	if len(is.rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(is.rows))
 	}
-	rows := is.Rows()
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	if rows[0].Offered != 3 || rows[0].Completed != 2 || rows[0].Failed != 1 || rows[0].QueuePeak != 4 {
-		t.Fatalf("row 0 = %+v", rows[0])
-	}
-	if rows[1].Offered != 0 || rows[1].Completed != 0 || rows[1].QueuePeak != 0 {
-		t.Fatalf("row 1 must be empty: %+v", rows[1])
-	}
-	if rows[2].Start != 20*time.Second {
-		t.Fatalf("row 2 start = %v", rows[2].Start)
-	}
-	// rates: 3 offered over a 10s interval
-	if rows[0].OfferedRate != 0.3 || rows[0].CompletedRate != 0.2 {
-		t.Fatalf("row 0 rates = %v/%v", rows[0].OfferedRate, rows[0].CompletedRate)
+	for i, want := range []struct{ offered, completed int64 }{{3, 2}, {0, 0}, {1, 1}} {
+		if r := is.rows[i]; r.offered != want.offered || r.completed != want.completed {
+			t.Errorf("row %d = %d/%d offered/completed, want %d/%d",
+				i, r.offered, r.completed, want.offered, want.completed)
+		}
 	}
 }
 
+// TestIntervalSeriesCampaignSketch checks that each completion's latency
+// lands in the sketch of the interval it completed in, so the interval
+// sketches together hold the campaign's completions.
 func TestIntervalSeriesCampaignSketch(t *testing.T) {
 	is := goldenSeries()
-	sk := is.Sketch()
-	if sk.Count() != 3 {
-		t.Fatalf("campaign sketch Count = %d, want 3 completions", sk.Count())
+	for i, want := range []struct{ min, max time.Duration }{
+		{5 * time.Millisecond, 7 * time.Millisecond},
+		{0, 0},
+		{2 * time.Second, 2 * time.Second},
+	} {
+		sk := is.rows[i].sketch
+		if sk.Quantile(0) != want.min || sk.Max() != want.max {
+			t.Errorf("row %d sketch min/max = %v/%v, want %v/%v",
+				i, sk.Quantile(0), sk.Max(), want.min, want.max)
+		}
 	}
-	if sk.Min() != 5*time.Millisecond || sk.Max() != 2*time.Second {
-		t.Fatalf("campaign sketch min/max = %v/%v", sk.Min(), sk.Max())
+}
+
+func TestIntervalSeriesBeforeOrigin(t *testing.T) {
+	is := NewIntervalSeries(seriesOrigin, time.Second, DefaultSketchAlpha)
+	is.Offered(seriesOrigin.Add(-time.Hour))
+	is.Completed(seriesOrigin.Add(-time.Minute), time.Millisecond)
+	if len(is.rows) != 1 || is.rows[0].offered != 1 || is.rows[0].completed != 1 {
+		t.Fatalf("events before the origin must land in interval 0: %d rows", len(is.rows))
 	}
+}
+
+func TestNewIntervalSeriesRejectsZeroWidth(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a zero interval width must panic")
+		}
+	}()
+	NewIntervalSeries(seriesOrigin, 0, DefaultSketchAlpha)
 }

@@ -26,7 +26,8 @@ const maxSketchBuckets = 1 << 16
 // Collector.Stats uses), deterministically — the rank-th smallest sample falls in
 // some bucket, the rank walk lands in that bucket, and the estimate is
 // within α of every value the bucket covers. Min and max are tracked
-// exactly, so Quantile(q) at the extreme ranks returns them exactly.
+// exactly, so Quantile(q) at the extreme ranks (Quantile(0), Quantile(1))
+// returns them exactly.
 //
 // Every other quantile is a bucket midpoint, one of a fixed set of values
 // about 2α apart: two runs whose true quantiles differ by less than a bucket
@@ -36,15 +37,12 @@ const maxSketchBuckets = 1 << 16
 // caller that needs finer keeps the samples and ranks them (Collector.Stats
 // over what loadgen.Scenario.KeepSamples keeps).
 //
-// Memory is O(log(max/min)/α) — independent of the number of samples
-// observed (MemoryBytes reports it) — and Merge folds two sketches with
-// identical α bucket-by-bucket, so merge(a, b) yields exactly the same
-// quantiles as one sketch fed a's and b's samples.
+// Memory is O(log(max/min)/α), independent of the number of samples
+// observed (MemoryBytes reports it).
 //
 // A Sketch is safe for concurrent use.
 type Sketch struct {
 	mu      sync.Mutex
-	alpha   float64
 	gamma   float64
 	lnGamma float64
 	counts  []uint64 // dense, grown on demand; index = bucket
@@ -64,11 +62,8 @@ func NewSketch(alpha float64) *Sketch {
 		panic(fmt.Sprintf("metrics: sketch alpha %v out of range (0, 1)", alpha))
 	}
 	gamma := (1 + alpha) / (1 - alpha)
-	return &Sketch{alpha: alpha, gamma: gamma, lnGamma: math.Log(gamma)}
+	return &Sketch{gamma: gamma, lnGamma: math.Log(gamma)}
 }
-
-// Alpha returns the sketch's relative-error bound.
-func (s *Sketch) Alpha() float64 { return s.alpha }
 
 // bucketOf returns the bucket index of a positive duration.
 func (s *Sketch) bucketOf(v time.Duration) int {
@@ -107,20 +102,6 @@ func (s *Sketch) Observe(v time.Duration) {
 	s.mu.Unlock()
 }
 
-// Count returns the number of observed samples.
-func (s *Sketch) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.n)
-}
-
-// Min returns the exact minimum observed sample (0 when empty).
-func (s *Sketch) Min() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.min
-}
-
 // Max returns the exact maximum observed sample (0 when empty).
 func (s *Sketch) Max() time.Duration {
 	s.mu.Lock()
@@ -130,7 +111,7 @@ func (s *Sketch) Max() time.Duration {
 
 // Quantile returns the q-quantile estimate (nearest-rank convention,
 // rank = ceil(q·n), matching Collector.Stats). The extreme ranks return the exact
-// min/max; interior ranks are within relative error Alpha of the exact
+// min/max; interior ranks are within relative error α of the exact
 // nearest-rank value. An empty sketch returns 0.
 func (s *Sketch) Quantile(q float64) time.Duration {
 	s.mu.Lock()
@@ -170,50 +151,6 @@ func (s *Sketch) quantileLocked(q float64) time.Duration {
 		}
 	}
 	return s.max // unreachable when counts are consistent
-}
-
-// Merge folds other into s bucket-by-bucket. Both sketches must share the
-// same alpha: the bucket boundaries are a function of it, and adding
-// counts across different boundaries would silently void the error bound.
-func (s *Sketch) Merge(other *Sketch) error {
-	if other == nil {
-		return nil
-	}
-	if s == other {
-		return fmt.Errorf("metrics: cannot merge a sketch into itself")
-	}
-	other.mu.Lock()
-	oCounts := append([]uint64(nil), other.counts...)
-	oZero, oN := other.zero, other.n
-	oMin, oMax := other.min, other.max
-	oAlpha := other.alpha
-	other.mu.Unlock()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if oAlpha != s.alpha {
-		return fmt.Errorf("metrics: sketch alpha mismatch: %v vs %v", s.alpha, oAlpha)
-	}
-	if oN == 0 {
-		return nil
-	}
-	if s.n == 0 || oMin < s.min {
-		s.min = oMin
-	}
-	if s.n == 0 || oMax > s.max {
-		s.max = oMax
-	}
-	if len(oCounts) > len(s.counts) {
-		grown := make([]uint64, len(oCounts))
-		copy(grown, s.counts)
-		s.counts = grown
-	}
-	for i, c := range oCounts {
-		s.counts[i] += c
-	}
-	s.zero += oZero
-	s.n += oN
-	return nil
 }
 
 // MemoryBytes reports the sketch's bucket-array footprint — a function of

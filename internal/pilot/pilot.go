@@ -331,7 +331,7 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 		}
 	}, scheduler.WithPolicy(policy), scheduler.WithClock(cfg.Clock))
 	p.exec = executor.New(cfg.Clock, cfg.Src.Derive(desc.UID+".exec"), launch)
-	p.stage = stager.NewManager(cfg.Clock, cfg.Src.Derive(desc.UID+".stage"))
+	p.stage = stager.NewManager(cfg.Clock)
 	// A publication from a pilot that has already stopped is stale by
 	// definition — the session is (or will be) re-placing the service
 	// elsewhere, and mirroring the dead address could overwrite the
@@ -487,9 +487,6 @@ func (p *Pilot) Services() *service.Manager { return p.svcMgr }
 
 // Stage returns the pilot's data manager.
 func (p *Pilot) Stage() *stager.Manager { return p.stage }
-
-// Executor returns the pilot's executor (exposed for metrics).
-func (p *Pilot) Executor() *executor.Executor { return p.exec }
 
 // Scheduler returns the agent's continuous scheduler (exposed so callers
 // can inspect wait depth, grant counts and the active placement policy).

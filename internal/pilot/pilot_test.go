@@ -237,8 +237,12 @@ func TestTaskWithStaging(t *testing.T) {
 	if err := p.WaitTasks(ctx, task.UID()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.Stage().Lookup("delta:/results/out"); !ok {
-		t.Fatal("output staging did not register the result object")
+	// with its context already done, WaitBytes returns nil only if the
+	// bytes are staged
+	done, stop := context.WithCancel(ctx)
+	stop()
+	if err := p.Stage().WaitBytes(done, "delta:/results/out", 1<<10); err != nil {
+		t.Fatalf("output staging did not register the result object: %v", err)
 	}
 }
 
@@ -246,6 +250,7 @@ func TestManyTasksConcurrent(t *testing.T) {
 	p, _ := newPilot(t, 100000, deltaPilot())
 	const n = 64
 	uids := make([]string, n)
+	tasks := make([]*Task, n)
 	for i := 0; i < n; i++ {
 		task, err := p.SubmitTask(context.Background(), spec.TaskDescription{
 			Name: "bulk", Cores: 4, Duration: rng.ConstDuration(5 * time.Second),
@@ -253,15 +258,17 @@ func TestManyTasksConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		uids[i] = task.UID()
+		uids[i], tasks[i] = task.UID(), task
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if err := p.WaitTasks(ctx, uids...); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Executor().Completed(); got != n {
-		t.Fatalf("completed = %d, want %d", got, n)
+	for _, task := range tasks {
+		if task.State() != states.TaskDone || task.Result().Err != nil {
+			t.Fatalf("task %s = %s (%v), want DONE", task.UID(), task.State(), task.Result().Err)
+		}
 	}
 	// all resources back
 	for _, node := range p.Nodes() {

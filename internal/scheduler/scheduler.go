@@ -182,11 +182,6 @@ func (s *Scheduler) Submit(req Request) error {
 	return nil
 }
 
-// Generation returns the scheduler's mutation counter. Two equal reads
-// with no mutation in between guarantee Snapshot returns identical data,
-// which is what lets callers batch routing decisions over one probe.
-func (s *Scheduler) Generation() uint64 { return s.gen.Load() }
-
 // satisfiable reports whether some node's total capacity covers req.
 // Negative demands are unsatisfiable: Node.TryAlloc rejects them on every
 // node, so admitting one would wedge the wait-pool head forever. The

@@ -297,10 +297,10 @@ func TestReleaseWithoutWaiterDecidesNothing(t *testing.T) {
 	placed := c.waitN(t, n)
 	for i, p := range placed {
 		clock.Settle() // the loop ends a pass that granted with one that does not
-		before := s.Generation()
+		before := s.gen.Load()
 		s.Release(p.Alloc)
 		clock.Settle() // a woken loop would have run its pass
-		if got := s.Generation(); got != before+1 {
+		if got := s.gen.Load(); got != before+1 {
 			t.Fatalf("release %d with nothing waiting: generation %d -> %d, want one step", i, before, got)
 		}
 		select {

@@ -250,11 +250,11 @@ func TestSnapshotGenerationCache(t *testing.T) {
 
 	// Quiescent: repeated snapshots serve the cache (same generation, same
 	// backing Shapes array).
-	g0 := s.Generation()
+	g0 := s.gen.Load()
 	sn1 := s.Snapshot()
 	sn2 := s.Snapshot()
-	if s.Generation() != g0 {
-		t.Fatalf("Snapshot moved the generation: %d → %d", g0, s.Generation())
+	if s.gen.Load() != g0 {
+		t.Fatalf("Snapshot moved the generation: %d → %d", g0, s.gen.Load())
 	}
 	if &sn1.Shapes[0] != &sn2.Shapes[0] {
 		t.Fatal("quiescent snapshots rebuilt instead of hitting the cache")
@@ -269,7 +269,7 @@ func TestSnapshotGenerationCache(t *testing.T) {
 	waitGen := func(old uint64) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for s.Generation() == old {
+		for s.gen.Load() == old {
 			if time.Now().After(deadline) {
 				t.Fatal("generation never advanced")
 			}
@@ -283,7 +283,7 @@ func TestSnapshotGenerationCache(t *testing.T) {
 	}
 
 	// Release restores capacity and invalidates again.
-	g1 := s.Generation()
+	g1 := s.gen.Load()
 	s.Release(pl.Alloc)
 	waitGen(g1)
 	sn4 := s.Snapshot()

@@ -293,20 +293,6 @@ func (r *EndpointRegistry) Generation(uid string) uint64 {
 	return 0
 }
 
-// All returns every live endpoint, sorted by service UID.
-func (r *EndpointRegistry) All() []proto.Endpoint {
-	r.mu.Lock()
-	out := make([]proto.Endpoint, 0, len(r.entries))
-	for _, e := range r.entries {
-		if e.live {
-			out = append(out, e.ep)
-		}
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ServiceUID < out[j].ServiceUID })
-	return out
-}
-
 // ByModel returns every live endpoint exposing model, sorted by service
 // UID.
 func (r *EndpointRegistry) ByModel(model string) []proto.Endpoint {

@@ -53,8 +53,8 @@ func TestEndpointRegistrySuspendHidesButKeepsGeneration(t *testing.T) {
 	if g := r.Generation("svc"); g != 1 {
 		t.Fatalf("suspend moved the generation: %d", g)
 	}
-	if got := len(r.All()); got != 0 {
-		t.Fatalf("All lists %d suspended endpoints", got)
+	if got := len(r.ByModel("noop")); got != 0 {
+		t.Fatalf("ByModel lists %d suspended endpoints", got)
 	}
 	// the re-publication is strictly newer than the pre-failover copy
 	if g, _ := r.Publish(ep("svc", "b")); g != 2 {

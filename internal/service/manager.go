@@ -209,18 +209,6 @@ func (s *Instance) InFlight() int {
 	return srv.InFlight()
 }
 
-// Processed returns the number of requests the instance's server completed
-// (0 when not active).
-func (s *Instance) Processed() int64 {
-	s.mu.Lock()
-	srv := s.server
-	s.mu.Unlock()
-	if srv == nil {
-		return 0
-	}
-	return srv.Processed()
-}
-
 // Kill simulates a service process crash: the backend stops answering, and
 // the liveness probe marks the service FAILED two probe intervals later.
 // Used by failure injection tests.

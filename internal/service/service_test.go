@@ -57,7 +57,7 @@ func newRigOn(t *testing.T, clock simtime.Clock) *rig {
 	mgr, err := NewManager(Config{
 		Clock: clock, Src: src.Derive("mgr"), Net: net,
 		Sched: sched, Router: rtr, Exec: exec,
-		Stage: stager.NewManager(clock, src.Derive("stage")), PublishSrc: src.Derive("reg"),
+		Stage: stager.NewManager(clock), PublishSrc: src.Derive("reg"),
 		Platform: plat.Name(),
 	})
 	if err != nil {
@@ -435,31 +435,39 @@ func TestKilledServiceFailsTwoProbesLater(t *testing.T) {
 // fails a killed service has one winner. Either the Terminate returns nil and
 // the service is DONE, or it returns ErrNotActive and the probe's FAILED
 // stands; both ways the service's cores come back once, through the
-// scheduler.
+// scheduler. The probe detects the kill two probe intervals after it; a
+// Terminate before that instant wins, one after it loses, and one at it may
+// do either. It runs on the virtual clock, where no host stall moves time.
 func TestKilledProbeVsTerminateSingleWinnerRace(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		r := newRig(t, 100000)
+	const probe = 2 * time.Second
+	detect := 2 * probe
+	for _, after := range []time.Duration{0, probe, detect - time.Nanosecond, detect, detect + time.Nanosecond, detect + probe} {
+		clock := simtime.NewVirtualAuto(origin)
+		r := newRigOn(t, clock)
 		d := noopDesc("victim")
-		d.ProbeInterval = 2 * time.Second // 40 µs of wall clock to detection
+		d.ProbeInterval = probe
 		inst, _ := r.mgr.Submit(d)
 		waitReady(t, r, inst.UID())
-		inst.Kill()
-		time.Sleep(time.Duration(i) * 4 * time.Microsecond) // either side of the detection
-		err := r.mgr.Terminate(inst.UID(), false)
-		if err != nil && !errors.Is(err, ErrNotActive) {
-			t.Fatalf("run %d: Terminate = %v, want nil or ErrNotActive", i, err)
+		var err error
+		done := make(chan struct{})
+		clock.Go(func() {
+			defer close(done)
+			inst.Kill()
+			clock.Sleep(after)
+			err = r.mgr.Terminate(inst.UID(), false)
+			clock.Settle() // the probe's teardown, when it won, is done
+		})
+		<-done
+		switch {
+		case err != nil && !errors.Is(err, ErrNotActive):
+			t.Fatalf("Terminate %v after the kill = %v, want nil or ErrNotActive", after, err)
+		case err != nil && after < detect, err == nil && after > detect:
+			t.Fatalf("Terminate %v after the kill = %v, detection at %v", after, err, detect)
+		case err == nil && inst.State() != states.ServiceDone, err != nil && !failed(inst):
+			t.Fatalf("Terminate %v after the kill = %v, service %s", after, err, inst.State())
 		}
-		want, ended := "DONE", func() bool { return inst.State() == states.ServiceDone }
-		if err != nil {
-			want, ended = "FAILED", func() bool { return failed(inst) }
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for (!ended() || r.sched.Snapshot().MaxFreeCores != 64) && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if !ended() || r.sched.Snapshot().MaxFreeCores != 64 {
-			t.Fatalf("run %d: Terminate = %v, service %s with %d cores free on its node, want %s with 64",
-				i, err, inst.State(), r.sched.Snapshot().MaxFreeCores, want)
+		if free := r.sched.Snapshot().MaxFreeCores; free != 64 {
+			t.Fatalf("Terminate %v after the kill: %d cores free on the node, want 64", after, free)
 		}
 	}
 }

@@ -131,7 +131,6 @@ type Server struct {
 	ready    bool
 	draining bool
 	stopped  bool
-	loadTime time.Duration
 	live     int           // workers not yet exited
 	exited   simtime.Latch // fired by the last worker to exit; Drain waits on it
 
@@ -224,7 +223,6 @@ func (s *Server) Start() (time.Duration, error) {
 		return load, ErrStopped
 	}
 	s.ready = true
-	s.loadTime = load
 	s.live = s.cfg.Concurrency
 	run := simtime.RunnersOf(s.cfg.Clock)
 	for i := 0; i < s.cfg.Concurrency; i++ {
@@ -244,13 +242,6 @@ func (s *Server) Ready() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ready && !s.draining && !s.stopped
-}
-
-// LoadTime returns the measured backend load duration (0 before Start).
-func (s *Server) LoadTime() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loadTime
 }
 
 // Queued returns requests admitted but not yet picked up by a worker.

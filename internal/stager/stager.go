@@ -3,7 +3,7 @@
 // stagers. It models the three movement mechanisms the LUCID use cases
 // need — intra-platform copies, constant-time links, and wide-area
 // (Globus-like) transfers such as the Cell Painting pipeline's ~1.6 TB
-// dataset — with bandwidth- and latency-parameterized links, and it keeps
+// dataset — at a fixed bandwidth and setup latency per mechanism, and it keeps
 // a registry of staged objects so pipelines can gate on data availability
 // ("training ... starting only when sufficient processed data are
 // available", §II-A).
@@ -17,36 +17,18 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 )
 
-// Link models one storage path (e.g. "delta" → "frontier", or local disk).
-type Link struct {
-	// BytesPerSec is the sustained transfer bandwidth.
-	BytesPerSec float64
-	// Latency is the per-operation setup cost (negotiation, metadata).
-	Latency rng.DurationDist
-}
-
-// Manager is the DataManager: it owns link profiles and the staged-object
-// registry. All methods are safe for concurrent use.
+// Manager is the DataManager: it owns the staged-object registry. All
+// methods are safe for concurrent use.
 type Manager struct {
 	clock simtime.Clock
-	src   *rng.Source
 
 	mu      sync.Mutex
-	links   map[string]Link // key "src→dst" platform pair, or "*" default
-	objects map[string]Object
+	objects map[string]int64 // staged bytes by URI
 	waiters []*objWaiter
-}
-
-// Object records one staged data object.
-type Object struct {
-	URI      string
-	Bytes    int64
-	StagedAt time.Time
 }
 
 type objWaiter struct {
@@ -55,42 +37,21 @@ type objWaiter struct {
 	open     simtime.Latch // guarded by Manager.mu
 }
 
-// defaultLocalBandwidth is used for copies when no link matches
+// localBandwidth is the bandwidth of a copy within one platform
 // (node-local NVMe-class storage).
-const defaultLocalBandwidth = 2e9 // 2 GB/s
+const localBandwidth = 2e9 // 2 GB/s
 
-// defaultWANBandwidth approximates a Globus transfer over a production
-// WAN.
-const defaultWANBandwidth = 1.25e9 // 10 Gb/s
+// wanBandwidth approximates a Globus transfer over a production WAN; a copy
+// between platforms and every transfer move at it.
+const wanBandwidth = 1.25e9 // 10 Gb/s
 
-// NewManager returns a Manager with sensible default links.
-func NewManager(clock simtime.Clock, src *rng.Source) *Manager {
-	return &Manager{
-		clock:   clock,
-		src:     src,
-		links:   make(map[string]Link),
-		objects: make(map[string]Object),
-	}
-}
+// copyLatency is the setup cost of one copy or transfer (negotiation,
+// metadata).
+const copyLatency = 50 * time.Millisecond
 
-// SetLink registers the link used for transfers from platform src to dst.
-// Use "*" for either side as a wildcard.
-func (m *Manager) SetLink(src, dst string, link Link) {
-	m.mu.Lock()
-	m.links[src+"→"+dst] = link
-	m.mu.Unlock()
-}
-
-// linkFor resolves the most specific link for a platform pair.
-func (m *Manager) linkFor(src, dst string) (Link, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, key := range []string{src + "→" + dst, src + "→*", "*→" + dst, "*→*"} {
-		if l, ok := m.links[key]; ok {
-			return l, true
-		}
-	}
-	return Link{}, false
+// NewManager returns a Manager staging on clock.
+func NewManager(clock simtime.Clock) *Manager {
+	return &Manager{clock: clock, objects: make(map[string]int64)}
 }
 
 // splitURI parses "platform:/path" into its parts. URIs without a platform
@@ -116,23 +77,19 @@ func (m *Manager) Stage(d spec.StagingDirective) (time.Duration, error) {
 	case spec.StageLink:
 		dur = time.Millisecond // constant-time metadata operation
 	case spec.StageCopy, spec.StageTransfer:
-		link, ok := m.linkFor(srcPlat, dstPlat)
-		if !ok {
-			bw := defaultLocalBandwidth
-			if d.Mode == spec.StageTransfer || srcPlat != dstPlat {
-				bw = defaultWANBandwidth
-			}
-			link = Link{BytesPerSec: bw, Latency: rng.ConstDuration(50 * time.Millisecond)}
+		bw := localBandwidth
+		if d.Mode == spec.StageTransfer || srcPlat != dstPlat {
+			bw = wanBandwidth
 		}
-		dur = link.Latency.Sample(m.src)
-		if link.BytesPerSec > 0 && d.Bytes > 0 {
-			dur += time.Duration(float64(d.Bytes) / link.BytesPerSec * float64(time.Second))
+		dur = copyLatency
+		if d.Bytes > 0 {
+			dur += time.Duration(float64(d.Bytes) / bw * float64(time.Second))
 		}
 	}
 	if dur > 0 {
 		m.clock.Sleep(dur)
 	}
-	m.register(Object{URI: d.Target, Bytes: d.Bytes, StagedAt: m.clock.Now()})
+	m.register(d.Target, d.Bytes)
 	return dur, nil
 }
 
@@ -150,9 +107,9 @@ func (m *Manager) StageAll(ds []spec.StagingDirective) (time.Duration, error) {
 	return total, nil
 }
 
-func (m *Manager) register(obj Object) {
+func (m *Manager) register(uri string, bytes int64) {
 	m.mu.Lock()
-	m.objects[obj.URI] = obj
+	m.objects[uri] = bytes
 	// wake waiters whose predicate now holds
 	var keep []*objWaiter
 	for _, w := range m.waiters {
@@ -166,29 +123,14 @@ func (m *Manager) register(obj Object) {
 	m.mu.Unlock()
 }
 
-// Lookup returns the staged object at uri.
-func (m *Manager) Lookup(uri string) (Object, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	o, ok := m.objects[uri]
-	return o, ok
-}
-
 func (m *Manager) bytesUnderLocked(prefix string) int64 {
 	var total int64
-	for uri, o := range m.objects {
+	for uri, bytes := range m.objects {
 		if strings.HasPrefix(uri, prefix) {
-			total += o.Bytes
+			total += bytes
 		}
 	}
 	return total
-}
-
-// BytesUnder sums the sizes of staged objects whose URI has the prefix.
-func (m *Manager) BytesUnder(prefix string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytesUnderLocked(prefix)
 }
 
 // WaitBytes blocks until at least minBytes of data are staged under prefix

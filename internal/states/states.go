@@ -48,7 +48,7 @@ const (
 // calls". DRAINING covers graceful shutdown: the service stops accepting
 // new requests and finishes its queue.
 const (
-	ServiceNew            State = "NEW"
+	serviceNew            State = "NEW"
 	ServiceSmgrScheduling State = "SMGR_SCHEDULING"
 	ServiceStagingInput   State = "AGENT_STAGING_INPUT"
 	ServiceScheduling     State = "AGENT_SCHEDULING"
@@ -134,8 +134,8 @@ var (
 		taskCanceled:       {},
 	}, TaskFailed, taskCanceled, TaskDone, TaskFailed, taskCanceled), TaskDone, TaskFailed, taskCanceled)
 
-	serviceModel = newModel(EntityService, ServiceNew, failureEdges(map[State][]State{
-		ServiceNew:            {ServiceSmgrScheduling},
+	serviceModel = newModel(EntityService, serviceNew, failureEdges(map[State][]State{
+		serviceNew:            {ServiceSmgrScheduling},
 		ServiceSmgrScheduling: {ServiceStagingInput},
 		ServiceStagingInput:   {ServiceScheduling},
 		ServiceScheduling:     {ServiceLaunching},

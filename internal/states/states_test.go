@@ -284,7 +284,7 @@ func TestModelAccessors(t *testing.T) {
 	if m.entity != EntityService {
 		t.Fatalf("Entity = %s", m.entity)
 	}
-	if m.Initial() != ServiceNew {
+	if m.Initial() != serviceNew {
 		t.Fatalf("Initial = %s", m.Initial())
 	}
 	if len(m.States()) < 10 {

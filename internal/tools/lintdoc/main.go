@@ -11,7 +11,10 @@
 //     file of another package, in the module or in the bench/ module. A
 //     name only tests use is unexported or deleted. Err… names, types an
 //     exported declaration of their own package names, and the test
-//     harnesses in testOnly are exempt.
+//     harnesses in testOnly are exempt,
+//   - every func and method declared in a non-test file under internal/
+//     must be linked into a program under cmd/ or in the bench/ module, or
+//     be listed in harness with its reason.
 //
 // It exits non-zero listing every violation, so `go run
 // ./internal/tools/lintdoc` acts as the exported-comment check the docs
@@ -27,8 +30,10 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,6 +62,34 @@ var testOnly = map[string]bool{
 	"internal/scheduler.BestFit": true,
 }
 
+// harness lists the funcs and methods under internal/ that no program links
+// and tests need, keyed as checkLinked keys them, each with its reason: a
+// fault injector, or an oracle for a behaviour no program shows.
+var harness = map[string]string{
+	"internal/core.(*Service).Kill":              "fault injector: crashes the live instance's process",
+	"internal/service.(*Instance).Kill":          "fault injector: crashes a service process for the liveness probe to find",
+	"internal/journal.(*Writer).Crashed":         "oracle: whether an injected crash killed the writer",
+	"internal/core.(*Session).RegisterRemote":    "the paper's REST remote path, which no program serves: tests register a gateway",
+	"internal/restapi.(*Gateway).Endpoint":       "the paper's REST remote path: the record RegisterRemote publishes",
+	"internal/core.(*Session).SubscribeUpdates":  "oracle: the order of the state updates a session publishes",
+	"internal/metrics.Breakdown.Get":             "oracle: one part of a BT/RT breakdown; programs print the whole",
+	"internal/proto.Timing.QueueTime":            "oracle: a reply's queue wait alone; programs print the RT breakdown",
+	"internal/msgq.(*TCPServer).DroppedReplies":  "oracle: replies lost to closed connections, no program reports them yet",
+	"internal/msgq.(*TCPClient).LateReplies":     "oracle: replies that came after their caller gave up, no program reports them yet",
+	"internal/platform.(*Node).FreeCores":        "oracle: free capacity, which programs see only as placements",
+	"internal/platform.(*Node).FreeGPUs":         "oracle: free capacity, which programs see only as placements",
+	"internal/platform.(*Node).FreeMemGB":        "oracle: free capacity, which programs see only as placements",
+	"internal/platform.(*Platform).FreeCores":    "oracle: free capacity, which programs see only as placements",
+	"internal/platform.(*Platform).FreeGPUs":     "oracle: free capacity, which programs see only as placements",
+	"internal/platform.(*Platform).TotalCores":   "oracle: a machine's size, which programs see only as placements",
+	"internal/platform.(*Platform).TotalGPUs":    "oracle: a machine's size, which programs see only as placements",
+	"internal/scheduler.(*Scheduler).Policy":     "oracle: which policy a pilot's description gave its scheduler",
+	"internal/service.(*EndpointRegistry).Fence": "oracle: the incarnation fence a recovery raises",
+	"internal/states.(*Machine).History":         "oracle: the transitions a machine went through",
+	"internal/states.(*Machine).EnteredAt":       "oracle: when a machine entered a state",
+	"internal/states.(*Machine).Between":         "oracle: the time a machine spent between two states",
+}
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
@@ -72,6 +105,7 @@ func main() {
 		checkDir(root, dir, report)
 	}
 	names, methods := checkClosedSurface(root, testOnly, report)
+	checkLinked(root, harness, report)
 
 	if len(violations) > 0 {
 		sort.Strings(violations)
@@ -440,4 +474,121 @@ func modulePath(gomod string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("%s: no module line", gomod)
+}
+
+// checkLinked reports every func and method declared in a non-test file of a
+// package under internal/ (leakcheck and tools aside) that no program links
+// and allow does not list. The programs are the main packages under cmd/ and
+// those of the nested bench/ module, built with inlining off, since an
+// inlined callee leaves no symbol. A func is linked when its symbol, type
+// arguments and closure suffixes stripped, is in one of their symbol tables.
+// allow is keyed "dir.Func", "dir.T.M" or "dir.(*T).M".
+func checkLinked(root string, allow map[string]string, report func(string, ...any)) {
+	module, err := modulePath(filepath.Join(root, "go.mod"))
+	if err != nil {
+		report("lintdoc: %v", err)
+		return
+	}
+	linked, err := linkedSymbols(root)
+	if err != nil {
+		report("lintdoc: %v", err)
+		return
+	}
+	fset := token.NewFileSet()
+	for _, dir := range packageDirs(root, report) {
+		if !strings.HasPrefix(dir, "internal/") || dir == "internal/leakcheck" || strings.HasPrefix(dir, "internal/tools/") {
+			continue
+		}
+		pkgs, err := parser.ParseDir(fset, filepath.Join(root, dir), func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.SkipObjectResolution)
+		if err != nil {
+			report("%s: parse: %v", dir, err)
+			continue
+		}
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				for _, decl := range file.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || fn.Name.Name == "init" || fn.Name.Name == "_" {
+						continue
+					}
+					key := dir + "." + fn.Name.Name
+					if fn.Recv != nil {
+						recv := recvName(fn.Recv.List[0].Type)
+						if strings.HasPrefix(recv, "*") {
+							recv = "(" + recv + ")"
+						}
+						key = dir + "." + recv + "." + fn.Name.Name
+					}
+					if !linked[module+"/"+key] && allow[key] == "" {
+						p := fset.Position(fn.Pos())
+						report("%s:%d: %s is linked into no program; delete it, or list it in harness with the reason a test needs it",
+							filepath.ToSlash(p.Filename), p.Line, key)
+					}
+				}
+			}
+		}
+	}
+}
+
+// closure matches the suffix the compiler gives a func literal, a deferred
+// or go'd call's wrapper, and a method value.
+var closure = regexp.MustCompile(`(\.(func|deferwrap|gowrap)\d+.*|-fm)$`)
+
+// linkedSymbols builds the programs into a temporary directory and returns
+// the text symbols of all of them, type arguments and closure suffixes
+// stripped.
+func linkedSymbols(root string) (map[string]bool, error) {
+	bin, err := os.MkdirTemp("", "lintdoc")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(bin)
+	builds := [][2]string{{root, "./cmd/..."}}
+	if _, err := os.Stat(filepath.Join(root, "bench", "go.mod")); err == nil {
+		builds = append(builds, [2]string{filepath.Join(root, "bench"), "./..."})
+	}
+	for _, b := range builds {
+		cmd := exec.Command("go", "build", "-gcflags=all=-l", "-o", bin+string(filepath.Separator), b[1])
+		cmd.Dir = b[0]
+		if out, err := cmd.CombinedOutput(); err != nil {
+			return nil, fmt.Errorf("go build %s in %s: %v\n%s", b[1], b[0], err, out)
+		}
+	}
+	ents, err := os.ReadDir(bin)
+	if err != nil {
+		return nil, err
+	}
+	linked := map[string]bool{}
+	for _, e := range ents {
+		out, err := exec.Command("go", "tool", "nm", filepath.Join(bin, e.Name())).Output()
+		if err != nil {
+			return nil, fmt.Errorf("go tool nm %s: %v", e.Name(), err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			// address, kind, then the name, which may hold spaces
+			if f := strings.SplitN(strings.TrimSpace(line), " ", 3); len(f) == 3 && (f[1] == "T" || f[1] == "t") {
+				linked[closure.ReplaceAllString(stripTypeArgs(f[2]), "")] = true
+			}
+		}
+	}
+	return linked, nil
+}
+
+// stripTypeArgs drops every bracketed type argument list from a symbol.
+func stripTypeArgs(sym string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }

@@ -39,10 +39,39 @@ func TestClosedSurface(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("violations = %q, want exactly four", got)
 	}
-	if names != 9 || methods != 1 {
-		t.Fatalf("counted %d names and %d methods, want 9 and 1", names, methods)
+	if names != 9 || methods != 2 {
+		t.Fatalf("counted %d names and %d methods, want 9 and 2", names, methods)
 	}
 	if !strings.Contains(all, "internal/a/a.go:26: exported Local ") {
 		t.Fatalf("violations %q do not point at Local's line", got)
+	}
+}
+
+// TestLinked runs the method-level check on the fixture module: a func or
+// method that only a test calls, or that only dead code calls, is reported;
+// one the cmd/ program or the nested bench module links, and an allowed
+// one, are not.
+func TestLinked(t *testing.T) {
+	var got []string
+	checkLinked("testdata/closed", map[string]string{"internal/a.Kept": "a harness"}, func(format string, args ...any) {
+		got = append(got, fmt.Sprintf(format, args...))
+	})
+	all := strings.Join(got, "\n")
+	cases := map[string]bool{
+		"internal/a.Measure":     true,  // only a test calls it
+		"internal/a.Unit.Double": true,  // a method only a test calls
+		"internal/a.Local":       true,  // only dead code calls it
+		"internal/a.use":         true,  // dead code
+		"internal/a.Shape.Area":  false, // the cmd/ program calls it
+		"internal/a.Wide":        false, // the bench module's program calls it
+		"internal/a.Kept":        false, // allowed
+	}
+	for key, reported := range cases {
+		if hit := strings.Contains(all, " "+key+" is linked into no program"); hit != reported {
+			t.Errorf("%s reported = %v, want %v (violations %q)", key, hit, reported, got)
+		}
+	}
+	if len(got) != 4 {
+		t.Fatalf("violations = %q, want exactly four", got)
 	}
 }

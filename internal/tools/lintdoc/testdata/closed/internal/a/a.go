@@ -36,5 +36,8 @@ const Limit = 3
 
 func use() int { return Local() + Measure(Shape{}) + Limit + Kept() }
 
-// Double is an exported method: counted, not checked.
+// Double is an exported method only a test calls.
 func (u Unit) Double() Unit { return 2 * u }
+
+// Area is an exported method the fixture's program calls.
+func (s Shape) Area() int { return s.N * s.N }

@@ -87,10 +87,7 @@ func TestCellPaintingPipelineRuns(t *testing.T) {
 		HPOTrials:    4,
 		TrainTime:    rng.ConstDuration(2 * time.Minute),
 	}
-	p := CellPainting(cfg, sess.RNG())
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	p := CellPainting(cfg, rng.New(13))
 	ctx := context.Background()
 	rep, err := r.Run(ctx, p)
 	if err != nil {
@@ -108,17 +105,18 @@ func TestCellPaintingPipelineRuns(t *testing.T) {
 		t.Fatalf("timeline %s, want %s", got, want)
 	}
 	// every trial carries its hyperparameters
-	if got := sess.PilotManager().List()[0].Stage().BytesUnder("delta:/scratch/cellpainting/processed/"); got <= 0 {
-		t.Fatal("no processed data staged")
+	// with its context already done, WaitBytes returns nil only if the
+	// bytes are staged
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := sess.PilotManager().List()[0].Stage().WaitBytes(done, "delta:/scratch/cellpainting/processed/", 1); err != nil {
+		t.Fatalf("no processed data staged: %v", err)
 	}
 }
 
 func TestSignaturePipelineStructure(t *testing.T) {
 	cfg := SignatureConfig{}
 	p := Signature(cfg, rng.New(1))
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if len(p.Stages) != 3 {
 		t.Fatalf("stages without LLM = %d, want 3", len(p.Stages))
 	}
@@ -171,7 +169,7 @@ func TestSignatureComputePipelineEndToEnd(t *testing.T) {
 	// Compute mode: the pipeline performs real annotation, enrichment and
 	// regression on synthetic data. The dose ladder across samples must
 	// yield a positive dose-response slope on the radiation pathway.
-	r, sess := newRunner(t, 13)
+	r, _ := newRunner(t, 13)
 	res := &SignatureResults{}
 	cfg := SignatureConfig{
 		Samples:    8,
@@ -180,7 +178,7 @@ func TestSignatureComputePipelineEndToEnd(t *testing.T) {
 		Compute:    true,
 		Results:    res,
 	}
-	p := Signature(cfg, sess.RNG())
+	p := Signature(cfg, rng.New(13))
 	ctx := context.Background()
 	if _, err := r.Run(ctx, p); err != nil {
 		t.Fatal(err)
@@ -210,9 +208,6 @@ func TestUQPipelineHierarchy(t *testing.T) {
 		t.Fatalf("default UQ task count = %d, want 12", got)
 	}
 	p := UQ(cfg)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if got := len(p.Stages[1].Tasks); got != 12 {
 		t.Fatalf("fine-tune tasks = %d", got)
 	}

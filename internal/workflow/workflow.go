@@ -52,14 +52,9 @@ type Pipeline struct {
 	Stages []*Stage
 }
 
-// Validate checks name uniqueness, dependency resolution and acyclicity.
-func (p *Pipeline) Validate() error {
-	_, err := p.dependents()
-	return err
-}
-
-// dependents validates the pipeline and returns, per stage index, the
-// indexes of the stages that depend on it.
+// dependents validates the pipeline (name uniqueness, dependency resolution
+// and acyclicity) and returns, per stage index, the indexes of the stages
+// that depend on it.
 func (p *Pipeline) dependents() ([][]int, error) {
 	if p.Name == "" {
 		return nil, errors.New("workflow: unnamed pipeline")

@@ -67,14 +67,14 @@ func simTask(name string, d time.Duration) spec.TaskDescription {
 
 func TestValidateDuplicateStage(t *testing.T) {
 	p := &Pipeline{Name: "p", Stages: []*Stage{{Name: "a"}, {Name: "a"}}}
-	if err := p.Validate(); err == nil {
+	if _, err := p.dependents(); err == nil {
 		t.Fatal("accepted duplicate stage names")
 	}
 }
 
 func TestValidateUnknownDependency(t *testing.T) {
 	p := &Pipeline{Name: "p", Stages: []*Stage{{Name: "a", After: []string{"ghost"}}}}
-	if err := p.Validate(); err == nil {
+	if _, err := p.dependents(); err == nil {
 		t.Fatal("accepted unknown dependency")
 	}
 }
@@ -84,16 +84,16 @@ func TestValidateCycle(t *testing.T) {
 		{Name: "a", After: []string{"b"}},
 		{Name: "b", After: []string{"a"}},
 	}}
-	if err := p.Validate(); err == nil {
+	if _, err := p.dependents(); err == nil {
 		t.Fatal("accepted cycle")
 	}
 }
 
 func TestValidateUnnamed(t *testing.T) {
-	if err := (&Pipeline{}).Validate(); err == nil {
+	if _, err := (&Pipeline{}).dependents(); err == nil {
 		t.Fatal("accepted unnamed pipeline")
 	}
-	if err := (&Pipeline{Name: "p", Stages: []*Stage{{}}}).Validate(); err == nil {
+	if _, err := (&Pipeline{Name: "p", Stages: []*Stage{{}}}).dependents(); err == nil {
 		t.Fatal("accepted unnamed stage")
 	}
 }
