@@ -16,10 +16,10 @@ import (
 // closes the paper's declared-future-work loop by scaling a service's
 // replica count with demand. A service submitted with MaxReplicas > 1
 // gets a per-handle loop on the session clock that each scaleInterval
-// reads the honest per-endpoint queue gauges (serving.Server's Queued
-// split, PR-8), publishes them as registry load reports for balancing
-// clients, and spawns or retires replica instances under the logical
-// service UID.
+// reads the per-endpoint queue gauges (serving.Server's Queued split) and
+// spawns or retires replica instances under the logical service UID.
+// Balancing clients do not wait for it: the registry reads each member's
+// server at pick time.
 //
 // Replicas are ordinary pilot-level services named <uid>.rN, placed
 // through the manager's placer like any service and auto-mirrored into the
@@ -133,15 +133,12 @@ func (sm *ServiceManager) scaleTick(h *Service) {
 		}
 	}
 
-	// Phase 2 — read the load signal and publish it for balancing
-	// clients, stamped with the session-clock read so pickers can bound
-	// staleness. Serving set: the base instance plus admitted,
-	// non-draining replicas.
-	now := sm.sess.clock.Now()
+	// Phase 2 — read the backlog the control law scales on. Serving set:
+	// the base instance plus admitted, non-draining replicas. (Balancing
+	// clients read each member's server themselves, at pick time.)
 	queued, serving := 0, 1
 	if base != nil {
 		queued = base.Queued()
-		sm.reg.ReportLoad(h.uid, service.Load{Queued: base.Queued(), InFlight: base.InFlight(), At: now})
 	}
 	pending := 0
 	for _, r := range kept {
@@ -150,7 +147,6 @@ func (sm *ServiceManager) scaleTick(h *Service) {
 		case r.member:
 			queued += r.inst.Queued()
 			serving++
-			sm.reg.ReportLoad(r.uid, service.Load{Queued: r.inst.Queued(), InFlight: r.inst.InFlight(), At: now})
 		default:
 			pending++ // bootstrap in flight: counts against the max, not the mean
 		}
@@ -414,7 +410,7 @@ func (sm *ServiceManager) promoteStandby(h *Service) bool {
 		ep.ServiceUID = h.uid
 		ep.Incarnation = sm.sess.Incarnation()
 		ep.PublishedAt = sm.sess.clock.Now()
-		_, _ = sm.reg.Publish(ep)
+		_, _ = sm.reg.PublishLocal(ep, ref.inst)
 		return true
 	}
 }

@@ -8,12 +8,16 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/loadbal"
 	"repro/internal/platform"
+	"repro/internal/proto"
+	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 )
@@ -174,6 +178,122 @@ func TestAutoscalerStaysAtOneBelowThreshold(t *testing.T) {
 	if n := replicas(h); n != 1 {
 		t.Fatalf("replicas = %d, want 1", n)
 	}
+}
+
+// viewPicker is a loadbal.Picker that keeps the balancing view it is handed
+// and picks the base.
+type viewPicker struct{ v loadbal.LoadView }
+
+func (p *viewPicker) PickIndex(v loadbal.LoadView, _ int64) int { p.v = v; return 0 }
+
+// TestAutoscaledReplicaLoadReadsLive: once the autoscaler admits a replica
+// to the balancing group, a pick reads the replica's server queue as it
+// stands, not a report from the last tick. Eight long llama-8b requests
+// hold the base's queue over the scale-up threshold until the replica
+// joins; two more sent straight to the replica after the admitting tick
+// show in the group view 100 ms later, stamped as never stale, with no
+// tick in between.
+func TestAutoscaledReplicaLoadReadsLive(t *testing.T) {
+	clock := simtime.NewVirtualAuto(DefaultOrigin)
+	s, err := NewSession(SessionConfig{Seed: 42, Clock: clock, FastBoot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	p, err := s.PilotManager().Submit(deltaPilotDesc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ServiceManager().AddPilot(p)
+	h, err := s.ServiceManager().Submit(spec.ServiceDescription{
+		TaskDescription: spec.TaskDescription{Name: "live", GPUs: 1},
+		Model:           "llama-8b",
+		Concurrency:     1,
+		MaxReplicas:     2,
+		ProbeInterval:   10000 * time.Hour,
+		StartTimeout:    time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the clock until the goroutine below is on it: WaitReady parks
+	// its caller on the clock's books, and without the hold the
+	// autoscaler's ticks would let time run on before that goroutine starts.
+	ctx := context.Background()
+	clock.AddRunner()
+	err = s.ServiceManager().WaitReady(ctx, h.UID())
+	if err != nil {
+		clock.DoneRunner()
+		t.Fatal(err)
+	}
+	picker := &viewPicker{}
+	bal, err := s.DialService(platform.Addr("delta", "", "live-client"), h.UID(), picker)
+	if err != nil {
+		clock.DoneRunner()
+		t.Fatal(err)
+	}
+	defer bal.Close()
+
+	var wg sync.WaitGroup
+	send := func(ep proto.Endpoint, n int) {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			clock.Go(func() {
+				defer wg.Done()
+				cl, err := s.Dial(platform.Addr("delta", "", "live-client"), ep)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer cl.Close()
+				if _, _, err := cl.Infer(ctx, "p", 512); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+	wg.Add(1)
+	clock.Go(func() {
+		defer wg.Done()
+		send(h.Endpoint(), 8)
+		for replicas(h) < 2 {
+			if clock.Now().Sub(DefaultOrigin) > 2*time.Minute {
+				t.Error("no replica admitted within two minutes")
+				return
+			}
+			clock.Sleep(100 * time.Millisecond)
+		}
+		admitted := clock.Now()
+		h.mu.Lock()
+		var rep *replicaRef
+		for _, r := range h.reps {
+			if r.member {
+				rep = r
+			}
+		}
+		base := h.inst
+		h.mu.Unlock()
+		send(rep.inst.Endpoint(), 2)
+		clock.Sleep(100 * time.Millisecond)
+
+		bal.Pick()
+		if picker.v == nil || picker.v.Len() != 2 {
+			t.Errorf("group view %v, want the base and one replica", picker.v)
+			return
+		}
+		for i, inst := range []*service.Instance{base, rep.inst} {
+			depth, at := picker.v.Load(i)
+			if want := inst.Queued() + inst.InFlight(); depth != want || at != math.MaxInt64 {
+				t.Errorf("%s: view reads depth %d stamp %d, want its server's %d, never stale",
+					inst.UID(), depth, at, want)
+			}
+		}
+		if depth, _ := picker.v.Load(1); depth != 2 {
+			t.Errorf("replica depth %d, want the 2 requests sent %v after its admission", depth, clock.Now().Sub(admitted))
+		}
+	})
+	clock.DoneRunner()
+	wg.Wait()
 }
 
 // replicas returns h's serving-replica count: the base instance plus every

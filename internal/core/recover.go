@@ -276,7 +276,7 @@ func (s *Session) recoverServices(snap *journal.Snapshot, survivors map[string]*
 
 		if p, ok := survivors[ss.Pilot]; ok {
 			if inst, found := p.Services().Get(uid); found {
-				if ep := inst.Endpoint(); ep.Address != "" {
+				if inst.Endpoint().Address != "" {
 					// The instance already published (possibly the very
 					// append the crash ate): re-mirror under the new
 					// incarnation — the restored generation floor makes
@@ -284,7 +284,7 @@ func (s *Session) recoverServices(snap *journal.Snapshot, survivors map[string]*
 					// client still holds. An instance caught pre-publish
 					// publishes through its rebound hook instead. Before
 					// install: a final instance settles in it.
-					s.sm.mirrorPublish(p.UID(), ep)
+					s.sm.mirrorPublish(p.UID(), inst)
 				}
 				h.install(inst, p, nil)
 				rep.ServicesReattached = append(rep.ServicesReattached, uid)

@@ -165,8 +165,19 @@ func findTask(s *Session, uid string) (*Task, bool) {
 	return nil, false
 }
 
+// TestRecoverReroutesWorkFromDeadPilot runs on the auto-advancing virtual
+// clock, held by the test goroutine like TestRecoverReattachesInFlightWork:
+// the hour-long task is still running on p1 when the client and then p1
+// die, and its re-routed run on p2 ends exactly an hour after Recover.
 func TestRecoverReroutesWorkFromDeadPilot(t *testing.T) {
-	s, jp := newJournaledSession(t, 11)
+	clock := simtime.NewVirtualAuto(DefaultOrigin)
+	clock.AddRunner()
+	defer clock.DoneRunner()
+	jp := filepath.Join(t.TempDir(), "session.wal")
+	s, err := NewSession(SessionConfig{Seed: 11, Clock: clock, FastBoot: true, JournalPath: jp})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p1 := submitAttachedPilot(t, s)
 	p2 := submitAttachedPilot(t, s)
 
@@ -203,6 +214,7 @@ func TestRecoverReroutesWorkFromDeadPilot(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	recovered := clock.Now()
 	s2, rep, err := Recover(jp, RecoverConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -235,9 +247,13 @@ func TestRecoverReroutesWorkFromDeadPilot(t *testing.T) {
 	if _, gen, ok := s2.EndpointRegistry().Resolve(svc.UID()); !ok || gen < 2 {
 		t.Fatalf("re-publication gen = %d (live=%v), want >= 2", gen, ok)
 	}
-	// The re-routed task finishes on the survivor.
+	// The re-routed task starts on the survivor at Recover and finishes
+	// there an hour later.
 	if err := s2.TaskManager().Wait(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if ran := clock.Now().Sub(recovered); ran != time.Hour {
+		t.Fatalf("re-routed task done %v after recovery, want 1h", ran)
 	}
 	rt, ok := findTask(s2, long[0].UID())
 	if !ok || rt.State() != states.TaskDone || rt.Pilot() != p2.UID() {

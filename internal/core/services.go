@@ -170,30 +170,6 @@ func (h *Service) Bootstrap() metrics.Breakdown {
 	return metrics.Breakdown{}
 }
 
-// Queued returns requests admitted but not yet executing, summed across
-// the base instance and any serving replicas — the backlog signal the
-// autoscaler watches.
-func (h *Service) Queued() int { return h.sumServing((*service.Instance).Queued) }
-
-// InFlight returns requests currently executing, summed across the base
-// instance and any serving replicas.
-func (h *Service) InFlight() int { return h.sumServing((*service.Instance).InFlight) }
-
-func (h *Service) sumServing(gauge func(*service.Instance) int) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := 0
-	if h.inst != nil {
-		n = gauge(h.inst)
-	}
-	for _, r := range h.reps {
-		if r.member && !r.draining {
-			n += gauge(r.inst)
-		}
-	}
-	return n
-}
-
 // PeakReplicas returns the highest serving-replica count the autoscaler
 // reached over the handle's lifetime (1 for unscaled services).
 func (h *Service) PeakReplicas() int {
@@ -270,8 +246,9 @@ func (h *Service) WaitReady(ctx context.Context) error {
 	}
 }
 
-// mirrorPublish is the pilot publish hook's session half: it mirrors an
-// endpoint publication into the session registry unless the publishing
+// mirrorPublish is the pilot publish hook's session half: it mirrors inst's
+// endpoint publication into the session registry, where balancing reads
+// inst's server for the entry's load, unless the publishing
 // pilot is no longer the service's current host — a bootstrap straggling
 // past its pilot's death must not overwrite the failover re-publication
 // with a dead address. Services without a session handle (submitted
@@ -285,14 +262,15 @@ func (h *Service) WaitReady(ctx context.Context) error {
 // registry's incarnation fence is airtight: the publication is stamped
 // with the current session incarnation, so after a crash recovery a
 // zombie publisher from the previous incarnation is rejected outright.
-func (sm *ServiceManager) mirrorPublish(pilotUID string, ep proto.Endpoint) {
+func (sm *ServiceManager) mirrorPublish(pilotUID string, inst *service.Instance) {
+	ep := inst.Endpoint()
 	if h, ok := sm.Get(ep.ServiceUID); ok {
 		if host := h.Pilot(); host != "" && host != pilotUID {
 			return
 		}
 	}
 	ep.Incarnation = sm.sess.Incarnation()
-	_, _ = sm.reg.Publish(ep)
+	_, _ = sm.reg.PublishLocal(ep, inst)
 }
 
 // AddPilot attaches a pilot to the service manager.
@@ -356,9 +334,8 @@ func (sm *ServiceManager) Submit(d spec.ServiceDescription) (*Service, error) {
 	}
 	if d.MaxReplicas > 1 || d.WarmStandbys > 0 {
 		// Standby-only services run the autoscaler too: its tick
-		// reconciles dead standbys, refills the pool, and publishes the
-		// load reports balancing clients steer by (the scaling decision
-		// itself stays gated on MaxReplicas > 1).
+		// reconciles dead standbys and refills the pool (the scaling
+		// decision itself stays gated on MaxReplicas > 1).
 		sm.startAutoscaler(h)
 	}
 	return h, nil

@@ -311,7 +311,7 @@ func (s *Session) pilotHooks(pilotUID string) pilot.Hooks {
 		// identifies the publishing incarnation: a straggling publication
 		// from a pilot the service has already migrated away from is
 		// dropped instead of overwriting the failover re-publication.
-		OnServicePublish: func(ep proto.Endpoint) { s.sm.mirrorPublish(pilotUID, ep) },
+		OnServicePublish: func(inst *service.Instance) { s.sm.mirrorPublish(pilotUID, inst) },
 	}
 }
 
@@ -352,10 +352,10 @@ func (s *Session) Dial(clientAddr string, ep proto.Endpoint) (service.Caller, er
 // request resolves through the session EndpointRegistry, so the client
 // follows failure-driven re-placements: it re-resolves and redials the
 // re-published endpoint instead of erroring into the dead address. Over
-// autoscaled replicas, picker spreads requests by the live load reports
-// (stale after 10s, the service balancer's horizon); an unscaled service
-// is a group of one and never consults it. A nil picker selects
-// power-of-two-choices seeded from the session seed and uid.
+// autoscaled replicas, picker spreads requests by each replica server's
+// queue, read at the pick; an unscaled service is a group of one and never
+// consults it. A nil picker selects power-of-two-choices seeded from the
+// session seed and uid.
 func (s *Session) DialService(clientAddr, uid string, picker loadbal.Picker) (*service.Balancer, error) {
 	dial := func(ep proto.Endpoint) (service.Caller, error) { return s.Dial(clientAddr, ep) }
 	if picker == nil {

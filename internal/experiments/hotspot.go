@@ -6,7 +6,8 @@ package experiments
 // what the session's load-aware balancing seam buys under a skewed open
 // stream: 80% of the offered mass targets one logical service while the
 // rest lands directly on the other backends as background load the
-// balancer can only see through registry load reports. The same seeded
+// balancer can only see in their servers' queues, read at each pick. The
+// same seeded
 // arrival schedule is replayed against three pickers — seeded
 // power-of-two-choices, blind round-robin, and the full-scan least-loaded
 // oracle — so the p99 spread isolates the selection strategy. A second

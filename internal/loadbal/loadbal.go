@@ -18,9 +18,9 @@ import (
 // contention.
 type LoadView interface {
 	Len() int
-	// Load returns candidate i's reported load depth (queued plus
-	// in-flight) and the report's timestamp in nanoseconds on the
-	// caller's clock (0 = never reported).
+	// Load returns candidate i's load depth (queued plus in-flight) and
+	// the reading's timestamp in nanoseconds on the caller's clock
+	// (0 = never reported; math.MaxInt64 = read live, never stale).
 	Load(i int) (depth int, at int64)
 }
 
@@ -112,8 +112,7 @@ func (b *RoundRobin) PickIndex(v LoadView, _ int64) int {
 
 // leastLoaded is the full-scan argmin Picker: O(group) per pick, the
 // quality ceiling the ablation holds P2C against. Ties break on a
-// rotating offset so equally-idle replicas share bursts that land
-// between two load reports.
+// rotating offset so equally-idle replicas share a burst.
 type leastLoaded struct {
 	n atomic.Uint64
 }

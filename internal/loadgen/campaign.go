@@ -100,8 +100,8 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	}
 	// A hotspot turns service 0's client into a load-aware Balancer over
 	// the whole fleet: the registry group under service 0 lists the other
-	// services as members, and the leader publishes load reports each
-	// arrival so the picker can steer the skewed mass away from the direct
+	// services as members, and the picker reads each member's server queue
+	// at pick time to steer the skewed mass away from the direct
 	// background traffic.
 	balanced := sc.Kind == KindHotspot && sc.Services > 1
 	if balanced {
@@ -138,7 +138,6 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		pilots:    pilots,
 		handles:   handles,
 		resolvers: resolvers,
-		balanced:  balanced,
 		t0:        clock.Now(),
 		bg:        context.Background(),
 		arr:       sc.arrivals(sc.Seed),
@@ -214,7 +213,6 @@ type campaign struct {
 	pilots    []*pilot.Pilot
 	handles   []*core.Service
 	resolvers []*service.Balancer
-	balanced  bool
 	t0        time.Time
 	bg        context.Context
 
@@ -367,9 +365,6 @@ func (c *campaign) lead(ctx context.Context, i int) {
 // arrive stamps the i-th arrival, submits its side-channel task when one is
 // due and returns the backend its request goes to.
 func (c *campaign) arrive(ctx context.Context, i int) int {
-	if c.balanced {
-		c.reportLoads(c.clock.Now())
-	}
 	svc := c.pickTarget(i)
 	c.offered.Add(1)
 	if c.sc.TaskEvery > 0 && i%c.sc.TaskEvery == 0 {
@@ -434,20 +429,6 @@ func (c *campaign) end() {
 		f.alarm.Close()
 	}
 	c.idle = nil
-}
-
-// reportLoads publishes each backend's queue gauges into the registry —
-// the load signal the balanced hotspot's picker probes. Reporting rides
-// the leader's arrivals, so report freshness equals the inter-arrival gap
-// and the schedule stays a pure function of the seed (no extra
-// clock-registered goroutine to interleave).
-func (c *campaign) reportLoads(now time.Time) {
-	reg := c.sess.EndpointRegistry()
-	for _, h := range c.handles {
-		reg.ReportLoad(h.UID(), service.Load{
-			Queued: h.Queued(), InFlight: h.InFlight(), At: now,
-		})
-	}
 }
 
 // pickTarget maps the i-th arrival to a backend: round-robin by default,

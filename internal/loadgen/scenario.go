@@ -74,8 +74,8 @@ type Scenario struct {
 	// goes through a registry balancing group over the whole fleet, dialled
 	// as service 0 by a Session.DialService client. The unskewed
 	// remainder keeps hitting services 1..N-1 directly, so the balancer
-	// only sees that background load through the load reports the leader
-	// publishes each arrival.
+	// only sees that background load in the servers' queues, which it
+	// reads at each pick.
 	Balance string
 
 	// ChurnAt is the campaign offset at which pilot 0 is shut down.

@@ -17,7 +17,6 @@ import (
 	"repro/internal/executor"
 	"repro/internal/msgq"
 	"repro/internal/platform"
-	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/service"
@@ -85,9 +84,10 @@ type Hooks struct {
 	// ServiceState observes every service instance transition on the pilot.
 	ServiceState states.Callback
 	// OnServicePublish observes every service endpoint publication on the
-	// pilot (the agent ServiceManager's publish phase). The session mirrors
-	// it into its EndpointRegistry so services resolve session-wide.
-	OnServicePublish func(proto.Endpoint)
+	// pilot (the agent ServiceManager's publish phase) with the publishing
+	// instance. The session mirrors it into its EndpointRegistry so services
+	// resolve session-wide.
+	OnServicePublish func(*service.Instance)
 }
 
 // Pilot is one acquired resource slice plus its agent.
@@ -342,14 +342,14 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 	// supersedes anything that still slips both.) The hook indirection
 	// lets a recovered session Rebind the mirror without restarting the
 	// pilot.
-	onPublish := func(ep proto.Endpoint) {
+	onPublish := func(inst *service.Instance) {
 		select {
 		case <-p.stopped:
 			return
 		default:
 		}
 		if cb := p.hooks.Load().OnServicePublish; cb != nil {
-			cb(ep)
+			cb(inst)
 		}
 	}
 	svcMgr, err := service.NewManager(service.Config{

@@ -16,6 +16,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/proto"
 	"repro/internal/rng"
+	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
@@ -310,9 +311,9 @@ func TestLaunchHooksObserveService(t *testing.T) {
 			svcSeen = append(svcSeen, to)
 			mu.Unlock()
 		},
-		OnServicePublish: func(ep proto.Endpoint) {
+		OnServicePublish: func(inst *service.Instance) {
 			mu.Lock()
-			published = append(published, ep)
+			published = append(published, inst.Endpoint())
 			mu.Unlock()
 		},
 	})

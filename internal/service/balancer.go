@@ -27,23 +27,22 @@ type DialFn func(ep proto.Endpoint) (Caller, error)
 const defaultRetries = 3
 
 // defaultLoadHorizon is the load-report staleness horizon balancing
-// clients apply: reports older than this are treated as no information and
-// load-aware pickers fall back to blind rotation. 10s comfortably covers
-// the autoscaler's 2s report cadence and a campaign reporter's
-// coarser intervals.
+// clients apply to members with no in-process server (their load comes
+// from ReportLoad): reports older than this are treated as no information
+// and load-aware pickers fall back to blind rotation. A member published
+// by an in-process instance is read live and never goes stale.
 const defaultLoadHorizon = 10 * time.Second
 
 // BalancerOptions tune a Balancer. The zero value selects a
-// power-of-two-choices picker with seed 0 and no clock (every report
-// counts as stale, so picks degrade to rotation until a Now source is
-// supplied).
+// power-of-two-choices picker with seed 0 and no clock (every load report
+// counts as stale; live server reads still count).
 type BalancerOptions struct {
 	// Picker selects among the group candidates per request. nil selects
 	// power-of-two-choices seeded with 0.
 	Picker loadbal.Picker
 	// Now supplies the current session-clock time for the staleness
-	// check. nil disables load awareness: with no timebase every report
-	// is stale and load-aware pickers fall back to rotation.
+	// check. nil treats every load report as stale; a member read live
+	// from its in-process server needs no timebase.
 	Now func() time.Time
 }
 
@@ -63,12 +62,13 @@ type BalancerOptions struct {
 //
 // The pick path is constant-time and contention-free: the registry keeps
 // the group membership in an atomically-swapped immutable view holding
-// entry pointers, the per-entry load gauges are atomics, and the default
-// power-of-two-choices picker probes exactly two members per request
-// from a seeded splitmix64 walker. No lock is taken and nothing is
-// allocated between a request arriving and its target UID being known,
-// however many replicas the group holds. When either probe's load report
-// is older than the configured horizon the pick falls back to blind
+// entry pointers, each probe reads the member's server queue counters (or
+// a reported gauge) through atomics, and the default power-of-two-choices
+// picker probes exactly two members per request from a seeded splitmix64
+// walker. No lock is taken and nothing is allocated between a request
+// arriving and its target UID being known, however many replicas the
+// group holds. When either probe has no live server and a load report
+// older than the configured horizon, the pick falls back to blind
 // round-robin rather than trusting dead information. With no members
 // every request goes to the base UID.
 type Balancer struct {
@@ -181,8 +181,8 @@ func (b *Balancer) Infer(ctx context.Context, prompt string, maxTokens int) (pro
 // load plus the picker's probes (two for power-of-two-choices), zero
 // locks and zero allocations regardless of group size. With no replica
 // members it returns the base UID without consulting the picker. The
-// picker reads load reports under defaultLoadHorizon as the staleness
-// bound.
+// picker reads members' servers live, and load reports under
+// defaultLoadHorizon as the staleness bound.
 func (b *Balancer) Pick() string {
 	view := b.entry.group.Load()
 	if view == nil || view.Len() <= 1 {

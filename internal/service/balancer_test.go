@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/msgq"
 	"repro/internal/proto"
+	"repro/internal/simtime"
 )
 
 // balReg builds a registry holding base "svc" plus n replica members
@@ -572,4 +573,99 @@ func TestBalancerMemberFailoverRetriesSameMember(t *testing.T) {
 	if want := map[string]int{"addr-svc": 1, "addr-m1": 1, "addr-m1-new": 1}; fmt.Sprint(dials) != fmt.Sprint(want) {
 		t.Fatalf("dials = %v, want %v", dials, want)
 	}
+}
+
+// TestBalancerReadsLiveServerDepth: a group of in-process instances, with
+// no ReportLoad anywhere, balances on each member's server queue as the
+// pick reads it. The clock is held while the backlog stands, so the depths
+// are exact: a holds 3 requests, b 1, c none. p2c over a group of two
+// probes both members, so it picks the shallower one every time. Once the
+// base entry is suspended or withdrawn it reads nothing (blind rotation),
+// and once another instance re-publishes it, it reads that instance's
+// server.
+func TestBalancerReadsLiveServerDepth(t *testing.T) {
+	v := simtime.NewVirtualAuto(origin)
+	r := newRigOn(t, v)
+	insts := map[string]*Instance{}
+	for _, name := range []string{"a", "b", "c"} {
+		inst, err := r.mgr.Submit(llamaDesc(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts[name] = inst
+	}
+	waitReady(t, r, insts["a"].UID(), insts["b"].UID(), insts["c"].UID())
+
+	reg := NewEndpointRegistry()
+	publish := func(uid string, inst *Instance) {
+		t.Helper()
+		e := inst.Endpoint()
+		e.ServiceUID = uid
+		if _, err := reg.PublishLocal(e, inst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish("a", insts["a"])
+	publish("b", insts["b"])
+	reg.AddMember("a", "b")
+	now := v.Now()
+	bal, err := NewBalancer(reg, "a", balDial, BalancerOptions{
+		Picker: loadbal.NewP2C(1),
+		Now:    func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bal.Close()
+
+	// Hold the clock: the backlog's requests neither finish nor start.
+	v.AddRunner()
+	var wg sync.WaitGroup
+	fill := func(inst *Instance, n int) {
+		srv := inst.server
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			v.Go(func() {
+				defer wg.Done()
+				req := proto.InferenceRequest{RequestUID: fmt.Sprintf("%s.%d", inst.UID(), i), Prompt: "p", MaxTokens: 8}
+				if _, err := srv.Submit(context.Background(), req); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		for deadline := time.Now().Add(5 * time.Second); srv.QueueDepth() < n; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: depth never reached %d (at %d)", inst.UID(), n, srv.QueueDepth())
+			}
+		}
+	}
+	fill(insts["a"], 3)
+	fill(insts["b"], 1)
+
+	picks := func(want map[string]int) {
+		t.Helper()
+		got := map[string]int{}
+		for i := 0; i < 100; i++ {
+			got[bal.Pick()]++
+		}
+		if got["a"] != want["a"] || got["b"] != want["b"] {
+			t.Errorf("picks %v, want %v", got, want)
+		}
+	}
+	picks(map[string]int{"b": 100}) // a: 3 deep, b: 1
+	reg.Suspend("a")
+	picks(map[string]int{"a": 50, "b": 50}) // a reads nothing: rotation
+	publish("a", insts["a"])
+	picks(map[string]int{"b": 100})
+	reg.Withdraw("a")
+	picks(map[string]int{"a": 50, "b": 50})
+	publish("a", insts["c"])
+	picks(map[string]int{"a": 100}) // a now reads c's idle server
+	if _, err := reg.Publish(ep("a", "addr-remote")); err != nil {
+		t.Fatal(err)
+	}
+	picks(map[string]int{"a": 50, "b": 50}) // no server, no report
+
+	v.DoneRunner()
+	wg.Wait()
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/serving"
 )
 
 // ErrWithdrawn is returned by the EndpointRegistry's Await* calls when the
@@ -74,7 +76,13 @@ type endpointEntry struct {
 	// this logical UID; balancing clients spread requests across them. Membership is routing state, not a publication: it does not
 	// move the generation.
 	replicas []string
-	// depth and loadAt are the endpoint's last reported load: total depth
+	// srv is the server of the in-process instance that published the live
+	// endpoint (PublishLocal), nil for any other entry: balancing pickers
+	// read its queue counters at pick time. Suspend, Withdraw and every
+	// re-publication re-point it, so a pick never reads a dead server.
+	srv atomic.Pointer[serving.Server]
+	// depth and loadAt are the endpoint's last reported load (ReportLoad),
+	// the gauge of an entry with no in-process server: total depth
 	// (queued+in-flight) and the report stamp in nanoseconds, atomics so
 	// balancing pickers read them on the request hot path without r.mu.
 	depth  atomic.Int64
@@ -90,12 +98,12 @@ type endpointEntry struct {
 	pinned bool
 }
 
-// Load is a per-endpoint load report: the honest queue split surfaced by
-// serving.Server, stamped with the session-clock time it was taken.
-// Whoever observes the instance (the session autoscaler's control loop, a
-// campaign's reporter) pushes reports; balancing clients read them to
-// pick less-loaded replicas, and treat a stamp older than their staleness
-// horizon as no information at all.
+// Load is a load report for an endpoint the registry cannot read load from
+// itself (one with no in-process server: a remote endpoint), stamped with
+// the session-clock time it was taken. Balancing clients read it to pick
+// less-loaded replicas, and treat a stamp older than their staleness
+// horizon as no information at all. An entry published by an in-process
+// instance ignores reports: its server's own counters are the gauge.
 type Load struct {
 	Queued   int       // admitted, waiting for a worker
 	InFlight int       // currently executing
@@ -104,8 +112,9 @@ type Load struct {
 
 // groupView is an immutable balancing view: one logical service UID's
 // base entry at index 0 plus its current replica members. It implements
-// loadbal.LoadView; Load reads the per-entry atomic gauges, so a pick
-// costs two atomic loads per probe and never blocks a registry mutation.
+// loadbal.LoadView; Load reads the member's server counters (or, with no
+// in-process server, its last report) through atomics, so a probe never
+// blocks a registry mutation.
 type groupView struct {
 	uids    []string
 	entries []*endpointEntry
@@ -117,10 +126,16 @@ func (g *groupView) Len() int { return len(g.uids) }
 // UID returns candidate i's service UID.
 func (g *groupView) UID(i int) string { return g.uids[i] }
 
-// Load returns candidate i's reported depth and report stamp
-// (nanoseconds; 0 = never reported).
+// Load returns candidate i's depth and its stamp in nanoseconds. A member
+// published by an in-process instance reports its server's queued plus
+// in-flight count at this instant, stamped math.MaxInt64: a live gauge is
+// never stale. Any other member reports its last ReportLoad and that
+// report's stamp (0 = never reported).
 func (g *groupView) Load(i int) (int, int64) {
 	e := g.entries[i]
+	if srv := e.srv.Load(); srv != nil {
+		return srv.QueueDepth(), math.MaxInt64
+	}
 	return int(e.depth.Load()), e.loadAt.Load()
 }
 
@@ -138,7 +153,26 @@ func NewEndpointRegistry() *EndpointRegistry {
 // fence is rejected with ErrStaleIncarnation: after a crash recovery, a
 // zombie instance from the previous incarnation may still try to publish,
 // and letting it through would clobber the re-placed successor.
+//
+// The entry then has no in-process server: balancing reads its load from
+// ReportLoad. An in-process instance publishes through PublishLocal.
 func (r *EndpointRegistry) Publish(ep proto.Endpoint) (uint64, error) {
+	return r.publish(ep, nil)
+}
+
+// PublishLocal is Publish for an endpoint that the in-process instance
+// inst serves, under ep.ServiceUID (which need not be inst's own UID: a
+// promoted standby serves its group's base UID). Balancing then reads the
+// entry's load from inst's server at pick time, until the entry is
+// suspended, withdrawn or published again.
+func (r *EndpointRegistry) PublishLocal(ep proto.Endpoint, inst *Instance) (uint64, error) {
+	inst.mu.Lock()
+	srv := inst.server
+	inst.mu.Unlock()
+	return r.publish(ep, srv)
+}
+
+func (r *EndpointRegistry) publish(ep proto.Endpoint, srv *serving.Server) (uint64, error) {
 	r.mu.Lock()
 	if ep.Incarnation < r.fence {
 		r.mu.Unlock()
@@ -153,6 +187,7 @@ func (r *EndpointRegistry) Publish(ep proto.Endpoint) (uint64, error) {
 	e.gen++
 	ep.Generation = e.gen
 	e.ep = ep
+	e.srv.Store(srv)
 	e.live = true
 	e.withdrawn = false
 	gen := e.gen
@@ -221,6 +256,7 @@ func (r *EndpointRegistry) Suspend(uid string) {
 	r.mu.Lock()
 	if e := r.entries[uid]; e != nil {
 		e.live = false
+		e.srv.Store(nil)
 		if r.observer != nil {
 			r.observer(endpointSuspend, uid, e.ep, e.gen)
 		}
@@ -240,6 +276,7 @@ func (r *EndpointRegistry) Withdraw(uid string) {
 	}
 	e.live = false
 	e.withdrawn = true
+	e.srv.Store(nil)
 	r.wakeLocked(e)
 	if r.observer != nil {
 		r.observer(endpointWithdraw, uid, e.ep, e.gen)
@@ -437,10 +474,11 @@ func (r *EndpointRegistry) groupEntry(uid string) *endpointEntry {
 	return e
 }
 
-// ReportLoad records uid's latest load gauges. Reports for unknown UIDs
-// are dropped — a retired replica's straggling report must not
-// resurrect its entry. The report lands in the entry's atomic depth/stamp
-// pair, which balancing pickers read lock-free.
+// ReportLoad records uid's latest load gauges, for an entry with no
+// in-process server (one published by PublishLocal reads its server
+// instead). Reports for unknown UIDs are dropped — a retired replica's
+// straggling report must not resurrect its entry. The report lands in the
+// entry's atomic depth/stamp pair, which balancing pickers read lock-free.
 func (r *EndpointRegistry) ReportLoad(uid string, l Load) {
 	r.mu.Lock()
 	if e := r.entries[uid]; e != nil {

@@ -57,12 +57,13 @@ type Config struct {
 	PublishSrc      *rng.Source
 	// OnPublish, when set, observes every endpoint publication as part of
 	// the publish bootstrap phase — after the publish overhead has been
-	// paid and strictly before the service turns ACTIVE. The session
-	// hooks its EndpointRegistry mirror here, so a service that reports
-	// ready is already resolvable session-wide (and a failover
-	// re-bootstrap re-publishes with a bumped generation atomically with
-	// the new instance's activation).
-	OnPublish func(proto.Endpoint)
+	// paid and strictly before the service turns ACTIVE. It receives the
+	// publishing instance, whose Endpoint is set. The session hooks its
+	// EndpointRegistry mirror here, so a service that reports ready is
+	// already resolvable session-wide (and a failover re-bootstrap
+	// re-publishes with a bumped generation atomically with the new
+	// instance's activation).
+	OnPublish func(*Instance)
 	// Stopped, when set, is closed when the hosting pilot shuts down, before
 	// Close. A bootstrap looks at it at its grant and at each phase boundary
 	// after, and fails with ErrHostStopped instead of publishing a dead
@@ -475,7 +476,7 @@ func (m *Manager) launch(inst *Instance, pl scheduler.Placement, spent time.Dura
 	inst.endpoint = ep
 	inst.mu.Unlock()
 	if m.cfg.OnPublish != nil {
-		m.cfg.OnPublish(ep)
+		m.cfg.OnPublish(inst)
 	}
 
 	if err := inst.machine.To(states.ServiceActive); err != nil {
