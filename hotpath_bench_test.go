@@ -21,16 +21,12 @@ import (
 	"repro/internal/spec"
 )
 
-// TestInferenceRoundTripAllocBudget pins the end-to-end allocation cost of
-// one client→service→client round trip (envelope construction, transport,
-// queueing, serving, reply decode, RT decomposition) so the hot-path work
-// — inline REQ/REP, pooled serving jobs, typed envelope decode — cannot
-// silently regress. The seed spent 41 allocs per round trip; inline
-// REQ/REP and pooled jobs brought it to 17, lazy envelope encoding to 11
-// (later 9), and a path with no map in the RT split, no escaping decode
-// target and no reallocating serving queue to 3: the two payload snapshots
-// and the request UID. The budget is the current cost.
-func TestInferenceRoundTripAllocBudget(t *testing.T) {
+// inprocRoundTripAllocs returns the heap objects of one serial
+// client→service→client round trip (envelope construction, transport,
+// queueing, serving, reply decode, RT decomposition) to a service of svc
+// in a session on the scaled clock.
+func inprocRoundTripAllocs(t *testing.T, svc spec.ServiceDescription) float64 {
+	t.Helper()
 	sess, err := core.NewSession(core.SessionConfig{
 		Seed: 1, Clock: simtime.NewScaled(100000, core.DefaultOrigin), FastBoot: true,
 	})
@@ -44,11 +40,8 @@ func TestInferenceRoundTripAllocBudget(t *testing.T) {
 	}
 	sm := sess.ServiceManager()
 	sm.AddPilot(p)
-	inst, err := sm.Submit(spec.ServiceDescription{
-		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1},
-		Model:           "noop",
-		ProbeInterval:   time.Hour,
-	})
+	svc.ProbeInterval = time.Hour
+	inst, err := sm.Submit(svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +54,25 @@ func TestInferenceRoundTripAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	allocs := testing.AllocsPerRun(200, func() {
+	return testing.AllocsPerRun(200, func() {
 		if _, _, err := cl.Infer(ctx, "bench", 0); err != nil {
 			t.Fatal(err)
 		}
+	})
+}
+
+// TestInferenceRoundTripAllocBudget pins the end-to-end allocation cost of
+// one round trip to a noop service, so the hot-path work — inline REQ/REP,
+// pooled serving jobs, typed envelope decode — cannot silently regress.
+// The seed spent 41 allocs per round trip; inline REQ/REP and pooled jobs
+// brought it to 17, lazy envelope encoding to 11 (later 9), and a path
+// with no map in the RT split, no escaping decode target and no
+// reallocating serving queue to 3: the two payload snapshots and the
+// request UID. The budget is the current cost.
+func TestInferenceRoundTripAllocBudget(t *testing.T) {
+	allocs := inprocRoundTripAllocs(t, spec.ServiceDescription{
+		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1},
+		Model:           "noop",
 	})
 	const budget = 3
 	if allocs > budget {
@@ -80,46 +88,32 @@ func TestInferenceRoundTripAllocBudget(t *testing.T) {
 // It was 13 allocs, then 9, and is now the single path's 3: the batch
 // buffers are the worker's own.
 func TestBatchedRoundTripAllocBudget(t *testing.T) {
-	sess, err := core.NewSession(core.SessionConfig{
-		Seed: 1, Clock: simtime.NewScaled(100000, core.DefaultOrigin), FastBoot: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	p, err := sess.PilotManager().Submit(spec.PilotDescription{Platform: "delta", Cores: 256, GPUs: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm := sess.ServiceManager()
-	sm.AddPilot(p)
-	inst, err := sm.Submit(spec.ServiceDescription{
+	allocs := inprocRoundTripAllocs(t, spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1},
 		Model:           "noop",
 		Concurrency:     2,
 		MaxBatch:        8,
-		ProbeInterval:   time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := sm.WaitReady(ctx, inst.UID()); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := sess.Dial(platform.Addr("delta", "", "alloc-client"), inst.Endpoint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, err := cl.Infer(ctx, "bench", 0); err != nil {
-			t.Fatal(err)
-		}
 	})
 	const budget = 3
 	if allocs > budget {
 		t.Fatalf("batched round trip allocates %.1f objects/op, budget %d", allocs, budget)
+	}
+	t.Logf("%.1f objects/op", allocs)
+}
+
+// TestModelRoundTripAllocBudget pins the same round trip to a vit-base
+// service, whose replies carry text: it prices like the noop path's 3,
+// because a reply carries the draw of its words and nothing on an
+// in-process round trip spells them. Spelling the text where the model
+// drew it made it 4.
+func TestModelRoundTripAllocBudget(t *testing.T) {
+	allocs := inprocRoundTripAllocs(t, spec.ServiceDescription{
+		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1, GPUs: 1},
+		Model:           "vit-base",
+	})
+	const budget = 3
+	if allocs > budget {
+		t.Fatalf("vit-base round trip allocates %.1f objects/op, budget %d", allocs, budget)
 	}
 	t.Logf("%.1f objects/op", allocs)
 }
@@ -134,7 +128,9 @@ func TestBatchedRoundTripAllocBudget(t *testing.T) {
 // 10.3, and a request path that allocates only what it returns (the two
 // payload snapshots, the request UID and the prompt) to 4.3.
 // campaign_batched (vit-base behind a p2c balancer, MaxBatch 8) adds the
-// generated reply text and the batch's slices: 13.85 before that, 5.4 after.
+// batch's results: 13.85 before that, 5.85 after, and 4.7 once replies
+// carried the draw of their text instead of the text and the workers
+// owned their batch items.
 func TestCampaignAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is lossy under the race detector")
@@ -152,7 +148,7 @@ func TestCampaignAllocBudget(t *testing.T) {
 			Name: "campaign_batched", Kind: loadgen.KindHotspot, HotspotWeight: 0.8, Balance: "p2c",
 			Requests: requests, Rate: 8000, Services: 4, Model: "vit-base",
 			Concurrency: 2, MaxBatch: 8, MaxTokens: 8, QueueCap: 200000, Seed: 7, KeepSamples: true,
-		}, 6.8},
+		}, 5},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -54,15 +54,19 @@ func TestAutoscalerScalesUpAndBackDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hold the clock until the arrival goroutine below is on it: WaitReady
+	// parks its caller on the clock's books, and without the hold the
+	// autoscaler's ticks would let time run on before that goroutine starts.
 	ctx := context.Background()
-	clock.AddRunner() // WaitReady parks its caller on the clock's books
+	clock.AddRunner()
 	err = s.ServiceManager().WaitReady(ctx, h.UID())
-	clock.DoneRunner()
 	if err != nil {
+		clock.DoneRunner()
 		t.Fatal(err)
 	}
 	bal, err := s.DialService(platform.Addr("delta", "", "as-client"), h.UID(), nil)
 	if err != nil {
+		clock.DoneRunner()
 		t.Fatal(err)
 	}
 	defer bal.Close()
@@ -87,6 +91,7 @@ func TestAutoscalerScalesUpAndBackDown(t *testing.T) {
 			})
 		}
 	})
+	clock.DoneRunner()
 	wg.Wait()
 
 	if completed.Load() != requests || failed.Load() != 0 {
@@ -136,15 +141,19 @@ func TestAutoscalerStaysAtOneBelowThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hold the clock until the arrival goroutine below is on it: WaitReady
+	// parks its caller on the clock's books, and without the hold the
+	// autoscaler's ticks would let time run on before that goroutine starts.
 	ctx := context.Background()
-	clock.AddRunner() // WaitReady parks its caller on the clock's books
+	clock.AddRunner()
 	err = s.ServiceManager().WaitReady(ctx, h.UID())
-	clock.DoneRunner()
 	if err != nil {
+		clock.DoneRunner()
 		t.Fatal(err)
 	}
 	bal, err := s.DialService(platform.Addr("delta", "", "idle-client"), h.UID(), nil)
 	if err != nil {
+		clock.DoneRunner()
 		t.Fatal(err)
 	}
 	defer bal.Close()
@@ -167,6 +176,7 @@ func TestAutoscalerStaysAtOneBelowThreshold(t *testing.T) {
 			})
 		}
 	})
+	clock.DoneRunner()
 	wg.Wait()
 
 	if completed.Load() != requests {

@@ -73,7 +73,7 @@ func ExampleNewSession() {
 	fmt.Printf("inference: %d prompt + %d output tokens\n", reply.PromptTokens, reply.OutputTokens)
 	fmt.Printf("  response time: communication=%.4fs service=%.4fs inference=%.3fs (Fig. 6 components)\n",
 		rt.Get("communication").Seconds(), rt.Get("service").Seconds(), rt.Get("inference").Seconds())
-	fmt.Printf("  reply: %.60s...\n", reply.Text)
+	fmt.Printf("  reply: %.60s...\n", reply.Words())
 
 	// 5. Graceful teardown.
 	if err := sm.Terminate(inst.UID(), true); err != nil {

@@ -393,9 +393,9 @@ func TestRecoveredClientGetsItsOwnReply(t *testing.T) {
 	if before.OutputTokens <= 3 {
 		t.Fatalf("pre-crash reply: %d output tokens, want more than the limit of 3", before.OutputTokens)
 	}
-	if after.OutputTokens < 1 || after.OutputTokens > 3 || after.Text == before.Text {
+	if after.OutputTokens < 1 || after.OutputTokens > 3 || after.Words() == before.Words() {
 		t.Fatalf("post-recovery reply: %d tokens %q, want its own of at most 3 (pre-crash: %d tokens %q)",
-			after.OutputTokens, after.Text, before.OutputTokens, before.Text)
+			after.OutputTokens, after.Words(), before.OutputTokens, before.Words())
 	}
 }
 

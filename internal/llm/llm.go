@@ -11,15 +11,18 @@
 // on *when* and *for how long* the model computes, not on the text it
 // produces. The simulated model spends the same (distribution-sampled)
 // wall-clock time in the same code path and produces deterministic
-// pseudo-text.
+// pseudo-text. It draws the text's words but does not spell them: a reply
+// carries its draw (Result.TextFrom), and the text is spelled only where
+// it is read (proto.InferenceReply.Words, and the encoders that put a
+// reply on a wire), so a campaign that reads no text builds none.
 package llm
 
 import (
 	"fmt"
-	"strings"
 	"time"
 	"unicode"
 
+	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/simtime"
 )
@@ -143,19 +146,23 @@ func (m *Instance) Load() time.Duration {
 
 // Result is the outcome of one inference.
 type Result struct {
-	Text         string
+	// TextFrom is the stream state at the first of the reply's
+	// OutputTokens word draws: the reply's text, drawn but not spelled
+	// (proto.InferenceReply carries it on to whoever reads the text).
+	TextFrom     uint64
 	PromptTokens int
 	OutputTokens int
 	Duration     time.Duration
 }
 
 // Infer runs one inference: it blocks for the modelled duration and
-// returns deterministic pseudo-text. maxTokens <= 0 uses the spec default.
+// returns the draw of deterministic pseudo-text. maxTokens <= 0 uses the
+// spec default.
 // Calling Infer on an unloaded non-noop instance is a programming error
 // and panics, mirroring a crash of an unready service.
 func (m *Instance) Infer(prompt string, maxTokens int) Result {
 	if m.spec.Noop {
-		return Result{Text: "", PromptTokens: 0, OutputTokens: 0}
+		return Result{}
 	}
 	if !m.loaded {
 		panic(fmt.Sprintf("llm: Infer on unloaded model %s", m.spec.Name))
@@ -165,7 +172,7 @@ func (m *Instance) Infer(prompt string, maxTokens int) Result {
 		m.clock.Sleep(d)
 	}
 	return Result{
-		Text:         GenerateText(m.src, m.spec.Name, otok),
+		TextFrom:     m.src.Skip(otok),
 		PromptTokens: ptok,
 		OutputTokens: otok,
 		Duration:     d,
@@ -218,7 +225,7 @@ type BatchItem struct {
 //
 // Every result reports D as its Duration — batch members finish together,
 // like rows of one forward pass. A batch of one is byte-identical to
-// Infer (the sleep consumes no randomness, so generating text before the
+// Infer (the sleep consumes no randomness, so drawing text before the
 // collective sleep preserves the draw order), making batching safe to
 // enable without perturbing unbatched workloads.
 func (m *Instance) InferBatch(items []BatchItem) []Result {
@@ -233,7 +240,7 @@ func (m *Instance) InferBatch(items []BatchItem) []Result {
 	for i, it := range items {
 		ptok, otok, d := m.planOne(it.Prompt, it.MaxTokens)
 		out[i] = Result{
-			Text:         GenerateText(m.src, m.spec.Name, otok),
+			TextFrom:     m.src.Skip(otok),
 			PromptTokens: ptok,
 			OutputTokens: otok,
 		}
@@ -287,37 +294,10 @@ func countTokens(text string) int {
 	return (words*13 + 9) / 10
 }
 
-// vocabulary for deterministic pseudo-text generation.
-var vocabulary = []string{
-	"radiation", "dose", "cell", "pathway", "gene", "signature", "variant",
-	"response", "model", "inference", "workflow", "pilot", "service", "task",
-	"analysis", "protein", "expression", "cluster", "sample", "annotation",
-}
-
-// longestWord is the length of vocabulary's longest word.
-var longestWord = func() int {
-	n := 0
-	for _, w := range vocabulary {
-		n = max(n, len(w))
-	}
-	return n
-}()
-
 // GenerateText produces deterministic pseudo-text of n tokens for the
-// given model name and RNG stream. Its builder is sized once for n of the
-// longest word, so the text is its one allocation.
+// given model name and RNG stream, drawing and spelling its words at once
+// (proto.Spell): the same text a reply drawn at the same point of the
+// stream spells when read. The text is its one allocation.
 func GenerateText(src *rng.Source, model string, n int) string {
-	if n <= 0 {
-		return ""
-	}
-	var sb strings.Builder
-	sb.Grow(len(model) + 2 + n*(1+longestWord))
-	sb.WriteByte('[')
-	sb.WriteString(model)
-	sb.WriteByte(']')
-	for i := 0; i < n; i++ {
-		sb.WriteByte(' ')
-		sb.WriteString(vocabulary[src.Intn(len(vocabulary))])
-	}
-	return sb.String()
+	return proto.Spell(model, src, n)
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/simtime"
 )
@@ -14,6 +15,11 @@ import (
 var origin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
 
 func scaled() simtime.Clock { return simtime.NewScaled(100000, origin) }
+
+// words returns r's text as a reader of model's reply sees it.
+func words(model string, r Result) string {
+	return proto.InferenceReply{Model: model, TextFrom: r.TextFrom, TextDrawn: true, OutputTokens: r.OutputTokens}.Words()
+}
 
 func TestCatalogContainsPaperModels(t *testing.T) {
 	c := catalog()
@@ -87,7 +93,7 @@ func TestNoopInferInstantWithoutLoad(t *testing.T) {
 	clock := simtime.NewVirtualAuto(origin)
 	m := NewInstance(spec, clock, rng.New(1))
 	res := m.Infer("anything", 100)
-	if res.OutputTokens != 0 || res.Text != "" || res.Duration != 0 {
+	if res != (Result{}) {
 		t.Fatalf("noop result = %+v", res)
 	}
 	if now := clock.Now(); !now.Equal(origin) {
@@ -135,7 +141,7 @@ func TestInferTokenAccounting(t *testing.T) {
 	if res.OutputTokens < 1 || res.OutputTokens > 64 {
 		t.Fatalf("output tokens = %d, want in [1,64]", res.OutputTokens)
 	}
-	if got := countTokens(res.Text); got < res.OutputTokens {
+	if got := countTokens(words(spec.Name, res)); got < res.OutputTokens {
 		t.Fatalf("text has %d tokens, fewer than claimed %d", got, res.OutputTokens)
 	}
 }
@@ -158,7 +164,7 @@ func TestInferDeterministicGivenSeed(t *testing.T) {
 		return m.Infer("same prompt", 32)
 	}
 	a, b := run(), run()
-	if a.Text != b.Text || a.OutputTokens != b.OutputTokens || a.Duration != b.Duration {
+	if a != b {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
 }
@@ -261,6 +267,45 @@ func TestGenerateTextGolden(t *testing.T) {
 	}
 }
 
+// TestDrawnReplySpellsGenerateText: a reply's draw spells exactly the text
+// GenerateText draws from a twin stream and leaves the stream where the
+// twin's is, for every length, for streams from two seeds and from state 0
+// (a draw the presence flag must tell from no draw), and through Infer on
+// a model whose stream starts at 0.
+func TestDrawnReplySpellsGenerateText(t *testing.T) {
+	for _, seed := range []uint64{0, 7, 2024} {
+		for _, n := range []int{0, 1, 8, 128} {
+			src, twin := rng.New(seed), rng.New(seed)
+			reply := proto.InferenceReply{Model: "vit-base", OutputTokens: n, TextFrom: src.Skip(n), TextDrawn: true}
+			if got, want := reply.Words(), GenerateText(twin, "vit-base", n); got != want {
+				t.Fatalf("seed %d, %d words: drawn reply spells %q, GenerateText %q", seed, n, got, want)
+			}
+			if a, b := src.Uint64(), twin.Uint64(); a != b {
+				t.Fatalf("seed %d, %d words: streams part after the text: %#x vs %#x", seed, n, a, b)
+			}
+		}
+	}
+	if got := (proto.InferenceReply{Model: "m", OutputTokens: 2, TextDrawn: true}).Words(); got == "" {
+		t.Fatal("a draw from state 0 spells nothing")
+	}
+
+	spec, err := Lookup("vit-base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, twin := NewInstance(spec, scaled(), rng.New(0)), NewInstance(spec, scaled(), rng.New(0))
+	m.Load()
+	twin.Load()
+	for i := 0; i < 4; i++ {
+		res := m.Infer("classify", 16)
+		ptok, otok, d := twin.planOne("classify", 16)
+		want := GenerateText(twin.src, spec.Name, otok)
+		if got := words(spec.Name, res); got != want || res.PromptTokens != ptok || res.OutputTokens != otok || res.Duration != d {
+			t.Fatalf("inference %d: %+v spells %q, twin %d+%d tokens in %v %q", i, res, got, ptok, otok, d, want)
+		}
+	}
+}
+
 func TestOutputLengthProperty(t *testing.T) {
 	// Property: output length always lands in [1, maxTokens].
 	spec, _ := Lookup("llama-8b")
@@ -336,7 +381,7 @@ func TestInferBatchAmortizesSleep(t *testing.T) {
 		if want.Duration > longest {
 			longest = want.Duration
 		}
-		if got[i].Text != want.Text || got[i].PromptTokens != want.PromptTokens ||
+		if words(spec.Name, got[i]) != words(spec.Name, want) || got[i].PromptTokens != want.PromptTokens ||
 			got[i].OutputTokens != want.OutputTokens {
 			t.Fatalf("item %d: batch=%+v single=%+v", i, got[i], want)
 		}

@@ -23,14 +23,14 @@ import (
 // whatever is submitted next queues behind it.
 func heldNode(t *testing.T) (p *Pilot, holder *Task, release func()) {
 	t.Helper()
-	p, _ = newPilot(t, 100000, spec.PilotDescription{Platform: "delta", Nodes: 1})
+	p, _ = newPilot(t, spec.PilotDescription{Platform: "delta", Nodes: 1})
 	started, gate := make(chan struct{}), make(chan struct{})
 	holder, err := p.SubmitTask(context.Background(), spec.TaskDescription{Name: "holder", Cores: 64,
 		Func: func(context.Context) error { close(started); <-gate; return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	offClock(p, func() { <-started })
 	var once sync.Once
 	release = func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(release)
@@ -109,7 +109,7 @@ func TestTaskTransitionsReportedInChains(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
 			var got [][]states.State
-			p, _ := newHookedPilot(t, 100000, deltaPilot(), Hooks{TaskState: func(_ string, from states.State, steps []states.Record) {
+			p, _ := newHookedPilot(t, deltaPilot(), Hooks{TaskState: func(_ string, from states.State, steps []states.Record) {
 				mu.Lock()
 				defer mu.Unlock()
 				if len(got) == 0 && from != states.TaskNew {
@@ -189,7 +189,7 @@ func TestEnqueuedAfterInputStaging(t *testing.T) {
 // settled when SubmitTask returns, and a completion hook registered then
 // fires once, at once.
 func TestPreGrantFailureFinalAtSubmit(t *testing.T) {
-	p, _ := newPilot(t, 100000, deltaPilot())
+	p, _ := newPilot(t, deltaPilot())
 	p.sched.Close()
 	base := runtime.NumGoroutine()
 	task, err := p.SubmitTask(context.Background(), spec.TaskDescription{Name: "late", Cores: 1,
@@ -262,7 +262,7 @@ func TestSubmitVsShutdownSingleWinnerRace(t *testing.T) {
 		}
 	}()
 	close(start)
-	wg.Wait()
+	offClock(p, wg.Wait)
 	release()
 	for i, task := range tasks {
 		if task == nil {
@@ -319,7 +319,7 @@ func TestContextCancelAroundGrant(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatalf("capacity not back: %+v", p.Snapshot())
 			}
-			time.Sleep(time.Millisecond)
+			p.Clock().Sleep(time.Millisecond)
 		}
 	})
 	t.Run("already-done", func(t *testing.T) {
@@ -336,7 +336,7 @@ func TestContextCancelAroundGrant(t *testing.T) {
 		}
 	})
 	t.Run("after", func(t *testing.T) {
-		p, _ := newPilot(t, 100000, spec.PilotDescription{Platform: "delta", Nodes: 1})
+		p, _ := newPilot(t, spec.PilotDescription{Platform: "delta", Nodes: 1})
 		ctx, cancel := context.WithCancel(context.Background())
 		started := make(chan struct{})
 		task, err := p.SubmitTask(ctx, spec.TaskDescription{Name: "running", Cores: 64,
@@ -344,7 +344,7 @@ func TestContextCancelAroundGrant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-started
+		offClock(p, func() { <-started })
 		cancel()
 		if err := waitTasks(t, p, task.UID()); !errors.Is(err, context.Canceled) {
 			t.Fatalf("WaitTasks = %v, want context.Canceled", err)
@@ -422,7 +422,7 @@ func TestTaskChannelsAskedBeforeDuringAndAfter(t *testing.T) {
 		})
 	}
 	// Through the pilot: a task that ran to its end with nobody asking.
-	p, _ := newPilot(t, 100000, spec.PilotDescription{Platform: "delta", Nodes: 1})
+	p, _ := newPilot(t, spec.PilotDescription{Platform: "delta", Nodes: 1})
 	task, err := p.SubmitTask(context.Background(), spec.TaskDescription{Name: "unasked", Cores: 1,
 		Func: func(context.Context) error { return nil }})
 	if err != nil {
@@ -430,7 +430,7 @@ func TestTaskChannelsAskedBeforeDuringAndAfter(t *testing.T) {
 	}
 	settled := make(chan struct{})
 	task.OnDone(func() { close(settled) })
-	<-settled
+	offClock(p, func() { <-settled })
 	if err := waitTasks(t, p, task.UID()); err != nil {
 		t.Fatal(err)
 	}

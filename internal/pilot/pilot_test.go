@@ -24,15 +24,22 @@ import (
 
 var origin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
 
-func newPilot(t *testing.T, scale float64, desc spec.PilotDescription) (*Pilot, *platform.Platform) {
+// newPilot launches a pilot of desc on Delta, on an auto-advancing virtual
+// clock with the test goroutine registered: the test waits through the
+// clock (a Latch, Sleep, Settle) or gives its token back around any other
+// wait (DoneRunner … AddRunner), and its cleanup deregisters it after the
+// pilot's shutdown.
+func newPilot(t *testing.T, desc spec.PilotDescription) (*Pilot, *platform.Platform) {
 	t.Helper()
-	return newHookedPilot(t, scale, desc, Hooks{})
+	return newHookedPilot(t, desc, Hooks{})
 }
 
 // newHookedPilot is newPilot launched under hooks.
-func newHookedPilot(t *testing.T, scale float64, desc spec.PilotDescription, hooks Hooks) (*Pilot, *platform.Platform) {
+func newHookedPilot(t *testing.T, desc spec.PilotDescription, hooks Hooks) (*Pilot, *platform.Platform) {
 	t.Helper()
-	clock := simtime.NewScaled(scale, origin)
+	clock := simtime.NewVirtualAuto(origin)
+	clock.AddRunner()
+	t.Cleanup(clock.DoneRunner) // after the shutdown below: cleanups run last-in first-out
 	src := rng.New(11)
 	plat := platform.DefaultTopology().Platform("delta")
 	topo := platform.NewTopology(plat)
@@ -50,12 +57,22 @@ func newHookedPilot(t *testing.T, scale float64, desc spec.PilotDescription, hoo
 	return p, plat
 }
 
+// offClock runs wait, a wait on something other than p's clock, with the
+// registered test goroutine's token given back, so that time runs on
+// meanwhile.
+func offClock(p *Pilot, wait func()) {
+	run := simtime.RunnersOf(p.Clock())
+	run.DoneRunner()
+	wait()
+	run.AddRunner()
+}
+
 func deltaPilot() spec.PilotDescription {
 	return spec.PilotDescription{Platform: "delta", Cores: 256, GPUs: 16}
 }
 
 func TestLaunchAcquiresWholeNodes(t *testing.T) {
-	p, plat := newPilot(t, 100000, deltaPilot())
+	p, plat := newPilot(t, deltaPilot())
 	if p.State() != states.PilotActive {
 		t.Fatalf("state = %s", p.State())
 	}
@@ -68,7 +85,7 @@ func TestLaunchAcquiresWholeNodes(t *testing.T) {
 }
 
 func TestLaunchByNodeCount(t *testing.T) {
-	p, plat := newPilot(t, 100000, spec.PilotDescription{Platform: "delta", Nodes: 2})
+	p, plat := newPilot(t, spec.PilotDescription{Platform: "delta", Nodes: 2})
 	if len(p.Nodes()) != 2 {
 		t.Fatalf("pilot nodes = %d", len(p.Nodes()))
 	}
@@ -109,7 +126,7 @@ func TestLaunchValidation(t *testing.T) {
 }
 
 func TestShutdownReleasesPlatform(t *testing.T) {
-	p, plat := newPilot(t, 100000, deltaPilot())
+	p, plat := newPilot(t, deltaPilot())
 	if err := p.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +146,7 @@ func TestShutdownReleasesPlatform(t *testing.T) {
 // pilot is fully down (state DONE, platform released) — run under -race,
 // where two teardowns used to collide on the allocation list.
 func TestShutdownSingleWinnerRace(t *testing.T) {
-	p, plat := newPilot(t, 100000, deltaPilot())
+	p, plat := newPilot(t, deltaPilot())
 	const callers = 8
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
@@ -147,7 +164,7 @@ func TestShutdownSingleWinnerRace(t *testing.T) {
 		}(i)
 	}
 	close(start)
-	wg.Wait()
+	offClock(p, wg.Wait)
 	won := 0
 	for i, err := range errs {
 		switch {
@@ -166,7 +183,7 @@ func TestShutdownSingleWinnerRace(t *testing.T) {
 }
 
 func TestTaskLifecycle(t *testing.T) {
-	p, _ := newPilot(t, 100000, deltaPilot())
+	p, _ := newPilot(t, deltaPilot())
 	task, err := p.SubmitTask(context.Background(), spec.TaskDescription{
 		Name: "sim", Cores: 4, Duration: rng.ConstDuration(30 * time.Second),
 	})
@@ -188,7 +205,7 @@ func TestTaskLifecycle(t *testing.T) {
 }
 
 func TestTaskFuncPayload(t *testing.T) {
-	p, _ := newPilot(t, 100000, deltaPilot())
+	p, _ := newPilot(t, deltaPilot())
 	var ran bool
 	task, _ := p.SubmitTask(context.Background(), spec.TaskDescription{
 		Name: "fn", Cores: 1,
@@ -205,7 +222,7 @@ func TestTaskFuncPayload(t *testing.T) {
 }
 
 func TestTaskFailurePropagates(t *testing.T) {
-	p, _ := newPilot(t, 100000, deltaPilot())
+	p, _ := newPilot(t, deltaPilot())
 	boom := errors.New("boom")
 	task, _ := p.SubmitTask(context.Background(), spec.TaskDescription{
 		Name: "bad", Cores: 1,
@@ -223,7 +240,7 @@ func TestTaskFailurePropagates(t *testing.T) {
 }
 
 func TestTaskWithStaging(t *testing.T) {
-	p, _ := newPilot(t, 100000, deltaPilot())
+	p, _ := newPilot(t, deltaPilot())
 	task, _ := p.SubmitTask(context.Background(), spec.TaskDescription{
 		Name: "staged", Cores: 1, Duration: rng.ConstDuration(time.Second),
 		InputStaging: []spec.StagingDirective{
@@ -248,7 +265,7 @@ func TestTaskWithStaging(t *testing.T) {
 }
 
 func TestManyTasksConcurrent(t *testing.T) {
-	p, _ := newPilot(t, 100000, deltaPilot())
+	p, _ := newPilot(t, deltaPilot())
 	const n = 64
 	uids := make([]string, n)
 	tasks := make([]*Task, n)
@@ -280,7 +297,7 @@ func TestManyTasksConcurrent(t *testing.T) {
 }
 
 func TestServiceViaPilot(t *testing.T) {
-	p, _ := newPilot(t, 100000, deltaPilot())
+	p, _ := newPilot(t, deltaPilot())
 	inst, err := p.Services().Submit(spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "svc", GPUs: 1},
 		Model:           "llama-8b",
@@ -305,7 +322,7 @@ func TestLaunchHooksObserveService(t *testing.T) {
 	var mu sync.Mutex
 	var svcSeen []states.State
 	var published []proto.Endpoint
-	p, _ := newHookedPilot(t, 100000, deltaPilot(), Hooks{
+	p, _ := newHookedPilot(t, deltaPilot(), Hooks{
 		ServiceState: func(_ string, _, to states.State, _ time.Time) {
 			mu.Lock()
 			svcSeen = append(svcSeen, to)
@@ -408,7 +425,7 @@ func TestStateCallbackObservesTransitions(t *testing.T) {
 }
 
 func TestWaitTasksAllWhenUnspecified(t *testing.T) {
-	p, _ := newPilot(t, 100000, deltaPilot())
+	p, _ := newPilot(t, deltaPilot())
 	for i := 0; i < 4; i++ {
 		_, _ = p.SubmitTask(context.Background(), spec.TaskDescription{
 			Name: "t", Cores: 1, Duration: rng.ConstDuration(time.Second),
@@ -427,14 +444,14 @@ func TestWaitTasksAllWhenUnspecified(t *testing.T) {
 }
 
 func TestWaitTasksUnknown(t *testing.T) {
-	p, _ := newPilot(t, 100000, deltaPilot())
+	p, _ := newPilot(t, deltaPilot())
 	if err := p.WaitTasks(context.Background(), "task.404"); !errors.Is(err, ErrUnknownTask) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestSubmitTaskAfterShutdown(t *testing.T) {
-	p, _ := newPilot(t, 100000, deltaPilot())
+	p, _ := newPilot(t, deltaPilot())
 	_ = p.Shutdown()
 	if _, err := p.SubmitTask(context.Background(), spec.TaskDescription{
 		Name: "late", Cores: 1, Duration: rng.ConstDuration(time.Second),
@@ -597,7 +614,7 @@ func TestPolicyResolution(t *testing.T) {
 // wait pool), while a task that was already executing keeps its own
 // lifecycle.
 func TestShutdownFailsQueuedTasks(t *testing.T) {
-	p, _ := newPilot(t, 100000, spec.PilotDescription{Platform: "delta", Nodes: 1})
+	p, _ := newPilot(t, spec.PilotDescription{Platform: "delta", Nodes: 1})
 	ctx := context.Background()
 	hold := rng.ConstDuration(1000 * time.Hour)
 
@@ -612,7 +629,7 @@ func TestShutdownFailsQueuedTasks(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatalf("task %s stuck in %s, want %s", task.UID(), task.State(), want)
 			}
-			time.Sleep(time.Millisecond)
+			p.Clock().Sleep(time.Millisecond)
 		}
 	}
 	waitFor(running, states.TaskExecuting)
@@ -642,7 +659,7 @@ func TestShutdownFailsQueuedTasks(t *testing.T) {
 // snapshot reports the pilot's shape table, and its wait depth moves with
 // queued work.
 func TestPilotSnapshotReflectsLoad(t *testing.T) {
-	p, _ := newPilot(t, 100000, spec.PilotDescription{Platform: "delta", Nodes: 2})
+	p, _ := newPilot(t, spec.PilotDescription{Platform: "delta", Nodes: 2})
 	sn := p.Snapshot()
 	if len(sn.Shapes) != 1 || sn.Shapes[0].Nodes != 2 || sn.Shapes[0].Spec.Cores != 64 {
 		t.Fatalf("snapshot shapes = %+v", sn.Shapes)
@@ -666,7 +683,7 @@ func TestPilotSnapshotReflectsLoad(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("snapshot never settled: %+v", sn)
 		}
-		time.Sleep(time.Millisecond)
+		p.Clock().Sleep(time.Millisecond)
 	}
 	if sn.MayFitNow(64, 0, 0) {
 		t.Fatal("saturated cores must fail the free-maxima check")
@@ -679,7 +696,7 @@ func TestPilotSnapshotReflectsLoad(t *testing.T) {
 func gatedTask(t *testing.T, want states.State, payloadErr error) (p *Pilot, task *Task, observed *atomic.Bool, release chan struct{}) {
 	t.Helper()
 	observed = new(atomic.Bool)
-	p, _ = newHookedPilot(t, 100000, deltaPilot(), Hooks{TaskState: func(_ string, _ states.State, steps []states.Record) {
+	p, _ = newHookedPilot(t, deltaPilot(), Hooks{TaskState: func(_ string, _ states.State, steps []states.Record) {
 		if steps[len(steps)-1].State == want {
 			runtime.Gosched() // whoever the transition itself woke would run here
 			observed.Store(true)
@@ -715,7 +732,7 @@ func TestWaitTasksSingleWinnerRace(t *testing.T) {
 			var wg sync.WaitGroup
 			for i := 0; i < waiters; i++ {
 				wg.Add(1)
-				go func() {
+				simtime.RunnersOf(p.Clock()).Go(func() { // WaitTasks parks its caller on the clock's books
 					defer wg.Done()
 					err := p.WaitTasks(ctx, task.UID())
 					returned.Add(1)
@@ -723,7 +740,7 @@ func TestWaitTasksSingleWinnerRace(t *testing.T) {
 						t.Errorf("WaitTasks = %v with the task %s (final transition observed: %v), want %v in %s, observed",
 							err, task.State(), observed.Load(), tc.err, tc.want)
 					}
-				}()
+				})
 			}
 			// An unsettled task holds a waiter until its context gives up.
 			gone, giveUp := context.WithCancel(ctx)
@@ -735,7 +752,7 @@ func TestWaitTasksSingleWinnerRace(t *testing.T) {
 				t.Fatalf("%d waiters returned while the payload was blocked", n)
 			}
 			close(release)
-			wg.Wait()
+			offClock(p, wg.Wait)
 			if n := returned.Load(); n != waiters {
 				t.Fatalf("%d of %d waiters returned", n, waiters)
 			}

@@ -22,7 +22,8 @@ var timingKeys = [5]string{
 	`,"timing":{"received_at":`, `,"dequeued_at":`, `,"infer_start_at":`, `,"infer_end_at":`, `,"replied_at":`,
 }
 
-// appendBody appends the encoding/json bytes of a request or reply body. ok
+// appendBody appends the encoding/json bytes of a request or reply body, a
+// drawn reply's text spelled (InferenceReply.Words). ok
 // is false, with b left in an unspecified state, for every other payload and
 // for a timestamp Time.MarshalJSON refuses: json.Marshal then encodes the
 // one or reports the other.
@@ -42,7 +43,7 @@ func appendBody(b []byte, body any) (_ []byte, ok bool) {
 		b = jsonshape.AppendString(append(b, `{"request_uid":`...), v.RequestUID)
 		b = jsonshape.AppendString(append(b, `,"service_uid":`...), v.ServiceUID)
 		b = jsonshape.AppendString(append(b, `,"model":`...), v.Model)
-		b = jsonshape.AppendString(append(b, `,"text":`...), v.Text)
+		b = jsonshape.AppendString(append(b, `,"text":`...), v.Words())
 		b = strconv.AppendInt(append(b, `,"prompt_tokens":`...), int64(v.PromptTokens), 10)
 		b = strconv.AppendInt(append(b, `,"output_tokens":`...), int64(v.OutputTokens), 10)
 		t := &v.Timing

@@ -40,6 +40,7 @@ func FuzzBodyEncodeMatchesJSON(f *testing.F) {
 	f.Add("", "", "", "", 0, 0, int64(0), int64(0), int32(-23*3600-59*60), false)
 	f.Add("", "", "", "", 0, 0, int64(0), int64(0), int32(24*3600), false)
 	f.Add("", "", "", "", 0, 0, int64(0), int64(0), int32(-100*3600), false)
+	f.Add("client.0.req.000001", "svc.0", "vit-base", "", 8, 12, int64(1741064767), int64(0), int32(0), false) // a drawn reply of 12 words
 
 	f.Fuzz(func(t *testing.T, a, b, c, d string, n, m int, sec, nsec int64, zone int32, mono bool) {
 		at := fuzzTime(sec, nsec, zone, mono)
@@ -49,9 +50,17 @@ func FuzzBodyEncodeMatchesJSON(f *testing.F) {
 			InferenceReply{RequestUID: a, ServiceUID: b, Model: c, Text: d, PromptTokens: n, OutputTokens: m,
 				Timing: Timing{ReceivedAt: at, DequeuedAt: later, InferStartAt: at.UTC(), InferEndAt: later, RepliedAt: at}},
 			InferenceReply{Text: a, Timing: Timing{RepliedAt: later}, Err: d},
+			// A drawn reply: every encoder must see it spelled.
+			InferenceReply{RequestUID: a, ServiceUID: b, Model: c, PromptTokens: n, OutputTokens: int(uint8(m)),
+				Timing: Timing{ReceivedAt: at, RepliedAt: later}, Err: d, TextFrom: uint64(sec), TextDrawn: true},
 		} {
-			want, wantErr := json.Marshal(body)
-			got, ok := appendBody([]byte("prefix"), body)
+			spelled := body // what the oracle and the hand encoder are handed
+			if r, ok := body.(InferenceReply); ok && r.TextDrawn {
+				r.Text, r.TextFrom, r.TextDrawn = r.Words(), 0, false
+				spelled = r
+			}
+			want, wantErr := json.Marshal(spelled)
+			got, ok := appendBody([]byte("prefix"), spelled)
 			if ok != (wantErr == nil) {
 				t.Fatalf("%+v: hand encoder ok=%v, json.Marshal err %v", body, ok, wantErr)
 			}
@@ -86,6 +95,57 @@ func FuzzBodyEncodeMatchesJSON(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDrawnReplyEncodesSpelled: a drawn reply goes on the wire as the bytes
+// json.Marshal gives it with its text spelled, the text pinned in
+// llm's TestGenerateTextGolden for this state, model and length. That
+// holds through the hand codec and through the json.Marshal fallback the
+// hand codec leaves a year-10000 timestamp to, where both refuse alike, and
+// EncodedBodyLen agrees with both.
+func TestDrawnReplyEncodesSpelled(t *testing.T) {
+	const text = "[llama-8b] dose cell pilot signature sample annotation pilot analysis model signature signature protein response inference dose pilot dose annotation response annotation model sample analysis sample"
+	for _, replied := range []time.Time{t0.Add(time.Second), time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)} {
+		drawn := InferenceReply{RequestUID: "client.0.req.000001", ServiceUID: "svc.0", Model: "llama-8b",
+			PromptTokens: 3, OutputTokens: 24, Timing: Timing{ReceivedAt: t0, RepliedAt: replied},
+			TextFrom: 2024, TextDrawn: true}
+		if got := drawn.Words(); got != text {
+			t.Fatalf("Words() = %q, want %q", got, text)
+		}
+		spelled := drawn
+		spelled.Text, spelled.TextFrom, spelled.TextDrawn = text, 0, false
+		want, wantErr := json.Marshal(spelled)
+		_, handOK := appendBody(nil, spelled)
+		if handOK != (wantErr == nil) {
+			t.Fatalf("replied %v: hand codec ok=%v, json.Marshal err %v", replied, handOK, wantErr)
+		}
+		env, err := NewEnvelope(KindReply, 1, "svc.0", "client.0", t0, drawn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := env.EncodedBodyLen(); n != len(want) {
+			t.Fatalf("replied %v: EncodedBodyLen %d, want %d", replied, n, len(want))
+		}
+		framed := env // AppendFrame encodes into the frame, WireBody into the envelope
+		raw, err := env.WireBody()
+		if (err == nil) != (wantErr == nil) || !bytes.Equal(raw, want) {
+			t.Fatalf("replied %v: WireBody %s (%v), want %s (%v)", replied, raw, err, want, wantErr)
+		}
+		frame, err := AppendFrame(nil, &framed)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("replied %v: AppendFrame err %v, want %v", replied, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		wire, err := DecodeFrame(frame[4:])
+		if err != nil || !bytes.Equal(wire.Body, want) {
+			t.Fatalf("frame carries %s (%v), want %s", wire.Body, err, want)
+		}
+		if back, err := wire.DecodeReply(); err != nil || back.Text != text || back.TextDrawn || back.Words() != text {
+			t.Fatalf("framed reply decodes to %+v (%v)", back, err)
+		}
+	}
 }
 
 // writerShapeBodies are bodies as the encoder writes them, optional fields

@@ -97,10 +97,15 @@ func (e *Envelope) WireBody() (json.RawMessage, error) {
 
 // marshalTyped returns the JSON of payload snapshot v: a request or reply
 // body hand-encoded onto scratch, any other payload (and a body the hand
-// encoder declines) in json.Marshal's own slice.
+// encoder declines) in json.Marshal's own slice. Both encoders write a
+// drawn reply's text spelled.
 func marshalTyped(scratch []byte, v any) ([]byte, error) {
 	if raw, ok := appendBody(scratch, v); ok {
 		return raw, nil
+	}
+	if r, ok := v.(InferenceReply); ok && r.TextDrawn {
+		r.Text, r.TextDrawn = r.Words(), false
+		v = r
 	}
 	return json.Marshal(v)
 }
@@ -269,6 +274,12 @@ type InferenceReply struct {
 	OutputTokens int    `json:"output_tokens"`
 	Timing       Timing `json:"timing"`
 	Err          string `json:"err,omitempty"`
+	// TextFrom, when TextDrawn is set, is the model stream's state at the
+	// reply's first word draw: the text is drawn but not spelled, and Text
+	// is empty. Words spells it for an in-process reader, and every encoder
+	// spells it into "text"; the draw itself never crosses a wire.
+	TextFrom  uint64 `json:"-"`
+	TextDrawn bool   `json:"-"`
 }
 
 // Endpoint is where a service can be reached, as it publishes it to the

@@ -121,7 +121,7 @@ func (g *Gateway) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, generateResponse{
 		Model:        reply.Model,
-		Response:     reply.Text,
+		Response:     reply.Words(),
 		PromptTokens: reply.PromptTokens,
 		OutputTokens: reply.OutputTokens,
 		ServiceUID:   reply.ServiceUID,

@@ -146,7 +146,7 @@ func (b gateBackend) Load() time.Duration { return 0 }
 func (b gateBackend) Infer(string, int) llm.Result {
 	b.entered <- struct{}{}
 	<-b.release
-	return llm.Result{Text: "done", PromptTokens: 1, OutputTokens: 1}
+	return llm.Result{PromptTokens: 1, OutputTokens: 1}
 }
 
 func (b gateBackend) InferBatch(items []llm.BatchItem) []llm.Result {
@@ -200,7 +200,7 @@ func TestStopFlushedRequestFails(t *testing.T) {
 	srv.Stop()
 	close(gate.release)
 
-	if r := <-served; r.err != nil || r.reply.Text != "done" {
+	if r := <-served; r.err != nil || r.reply.OutputTokens != 1 || !strings.HasPrefix(r.reply.Text, "[gate] ") {
 		t.Fatalf("in-service request: %+v, %v; want its reply", r.reply, r.err)
 	}
 	if r := <-flushed; r.err == nil || !strings.Contains(r.err.Error(), serving.ErrStopped.Error()) {

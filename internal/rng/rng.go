@@ -62,6 +62,21 @@ func (s *Source) Uint64() uint64 {
 	return mix(z)
 }
 
+// Skip advances the stream past n draws under one hold of the lock, leaving
+// it exactly where n calls of Uint64, Float64 or Intn would (splitmix64's
+// state is a counter), and returns the state the first skipped draw would
+// have read: New of it replays the skipped draws. Normal's cached spare is
+// untouched. n <= 0 skips nothing.
+func (s *Source) Skip(n int) uint64 {
+	s.mu.Lock()
+	from := s.state
+	if n > 0 {
+		s.state += uint64(n) * gamma
+	}
+	s.mu.Unlock()
+	return from
+}
+
 // Float64 returns a uniform float in [0, 1).
 func (s *Source) Float64() float64 {
 	return unit(s.Uint64())

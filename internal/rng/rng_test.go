@@ -45,6 +45,33 @@ func TestDeriveIsDeterministicAndKeyed(t *testing.T) {
 	}
 }
 
+// TestSkipMatchesDraws: Skip(n) leaves a stream where n Intn(20) calls
+// leave its twin, with a pending Normal spare kept, and New of what it
+// returns replays the skipped draws; n <= 0 skips nothing.
+func TestSkipMatchesDraws(t *testing.T) {
+	for _, n := range []int{-1, 0, 1, 8, 128} {
+		for _, spare := range []bool{false, true} {
+			a, b := New(99), New(99)
+			if spare {
+				a.Normal(0, 1)
+				b.Normal(0, 1)
+			}
+			replay := New(a.Skip(n))
+			for i := 0; i < n; i++ {
+				if got, want := replay.Intn(20), b.Intn(20); got != want {
+					t.Fatalf("n=%d spare=%v: replayed draw %d is %d, the twin's %d", n, spare, i, got, want)
+				}
+			}
+			if x, y := a.Normal(0, 1), b.Normal(0, 1); x != y {
+				t.Fatalf("n=%d spare=%v: Normal %v after Skip, %v after the draws", n, spare, x, y)
+			}
+			if x, y := a.Uint64(), b.Uint64(); x != y {
+				t.Fatalf("n=%d spare=%v: Uint64 %#x after Skip, %#x after the draws", n, spare, x, y)
+			}
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	s := New(3)
 	for i := 0; i < 10000; i++ {

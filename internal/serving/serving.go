@@ -271,6 +271,7 @@ func (s *Server) Deduped() int64 { return 0 }
 // added idle latency.
 func (s *Server) worker() {
 	buf := make([]*job, 0, s.cfg.MaxBatch)
+	items := make([]llm.BatchItem, 0, s.cfg.MaxBatch)
 	var park simtime.Handoff[*job]
 	for {
 		batch, ok := s.dequeue(buf[:0], &park)
@@ -290,7 +291,7 @@ func (s *Server) worker() {
 				s.flushStopped(j)
 			}
 		} else {
-			s.serve(batch)
+			s.serve(batch, items)
 		}
 		// A caller that gave up first refuses its wake-up, and the worker
 		// recycles the job in its place.
@@ -395,13 +396,15 @@ func (s *Server) giveBack(idle *simtime.Handoff[*job]) {
 }
 
 // serve executes one batch as a single backend invocation — Infer for a
-// batch of one, InferBatch otherwise — and writes every member's reply on
-// its job. The per-request parse overhead is charged per member — batching
-// amortizes model compute, not request deserialization — with the summed
-// overhead split half before inference (request parsing) and half after
-// (reply serialization), forming the `service` component. Batch members
-// share the dequeue/infer/reply timestamps: they ride one forward pass.
-func (s *Server) serve(batch []*job) {
+// batch of one, InferBatch otherwise, its items built in items' backing
+// array (the worker's own; a batch of one needs none) — and writes every
+// member's reply on its job. The per-request parse overhead is charged per
+// member — batching amortizes model compute, not request deserialization —
+// with the summed overhead split half before inference (request parsing)
+// and half after (reply serialization), forming the `service` component.
+// Batch members share the dequeue/infer/reply timestamps: they ride one
+// forward pass.
+func (s *Server) serve(batch []*job, items []llm.BatchItem) {
 	defer s.inflight.Add(-int64(len(batch)))
 	clock := s.cfg.Clock
 	dequeued := clock.Now()
@@ -419,9 +422,9 @@ func (s *Server) serve(batch []*job) {
 	if len(batch) == 1 {
 		results = []llm.Result{s.cfg.Backend.Infer(batch[0].req.Prompt, batch[0].req.MaxTokens)}
 	} else {
-		items := make([]llm.BatchItem, len(batch))
-		for i, j := range batch {
-			items[i] = llm.BatchItem{Prompt: j.req.Prompt, MaxTokens: j.req.MaxTokens}
+		items = items[:0]
+		for _, j := range batch {
+			items = append(items, llm.BatchItem{Prompt: j.req.Prompt, MaxTokens: j.req.MaxTokens})
 		}
 		results = s.cfg.Backend.InferBatch(items)
 	}
@@ -438,7 +441,8 @@ func (s *Server) serve(batch []*job) {
 			RequestUID:   j.req.RequestUID,
 			ServiceUID:   s.cfg.UID,
 			Model:        s.cfg.Backend.Name(),
-			Text:         results[i].Text,
+			TextFrom:     results[i].TextFrom,
+			TextDrawn:    true,
 			PromptTokens: results[i].PromptTokens,
 			OutputTokens: results[i].OutputTokens,
 			Timing: proto.Timing{
@@ -501,7 +505,7 @@ func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.
 		return proto.InferenceReply{}, rejection
 	}
 	if idle != nil {
-		s.serve([]*job{j})
+		s.serve([]*job{j}, nil)
 		s.giveBack(idle)
 	} else if _, err := j.done.Recv(ctx); err != nil {
 		return proto.InferenceReply{}, err

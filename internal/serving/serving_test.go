@@ -443,9 +443,9 @@ func TestRequestUIDIsALabel(t *testing.T) {
 			if first.OutputTokens <= 4 {
 				t.Fatalf("first reply: %d output tokens, want more than the second's limit of 4", first.OutputTokens)
 			}
-			if second.OutputTokens < 1 || second.OutputTokens > 4 || second.Text == first.Text {
+			if second.OutputTokens < 1 || second.OutputTokens > 4 || second.Words() == first.Words() {
 				t.Fatalf("second reply: %d tokens %q, want its own of at most 4 (first: %d tokens %q)",
-					second.OutputTokens, second.Text, first.OutputTokens, first.Text)
+					second.OutputTokens, second.Words(), first.OutputTokens, first.Words())
 			}
 			if s.Processed() != 2 || s.Deduped() != 0 {
 				t.Fatalf("processed=%d deduped=%d, want 2 and 0", s.Processed(), s.Deduped())
@@ -657,7 +657,7 @@ func TestLoneRequestBatchOfOne(t *testing.T) {
 			t.Fatalf("request %d: queued %v, %d tokens in %v", i, r.Timing.QueueTime(), r.OutputTokens, r.Timing.InferTime())
 		}
 		b := batching[i]
-		if r.Text != b.Text || r.PromptTokens != b.PromptTokens || r.OutputTokens != b.OutputTokens || r.Timing != b.Timing {
+		if r.Words() != b.Words() || r.PromptTokens != b.PromptTokens || r.OutputTokens != b.OutputTokens || r.Timing != b.Timing {
 			t.Fatalf("request %d: MaxBatch 1 %+v\nMaxBatch 8 %+v", i, r, b)
 		}
 	}
