@@ -343,9 +343,11 @@ func (sm *ServiceManager) spawnStandby(h *Service) {
 	h.standbys = append(h.standbys, ref)
 	h.mu.Unlock()
 	// Held on the goroutine that makes it ACTIVE, or here if it already is.
-	inst.OnTransition(func(_ string, _, to states.State, _ time.Time) {
-		if to == states.ServiceActive {
-			sm.holdStandby(h, ref)
+	inst.OnTransition(func(_ string, _ states.State, steps []states.Record) {
+		for _, st := range steps {
+			if st.State == states.ServiceActive {
+				sm.holdStandby(h, ref)
+			}
 		}
 	})
 	if inst.State() == states.ServiceActive {

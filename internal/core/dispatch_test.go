@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"path/filepath"
@@ -23,6 +24,7 @@ import (
 type walRecord struct {
 	kind journal.Kind
 	seq  uint64
+	raw  json.RawMessage
 	body struct {
 		UID   string `json:"uid"`
 		Pilot string `json:"pilot"`
@@ -37,7 +39,7 @@ func observeWAL(t *testing.T, jw *journal.Writer) func() []walRecord {
 	var mu sync.Mutex
 	var recs []walRecord
 	jw.SetCrashHook(func(rec journal.Record) journal.CrashMode {
-		r := walRecord{kind: rec.Kind, seq: rec.Seq}
+		r := walRecord{kind: rec.Kind, seq: rec.Seq, raw: rec.Body}
 		if err := json.Unmarshal(rec.Body, &r.body); err != nil {
 			t.Errorf("record %d: %v", rec.Seq, err)
 		}
@@ -179,7 +181,9 @@ func (r stoppingRouter) Route(targets []router.Target, _ spec.TaskDescription) (
 // pilot left ACTIVE between routing and dispatch) no transition carries what
 // dispatch owes the journal, so dispatch writes it: description and bind are
 // in the WAL as they were when they were written first, and a recovery finds
-// the task bound to a lost pilot and re-dispatches it, once.
+// the task bound to a lost pilot and re-dispatches it, once. Their bodies are
+// encoding/json's bytes of the description and the bind, as every writer of
+// these records has written them.
 func TestRefusedSubmitLeavesOwedRecords(t *testing.T) {
 	s, jp := newJournaledSession(t, 11)
 	doomed := submitAttachedPilot(t, s)
@@ -195,9 +199,10 @@ func TestRefusedSubmitLeavesOwedRecords(t *testing.T) {
 	records := observeWAL(t, s.Journal())
 
 	ran := make(chan struct{}, 2)
-	_, err = s.TaskManager().Submit(context.Background(), spec.TaskDescription{
+	desc := spec.TaskDescription{
 		UID: "task.refused", Name: "refused", Cores: 1, Func: func(context.Context) error { ran <- struct{}{}; return nil },
-	})
+	}
+	_, err = s.TaskManager().Submit(context.Background(), desc)
 	if err == nil {
 		t.Fatal("Submit succeeded on a pilot that shut down under it")
 	}
@@ -210,6 +215,11 @@ func TestRefusedSubmitLeavesOwedRecords(t *testing.T) {
 	if len(owed) != 2 || owed[0].kind != "task" || owed[1].kind != journal.KindBind ||
 		owed[1].seq != owed[0].seq+1 || owed[1].body.Pilot != doomed.UID() {
 		t.Fatalf("records of the refused task: %+v, want its description, then its bind to %s", owed, doomed.UID())
+	}
+	for i, body := range []any{journal.TaskBody{UID: desc.UID, Desc: desc}, journal.BindBody{Entity: "task", UID: desc.UID, Pilot: doomed.UID()}} {
+		if want, err := json.Marshal(body); err != nil || !bytes.Equal(owed[i].raw, want) {
+			t.Fatalf("%s record body\n%s\nwant encoding/json's\n%s (%v)", owed[i].kind, owed[i].raw, want, err)
+		}
 	}
 	s.Abandon()
 

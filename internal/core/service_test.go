@@ -632,9 +632,9 @@ func waitsParkTheirCaller(clock *simtime.Virtual) error {
 		// The caller holds the clock until it waits: the hook is in long
 		// before the bootstrap's first sleep ends.
 		active := make(chan time.Time, 1)
-		h.Instance().OnTransition(func(_ string, _, to states.State, at time.Time) {
-			if to == states.ServiceActive {
-				active <- at
+		h.Instance().OnTransition(func(_ string, _ states.State, steps []states.Record) {
+			if s := steps[0]; s.State == states.ServiceActive {
+				active <- s.At
 			}
 		})
 		if err := w.wait(h); err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/journal"
 	"repro/internal/metrics"
@@ -103,9 +102,11 @@ func (h *Service) install(inst *service.Instance, p *pilot.Pilot, bump *int) {
 		ready.Fire()
 		h.mu.Unlock()
 	}
-	inst.OnTransition(func(_ string, _, to states.State, _ time.Time) {
-		if to == states.ServiceActive {
-			active()
+	inst.OnTransition(func(_ string, _ states.State, steps []states.Record) {
+		for _, st := range steps {
+			if st.State == states.ServiceActive {
+				active()
+			}
 		}
 		if inst.Final() {
 			h.sm.instanceDown(h, inst)

@@ -251,27 +251,15 @@ func (s *Session) SubscribeUpdates(buffer int, topics ...string) (*msgq.Subscrip
 	return s.net.Subscribe("client", updatesAddr, buffer, topics...)
 }
 
-// publishStates is the Updater: it appends the transitions one To call
-// committed — for journaled sessions — to the write-ahead journal with one
-// write, then broadcasts them on the session's update channel.
-func (s *Session) publishStates(entity string) states.BatchCallback {
-	return func(uid string, from states.State, steps []states.Record) {
-		s.publish(entity, uid, from, steps)
-	}
-}
-
-// publishState is publishStates for an entity observed a transition at a
-// time: pilots and services.
-func (s *Session) publishState(entity string) states.Callback {
-	return func(uid string, from, to states.State, at time.Time) {
-		s.publish(entity, uid, from, []states.Record{{State: to, At: at}})
-	}
-}
-
-func (s *Session) publish(entity, uid string, from states.State, steps []states.Record) {
+// publish is the Updater: it appends the transitions one To call of an
+// entity's machine committed — for journaled sessions — to the write-ahead
+// journal with one write, then broadcasts them on the session's update
+// channel.
+func (s *Session) publish(e states.Entity, uid string, from states.State, steps []states.Record) {
+	entity := string(e)
 	switch {
 	case s.jw == nil:
-	case entity == "task" && from == states.TaskNew:
+	case e == states.EntityTask && from == states.TaskNew:
 		s.tm.journalFirst(s.jw, uid, from, steps)
 	default:
 		_ = s.jw.AppendTransitions(entity, uid, from, steps)
@@ -293,18 +281,15 @@ func (s *Session) publish(entity, uid string, from states.State, steps []states.
 // pilotHooks is the set of session-side observers a pilot of this session
 // runs under, launched or adopted.
 func (s *Session) pilotHooks(pilotUID string) pilot.Hooks {
-	pilotState := s.publishState("pilot")
 	return pilot.Hooks{
 		// A pilot's final transition is the last step of its shutdown: the
 		// services it still hosted are re-placed by whoever stopped it.
-		PilotState: func(uid string, from, to states.State, at time.Time) {
-			pilotState(uid, from, to, at)
-			if states.PilotModel().IsFinal(to) {
+		Transition: func(e states.Entity, uid string, from states.State, steps []states.Record) {
+			s.publish(e, uid, from, steps)
+			if e == states.EntityPilot && states.PilotModel().IsFinal(steps[len(steps)-1].State) {
 				s.sm.pilotDown(uid)
 			}
 		},
-		TaskState:    s.publishStates("task"),
-		ServiceState: s.publishState("service"),
 		// Mirror every service endpoint publication into the session
 		// EndpointRegistry as part of the publish bootstrap phase, so a
 		// ready service is already resolvable session-wide. The pilot UID

@@ -92,19 +92,25 @@ func (tm *TaskManager) journalFirst(jw *journal.Writer, uid string, from states.
 	tm.mu.Lock()
 	t := tm.tasks[uid]
 	tm.mu.Unlock()
-	var o owed
-	if t != nil {
-		o = t.takeOwed()
-	}
-	if o.pilot == "" {
+	if t == nil || !t.journalOwed(jw, from, steps) {
 		_ = jw.AppendTransitions("task", uid, from, steps)
-		return
+	}
+}
+
+// journalOwed journals what t's dispatch owes, if it owes anything, ahead of
+// the steps its pilot-level task made from from, with one AppendDispatch, and
+// reports whether it did.
+func (t *Task) journalOwed(jw *journal.Writer, from states.State, steps []states.Record) bool {
+	o := t.takeOwed()
+	if o.pilot == "" {
+		return false
 	}
 	var desc *journal.TaskBody
 	if o.desc {
-		desc = &journal.TaskBody{UID: uid, Desc: t.desc}
+		desc = &journal.TaskBody{UID: t.uid, Desc: t.desc}
 	}
-	_ = jw.AppendDispatch(desc, journal.BindBody{Entity: "task", UID: uid, Pilot: o.pilot}, from, steps)
+	_ = jw.AppendDispatch(desc, journal.BindBody{Entity: "task", UID: t.uid, Pilot: o.pilot}, from, steps)
+	return true
 }
 
 // State returns the task's current lifecycle state. A task parked in the
@@ -241,12 +247,7 @@ func (tm *TaskManager) dispatch(t *Task, p *pilot.Pilot, desc bool) (*pilot.Task
 	}
 	pt, err := p.SubmitTask(t.ctx, t.desc)
 	if jw != nil {
-		if o := t.takeOwed(); o.pilot != "" {
-			if o.desc {
-				_ = jw.AppendTask(journal.TaskBody{UID: t.uid, Desc: t.desc})
-			}
-			_ = jw.AppendBind(journal.BindBody{Entity: "task", UID: t.uid, Pilot: o.pilot})
-		}
+		t.journalOwed(jw, states.TaskNew, nil)
 	}
 	if err != nil {
 		return nil, err

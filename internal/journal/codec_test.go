@@ -150,17 +150,14 @@ func chainOf(b TransitionBody) (entity, uid string, from states.State, steps []s
 	return b.Entity, b.UID, states.State(b.From), []states.Record{{State: states.State(b.To), At: b.At}}
 }
 
-// appendTyped is the writer's other door: the typed entry point of a task,
-// bind or transition record (a chain of one), Append for every other.
+// appendTyped is the writer's other door: the typed entry point of a bind (a
+// dispatch that owes no description and made no transition) or a transition
+// record (a chain of one), Append for every other.
 func appendTyped(w *Writer, kind Kind, body any) error {
 	switch b := body.(type) {
-	case TaskBody:
-		if kind == kindTask {
-			return w.AppendTask(b)
-		}
 	case BindBody:
 		if kind == KindBind {
-			return w.AppendBind(b)
+			return w.AppendDispatch(nil, b, "", nil)
 		}
 	case TransitionBody:
 		if kind == KindTransition {
@@ -707,7 +704,7 @@ func TestJournalAppendAllocBudget(t *testing.T) {
 		append func()
 	}{
 		{"AppendTransitions", 0, func() { _ = w.AppendTransitions("task", "task.000001", states.TaskNew, chain) }},
-		{"AppendBind", 0, func() { _ = w.AppendBind(bb) }},
+		{"AppendDispatch(bind, no chain)", 0, func() { _ = w.AppendDispatch(nil, bb, states.TaskNew, nil) }},
 		{"AppendDispatch", 0, func() { _ = w.AppendDispatch(&task, bb, states.TaskNew, chain) }},
 		{"AppendDispatch(bind)", 0, func() { _ = w.AppendDispatch(nil, bb, states.TaskNew, chain) }},
 		{"Append(transition)", 1, func() { _ = w.Append(KindTransition, tb) }},

@@ -20,8 +20,9 @@
 // synchronously (so a process crash loses at most what was being written:
 // one record, or the records one goroutine wrote back to back — the
 // transitions of one To call through AppendTransitions, a task's description,
-// bind and first transitions through AppendDispatch — as one Append of as
-// many records), while fsync is batched on the session clock — the usual WAL
+// bind and first transitions through AppendDispatch, the one door for what a
+// dispatch owes, with or without transitions — as one Append of as many
+// records), while fsync is batched on the session clock — the usual WAL
 // group-commit trade: per-record write() cost without per-record fsync cost.
 // The fsync runs on the flusher's goroutine with the writer unlocked: it
 // decides and counts under the lock, then syncs while appends go on, and what
@@ -553,9 +554,9 @@ var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
 // (injected or Crash()), it drops the record and returns ErrCrashed; after
 // a failed or short write() the file ends in a fragment no record may
 // follow, so every later Append returns that first error. The records a task
-// writes have typed doors beside it (AppendTask, AppendBind,
-// AppendTransitions, and AppendDispatch for all three at once): the same
-// record by the same path, without the body boxed into an interface first.
+// writes have two typed doors beside it, AppendTransitions and AppendDispatch
+// (description, bind and transitions at once): the same records by the same
+// path, without a body boxed into an interface first.
 func (w *Writer) Append(kind Kind, body any) error {
 	buf := bodyPool.Get().(*bodyBuf)
 	defer bodyPool.Put(buf)
@@ -565,26 +566,6 @@ func (w *Writer) Append(kind Kind, body any) error {
 	}
 	buf.raw = raw
 	return w.write([]Kind{kind}, raw, nil)
-}
-
-// AppendTask is Append(kindTask, b).
-func (w *Writer) AppendTask(b TaskBody) error {
-	buf := bodyPool.Get().(*bodyBuf)
-	defer bodyPool.Put(buf)
-	raw, ok := appendTask(buf.raw[:0], &b)
-	if !ok {
-		return w.appendJSON(kindTask, b)
-	}
-	buf.raw = raw
-	return w.write([]Kind{kindTask}, raw, nil)
-}
-
-// AppendBind is Append(KindBind, b).
-func (w *Writer) AppendBind(b BindBody) error {
-	buf := bodyPool.Get().(*bodyBuf)
-	defer bodyPool.Put(buf)
-	buf.raw = appendBind(buf.raw[:0], &b)
-	return w.write([]Kind{KindBind}, buf.raw, nil)
 }
 
 // taskKinds are the kinds of the records a task's dispatch journals, in file
@@ -633,13 +614,14 @@ func (w *Writer) AppendTransitions(entity, uid string, from states.State, steps 
 
 // AppendDispatch journals what a task's dispatch writes back to back: the
 // description (task nil when it is already in the journal), the bind, and the
-// transitions the task then made from from. They are the records and the bytes
-// AppendTask, AppendBind and AppendTransitions would write in that order, with
-// the same crash verdicts, framed under one hold of the writer lock and written
-// with one write(); nothing is held back to make it. A description the
-// hand-written codec declines, or one that may exceed maxRecordSize, sends all
-// three through their own doors, so that what refuses the description does not
-// refuse the bind and the transitions.
+// transitions the task then made from from (none when steps is empty). They
+// are the records and the bytes Append(kindTask, *task), Append(KindBind,
+// bind) and AppendTransitions would write in that order, with the same crash
+// verdicts, framed under one hold of the writer lock and written with one
+// write(); nothing is held back to make it. A description the hand-written
+// codec declines, or one that may exceed maxRecordSize, sends all three
+// through those doors one by one, so that what refuses the description does
+// not refuse the bind and the transitions.
 func (w *Writer) AppendDispatch(task *TaskBody, bind BindBody, from states.State, steps []states.Record) error {
 	buf := bodyPool.Get().(*bodyBuf)
 	defer bodyPool.Put(buf)
@@ -656,9 +638,9 @@ func (w *Writer) AppendDispatch(task *TaskBody, bind BindBody, from states.State
 	if !ok {
 		var err error
 		if task != nil {
-			err = w.AppendTask(*task)
+			err = w.Append(kindTask, *task)
 		}
-		return errors.Join(err, w.AppendBind(bind), w.AppendTransitions(bind.Entity, bind.UID, from, steps))
+		return errors.Join(err, w.Append(KindBind, bind), w.AppendTransitions(bind.Entity, bind.UID, from, steps))
 	}
 	buf.raw, buf.ends = raw, ends
 	return w.write(kinds, raw, ends)

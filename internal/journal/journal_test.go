@@ -546,7 +546,7 @@ func TestTaskWritesThreeTimes(t *testing.T) {
 }
 
 // dispatchOf is what the dispatch of task uid to pilot.0001 journals, and the
-// same records through the three doors AppendDispatch stands for.
+// same records one by one through Append and AppendTransitions.
 func dispatchOf(uid string, desc spec.TaskDescription, chain []states.Record) (combined, oneByOne func(*Writer, bool) error) {
 	task, bind := TaskBody{UID: uid, Desc: desc}, BindBody{Entity: "task", UID: uid, Pilot: "pilot.0001"}
 	combined = func(w *Writer, described bool) error {
@@ -558,16 +558,16 @@ func dispatchOf(uid string, desc spec.TaskDescription, chain []states.Record) (c
 	oneByOne = func(w *Writer, described bool) error {
 		var err error
 		if described {
-			err = w.AppendTask(task)
+			err = w.Append(kindTask, task)
 		}
-		return errors.Join(err, w.AppendBind(bind), w.AppendTransitions("task", uid, states.TaskNew, chain))
+		return errors.Join(err, w.Append(KindBind, bind), w.AppendTransitions("task", uid, states.TaskNew, chain))
 	}
 	return combined, oneByOne
 }
 
 // TestAppendDispatchMatchesThreeDoors: description, bind and chain appended at
-// once leave the file, the sequence numbers and the append count of AppendTask,
-// AppendBind and AppendTransitions called in that order — with and without the
+// once leave the file, the sequence numbers and the append count of Append
+// (description), Append (bind) and AppendTransitions called in that order — with and without the
 // description, with the three-step chain of a task that stages nothing in and
 // the two-step chain of one that does, and for the descriptions the hand-written
 // codec declines (staging, metadata) or encoding/json refuses (an infinite
@@ -737,11 +737,11 @@ func TestWriterReleasesFileAndFlusher(t *testing.T) {
 	ends := map[string]func(*Writer){
 		"lost": func(w *Writer) {
 			w.SetCrashHook(func(Record) CrashMode { return CrashLost })
-			_ = w.AppendBind(BindBody{Entity: "task", UID: "t", Pilot: "p"})
+			_ = w.Append(KindBind, BindBody{Entity: "task", UID: "t", Pilot: "p"})
 		},
 		"torn": func(w *Writer) {
 			w.SetCrashHook(func(Record) CrashMode { return CrashTorn })
-			_ = w.AppendBind(BindBody{Entity: "task", UID: "t", Pilot: "p"})
+			_ = w.Append(KindBind, BindBody{Entity: "task", UID: "t", Pilot: "p"})
 		},
 		"crash": (*Writer).Crash,
 		"close": func(w *Writer) { _ = w.Close() },
@@ -889,7 +889,7 @@ func TestFlusherSyncsOutsideLock(t *testing.T) {
 	mustAppend(t, w, KindSession, SessionBody{UID: "s"})
 	tick() // sync 1 is blocked, and not under the lock:
 	appended := make(chan error, 1)
-	go func() { appended <- w.AppendBind(bind) }()
+	go func() { appended <- w.Append(KindBind, bind) }()
 	select {
 	case err := <-appended:
 		if err != nil {

@@ -109,7 +109,10 @@ func TestTaskTransitionsReportedInChains(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
 			var got [][]states.State
-			p, _ := newHookedPilot(t, deltaPilot(), Hooks{TaskState: func(_ string, from states.State, steps []states.Record) {
+			p, _ := newHookedPilot(t, deltaPilot(), Hooks{Transition: func(e states.Entity, _ string, from states.State, steps []states.Record) {
+				if e != states.EntityTask {
+					return
+				}
 				mu.Lock()
 				defer mu.Unlock()
 				if len(got) == 0 && from != states.TaskNew {

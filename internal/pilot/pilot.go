@@ -75,14 +75,12 @@ type Config struct {
 // the new session's Updater, journal and EndpointRegistry mirror; the
 // machines themselves keep running undisturbed.
 type Hooks struct {
-	// PilotState observes the pilot's own lifecycle transitions.
-	PilotState states.Callback
-	// TaskState receives what a task's To call committed in one piece: the
-	// three states before the agent scheduler are one call, and one journal
-	// write to the session behind it.
-	TaskState states.BatchCallback
-	// ServiceState observes every service instance transition on the pilot.
-	ServiceState states.Callback
+	// Transition observes every state machine on the pilot — its own, its
+	// tasks' and its service instances' — as a states.BatchCallback of the
+	// entity's kind: what one To call committed, in one piece. A task's three
+	// states before the agent scheduler are one call, and one journal write
+	// to the session behind it.
+	Transition func(e states.Entity, uid string, from states.State, steps []states.Record)
 	// OnServicePublish observes every service endpoint publication on the
 	// pilot (the agent ServiceManager's publish phase) with the publishing
 	// instance. The session mirrors it into its EndpointRegistry so services
@@ -115,9 +113,9 @@ type Pilot struct {
 	stopOnce sync.Once
 
 	// hooks is the live session-side observer set. Machines register
-	// trampolines that read it per event, so Rebind atomically redirects
-	// every future callback to a recovered session. taskHook is the one
-	// trampoline every task machine shares.
+	// trampolines (observe) that read it per event, so Rebind atomically
+	// redirects every future callback to a recovered session. taskHook is the
+	// one trampoline every task machine shares.
 	hooks    atomic.Pointer[Hooks]
 	taskHook states.BatchCallback
 
@@ -292,16 +290,8 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 		tasks:   make(map[string]*Task),
 	}
 	p.Rebind(cfg.Hooks)
-	p.machine.OnTransition(func(uid string, from, to states.State, at time.Time) {
-		if cb := p.hooks.Load().PilotState; cb != nil {
-			cb(uid, from, to, at)
-		}
-	})
-	p.taskHook = func(uid string, from states.State, steps []states.Record) {
-		if cb := p.hooks.Load().TaskState; cb != nil {
-			cb(uid, from, steps)
-		}
-	}
+	p.machine.OnTransition(p.observe(states.EntityPilot))
+	p.taskHook = p.observe(states.EntityTask)
 	if err := p.machine.To(states.PilotLaunching); err != nil {
 		return nil, err
 	}
@@ -357,13 +347,9 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 		Sched: p.sched, Router: p.router, Exec: p.exec, Stage: p.stage,
 		PublishOverhead: cfg.PublishOverhead, PublishSrc: cfg.Src.Derive(desc.UID + ".reg"),
 		OnPublish: onPublish, Stopped: p.stopped,
-		Platform:  cfg.Platform.Name(),
-		UIDPrefix: desc.UID + ".",
-		StateCallback: func(uid string, from, to states.State, at time.Time) {
-			if cb := p.hooks.Load().ServiceState; cb != nil {
-				cb(uid, from, to, at)
-			}
-		},
+		Platform:      cfg.Platform.Name(),
+		UIDPrefix:     desc.UID + ".",
+		StateCallback: p.observe(states.EntityService),
 	})
 	if err != nil {
 		p.release()
@@ -382,6 +368,16 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 		liveMu.Unlock()
 	}
 	return p, nil
+}
+
+// observe is the trampoline a machine of kind e on the pilot reports to: it
+// hands what a To call committed to the Transition hook live at the time.
+func (p *Pilot) observe(e states.Entity) states.BatchCallback {
+	return func(uid string, from states.State, steps []states.Record) {
+		if cb := p.hooks.Load().Transition; cb != nil {
+			cb(e, uid, from, steps)
+		}
+	}
 }
 
 // acquire reserves whole nodes on the platform and builds the pilot's
@@ -530,7 +526,7 @@ func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, 
 		d.UID = spec.TaskUID(p.machine.UID(), p.seq)
 	}
 	t := &Task{desc: d, machine: states.NewMachine(d.UID, states.TaskModel(), p.cfg.Clock)}
-	t.machine.OnBatch(p.taskHook)
+	t.machine.OnTransition(p.taskHook)
 	p.tasks[d.UID] = t
 	p.mu.Unlock()
 

@@ -323,9 +323,14 @@ func TestLaunchHooksObserveService(t *testing.T) {
 	var svcSeen []states.State
 	var published []proto.Endpoint
 	p, _ := newHookedPilot(t, deltaPilot(), Hooks{
-		ServiceState: func(_ string, _, to states.State, _ time.Time) {
+		Transition: func(e states.Entity, _ string, _ states.State, steps []states.Record) {
+			if e != states.EntityService {
+				return
+			}
 			mu.Lock()
-			svcSeen = append(svcSeen, to)
+			for _, s := range steps {
+				svcSeen = append(svcSeen, s.State)
+			}
 			mu.Unlock()
 		},
 		OnServicePublish: func(inst *service.Instance) {
@@ -377,15 +382,14 @@ func TestStateCallbackObservesTransitions(t *testing.T) {
 	var pilotSeen, taskSeen []string
 	stamp := func(s states.State, at time.Time) string { return fmt.Sprintf("%s@%v", s, at.Sub(origin)) }
 	hooks := Hooks{
-		PilotState: func(_ string, _, to states.State, at time.Time) {
-			mu.Lock()
-			pilotSeen = append(pilotSeen, stamp(to, at))
-			mu.Unlock()
-		},
-		TaskState: func(_ string, _ states.State, steps []states.Record) {
+		Transition: func(e states.Entity, _ string, _ states.State, steps []states.Record) {
+			seen := &pilotSeen
+			if e == states.EntityTask {
+				seen = &taskSeen
+			}
 			mu.Lock()
 			for _, s := range steps {
-				taskSeen = append(taskSeen, stamp(s.State, s.At))
+				*seen = append(*seen, stamp(s.State, s.At))
 			}
 			mu.Unlock()
 		},
@@ -696,8 +700,8 @@ func TestPilotSnapshotReflectsLoad(t *testing.T) {
 func gatedTask(t *testing.T, want states.State, payloadErr error) (p *Pilot, task *Task, observed *atomic.Bool, release chan struct{}) {
 	t.Helper()
 	observed = new(atomic.Bool)
-	p, _ = newHookedPilot(t, deltaPilot(), Hooks{TaskState: func(_ string, _ states.State, steps []states.Record) {
-		if steps[len(steps)-1].State == want {
+	p, _ = newHookedPilot(t, deltaPilot(), Hooks{Transition: func(e states.Entity, _ string, _ states.State, steps []states.Record) {
+		if e == states.EntityTask && steps[len(steps)-1].State == want {
 			runtime.Gosched() // whoever the transition itself woke would run here
 			observed.Store(true)
 		}

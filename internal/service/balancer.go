@@ -83,7 +83,10 @@ type Balancer struct {
 	entry *endpointEntry
 
 	// conns is the copy-on-write member-connection map, never nil: reads
-	// are one atomic load, misses take mu and swap in a grown copy.
+	// are one atomic load, misses take mu and swap in a copy that holds the
+	// new member and drops the members the registry has withdrawn, so it
+	// holds the base UID and the members still in service, not every member
+	// ever picked.
 	conns      atomic.Pointer[map[string]*memberConn]
 	mu         sync.Mutex
 	closed     atomic.Bool
@@ -93,11 +96,24 @@ type Balancer struct {
 }
 
 // memberConn is the cached connection to one member UID and the
-// registry generation it was dialled for.
+// registry generation it was dialled for. A retired one (its member
+// withdrawn, or the balancer closed) holds nothing for good.
 type memberConn struct {
-	mu  sync.Mutex
-	cur Caller
-	gen uint64
+	mu      sync.Mutex
+	cur     Caller
+	gen     uint64
+	retired bool
+}
+
+// retire closes m's connection and keeps it from holding another.
+func (m *memberConn) retire() {
+	m.mu.Lock()
+	old := m.cur
+	m.cur, m.retired = nil, true
+	m.mu.Unlock()
+	if old != nil {
+		_ = old.Close()
+	}
 }
 
 // NewBalancer returns a Balancer for the logical service uid.
@@ -196,7 +212,8 @@ func (b *Balancer) Pick() string {
 }
 
 // member returns (creating on first use) the connection cache of uid.
-// One made after Close holds nothing: client refuses to fill it.
+// One made after Close holds nothing: client refuses to fill it. Making
+// one retires the caches of the members the registry has withdrawn.
 func (b *Balancer) member(uid string) *memberConn {
 	if m, ok := (*b.conns.Load())[uid]; ok {
 		return m
@@ -210,6 +227,10 @@ func (b *Balancer) member(uid string) *memberConn {
 	m := &memberConn{}
 	next := map[string]*memberConn{uid: m}
 	for k, v := range cur {
+		if k != b.uid && b.reg.withdrawn(k) {
+			v.retire()
+			continue
+		}
 		next[k] = v
 	}
 	b.conns.Store(&next)
@@ -265,9 +286,12 @@ func (b *Balancer) client(ctx context.Context, uid string, m *memberConn) (Calle
 		return nil, 0, err
 	}
 	m.mu.Lock()
-	if b.closed.Load() {
+	if b.closed.Load() || m.retired {
 		m.mu.Unlock()
 		_ = cl.Close()
+		if !b.closed.Load() {
+			return nil, 0, fmt.Errorf("%w: %s", ErrWithdrawn, uid)
+		}
 		return nil, 0, b.errClosed()
 	}
 	if m.cur != nil && m.gen >= liveGen {
@@ -333,13 +357,7 @@ func (b *Balancer) Close() error {
 	}
 	b.stop()
 	for _, m := range *b.conns.Load() {
-		m.mu.Lock()
-		old := m.cur
-		m.cur = nil
-		m.mu.Unlock()
-		if old != nil {
-			_ = old.Close()
-		}
+		m.retire()
 	}
 	return nil
 }

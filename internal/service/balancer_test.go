@@ -669,3 +669,62 @@ func TestBalancerReadsLiveServerDepth(t *testing.T) {
 	v.DoneRunner()
 	wg.Wait()
 }
+
+// TestBalancerRetiresWithdrawnMembers: a balancer keeps a connection for the
+// base UID and the members still in service, not for every member it ever
+// picked. Across 50 replica add/withdraw cycles its map never holds more than
+// the live members plus the base, and the connection of every withdrawn member
+// is closed by the time the next new member is picked, or by Close.
+func TestBalancerRetiresWithdrawnMembers(t *testing.T) {
+	reg := NewEndpointRegistry()
+	reg.Publish(ep("svc", "addr-svc"))
+	dialed := map[string]*closeFake{}
+	dial := func(e proto.Endpoint) (Caller, error) {
+		f := &closeFake{addr: e.Address, shut: make(chan struct{})}
+		dialed[e.ServiceUID] = f
+		return f, nil
+	}
+	b, err := NewBalancer(reg, "svc", dial, BalancerOptions{Picker: loadbal.NewRoundRobin()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 50
+	replica := func(i int) string { return fmt.Sprintf("svc.r%d", i) }
+	for i := 0; i < cycles; i++ {
+		uid := replica(i)
+		if _, err := reg.Publish(ep(uid, "addr-"+uid)); err != nil {
+			t.Fatal(err)
+		}
+		reg.AddMember("svc", uid)
+		for range 2 { // round robin over the base and uid
+			if _, _, err := b.Infer(context.Background(), "x", 0); err != nil {
+				t.Fatalf("cycle %d: %v", i, err)
+			}
+		}
+		if dialed[uid] == nil {
+			t.Fatalf("cycle %d: %s was never picked", i, uid)
+		}
+		if n := len(*b.conns.Load()); n > 2 {
+			t.Fatalf("cycle %d: the balancer holds %d member connections, want at most the base and %s", i, n, uid)
+		}
+		for k := 0; k < i; k++ {
+			if c := dialed[replica(k)].closes.Load(); c != 1 {
+				t.Fatalf("cycle %d: withdrawn %s closed %d times, want once", i, replica(k), c)
+			}
+		}
+		if c := dialed[uid].closes.Load(); c != 0 {
+			t.Fatalf("cycle %d: live %s closed %d times", i, uid, c)
+		}
+		reg.RemoveMember("svc", uid)
+		reg.Withdraw(uid)
+	}
+	_ = b.Close()
+	if len(dialed) != cycles+1 {
+		t.Fatalf("%d connections dialed, want one for the base and each replica (%d)", len(dialed), cycles+1)
+	}
+	for uid, f := range dialed {
+		if c := f.closes.Load(); c != 1 {
+			t.Fatalf("%s closed %d times after Close, want once", uid, c)
+		}
+	}
+}

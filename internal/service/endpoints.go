@@ -304,6 +304,14 @@ func (r *EndpointRegistry) Resolve(uid string) (proto.Endpoint, uint64, bool) {
 	return e.ep, e.gen, true
 }
 
+// withdrawn reports whether uid is tombstoned.
+func (r *EndpointRegistry) withdrawn(uid string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.entries[uid]
+	return e != nil && e.withdrawn
+}
+
 // Peek returns the last-published endpoint of uid and its generation
 // even while the entry is suspended — the warm-standby promotion path
 // reads the held standby's endpoint to re-publish it under the base UID.

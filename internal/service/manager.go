@@ -75,10 +75,10 @@ type Config struct {
 	// UID) so services of different pilots never collide in session-level
 	// maps and transport addresses.
 	UIDPrefix string
-	// StateCallback, when set, observes every committed service state
-	// transition (registered on each instance machine at submission). The
-	// session hooks its state Updater and journal here.
-	StateCallback states.Callback
+	// StateCallback, when set, observes what each To call of a service
+	// instance committed (registered on each instance machine at submission).
+	// The session hooks its state Updater and journal here.
+	StateCallback states.BatchCallback
 }
 
 const (
@@ -174,7 +174,7 @@ func (s *Instance) Final() bool { return s.machine.IsFinal() }
 // instance, on the goroutine that makes it and after the manager's
 // StateCallback. A caller that must not miss a state re-checks it after
 // registering.
-func (s *Instance) OnTransition(cb states.Callback) { s.machine.OnTransition(cb) }
+func (s *Instance) OnTransition(cb states.BatchCallback) { s.machine.OnTransition(cb) }
 
 // Bootstrap returns the measured BT components: launch (placement to
 // process up), init (model load), publish (endpoint communication). Valid
@@ -257,7 +257,8 @@ func (m *Manager) Submit(d spec.ServiceDescription) (*Instance, error) {
 	if m.cfg.StateCallback != nil {
 		inst.machine.OnTransition(m.cfg.StateCallback)
 	}
-	inst.machine.OnTransition(func(_ string, _, to states.State, _ time.Time) {
+	inst.machine.OnTransition(func(_ string, _ states.State, steps []states.Record) {
+		to := steps[len(steps)-1].State
 		final := states.ServiceModel().IsFinal(to)
 		if to == states.ServiceActive || final {
 			inst.mu.Lock()

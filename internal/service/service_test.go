@@ -407,9 +407,9 @@ func TestKilledServiceFailsTwoProbesLater(t *testing.T) {
 		waitReady(t, r, inst.UID())
 		v.AddRunner()
 		var finalAt time.Time
-		inst.OnTransition(func(_ string, _, to states.State, at time.Time) {
-			if states.ServiceModel().IsFinal(to) {
-				finalAt = at
+		inst.OnTransition(func(_ string, _ states.State, steps []states.Record) {
+			if s := steps[0]; states.ServiceModel().IsFinal(s.State) {
+				finalAt = s.At
 			}
 		})
 		killedAt := v.Now()

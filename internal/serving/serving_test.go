@@ -19,8 +19,26 @@ import (
 
 var origin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
 
+// newServer returns a server on an auto-advancing virtual clock (vclock)
+// with the test goroutine registered, deregistered by its cleanup after the
+// server stops: wait through the clock (Settle, Drain), and wrap any other
+// wait in offClock.
 func newServer(t *testing.T, model string, concurrency int) *Server {
-	return newServerOn(t, model, concurrency, simtime.NewScaled(100000, origin))
+	clock := simtime.NewVirtualAuto(origin)
+	clock.AddRunner()
+	t.Cleanup(clock.DoneRunner) // after s.Stop: cleanups run last-in first-out
+	return newServerOn(t, model, concurrency, clock)
+}
+
+// vclock returns the virtual clock s runs on.
+func vclock(s *Server) *simtime.Virtual { return simtime.RunnersOf(s.cfg.Clock) }
+
+// offClock runs wait, a wait on something other than clock, with the
+// registered caller's token given back, so that time runs on meanwhile.
+func offClock(clock *simtime.Virtual, wait func()) {
+	clock.DoneRunner()
+	wait()
+	clock.AddRunner()
 }
 
 // newServerOn is newServer on the given clock.
@@ -80,7 +98,7 @@ func req(uid, prompt string, max int) proto.InferenceRequest {
 }
 
 func TestNewValidation(t *testing.T) {
-	clock := simtime.NewScaled(1000, origin)
+	clock := simtime.NewVirtualAuto(origin)
 	src := rng.New(1)
 	spec, _ := llm.Lookup("noop")
 	backend := LLMBackend{M: llm.NewInstance(spec, clock, src)}
@@ -219,7 +237,7 @@ func TestConcurrentWorkersReduceQueueing(t *testing.T) {
 
 func TestQueueFull(t *testing.T) {
 	spec, _ := llm.Lookup("llama-8b")
-	clock := simtime.NewScaled(100000, origin)
+	clock := simtime.NewVirtualAuto(origin)
 	src := rng.New(1)
 	s, err := New(Config{
 		UID:      "svc",
@@ -233,17 +251,21 @@ func TestQueueFull(t *testing.T) {
 	}
 	start(t, s)
 	defer s.Stop()
-	// saturate: 1 executing + 1 queued, then the next must be rejected
+	// Eight requests at one instant: 1 executing + 1 queued, and the other
+	// six find the queue full.
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
+	wg.Add(8)
+	clock.AddRunner() // the spawner holds the clock until every request is out
+	clock.Settle()    // the worker is parked
 	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
+		clock.Go(func() {
 			defer wg.Done()
 			_, err := s.Submit(context.Background(), req("r", "p", 512))
 			errs <- err
-		}()
+		})
 	}
+	clock.DoneRunner()
 	wg.Wait()
 	close(errs)
 	full := 0
@@ -252,8 +274,8 @@ func TestQueueFull(t *testing.T) {
 			full++
 		}
 	}
-	if full == 0 {
-		t.Fatal("no request was rejected with ErrQueueFull")
+	if full != 6 {
+		t.Fatalf("%d requests rejected with ErrQueueFull, want 6", full)
 	}
 }
 
@@ -305,22 +327,26 @@ func TestHandlerErrorWhenNotReady(t *testing.T) {
 
 func TestDrainFinishesQueue(t *testing.T) {
 	s := newServer(t, "llama-8b", 1)
+	clock := vclock(s)
 	start(t, s)
 	const n = 3
 	var wg sync.WaitGroup
 	ok := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func() {
+		clock.Go(func() {
 			defer wg.Done()
 			if _, err := s.Submit(context.Background(), req("r", "p", 32)); err == nil {
 				ok <- struct{}{}
 			}
-		}()
+		})
 	}
-	time.Sleep(20 * time.Millisecond) // let requests enqueue
+	clock.Settle() // one request in service, two queued
+	if q, f := s.Queued(), s.InFlight(); q != 2 || f != 1 {
+		t.Fatalf("before the drain: %d queued, %d in flight, want 2 and 1", q, f)
+	}
 	s.Drain()
-	wg.Wait()
+	offClock(clock, wg.Wait)
 	if len(ok) != n {
 		t.Fatalf("%d/%d queued requests served across drain", len(ok), n)
 	}
@@ -330,26 +356,29 @@ func TestDrainFinishesQueue(t *testing.T) {
 	s.Drain() // idempotent
 }
 
+// TestStopFlushesQueueWithErrors: Stop fails the five requests still queued
+// and lets the one in service finish.
 func TestStopFlushesQueueWithErrors(t *testing.T) {
-	s := newServerOn(t, "llama-8b", 1, simtime.NewScaled(1000, origin)) // inference ≈ 40ms real
+	s := newServer(t, "llama-8b", 1)
+	clock := vclock(s)
 	start(t, s)
 	var wg sync.WaitGroup
 	results := make(chan error, 6)
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
-		go func() {
+		clock.Go(func() {
 			defer wg.Done()
 			reply, err := s.Submit(context.Background(), req("r", "p", 2048))
 			if err == nil && reply.Err != "" {
 				err = errors.New(reply.Err)
 			}
 			results <- err
-		}()
+		})
 	}
-	time.Sleep(20 * time.Millisecond)
+	clock.Settle() // one request in service, five queued
 	s.Stop()
 	s.Stop() // idempotent
-	wg.Wait()
+	offClock(clock, wg.Wait)
 	close(results)
 	var failed int
 	for err := range results {
@@ -357,30 +386,43 @@ func TestStopFlushesQueueWithErrors(t *testing.T) {
 			failed++
 		}
 	}
-	if failed == 0 {
-		t.Fatal("Stop did not flush any queued request with an error")
+	if failed != 5 {
+		t.Fatalf("%d of 6 requests failed, want the 5 Stop found queued", failed)
 	}
 	if _, err := s.Submit(context.Background(), req("r", "p", 1)); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Submit after Stop = %v, want ErrStopped", err)
 	}
 }
 
+// TestSubmitContextCancellation: a request whose ctx ends while it is queued
+// returns the ctx's error. The clock is held meanwhile (a registered goroutine
+// parked on a plain channel), so the request in service cannot finish first.
 func TestSubmitContextCancellation(t *testing.T) {
-	s := newServerOn(t, "llama-8b", 1, simtime.NewScaled(1000, origin)) // inference ≈ 15ms real
+	s := newServer(t, "llama-8b", 1)
+	clock := vclock(s)
 	start(t, s)
-	// occupy the single worker with a ~45ms (real) inference
-	go s.Submit(context.Background(), req("long", "p", 2048)) //nolint:errcheck
-	time.Sleep(10 * time.Millisecond)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	clock.Go(func() { // occupies the single worker
+		defer wg.Done()
+		s.Submit(context.Background(), req("long", "p", 2048)) //nolint:errcheck
+	})
+	clock.Settle()
+	hold := make(chan struct{})
+	clock.Go(func() { defer wg.Done(); <-hold })
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	_, err := s.Submit(ctx, req("r", "p", 2048))
+	close(hold)
+	offClock(clock, wg.Wait)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 }
 
 func TestQueueDepthTracksLoad(t *testing.T) {
-	s := newServerOn(t, "llama-8b", 1, simtime.NewScaled(1000, origin)) // inference ≈ 4ms real per 64 tokens
+	s := newServer(t, "llama-8b", 1)
+	clock := vclock(s)
 	start(t, s)
 	if d := s.QueueDepth(); d != 0 {
 		t.Fatalf("idle depth = %d", d)
@@ -388,16 +430,16 @@ func TestQueueDepthTracksLoad(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
-		go func() {
+		clock.Go(func() {
 			defer wg.Done()
 			s.Submit(context.Background(), req("r", "p", 2048)) //nolint:errcheck
-		}()
+		})
 	}
-	time.Sleep(20 * time.Millisecond)
-	if d := s.QueueDepth(); d < 1 || d > 3 {
-		t.Fatalf("depth under load = %d, want 1..3", d)
+	clock.Settle()
+	if d := s.QueueDepth(); d != 3 {
+		t.Fatalf("depth under load = %d, want 3", d)
 	}
-	wg.Wait()
+	offClock(clock, wg.Wait)
 	if d := s.QueueDepth(); d != 0 {
 		t.Fatalf("depth after drain = %d", d)
 	}
@@ -504,7 +546,7 @@ func newBatchServer(t *testing.T, b Backend, maxBatch int) *Server {
 	s, err := New(Config{
 		UID:         "service.0001",
 		Backend:     b,
-		Clock:       simtime.NewScaled(100000, origin),
+		Clock:       simtime.NewVirtualAuto(origin),
 		Src:         rng.New(42),
 		Concurrency: 1,
 		MaxBatch:    maxBatch,
@@ -517,17 +559,18 @@ func newBatchServer(t *testing.T, b Backend, maxBatch int) *Server {
 
 // plugAndQueue occupies the single worker with a plug request (direct
 // handoff: always a batch of one) and then queues reqs in order, using
-// the Queued gauge to serialize the concurrent submits.
+// the Queued gauge to serialize the concurrent submits. The submitters are
+// registered with the clock; a backend held at its gate holds the clock too.
 func plugAndQueue(t *testing.T, s *Server, b *recordingBackend, wg *sync.WaitGroup, reqs []proto.InferenceRequest) {
 	t.Helper()
 	submit := func(r proto.InferenceRequest) {
 		wg.Add(1)
-		go func() {
+		vclock(s).Go(func() {
 			defer wg.Done()
 			if _, err := s.Submit(context.Background(), r); err != nil {
 				t.Error(err)
 			}
-		}()
+		})
 	}
 	submit(req("plug", "plug", 1))
 	<-b.entered // worker holds the plug batch until the test releases it

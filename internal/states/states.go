@@ -3,7 +3,8 @@
 // tasks and services progress through a fixed, validated sequence of
 // states, every transition is timestamped on the session clock, and the
 // recorded history is the raw material for the paper's BT/RT/IT metric
-// decomposition.
+// decomposition. A machine's observers have one shape, BatchCallback, and one
+// door, OnTransition: each sees what one To call committed, in commit order.
 package states
 
 import (
@@ -208,9 +209,6 @@ type Record struct {
 	At    time.Time
 }
 
-// Callback observes a committed transition.
-type Callback func(uid string, from, to State, at time.Time)
-
 // BatchCallback observes the transitions one To call committed: the machine
 // left from and entered steps in order, each step from the state before it.
 // steps is the machine's own history: read it, do not keep or change it.
@@ -227,8 +225,8 @@ type Machine struct {
 	current   State
 	history   []Record // over hist: no model's longest path outgrows it
 	hist      [maxDepth]Record
-	callbacks []Callback
-	batch     BatchCallback
+	callbacks []BatchCallback // over one until a second observer comes
+	one       [1]BatchCallback
 	// Callbacks run in commit order: each committing To draws a ticket
 	// and runs its callbacks once every earlier ticket is delivered; one
 	// that has to wait parks on turn, which the next delivery closes.
@@ -241,6 +239,7 @@ type Machine struct {
 func NewMachine(uid string, model *Model, clock simtime.Clock) *Machine {
 	m := &Machine{uid: uid, model: model, clock: clock, current: model.Initial()}
 	m.history = append(m.hist[:0], Record{State: model.Initial(), At: clock.Now()})
+	m.callbacks = m.one[:0]
 	return m
 }
 
@@ -261,22 +260,14 @@ func (m *Machine) IsFinal() bool {
 	return m.model.IsFinal(m.current)
 }
 
-// OnTransition registers cb to run (synchronously, outside the machine
-// lock) after every committed transition, in commit order.
-func (m *Machine) OnTransition(cb Callback) {
+// OnTransition adds cb to the machine's observers: it runs once per later To
+// call (synchronously, outside the machine lock, after the observers added
+// before it) with every transition that call committed, in commit order.
+func (m *Machine) OnTransition(cb BatchCallback) {
 	m.mu.Lock()
-	// Copy on write: To runs the slice it read without copying it.
-	m.callbacks = append(m.callbacks[:len(m.callbacks):len(m.callbacks)], cb)
-	m.mu.Unlock()
-}
-
-// OnBatch makes cb the machine's batch observer: it runs once per To call
-// (synchronously, outside the machine lock, after the OnTransition callbacks)
-// with every transition that call committed. A machine has one; a second
-// call replaces the first.
-func (m *Machine) OnBatch(cb BatchCallback) {
-	m.mu.Lock()
-	m.batch = cb
+	// To runs the slice it read without copying it: append writes only past
+	// that slice's end.
+	m.callbacks = append(m.callbacks, cb)
 	m.mu.Unlock()
 }
 
@@ -307,7 +298,7 @@ func (m *Machine) To(chain ...State) error {
 	// Entries of the history are written once, so the tail is safe to read
 	// outside the lock.
 	steps := m.history[len(m.history)-len(chain):]
-	cbs, batch := m.callbacks, m.batch
+	cbs := m.callbacks
 	ticket := m.issued
 	m.issued++
 	wait := ticket != m.delivered
@@ -315,15 +306,8 @@ func (m *Machine) To(chain ...State) error {
 	if wait {
 		m.awaitTurn(ticket)
 	}
-	prev = from
-	for _, s := range steps {
-		for _, cb := range cbs {
-			cb(m.uid, prev, s.State, s.At)
-		}
-		prev = s.State
-	}
-	if batch != nil {
-		batch(m.uid, from, steps)
+	for _, cb := range cbs {
+		cb(m.uid, from, steps)
 	}
 	m.mu.Lock()
 	m.delivered++

@@ -175,12 +175,12 @@ func TestCallbacksFire(t *testing.T) {
 	m := NewMachine("task.0004", TaskModel(), clk)
 	var mu sync.Mutex
 	var got []State
-	m.OnTransition(func(uid string, from, to State, at time.Time) {
+	m.OnTransition(func(uid string, _ State, steps []Record) {
 		if uid != "task.0004" {
 			t.Errorf("callback uid = %q", uid)
 		}
 		mu.Lock()
-		got = append(got, to)
+		got = append(got, steps[len(steps)-1].State)
 		mu.Unlock()
 	})
 	_ = m.To(TaskTmgrScheduling)
@@ -198,7 +198,7 @@ func TestOnTransitionWatcher(t *testing.T) {
 	clk := simtime.NewVirtualAuto(origin)
 	m := NewMachine("task.0005", TaskModel(), clk)
 	ch := make(chan State, 2)
-	m.OnTransition(func(_ string, _, to State, _ time.Time) { ch <- to })
+	m.OnTransition(func(_ string, _ State, steps []Record) { ch <- steps[0].State })
 	_ = m.To(TaskTmgrScheduling)
 	select {
 	case s := <-ch:
@@ -336,8 +336,9 @@ func TestModelsShared(t *testing.T) {
 
 // TestTransitionAllocBudget: a transition allocates nothing. The history is
 // an array in the machine, as long as the deepest model's longest path, and To
-// runs the callback slice it read instead of a copy (OnTransition swaps in a
-// new slice).
+// runs the callback slice it read instead of a copy (OnTransition writes only
+// past its end). The steps an observer reads are the machine's history, not a
+// copy, whether a To makes one step or a chain of them.
 func TestTransitionAllocBudget(t *testing.T) {
 	clock := simtime.NewVirtualAuto(origin)
 	path := []State{TaskTmgrScheduling, TaskStagingInput, TaskScheduling, TaskExecuting, TaskStagingOutput, TaskDone}
@@ -345,7 +346,7 @@ func TestTransitionAllocBudget(t *testing.T) {
 	fired := 0
 	for i := range machines {
 		machines[i] = NewMachine("t", TaskModel(), clock)
-		machines[i].OnTransition(func(string, State, State, time.Time) { fired++ })
+		machines[i].OnTransition(func(string, State, []Record) { fired++ })
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(len(machines)-1, func() {
@@ -363,12 +364,11 @@ func TestTransitionAllocBudget(t *testing.T) {
 		t.Fatalf("callback fired %d times, want %d", fired, len(machines)*len(path))
 	}
 
-	// The same in the chains a pilot makes of them, reported to a batch
-	// observer: the steps are the machine's history, not a copy.
+	// The same in the chains a pilot makes of them.
 	steps := 0
 	for i := range machines {
 		machines[i] = NewMachine("t", TaskModel(), clock)
-		machines[i].OnBatch(func(_ string, _ State, s []Record) { steps += len(s) })
+		machines[i].OnTransition(func(_ string, _ State, s []Record) { steps += len(s) })
 	}
 	next = 0
 	allocs = testing.AllocsPerRun(len(machines)-1, func() {
@@ -380,6 +380,20 @@ func TestTransitionAllocBudget(t *testing.T) {
 	})
 	if allocs != 0 || steps != len(machines)*len(path) {
 		t.Fatalf("a task's three chains allocate %.1f times and report %d steps, want 0 and %d", allocs, steps, len(machines)*len(path))
+	}
+}
+
+// TestFirstObserverAllocBudget: a machine and its first observer are one
+// object, the machine: the observer list starts in place, as a task machine
+// with its pilot's one observer needs it.
+func TestFirstObserverAllocBudget(t *testing.T) {
+	clock := simtime.NewVirtualAuto(origin)
+	cb := func(string, State, []Record) {}
+	allocs := testing.AllocsPerRun(100, func() {
+		NewMachine("t", TaskModel(), clock).OnTransition(cb)
+	})
+	if allocs != 1 {
+		t.Fatalf("a machine with one observer allocates %.1f objects, want 1", allocs)
 	}
 }
 
@@ -395,24 +409,24 @@ func (c *stepClock) Now() time.Time {
 }
 
 // TestToChain: To takes a chain of states as one call. Every step gets its
-// own clock reading and its own OnTransition callback, in order; the batch
-// observer gets them all, once, after those; a waiter gets the first. A chain
-// with an illegal edge anywhere in it changes nothing and tells no one.
+// own clock reading; each observer gets them all, once, in the order the
+// observers were added. A chain with an illegal edge anywhere in it changes
+// nothing and tells no one.
 func TestToChain(t *testing.T) {
 	clock := &stepClock{Clock: simtime.NewVirtualAuto(origin)}
 	m := NewMachine("t", TaskModel(), clock)
 	var log []string
-	m.OnTransition(func(uid string, from, to State, at time.Time) {
-		log = append(log, fmt.Sprintf("step %s %s>%s @%d", uid, from, to, at.Sub(origin).Milliseconds()))
-	})
-	m.OnBatch(func(string, State, []Record) { t.Error("a replaced batch observer ran") })
-	m.OnBatch(func(uid string, from State, steps []Record) {
-		line := fmt.Sprintf("batch %s %s", uid, from)
-		for _, s := range steps {
-			line += fmt.Sprintf(">%s @%d", s.State, s.At.Sub(origin).Milliseconds())
+	observer := func(name string) BatchCallback {
+		return func(uid string, from State, steps []Record) {
+			line := fmt.Sprintf("%s %s %s", name, uid, from)
+			for _, s := range steps {
+				line += fmt.Sprintf(">%s @%d", s.State, s.At.Sub(origin).Milliseconds())
+			}
+			log = append(log, line)
 		}
-		log = append(log, line)
-	})
+	}
+	m.OnTransition(observer("first"))
+	m.OnTransition(observer("second"))
 
 	var terr *transitionError
 	err := m.To(TaskTmgrScheduling, TaskStagingInput, TaskExecuting)
@@ -430,10 +444,8 @@ func TestToChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"step t NEW>TMGR_SCHEDULING @2",
-		"step t TMGR_SCHEDULING>AGENT_STAGING_INPUT @3",
-		"step t AGENT_STAGING_INPUT>AGENT_SCHEDULING @4",
-		"batch t NEW>TMGR_SCHEDULING @2>AGENT_STAGING_INPUT @3>AGENT_SCHEDULING @4",
+		"first t NEW>TMGR_SCHEDULING @2>AGENT_STAGING_INPUT @3>AGENT_SCHEDULING @4",
+		"second t NEW>TMGR_SCHEDULING @2>AGENT_STAGING_INPUT @3>AGENT_SCHEDULING @4",
 	}
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("observers saw\n%q, want\n%q", log, want)
@@ -449,7 +461,7 @@ func TestToChain(t *testing.T) {
 	if err := m.To(TaskExecuting); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"step t AGENT_SCHEDULING>AGENT_EXECUTING @5", "batch t AGENT_SCHEDULING>AGENT_EXECUTING @5"}; !reflect.DeepEqual(log, want) {
+	if want := []string{"first t AGENT_SCHEDULING>AGENT_EXECUTING @5", "second t AGENT_SCHEDULING>AGENT_EXECUTING @5"}; !reflect.DeepEqual(log, want) {
 		t.Fatalf("single step: observers saw %q, want %q", log, want)
 	}
 }
@@ -459,11 +471,11 @@ func TestToChain(t *testing.T) {
 func TestOnTransitionDuringTo(t *testing.T) {
 	m := NewMachine("t", TaskModel(), simtime.NewVirtualAuto(origin))
 	var order []string
-	m.OnTransition(func(string, State, State, time.Time) {
+	m.OnTransition(func(string, State, []Record) {
 		order = append(order, "a")
-		m.OnTransition(func(string, State, State, time.Time) { order = append(order, "late") })
+		m.OnTransition(func(string, State, []Record) { order = append(order, "late") })
 	})
-	m.OnTransition(func(string, State, State, time.Time) { order = append(order, "b") })
+	m.OnTransition(func(string, State, []Record) { order = append(order, "b") })
 	if err := m.To(TaskTmgrScheduling); err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +498,8 @@ func TestToDeliversInCommitOrderRace(t *testing.T) {
 		mu.Unlock()
 	}
 	second := make(chan error, 1)
-	m.OnTransition(func(_ string, _, to State, _ time.Time) {
+	m.OnTransition(func(_ string, _ State, steps []Record) {
+		to := steps[0].State
 		if to == ServiceSmgrScheduling {
 			go func() { second <- m.To(serviceFailed) }()
 			for m.Current() != serviceFailed {
@@ -500,7 +513,7 @@ func TestToDeliversInCommitOrderRace(t *testing.T) {
 		}
 		record(string(to))
 	})
-	m.OnBatch(func(_ string, _ State, steps []Record) { record("batch " + string(steps[len(steps)-1].State)) })
+	m.OnTransition(func(_ string, _ State, steps []Record) { record("second " + string(steps[len(steps)-1].State)) })
 	if err := m.To(ServiceSmgrScheduling); err != nil {
 		t.Fatal(err)
 	}
@@ -508,8 +521,8 @@ func TestToDeliversInCommitOrderRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		string(ServiceSmgrScheduling), "batch " + string(ServiceSmgrScheduling),
-		string(serviceFailed), "batch " + string(serviceFailed),
+		string(ServiceSmgrScheduling), "second " + string(ServiceSmgrScheduling),
+		string(serviceFailed), "second " + string(serviceFailed),
 	}
 	if !reflect.DeepEqual(seen, want) {
 		t.Fatalf("observers saw %q, want %q", seen, want)

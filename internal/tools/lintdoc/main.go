@@ -19,8 +19,9 @@
 // It exits non-zero listing every violation, so `go run
 // ./internal/tools/lintdoc` acts as the exported-comment check the docs
 // CI job runs (a revive/golint subset with no external dependency). On
-// success it prints how many top-level names internal/ exports, and how
-// many with its exported methods.
+// success it prints how many top-level names internal/ exports, how many
+// with its exported methods, and how many exported fields its exported
+// struct types declare.
 package main
 
 import (
@@ -104,7 +105,7 @@ func main() {
 	for _, dir := range dirs {
 		checkDir(root, dir, report)
 	}
-	names, methods := checkClosedSurface(root, testOnly, report)
+	names, methods, fields := checkClosedSurface(root, testOnly, report)
 	checkLinked(root, harness, report)
 
 	if len(violations) > 0 {
@@ -115,8 +116,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lintdoc: %d violation(s)\n", len(violations))
 		os.Exit(1)
 	}
-	fmt.Printf("lintdoc: %d packages documented; internal/ exports %d top-level names, %d with methods\n",
-		len(dirs), names, names+methods)
+	fmt.Printf("lintdoc: %d packages documented; internal/ exports %d top-level names, %d with methods, %d struct fields\n",
+		len(dirs), names, names+methods, fields)
 }
 
 // packageDirs returns every directory under internal/ and cmd/, testdata
@@ -254,13 +255,14 @@ func recvName(t ast.Expr) string {
 // sentinels and error types (callers match them with errors.Is and
 // errors.As), a type that one of its own package's exported declarations
 // names in a signature, field or type, and the "dir.Name" keys of allow.
-// It returns the exported top-level names and the exported methods it
-// found in the non-test files of those packages.
-func checkClosedSurface(root string, allow map[string]bool, report func(string, ...any)) (names, methods int) {
+// It returns the exported top-level names, the exported methods and the
+// exported fields of exported struct types it found in the non-test files
+// of those packages.
+func checkClosedSurface(root string, allow map[string]bool, report func(string, ...any)) (names, methods, fields int) {
 	module, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		report("lintdoc: %v", err)
-		return 0, 0
+		return 0, 0, 0
 	}
 	used := map[string]map[string]bool{} // internal package dir → names selected from outside
 	fset := token.NewFileSet()
@@ -331,8 +333,8 @@ func checkClosedSurface(root string, allow map[string]bool, report func(string, 
 			}
 			named := namedTypes(pkg)
 			for _, file := range pkg.Files {
-				declared, m := exportedNames(file)
-				names, methods = names+len(declared), methods+m
+				declared, m, f := exportedNames(file)
+				names, methods, fields = names+len(declared), methods+m, fields+f
 				for _, name := range declared {
 					if used[dir][name.Name] || named[name.Name] || strings.HasPrefix(name.Name, "Err") || allow[dir+"."+name.Name] {
 						continue
@@ -344,7 +346,7 @@ func checkClosedSurface(root string, allow map[string]bool, report func(string, 
 			}
 		}
 	}
-	return names, methods
+	return names, methods, fields
 }
 
 // namedTypes returns the identifiers that the package's exported
@@ -429,8 +431,10 @@ func namedTypes(pkg *ast.Package) map[string]bool {
 }
 
 // exportedNames returns the exported top-level funcs, types, vars and
-// consts declared in file, and counts its exported methods apart.
-func exportedNames(file *ast.File) (out []*ast.Ident, methods int) {
+// consts declared in file, and counts apart its exported methods and the
+// exported fields of its exported struct types (an embedded field of a type
+// of its own package by that type's name).
+func exportedNames(file *ast.File) (out []*ast.Ident, methods, fields int) {
 	add := func(ids ...*ast.Ident) {
 		for _, id := range ids {
 			if id.IsExported() {
@@ -451,13 +455,25 @@ func exportedNames(file *ast.File) (out []*ast.Ident, methods int) {
 				switch s := s.(type) {
 				case *ast.TypeSpec:
 					add(s.Name)
+					if st, ok := s.Type.(*ast.StructType); ok && s.Name.IsExported() {
+						for _, f := range st.Fields.List {
+							if len(f.Names) == 0 && ast.IsExported(strings.TrimPrefix(recvName(f.Type), "*")) {
+								fields++
+							}
+							for _, id := range f.Names {
+								if id.IsExported() {
+									fields++
+								}
+							}
+						}
+					}
 				case *ast.ValueSpec:
 					add(s.Names...)
 				}
 			}
 		}
 	}
-	return out, methods
+	return out, methods, fields
 }
 
 // modulePath reads the module path from a go.mod file.

@@ -13,7 +13,7 @@ import (
 // file of the nested bench module selects and an allowed func are not.
 func TestClosedSurface(t *testing.T) {
 	var got []string
-	names, methods := checkClosedSurface("testdata/closed", map[string]bool{"internal/a.Kept": true}, func(format string, args ...any) {
+	names, methods, fields := checkClosedSurface("testdata/closed", map[string]bool{"internal/a.Kept": true}, func(format string, args ...any) {
 		got = append(got, fmt.Sprintf(format, args...))
 	})
 	all := strings.Join(got, "\n")
@@ -39,8 +39,8 @@ func TestClosedSurface(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("violations = %q, want exactly four", got)
 	}
-	if names != 9 || methods != 2 {
-		t.Fatalf("counted %d names and %d methods, want 9 and 2", names, methods)
+	if names != 9 || methods != 2 || fields != 2 {
+		t.Fatalf("counted %d names, %d methods and %d struct fields, want 9, 2 and 2 (Shape's N and U)", names, methods, fields)
 	}
 	if !strings.Contains(all, "internal/a/a.go:26: exported Local ") {
 		t.Fatalf("violations %q do not point at Local's line", got)
