@@ -1,0 +1,194 @@
+package repro
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/llm"
+	"repro/internal/msgq"
+	"repro/internal/proto"
+	"repro/internal/restapi"
+	"repro/internal/rng"
+	"repro/internal/service"
+	"repro/internal/serving"
+	"repro/internal/simtime"
+)
+
+// gateBackend answers a request with as many output tokens as it asked for,
+// the text drawn from its own stream. A "block" prompt waits for the gate
+// (after saying so on entered); an "open" prompt opens it.
+type gateBackend struct {
+	src     *rng.Source
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (b *gateBackend) Name() string        { return "gate" }
+func (b *gateBackend) Load() time.Duration { return 0 }
+
+func (b *gateBackend) Infer(prompt string, maxTokens int) llm.Result {
+	switch prompt {
+	case "block":
+		gate := b.gate // read before entered: the test sets the next round's gate after it
+		b.entered <- struct{}{}
+		<-gate
+	case "open":
+		close(b.gate)
+	}
+	return llm.Result{TextFrom: b.src.Skip(maxTokens), PromptTokens: len(prompt), OutputTokens: maxTokens}
+}
+
+func (b *gateBackend) InferBatch(items []llm.BatchItem) []llm.Result {
+	out := make([]llm.Result, len(items))
+	for i, it := range items {
+		out[i] = b.Infer(it.Prompt, it.MaxTokens)
+	}
+	return out
+}
+
+// gateServer starts a two-worker server of a gateBackend on the real clock
+// with no parse overhead.
+func gateServer(t *testing.T, clock simtime.Clock) (*serving.Server, *gateBackend) {
+	t.Helper()
+	b := &gateBackend{src: rng.New(11), entered: make(chan struct{}, 1)}
+	srv, err := serving.New(serving.Config{
+		UID: "svc.0", Backend: b, Clock: clock, Src: rng.New(7),
+		Concurrency: 2, ParseOverhead: rng.ConstDuration(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	return srv, b
+}
+
+// dialOn binds srv on a fresh network of clock whose links all have
+// profile, and dials it as client.0.
+func dialOn(t *testing.T, clock simtime.Clock, srv *serving.Server, transport string, profile msgq.LinkProfile) *service.Client {
+	t.Helper()
+	net := msgq.NewNetwork(clock, rng.New(3), func(_, _ string) msgq.LinkProfile { return profile })
+	t.Cleanup(func() { _ = net.Close() })
+	if transport != "" {
+		if err := net.SetTransport(transport); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bind, err := net.Bind("svc.0", srv.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := service.Dial(net, clock, "client.0", proto.Endpoint{ServiceUID: "svc.0", Model: "gate", Address: bind.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	return cl
+}
+
+// TestAbandonedExchangeRace: a request abandoned on ctx expiry while its
+// handler is blocked may still be answered into its exchange, so its client
+// must not recycle the exchange. Each round abandons one request and sends
+// the next, whose backend call lets the abandoned handler answer while the
+// new reply is on its way back (a 2 ms link each way): had the first
+// exchange been recycled into the second request, the late answer would
+// overwrite its reply. Every reply must carry its own request UID and
+// output tokens, through the rounds and the plain requests after them.
+func TestAbandonedExchangeRace(t *testing.T) {
+	clock := simtime.NewReal()
+	srv, b := gateServer(t, clock)
+	cl := dialOn(t, clock, srv, "", msgq.LinkProfile{Latency: rng.ConstDuration(2 * time.Millisecond)})
+	seq := 0
+	infer := func(ctx context.Context, prompt string, tokens int) error {
+		seq++
+		reply, _, err := cl.Infer(ctx, prompt, tokens)
+		if err != nil {
+			return err
+		}
+		if want := fmt.Sprintf("client.0.req.%06d", seq); reply.RequestUID != want || reply.OutputTokens != tokens {
+			t.Errorf("request %d (%d tokens) got the reply of %s (%d tokens)", seq, tokens, reply.RequestUID, reply.OutputTokens)
+		}
+		return nil
+	}
+	for round := 0; round < 4; round++ {
+		b.gate = make(chan struct{})
+		ctx, cancel := context.WithCancel(context.Background())
+		abandoned := make(chan error, 1)
+		go func() { abandoned <- infer(ctx, "block", 100+round) }()
+		<-b.entered
+		cancel()
+		if err := <-abandoned; !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: abandoned request returned %v, want context.Canceled", round, err)
+		}
+		if err := infer(context.Background(), "open", 1+round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if err := infer(context.Background(), "plain", 10+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRepliesAgreeAcrossTransports: the same requests to the same server
+// read the same replies over an in-process link that charges for bandwidth
+// (it sizes both halves of each exchange), over TCP and over REST, where
+// both encoders spell the drawn text. Timing is the real clock's and
+// differs; REST names its requests its own way.
+func TestRepliesAgreeAcrossTransports(t *testing.T) {
+	clock := simtime.NewReal()
+	type replyOf struct {
+		uid, svc, model, words string
+		prompt, output         int
+	}
+	run := func(dial func(*serving.Server) service.Caller) []replyOf {
+		srv, _ := gateServer(t, clock)
+		cl := dial(srv)
+		var out []replyOf
+		for i, prompt := range []string{"a", "a prompt", "", "another prompt"} {
+			r, _, err := cl.Infer(context.Background(), prompt, 3*i+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, replyOf{r.RequestUID, r.ServiceUID, r.Model, r.Words(), r.PromptTokens, r.OutputTokens})
+		}
+		return out
+	}
+	capped := run(func(srv *serving.Server) service.Caller {
+		return dialOn(t, clock, srv, "", msgq.LinkProfile{BytesPerSec: 1e9})
+	})
+	tcp := run(func(srv *serving.Server) service.Caller {
+		return dialOn(t, clock, srv, msgq.TransportTCP, msgq.LinkProfile{})
+	})
+	rest := run(func(srv *serving.Server) service.Caller {
+		gw, err := restapi.NewGateway(srv, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = gw.Close() })
+		c, err := restapi.NewCaller(gw.Endpoint(), clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	})
+	for i := range capped {
+		if capped[i].words == "" {
+			t.Fatalf("reply %d spells no text: %+v", i, capped[i])
+		}
+		if tcp[i] != capped[i] {
+			t.Errorf("reply %d: tcp %+v, in-process %+v", i, tcp[i], capped[i])
+		}
+		want := capped[i]
+		want.uid = fmt.Sprintf("svc.0.rest.%06d", i+1)
+		if rest[i] != want {
+			t.Errorf("reply %d: rest %+v, in-process %+v", i, rest[i], want)
+		}
+	}
+}

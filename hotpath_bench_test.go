@@ -68,13 +68,14 @@ func inprocRoundTripAllocs(t *testing.T, svc spec.ServiceDescription) float64 {
 // brought it to 17, lazy envelope encoding to 11 (later 9), and a path
 // with no map in the RT split, no escaping decode target and no
 // reallocating serving queue to 3: the two payload snapshots and the
-// request UID. The budget is the current cost.
+// request UID. One pooled exchange holding both request and reply left 1,
+// the request UID. The budget is the current cost.
 func TestInferenceRoundTripAllocBudget(t *testing.T) {
 	allocs := inprocRoundTripAllocs(t, spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1},
 		Model:           "noop",
 	})
-	const budget = 3
+	const budget = 1
 	if allocs > budget {
 		t.Fatalf("round trip allocates %.1f objects/op, budget %d (seed: 41)", allocs, budget)
 	}
@@ -85,8 +86,8 @@ func TestInferenceRoundTripAllocBudget(t *testing.T) {
 // continuous-batching dispatcher (Concurrency 2, MaxBatch 8): serial
 // submits exercise the batch-of-one handoff, which must price like the
 // single-request path — forming a batch may not add per-request garbage.
-// It was 13 allocs, then 9, and is now the single path's 3: the batch
-// buffers are the worker's own.
+// It was 13 allocs, then 9, then the single path's 3, and is now its 1:
+// the batch buffers are the worker's own.
 func TestBatchedRoundTripAllocBudget(t *testing.T) {
 	allocs := inprocRoundTripAllocs(t, spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1},
@@ -94,7 +95,7 @@ func TestBatchedRoundTripAllocBudget(t *testing.T) {
 		Concurrency:     2,
 		MaxBatch:        8,
 	})
-	const budget = 3
+	const budget = 1
 	if allocs > budget {
 		t.Fatalf("batched round trip allocates %.1f objects/op, budget %d", allocs, budget)
 	}
@@ -102,16 +103,16 @@ func TestBatchedRoundTripAllocBudget(t *testing.T) {
 }
 
 // TestModelRoundTripAllocBudget pins the same round trip to a vit-base
-// service, whose replies carry text: it prices like the noop path's 3,
+// service, whose replies carry text: it prices like the noop path's 1,
 // because a reply carries the draw of its words and nothing on an
 // in-process round trip spells them. Spelling the text where the model
-// drew it made it 4.
+// drew it made it 4 when the noop path was 3.
 func TestModelRoundTripAllocBudget(t *testing.T) {
 	allocs := inprocRoundTripAllocs(t, spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1, GPUs: 1},
 		Model:           "vit-base",
 	})
-	const budget = 3
+	const budget = 1
 	if allocs > budget {
 		t.Fatalf("vit-base round trip allocates %.1f objects/op, budget %d", allocs, budget)
 	}
@@ -125,12 +126,13 @@ func TestModelRoundTripAllocBudget(t *testing.T) {
 // goroutine, a Sprintf and five allocating sleeps per request
 // campaign_steady was 30.2; self-waking and recycled sleepers,
 // campaign-lifetime runners and worker-owned park channels brought it to
-// 10.3, and a request path that allocates only what it returns (the two
-// payload snapshots, the request UID and the prompt) to 4.3.
-// campaign_batched (vit-base behind a p2c balancer, MaxBatch 8) adds the
-// batch's results: 13.85 before that, 5.85 after, and 4.7 once replies
-// carried the draw of their text instead of the text and the workers
-// owned their batch items.
+// 10.3, a request path that allocates only what it returns (the two
+// payload snapshots, the request UID and the prompt) to 4.3, and one pooled
+// exchange in place of the two snapshots to 2.33: the request UID and the
+// prompt. campaign_batched (vit-base behind a p2c balancer, MaxBatch 8) adds
+// the batch's results: 13.85 before that, 5.85 after, 4.7 once replies
+// carried the draw of their text instead of the text and the workers owned
+// their batch items, and 2.6–2.7 with the exchange.
 func TestCampaignAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is lossy under the race detector")
@@ -143,12 +145,12 @@ func TestCampaignAllocBudget(t *testing.T) {
 		{loadgen.Scenario{
 			Name: "campaign_steady", Kind: loadgen.KindSteady, Requests: requests, Rate: 2000,
 			Services: 4, Concurrency: 1, Seed: 7, TaskEvery: 1000, KeepSamples: true,
-		}, 5},
+		}, 2.5},
 		{loadgen.Scenario{
 			Name: "campaign_batched", Kind: loadgen.KindHotspot, HotspotWeight: 0.8, Balance: "p2c",
 			Requests: requests, Rate: 8000, Services: 4, Model: "vit-base",
 			Concurrency: 2, MaxBatch: 8, MaxTokens: 8, QueueCap: 200000, Seed: 7, KeepSamples: true,
-		}, 5},
+		}, 3},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -263,8 +265,8 @@ func tcpInferClient(tb testing.TB) *service.Client {
 // through encoding/json it was 37; the hand codec left 19, the strings of
 // the two decoded bodies and the scaffolding around them, the same at 64 B
 // and at 8 KiB. Decoding both bodies onto the stack, a map-free RT split
-// and a request UID built in one allocation leave 13 (14 under the race
-// detector).
+// and a request UID built in one allocation left 13, and a request held in
+// a pooled exchange instead of a snapshot 12 (13 under the race detector).
 func TestTCPInferAllocBudget(t *testing.T) {
 	cl := tcpInferClient(t)
 	ctx := context.Background()
@@ -275,7 +277,7 @@ func TestTCPInferAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		const budget = 15
+		const budget = 13
 		if allocs > budget {
 			t.Errorf("%d B remote Infer allocates %.1f objects/op, budget %d", size, allocs, budget)
 		}

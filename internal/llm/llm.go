@@ -295,9 +295,9 @@ func countTokens(text string) int {
 }
 
 // GenerateText produces deterministic pseudo-text of n tokens for the
-// given model name and RNG stream, drawing and spelling its words at once
-// (proto.Spell): the same text a reply drawn at the same point of the
-// stream spells when read. The text is its one allocation.
+// given model name and RNG stream, drawing and spelling its words at once:
+// it is the text of a reply drawn at the same point of the stream, spelled
+// (proto.InferenceReply.Words). The text is its one allocation.
 func GenerateText(src *rng.Source, model string, n int) string {
-	return proto.Spell(model, src, n)
+	return proto.InferenceReply{Model: model, OutputTokens: n, TextFrom: src.Skip(n), TextDrawn: true}.Words()
 }

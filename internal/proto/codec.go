@@ -30,35 +30,60 @@ var timingKeys = [5]string{
 func appendBody(b []byte, body any) (_ []byte, ok bool) {
 	switch v := body.(type) {
 	case InferenceRequest:
-		b = jsonshape.AppendString(append(b, `{"request_uid":`...), v.RequestUID)
-		b = jsonshape.AppendString(append(b, `,"client_uid":`...), v.ClientUID)
-		b = jsonshape.AppendString(append(b, `,"model":`...), v.Model)
-		b = jsonshape.AppendString(append(b, `,"prompt":`...), v.Prompt)
-		if v.MaxTokens != 0 {
-			b = strconv.AppendInt(append(b, `,"max_tokens":`...), int64(v.MaxTokens), 10)
-		}
-		b, ok = jsonshape.AppendTime(append(b, `,"sent_at":`...), v.SentAt)
-		return append(b, '}'), ok
+		return appendRequest(b, &v)
 	case InferenceReply:
-		b = jsonshape.AppendString(append(b, `{"request_uid":`...), v.RequestUID)
-		b = jsonshape.AppendString(append(b, `,"service_uid":`...), v.ServiceUID)
-		b = jsonshape.AppendString(append(b, `,"model":`...), v.Model)
-		b = jsonshape.AppendString(append(b, `,"text":`...), v.Words())
-		b = strconv.AppendInt(append(b, `,"prompt_tokens":`...), int64(v.PromptTokens), 10)
-		b = strconv.AppendInt(append(b, `,"output_tokens":`...), int64(v.OutputTokens), 10)
-		t := &v.Timing
-		for i, at := range [5]time.Time{t.ReceivedAt, t.DequeuedAt, t.InferStartAt, t.InferEndAt, t.RepliedAt} {
-			if b, ok = jsonshape.AppendTime(append(b, timingKeys[i]...), at); !ok {
-				return b, false
-			}
-		}
-		b = append(b, '}')
-		if v.Err != "" {
-			b = jsonshape.AppendString(append(b, `,"err":`...), v.Err)
-		}
-		return append(b, '}'), true
+		return appendReply(b, &v)
 	}
 	return b, false
+}
+
+// appendTyped is appendBody of e's in-process payload; an exchange's half
+// that e.Kind names is read in place.
+func appendTyped(b []byte, e *Envelope) (_ []byte, ok bool) {
+	if x, isX := e.typed.(*exchange); isX {
+		switch e.Kind {
+		case KindRequest:
+			return appendRequest(b, &x.req)
+		case KindReply:
+			return appendReply(b, &x.rep)
+		}
+		return b, false
+	}
+	return appendBody(b, e.typed)
+}
+
+// appendRequest is appendBody of a request.
+func appendRequest(b []byte, v *InferenceRequest) (_ []byte, ok bool) {
+	b = jsonshape.AppendString(append(b, `{"request_uid":`...), v.RequestUID)
+	b = jsonshape.AppendString(append(b, `,"client_uid":`...), v.ClientUID)
+	b = jsonshape.AppendString(append(b, `,"model":`...), v.Model)
+	b = jsonshape.AppendString(append(b, `,"prompt":`...), v.Prompt)
+	if v.MaxTokens != 0 {
+		b = strconv.AppendInt(append(b, `,"max_tokens":`...), int64(v.MaxTokens), 10)
+	}
+	b, ok = jsonshape.AppendTime(append(b, `,"sent_at":`...), v.SentAt)
+	return append(b, '}'), ok
+}
+
+// appendReply is appendBody of a reply.
+func appendReply(b []byte, v *InferenceReply) (_ []byte, ok bool) {
+	b = jsonshape.AppendString(append(b, `{"request_uid":`...), v.RequestUID)
+	b = jsonshape.AppendString(append(b, `,"service_uid":`...), v.ServiceUID)
+	b = jsonshape.AppendString(append(b, `,"model":`...), v.Model)
+	b = jsonshape.AppendString(append(b, `,"text":`...), v.Words())
+	b = strconv.AppendInt(append(b, `,"prompt_tokens":`...), int64(v.PromptTokens), 10)
+	b = strconv.AppendInt(append(b, `,"output_tokens":`...), int64(v.OutputTokens), 10)
+	t := &v.Timing
+	for i, at := range [5]time.Time{t.ReceivedAt, t.DequeuedAt, t.InferStartAt, t.InferEndAt, t.RepliedAt} {
+		if b, ok = jsonshape.AppendTime(append(b, timingKeys[i]...), at); !ok {
+			return b, false
+		}
+	}
+	b = append(b, '}')
+	if v.Err != "" {
+		b = jsonshape.AppendString(append(b, `,"err":`...), v.Err)
+	}
+	return append(b, '}'), true
 }
 
 // decodeBody decodes body into out if out is a request or a reply and body

@@ -25,8 +25,9 @@ func fuzzTime(sec, nsec int64, zone int32, mono bool) time.Time {
 }
 
 // FuzzBodyEncodeMatchesJSON holds the hand encoder to json.Marshal through
-// every place it is wired in: the bytes are the oracle's, or the encoder
-// declined and the oracle's verdict is what the caller sees.
+// every place it is wired in, for a snapshot and for an exchange: the bytes
+// are the oracle's, or the encoder declined and the oracle's verdict is
+// what the caller sees.
 func FuzzBodyEncodeMatchesJSON(f *testing.F) {
 	year := func(y int) int64 { return time.Date(y, 6, 1, 0, 0, 0, 0, time.UTC).Unix() }
 	f.Add("req.000001", "client.0", "noop", "hello", 16, 0, int64(1741064767), int64(0), int32(0), false)
@@ -68,30 +69,40 @@ func FuzzBodyEncodeMatchesJSON(f *testing.F) {
 				t.Fatalf("%+v:\n got %q\nwant %q", body, got[len("prefix"):], want)
 			}
 
-			env, err := NewEnvelope(KindRequest, 1, "from", "to", time.Time{}, body)
+			snap, err := NewEnvelope(KindRequest, 1, "from", "to", time.Time{}, body)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := env.EncodedBodyLen(); n != len(want) {
-				t.Fatalf("%+v: EncodedBodyLen %d, json.Marshal %d bytes (err %v)", body, n, len(want), wantErr)
+			// The same body as the half of an exchange its envelope names.
+			var exch Envelope
+			switch v := body.(type) {
+			case InferenceRequest:
+				exch = NewRequest(1, "from", "to", v)
+			case InferenceReply:
+				exch = NewRequest(1, "to", "from", InferenceRequest{}).Answer("from", time.Time{}, &v)
 			}
-			framed := env // AppendFrame encodes into the frame, WireBody into the envelope
-			frame, err := AppendFrame([]byte("prefix"), &framed)
-			if (err == nil) != (wantErr == nil) || framed.Body != nil {
-				t.Fatalf("%+v: AppendFrame err %v (cached %q), json.Marshal err %v", body, err, framed.Body, wantErr)
-			}
-			if err != nil && string(frame) != "prefix" {
-				t.Fatalf("%+v: failed AppendFrame left %q", body, frame)
-			}
-			if err == nil {
-				back, err := DecodeFrame(frame[len("prefix")+4:])
-				if err != nil || !bytes.Equal(back.Body, want) {
-					t.Fatalf("%+v: frame carries %q (%v), want %q", body, back.Body, err, want)
+			for _, env := range []Envelope{snap, exch} {
+				if n := env.EncodedBodyLen(); n != len(want) {
+					t.Fatalf("%+v: EncodedBodyLen %d, json.Marshal %d bytes (err %v)", body, n, len(want), wantErr)
 				}
-			}
-			raw, err := env.WireBody()
-			if (err == nil) != (wantErr == nil) || !bytes.Equal(raw, want) {
-				t.Fatalf("%+v: WireBody %q (%v), json.Marshal %q (%v)", body, raw, err, want, wantErr)
+				framed := env // AppendFrame encodes into the frame, WireBody into the envelope
+				frame, err := AppendFrame([]byte("prefix"), &framed)
+				if (err == nil) != (wantErr == nil) || framed.Body != nil {
+					t.Fatalf("%+v: AppendFrame err %v (cached %q), json.Marshal err %v", body, err, framed.Body, wantErr)
+				}
+				if err != nil && string(frame) != "prefix" {
+					t.Fatalf("%+v: failed AppendFrame left %q", body, frame)
+				}
+				if err == nil {
+					back, err := DecodeFrame(frame[len("prefix")+4:])
+					if err != nil || !bytes.Equal(back.Body, want) {
+						t.Fatalf("%+v: frame carries %q (%v), want %q", body, back.Body, err, want)
+					}
+				}
+				raw, err := env.WireBody()
+				if (err == nil) != (wantErr == nil) || !bytes.Equal(raw, want) {
+					t.Fatalf("%+v: WireBody %q (%v), json.Marshal %q (%v)", body, raw, err, want, wantErr)
+				}
 			}
 		}
 	})
@@ -145,6 +156,51 @@ func TestDrawnReplyEncodesSpelled(t *testing.T) {
 		if back, err := wire.DecodeReply(); err != nil || back.Text != text || back.TextDrawn || back.Words() != text {
 			t.Fatalf("framed reply decodes to %+v (%v)", back, err)
 		}
+	}
+}
+
+// TestSpelledReplyAllocBudget: a drawn reply spells its words from its
+// draw's first state with a counter, so the text is the one object, as it
+// is for GenerateText: no Source is made to replay the draws.
+func TestSpelledReplyAllocBudget(t *testing.T) {
+	drawn := InferenceReply{Model: "llama-8b", OutputTokens: 24, TextFrom: 2024, TextDrawn: true}
+	var text string
+	if n := testing.AllocsPerRun(100, func() { text = drawn.Words() }); n != 1 {
+		t.Errorf("Words() of a drawn reply allocates %.1f objects, budget 1", n)
+	}
+	if text == "" {
+		t.Fatal("drawn reply spells no text")
+	}
+}
+
+// TestExchangeAnswer: a request built by NewRequest and its Answer share
+// one exchange under the answer's own header (TestTypedDecode and
+// FuzzBodyEncodeMatchesJSON read both halves down every path). A request
+// that is not an exchange is answered with a snapshot, and Release leaves a
+// snapshot alone.
+func TestExchangeAnswer(t *testing.T) {
+	req := InferenceRequest{RequestUID: "client.0.req.000001", ClientUID: "client.0", Model: "noop", SentAt: t0}
+	rep := InferenceReply{RequestUID: req.RequestUID, ServiceUID: "svc.0", Model: "noop", Text: "ok"}
+	sent := t0.Add(time.Second)
+	xreq := NewRequest(7, "client.0", "svc.0", req)
+	xrep := xreq.Answer("svc.0", sent, &rep)
+	if xreq.Sent != t0 || xrep.Kind != KindReply || xrep.ID != 7 || xrep.From != "svc.0" || xrep.To != "client.0" || xrep.Sent != sent {
+		t.Fatalf("exchange headers: request %+v, answer %+v", xreq, xrep)
+	}
+	if got, err := xreq.DecodeRequest(); err != nil || got != req {
+		t.Errorf("answered request decodes to %+v, %v", got, err)
+	}
+	xreq.Release()
+
+	sreq, _ := NewEnvelope(KindRequest, 7, "client.0", "svc.0", t0, req)
+	answered := sreq.Answer("svc.0", sent, &rep)
+	rep.Text = "changed after the answer"
+	if got, err := answered.DecodeReply(); err != nil || got.Text != "ok" {
+		t.Errorf("answer to a snapshot request decodes to %+v, %v", got, err)
+	}
+	sreq.Release()
+	if got, err := sreq.DecodeRequest(); err != nil || got != req {
+		t.Errorf("released snapshot decodes to %+v, %v", got, err)
 	}
 }
 
@@ -337,10 +393,10 @@ func TestBodyCodecAllocs(t *testing.T) {
 }
 
 // TestTypedDecode runs DecodeRequest and DecodeReply down each of their
-// three paths — the in-process snapshot, a wire body in the hand codec's
-// shape, a body only encoding/json reads — and holds each to Decode's
-// result and to its allocations: none for a snapshot, the strings for a
-// wire body.
+// paths — the in-process snapshot, the half of an exchange, a wire body in
+// the hand codec's shape, a body only encoding/json reads — and holds each
+// to Decode's result and to its allocations: none in process, the strings
+// for a wire body.
 func TestTypedDecode(t *testing.T) {
 	req := InferenceRequest{RequestUID: "client.0.req.000001", ClientUID: "client.0", Model: "noop",
 		Prompt: "hello world", MaxTokens: 8, SentAt: t0}
@@ -365,6 +421,13 @@ func TestTypedDecode(t *testing.T) {
 		}
 		return out
 	}
+	exchange := func(kind Kind, body any) Envelope { // the half of an exchange kind names
+		if kind == KindRequest {
+			return NewRequest(1, "client.0", "svc.0", body.(InferenceRequest))
+		}
+		r := body.(InferenceReply)
+		return NewRequest(1, "client.0", "svc.0", InferenceRequest{}).Answer("svc.0", t0, &r)
+	}
 	spaced := func(kind Kind, body any) Envelope { // whitespace: the hand codec declines
 		raw, err := json.MarshalIndent(body, "", " ")
 		if err != nil {
@@ -376,7 +439,7 @@ func TestTypedDecode(t *testing.T) {
 		name   string
 		build  func(Kind, any) Envelope
 		allocs float64
-	}{{"snapshot", inproc, 0}, {"wire", wire, 4}, {"json", spaced, -1}} {
+	}{{"snapshot", inproc, 0}, {"exchange", exchange, 0}, {"wire", wire, 4}, {"json", spaced, -1}} {
 		renv, penv := path.build(KindRequest, req), path.build(KindReply, rep)
 		var wantReq InferenceRequest
 		var wantRep InferenceReply

@@ -28,17 +28,25 @@ const (
 
 // Envelope is the single message type carried by every channel.
 //
-// Besides the wire form (Body), an envelope built by NewEnvelope retains
-// its payload value in an unexported field. In-process transports hand the
-// envelope to the receiver by value, so Decode can satisfy matching
-// payload types with a struct copy instead of a JSON parse — the dominant
-// per-request CPU and allocation cost on the REQ/REP hot path. For those
-// fast-path payload types Body stays nil until first wire access
-// (WireBody): an envelope that never leaves the address space never pays
-// for an encode either. The snapshot field is invisible to encoding/json:
-// an envelope that crosses a real wire (TCP framing) loses it and Decode
-// reads the JSON body: by hand for a request or reply in the writer's
-// shape (codec.go), with json.Unmarshal for everything else.
+// Besides the wire form (Body), an in-process envelope retains its payload
+// in an unexported field. In-process transports hand the envelope to the
+// receiver by value, so Decode can satisfy matching payload types with a
+// struct copy instead of a JSON parse — the dominant per-request CPU and
+// allocation cost on the REQ/REP hot path. For those fast-path payload
+// types Body stays nil until first wire access (WireBody): an envelope that
+// never leaves the address space never pays for an encode either. The
+// in-process payload is invisible to encoding/json: an envelope that
+// crosses a real wire (TCP framing) loses it and Decode reads the JSON
+// body: by hand for a request or reply in the writer's shape (codec.go),
+// with json.Unmarshal for everything else.
+//
+// The payload is one of two things. NewEnvelope keeps a snapshot: a boxed
+// copy that never changes, so the envelope may be copied, kept and resent
+// at will. NewRequest keeps an exchange instead: one pooled object that
+// holds the request and, once Answer has written it, the reply, so that an
+// in-process round trip boxes neither. An exchange serves exactly one round
+// trip: its request envelope is sent once, answered once, and after
+// Release neither it nor its answer may be read, copied or sent again.
 type Envelope struct {
 	Kind Kind            `json:"kind"`
 	ID   uint64          `json:"id"`           // per-sender sequence number
@@ -47,8 +55,8 @@ type Envelope struct {
 	Sent time.Time       `json:"sent"`         // clock time at send
 	Body json.RawMessage `json:"body,omitempty"`
 
-	// typed is the in-process payload snapshot; nil after wire transport
-	// or for payload types without a fast path.
+	// typed is the in-process payload: a snapshot or an *exchange; nil
+	// after wire transport or for payload types without a fast path.
 	typed any
 }
 
@@ -80,13 +88,62 @@ func NewEnvelope(kind Kind, id uint64, from, to string, sent time.Time, body any
 	return env, nil
 }
 
+// exchange is one in-process REQ/REP round trip: the request a client sent
+// and, once the server has answered, its reply. The request envelope and
+// the reply envelope both point at it, each reading the half its Kind
+// names.
+type exchange struct {
+	req InferenceRequest
+	rep InferenceReply
+}
+
+// exchanges recycles exchanges across round trips (Release).
+var exchanges = sync.Pool{New: func() any { return new(exchange) }}
+
+// NewRequest builds a KindRequest envelope sent at req.SentAt around a
+// pooled exchange holding req: the in-process form of NewEnvelope's request,
+// with nothing boxed. The envelope serves one round trip (see Envelope);
+// its sender releases it once the reply has been read.
+func NewRequest(id uint64, from, to string, req InferenceRequest) Envelope {
+	x := exchanges.Get().(*exchange)
+	x.req = req
+	return Envelope{Kind: KindRequest, ID: id, From: from, To: to, Sent: req.SentAt, typed: x}
+}
+
+// Answer returns the KindReply envelope that answers request e with
+// *reply, from from to e.From, sent at sent. The reply is written into the
+// exchange of a request built by NewRequest, which the answer then shares;
+// any other request is answered with a snapshot, as NewEnvelope builds one.
+func (e Envelope) Answer(from string, sent time.Time, reply *InferenceReply) Envelope {
+	out := Envelope{Kind: KindReply, ID: e.ID, From: from, To: e.From, Sent: sent}
+	if x, ok := e.typed.(*exchange); ok && e.Kind == KindRequest {
+		x.rep = *reply
+		out.typed = x
+	} else {
+		out.typed = *reply
+	}
+	return out
+}
+
+// Release returns the exchange of a request built by NewRequest, or of its
+// answer, to the pool; it does nothing for any other envelope. Only the
+// sender calls it, once, after its round trip has come back: a request
+// abandoned on ctx expiry may still be answered, so its exchange is left to
+// the garbage collector.
+func (e Envelope) Release() {
+	if x, ok := e.typed.(*exchange); ok {
+		*x = exchange{}
+		exchanges.Put(x)
+	}
+}
+
 // WireBody returns the envelope's JSON body, encoding the in-process
-// payload snapshot on first wire access. Transports call it before
-// charging size-dependent link costs; in-process deliveries that decode
-// via the typed snapshot never trigger the encode.
+// payload on first wire access. Transports call it before charging
+// size-dependent link costs; in-process deliveries that decode the typed
+// payload never trigger the encode.
 func (e *Envelope) WireBody() (json.RawMessage, error) {
 	if e.Body == nil && e.typed != nil {
-		raw, err := marshalTyped(nil, e.typed)
+		raw, err := marshalTyped(nil, e)
 		if err != nil {
 			return nil, fmt.Errorf("proto: marshal %s body: %w", e.Kind, err)
 		}
@@ -95,13 +152,17 @@ func (e *Envelope) WireBody() (json.RawMessage, error) {
 	return e.Body, nil
 }
 
-// marshalTyped returns the JSON of payload snapshot v: a request or reply
-// body hand-encoded onto scratch, any other payload (and a body the hand
+// marshalTyped returns the JSON of e's in-process payload: a request or
+// reply hand-encoded onto scratch, any other payload (and a body the hand
 // encoder declines) in json.Marshal's own slice. Both encoders write a
 // drawn reply's text spelled.
-func marshalTyped(scratch []byte, v any) ([]byte, error) {
-	if raw, ok := appendBody(scratch, v); ok {
+func marshalTyped(scratch []byte, e *Envelope) ([]byte, error) {
+	if raw, ok := appendTyped(scratch, e); ok {
 		return raw, nil
+	}
+	v := e.typed
+	if x, ok := v.(*exchange); ok {
+		v = x.half(e.Kind)
 	}
 	if r, ok := v.(InferenceReply); ok && r.TextDrawn {
 		r.Text, r.TextDrawn = r.Words(), false
@@ -110,16 +171,28 @@ func marshalTyped(scratch []byte, v any) ([]byte, error) {
 	return json.Marshal(v)
 }
 
+// half returns the payload of an exchange envelope of kind: the request,
+// the reply, or nil for any other kind.
+func (x *exchange) half(kind Kind) any {
+	switch kind {
+	case KindRequest:
+		return x.req
+	case KindReply:
+		return x.rep
+	}
+	return nil
+}
+
 // Decode unmarshals the envelope body into out, validating the kind first.
-// When the envelope still carries its in-process payload snapshot and out
-// is a pointer to the same payload type, the decode is a plain struct copy.
+// When the envelope still carries its in-process payload and out is a
+// pointer to the same payload type, the decode is a plain struct copy.
 // out escapes into json.Unmarshal; a request or reply decodes without that
 // through DecodeRequest or DecodeReply.
 func (e Envelope) Decode(want Kind, out any) error {
 	if e.Kind != want {
 		return kindError(e.Kind, want)
 	}
-	if e.typed != nil && copySnapshot(out, e.typed) {
+	if e.typed != nil && copyTyped(out, &e) {
 		return nil
 	}
 	raw, err := (&e).WireBody() // lazy body: materialize for the JSON path
@@ -135,8 +208,25 @@ func (e Envelope) Decode(want Kind, out any) error {
 	return nil
 }
 
-// copySnapshot copies snapshot v into *out when out points at v's type.
-func copySnapshot(out, v any) bool {
+// copyTyped copies e's in-process payload into *out when out points at its
+// type: a snapshot's, or the half of an exchange that e.Kind names.
+func copyTyped(out any, e *Envelope) bool {
+	if x, ok := e.typed.(*exchange); ok {
+		switch dst := out.(type) {
+		case *InferenceRequest:
+			if e.Kind == KindRequest {
+				*dst = x.req
+				return true
+			}
+		case *InferenceReply:
+			if e.Kind == KindReply {
+				*dst = x.rep
+				return true
+			}
+		}
+		return false
+	}
+	v := e.typed
 	switch dst := out.(type) {
 	case *InferenceRequest:
 		return assign(dst, v)
@@ -170,7 +260,7 @@ func (e Envelope) DecodeReply() (InferenceReply, error) {
 	return decodeAs[InferenceReply](e, KindReply)
 }
 
-// decodeAs returns e's body as a T. The in-process snapshot is returned as
+// decodeAs returns e's body as a T. The in-process payload is returned as
 // a copy and a body in the hand codec's shape is decoded into a T on the
 // caller's stack; only a body left to json.Unmarshal allocates its target.
 func decodeAs[T any](e Envelope, want Kind) (T, error) {
@@ -178,8 +268,8 @@ func decodeAs[T any](e Envelope, want Kind) (T, error) {
 	if e.Kind != want {
 		return v, kindError(e.Kind, want)
 	}
-	if t, ok := e.typed.(T); ok {
-		return t, nil
+	if e.typed != nil && copyTyped(&v, &e) {
+		return v, nil
 	}
 	raw, err := e.WireBody()
 	if err != nil {
@@ -210,7 +300,7 @@ func kindError(got, want Kind) error {
 var lenScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // EncodedBodyLen returns the length of the envelope's JSON body, encoding
-// a lazily-held payload snapshot into pooled scratch just to measure it
+// a lazily-held in-process payload into pooled scratch just to measure it
 // (the encode result is not cached — the receiver is a value so hot-path
 // callers' envelopes do not escape to the heap). Transports that charge
 // for bandwidth use it; latency-only links never need a size.
@@ -220,7 +310,7 @@ func (e Envelope) EncodedBodyLen() int {
 	}
 	buf := lenScratch.Get().(*[]byte)
 	defer lenScratch.Put(buf)
-	raw, err := marshalTyped((*buf)[:0], e.typed)
+	raw, err := marshalTyped((*buf)[:0], &e)
 	if err != nil {
 		return 0
 	}

@@ -22,33 +22,25 @@ var longestWord = func() int {
 	return n
 }()
 
-// Spell returns model's pseudo-text of n words drawn from src: "[model]"
-// and then, for each of n Intn draws, that word of vocabulary. A model
-// draws its reply's words (rng.Source.Skip) and leaves the spelling to
-// whoever reads the text, who replays the draws from rng.New of the
-// skipped run's first state. The builder is sized once for n of the
-// longest word, so the text is the one allocation.
-func Spell(model string, src *rng.Source, n int) string {
-	if n <= 0 {
-		return ""
+// Words returns the reply's text: Text, or for a drawn reply the words its
+// draw spells: "[model]" and then, for the i-th of OutputTokens draws of
+// the stream at TextFrom (rng.Draw), the word of vocabulary it picks as
+// Intn would. A model draws its reply's words (rng.Source.Skip) and leaves
+// the spelling to whoever reads the text, who replays the draws from the
+// skipped run's first state with a counter. The builder is sized once for
+// OutputTokens of the longest word, so the text is the one allocation.
+func (r InferenceReply) Words() string {
+	if !r.TextDrawn || r.OutputTokens <= 0 {
+		return r.Text
 	}
 	var sb strings.Builder
-	sb.Grow(len(model) + 2 + n*(1+longestWord))
+	sb.Grow(len(r.Model) + 2 + r.OutputTokens*(1+longestWord))
 	sb.WriteByte('[')
-	sb.WriteString(model)
+	sb.WriteString(r.Model)
 	sb.WriteByte(']')
-	for i := 0; i < n; i++ {
+	for i := 0; i < r.OutputTokens; i++ {
 		sb.WriteByte(' ')
-		sb.WriteString(vocabulary[src.Intn(len(vocabulary))])
+		sb.WriteString(vocabulary[rng.Draw(r.TextFrom, i)%uint64(len(vocabulary))])
 	}
 	return sb.String()
-}
-
-// Words returns the reply's text: Text, or for a drawn reply the words its
-// draw spells.
-func (r InferenceReply) Words() string {
-	if r.TextDrawn && r.OutputTokens > 0 {
-		return Spell(r.Model, rng.New(r.TextFrom), r.OutputTokens)
-	}
-	return r.Text
 }

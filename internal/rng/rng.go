@@ -65,7 +65,7 @@ func (s *Source) Uint64() uint64 {
 // Skip advances the stream past n draws under one hold of the lock, leaving
 // it exactly where n calls of Uint64, Float64 or Intn would (splitmix64's
 // state is a counter), and returns the state the first skipped draw would
-// have read: New of it replays the skipped draws. Normal's cached spare is
+// have read: New or Draw of it replays the skipped draws. Normal's cached spare is
 // untouched. n <= 0 skips nothing.
 func (s *Source) Skip(n int) uint64 {
 	s.mu.Lock()
@@ -75,6 +75,14 @@ func (s *Source) Skip(n int) uint64 {
 	}
 	s.mu.Unlock()
 	return from
+}
+
+// Draw returns the i-th draw (from 0) of the stream whose state is from:
+// what the (i+1)-th Uint64 of New(from) returns, because splitmix64's state
+// is a counter. A reader replays draws skipped with Skip with it, without a
+// Source.
+func Draw(from uint64, i int) uint64 {
+	return mix(from + uint64(i)*gamma)
 }
 
 // Float64 returns a uniform float in [0, 1).

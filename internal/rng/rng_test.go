@@ -46,8 +46,8 @@ func TestDeriveIsDeterministicAndKeyed(t *testing.T) {
 }
 
 // TestSkipMatchesDraws: Skip(n) leaves a stream where n Intn(20) calls
-// leave its twin, with a pending Normal spare kept, and New of what it
-// returns replays the skipped draws; n <= 0 skips nothing.
+// leave its twin, with a pending Normal spare kept, and New or Draw of what
+// it returns replays the skipped draws; n <= 0 skips nothing.
 func TestSkipMatchesDraws(t *testing.T) {
 	for _, n := range []int{-1, 0, 1, 8, 128} {
 		for _, spare := range []bool{false, true} {
@@ -56,10 +56,15 @@ func TestSkipMatchesDraws(t *testing.T) {
 				a.Normal(0, 1)
 				b.Normal(0, 1)
 			}
-			replay := New(a.Skip(n))
+			from := a.Skip(n)
+			replay := New(from)
 			for i := 0; i < n; i++ {
-				if got, want := replay.Intn(20), b.Intn(20); got != want {
+				want := b.Intn(20)
+				if got := replay.Intn(20); got != want {
 					t.Fatalf("n=%d spare=%v: replayed draw %d is %d, the twin's %d", n, spare, i, got, want)
+				}
+				if got := int(Draw(from, i) % 20); got != want {
+					t.Fatalf("n=%d spare=%v: Draw %d picks %d, the twin's draw %d", n, spare, i, got, want)
 				}
 			}
 			if x, y := a.Normal(0, 1), b.Normal(0, 1); x != y {

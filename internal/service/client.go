@@ -64,32 +64,33 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
 	id := c.seq.Add(1)
 
-	req := proto.InferenceRequest{
+	env := proto.NewRequest(id, c.uid, c.ep.ServiceUID, proto.InferenceRequest{
 		RequestUID: c.requestUID(id),
 		ClientUID:  c.uid,
 		Model:      c.ep.Model,
 		Prompt:     prompt,
 		MaxTokens:  maxTokens,
 		SentAt:     c.clock.Now(),
-	}
-	env, err := proto.NewEnvelope(proto.KindRequest, id, c.uid, c.ep.ServiceUID, req.SentAt, req)
-	if err != nil {
-		return proto.InferenceReply{}, metrics.Breakdown{}, err
-	}
+	})
 	start := c.clock.Now()
 	out, err := c.conn.Request(ctx, env)
 	total := c.clock.Now().Sub(start)
 	if err != nil {
+		// env's exchange is left to the garbage collector: a request
+		// abandoned on ctx expiry may still be answered into it.
 		return proto.InferenceReply{}, metrics.Breakdown{}, err
 	}
+	var reply proto.InferenceReply
 	if out.Kind == proto.KindError {
 		var eb proto.ErrorBody
-		if err := out.Decode(proto.KindError, &eb); err != nil {
-			return proto.InferenceReply{}, metrics.Breakdown{}, fmt.Errorf("service %s: %w", c.ep.ServiceUID, err)
+		if err = out.Decode(proto.KindError, &eb); err == nil {
+			err = errors.New(eb.Msg)
 		}
-		return proto.InferenceReply{}, metrics.Breakdown{}, fmt.Errorf("service %s: %s", c.ep.ServiceUID, eb.Msg)
+		err = fmt.Errorf("service %s: %w", c.ep.ServiceUID, err)
+	} else {
+		reply, err = out.DecodeReply()
 	}
-	reply, err := out.DecodeReply()
+	env.Release() // the round trip is over and its reply read
 	if err != nil {
 		return proto.InferenceReply{}, metrics.Breakdown{}, err
 	}

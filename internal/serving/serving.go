@@ -226,12 +226,19 @@ func (s *Server) Start() (time.Duration, error) {
 	s.live = s.cfg.Concurrency
 	run := simtime.RunnersOf(s.cfg.Clock)
 	for i := 0; i < s.cfg.Concurrency; i++ {
+		// List the worker as parked before it runs: a request that arrives
+		// as Start returns finds every worker's hand-off, in whatever order
+		// the Go scheduler then runs them, so admission does not depend on
+		// it.
+		park := new(simtime.Handoff[*job])
+		park.Arm(s.cfg.Clock)
+		s.waiters.push(park)
 		// Register before spawn (the clock.Go rule): the runner token must
 		// exist before Start returns, or the auto-advancing clock could move
 		// time past workers the Go scheduler has not run yet — queued jobs
 		// would then stall for a scheduler-dependent span of virtual time,
 		// destroying both latency and determinism.
-		run.Go(s.worker)
+		run.Go(func() { s.worker(park) })
 	}
 	s.mu.Unlock()
 	return load, nil
@@ -268,13 +275,13 @@ func (s *Server) Deduped() int64 { return 0 }
 // worker is one dispatcher loop: each time it frees up it takes whatever
 // compatible requests are queued (up to MaxBatch) and serves them as one
 // backend invocation — continuous batching, no forming windows and no
-// added idle latency.
-func (s *Server) worker() {
+// added idle latency. park is its hand-off, armed and listed in waiters by
+// Start.
+func (s *Server) worker(park *simtime.Handoff[*job]) {
 	buf := make([]*job, 0, s.cfg.MaxBatch)
 	items := make([]llm.BatchItem, 0, s.cfg.MaxBatch)
-	var park simtime.Handoff[*job]
-	for {
-		batch, ok := s.dequeue(buf[:0], &park)
+	for listed := true; ; listed = false {
+		batch, ok := s.dequeue(buf[:0], park, listed)
 		if !ok {
 			return
 		}
@@ -325,9 +332,19 @@ func (s *Server) flushStopped(j *job) {
 // means the worker should exit. A parked worker is handed its job (or a
 // nil close wakeup) directly by the waker under s.mu — see the Server doc
 // comment. park is the worker's own hand-off: it is in s.waiters only while
-// the worker is parked, and it carries exactly one value per park.
-func (s *Server) dequeue(buf []*job, park *simtime.Handoff[*job]) ([]*job, bool) {
-	for {
+// the worker is parked, and it carries exactly one value per park. listed
+// says it is there already, armed (the worker's first dequeue): the worker
+// then waits on it before it looks at the queue.
+func (s *Server) dequeue(buf []*job, park *simtime.Handoff[*job], listed bool) ([]*job, bool) {
+	for ; ; listed = true {
+		if listed {
+			if j, _ := park.Recv(context.Background()); j != nil {
+				return append(buf, j), true
+			}
+			// nil wakeup: the queue closed while we were parked, or a
+			// caller that served in our place left jobs queued; look again
+			// under the lock.
+		}
 		s.mu.Lock()
 		if s.jobs.len() > 0 {
 			head := s.jobs.pop()
@@ -348,12 +365,6 @@ func (s *Server) dequeue(buf []*job, park *simtime.Handoff[*job]) ([]*job, bool)
 		park.Arm(s.cfg.Clock)
 		s.waiters.push(park)
 		s.mu.Unlock()
-		if j, _ := park.Recv(context.Background()); j != nil {
-			return append(buf, j), true
-		}
-		// nil wakeup: the queue closed while we were parked, or a caller
-		// that served in our place left jobs queued; loop to look again
-		// under the lock.
 	}
 }
 
@@ -474,6 +485,14 @@ func (s *Server) serve(batch []*job, items []llm.BatchItem) {
 // s.mu. On a virtual clock the caller must be registered, as it must to
 // wait.
 func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.InferenceReply, error) {
+	var reply proto.InferenceReply
+	err := s.submit(ctx, req, &reply)
+	return reply, err
+}
+
+// submit is Submit writing the reply into *out, which it leaves untouched
+// on an error.
+func (s *Server) submit(ctx context.Context, req proto.InferenceRequest, out *proto.InferenceReply) error {
 	j := jobPool.Get().(*job)
 	j.req = req
 	j.received = s.cfg.Clock.Now()
@@ -502,37 +521,35 @@ func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.
 	if rejection != nil {
 		s.rejected.Add(1)
 		j.recycle()
-		return proto.InferenceReply{}, rejection
+		return rejection
 	}
 	if idle != nil {
 		s.serve([]*job{j}, nil)
 		s.giveBack(idle)
 	} else if _, err := j.done.Recv(ctx); err != nil {
-		return proto.InferenceReply{}, err
+		return err
 	}
-	reply := j.reply
+	*out = j.reply
 	j.recycle()
-	return reply, nil
+	return nil
 }
 
-// Handler returns the msgq request handler exposing the server: it decodes
-// KindRequest envelopes, submits them, and encodes replies. Malformed
-// requests and server-side rejections come back as KindError envelopes.
+// Handler returns the msgq request handler exposing the server: it reads
+// KindRequest envelopes, submits them, and answers each
+// (proto.Envelope.Answer): into the request's exchange when it has one, so
+// an in-process round trip boxes no reply. Malformed requests and
+// server-side rejections come back as KindError envelopes.
 func (s *Server) Handler() func(proto.Envelope) proto.Envelope {
 	return func(env proto.Envelope) proto.Envelope {
 		req, err := env.DecodeRequest()
 		if err != nil {
 			return s.errEnvelope(env, fmt.Sprintf("%v: %v", ErrBadRequest, err))
 		}
-		reply, err := s.Submit(context.Background(), req)
-		if err != nil {
+		var reply proto.InferenceReply
+		if err := s.submit(context.Background(), req, &reply); err != nil {
 			return s.errEnvelope(env, err.Error())
 		}
-		out, err := proto.NewEnvelope(proto.KindReply, env.ID, s.cfg.UID, env.From, s.cfg.Clock.Now(), reply)
-		if err != nil {
-			return s.errEnvelope(env, err.Error())
-		}
-		return out
+		return env.Answer(s.cfg.UID, s.cfg.Clock.Now(), &reply)
 	}
 }
 

@@ -257,7 +257,6 @@ func TestQueueFull(t *testing.T) {
 	errs := make(chan error, 8)
 	wg.Add(8)
 	clock.AddRunner() // the spawner holds the clock until every request is out
-	clock.Settle()    // the worker is parked
 	for i := 0; i < 8; i++ {
 		clock.Go(func() {
 			defer wg.Done()
