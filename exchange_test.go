@@ -41,12 +41,11 @@ func (b *gateBackend) Infer(prompt string, maxTokens int) llm.Result {
 	return llm.Result{TextFrom: b.src.Skip(maxTokens), PromptTokens: len(prompt), OutputTokens: maxTokens}
 }
 
-func (b *gateBackend) InferBatch(items []llm.BatchItem) []llm.Result {
-	out := make([]llm.Result, len(items))
-	for i, it := range items {
-		out[i] = b.Infer(it.Prompt, it.MaxTokens)
+func (b *gateBackend) InferBatch(items []llm.BatchItem) time.Duration {
+	for i := range items {
+		items[i].Result = b.Infer(items[i].Prompt, items[i].MaxTokens)
 	}
-	return out
+	return 0
 }
 
 // gateServer starts a two-worker server of a gateBackend on the real clock

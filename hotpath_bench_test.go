@@ -69,13 +69,14 @@ func inprocRoundTripAllocs(t *testing.T, svc spec.ServiceDescription) float64 {
 // with no map in the RT split, no escaping decode target and no
 // reallocating serving queue to 3: the two payload snapshots and the
 // request UID. One pooled exchange holding both request and reply left 1,
-// the request UID. The budget is the current cost.
+// the request UID, and spelling request UIDs a block of 100 at a time left
+// 0. The budget is the current cost.
 func TestInferenceRoundTripAllocBudget(t *testing.T) {
 	allocs := inprocRoundTripAllocs(t, spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1},
 		Model:           "noop",
 	})
-	const budget = 1
+	const budget = 0
 	if allocs > budget {
 		t.Fatalf("round trip allocates %.1f objects/op, budget %d (seed: 41)", allocs, budget)
 	}
@@ -86,8 +87,8 @@ func TestInferenceRoundTripAllocBudget(t *testing.T) {
 // continuous-batching dispatcher (Concurrency 2, MaxBatch 8): serial
 // submits exercise the batch-of-one handoff, which must price like the
 // single-request path — forming a batch may not add per-request garbage.
-// It was 13 allocs, then 9, then the single path's 3, and is now its 1:
-// the batch buffers are the worker's own.
+// It was 13 allocs, then 9, then the single path's 3, then its 1 once the
+// batch buffers were the worker's own, and is now its 0.
 func TestBatchedRoundTripAllocBudget(t *testing.T) {
 	allocs := inprocRoundTripAllocs(t, spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1},
@@ -95,7 +96,7 @@ func TestBatchedRoundTripAllocBudget(t *testing.T) {
 		Concurrency:     2,
 		MaxBatch:        8,
 	})
-	const budget = 1
+	const budget = 0
 	if allocs > budget {
 		t.Fatalf("batched round trip allocates %.1f objects/op, budget %d", allocs, budget)
 	}
@@ -103,8 +104,8 @@ func TestBatchedRoundTripAllocBudget(t *testing.T) {
 }
 
 // TestModelRoundTripAllocBudget pins the same round trip to a vit-base
-// service, whose replies carry text: it prices like the noop path's 1,
-// because a reply carries the draw of its words and nothing on an
+// service, whose replies carry text: it prices like the noop path (1, now
+// 0), because a reply carries the draw of its words and nothing on an
 // in-process round trip spells them. Spelling the text where the model
 // drew it made it 4 when the noop path was 3.
 func TestModelRoundTripAllocBudget(t *testing.T) {
@@ -112,7 +113,7 @@ func TestModelRoundTripAllocBudget(t *testing.T) {
 		TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1, GPUs: 1},
 		Model:           "vit-base",
 	})
-	const budget = 1
+	const budget = 0
 	if allocs > budget {
 		t.Fatalf("vit-base round trip allocates %.1f objects/op, budget %d", allocs, budget)
 	}
@@ -129,10 +130,13 @@ func TestModelRoundTripAllocBudget(t *testing.T) {
 // 10.3, a request path that allocates only what it returns (the two
 // payload snapshots, the request UID and the prompt) to 4.3, and one pooled
 // exchange in place of the two snapshots to 2.33: the request UID and the
-// prompt. campaign_batched (vit-base behind a p2c balancer, MaxBatch 8) adds
-// the batch's results: 13.85 before that, 5.85 after, 4.7 once replies
-// carried the draw of their text instead of the text and the workers owned
-// their batch items, and 2.6–2.7 with the exchange.
+// prompt. Request UIDs spelled a block of 100 at a time and one prompt per
+// campaign left 0.35, the campaign's set-up and a UID block per 100
+// requests of a client. campaign_batched (vit-base behind a p2c balancer,
+// MaxBatch 8) adds the batch's results: 13.85 before that, 5.85 after, 4.7
+// once replies carried the draw of their text instead of the text and the
+// workers owned their batch items, 2.6–2.7 with the exchange, and 0.57 with
+// the UID blocks, the one prompt and results written into the batch items.
 func TestCampaignAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is lossy under the race detector")
@@ -145,12 +149,12 @@ func TestCampaignAllocBudget(t *testing.T) {
 		{loadgen.Scenario{
 			Name: "campaign_steady", Kind: loadgen.KindSteady, Requests: requests, Rate: 2000,
 			Services: 4, Concurrency: 1, Seed: 7, TaskEvery: 1000, KeepSamples: true,
-		}, 2.5},
+		}, 0.5},
 		{loadgen.Scenario{
 			Name: "campaign_batched", Kind: loadgen.KindHotspot, HotspotWeight: 0.8, Balance: "p2c",
 			Requests: requests, Rate: 8000, Services: 4, Model: "vit-base",
 			Concurrency: 2, MaxBatch: 8, MaxTokens: 8, QueueCap: 200000, Seed: 7, KeepSamples: true,
-		}, 3},
+		}, 0.75},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -267,6 +271,9 @@ func tcpInferClient(tb testing.TB) *service.Client {
 // and at 8 KiB. Decoding both bodies onto the stack, a map-free RT split
 // and a request UID built in one allocation left 13, and a request held in
 // a pooled exchange instead of a snapshot 12 (13 under the race detector).
+// Request UIDs spelled a block at a time and a reply answered into a pooled
+// exchange that the TCP server releases once the frame is written left 10
+// (11 under the race detector).
 func TestTCPInferAllocBudget(t *testing.T) {
 	cl := tcpInferClient(t)
 	ctx := context.Background()
@@ -277,8 +284,11 @@ func TestTCPInferAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		const budget = 13
-		if allocs > budget {
+		budget := 11
+		if raceEnabled {
+			budget++ // sync.Pool drops a fraction of what it is given
+		}
+		if allocs > float64(budget) {
 			t.Errorf("%d B remote Infer allocates %.1f objects/op, budget %d", size, allocs, budget)
 		}
 		t.Logf("%d B: %.1f objects/op", size, allocs)

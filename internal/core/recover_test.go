@@ -20,21 +20,34 @@ import (
 )
 
 // newJournaledSession builds a fast journaled session for recovery tests
-// and returns it with its journal path. No Cleanup: the tests themselves
-// decide whether the session dies by Abandon or Close.
+// on the auto-advancing virtual clock and returns it with its journal path.
+// The test goroutine is registered with the clock until its cleanup, which
+// runs after the test's deferred calls: it waits through the clock
+// (WaitReady, Wait, WaitTasks) and wraps any other wait in offClock. A
+// recovered session adopts a surviving pilot's clock, this one. No Cleanup
+// for the session: the tests themselves decide whether it dies by Abandon
+// or Close.
 func newJournaledSession(t *testing.T, seed uint64) (*Session, string) {
 	t.Helper()
+	clock := simtime.NewVirtualAuto(DefaultOrigin)
+	clock.AddRunner()
+	t.Cleanup(clock.DoneRunner)
 	jp := filepath.Join(t.TempDir(), "session.wal")
-	s, err := NewSession(SessionConfig{
-		Seed:        seed,
-		Clock:       simtime.NewScaled(100000, DefaultOrigin),
-		FastBoot:    true,
-		JournalPath: jp,
-	})
+	s, err := NewSession(SessionConfig{Seed: seed, Clock: clock, FastBoot: true, JournalPath: jp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s, jp
+}
+
+// offClock runs wait, a wait on something other than the clock of a
+// newJournaledSession, with the test goroutine's token given back, so that
+// time runs on meanwhile.
+func offClock(s *Session, wait func()) {
+	v := simtime.RunnersOf(s.Clock())
+	v.DoneRunner()
+	wait()
+	v.AddRunner()
 }
 
 // submitAttachedPilot launches a half-platform delta pilot (so two fit)
@@ -289,7 +302,7 @@ func TestRecoverSettlesPinnedWorkOnDeadPilot(t *testing.T) {
 	if !ok {
 		t.Fatal("pinned task not recovered")
 	}
-	<-rt.Done()
+	offClock(s2, func() { <-rt.Done() })
 	if !errors.Is(rt.Err(), pilot.ErrPilotStopped) {
 		t.Fatalf("pinned task err = %v, want ErrPilotStopped", rt.Err())
 	}
@@ -456,9 +469,10 @@ func TestRecoverTornCrashTwice(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	simtime.RunnersOf(s.Clock()).Settle() // whatever is due now has run
 	select {
 	case <-crashed:
-	case <-time.After(30 * time.Second):
+	default:
 		t.Fatal("torn crash never fired")
 	}
 

@@ -136,7 +136,7 @@ func TestTaskSettleHookSeesDoneRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	offClock(s, func() { <-started })
 	pt := pilotTask(tasks[0])
 	fired := 0
 	pt.OnDone(func() {
@@ -291,9 +291,11 @@ func TestRecoverSettlesReattachedThroughHook(t *testing.T) {
 			if _, err := s.TaskManager().Submit(ctx, gatedDescs(n, started, release)...); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < n; i++ {
-				<-started
-			}
+			offClock(s, func() {
+				for i := 0; i < n; i++ {
+					<-started
+				}
+			})
 			s.Abandon()
 			if late {
 				close(release)
@@ -436,25 +438,34 @@ func TestPublishFansOutToJournalAndUpdates(t *testing.T) {
 	if err := s.TaskManager().Wait(ctx, tasks...); err != nil {
 		t.Fatal(err)
 	}
+	// The updates reach the subscriber through msgq's delivery worker, which
+	// waits on the clock's timers unregistered: read them with the clock let go.
+	var ups []proto.StateUpdate
+	offClock(s, func() {
+		for deadline := time.After(5 * time.Second); len(ups) == 0 || ups[len(ups)-1].State != string(states.TaskDone); {
+			select {
+			case env := <-sub.C:
+				var up proto.StateUpdate
+				if err := env.Decode(proto.KindStateUpdate, &up); err != nil {
+					t.Error(err)
+					return
+				}
+				ups = append(ups, up)
+			case <-deadline:
+				return
+			}
+		}
+	})
 	var got []states.State
 	var last time.Time
-	for deadline := time.After(5 * time.Second); len(got) == 0 || got[len(got)-1] != states.TaskDone; {
-		select {
-		case env := <-sub.C:
-			var up proto.StateUpdate
-			if err := env.Decode(proto.KindStateUpdate, &up); err != nil {
-				t.Fatal(err)
-			}
-			if up.EntityUID != tasks[0].UID() || up.Entity != "task" {
-				t.Fatalf("update for %s %s, want only task %s", up.Entity, up.EntityUID, tasks[0].UID())
-			}
-			if up.At.Before(last) {
-				t.Fatalf("%s stamped %v, before the previous update's %v", up.State, up.At, last)
-			}
-			got, last = append(got, states.State(up.State)), up.At
-		case <-deadline:
-			t.Fatalf("updates %v: never observed DONE", got)
+	for _, up := range ups {
+		if up.EntityUID != tasks[0].UID() || up.Entity != "task" {
+			t.Fatalf("update for %s %s, want only task %s", up.Entity, up.EntityUID, tasks[0].UID())
 		}
+		if up.At.Before(last) {
+			t.Fatalf("%s stamped %v, before the previous update's %v", up.State, up.At, last)
+		}
+		got, last = append(got, states.State(up.State)), up.At
 	}
 	want := []states.State{states.TaskTmgrScheduling, states.TaskStagingInput, states.TaskScheduling,
 		states.TaskExecuting, states.TaskStagingOutput, states.TaskDone}

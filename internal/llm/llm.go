@@ -210,13 +210,16 @@ func (m *Instance) planOne(prompt string, maxTokens int) (ptok, otok int, d time
 	return ptok, otok, d
 }
 
-// BatchItem is one request in a batched inference call.
+// BatchItem is one request in a batched inference call, and the place
+// InferBatch writes its outcome.
 type BatchItem struct {
 	Prompt    string
-	MaxTokens int // <= 0 uses the spec default
+	MaxTokens int    // <= 0 uses the spec default
+	Result    Result // written by InferBatch
 }
 
-// InferBatch serves several requests as one batched model invocation.
+// InferBatch serves several requests as one batched model invocation,
+// writing each item's Result in place and returning the batch's duration.
 // Each request draws the same per-request randomness as Infer would
 // (output length, throughput jitter, pseudo-text), then the batch blocks
 // once for the amortized duration of the Spec.BatchSpill cost model:
@@ -228,18 +231,21 @@ type BatchItem struct {
 // Infer (the sleep consumes no randomness, so drawing text before the
 // collective sleep preserves the draw order), making batching safe to
 // enable without perturbing unbatched workloads.
-func (m *Instance) InferBatch(items []BatchItem) []Result {
-	out := make([]Result, len(items))
+func (m *Instance) InferBatch(items []BatchItem) time.Duration {
 	if m.spec.Noop {
-		return out
+		for i := range items {
+			items[i].Result = Result{}
+		}
+		return 0
 	}
 	if !m.loaded {
 		panic(fmt.Sprintf("llm: InferBatch on unloaded model %s", m.spec.Name))
 	}
 	var sum, longest time.Duration
-	for i, it := range items {
+	for i := range items {
+		it := &items[i]
 		ptok, otok, d := m.planOne(it.Prompt, it.MaxTokens)
-		out[i] = Result{
+		it.Result = Result{
 			TextFrom:     m.src.Skip(otok),
 			PromptTokens: ptok,
 			OutputTokens: otok,
@@ -253,10 +259,10 @@ func (m *Instance) InferBatch(items []BatchItem) []Result {
 	if d > 0 {
 		m.clock.Sleep(d)
 	}
-	for i := range out {
-		out[i].Duration = d
+	for i := range items {
+		items[i].Result.Duration = d
 	}
-	return out
+	return d
 }
 
 // outputLength draws the reply length: around 3/4 of the budget with

@@ -342,9 +342,10 @@ func TestInferBatchOfOneByteIdentical(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		prompt := fmt.Sprintf("sample-%d", i)
 		ra := a.Infer(prompt, 16)
-		rb := b.InferBatch([]BatchItem{{Prompt: prompt, MaxTokens: 16}})[0]
-		if ra != rb {
-			t.Fatalf("round %d: Infer=%+v InferBatch=%+v", i, ra, rb)
+		items := []BatchItem{{Prompt: prompt, MaxTokens: 16}}
+		d := b.InferBatch(items)
+		if rb := items[0].Result; ra != rb || d != ra.Duration {
+			t.Fatalf("round %d: Infer=%+v InferBatch=%+v in %v", i, ra, rb, d)
 		}
 	}
 }
@@ -371,7 +372,7 @@ func TestInferBatchAmortizesSleep(t *testing.T) {
 		items[i] = BatchItem{Prompt: fmt.Sprintf("item-%d", i), MaxTokens: 16}
 	}
 	t0 := batchClock.Now()
-	got := m.InferBatch(items)
+	d := m.InferBatch(items)
 	elapsed := batchClock.Now().Sub(t0)
 
 	var sum, longest time.Duration
@@ -381,17 +382,18 @@ func TestInferBatchAmortizesSleep(t *testing.T) {
 		if want.Duration > longest {
 			longest = want.Duration
 		}
-		if words(spec.Name, got[i]) != words(spec.Name, want) || got[i].PromptTokens != want.PromptTokens ||
-			got[i].OutputTokens != want.OutputTokens {
-			t.Fatalf("item %d: batch=%+v single=%+v", i, got[i], want)
+		got := it.Result
+		if words(spec.Name, got) != words(spec.Name, want) || got.PromptTokens != want.PromptTokens ||
+			got.OutputTokens != want.OutputTokens {
+			t.Fatalf("item %d: batch=%+v single=%+v", i, got, want)
 		}
 	}
 	wantD := longest + time.Duration(float64(sum-longest)*spec.BatchSpill)
-	if elapsed != wantD {
-		t.Fatalf("batch slept %v, want %v (max %v, sum %v)", elapsed, wantD, longest, sum)
+	if elapsed != wantD || d != wantD {
+		t.Fatalf("batch slept %v and returned %v, want %v (max %v, sum %v)", elapsed, d, wantD, longest, sum)
 	}
-	for i, r := range got {
-		if r.Duration != wantD {
+	for i, it := range items {
+		if r := it.Result; r.Duration != wantD {
 			t.Fatalf("item %d duration %v, want collective %v", i, r.Duration, wantD)
 		}
 	}
@@ -401,19 +403,20 @@ func TestInferBatchAmortizesSleep(t *testing.T) {
 }
 
 // TestNoopInferBatchInstant: the noop backend's batches are free and
-// empty, one result per item.
+// empty: every item's result is written zero, a stale one included.
 func TestNoopInferBatchInstant(t *testing.T) {
 	spec, err := Lookup("noop")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := NewInstance(spec, scaled(), rng.New(1))
-	res := m.InferBatch(make([]BatchItem, 3))
-	if len(res) != 3 {
-		t.Fatalf("len = %d", len(res))
+	items := make([]BatchItem, 3)
+	items[1].Result = Result{PromptTokens: 1, OutputTokens: 2, Duration: time.Second}
+	if d := m.InferBatch(items); d != 0 {
+		t.Fatalf("noop batch took %v", d)
 	}
-	for i, r := range res {
-		if r != (Result{}) {
+	for i, it := range items {
+		if r := it.Result; r != (Result{}) {
 			t.Fatalf("item %d = %+v, want zero", i, r)
 		}
 	}

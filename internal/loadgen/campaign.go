@@ -3,7 +3,6 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -348,12 +347,12 @@ func (c *campaign) lead(ctx context.Context, i int) {
 		gap, ok := c.arr.Next()
 		if !ok {
 			c.end()
-			c.request(i, svc)
+			c.request(svc)
 			return
 		}
 		next := c.clock.Now().Add(gap)
 		f, ticket := c.setFollower(ctx, i+1, gap)
-		c.request(i, svc)
+		c.request(svc)
 		if !f.alarm.Cancel(ticket) {
 			return // f leads from i+1
 		}
@@ -444,12 +443,17 @@ func (c *campaign) pickTarget(i int) int {
 	return i % n
 }
 
+// campaignPrompt is the prompt of every campaign request. Its bytes reach
+// only a model's token count, which reads one word (2 tokens) as it would
+// for any per-request "req-%07d"; no campaign link charges bandwidth.
+const campaignPrompt = "req-0000000"
+
 // request issues one inference on a registered goroutine with a
 // non-cancellable context (the inline msgq path keeps every modelled hop
 // on this accounted goroutine) and records the outcome.
-func (c *campaign) request(idx, svc int) {
+func (c *campaign) request(svc int) {
 	start := c.clock.Now()
-	_, _, err := c.resolvers[svc].Infer(c.bg, requestPrompt(idx), c.sc.MaxTokens)
+	_, _, err := c.resolvers[svc].Infer(c.bg, campaignPrompt, c.sc.MaxTokens)
 	end := c.clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -466,14 +470,6 @@ func (c *campaign) request(idx, svc int) {
 	if end.After(c.maxDone) {
 		c.maxDone = end
 	}
-}
-
-// requestPrompt returns fmt.Sprintf("req-%07d", idx) for idx >= 0, without
-// fmt: the prompt's bytes feed the token counts of non-noop models.
-func requestPrompt(idx int) string {
-	var buf [20]byte
-	digits := strconv.AppendInt(buf[:0], int64(idx), 10)
-	return "req-" + "0000000"[:max(7-len(digits), 0)] + string(digits)
 }
 
 // submitTask pushes one no-op compute task through the TaskManager seam.

@@ -243,15 +243,18 @@ func (c *tcpConn) worker() {
 }
 
 // serve runs the handler and writes the reply, then recycles the request
-// buffer. The buffer is recycled only after the reply write: the handler
-// or the reply envelope may alias the request Body (echo handlers), and
-// the ownership contract extends exactly until the reply frame is encoded.
+// buffer and the reply's exchange (an answer written into one, see
+// proto.Envelope.Answer). The buffer is recycled only after the reply
+// write: the handler or the reply envelope may alias the request Body
+// (echo handlers), and the ownership contract extends exactly until the
+// reply frame is encoded.
 func (c *tcpConn) serve(env proto.Envelope, buf *[]byte) {
 	reply := c.srv.handler(env)
 	reply.ID = env.ID // replies are matched by request ID
 	if err := c.writeFrame(&reply); err != nil {
 		c.srv.dropped.Add(1)
 	}
+	reply.Release()
 	putBuf(buf)
 }
 

@@ -176,8 +176,9 @@ func TestSpelledReplyAllocBudget(t *testing.T) {
 // TestExchangeAnswer: a request built by NewRequest and its Answer share
 // one exchange under the answer's own header (TestTypedDecode and
 // FuzzBodyEncodeMatchesJSON read both halves down every path). A request
-// that is not an exchange is answered with a snapshot, and Release leaves a
-// snapshot alone.
+// that is not an exchange, a snapshot or one decoded from a frame, is
+// answered into an exchange of its own that holds a copy of the reply and
+// encodes the frame a snapshot reply does; Release leaves a snapshot alone.
 func TestExchangeAnswer(t *testing.T) {
 	req := InferenceRequest{RequestUID: "client.0.req.000001", ClientUID: "client.0", Model: "noop", SentAt: t0}
 	rep := InferenceReply{RequestUID: req.RequestUID, ServiceUID: "svc.0", Model: "noop", Text: "ok"}
@@ -202,6 +203,23 @@ func TestExchangeAnswer(t *testing.T) {
 	if got, err := sreq.DecodeRequest(); err != nil || got != req {
 		t.Errorf("released snapshot decodes to %+v, %v", got, err)
 	}
+
+	frame, err := AppendFrame(nil, &sreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wreq, err := DecodeFrame(frame[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrep := wreq.Answer("svc.0", sent, &rep)
+	snap, _ := NewEnvelope(KindReply, 7, "svc.0", "client.0", sent, rep)
+	got, err := AppendFrame(nil, &wrep)
+	want, _ := AppendFrame(nil, &snap)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Errorf("answer to a frame-decoded request encodes %q, %v; the snapshot reply %q", got, err, want)
+	}
+	wrep.Release()
 }
 
 // writerShapeBodies are bodies as the encoder writes them, optional fields

@@ -113,23 +113,25 @@ func NewRequest(id uint64, from, to string, req InferenceRequest) Envelope {
 // Answer returns the KindReply envelope that answers request e with
 // *reply, from from to e.From, sent at sent. The reply is written into the
 // exchange of a request built by NewRequest, which the answer then shares;
-// any other request is answered with a snapshot, as NewEnvelope builds one.
+// any other request (one decoded from a frame, or a snapshot) is answered
+// into an exchange of the answer's own, taken from the same pool.
 func (e Envelope) Answer(from string, sent time.Time, reply *InferenceReply) Envelope {
-	out := Envelope{Kind: KindReply, ID: e.ID, From: from, To: e.From, Sent: sent}
-	if x, ok := e.typed.(*exchange); ok && e.Kind == KindRequest {
-		x.rep = *reply
-		out.typed = x
-	} else {
-		out.typed = *reply
+	x, ok := e.typed.(*exchange)
+	if !ok || e.Kind != KindRequest {
+		x = exchanges.Get().(*exchange)
 	}
-	return out
+	x.rep = *reply
+	return Envelope{Kind: KindReply, ID: e.ID, From: from, To: e.From, Sent: sent, typed: x}
 }
 
-// Release returns the exchange of a request built by NewRequest, or of its
-// answer, to the pool; it does nothing for any other envelope. Only the
-// sender calls it, once, after its round trip has come back: a request
-// abandoned on ctx expiry may still be answered, so its exchange is left to
-// the garbage collector.
+// Release returns the exchange of an envelope to the pool; it does nothing
+// for an envelope that has none. A round trip built by NewRequest is
+// released by its sender, once, through the request or its answer, after
+// the reply has been read: a request abandoned on ctx expiry may still be
+// answered, so its exchange is left to the garbage collector. An answer to
+// a request that had no exchange is released by whoever sends it on, once
+// it is encoded (msgq's TCP server, after the reply frame); one kept in
+// process is left to the garbage collector.
 func (e Envelope) Release() {
 	if x, ok := e.typed.(*exchange); ok {
 		*x = exchange{}

@@ -149,12 +149,11 @@ func (b gateBackend) Infer(string, int) llm.Result {
 	return llm.Result{PromptTokens: 1, OutputTokens: 1}
 }
 
-func (b gateBackend) InferBatch(items []llm.BatchItem) []llm.Result {
-	out := make([]llm.Result, len(items))
-	for i, it := range items {
-		out[i] = b.Infer(it.Prompt, it.MaxTokens)
+func (b gateBackend) InferBatch(items []llm.BatchItem) time.Duration {
+	for i := range items {
+		items[i].Result = b.Infer(items[i].Prompt, items[i].MaxTokens)
 	}
-	return out
+	return 0
 }
 
 // TestStopFlushedRequestFails: a request still queued when the server

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -38,6 +38,22 @@ type Client struct {
 
 	uidPrefix string // precomputed "<uid>.req." request-UID prefix
 	seq       atomic.Uint64
+	// uids is the newest block of request UIDs spelled; requestUID slices
+	// its UIDs out of it.
+	uids atomic.Pointer[uidBlock]
+}
+
+// uidBlockLen is how many consecutive request UIDs one block spells.
+const uidBlockLen = 100
+
+// uidBlock is the request UIDs of ids first … first+n-1, first a multiple
+// of uidBlockLen, spelled back to back in one string. An aligned block
+// never crosses a power of ten, so its UIDs share one width.
+type uidBlock struct {
+	first uint64
+	n     uint64
+	width int
+	s     string
 }
 
 // Dial connects clientUID (an address, typically platform.Addr of the
@@ -100,21 +116,48 @@ func (c *Client) Infer(ctx context.Context, prompt string, maxTokens int) (proto
 	return reply, DecomposeRT(total, reply.Timing), nil
 }
 
-// requestUID renders "<client>.req.NNNNNN" (zero-padded to six digits,
-// like the seed's fmt.Sprintf format). The digits go to a stack buffer
-// first, so the string's bytes are the one allocation.
+// requestUID renders "<client>.req.NNNNNN" (zero-padded to six digits, as
+// fmt.Sprintf's "%06d" spells it) as a substring of the block that
+// holds id, so a UID costs no allocation of its own. A caller whose id lies
+// outside the current block spells id's block itself and keeps it only if
+// it is newer, so a straggler never evicts the block in use.
 func (c *Client) requestUID(id uint64) string {
-	var digits [20]byte
-	d := strconv.AppendUint(digits[:0], id, 10)
-	pad := max(0, 6-len(d))
-	var sb strings.Builder
-	sb.Grow(len(c.uidPrefix) + pad + len(d))
-	sb.WriteString(c.uidPrefix)
-	for ; pad > 0; pad-- {
-		sb.WriteByte('0')
+	b := c.uids.Load()
+	if b == nil || id-b.first >= b.n { // id < first wraps round
+		b = spellUIDs(c.uidPrefix, id-id%uidBlockLen)
+		for cur := c.uids.Load(); cur == nil || cur.first < b.first; cur = c.uids.Load() {
+			if c.uids.CompareAndSwap(cur, b) {
+				break
+			}
+		}
 	}
-	sb.Write(d)
-	return sb.String()
+	off := int(id-b.first) * b.width
+	return b.s[off : off+b.width]
+}
+
+// spellUIDs spells the block of request UIDs that starts at first: the
+// last one at math.MaxUint64 is shorter. Within an aligned block the UIDs
+// differ only in their last two digits.
+func spellUIDs(prefix string, first uint64) *uidBlock {
+	var buf [20]byte // first's digits, right-aligned and zero-padded to six
+	at := len(buf)
+	for v := first; v > 0 || at > len(buf)-6; v /= 10 {
+		at--
+		buf[at] = byte('0' + v%10)
+	}
+	field := buf[at:]
+	stem := field[:len(field)-2] // first's last two digits are 00
+	b := &uidBlock{first: first, n: min(uidBlockLen-1, math.MaxUint64-first) + 1, width: len(prefix) + len(field)}
+	var sb strings.Builder
+	sb.Grow(int(b.n) * b.width)
+	for i := uint64(0); i < b.n; i++ {
+		sb.WriteString(prefix)
+		sb.Write(stem)
+		sb.WriteByte(byte('0' + i/10))
+		sb.WriteByte(byte('0' + i%10))
+	}
+	b.s = sb.String()
+	return b
 }
 
 // DecomposeRT splits a measured round-trip total into the paper's RT

@@ -50,10 +50,11 @@ type Backend interface {
 	// calls it for every batch of one.
 	Infer(prompt string, maxTokens int) llm.Result
 	// InferBatch serves several compatible requests in one model
-	// invocation (continuous batching): it blocks for the whole batch and
-	// returns one result per item, in order. Item by item it draws the
-	// randomness Infer would, so a batch of one returns Infer's result.
-	InferBatch(items []llm.BatchItem) []llm.Result
+	// invocation (continuous batching): it blocks for the whole batch,
+	// writes each item's Result in place and returns the batch's
+	// duration. Item by item it draws the randomness Infer would, so a
+	// batch of one holds Infer's result.
+	InferBatch(items []llm.BatchItem) time.Duration
 }
 
 // LLMBackend adapts an llm.Instance to Backend.
@@ -71,7 +72,7 @@ func (b LLMBackend) Infer(prompt string, maxTokens int) llm.Result {
 }
 
 // InferBatch implements Backend via the llm batch cost model.
-func (b LLMBackend) InferBatch(items []llm.BatchItem) []llm.Result {
+func (b LLMBackend) InferBatch(items []llm.BatchItem) time.Duration {
 	return b.M.InferBatch(items)
 }
 
@@ -408,11 +409,12 @@ func (s *Server) giveBack(idle *simtime.Handoff[*job]) {
 
 // serve executes one batch as a single backend invocation — Infer for a
 // batch of one, InferBatch otherwise, its items built in items' backing
-// array (the worker's own; a batch of one needs none) — and writes every
-// member's reply on its job. The per-request parse overhead is charged per
-// member — batching amortizes model compute, not request deserialization —
-// with the summed overhead split half before inference (request parsing)
-// and half after (reply serialization), forming the `service` component.
+// array (the worker's own; a batch of one needs none) and its results read
+// from them — and writes every member's reply on its job. The per-request
+// parse overhead is charged per member — batching amortizes model compute,
+// not request deserialization — with the summed overhead split half before
+// inference (request parsing) and half after (reply serialization),
+// forming the `service` component.
 // Batch members share the dequeue/infer/reply timestamps: they ride one
 // forward pass.
 func (s *Server) serve(batch []*job, items []llm.BatchItem) {
@@ -429,15 +431,15 @@ func (s *Server) serve(batch []*job, items []llm.BatchItem) {
 	}
 
 	inferStart := clock.Now()
-	var results []llm.Result
+	var one llm.Result
 	if len(batch) == 1 {
-		results = []llm.Result{s.cfg.Backend.Infer(batch[0].req.Prompt, batch[0].req.MaxTokens)}
+		one = s.cfg.Backend.Infer(batch[0].req.Prompt, batch[0].req.MaxTokens)
 	} else {
 		items = items[:0]
 		for _, j := range batch {
 			items = append(items, llm.BatchItem{Prompt: j.req.Prompt, MaxTokens: j.req.MaxTokens})
 		}
-		results = s.cfg.Backend.InferBatch(items)
+		s.cfg.Backend.InferBatch(items)
 	}
 	inferEnd := clock.Now()
 
@@ -448,14 +450,18 @@ func (s *Server) serve(batch []*job, items []llm.BatchItem) {
 
 	for i, j := range batch {
 		s.processed.Add(1)
+		res := one
+		if len(batch) > 1 {
+			res = items[i].Result
+		}
 		j.reply = proto.InferenceReply{
 			RequestUID:   j.req.RequestUID,
 			ServiceUID:   s.cfg.UID,
 			Model:        s.cfg.Backend.Name(),
-			TextFrom:     results[i].TextFrom,
+			TextFrom:     res.TextFrom,
 			TextDrawn:    true,
-			PromptTokens: results[i].PromptTokens,
-			OutputTokens: results[i].OutputTokens,
+			PromptTokens: res.PromptTokens,
+			OutputTokens: res.OutputTokens,
 			Timing: proto.Timing{
 				ReceivedAt:   j.received,
 				DequeuedAt:   dequeued,

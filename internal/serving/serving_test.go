@@ -512,10 +512,12 @@ func (b *recordingBackend) Name() string        { return "rec" }
 func (b *recordingBackend) Load() time.Duration { return 0 }
 
 func (b *recordingBackend) Infer(prompt string, maxTokens int) llm.Result {
-	return b.InferBatch([]llm.BatchItem{{Prompt: prompt, MaxTokens: maxTokens}})[0]
+	items := []llm.BatchItem{{Prompt: prompt, MaxTokens: maxTokens}}
+	b.InferBatch(items)
+	return items[0].Result
 }
 
-func (b *recordingBackend) InferBatch(items []llm.BatchItem) []llm.Result {
+func (b *recordingBackend) InferBatch(items []llm.BatchItem) time.Duration {
 	b.mu.Lock()
 	b.batches = append(b.batches, append([]llm.BatchItem(nil), items...))
 	b.mu.Unlock()
@@ -525,7 +527,10 @@ func (b *recordingBackend) InferBatch(items []llm.BatchItem) []llm.Result {
 	if b.gate != nil {
 		<-b.gate
 	}
-	return make([]llm.Result, len(items))
+	for i := range items {
+		items[i].Result = llm.Result{}
+	}
+	return 0
 }
 
 func (b *recordingBackend) recorded() [][]string {
