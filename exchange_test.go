@@ -91,47 +91,70 @@ func dialOn(t *testing.T, clock simtime.Clock, srv *serving.Server, transport st
 }
 
 // TestAbandonedExchangeRace: a request abandoned on ctx expiry while its
-// handler is blocked may still be answered into its exchange, so its client
-// must not recycle the exchange. Each round abandons one request and sends
-// the next, whose backend call lets the abandoned handler answer while the
-// new reply is on its way back (a 2 ms link each way): had the first
-// exchange been recycled into the second request, the late answer would
-// overwrite its reply. Every reply must carry its own request UID and
-// output tokens, through the rounds and the plain requests after them.
+// handler is blocked may still be answered, so its client must not recycle
+// its exchange, and no late answer may land in another request's. In
+// process the handler answers into the abandoned exchange itself; over TCP
+// the client's read loop decodes a reply into its request's exchange only
+// once it has won that request's pending slot, which an abandoned request
+// gave up. Each round abandons one request, sends as many plain requests as
+// the round's number, then one whose backend call lets the abandoned
+// handler answer while the new reply is on its way back (a 2 ms link each
+// way in process): had the first exchange been recycled into a later
+// request, or the late reply been decoded into whichever request holds the
+// abandoned one's slot (over TCP some round reuses it, for any rotation of
+// up to 32 stripes), a reply would carry another request's UID or tokens.
+// Every reply must carry its own request UID and output tokens, through the
+// rounds and the plain requests after them.
 func TestAbandonedExchangeRace(t *testing.T) {
-	clock := simtime.NewReal()
-	srv, b := gateServer(t, clock)
-	cl := dialOn(t, clock, srv, "", msgq.LinkProfile{Latency: rng.ConstDuration(2 * time.Millisecond)})
-	seq := 0
-	infer := func(ctx context.Context, prompt string, tokens int) error {
-		seq++
-		reply, _, err := cl.Infer(ctx, prompt, tokens)
-		if err != nil {
-			return err
-		}
-		if want := fmt.Sprintf("client.0.req.%06d", seq); reply.RequestUID != want || reply.OutputTokens != tokens {
-			t.Errorf("request %d (%d tokens) got the reply of %s (%d tokens)", seq, tokens, reply.RequestUID, reply.OutputTokens)
-		}
-		return nil
-	}
-	for round := 0; round < 4; round++ {
-		b.gate = make(chan struct{})
-		ctx, cancel := context.WithCancel(context.Background())
-		abandoned := make(chan error, 1)
-		go func() { abandoned <- infer(ctx, "block", 100+round) }()
-		<-b.entered
-		cancel()
-		if err := <-abandoned; !errors.Is(err, context.Canceled) {
-			t.Fatalf("round %d: abandoned request returned %v, want context.Canceled", round, err)
-		}
-		if err := infer(context.Background(), "open", 1+round); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		if err := infer(context.Background(), "plain", 10+i); err != nil {
-			t.Fatal(err)
-		}
+	for _, tr := range []struct {
+		name, transport string
+		profile         msgq.LinkProfile
+		rounds          int
+	}{
+		{"inproc", "", msgq.LinkProfile{Latency: rng.ConstDuration(2 * time.Millisecond)}, 4},
+		{"tcp", msgq.TransportTCP, msgq.LinkProfile{}, 33},
+	} {
+		t.Run(tr.name, func(t *testing.T) {
+			clock := simtime.NewReal()
+			srv, b := gateServer(t, clock)
+			cl := dialOn(t, clock, srv, tr.transport, tr.profile)
+			seq := 0
+			infer := func(ctx context.Context, prompt string, tokens int) error {
+				seq++
+				reply, _, err := cl.Infer(ctx, prompt, tokens)
+				if err != nil {
+					return err
+				}
+				if want := fmt.Sprintf("client.0.req.%06d", seq); reply.RequestUID != want || reply.OutputTokens != tokens {
+					t.Errorf("request %d (%d tokens) got the reply of %s (%d tokens)", seq, tokens, reply.RequestUID, reply.OutputTokens)
+				}
+				return nil
+			}
+			for round := 0; round < tr.rounds; round++ {
+				b.gate = make(chan struct{})
+				ctx, cancel := context.WithCancel(context.Background())
+				abandoned := make(chan error, 1)
+				go func() { abandoned <- infer(ctx, "block", 100+round) }()
+				<-b.entered
+				cancel()
+				if err := <-abandoned; !errors.Is(err, context.Canceled) {
+					t.Fatalf("round %d: abandoned request returned %v, want context.Canceled", round, err)
+				}
+				for i := 0; i < round; i++ {
+					if err := infer(context.Background(), "plain", 200+i); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := infer(context.Background(), "open", 1+round); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				if err := infer(context.Background(), "plain", 10+i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -16,19 +16,26 @@ import (
 // Pooled, zero-copy TCP REQ/REP transport.
 //
 // The read path pulls length-prefixed binary frames (proto.AppendFrame /
-// proto.DecodeFrame) into sync.Pool-recycled buffers through a buffered
-// reader, and decodes lazily: header fields are parsed in place, the JSON
-// body is retained as a sub-slice of the pooled buffer — no second copy.
-// The write path assembles the frame into a per-connection scratch buffer
-// and issues a single conn.Write per message, with one JSON pass through
-// the envelope's WireBody cache.
+// proto.DecodeFrame) into recycled buffers through a buffered reader:
+// header fields are parsed in place and the JSON body is retained as a
+// sub-slice of the buffer. A request or reply body in the hand codec's
+// shape is then decoded once, on the read loop, into an exchange
+// (proto.Envelope.DecodeExchange). The write path assembles the frame into
+// a per-connection scratch buffer and issues a single conn.Write per
+// message, with one JSON pass.
 //
 // Buffer ownership rules (see ARCHITECTURE.md Flow 8):
 //   - Server side: the request buffer belongs to the transport. A handler
 //     may read the request Body only until its reply frame has been
 //     encoded; the buffer is recycled immediately after the reply write.
-//   - Client side: reply bodies are copied out of the read buffer before
-//     delivery, because the reply envelope escapes to the caller with no
+//     A request decoded into a pooled exchange is answered into it
+//     (proto.Envelope.Answer) and released once, after the reply write.
+//   - Client side: a reply is decoded into the exchange of the request it
+//     answers, the one proto.NewRequest made, after its waiter is won, and
+//     drops its Body; the sender releases the exchange as in process. A
+//     reply to a request with no exchange, a KindError reply and a body
+//     the hand codec declines are copied out of the read buffer before
+//     delivery, because the envelope escapes to the caller with no
 //     lifetime bound.
 
 // framePool recycles frame read buffers across connections and requests.
@@ -162,10 +169,12 @@ func (s *TCPServer) acceptLoop() {
 }
 
 // connReq is one decoded request handed from a connection's read loop to a
-// worker, together with the pooled buffer its Body aliases.
+// worker, together with the pooled buffer its Body aliases. owned is set
+// when the request carries a pooled exchange of its own (DecodeExchange).
 type connReq struct {
-	env proto.Envelope
-	buf *[]byte
+	env   proto.Envelope
+	buf   *[]byte
+	owned bool
 }
 
 // tcpConn is one accepted server connection: buffered frame reads, a
@@ -185,7 +194,8 @@ type tcpConn struct {
 	down atomic.Bool
 
 	reqs    chan connReq
-	workers int // owned by the read loop
+	workers int          // owned by the read loop
+	idle    atomic.Int32 // workers done with their last request and not yet handed another
 }
 
 // tear marks the connection down and closes it exactly once.
@@ -220,11 +230,15 @@ func (c *tcpConn) readLoop() {
 			putBuf(buf)
 			return
 		}
-		req := connReq{env: env, buf: buf}
-		// Lazily grow the worker set: one worker as soon as there is any
-		// work, more while the queue has depth, up to the bound. A full
-		// queue blocks the read loop — backpressure, not goroutine spray.
-		if c.workers == 0 || (len(c.reqs) > 0 && c.workers < c.srv.opts.Workers) {
+		req := connReq{env: env, buf: buf, owned: env.DecodeExchange(proto.Envelope{}, in)}
+		// Lazily grow the worker set: the request goes to an idle worker,
+		// else to a new one, up to the bound; a request never waits behind
+		// a busy handler while the bound allows another worker. At the
+		// bound a full queue blocks the read loop — backpressure, not
+		// goroutine spray.
+		if c.idle.Load() > 0 {
+			c.idle.Add(-1) // only the read loop takes a worker, so it stays claimed
+		} else if c.workers < c.srv.opts.Workers {
 			c.workers++
 			go c.worker()
 		}
@@ -238,24 +252,29 @@ func (c *tcpConn) readLoop() {
 // and counted instead.
 func (c *tcpConn) worker() {
 	for req := range c.reqs {
-		c.serve(req.env, req.buf)
+		c.serve(req)
+		c.idle.Add(1)
 	}
 }
 
 // serve runs the handler and writes the reply, then recycles the request
-// buffer and the reply's exchange (an answer written into one, see
-// proto.Envelope.Answer). The buffer is recycled only after the reply
-// write: the handler or the reply envelope may alias the request Body
-// (echo handlers), and the ownership contract extends exactly until the
-// reply frame is encoded.
-func (c *tcpConn) serve(env proto.Envelope, buf *[]byte) {
-	reply := c.srv.handler(env)
-	reply.ID = env.ID // replies are matched by request ID
+// buffer and the one exchange of the round trip: the request's own, which
+// an answer shares (proto.Envelope.Answer), or else the one the answer
+// took. Both are recycled only after the reply write: the handler or the
+// reply envelope may alias the request Body (echo handlers), and the
+// ownership contract extends exactly until the reply frame is encoded.
+func (c *tcpConn) serve(req connReq) {
+	reply := c.srv.handler(req.env)
+	reply.ID = req.env.ID // replies are matched by request ID
 	if err := c.writeFrame(&reply); err != nil {
 		c.srv.dropped.Add(1)
 	}
-	reply.Release()
-	putBuf(buf)
+	if req.owned {
+		req.env.Release()
+	} else {
+		reply.Release()
+	}
+	putBuf(req.buf)
 }
 
 // writeFrame encodes env into the connection scratch buffer and writes it
@@ -317,6 +336,7 @@ const (
 type waiter struct {
 	state atomic.Uint32
 	gen   uint32          // bumped per acquisition; guarded by the stripe mutex
+	req   proto.Envelope  // the request in flight, whose exchange its reply fills; guarded by the stripe mutex
 	ch    chan waitResult // buffered 1, reused across acquisitions
 }
 
@@ -421,14 +441,16 @@ func (c *TCPClient) readLoop() {
 			c.fail(err)
 			return
 		}
-		c.deliver(env)
+		c.deliver(env, in)
 	}
 }
 
 // deliver routes one reply to its waiter, or counts it late. The CAS to
 // waiterDelivered is the race decider: a concurrent cancel that lost it
-// will collect this result instead of its context error.
-func (c *TCPClient) deliver(env proto.Envelope) {
+// will collect this result instead of its context error. Only the winner
+// decodes into the request's exchange, so an abandoned request's exchange
+// is never written.
+func (c *TCPClient) deliver(env proto.Envelope, in *proto.Interner) {
 	gen := uint32(env.ID >> 32)
 	si := int(env.ID>>16) & 0xffff
 	slot := int(env.ID) & 0xffff
@@ -449,18 +471,20 @@ func (c *TCPClient) deliver(env proto.Envelope) {
 		c.late.Add(1)
 		return
 	}
+	req := w.req
 	st.mu.Unlock()
-	if env.Body != nil {
-		// The only copy on the reply path: the envelope escapes to the
-		// requester with no lifetime bound, while the read buffer is
-		// reused for the very next frame.
+	if env.DecodeExchange(req, in) {
+		env.Body = nil // the reply lives in req's exchange; the read buffer is reused for the next frame
+	} else if env.Body != nil {
+		// The envelope escapes to the requester with no lifetime bound,
+		// while the read buffer is reused for the very next frame.
 		env.Body = append([]byte(nil), env.Body...)
 	}
 	w.ch <- waitResult{env: env} // buffered; the slot is not recycled until received
 }
 
-// acquire arms a waiter slot and returns it with its wire ID.
-func (c *TCPClient) acquire() (*waiter, uint64, int, int, error) {
+// acquire arms a waiter slot for req and returns it with its wire ID.
+func (c *TCPClient) acquire(req proto.Envelope) (*waiter, uint64, int, int, error) {
 	si := int(c.rr.Add(1)) % pendStripes
 	st := &c.stripes[si]
 	st.mu.Lock()
@@ -479,15 +503,18 @@ func (c *TCPClient) acquire() (*waiter, uint64, int, int, error) {
 	w := st.slots[slot]
 	w.gen++
 	gen := w.gen
+	w.req = req
 	w.state.Store(waiterArmed)
 	st.mu.Unlock()
 	return w, uint64(gen)<<32 | uint64(si)<<16 | uint64(slot), si, slot, nil
 }
 
-// release returns a settled slot to its stripe's free list.
+// release returns a settled slot to its stripe's free list, dropping its
+// request.
 func (c *TCPClient) release(si, slot int, w *waiter) {
 	st := &c.stripes[si]
 	st.mu.Lock()
+	w.req = proto.Envelope{}
 	w.state.Store(waiterIdle)
 	st.free = append(st.free, int32(slot))
 	st.mu.Unlock()
@@ -520,7 +547,7 @@ func (c *TCPClient) Request(ctx context.Context, env proto.Envelope) (proto.Enve
 	if c.dead.Load() {
 		return proto.Envelope{}, c.readErr()
 	}
-	w, id, si, slot, err := c.acquire()
+	w, id, si, slot, err := c.acquire(env)
 	if err != nil {
 		return proto.Envelope{}, err
 	}

@@ -1,13 +1,17 @@
 package msgq
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -42,12 +46,12 @@ func TestTCPCancelLosesToReply(t *testing.T) {
 	}
 	defer c.Close()
 
-	w, id, si, slot, err := c.acquire()
+	w, id, si, slot, err := c.acquire(proto.Envelope{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The reply lands first: deliver wins the CAS.
-	c.deliver(proto.Envelope{Kind: proto.KindReply, ID: id, Body: []byte(`{"x":1}`)})
+	c.deliver(proto.Envelope{Kind: proto.KindReply, ID: id, Body: []byte(`{"x":1}`)}, nil)
 	if w.state.Load() != waiterDelivered {
 		t.Fatalf("state = %d, want delivered", w.state.Load())
 	}
@@ -65,6 +69,102 @@ func TestTCPCancelLosesToReply(t *testing.T) {
 	if got := c.LateReplies(); got != 0 {
 		t.Fatalf("LateReplies = %d, want 0 (reply was consumed)", got)
 	}
+}
+
+// TestTCPReplyLandsInWonExchange pins where a reply body goes on the
+// client (white-box at the waiter-table level): into the exchange of the
+// request whose waiter it won, sharing that request's UID string and
+// dropping its Body; never into the exchange of a request that withdrew
+// first, even before its slot is released; and, for a KindError reply,
+// into a copy of the body. A released slot holds no request.
+func TestTCPReplyLandsInWonExchange(t *testing.T) {
+	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	request := func(uid string) proto.Envelope {
+		return proto.NewRequest(0, "cli", "srv", proto.InferenceRequest{RequestUID: uid, ClientUID: "cli", Model: "noop", SentAt: t0})
+	}
+	replyHalf := func(req proto.Envelope) proto.InferenceReply { // the half a reply to req shares
+		req.Kind = proto.KindReply
+		r, err := req.DecodeReply()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want := proto.InferenceReply{RequestUID: "cli.req.000001", ServiceUID: "svc.0", Model: "noop", Text: "ok", OutputTokens: 1}
+	body, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReleased := func(w *waiter) {
+		t.Helper()
+		if !reflect.ValueOf(w.req).IsZero() {
+			t.Errorf("a released slot still holds its request: %+v", w.req)
+		}
+	}
+
+	req := request(want.RequestUID)
+	w, id, si, slot, err := c.acquire(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.deliver(proto.Envelope{Kind: proto.KindReply, ID: id, Body: bytes.Clone(body)}, nil)
+	got, err := c.collect(si, slot, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := got.DecodeReply(); err != nil || !reflect.DeepEqual(r, want) || got.Body != nil {
+		t.Errorf("won reply decodes to %+v, %v (body %q), want %+v", r, err, got.Body, want)
+	}
+	if r := replyHalf(req); unsafe.StringData(r.RequestUID) != unsafe.StringData(want.RequestUID) {
+		t.Errorf("reply UID %q does not reuse the request's string", r.RequestUID)
+	}
+	checkReleased(w)
+	req.Release()
+
+	req = request(want.RequestUID)
+	w, id, si, slot, err = c.acquire(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.state.CompareAndSwap(waiterArmed, waiterCancelled) { // the requester withdraws
+		t.Fatal("cancel CAS lost with no reply in flight")
+	}
+	c.deliver(proto.Envelope{Kind: proto.KindReply, ID: id, Body: bytes.Clone(body)}, nil)
+	if r := replyHalf(req); !reflect.ValueOf(r).IsZero() || c.LateReplies() != 1 {
+		t.Errorf("a reply after the cancel wrote %+v into the withdrawn exchange (late replies %d)", r, c.LateReplies())
+	}
+	c.release(si, slot, w)
+	checkReleased(w)
+
+	req = request(want.RequestUID)
+	w, id, si, slot, err = c.acquire(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errBody := []byte(`{"origin":"svc.0","msg":"full"}`)
+	c.deliver(proto.Envelope{Kind: proto.KindError, ID: id, Body: errBody}, nil)
+	copy(errBody, "xxxxxxxxxxxx") // the read buffer's next frame
+	got, err = c.collect(si, slot, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb proto.ErrorBody
+	if err := got.Decode(proto.KindError, &eb); err != nil || eb.Msg != "full" {
+		t.Errorf("error reply decodes to %+v, %v: its body was not copied", eb, err)
+	}
+	if r := replyHalf(req); !reflect.ValueOf(r).IsZero() {
+		t.Errorf("an error reply wrote %+v into the exchange", r)
+	}
+	checkReleased(w)
 }
 
 // TestTCPCancelBeatsReply pins the cancel-wins interleaving end to end:

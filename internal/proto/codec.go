@@ -90,66 +90,90 @@ func appendReply(b []byte, v *InferenceReply) (_ []byte, ok bool) {
 // has exactly the shape appendBody writes. Like json.Unmarshal it assigns
 // only the fields body holds; unlike it, it assigns nothing when it declines.
 func decodeBody(body []byte, out any) bool {
-	c := jsonshape.Cursor{P: body}
 	switch dst := out.(type) {
 	case *InferenceRequest:
-		v := *dst
-		c.Lit(`{"request_uid":`)
-		v.RequestUID = stringAt(&c)
-		c.Lit(`,"client_uid":`)
-		v.ClientUID = stringAt(&c)
-		c.Lit(`,"model":`)
-		v.Model = stringAt(&c)
-		c.Lit(`,"prompt":`)
-		v.Prompt = stringAt(&c)
-		if c.Has(`,"max_tokens":`) {
-			v.MaxTokens = intAt(&c)
-		}
-		c.Lit(`,"sent_at":`)
-		timeAt(&c, &v.SentAt)
-		c.Lit(`}`)
-		if c.End() {
-			*dst = v
-			return true
-		}
+		return decodeRequest(body, dst, nil)
 	case *InferenceReply:
-		v := *dst
-		c.Lit(`{"request_uid":`)
-		v.RequestUID = stringAt(&c)
-		c.Lit(`,"service_uid":`)
-		v.ServiceUID = stringAt(&c)
-		c.Lit(`,"model":`)
-		v.Model = stringAt(&c)
-		c.Lit(`,"text":`)
-		v.Text = stringAt(&c)
-		c.Lit(`,"prompt_tokens":`)
-		v.PromptTokens = intAt(&c)
-		c.Lit(`,"output_tokens":`)
-		v.OutputTokens = intAt(&c)
-		t := &v.Timing
-		for i, at := range [5]*time.Time{&t.ReceivedAt, &t.DequeuedAt, &t.InferStartAt, &t.InferEndAt, &t.RepliedAt} {
-			c.Lit(timingKeys[i])
-			timeAt(&c, at)
-		}
-		c.Lit(`}`)
-		if c.Has(`,"err":`) {
-			v.Err = stringAt(&c)
-		}
-		c.Lit(`}`)
-		if c.End() {
-			*dst = v
-			return true
-		}
+		return decodeReply(body, dst, nil, "")
 	}
 	return false
 }
 
-// stringAt reads a string. One with an escape or a non-ASCII byte goes to
-// encoding/json, alone: the rest of the body stays on the fast path.
-func stringAt(c *jsonshape.Cursor) string {
+// decodeRequest is decodeBody of a request, its client_uid and model read
+// through in (a nil in allocates them).
+func decodeRequest(body []byte, dst *InferenceRequest, in *Interner) bool {
+	c := jsonshape.Cursor{P: body}
+	v := *dst
+	c.Lit(`{"request_uid":`)
+	v.RequestUID = stringAt(&c, nil, "")
+	c.Lit(`,"client_uid":`)
+	v.ClientUID = stringAt(&c, in, "")
+	c.Lit(`,"model":`)
+	v.Model = stringAt(&c, in, "")
+	c.Lit(`,"prompt":`)
+	v.Prompt = stringAt(&c, nil, "")
+	if c.Has(`,"max_tokens":`) {
+		v.MaxTokens = intAt(&c)
+	}
+	c.Lit(`,"sent_at":`)
+	timeAt(&c, &v.SentAt)
+	c.Lit(`}`)
+	if !c.End() {
+		return false
+	}
+	*dst = v
+	return true
+}
+
+// decodeReply is decodeBody of a reply, its service_uid and model read
+// through in and its request_uid known itself when the bytes spell it.
+func decodeReply(body []byte, dst *InferenceReply, in *Interner, known string) bool {
+	c := jsonshape.Cursor{P: body}
+	v := *dst
+	c.Lit(`{"request_uid":`)
+	v.RequestUID = stringAt(&c, nil, known)
+	c.Lit(`,"service_uid":`)
+	v.ServiceUID = stringAt(&c, in, "")
+	c.Lit(`,"model":`)
+	v.Model = stringAt(&c, in, "")
+	c.Lit(`,"text":`)
+	v.Text = stringAt(&c, nil, "")
+	c.Lit(`,"prompt_tokens":`)
+	v.PromptTokens = intAt(&c)
+	c.Lit(`,"output_tokens":`)
+	v.OutputTokens = intAt(&c)
+	t := &v.Timing
+	for i, at := range [5]*time.Time{&t.ReceivedAt, &t.DequeuedAt, &t.InferStartAt, &t.InferEndAt, &t.RepliedAt} {
+		c.Lit(timingKeys[i])
+		timeAt(&c, at)
+	}
+	c.Lit(`}`)
+	if c.Has(`,"err":`) {
+		v.Err = stringAt(&c, nil, "")
+	}
+	c.Lit(`}`)
+	if !c.End() {
+		return false
+	}
+	*dst = v
+	return true
+}
+
+// stringAt reads a string: known itself when the literal spells it plainly,
+// else in's copy of it (Interner; a nil in allocates). One with an escape
+// or a non-ASCII byte goes to encoding/json, alone: the rest of the body
+// stays on the fast path.
+func stringAt(c *jsonshape.Cursor, in *Interner, known string) string {
 	v, plain := c.Quoted()
-	if plain || !c.OK() {
-		return string(c.P[v.Lo:v.Hi])
+	if !c.OK() {
+		return ""
+	}
+	if plain {
+		b := c.P[v.Lo:v.Hi]
+		if string(b) == known {
+			return known
+		}
+		return in.intern(b)
 	}
 	var s string
 	if json.Unmarshal(c.P[v.Lo-1:v.Hi+1], &s) != nil {

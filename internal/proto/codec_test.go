@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
+	"unsafe"
 )
 
 // zeroTimeUnix is the Unix second of the zero time.Time.
@@ -67,6 +70,10 @@ func FuzzBodyEncodeMatchesJSON(f *testing.F) {
 			}
 			if ok && string(got) != "prefix"+string(want) {
 				t.Fatalf("%+v:\n got %q\nwant %q", body, got[len("prefix"):], want)
+			}
+
+			if wantErr == nil {
+				checkExchangeDecode(t, want, spelled)
 			}
 
 			snap, err := NewEnvelope(KindRequest, 1, "from", "to", time.Time{}, body)
@@ -220,6 +227,60 @@ func TestExchangeAnswer(t *testing.T) {
 		t.Errorf("answer to a frame-decoded request encodes %q, %v; the snapshot reply %q", got, err, want)
 	}
 	wrep.Release()
+}
+
+// checkExchangeDecode holds DecodeExchange of body, the encoding of v, to
+// decodeBody's verdict and value: a request decoded into a pooled exchange,
+// a reply into the exchange of a request whose UID is the body's, a strict
+// prefix of it or longer than it (the fuzzer's escaped UIDs cover a body
+// that holds it escaped), all through one interner, so that its strings
+// are read both fresh and interned. A reply whose body spells the known UID
+// plainly shares the request's string.
+func checkExchangeDecode(t *testing.T, body []byte, v any) {
+	t.Helper()
+	in := NewInterner()
+	switch v := v.(type) {
+	case InferenceRequest:
+		var plain InferenceRequest
+		took := decodeBody(body, &plain)
+		for i := 0; i < 2; i++ {
+			e := Envelope{Kind: KindRequest, Body: body}
+			if e.DecodeExchange(Envelope{}, in) != took {
+				t.Fatalf("%q: DecodeExchange took it %v, decodeBody %v", body, !took, took)
+			}
+			if got, err := e.DecodeRequest(); took && (err != nil || !reflect.DeepEqual(got, plain)) {
+				t.Fatalf("%q:\nexchange %+v (%v)\nplain    %+v", body, got, err, plain)
+			}
+			e.Release()
+		}
+	case InferenceReply:
+		var plain InferenceReply
+		took := decodeBody(body, &plain)
+		uid := v.RequestUID
+		for _, known := range []string{uid, uid[:max(len(uid)-1, 0)], uid + "x"} {
+			req := NewRequest(1, "to", "from", InferenceRequest{RequestUID: known})
+			e := Envelope{Kind: KindReply, Body: body}
+			if e.DecodeExchange(req, in) != took {
+				t.Fatalf("%q, request UID %q: DecodeExchange took it %v, decodeBody %v", body, known, !took, took)
+			}
+			if took {
+				got, err := e.DecodeReply()
+				if err != nil || !reflect.DeepEqual(got, plain) {
+					t.Fatalf("%q, request UID %q:\nexchange %+v (%v)\nplain    %+v", body, known, got, err, plain)
+				}
+				if got.RequestUID == known && known != "" && !strings.ContainsFunc(known, escaped) && unsafe.StringData(got.RequestUID) != unsafe.StringData(known) {
+					t.Fatalf("%q: request UID %q decoded to a string of its own", body, known)
+				}
+			}
+			req.Release()
+		}
+	}
+}
+
+// escaped reports whether encoding/json writes r other than as itself, or
+// r is not ASCII: a string holding one is read the slow way.
+func escaped(r rune) bool {
+	return r < 0x20 || r >= utf8.RuneSelf || strings.ContainsRune(`"\<>&`, r)
 }
 
 // writerShapeBodies are bodies as the encoder writes them, optional fields

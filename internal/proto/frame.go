@@ -210,14 +210,17 @@ func DecodeFrameInterned(payload []byte, in *Interner) (Envelope, error) {
 // above maxFrameSize returns ErrFrameTooLarge without consuming the
 // payload.
 func ReadFramePayload(r io.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(*buf) < 4 {
+		*buf = make([]byte, 0, 512)
+	}
+	hdr := (*buf)[:4] // the length prefix goes where the payload will: nothing escapes
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF // clean close between frames
 		}
 		return nil, fmt.Errorf("proto: read frame header: %w", err)
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > maxFrameSize {
 		return nil, ErrFrameTooLarge
 	}

@@ -38,7 +38,9 @@ const (
 // in-process payload is invisible to encoding/json: an envelope that
 // crosses a real wire (TCP framing) loses it and Decode reads the JSON
 // body: by hand for a request or reply in the writer's shape (codec.go),
-// with json.Unmarshal for everything else.
+// with json.Unmarshal for everything else. A transport's read loop may
+// decode such a body into an exchange once (DecodeExchange), which then
+// serves Decode as in process.
 //
 // The payload is one of two things. NewEnvelope keeps a snapshot: a boxed
 // copy that never changes, so the envelope may be copied, kept and resent
@@ -88,9 +90,11 @@ func NewEnvelope(kind Kind, id uint64, from, to string, sent time.Time, body any
 	return env, nil
 }
 
-// exchange is one in-process REQ/REP round trip: the request a client sent
-// and, once the server has answered, its reply. The request envelope and
-// the reply envelope both point at it, each reading the half its Kind
+// exchange is one REQ/REP round trip: the request a client sent and, once
+// the server has answered, its reply. In process the server answers into
+// the client's exchange; over TCP each side decodes the body it receives
+// into an exchange on its own side (DecodeExchange). The request envelope
+// and the reply envelope both point at it, each reading the half its Kind
 // names.
 type exchange struct {
 	req InferenceRequest
@@ -124,14 +128,53 @@ func (e Envelope) Answer(from string, sent time.Time, reply *InferenceReply) Env
 	return Envelope{Kind: KindReply, ID: e.ID, From: from, To: e.From, Sent: sent, typed: x}
 }
 
+// DecodeExchange decodes the body of e, a request or a reply as
+// DecodeFrame returns it, into an exchange that e then carries, so that
+// reading it is a copy and answering it writes into the same exchange. A
+// reply lands in the exchange of req, the request it answers (NewRequest),
+// whose own request_uid string it reuses when the bytes are equal; a
+// request lands in an exchange taken from the pool, with req ignored. The
+// client_uid, service_uid and model strings are read through in.
+//
+// It reports false and changes nothing for any other kind, for a reply
+// whose req has no exchange, and for a body not in the hand codec's shape;
+// e then decodes as before. e.Body still aliases the frame afterwards:
+// whoever keeps e past the frame's buffer drops it. The exchange is
+// released once, as NewRequest's is: a reply's by the sender of req, a
+// request's by whoever decoded it, after its answer is encoded.
+func (e *Envelope) DecodeExchange(req Envelope, in *Interner) bool {
+	if e.typed != nil || e.Body == nil {
+		return false
+	}
+	switch e.Kind {
+	case KindRequest:
+		x := exchanges.Get().(*exchange)
+		if !decodeRequest(e.Body, &x.req, in) {
+			exchanges.Put(x)
+			return false
+		}
+		e.typed = x
+		return true
+	case KindReply:
+		x, ok := req.typed.(*exchange)
+		if !ok || req.Kind != KindRequest || !decodeReply(e.Body, &x.rep, in, x.req.RequestUID) {
+			return false
+		}
+		e.typed = x
+		return true
+	}
+	return false
+}
+
 // Release returns the exchange of an envelope to the pool; it does nothing
 // for an envelope that has none. A round trip built by NewRequest is
 // released by its sender, once, through the request or its answer, after
 // the reply has been read: a request abandoned on ctx expiry may still be
-// answered, so its exchange is left to the garbage collector. An answer to
-// a request that had no exchange is released by whoever sends it on, once
-// it is encoded (msgq's TCP server, after the reply frame); one kept in
-// process is left to the garbage collector.
+// answered, so its exchange is left to the garbage collector. A request
+// decoded into an exchange (DecodeExchange), or an answer to a request that
+// had none, is released by whoever sends the answer on, once it is encoded
+// (msgq's TCP server, after the reply frame); one kept in process is left
+// to the garbage collector.
 func (e Envelope) Release() {
 	if x, ok := e.typed.(*exchange); ok {
 		*x = exchange{}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -41,7 +43,7 @@ func NewCaller(ep proto.Endpoint, clock simtime.Clock) (*Caller, error) {
 
 // Infer implements service.Caller over HTTP.
 func (c *Caller) Infer(ctx context.Context, prompt string, maxTokens int) (proto.InferenceReply, metrics.Breakdown, error) {
-	requestID := fmt.Sprintf("%s.rest.%06d", c.ep.ServiceUID, c.seq.Add(1))
+	requestID := restRequestID(c.ep.ServiceUID, c.seq.Add(1))
 	start := c.clock.Now()
 	resp, err := c.generate(ctx, generateRequest{
 		Model:     c.ep.Model,
@@ -63,6 +65,22 @@ func (c *Caller) Infer(ctx context.Context, prompt string, maxTokens int) (proto
 		Timing:       resp.Timing,
 	}
 	return reply, service.DecomposeRT(total, resp.Timing), nil
+}
+
+// restRequestID spells "<service>.rest.NNNNNN" as fmt.Sprintf's
+// "%s.rest.%06d" does, n zero-padded to six digits, in one allocation.
+func restRequestID(service string, n uint64) string {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], n, 10)
+	var sb strings.Builder
+	sb.Grow(len(service) + len(".rest.") + max(len(d), 6))
+	sb.WriteString(service)
+	sb.WriteString(".rest.")
+	for i := len(d); i < 6; i++ {
+		sb.WriteByte('0')
+	}
+	sb.Write(d)
+	return sb.String()
 }
 
 // generate POSTs one /api/generate call.

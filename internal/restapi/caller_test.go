@@ -2,6 +2,7 @@ package restapi
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,27 @@ func TestCallerRejectsNonRESTEndpoint(t *testing.T) {
 	_, err := NewCaller(proto.Endpoint{Protocol: "msgq"}, simtime.NewReal())
 	if err == nil {
 		t.Fatal("NewCaller accepted msgq endpoint")
+	}
+}
+
+// TestRestRequestID pins the spelling of a REST request ID to
+// fmt.Sprintf's "%s.rest.%06d": padded below a million, all digits from
+// it on, and one allocation.
+func TestRestRequestID(t *testing.T) {
+	for _, c := range []struct {
+		n    uint64
+		want string
+	}{
+		{1, "svc.0.rest.000001"},
+		{999_999, "svc.0.rest.999999"},
+		{1_000_000, "svc.0.rest.1000000"},
+	} {
+		if got := restRequestID("svc.0", c.n); got != c.want || got != fmt.Sprintf("%s.rest.%06d", "svc.0", c.n) {
+			t.Errorf("restRequestID(%d) = %q, want %q", c.n, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = restRequestID("svc.0", 42) }); n != 1 {
+		t.Errorf("restRequestID allocates %.1f objects, want 1", n)
 	}
 }
 
