@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -212,5 +213,62 @@ func TestRepliesAgreeAcrossTransports(t *testing.T) {
 		if rest[i] != want {
 			t.Errorf("reply %d: rest %+v, in-process %+v", i, rest[i], want)
 		}
+	}
+}
+
+// TestForeignWriterRequest: a request body that is valid JSON in a shape
+// the hand codec declines, a foreign writer's spaced keys, reaches a TCP
+// server running serving's handler with no exchange. The handler reads it
+// through encoding/json and answers into an exchange of the answer's own,
+// and msgq's server sends that answer as it sends any other. Its reply
+// carries the fields of the reply to the canonical body, sent to an
+// identical server.
+func TestForeignWriterRequest(t *testing.T) {
+	req := proto.InferenceRequest{RequestUID: "client.0.req.000001", ClientUID: "client.0", Model: "gate",
+		Prompt: "a prompt", MaxTokens: 5}
+	canonical, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaced, err := json.MarshalIndent(req, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for body, took := range map[string]bool{string(canonical): true, string(spaced): false} {
+		e := proto.Envelope{Kind: proto.KindRequest, Body: []byte(body)}
+		if e.DecodeExchange(proto.Envelope{}, nil) != took {
+			t.Fatalf("hand codec took %s: %v, want %v", body, !took, took)
+		}
+		e.Release()
+	}
+	send := func(body []byte) proto.InferenceReply {
+		srv, _ := gateServer(t, simtime.NewReal())
+		ln, err := msgq.ListenTCP("127.0.0.1:0", srv.Handler())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ln.Close() })
+		cl, err := msgq.DialTCP(ln.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cl.Close() })
+		out, err := cl.Request(context.Background(), proto.Envelope{Kind: proto.KindRequest, From: "client.0", To: "svc.0", Body: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := out.DecodeReply()
+		if err != nil {
+			t.Fatalf("reply to %s: %v", body, err)
+		}
+		return rep
+	}
+	want, got := send(canonical), send(spaced)
+	if want.RequestUID != req.RequestUID || want.OutputTokens != req.MaxTokens || want.Text == "" {
+		t.Fatalf("reply to the canonical body: %+v", want)
+	}
+	if got.RequestUID != want.RequestUID || got.ServiceUID != want.ServiceUID || got.Model != want.Model ||
+		got.Text != want.Text || got.PromptTokens != want.PromptTokens || got.OutputTokens != want.OutputTokens || got.Err != want.Err {
+		t.Errorf("reply to the foreign body %+v, to the canonical body %+v", got, want)
 	}
 }

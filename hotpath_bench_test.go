@@ -201,14 +201,14 @@ func tcpBenchEnvelope(tb testing.TB, payload int) proto.Envelope {
 }
 
 // TestTCPRoundTripAllocBudget pins the pooled transport's allocations per
-// 64 B round trip of a snapshot request to an echo handler: the frames
+// 64 B round trip of a request NewEnvelope encoded to an echo handler: the frames
 // themselves ride pooled buffers. It was 5 when the pooled transport
 // landed and measured 3 later: the reply-body copy into the caller's
 // envelope and the length prefix of each side's frame read, which escaped
 // to the heap. Reading the prefix
 // into the frame buffer removed both, and the server decoding the request
 // into a pooled exchange added its prompt: 2 (3 under the race detector).
-// The snapshot request has no exchange, so its reply keeps the body copy.
+// The encoded request has no exchange, so its reply keeps the body copy.
 func TestTCPRoundTripAllocBudget(t *testing.T) {
 	srv, err := msgq.ListenTCP("127.0.0.1:0", tcpEchoHandler)
 	if err != nil {

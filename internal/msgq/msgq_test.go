@@ -3,6 +3,7 @@ package msgq
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -164,9 +165,7 @@ func TestInprocCancellableSlowPathCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, _ := reply.WireBody()
-	fb, _ := fast.WireBody()
-	if reply.Kind != fast.Kind || reply.From != fast.From || string(rb) != string(fb) {
+	if reply.Kind != fast.Kind || reply.From != fast.From || string(reply.Body) != string(fast.Body) {
 		t.Fatalf("slow-path reply %+v differs from fast-path reply %+v", reply, fast)
 	}
 	// Cancelling after completion must not poison later requests.
@@ -233,27 +232,44 @@ func TestInprocLatencyInjection(t *testing.T) {
 	}
 }
 
+// TestInprocBandwidthModel: a bandwidth-capped link charges each hop
+// (EncodedBodyLen + 64 header bytes) / BytesPerSec of simulated time, for
+// a request whose Body NewEnvelope encoded and for a NewRequest exchange
+// that is only measured, answered into the same exchange.
 func TestInprocBandwidthModel(t *testing.T) {
-	// 1 KiB/s bandwidth: a ~1 KiB body should add ~1s per hop on a scaled
-	// clock (1000x: ~1ms real per hop).
+	const bps = 1024
 	resolve := func(from, to string) LinkProfile {
-		return LinkProfile{BytesPerSec: 1024}
+		return LinkProfile{BytesPerSec: bps}
 	}
-	n := NewNetwork(simtime.NewScaled(1000, t0), rng.New(1), resolve)
+	clock := simtime.NewVirtualAuto(t0)
+	clock.AddRunner() // the test goroutine sleeps through every hop
+	defer clock.DoneRunner()
+	n := NewNetwork(clock, rng.New(1), resolve)
 	defer n.Close()
-	_, _ = n.Bind("svc", echoHandler)
+	_, _ = n.Bind("svc", func(env proto.Envelope) proto.Envelope {
+		if env.Body != nil {
+			return echoHandler(env)
+		}
+		return env.Answer("svc", t0, &proto.InferenceReply{RequestUID: "r", Text: "ok"})
+	})
 	c, _ := n.Dial("client", "svc")
-	big := make([]byte, 1024)
-	for i := range big {
-		big[i] = 'a'
+	req := proto.InferenceRequest{RequestUID: "r", Prompt: strings.Repeat("a", 1024), SentAt: t0}
+	encoded, _ := proto.NewEnvelope(proto.KindRequest, 1, "client", "svc", t0, req)
+	exchange := proto.NewRequest(1, "client", "svc", req)
+	defer exchange.Release()
+	hop := func(env proto.Envelope) time.Duration {
+		return time.Duration(float64(env.EncodedBodyLen()+64) / bps * float64(time.Second))
 	}
-	env, _ := proto.NewEnvelope(proto.KindRequest, 1, "client", "svc", t0, string(big))
-	start := time.Now()
-	if _, err := c.Request(context.Background(), env); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < time.Millisecond {
-		t.Fatalf("bandwidth-limited round trip took %v real, want >= ~2ms", el)
+	for _, env := range []proto.Envelope{encoded, exchange} {
+		start := clock.Now()
+		reply, err := c.Request(context.Background(), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := hop(env) + hop(reply)
+		if got := clock.Now().Sub(start); got != want || hop(env) < time.Second { // the prompt alone is a second
+			t.Fatalf("bandwidth-limited round trip (body %v) took %v simulated, want %v", env.Body != nil, got, want)
+		}
 	}
 }
 

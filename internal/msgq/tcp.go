@@ -20,9 +20,10 @@ import (
 // header fields are parsed in place and the JSON body is retained as a
 // sub-slice of the buffer. A request or reply body in the hand codec's
 // shape is then decoded once, on the read loop, into an exchange
-// (proto.Envelope.DecodeExchange). The write path assembles the frame into
-// a per-connection scratch buffer and issues a single conn.Write per
-// message, with one JSON pass.
+// (proto.Envelope.DecodeExchange, the one door through which a wire body
+// is hand-decoded); any other body is left to encoding/json. The write
+// path assembles the frame into a per-connection scratch buffer and issues
+// a single conn.Write per message, with one JSON pass.
 //
 // Buffer ownership rules (see ARCHITECTURE.md Flow 8):
 //   - Server side: the request buffer belongs to the transport. A handler
@@ -30,6 +31,8 @@ import (
 //     encoded; the buffer is recycled immediately after the reply write.
 //     A request decoded into a pooled exchange is answered into it
 //     (proto.Envelope.Answer) and released once, after the reply write.
+//     A foreign writer's body the hand codec declines has no exchange: its
+//     answer takes one of its own, which the garbage collector reclaims.
 //   - Client side: a reply is decoded into the exchange of the request it
 //     answers, the one proto.NewRequest made, after its waiter is won, and
 //     drops its Body; the sender releases the exchange as in process. A
@@ -169,12 +172,10 @@ func (s *TCPServer) acceptLoop() {
 }
 
 // connReq is one decoded request handed from a connection's read loop to a
-// worker, together with the pooled buffer its Body aliases. owned is set
-// when the request carries a pooled exchange of its own (DecodeExchange).
+// worker, together with the pooled buffer its Body aliases.
 type connReq struct {
-	env   proto.Envelope
-	buf   *[]byte
-	owned bool
+	env proto.Envelope
+	buf *[]byte
 }
 
 // tcpConn is one accepted server connection: buffered frame reads, a
@@ -230,7 +231,13 @@ func (c *tcpConn) readLoop() {
 			putBuf(buf)
 			return
 		}
-		req := connReq{env: env, buf: buf, owned: env.DecodeExchange(proto.Envelope{}, in)}
+		// Every request is decoded here, before a handler asks: every
+		// program's handler (serving's) reads its request, and only echo
+		// handlers in tests and benchmarks would not. The read loop's
+		// interner is single-goroutine state, so the decode cannot move to
+		// a worker without one interner per worker.
+		env.DecodeExchange(proto.Envelope{}, in)
+		req := connReq{env: env, buf: buf}
 		// Lazily grow the worker set: the request goes to an idle worker,
 		// else to a new one, up to the bound; a request never waits behind
 		// a busy handler while the bound allows another worker. At the
@@ -258,22 +265,19 @@ func (c *tcpConn) worker() {
 }
 
 // serve runs the handler and writes the reply, then recycles the request
-// buffer and the one exchange of the round trip: the request's own, which
-// an answer shares (proto.Envelope.Answer), or else the one the answer
-// took. Both are recycled only after the reply write: the handler or the
-// reply envelope may alias the request Body (echo handlers), and the
-// ownership contract extends exactly until the reply frame is encoded.
+// buffer and the request's exchange, which an answer shares
+// (proto.Envelope.Answer); a request the read loop could not decode has
+// none, and Release does nothing. Both are recycled only after the reply
+// write: the handler or the reply envelope may alias the request Body
+// (echo handlers), and the ownership contract extends exactly until the
+// reply frame is encoded.
 func (c *tcpConn) serve(req connReq) {
 	reply := c.srv.handler(req.env)
 	reply.ID = req.env.ID // replies are matched by request ID
 	if err := c.writeFrame(&reply); err != nil {
 		c.srv.dropped.Add(1)
 	}
-	if req.owned {
-		req.env.Release()
-	} else {
-		reply.Release()
-	}
+	req.env.Release()
 	putBuf(req.buf)
 }
 

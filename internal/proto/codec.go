@@ -3,10 +3,11 @@ package proto
 // Hand-written JSON codec for the two bodies that cross the wire once per
 // request: InferenceRequest and InferenceReply. The bytes are
 // encoding/json's, so agents with and without it interoperate. The encoder
-// emits exactly what json.Marshal emits; the decoder reads exactly that
-// shape and declines on any deviation (unknown or reordered key, whitespace,
-// non-canonical number, a timestamp Time.UnmarshalJSON refuses), leaving the
-// body to json.Unmarshal. Every other payload is encoding/json's throughout.
+// emits exactly what json.Marshal emits; the decoder, reached through
+// Envelope.DecodeExchange alone, reads exactly that shape and declines on
+// any deviation (unknown or reordered key, whitespace, non-canonical
+// number, a timestamp Time.UnmarshalJSON refuses), leaving the body to
+// json.Unmarshal. Every other payload is encoding/json's throughout.
 
 import (
 	"encoding/json"
@@ -37,8 +38,8 @@ func appendBody(b []byte, body any) (_ []byte, ok bool) {
 	return b, false
 }
 
-// appendTyped is appendBody of e's in-process payload; an exchange's half
-// that e.Kind names is read in place.
+// appendTyped is appendBody of the half of an exchange that e.Kind names,
+// read in place; it declines every other envelope.
 func appendTyped(b []byte, e *Envelope) (_ []byte, ok bool) {
 	if x, isX := e.typed.(*exchange); isX {
 		switch e.Kind {
@@ -47,9 +48,8 @@ func appendTyped(b []byte, e *Envelope) (_ []byte, ok bool) {
 		case KindReply:
 			return appendReply(b, &x.rep)
 		}
-		return b, false
 	}
-	return appendBody(b, e.typed)
+	return b, false
 }
 
 // appendRequest is appendBody of a request.
@@ -86,21 +86,10 @@ func appendReply(b []byte, v *InferenceReply) (_ []byte, ok bool) {
 	return append(b, '}'), true
 }
 
-// decodeBody decodes body into out if out is a request or a reply and body
-// has exactly the shape appendBody writes. Like json.Unmarshal it assigns
-// only the fields body holds; unlike it, it assigns nothing when it declines.
-func decodeBody(body []byte, out any) bool {
-	switch dst := out.(type) {
-	case *InferenceRequest:
-		return decodeRequest(body, dst, nil)
-	case *InferenceReply:
-		return decodeReply(body, dst, nil, "")
-	}
-	return false
-}
-
-// decodeRequest is decodeBody of a request, its client_uid and model read
-// through in (a nil in allocates them).
+// decodeRequest decodes body into *dst if body has exactly the shape
+// appendRequest writes, its client_uid and model read through in (a nil in
+// allocates them). Like json.Unmarshal it assigns only the fields body
+// holds; unlike it, it assigns nothing when it declines.
 func decodeRequest(body []byte, dst *InferenceRequest, in *Interner) bool {
 	c := jsonshape.Cursor{P: body}
 	v := *dst
@@ -125,7 +114,7 @@ func decodeRequest(body []byte, dst *InferenceRequest, in *Interner) bool {
 	return true
 }
 
-// decodeReply is decodeBody of a reply, its service_uid and model read
+// decodeReply is decodeRequest of a reply, its service_uid and model read
 // through in and its request_uid known itself when the bytes spell it.
 func decodeReply(body []byte, dst *InferenceReply, in *Interner, known string) bool {
 	c := jsonshape.Cursor{P: body}

@@ -28,9 +28,10 @@ func fuzzTime(sec, nsec int64, zone int32, mono bool) time.Time {
 }
 
 // FuzzBodyEncodeMatchesJSON holds the hand encoder to json.Marshal through
-// every place it is wired in, for a snapshot and for an exchange: the bytes
-// are the oracle's, or the encoder declined and the oracle's verdict is
-// what the caller sees.
+// every place it is wired in, for the half of an exchange (NewRequest,
+// Answer) and for the Body NewEnvelope encodes at once: the bytes are the
+// oracle's, or the encoder declined and the oracle's verdict is what the
+// caller sees.
 func FuzzBodyEncodeMatchesJSON(f *testing.F) {
 	year := func(y int) int64 { return time.Date(y, 6, 1, 0, 0, 0, 0, time.UTC).Unix() }
 	f.Add("req.000001", "client.0", "noop", "hello", 16, 0, int64(1741064767), int64(0), int32(0), false)
@@ -76,26 +77,31 @@ func FuzzBodyEncodeMatchesJSON(f *testing.F) {
 				checkExchangeDecode(t, want, spelled)
 			}
 
-			snap, err := NewEnvelope(KindRequest, 1, "from", "to", time.Time{}, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The same body as the half of an exchange its envelope names.
-			var exch Envelope
+			// The same body as the half of an exchange its envelope names,
+			// and as the Body NewEnvelope encodes at once.
+			kind, exch := KindRequest, Envelope{}
 			switch v := body.(type) {
 			case InferenceRequest:
 				exch = NewRequest(1, "from", "to", v)
 			case InferenceReply:
-				exch = NewRequest(1, "to", "from", InferenceRequest{}).Answer("from", time.Time{}, &v)
+				kind, exch = KindReply, NewRequest(1, "to", "from", InferenceRequest{}).Answer("from", time.Time{}, &v)
 			}
-			for _, env := range []Envelope{snap, exch} {
+			envs := []Envelope{exch}
+			eager, err := NewEnvelope(kind, 1, "from", "to", time.Time{}, body)
+			if (err == nil) != (wantErr == nil) || !bytes.Equal(eager.Body, want) {
+				t.Fatalf("%+v: NewEnvelope Body %q (%v), json.Marshal %q (%v)", body, eager.Body, err, want, wantErr)
+			}
+			if err == nil {
+				envs = append(envs, eager)
+			}
+			for _, env := range envs {
 				if n := env.EncodedBodyLen(); n != len(want) {
 					t.Fatalf("%+v: EncodedBodyLen %d, json.Marshal %d bytes (err %v)", body, n, len(want), wantErr)
 				}
-				framed := env // AppendFrame encodes into the frame, WireBody into the envelope
+				framed := env // AppendFrame encodes into the frame, wireBody into the envelope
 				frame, err := AppendFrame([]byte("prefix"), &framed)
-				if (err == nil) != (wantErr == nil) || framed.Body != nil {
-					t.Fatalf("%+v: AppendFrame err %v (cached %q), json.Marshal err %v", body, err, framed.Body, wantErr)
+				if (err == nil) != (wantErr == nil) || (framed.Body == nil) != (env.Body == nil) {
+					t.Fatalf("%+v: AppendFrame err %v (body %q), json.Marshal err %v", body, err, framed.Body, wantErr)
 				}
 				if err != nil && string(frame) != "prefix" {
 					t.Fatalf("%+v: failed AppendFrame left %q", body, frame)
@@ -106,9 +112,9 @@ func FuzzBodyEncodeMatchesJSON(f *testing.F) {
 						t.Fatalf("%+v: frame carries %q (%v), want %q", body, back.Body, err, want)
 					}
 				}
-				raw, err := env.WireBody()
+				raw, err := env.wireBody()
 				if (err == nil) != (wantErr == nil) || !bytes.Equal(raw, want) {
-					t.Fatalf("%+v: WireBody %q (%v), json.Marshal %q (%v)", body, raw, err, want, wantErr)
+					t.Fatalf("%+v: wireBody %q (%v), json.Marshal %q (%v)", body, raw, err, want, wantErr)
 				}
 			}
 		}
@@ -118,9 +124,10 @@ func FuzzBodyEncodeMatchesJSON(f *testing.F) {
 // TestDrawnReplyEncodesSpelled: a drawn reply goes on the wire as the bytes
 // json.Marshal gives it with its text spelled, the text pinned in
 // llm's TestGenerateTextGolden for this state, model and length. That
-// holds through the hand codec and through the json.Marshal fallback the
-// hand codec leaves a year-10000 timestamp to, where both refuse alike, and
-// EncodedBodyLen agrees with both.
+// holds for the answer of an exchange, through the hand codec and through
+// the json.Marshal fallback the hand codec leaves a year-10000 timestamp
+// to, where both refuse alike, and for the Body NewEnvelope encodes, which
+// refuses that timestamp itself; EncodedBodyLen agrees with both.
 func TestDrawnReplyEncodesSpelled(t *testing.T) {
 	const text = "[llama-8b] dose cell pilot signature sample annotation pilot analysis model signature signature protein response inference dose pilot dose annotation response annotation model sample analysis sample"
 	for _, replied := range []time.Time{t0.Add(time.Second), time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)} {
@@ -137,31 +144,37 @@ func TestDrawnReplyEncodesSpelled(t *testing.T) {
 		if handOK != (wantErr == nil) {
 			t.Fatalf("replied %v: hand codec ok=%v, json.Marshal err %v", replied, handOK, wantErr)
 		}
-		env, err := NewEnvelope(KindReply, 1, "svc.0", "client.0", t0, drawn)
-		if err != nil {
-			t.Fatal(err)
+		envs := []Envelope{NewRequest(1, "client.0", "svc.0", InferenceRequest{}).Answer("svc.0", t0, &drawn)}
+		eager, err := NewEnvelope(KindReply, 1, "svc.0", "client.0", t0, drawn)
+		if (err == nil) != (wantErr == nil) || !bytes.Equal(eager.Body, want) {
+			t.Fatalf("replied %v: NewEnvelope Body %s (%v), want %s (%v)", replied, eager.Body, err, want, wantErr)
 		}
-		if n := env.EncodedBodyLen(); n != len(want) {
-			t.Fatalf("replied %v: EncodedBodyLen %d, want %d", replied, n, len(want))
+		if err == nil {
+			envs = append(envs, eager)
 		}
-		framed := env // AppendFrame encodes into the frame, WireBody into the envelope
-		raw, err := env.WireBody()
-		if (err == nil) != (wantErr == nil) || !bytes.Equal(raw, want) {
-			t.Fatalf("replied %v: WireBody %s (%v), want %s (%v)", replied, raw, err, want, wantErr)
-		}
-		frame, err := AppendFrame(nil, &framed)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("replied %v: AppendFrame err %v, want %v", replied, err, wantErr)
-		}
-		if err != nil {
-			continue
-		}
-		wire, err := DecodeFrame(frame[4:])
-		if err != nil || !bytes.Equal(wire.Body, want) {
-			t.Fatalf("frame carries %s (%v), want %s", wire.Body, err, want)
-		}
-		if back, err := wire.DecodeReply(); err != nil || back.Text != text || back.TextDrawn || back.Words() != text {
-			t.Fatalf("framed reply decodes to %+v (%v)", back, err)
+		for _, env := range envs {
+			if n := env.EncodedBodyLen(); n != len(want) {
+				t.Fatalf("replied %v: EncodedBodyLen %d, want %d", replied, n, len(want))
+			}
+			framed := env // AppendFrame encodes into the frame, wireBody into the envelope
+			raw, err := env.wireBody()
+			if (err == nil) != (wantErr == nil) || !bytes.Equal(raw, want) {
+				t.Fatalf("replied %v: wireBody %s (%v), want %s (%v)", replied, raw, err, want, wantErr)
+			}
+			frame, err := AppendFrame(nil, &framed)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("replied %v: AppendFrame err %v, want %v", replied, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			wire, err := DecodeFrame(frame[4:])
+			if err != nil || !bytes.Equal(wire.Body, want) {
+				t.Fatalf("frame carries %s (%v), want %s", wire.Body, err, want)
+			}
+			if back, err := wire.DecodeReply(); err != nil || back.Text != text || back.TextDrawn || back.Words() != text {
+				t.Fatalf("framed reply decodes to %+v (%v)", back, err)
+			}
 		}
 	}
 }
@@ -183,9 +196,10 @@ func TestSpelledReplyAllocBudget(t *testing.T) {
 // TestExchangeAnswer: a request built by NewRequest and its Answer share
 // one exchange under the answer's own header (TestTypedDecode and
 // FuzzBodyEncodeMatchesJSON read both halves down every path). A request
-// that is not an exchange, a snapshot or one decoded from a frame, is
-// answered into an exchange of its own that holds a copy of the reply and
-// encodes the frame a snapshot reply does; Release leaves a snapshot alone.
+// that is not an exchange, one NewEnvelope encoded or one decoded from a
+// frame that DecodeExchange never saw, is answered into an exchange of its
+// own that holds a copy of the reply and encodes the frame NewEnvelope's
+// reply does; Release leaves an encoded envelope alone.
 func TestExchangeAnswer(t *testing.T) {
 	req := InferenceRequest{RequestUID: "client.0.req.000001", ClientUID: "client.0", Model: "noop", SentAt: t0}
 	rep := InferenceReply{RequestUID: req.RequestUID, ServiceUID: "svc.0", Model: "noop", Text: "ok"}
@@ -204,11 +218,11 @@ func TestExchangeAnswer(t *testing.T) {
 	answered := sreq.Answer("svc.0", sent, &rep)
 	rep.Text = "changed after the answer"
 	if got, err := answered.DecodeReply(); err != nil || got.Text != "ok" {
-		t.Errorf("answer to a snapshot request decodes to %+v, %v", got, err)
+		t.Errorf("answer to an encoded request decodes to %+v, %v", got, err)
 	}
 	sreq.Release()
 	if got, err := sreq.DecodeRequest(); err != nil || got != req {
-		t.Errorf("released snapshot decodes to %+v, %v", got, err)
+		t.Errorf("released encoded request decodes to %+v, %v", got, err)
 	}
 
 	frame, err := AppendFrame(nil, &sreq)
@@ -220,17 +234,17 @@ func TestExchangeAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrep := wreq.Answer("svc.0", sent, &rep)
-	snap, _ := NewEnvelope(KindReply, 7, "svc.0", "client.0", sent, rep)
+	eager, _ := NewEnvelope(KindReply, 7, "svc.0", "client.0", sent, rep)
 	got, err := AppendFrame(nil, &wrep)
-	want, _ := AppendFrame(nil, &snap)
+	want, _ := AppendFrame(nil, &eager)
 	if err != nil || !bytes.Equal(got, want) {
-		t.Errorf("answer to a frame-decoded request encodes %q, %v; the snapshot reply %q", got, err, want)
+		t.Errorf("answer to a frame-decoded request encodes %q, %v; NewEnvelope's reply %q", got, err, want)
 	}
 	wrep.Release()
 }
 
 // checkExchangeDecode holds DecodeExchange of body, the encoding of v, to
-// decodeBody's verdict and value: a request decoded into a pooled exchange,
+// the hand decoder's verdict and value with no interner and no known UID: a request decoded into a pooled exchange,
 // a reply into the exchange of a request whose UID is the body's, a strict
 // prefix of it or longer than it (the fuzzer's escaped UIDs cover a body
 // that holds it escaped), all through one interner, so that its strings
@@ -242,11 +256,11 @@ func checkExchangeDecode(t *testing.T, body []byte, v any) {
 	switch v := v.(type) {
 	case InferenceRequest:
 		var plain InferenceRequest
-		took := decodeBody(body, &plain)
+		took := handDecode(body, &plain)
 		for i := 0; i < 2; i++ {
 			e := Envelope{Kind: KindRequest, Body: body}
 			if e.DecodeExchange(Envelope{}, in) != took {
-				t.Fatalf("%q: DecodeExchange took it %v, decodeBody %v", body, !took, took)
+				t.Fatalf("%q: DecodeExchange took it %v, the hand decoder %v", body, !took, took)
 			}
 			if got, err := e.DecodeRequest(); took && (err != nil || !reflect.DeepEqual(got, plain)) {
 				t.Fatalf("%q:\nexchange %+v (%v)\nplain    %+v", body, got, err, plain)
@@ -255,13 +269,13 @@ func checkExchangeDecode(t *testing.T, body []byte, v any) {
 		}
 	case InferenceReply:
 		var plain InferenceReply
-		took := decodeBody(body, &plain)
+		took := handDecode(body, &plain)
 		uid := v.RequestUID
 		for _, known := range []string{uid, uid[:max(len(uid)-1, 0)], uid + "x"} {
 			req := NewRequest(1, "to", "from", InferenceRequest{RequestUID: known})
 			e := Envelope{Kind: KindReply, Body: body}
 			if e.DecodeExchange(req, in) != took {
-				t.Fatalf("%q, request UID %q: DecodeExchange took it %v, decodeBody %v", body, known, !took, took)
+				t.Fatalf("%q, request UID %q: DecodeExchange took it %v, the hand decoder %v", body, known, !took, took)
 			}
 			if took {
 				got, err := e.DecodeReply()
@@ -275,6 +289,19 @@ func checkExchangeDecode(t *testing.T, body []byte, v any) {
 			req.Release()
 		}
 	}
+}
+
+// handDecode runs the hand decoder of a request or reply on body into out,
+// with no interner and no known request UID; it reports false for any
+// other out.
+func handDecode(body []byte, out any) bool {
+	switch dst := out.(type) {
+	case *InferenceRequest:
+		return decodeRequest(body, dst, nil)
+	case *InferenceReply:
+		return decodeReply(body, dst, nil, "")
+	}
+	return false
 }
 
 // escaped reports whether encoding/json writes r other than as itself, or
@@ -325,15 +352,14 @@ var (
 
 // checkDecode decodes body into a pre-filled T through the fast path, through
 // Envelope.Decode and through encoding/json: the fast path may decline (and
-// then touches nothing), never differ; Decode has encoding/json's verdict
-// and value whichever path took the body. It reports whether the fast path
-// took it.
+// then touches nothing), never differ; Decode of a body has encoding/json's
+// verdict and value. It reports whether the fast path took it.
 func checkDecode[T any](t *testing.T, kind Kind, body []byte, prefilled T) bool {
 	t.Helper()
 	slow := prefilled
 	slowErr := json.Unmarshal(body, &slow)
 	fast := prefilled
-	took := decodeBody(body, &fast)
+	took := handDecode(body, &fast)
 	switch {
 	case took && slowErr != nil:
 		t.Fatalf("fast path accepted %q, encoding/json: %v", body, slowErr)
@@ -436,23 +462,23 @@ func TestDecodeFastPathTakesWriterShape(t *testing.T) {
 }
 
 // TestBodyCodecAllocs pins what the codec saves on an 8 KiB request: the
-// encoder writes into the caller's buffer, the decoder allocates the four
-// strings and nothing else.
+// encoder writes an exchange's request into the caller's buffer, and the
+// read loop's decode (DecodeExchange, no interner) and its handler's
+// DecodeRequest allocate the four strings and nothing else.
 func TestBodyCodecAllocs(t *testing.T) {
 	req := InferenceRequest{RequestUID: "client.0.req.000001", ClientUID: "client.0", Model: "noop",
 		Prompt: string(bytes.Repeat([]byte("x"), 8<<10)), SentAt: t0}
-	env, err := NewEnvelope(KindRequest, 1, "client.0", "svc.0", t0, req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := NewRequest(1, "client.0", "svc.0", req)
+	defer env.Release()
 	buf := make([]byte, 0, 16<<10)
+	var err error
 	if n := testing.AllocsPerRun(100, func() {
 		e := env
 		if buf, err = AppendFrame(buf[:0], &e); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
-		t.Errorf("AppendFrame of a typed request: %.1f allocs, budget 0", n)
+		t.Errorf("AppendFrame of an exchange's request: %.1f allocs, budget 0", n)
 	}
 	wire, err := DecodeFrame(buf[4:])
 	if err != nil {
@@ -460,11 +486,16 @@ func TestBodyCodecAllocs(t *testing.T) {
 	}
 	var got InferenceRequest
 	if n := testing.AllocsPerRun(100, func() {
-		if err := wire.Decode(KindRequest, &got); err != nil {
+		e := wire
+		if !e.DecodeExchange(Envelope{}, nil) {
+			t.Fatal("DecodeExchange declined the writer's shape")
+		}
+		if got, err = e.DecodeRequest(); err != nil {
 			t.Fatal(err)
 		}
+		e.Release()
 	}); n > 4 {
-		t.Errorf("Decode of a wire request: %.1f allocs, budget 4", n)
+		t.Errorf("DecodeExchange and DecodeRequest of a wire request: %.1f allocs, budget 4", n)
 	}
 	if got != req {
 		t.Fatalf("decoded %+v, want %+v", got, req)
@@ -472,24 +503,20 @@ func TestBodyCodecAllocs(t *testing.T) {
 }
 
 // TestTypedDecode runs DecodeRequest and DecodeReply down each of their
-// paths — the in-process snapshot, the half of an exchange, a wire body in
-// the hand codec's shape, a body only encoding/json reads — and holds each
-// to Decode's result and to its allocations: none in process, the strings
-// for a wire body.
+// paths — the half of an exchange, a wire body a read loop decodes into an
+// exchange (DecodeExchange, no interner), a body only encoding/json reads —
+// and holds each to the value sent, to Decode's result and to its
+// allocations: none in process; the four strings of a wire request, and
+// the three of a wire reply whose request_uid is its request's own.
 func TestTypedDecode(t *testing.T) {
 	req := InferenceRequest{RequestUID: "client.0.req.000001", ClientUID: "client.0", Model: "noop",
 		Prompt: "hello world", MaxTokens: 8, SentAt: t0}
 	rep := InferenceReply{RequestUID: "client.0.req.000001", ServiceUID: "svc.0", Model: "noop", Text: "ok",
 		PromptTokens: 3, OutputTokens: 1, Timing: Timing{ReceivedAt: t0, RepliedAt: t0.Add(time.Millisecond)}}
-	inproc := func(kind Kind, body any) Envelope {
-		env, err := NewEnvelope(kind, 1, "client.0", "svc.0", t0, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return env
-	}
-	wire := func(kind Kind, body any) Envelope {
-		env := inproc(kind, body)
+	xreq := NewRequest(1, "client.0", "svc.0", req)
+	defer xreq.Release()
+	xrep := xreq.Answer("svc.0", t0, &rep)
+	wire := func(env Envelope) Envelope {
 		frame, err := AppendFrame(nil, &env)
 		if err != nil {
 			t.Fatal(err)
@@ -500,12 +527,15 @@ func TestTypedDecode(t *testing.T) {
 		}
 		return out
 	}
-	exchange := func(kind Kind, body any) Envelope { // the half of an exchange kind names
-		if kind == KindRequest {
-			return NewRequest(1, "client.0", "svc.0", body.(InferenceRequest))
+	wreq, wrep := wire(xreq), wire(xrep)
+	into := NewRequest(1, "client.0", "svc.0", req) // the client's request a wire reply lands in
+	defer into.Release()
+	// read is a read loop's decode: the envelope its reader then holds.
+	read := func(e, req Envelope) Envelope {
+		if !e.DecodeExchange(req, nil) {
+			t.Fatalf("DecodeExchange declined the writer's %s", e.Kind)
 		}
-		r := body.(InferenceReply)
-		return NewRequest(1, "client.0", "svc.0", InferenceRequest{}).Answer("svc.0", t0, &r)
+		return e
 	}
 	spaced := func(kind Kind, body any) Envelope { // whitespace: the hand codec declines
 		raw, err := json.MarshalIndent(body, "", " ")
@@ -515,38 +545,48 @@ func TestTypedDecode(t *testing.T) {
 		return Envelope{Kind: kind, Body: raw}
 	}
 	for _, path := range []struct {
-		name   string
-		build  func(Kind, any) Envelope
-		allocs float64
-	}{{"snapshot", inproc, 0}, {"exchange", exchange, 0}, {"wire", wire, 4}, {"json", spaced, -1}} {
-		renv, penv := path.build(KindRequest, req), path.build(KindReply, rep)
-		var wantReq InferenceRequest
-		var wantRep InferenceReply
-		if err := renv.Decode(KindRequest, &wantReq); err != nil {
-			t.Fatal(err)
+		name                 string
+		renv, penv           func() Envelope
+		done                 func(Envelope) // what the reader of a request does once done with it
+		reqAllocs, repAllocs float64
+	}{
+		{"exchange", func() Envelope { return xreq }, func() Envelope { return xrep }, func(Envelope) {}, 0, 0},
+		{"wire", func() Envelope { return read(wreq, Envelope{}) }, func() Envelope { return read(wrep, into) }, Envelope.Release, 4, 3},
+		{"json", func() Envelope { return spaced(KindRequest, req) }, func() Envelope { return spaced(KindReply, rep) }, func(Envelope) {}, -1, -1},
+	} {
+		renv, penv := path.renv(), path.penv()
+		var viaReq InferenceRequest
+		var viaRep InferenceReply
+		if err := renv.Decode(KindRequest, &viaReq); err != nil || viaReq != req {
+			t.Errorf("%s: Decode of the request = %+v, %v; sent %+v", path.name, viaReq, err, req)
 		}
-		if err := penv.Decode(KindReply, &wantRep); err != nil {
-			t.Fatal(err)
+		if err := penv.Decode(KindReply, &viaRep); err != nil || viaRep != rep {
+			t.Errorf("%s: Decode of the reply = %+v, %v; sent %+v", path.name, viaRep, err, rep)
 		}
 		gotReq, err := renv.DecodeRequest()
-		if err != nil || gotReq != wantReq || !gotReq.SentAt.Equal(req.SentAt) || gotReq.Prompt != req.Prompt {
-			t.Errorf("%s: DecodeRequest = %+v, %v; Decode gives %+v", path.name, gotReq, err, wantReq)
+		if err != nil || gotReq != req {
+			t.Errorf("%s: DecodeRequest = %+v, %v; sent %+v", path.name, gotReq, err, req)
 		}
 		gotRep, err := penv.DecodeReply()
-		if err != nil || gotRep != wantRep || gotRep.Text != rep.Text || !gotRep.Timing.RepliedAt.Equal(rep.Timing.RepliedAt) {
-			t.Errorf("%s: DecodeReply = %+v, %v; Decode gives %+v", path.name, gotRep, err, wantRep)
+		if err != nil || gotRep != rep {
+			t.Errorf("%s: DecodeReply = %+v, %v; sent %+v", path.name, gotRep, err, rep)
 		}
-		if path.allocs < 0 {
+		path.done(renv)
+		if path.reqAllocs < 0 {
 			continue
 		}
-		if n := testing.AllocsPerRun(100, func() { gotReq, _ = renv.DecodeRequest() }); n != path.allocs {
-			t.Errorf("%s: DecodeRequest allocates %.1f objects, want %g", path.name, n, path.allocs)
+		if n := testing.AllocsPerRun(100, func() {
+			e := path.renv()
+			gotReq, _ = e.DecodeRequest()
+			path.done(e)
+		}); n != path.reqAllocs {
+			t.Errorf("%s: DecodeRequest allocates %.1f objects, want %g", path.name, n, path.reqAllocs)
 		}
-		if n := testing.AllocsPerRun(100, func() { gotRep, _ = penv.DecodeReply() }); n != path.allocs {
-			t.Errorf("%s: DecodeReply allocates %.1f objects, want %g", path.name, n, path.allocs)
+		if n := testing.AllocsPerRun(100, func() { gotRep, _ = path.penv().DecodeReply() }); n != path.repAllocs {
+			t.Errorf("%s: DecodeReply allocates %.1f objects, want %g", path.name, n, path.repAllocs)
 		}
 	}
-	if _, err := inproc(KindReply, rep).DecodeRequest(); err == nil {
+	if _, err := xrep.DecodeRequest(); err == nil {
 		t.Error("DecodeRequest accepted a reply")
 	}
 	if _, err := (Envelope{Kind: KindReply, Body: []byte(`{"prompt_tokens":"x"}`)}).DecodeReply(); err == nil {

@@ -4,8 +4,8 @@ package proto
 //
 // The frame encodes the fixed envelope header fields directly and pays JSON
 // only for the body, exactly once: hand-encoded in place for a request or
-// reply held in process (codec.go), through the envelope's lazy WireBody
-// cache for anything else (the seed framed the whole envelope as JSON: two
+// reply held in an exchange (codec.go), the body NewEnvelope encoded or a
+// snapshot's JSON for anything else (the seed framed the whole envelope as JSON: two
 // json.Marshal calls per write and a full json.Unmarshal per read):
 //
 //	u32  payload length N (big endian), N ≤ maxFrameSize
@@ -45,10 +45,10 @@ var ErrBadFrame = errors.New("proto: malformed frame")
 const frameHeaderMax = 255
 
 // AppendFrame appends env as one length-prefixed binary frame to dst and
-// returns the extended slice. A request or reply held in process, not yet
-// encoded, is hand-encoded straight into the frame, with no intermediate
-// slice and nothing cached on env; any other body goes through the envelope's
-// WireBody cache. The header is encoded directly either way, so a write
+// returns the extended slice. A request or reply held in an exchange is
+// hand-encoded straight into the frame, with no intermediate slice and
+// nothing cached on env; any other body is the one NewEnvelope encoded, or a
+// snapshot's JSON, cached on env. The header is encoded directly either way, so a write
 // costs a single JSON pass. Frames above maxFrameSize are rejected with
 // ErrFrameTooLarge and reach no wire: on any error dst comes back at its
 // old length.
@@ -80,7 +80,7 @@ func AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
 		}
 	}
 	if !direct {
-		body, err := env.WireBody()
+		body, err := env.wireBody()
 		if err != nil {
 			return dst[:start], err
 		}

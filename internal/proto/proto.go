@@ -28,27 +28,28 @@ const (
 
 // Envelope is the single message type carried by every channel.
 //
-// Besides the wire form (Body), an in-process envelope retains its payload
-// in an unexported field. In-process transports hand the envelope to the
-// receiver by value, so Decode can satisfy matching payload types with a
-// struct copy instead of a JSON parse — the dominant per-request CPU and
-// allocation cost on the REQ/REP hot path. For those fast-path payload
-// types Body stays nil until first wire access (WireBody): an envelope that
-// never leaves the address space never pays for an encode either. The
-// in-process payload is invisible to encoding/json: an envelope that
-// crosses a real wire (TCP framing) loses it and Decode reads the JSON
-// body: by hand for a request or reply in the writer's shape (codec.go),
-// with json.Unmarshal for everything else. A transport's read loop may
-// decode such a body into an exchange once (DecodeExchange), which then
-// serves Decode as in process.
+// Besides the wire form (Body), an in-process envelope may retain its
+// payload in an unexported field, one form per kind. In-process transports
+// hand the envelope to the receiver by value, so Decode satisfies a
+// matching payload type with a struct copy instead of a JSON parse: the
+// dominant per-request CPU and allocation cost on the REQ/REP hot path.
+// Such an envelope's Body stays nil until a wire needs it: a transport
+// encodes the payload into its frame (AppendFrame) or measures it
+// (EncodedBodyLen), so an envelope that never leaves the address space
+// never pays for an encode. The in-process payload is invisible to
+// encoding/json: an envelope that crosses a real wire (TCP framing) loses
+// it, and its read loop decodes a request or reply body in the writer's
+// shape (codec.go) into an exchange once (DecodeExchange), which then
+// serves Decode as in process. Every other body is read by json.Unmarshal.
 //
-// The payload is one of two things. NewEnvelope keeps a snapshot: a boxed
-// copy that never changes, so the envelope may be copied, kept and resent
-// at will. NewRequest keeps an exchange instead: one pooled object that
-// holds the request and, once Answer has written it, the reply, so that an
-// in-process round trip boxes neither. An exchange serves exactly one round
-// trip: its request envelope is sent once, answered once, and after
-// Release neither it nor its answer may be read, copied or sent again.
+// A request is an exchange (NewRequest), and so is a reply (Answer): one
+// pooled object that holds the request and, once Answer has written it,
+// the reply, so that an in-process round trip boxes neither. An exchange
+// serves exactly one round trip: its request envelope is sent once,
+// answered once, and after Release neither it nor its answer may be read,
+// copied or sent again. A state update or an error is an immutable boxed
+// snapshot (NewEnvelope), and NewEnvelope encodes any other payload into
+// Body at once: either envelope may be copied, kept and resent at will.
 type Envelope struct {
 	Kind Kind            `json:"kind"`
 	ID   uint64          `json:"id"`           // per-sender sequence number
@@ -57,32 +58,33 @@ type Envelope struct {
 	Sent time.Time       `json:"sent"`         // clock time at send
 	Body json.RawMessage `json:"body,omitempty"`
 
-	// typed is the in-process payload: a snapshot or an *exchange; nil
-	// after wire transport or for payload types without a fast path.
+	// typed is the in-process payload: an *exchange, a StateUpdate or an
+	// ErrorBody; nil after wire transport and for a Body NewEnvelope
+	// encoded.
 	typed any
 }
 
 // NewEnvelope builds a fresh envelope around body.
 //
-// Fast-path payload types (the value-typed snapshots Decode understands)
-// are kept unencoded: the JSON body materializes lazily on first wire
-// access via WireBody, so an envelope that lives and dies inside one
-// address space never pays json.Marshal at all. All other payloads are
-// encoded eagerly — a pointer or map payload must be snapshotted at send
-// time, before its referents can mutate.
+// A StateUpdate or an ErrorBody, value-typed with no reference fields, is
+// kept as a boxed snapshot: its JSON is written only when a wire needs it.
+// Every other payload is encoded at once into Body, so that a pointer or
+// map payload is captured at send time, before its referents can mutate.
+// An InferenceRequest or InferenceReply is encoded by the hand codec, a
+// drawn reply's text spelled; one that should take part in a round trip
+// without an encode is built with NewRequest and Answer instead.
 func NewEnvelope(kind Kind, id uint64, from, to string, sent time.Time, body any) (Envelope, error) {
 	env := Envelope{Kind: kind, ID: id, From: from, To: to, Sent: sent}
 	switch body.(type) {
-	// Value-typed payloads with no reference fields are true snapshots
-	// (boxed copies): safe to keep for the in-process decode fast path
-	// and to re-encode later for the wire. Pointer payloads and payloads
-	// holding maps are deliberately excluded — their referents could
-	// mutate after send.
-	case InferenceRequest, InferenceReply, StateUpdate, Endpoint, ErrorBody:
+	case StateUpdate, ErrorBody:
 		env.typed = body
 		return env, nil
 	}
-	raw, err := json.Marshal(body)
+	if raw, ok := appendBody(nil, body); ok {
+		env.Body = raw
+		return env, nil
+	}
+	raw, err := json.Marshal(body) // a request or reply appendBody declined fails here alike
 	if err != nil {
 		return Envelope{}, fmt.Errorf("proto: marshal %s body: %w", kind, err)
 	}
@@ -105,9 +107,9 @@ type exchange struct {
 var exchanges = sync.Pool{New: func() any { return new(exchange) }}
 
 // NewRequest builds a KindRequest envelope sent at req.SentAt around a
-// pooled exchange holding req: the in-process form of NewEnvelope's request,
-// with nothing boxed. The envelope serves one round trip (see Envelope);
-// its sender releases it once the reply has been read.
+// pooled exchange holding req: the one in-process form of a request, with
+// nothing boxed and nothing encoded. The envelope serves one round trip
+// (see Envelope); its sender releases it once the reply has been read.
 func NewRequest(id uint64, from, to string, req InferenceRequest) Envelope {
 	x := exchanges.Get().(*exchange)
 	x.req = req
@@ -115,10 +117,13 @@ func NewRequest(id uint64, from, to string, req InferenceRequest) Envelope {
 }
 
 // Answer returns the KindReply envelope that answers request e with
-// *reply, from from to e.From, sent at sent. The reply is written into the
-// exchange of a request built by NewRequest, which the answer then shares;
-// any other request (one decoded from a frame, or a snapshot) is answered
-// into an exchange of the answer's own, taken from the same pool.
+// *reply, from from to e.From, sent at sent: the one in-process form of a
+// reply. The reply is written into the exchange e carries, built by
+// NewRequest or decoded from a frame (DecodeExchange), which the answer
+// then shares. A request with no exchange, a foreign writer's body the
+// hand codec declined or an envelope NewEnvelope encoded, is answered
+// into an exchange of the answer's own, taken from the same pool and left
+// to the garbage collector.
 func (e Envelope) Answer(from string, sent time.Time, reply *InferenceReply) Envelope {
 	x, ok := e.typed.(*exchange)
 	if !ok || e.Kind != KindRequest {
@@ -130,18 +135,20 @@ func (e Envelope) Answer(from string, sent time.Time, reply *InferenceReply) Env
 
 // DecodeExchange decodes the body of e, a request or a reply as
 // DecodeFrame returns it, into an exchange that e then carries, so that
-// reading it is a copy and answering it writes into the same exchange. A
-// reply lands in the exchange of req, the request it answers (NewRequest),
-// whose own request_uid string it reuses when the bytes are equal; a
-// request lands in an exchange taken from the pool, with req ignored. The
-// client_uid, service_uid and model strings are read through in.
+// reading it is a copy and answering it writes into the same exchange. It
+// is the one door through which a wire body is hand-decoded; a body it
+// declines is read by json.Unmarshal. A reply lands in the exchange of req,
+// the request it answers (NewRequest), whose own request_uid string it
+// reuses when the bytes are equal; a request lands in an exchange taken
+// from the pool, with req ignored. The client_uid, service_uid and model
+// strings are read through in (a nil in allocates them).
 //
 // It reports false and changes nothing for any other kind, for a reply
-// whose req has no exchange, and for a body not in the hand codec's shape;
-// e then decodes as before. e.Body still aliases the frame afterwards:
-// whoever keeps e past the frame's buffer drops it. The exchange is
-// released once, as NewRequest's is: a reply's by the sender of req, a
-// request's by whoever decoded it, after its answer is encoded.
+// whose req has no exchange, and for a body not in the hand codec's shape.
+// e.Body still aliases the frame afterwards: whoever keeps e past the
+// frame's buffer drops it. The exchange is released once, as NewRequest's
+// is: a reply's by the sender of req, a request's by whoever decoded it,
+// after its answer is encoded.
 func (e *Envelope) DecodeExchange(req Envelope, in *Interner) bool {
 	if e.typed != nil || e.Body == nil {
 		return false
@@ -171,10 +178,9 @@ func (e *Envelope) DecodeExchange(req Envelope, in *Interner) bool {
 // released by its sender, once, through the request or its answer, after
 // the reply has been read: a request abandoned on ctx expiry may still be
 // answered, so its exchange is left to the garbage collector. A request
-// decoded into an exchange (DecodeExchange), or an answer to a request that
-// had none, is released by whoever sends the answer on, once it is encoded
-// (msgq's TCP server, after the reply frame); one kept in process is left
-// to the garbage collector.
+// decoded into an exchange (DecodeExchange) is released by whoever sends
+// its answer on, once that is encoded (msgq's TCP server, after the reply
+// frame).
 func (e Envelope) Release() {
 	if x, ok := e.typed.(*exchange); ok {
 		*x = exchange{}
@@ -182,11 +188,9 @@ func (e Envelope) Release() {
 	}
 }
 
-// WireBody returns the envelope's JSON body, encoding the in-process
-// payload on first wire access. Transports call it before charging
-// size-dependent link costs; in-process deliveries that decode the typed
-// payload never trigger the encode.
-func (e *Envelope) WireBody() (json.RawMessage, error) {
+// wireBody returns the envelope's JSON body, encoding the in-process
+// payload on first wire access and keeping it in Body.
+func (e *Envelope) wireBody() (json.RawMessage, error) {
 	if e.Body == nil && e.typed != nil {
 		raw, err := marshalTyped(nil, e)
 		if err != nil {
@@ -197,10 +201,10 @@ func (e *Envelope) WireBody() (json.RawMessage, error) {
 	return e.Body, nil
 }
 
-// marshalTyped returns the JSON of e's in-process payload: a request or
-// reply hand-encoded onto scratch, any other payload (and a body the hand
-// encoder declines) in json.Marshal's own slice. Both encoders write a
-// drawn reply's text spelled.
+// marshalTyped returns the JSON of e's in-process payload: an exchange's
+// half hand-encoded onto scratch, a snapshot (and a half the hand encoder
+// declines, whose timestamp json.Marshal refuses alike) in json.Marshal's
+// own slice.
 func marshalTyped(scratch []byte, e *Envelope) ([]byte, error) {
 	if raw, ok := appendTyped(scratch, e); ok {
 		return raw, nil
@@ -208,10 +212,6 @@ func marshalTyped(scratch []byte, e *Envelope) ([]byte, error) {
 	v := e.typed
 	if x, ok := v.(*exchange); ok {
 		v = x.half(e.Kind)
-	}
-	if r, ok := v.(InferenceReply); ok && r.TextDrawn {
-		r.Text, r.TextDrawn = r.Words(), false
-		v = r
 	}
 	return json.Marshal(v)
 }
@@ -230,9 +230,9 @@ func (x *exchange) half(kind Kind) any {
 
 // Decode unmarshals the envelope body into out, validating the kind first.
 // When the envelope still carries its in-process payload and out is a
-// pointer to the same payload type, the decode is a plain struct copy.
-// out escapes into json.Unmarshal; a request or reply decodes without that
-// through DecodeRequest or DecodeReply.
+// pointer to the same payload type, the decode is a plain struct copy;
+// any other body goes to json.Unmarshal, into which out escapes. A request
+// or reply decodes without that through DecodeRequest or DecodeReply.
 func (e Envelope) Decode(want Kind, out any) error {
 	if e.Kind != want {
 		return kindError(e.Kind, want)
@@ -240,12 +240,9 @@ func (e Envelope) Decode(want Kind, out any) error {
 	if e.typed != nil && copyTyped(out, &e) {
 		return nil
 	}
-	raw, err := (&e).WireBody() // lazy body: materialize for the JSON path
+	raw, err := (&e).wireBody() // lazy body: materialize for the JSON path
 	if err != nil {
 		return err
-	}
-	if decodeBody(raw, out) {
-		return nil
 	}
 	if err := json.Unmarshal(raw, out); err != nil {
 		return fmt.Errorf("proto: decode %s body: %w", e.Kind, err)
@@ -254,35 +251,24 @@ func (e Envelope) Decode(want Kind, out any) error {
 }
 
 // copyTyped copies e's in-process payload into *out when out points at its
-// type: a snapshot's, or the half of an exchange that e.Kind names.
+// type: the half of an exchange that e.Kind names, or a snapshot's.
 func copyTyped(out any, e *Envelope) bool {
-	if x, ok := e.typed.(*exchange); ok {
-		switch dst := out.(type) {
-		case *InferenceRequest:
-			if e.Kind == KindRequest {
-				*dst = x.req
-				return true
-			}
-		case *InferenceReply:
-			if e.Kind == KindReply {
-				*dst = x.rep
-				return true
-			}
-		}
-		return false
-	}
-	v := e.typed
+	x, isX := e.typed.(*exchange)
 	switch dst := out.(type) {
 	case *InferenceRequest:
-		return assign(dst, v)
+		if isX && e.Kind == KindRequest {
+			*dst = x.req
+			return true
+		}
 	case *InferenceReply:
-		return assign(dst, v)
+		if isX && e.Kind == KindReply {
+			*dst = x.rep
+			return true
+		}
 	case *StateUpdate:
-		return assign(dst, v)
-	case *Endpoint:
-		return assign(dst, v)
+		return assign(dst, e.typed)
 	case *ErrorBody:
-		return assign(dst, v)
+		return assign(dst, e.typed)
 	}
 	return false
 }
@@ -305,9 +291,8 @@ func (e Envelope) DecodeReply() (InferenceReply, error) {
 	return decodeAs[InferenceReply](e, KindReply)
 }
 
-// decodeAs returns e's body as a T. The in-process payload is returned as
-// a copy and a body in the hand codec's shape is decoded into a T on the
-// caller's stack; only a body left to json.Unmarshal allocates its target.
+// decodeAs returns e's body as a T. The half of an exchange is returned as
+// a copy; only a body left to json.Unmarshal allocates its target.
 func decodeAs[T any](e Envelope, want Kind) (T, error) {
 	var v T
 	if e.Kind != want {
@@ -316,12 +301,9 @@ func decodeAs[T any](e Envelope, want Kind) (T, error) {
 	if e.typed != nil && copyTyped(&v, &e) {
 		return v, nil
 	}
-	raw, err := e.WireBody()
+	raw, err := e.wireBody()
 	if err != nil {
 		return v, err
-	}
-	if decodeBody(raw, &v) {
-		return v, nil
 	}
 	return unmarshalAs[T](e.Kind, raw)
 }

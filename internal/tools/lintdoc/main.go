@@ -21,7 +21,8 @@
 // CI job runs (a revive/golint subset with no external dependency). On
 // success it prints how many top-level names internal/ exports, how many
 // with its exported methods, and how many exported fields its exported
-// struct types declare.
+// struct types declare, then the lines of Go outside bench/ that are
+// neither blank nor comment, in non-test and in test files.
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"os"
 	"os/exec"
@@ -116,8 +118,66 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lintdoc: %d violation(s)\n", len(violations))
 		os.Exit(1)
 	}
+	code, tests := lineTotals(root, report)
 	fmt.Printf("lintdoc: %d packages documented; internal/ exports %d top-level names, %d with methods, %d struct fields\n",
 		len(dirs), names, names+methods, fields)
+	fmt.Printf("lintdoc: Go outside bench/: %d code lines, %d test lines (neither blank nor comment)\n", code, tests)
+}
+
+// lineTotals returns the lines that are neither blank nor comment in the
+// non-test and in the test Go files under root, bench/, testdata and
+// hidden directories aside.
+func lineTotals(root string, report func(string, ...any)) (code, tests int) {
+	_ = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return nil
+		}
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || p == filepath.Join(root, "bench")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			report("lintdoc: %v", err)
+			return nil
+		}
+		if strings.HasSuffix(p, "_test.go") {
+			tests += codeLines(src)
+		} else {
+			code += codeLines(src)
+		}
+		return nil
+	})
+	return code, tests
+}
+
+// codeLines counts the lines of src that hold a token other than a comment;
+// every line a raw string spans counts.
+func codeLines(src []byte) int {
+	file := token.NewFileSet().AddFile("", -1, len(src))
+	var s scanner.Scanner
+	s.Init(file, src, nil, scanner.ScanComments)
+	n, last := 0, 0
+	for {
+		pos, tok, lit := s.Scan()
+		if tok == token.EOF {
+			return n
+		}
+		if tok == token.COMMENT || (tok == token.SEMICOLON && lit == "\n") { // an inserted semicolon
+			continue
+		}
+		first := file.Line(pos)
+		end := first + strings.Count(lit, "\n")
+		first = max(first, last+1)
+		if end >= first {
+			n, last = n+end-first+1, end
+		}
+	}
 }
 
 // packageDirs returns every directory under internal/ and cmd/, testdata

@@ -75,3 +75,22 @@ func TestLinked(t *testing.T) {
 		t.Fatalf("violations = %q, want exactly four", got)
 	}
 }
+
+// TestLineTotals counts the fixture module's lines that are neither blank
+// nor comment: those of internal/a and cmd/tool, those of internal/b's
+// test, and none of the nested bench module's. A block comment and a
+// comment after code take no line and add none; a raw string counts every
+// line it spans.
+func TestLineTotals(t *testing.T) {
+	var got []string
+	code, tests := lineTotals("testdata/closed", func(format string, args ...any) {
+		got = append(got, fmt.Sprintf(format, args...))
+	})
+	if code != 21 || tests != 13 || len(got) != 0 {
+		t.Fatalf("counted %d code and %d test lines (violations %q), want 21 and 13", code, tests, got)
+	}
+	src := "// Package p.\npackage p\n\n/* a\nblock */\nvar s = `one\n\n// not a comment\n` // trailing\n\nfunc f() {} /* c */\n"
+	if n := codeLines([]byte(src)); n != 6 {
+		t.Fatalf("codeLines = %d, want 6: package, the four lines of the raw string, func", n)
+	}
+}

@@ -132,8 +132,8 @@ type agent struct {
 
 func (a *agent) stop() { a.stopOnce.Do(func() { close(a.done) }) }
 
-// handler decodes control calls and dispatches them. Replies are plain
-// envelopes with a replyBody JSON payload; errors travel as strings — the
+// handler decodes control calls and dispatches them. Replies are
+// kindResult envelopes with a replyBody JSON payload; errors travel as strings — the
 // driver turns them back into errors.
 func (a *agent) handler() msgq.Handler {
 	return func(env proto.Envelope) proto.Envelope {
@@ -158,7 +158,7 @@ func (a *agent) reply(req proto.Envelope, result any, err error) proto.Envelope 
 			body.Result = raw
 		}
 	}
-	out, _ := proto.NewEnvelope(proto.KindReply, req.ID, a.cfg.UID, req.From, a.clock.Now(), body)
+	out, _ := proto.NewEnvelope(kindResult, req.ID, a.cfg.UID, req.From, a.clock.Now(), body)
 	return out
 }
 

@@ -128,7 +128,7 @@ func (p *Proc) call(ctx context.Context, method string, args any, out any) error
 		return err
 	}
 	var rb replyBody
-	if err := reply.Decode(proto.KindReply, &rb); err != nil {
+	if err := reply.Decode(kindResult, &rb); err != nil {
 		return err
 	}
 	if rb.Err != "" {

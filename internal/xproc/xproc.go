@@ -58,9 +58,13 @@ type AgentConfig struct {
 	SchedPolicy string `json:"sched_policy,omitempty"`
 }
 
-// kindCall is the envelope kind of control RPCs on the agent channel.
-// (proto.Kind is open-ended; the core message set is untouched.)
-const kindCall proto.Kind = "xproc_call"
+// Envelope kinds of the agent channel: a control RPC and its result.
+// (proto.Kind is open-ended; the core message set is untouched, and
+// proto.KindReply only ever carries an InferenceReply.)
+const (
+	kindCall   proto.Kind = "xproc_call"
+	kindResult proto.Kind = "xproc_result"
+)
 
 // callBody is a control RPC request: a method name plus JSON arguments.
 type callBody struct {
