@@ -320,8 +320,9 @@ func TestWaitOnFinishedTasksMakesNoChannel(t *testing.T) {
 	defer s.Close()
 	tm := s.TaskManager()
 	tasks := make([]*Task, n)
+	var uids spec.UIDBlock
 	for i := range tasks {
-		tasks[i] = tm.newTask(context.Background(), spec.TaskDescription{UID: spec.TaskUID("wait", i)})
+		tasks[i] = tm.newTask(context.Background(), spec.TaskDescription{UID: uids.UID("wait.task.", uint64(i))})
 		tasks[i].finish(nil)
 	}
 	ctx := context.Background()

@@ -158,7 +158,7 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 		svcUIDs = append(svcUIDs, ss.Desc.UID)
 		s.sm.reg.Restore(ss.Desc.UID, ss.Generation, ss.Withdrawn)
 	}
-	s.tm.seq = journal.MaxSeqSuffix(taskUIDs, s.uid+".task.")
+	s.tm.seq = journal.MaxSeqSuffix(taskUIDs, s.tm.uidPrefix)
 	s.sm.seq = journal.MaxSeqSuffix(svcUIDs, s.uid+".svc.")
 	var pilotUIDs []string
 	for _, ps := range snap.Pilots {

@@ -169,11 +169,13 @@ func assembleSession(uid string, clock simtime.Clock, src *rng.Source, topo *pla
 	}
 	s.pm = &PilotManager{sess: s, pilots: make(map[string]*pilot.Pilot)}
 	s.tm = &TaskManager{
-		sess:     s,
-		placer:   placer{kind: "task", rt: rt},
-		tasks:    make(map[string]*Task),
-		overflow: make(map[string]*Task),
+		sess:      s,
+		placer:    placer{kind: "task", rt: rt},
+		uidPrefix: uid + ".task.",
+		tasks:     make(map[string]*Task),
+		overflow:  make(map[string]*Task),
 	}
+	s.tm.settled = s.tm.settle
 	s.sm = &ServiceManager{
 		sess:     s,
 		placer:   placer{kind: "service", rt: srt},

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -139,7 +141,7 @@ func TestTaskSettleHookSeesDoneRecord(t *testing.T) {
 	offClock(s, func() { <-started })
 	pt := pilotTask(tasks[0])
 	fired := 0
-	pt.OnDone(func() {
+	pt.OnDone(func(*pilot.Task) {
 		fired++
 		snap, _, err := journal.ReplayFile(jp)
 		if err != nil || len(snap.Tasks) != 1 || snap.Tasks[0].State != states.TaskDone {
@@ -153,7 +155,7 @@ func TestTaskSettleHookSeesDoneRecord(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("the hook ran %d times", fired)
 	}
-	pt.OnDone(func() { fired++ })
+	pt.OnDone(func(*pilot.Task) { fired++ })
 	if fired != 2 {
 		t.Fatal("a hook registered on a settled task did not run at once")
 	}
@@ -482,5 +484,134 @@ func TestPublishFansOutToJournalAndUpdates(t *testing.T) {
 	}
 	if ts := snap.Tasks[0]; ts.State != states.TaskDone || ts.Pilot != p.UID() {
 		t.Fatalf("journal ends the task %s on %q, want DONE on %q", ts.State, ts.Pilot, p.UID())
+	}
+}
+
+// TestTasksInSubmissionOrderPastSixDigits: a manager's UIDs pad its sequence
+// number to six digits and grow a seventh past 999 999, and Tasks (like the
+// overflow drain, which sorts the same way) still lists them in submission
+// order: a UID compares by its length first, then its bytes.
+func TestTasksInSubmissionOrderPastSixDigits(t *testing.T) {
+	s, _ := newJournaledSession(t, 7)
+	defer s.Close()
+	submitAttachedPilot(t, s)
+	tm := s.TaskManager()
+	tm.mu.Lock()
+	tm.seq = 999_997
+	tm.mu.Unlock()
+	descs := make([]spec.TaskDescription, 4)
+	for i := range descs {
+		descs[i] = spec.TaskDescription{Name: "wide", Cores: 1, Func: func(context.Context) error { return nil }}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	tasks, err := tm.Submit(ctx, descs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.Wait(ctx, tasks...); err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for i, task := range tasks {
+		if uid := fmt.Sprintf("%s.task.%06d", s.uid, 999_998+i); task.UID() != uid {
+			t.Fatalf("task %d has UID %s, want %s", i, task.UID(), uid)
+		}
+		want = append(want, task.UID())
+	}
+	for _, task := range tm.Tasks() {
+		got = append(got, task.UID())
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Tasks() = %v, want submission order %v", got, want)
+	}
+}
+
+// TestSettleDropsUnheldUID: the manager's one settle hook finds the handle by
+// the UID of the pilot-level task it is handed. A handle the manager no
+// longer holds (submitOne's failure path deletes its handle) is left alone
+// when its pilot-level task settles, and so is a pilot-level task the manager
+// never dispatched.
+func TestSettleDropsUnheldUID(t *testing.T) {
+	s, _ := newJournaledSession(t, 7)
+	defer s.Close()
+	p := submitAttachedPilot(t, s)
+	tm := s.TaskManager()
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	tasks, err := tm.Submit(ctx, gatedDescs(1, started, release)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offClock(s, func() { <-started })
+	dropped := tasks[0]
+	tm.mu.Lock()
+	delete(tm.tasks, dropped.UID())
+	tm.mu.Unlock()
+	close(release)
+	if err := p.WaitTasks(ctx, pilotTask(dropped).UID()); err != nil { // returns when the hooks have
+		t.Fatal(err)
+	}
+	select {
+	case <-dropped.Done():
+		t.Fatalf("a handle the manager dropped was settled: %v", dropped.Err())
+	default:
+	}
+
+	foreign, err := p.SubmitTask(ctx, spec.TaskDescription{Name: "foreign", Cores: 1, Func: func(context.Context) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign.OnDone(tm.settled)
+	if err := p.WaitTasks(ctx, foreign.UID()); err != nil {
+		t.Fatal(err)
+	}
+	if held := tm.Tasks(); len(held) != 0 {
+		t.Fatalf("the manager holds %d tasks after settling ones it does not hold", len(held))
+	}
+}
+
+// TestSettleReadsTheTaskItIsGiven: the settle hook judges the logical task by
+// the pilot-level task it is handed, not by whichever one the handle is bound
+// to. Two pilot-level tasks share a UID on two pilots, one DONE and one
+// FAILED: settling the handle, bound to the failed one, with the DONE one
+// finishes it without an error.
+func TestSettleReadsTheTaskItIsGiven(t *testing.T) {
+	s, _ := newJournaledSession(t, 7)
+	defer s.Close()
+	a, b := submitAttachedPilot(t, s), submitAttachedPilot(t, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	boom := errors.New("boom")
+	const uid = "shared.task.000001"
+	failed, err := a.SubmitTask(ctx, spec.TaskDescription{UID: uid, Cores: 1, Func: func(context.Context) error { return boom }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := b.SubmitTask(ctx, spec.TaskDescription{UID: uid, Cores: 1, Func: func(context.Context) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WaitTasks(ctx, uid); !errors.Is(err, boom) {
+		t.Fatalf("the failing task settled with %v, want %v", err, boom)
+	}
+	if err := b.WaitTasks(ctx, uid); err != nil {
+		t.Fatal(err)
+	}
+	tm := s.TaskManager()
+	h := tm.newTask(ctx, spec.TaskDescription{UID: uid})
+	h.cur, h.p = failed, a
+	tm.mu.Lock()
+	tm.tasks[uid] = h
+	tm.mu.Unlock()
+	tm.settle(done)
+	select {
+	case <-h.Done():
+	default:
+		t.Fatal("the handle was not settled")
+	}
+	if err := h.Err(); err != nil {
+		t.Fatalf("settled with the DONE task while bound to the FAILED one: %v", err)
 	}
 }

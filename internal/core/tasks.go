@@ -35,7 +35,18 @@ type TaskManager struct {
 	sess   *Session
 	placer // pilots, router, closed, and mu, which also guards the tables below
 
-	seq      int
+	seq int
+	// uids spells the UIDs of tasks submitted without one, "<session>.task."
+	// (uidPrefix) and the sequence number.
+	uids      spec.UIDBlock
+	uidPrefix string
+	// settled is tm.settle, bound once: the completion hook of every
+	// pilot-level task this manager dispatches.
+	settled func(*pilot.Task)
+	// tasks holds every handle submitted, under its UID. The settle hook and
+	// journalFirst look a pilot-level task's handle up here, so a handle
+	// may leave only once it is settled: the hook drops a UID it no longer
+	// finds.
 	tasks    map[string]*Task
 	overflow map[string]*Task
 }
@@ -201,7 +212,7 @@ func (tm *TaskManager) submitOne(ctx context.Context, d spec.TaskDescription) (*
 	tm.mu.Lock()
 	if d.UID == "" {
 		tm.seq++
-		d.UID = spec.TaskUID(tm.sess.uid, tm.seq)
+		d.UID = tm.uids.UID(tm.uidPrefix, uint64(tm.seq))
 	}
 	if _, dup := tm.tasks[d.UID]; dup {
 		tm.mu.Unlock()
@@ -263,16 +274,23 @@ func (tm *TaskManager) follow(t *Task, pt *pilot.Task, p *pilot.Pilot) {
 	t.mu.Lock()
 	t.cur, t.p = pt, p
 	t.mu.Unlock()
-	pt.OnDone(func() { tm.settle(t, pt) })
+	pt.OnDone(tm.settled)
 }
 
-// settle is the pilot-level task's completion hook. The pilot runs it once,
-// when pt is final and its last transition is profiled, journaled and
-// published — so a Wait that returns finds the DONE record in the journal.
-// DONE finishes the logical task, a queued-at-shutdown failure
-// (pilot.ErrPilotStopped, unpinned) re-enters routing, anything else fails
-// it.
-func (tm *TaskManager) settle(t *Task, pt *pilot.Task) {
+// settle is the completion hook of every pilot-level task this manager
+// dispatches (tm.settled). The pilot runs it once per task, when pt is final
+// and its last transition is profiled, journaled and published — so a Wait
+// that returns finds the DONE record in the journal. It settles the handle
+// under pt's UID, if the manager still holds one: DONE finishes the logical
+// task, a queued-at-shutdown failure (pilot.ErrPilotStopped, unpinned)
+// re-enters routing, anything else fails it.
+func (tm *TaskManager) settle(pt *pilot.Task) {
+	tm.mu.Lock()
+	t := tm.tasks[pt.UID()]
+	tm.mu.Unlock()
+	if t == nil {
+		return
+	}
 	if pt.State() == states.TaskDone {
 		t.finish(nil)
 		return
@@ -410,8 +428,12 @@ func (tm *TaskManager) Tasks() []*Task {
 	return out
 }
 
-// sortTasks orders tasks by UID — submission order for manager-assigned
-// UIDs, which embed the session sequence number.
+// sortTasks orders tasks by UID, shorter first — submission order for
+// manager-assigned UIDs, which embed the session sequence number, zero-padded
+// to six digits and wider past 999 999.
 func sortTasks(tasks []*Task) {
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].uid < tasks[j].uid })
+	sort.Slice(tasks, func(i, j int) bool {
+		a, b := tasks[i].uid, tasks[j].uid
+		return len(a) < len(b) || len(a) == len(b) && a < b
+	})
 }

@@ -932,17 +932,29 @@ func TestMaxSeqSuffix(t *testing.T) {
 }
 
 // TestTaskUIDMatchesSprintf pins the UIDs the managers and the pilots mint
-// without fmt to the bytes fmt gave them, and to the counter MaxSeqSuffix
-// recovers from them.
+// for their tasks, and the service clients for their requests, without fmt to
+// the bytes fmt gave them, at the edges of a block and of the six-digit
+// padding, from a fresh block and from one spelled for a lower sequence
+// number; and task UIDs to the counter MaxSeqSuffix recovers from them.
 func TestTaskUIDMatchesSprintf(t *testing.T) {
+	seqs := []uint64{0, 1, 9, 10, 42, 99, 100, 99999, 100000, 999999, 1000000, 1000099, 123456789}
 	for _, owner := range []string{"session.0a1b2c3d", "", strings.Repeat("pilot.", 20)} {
-		for _, seq := range []int{0, 1, 9, 10, 42, 99999, 100000, 999999, 1000000, 123456789} {
-			got, want := spec.TaskUID(owner, seq), fmt.Sprintf("%s.task.%06d", owner, seq)
-			if got != want {
-				t.Errorf("TaskUID(%q, %d) = %q, want %q", owner, seq, got, want)
-			}
-			if n := MaxSeqSuffix([]string{got}, owner+".task."); n != seq {
-				t.Errorf("MaxSeqSuffix(%q) = %d, want %d", got, n, seq)
+		for _, kind := range []string{".task.", ".req."} {
+			prefix := owner + kind
+			var shared spec.UIDBlock
+			for _, seq := range seqs {
+				want := fmt.Sprintf("%s%s%06d", owner, kind, seq)
+				var fresh spec.UIDBlock
+				if got := fresh.UID(prefix, seq); got != want {
+					t.Errorf("fresh UID(%q, %d) = %q, want %q", prefix, seq, got, want)
+				}
+				got := shared.UID(prefix, seq)
+				if got != want {
+					t.Errorf("UID(%q, %d) after a lower seq = %q, want %q", prefix, seq, got, want)
+				}
+				if n := MaxSeqSuffix([]string{got}, prefix); kind == ".task." && n != int(seq) {
+					t.Errorf("MaxSeqSuffix(%q) = %d, want %d", got, n, seq)
+				}
 			}
 		}
 	}

@@ -212,7 +212,7 @@ func TestPreGrantFailureFinalAtSubmit(t *testing.T) {
 		t.Fatal("Enqueued open on a settled task")
 	}
 	fired := 0
-	task.OnDone(func() { fired++ })
+	task.OnDone(func(*Task) { fired++ })
 	if fired != 1 {
 		t.Fatalf("hook on a task final at submission fired %d times before OnDone returned", fired)
 	}
@@ -271,7 +271,7 @@ func TestSubmitVsShutdownSingleWinnerRace(t *testing.T) {
 		if task == nil {
 			continue
 		}
-		task.OnDone(func() { fired[i]++ })
+		task.OnDone(func(*Task) { fired[i]++ })
 		err := waitTasks(t, p, task.UID())
 		switch task.State() {
 		case states.TaskDone:
@@ -432,7 +432,7 @@ func TestTaskChannelsAskedBeforeDuringAndAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	settled := make(chan struct{})
-	task.OnDone(func() { close(settled) })
+	task.OnDone(func(*Task) { close(settled) })
 	offClock(p, func() { <-settled })
 	if err := waitTasks(t, p, task.UID()); err != nil {
 		t.Fatal(err)

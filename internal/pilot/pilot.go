@@ -92,7 +92,7 @@ type Hooks struct {
 type Pilot struct {
 	cfg     Config
 	desc    spec.PilotDescription
-	machine *states.Machine
+	machine states.Machine
 	// run is the clock's runnability accounting (nil off the virtual
 	// clock): a goroutine the pilot starts for a task is registered
 	// before it starts.
@@ -118,9 +118,17 @@ type Pilot struct {
 	// one trampoline every task machine shares.
 	hooks    atomic.Pointer[Hooks]
 	taskHook states.BatchCallback
+	// granted is p.grant, bound once: the continuation every task's grant runs.
+	granted func(scheduler.Placement)
 
-	mu    sync.Mutex
-	seq   int
+	mu  sync.Mutex
+	seq int
+	// uids spells the UIDs of tasks submitted without one, "<pilot>.task."
+	// (uidPrefix) and the sequence number.
+	uids      spec.UIDBlock
+	uidPrefix string
+	// tasks holds every task submitted, under its UID: none is ever deleted,
+	// so a grant finds its task here.
 	tasks map[string]*Task
 }
 
@@ -151,7 +159,10 @@ func Lookup(uid string) (*Pilot, bool) {
 // Task is one managed compute task.
 type Task struct {
 	desc    spec.TaskDescription
-	machine *states.Machine
+	machine states.Machine
+	// ctx is the context the task was submitted under: its payload runs under
+	// it, and its cancellation fails the task before the grant.
+	ctx context.Context
 
 	// stopCtx withdraws the cancellation watch of a task submitted under a
 	// cancellable context (nil otherwise). Written before the grant
@@ -173,16 +184,17 @@ type Task struct {
 	done    simtime.Latch
 	// onDone is the first completion hook, moreDone any after it: a task has
 	// one, its session's settle.
-	onDone   func()
-	moreDone []func()
+	onDone   func(*Task)
+	moreDone []func(*Task)
 }
 
-// OnDone registers fn to run once the task has settled: on the goroutine
-// that settles it (the task's own once it was granted resources; before
-// that the submitter's, a cancelled context's or the pilot's shutdown) after
-// the final transition's callbacks have returned, or at once, on the
-// caller's, if it already has.
-func (t *Task) OnDone(fn func()) {
+// OnDone registers fn to run with the task once it has settled: on the
+// goroutine that settles it (the task's own once it was granted resources;
+// before that the submitter's, a cancelled context's or the pilot's shutdown)
+// after the final transition's callbacks have returned, or at once, on the
+// caller's, if it already has. Since fn is handed the task, one hook can serve
+// every task: a session registers the same settle on all of its own.
+func (t *Task) OnDone(fn func(*Task)) {
 	t.mu.Lock()
 	switch {
 	case t.settled:
@@ -193,7 +205,7 @@ func (t *Task) OnDone(fn func()) {
 	}
 	t.mu.Unlock()
 	if fn != nil {
-		fn()
+		fn(t)
 	}
 }
 
@@ -209,10 +221,10 @@ func (t *Task) settle() {
 	t.onDone, t.moreDone = nil, nil
 	t.mu.Unlock()
 	if first != nil {
-		first()
+		first(t)
 	}
 	for _, fn := range more {
-		fn()
+		fn(t)
 	}
 	t.mu.Lock()
 	t.done.Fire()
@@ -282,16 +294,18 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 	}
 
 	p := &Pilot{
-		cfg:     cfg,
-		desc:    desc,
-		machine: states.NewMachine(desc.UID, states.PilotModel(), cfg.Clock),
-		run:     simtime.RunnersOf(cfg.Clock),
-		stopped: make(chan struct{}),
-		tasks:   make(map[string]*Task),
+		cfg:       cfg,
+		desc:      desc,
+		run:       simtime.RunnersOf(cfg.Clock),
+		stopped:   make(chan struct{}),
+		uidPrefix: desc.UID + ".task.",
+		tasks:     make(map[string]*Task),
 	}
+	p.machine.Init(desc.UID, states.PilotModel(), cfg.Clock)
 	p.Rebind(cfg.Hooks)
 	p.machine.OnTransition(p.observe(states.EntityPilot))
 	p.taskHook = p.observe(states.EntityTask)
+	p.granted = p.grant
 	if err := p.machine.To(states.PilotLaunching); err != nil {
 		return nil, err
 	}
@@ -523,9 +537,10 @@ func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, 
 	p.mu.Lock()
 	p.seq++
 	if d.UID == "" {
-		d.UID = spec.TaskUID(p.machine.UID(), p.seq)
+		d.UID = p.uids.UID(p.uidPrefix, uint64(p.seq))
 	}
-	t := &Task{desc: d, machine: states.NewMachine(d.UID, states.TaskModel(), p.cfg.Clock)}
+	t := &Task{desc: d, ctx: ctx}
+	t.machine.Init(d.UID, states.TaskModel(), p.cfg.Clock)
 	t.machine.OnTransition(p.taskHook)
 	p.tasks[d.UID] = t
 	p.mu.Unlock()
@@ -542,15 +557,15 @@ func (p *Pilot) SubmitTask(ctx context.Context, d spec.TaskDescription) (*Task, 
 		t.fail(err)
 	case staged:
 		p.run.AddRunner() // register before spawn; stageIn deregisters
-		go p.stageIn(ctx, t)
+		go p.stageIn(t)
 	default:
-		p.admit(ctx, t)
+		p.admit(t)
 	}
 	return t, nil
 }
 
 // stageIn stages t's input, then takes it to the agent scheduler.
-func (p *Pilot) stageIn(ctx context.Context, t *Task) {
+func (p *Pilot) stageIn(t *Task) {
 	defer p.run.DoneRunner()
 	_, err := p.stage.StageAll(t.desc.InputStaging)
 	if err == nil {
@@ -560,16 +575,17 @@ func (p *Pilot) stageIn(ctx context.Context, t *Task) {
 		t.fail(err)
 		return
 	}
-	p.admit(ctx, t)
+	p.admit(t)
 }
 
 // admit hands t, in AGENT_SCHEDULING, to the agent scheduler. The grant is a
-// continuation: the scheduler's goroutine starts execute on one of the task's
-// own. Until then the task is an entry in the router's table, and whoever takes
-// it out — the grant, the pilot's shutdown, the context's cancellation, or
-// admit itself — is the one that goes on with the task.
-func (p *Pilot) admit(ctx context.Context, t *Task) {
-	d := &t.desc
+// continuation, the pilot's one (grant): the scheduler's goroutine starts
+// execute on one of the task's own. Until then the task is an entry in the
+// router's table, and whoever takes it out — the grant, the pilot's shutdown,
+// the context's cancellation, or admit itself — is the one that goes on with
+// the task.
+func (p *Pilot) admit(t *Task) {
+	d, ctx := &t.desc, t.ctx
 	if ctx.Done() != nil {
 		t.stopCtx = context.AfterFunc(ctx, func() {
 			if p.router.Cancel(d.UID) {
@@ -577,10 +593,7 @@ func (p *Pilot) admit(ctx context.Context, t *Task) {
 			}
 		})
 	}
-	p.router.Then(d.UID, func(pl scheduler.Placement) {
-		p.run.AddRunner() // register before spawn; execute deregisters
-		go p.execute(ctx, t, pl)
-	})
+	p.router.Then(d.UID, p.granted)
 	err := p.sched.Submit(scheduler.Request{
 		UID: d.UID, Cores: d.Cores, GPUs: d.GPUs, MemGB: d.MemGB, Priority: d.Priority,
 	})
@@ -614,10 +627,19 @@ func (p *Pilot) admit(ctx context.Context, t *Task) {
 	}
 }
 
+// grant is the continuation of every task's grant, run by the router on the
+// scheduler's goroutine: it starts the granted task's own goroutine. Launch
+// binds it once, as p.granted, so a task registers no closure of its own.
+func (p *Pilot) grant(pl scheduler.Placement) {
+	t, _ := p.Task(pl.Req.UID)
+	p.run.AddRunner() // register before spawn; execute deregisters
+	go p.execute(t, pl)
+}
+
 // execute is the task from its grant on: AGENT_EXECUTING → the payload →
 // STAGING_OUTPUT → DONE (the last two in one piece when nothing is staged
 // out), then the completion hooks.
-func (p *Pilot) execute(ctx context.Context, t *Task, pl scheduler.Placement) {
+func (p *Pilot) execute(t *Task, pl scheduler.Placement) {
 	defer p.run.DoneRunner()
 	d := &t.desc
 	if err := t.machine.To(states.TaskExecuting); err != nil {
@@ -625,7 +647,7 @@ func (p *Pilot) execute(ctx context.Context, t *Task, pl scheduler.Placement) {
 		t.fail(err)
 		return
 	}
-	res := p.exec.Execute(ctx, p.sched, pl, *d)
+	res := p.exec.Execute(t.ctx, p.sched, pl, *d)
 	t.mu.Lock()
 	t.result = res
 	t.mu.Unlock()

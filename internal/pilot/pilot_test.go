@@ -784,7 +784,7 @@ func TestOnDoneSingleWinnerRace(t *testing.T) {
 			if i == hooks/2 {
 				close(release)
 			}
-			task.OnDone(func() {
+			task.OnDone(func(*Task) {
 				fired[i].Add(1)
 				if task.State() != states.TaskDone || !observed.Load() {
 					t.Errorf("hook %d ran with the task %s, final transition observed: %v", i, task.State(), observed.Load())
@@ -804,7 +804,7 @@ func TestOnDoneSingleWinnerRace(t *testing.T) {
 		}
 	}
 	late := 0
-	task.OnDone(func() { late++ })
+	task.OnDone(func(*Task) { late++ })
 	if late != 1 {
 		t.Fatalf("a hook registered on a settled task ran %d times before OnDone returned", late)
 	}

@@ -44,7 +44,8 @@ func (r *Router) Cancel(uid string) bool {
 }
 
 // Drain cancels every waiter that owns claims and returns the UIDs it took,
-// sorted. A waiter registered while it runs may be missed: one that registers
+// shorter first and sorted within a length: submission order for UIDs that
+// end in a zero-padded sequence number, wider past 999 999. A waiter registered while it runs may be missed: one that registers
 // without a goroutine watching the stop signal looks at that signal after
 // Then, and withdraws with Cancel. A pilot's shutdown fails its queued tasks
 // with Drain, and its service manager's Close then fails its queued services
@@ -63,6 +64,7 @@ func (r *Router) Drain(owns func(uid string) bool) []string {
 		}
 	}
 	sort.Strings(taken)
+	sort.SliceStable(taken, func(i, j int) bool { return len(taken[i]) < len(taken[j]) })
 	return taken
 }
 

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,5 +126,20 @@ func TestRouterDrainedPlacementReleasedSingleWinnerRace(t *testing.T) {
 	}
 	if sn := s.Snapshot(); sn.Waiting != 0 || sn.Scheduled != n || sn.MaxFreeCores != n {
 		t.Fatalf("snapshot after the drain: %+v, want nothing waiting, %d granted, %d cores free", sn, n, n)
+	}
+}
+
+// TestRouterDrainInSubmissionOrderPastSixDigits: Drain returns the UIDs it
+// took in submission order when their zero-padded sequence numbers straddle
+// the seventh digit, as a pilot's shutdown re-routes its queued tasks: a
+// shorter UID first, then by its bytes.
+func TestRouterDrainInSubmissionOrderPastSixDigits(t *testing.T) {
+	r := NewRouter()
+	want := []string{"p.task.999998", "p.task.999999", "p.task.1000000", "p.task.1000001"}
+	for _, i := range []int{3, 1, 0, 2} {
+		r.Then(want[i], func(Placement) {})
+	}
+	if got := r.Drain(func(string) bool { return true }); !slices.Equal(got, want) {
+		t.Fatalf("Drain = %v, want %v", got, want)
 	}
 }

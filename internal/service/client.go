@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -13,6 +11,7 @@ import (
 	"repro/internal/msgq"
 	"repro/internal/proto"
 	"repro/internal/simtime"
+	"repro/internal/spec"
 )
 
 // Caller is the client-side inference interface, satisfied by the
@@ -43,17 +42,15 @@ type Client struct {
 	uids atomic.Pointer[uidBlock]
 }
 
-// uidBlockLen is how many consecutive request UIDs one block spells.
+// uidBlockLen is how many consecutive request UIDs one block holds: a
+// spec.UIDBlock's length, which UID never respells within.
 const uidBlockLen = 100
 
-// uidBlock is the request UIDs of ids first … first+n-1, first a multiple
-// of uidBlockLen, spelled back to back in one string. An aligned block
-// never crosses a power of ten, so its UIDs share one width.
+// uidBlock is a client's shared block of request UIDs, of ids first …
+// first+uidBlockLen-1: spelled before it is published, only read after.
 type uidBlock struct {
 	first uint64
-	n     uint64
-	width int
-	s     string
+	spec.UIDBlock
 }
 
 // Dial connects clientUID (an address, typically platform.Addr of the
@@ -122,42 +119,17 @@ func (c *Client) Infer(ctx context.Context, prompt string, maxTokens int) (proto
 // outside the current block spells id's block itself and keeps it only if
 // it is newer, so a straggler never evicts the block in use.
 func (c *Client) requestUID(id uint64) string {
-	b := c.uids.Load()
-	if b == nil || id-b.first >= b.n { // id < first wraps round
-		b = spellUIDs(c.uidPrefix, id-id%uidBlockLen)
-		for cur := c.uids.Load(); cur == nil || cur.first < b.first; cur = c.uids.Load() {
-			if c.uids.CompareAndSwap(cur, b) {
-				break
-			}
+	if b := c.uids.Load(); b != nil && id-b.first < uidBlockLen { // id < first wraps round
+		return b.UID(c.uidPrefix, id)
+	}
+	b := &uidBlock{first: id - id%uidBlockLen}
+	uid := b.UID(c.uidPrefix, id)
+	for cur := c.uids.Load(); cur == nil || cur.first < b.first; cur = c.uids.Load() {
+		if c.uids.CompareAndSwap(cur, b) {
+			break
 		}
 	}
-	off := int(id-b.first) * b.width
-	return b.s[off : off+b.width]
-}
-
-// spellUIDs spells the block of request UIDs that starts at first: the
-// last one at math.MaxUint64 is shorter. Within an aligned block the UIDs
-// differ only in their last two digits.
-func spellUIDs(prefix string, first uint64) *uidBlock {
-	var buf [20]byte // first's digits, right-aligned and zero-padded to six
-	at := len(buf)
-	for v := first; v > 0 || at > len(buf)-6; v /= 10 {
-		at--
-		buf[at] = byte('0' + v%10)
-	}
-	field := buf[at:]
-	stem := field[:len(field)-2] // first's last two digits are 00
-	b := &uidBlock{first: first, n: min(uidBlockLen-1, math.MaxUint64-first) + 1, width: len(prefix) + len(field)}
-	var sb strings.Builder
-	sb.Grow(int(b.n) * b.width)
-	for i := uint64(0); i < b.n; i++ {
-		sb.WriteString(prefix)
-		sb.Write(stem)
-		sb.WriteByte(byte('0' + i/10))
-		sb.WriteByte(byte('0' + i%10))
-	}
-	b.s = sb.String()
-	return b
+	return uid
 }
 
 // DecomposeRT splits a measured round-trip total into the paper's RT

@@ -122,7 +122,7 @@ func NewManager(cfg Config) (*Manager, error) {
 // Instance is one managed service task.
 type Instance struct {
 	desc    spec.ServiceDescription
-	machine *states.Machine
+	machine states.Machine
 	mgr     *Manager
 
 	mu       sync.Mutex
@@ -248,11 +248,8 @@ func (m *Manager) Submit(d spec.ServiceDescription) (*Instance, error) {
 	if d.StartTimeout <= 0 {
 		d.StartTimeout = defaultStartTimeout
 	}
-	inst := &Instance{
-		desc:    d,
-		machine: states.NewMachine(d.UID, states.ServiceModel(), m.cfg.Clock),
-		mgr:     m,
-	}
+	inst := &Instance{desc: d, mgr: m}
+	inst.machine.Init(d.UID, states.ServiceModel(), m.cfg.Clock)
 	inst.probeCtx, inst.stopProbe = context.WithCancel(context.Background())
 	if m.cfg.StateCallback != nil {
 		inst.machine.OnTransition(m.cfg.StateCallback)

@@ -206,7 +206,7 @@ func TestBootstrapStateTimestampsConsistent(t *testing.T) {
 	r := newRig(t)
 	inst, _ := r.mgr.Submit(llamaDesc("svc"))
 	waitReady(t, r, inst.UID())
-	m := inst.machine
+	m := &inst.machine
 	d, ok := m.Between(states.ServiceInitializing, states.ServicePublishing)
 	if !ok {
 		t.Fatal("missing state history")

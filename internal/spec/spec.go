@@ -11,7 +11,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
+	"math"
+	"strings"
 	"time"
 
 	"repro/internal/rng"
@@ -91,16 +92,51 @@ func (d TaskDescription) Validate() error {
 	return nil
 }
 
-// TaskUID returns fmt.Sprintf("%s.task.%06d", owner, seq) for seq >= 0: the
-// UID a manager or a pilot mints for its seq-th task, built without fmt on a
-// buffer that leaves the stack only as the string.
-func TaskUID(owner string, seq int) string {
-	var buf [64]byte
-	b := append(append(buf[:0], owner...), ".task."...)
-	for pad := 100000; pad > seq && pad > 1; pad /= 10 {
-		b = append(b, '0')
+// uidBlockLen is how many consecutive UIDs a UIDBlock spells at a time.
+const uidBlockLen = 100
+
+// UIDBlock is the UIDs of one prefix and the sequence numbers first …
+// first+n-1 (first a multiple of uidBlockLen), spelled back to back in one
+// string: a UID is a substring of it and costs no allocation of its own. An
+// aligned block never crosses a power of ten, so its UIDs share one width.
+// The zero value holds no UID. A manager or a pilot mints its tasks' UIDs from
+// one under its lock, a service client its request UIDs from blocks it shares
+// once spelled: UID only reads a block that holds seq.
+type UIDBlock struct {
+	first, n uint64
+	width    int
+	s        string
+}
+
+// UID returns prefix followed by seq, zero-padded to six digits:
+// fmt.Sprintf("%s%06d", prefix, seq), as "<owner>.task." or "<client>.req."
+// spell a task's or a request's UID. When the block does not hold seq it is
+// first respelled, in place, as the block of prefix that does: the block at
+// math.MaxUint64 is shorter. A block serves one prefix.
+func (b *UIDBlock) UID(prefix string, seq uint64) string {
+	if seq-b.first >= b.n { // seq < first wraps round
+		first := seq - seq%uidBlockLen
+		var buf [20]byte // first's digits, right-aligned and zero-padded to six
+		at := len(buf)
+		for v := first; v > 0 || at > len(buf)-6; v /= 10 {
+			at--
+			buf[at] = byte('0' + v%10)
+		}
+		field := buf[at:]
+		stem := field[:len(field)-2] // first's last two digits are 00: the UIDs differ in the last two
+		b.first, b.n, b.width = first, min(uidBlockLen-1, math.MaxUint64-first)+1, len(prefix)+len(field)
+		var sb strings.Builder
+		sb.Grow(int(b.n) * b.width)
+		for i := uint64(0); i < b.n; i++ {
+			sb.WriteString(prefix)
+			sb.Write(stem)
+			sb.WriteByte(byte('0' + i/10))
+			sb.WriteByte(byte('0' + i%10))
+		}
+		b.s = sb.String()
 	}
-	return string(strconv.AppendInt(b, int64(seq), 10))
+	off := int(seq-b.first) * b.width
+	return b.s[off : off+b.width]
 }
 
 // Validate checks a staging directive.

@@ -214,8 +214,8 @@ type Record struct {
 // steps is the machine's own history: read it, do not keep or change it.
 type BatchCallback func(uid string, from State, steps []Record)
 
-// Machine tracks the live state of one entity instance. It is safe for
-// concurrent use.
+// Machine tracks the live state of one entity instance. Once Init has run it
+// is safe for concurrent use.
 type Machine struct {
 	uid   string
 	model *Model
@@ -234,13 +234,13 @@ type Machine struct {
 	turn              chan struct{}
 }
 
-// NewMachine returns a Machine in the model's initial state, timestamped
-// now.
-func NewMachine(uid string, model *Model, clock simtime.Clock) *Machine {
-	m := &Machine{uid: uid, model: model, clock: clock, current: model.Initial()}
+// Init puts m, a zero Machine, in the model's initial state, timestamped
+// now. A machine lives inside the entity it tracks, so it costs that entity
+// no object of its own; it must not be copied after Init.
+func (m *Machine) Init(uid string, model *Model, clock simtime.Clock) {
+	m.uid, m.model, m.clock, m.current = uid, model, clock, model.Initial()
 	m.history = append(m.hist[:0], Record{State: model.Initial(), At: clock.Now()})
 	m.callbacks = m.one[:0]
-	return m
 }
 
 // UID returns the entity UID.
