@@ -35,11 +35,15 @@ import (
 // a closure of each, and task UIDs spelled 100 at a time, a journaled task is
 // its two handles, its allocation and the closure of the go statement that
 // starts it at its grant: 4.0 to 4.1 (TestSubmitTaskAllocBudget in pilot
-// pins the pilot's half). One more object per task on either path exceeds the
+// pins the pilot's half). With replayed task UIDs substrings of UID blocks,
+// recovered handles one slab and each platform of the session's topology a
+// few arrays where it was an object or four a node, a recovered task
+// allocates nothing of its own: 0.07, the blocks, the slabs and the
+// topology shared out. One more object per task on either path exceeds the
 // budget.
 const (
 	submitAllocBudget  = 5.1
-	recoverAllocBudget = 3.0
+	recoverAllocBudget = 0.7
 )
 
 // TestTaskSubmitAllocBudget pins what one task costs in heap objects on the

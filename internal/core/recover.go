@@ -195,21 +195,23 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 }
 
 // recoverTasks re-pins, re-routes or settles every journaled task. Their
-// handles go into the task table first, all under one hold of its lock.
+// handles come from one slab and go into the task table first, all under
+// one hold of its lock. The table keeps every handle until Close, so the
+// slab outlives none of them; were settled handles dropped from the table,
+// one still held would keep the whole slab.
 func (s *Session) recoverTasks(snap *journal.Snapshot, survivors map[string]*pilot.Pilot, rep *RecoveryReport) {
 	model := states.ModelFor(states.EntityTask)
-	handles := make([]*Task, len(snap.Tasks))
+	handles := make([]Task, len(snap.Tasks))
 	s.tm.mu.Lock()
 	s.tm.tasks = make(map[string]*Task, len(snap.Tasks)) // a new session's: empty
 	for i, ts := range snap.Tasks {
-		handles[i] = s.tm.newTask(context.Background(), ts.Desc)
-		s.tm.tasks[ts.Desc.UID] = handles[i]
+		s.tm.tasks[ts.Desc.UID] = s.tm.initTask(&handles[i], context.Background(), ts.Desc)
 	}
 	s.tm.mu.Unlock()
 	rep.TasksSettled = make([]string, 0, len(snap.Tasks))
 
 	for i, ts := range snap.Tasks {
-		uid, t := ts.Desc.UID, handles[i]
+		uid, t := ts.Desc.UID, &handles[i]
 		if model.IsFinal(ts.State) {
 			var err error
 			if ts.State != states.TaskDone {

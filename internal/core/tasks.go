@@ -80,7 +80,14 @@ type owed struct {
 
 // newTask returns the unsettled handle for d, whose UID is final.
 func (tm *TaskManager) newTask(ctx context.Context, d spec.TaskDescription) *Task {
-	return &Task{handle: handle{uid: d.UID}, tm: tm, desc: d, ctx: ctx}
+	return tm.initTask(new(Task), ctx, d)
+}
+
+// initTask makes *t the unsettled handle for d, whose UID is final, and
+// returns t: a new handle's or one of a slab's.
+func (tm *TaskManager) initTask(t *Task, ctx context.Context, d spec.TaskDescription) *Task {
+	*t = Task{handle: handle{uid: d.UID}, tm: tm, desc: d, ctx: ctx}
+	return t
 }
 
 // takeOwed returns what t's dispatch has yet to journal and takes it off the

@@ -286,11 +286,12 @@ func scanBody(body []byte, keys []string, at bool) (v [4]jsonshape.Span, ok bool
 }
 
 // scanTask decodes a task body of exactly the shape appendBody writes into
-// *b, which it touches only if it takes the body: keys in order, plain
+// d.task, which it touches only if it takes the body: keys in order, plain
 // strings, integers as strconv writes them, staging and metadata null. Like
-// json.Unmarshal it leaves Func alone. A Name or Pilot equal to the one *b
-// holds keeps that string: tasks of one campaign repeat both.
-func scanTask(body []byte, b *TaskBody) bool {
+// json.Unmarshal it leaves Func alone. A Name or Pilot equal to the one
+// d.task holds keeps that string: tasks of one campaign repeat both. The
+// UID comes from d.uid.
+func (d *decoded) scanTask(body []byte) bool {
 	c := jsonshape.Cursor{P: body}
 	c.Lit(`{"uid":`)
 	uid := c.Str()
@@ -321,20 +322,50 @@ func scanTask(body []byte, b *TaskBody) bool {
 	if !c.End() {
 		return false
 	}
-	d := &b.Desc
-	b.UID = string(uid.Of(body))
-	if d.UID = b.UID; string(descUID.Of(body)) != b.UID { // the managers write one UID twice: one string
-		d.UID = string(descUID.Of(body))
+	b := &d.task
+	t := &b.Desc
+	b.UID = d.uid(uid.Of(body))
+	if t.UID = b.UID; string(descUID.Of(body)) != b.UID { // the managers write one UID twice: one string
+		t.UID = string(descUID.Of(body))
 	}
-	if string(name.Of(body)) != d.Name {
-		d.Name = string(name.Of(body))
+	if string(name.Of(body)) != t.Name {
+		t.Name = string(name.Of(body))
 	}
-	if string(pilot.Of(body)) != d.Pilot {
-		d.Pilot = string(pilot.Of(body))
+	if string(pilot.Of(body)) != t.Pilot {
+		t.Pilot = string(pilot.Of(body))
 	}
-	d.Cores, d.GPUs, d.MemGB, d.Duration, d.Priority = cores, gpus, mem, dur, priority
-	d.InputStaging, d.OutputStaging, d.Metadata = nil, nil, nil
+	t.Cores, t.GPUs, t.MemGB, t.Duration, t.Priority = cores, gpus, mem, dur, priority
+	t.InputStaging, t.OutputStaging, t.Metadata = nil, nil, nil
 	return true
+}
+
+// uid returns b as a string. A UID of the managers' shape, a prefix and a
+// sequence number of six to 19 digits, is a substring of d.uids, the block
+// of its prefix that holds it: a new prefix re-seats the block, and it is
+// respelled only when a UID leaves it. Any other UID is a copy: one the
+// block spells otherwise (an unpadded or zero-led number), a user's own.
+// Byte equality decides, so the string is always b.
+func (d *decoded) uid(b []byte) string {
+	at := len(b)
+	for at > 0 && '0' <= b[at-1] && b[at-1] <= '9' {
+		at--
+	}
+	if n := len(b) - at; n < 6 || n > 19 || n > 6 && b[at] == '0' {
+		return string(b)
+	}
+	var seq uint64
+	for _, c := range b[at:] {
+		seq = seq*10 + uint64(c-'0')
+	}
+	if string(b[:at]) != d.uidPrefix {
+		d.uids = spec.UIDBlock{}
+		u := d.uids.UID(string(b[:at]), seq)
+		d.uidPrefix = u[:at] // the block holds the prefix: no string of its own
+	}
+	if u := d.uids.UID(d.uidPrefix, seq); u == string(b) {
+		return u
+	}
+	return string(b)
 }
 
 // unmarshalBody is the encoding/json path of a body. b is its own variable
@@ -348,11 +379,15 @@ func unmarshalBody[T any](body []byte) (b T, err error) {
 // envelope, had the writer's shape and was read by decodeFast: v then holds
 // the spans of a transition's or a bind's strings in Body, task a task's
 // body. Otherwise the body is valid JSON and encoding/json's to decode.
+// uids is the block of task UIDs under uidPrefix that the task UID last
+// decoded came from (see uid): a replay's UIDs share its blocks.
 type decoded struct {
 	Record
-	fast bool
-	v    [4]jsonshape.Span
-	task TaskBody
+	fast      bool
+	v         [4]jsonshape.Span
+	task      TaskBody
+	uids      spec.UIDBlock
+	uidPrefix string
 }
 
 // strings returns the strings of a transition body (entity, UID, from, to)
@@ -403,7 +438,7 @@ func decodeFast(payload []byte, d *decoded) (ok bool) {
 		d.v, d.fast = scanBody(body, bindKeys, false)
 	case string(kindTask):
 		d.Kind = kindTask
-		d.fast = scanTask(body, &d.task)
+		d.fast = d.scanTask(body)
 	default:
 		d.Kind = Kind(kind)
 	}

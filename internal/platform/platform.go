@@ -10,6 +10,7 @@ package platform
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -62,11 +63,20 @@ type Node struct {
 
 // NewNode returns an idle node.
 func NewNode(name string, spec NodeSpec) *Node {
-	return &Node{
+	n := new(Node)
+	n.init(name, spec, make([]bool, spec.Cores+spec.GPUs))
+	return n
+}
+
+// init makes *n an idle node whose slot bitmaps, cores then GPUs, are slots
+// (spec.Cores+spec.GPUs long, all false): its own or a share of a
+// platform's.
+func (n *Node) init(name string, spec NodeSpec, slots []bool) {
+	*n = Node{
 		name:      name,
 		spec:      spec,
-		coreUsed:  make([]bool, spec.Cores),
-		gpuUsed:   make([]bool, spec.GPUs),
+		coreUsed:  slots[:spec.Cores:spec.Cores],
+		gpuUsed:   slots[spec.Cores:],
 		freeCores: spec.Cores,
 		freeGPUs:  spec.GPUs,
 	}
@@ -245,25 +255,48 @@ func New(name string, n int, spec NodeSpec) *Platform {
 // order is placement order for index-based (first-fit) schedulers: a
 // fragmentation-sensitive catalog entry puts its large nodes first to
 // expose the first-fit failure mode that best-fit placement avoids.
+//
+// Node i is named fmt.Sprintf("%s-node%04d", name, i). The nodes are one
+// array, their slot bitmaps another and their names substrings of one
+// string, so a platform costs the same few allocations at any size.
 func NewMixed(name string, groups []NodeGroup) *Platform {
-	total := 0
+	total, slots := 0, 0
 	for _, g := range groups {
 		if g.Count <= 0 {
 			panic(fmt.Sprintf("platform: %s group with %d nodes", name, g.Count))
 		}
 		total += g.Count
+		slots += g.Count * (g.Spec.Cores + g.Spec.GPUs)
 	}
 	if total == 0 {
 		panic(fmt.Sprintf("platform: %s with no node groups", name))
 	}
+	// Node i's name is a substring of the one string the builder spells:
+	// grown once to the widest name times the count, it never moves.
+	var digits [20]byte
+	widest := len(name) + len("-node") + max(4, len(strconv.AppendInt(digits[:0], int64(total-1), 10)))
+	var names strings.Builder
+	names.Grow(total * widest)
+	nodes, used := make([]Node, total), make([]bool, slots)
 	p := &Platform{
 		name:       name,
+		nodes:      make([]*Node, total),
 		WANLatency: make(map[string]rng.DurationDist),
 	}
 	i := 0
 	for _, g := range groups {
-		for k := 0; k < g.Count; k++ {
-			p.nodes = append(p.nodes, NewNode(fmt.Sprintf("%s-node%04d", name, i), g.Spec))
+		k := g.Spec.Cores + g.Spec.GPUs
+		for range g.Count {
+			start := names.Len()
+			names.WriteString(name)
+			names.WriteString("-node")
+			d := strconv.AppendInt(digits[:0], int64(i), 10)
+			for range 4 - len(d) {
+				names.WriteByte('0')
+			}
+			names.Write(d)
+			nodes[i].init(names.String()[start:], g.Spec, used[:k:k])
+			p.nodes[i], used = &nodes[i], used[k:]
 			i++
 		}
 	}

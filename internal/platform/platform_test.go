@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -414,5 +416,87 @@ func TestHeteroCampusCatalog(t *testing.T) {
 	}
 	if p.TotalGPUs() != heteroFatNodes*heteroFatSpec.GPUs {
 		t.Fatalf("hetero GPUs = %d", p.TotalGPUs())
+	}
+}
+
+// TestNewMixedNodesIndependent: the nodes of a platform share one slot
+// array, each a capacity-capped share of it. Filling node i's last core and
+// last GPU leaves its other slot list and node i+1 as they were.
+func TestNewMixedNodesIndependent(t *testing.T) {
+	spec := NodeSpec{Cores: 4, GPUs: 2, MemGB: 16}
+	p := NewMixed("ind", []NodeGroup{{Count: 2, Spec: NodeSpec{Cores: 2, GPUs: 1, MemGB: 8}}, {Count: 3, Spec: spec}})
+	for i := 2; i < 4; i++ {
+		n, next := p.Nodes()[i], p.Nodes()[i+1]
+		if a := n.TryAlloc(spec.Cores-1, 0, 0); a == nil {
+			t.Fatalf("node %d: TryAlloc of %d cores failed", i, spec.Cores-1)
+		}
+		if a := n.TryAlloc(0, spec.GPUs-1, 0); a == nil {
+			t.Fatalf("node %d: TryAlloc of %d GPUs failed", i, spec.GPUs-1)
+		}
+		gpusBefore := append([]bool(nil), n.gpuUsed...)
+		core := n.TryAlloc(1, 0, 0) // the last core
+		if core == nil || core.Cores[0] != spec.Cores-1 {
+			t.Fatalf("node %d: last core = %+v, want slot %d", i, core, spec.Cores-1)
+		}
+		if !slices.Equal(n.gpuUsed, gpusBefore) {
+			t.Fatalf("node %d: filling the last core moved its GPUs %v → %v", i, gpusBefore, n.gpuUsed)
+		}
+		coresBefore := append([]bool(nil), n.coreUsed...)
+		gpu := n.TryAlloc(0, 1, 0) // the last GPU
+		if gpu == nil || gpu.GPUs[0] != spec.GPUs-1 {
+			t.Fatalf("node %d: last GPU = %+v, want slot %d", i, gpu, spec.GPUs-1)
+		}
+		if !slices.Equal(n.coreUsed, coresBefore) {
+			t.Fatalf("node %d: filling the last GPU moved its cores %v → %v", i, coresBefore, n.coreUsed)
+		}
+		if n.FreeCores() != 0 || n.FreeGPUs() != 0 {
+			t.Fatalf("node %d: %d cores and %d GPUs free, want none", i, n.FreeCores(), n.FreeGPUs())
+		}
+		if c, g, _ := next.Free(); c != spec.Cores || g != spec.GPUs ||
+			!slices.Equal(next.coreUsed, make([]bool, spec.Cores)) || !slices.Equal(next.gpuUsed, make([]bool, spec.GPUs)) {
+			t.Fatalf("node %d full: node %d has %d cores, %d GPUs free, slots %v %v", i, i+1, c, g, next.coreUsed, next.gpuUsed)
+		}
+		if cap(n.coreUsed) != spec.Cores || cap(n.gpuUsed) != spec.GPUs {
+			t.Fatalf("node %d: slot lists of capacity %d and %d, want %d and %d", i, cap(n.coreUsed), cap(n.gpuUsed), spec.Cores, spec.GPUs)
+		}
+	}
+}
+
+// TestNewMixedNodeNames: a node's name is fmt.Sprintf("%s-node%04d"), past
+// 9 999 nodes too, where the number is five digits wide. Nodes only: no
+// goroutine runs.
+func TestNewMixedNodeNames(t *testing.T) {
+	const total = 10_050
+	p := NewMixed("wide", []NodeGroup{{Count: 50, Spec: NodeSpec{Cores: 1}}, {Count: total - 50, Spec: NodeSpec{GPUs: 1}}})
+	if len(p.Nodes()) != total {
+		t.Fatalf("%d nodes, want %d", len(p.Nodes()), total)
+	}
+	for i, n := range p.Nodes() {
+		if want := fmt.Sprintf("%s-node%04d", "wide", i); n.Name() != want {
+			t.Fatalf("node %d is named %q, want %q", i, n.Name(), want)
+		}
+	}
+}
+
+// TestDefaultTopologyAllocBudget pins what building the default topology
+// costs in heap objects: every NewSession and every Recover builds one. It
+// cost 1 022, five a node, when each node, its two slot bitmaps and its name
+// were objects of their own; with a platform's nodes, bitmaps and names one
+// array each it costs 49, most of them the latency models and WAN tables of
+// the four platforms. A platform is the same few arrays whatever its size,
+// so one twice as large costs the same count.
+func TestDefaultTopologyAllocBudget(t *testing.T) {
+	const budget = 49
+	if n := testing.AllocsPerRun(20, func() { DefaultTopology() }); n != budget {
+		t.Errorf("DefaultTopology allocates %.0f objects, want %d", n, budget)
+	}
+	groups := newHeteroCampus().Shapes()
+	twice := append([]NodeGroup(nil), groups...)
+	for i := range twice {
+		twice[i].Count *= 2
+	}
+	once := testing.AllocsPerRun(20, func() { NewMixed("hetero", groups) })
+	if n := testing.AllocsPerRun(20, func() { NewMixed("hetero", twice) }); n != once {
+		t.Errorf("a platform of %v allocates %.0f objects, one of %v %.0f: want the same count", twice, n, groups, once)
 	}
 }

@@ -248,7 +248,8 @@ func TestDecomposeRT(t *testing.T) {
 // the edges of its blocks and of the digit widths, a fresh client and one
 // that came from elsewhere alike; to a straggler being spelled its own
 // block without evicting the newer one; and to its cost: two objects (the
-// UIDs and their holder) for each block of 100 consecutive ids.
+// UIDs and their holder) for each block of 100 consecutive ids, counted only
+// without the race detector.
 func TestRequestUID(t *testing.T) {
 	const prefix = "delta.client.0001.req."
 	shared := &Client{uidPrefix: prefix}
@@ -279,6 +280,9 @@ func TestRequestUID(t *testing.T) {
 		}
 	}
 
+	if raceEnabled {
+		t.Skip("an exact allocation count under the race detector is not the code's")
+	}
 	const run = 100 * uidBlockLen
 	c, id := &Client{uidPrefix: prefix}, uint64(1)
 	allocs := testing.AllocsPerRun(1, func() {
