@@ -69,10 +69,10 @@ func gateServer(t *testing.T, clock simtime.Clock) (*serving.Server, *gateBacken
 }
 
 // dialOn binds srv on a fresh network of clock whose links all have
-// profile, and dials it as client.0.
-func dialOn(t *testing.T, clock simtime.Clock, srv *serving.Server, transport string, profile msgq.LinkProfile) *service.Client {
+// latency, and dials it as client.0.
+func dialOn(t *testing.T, clock simtime.Clock, srv *serving.Server, transport string, latency rng.DurationDist) *service.Client {
 	t.Helper()
-	net := msgq.NewNetwork(clock, rng.New(3), func(_, _ string) msgq.LinkProfile { return profile })
+	net := msgq.NewNetwork(clock, rng.New(3), func(_, _ string) rng.DurationDist { return latency })
 	t.Cleanup(func() { _ = net.Close() })
 	if transport != "" {
 		if err := net.SetTransport(transport); err != nil {
@@ -102,23 +102,23 @@ func dialOn(t *testing.T, clock simtime.Clock, srv *serving.Server, transport st
 // handler answer while the new reply is on its way back (a 2 ms link each
 // way in process): had the first exchange been recycled into a later
 // request, or the late reply been decoded into whichever request holds the
-// abandoned one's slot (over TCP some round reuses it, for any rotation of
-// up to 32 stripes), a reply would carry another request's UID or tokens.
+// abandoned one's slot (over TCP the next request reuses it), a reply would
+// carry another request's UID or tokens.
 // Every reply must carry its own request UID and output tokens, through the
 // rounds and the plain requests after them.
 func TestAbandonedExchangeRace(t *testing.T) {
 	for _, tr := range []struct {
 		name, transport string
-		profile         msgq.LinkProfile
+		latency         rng.DurationDist
 		rounds          int
 	}{
-		{"inproc", "", msgq.LinkProfile{Latency: rng.ConstDuration(2 * time.Millisecond)}, 4},
-		{"tcp", msgq.TransportTCP, msgq.LinkProfile{}, 33},
+		{"inproc", "", rng.ConstDuration(2 * time.Millisecond), 4},
+		{"tcp", msgq.TransportTCP, rng.DurationDist{}, 33},
 	} {
 		t.Run(tr.name, func(t *testing.T) {
 			clock := simtime.NewReal()
 			srv, b := gateServer(t, clock)
-			cl := dialOn(t, clock, srv, tr.transport, tr.profile)
+			cl := dialOn(t, clock, srv, tr.transport, tr.latency)
 			seq := 0
 			infer := func(ctx context.Context, prompt string, tokens int) error {
 				seq++
@@ -160,9 +160,8 @@ func TestAbandonedExchangeRace(t *testing.T) {
 }
 
 // TestRepliesAgreeAcrossTransports: the same requests to the same server
-// read the same replies over an in-process link that charges for bandwidth
-// (it sizes both halves of each exchange), over TCP and over REST, where
-// both encoders spell the drawn text. Timing is the real clock's and
+// read the same replies over an in-process link, over TCP and over REST,
+// where both encoders spell the drawn text. Timing is the real clock's and
 // differs; REST names its requests its own way.
 func TestRepliesAgreeAcrossTransports(t *testing.T) {
 	clock := simtime.NewReal()
@@ -183,11 +182,11 @@ func TestRepliesAgreeAcrossTransports(t *testing.T) {
 		}
 		return out
 	}
-	capped := run(func(srv *serving.Server) service.Caller {
-		return dialOn(t, clock, srv, "", msgq.LinkProfile{BytesPerSec: 1e9})
+	inproc := run(func(srv *serving.Server) service.Caller {
+		return dialOn(t, clock, srv, "", rng.ConstDuration(time.Millisecond))
 	})
 	tcp := run(func(srv *serving.Server) service.Caller {
-		return dialOn(t, clock, srv, msgq.TransportTCP, msgq.LinkProfile{})
+		return dialOn(t, clock, srv, msgq.TransportTCP, rng.DurationDist{})
 	})
 	rest := run(func(srv *serving.Server) service.Caller {
 		gw, err := restapi.NewGateway(srv, "127.0.0.1:0")
@@ -201,14 +200,14 @@ func TestRepliesAgreeAcrossTransports(t *testing.T) {
 		}
 		return c
 	})
-	for i := range capped {
-		if capped[i].words == "" {
-			t.Fatalf("reply %d spells no text: %+v", i, capped[i])
+	for i := range inproc {
+		if inproc[i].words == "" {
+			t.Fatalf("reply %d spells no text: %+v", i, inproc[i])
 		}
-		if tcp[i] != capped[i] {
-			t.Errorf("reply %d: tcp %+v, in-process %+v", i, tcp[i], capped[i])
+		if tcp[i] != inproc[i] {
+			t.Errorf("reply %d: tcp %+v, in-process %+v", i, tcp[i], inproc[i])
 		}
-		want := capped[i]
+		want := inproc[i]
 		want.uid = fmt.Sprintf("svc.0.rest.%06d", i+1)
 		if rest[i] != want {
 			t.Errorf("reply %d: rest %+v, in-process %+v", i, rest[i], want)

@@ -82,7 +82,7 @@ type Session struct {
 	topo  *platform.Topology
 	net   *msgq.Network
 
-	updates msgq.Publisher
+	updates *msgq.Publisher
 
 	// jw is the write-ahead journal (nil for volatile sessions);
 	// incarnation counts recoveries: 0 volatile, 1 first journaled life,

@@ -72,9 +72,7 @@ func TestPublishAllocFree(t *testing.T) {
 // pipeline under a latency-modelled link: messages must arrive in order
 // and each must arrive no earlier than its modelled traversal time.
 func TestSubscriberWorkerDelivers(t *testing.T) {
-	resolve := func(from, to string) LinkProfile {
-		return LinkProfile{Latency: rng.ConstDuration(2 * time.Millisecond)}
-	}
+	resolve := func(from, to string) rng.DurationDist { return rng.ConstDuration(2 * time.Millisecond) }
 	n := NewNetwork(simtime.NewReal(), rng.New(1), resolve)
 	defer n.Close()
 	p, _ := n.BindPub("updates")

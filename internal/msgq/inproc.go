@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/rng"
 )
 
 // inprocServer is a REQ/REP endpoint on a Network.
@@ -65,7 +66,7 @@ type inprocClient struct {
 	net     *Network
 	from    string
 	to      string
-	profile LinkProfile
+	latency rng.DurationDist
 
 	srv    atomic.Pointer[inprocServer]
 	closed atomic.Bool
@@ -73,7 +74,7 @@ type inprocClient struct {
 
 // dialInproc connects a client at address from to the in-process server
 // bound at to (the transport-dispatching entry point is Network.Dial in
-// transport.go). The link profile and the server endpoint are resolved
+// transport.go). The link latency and the server endpoint are resolved
 // once at dial time, mirroring a connected socket.
 func (n *Network) dialInproc(from, to string) (Client, error) {
 	n.mu.Lock()
@@ -86,7 +87,7 @@ func (n *Network) dialInproc(from, to string) (Client, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownAddr, to)
 	}
-	c := &inprocClient{net: n, from: from, to: to, profile: n.resolve(from, to)}
+	c := &inprocClient{net: n, from: from, to: to, latency: n.resolve(from, to)}
 	c.srv.Store(v.(*inprocServer))
 	return c, nil
 }
@@ -134,12 +135,12 @@ func (c *inprocClient) Request(ctx context.Context, env proto.Envelope) (proto.E
 	if ctx.Done() == nil {
 		// Fast path: synchronous round trip, zero allocations in the
 		// transport.
-		c.net.hop(c.profile, wireLen(c.profile, env))
+		c.net.hop(c.latency)
 		if srv.isClosed() {
 			return proto.Envelope{}, ErrClosed
 		}
 		reply := srv.handler(env)
-		c.net.hop(c.profile, wireLen(c.profile, reply))
+		c.net.hop(c.latency)
 		return reply, nil
 	}
 
@@ -149,13 +150,13 @@ func (c *inprocClient) Request(ctx context.Context, env proto.Envelope) (proto.E
 	}
 	done := make(chan result, 1)
 	go func() {
-		c.net.hop(c.profile, wireLen(c.profile, env)) // request traversal
+		c.net.hop(c.latency) // request traversal
 		if srv.isClosed() {
 			done <- result{err: ErrClosed}
 			return
 		}
 		reply := srv.handler(env)
-		c.net.hop(c.profile, wireLen(c.profile, reply)) // reply traversal
+		c.net.hop(c.latency) // reply traversal
 		done <- result{env: reply}
 	}()
 	select {
@@ -173,16 +174,6 @@ func (c *inprocClient) Close() error {
 }
 
 // --- PUB/SUB --------------------------------------------------------------
-
-// Publisher broadcasts envelopes to topic subscribers.
-type Publisher interface {
-	Publish(topic string, env proto.Envelope)
-	// Subscribed reports whether a Publish on topic would reach a
-	// subscriber now: a caller may skip building an envelope for nobody.
-	Subscribed(topic string) bool
-	Addr() string
-	Close() error
-}
 
 // Subscription receives published envelopes for its topics.
 type Subscription struct {
@@ -207,18 +198,20 @@ type pubItem struct {
 // subscriber owns one persistent delivery worker. The publisher enqueues
 // into ring (dropping when the subscriber lags, per PUB/SUB semantics);
 // the worker waits out each message's link traversal and forwards it to
-// ch. The link profile is resolved once at subscribe time.
+// ch. The link latency is resolved once at subscribe time.
 type subscriber struct {
 	id      uint64
 	topics  map[string]bool // empty set = all topics
 	ch      chan proto.Envelope
 	from    string
-	profile LinkProfile
+	latency rng.DurationDist
 	ring    chan pubItem
 	stop    chan struct{}
 }
 
-type inprocPublisher struct {
+// Publisher is a bound PUB endpoint: it broadcasts envelopes to topic
+// subscribers.
+type Publisher struct {
 	net  *Network
 	addr string
 
@@ -229,13 +222,13 @@ type inprocPublisher struct {
 }
 
 // BindPub registers a PUB endpoint at addr.
-func (n *Network) BindPub(addr string) (Publisher, error) {
+func (n *Network) BindPub(addr string) (*Publisher, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		return nil, ErrClosed
 	}
-	p := &inprocPublisher{net: n, addr: addr, subs: make(map[uint64]*subscriber)}
+	p := &Publisher{net: n, addr: addr, subs: make(map[uint64]*subscriber)}
 	if _, loaded := n.pubs.LoadOrStore(addr, p); loaded {
 		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
 	}
@@ -251,7 +244,7 @@ func (n *Network) Subscribe(from, addr string, buffer int, topics ...string) (*S
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownAddr, addr)
 	}
-	p := v.(*inprocPublisher)
+	p := v.(*Publisher)
 	if buffer <= 0 {
 		buffer = 64
 	}
@@ -263,7 +256,7 @@ func (n *Network) Subscribe(from, addr string, buffer int, topics ...string) (*S
 		topics:  ts,
 		ch:      make(chan proto.Envelope, buffer),
 		from:    from,
-		profile: n.resolve(addr, from),
+		latency: n.resolve(addr, from),
 		ring:    make(chan pubItem, buffer),
 		stop:    make(chan struct{}),
 	}
@@ -294,7 +287,7 @@ func (n *Network) Subscribe(from, addr string, buffer int, topics ...string) (*S
 // pending ring, waits until each message's simulated arrival time, and
 // forwards it. It owns closing sub.ch, so cancellation never races a
 // send-on-closed-channel.
-func (p *inprocPublisher) deliverLoop(sub *subscriber) {
+func (p *Publisher) deliverLoop(sub *subscriber) {
 	defer close(sub.ch)
 	for {
 		select {
@@ -318,11 +311,11 @@ func (p *inprocPublisher) deliverLoop(sub *subscriber) {
 	}
 }
 
-// Publish implements Publisher. Delivery is asynchronous per subscriber
-// through its persistent worker: the publisher only samples the link
-// traversal and enqueues — no goroutine is spawned and no profile is
+// Publish sends env to every subscriber of topic. Delivery is asynchronous
+// per subscriber through its persistent worker: the publisher only samples
+// the link traversal and enqueues — no goroutine is spawned and no link is
 // re-resolved per message.
-func (p *inprocPublisher) Publish(topic string, env proto.Envelope) {
+func (p *Publisher) Publish(topic string, env proto.Envelope) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -336,7 +329,7 @@ func (p *inprocPublisher) Publish(topic string, env proto.Envelope) {
 		if now.IsZero() {
 			now = p.net.clock.Now()
 		}
-		it := pubItem{env: env, deliverAt: now.Add(p.net.hopDelay(s.profile, wireLen(s.profile, env)))}
+		it := pubItem{env: env, deliverAt: now.Add(s.latency.Sample(p.net.src))}
 		select {
 		case s.ring <- it:
 		default: // subscriber's ring full: drop, never block the publisher
@@ -344,8 +337,9 @@ func (p *inprocPublisher) Publish(topic string, env proto.Envelope) {
 	}
 }
 
-// Subscribed implements Publisher.
-func (p *inprocPublisher) Subscribed(topic string) bool {
+// Subscribed reports whether a Publish on topic would reach a subscriber
+// now: a caller may skip building an envelope for nobody.
+func (p *Publisher) Subscribed(topic string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, s := range p.subs {
@@ -356,11 +350,8 @@ func (p *inprocPublisher) Subscribed(topic string) bool {
 	return false
 }
 
-// Addr implements Publisher.
-func (p *inprocPublisher) Addr() string { return p.addr }
-
-// Close implements Publisher.
-func (p *inprocPublisher) Close() error {
+// Close unbinds the endpoint and ends every subscription.
+func (p *Publisher) Close() error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

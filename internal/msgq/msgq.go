@@ -4,9 +4,11 @@
 // PUB/SUB) over two transports:
 //
 //   - An in-process transport with injected, distribution-sampled link
-//     latency driven by the session clock. This is how the experiments
-//     reproduce the paper's measured interconnects (Delta inter-node
-//     0.063 ms ± 0.014 ms; Delta↔R3 0.47 ms ± 0.04 ms) deterministically.
+//     latency driven by the session clock: each message hop sleeps one
+//     latency sample, whatever the message's size. This is how the
+//     experiments reproduce the paper's measured interconnects (Delta
+//     inter-node 0.063 ms ± 0.014 ms; Delta↔R3 0.47 ms ± 0.04 ms)
+//     deterministically.
 //   - A TCP transport speaking length-prefixed proto frames, used for the
 //     genuinely remote REST/R3 scenarios and to demonstrate that the
 //     runtime works over real sockets.
@@ -16,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -46,20 +47,11 @@ type Client interface {
 	Close() error
 }
 
-// LinkProfile describes one directed network link.
-type LinkProfile struct {
-	// Latency is sampled once per message hop (request and reply each pay
-	// one sample), modelling one-way packet latency.
-	Latency rng.DurationDist
-	// BytesPerSec caps throughput; zero means unbounded. Transfer time is
-	// added on top of latency for the message's encoded size.
-	BytesPerSec float64
-}
-
-// Resolver maps a (client address, server address) pair to the link profile
-// connecting them. The platform package supplies resolvers that encode
-// local vs remote topology.
-type Resolver func(from, to string) LinkProfile
+// Resolver maps a (client address, server address) pair to the latency of
+// the link connecting them, sampled once per message hop (request and
+// reply each pay one sample). The platform package supplies resolvers that
+// encode local vs remote topology.
+type Resolver func(from, to string) rng.DurationDist
 
 // Network is the in-process transport: a set of named endpoints connected
 // by latency-modelled links, all timed on a shared Clock.
@@ -78,15 +70,15 @@ type Network struct {
 	closed    bool
 	transport string   // transport Bind registers on; zero value = inproc
 	reps      sync.Map // addr → *inprocServer
-	pubs      sync.Map // addr → *inprocPublisher
+	pubs      sync.Map // addr → *Publisher
 	tcpBinds  sync.Map // addr → *tcpBind (logical name → TCP listener)
 }
 
 // NewNetwork returns an empty in-process network. resolve may be nil, in
-// which case all links are zero-latency and unbounded.
+// which case all links are zero-latency.
 func NewNetwork(clock simtime.Clock, src *rng.Source, resolve Resolver) *Network {
 	if resolve == nil {
-		resolve = func(_, _ string) LinkProfile { return LinkProfile{} }
+		resolve = func(_, _ string) rng.DurationDist { return rng.DurationDist{} }
 	}
 	return &Network{
 		clock:   clock,
@@ -109,9 +101,9 @@ func (n *Network) Close() error {
 		reps = append(reps, v.(*inprocServer))
 		return true
 	})
-	var pubs []*inprocPublisher
+	var pubs []*Publisher
 	n.pubs.Range(func(_, v any) bool {
-		pubs = append(pubs, v.(*inprocPublisher))
+		pubs = append(pubs, v.(*Publisher))
 		return true
 	})
 	var tcps []*tcpBind
@@ -131,36 +123,10 @@ func (n *Network) Close() error {
 	return nil
 }
 
-// hopDelay returns the simulated traversal time of a message of bodyLen
-// encoded bytes over profile: one latency sample plus serialization time
-// for the size. It takes the size rather than the envelope so hot-path
-// callers never force their envelope to escape to the heap.
-func (n *Network) hopDelay(profile LinkProfile, bodyLen int) time.Duration {
-	d := profile.Latency.Sample(n.src)
-	if profile.BytesPerSec > 0 {
-		size := bodyLen + 64 // envelope header overhead estimate
-		d += time.Duration(float64(size) / profile.BytesPerSec * float64(time.Second))
-	}
-	return d
-}
-
-// hop simulates one message traversal over profile, blocking the calling
-// goroutine for the sampled delay.
-func (n *Network) hop(profile LinkProfile, bodyLen int) {
-	if d := n.hopDelay(profile, bodyLen); d > 0 {
+// hop simulates one message traversal over a link of latency, blocking
+// the calling goroutine for one sampled delay.
+func (n *Network) hop(latency rng.DurationDist) {
+	if d := latency.Sample(n.src); d > 0 {
 		n.clock.Sleep(d)
 	}
-}
-
-// wireLen returns the encoded body size of env when profile charges for
-// bandwidth, and 0 otherwise. Envelope bodies encode lazily: forcing the
-// encode just to measure a size that latency-only links ignore would put
-// json.Marshal back on the in-proc hot path, so the size is materialized
-// only for bandwidth-capped links. env is taken by value so the hot
-// path's envelope never escapes to the heap.
-func wireLen(profile LinkProfile, env proto.Envelope) int {
-	if profile.BytesPerSec <= 0 {
-		return 0
-	}
-	return env.EncodedBodyLen()
 }

@@ -66,14 +66,11 @@ func putBuf(b *[]byte) {
 // opposed to a write that itself failed on a live connection.
 var errConnTorn = errors.New("msgq: connection torn down")
 
-// TCPServerOptions tunes a TCP server's per-connection dispatch.
-type TCPServerOptions struct {
-	// Workers bounds the handler goroutines per connection (default 8).
-	// When every worker is busy and the queue is full, the connection's
-	// read loop blocks — natural TCP backpressure — instead of spawning
-	// a goroutine per request.
-	Workers int
-}
+// connWorkers bounds the handler goroutines per server connection. When
+// every worker is busy and the queue is full, the connection's read loop
+// blocks — natural TCP backpressure — instead of spawning a goroutine per
+// request.
+const connWorkers = 8
 
 // TCPServer is a REQ/REP endpoint over real TCP sockets speaking binary
 // proto frames. Multiple requests may be in flight on one connection;
@@ -82,7 +79,6 @@ type TCPServerOptions struct {
 type TCPServer struct {
 	ln      net.Listener
 	handler Handler
-	opts    TCPServerOptions
 
 	mu     sync.Mutex
 	closed bool
@@ -93,25 +89,16 @@ type TCPServer struct {
 }
 
 // ListenTCP binds a REQ/REP server on addr ("host:port"; ":0" picks a free
-// port) with default options.
+// port).
 func ListenTCP(addr string, h Handler) (*TCPServer, error) {
-	return ListenTCPOpts(addr, h, TCPServerOptions{})
-}
-
-// ListenTCPOpts binds a REQ/REP server on addr with explicit dispatch
-// options.
-func ListenTCPOpts(addr string, h Handler, opts TCPServerOptions) (*TCPServer, error) {
 	if h == nil {
 		return nil, fmt.Errorf("msgq: listen %s: nil handler", addr)
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 8
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("msgq: listen %s: %w", addr, err)
 	}
-	s := &TCPServer{ln: ln, handler: h, opts: opts, conns: make(map[*tcpConn]struct{})}
+	s := &TCPServer{ln: ln, handler: h, conns: make(map[*tcpConn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -157,7 +144,7 @@ func (s *TCPServer) acceptLoop() {
 			return // listener closed
 		}
 		c := &tcpConn{srv: s, conn: conn, br: bufio.NewReaderSize(conn, 32<<10),
-			reqs: make(chan connReq, s.opts.Workers)}
+			reqs: make(chan connReq, connWorkers)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -245,7 +232,7 @@ func (c *tcpConn) readLoop() {
 		// goroutine spray.
 		if c.idle.Load() > 0 {
 			c.idle.Add(-1) // only the read loop takes a worker, so it stays claimed
-		} else if c.workers < c.srv.opts.Workers {
+		} else if c.workers < connWorkers {
 			c.workers++
 			go c.worker()
 		}
@@ -317,15 +304,12 @@ func (c *tcpConn) writeFrame(env *proto.Envelope) error {
 
 // --- client --------------------------------------------------------------
 
-// Pending-reply table geometry: requests park in a lock-striped ring of
-// reusable waiter slots instead of a map[uint64]chan behind one mutex. An
-// envelope ID encodes generation | stripe | slot, so the read loop finds
-// its waiter with one stripe lock and no map traffic, and slot reuse is
-// detected by generation mismatch rather than ABA on the ID.
-const (
-	pendStripes    = 16   // concurrent requesters spread across this many locks
-	slotsPerStripe = 4096 // in-flight bound: pendStripes × slotsPerStripe ≈ 65k requests
-)
+// Pending-reply table: requests park in reusable waiter slots behind one
+// mutex instead of a map[uint64]chan. An envelope ID encodes
+// generation<<32 | slot, so the read loop finds its waiter by index with
+// no map traffic, and slot reuse is detected by generation mismatch rather
+// than ABA on the ID.
+const maxInFlight = 1 << 16 // in-flight bound: requests pending on one client
 
 // waiter lifecycle, advanced by compare-and-swap so exactly one of
 // {reply, cancel, connection error} wins a slot.
@@ -339,21 +323,14 @@ const (
 // waiter is one reusable pending-request slot.
 type waiter struct {
 	state atomic.Uint32
-	gen   uint32          // bumped per acquisition; guarded by the stripe mutex
-	req   proto.Envelope  // the request in flight, whose exchange its reply fills; guarded by the stripe mutex
+	gen   uint32          // bumped per acquisition; guarded by TCPClient.pmu
+	req   proto.Envelope  // the request in flight, whose exchange its reply fills; guarded by TCPClient.pmu
 	ch    chan waitResult // buffered 1, reused across acquisitions
 }
 
 type waitResult struct {
 	env proto.Envelope
 	err error
-}
-
-// pendStripe is one lock's worth of waiter slots.
-type pendStripe struct {
-	mu    sync.Mutex
-	slots []*waiter
-	free  []int32
 }
 
 // TCPClient is a REQ/REP client over one TCP connection with an ID-matched
@@ -366,8 +343,9 @@ type TCPClient struct {
 	wmu     sync.Mutex // frame write serialization
 	scratch []byte
 
-	stripes [pendStripes]pendStripe
-	rr      atomic.Uint32 // stripe rotation for acquisitions
+	pmu   sync.Mutex // guards slots, free and each waiter's gen and req
+	slots []*waiter
+	free  []int32
 
 	closed atomic.Bool
 	dead   atomic.Bool // read loop has failed; set before the error walk
@@ -404,7 +382,7 @@ func (c *TCPClient) readErr() error {
 }
 
 // fail records the terminal read error, then wakes every armed waiter.
-// The dead flag is stored before the stripe walk and Request re-checks it
+// The dead flag is stored before the slot walk and Request re-checks it
 // after arming — the flag-flag protocol guarantees at least one side sees
 // the other, so no waiter can arm itself into a dead table and hang.
 func (c *TCPClient) fail(err error) {
@@ -419,16 +397,13 @@ func (c *TCPClient) fail(err error) {
 	}
 	c.errMu.Unlock()
 	c.dead.Store(true)
-	for si := range c.stripes {
-		st := &c.stripes[si]
-		st.mu.Lock()
-		for _, w := range st.slots {
-			if w.state.CompareAndSwap(waiterArmed, waiterDelivered) {
-				w.ch <- waitResult{err: err}
-			}
+	c.pmu.Lock()
+	for _, w := range c.slots {
+		if w.state.CompareAndSwap(waiterArmed, waiterDelivered) {
+			w.ch <- waitResult{err: err}
 		}
-		st.mu.Unlock()
 	}
+	c.pmu.Unlock()
 }
 
 func (c *TCPClient) readLoop() {
@@ -455,28 +430,21 @@ func (c *TCPClient) readLoop() {
 // decodes into the request's exchange, so an abandoned request's exchange
 // is never written.
 func (c *TCPClient) deliver(env proto.Envelope, in *proto.Interner) {
-	gen := uint32(env.ID >> 32)
-	si := int(env.ID>>16) & 0xffff
-	slot := int(env.ID) & 0xffff
-	if si >= pendStripes {
+	gen, slot := uint32(env.ID>>32), uint64(uint32(env.ID))
+	c.pmu.Lock()
+	if slot >= uint64(len(c.slots)) {
+		c.pmu.Unlock()
 		c.late.Add(1)
 		return
 	}
-	st := &c.stripes[si]
-	st.mu.Lock()
-	if slot >= len(st.slots) {
-		st.mu.Unlock()
-		c.late.Add(1)
-		return
-	}
-	w := st.slots[slot]
+	w := c.slots[slot]
 	if w.gen != gen || !w.state.CompareAndSwap(waiterArmed, waiterDelivered) {
-		st.mu.Unlock()
+		c.pmu.Unlock()
 		c.late.Add(1)
 		return
 	}
 	req := w.req
-	st.mu.Unlock()
+	c.pmu.Unlock()
 	if env.DecodeExchange(req, in) {
 		env.Body = nil // the reply lives in req's exchange; the read buffer is reused for the next frame
 	} else if env.Body != nil {
@@ -488,48 +456,44 @@ func (c *TCPClient) deliver(env proto.Envelope, in *proto.Interner) {
 }
 
 // acquire arms a waiter slot for req and returns it with its wire ID.
-func (c *TCPClient) acquire(req proto.Envelope) (*waiter, uint64, int, int, error) {
-	si := int(c.rr.Add(1)) % pendStripes
-	st := &c.stripes[si]
-	st.mu.Lock()
+func (c *TCPClient) acquire(req proto.Envelope) (*waiter, uint64, int, error) {
+	c.pmu.Lock()
 	var slot int
-	if n := len(st.free); n > 0 {
-		slot = int(st.free[n-1])
-		st.free = st.free[:n-1]
+	if n := len(c.free); n > 0 {
+		slot = int(c.free[n-1])
+		c.free = c.free[:n-1]
 	} else {
-		if len(st.slots) >= slotsPerStripe {
-			st.mu.Unlock()
-			return nil, 0, 0, 0, fmt.Errorf("msgq: over %d requests in flight", pendStripes*slotsPerStripe)
+		if len(c.slots) >= maxInFlight {
+			c.pmu.Unlock()
+			return nil, 0, 0, fmt.Errorf("msgq: over %d requests in flight", maxInFlight)
 		}
-		slot = len(st.slots)
-		st.slots = append(st.slots, &waiter{ch: make(chan waitResult, 1)})
+		slot = len(c.slots)
+		c.slots = append(c.slots, &waiter{ch: make(chan waitResult, 1)})
 	}
-	w := st.slots[slot]
+	w := c.slots[slot]
 	w.gen++
 	gen := w.gen
 	w.req = req
 	w.state.Store(waiterArmed)
-	st.mu.Unlock()
-	return w, uint64(gen)<<32 | uint64(si)<<16 | uint64(slot), si, slot, nil
+	c.pmu.Unlock()
+	return w, uint64(gen)<<32 | uint64(slot), slot, nil
 }
 
-// release returns a settled slot to its stripe's free list, dropping its
-// request.
-func (c *TCPClient) release(si, slot int, w *waiter) {
-	st := &c.stripes[si]
-	st.mu.Lock()
+// release returns a settled slot to the free list, dropping its request.
+func (c *TCPClient) release(slot int, w *waiter) {
+	c.pmu.Lock()
 	w.req = proto.Envelope{}
 	w.state.Store(waiterIdle)
-	st.free = append(st.free, int32(slot))
-	st.mu.Unlock()
+	c.free = append(c.free, int32(slot))
+	c.pmu.Unlock()
 }
 
 // collect blocks for the delivered result and recycles the slot. Safe only
 // after the slot's state reached waiterDelivered: delivery sends exactly
 // once after winning that CAS.
-func (c *TCPClient) collect(si, slot int, w *waiter) (proto.Envelope, error) {
+func (c *TCPClient) collect(slot int, w *waiter) (proto.Envelope, error) {
 	res := <-w.ch
-	c.release(si, slot, w)
+	c.release(slot, w)
 	if res.err != nil {
 		return proto.Envelope{}, res.err
 	}
@@ -551,7 +515,7 @@ func (c *TCPClient) Request(ctx context.Context, env proto.Envelope) (proto.Enve
 	if c.dead.Load() {
 		return proto.Envelope{}, c.readErr()
 	}
-	w, id, si, slot, err := c.acquire(env)
+	w, id, slot, err := c.acquire(env)
 	if err != nil {
 		return proto.Envelope{}, err
 	}
@@ -559,10 +523,10 @@ func (c *TCPClient) Request(ctx context.Context, env proto.Envelope) (proto.Enve
 		// The read loop died around our acquisition. The error walker may
 		// or may not have seen the armed slot; the CAS decides.
 		if w.state.CompareAndSwap(waiterArmed, waiterCancelled) {
-			c.release(si, slot, w)
+			c.release(slot, w)
 			return proto.Envelope{}, c.readErr()
 		}
-		return c.collect(si, slot, w)
+		return c.collect(slot, w)
 	}
 
 	env.ID = id
@@ -579,32 +543,32 @@ func (c *TCPClient) Request(ctx context.Context, env proto.Envelope) (proto.Enve
 	c.wmu.Unlock()
 	if err != nil {
 		if w.state.CompareAndSwap(waiterArmed, waiterCancelled) {
-			c.release(si, slot, w)
+			c.release(slot, w)
 			return proto.Envelope{}, fmt.Errorf("msgq: send request: %w", err)
 		}
 		// The error walker beat us to the slot; surface its verdict.
-		return c.collect(si, slot, w)
+		return c.collect(slot, w)
 	}
 
 	if ctx.Done() == nil {
 		// Fast path for uncancellable requests: plain blocking receive,
 		// no select machinery (mirrors the inproc inline path).
-		return c.collect(si, slot, w)
+		return c.collect(slot, w)
 	}
 	select {
 	case res := <-w.ch:
-		c.release(si, slot, w)
+		c.release(slot, w)
 		if res.err != nil {
 			return proto.Envelope{}, res.err
 		}
 		return res.env, nil
 	case <-ctx.Done():
 		if w.state.CompareAndSwap(waiterArmed, waiterCancelled) {
-			c.release(si, slot, w)
+			c.release(slot, w)
 			return proto.Envelope{}, ctx.Err()
 		}
 		// The reply won the CAS before our cancel: deliver it.
-		return c.collect(si, slot, w)
+		return c.collect(slot, w)
 	}
 }
 

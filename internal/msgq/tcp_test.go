@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -35,18 +36,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // dropping it (white-box at the waiter-table level, where the interleaving
 // can be forced deterministically).
 func TestTCPCancelLosesToReply(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	w, id, si, slot, err := c.acquire(proto.Envelope{})
+	c := dialEcho(t)
+	w, id, slot, err := c.acquire(proto.Envelope{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +50,7 @@ func TestTCPCancelLosesToReply(t *testing.T) {
 	if w.state.CompareAndSwap(waiterArmed, waiterCancelled) {
 		t.Fatal("cancel CAS won against a delivered reply")
 	}
-	reply, err := c.collect(si, slot, w)
+	reply, err := c.collect(slot, w)
 	if err != nil {
 		t.Fatalf("collect: %v", err)
 	}
@@ -78,16 +69,7 @@ func TestTCPCancelLosesToReply(t *testing.T) {
 // first, even before its slot is released; and, for a KindError reply,
 // into a copy of the body. A released slot holds no request.
 func TestTCPReplyLandsInWonExchange(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialEcho(t)
 	request := func(uid string) proto.Envelope {
 		return proto.NewRequest(0, "cli", "srv", proto.InferenceRequest{RequestUID: uid, ClientUID: "cli", Model: "noop", SentAt: t0})
 	}
@@ -112,12 +94,12 @@ func TestTCPReplyLandsInWonExchange(t *testing.T) {
 	}
 
 	req := request(want.RequestUID)
-	w, id, si, slot, err := c.acquire(req)
+	w, id, slot, err := c.acquire(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.deliver(proto.Envelope{Kind: proto.KindReply, ID: id, Body: bytes.Clone(body)}, nil)
-	got, err := c.collect(si, slot, w)
+	got, err := c.collect(slot, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +113,7 @@ func TestTCPReplyLandsInWonExchange(t *testing.T) {
 	req.Release()
 
 	req = request(want.RequestUID)
-	w, id, si, slot, err = c.acquire(req)
+	w, id, slot, err = c.acquire(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,18 +124,18 @@ func TestTCPReplyLandsInWonExchange(t *testing.T) {
 	if r := replyHalf(req); !reflect.ValueOf(r).IsZero() || c.LateReplies() != 1 {
 		t.Errorf("a reply after the cancel wrote %+v into the withdrawn exchange (late replies %d)", r, c.LateReplies())
 	}
-	c.release(si, slot, w)
+	c.release(slot, w)
 	checkReleased(w)
 
 	req = request(want.RequestUID)
-	w, id, si, slot, err = c.acquire(req)
+	w, id, slot, err = c.acquire(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	errBody := []byte(`{"origin":"svc.0","msg":"full"}`)
 	c.deliver(proto.Envelope{Kind: proto.KindError, ID: id, Body: errBody}, nil)
 	copy(errBody, "xxxxxxxxxxxx") // the read buffer's next frame
-	got, err = c.collect(si, slot, w)
+	got, err = c.collect(slot, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +147,115 @@ func TestTCPReplyLandsInWonExchange(t *testing.T) {
 		t.Errorf("an error reply wrote %+v into the exchange", r)
 	}
 	checkReleased(w)
+}
+
+// TestTCPStaleGenerationReplyIsLate pins the generation check (white-box
+// at the waiter-table level): a reply to a withdrawn request that lands
+// after its slot was handed to a new request is counted late and leaves the
+// new requester armed, which then takes its own reply.
+func TestTCPStaleGenerationReplyIsLate(t *testing.T) {
+	c := dialEcho(t)
+	w, stale, slot, err := c.acquire(proto.Envelope{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.state.CompareAndSwap(waiterArmed, waiterCancelled) {
+		t.Fatal("cancel CAS lost with no reply in flight")
+	}
+	c.release(slot, w)
+	w2, id, slot2, err := c.acquire(proto.Envelope{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w2 != w || slot2 != slot || id == stale {
+		t.Fatalf("reacquire got slot %d id %#x, want slot %d under a new generation of id %#x", slot2, id, slot, stale)
+	}
+	c.deliver(proto.Envelope{Kind: proto.KindReply, ID: stale, Body: []byte(`{"x":0}`)}, nil)
+	if got := c.LateReplies(); got != 1 {
+		t.Fatalf("LateReplies = %d after a stale-generation reply, want 1", got)
+	}
+	if st := w.state.Load(); st != waiterArmed {
+		t.Fatalf("state = %d after a stale-generation reply, want armed", st)
+	}
+	c.deliver(proto.Envelope{Kind: proto.KindReply, ID: id, Body: []byte(`{"x":1}`)}, nil)
+	reply, err := c.collect(slot, w)
+	if err != nil || string(reply.Body) != `{"x":1}` {
+		t.Fatalf("collect = %q, %v; want the current generation's reply", reply.Body, err)
+	}
+	if got := c.LateReplies(); got != 1 {
+		t.Fatalf("LateReplies = %d, want 1", got)
+	}
+}
+
+// TestTCPReplyPastTableIsLate: a reply whose ID names a slot the table
+// never handed out is counted late, without a panic.
+func TestTCPReplyPastTableIsLate(t *testing.T) {
+	c := dialEcho(t)
+	w, id, slot, err := c.acquire(proto.Envelope{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, bad := range []uint64{id + 1, id | 0xffffffff, 1<<32 | maxInFlight} {
+		c.deliver(proto.Envelope{Kind: proto.KindReply, ID: bad}, nil)
+		if got := c.LateReplies(); got != uint64(i+1) {
+			t.Fatalf("LateReplies = %d after reply id %#x, want %d", got, bad, i+1)
+		}
+	}
+	if st := w.state.Load(); st != waiterArmed {
+		t.Fatalf("state = %d, want the only slot still armed", st)
+	}
+	c.deliver(proto.Envelope{Kind: proto.KindReply, ID: id}, nil)
+	if _, err := c.collect(slot, w); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTCPInFlightBound: with every slot armed, acquire refuses with the
+// bound in its error and starts no goroutine; a released slot is handed
+// out again.
+func TestTCPInFlightBound(t *testing.T) {
+	c := dialEcho(t)
+	var w *waiter
+	var slot int
+	for i := 0; i < maxInFlight; i++ {
+		var err error
+		if w, _, slot, err = c.acquire(proto.Envelope{}); err != nil {
+			t.Fatalf("acquire %d: %v", i, err)
+		}
+	}
+	before := runtime.NumGoroutine()
+	_, _, _, err := c.acquire(proto.Envelope{})
+	if err == nil || err.Error() != "msgq: over 65536 requests in flight" {
+		t.Fatalf("acquire past the bound: %v", err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines %d → %d across a refused acquire", before, after)
+	}
+	if len(c.slots) != maxInFlight {
+		t.Fatalf("table holds %d slots, want %d", len(c.slots), maxInFlight)
+	}
+	w.state.Store(waiterCancelled)
+	c.release(slot, w)
+	if _, _, got, err := c.acquire(proto.Envelope{}); err != nil || got != slot {
+		t.Fatalf("acquire after a release = slot %d, %v; want slot %d", got, err, slot)
+	}
+}
+
+// dialEcho returns a client connected to an echo server, both closed when
+// the test ends.
+func dialEcho(t *testing.T) *TCPClient {
+	t.Helper()
+	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	c, err := DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	return c
 }
 
 // TestTCPCancelBeatsReply pins the cancel-wins interleaving end to end:
@@ -309,54 +400,50 @@ func TestTCPClientGarbageReplyFailsTyped(t *testing.T) {
 	}
 }
 
-// TestTCPWorkerServerConcurrentLoad drives concurrent requests multiplexed
-// over one connection through the bounded worker set, at the default size
-// and at the sizes the programs pick, down to a single worker: every reply
-// must come back matched to its own request.
+// TestTCPWorkerServerConcurrentLoad drives more concurrent requests than
+// the per-connection worker bound, multiplexed over one connection: every
+// reply must come back matched to its own request.
 func TestTCPWorkerServerConcurrentLoad(t *testing.T) {
-	for _, workers := range []int{0, 1, 8, 16} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			srv, err := ListenTCPOpts("127.0.0.1:0", echoHandler, TCPServerOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			c, err := DialTCP(srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	srv, err := ListenTCP("127.0.0.1:0", echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
-			done := make(chan error, 8)
-			for i := 0; i < 8; i++ {
-				go func(i int) {
-					for j := 0; j < 50; j++ {
-						env, _ := proto.NewEnvelope(proto.KindRequest, 0, "cli", "srv", t0,
-							proto.InferenceRequest{Prompt: "p", MaxTokens: i*100 + j})
-						reply, err := c.Request(context.Background(), env)
-						if err != nil {
-							done <- err
-							return
-						}
-						var req proto.InferenceRequest
-						if err := reply.Decode(proto.KindReply, &req); err != nil {
-							done <- err
-							return
-						}
-						if req.MaxTokens != i*100+j {
-							done <- fmt.Errorf("reply carries MaxTokens %d, want %d", req.MaxTokens, i*100+j)
-							return
-						}
-					}
-					done <- nil
-				}(i)
-			}
-			for i := 0; i < 8; i++ {
-				if err := <-done; err != nil {
-					t.Fatal(err)
+	const senders = 2 * connWorkers
+	done := make(chan error, senders)
+	for i := 0; i < senders; i++ {
+		go func(i int) {
+			for j := 0; j < 50; j++ {
+				env, _ := proto.NewEnvelope(proto.KindRequest, 0, "cli", "srv", t0,
+					proto.InferenceRequest{Prompt: "p", MaxTokens: i*100 + j})
+				reply, err := c.Request(context.Background(), env)
+				if err != nil {
+					done <- err
+					return
+				}
+				var req proto.InferenceRequest
+				if err := reply.Decode(proto.KindReply, &req); err != nil {
+					done <- err
+					return
+				}
+				if req.MaxTokens != i*100+j {
+					done <- fmt.Errorf("reply carries MaxTokens %d, want %d", req.MaxTokens, i*100+j)
+					return
 				}
 			}
-		})
+			done <- nil
+		}(i)
+	}
+	for i := 0; i < senders; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -531,5 +618,38 @@ func TestNetworkCloseClosesTCPBinds(t *testing.T) {
 	real := srv.Addr()[len(tcpScheme):]
 	if _, err := net.DialTimeout("tcp", real, time.Second); err == nil {
 		t.Fatal("TCP listener survived Network.Close")
+	}
+}
+
+// TestNetworkBindRacingClose: a TCP Bind that a Network.Close overtakes
+// either fails with ErrClosed or hands back a listener that Close shut:
+// once Close has returned, nothing the network bound accepts a
+// connection. Each round starts Close a few microseconds later, to land
+// it at every point of Bind's listen.
+func TestNetworkBindRacingClose(t *testing.T) {
+	for round := 0; round < 300; round++ {
+		n := tcpNetwork(t, simtime.NewReal())
+		bound := make(chan Server, 1)
+		go func() {
+			srv, err := n.Bind("x/y/z", echoHandler)
+			if err != nil && !errors.Is(err, ErrClosed) {
+				t.Errorf("round %d: Bind: %v", round, err)
+			}
+			bound <- srv
+		}()
+		for start := time.Now(); time.Since(start) < time.Duration(round%80)*time.Microsecond; {
+		}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		srv := <-bound
+		if srv == nil {
+			continue
+		}
+		if conn, err := net.DialTimeout("tcp", srv.Addr()[len(tcpScheme):], time.Second); err == nil {
+			conn.Close()
+			_ = srv.Close()
+			t.Fatalf("round %d: a listener bound as Close ran still accepts after Close returned", round)
+		}
 	}
 }

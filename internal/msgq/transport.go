@@ -54,19 +54,25 @@ func (n *Network) SetTransport(name string) error {
 // address is registered so same-process Dial(addr) still works.
 func (n *Network) Bind(addr string, h Handler) (Server, error) {
 	n.mu.Lock()
-	transport, closed := n.transport, n.closed
+	transport := n.transport
 	n.mu.Unlock()
 	if transport != TransportTCP {
 		return n.bindInproc(addr, h)
 	}
-	if closed {
-		return nil, ErrClosed
-	}
-	srv, err := ListenTCPOpts("127.0.0.1:0", h, TCPServerOptions{})
+	srv, err := ListenTCP("127.0.0.1:0", h)
 	if err != nil {
 		return nil, err
 	}
+	// Check closed and store under the lock, as bindInproc does: a Close
+	// that ran while we listened has already ranged tcpBinds and would
+	// never see this listener.
 	b := &tcpBind{n: n, addr: addr, srv: srv}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		_ = srv.Close()
+		return nil, ErrClosed
+	}
 	if _, loaded := n.tcpBinds.LoadOrStore(addr, b); loaded {
 		_ = srv.Close()
 		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)

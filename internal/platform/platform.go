@@ -400,8 +400,8 @@ func parseAddr(addr string) (platform, node, entity string, err error) {
 
 // --- topology resolver -----------------------------------------------------
 
-// Topology resolves link profiles between addressed endpoints across a set
-// of platforms.
+// Topology resolves the link latency between addressed endpoints across
+// a set of platforms.
 type Topology struct {
 	platforms map[string]*Platform
 	// DefaultWAN is used between platforms with no explicit WAN entry.
@@ -423,33 +423,34 @@ func (t *Topology) Platform(name string) *Platform { return t.platforms[name] }
 // Resolver returns a msgq.Resolver implementing the topology: same node →
 // intra-node latency; same platform → local latency; different platforms →
 // WAN latency (source platform's entry for the target, else DefaultWAN).
+// Unaddressed endpoints get the zero distribution: a free link.
 func (t *Topology) Resolver() msgq.Resolver {
-	return func(from, to string) msgq.LinkProfile {
+	return func(from, to string) rng.DurationDist {
 		fp, fn, _, errF := parseAddr(from)
 		tp, tn, _, errT := parseAddr(to)
 		if errF != nil || errT != nil {
-			return msgq.LinkProfile{} // unaddressed endpoints: free link
+			return rng.DurationDist{}
 		}
 		if fp == tp {
 			p := t.platforms[fp]
 			if p == nil {
-				return msgq.LinkProfile{}
+				return rng.DurationDist{}
 			}
 			if fn == tn && fn != "" {
-				return msgq.LinkProfile{Latency: p.IntraNodeLatency}
+				return p.IntraNodeLatency
 			}
-			return msgq.LinkProfile{Latency: p.LocalLatency}
+			return p.LocalLatency
 		}
 		if p := t.platforms[fp]; p != nil {
 			if d, ok := p.WANLatency[tp]; ok {
-				return msgq.LinkProfile{Latency: d}
+				return d
 			}
 		}
 		if p := t.platforms[tp]; p != nil {
 			if d, ok := p.WANLatency[fp]; ok {
-				return msgq.LinkProfile{Latency: d}
+				return d
 			}
 		}
-		return msgq.LinkProfile{Latency: t.DefaultWAN}
+		return t.DefaultWAN
 	}
 }

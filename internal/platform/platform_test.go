@@ -295,7 +295,7 @@ func TestTopologyResolver(t *testing.T) {
 		}
 		return sum / 500
 	}
-	a, b, c := avg(sameNode.Latency), avg(interNode.Latency), avg(wan.Latency)
+	a, b, c := avg(sameNode), avg(interNode), avg(wan)
 	if !(a < b && b < c) {
 		t.Fatalf("latency ordering intra=%v inter=%v wan=%v, want increasing", a, b, c)
 	}
@@ -312,7 +312,7 @@ func TestTopologyResolverFallbacks(t *testing.T) {
 
 	// unknown target platform → DefaultWAN
 	p := resolve(Addr("delta", "delta-node0000", "t"), Addr("mars", "m0", "s"))
-	if got := p.Latency.Sample(src); got != time.Millisecond {
+	if got := p.Sample(src); got != time.Millisecond {
 		t.Fatalf("default WAN latency = %v", got)
 	}
 	// reverse entry: mars knows delta but not vice versa
@@ -320,13 +320,13 @@ func TestTopologyResolverFallbacks(t *testing.T) {
 	mars.WANLatency["delta"] = rng.ConstDuration(2 * time.Millisecond)
 	topo2 := NewTopology(newDelta(), mars)
 	p = topo2.Resolver()(Addr("delta", "x", "t"), Addr("mars", "m0", "s"))
-	if got := p.Latency.Sample(src); got != 2*time.Millisecond {
+	if got := p.Sample(src); got != 2*time.Millisecond {
 		t.Fatalf("reverse WAN lookup = %v, want 2ms", got)
 	}
 	// malformed addresses → free link
 	p = topo.Resolver()("garbage", "also garbage")
-	if !p.Latency.IsZero() {
-		t.Fatal("malformed addresses got a latency profile")
+	if !p.IsZero() {
+		t.Fatal("malformed addresses got a latency")
 	}
 }
 

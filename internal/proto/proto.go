@@ -34,13 +34,13 @@ const (
 // matching payload type with a struct copy instead of a JSON parse: the
 // dominant per-request CPU and allocation cost on the REQ/REP hot path.
 // Such an envelope's Body stays nil until a wire needs it: a transport
-// encodes the payload into its frame (AppendFrame) or measures it
-// (EncodedBodyLen), so an envelope that never leaves the address space
-// never pays for an encode. The in-process payload is invisible to
-// encoding/json: an envelope that crosses a real wire (TCP framing) loses
-// it, and its read loop decodes a request or reply body in the writer's
-// shape (codec.go) into an exchange once (DecodeExchange), which then
-// serves Decode as in process. Every other body is read by json.Unmarshal.
+// encodes the payload into its frame (AppendFrame), so an envelope that
+// never leaves the address space never pays for an encode. The in-process
+// payload is invisible to encoding/json: an envelope that crosses a real
+// wire (TCP framing) loses it, and its read loop decodes a request or
+// reply body in the writer's shape (codec.go) into an exchange once
+// (DecodeExchange), which then serves Decode as in process. Every other
+// body is read by json.Unmarshal.
 //
 // A request is an exchange (NewRequest), and so is a reply (Answer): one
 // pooled object that holds the request and, once Answer has written it,
@@ -192,7 +192,7 @@ func (e Envelope) Release() {
 // payload on first wire access and keeping it in Body.
 func (e *Envelope) wireBody() (json.RawMessage, error) {
 	if e.Body == nil && e.typed != nil {
-		raw, err := marshalTyped(nil, e)
+		raw, err := marshalTyped(e)
 		if err != nil {
 			return nil, fmt.Errorf("proto: marshal %s body: %w", e.Kind, err)
 		}
@@ -202,11 +202,10 @@ func (e *Envelope) wireBody() (json.RawMessage, error) {
 }
 
 // marshalTyped returns the JSON of e's in-process payload: an exchange's
-// half hand-encoded onto scratch, a snapshot (and a half the hand encoder
-// declines, whose timestamp json.Marshal refuses alike) in json.Marshal's
-// own slice.
-func marshalTyped(scratch []byte, e *Envelope) ([]byte, error) {
-	if raw, ok := appendTyped(scratch, e); ok {
+// half hand-encoded, a snapshot (and a half the hand encoder declines,
+// whose timestamp json.Marshal refuses alike) by json.Marshal.
+func marshalTyped(e *Envelope) ([]byte, error) {
+	if raw, ok := appendTyped(nil, e); ok {
 		return raw, nil
 	}
 	v := e.typed
@@ -321,28 +320,6 @@ func unmarshalAs[T any](kind Kind, raw []byte) (T, error) {
 
 func kindError(got, want Kind) error {
 	return fmt.Errorf("proto: decode kind %q as %q", got, want)
-}
-
-// lenScratch holds the buffers EncodedBodyLen encodes into to measure.
-var lenScratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// EncodedBodyLen returns the length of the envelope's JSON body, encoding
-// a lazily-held in-process payload into pooled scratch just to measure it
-// (the encode result is not cached — the receiver is a value so hot-path
-// callers' envelopes do not escape to the heap). Transports that charge
-// for bandwidth use it; latency-only links never need a size.
-func (e Envelope) EncodedBodyLen() int {
-	if e.Body != nil || e.typed == nil {
-		return len(e.Body)
-	}
-	buf := lenScratch.Get().(*[]byte)
-	defer lenScratch.Put(buf)
-	raw, err := marshalTyped((*buf)[:0], &e)
-	if err != nil {
-		return 0
-	}
-	*buf = raw // the scratch grown, or json.Marshal's slice: either is ours to keep
-	return len(raw)
 }
 
 // InferenceRequest is the payload of a KindRequest message: one API call

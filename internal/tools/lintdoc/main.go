@@ -14,7 +14,10 @@
 //     harnesses in testOnly are exempt,
 //   - every func and method declared in a non-test file under internal/
 //     must be linked into a program under cmd/ or in the bench/ module, or
-//     be listed in harness with its reason.
+//     be listed in harness with its reason,
+//   - README.md's layout table must name every directory directly under
+//     internal/ in its first column, and every internal/… path it names
+//     there must exist.
 //
 // It exits non-zero listing every violation, so `go run
 // ./internal/tools/lintdoc` acts as the exported-comment check the docs
@@ -109,6 +112,11 @@ func main() {
 	}
 	names, methods, fields := checkClosedSurface(root, testOnly, report)
 	checkLinked(root, harness, report)
+	if readme, err := os.ReadFile(filepath.Join(root, "README.md")); err != nil {
+		report("lintdoc: %v", err)
+	} else {
+		checkLayout(root, readme, report)
+	}
 
 	if len(violations) > 0 {
 		sort.Strings(violations)
@@ -122,6 +130,52 @@ func main() {
 	fmt.Printf("lintdoc: %d packages documented; internal/ exports %d top-level names, %d with methods, %d struct fields\n",
 		len(dirs), names, names+methods, fields)
 	fmt.Printf("lintdoc: Go outside bench/: %d code lines, %d test lines (neither blank nor comment)\n", code, tests)
+}
+
+// layoutPath matches a backquoted internal/… path in a table cell.
+var layoutPath = regexp.MustCompile("`(internal/[^`]*)`")
+
+// checkLayout holds readme's layout table (the first table after its
+// "## Layout" heading) to the tree under root: each directory directly
+// under internal/ is named in the first column, and each internal/… path
+// named there exists.
+func checkLayout(root string, readme []byte, report func(string, ...any)) {
+	named := map[string]bool{}
+	inLayout, inTable := false, false
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			inLayout = line == "## Layout"
+			continue
+		}
+		if !inLayout {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		first := strings.SplitN(line, "|", 3)[1]
+		for _, m := range layoutPath.FindAllStringSubmatch(first, -1) {
+			p := strings.TrimSuffix(m[1], "/")
+			named[p] = true
+			if _, err := os.Stat(filepath.Join(root, p)); err != nil {
+				report("README.md: layout table names %s, which does not exist", p)
+			}
+		}
+	}
+	ents, err := os.ReadDir(filepath.Join(root, "internal"))
+	if err != nil {
+		report("lintdoc: %v", err)
+		return
+	}
+	for _, e := range ents {
+		if p := "internal/" + e.Name(); e.IsDir() && !named[p] {
+			report("README.md: layout table does not name %s", p)
+		}
+	}
 }
 
 // lineTotals returns the lines that are neither blank nor comment in the

@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -92,5 +94,41 @@ func TestLineTotals(t *testing.T) {
 	src := "// Package p.\npackage p\n\n/* a\nblock */\nvar s = `one\n\n// not a comment\n` // trailing\n\nfunc f() {} /* c */\n"
 	if n := codeLines([]byte(src)); n != 6 {
 		t.Fatalf("codeLines = %d, want 6: package, the four lines of the raw string, func", n)
+	}
+}
+
+// TestLayout holds the fixture module's README layout table to its tree,
+// then a drifted copy that drops internal/b's row and names a path that
+// does not exist: both drifts are reported, and a path named outside the
+// table is not. The repository's own README passes.
+func TestLayout(t *testing.T) {
+	layout := func(root string, readme []byte) []string {
+		var got []string
+		checkLayout(root, readme, func(format string, args ...any) {
+			got = append(got, fmt.Sprintf(format, args...))
+		})
+		return got
+	}
+	readme, err := os.ReadFile("testdata/closed/README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := layout("testdata/closed", readme); len(got) != 0 {
+		t.Fatalf("fixture README: violations %q, want none", got)
+	}
+	drifted := strings.Replace(string(readme), "| `internal/b` | Its test |", "| `internal/gone` | Moved away |", 1)
+	want := []string{
+		"README.md: layout table names internal/gone, which does not exist",
+		"README.md: layout table does not name internal/b",
+	}
+	if got := layout("testdata/closed", []byte(drifted)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("drifted README: violations %q, want %q", got, want)
+	}
+	own, err := os.ReadFile("../../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := layout("../../..", own); len(got) != 0 {
+		t.Fatalf("the repository's README: violations %q", got)
 	}
 }

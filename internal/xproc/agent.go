@@ -100,7 +100,7 @@ func RunAgent(cfg AgentConfig, stdin io.Reader, stdout io.Writer) error {
 	}
 
 	a := &agent{cfg: cfg, pilot: p, clock: clock, done: make(chan struct{})}
-	srv, err := msgq.ListenTCPOpts("127.0.0.1:0", a.handler(), msgq.TCPServerOptions{Workers: 16})
+	srv, err := msgq.ListenTCP("127.0.0.1:0", a.handler())
 	if err != nil {
 		_ = p.Shutdown()
 		return err
