@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -211,6 +212,50 @@ func TestRepliesAgreeAcrossTransports(t *testing.T) {
 		want.uid = fmt.Sprintf("svc.0.rest.%06d", i+1)
 		if rest[i] != want {
 			t.Errorf("reply %d: rest %+v, in-process %+v", i, rest[i], want)
+		}
+	}
+}
+
+// TestRejectionsAgreeAcrossTransports: a server that refuses a request,
+// before Start and after Stop, answers it with a reply whose Err says why,
+// and service.Client.Infer returns the same error for it in process and
+// over TCP: the service's UID, then the server's reason. A request between
+// the two is served.
+func TestRejectionsAgreeAcrossTransports(t *testing.T) {
+	clock := simtime.NewReal()
+	want := []string{
+		"service svc.0: " + serving.ErrNotReady.Error(),
+		"service svc.0: " + serving.ErrStopped.Error(),
+	}
+	for _, tr := range []struct {
+		name, transport string
+		latency         rng.DurationDist
+	}{
+		{"inproc", "", rng.ConstDuration(time.Millisecond)},
+		{"tcp", msgq.TransportTCP, rng.DurationDist{}},
+	} {
+		srv := noopServer(t, clock, rng.New(7))
+		cl := dialOn(t, clock, srv, tr.transport, tr.latency)
+		var got []string
+		refused := func() {
+			t.Helper()
+			if _, _, err := cl.Infer(context.Background(), "p", 0); err != nil {
+				got = append(got, err.Error())
+			} else {
+				t.Errorf("%s: a refused request returned no error", tr.name)
+			}
+		}
+		refused()
+		if _, err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cl.Infer(context.Background(), "p", 0); err != nil {
+			t.Fatalf("%s: a started server refused a request: %v", tr.name, err)
+		}
+		srv.Stop()
+		refused()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: Infer errors %q, want %q", tr.name, got, want)
 		}
 	}
 }

@@ -36,10 +36,9 @@ import (
 //   - Client side: a reply is decoded into the exchange of the request it
 //     answers, the one proto.NewRequest made, after its waiter is won, and
 //     drops its Body; the sender releases the exchange as in process. A
-//     reply to a request with no exchange, a KindError reply and a body
-//     the hand codec declines are copied out of the read buffer before
-//     delivery, because the envelope escapes to the caller with no
-//     lifetime bound.
+//     reply to a request with no exchange and a body the hand codec
+//     declines are copied out of the read buffer before delivery, because
+//     the envelope escapes to the caller with no lifetime bound.
 
 // framePool recycles frame read buffers across connections and requests.
 var framePool = sync.Pool{New: func() any {

@@ -65,9 +65,10 @@ func TestTCPCancelLosesToReply(t *testing.T) {
 // TestTCPReplyLandsInWonExchange pins where a reply body goes on the
 // client (white-box at the waiter-table level): into the exchange of the
 // request whose waiter it won, sharing that request's UID string and
-// dropping its Body; never into the exchange of a request that withdrew
-// first, even before its slot is released; and, for a KindError reply,
-// into a copy of the body. A released slot holds no request.
+// dropping its Body, a reply that says why it failed (err) as any other;
+// never into the exchange of a request that withdrew first, even before
+// its slot is released; and, for a body the hand codec declines, into a
+// copy of the body. A released slot holds no request.
 func TestTCPReplyLandsInWonExchange(t *testing.T) {
 	c := dialEcho(t)
 	request := func(uid string) proto.Envelope {
@@ -127,24 +128,47 @@ func TestTCPReplyLandsInWonExchange(t *testing.T) {
 	c.release(slot, w)
 	checkReleased(w)
 
+	failed := proto.InferenceReply{RequestUID: want.RequestUID, ServiceUID: "svc.0", Err: "serving: request queue full"}
+	failedBody, err := json.Marshal(failed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	req = request(want.RequestUID)
 	w, id, slot, err = c.acquire(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	errBody := []byte(`{"origin":"svc.0","msg":"full"}`)
-	c.deliver(proto.Envelope{Kind: proto.KindError, ID: id, Body: errBody}, nil)
-	copy(errBody, "xxxxxxxxxxxx") // the read buffer's next frame
+	c.deliver(proto.Envelope{Kind: proto.KindReply, ID: id, Body: failedBody}, nil)
 	got, err = c.collect(slot, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var eb proto.ErrorBody
-	if err := got.Decode(proto.KindError, &eb); err != nil || eb.Msg != "full" {
-		t.Errorf("error reply decodes to %+v, %v: its body was not copied", eb, err)
+	if r, err := got.DecodeReply(); err != nil || !reflect.DeepEqual(r, failed) || got.Body != nil {
+		t.Errorf("won failed reply decodes to %+v, %v (body %q), want %+v", r, err, got.Body, failed)
+	}
+	if r := replyHalf(req); r.Err != failed.Err {
+		t.Errorf("a failed reply left %+v in the exchange, want Err %q", r, failed.Err)
+	}
+	checkReleased(w)
+	req.Release()
+
+	req = request(want.RequestUID)
+	w, id, slot, err = c.acquire(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declined := []byte(`{"err": "full"}`) // a space: the hand codec declines it
+	c.deliver(proto.Envelope{Kind: proto.KindReply, ID: id, Body: declined}, nil)
+	copy(declined, "xxxxxxxxxxxx") // the read buffer's next frame
+	got, err = c.collect(slot, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := got.DecodeReply(); err != nil || r.Err != "full" {
+		t.Errorf("declined reply decodes to %+v, %v: its body was not copied", r, err)
 	}
 	if r := replyHalf(req); !reflect.ValueOf(r).IsZero() {
-		t.Errorf("an error reply wrote %+v into the exchange", r)
+		t.Errorf("a declined reply wrote %+v into the exchange", r)
 	}
 	checkReleased(w)
 }

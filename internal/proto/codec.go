@@ -38,15 +38,15 @@ func appendBody(b []byte, body any) (_ []byte, ok bool) {
 	return b, false
 }
 
-// appendTyped is appendBody of the half of an exchange that e.Kind names,
-// read in place; it declines every other envelope.
-func appendTyped(b []byte, e *Envelope) (_ []byte, ok bool) {
-	if x, isX := e.typed.(*exchange); isX {
+// appendExchange is appendBody of the half of an exchange that e.Kind
+// names, read in place; it declines every other envelope.
+func appendExchange(b []byte, e *Envelope) (_ []byte, ok bool) {
+	if e.x != nil {
 		switch e.Kind {
 		case KindRequest:
-			return appendRequest(b, &x.req)
+			return appendRequest(b, &e.x.req)
 		case KindReply:
-			return appendReply(b, &x.rep)
+			return appendReply(b, &e.x.rep)
 		}
 	}
 	return b, false

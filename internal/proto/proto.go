@@ -23,33 +23,29 @@ const (
 	KindRequest     Kind = "request"      // task → service: API call
 	KindReply       Kind = "reply"        // service → task: API response
 	KindStateUpdate Kind = "state_update" // any → updater: entity state change
-	KindError       Kind = "error"        // any → any: failure report
 )
 
 // Envelope is the single message type carried by every channel.
 //
-// Besides the wire form (Body), an in-process envelope may retain its
-// payload in an unexported field, one form per kind. In-process transports
-// hand the envelope to the receiver by value, so Decode satisfies a
-// matching payload type with a struct copy instead of a JSON parse: the
-// dominant per-request CPU and allocation cost on the REQ/REP hot path.
-// Such an envelope's Body stays nil until a wire needs it: a transport
-// encodes the payload into its frame (AppendFrame), so an envelope that
-// never leaves the address space never pays for an encode. The in-process
-// payload is invisible to encoding/json: an envelope that crosses a real
-// wire (TCP framing) loses it, and its read loop decodes a request or
-// reply body in the writer's shape (codec.go) into an exchange once
-// (DecodeExchange), which then serves Decode as in process. Every other
-// body is read by json.Unmarshal.
+// A request or reply may belong to an exchange (NewRequest, Answer,
+// DecodeExchange): one pooled object that holds the request and, once
+// Answer has written it, the reply, so that an in-process round trip boxes
+// neither. In-process transports hand the envelope to the receiver by
+// value, so DecodeRequest and DecodeReply read the exchange's half with a
+// struct copy instead of a JSON parse: the dominant per-request CPU and
+// allocation cost on the REQ/REP hot path. Such an envelope's Body stays
+// nil until a wire needs it: a transport hand-encodes the half into its
+// frame (AppendFrame), so an envelope that never leaves the address space
+// never pays for an encode. The exchange is invisible to encoding/json: an
+// envelope that crosses a real wire (TCP framing) loses it, and its read
+// loop decodes a request or reply body in the writer's shape (codec.go)
+// into an exchange once (DecodeExchange), which then serves the decoders as
+// in process. Every other body is read by json.Unmarshal.
 //
-// A request is an exchange (NewRequest), and so is a reply (Answer): one
-// pooled object that holds the request and, once Answer has written it,
-// the reply, so that an in-process round trip boxes neither. An exchange
-// serves exactly one round trip: its request envelope is sent once,
-// answered once, and after Release neither it nor its answer may be read,
-// copied or sent again. A state update or an error is an immutable boxed
-// snapshot (NewEnvelope), and NewEnvelope encodes any other payload into
-// Body at once: either envelope may be copied, kept and resent at will.
+// An exchange serves exactly one round trip: its request envelope is sent
+// once, answered once, and after Release neither it nor its answer may be
+// read, copied or sent again. Every other envelope carries its payload
+// encoded in Body (NewEnvelope) and may be copied, kept and resent at will.
 type Envelope struct {
 	Kind Kind            `json:"kind"`
 	ID   uint64          `json:"id"`           // per-sender sequence number
@@ -58,38 +54,26 @@ type Envelope struct {
 	Sent time.Time       `json:"sent"`         // clock time at send
 	Body json.RawMessage `json:"body,omitempty"`
 
-	// typed is the in-process payload: an *exchange, a StateUpdate or an
-	// ErrorBody; nil after wire transport and for a Body NewEnvelope
-	// encoded.
-	typed any
+	// x is the round trip a request or reply belongs to; nil after wire
+	// transport and for a Body NewEnvelope encoded.
+	x *exchange
 }
 
-// NewEnvelope builds a fresh envelope around body.
-//
-// A StateUpdate or an ErrorBody, value-typed with no reference fields, is
-// kept as a boxed snapshot: its JSON is written only when a wire needs it.
-// Every other payload is encoded at once into Body, so that a pointer or
-// map payload is captured at send time, before its referents can mutate.
-// An InferenceRequest or InferenceReply is encoded by the hand codec, a
-// drawn reply's text spelled; one that should take part in a round trip
-// without an encode is built with NewRequest and Answer instead.
+// NewEnvelope builds a fresh envelope around body, encoded at once into
+// Body, so that a pointer or map payload is captured at send time, before
+// its referents can mutate. An InferenceRequest or InferenceReply is
+// encoded by the hand codec, a drawn reply's text spelled; one that should
+// take part in a round trip without an encode is built with NewRequest and
+// Answer instead.
 func NewEnvelope(kind Kind, id uint64, from, to string, sent time.Time, body any) (Envelope, error) {
-	env := Envelope{Kind: kind, ID: id, From: from, To: to, Sent: sent}
-	switch body.(type) {
-	case StateUpdate, ErrorBody:
-		env.typed = body
-		return env, nil
+	raw, ok := appendBody(nil, body)
+	if !ok {
+		var err error
+		if raw, err = json.Marshal(body); err != nil { // a request or reply appendBody declined fails here alike
+			return Envelope{}, fmt.Errorf("proto: marshal %s body: %w", kind, err)
+		}
 	}
-	if raw, ok := appendBody(nil, body); ok {
-		env.Body = raw
-		return env, nil
-	}
-	raw, err := json.Marshal(body) // a request or reply appendBody declined fails here alike
-	if err != nil {
-		return Envelope{}, fmt.Errorf("proto: marshal %s body: %w", kind, err)
-	}
-	env.Body = raw
-	return env, nil
+	return Envelope{Kind: kind, ID: id, From: from, To: to, Sent: sent, Body: raw}, nil
 }
 
 // exchange is one REQ/REP round trip: the request a client sent and, once
@@ -113,7 +97,7 @@ var exchanges = sync.Pool{New: func() any { return new(exchange) }}
 func NewRequest(id uint64, from, to string, req InferenceRequest) Envelope {
 	x := exchanges.Get().(*exchange)
 	x.req = req
-	return Envelope{Kind: KindRequest, ID: id, From: from, To: to, Sent: req.SentAt, typed: x}
+	return Envelope{Kind: KindRequest, ID: id, From: from, To: to, Sent: req.SentAt, x: x}
 }
 
 // Answer returns the KindReply envelope that answers request e with
@@ -125,12 +109,12 @@ func NewRequest(id uint64, from, to string, req InferenceRequest) Envelope {
 // into an exchange of the answer's own, taken from the same pool and left
 // to the garbage collector.
 func (e Envelope) Answer(from string, sent time.Time, reply *InferenceReply) Envelope {
-	x, ok := e.typed.(*exchange)
-	if !ok || e.Kind != KindRequest {
+	x := e.x
+	if x == nil || e.Kind != KindRequest {
 		x = exchanges.Get().(*exchange)
 	}
 	x.rep = *reply
-	return Envelope{Kind: KindReply, ID: e.ID, From: from, To: e.From, Sent: sent, typed: x}
+	return Envelope{Kind: KindReply, ID: e.ID, From: from, To: e.From, Sent: sent, x: x}
 }
 
 // DecodeExchange decodes the body of e, a request or a reply as
@@ -150,7 +134,7 @@ func (e Envelope) Answer(from string, sent time.Time, reply *InferenceReply) Env
 // is: a reply's by the sender of req, a request's by whoever decoded it,
 // after its answer is encoded.
 func (e *Envelope) DecodeExchange(req Envelope, in *Interner) bool {
-	if e.typed != nil || e.Body == nil {
+	if e.x != nil || e.Body == nil {
 		return false
 	}
 	switch e.Kind {
@@ -160,14 +144,14 @@ func (e *Envelope) DecodeExchange(req Envelope, in *Interner) bool {
 			exchanges.Put(x)
 			return false
 		}
-		e.typed = x
+		e.x = x
 		return true
 	case KindReply:
-		x, ok := req.typed.(*exchange)
-		if !ok || req.Kind != KindRequest || !decodeReply(e.Body, &x.rep, in, x.req.RequestUID) {
+		x := req.x
+		if x == nil || req.Kind != KindRequest || !decodeReply(e.Body, &x.rep, in, x.req.RequestUID) {
 			return false
 		}
-		e.typed = x
+		e.x = x
 		return true
 	}
 	return false
@@ -182,64 +166,43 @@ func (e *Envelope) DecodeExchange(req Envelope, in *Interner) bool {
 // its answer on, once that is encoded (msgq's TCP server, after the reply
 // frame).
 func (e Envelope) Release() {
-	if x, ok := e.typed.(*exchange); ok {
-		*x = exchange{}
-		exchanges.Put(x)
+	if e.x != nil {
+		*e.x = exchange{}
+		exchanges.Put(e.x)
 	}
 }
 
-// wireBody returns the envelope's JSON body, encoding the in-process
-// payload on first wire access and keeping it in Body.
+// wireBody returns the envelope's JSON body, hand-encoding an exchange's
+// half on first wire access and keeping it in Body. A half the hand encoder
+// declines, for a timestamp, goes to json.Marshal, which refuses it alike.
 func (e *Envelope) wireBody() (json.RawMessage, error) {
-	if e.Body == nil && e.typed != nil {
-		raw, err := marshalTyped(e)
+	if e.Body != nil || e.x == nil {
+		return e.Body, nil
+	}
+	raw, ok := appendExchange(nil, e)
+	if !ok {
+		var err error
+		if e.Kind == KindRequest {
+			raw, err = json.Marshal(e.x.req)
+		} else {
+			raw, err = json.Marshal(e.x.rep)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("proto: marshal %s body: %w", e.Kind, err)
 		}
-		e.Body = raw
 	}
-	return e.Body, nil
+	e.Body = raw
+	return raw, nil
 }
 
-// marshalTyped returns the JSON of e's in-process payload: an exchange's
-// half hand-encoded, a snapshot (and a half the hand encoder declines,
-// whose timestamp json.Marshal refuses alike) by json.Marshal.
-func marshalTyped(e *Envelope) ([]byte, error) {
-	if raw, ok := appendTyped(nil, e); ok {
-		return raw, nil
-	}
-	v := e.typed
-	if x, ok := v.(*exchange); ok {
-		v = x.half(e.Kind)
-	}
-	return json.Marshal(v)
-}
-
-// half returns the payload of an exchange envelope of kind: the request,
-// the reply, or nil for any other kind.
-func (x *exchange) half(kind Kind) any {
-	switch kind {
-	case KindRequest:
-		return x.req
-	case KindReply:
-		return x.rep
-	}
-	return nil
-}
-
-// Decode unmarshals the envelope body into out, validating the kind first.
-// When the envelope still carries its in-process payload and out is a
-// pointer to the same payload type, the decode is a plain struct copy;
-// any other body goes to json.Unmarshal, into which out escapes. A request
-// or reply decodes without that through DecodeRequest or DecodeReply.
+// Decode unmarshals the envelope body into out with encoding/json,
+// validating the kind first; out escapes into json.Unmarshal. A request or
+// reply decodes without that through DecodeRequest or DecodeReply.
 func (e Envelope) Decode(want Kind, out any) error {
 	if e.Kind != want {
 		return kindError(e.Kind, want)
 	}
-	if e.typed != nil && copyTyped(out, &e) {
-		return nil
-	}
-	raw, err := (&e).wireBody() // lazy body: materialize for the JSON path
+	raw, err := e.wireBody()
 	if err != nil {
 		return err
 	}
@@ -249,71 +212,35 @@ func (e Envelope) Decode(want Kind, out any) error {
 	return nil
 }
 
-// copyTyped copies e's in-process payload into *out when out points at its
-// type: the half of an exchange that e.Kind names, or a snapshot's.
-func copyTyped(out any, e *Envelope) bool {
-	x, isX := e.typed.(*exchange)
-	switch dst := out.(type) {
-	case *InferenceRequest:
-		if isX && e.Kind == KindRequest {
-			*dst = x.req
-			return true
-		}
-	case *InferenceReply:
-		if isX && e.Kind == KindReply {
-			*dst = x.rep
-			return true
-		}
-	case *StateUpdate:
-		return assign(dst, e.typed)
-	case *ErrorBody:
-		return assign(dst, e.typed)
-	}
-	return false
-}
-
-func assign[T any](dst *T, v any) bool {
-	t, ok := v.(T)
-	if ok {
-		*dst = t
-	}
-	return ok
-}
-
-// DecodeRequest returns the body of a KindRequest envelope.
+// DecodeRequest returns the body of a KindRequest envelope: a copy of its
+// exchange's request, else its Body read by encoding/json.
 func (e Envelope) DecodeRequest() (InferenceRequest, error) {
+	if e.x != nil && e.Kind == KindRequest {
+		return e.x.req, nil
+	}
 	return decodeAs[InferenceRequest](e, KindRequest)
 }
 
-// DecodeReply returns the body of a KindReply envelope.
+// DecodeReply returns the body of a KindReply envelope: a copy of its
+// exchange's reply, else its Body read by encoding/json.
 func (e Envelope) DecodeReply() (InferenceReply, error) {
+	if e.x != nil && e.Kind == KindReply {
+		return e.x.rep, nil
+	}
 	return decodeAs[InferenceReply](e, KindReply)
 }
 
-// decodeAs returns e's body as a T. The half of an exchange is returned as
-// a copy; only a body left to json.Unmarshal allocates its target.
+// decodeAs decodes the Body of an envelope with no exchange into a fresh T
+// with encoding/json, validating the kind first. It is a function of its
+// own so that the one target json.Unmarshal holds on to is allocated on
+// this path alone.
 func decodeAs[T any](e Envelope, want Kind) (T, error) {
-	var v T
-	if e.Kind != want {
-		return v, kindError(e.Kind, want)
-	}
-	if e.typed != nil && copyTyped(&v, &e) {
-		return v, nil
-	}
-	raw, err := e.wireBody()
-	if err != nil {
-		return v, err
-	}
-	return unmarshalAs[T](e.Kind, raw)
-}
-
-// unmarshalAs decodes raw into a fresh T with encoding/json. It is a
-// function of its own so that the one target json.Unmarshal holds on to is
-// allocated on this path alone.
-func unmarshalAs[T any](kind Kind, raw []byte) (T, error) {
 	v := new(T)
-	if err := json.Unmarshal(raw, v); err != nil {
-		return *v, fmt.Errorf("proto: decode %s body: %w", kind, err)
+	if e.Kind != want {
+		return *v, kindError(e.Kind, want)
+	}
+	if err := json.Unmarshal(e.Body, v); err != nil {
+		return *v, fmt.Errorf("proto: decode %s body: %w", e.Kind, err)
 	}
 	return *v, nil
 }
@@ -404,12 +331,6 @@ type StateUpdate struct {
 	Entity    string    `json:"entity"` // "pilot" | "task" | "service"
 	State     string    `json:"state"`
 	At        time.Time `json:"at"`
-}
-
-// ErrorBody is the payload of a KindError message.
-type ErrorBody struct {
-	Origin string `json:"origin"`
-	Msg    string `json:"msg"`
 }
 
 // --- framing -------------------------------------------------------------

@@ -109,7 +109,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameMultipleSequential(t *testing.T) {
 	var stream []byte
 	for i := uint64(0); i < 10; i++ {
-		env, _ := NewEnvelope(KindError, i, "mgr", "svc", t0, ErrorBody{Origin: "mgr", Msg: "ping"})
+		env, _ := NewEnvelope(KindStateUpdate, i, "mgr", "svc", t0, StateUpdate{EntityUID: "task.0001", Entity: "task", State: "DONE", At: t0})
 		var err error
 		if stream, err = AppendFrame(stream, &env); err != nil {
 			t.Fatal(err)
@@ -131,7 +131,7 @@ func TestFrameMultipleSequential(t *testing.T) {
 }
 
 func TestReadFrameTruncatedBody(t *testing.T) {
-	env, _ := NewEnvelope(KindError, 1, "a", "b", t0, ErrorBody{Origin: "x", Msg: "y"})
+	env, _ := NewEnvelope(KindStateUpdate, 1, "a", "b", t0, StateUpdate{EntityUID: "x", State: "y"})
 	frame, err := AppendFrame(nil, &env)
 	if err != nil {
 		t.Fatal(err)

@@ -93,22 +93,13 @@ func (c *Client) Infer(ctx context.Context, prompt string, maxTokens int) (proto
 		// abandoned on ctx expiry may still be answered into it.
 		return proto.InferenceReply{}, metrics.Breakdown{}, err
 	}
-	var reply proto.InferenceReply
-	if out.Kind == proto.KindError {
-		var eb proto.ErrorBody
-		if err = out.Decode(proto.KindError, &eb); err == nil {
-			err = errors.New(eb.Msg)
-		}
-		err = fmt.Errorf("service %s: %w", c.ep.ServiceUID, err)
-	} else {
-		reply, err = out.DecodeReply()
-	}
+	reply, err := out.DecodeReply()
 	env.Release() // the round trip is over and its reply read
-	if err != nil {
-		return proto.InferenceReply{}, metrics.Breakdown{}, err
+	if err == nil && reply.Err != "" {
+		err = errors.New(reply.Err)
 	}
-	if reply.Err != "" {
-		return reply, metrics.Breakdown{}, errors.New(reply.Err)
+	if err != nil {
+		return reply, metrics.Breakdown{}, fmt.Errorf("service %s: %w", c.ep.ServiceUID, err)
 	}
 	return reply, DecomposeRT(total, reply.Timing), nil
 }

@@ -317,11 +317,13 @@ func (s *Server) worker(park *simtime.Handoff[*job]) {
 func (s *Server) flushStopped(j *job) {
 	s.inflight.Add(-1)
 	s.rejected.Add(1)
-	j.reply = proto.InferenceReply{
-		RequestUID: j.req.RequestUID,
-		ServiceUID: s.cfg.UID,
-		Err:        ErrStopped.Error(),
-	}
+	j.reply = s.errReply(j.req.RequestUID, ErrStopped)
+}
+
+// errReply is the reply to request uid that says why it was not served:
+// the one way this server reports a failure to its caller.
+func (s *Server) errReply(uid string, err error) proto.InferenceReply {
+	return proto.InferenceReply{RequestUID: uid, ServiceUID: s.cfg.UID, Err: err.Error()}
 }
 
 // dequeue returns the next batch, appending into buf: the head of the
@@ -543,30 +545,23 @@ func (s *Server) submit(ctx context.Context, req proto.InferenceRequest, out *pr
 // Handler returns the msgq request handler exposing the server: it reads
 // KindRequest envelopes, submits them, and answers each
 // (proto.Envelope.Answer): into the request's exchange when it has one, so
-// an in-process round trip boxes no reply. Malformed requests and
-// server-side rejections come back as KindError envelopes.
+// an in-process round trip boxes no reply. A malformed request and a
+// server-side rejection are answered the same way, by a reply whose Err
+// says why (errReply, the reply Stop's flush writes too).
 func (s *Server) Handler() func(proto.Envelope) proto.Envelope {
 	return func(env proto.Envelope) proto.Envelope {
+		var reply proto.InferenceReply
 		req, err := env.DecodeRequest()
 		if err != nil {
-			return s.errEnvelope(env, fmt.Sprintf("%v: %v", ErrBadRequest, err))
+			err = fmt.Errorf("%w: %v", ErrBadRequest, err)
+		} else {
+			err = s.submit(context.Background(), req, &reply)
 		}
-		var reply proto.InferenceReply
-		if err := s.submit(context.Background(), req, &reply); err != nil {
-			return s.errEnvelope(env, err.Error())
+		if err != nil {
+			reply = s.errReply(req.RequestUID, err)
 		}
 		return env.Answer(s.cfg.UID, s.cfg.Clock.Now(), &reply)
 	}
-}
-
-func (s *Server) errEnvelope(req proto.Envelope, msg string) proto.Envelope {
-	out, err := proto.NewEnvelope(proto.KindError, req.ID, s.cfg.UID, req.From, s.cfg.Clock.Now(),
-		proto.ErrorBody{Origin: s.cfg.UID, Msg: msg})
-	if err != nil {
-		// ErrorBody is a plain struct; marshalling cannot fail.
-		panic(err)
-	}
-	return out
 }
 
 // Drain stops accepting new requests and blocks until the queue empties

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -302,8 +303,15 @@ func TestHandlerBadRequest(t *testing.T) {
 	h := s.Handler()
 	env, _ := proto.NewEnvelope(proto.KindStateUpdate, 1, "x", "y", origin, proto.StateUpdate{})
 	out := h(env)
-	if out.Kind != proto.KindError {
-		t.Fatalf("handler accepted wrong-kind request: %+v", out)
+	if out.Kind != proto.KindReply || out.ID != 1 {
+		t.Fatalf("handler answered a wrong-kind request with %+v", out)
+	}
+	rep, err := out.DecodeReply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rep.Err, ErrBadRequest.Error()) {
+		t.Fatalf("reply to a wrong-kind request has Err %q, want it to contain %q", rep.Err, ErrBadRequest)
 	}
 }
 
@@ -312,15 +320,15 @@ func TestHandlerErrorWhenNotReady(t *testing.T) {
 	h := s.Handler()
 	env, _ := proto.NewEnvelope(proto.KindRequest, 1, "x", "y", origin, req("r", "p", 0))
 	out := h(env)
-	if out.Kind != proto.KindError {
-		t.Fatal("handler replied to request before Start")
+	if out.Kind != proto.KindReply || out.ID != 1 {
+		t.Fatalf("handler answered a request before Start with %+v", out)
 	}
-	var eb proto.ErrorBody
-	if err := out.Decode(proto.KindError, &eb); err != nil {
+	rep, err := out.DecodeReply()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if eb.Msg == "" {
-		t.Fatal("empty error message")
+	if rep.Err != ErrNotReady.Error() || rep.RequestUID != "r" {
+		t.Fatalf("reply before Start = %+v, want request r with Err %q", rep, ErrNotReady)
 	}
 }
 
