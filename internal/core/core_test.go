@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/pilot"
 	"repro/internal/platform"
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -24,6 +26,51 @@ func newSession(t *testing.T, scale float64) *Session {
 	}
 	t.Cleanup(s.Close)
 	return s
+}
+
+// transitionRecorder keeps every transition a pilot reports to its session,
+// in the order the pilot's hook runs.
+type transitionRecorder struct {
+	mu    sync.Mutex
+	steps []recordedStep
+}
+
+type recordedStep struct {
+	entity states.Entity
+	uid    string
+	states.Record
+}
+
+// recordTransitions rebinds p to its session's own hooks with a recorder in
+// front of the transition hook: each step is recorded, then handed on, so a
+// waiter the session's hook releases finds the step already recorded.
+func recordTransitions(s *Session, p *pilot.Pilot) *transitionRecorder {
+	r := &transitionRecorder{}
+	h := s.pilotHooks(p.UID())
+	next := h.Transition
+	h.Transition = func(e states.Entity, uid string, from states.State, steps []states.Record) {
+		r.mu.Lock()
+		for _, st := range steps {
+			r.steps = append(r.steps, recordedStep{e, uid, st})
+		}
+		r.mu.Unlock()
+		next(e, uid, from, steps)
+	}
+	p.Rebind(h)
+	return r
+}
+
+// of returns the steps recorded for the entity uid, in order.
+func (r *transitionRecorder) of(uid string) []recordedStep {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []recordedStep
+	for _, st := range r.steps {
+		if st.uid == uid {
+			out = append(out, st)
+		}
+	}
+	return out
 }
 
 func deltaPilotDesc() spec.PilotDescription {
@@ -190,15 +237,11 @@ func TestRemoteEndpointRegistration(t *testing.T) {
 
 func TestUpdaterPublishesStateTransitions(t *testing.T) {
 	s := newSession(t, 100000)
-	sub, err := s.SubscribeUpdates(256, "task")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
 	p, err := s.PilotManager().Submit(deltaPilotDesc())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := recordTransitions(s, p)
 	tm := s.TaskManager()
 	tm.AddPilot(p)
 	tasks, _ := tm.Submit(context.Background(), spec.TaskDescription{
@@ -209,21 +252,9 @@ func TestUpdaterPublishesStateTransitions(t *testing.T) {
 	if err := tm.Wait(ctx, tasks...); err != nil {
 		t.Fatal(err)
 	}
-	sawDone := false
-	deadline := time.After(5 * time.Second)
-	for !sawDone {
-		select {
-		case env := <-sub.C:
-			var up proto.StateUpdate
-			if err := env.Decode(proto.KindStateUpdate, &up); err != nil {
-				t.Fatal(err)
-			}
-			if up.EntityUID == tasks[0].UID() && up.State == string(states.TaskDone) {
-				sawDone = true
-			}
-		case <-deadline:
-			t.Fatal("never observed DONE on the update channel")
-		}
+	steps := rec.of(tasks[0].UID())
+	if len(steps) == 0 || steps[len(steps)-1].entity != states.EntityTask || steps[len(steps)-1].State != states.TaskDone {
+		t.Fatalf("task transitions %v, want the task's chain ending in DONE", steps)
 	}
 }
 

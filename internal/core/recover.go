@@ -133,18 +133,24 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 		return nil, rep, err
 	}
 
-	// Cut the torn tail before reopening for append: the journal opens in
-	// O_APPEND mode, and new records written after a torn fragment would be
-	// swallowed as that fragment's payload on the next replay (its length
-	// prefix spans them), failing every later recovery with ErrChecksum.
+	// Reopen the journal before touching it: Open refuses a WAL a live
+	// writer of this process still appends to (the previous client is not
+	// dead), and that refusal must come before the cut below. Then cut the
+	// torn tail: the journal appends in O_APPEND mode, and new records
+	// written after a torn fragment would be swallowed as that fragment's
+	// payload on the next replay (its length prefix spans them), failing
+	// every later recovery with ErrChecksum.
+	jw, err := journal.Open(journal.Config{Path: journalPath, Clock: s.clock, FlushEvery: cfg.FlushEvery})
+	if err != nil {
+		return nil, rep, fmt.Errorf("core: recover: %w", err)
+	}
 	if stats.TornTail {
 		if terr := os.Truncate(journalPath, stats.ValidBytes); terr != nil {
-			_ = s.updates.Close()
+			_ = jw.Close()
 			return nil, rep, fmt.Errorf("core: recover: truncate torn journal tail: %w", terr)
 		}
 	}
-	if err := s.attachJournal(journalPath, cfg.FlushEvery, snap.Session.Seed, rep.Incarnation); err != nil {
-		_ = s.updates.Close()
+	if err := s.attachJournal(jw, snap.Session.Seed, rep.Incarnation); err != nil {
 		return nil, rep, err
 	}
 
@@ -172,7 +178,7 @@ func Recover(journalPath string, cfg RecoverConfig) (*Session, *RecoveryReport, 
 	}
 
 	// Adopt the survivors: rebind their session-side hooks to this
-	// session's Updater, journal and registry mirror, then attach them to
+	// session's journal and registry mirror, then attach them to
 	// the managers. Dead pilots are not resurrected — re-acquiring
 	// resources is the operator's call, not Recover's.
 	for _, uid := range rep.PilotsAlive {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -514,6 +517,95 @@ func TestRecoverTornCrashTwice(t *testing.T) {
 func TestRecoverErrorsWithoutJournal(t *testing.T) {
 	if _, _, err := Recover(filepath.Join(t.TempDir(), "absent.wal"), RecoverConfig{}); err == nil {
 		t.Fatal("recovered from a nonexistent journal")
+	}
+}
+
+// TestSecondJournalWriterRefused: a second journaled session on a WAL a
+// live session still appends to is refused, so the two never interleave
+// their records, and the WAL replays as the first session's.
+func TestSecondJournalWriterRefused(t *testing.T) {
+	s, jp := newJournaledSession(t, 5)
+	_, err := NewSession(SessionConfig{Seed: 6, FastBoot: true, JournalPath: jp})
+	if !heldWAL(err) {
+		t.Fatalf("second session on a live WAL: err = %v, want the journal's refusal", err)
+	}
+	s.Close()
+	snap, _, err := journal.ReplayFile(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Session.Seed != 5 {
+		t.Fatalf("WAL replays seed %d, want the first session's 5", snap.Session.Seed)
+	}
+}
+
+// TestRecoverRefusedWhileSessionLive: Recover on the WAL of a session that
+// is still open fails, and it fails before it cuts the WAL's torn tail: the
+// live writer's file is left byte for byte as it was.
+func TestRecoverRefusedWhileSessionLive(t *testing.T) {
+	s, jp := newJournaledSession(t, 5)
+	defer s.Close()
+	tornWAL(t, jp)
+	before, err := os.ReadFile(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(jp, RecoverConfig{}); !heldWAL(err) {
+		t.Fatalf("Recover of a live session: err = %v, want the journal's refusal", err)
+	}
+	if after, err := os.ReadFile(jp); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("Recover of a live session changed its WAL: %d bytes before, %d after (%v)", len(before), len(after), err)
+	}
+}
+
+// TestRecoverAfterSessionEnds: once the session that wrote a WAL abandons
+// or closes it, Recover reopens it and cuts its torn tail.
+func TestRecoverAfterSessionEnds(t *testing.T) {
+	for _, end := range []struct {
+		name string
+		fn   func(*Session)
+	}{{"abandon", (*Session).Abandon}, {"close", (*Session).Close}} {
+		t.Run(end.name, func(t *testing.T) {
+			s, jp := newJournaledSession(t, 5)
+			tornWAL(t, jp)
+			end.fn(s)
+			s2, rep, err := Recover(jp, RecoverConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2.Close()
+			if !rep.Stats.TornTail || rep.SessionUID != s.uid {
+				t.Fatalf("recovered %s with torn tail %v, want %s with one", rep.SessionUID, rep.Stats.TornTail, s.uid)
+			}
+			if _, stats, err := journal.ReplayFile(jp); err != nil || stats.TornTail {
+				t.Fatalf("WAL after recovery: torn tail %v, err %v; want cut, nil", stats.TornTail, err)
+			}
+		})
+	}
+}
+
+// heldWAL reports whether err is journal.Open's refusal of a WAL a live
+// writer holds.
+func heldWAL(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "a live writer holds the path")
+}
+
+// tornWAL appends half a record header to the WAL at jp, as a writer that
+// died mid-write() leaves it.
+func tornWAL(t *testing.T, jp string) {
+	t.Helper()
+	f, err := os.OpenFile(jp, os.O_WRONLY|os.O_APPEND, 0)
+	if err == nil {
+		_, err = f.Write([]byte{0, 0, 0, 9})
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, stats, err := journal.ReplayFile(jp); err != nil || !stats.TornTail {
+		t.Fatalf("WAL with half a header: torn tail %v, err %v", stats.TornTail, err)
 	}
 }
 

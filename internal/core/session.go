@@ -3,11 +3,12 @@
 // capabilities. A Session owns the clock, RNG, platform topology,
 // communication network; a PilotManager acquires pilots; a
 // TaskManager and a ServiceManager submit TaskDescriptions and
-// ServiceDescriptions through one unified API (Fig. 2 (1)); an Updater
-// publishes every entity state transition on a dedicated channel
-// (Fig. 2 (6)). Remote (e.g. R3-hosted) services register their endpoints
-// directly with the session, so client tasks consume local and remote
-// model instances through the same interface.
+// ServiceDescriptions through one unified API (Fig. 2 (1)). Every entity
+// state transition reaches the session through its pilot's transition hook,
+// which journals it for durable sessions (Fig. 2 (6)'s Updater). Remote
+// (e.g. R3-hosted) services register their endpoints directly with the
+// session, so client tasks consume local and remote model instances
+// through the same interface.
 package core
 
 import (
@@ -32,9 +33,6 @@ import (
 
 // DefaultOrigin is the simulated epoch used when no clock is supplied.
 var DefaultOrigin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
-
-// updatesAddr is the session-level PUB endpoint for state updates.
-const updatesAddr = "session//updates"
 
 // SessionConfig parameterizes a Session.
 type SessionConfig struct {
@@ -82,8 +80,6 @@ type Session struct {
 	topo  *platform.Topology
 	net   *msgq.Network
 
-	updates *msgq.Publisher
-
 	// jw is the write-ahead journal (nil for volatile sessions);
 	// incarnation counts recoveries: 0 volatile, 1 first journaled life,
 	// +1 per Recover. Both are fixed before the session is reachable.
@@ -111,8 +107,11 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		return nil, err
 	}
 	if cfg.JournalPath != "" {
-		if err := s.attachJournal(cfg.JournalPath, cfg.JournalFlushEvery, cfg.Seed, 1); err != nil {
-			_ = s.updates.Close()
+		jw, err := journal.Open(journal.Config{Path: cfg.JournalPath, Clock: s.clock, FlushEvery: cfg.JournalFlushEvery})
+		if err == nil {
+			err = s.attachJournal(jw, cfg.Seed, 1)
+		}
+		if err != nil {
 			s.net.Close()
 			return nil, err
 		}
@@ -164,9 +163,6 @@ func assembleSession(uid string, clock simtime.Clock, src *rng.Source, topo *pla
 		schedPol:   schedPolicy,
 		routerName: routerName,
 	}
-	if s.updates, err = net.BindPub(updatesAddr); err != nil {
-		return nil, fmt.Errorf("core: updates channel already bound (previous client still alive?): %w", err)
-	}
 	s.pm = &PilotManager{sess: s, pilots: make(map[string]*pilot.Pilot)}
 	s.tm = &TaskManager{
 		sess:      s,
@@ -186,16 +182,12 @@ func assembleSession(uid string, clock simtime.Clock, src *rng.Source, topo *pla
 }
 
 // attachJournal makes the session durable under the given incarnation: it
-// opens the write-ahead journal at path for append, writes the opening
-// session record and wires the endpoint registry's mutations into the
+// writes the opening session record to jw, the write-ahead journal just
+// opened for it, and wires the endpoint registry's mutations into the
 // journal. The registry fence moves to the incarnation, so publications
 // from earlier ones (zombies surviving a recovery) are rejected. It runs
-// before the session is reachable.
-func (s *Session) attachJournal(path string, flushEvery time.Duration, seed, incarnation uint64) error {
-	jw, err := journal.Open(journal.Config{Path: path, Clock: s.clock, FlushEvery: flushEvery})
-	if err != nil {
-		return err
-	}
+// before the session is reachable, and closes jw when it fails.
+func (s *Session) attachJournal(jw *journal.Writer, seed, incarnation uint64) error {
 	if err := jw.Append(journal.KindSession, journal.SessionBody{
 		UID: s.uid, Seed: seed, Incarnation: incarnation,
 		SchedPolicy: s.schedPol, Router: s.routerName, FastBoot: s.fastBoot,
@@ -247,36 +239,17 @@ func (s *Session) TaskManager() *TaskManager { return s.tm }
 // ServiceManager returns the session's service manager.
 func (s *Session) ServiceManager() *ServiceManager { return s.sm }
 
-// SubscribeUpdates attaches to the Updater's state-update channel,
-// optionally filtered by entity topics ("pilot", "task", "service").
-func (s *Session) SubscribeUpdates(buffer int, topics ...string) (*msgq.Subscription, error) {
-	return s.net.Subscribe("client", updatesAddr, buffer, topics...)
-}
-
-// publish is the Updater: it appends the transitions one To call of an
-// entity's machine committed — for journaled sessions — to the write-ahead
-// journal with one write, then broadcasts them on the session's update
-// channel.
-func (s *Session) publish(e states.Entity, uid string, from states.State, steps []states.Record) {
-	entity := string(e)
+// journalTransitions is the Updater: it appends the transitions one To call
+// of an entity's machine committed to the write-ahead journal with one
+// write (a no-op for volatile sessions). A task's first chain also carries
+// what dispatch owes the journal.
+func (s *Session) journalTransitions(e states.Entity, uid string, from states.State, steps []states.Record) {
 	switch {
 	case s.jw == nil:
 	case e == states.EntityTask && from == states.TaskNew:
 		s.tm.journalFirst(s.jw, uid, from, steps)
 	default:
-		_ = s.jw.AppendTransitions(entity, uid, from, steps)
-	}
-	if !s.updates.Subscribed(entity) {
-		return
-	}
-	for _, st := range steps {
-		env, err := proto.NewEnvelope(proto.KindStateUpdate, 0, uid, "", st.At, proto.StateUpdate{
-			EntityUID: uid, Entity: entity, State: string(st.State), At: st.At,
-		})
-		if err != nil {
-			return
-		}
-		s.updates.Publish(entity, env)
+		_ = s.jw.AppendTransitions(string(e), uid, from, steps)
 	}
 }
 
@@ -287,7 +260,7 @@ func (s *Session) pilotHooks(pilotUID string) pilot.Hooks {
 		// A pilot's final transition is the last step of its shutdown: the
 		// services it still hosted are re-placed by whoever stopped it.
 		Transition: func(e states.Entity, uid string, from states.State, steps []states.Record) {
-			s.publish(e, uid, from, steps)
+			s.journalTransitions(e, uid, from, steps)
 			if e == states.EntityPilot && states.PilotModel().IsFinal(steps[len(steps)-1].State) {
 				s.sm.pilotDown(uid)
 			}
@@ -367,8 +340,8 @@ func (s *Session) Close() {
 
 // Abandon simulates the client process dying mid-campaign: the session's
 // managers stop (in-flight re-placements settle with ErrSessionClosed,
-// overflow tasks fail), the update channel unbinds, and the journal
-// crashes — no graceful final fsync, every later append dropped. Unlike
+// overflow tasks fail) and the journal crashes — no graceful final fsync,
+// every later append dropped, its path free for Recover to reopen. Unlike
 // Close, the pilots and the network stay up: they model remote machines
 // that outlive the client, which is exactly what Recover reattaches to.
 // Experiment fault injection wires this as the journal's OnCrash callback.
@@ -376,9 +349,6 @@ func (s *Session) Abandon() {
 	if !s.closeManagers() {
 		return
 	}
-	// Free the updates address so a recovered session can bind it on the
-	// same (surviving) network.
-	_ = s.updates.Close()
 	if s.jw != nil {
 		s.jw.Crash()
 	}

@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/msgq"
 	"repro/internal/pilot"
-	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/spec"
@@ -362,11 +360,7 @@ func waitOnVirtualClock(clock *simtime.Virtual) error {
 	if err != nil {
 		return err
 	}
-	sub, err := s.SubscribeUpdates(16, "task")
-	if err != nil {
-		return err
-	}
-	defer sub.Cancel()
+	rec := recordTransitions(s, p)
 	tm := s.TaskManager()
 	tm.AddPilot(p)
 	tasks, err := tm.Submit(context.Background(), spec.TaskDescription{Name: "hour", Cores: 1, Duration: rng.ConstDuration(time.Hour)})
@@ -391,46 +385,26 @@ func waitOnVirtualClock(clock *simtime.Virtual) error {
 		return err
 	}
 	now := clock.Now()
-	// The update hop runs on the clock: hold it blocked while reading.
-	clock.DoneRunner()
-	done, err := doneStamp(sub, tasks[0].UID())
-	clock.AddRunner()
-	if err != nil {
-		return err
+	steps := rec.of(tasks[0].UID())
+	if len(steps) == 0 || steps[len(steps)-1].State != states.TaskDone {
+		return fmt.Errorf("task %s: transitions %v end before DONE", tasks[0].UID(), steps)
 	}
+	done := steps[len(steps)-1].At
 	if !now.Equal(done) || done.Sub(at) < time.Hour {
 		return fmt.Errorf("Wait returned at %v, DONE at %v (cancelled wait at %v)", now.Sub(DefaultOrigin), done.Sub(DefaultOrigin), at.Sub(DefaultOrigin))
 	}
 	return nil
 }
 
-// doneStamp reads task updates until uid's DONE and returns its stamp.
-func doneStamp(sub *msgq.Subscription, uid string) (time.Time, error) {
-	for env := range sub.C {
-		var up proto.StateUpdate
-		if err := env.Decode(proto.KindStateUpdate, &up); err != nil {
-			return time.Time{}, err
-		}
-		if up.EntityUID == uid && up.State == string(states.TaskDone) {
-			return up.At, nil
-		}
-	}
-	return time.Time{}, fmt.Errorf("task %s: update channel closed before DONE", uid)
-}
-
-// TestPublishFansOutToJournalAndUpdates: every transition the Updater
-// commits reaches both of its sinks. The update channel carries the task's
-// whole chain in order, stamped in time order, and the journal, replayed,
-// ends the task where the channel does.
+// TestPublishFansOutToJournalAndUpdates: every transition a pilot commits
+// reaches both of its observers. The pilot's transition hook carries the
+// task's whole chain in order, stamped in time order, and the journal,
+// replayed, ends the task where the hook does.
 func TestPublishFansOutToJournalAndUpdates(t *testing.T) {
 	s, jp := newJournaledSession(t, 11)
 	t.Cleanup(s.Close)
 	p := submitAttachedPilot(t, s)
-	sub, err := s.SubscribeUpdates(64, "task")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
+	rec := recordTransitions(s, p)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	tasks, err := s.TaskManager().Submit(ctx, spec.TaskDescription{Name: "fan", Cores: 1, Duration: rng.ConstDuration(time.Second)})
@@ -440,39 +414,21 @@ func TestPublishFansOutToJournalAndUpdates(t *testing.T) {
 	if err := s.TaskManager().Wait(ctx, tasks...); err != nil {
 		t.Fatal(err)
 	}
-	// The updates reach the subscriber through msgq's delivery worker, which
-	// waits on the clock's timers unregistered: read them with the clock let go.
-	var ups []proto.StateUpdate
-	offClock(s, func() {
-		for deadline := time.After(5 * time.Second); len(ups) == 0 || ups[len(ups)-1].State != string(states.TaskDone); {
-			select {
-			case env := <-sub.C:
-				var up proto.StateUpdate
-				if err := env.Decode(proto.KindStateUpdate, &up); err != nil {
-					t.Error(err)
-					return
-				}
-				ups = append(ups, up)
-			case <-deadline:
-				return
-			}
-		}
-	})
 	var got []states.State
 	var last time.Time
-	for _, up := range ups {
-		if up.EntityUID != tasks[0].UID() || up.Entity != "task" {
-			t.Fatalf("update for %s %s, want only task %s", up.Entity, up.EntityUID, tasks[0].UID())
+	for _, st := range rec.of(tasks[0].UID()) {
+		if st.entity != states.EntityTask {
+			t.Fatalf("transition of %s %s, want only task %s", st.entity, st.uid, tasks[0].UID())
 		}
-		if up.At.Before(last) {
-			t.Fatalf("%s stamped %v, before the previous update's %v", up.State, up.At, last)
+		if st.At.Before(last) {
+			t.Fatalf("%s stamped %v, before the previous transition's %v", st.State, st.At, last)
 		}
-		got, last = append(got, states.State(up.State)), up.At
+		got, last = append(got, st.State), st.At
 	}
 	want := []states.State{states.TaskTmgrScheduling, states.TaskStagingInput, states.TaskScheduling,
 		states.TaskExecuting, states.TaskStagingOutput, states.TaskDone}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("update chain %v, want %v", got, want)
+		t.Fatalf("transition chain %v, want %v", got, want)
 	}
 	s.Close()
 	snap, stats, err := journal.ReplayFile(jp)

@@ -58,6 +58,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"sync"
@@ -78,6 +79,9 @@ var (
 	// ErrCrashed marks appends after an injected crash: the writer models
 	// a dead process and silently persists nothing further.
 	ErrCrashed = errors.New("journal: writer crashed")
+	// errInUse marks an Open of a path a live Writer of this process still
+	// appends to: two writers would interleave their records in one WAL.
+	errInUse = errors.New("journal: a live writer holds the path")
 	// ErrChecksum marks a record whose payload does not match its CRC.
 	ErrChecksum = errors.New("journal: record checksum mismatch")
 	// ErrTooLarge marks a length prefix beyond maxRecordSize — framing
@@ -533,8 +537,18 @@ type Writer struct {
 	done     chan struct{}
 }
 
+// held maps the cleaned path of every journal a live Writer of this process
+// appends to, to that Writer. Close, Crash and an injected crash free the
+// path; a Writer frees only its own hold.
+var (
+	heldMu sync.Mutex
+	held   = make(map[string]*Writer)
+)
+
 // Open opens (or creates) the journal at cfg.Path for appending and
-// starts the flusher.
+// starts the flusher. It refuses a path that a live Writer of this process
+// holds, spelled the same once cleaned (filepath.Clean: a relative and an
+// absolute spelling of one file are two paths here).
 func Open(cfg Config) (*Writer, error) {
 	if cfg.Path == "" || cfg.Clock == nil {
 		return nil, errors.New("journal: Open needs a path and a clock")
@@ -542,14 +556,24 @@ func Open(cfg Config) (*Writer, error) {
 	if cfg.FlushEvery <= 0 {
 		cfg.FlushEvery = defaultFlushEvery
 	}
-	f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: open %s: %w", cfg.Path, err)
-	}
 	w := &Writer{
-		f: f, fsync: f.Sync, fwrite: f.Write, path: cfg.Path, clock: cfg.Clock, frames: make([]byte, 0, 1024),
+		path: cfg.Path, clock: cfg.Clock, frames: make([]byte, 0, 1024),
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
+	key := filepath.Clean(cfg.Path)
+	heldMu.Lock()
+	if held[key] != nil {
+		heldMu.Unlock()
+		return nil, fmt.Errorf("%w: %s", errInUse, cfg.Path)
+	}
+	held[key] = w
+	heldMu.Unlock()
+	f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		w.release()
+		return nil, fmt.Errorf("journal: open %s: %w", cfg.Path, err)
+	}
+	w.f, w.fsync, w.fwrite = f, f.Sync, f.Write
 	// Armed here, not on the flusher's goroutine: on a virtual clock the
 	// ticker's deadline and place in the event order are fixed at Open.
 	go w.flusher(w.clock.NewTicker(cfg.FlushEvery))
@@ -773,6 +797,7 @@ func (w *Writer) write(kinds []Kind, raw []byte, ends []int) error {
 		// which may be waiting for this lock.
 		w.crashed = true
 		_ = w.f.Close()
+		w.release()
 		w.stopOnce.Do(func() { close(w.stop) })
 		fireCrash = w.onCrash
 	}
@@ -828,6 +853,7 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
+	w.release()
 	if w.crashed {
 		return nil
 	}
@@ -840,9 +866,9 @@ func (w *Writer) Close() error {
 }
 
 // Crash simulates the owning process dying: the file descriptor closes
-// without a final fsync and every subsequent Append is dropped with
-// ErrCrashed. Records already written survive (a process crash does not
-// roll back completed write()s).
+// without a final fsync, the path is free for the next Open, and every
+// subsequent Append is dropped with ErrCrashed. Records already written
+// survive (a process crash does not roll back completed write()s).
 func (w *Writer) Crash() {
 	w.stopFlusher()
 	w.mu.Lock()
@@ -852,6 +878,17 @@ func (w *Writer) Crash() {
 	}
 	w.crashed = true
 	_ = w.f.Close()
+	w.release()
+}
+
+// release frees the writer's path for the next Open.
+func (w *Writer) release() {
+	key := filepath.Clean(w.path)
+	heldMu.Lock()
+	defer heldMu.Unlock()
+	if held[key] == w {
+		delete(held, key)
+	}
 }
 
 // Crashed reports whether the writer is dead from Crash or an injected

@@ -1077,3 +1077,43 @@ func TestReplayFileStreamsLikeReplay(t *testing.T) {
 		t.Fatalf("missing file: stats %v, err %v", stats, err)
 	}
 }
+
+// TestOpenRefusesHeldPath: a path a live writer holds refuses a second
+// Open, under any spelling of the same absolute path. Close, Crash and an
+// injected crash each free it, and a dead writer's late Close leaves the
+// hold of the writer that reopened the path alone.
+func TestOpenRefusesHeldPath(t *testing.T) {
+	dir := t.TempDir()
+	open := func(path string) (*Writer, error) { return Open(Config{Path: path, Clock: simtime.NewReal()}) }
+	path := filepath.Join(dir, "session.journal")
+	w, err := open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := open(dir + "/./session.journal"); !errors.Is(err, errInUse) {
+		t.Fatalf("second Open of a held path: err = %v, want errInUse", err)
+	}
+	for _, end := range []struct {
+		name string
+		fn   func(*Writer)
+	}{
+		{"close", func(w *Writer) { _ = w.Close() }},
+		{"crash", (*Writer).Crash},
+		{"injected crash", func(w *Writer) {
+			w.SetCrashHook(func(Record) CrashMode { return CrashLost })
+			_ = w.Append(KindSession, SessionBody{UID: "s"})
+		}},
+	} {
+		end.fn(w)
+		next, err := open(path)
+		if err != nil {
+			t.Fatalf("Open after %s: %v", end.name, err)
+		}
+		_ = w.Close()
+		if _, err := open(path); !errors.Is(err, errInUse) {
+			t.Fatalf("after %s, the dead writer's Close freed its successor's path: err = %v", end.name, err)
+		}
+		w = next
+	}
+	_ = w.Close()
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -188,25 +187,10 @@ func (s *Subscription) Cancel() {
 	}
 }
 
-// pubItem is one pending delivery in a subscriber's ring: the envelope
-// plus the clock time at which its simulated traversal completes.
-type pubItem struct {
-	env       proto.Envelope
-	deliverAt time.Time
-}
-
-// subscriber owns one persistent delivery worker. The publisher enqueues
-// into ring (dropping when the subscriber lags, per PUB/SUB semantics);
-// the worker waits out each message's link traversal and forwards it to
-// ch. The link latency is resolved once at subscribe time.
+// subscriber is one subscription's topic filter and delivery channel.
 type subscriber struct {
-	id      uint64
-	topics  map[string]bool // empty set = all topics
-	ch      chan proto.Envelope
-	from    string
-	latency rng.DurationDist
-	ring    chan pubItem
-	stop    chan struct{}
+	topics map[string]bool // empty set = all topics
+	ch     chan proto.Envelope
 }
 
 // Publisher is a bound PUB endpoint: it broadcasts envelopes to topic
@@ -236,9 +220,10 @@ func (n *Network) BindPub(addr string) (*Publisher, error) {
 }
 
 // Subscribe attaches to the PUB endpoint at addr, receiving envelopes whose
-// topic is in topics (all topics when none given). buffer sizes both the
-// delivery channel and the worker's pending ring; slow subscribers drop
-// messages rather than block the publisher, matching PUB/SUB semantics.
+// topic is in topics (all topics when none given) on a channel of buffer
+// slots. A subscriber whose channel is full drops the message rather than
+// block the publisher, matching PUB/SUB semantics. from names the
+// subscriber and is unused: delivery is in place, over no modelled link.
 func (n *Network) Subscribe(from, addr string, buffer int, topics ...string) (*Subscription, error) {
 	v, ok := n.pubs.Load(addr)
 	if !ok {
@@ -248,106 +233,47 @@ func (n *Network) Subscribe(from, addr string, buffer int, topics ...string) (*S
 	if buffer <= 0 {
 		buffer = 64
 	}
-	ts := make(map[string]bool, len(topics))
+	sub := &subscriber{topics: make(map[string]bool, len(topics)), ch: make(chan proto.Envelope, buffer)}
 	for _, t := range topics {
-		ts[t] = true
-	}
-	sub := &subscriber{
-		topics:  ts,
-		ch:      make(chan proto.Envelope, buffer),
-		from:    from,
-		latency: n.resolve(addr, from),
-		ring:    make(chan pubItem, buffer),
-		stop:    make(chan struct{}),
+		sub.topics[t] = true
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return nil, ErrClosed
 	}
 	p.nextID++
-	sub.id = p.nextID
-	p.subs[sub.id] = sub
-	p.mu.Unlock()
-	go p.deliverLoop(sub)
+	id := p.nextID
+	p.subs[id] = sub
 	return &Subscription{
 		C: sub.ch,
 		cancel: func() {
 			p.mu.Lock()
-			if _, ok := p.subs[sub.id]; ok {
-				delete(p.subs, sub.id)
-				close(sub.stop)
+			defer p.mu.Unlock()
+			if _, ok := p.subs[id]; ok {
+				delete(p.subs, id)
+				close(sub.ch)
 			}
-			p.mu.Unlock()
 		},
 	}, nil
 }
 
-// deliverLoop is a subscriber's persistent delivery worker: it drains the
-// pending ring, waits until each message's simulated arrival time, and
-// forwards it. It owns closing sub.ch, so cancellation never races a
-// send-on-closed-channel.
-func (p *Publisher) deliverLoop(sub *subscriber) {
-	defer close(sub.ch)
-	for {
-		select {
-		case <-sub.stop:
-			return
-		case it := <-sub.ring:
-			if wait := it.deliverAt.Sub(p.net.clock.Now()); wait > 0 {
-				t := p.net.clock.NewTimer(wait)
-				select {
-				case <-t.C():
-				case <-sub.stop:
-					t.Stop()
-					return
-				}
-			}
-			select {
-			case sub.ch <- it.env:
-			default: // slow subscriber: drop
-			}
-		}
-	}
-}
-
-// Publish sends env to every subscriber of topic. Delivery is asynchronous
-// per subscriber through its persistent worker: the publisher only samples
-// the link traversal and enqueues — no goroutine is spawned and no link is
-// re-resolved per message.
+// Publish sends env to every subscriber of topic, in place on the caller:
+// a subscriber whose channel is full misses it. Sends and closes of a
+// subscriber's channel both happen under p.mu, so a cancellation never
+// races a send.
 func (p *Publisher) Publish(topic string, env proto.Envelope) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	var now time.Time
 	for _, s := range p.subs {
 		if len(s.topics) != 0 && !s.topics[topic] {
 			continue
 		}
-		if now.IsZero() {
-			now = p.net.clock.Now()
-		}
-		it := pubItem{env: env, deliverAt: now.Add(s.latency.Sample(p.net.src))}
 		select {
-		case s.ring <- it:
-		default: // subscriber's ring full: drop, never block the publisher
+		case s.ch <- env:
+		default: // subscriber's channel full: drop, never block the publisher
 		}
 	}
-}
-
-// Subscribed reports whether a Publish on topic would reach a subscriber
-// now: a caller may skip building an envelope for nobody.
-func (p *Publisher) Subscribed(topic string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, s := range p.subs {
-		if len(s.topics) == 0 || s.topics[topic] {
-			return true
-		}
-	}
-	return false
 }
 
 // Close unbinds the endpoint and ends every subscription.
@@ -360,7 +286,7 @@ func (p *Publisher) Close() error {
 	p.closed = true
 	for id, s := range p.subs {
 		delete(p.subs, id)
-		close(s.stop)
+		close(s.ch)
 	}
 	p.mu.Unlock()
 	p.net.pubs.CompareAndDelete(p.addr, p)

@@ -1,7 +1,7 @@
 // Package msgq is the communication substrate of the runtime — the Go
 // analogue of the ZeroMQ infrastructure RADICAL-Pilot uses for API calls
-// between services and clients. It offers two socket patterns (REQ/REP and
-// PUB/SUB) over two transports:
+// between services and clients. Its REQ/REP pattern runs over two
+// transports:
 //
 //   - An in-process transport with injected, distribution-sampled link
 //     latency driven by the session clock: each message hop sleeps one
@@ -12,6 +12,9 @@
 //   - A TCP transport speaking length-prefixed proto frames, used for the
 //     genuinely remote REST/R3 scenarios and to demonstrate that the
 //     runtime works over real sockets.
+//
+// A PUB/SUB endpoint lives in process only and delivers in place, into each
+// subscriber's buffered channel, over no modelled link.
 package msgq
 
 import (

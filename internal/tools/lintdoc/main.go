@@ -77,7 +77,6 @@ var harness = map[string]string{
 	"internal/journal.(*Writer).Crashed":         "oracle: whether an injected crash killed the writer",
 	"internal/core.(*Session).RegisterRemote":    "the paper's REST remote path, which no program serves: tests register a gateway",
 	"internal/restapi.(*Gateway).Endpoint":       "the paper's REST remote path: the record RegisterRemote publishes",
-	"internal/core.(*Session).SubscribeUpdates":  "oracle: the order of the state updates a session publishes",
 	"internal/metrics.Breakdown.Get":             "oracle: one part of a BT/RT breakdown; programs print the whole",
 	"internal/proto.Timing.QueueTime":            "oracle: a reply's queue wait alone; programs print the RT breakdown",
 	"internal/msgq.(*TCPServer).DroppedReplies":  "oracle: replies lost to closed connections, no program reports them yet",
