@@ -59,14 +59,14 @@ func TestHybridLocalRemoteInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localSvc, err := delta.Services().Submit(spec.ServiceDescription{
+	localSvc, err := delta.SubmitService(spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "local", Cores: 1},
 		Model:           "noop", ProbeInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteSvc, err := r3.Services().Submit(spec.ServiceDescription{
+	remoteSvc, err := r3.SubmitService(spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "remote", Cores: 1},
 		Model:           "noop", ProbeInterval: time.Hour,
 	})
@@ -75,10 +75,10 @@ func TestHybridLocalRemoteInference(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := delta.Services().WaitReady(ctx, localSvc.UID()); err != nil {
+	if err := delta.WaitServices(ctx, localSvc.UID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := r3.Services().WaitReady(ctx, remoteSvc.UID()); err != nil {
+	if err := r3.WaitServices(ctx, remoteSvc.UID()); err != nil {
 		t.Fatal(err)
 	}
 

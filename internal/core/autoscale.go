@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/pilot"
-	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/states"
 )
@@ -43,7 +42,7 @@ import (
 // handle.
 type replicaRef struct {
 	uid      string
-	inst     *service.Instance
+	inst     *pilot.Service
 	p        *pilot.Pilot
 	member   bool // admitted to the registry balancing group (seen ACTIVE)
 	draining bool // removed from balancing; terminated once empty
@@ -55,7 +54,7 @@ type replicaRef struct {
 // registry until a failover promotes it.
 type standbyRef struct {
 	uid  string
-	inst *service.Instance
+	inst *pilot.Service
 	p    *pilot.Pilot
 	hold sync.Once
 	held bool // seen ACTIVE and suspended: ready for promotion
@@ -120,7 +119,7 @@ func (sm *ServiceManager) scaleTick(h *Service) {
 		case r.draining:
 			if r.inst.Queued() == 0 && r.inst.InFlight() == 0 {
 				sm.reg.Withdraw(r.uid)
-				_ = r.p.Services().Terminate(r.uid, false)
+				_ = r.p.TerminateService(r.uid, false)
 			} else {
 				kept = append(kept, r)
 			}
@@ -200,13 +199,13 @@ func (sm *ServiceManager) scaleTick(h *Service) {
 // neither journaled nor bound to the handle. The bootstrap proceeds on its
 // own clock-registered goroutine (model load sleeps and all), so this never
 // blocks on the clock.
-func (sm *ServiceManager) spawn(h *Service, uid string, exclude map[string]bool) (*service.Instance, *pilot.Pilot, error) {
+func (sm *ServiceManager) spawn(h *Service, uid string, exclude map[string]bool) (*pilot.Service, *pilot.Pilot, error) {
 	d := h.desc
 	d.UID = uid
 	d.WarmStandbys, d.MaxReplicas = 0, 0
-	var inst *service.Instance
+	var inst *pilot.Service
 	p, err := sm.place(&d.TaskDescription, exclude, func(p *pilot.Pilot) (err error) {
-		inst, err = p.Services().Submit(d)
+		inst, err = p.SubmitService(d)
 		return err
 	})
 	return inst, p, err
@@ -274,11 +273,11 @@ func (sm *ServiceManager) scaleShutdown(h *Service) {
 	h.mu.Unlock()
 	for _, r := range reps {
 		sm.dropReplica(h, r)
-		_ = r.p.Services().Terminate(r.uid, false)
+		_ = r.p.TerminateService(r.uid, false)
 	}
 	for _, sb := range standbys {
 		sm.reg.Withdraw(sb.uid)
-		_ = sb.p.Services().Terminate(sb.uid, false)
+		_ = sb.p.TerminateService(sb.uid, false)
 	}
 }
 
@@ -399,7 +398,7 @@ func (sm *ServiceManager) promoteStandby(h *Service) bool {
 			// Published record already gone (withdrawn by a racing
 			// teardown): discard this standby and try the next.
 			sm.reg.Withdraw(ref.uid)
-			_ = ref.p.Services().Terminate(ref.uid, false)
+			_ = ref.p.TerminateService(ref.uid, false)
 			continue
 		}
 		// Point h at the promoted instance before publishing, so the
@@ -412,7 +411,7 @@ func (sm *ServiceManager) promoteStandby(h *Service) bool {
 		ep.ServiceUID = h.uid
 		ep.Incarnation = sm.sess.Incarnation()
 		ep.PublishedAt = sm.sess.clock.Now()
-		_, _ = sm.reg.PublishLocal(ep, ref.inst)
+		_, _ = sm.reg.PublishLocal(ep, ref.inst.Server())
 		return true
 	}
 }

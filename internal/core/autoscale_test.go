@@ -15,9 +15,9 @@ import (
 	"time"
 
 	"repro/internal/loadbal"
+	"repro/internal/pilot"
 	"repro/internal/platform"
 	"repro/internal/proto"
-	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 )
@@ -291,7 +291,7 @@ func TestAutoscaledReplicaLoadReadsLive(t *testing.T) {
 			t.Errorf("group view %v, want the base and one replica", picker.v)
 			return
 		}
-		for i, inst := range []*service.Instance{base, rep.inst} {
+		for i, inst := range []*pilot.Service{base, rep.inst} {
 			depth, at := picker.v.Load(i)
 			if want := inst.Queued() + inst.InFlight(); depth != want || at != math.MaxInt64 {
 				t.Errorf("%s: view reads depth %d stamp %d, want its server's %d, never stale",

@@ -216,7 +216,7 @@ func TestServiceManagerRoundRobinAcrossPilots(t *testing.T) {
 		t.Fatal(err)
 	}
 	// one service per pilot
-	if n1, n2 := len(p1.Services().List()), len(p2.Services().List()); n1 != 1 || n2 != 1 {
+	if n1, n2 := len(p1.Services()), len(p2.Services()); n1 != 1 || n2 != 1 {
 		t.Fatalf("distribution = %d/%d, want 1/1", n1, n2)
 	}
 }

@@ -283,7 +283,7 @@ func (s *Session) recoverServices(snap *journal.Snapshot, survivors map[string]*
 		}
 
 		if p, ok := survivors[ss.Pilot]; ok {
-			if inst, found := p.Services().Get(uid); found {
+			if inst, found := p.Service(uid); found {
 				if inst.Endpoint().Address != "" {
 					// The instance already published (possibly the very
 					// append the crash ate): re-mirror under the new

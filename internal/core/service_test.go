@@ -19,7 +19,6 @@ import (
 	"repro/internal/pilot"
 	"repro/internal/platform"
 	"repro/internal/rng"
-	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
@@ -308,7 +307,7 @@ func TestServiceFailoverHooksSingleWinnerRace(t *testing.T) {
 		if h.Replacements() != 1 || h.Pilot() != p2.UID() {
 			t.Fatalf("round %d: %d replacements, on %s; want 1, on the survivor %s", i, h.Replacements(), h.Pilot(), p2.UID())
 		}
-		if n := len(p2.Services().List()); n != 1 {
+		if n := len(p2.Services()); n != 1 {
 			t.Fatalf("round %d: the survivor hosts %d instances, want 1", i, n)
 		}
 		s.Close()
@@ -529,7 +528,7 @@ func TestServiceAgentTerminationWithdrawsRegistry(t *testing.T) {
 	}
 	// terminate below the session: the watcher, not Terminate, must clean
 	// the session registry
-	if err := p1.Services().Terminate(h.UID(), false); err != nil {
+	if err := p1.TerminateService(h.UID(), false); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -620,7 +619,7 @@ func waitsParkTheirCaller(clock *simtime.Virtual) error {
 	}{
 		{"core.Service.WaitReady", func(h *Service) error { return h.WaitReady(ctx) }},
 		{"core.ServiceManager.WaitReady", func(h *Service) error { return sm.WaitReady(ctx, h.UID()) }},
-		{"service.Manager.WaitReady", func(h *Service) error { return p.Services().WaitReady(ctx, h.Instance().UID()) }},
+		{"pilot.WaitServices", func(h *Service) error { return p.WaitServices(ctx, h.Instance().UID()) }},
 	} {
 		h, err := sm.Submit(spec.ServiceDescription{
 			TaskDescription: spec.TaskDescription{Name: "llm", GPUs: 1},
@@ -662,7 +661,7 @@ func waitsParkTheirCaller(clock *simtime.Virtual) error {
 
 // TestQueuedServiceReplacedAtShutdown: on the auto-advancing clock a service
 // waits for the cores of a one-node pilot that a task holds. When that pilot
-// shuts down, the service fails with service.ErrHostStopped, and the session
+// shuts down, the service fails with pilot.ErrPilotStopped, and the session
 // re-places it on the pilot added meanwhile, where it turns ACTIVE.
 func TestQueuedServiceReplacedAtShutdown(t *testing.T) {
 	clock := simtime.NewVirtualAuto(DefaultOrigin)
@@ -712,8 +711,8 @@ func queuedServiceReplacedAtShutdown(clock *simtime.Virtual) error {
 	if err := h.WaitReady(ctx); err != nil {
 		return fmt.Errorf("re-placed service: %w", err)
 	}
-	if err := first.Err(); !errors.Is(err, service.ErrHostStopped) {
-		return fmt.Errorf("queued instance ended with %v, want service.ErrHostStopped", err)
+	if err := first.Err(); !errors.Is(err, pilot.ErrPilotStopped) {
+		return fmt.Errorf("queued instance ended with %v, want pilot.ErrPilotStopped", err)
 	}
 	if h.Pilot() != spare.UID() || h.Replacements() != 1 {
 		return fmt.Errorf("service on %s after %d re-placements, want %s after 1", h.Pilot(), h.Replacements(), spare.UID())

@@ -49,14 +49,14 @@ type Service struct {
 	// guarded by handle.mu. inst is the current pilot-level base instance:
 	// under h.uid normally, under the promoted standby's <uid>.sN after a
 	// promotion, which is the UID the agent-facing paths must address it by.
-	inst *service.Instance
+	inst *pilot.Service
 	// ready is the readiness latch of the current incarnation: it fires when
 	// the incarnation's instance turns ACTIVE, when the incarnation is given
 	// up for a re-placement, and when the handle settles.
 	ready        *simtime.Latch
 	replacements int
 	terminated   bool
-	down         *service.Instance // the instance whose end instanceDown is deciding
+	down         *pilot.Service // the instance whose end instanceDown is deciding
 
 	// Autoscaler state (see autoscale.go): replica instances spawned
 	// under this logical UID, the replica UID sequence, the consecutive
@@ -89,7 +89,7 @@ func (sm *ServiceManager) newService(d spec.ServiceDescription) *Service {
 // counter the swap accounts to, raised under the same lock so a woken waiter
 // already reads it. inst's end is then instanceDown's to decide: its final
 // transition calls it, on the goroutine that makes it.
-func (h *Service) install(inst *service.Instance, p *pilot.Pilot, bump *int) {
+func (h *Service) install(inst *pilot.Service, p *pilot.Pilot, bump *int) {
 	h.mu.Lock()
 	h.inst, h.p = inst, p
 	if bump != nil {
@@ -142,7 +142,7 @@ func (h *Service) replaceIncarnation() {
 // Instance returns the current pilot-level instance. It changes across
 // re-placements and is nil for the instant between routing and dispatch;
 // prefer the handle's own accessors, which tolerate that window.
-func (h *Service) Instance() *service.Instance {
+func (h *Service) Instance() *pilot.Service {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.inst
@@ -253,7 +253,7 @@ func (h *Service) WaitReady(ctx context.Context) error {
 // pilot is no longer the service's current host — a bootstrap straggling
 // past its pilot's death must not overwrite the failover re-publication
 // with a dead address. Services without a session handle (submitted
-// directly to a pilot's agent manager) mirror unconditionally.
+// directly to a pilot) mirror unconditionally.
 //
 // Like the pilot-side stopped guard this is check-then-act: a straggler
 // publishing in the instant between passing this check and instanceDown
@@ -263,7 +263,7 @@ func (h *Service) WaitReady(ctx context.Context) error {
 // registry's incarnation fence is airtight: the publication is stamped
 // with the current session incarnation, so after a crash recovery a
 // zombie publisher from the previous incarnation is rejected outright.
-func (sm *ServiceManager) mirrorPublish(pilotUID string, inst *service.Instance) {
+func (sm *ServiceManager) mirrorPublish(pilotUID string, inst *pilot.Service) {
 	ep := inst.Endpoint()
 	if h, ok := sm.Get(ep.ServiceUID); ok {
 		if host := h.Pilot(); host != "" && host != pilotUID {
@@ -271,7 +271,7 @@ func (sm *ServiceManager) mirrorPublish(pilotUID string, inst *service.Instance)
 		}
 	}
 	ep.Incarnation = sm.sess.Incarnation()
-	_, _ = sm.reg.PublishLocal(ep, inst)
+	_, _ = sm.reg.PublishLocal(ep, inst.Server())
 }
 
 // AddPilot attaches a pilot to the service manager.
@@ -311,7 +311,7 @@ func (sm *ServiceManager) Submit(d spec.ServiceDescription) (*Service, error) {
 	sm.services[d.UID] = h
 	sm.mu.Unlock()
 
-	var inst *service.Instance
+	var inst *pilot.Service
 	p, err := sm.place(&h.desc.TaskDescription, nil, func(p *pilot.Pilot) (err error) {
 		// Description, then binding, journaled before the dispatch: a crash
 		// in between replays as a service bound to a pilot that never heard
@@ -347,12 +347,12 @@ func (sm *ServiceManager) Submit(d spec.ServiceDescription) (*Service, error) {
 // publish, so the publish mirror accepts the publication and rejects any
 // straggler from a previous host, journals the binding, and submits h's
 // description to p under the stable UID.
-func (sm *ServiceManager) bind(h *Service, p *pilot.Pilot) (*service.Instance, error) {
+func (sm *ServiceManager) bind(h *Service, p *pilot.Pilot) (*pilot.Service, error) {
 	h.mu.Lock()
 	h.p = p
 	h.mu.Unlock()
 	sm.sess.journalAppend(journal.KindBind, journal.BindBody{Entity: "service", UID: h.uid, Pilot: p.UID()})
-	return p.Services().Submit(h.desc)
+	return p.SubmitService(h.desc)
 }
 
 // pilotDown is the session's hook on a pilot's final transition, run by
@@ -386,7 +386,7 @@ func (sm *ServiceManager) pilotDown(pilotUID string) {
 // services through ServiceManager.Terminate — a direct agent-level
 // Terminate that races a pilot shutdown is indistinguishable from the
 // shutdown's own teardown and will be re-placed.
-func (sm *ServiceManager) instanceDown(h *Service, inst *service.Instance) {
+func (sm *ServiceManager) instanceDown(h *Service, inst *pilot.Service) {
 	h.mu.Lock()
 	if h.inst != inst || h.down == inst {
 		h.mu.Unlock()
@@ -451,8 +451,8 @@ func (sm *ServiceManager) settle(h *Service, err error) {
 
 // replace places h's description on a surviving pilot and re-submits it
 // under the stable UID; the caller installs the result.
-func (sm *ServiceManager) replace(h *Service) (*service.Instance, *pilot.Pilot, error) {
-	var inst *service.Instance
+func (sm *ServiceManager) replace(h *Service) (*pilot.Service, *pilot.Pilot, error) {
+	var inst *pilot.Service
 	p, err := sm.place(&h.desc.TaskDescription, nil, func(p *pilot.Pilot) (err error) {
 		inst, err = sm.bind(h, p)
 		return err
@@ -469,7 +469,7 @@ func (sm *ServiceManager) replace(h *Service) (*service.Instance, *pilot.Pilot, 
 	// manages. Undo best-effort and settle — every caller treats
 	// ErrSessionClosed as final.
 	if sm.isClosed() {
-		_ = p.Services().Terminate(h.uid, false)
+		_ = p.TerminateService(h.uid, false)
 		return nil, nil, ErrSessionClosed
 	}
 	return inst, p, nil
@@ -497,7 +497,7 @@ func (sm *ServiceManager) WaitReady(ctx context.Context, uids ...string) error {
 //
 // Terminate targets the service's current incarnation: called while a
 // failover re-placement is in flight (the replacement not yet ACTIVE),
-// it returns service.ErrNotActive and the re-placement proceeds — wait
+// it returns pilot.ErrNotActive and the re-placement proceeds — wait
 // for readiness (WaitReady) and retry to stop the migrated instance.
 func (sm *ServiceManager) Terminate(uid string, drain bool) error {
 	h, ok := sm.Get(uid)
@@ -509,21 +509,21 @@ func (sm *ServiceManager) Terminate(uid string, drain bool) error {
 		err := h.err
 		h.mu.Unlock()
 		if err != nil {
-			return fmt.Errorf("%w: service %s already settled: %v", service.ErrNotActive, uid, err)
+			return fmt.Errorf("%w: service %s already settled: %v", pilot.ErrNotActive, uid, err)
 		}
-		return fmt.Errorf("%w: service %s already terminated", service.ErrNotActive, uid)
+		return fmt.Errorf("%w: service %s already terminated", pilot.ErrNotActive, uid)
 	}
 	if h.inst == nil {
 		h.mu.Unlock()
-		return fmt.Errorf("%w: service %s dispatch in flight", service.ErrNotActive, uid)
+		return fmt.Errorf("%w: service %s dispatch in flight", pilot.ErrNotActive, uid)
 	}
 	h.terminated = true
 	// After a warm-standby promotion the pilot-level instance keeps its
-	// standby UID; the agent manager must be addressed by that, not the
+	// standby UID; the pilot must be addressed by that, not the
 	// logical UID.
 	p, instUID := h.p, h.inst.UID()
 	h.mu.Unlock()
-	if err := p.Services().Terminate(instUID, drain); err != nil {
+	if err := p.TerminateService(instUID, drain); err != nil {
 		h.mu.Lock()
 		finishedMeanwhile := h.done.Fired()
 		h.terminated = false
@@ -537,14 +537,14 @@ func (sm *ServiceManager) Terminate(uid string, drain bool) error {
 			sm.reg.Withdraw(uid)
 			return nil
 		}
-		if errors.Is(err, service.ErrUnknownService) {
+		if errors.Is(err, pilot.ErrUnknownService) {
 			// A failover re-placement is in flight: h.p already points at
-			// the new pilot but its agent manager has not registered the
+			// the new pilot but the pilot has not registered the
 			// UID yet. Surface the documented not-active contract so
 			// callers retry after WaitReady instead of treating it as a
 			// hard failure.
 			return fmt.Errorf("%w: service %s re-placement in flight (%v)",
-				service.ErrNotActive, uid, err)
+				pilot.ErrNotActive, uid, err)
 		}
 		return err
 	}

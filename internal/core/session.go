@@ -271,7 +271,7 @@ func (s *Session) pilotHooks(pilotUID string) pilot.Hooks {
 		// identifies the publishing incarnation: a straggling publication
 		// from a pilot the service has already migrated away from is
 		// dropped instead of overwriting the failover re-publication.
-		OnServicePublish: func(inst *service.Instance) { s.sm.mirrorPublish(pilotUID, inst) },
+		OnServicePublish: func(inst *pilot.Service) { s.sm.mirrorPublish(pilotUID, inst) },
 	}
 }
 

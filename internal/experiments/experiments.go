@@ -260,10 +260,9 @@ func (e rtExp) point(ctx context.Context, o Options, d deployment, clients, serv
 // startServices boots `services` instances of model on svcPilot and
 // returns their endpoints.
 func startServices(ctx context.Context, tb *testbed, svcPilot *pilot.Pilot, model string, services int) ([]proto.Endpoint, error) {
-	mgr := svcPilot.Services()
 	uids := make([]string, 0, services)
 	for i := 0; i < services; i++ {
-		inst, err := mgr.Submit(hostedService(fmt.Sprintf("svc-%02d", i), model))
+		inst, err := svcPilot.SubmitService(hostedService(fmt.Sprintf("svc-%02d", i), model))
 		if err != nil {
 			return nil, err
 		}
@@ -272,13 +271,13 @@ func startServices(ctx context.Context, tb *testbed, svcPilot *pilot.Pilot, mode
 		// its clients' link latencies, before the next reaches the scheduler.
 		tb.clock.Settle()
 	}
-	if err := mgr.WaitReady(ctx, uids...); err != nil {
+	if err := svcPilot.WaitServices(ctx, uids...); err != nil {
 		return nil, err
 	}
 	// publication precedes ACTIVE, so every ready instance has its endpoint
 	eps := make([]proto.Endpoint, 0, services)
 	for _, uid := range uids {
-		inst, _ := mgr.Get(uid)
+		inst, _ := svcPilot.Service(uid)
 		eps = append(eps, inst.Endpoint())
 	}
 	return eps, nil

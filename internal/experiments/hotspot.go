@@ -126,10 +126,8 @@ func hotspotFailover(ctx context.Context, seed uint64, mode string) (f failover,
 		// makes it ACTIVE: wait for every instance on the pilots, then for
 		// those goroutines to finish.
 		for _, p := range tb.pilots {
-			for _, inst := range p.Services().List() {
-				if err := p.Services().WaitReady(ctx, inst.UID()); err != nil {
-					return err
-				}
+			if err := p.WaitServices(ctx); err != nil {
+				return err
 			}
 		}
 		tb.clock.Settle()

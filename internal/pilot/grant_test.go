@@ -12,7 +12,6 @@ import (
 	"repro/internal/msgq"
 	"repro/internal/platform"
 	"repro/internal/rng"
-	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
@@ -496,7 +495,7 @@ func TestGrantedTaskOnVirtualClock(t *testing.T) {
 // the task once DONE together with that instant. The wait is bounded: a
 // service whose cores go back behind the scheduler's back leaves the task
 // queued, with nothing left to wake it.
-func queuedBehindService(t *testing.T, stop func(*Pilot, *service.Instance) error) (*Task, time.Time) {
+func queuedBehindService(t *testing.T, stop func(*Pilot, *Service) error) (*Task, time.Time) {
 	t.Helper()
 	clock := simtime.NewVirtualAuto(origin)
 	src := rng.New(11)
@@ -515,15 +514,15 @@ func queuedBehindService(t *testing.T, stop func(*Pilot, *service.Instance) erro
 	done := make(chan struct{})
 	clock.Go(func() {
 		defer close(done)
-		var inst *service.Instance
-		if inst, err = p.Services().Submit(spec.ServiceDescription{
+		var inst *Service
+		if inst, err = p.SubmitService(spec.ServiceDescription{
 			TaskDescription: spec.TaskDescription{Name: "svc", Cores: 64},
 			Model:           "noop",
 			ProbeInterval:   probeInterval,
 		}); err != nil {
 			return
 		}
-		if err = p.Services().WaitReady(ctx, inst.UID()); err != nil {
+		if err = p.WaitServices(ctx, inst.UID()); err != nil {
 			return
 		}
 		if task, err = p.SubmitTask(ctx, spec.TaskDescription{Name: "queued", Cores: 64,
@@ -567,8 +566,8 @@ func checkGrantedAt(t *testing.T, task *Task, freed time.Time) {
 // TestQueuedTaskGetsTerminatedServiceCoresRace: terminating a service hands its
 // cores to the task queued behind it at the instant of the Terminate.
 func TestQueuedTaskGetsTerminatedServiceCoresRace(t *testing.T) {
-	task, at := queuedBehindService(t, func(p *Pilot, inst *service.Instance) error {
-		return p.Services().Terminate(inst.UID(), false)
+	task, at := queuedBehindService(t, func(p *Pilot, inst *Service) error {
+		return p.TerminateService(inst.UID(), false)
 	})
 	checkGrantedAt(t, task, at)
 }
@@ -577,8 +576,8 @@ func TestQueuedTaskGetsTerminatedServiceCoresRace(t *testing.T) {
 // it FAILED two probe intervals after the kill, and its cores go to the task
 // queued behind it at that instant.
 func TestQueuedTaskGetsKilledServiceCoresRace(t *testing.T) {
-	var inst *service.Instance
-	task, at := queuedBehindService(t, func(_ *Pilot, i *service.Instance) error {
+	var inst *Service
+	task, at := queuedBehindService(t, func(_ *Pilot, i *Service) error {
 		inst = i
 		i.Kill()
 		return nil
@@ -589,23 +588,6 @@ func TestQueuedTaskGetsKilledServiceCoresRace(t *testing.T) {
 	checkGrantedAt(t, task, at.Add(2*probeInterval))
 }
 
-// bootstrapPilot launches a one-node delta pilot (64 cores, 4 GPUs) on the
-// auto-advancing clock with no boot time; the same seed gives every service
-// of the same UID the same modelled bootstrap.
-func bootstrapPilot(t *testing.T, clock *simtime.Virtual) *Pilot {
-	t.Helper()
-	src := rng.New(11)
-	net := msgq.NewNetwork(clock, src.Derive("net"), nil)
-	t.Cleanup(func() { _ = net.Close() })
-	p, err := Launch(Config{Clock: clock, Src: src, Net: net, Platform: platform.DefaultTopology().Platform("delta"),
-		BootTime: rng.ConstDuration(0)}, spec.PilotDescription{Platform: "delta", Nodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = p.Shutdown() })
-	return p
-}
-
 // TestQueuedServiceStartsWhenCoresFree: on the auto-advancing clock a task
 // holds every core of a one-node pilot for a minute, and a 1-core noop
 // service queues behind it. The queued service holds no goroutine, so the
@@ -614,11 +596,11 @@ func bootstrapPilot(t *testing.T, clock *simtime.Virtual) *Pilot {
 // that waited for its grant on a registered goroutine froze the clock at +0.
 func TestQueuedServiceStartsWhenCoresFree(t *testing.T) {
 	clock := simtime.NewVirtualAuto(origin)
-	p := bootstrapPilot(t, clock)
+	p := pilotOn(t, clock, spec.PilotDescription{Platform: "delta", Nodes: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var hog *Task
-	var inst *service.Instance
+	var inst *Service
 	var err error
 	done := make(chan struct{})
 	clock.Go(func() {
@@ -628,14 +610,14 @@ func TestQueuedServiceStartsWhenCoresFree(t *testing.T) {
 			return
 		}
 		clock.Settle()
-		if inst, err = p.Services().Submit(spec.ServiceDescription{
+		if inst, err = p.SubmitService(spec.ServiceDescription{
 			TaskDescription: spec.TaskDescription{Name: "svc", Cores: 1},
 			Model:           "noop",
 			StartTimeout:    time.Hour,
 		}); err != nil {
 			return
 		}
-		err = p.Services().WaitReady(ctx, inst.UID())
+		err = p.WaitServices(ctx, inst.UID())
 	})
 	<-done
 	if err != nil {
@@ -658,24 +640,24 @@ func TestQueuedServiceStartsWhenCoresFree(t *testing.T) {
 // on a fresh pilot with the same seed and a long timeout reads the modelled
 // phases.
 func TestServiceStartTimeoutFailsExactly(t *testing.T) {
-	run := func(timeout time.Duration) (*Pilot, *service.Instance, time.Time, time.Time) {
+	run := func(timeout time.Duration) (*Pilot, *Service, time.Time, time.Time) {
 		clock := simtime.NewVirtualAuto(origin)
-		p := bootstrapPilot(t, clock)
-		var inst *service.Instance
+		p := pilotOn(t, clock, spec.PilotDescription{Platform: "delta", Nodes: 1})
+		var inst *Service
 		var submitted, settled time.Time
 		var err error
 		done := make(chan struct{})
 		clock.Go(func() {
 			defer close(done)
 			submitted = clock.Now()
-			if inst, err = p.Services().Submit(spec.ServiceDescription{
+			if inst, err = p.SubmitService(spec.ServiceDescription{
 				TaskDescription: spec.TaskDescription{Name: "llm", GPUs: 1},
 				Model:           "llama-8b",
 				StartTimeout:    timeout,
 			}); err != nil {
 				return
 			}
-			_ = p.Services().WaitReady(context.Background(), inst.UID())
+			_ = p.WaitServices(context.Background(), inst.UID())
 			settled = clock.Now()
 			clock.Settle() // the failed bootstrap gives its GPU back after its FAILED
 

@@ -1,9 +1,11 @@
 // Package pilot implements the pilot-job abstraction: acquiring a resource
 // slice from a platform via a (simulated) batch system and running an
 // agent on it. The agent owns the per-pilot runtime components of the
-// paper's Fig. 2 — Stager, Scheduler, Executor, plus the ServiceManager
-// extension — and drives tasks and service tasks through their state
-// models.
+// paper's Fig. 2 — Stager, Scheduler, Executor — and drives tasks and
+// service tasks through their state models. It is the agent's
+// ServiceManager too: a service is a task with raised priority whose payload
+// is a model server (Service), submitted, waited for and terminated through
+// the pilot as a task is.
 package pilot
 
 import (
@@ -19,7 +21,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/rng"
 	"repro/internal/scheduler"
-	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/stager"
@@ -28,14 +29,15 @@ import (
 
 // Errors.
 var (
-	ErrInsufficient = errors.New("pilot: platform cannot satisfy the pilot request")
-	ErrUnknownTask  = errors.New("pilot: unknown task")
-	ErrNotActive    = errors.New("pilot: not active")
-	// ErrPilotStopped marks a task that was still queued (not yet granted
-	// resources) when its pilot shut down. The seed wedged such tasks
-	// forever on a closed scheduler; now they fail fast with this sentinel
-	// so the session's TaskManager can re-route them to another pilot.
-	ErrPilotStopped = errors.New("pilot: pilot stopped before task placement")
+	ErrInsufficient   = errors.New("pilot: platform cannot satisfy the pilot request")
+	ErrUnknownTask    = errors.New("pilot: unknown task")
+	ErrUnknownService = errors.New("pilot: unknown service")
+	ErrNotActive      = errors.New("pilot: not active")
+	// ErrPilotStopped marks work its pilot stopped under: a task or service
+	// still queued (not yet granted resources) at shutdown, or a service whose
+	// bootstrap the shutdown overtook. The session re-routes such a task and
+	// re-places such a service on another pilot.
+	ErrPilotStopped = errors.New("pilot: pilot stopped before the work started")
 )
 
 // Config wires a Pilot.
@@ -48,9 +50,9 @@ type Config struct {
 	// BootTime models the batch system's pilot startup (queue wait
 	// excluded); defaults to N(10s, 2s).
 	BootTime rng.DurationDist
-	// PublishOverhead overrides the endpoint-publication overhead of the
-	// pilot's services (zero-valued: the service manager's default,
-	// N(400ms, 120ms)).
+	// PublishOverhead is the endpoint-publication overhead of the pilot's
+	// services, the Fig. 3 `publish` bootstrap component, sampled once per
+	// publication (zero-valued: N(400ms, 120ms)).
 	PublishOverhead rng.DurationDist
 	// LaunchModel overrides the platform's launch model (nil: platform
 	// default). Experiment harnesses that do not measure bootstrap use a
@@ -82,10 +84,11 @@ type Hooks struct {
 	// to the session behind it.
 	Transition func(e states.Entity, uid string, from states.State, steps []states.Record)
 	// OnServicePublish observes every service endpoint publication on the
-	// pilot (the agent ServiceManager's publish phase) with the publishing
-	// instance. The session mirrors it into its EndpointRegistry so services
-	// resolve session-wide.
-	OnServicePublish func(*service.Instance)
+	// pilot with the publishing service, whose Endpoint is set: after the
+	// publish overhead has been paid and strictly before the service turns
+	// ACTIVE. The session mirrors it into its EndpointRegistry, so a service
+	// that reports ready already resolves session-wide.
+	OnServicePublish func(*Service)
 }
 
 // Pilot is one acquired resource slice plus its agent.
@@ -105,10 +108,13 @@ type Pilot struct {
 	router *scheduler.Router
 	exec   *executor.Executor
 	stage  *stager.Manager
-	svcMgr *service.Manager
+	// svcSrc seeds each service's model and server, pubSrc its publish
+	// overhead.
+	svcSrc, pubSrc *rng.Source
 
 	// stopped is closed when the pilot shuts down. Shutdown then fails every
-	// task still waiting on a scheduler grant (see admit).
+	// task and service still waiting on a scheduler grant (see admit), and a
+	// service bootstrap looks at it at each phase boundary.
 	stopped  chan struct{}
 	stopOnce sync.Once
 
@@ -121,15 +127,16 @@ type Pilot struct {
 	// granted is p.grant, bound once: the continuation every task's grant runs.
 	granted func(scheduler.Placement)
 
-	mu  sync.Mutex
-	seq int
+	mu          sync.Mutex
+	seq, svcSeq int
 	// uids spells the UIDs of tasks submitted without one, "<pilot>.task."
 	// (uidPrefix) and the sequence number.
 	uids      spec.UIDBlock
 	uidPrefix string
-	// tasks holds every task submitted, under its UID: none is ever deleted,
-	// so a grant finds its task here.
-	tasks map[string]*Task
+	// tasks and services hold everything submitted, under its UID: none is
+	// ever deleted, so a grant finds its task here.
+	tasks    map[string]*Task
+	services map[string]*Service
 }
 
 // Rebind redirects the pilot's session-side callbacks (state observers and
@@ -285,6 +292,9 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 	if cfg.BootTime.IsZero() {
 		cfg.BootTime = rng.NormalDuration(10*time.Second, 2*time.Second)
 	}
+	if cfg.PublishOverhead.IsZero() {
+		cfg.PublishOverhead = defaultPublishOverhead()
+	}
 	policy, err := scheduler.PolicyByName(cfg.SchedPolicy)
 	if err != nil {
 		return nil, err
@@ -300,6 +310,7 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 		stopped:   make(chan struct{}),
 		uidPrefix: desc.UID + ".task.",
 		tasks:     make(map[string]*Task),
+		services:  make(map[string]*Service),
 	}
 	p.machine.Init(desc.UID, states.PilotModel(), cfg.Clock)
 	p.Rebind(cfg.Hooks)
@@ -336,41 +347,8 @@ func Launch(cfg Config, desc spec.PilotDescription) (*Pilot, error) {
 	}, scheduler.WithPolicy(policy), scheduler.WithClock(cfg.Clock))
 	p.exec = executor.New(cfg.Clock, cfg.Src.Derive(desc.UID+".exec"), launch)
 	p.stage = stager.NewManager(cfg.Clock)
-	// A publication from a pilot that has already stopped is stale by
-	// definition — the session is (or will be) re-placing the service
-	// elsewhere, and mirroring the dead address could overwrite the
-	// failover re-publication. Drop it at the source. (Best effort: this
-	// is a check-then-act against the stop signal, so a straggler can slip
-	// the instant before shutdown — the session's current-host check
-	// narrows the window further, and the failover re-publication
-	// supersedes anything that still slips both.) The hook indirection
-	// lets a recovered session Rebind the mirror without restarting the
-	// pilot.
-	onPublish := func(inst *service.Instance) {
-		select {
-		case <-p.stopped:
-			return
-		default:
-		}
-		if cb := p.hooks.Load().OnServicePublish; cb != nil {
-			cb(inst)
-		}
-	}
-	svcMgr, err := service.NewManager(service.Config{
-		Clock: cfg.Clock, Src: cfg.Src.Derive(desc.UID + ".svc"), Net: cfg.Net,
-		Sched: p.sched, Router: p.router, Exec: p.exec, Stage: p.stage,
-		PublishOverhead: cfg.PublishOverhead, PublishSrc: cfg.Src.Derive(desc.UID + ".reg"),
-		OnPublish: onPublish, Stopped: p.stopped,
-		Platform:      cfg.Platform.Name(),
-		UIDPrefix:     desc.UID + ".",
-		StateCallback: p.observe(states.EntityService),
-	})
-	if err != nil {
-		p.release()
-		_ = p.machine.Fail()
-		return nil, err
-	}
-	p.svcMgr = svcMgr
+	p.svcSrc = cfg.Src.Derive(desc.UID + ".svc")
+	p.pubSrc = cfg.Src.Derive(desc.UID + ".reg")
 
 	if err := p.machine.To(states.PilotActive); err != nil {
 		p.release()
@@ -492,9 +470,6 @@ func (p *Pilot) Nodes() []*platform.Node { return p.nodes }
 // across all of them.
 func (p *Pilot) Shapes() []platform.NodeGroup { return platform.ShapesOf(p.nodes) }
 
-// Services returns the pilot's ServiceManager.
-func (p *Pilot) Services() *service.Manager { return p.svcMgr }
-
 // Stage returns the pilot's data manager.
 func (p *Pilot) Stage() *stager.Manager { return p.stage }
 
@@ -507,8 +482,9 @@ func (p *Pilot) Scheduler() *scheduler.Scheduler { return p.sched }
 // scheduler.Snapshot for what it carries and what it costs.
 func (p *Pilot) Snapshot() scheduler.Snapshot { return p.sched.Snapshot() }
 
-// Stopped returns a channel closed when the pilot shuts down. Tasks still
-// waiting for placement at that point fail with ErrPilotStopped.
+// Stopped returns a channel closed when the pilot shuts down. Tasks and
+// services still waiting for placement at that point fail with
+// ErrPilotStopped.
 func (p *Pilot) Stopped() <-chan struct{} { return p.stopped }
 
 // Network returns the message network the pilot is wired to. A recovered
@@ -720,10 +696,12 @@ func (p *Pilot) WaitTasks(ctx context.Context, uids ...string) error {
 }
 
 // Shutdown terminates the agent and releases the pilot's resources.
-// Tasks that were queued but never granted resources fail with
+// Services and tasks that were queued but never granted resources fail with
 // ErrPilotStopped: Shutdown takes each out of the router's table and fails
-// it, completion hooks included, before it closes the scheduler, so none is
-// left wedged on a closed wait pool.
+// it, a task's completion hooks included, before it terminates the ACTIVE
+// services, so a core one of them gives back finds nothing queued to start,
+// and before it closes the scheduler, so none is left wedged on a closed
+// wait pool.
 //
 // Concurrent callers have a single winner: the whole teardown runs once,
 // and a loser returns ErrNotActive only after the winner has finished, so
@@ -739,13 +717,26 @@ func (p *Pilot) Shutdown() error {
 		// concurrent Recover cannot adopt a pilot that is mid-teardown.
 		p.detach()
 		close(p.stopped)
-		p.svcMgr.Close()
-		// In UID order, which is submission order: where the session re-routes
-		// them, they queue as they queued here.
+		// Services first, then tasks, each in UID order, which is submission
+		// order: where the session re-places them, they queue as they queued
+		// here.
+		var tasks []*Task
+		for _, uid := range p.router.Drain() {
+			if s, ok := p.Service(uid); ok {
+				s.fail(fmt.Errorf("%w: %s while scheduling", ErrPilotStopped, uid))
+			} else {
+				t, _ := p.Task(uid)
+				tasks = append(tasks, t)
+			}
+		}
 		stopped := fmt.Errorf("%w: %s", ErrPilotStopped, p.UID())
-		for _, uid := range p.router.Drain(func(uid string) bool { _, ok := p.Task(uid); return ok }) {
-			t, _ := p.Task(uid)
+		for _, t := range tasks {
 			t.fail(stopped)
+		}
+		for _, s := range p.Services() {
+			if s.State() == states.ServiceActive {
+				_ = s.terminate(false)
+			}
 		}
 		p.sched.Close()
 		p.release()

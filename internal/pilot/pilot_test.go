@@ -16,7 +16,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/proto"
 	"repro/internal/rng"
-	"repro/internal/service"
 	"repro/internal/simtime"
 	"repro/internal/spec"
 	"repro/internal/states"
@@ -298,7 +297,7 @@ func TestManyTasksConcurrent(t *testing.T) {
 
 func TestServiceViaPilot(t *testing.T) {
 	p, _ := newPilot(t, deltaPilot())
-	inst, err := p.Services().Submit(spec.ServiceDescription{
+	inst, err := p.SubmitService(spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "svc", GPUs: 1},
 		Model:           "llama-8b",
 	})
@@ -307,10 +306,10 @@ func TestServiceViaPilot(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := p.Services().WaitReady(ctx, inst.UID()); err != nil {
+	if err := p.WaitServices(ctx, inst.UID()); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := p.Services().Get(inst.UID()); !ok || got.Endpoint().Address == "" {
+	if got, ok := p.Service(inst.UID()); !ok || got.Endpoint().Address == "" {
 		t.Fatal("service endpoint not published via pilot agent")
 	}
 }
@@ -333,13 +332,13 @@ func TestLaunchHooksObserveService(t *testing.T) {
 			}
 			mu.Unlock()
 		},
-		OnServicePublish: func(inst *service.Instance) {
+		OnServicePublish: func(inst *Service) {
 			mu.Lock()
 			published = append(published, inst.Endpoint())
 			mu.Unlock()
 		},
 	})
-	inst, err := p.Services().Submit(spec.ServiceDescription{
+	inst, err := p.SubmitService(spec.ServiceDescription{
 		TaskDescription: spec.TaskDescription{Name: "svc", GPUs: 1},
 		Model:           "llama-8b",
 	})
@@ -348,7 +347,7 @@ func TestLaunchHooksObserveService(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := p.Services().WaitReady(ctx, inst.UID()); err != nil {
+	if err := p.WaitServices(ctx, inst.UID()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Shutdown(); err != nil {

@@ -43,26 +43,20 @@ func (r *Router) Cancel(uid string) bool {
 	return ok
 }
 
-// Drain cancels every waiter that owns claims and returns the UIDs it took,
-// shorter first and sorted within a length: submission order for UIDs that
-// end in a zero-padded sequence number, wider past 999 999. A waiter registered while it runs may be missed: one that registers
-// without a goroutine watching the stop signal looks at that signal after
-// Then, and withdraws with Cancel. A pilot's shutdown fails its queued tasks
-// with Drain, and its service manager's Close then fails its queued services
-// the same way.
-func (r *Router) Drain(owns func(uid string) bool) []string {
+// Drain cancels every waiter and returns the UIDs it took, shorter first and
+// sorted within a length: submission order for UIDs that end in a
+// zero-padded sequence number, wider past 999 999. A waiter registered after
+// it is missed: one that registers without a goroutine watching the stop
+// signal looks at that signal after Then, and withdraws with Cancel. A
+// pilot's shutdown fails its queued services and tasks with one Drain.
+func (r *Router) Drain() []string {
 	r.mu.Lock()
-	uids := make([]string, 0, len(r.then))
+	taken := make([]string, 0, len(r.then))
 	for uid := range r.then {
-		uids = append(uids, uid)
+		taken = append(taken, uid)
 	}
+	clear(r.then)
 	r.mu.Unlock()
-	taken := uids[:0]
-	for _, uid := range uids {
-		if owns(uid) && r.Cancel(uid) {
-			taken = append(taken, uid)
-		}
-	}
 	sort.Strings(taken)
 	sort.SliceStable(taken, func(i, j int) bool { return len(taken[i]) < len(taken[j]) })
 	return taken

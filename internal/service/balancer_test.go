@@ -8,10 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/llm"
 	"repro/internal/loadbal"
 	"repro/internal/metrics"
 	"repro/internal/msgq"
 	"repro/internal/proto"
+	"repro/internal/rng"
+	"repro/internal/serving"
 	"repro/internal/simtime"
 )
 
@@ -575,38 +578,50 @@ func TestBalancerMemberFailoverRetriesSameMember(t *testing.T) {
 	}
 }
 
-// TestBalancerReadsLiveServerDepth: a group of in-process instances, with
+// TestBalancerReadsLiveServerDepth: a group of in-process servers, with
 // no ReportLoad anywhere, balances on each member's server queue as the
 // pick reads it. The clock is held while the backlog stands, so the depths
 // are exact: a holds 3 requests, b 1, c none. p2c over a group of two
 // probes both members, so it picks the shallower one every time. Once the
 // base entry is suspended or withdrawn it reads nothing (blind rotation),
-// and once another instance re-publishes it, it reads that instance's
-// server.
+// and once another server re-publishes it, it reads that server.
 func TestBalancerReadsLiveServerDepth(t *testing.T) {
 	v := simtime.NewVirtualAuto(origin)
-	r := newRigOn(t, v)
-	insts := map[string]*Instance{}
+	// The test goroutine holds the clock from here on, but for the model
+	// loads it sleeps through: the backlog's requests neither finish nor start.
+	v.AddRunner()
+	src := rng.New(7)
+	model, err := llm.Lookup("llama-8b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := map[string]*serving.Server{}
 	for _, name := range []string{"a", "b", "c"} {
-		inst, err := r.mgr.Submit(llamaDesc(name))
+		srv, err := serving.New(serving.Config{
+			UID:     name,
+			Backend: serving.LLMBackend{M: llm.NewInstance(model, v, src.Derive(name+".model"))},
+			Clock:   v,
+			Src:     src.Derive(name + ".server"),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		insts[name] = inst
+		t.Cleanup(srv.Stop)
+		if _, err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		servers[name] = srv
 	}
-	waitReady(t, r, insts["a"].UID(), insts["b"].UID(), insts["c"].UID())
 
 	reg := NewEndpointRegistry()
-	publish := func(uid string, inst *Instance) {
+	publish := func(uid string, srv *serving.Server) {
 		t.Helper()
-		e := inst.Endpoint()
-		e.ServiceUID = uid
-		if _, err := reg.PublishLocal(e, inst); err != nil {
+		if _, err := reg.PublishLocal(ep(uid, "addr-"+uid), srv); err != nil {
 			t.Fatal(err)
 		}
 	}
-	publish("a", insts["a"])
-	publish("b", insts["b"])
+	publish("a", servers["a"])
+	publish("b", servers["b"])
 	reg.AddMember("a", "b")
 	now := v.Now()
 	bal, err := NewBalancer(reg, "a", balDial, BalancerOptions{
@@ -618,16 +633,14 @@ func TestBalancerReadsLiveServerDepth(t *testing.T) {
 	}
 	defer bal.Close()
 
-	// Hold the clock: the backlog's requests neither finish nor start.
-	v.AddRunner()
 	var wg sync.WaitGroup
-	fill := func(inst *Instance, n int) {
-		srv := inst.server
+	fill := func(name string, n int) {
+		srv := servers[name]
 		for i := 0; i < n; i++ {
 			wg.Add(1)
 			v.Go(func() {
 				defer wg.Done()
-				req := proto.InferenceRequest{RequestUID: fmt.Sprintf("%s.%d", inst.UID(), i), Prompt: "p", MaxTokens: 8}
+				req := proto.InferenceRequest{RequestUID: fmt.Sprintf("%s.%d", name, i), Prompt: "p", MaxTokens: 8}
 				if _, err := srv.Submit(context.Background(), req); err != nil {
 					t.Error(err)
 				}
@@ -635,12 +648,12 @@ func TestBalancerReadsLiveServerDepth(t *testing.T) {
 		}
 		for deadline := time.Now().Add(5 * time.Second); srv.QueueDepth() < n; time.Sleep(50 * time.Microsecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: depth never reached %d (at %d)", inst.UID(), n, srv.QueueDepth())
+				t.Fatalf("%s: depth never reached %d (at %d)", name, n, srv.QueueDepth())
 			}
 		}
 	}
-	fill(insts["a"], 3)
-	fill(insts["b"], 1)
+	fill("a", 3)
+	fill("b", 1)
 
 	picks := func(want map[string]int) {
 		t.Helper()
@@ -655,11 +668,11 @@ func TestBalancerReadsLiveServerDepth(t *testing.T) {
 	picks(map[string]int{"b": 100}) // a: 3 deep, b: 1
 	reg.Suspend("a")
 	picks(map[string]int{"a": 50, "b": 50}) // a reads nothing: rotation
-	publish("a", insts["a"])
+	publish("a", servers["a"])
 	picks(map[string]int{"b": 100})
 	reg.Withdraw("a")
 	picks(map[string]int{"a": 50, "b": 50})
-	publish("a", insts["c"])
+	publish("a", servers["c"])
 	picks(map[string]int{"a": 100}) // a now reads c's idle server
 	if _, err := reg.Publish(ep("a", "addr-remote")); err != nil {
 		t.Fatal(err)

@@ -1,3 +1,10 @@
+// Package service is the client side of the paper's service-oriented
+// runtime extension: the session's EndpointRegistry, where services publish
+// and clients resolve, the Client a task holds on one endpoint, the Balancer
+// that spreads a service's requests over its replicas, and the split of a
+// response time into its parts (DecomposeRT). The agent side, which
+// bootstraps, probes and terminates service tasks on a pilot, is
+// pilot.Service.
 package service
 
 import (

@@ -160,15 +160,12 @@ func (r *EndpointRegistry) Publish(ep proto.Endpoint) (uint64, error) {
 	return r.publish(ep, nil)
 }
 
-// PublishLocal is Publish for an endpoint that the in-process instance
-// inst serves, under ep.ServiceUID (which need not be inst's own UID: a
+// PublishLocal is Publish for an endpoint that the in-process server srv
+// answers, under ep.ServiceUID (which need not be the UID srv serves under: a
 // promoted standby serves its group's base UID). Balancing then reads the
-// entry's load from inst's server at pick time, until the entry is
-// suspended, withdrawn or published again.
-func (r *EndpointRegistry) PublishLocal(ep proto.Endpoint, inst *Instance) (uint64, error) {
-	inst.mu.Lock()
-	srv := inst.server
-	inst.mu.Unlock()
+// entry's load from srv at pick time, until the entry is suspended, withdrawn
+// or published again.
+func (r *EndpointRegistry) PublishLocal(ep proto.Endpoint, srv *serving.Server) (uint64, error) {
 	return r.publish(ep, srv)
 }
 

@@ -73,7 +73,7 @@ var testOnly = map[string]bool{
 // fault injector, or an oracle for a behaviour no program shows.
 var harness = map[string]string{
 	"internal/core.(*Service).Kill":              "fault injector: crashes the live instance's process",
-	"internal/service.(*Instance).Kill":          "fault injector: crashes a service process for the liveness probe to find",
+	"internal/pilot.(*Service).Kill":             "fault injector: crashes a service process for the liveness probe to find",
 	"internal/journal.(*Writer).Crashed":         "oracle: whether an injected crash killed the writer",
 	"internal/core.(*Session).RegisterRemote":    "the paper's REST remote path, which no program serves: tests register a gateway",
 	"internal/restapi.(*Gateway).Endpoint":       "the paper's REST remote path: the record RegisterRemote publishes",

@@ -207,7 +207,7 @@ func (a *agent) dispatch(call callBody) (any, error) {
 		if err := json.Unmarshal(call.Args, &args); err != nil {
 			return nil, err
 		}
-		inst, err := a.pilot.Services().Submit(args.Desc)
+		inst, err := a.pilot.SubmitService(args.Desc)
 		if err != nil {
 			return nil, err
 		}
@@ -217,10 +217,10 @@ func (a *agent) dispatch(call callBody) (any, error) {
 		if err := json.Unmarshal(call.Args, &args); err != nil {
 			return nil, err
 		}
-		if err := a.pilot.Services().WaitReady(context.Background(), args.UID); err != nil {
+		if err := a.pilot.WaitServices(context.Background(), args.UID); err != nil {
 			return nil, err
 		}
-		inst, ok := a.pilot.Services().Get(args.UID)
+		inst, ok := a.pilot.Service(args.UID)
 		if !ok {
 			return nil, fmt.Errorf("xproc: service %s not found after ready", args.UID)
 		}
