@@ -1,11 +1,14 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -314,5 +317,62 @@ func TestForeignWriterRequest(t *testing.T) {
 	if got.RequestUID != want.RequestUID || got.ServiceUID != want.ServiceUID || got.Model != want.Model ||
 		got.Text != want.Text || got.PromptTokens != want.PromptTokens || got.OutputTokens != want.OutputTokens || got.Err != want.Err {
 		t.Errorf("reply to the foreign body %+v, to the canonical body %+v", got, want)
+	}
+}
+
+// hopClock is a Scaled clock that counts its sleeps of exactly hop, and
+// those of them that a serving worker sleeps.
+type hopClock struct {
+	*simtime.Scaled
+	hop              time.Duration
+	hops, workerHops atomic.Int64
+}
+
+func (c *hopClock) Sleep(d time.Duration) {
+	if d == c.hop {
+		c.hops.Add(1)
+		stack := make([]byte, 8<<10)
+		if bytes.Contains(stack[:runtime.Stack(stack, false)], []byte("serving.(*Server).worker")) {
+			c.workerHops.Add(1)
+		}
+	}
+	c.Scaled.Sleep(d)
+}
+
+// TestScaledRoundTripSleepsHopsOnCaller: off a virtual clock the in-process
+// client lends no reply hop, so every round trip sleeps both its link
+// delays on its caller, and the server's workers sleep none. Two requests
+// hold both workers' places and two more queue behind them: 2 hops each.
+func TestScaledRoundTripSleepsHopsOnCaller(t *testing.T) {
+	const link = 1234567 * time.Nanosecond // no other sleep lasts as long
+	clock := &hopClock{Scaled: simtime.NewScaled(1000, time.Time{}), hop: link}
+	srv, b := gateServer(t, clock)
+	cl := dialOn(t, clock, srv, "", rng.ConstDuration(link))
+	b.gate = make(chan struct{})
+	errs := make(chan error, 4)
+	infer := func(prompt string) {
+		_, _, err := cl.Infer(context.Background(), prompt, 1)
+		errs <- err
+	}
+	for range 2 {
+		go infer("block")
+		<-b.entered
+	}
+	for range 2 {
+		go infer("queued")
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Queued() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests queued after 5 s, want 2", srv.Queued())
+		}
+	}
+	close(b.gate)
+	for range 4 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, workers := clock.hops.Load(), clock.workerHops.Load(); got != 8 || workers != 0 {
+		t.Fatalf("%d link-delay sleeps for 4 round trips, %d of them on a worker; want 8, none", got, workers)
 	}
 }

@@ -54,6 +54,11 @@ type Result struct {
 	// Samples holds every completion latency when Scenario.KeepSamples
 	// was set (exact quantiles), nil otherwise.
 	Samples []time.Duration
+	// Parks counts how often the campaign's goroutines parked on its
+	// clock, set-up included (simtime.Virtual.Parks): in Sleep, in a
+	// Handoff's Recv and in an Alarm's Wait. Latch waits, the set-up's
+	// and the end's, are left out.
+	Parks uint64
 }
 
 // Run executes one open-loop campaign on a fresh session over an
@@ -178,7 +183,9 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		}
 	}
 
+	sleeps, recvs, alarms, _, _ := clock.Parks()
 	res := &Result{
+		Parks:          sleeps + recvs + alarms,
 		Scenario:       sc,
 		Offered:        c.offered.Load(),
 		Completed:      c.completed.Load(),

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -237,5 +238,81 @@ func TestLoadTraceCampaign(t *testing.T) {
 	want := []time.Duration{179615751, 426168321, 638215616, 826483611, 1104772730}
 	if !slices.Equal(r.Samples, want) {
 		t.Fatalf("latencies %v, want %v", r.Samples, want)
+	}
+}
+
+// benchScenario is the scenario of bench/rpbench's campaign workload of
+// that name, cut to the given number of requests, at seed 7.
+func benchScenario(name string, requests int) Scenario {
+	if name == "campaign_steady" {
+		return Scenario{
+			Name: name, Kind: KindSteady, Requests: requests, Rate: 2000,
+			Services: 4, Concurrency: 1, Seed: 7, TaskEvery: 1000, KeepSamples: true,
+		}
+	}
+	return Scenario{
+		Name: name, Kind: KindHotspot, HotspotWeight: 0.8, Balance: "p2c",
+		Requests: requests, Rate: 8000, Services: 4, Model: "vit-base",
+		Concurrency: 2, MaxBatch: 8, MaxTokens: 8, QueueCap: 200000, Seed: 7, KeepSamples: true,
+	}
+}
+
+// TestCampaignWakeBudget pins how often one request of bench/rpbench's two
+// campaigns, at their full 25 000 requests and set-up included, parks a
+// goroutine on the virtual clock: in Sleep, a Handoff's Recv or an Alarm's
+// Wait (Result.Parks). At GOMAXPROCS 1 the count replays exactly; with more
+// Ps a Sleep self-wakes or parks as other goroutines of the same instant
+// happen to have parked, so there it is reported, not pinned.
+// campaign_steady's requests never queue: 1.216. On campaign_batched the
+// caller of a queued request parked for the worker's reply and then again
+// to sleep the reply hop: 4.153. Since the worker hands the reply over at
+// the end of the hop (simtime.Handoff.SendAfter), it parks once: 3.157.
+func TestCampaignWakeBudget(t *testing.T) {
+	const requests = 25000
+	for _, row := range []struct {
+		name, want string
+	}{
+		{"campaign_steady", "1.216"},
+		{"campaign_batched", "3.157"},
+	} {
+		res, err := Run(context.Background(), benchScenario(row.name, requests))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != requests {
+			t.Fatalf("%s: completed %d of %d requests", row.name, res.Completed, requests)
+		}
+		got := fmt.Sprintf("%.3f", float64(res.Parks)/requests)
+		procs := runtime.GOMAXPROCS(0)
+		if procs == 1 && got != row.want {
+			t.Errorf("%s parks %s times per request, want %s", row.name, got, row.want)
+		}
+		t.Logf("%s at GOMAXPROCS %d: %s parks per request", row.name, procs, got)
+	}
+}
+
+// TestBatchedCampaignReplays runs campaign_batched, cut to 5 000 requests,
+// several times and requires identical latency samples and makespan, the
+// same at every GOMAXPROCS. Its queued replies are handed over by the
+// workers, which draw a batch's reply hops in batch order; when the woken
+// callers drew them, in whatever order the host ran them, hardly two runs
+// agreed.
+func TestBatchedCampaignReplays(t *testing.T) {
+	const makespan, maxLatency = 632389560, 14745018
+	sc := benchScenario("campaign_batched", 5000)
+	var first *Result
+	for run := range 4 {
+		r, err := Run(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Duration != makespan || r.Latency.Max() != maxLatency {
+			t.Fatalf("run %d: makespan %d, max latency %d; want %d, %d", run, r.Duration, r.Latency.Max(), makespan, maxLatency)
+		}
+		if first == nil {
+			first = r
+		} else if !slices.Equal(r.Samples, first.Samples) {
+			t.Fatalf("run %d: the %d latency samples differ from run 0's", run, len(r.Samples))
+		}
 	}
 }

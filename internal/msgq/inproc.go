@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/proto"
 	"repro/internal/rng"
+	"repro/internal/simtime"
 )
 
 // inprocServer is a REQ/REP endpoint on a Network.
@@ -66,6 +68,10 @@ type inprocClient struct {
 	from    string
 	to      string
 	latency rng.DurationDist
+	// replyHop draws the reply hop's delay for a server to pay
+	// (proto.Envelope.LendHop). It is made once, at Dial, and only on a
+	// virtual clock; nil otherwise.
+	replyHop func() time.Duration
 
 	srv    atomic.Pointer[inprocServer]
 	closed atomic.Bool
@@ -87,6 +93,9 @@ func (n *Network) dialInproc(from, to string) (Client, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownAddr, to)
 	}
 	c := &inprocClient{net: n, from: from, to: to, latency: n.resolve(from, to)}
+	if simtime.RunnersOf(n.clock) != nil {
+		c.replyHop = func() time.Duration { return c.latency.Sample(n.src) }
+	}
 	c.srv.Store(v.(*inprocServer))
 	return c, nil
 }
@@ -116,9 +125,13 @@ func (c *inprocClient) server() (*inprocServer, error) {
 // REQ/REP round trip the paper's response-time metric measures.
 //
 // With a non-cancellable context the whole round trip runs inline on the
-// calling goroutine. Only a cancellable context takes the asynchronous
-// path, where a helper goroutine lets Request return at ctx expiry even
-// while the handler still blocks.
+// calling goroutine. On a virtual clock it lends the server the reply hop
+// (proto.Envelope.LendHop): a server that answers from another goroutine
+// takes it and hands the reply over at the instant the hop delivers it,
+// so the caller parks once for the reply and its hop; when the handler
+// leaves the hop lent, the caller sleeps it here. Only a cancellable
+// context takes the asynchronous path, where a helper goroutine lets
+// Request return at ctx expiry even while the handler still blocks.
 func (c *inprocClient) Request(ctx context.Context, env proto.Envelope) (proto.Envelope, error) {
 	if c.closed.Load() {
 		return proto.Envelope{}, ErrClosed
@@ -138,8 +151,11 @@ func (c *inprocClient) Request(ctx context.Context, env proto.Envelope) (proto.E
 		if srv.isClosed() {
 			return proto.Envelope{}, ErrClosed
 		}
+		lent := c.replyHop != nil && env.LendHop(c.replyHop)
 		reply := srv.handler(env)
-		c.net.hop(c.latency)
+		if !lent || env.TakeHop() != nil {
+			c.net.hop(c.latency)
+		}
 		return reply, nil
 	}
 

@@ -4,8 +4,11 @@
 // transports:
 //
 //   - An in-process transport with injected, distribution-sampled link
-//     latency driven by the session clock: each message hop sleeps one
-//     latency sample, whatever the message's size. This is how the
+//     latency driven by the session clock: each message hop costs its
+//     caller one latency sample, whatever the message's size. The caller
+//     sleeps it, except a queued request's reply hop on a virtual clock,
+//     which the serving worker draws and pays by handing the reply over
+//     that much later (proto.Envelope.LendHop). This is how the
 //     experiments reproduce the paper's measured interconnects (Delta
 //     inter-node 0.063 ms ± 0.014 ms; Delta↔R3 0.47 ms ± 0.04 ms)
 //     deterministically.

@@ -510,3 +510,69 @@ func TestInprocEchoProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInprocReplyHopLent: on a virtual clock, with a ctx that can never
+// end, the in-process client lends its handler the reply hop of a request
+// with an exchange. A handler that leaves it lent costs its caller the hop
+// in msgq; one that takes it pays it, and msgq sleeps no second hop. A
+// request with no exchange lends nothing, and neither does any clock other
+// than a Virtual.
+func TestInprocReplyHopLent(t *testing.T) {
+	const link = 3 * time.Millisecond
+	clock := simtime.NewVirtualAuto(t0)
+	n := NewNetwork(clock, rng.New(1), func(_, _ string) rng.DurationDist { return rng.ConstDuration(link) })
+	defer n.Close()
+	var take, lent bool
+	if _, err := n.Bind("svc", func(env proto.Envelope) proto.Envelope {
+		draw := env.TakeHop()
+		lent = draw != nil
+		if draw != nil && take {
+			clock.Sleep(draw()) // pays the hop here, on the caller
+		} else if draw != nil {
+			env.LendHop(draw)
+		}
+		return env.Answer("svc", clock.Now(), &proto.InferenceReply{})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.Dial("client", "svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.AddRunner()
+	defer clock.DoneRunner()
+	roundTrip := func(env proto.Envelope) time.Duration {
+		start := clock.Now()
+		if _, err := c.Request(context.Background(), env); err != nil {
+			t.Fatal(err)
+		}
+		return clock.Now().Sub(start)
+	}
+	for _, take = range []bool{false, true} {
+		if rt := roundTrip(proto.NewRequest(1, "client", "svc", proto.InferenceRequest{})); !lent || rt != 2*link {
+			t.Fatalf("take=%v: lent %v, round trip %v; want lent, %v", take, lent, rt, 2*link)
+		}
+	}
+	encoded, _ := proto.NewEnvelope(proto.KindRequest, 2, "client", "svc", t0, proto.InferenceRequest{})
+	if rt := roundTrip(encoded); lent || rt != 2*link {
+		t.Fatalf("a request with no exchange: lent %v, round trip %v; want not lent, %v", lent, rt, 2*link)
+	}
+
+	for _, other := range []simtime.Clock{simtime.NewReal(), simtime.NewScaled(1e6, t0)} {
+		n := NewNetwork(other, rng.New(1), nil)
+		defer n.Close()
+		if _, err := n.Bind("svc", func(env proto.Envelope) proto.Envelope {
+			lent = env.TakeHop() != nil
+			return env.Answer("svc", other.Now(), &proto.InferenceReply{})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		c, err := n.Dial("client", "svc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Request(context.Background(), proto.NewRequest(3, "client", "svc", proto.InferenceRequest{})); err != nil || lent {
+			t.Fatalf("%T: lent %v, err %v; want no hop lent off a Virtual", other, lent, err)
+		}
+	}
+}

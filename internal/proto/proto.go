@@ -85,6 +85,9 @@ func NewEnvelope(kind Kind, id uint64, from, to string, sent time.Time, body any
 type exchange struct {
 	req InferenceRequest
 	rep InferenceReply
+	// hop draws the delay of the reply's hop back to the client, while the
+	// client lends it (LendHop) and nobody has taken it (TakeHop).
+	hop func() time.Duration
 }
 
 // exchanges recycles exchanges across round trips (Release).
@@ -115,6 +118,34 @@ func (e Envelope) Answer(from string, sent time.Time, reply *InferenceReply) Env
 	}
 	x.rep = *reply
 	return Envelope{Kind: KindReply, ID: e.ID, From: from, To: e.From, Sent: sent, x: x}
+}
+
+// LendHop lends the server that answers request e the draw of the reply
+// hop's delay, and reports whether it did: only an envelope with an
+// exchange can carry it. A client whose transport times link delays on a virtual
+// clock lends it (msgq's in-process round trip), so that a server that
+// answers from another goroutine can hand the reply over at the instant
+// the hop delivers it, and the client need not sleep the hop itself. The
+// client then pays the hop only if the draw is still lent when the answer
+// comes (TakeHop).
+func (e Envelope) LendHop(draw func() time.Duration) bool {
+	if e.x == nil {
+		return false
+	}
+	e.x.hop = draw
+	return true
+}
+
+// TakeHop takes the reply hop's draw that the client lent on request e
+// (LendHop) and returns it, or nil if none is lent: whoever takes it pays
+// the hop, and a server that took it and does not pay lends it again.
+func (e Envelope) TakeHop() func() time.Duration {
+	if e.x == nil {
+		return nil
+	}
+	draw := e.x.hop
+	e.x.hop = nil
+	return draw
 }
 
 // DecodeExchange decodes the body of e, a request or a reply as

@@ -121,6 +121,14 @@ type Config struct {
 // and an idle request costs no goroutine wake-up. A request that must
 // queue, or whose ctx can end, is handed off as above, so cancellation
 // behaves the same on both paths.
+//
+// A queued request whose caller lent it the reply hop (the Handler of a
+// msgq in-process round trip on a virtual clock, proto.Envelope.LendHop)
+// is answered at the end of that hop: the worker draws the hop when it
+// replies and sends the reply with that delay (simtime.Handoff.SendAfter),
+// so the caller wakes once, where it would wake for the reply and then
+// sleep the hop. The worker itself sleeps no hop and turns to its next
+// batch at once.
 type Server struct {
 	cfg Config
 
@@ -151,13 +159,17 @@ type job struct {
 	received time.Time
 	reply    proto.InferenceReply      // written by whoever serves the job
 	done     simtime.Handoff[struct{}] // a worker's wake-up of the Submit caller once reply is written
+	// hop draws the reply hop's delay when the caller lent it and the job
+	// queued: the worker that serves the job hands the reply over that
+	// delay after it answers. A worker that flushes the job clears it.
+	hop func() time.Duration
 }
 
 // recycle resets the job and returns it to the pool. Callers must own the
 // job outright: the reply has been read, the job never reached the queue,
 // or the worker's Send found the caller gone.
 func (j *job) recycle() {
-	j.req, j.reply = proto.InferenceRequest{}, proto.InferenceReply{}
+	j.req, j.reply, j.hop = proto.InferenceRequest{}, proto.InferenceReply{}, nil
 	jobPool.Put(j)
 }
 
@@ -301,10 +313,16 @@ func (s *Server) worker(park *simtime.Handoff[*job]) {
 		} else {
 			s.serve(batch, items)
 		}
-		// A caller that gave up first refuses its wake-up, and the worker
-		// recycles the job in its place.
+		// A caller that lent its reply hop wakes when the hop delivers the
+		// reply; the batch draws its hops in batch order. A caller that gave
+		// up first refuses its wake-up, and the worker recycles the job in
+		// its place: it lent no hop, since its ctx could end.
 		for _, j := range batch {
-			if !j.done.Send(struct{}{}) {
+			var hop time.Duration
+			if j.hop != nil {
+				hop = j.hop()
+			}
+			if !j.done.SendAfter(struct{}{}, hop) {
 				j.recycle()
 			}
 		}
@@ -318,6 +336,7 @@ func (s *Server) flushStopped(j *job) {
 	s.inflight.Add(-1)
 	s.rejected.Add(1)
 	j.reply = s.errReply(j.req.RequestUID, ErrStopped)
+	j.hop = nil // unserved: submit lends the hop back to the caller
 }
 
 // errReply is the reply to request uid that says why it was not served:
@@ -494,21 +513,28 @@ func (s *Server) serve(batch []*job, items []llm.BatchItem) {
 // wait.
 func (s *Server) Submit(ctx context.Context, req proto.InferenceRequest) (proto.InferenceReply, error) {
 	var reply proto.InferenceReply
-	err := s.submit(ctx, req, &reply)
+	_, err := s.submit(ctx, req, &reply, nil)
 	return reply, err
 }
 
 // submit is Submit writing the reply into *out, which it leaves untouched
-// on an error.
-func (s *Server) submit(ctx context.Context, req proto.InferenceRequest, out *proto.InferenceReply) error {
+// on an error. env, when not nil, is the request's envelope: a request
+// whose ctx can never end and that queues takes the reply hop env lends
+// (proto.Envelope.TakeHop), and the worker that serves it hands the reply
+// over that hop after it answers. submit reports whether the hop was paid
+// so; a request served inline or refused leaves it lent, and one that a
+// Stop flushed lends it again, for the caller to pay.
+func (s *Server) submit(ctx context.Context, req proto.InferenceRequest, out *proto.InferenceReply, env *proto.Envelope) (paid bool, err error) {
 	j := jobPool.Get().(*job)
 	j.req = req
 	j.received = s.cfg.Clock.Now()
 	j.done.Arm(s.cfg.Clock)
+	endless := ctx.Done() == nil
 
 	s.mu.Lock()
 	var rejection error
 	var idle *simtime.Handoff[*job] // the parked worker whose place the caller takes
+	var hop func() time.Duration    // the reply hop taken from env
 	switch {
 	case s.stopped:
 		rejection = ErrStopped
@@ -516,11 +542,17 @@ func (s *Server) submit(ctx context.Context, req proto.InferenceRequest, out *pr
 		rejection = ErrDraining
 	case !s.ready:
 		rejection = ErrNotReady
-	case ctx.Done() == nil && s.waiters.len() > 0:
+	case endless && s.waiters.len() > 0:
 		idle = s.waiters.pop()
 		s.inflight.Add(1)
 	case s.enqueueLocked(j):
 		s.queued.Add(1)
+		if endless && env != nil {
+			// A worker takes j off the queue only under s.mu. (A ctx that
+			// never ends met no parked worker, so j was not handed to one.)
+			hop = env.TakeHop()
+			j.hop = hop
+		}
 	default:
 		rejection = ErrQueueFull
 	}
@@ -529,17 +561,19 @@ func (s *Server) submit(ctx context.Context, req proto.InferenceRequest, out *pr
 	if rejection != nil {
 		s.rejected.Add(1)
 		j.recycle()
-		return rejection
+		return false, rejection
 	}
 	if idle != nil {
 		s.serve([]*job{j}, nil)
 		s.giveBack(idle)
 	} else if _, err := j.done.Recv(ctx); err != nil {
-		return err
+		return false, err
+	} else if paid = j.hop != nil; !paid && hop != nil {
+		env.LendHop(hop)
 	}
 	*out = j.reply
 	j.recycle()
-	return nil
+	return paid, nil
 }
 
 // Handler returns the msgq request handler exposing the server: it reads
@@ -547,20 +581,28 @@ func (s *Server) submit(ctx context.Context, req proto.InferenceRequest, out *pr
 // (proto.Envelope.Answer): into the request's exchange when it has one, so
 // an in-process round trip boxes no reply. A malformed request and a
 // server-side rejection are answered the same way, by a reply whose Err
-// says why (errReply, the reply Stop's flush writes too).
+// says why (errReply, the reply Stop's flush writes too). A queued
+// request takes the reply hop its envelope lends (see Server); an answer
+// whose hop the worker paid is sent at its RepliedAt, not at the caller's
+// wake.
 func (s *Server) Handler() func(proto.Envelope) proto.Envelope {
 	return func(env proto.Envelope) proto.Envelope {
 		var reply proto.InferenceReply
+		paid := false
 		req, err := env.DecodeRequest()
 		if err != nil {
 			err = fmt.Errorf("%w: %v", ErrBadRequest, err)
 		} else {
-			err = s.submit(context.Background(), req, &reply)
+			paid, err = s.submit(context.Background(), req, &reply, &env)
 		}
 		if err != nil {
 			reply = s.errReply(req.RequestUID, err)
 		}
-		return env.Answer(s.cfg.UID, s.cfg.Clock.Now(), &reply)
+		sent := s.cfg.Clock.Now()
+		if paid {
+			sent = reply.Timing.RepliedAt // the caller woke when the hop delivered it
+		}
+		return env.Answer(s.cfg.UID, sent, &reply)
 	}
 }
 

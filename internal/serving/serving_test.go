@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/llm"
+	"repro/internal/msgq"
 	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -1048,4 +1049,192 @@ func TestInlineServeVsStopSingleWinnerRace(t *testing.T) {
 		}
 	}
 	t.Logf("refused %d, stopped during the serve %d, after it %d", refused, during, after)
+}
+
+// TestQueuedReplyRidesItsHop: a caller that lends the reply hop (as msgq's
+// in-process client does on a virtual clock) and whose request queues
+// resumes at the reply's RepliedAt plus its own hop sample exactly, drawn
+// by the worker at RepliedAt; the reply is sent at RepliedAt. The worker
+// turns to the next job at once, sleeping no hop, and one timed delivery
+// fires per queued request. A request served inline, in the parked
+// worker's place, returns at RepliedAt with the hop still lent, for the
+// caller to pay.
+func TestQueuedReplyRidesItsHop(t *testing.T) {
+	clock := simtime.NewVirtualAuto(origin)
+	s := newServerOn(t, "vit-base", 1, clock)
+	start(t, s)
+	h := s.Handler()
+	type call struct {
+		hop                 time.Duration
+		drawnAt, woke, sent time.Time
+		reply               proto.InferenceReply
+		lent                bool
+	}
+	calls := make([]call, 3)
+	done := make(chan struct{}, len(calls))
+	clock.AddRunner() // the spawner holds the clock until every request is out
+	for i := range calls {
+		c := &calls[i]
+		c.hop = time.Millisecond + time.Duration(i)*7*time.Microsecond
+		clock.Go(func() {
+			defer func() { done <- struct{}{} }()
+			env := proto.NewRequest(uint64(i), "client.0", "service.0001", req(fmt.Sprint(i), "p", 8))
+			env.LendHop(func() time.Duration {
+				c.drawnAt = clock.Now()
+				return c.hop
+			})
+			out := h(env)
+			c.woke, c.sent = clock.Now(), out.Sent
+			c.reply, _ = out.DecodeReply()
+			c.lent = env.TakeHop() != nil
+			out.Release()
+		})
+	}
+	clock.DoneRunner()
+	awaitN(t, clock, done, len(calls))
+
+	var queued []call
+	for i, c := range calls {
+		replied := c.reply.Timing.RepliedAt
+		if c.reply.Err != "" || !c.sent.Equal(replied) {
+			t.Fatalf("call %d: reply %+v sent at %v, want a reply sent at its RepliedAt", i, c.reply, c.sent)
+		}
+		if c.lent {
+			if c.reply.Timing.QueueTime() != 0 || !c.woke.Equal(replied) || !c.drawnAt.IsZero() {
+				t.Fatalf("call %d kept its hop: queued %v, woke %v after RepliedAt, drawn at %v; want served inline, back at RepliedAt, undrawn",
+					i, c.reply.Timing.QueueTime(), c.woke.Sub(replied), c.drawnAt)
+			}
+			continue
+		}
+		if !c.drawnAt.Equal(replied) || !c.woke.Equal(replied.Add(c.hop)) {
+			t.Fatalf("call %d: hop drawn %v after RepliedAt, caller woke %v after it; want 0 and its sample %v",
+				i, c.drawnAt.Sub(replied), c.woke.Sub(replied), c.hop)
+		}
+		queued = append(queued, c)
+	}
+	if len(queued) != 2 {
+		t.Fatalf("%d requests queued, want 2 (the first at the instant is served inline)", len(queued))
+	}
+	slices.SortFunc(queued, func(a, b call) int { return a.reply.Timing.DequeuedAt.Compare(b.reply.Timing.DequeuedAt) })
+	if !queued[1].reply.Timing.DequeuedAt.Equal(queued[0].reply.Timing.RepliedAt) {
+		t.Fatalf("the worker took up the next job %v after it replied, want at once",
+			queued[1].reply.Timing.DequeuedAt.Sub(queued[0].reply.Timing.RepliedAt))
+	}
+	if _, _, _, _, delivered := clock.Parks(); delivered != 2 {
+		t.Fatalf("%d timed deliveries, want one per queued request", delivered)
+	}
+}
+
+// TestInprocRoundTripPaysEachHopOnce: over msgq's in-process transport on
+// a virtual clock, every caller resumes one link delay after its reply's
+// RepliedAt: a queued request's through the worker's timed hand-off, and
+// the one served inline through the hop msgq still sleeps on its caller.
+func TestInprocRoundTripPaysEachHopOnce(t *testing.T) {
+	const link = 70 * time.Microsecond
+	clock := simtime.NewVirtualAuto(origin)
+	s := newServerOn(t, "vit-base", 1, clock)
+	start(t, s)
+	net := msgq.NewNetwork(clock, rng.New(5), func(_, _ string) rng.DurationDist { return rng.ConstDuration(link) })
+	defer net.Close()
+	bind, err := net.Bind("service.0001", s.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := net.Dial("client.0", bind.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type call struct {
+		woke  time.Time
+		reply proto.InferenceReply
+	}
+	calls := make([]call, 3)
+	done := make(chan struct{}, len(calls))
+	sent := clock.Now() // after the model's load
+	clock.AddRunner()   // the spawner holds the clock until every request is out
+	for i := range calls {
+		c := &calls[i]
+		clock.Go(func() {
+			defer func() { done <- struct{}{} }()
+			env := proto.NewRequest(uint64(i), "client.0", "service.0001", req(fmt.Sprint(i), "p", 8))
+			out, err := cl.Request(context.Background(), env)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			c.woke = clock.Now()
+			c.reply, _ = out.DecodeReply()
+			out.Release()
+		})
+	}
+	clock.DoneRunner()
+	awaitN(t, clock, done, len(calls))
+	inline := 0
+	for i, c := range calls {
+		tm := c.reply.Timing
+		if !tm.ReceivedAt.Equal(sent.Add(link)) || !c.woke.Equal(tm.RepliedAt.Add(link)) {
+			t.Fatalf("call %d: received %v after the send, woke %v after RepliedAt; want %v each way",
+				i, tm.ReceivedAt.Sub(sent), c.woke.Sub(tm.RepliedAt), link)
+		}
+		if tm.QueueTime() == 0 {
+			inline++
+		}
+	}
+	if _, _, _, _, delivered := clock.Parks(); inline != 1 || delivered != 2 {
+		t.Fatalf("%d served inline and %d timed deliveries, want 1 and 2", inline, delivered)
+	}
+}
+
+// TestFlushedRequestLendsItsHopBack: a queued request that a Stop flushes
+// is not served, so its worker draws no hop and the handler leaves the hop
+// lent again, for the caller to pay; the request served inline meanwhile
+// never took it.
+func TestFlushedRequestLendsItsHopBack(t *testing.T) {
+	clock := simtime.NewVirtualAuto(origin)
+	s := newServerOn(t, "vit-base", 1, clock)
+	start(t, s)
+	h := s.Handler()
+	type call struct {
+		reply proto.InferenceReply
+		lent  bool
+	}
+	calls := make([]call, 2)
+	done := make(chan struct{}, len(calls)+1)
+	clock.AddRunner() // the spawner holds the clock until every goroutine is out
+	for i := range calls {
+		c := &calls[i]
+		clock.Go(func() {
+			defer func() { done <- struct{}{} }()
+			env := proto.NewRequest(uint64(i), "client.0", "service.0001", req(fmt.Sprint(i), "p", 8))
+			env.LendHop(func() time.Duration {
+				t.Error("the hop of a request nobody served was drawn")
+				return 0
+			})
+			out := h(env)
+			c.reply, _ = out.DecodeReply()
+			c.lent = env.TakeHop() != nil
+			out.Release()
+		})
+	}
+	clock.Go(func() {
+		defer func() { done <- struct{}{} }()
+		clock.Sleep(time.Microsecond) // inside the inline serve's parse overhead
+		s.Stop()
+	})
+	clock.DoneRunner()
+	awaitN(t, clock, done, len(calls)+1)
+	flushed := 0
+	for i, c := range calls {
+		if !c.lent {
+			t.Fatalf("call %d: the hop is not lent after the answer %+v", i, c.reply)
+		}
+		if c.reply.Err == ErrStopped.Error() {
+			flushed++
+		} else if c.reply.Err != "" {
+			t.Fatalf("call %d: reply %+v", i, c.reply)
+		}
+	}
+	if flushed != 1 {
+		t.Fatalf("%d requests flushed, want the queued one", flushed)
+	}
 }

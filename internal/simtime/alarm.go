@@ -20,7 +20,7 @@ type Alarm struct {
 
 // NewAlarm returns an alarm on v, not set.
 func (v *Virtual) NewAlarm() *Alarm {
-	return &Alarm{v: v, s: sleeper{ch: make(chan time.Time, 1), index: -1, blocksRunner: true}}
+	return &Alarm{v: v, s: sleeper{ch: make(chan time.Time, 1), index: -1, kind: fireAlarm}}
 }
 
 // Set arms a to fire d from now and returns the ticket of this arming. The
@@ -31,15 +31,10 @@ func (a *Alarm) Set(d time.Duration) (ticket uint64) {
 	v := a.v
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	s := &a.s
-	if s.index >= 0 {
+	if a.s.index >= 0 {
 		panic("simtime: Alarm set twice")
 	}
-	s.deadline, s.seq = after(v.at.Load(), d), v.seq
-	v.seq++
-	v.sleepers.push(s)
-	v.sleeping++
-	return s.seq
+	return v.setLocked(&a.s, d)
 }
 
 // Cancel takes the arming named by ticket off the clock and reports whether

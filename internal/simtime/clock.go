@@ -18,7 +18,9 @@
 // The clock then counts it as parked, and whoever wakes it hands it its wake
 // token first, so time cannot move between the wake and the waiter running.
 // Every one-shot wait of the runtime is a Latch; every wait for a value handed
-// over by another goroutine is a Handoff. A goroutine that idles until another
+// over by another goroutine is a Handoff, whose value is sent now or, on a
+// Virtual, at a later instant (SendAfter): a queued reply that rides its link
+// hop wakes its caller once. A goroutine that idles until another
 // one names the instant it is needed (the load campaign's crew) parks on an
 // Alarm, whose fire hands it a token. One wait keeps its own accounting:
 // the scheduler's kick. Its loop wakes once per kick, again and again, and

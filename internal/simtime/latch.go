@@ -79,7 +79,7 @@ func (l *Latch) Wait(ctx context.Context, c Clock, mu sync.Locker) error {
 	done := l.Done()
 	l.run = RunnersOf(c)
 	l.parked++
-	l.run.DoneRunner()
+	l.run.park(parkLatch)
 	mu.Unlock()
 	select {
 	case <-done:

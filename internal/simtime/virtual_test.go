@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 var origin = time.Date(2025, 3, 17, 0, 0, 0, 0, time.UTC)
@@ -549,5 +550,65 @@ func TestVirtualNowWhileAdvancingRace(t *testing.T) {
 	}
 	if got, want := v.Now(), origin.Add(sleeps*3*time.Millisecond); !got.Equal(want) {
 		t.Fatalf("Now() = %v after the schedule, want %v", got, want)
+	}
+}
+
+// TestVirtualParksCountsEachWait: Parks counts one park per wait a
+// registered goroutine parks in, by kind, an Alarm's at its fire, and one
+// per timed delivery; a self-waking Sleep parks nobody.
+func TestVirtualParksCountsEachWait(t *testing.T) {
+	v := held(t)
+	v.Sleep(time.Second) // the only runner, nothing pending: a self-wake
+	if got := parksOf(v); got != [5]uint64{} {
+		t.Fatalf("a self-wake counted %v", got)
+	}
+
+	var h Handoff[int]
+	h.Arm(v)
+	v.Go(func() { h.Recv(context.Background()) })
+	v.Settle()
+	h.Send(1) // recv 1
+
+	var mu sync.Mutex
+	var l Latch
+	v.Go(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		l.Wait(context.Background(), v, &mu)
+	})
+	v.Settle()
+	mu.Lock()
+	l.Fire() // latch 1
+	mu.Unlock()
+
+	a := v.NewAlarm()
+	followed := make(chan struct{})
+	go func() {
+		defer close(followed)
+		if a.Wait() {
+			v.DoneRunner()
+		}
+	}()
+	a.Set(time.Second)
+	v.Sleep(2 * time.Second) // sleep 1: the alarm is due first; alarm 1 at its fire
+	<-followed
+
+	h.Arm(v)
+	v.Go(func() { h.Recv(context.Background()) })
+	v.Settle()
+	h.SendAfter(2, time.Second) // recv 2, delivered 1
+	v.Sleep(2 * time.Second)    // sleep 2: the delivery is due first
+	v.Settle()
+
+	if got, want := parksOf(v), [5]uint64{2, 2, 1, 1, 1}; got != want {
+		t.Fatalf("parks (sleep, recv, alarm, latch, delivered) = %v, want %v", got, want)
+	}
+}
+
+// TestVirtualIsThreeCacheLines: Virtual's layout by cache line holds only
+// while it is 192 bytes, a size class whose objects all start on a line.
+func TestVirtualIsThreeCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(Virtual{}); size != 192 {
+		t.Fatalf("Virtual is %d bytes; lay its fields out again in three 64-byte lines and pad it to 192", size)
 	}
 }
